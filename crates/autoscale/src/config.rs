@@ -7,7 +7,6 @@ use crate::predictor::PredictorKind;
 
 /// Full configuration of the elastic-scaling planner.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AutoscaleConfig {
     /// How often the planner re-evaluates the fleet size (also the
     /// load-observation window).

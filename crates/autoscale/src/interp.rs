@@ -30,7 +30,6 @@ use crate::load::LoadSample;
 /// bind. In a disaggregated deployment each pool is sized against the term
 /// its stage controls: prefill against TTFT, decode against TPOT.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PoolRole {
     /// One replica runs prefill and decode (single-engine serving).
     Colocated,
@@ -61,7 +60,6 @@ pub trait StepLatency {
 
 /// Expected per-request service quality at a given load and fleet size.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PerfEstimate {
     /// Expected time to first token, in seconds.
     pub ttft_secs: f64,

@@ -6,7 +6,6 @@
 /// interpolator consumes: how many requests per second arrive, and how
 /// large they are on average.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LoadSample {
     /// Request arrivals per second.
     pub request_rate: f64,

@@ -18,7 +18,6 @@ use crate::interp::PerfEstimate;
 
 /// Scaling-policy parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PolicyConfig {
     /// Smallest fleet the policy will ever target (≥ 1).
     pub min_replicas: usize,
@@ -78,7 +77,6 @@ impl PolicyConfig {
 
 /// One scaling decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ScalingDecision {
     /// Keep the current fleet.
     Hold,

@@ -19,7 +19,6 @@ use crate::load::LoadSample;
 
 /// Which scalar predictor to instantiate (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PredictorKind {
     /// Repeat the last observation.
     Constant,

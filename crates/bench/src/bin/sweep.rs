@@ -5,7 +5,7 @@
 //! Single-seed experiments answer "what does the policy do"; this harness
 //! answers "how stable is that answer across workloads". Results are
 //! simulated metrics only (attainment, goodput, memory, makespan) —
-//! wall-clock self-profiling lives in `perf_baseline`. The aggregation is
+//! wall-clock self-profiling lives in `benchmark/`. The aggregation is
 //! a pure function of the run set ([`pf_bench::sweep::aggregate`] sorts
 //! by scenario and seed before folding), so the emitted CSV is
 //! bit-identical no matter how the worker threads interleave — safe to

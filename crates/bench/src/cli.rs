@@ -1,7 +1,7 @@
 //! Command-line parsing shared by every experiment binary.
 //!
 //! All binaries accept `--quick` and `--out <dir>`; binaries with extra
-//! options (e.g. `perf_baseline --gate <path>`) layer them on top via
+//! options (e.g. `sweep --seeds <n>`) layer them on top via
 //! [`Cli::try_parse_extra`] so the common flags behave identically
 //! everywhere.
 
@@ -182,13 +182,9 @@ mod tests {
 
     #[test]
     fn extra_value_flags_accept_both_forms() {
-        let (cli, extra) =
-            parse_extra(&["--gate", "BENCH_core.json", "--quick"], &["--gate"]).unwrap();
+        let (cli, extra) = parse_extra(&["--gate", "base.json", "--quick"], &["--gate"]).unwrap();
         assert!(cli.quick);
-        assert_eq!(
-            extra,
-            vec![("--gate".to_string(), "BENCH_core.json".to_string())]
-        );
+        assert_eq!(extra, vec![("--gate".to_string(), "base.json".to_string())]);
         let (_, extra) = parse_extra(&["--gate=base.json"], &["--gate"]).unwrap();
         assert_eq!(extra, vec![("--gate".to_string(), "base.json".to_string())]);
     }

@@ -13,8 +13,8 @@ use pf_metrics::Summary;
 /// One scenario × seed simulation outcome.
 ///
 /// Only *simulated* metrics belong here (attainment, goodput, memory
-/// fractions, makespan); wall-clock self-profiling is `perf_baseline`'s
-/// job. Every seed of a scenario reports the same metric set.
+/// fractions, makespan); wall-clock self-profiling is the `benchmark/`
+/// package's job. Every seed of a scenario reports the same metric set.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeedRun {
     /// Scenario label (groups runs).

@@ -2,7 +2,7 @@
 //!
 //! Simulated time is the repository's currency everywhere else — replay
 //! from a seed must reproduce every number bit-identically, and host time
-//! cannot be replayed. Self-profiling (`perf_baseline`) is the one
+//! cannot be replayed. Self-profiling (the `benchmark/` package) is the one
 //! legitimate consumer of wall time, and it goes through this module so
 //! the `pf-lint` D2 rule can allowlist exactly one file instead of
 //! whitelisting call sites ad hoc. Do not read `Instant`/`SystemTime`
@@ -18,32 +18,15 @@ pub fn wall_secs(f: impl FnOnce()) -> f64 {
     start.elapsed().as_secs_f64()
 }
 
-/// Best-of-`reps` wall-clock seconds for `f` (the minimum filters OS
-/// scheduler noise, the standard practice for micro-gates).
-///
-/// # Panics
-///
-/// Panics if `reps` is zero.
-pub fn best_wall_secs(reps: usize, mut f: impl FnMut()) -> f64 {
-    assert!(reps > 0, "need at least one repetition");
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        best = best.min(wall_secs(&mut f));
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn wall_secs_is_nonnegative_and_best_is_min() {
-        let one = wall_secs(|| {});
-        assert!(one >= 0.0);
+    fn wall_secs_is_nonnegative() {
         let mut calls = 0;
-        let best = best_wall_secs(3, || calls += 1);
-        assert_eq!(calls, 3);
-        assert!(best >= 0.0 && best.is_finite());
+        let secs = wall_secs(|| calls += 1);
+        assert_eq!(calls, 1);
+        assert!(secs >= 0.0 && secs.is_finite());
     }
 }

@@ -12,7 +12,6 @@ use crate::scheduler::Scheduler;
 /// Serializable description of a scheduler, used by simulation configs and
 /// the experiment harness to build fresh [`Scheduler`] instances per run.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SchedulerConfig {
     /// The paper's Past-Future scheduler (Algorithm 1).
     PastFuture {

@@ -19,7 +19,6 @@
 
 /// One request's contribution to the future-memory computation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BatchEntry {
     /// Tokens already committed to the KV cache: input length plus tokens
     /// generated so far (`l_p + l_t`).
@@ -37,7 +36,6 @@ impl BatchEntry {
 
 /// Memory occupancy at one future request-completion point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CompletionPoint {
     /// Decode steps from now until this completion (the finishing request's
     /// remaining length).

@@ -4,7 +4,6 @@ use std::fmt;
 
 /// Snapshot of one request in the running batch, as visible to a scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RunningRequest {
     /// Engine-assigned id.
     pub id: u64,
@@ -39,7 +38,6 @@ impl RunningRequest {
 /// re-queued: its produced tokens are retained logically and will be
 /// re-prefilled on readmission (recompute preemption).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct QueuedRequest {
     /// Engine-assigned id.
     pub id: u64,
@@ -78,7 +76,6 @@ impl QueuedRequest {
 
 /// KV-cache occupancy snapshot handed to schedulers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemoryState {
     /// Total KV-cache capacity in token slots.
     pub capacity_tokens: u64,

@@ -53,7 +53,6 @@ pub fn block_hash(parent: u64, content: u64) -> u64 {
 
 /// A KV-cache lifecycle record an engine publishes for the global index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum KvEvent {
     /// A block entered the engine's prefix store.
     Stored {

@@ -37,7 +37,6 @@ struct PrefixEntry {
 
 /// Aggregate statistics of one [`PrefixCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PrefixCacheStats {
     /// Lookups performed (requests that declared a prefix).
     pub lookups: u64,

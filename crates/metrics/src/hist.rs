@@ -22,7 +22,6 @@ impl std::error::Error for ZeroBinWidth {}
 
 /// Binning strategy for [`LengthHistogram`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Binning {
     /// Fixed-width bins: lengths `[k*width, (k+1)*width)` share bin `k`.
     Linear {
@@ -94,7 +93,6 @@ impl Default for Binning {
 /// assert_eq!(h.count_in_bin(2), 1); // length 25
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LengthHistogram {
     binning: Binning,
     counts: Vec<u64>,

@@ -11,7 +11,6 @@ use crate::time::{SimDuration, SimTime};
 /// A piecewise-constant time series: each recorded value holds from its
 /// timestamp until the next record.
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StepSeries {
     points: Vec<(SimTime, f64)>,
 }
@@ -127,7 +126,6 @@ impl StepSeries {
 /// Names are created on first [`SeriesGroup::record`]; iteration order is
 /// insertion order, so reports render deterministically.
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SeriesGroup {
     entries: Vec<(String, StepSeries)>,
 }

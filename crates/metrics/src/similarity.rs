@@ -100,7 +100,6 @@ impl WindowedLengths {
 
 /// Symmetric matrix of pairwise window similarities.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimilarityMatrix {
     n: usize,
     values: Vec<f64>,

@@ -16,7 +16,6 @@ use crate::time::{SimDuration, SimTime};
 
 /// SLA thresholds a request must satisfy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SlaSpec {
     /// Maximum allowed time to first token.
     pub max_ttft: SimDuration,
@@ -79,7 +78,6 @@ impl Default for SlaSpec {
 
 /// Per-request token timing, tracked incrementally in O(1) memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RequestTiming {
     arrival: SimTime,
     first_token: Option<SimTime>,
@@ -165,7 +163,6 @@ impl RequestTiming {
 
 /// Result of evaluating one request against an [`SlaSpec`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SlaOutcome {
     /// The first violated constraint, or `None` when the SLA is satisfied.
     pub violation: Option<SlaViolation>,
@@ -180,7 +177,6 @@ impl SlaOutcome {
 
 /// A violated SLA constraint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SlaViolation {
     /// The request finished without producing any token.
     NoTokens,
@@ -203,7 +199,6 @@ pub enum SlaViolation {
 
 /// Counts of requests per violation kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ViolationCounts {
     /// Requests violating the TTFT bound.
     pub ttft: usize,
@@ -223,7 +218,6 @@ pub struct ViolationCounts {
 
 /// Aggregate goodput/throughput report over a set of finished requests.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GoodputReport {
     /// Number of finished requests considered.
     pub total_requests: usize,

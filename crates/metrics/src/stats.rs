@@ -61,7 +61,6 @@ fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
 /// Five-number-style summary of a sample: count, mean, standard deviation,
 /// min, max, and the P50/P90/P99 percentiles.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Summary {
     /// Number of samples.
     pub count: usize,

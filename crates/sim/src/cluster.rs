@@ -8,6 +8,11 @@
 //! an instance using the state visible at arrival time. (The engines
 //! themselves are internal; the public surface is [`ClusterSimulation`].)
 //!
+//! A fixed fleet is an elastic fleet with no planner: [`ClusterSimulation`]
+//! runs the event core of [`crate::elastic`] with every instance live at
+//! t=0 and no planning rounds, so the colocated topology has exactly one
+//! event loop.
+//!
 //! Routing signals, from least to most informed:
 //!
 //! * [`RouterPolicy::RoundRobin`] — no state;
@@ -60,18 +65,17 @@
 //! # Ok::<(), pf_sim::SimError>(())
 //! ```
 
-use std::collections::VecDeque;
-
 use pf_metrics::{SimDuration, SimTime};
 use pf_obs::TraceSink;
 use pf_workload::RequestSpec;
 
 use crate::config::SimConfig;
-use crate::engine::{Arrivals, Engine, Tick};
+use crate::elastic::Run;
+use crate::engine::Engine;
 use crate::error::SimError;
-pub(crate) use crate::fleet::{
-    pick_cost_logit, pick_rotating_min, pick_routed, RouteCandidate, RouteRng, RouterConfig,
-    ROUTE_RNG_STREAM,
+use crate::fleet::{
+    pick_cost_logit, pick_rotating_min, pick_routed, GpuType, RouteCandidate, RouteRng,
+    RouterConfig,
 };
 use crate::report::SimReport;
 
@@ -87,8 +91,9 @@ pub use crate::fleet::SLACK_PRESSURE_WEIGHT;
 /// Request-forwarding policy of the cluster front end.
 ///
 /// `Eq`/`Hash` are implemented manually (bitwise on the float fields of
-/// [`RouterPolicy::KvOverlap`]); don't construct policies with `NaN`
-/// weights.
+/// [`RouterPolicy::KvOverlap`]). Every fleet run rejects a non-finite
+/// `KvOverlap` weight or temperature with
+/// [`SimError::InvalidRouterPolicy`] before its first event.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RouterPolicy {
     /// Cycle through instances regardless of load.
@@ -185,26 +190,26 @@ impl RouterPolicy {
         }
     }
 
-    fn pick(
-        self,
-        engines: &[Engine],
-        spec: &RequestSpec,
-        router: RouterConfig,
-        cursor: &mut usize,
-        scratch: &mut Vec<RouteCandidate>,
-        kv: Option<&mut KvRouteCtx<'_>>,
-    ) -> usize {
-        pick_engine(
-            self,
-            router,
-            engines.iter().enumerate().map(|(i, e)| (i, e, 1.0)),
-            spec,
-            cursor,
-            engines.len(),
-            scratch,
-            kv,
-        )
-        .expect("cluster has at least one instance")
+    /// Rejects [`RouterPolicy::KvOverlap`] parameters that are not finite:
+    /// a NaN weight makes every cost NaN and routing degrades to
+    /// round-robin, and a NaN temperature routes every request to the last
+    /// candidate.
+    pub(crate) fn check(self) -> Result<(), SimError> {
+        if let RouterPolicy::KvOverlap {
+            overlap_weight,
+            temperature,
+        } = self
+        {
+            for (parameter, value) in [
+                ("overlap_weight", overlap_weight),
+                ("temperature", temperature),
+            ] {
+                if !value.is_finite() {
+                    return Err(SimError::InvalidRouterPolicy { parameter });
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -239,9 +244,8 @@ impl<'a> KvRouteCtx<'a> {
     }
 }
 
-/// Applies `policy` to a candidate subset of an engine fleet (the cluster
-/// routes over every instance; the elastic cluster over live members
-/// only). `n` is the full fleet size — the rotating cursor is indexed
+/// Applies `policy` to a candidate subset of an engine fleet (the live
+/// members). `n` is the full fleet size — the rotating cursor is indexed
 /// over it. Each candidate carries its GPU's `perf_scale`; queue-drain
 /// signals divide by it, so a fast GPU looks emptier than a slow one at
 /// equal queued work (1.0 everywhere reproduces the homogeneous dispatch
@@ -261,7 +265,7 @@ pub(crate) fn pick_engine<'a, I>(
     cursor: &mut usize,
     n: usize,
     scratch: &mut Vec<RouteCandidate>,
-    kv: Option<&mut KvRouteCtx<'_>>,
+    kv: &mut KvRouteCtx<'_>,
 ) -> Option<usize>
 where
     I: Iterator<Item = (usize, &'a Engine, f64)>,
@@ -307,43 +311,24 @@ where
         } => {
             scratch.clear();
             let prompt = f64::from(spec.input_len.max(1));
-            match kv {
-                Some(ctx) => {
-                    ctx.rehash(spec);
-                    scratch.extend(candidates.map(|(i, e, s)| RouteCandidate {
-                        index: i,
-                        load: (e.load_estimate()
-                            + router.slack_pressure_weight * e.queue_slack_pressure())
-                            / s,
-                        // The *index's* view of the instance, not the
-                        // instance's own cache: routing only sees blocks
-                        // whose stored events have propagated.
-                        cached_match: ctx.indexer.overlap(i as u32, ctx.chain),
-                    }));
-                    pick_cost_logit(
-                        scratch,
-                        |c| c.load - overlap_weight * (c.cached_match as f64 / prompt),
-                        temperature,
-                        cursor,
-                        n,
-                        ctx.rng,
-                    )
-                }
-                // No index available (a driver that does not publish KV
-                // events): every overlap is 0, so route by pure load.
-                None => pick_rotating_min(
-                    candidates.map(|(i, e, s)| {
-                        (
-                            i,
-                            (e.load_estimate()
-                                + router.slack_pressure_weight * e.queue_slack_pressure())
-                                / s,
-                        )
-                    }),
-                    cursor,
-                    n,
-                ),
-            }
+            kv.rehash(spec);
+            scratch.extend(candidates.map(|(i, e, s)| RouteCandidate {
+                index: i,
+                load: (e.load_estimate() + router.slack_pressure_weight * e.queue_slack_pressure())
+                    / s,
+                // The *index's* view of the instance, not the instance's
+                // own cache: routing only sees blocks whose stored events
+                // have propagated.
+                cached_match: kv.indexer.overlap(i as u32, kv.chain),
+            }));
+            pick_cost_logit(
+                scratch,
+                |c| c.load - overlap_weight * (c.cached_match as f64 / prompt),
+                temperature,
+                cursor,
+                n,
+                kv.rng,
+            )
         }
     }
 }
@@ -392,8 +377,8 @@ impl ClusterSimulation {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] if any request cannot fit an instance or an
-    /// instance stalls.
+    /// Returns [`SimError`] if any request cannot fit an instance, an
+    /// instance stalls, or the policy has a non-finite parameter.
     ///
     /// # Panics
     ///
@@ -414,8 +399,8 @@ impl ClusterSimulation {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] if any request cannot fit an instance or an
-    /// instance stalls.
+    /// Returns [`SimError`] if any request cannot fit an instance, an
+    /// instance stalls, or the policy has a non-finite parameter.
     ///
     /// # Panics
     ///
@@ -427,141 +412,23 @@ impl ClusterSimulation {
         arrival_times: Vec<SimTime>,
         mut sink: Option<&mut dyn TraceSink>,
     ) -> Result<ClusterReport, SimError> {
-        assert_eq!(
-            requests.len(),
-            arrival_times.len(),
-            "one arrival time per request"
-        );
-        assert!(
-            arrival_times.windows(2).all(|w| w[0] <= w[1]),
-            "arrival times must be sorted"
-        );
-        let n_instances = self.configs.len();
-        // Routing-layer state, captured before the configs move into the
-        // engines. The global KV index and its softmax stream only feed
-        // the KvOverlap policy; other policies never touch them.
-        let router_cfg = self.configs[0].router;
-        let block_tokens = self.configs[0]
-            .prefix_cache
-            .and_then(|p| p.block_tokens)
-            .unwrap_or(0);
-        let kv_routing = matches!(self.policy, RouterPolicy::KvOverlap { .. });
-        let mut indexer = pf_kvcache::KvIndexer::new(router_cfg.kv_event_delay.as_micros());
-        let mut route_rng = RouteRng::new(pf_workload::rng::derive_seed(
-            self.configs[0].seed,
-            ROUTE_RNG_STREAM,
-        ));
-        let mut chain_scratch: Vec<u64> = Vec::new();
-        let mut kv_event_buf: Vec<(SimTime, pf_kvcache::KvEvent)> = Vec::new();
-        let mut engines: Vec<Engine> = self
+        let initial = self
             .configs
             .into_iter()
-            .enumerate()
-            .map(|(i, config)| {
-                let mut engine = Engine::new(config, Arrivals::offline(Vec::new()));
-                engine.set_instance(i as u32);
-                engine
-            })
+            .map(|config| (config, GpuType::reference()))
             .collect();
-        if kv_routing {
-            for engine in &mut engines {
-                engine.enable_kv_event_log();
-            }
-        }
-        for engine in &engines {
-            engine.validate()?;
-            for spec in &requests {
-                engine.validate_spec(spec)?;
-            }
-        }
-        let mut stream: VecDeque<(SimTime, RequestSpec)> =
-            arrival_times.into_iter().zip(requests).collect();
-        let mut cursor = 0usize;
-        let mut routed = vec![0usize; n_instances];
-        // Reused across arrivals by the affinity router (see pick_engine).
-        let mut route_scratch: Vec<RouteCandidate> = Vec::new();
-        // Tick-selection argmin (not a routing decision: first-index ties
-        // here only order simulation work, they move no traffic).
-        let lagging = |engines: &[Engine]| {
-            engines
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| a.now().cmp(&b.now()))
-                .map(|(i, _)| i)
-                .expect("cluster has at least one instance")
-        };
-
-        loop {
-            // Tick the engine with the smallest clock; route stream
-            // arrivals once the global front passes their timestamp.
-            let i_min = lagging(&engines);
-            if let Some(&(at, _)) = stream.front() {
-                if engines[i_min].now() >= at {
-                    let (at, spec) = stream.pop_front().expect("peeked");
-                    if kv_routing {
-                        // The index's view of "now" is the routing-time
-                        // reference clock: stored events older than the
-                        // propagation delay become visible here.
-                        indexer.advance(engines[i_min].now().as_micros());
-                    }
-                    let mut kv_ctx = KvRouteCtx {
-                        indexer: &indexer,
-                        rng: &mut route_rng,
-                        block_tokens,
-                        chain: &mut chain_scratch,
-                    };
-                    let target = self.policy.pick(
-                        &engines,
-                        &spec,
-                        router_cfg,
-                        &mut cursor,
-                        &mut route_scratch,
-                        Some(&mut kv_ctx),
-                    );
-                    let arrival = at.max(engines[target].now());
-                    engines[target].inject(arrival, spec);
-                    routed[target] += 1;
-                    continue;
-                }
-            }
-            let tick = engines[i_min].tick_traced(&mut sink)?;
-            if kv_routing {
-                kv_event_buf.clear();
-                engines[i_min].drain_kv_events(&mut kv_event_buf);
-                for &(at, ev) in &kv_event_buf {
-                    indexer.publish(i_min as u32, ev, at.as_micros());
-                }
-            }
-            match tick {
-                Tick::Worked => {}
-                Tick::Sleep(t) => engines[i_min].advance_to(t),
-                Tick::Blocked => unreachable!("engines only queue injected work"),
-                Tick::Drained | Tick::HorizonReached => {
-                    if let Some(&(at, _)) = stream.front() {
-                        // Idle instance: fast-forward to the next arrival so
-                        // it remains the routing-time reference.
-                        engines[i_min].advance_to(at);
-                        continue;
-                    }
-                    // No more arrivals: finish the remaining engines.
-                    let all_done = engines.iter_mut().all(|e| {
-                        matches!(
-                            e.tick_traced(&mut sink),
-                            Ok(Tick::Drained) | Ok(Tick::HorizonReached)
-                        )
-                    });
-                    if all_done {
-                        break;
-                    }
-                }
-            }
-        }
-
-        let reports: Vec<SimReport> = engines.into_iter().map(Engine::into_report).collect();
+        let mut run = Run::start(initial, self.policy, None, requests, arrival_times)?;
+        run.drive(&mut sink)?;
+        let (routed_per_instance, instances) = run
+            .members
+            .into_iter()
+            .map(|m| (m.core.routed, m.engine.into_report()))
+            .unzip();
         Ok(ClusterReport {
             policy: self.policy,
-            routed_per_instance: routed,
-            instances: reports,
+            routed_per_instance,
+            instances,
+            unrouted: run.unrouted,
         })
     }
 }
@@ -575,6 +442,9 @@ pub struct ClusterReport {
     pub routed_per_instance: Vec<usize>,
     /// Per-instance simulation reports.
     pub instances: Vec<SimReport>,
+    /// Requests that reached no instance because `max_sim_time` had
+    /// stopped every instance first.
+    pub unrouted: usize,
 }
 
 impl ClusterReport {

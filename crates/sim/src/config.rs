@@ -10,7 +10,6 @@ use crate::perf::{PerfModel, PerfTuning};
 
 /// KV-cache memory-manager choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum KvLayout {
     /// Token-granularity pool (LightLLM TokenAttention).
     TokenPool,
@@ -25,7 +24,6 @@ pub enum KvLayout {
 
 /// Batching discipline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum BatchingMode {
     /// Continuous batching (iteration-level scheduling).
     Continuous,
@@ -40,7 +38,6 @@ pub enum BatchingMode {
 
 /// What happens to a request evicted under memory pressure.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum EvictionMode {
     /// Recompute preemption (vLLM/LightLLM default): the victim's KV cache
     /// is dropped; on readmission the prompt plus generated tokens are
@@ -67,7 +64,6 @@ impl EvictionMode {
 
 /// Prompt-processing discipline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PrefillMode {
     /// Admitted prompts are processed in one dedicated prefill step
     /// (LightLLM / vLLM default; decode pauses during prefill).
@@ -94,7 +90,6 @@ pub enum PrefillMode {
 /// `timed_out` — admitting them would burn a prefill pass (and KV) on a
 /// request that is guaranteed to miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum QueueOrder {
     /// Arrival order (the default; deadlines only act as the cancellation
     /// guillotine).
@@ -140,7 +135,6 @@ impl QueueOrder {
 /// request KV (and reclaimed first under memory pressure), bounded by
 /// `budget_frac` of capacity.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PrefixCacheConfig {
     /// Largest fraction of KV capacity the prefix cache may occupy, in
     /// `(0, 1]`.
@@ -153,7 +147,6 @@ pub struct PrefixCacheConfig {
     /// [`pf_kvcache::KvEvent`]s consumable by a global
     /// [`pf_kvcache::KvIndexer`]. `None` (default) keeps the legacy
     /// whole-prefix LRU and replays bit-identically to earlier versions.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub block_tokens: Option<u32>,
 }
 

@@ -157,7 +157,6 @@ use crate::report::RequestOutcome;
 /// The KV-transfer cost model between the prefill and decode pools (see
 /// the module docs for the formula).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct KvTransferSpec {
     /// Effective prefill→decode link bandwidth in GB/s.
     pub link_gbps: f64,
@@ -169,17 +168,14 @@ pub struct KvTransferSpec {
     pub max_inflight: usize,
     /// How transfers use the link (default [`TransferMode::Atomic`],
     /// bit-identical to the historical behavior).
-    #[cfg_attr(feature = "serde", serde(default))]
     pub mode: TransferMode,
     /// Layer chunks per streamed transfer; `0` (the default) resolves to
     /// the model's layer count. Ignored in atomic mode.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub num_layers: u32,
 }
 
 /// How the prefill→decode KV handoff uses the link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TransferMode {
     /// One atomic blob after prefill completes, over
     /// [`KvTransferSpec::max_inflight`] fixed slots (the default).
@@ -245,7 +241,6 @@ impl KvTransferSpec {
 
 /// Order in which a prefill instance serves its prompt queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PrefillOrder {
     /// Arrival order (the default).
     Fifo,
@@ -405,7 +400,8 @@ impl DisaggCluster {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] when a request cannot fit either pool.
+    /// Returns [`SimError`] when a request cannot fit either pool or the
+    /// router policy has a non-finite parameter.
     ///
     /// # Panics
     ///
@@ -426,7 +422,8 @@ impl DisaggCluster {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] when a request cannot fit either pool.
+    /// Returns [`SimError`] when a request cannot fit either pool or the
+    /// router policy has a non-finite parameter.
     ///
     /// # Panics
     ///
@@ -508,7 +505,8 @@ impl ElasticDisaggCluster {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] when a request cannot fit either pool.
+    /// Returns [`SimError`] when a request cannot fit either pool or the
+    /// router policy has a non-finite parameter.
     ///
     /// # Panics
     ///
@@ -528,7 +526,8 @@ impl ElasticDisaggCluster {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] when a request cannot fit either pool.
+    /// Returns [`SimError`] when a request cannot fit either pool or the
+    /// router policy has a non-finite parameter.
     ///
     /// # Panics
     ///
@@ -1086,6 +1085,7 @@ impl<'s> Run<'s> {
             arrival_times.windows(2).all(|w| w[0] <= w[1]),
             "arrival times must be sorted"
         );
+        config.router.check()?;
         let perf = config.base.perf_model();
         let capacity = config.base.capacity_tokens();
         if capacity == 0 {
@@ -2675,7 +2675,6 @@ impl<'s> Run<'s> {
 
 /// Aggregate KV-transfer statistics of one run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TransferStats {
     /// Completed handoffs.
     pub transfers: usize,
@@ -2690,11 +2689,9 @@ pub struct TransferStats {
     /// Longest single wait for a slot.
     pub max_wait_secs: f64,
     /// Transfers carried by layer streaming (a subset of `transfers`).
-    #[cfg_attr(feature = "serde", serde(default))]
     pub streamed: usize,
     /// Total streamed transfer time landing *after* the producing prefill
     /// pass ended (the un-hidden tail), in seconds. Zero in atomic mode.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub total_tail_secs: f64,
 }
 

@@ -1,8 +1,10 @@
 //! Elastic multi-instance serving: the cluster grows and shrinks mid-run.
 //!
-//! [`crate::cluster::ClusterSimulation`] serves a workload with a *fixed*
-//! fleet. This module adds the control loop on top: an
-//! [`AutoscalePlanner`] (from `pf-autoscale`) watches arrivals and
+//! This module is the one colocated event core. A fixed fleet is an
+//! elastic fleet with no planner: [`crate::cluster::ClusterSimulation`]
+//! runs this same loop with every member live at t=0 and no planning
+//! rounds, spawns or drains. [`ElasticCluster`] adds the control loop on
+//! top: an [`AutoscalePlanner`] (from `pf-autoscale`) watches arrivals and
 //! completions through sliding windows, forecasts the next adjustment
 //! interval, and resizes the fleet —
 //!
@@ -77,17 +79,17 @@
 use std::collections::VecDeque;
 
 use pf_autoscale::{AutoscaleConfig, AutoscalePlanner, ScalingDecision, StepLatency};
-use pf_metrics::{GoodputReport, SimDuration, SimTime, StepSeries};
+use pf_metrics::{GoodputReport, SimDuration, SimTime, SlaSpec, StepSeries};
 use pf_obs::{Pool, TraceSink};
 use pf_workload::RequestSpec;
 
-use crate::cluster::{pick_engine, KvRouteCtx, RouteCandidate, RouterPolicy};
+use crate::cluster::{pick_engine, KvRouteCtx, RouterPolicy};
 use crate::config::SimConfig;
 use crate::engine::{Arrivals, Engine, Tick};
 use crate::error::SimError;
 use crate::fleet::{
-    self, slot_gpu, FleetMember, GpuType, MemberCore, MemberState, RouteRng, RouterConfig,
-    ROUTE_RNG_STREAM,
+    self, slot_gpu, FleetMember, GpuType, MemberCore, MemberState, RouteCandidate, RouteRng,
+    RouterConfig, ROUTE_RNG_STREAM,
 };
 use crate::perf::PerfModel;
 use crate::report::SimReport;
@@ -118,9 +120,9 @@ impl StepLatency for ReplicaModel {
 }
 
 #[derive(Debug)]
-struct Member {
-    engine: Engine,
-    core: MemberCore,
+pub(crate) struct Member {
+    pub(crate) engine: Engine,
+    pub(crate) core: MemberCore,
     seen_outcomes: usize,
 }
 
@@ -202,8 +204,8 @@ impl ElasticCluster {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] if a request can never fit an instance or an
-    /// instance stalls.
+    /// Returns [`SimError`] if a request can never fit an instance, an
+    /// instance stalls, or the router policy has a non-finite parameter.
     ///
     /// # Panics
     ///
@@ -224,8 +226,8 @@ impl ElasticCluster {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] if a request can never fit an instance or an
-    /// instance stalls.
+    /// Returns [`SimError`] if a request can never fit an instance, an
+    /// instance stalls, or the router policy has a non-finite parameter.
     ///
     /// # Panics
     ///
@@ -235,38 +237,82 @@ impl ElasticCluster {
         self,
         requests: Vec<RequestSpec>,
         arrival_times: Vec<SimTime>,
-        sink: Option<&mut dyn TraceSink>,
+        mut sink: Option<&mut dyn TraceSink>,
     ) -> Result<ElasticReport, SimError> {
-        assert_eq!(
-            requests.len(),
-            arrival_times.len(),
-            "one arrival time per request"
-        );
-        assert!(
-            arrival_times.windows(2).all(|w| w[0] <= w[1]),
-            "arrival times must be sorted"
-        );
-        let mut sink = sink;
-        Run::start(
-            self.base,
-            self.autoscale,
-            self.initial_replicas,
+        let model = ReplicaModel {
+            perf: self.base.perf_model(),
+            capacity_tokens: self.base.capacity_tokens(),
+        };
+        let max_replicas = self.autoscale.policy.max_replicas;
+        let mut planner = AutoscalePlanner::new(self.autoscale, self.base.sla, model);
+        if !self.slots.is_empty() {
+            let scales = (0..max_replicas)
+                .map(|k| slot_gpu(&self.slots, k).perf_scale)
+                .collect();
+            planner = planner.with_slot_perf_scales(scales);
+        }
+        // The initial replicas are provisioned exactly like later spawns:
+        // replica `k` is the `k`-th spawn on slot `k`.
+        let initial = (0..self.initial_replicas)
+            .map(|k| replica(&self.base, &self.slots, k, k))
+            .collect();
+        let sla = self.base.sla;
+        let planning = Planning {
+            next_adjust: SimTime::ZERO + planner.interval(),
+            planner,
+            base: self.base,
+            slots: self.slots,
+        };
+        let mut run = Run::start(
+            initial,
             self.router,
-            self.slots,
-            &requests,
-        )?
-        .drive(arrival_times.into_iter().zip(requests).collect(), &mut sink)
+            Some(planning),
+            requests,
+            arrival_times,
+        )?;
+        run.drive(&mut sink)?;
+        Ok(run.finish(sla))
     }
 }
 
-/// Mutable state of one elastic run.
-struct Run {
-    base: SimConfig,
+/// Config and GPU of the elastic fleet's `spawned`-th replica, provisioned
+/// on slot `slot`: an independent sampling stream per instance, and the
+/// slot GPU's `perf_scale` multiplying the whole stack's kernel speed (×1.0
+/// for the reference type — bit-identical).
+fn replica(
+    base: &SimConfig,
+    slots: &[GpuType],
+    slot: usize,
+    spawned: usize,
+) -> (SimConfig, GpuType) {
+    let gpu = slot_gpu(slots, slot);
+    let mut config = base.clone();
+    config.seed = config.seed.wrapping_add(spawned as u64);
+    config.tuning.kernel_speedup *= gpu.perf_scale;
+    (config, gpu)
+}
+
+/// The autoscaling control loop of an elastic run.
+pub(crate) struct Planning {
     planner: AutoscalePlanner<ReplicaModel>,
-    members: Vec<Member>,
-    spawned_total: usize,
-    router: RouterPolicy,
+    /// The config every replica is provisioned from.
+    base: SimConfig,
+    /// Declared GPU mix (empty = homogeneous reference fleet).
     slots: Vec<GpuType>,
+    /// When the next planning round runs.
+    next_adjust: SimTime,
+}
+
+/// Mutable state of one colocated run: the event core shared by
+/// [`ElasticCluster`] and [`crate::cluster::ClusterSimulation`].
+pub(crate) struct Run {
+    /// The autoscaling loop; `None` for a fixed fleet, which then never
+    /// plans, spawns or drains, and feeds no planner.
+    planning: Option<Planning>,
+    /// Every member ever provisioned, in spawn order (the index is the
+    /// member's trace-event instance id).
+    pub(crate) members: Vec<Member>,
+    router: RouterPolicy,
     /// Rotating tie-break cursor of the router (see
     /// [`crate::fleet::pick_rotating_min`]).
     route_cursor: usize,
@@ -290,9 +336,12 @@ struct Run {
     kv_event_buf: Vec<(SimTime, pf_kvcache::KvEvent)>,
     /// Block size of the members' prefix stores (0 = no block store).
     block_tokens: u32,
-    next_adjust: SimTime,
-    interval: SimDuration,
-    warmup: SimDuration,
+    /// Timed arrivals not yet routed.
+    stream: VecDeque<(SimTime, RequestSpec)>,
+    /// Requests that never reached a member: popped while no live member
+    /// existed, or left in the stream when every member had stopped (both
+    /// possible only when `max_sim_time` stops members early).
+    pub(crate) unrouted: usize,
     events: Vec<ScalingEvent>,
     live_series: StepSeries,
     provisioned_series: StepSeries,
@@ -302,40 +351,42 @@ struct Run {
 }
 
 impl Run {
-    fn start(
-        base: SimConfig,
-        autoscale: AutoscaleConfig,
-        initial_replicas: usize,
+    /// Provisions the `initial` members (live at t=0) and checks the
+    /// arrival stream against them before the first event. The routing
+    /// layer (tunables, KV block size, softmax seed) follows member 0's
+    /// config.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `initial` is empty, `requests.len() != arrival_times.len()`
+    /// or the times are not sorted.
+    pub(crate) fn start(
+        initial: Vec<(SimConfig, GpuType)>,
         router: RouterPolicy,
-        slots: Vec<GpuType>,
-        requests: &[RequestSpec],
+        planning: Option<Planning>,
+        requests: Vec<RequestSpec>,
+        arrival_times: Vec<SimTime>,
     ) -> Result<Run, SimError> {
-        let model = ReplicaModel {
-            perf: base.perf_model(),
-            capacity_tokens: base.capacity_tokens(),
-        };
-        let max_replicas = autoscale.policy.max_replicas;
-        let mut planner = AutoscalePlanner::new(autoscale, base.sla, model);
-        if !slots.is_empty() {
-            let scales = (0..max_replicas)
-                .map(|k| slot_gpu(&slots, k).perf_scale)
-                .collect();
-            planner = planner.with_slot_perf_scales(scales);
-        }
-        let interval = planner.interval();
-        let warmup = planner.warmup();
-        let router_cfg = base.router;
+        assert_eq!(
+            requests.len(),
+            arrival_times.len(),
+            "one arrival time per request"
+        );
+        assert!(
+            arrival_times.windows(2).all(|w| w[0] <= w[1]),
+            "arrival times must be sorted"
+        );
+        router.check()?;
+        let first = &initial.first().expect("fleet needs an initial member").0;
+        let router_cfg = first.router;
         let kv_routing = matches!(router, RouterPolicy::KvOverlap { .. });
         let kv_indexer = pf_kvcache::KvIndexer::new(router_cfg.kv_event_delay.as_micros());
-        let route_rng = RouteRng::new(pf_workload::rng::derive_seed(base.seed, ROUTE_RNG_STREAM));
-        let block_tokens = base.prefix_cache.and_then(|p| p.block_tokens).unwrap_or(0);
+        let route_rng = RouteRng::new(pf_workload::rng::derive_seed(first.seed, ROUTE_RNG_STREAM));
+        let block_tokens = first.prefix_cache.and_then(|p| p.block_tokens).unwrap_or(0);
         let mut run = Run {
-            base,
-            planner,
+            planning,
             members: Vec::new(),
-            spawned_total: 0,
             router,
-            slots,
             route_cursor: 0,
             route_scratch: Vec::new(),
             router_cfg,
@@ -345,45 +396,51 @@ impl Run {
             chain_scratch: Vec::new(),
             kv_event_buf: Vec::new(),
             block_tokens,
-            next_adjust: SimTime::ZERO + interval,
-            interval,
-            warmup,
+            stream: arrival_times.into_iter().zip(requests).collect(),
+            unrouted: 0,
             events: Vec::new(),
             live_series: StepSeries::new(),
             provisioned_series: StepSeries::new(),
             last_record: SimTime::ZERO,
         };
-        for _ in 0..initial_replicas {
-            run.spawn(SimTime::ZERO, SimDuration::ZERO);
+        for (config, gpu) in initial {
+            run.add_member(config, gpu, SimTime::ZERO, SimDuration::ZERO);
         }
-        // Upfront validation against one (any) member: every member shares
-        // the same KV capacity (GPU types differ in speed and cost only).
-        run.members[0].engine.validate()?;
-        for spec in requests {
-            run.members[0].engine.validate_spec(spec)?;
+        // Every initial member is validated: a heterogeneous fixed fleet
+        // mixes KV capacities. Later spawns copy the elastic base config,
+        // whose capacity the initial replicas already share (GPU types
+        // differ in speed and cost only).
+        for member in &run.members {
+            member.engine.validate()?;
+            for (_, spec) in &run.stream {
+                member.engine.validate_spec(spec)?;
+            }
         }
         run.record_fleet(SimTime::ZERO);
         Ok(run)
     }
 
-    fn spawn(&mut self, now: SimTime, warmup: SimDuration) {
+    /// Provisions one replica of the elastic base config at `now`.
+    fn spawn(&mut self, now: SimTime) {
+        let planning = self.planning.as_ref().expect("only the planner spawns");
         // The slot an instance occupies is its rank among currently
         // provisioned members: a fleet of n instances always runs on
         // (approximately) the first n slots of the declared mix.
-        let gpu = slot_gpu(&self.slots, fleet::provisioned_count(&self.members));
-        let mut config = self.base.clone();
-        // Independent sampling streams per instance, as in the static
-        // cluster.
-        config.seed = config.seed.wrapping_add(self.spawned_total as u64);
-        // A GPU type's perf_scale multiplies the whole stack's kernel
-        // speed (×1.0 for the reference type — bit-identical).
-        config.tuning.kernel_speedup *= gpu.perf_scale;
-        // Trace-event instance id: dense over spawn order, stable for the
-        // member's lifetime.
-        let instance = self.spawned_total as u32;
-        self.spawned_total += 1;
+        let (config, gpu) = replica(
+            &planning.base,
+            &planning.slots,
+            fleet::provisioned_count(&self.members),
+            self.members.len(),
+        );
+        let warmup = planning.planner.warmup();
+        self.add_member(config, gpu, now, warmup);
+    }
+
+    fn add_member(&mut self, config: SimConfig, gpu: GpuType, now: SimTime, warmup: SimDuration) {
         let mut engine = Engine::new(config, Arrivals::offline(Vec::new()));
-        engine.set_instance(instance);
+        // Trace-event instance id: the member index, stable for the
+        // member's lifetime.
+        engine.set_instance(self.members.len() as u32);
         engine.advance_to(now);
         if self.kv_routing {
             engine.enable_kv_event_log();
@@ -465,17 +522,22 @@ impl Run {
             route_cursor,
             n,
             route_scratch,
-            Some(&mut kv_ctx),
+            &mut kv_ctx,
         )
     }
 
-    /// Feeds newly finished requests of member `i` to the planner.
+    /// Feeds newly finished requests of member `i` to the planner, if any.
     fn harvest_outcomes(&mut self, i: usize) {
         // Disjoint borrows: the member is read, the planner is fed. This
         // runs after every member tick, so it must not allocate.
         let Run {
-            members, planner, ..
-        } = self;
+            members,
+            planning: Some(Planning { planner, .. }),
+            ..
+        } = self
+        else {
+            return;
+        };
         let member = &mut members[i];
         let now = member.engine.now();
         let outcomes = member.engine.outcomes();
@@ -487,36 +549,51 @@ impl Run {
         member.seen_outcomes = outcomes.len();
     }
 
-    /// Runs one planning round at `self.next_adjust` and applies the
-    /// decision.
+    /// When the next planning round runs (`None` without a planner).
+    fn next_adjust(&self) -> Option<SimTime> {
+        self.planning.as_ref().map(|p| p.next_adjust)
+    }
+
+    /// The earliest global event the lagging member must not skip past:
+    /// the next planning round or the next arrival.
+    fn next_event(&self) -> Option<SimTime> {
+        let arrival = self.stream.front().map(|&(at, _)| at);
+        [self.next_adjust(), arrival].into_iter().flatten().min()
+    }
+
+    /// Runs one planning round at the scheduled time and applies the
+    /// decision (no-op without a planner).
     fn adjust(&mut self, sink: &mut Option<&mut dyn TraceSink>) {
-        let at = self.next_adjust;
-        self.next_adjust = at + self.interval;
-        let live = self.live_count();
-        let warming = self.warming_count();
+        let Some(planning) = self.planning.as_mut() else {
+            return;
+        };
+        let at = planning.next_adjust;
+        planning.next_adjust = at + planning.planner.interval();
+        let (live, warming) = fleet::pool_counts(&self.members);
         let effective = live + warming;
         if effective == 0 {
             // Horizon pressure stopped the whole fleet; nothing to steer.
             return;
         }
-        if !self.slots.is_empty() {
+        if !planning.slots.is_empty() {
             // Refresh the planner's view of what each candidate size would
             // run on: drains removed the costliest members first, so the
             // surviving fleet can differ from the declared slot order.
-            let max = self.planner.config().policy.max_replicas;
-            self.planner
+            let max = planning.planner.config().policy.max_replicas;
+            planning
+                .planner
                 .update_slot_perf_scales(fleet::candidate_perf_scales(
                     &self.members,
-                    &self.slots,
+                    &planning.slots,
                     max,
                 ));
         }
-        let outcome = self.planner.plan(at, live, warming);
+        let outcome = planning.planner.plan(at, live, warming);
         let target = outcome.decision.target_or(effective);
         match outcome.decision {
             ScalingDecision::ScaleUp { target } if target > effective => {
                 for _ in effective..target {
-                    self.spawn(at, self.warmup);
+                    self.spawn(at);
                 }
             }
             ScalingDecision::ScaleDown { target } if target < effective => {
@@ -556,37 +633,32 @@ impl Run {
         promoted
     }
 
-    fn drive(
-        mut self,
-        mut stream: VecDeque<(SimTime, RequestSpec)>,
-        sink: &mut Option<&mut dyn TraceSink>,
-    ) -> Result<ElasticReport, SimError> {
-        // Requests popped from the stream while no live instance exists
-        // (possible only under horizon pressure) are unserved too and
-        // must count alongside the un-popped remainder.
-        let mut dropped = 0usize;
-        // The loop ends when no member is active (every instance stopped,
-        // possible only via max_sim_time — remaining stream goes unserved)
+    /// Runs the fleet until every arrival is routed and every member idle
+    /// or stopped.
+    pub(crate) fn drive(&mut self, sink: &mut Option<&mut dyn TraceSink>) -> Result<(), SimError> {
+        // The loop ends when no member is active (every instance stopped)
         // or via the explicit all-idle break below.
         while let Some(i_min) = self.lagging_active() {
             let front = self.members[i_min].engine.now();
             if self.promote_ready(front) {
                 continue;
             }
-            if front >= self.next_adjust {
+            if self.next_adjust().is_some_and(|at| front >= at) {
                 self.adjust(sink);
                 continue;
             }
-            if let Some(&(at, _)) = stream.front() {
+            if let Some(&(at, _)) = self.stream.front() {
                 if front >= at {
-                    let (at, spec) = stream.pop_front().expect("peeked");
+                    let (at, spec) = self.stream.pop_front().expect("peeked");
                     let Some(target) = self.route_target(front, &spec) else {
                         // No live instance (all draining under horizon
                         // pressure): the request goes unserved.
-                        dropped += 1;
+                        self.unrouted += 1;
                         continue;
                     };
-                    self.planner.on_request_arrival(at, spec.input_len);
+                    if let Some(planning) = self.planning.as_mut() {
+                        planning.planner.on_request_arrival(at, spec.input_len);
+                    }
                     let arrival = at.max(self.members[target].engine.now());
                     self.members[target].engine.inject(arrival, spec);
                     self.members[target].core.routed += 1;
@@ -609,10 +681,7 @@ impl Run {
                     // Do not overshoot the next global event: the planner
                     // round and stream arrivals need the front to pause at
                     // their timestamps.
-                    let mut bound = t.min(self.next_adjust);
-                    if let Some(&(at, _)) = stream.front() {
-                        bound = bound.min(at);
-                    }
+                    let bound = self.next_event().map_or(t, |next| next.min(t));
                     self.members[i_min].engine.advance_to(bound.max(front));
                 }
                 Tick::Blocked => {
@@ -633,31 +702,40 @@ impl Run {
                         self.record_fleet(front);
                         continue;
                     }
-                    // Idle live instance: fast-forward to the next global
-                    // event so it stays a valid routing-time reference.
                     let all_idle = self
                         .members
                         .iter()
                         .filter(|m| m.core.is_active())
                         .all(|m| m.engine.outstanding() == 0);
-                    if stream.is_empty() && all_idle && self.warming_count() == 0 {
+                    if self.stream.is_empty() && all_idle && self.warming_count() == 0 {
                         break;
                     }
-                    let mut next = self.next_adjust;
-                    if let Some(&(at, _)) = stream.front() {
-                        next = next.min(at);
+                    let next = [self.next_event(), fleet::next_ready(&self.members)]
+                        .into_iter()
+                        .flatten()
+                        .min();
+                    match next {
+                        // Idle live instance: fast-forward to the next
+                        // global event so it stays a valid routing-time
+                        // reference.
+                        Some(next) => self.members[i_min].engine.advance_to(next.max(front)),
+                        // A fixed fleet past its last arrival: nothing can
+                        // reach this member again, so it leaves the lagging
+                        // set with its clock (its report's makespan) where
+                        // its work ended.
+                        None => self.members[i_min].core.stop(front),
                     }
-                    if let Some(ready) = fleet::next_ready(&self.members) {
-                        next = next.min(ready);
-                    }
-                    self.members[i_min].engine.advance_to(next.max(front));
                 }
             }
         }
-        Ok(self.finish(dropped + stream.len()))
+        // Arrivals still queued when every member stopped go unserved.
+        self.unrouted += self.stream.len();
+        self.stream.clear();
+        Ok(())
     }
 
-    fn finish(mut self, unrouted: usize) -> ElasticReport {
+    /// Builds the elastic report of a driven run.
+    fn finish(mut self, sla: SlaSpec) -> ElasticReport {
         // Collect any completions the final ticks produced.
         for i in 0..self.members.len() {
             self.harvest_outcomes(i);
@@ -671,7 +749,6 @@ impl Run {
         self.live_series.record(end, self.live_count() as f64);
         self.provisioned_series
             .record(end, fleet::provisioned_count(&self.members) as f64);
-        let sla = self.base.sla;
         let instances: Vec<ElasticInstanceReport> = self
             .members
             .into_iter()
@@ -701,7 +778,7 @@ impl Run {
         ElasticReport {
             goodput,
             makespan,
-            unrouted,
+            unrouted: self.unrouted,
             instances,
             events: self.events,
             live_series: self.live_series,

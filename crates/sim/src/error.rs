@@ -44,6 +44,13 @@ pub enum SimError {
         /// Simulated time of the failing operation.
         at: SimTime,
     },
+    /// A router-policy parameter is not finite: a NaN or infinite
+    /// `KvOverlap` weight or temperature would silently route on garbage
+    /// costs.
+    InvalidRouterPolicy {
+        /// Name of the offending parameter.
+        parameter: &'static str,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -66,6 +73,9 @@ impl fmt::Display for SimError {
             ),
             SimError::KvCache { error, at } => {
                 write!(f, "kv-cache protocol error at {at}: {error}")
+            }
+            SimError::InvalidRouterPolicy { parameter } => {
+                write!(f, "router policy parameter `{parameter}` must be finite")
             }
         }
     }
@@ -108,5 +118,10 @@ mod tests {
         };
         assert!(kv.to_string().contains("unknown request 4"));
         assert!(std::error::Error::source(&kv).is_some());
+        assert!(SimError::InvalidRouterPolicy {
+            parameter: "temperature"
+        }
+        .to_string()
+        .contains("`temperature` must be finite"));
     }
 }

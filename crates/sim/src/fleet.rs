@@ -117,7 +117,6 @@ pub enum MemberState {
 /// seconds in the cost ledger. KV capacity is taken from the deployment
 /// configuration as usual — `GpuType` models speed and price, not memory.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GpuType {
     /// Display name for reports.
     pub name: &'static str,
@@ -498,7 +497,6 @@ pub(crate) fn slack_share_weight(
 /// Which KV index backs [`crate::cluster::RouterPolicy::KvOverlap`]
 /// routing over the disagg prefill pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DisaggKvIndex {
     /// The approximate TTL index fed by router-side observations (the
     /// default, bit-identical to the historical behavior): members emit
@@ -531,8 +529,6 @@ pub const SLACK_PRESSURE_WEIGHT: f64 = 0.05;
 /// historical hard-coded constants bit-for-bit, so a config that never
 /// touches this struct replays exactly as before the fields existed.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[cfg_attr(feature = "serde", serde(default))]
 pub struct RouterConfig {
     /// Smallest cached overlap (tokens) for which
     /// [`crate::cluster::RouterPolicy::PrefixAffinity`] prefers the

@@ -10,7 +10,6 @@ const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
 
 /// A GPU model.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GpuSpec {
     /// Marketing name.
     pub name: &'static str,

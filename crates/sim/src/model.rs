@@ -11,7 +11,6 @@
 
 /// An LLM architecture, parameterized by its attention geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ModelSpec {
     /// Model name.
     pub name: &'static str,

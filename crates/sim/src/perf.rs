@@ -22,7 +22,6 @@ use crate::model::ModelSpec;
 
 /// Utilization efficiencies and overheads of the serving stack.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PerfTuning {
     /// Fraction of peak FLOPs achieved by prefill GEMMs.
     pub prefill_flops_eff: f64,
@@ -54,7 +53,6 @@ impl Default for PerfTuning {
 
 /// Step-latency model for one (model, GPU, tensor-parallel degree) triple.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PerfModel {
     model: ModelSpec,
     gpu: GpuSpec,

@@ -5,7 +5,6 @@ use pf_metrics::{GoodputReport, RequestTiming, SimDuration, StepSeries};
 
 /// Outcome of one request.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RequestOutcome {
     /// Request id.
     pub id: u64,

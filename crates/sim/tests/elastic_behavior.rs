@@ -1,11 +1,14 @@
 //! Behavioral tests for the elastic cluster: scale-up under load, drain
-//! correctness, policy bounds, warm-up delays and full-run determinism.
+//! correctness, policy bounds, warm-up delays and full-run determinism —
+//! plus request conservation at the horizon for it and for the fixed
+//! cluster that runs on the same core.
 
 use pf_autoscale::{AutoscaleConfig, PredictorKind};
 use pf_core::SchedulerConfig;
 use pf_metrics::{SimDuration, SimTime};
+use pf_sim::cluster::{ClusterSimulation, RouterPolicy};
 use pf_sim::elastic::{ElasticCluster, ElasticReport};
-use pf_sim::{GpuSpec, ModelSpec, SimConfig};
+use pf_sim::{GpuSpec, ModelSpec, QueueOrder, SimConfig, SimReport};
 use pf_workload::{datasets, rng::seeded, RateProfile};
 
 fn base_config(capacity: u64) -> SimConfig {
@@ -322,5 +325,46 @@ fn least_slack_first_reduces_elastic_timeouts_on_mixed_deadlines() {
     assert_eq!(
         lsf.goodput.total_requests,
         lsf.completed() + lsf.timed_out()
+    );
+}
+
+#[test]
+fn every_request_ends_exactly_once_at_the_horizon() {
+    // `max_sim_time` cuts both fleets off mid-stream: each routed request
+    // ends in its member's report as completed, timed out or unfinished,
+    // and each request that found every member stopped counts as
+    // unrouted — exactly once in total.
+    let n = 600;
+    let requests = datasets::mixed_deadline(n, 29);
+    let arrivals: Vec<SimTime> = (0..n)
+        .map(|i| SimTime::from_millis(100 * i as u64))
+        .collect();
+    let mut config = base_config(6_000);
+    config.max_sim_time = Some(SimDuration::from_secs(30));
+    config.queue_order = QueueOrder::least_slack();
+    let ended = |r: &SimReport| r.completed + r.timed_out + r.unfinished;
+
+    let cluster = ClusterSimulation::new(config.clone(), 3, RouterPolicy::LeastEstimatedLoad)
+        .run(requests.clone(), arrivals.clone())
+        .expect("cluster run");
+    assert!(cluster.unrouted > 0, "the horizon must cut the stream");
+    for (routed, report) in cluster.routed_per_instance.iter().zip(&cluster.instances) {
+        assert_eq!(ended(report), *routed);
+    }
+    let routed: usize = cluster.routed_per_instance.iter().sum();
+    assert_eq!(routed + cluster.unrouted, n);
+
+    let elastic = ElasticCluster::new(config, autoscale(1, 4), 1)
+        .run(requests, arrivals)
+        .expect("elastic run");
+    assert!(elastic.unrouted > 0, "the horizon must cut the stream");
+    for instance in &elastic.instances {
+        assert_eq!(ended(&instance.report), instance.routed);
+    }
+    let routed: usize = elastic.instances.iter().map(|i| i.routed).sum();
+    assert_eq!(routed + elastic.unrouted, n);
+    assert!(
+        elastic.instances.iter().any(|i| i.report.unfinished > 0),
+        "the horizon must strand work in flight"
     );
 }

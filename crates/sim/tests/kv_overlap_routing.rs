@@ -15,7 +15,9 @@
 //!   the colocated cluster, the elastic fleet and the disagg pools;
 //! * index staleness (the event-propagation delay) degrades reuse
 //!   monotonically toward load-blind routing;
-//! * block stores surface `kv-stored` lifecycle events to a trace sink.
+//! * block stores surface `kv-stored` lifecycle events to a trace sink;
+//! * a non-finite weight or temperature is a typed error on every fleet
+//!   shape.
 
 use pf_autoscale::AutoscaleConfig;
 use pf_core::SchedulerConfig;
@@ -24,7 +26,7 @@ use pf_obs::{RecordingSink, TraceEvent};
 use pf_sim::cluster::{ClusterSimulation, RouterPolicy};
 use pf_sim::disagg::{DisaggCluster, DisaggConfig};
 use pf_sim::elastic::ElasticCluster;
-use pf_sim::{GpuSpec, ModelSpec, RouterConfig, SimConfig};
+use pf_sim::{GpuSpec, ModelSpec, RouterConfig, SimConfig, SimError};
 use pf_workload::datasets;
 
 const BLOCK_TOKENS: u32 = 64;
@@ -279,4 +281,43 @@ fn block_store_emits_kv_lifecycle_trace_events() {
         .filter(|e| matches!(e, TraceEvent::KvStored { .. }))
         .count();
     assert!(stored > 0, "block stores must surface kv-stored events");
+}
+
+#[test]
+fn non_finite_overlap_parameters_are_rejected_before_the_first_event() {
+    // A NaN weight would silently degrade routing to round-robin and a NaN
+    // temperature would route everything to the last candidate; every
+    // fleet shape refuses both (and infinities) with a typed error.
+    let (requests, arrivals) = shared_sysprompt_traffic(40, 59);
+    let kv = |overlap_weight, temperature| RouterPolicy::KvOverlap {
+        overlap_weight,
+        temperature,
+    };
+    for (parameter, policy) in [
+        ("overlap_weight", kv(f64::NAN, 0.0)),
+        ("overlap_weight", kv(f64::INFINITY, 0.0)),
+        ("temperature", kv(1.0, f64::NAN)),
+        ("temperature", kv(1.0, f64::NEG_INFINITY)),
+    ] {
+        let expected = SimError::InvalidRouterPolicy { parameter };
+        let mut sink = RecordingSink::new();
+        let cluster = ClusterSimulation::new(block_config(30_000), 2, policy).run_traced(
+            requests.clone(),
+            arrivals.clone(),
+            Some(&mut sink),
+        );
+        assert_eq!(cluster.unwrap_err(), expected);
+        assert!(sink.events.is_empty(), "rejected before the first event");
+        let autoscale = AutoscaleConfig::bounded(2, 2)
+            .interval(SimDuration::from_secs(1_000))
+            .warmup(SimDuration::from_secs(5));
+        let elastic = ElasticCluster::new(block_config(30_000), autoscale, 2)
+            .router(policy)
+            .run(requests.clone(), arrivals.clone());
+        assert_eq!(elastic.unwrap_err(), expected);
+        let disagg =
+            DisaggCluster::new(DisaggConfig::new(block_config(30_000)).router(policy), 1, 1)
+                .run(requests.clone(), arrivals.clone());
+        assert_eq!(disagg.unwrap_err(), expected);
+    }
 }

@@ -2,15 +2,16 @@
 //! simulation (bit-identical reports vs the untraced path), and the
 //! emitted stream must reconstruct into spans that exactly partition
 //! every request's lifetime — across the colocated engine, the
-//! disaggregated pools and the elastic fleet.
+//! disaggregated pools, the elastic fleet and the fixed cluster.
 
 use pf_autoscale::{AutoscaleConfig, PredictorKind};
 use pf_core::SchedulerConfig;
 use pf_metrics::{SimDuration, SimTime};
 use pf_obs::{reconstruct, RecordingSink, SpanOutcome, TraceEvent};
+use pf_sim::cluster::{ClusterSimulation, RouterPolicy};
 use pf_sim::disagg::{DisaggCluster, DisaggConfig};
 use pf_sim::elastic::ElasticCluster;
-use pf_sim::{GpuSpec, ModelSpec, QueueOrder, SimConfig, Simulation};
+use pf_sim::{GpuSpec, ModelSpec, PrefixCacheConfig, QueueOrder, SimConfig, Simulation};
 use pf_workload::{datasets, LengthSampler};
 
 fn base_config(capacity: u64) -> SimConfig {
@@ -194,4 +195,42 @@ fn traced_elastic_run_is_bit_identical_and_emits_scaling() {
         .filter(|ev| matches!(ev, TraceEvent::Finished { .. }))
         .count();
     assert_eq!(finished, traced.completed());
+}
+
+#[test]
+fn traced_cluster_run_is_bit_identical_and_never_scales() {
+    // The fixed fleet runs the elastic core without a planner: tracing
+    // must not perturb it, and it must emit no fleet-level events.
+    let spec = datasets::SharedSyspromptSpec::default();
+    let (requests, arrivals) = datasets::shared_sysprompt_chat_timed(120, 9, &spec, 2.0, 2.0, 3.0);
+    let mut config = base_config(20_000);
+    config.prefix_cache = Some(PrefixCacheConfig::with_budget_frac(0.4).blocks(64));
+    let cluster = |sink| {
+        ClusterSimulation::new(
+            config.clone(),
+            3,
+            RouterPolicy::KvOverlap {
+                overlap_weight: 1.0,
+                temperature: 0.25,
+            },
+        )
+        .run_traced(requests.clone(), arrivals.clone(), sink)
+    };
+    let untraced = cluster(None).expect("untraced run");
+    let mut sink = RecordingSink::new();
+    let traced = cluster(Some(&mut sink)).expect("traced run");
+    assert_eq!(format!("{untraced:?}"), format!("{traced:?}"));
+    assert!(sink.events.iter().all(|ev| !matches!(
+        ev,
+        TraceEvent::ScaleUp { .. } | TraceEvent::ScaleDown { .. }
+    )));
+    let finished = sink
+        .events
+        .iter()
+        .filter(|ev| matches!(ev, TraceEvent::Finished { .. }))
+        .count();
+    assert_eq!(finished, traced.completed());
+    for span in &reconstruct(&sink.events) {
+        assert!(span.phases_partition_lifetime());
+    }
 }

@@ -18,7 +18,6 @@ use pf_metrics::{SimDuration, SimTime};
 /// workload is exhausted), and a client waits `think_time` between receiving
 /// the last token of one request and submitting the next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClosedLoopClients {
     /// Number of concurrent clients.
     pub n_clients: usize,
@@ -44,7 +43,6 @@ impl ClosedLoopClients {
 
 /// Open-loop Poisson arrival process.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PoissonArrivals {
     /// Mean arrival rate in requests per second.
     pub rate_per_s: f64,
@@ -87,7 +85,6 @@ impl PoissonArrivals {
 /// storms). Both are periodic so a seasonal predictor has something to
 /// learn.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RateProfile {
     /// Sinusoidal cycle from `base_per_s` (at phase 0) up to `peak_per_s`
     /// (at half period) and back.

@@ -6,7 +6,6 @@ use pf_metrics::SimDuration;
 
 /// Opaque request identifier, unique within one workload/simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RequestId(pub u64);
 
 impl RequestId {
@@ -34,7 +33,6 @@ impl From<u64> for RequestId {
 /// router can exploit by steering them to the instance that still caches
 /// those tokens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PrefixId(pub u64);
 
 impl PrefixId {
@@ -65,7 +63,6 @@ impl From<u64> for PrefixId {
 ///
 /// [`OracleScheduler`]: https://docs.rs/pf-core
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RequestSpec {
     /// Unique id.
     pub id: RequestId,
@@ -96,12 +93,10 @@ pub struct RequestSpec {
     /// `prefix_id` — which names one session's conversation — every
     /// session of the same tenant shares this id, so block-granular
     /// caches can reuse the leading blocks *across* sessions.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub system_prompt_id: Option<u64>,
     /// Leading prompt tokens (contained in `input_len`, and in
     /// `prefix_len` once a session has history) occupied by the shared
     /// system prompt. Zero when `system_prompt_id` is `None`.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub system_prompt_len: u32,
 }
 

@@ -11,7 +11,6 @@ use rand::Rng;
 /// All samplers clamp to a `[min, max]` token range, because real serving
 /// systems cap both prompt and generation lengths.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum LengthSampler {
     /// Always the same length.
     Fixed(u32),

@@ -19,7 +19,6 @@ use crate::sampler::LengthSampler;
 
 /// Trace families studied in Figure 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TraceArchetype {
     /// BurstGPT (a): end-user conversation service. Near-stationary.
     Conversation,

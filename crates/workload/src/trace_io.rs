@@ -51,7 +51,6 @@ use crate::request::RequestSpec;
 /// optional shared-prefix structure and arrival timestamp), in arrival
 /// order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TraceRecord {
     /// Prompt length in tokens.
     pub input_len: u32,
