@@ -1,11 +1,10 @@
-//! Extension: global KV-block index routing versus whole-prefix affinity
-//! and pure load routing on multi-tenant, multi-turn chat.
+//! Extension: global KV-block index routing versus prefix affinity and
+//! pure load routing on multi-tenant, multi-turn chat.
 //!
-//! Multi-turn sessions repeat their conversation history (the reuse
-//! whole-prefix affinity already captures), and sessions of one tenant
-//! share a long system prompt — reuse that only exists at *block*
-//! granularity, because no session's whole prefix equals another's. This
-//! experiment serves the same shared-sysprompt stream
+//! Multi-turn sessions repeat their conversation history, and sessions of
+//! one tenant share a long system prompt — reuse that only exists at
+//! *block* granularity, because no session's whole prefix equals
+//! another's. This experiment serves the same shared-sysprompt stream
 //! (`datasets::shared_sysprompt_chat_timed`) under three routers:
 //!
 //! * [`RouterPolicy::LeastEstimatedLoad`] — the paper's §7 signal, blind
@@ -18,9 +17,7 @@
 //!
 //! in three deployments (colocated fleet, elastic fleet, disaggregated
 //! prefill/decode pools), every instance running the same block-granular
-//! prefix store so only the routing signal differs. A fourth colocated
-//! row runs prefix affinity over the legacy *whole-prefix* store at the
-//! same budget — the pre-block stack — to price block granularity itself.
+//! prefix store so only the routing signal differs.
 //!
 //! The run asserts the headline (overlap routing reaches at least
 //! prefix-affinity's TTFT attainment at matched GPU-seconds with a real
@@ -41,7 +38,7 @@ use pf_metrics::{Align, SimDuration, SimTime, SlaSpec, Table};
 use pf_sim::cluster::{ClusterSimulation, RouterPolicy};
 use pf_sim::disagg::{DisaggCluster, DisaggConfig};
 use pf_sim::elastic::ElasticCluster;
-use pf_sim::{DisaggKvIndex, GpuSpec, ModelSpec, SimConfig};
+use pf_sim::{GpuSpec, ModelSpec, SimConfig};
 use pf_workload::{datasets, LengthSampler, RequestSpec};
 
 const CAPACITY: u64 = 48_000;
@@ -61,8 +58,8 @@ const AFFINITY: RouterPolicy = RouterPolicy::PrefixAffinity {
 
 /// Reserved-fraction scheduler as in `prefix_routing`: admission packs
 /// request KV into the half of memory the cache does not own.
-fn config(delay: SimDuration, blocks: bool) -> SimConfig {
-    let builder = SimConfig::builder(ModelSpec::llama2_7b(), GpuSpec::a100_80g())
+fn config(delay: SimDuration) -> SimConfig {
+    let mut config = SimConfig::builder(ModelSpec::llama2_7b(), GpuSpec::a100_80g())
         .scheduler(SchedulerConfig::past_future_reserved(PREFIX_BUDGET_FRAC))
         .capacity_override(CAPACITY)
         .sla(SlaSpec::new(
@@ -70,13 +67,9 @@ fn config(delay: SimDuration, blocks: bool) -> SimConfig {
             SimDuration::from_millis(1_500),
         ))
         .record_series(false)
-        .seed(67);
-    let builder = if blocks {
-        builder.prefix_cache_blocks(PREFIX_BUDGET_FRAC, BLOCK_TOKENS)
-    } else {
-        builder.prefix_cache(PREFIX_BUDGET_FRAC)
-    };
-    let mut config = builder.build();
+        .seed(67)
+        .prefix_cache_blocks(PREFIX_BUDGET_FRAC, BLOCK_TOKENS)
+        .build();
     config.router.kv_event_delay = delay;
     config
 }
@@ -102,7 +95,6 @@ impl Mode {
 struct RowData {
     mode: Mode,
     router: RouterPolicy,
-    store: &'static str,
     delay: SimDuration,
     completed: usize,
     prefix: PrefixCacheStats,
@@ -117,12 +109,11 @@ struct RowData {
 struct Job {
     mode: Mode,
     router: RouterPolicy,
-    store: &'static str,
     delay: SimDuration,
 }
 
 fn run_job(job: &Job, requests: Vec<RequestSpec>, arrivals: Vec<SimTime>) -> RowData {
-    let config = config(job.delay, job.store == "blocks");
+    let config = config(job.delay);
     match job.mode {
         Mode::Coloc => {
             let report = ClusterSimulation::new(config, COLOC_INSTANCES, job.router)
@@ -132,7 +123,6 @@ fn run_job(job: &Job, requests: Vec<RequestSpec>, arrivals: Vec<SimTime>) -> Row
             RowData {
                 mode: job.mode,
                 router: job.router,
-                store: job.store,
                 delay: job.delay,
                 completed: report.completed(),
                 prefix: report.prefix_stats(),
@@ -156,7 +146,6 @@ fn run_job(job: &Job, requests: Vec<RequestSpec>, arrivals: Vec<SimTime>) -> Row
             RowData {
                 mode: job.mode,
                 router: job.router,
-                store: job.store,
                 delay: job.delay,
                 completed: report.completed(),
                 prefix: report.prefix_stats(),
@@ -168,20 +157,12 @@ fn run_job(job: &Job, requests: Vec<RequestSpec>, arrivals: Vec<SimTime>) -> Row
             }
         }
         Mode::Disagg => {
-            // The block-store rows publish real KV events from the prefill
-            // pool into the exact global index, so KvOverlap sees true
-            // per-member block residency instead of a TTL approximation.
-            let mut config = config;
-            if job.store == "blocks" {
-                config.router.disagg_kv_index = DisaggKvIndex::Exact;
-            }
             let report = DisaggCluster::new(DisaggConfig::new(config).router(job.router), 2, 2)
                 .run(requests, arrivals)
                 .expect("disagg run");
             RowData {
                 mode: job.mode,
                 router: job.router,
-                store: job.store,
                 delay: job.delay,
                 completed: report.completed(),
                 prefix: report.prefix_stats,
@@ -195,9 +176,9 @@ fn run_job(job: &Job, requests: Vec<RequestSpec>, arrivals: Vec<SimTime>) -> Row
     }
 }
 
-fn find<'a>(rows: &'a [RowData], mode: Mode, router: RouterPolicy, store: &str) -> &'a RowData {
+fn find(rows: &[RowData], mode: Mode, router: RouterPolicy) -> &RowData {
     rows.iter()
-        .find(|r| r.mode == mode && r.router == router && r.store == store)
+        .find(|r| r.mode == mode && r.router == router && r.delay.is_zero())
         .unwrap_or_else(|| panic!("missing row {} / {}", mode.label(), router.label()))
 }
 
@@ -205,7 +186,7 @@ fn main() {
     let cli = Cli::parse();
 
     // Multi-tenant chat: short sessions (the shape that starves
-    // whole-prefix reuse — most requests are session openers) behind long
+    // per-session reuse — most requests are session openers) behind long
     // tenant system prompts, so the bulk of every opener's prefill is
     // cross-session reusable at block granularity only.
     let n = cli.size(2_400, 600);
@@ -232,8 +213,7 @@ fn main() {
         Mode::Elastic | Mode::Disagg => scaled.clone(),
     };
 
-    // 3 routers x 3 deployments on the block store, the legacy
-    // whole-prefix affinity stack, and the staleness sweep.
+    // 3 routers x 3 deployments, and the staleness sweep.
     let mut jobs_spec: Vec<Job> = [Mode::Coloc, Mode::Elastic, Mode::Disagg]
         .into_iter()
         .flat_map(|mode| {
@@ -242,17 +222,10 @@ fn main() {
                 .map(move |router| Job {
                     mode,
                     router,
-                    store: "blocks",
                     delay: SimDuration::ZERO,
                 })
         })
         .collect();
-    jobs_spec.push(Job {
-        mode: Mode::Coloc,
-        router: AFFINITY,
-        store: "whole",
-        delay: SimDuration::ZERO,
-    });
     let staleness = [
         SimDuration::from_millis(250),
         SimDuration::from_secs(1),
@@ -262,7 +235,6 @@ fn main() {
         jobs_spec.push(Job {
             mode: Mode::Coloc,
             router: KV_OVERLAP,
-            store: "blocks",
             delay,
         });
     }
@@ -280,7 +252,6 @@ fn main() {
     let mut table = Table::new([
         "deployment",
         "router",
-        "store",
         "delay",
         "completed",
         "hit rate",
@@ -291,7 +262,6 @@ fn main() {
         "makespan s",
     ])
     .with_aligns(&[
-        Align::Left,
         Align::Left,
         Align::Left,
         Align::Right,
@@ -307,7 +277,6 @@ fn main() {
         table.row([
             row.mode.label().to_string(),
             row.router.label().to_string(),
-            row.store.to_string(),
             format!("{:.2}s", row.delay.as_secs_f64()),
             row.completed.to_string(),
             pct(row.prefix.hit_rate()),
@@ -329,14 +298,12 @@ fn main() {
     // load routing's) TTFT attainment at matched GPU-seconds with a real
     // hit rate, colocated and disaggregated.
     for mode in [Mode::Coloc, Mode::Disagg] {
-        let load = find(&rows, mode, RouterPolicy::LeastEstimatedLoad, "blocks");
-        let affinity = find(&rows, mode, AFFINITY, "blocks");
-        let kv = find(&rows, mode, KV_OVERLAP, "blocks");
+        let load = find(&rows, mode, RouterPolicy::LeastEstimatedLoad);
+        let affinity = find(&rows, mode, AFFINITY);
+        let kv = find(&rows, mode, KV_OVERLAP);
         assert_eq!(kv.completed, load.completed, "{}", mode.label());
-        // The exact global index must match direct store probes — in the
-        // colocated fleet and, now that the prefill pool publishes real
-        // KV stored/removed events into an exact index, in the
-        // disaggregated one too.
+        // The event-fed global index must match direct store probes, in
+        // the colocated fleet and in the disaggregated prefill pool.
         assert!(
             kv.ttft_attainment >= affinity.ttft_attainment,
             "{}: overlap TTFT attainment {:.3} below prefix-affinity {:.3}",
@@ -371,19 +338,9 @@ fn main() {
             load.prefix.hit_tokens
         );
     }
-    // Block granularity itself: the overlap stack must out-reuse the
-    // legacy whole-prefix affinity stack, which cannot see cross-session
-    // system-prompt sharing.
-    let kv_coloc = find(&rows, Mode::Coloc, KV_OVERLAP, "blocks");
-    let whole = find(&rows, Mode::Coloc, AFFINITY, "whole");
-    assert!(
-        kv_coloc.prefix.hit_tokens > whole.prefix.hit_tokens,
-        "block overlap saved {} tokens vs whole-prefix affinity's {}",
-        kv_coloc.prefix.hit_tokens,
-        whole.prefix.hit_tokens
-    );
+    let kv_coloc = find(&rows, Mode::Coloc, KV_OVERLAP);
     // Elastic sanity: the index tracks members behind the autoscaler.
-    let elastic = find(&rows, Mode::Elastic, KV_OVERLAP, "blocks");
+    let elastic = find(&rows, Mode::Elastic, KV_OVERLAP);
     assert!(elastic.prefix.hit_rate() > 0.0, "elastic: no cache hits");
 
     // Staleness: a never-propagating index cannot beat a fresh one. The
@@ -405,13 +362,12 @@ fn main() {
     // and softmax routing (nonzero temperature) in coloc, are all
     // bit-identical across reruns.
     for mode in [Mode::Coloc, Mode::Disagg] {
-        let first = find(&rows, mode, KV_OVERLAP, "blocks");
+        let first = find(&rows, mode, KV_OVERLAP);
         let (requests, arrivals) = stream(mode);
         let replay = run_job(
             &Job {
                 mode,
                 router: KV_OVERLAP,
-                store: "blocks",
                 delay: SimDuration::ZERO,
             },
             requests,
@@ -442,7 +398,6 @@ fn main() {
             overlap_weight: 1.0,
             temperature: 0.3,
         },
-        store: "blocks",
         delay: SimDuration::from_millis(250),
     };
     let (requests, arrivals) = stream(Mode::Coloc);
@@ -452,17 +407,12 @@ fn main() {
     assert_eq!(soft_a.makespan_s, soft_b.makespan_s);
     assert_eq!(soft_a.prefix, soft_b.prefix);
 
-    let load_coloc = find(
-        &rows,
-        Mode::Coloc,
-        RouterPolicy::LeastEstimatedLoad,
-        "blocks",
-    );
+    let load_coloc = find(&rows, Mode::Coloc, RouterPolicy::LeastEstimatedLoad);
     println!(
         "[ok] kv-overlap: coloc TTFT-SLA {:.1}% vs affinity {:.1}% vs load {:.1}% at hit rate {}; \
          softmax + argmin replay deterministic; staleness sweep ordered",
         kv_coloc.ttft_attainment * 100.0,
-        find(&rows, Mode::Coloc, AFFINITY, "blocks").ttft_attainment * 100.0,
+        find(&rows, Mode::Coloc, AFFINITY).ttft_attainment * 100.0,
         load_coloc.ttft_attainment * 100.0,
         pct(kv_coloc.prefix.hit_rate()),
     );

@@ -15,9 +15,9 @@
 //! * **disagg** — a fixed [`DisaggCluster`], where prefix hits shrink the
 //!   dedicated prefill pool's passes directly.
 //!
-//! Every instance runs the same prefix cache (half the KV pool); only
-//! the routing signal differs, so the delta isolates what *routing*
-//! awareness is worth. The run asserts the headline: prefix affinity reaches at
+//! Every instance runs the same block-granular prefix cache (half the KV
+//! pool, 64-token blocks); only the routing signal differs, so the delta
+//! isolates what *routing* awareness is worth. The run asserts the headline: prefix affinity reaches at
 //! least least-estimated-load's TTFT-SLA attainment at equal GPU-seconds
 //! with a nonzero hit rate, in both the colocated and disaggregated
 //! deployments, and replays bit-identically.

@@ -280,9 +280,9 @@ fn fingerprints() -> Vec<(String, u64)> {
         pin(label.into(), h);
     }
 
-    // Disaggregated pools under KV-overlap routing: the decode pool
-    // consults the exact delayed index, the prefill pool the approximate
-    // TTL index, and both picks replay from the router's own stream.
+    // Disaggregated pools under KV-overlap routing: the prefill members'
+    // block stores publish into the event-fed index the router scores,
+    // and the softmax picks replay from the router's own stream.
     {
         let spec = datasets::SharedSyspromptSpec::default();
         let (requests, arrivals) =

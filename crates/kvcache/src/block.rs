@@ -1,30 +1,25 @@
 //! Block-granular prefix caching and the event-driven global KV index.
 //!
-//! [`PrefixCache`](crate::PrefixCache) stores one monolithic entry per
-//! conversation id, so a router can only ask "does instance *i* hold
-//! prefix *p*?". Real KV-aware routers (NVIDIA Dynamo's KV-cache routing
-//! being the reference design) work at *block* granularity instead:
+//! Real KV-aware routers (NVIDIA Dynamo's KV-cache routing being the
+//! reference design) work at *block* granularity rather than asking
+//! "does instance *i* hold conversation *p*?":
 //!
 //! * prompts are split into fixed-size token blocks and each block is
 //!   identified by a **chained hash** — [`block_hash`] of the parent
 //!   block's hash and the block's token content — so a block's identity
 //!   pins the entire prefix leading up to it;
-//! * engines keep a [`BlockPrefixCache`]: the same token-budget LRU
-//!   charging as the monolithic cache, but eviction removes block
-//!   *suffixes* (leaf blocks first), so a partially evicted prefix still
-//!   serves shorter matches;
+//! * engines keep a [`BlockPrefixCache`]: a token-budget LRU whose
+//!   eviction removes block *suffixes* (leaf blocks first), so a
+//!   partially evicted prefix still serves shorter matches;
 //! * every store/evict publishes a [`KvEvent`], and a global
 //!   [`KvIndexer`] is maintained **purely from those events** — the
 //!   router never inspects engine caches directly. A configurable
 //!   propagation delay makes stale-index divergence (the router believes
-//!   blocks exist that were already evicted) a measurable phenomenon;
-//! * engines that do not emit events are covered by an
-//!   [`ApproxKvIndexer`], which optimistically records the blocks of
-//!   every request it routed and expires them on a TTL.
+//!   blocks exist that were already evicted) a measurable phenomenon.
 //!
 //! All token counts are in KV token slots, as everywhere in this crate.
 
-// pf-lint: allow(D1): HashMap is only used by the two indexers below for key-addressed lookups; iteration order never escapes
+// pf-lint: allow(D1): HashMap is only used by the indexer below for key-addressed lookups; iteration order never escapes
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use crate::prefix::PrefixCacheStats;
@@ -97,8 +92,8 @@ struct BlockEntry {
 /// for the publisher to [`drain_events`](BlockPrefixCache::drain_events).
 ///
 /// Occupancy is meant to be charged against the engine's real KV pool by
-/// the caller, exactly like [`PrefixCache`](crate::PrefixCache): the
-/// caller reads [`used_tokens`](BlockPrefixCache::used_tokens) and calls
+/// the caller: the caller reads
+/// [`used_tokens`](BlockPrefixCache::used_tokens) and calls
 /// [`evict_down_to`](BlockPrefixCache::evict_down_to) when the pool
 /// cannot hold the charge.
 #[derive(Debug)]
@@ -166,7 +161,7 @@ impl BlockPrefixCache {
         self.entries.is_empty()
     }
 
-    /// Counter snapshot (shared shape with the monolithic cache).
+    /// Counter snapshot.
     #[must_use]
     pub fn stats(&self) -> PrefixCacheStats {
         self.stats
@@ -452,86 +447,6 @@ impl KvIndexer {
     }
 }
 
-/// Approximate KV index for engines that publish no events (e.g. the
-/// disaggregated prefill pool, whose members run the monolithic
-/// [`PrefixCache`](crate::PrefixCache)).
-///
-/// The router [`observe`](ApproxKvIndexer::observe)s the block chain of
-/// every request *it* routed and assumes those blocks live on the chosen
-/// instance until a TTL expires — optimistic bookkeeping in place of
-/// ground truth, the same trade real routers make for engines without
-/// event support. It can claim blocks an engine already evicted (until
-/// the TTL lapses) but never blocks no routed request would have stored.
-#[derive(Debug)]
-pub struct ApproxKvIndexer {
-    ttl_micros: u64,
-    /// Per-instance block hash → expiry time in simulated microseconds.
-    // pf-lint: allow(D1): key-addressed lookups plus an order-insensitive retain(); iteration order never escapes
-    instances: Vec<HashMap<u64, u64>>,
-}
-
-impl ApproxKvIndexer {
-    /// Creates an approximate index whose observations expire
-    /// `ttl_micros` simulated microseconds after the last touch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ttl_micros` is zero.
-    #[must_use]
-    pub fn new(ttl_micros: u64) -> Self {
-        assert!(ttl_micros > 0, "TTL must be positive");
-        ApproxKvIndexer {
-            ttl_micros,
-            instances: Vec::new(),
-        }
-    }
-
-    /// The configured TTL in microseconds.
-    #[must_use]
-    pub fn ttl_micros(&self) -> u64 {
-        self.ttl_micros
-    }
-
-    /// Records that a request whose prompt hashes to `chain` was routed
-    /// to `instance` at `now_micros`: every block of the chain is assumed
-    /// stored there until the TTL lapses (re-observation refreshes it).
-    pub fn observe(&mut self, instance: u32, chain: &[u64], now_micros: u64) {
-        let i = instance as usize;
-        if i >= self.instances.len() {
-            self.instances.resize_with(i + 1, HashMap::new); // pf-lint: allow(D1): constructing empty slots
-        }
-        let expiry = now_micros.saturating_add(self.ttl_micros);
-        for &hash in chain {
-            let slot = self.instances[i].entry(hash).or_insert(0);
-            *slot = (*slot).max(expiry);
-        }
-    }
-
-    /// Blocks of the longest leading run of `chain` believed live on
-    /// `instance` at `now_micros`.
-    #[must_use]
-    pub fn overlap_blocks(&self, instance: u32, chain: &[u64], now_micros: u64) -> u64 {
-        let Some(set) = self.instances.get(instance as usize) else {
-            return 0;
-        };
-        let mut blocks = 0;
-        for hash in chain {
-            match set.get(hash) {
-                Some(&expiry) if expiry > now_micros => blocks += 1,
-                _ => break,
-            }
-        }
-        blocks
-    }
-
-    /// Drops expired observations (bounds memory on long runs).
-    pub fn compact(&mut self, now_micros: u64) {
-        for set in &mut self.instances {
-            set.retain(|_, expiry| *expiry > now_micros);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -720,20 +635,6 @@ mod tests {
         assert_eq!(idx.overlap(1, &hashes), 0);
     }
 
-    #[test]
-    fn approx_indexer_expires_on_ttl() {
-        let mut idx = ApproxKvIndexer::new(1_000);
-        let hashes = chain(&[1, 2, 3]);
-        idx.observe(2, &hashes, 0);
-        assert_eq!(idx.overlap_blocks(2, &hashes, 999), 3);
-        assert_eq!(idx.overlap_blocks(2, &hashes, 1_000), 0);
-        // Re-observation refreshes the leading blocks only.
-        idx.observe(2, &hashes[..1], 500);
-        assert_eq!(idx.overlap_blocks(2, &hashes, 1_200), 1);
-        idx.compact(2_000);
-        assert_eq!(idx.overlap_blocks(2, &hashes, 0), 0);
-    }
-
     mod props {
         use super::*;
         use proptest::prelude::*;
@@ -754,7 +655,7 @@ mod tests {
                 prop_assert_eq!(&a, &chain(&base));
             }
 
-            /// The exact indexer conserves stored-minus-removed under
+            /// The indexer conserves stored-minus-removed under
             /// arbitrary interleavings of valid store/evict streams from
             /// several instances.
             #[test]
@@ -803,45 +704,6 @@ mod tests {
                     );
                     for (&block, &tokens) in &shadow[inst as usize] {
                         prop_assert_eq!(idx.overlap(inst, &[block]), tokens);
-                    }
-                }
-            }
-
-            /// The approximate indexer is optimistic but never invents:
-            /// it must not report a block the exact indexer (fed by a
-            /// store that never evicts) would not have stored.
-            #[test]
-            fn approx_never_reports_never_stored_blocks(
-                routes in proptest::collection::vec(
-                    (0u32..3, proptest::collection::vec(0u64..6, 1..6)), 1..40),
-                probe in proptest::collection::vec(0u64..6, 1..6),
-            ) {
-                let mut approx = ApproxKvIndexer::new(10_000);
-                let mut exact = KvIndexer::new(0);
-                let mut stores: Vec<BlockPrefixCache> =
-                    (0..3).map(|_| BlockPrefixCache::new(u64::MAX, 10)).collect();
-                let mut events = Vec::new();
-                for (t, (inst, contents)) in routes.iter().enumerate() {
-                    let now = t as u64 * 100;
-                    let hashes = chain(contents);
-                    approx.observe(*inst, &hashes, now);
-                    stores[*inst as usize].insert_chain(contents.iter().copied());
-                    events.clear();
-                    stores[*inst as usize].drain_events(&mut events);
-                    for &ev in &events {
-                        exact.publish(*inst, ev, now);
-                    }
-                }
-                let probe_hashes = chain(&probe);
-                for inst in 0..3u32 {
-                    for now in [0u64, 5_000, 20_000] {
-                        let approx_tokens =
-                            approx.overlap_blocks(inst, &probe_hashes, now) * 10;
-                        prop_assert!(
-                            approx_tokens <= exact.overlap(inst, &probe_hashes),
-                            "approx claims {} tokens on instance {} but only {} were ever stored",
-                            approx_tokens, inst, exact.overlap(inst, &probe_hashes)
-                        );
                     }
                 }
             }

@@ -12,13 +12,12 @@
 //!   FasterTransformer/ORCA style. Massive reservation waste, shown here as
 //!   the motivating baseline.
 //!
-//! The crate also provides [`PrefixCache`], a per-instance LRU over shared
-//! prompt prefixes (system prompts, multi-turn conversations) used by
-//! KV-aware routers to simulate prefix-cache hits, plus its block-granular
-//! successor: chained [`block_hash`]es, the suffix-evicting
-//! [`BlockPrefixCache`], and the event-driven [`KvIndexer`] /
-//! [`ApproxKvIndexer`] pair that global KV-aware routers consult (see the
-//! [`block`](crate::block_hash) module docs).
+//! The crate also provides the prefix store KV-aware routers use to
+//! simulate prefix-cache hits on shared prompt prefixes (system prompts,
+//! multi-turn conversations): chained [`block_hash`]es, the
+//! suffix-evicting [`BlockPrefixCache`] with its [`PrefixCacheStats`],
+//! and the event-driven [`KvIndexer`] that global KV-aware routers
+//! consult (see the [`block`](crate::block_hash) module docs).
 //!
 //! All sizes are in **KV token slots**: one slot stores the key/value
 //! vectors of one token across all layers. Requests are identified by opaque
@@ -47,10 +46,10 @@ mod paged;
 mod prefix;
 mod token_pool;
 
-pub use block::{block_hash, ApproxKvIndexer, BlockPrefixCache, KvEvent, KvIndexer, KV_ROOT_HASH};
+pub use block::{block_hash, BlockPrefixCache, KvEvent, KvIndexer, KV_ROOT_HASH};
 pub use contiguous::ContiguousPool;
 pub use paged::PagedPool;
-pub use prefix::{PrefixCache, PrefixCacheStats};
+pub use prefix::PrefixCacheStats;
 pub use token_pool::TokenPool;
 
 use std::error::Error;

@@ -26,17 +26,21 @@
 //! * [`RouterPolicy::PrefixAffinity`] — KV-aware routing (NVIDIA
 //!   Dynamo-style): steer each request to the live instance holding the
 //!   longest cached prefix of its prompt, falling back to
-//!   least-estimated-load below a match threshold. Requires instances
-//!   configured with a prefix cache
+//!   least-estimated-load below a match threshold. Pays off only with
+//!   instances configured with a prefix cache
 //!   ([`crate::SimConfigBuilder::prefix_cache`]) and workloads carrying
 //!   prefix structure ([`pf_workload::datasets::multi_turn_chat`]);
+//!   without a cache every match is 0 and it routes on load;
 //! * [`RouterPolicy::KvOverlap`] — block-granular overlap scoring against
 //!   a *global event-fed KV index* ([`pf_kvcache::KvIndexer`]): engines
 //!   publish block stored/removed events (subject to a configurable
 //!   propagation delay), and the router trades estimated load against the
 //!   indexed overlap through a cost logit with optional softmax
-//!   temperature. Requires a block-granular prefix store
-//!   ([`crate::SimConfigBuilder::prefix_cache_blocks`]).
+//!   temperature. Requires a prefix cache
+//!   ([`crate::SimConfigBuilder::prefix_cache`], or
+//!   [`crate::SimConfigBuilder::prefix_cache_blocks`] for another block
+//!   size): a fleet without one is rejected with
+//!   [`SimError::InvalidRouterPolicy`] before its first event.
 //!
 //! All load-based policies break exact ties with a deterministic rotating
 //! cursor rather than by lowest index — equal-load instances (the steady
@@ -69,7 +73,7 @@ use pf_metrics::{SimDuration, SimTime};
 use pf_obs::TraceSink;
 use pf_workload::RequestSpec;
 
-use crate::config::SimConfig;
+use crate::config::{PrefixCacheConfig, SimConfig};
 use crate::elastic::Run;
 use crate::engine::Engine;
 use crate::error::SimError;
@@ -92,8 +96,8 @@ pub use crate::fleet::SLACK_PRESSURE_WEIGHT;
 ///
 /// `Eq`/`Hash` are implemented manually (bitwise on the float fields of
 /// [`RouterPolicy::KvOverlap`]). Every fleet run rejects a non-finite
-/// `KvOverlap` weight or temperature with
-/// [`SimError::InvalidRouterPolicy`] before its first event.
+/// `KvOverlap` weight or temperature, and `KvOverlap` without a prefix
+/// cache, with [`SimError::InvalidRouterPolicy`] before its first event.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RouterPolicy {
     /// Cycle through instances regardless of load.
@@ -190,11 +194,13 @@ impl RouterPolicy {
         }
     }
 
-    /// Rejects [`RouterPolicy::KvOverlap`] parameters that are not finite:
-    /// a NaN weight makes every cost NaN and routing degrades to
-    /// round-robin, and a NaN temperature routes every request to the last
-    /// candidate.
-    pub(crate) fn check(self) -> Result<(), SimError> {
+    /// Rejects a [`RouterPolicy::KvOverlap`] that cannot route
+    /// meaningfully: a NaN weight makes every cost NaN and routing
+    /// degrades to round-robin, a NaN temperature routes every request to
+    /// the last candidate, and without a prefix cache (`prefix_cache`, the
+    /// routing layer's config) every overlap reads 0 and the policy
+    /// silently routes on load alone.
+    pub(crate) fn check(self, prefix_cache: Option<PrefixCacheConfig>) -> Result<(), SimError> {
         if let RouterPolicy::KvOverlap {
             overlap_weight,
             temperature,
@@ -207,6 +213,11 @@ impl RouterPolicy {
                 if !value.is_finite() {
                     return Err(SimError::InvalidRouterPolicy { parameter });
                 }
+            }
+            if prefix_cache.is_none() {
+                return Err(SimError::InvalidRouterPolicy {
+                    parameter: "prefix_cache",
+                });
             }
         }
         Ok(())
@@ -221,8 +232,7 @@ impl RouterPolicy {
 pub(crate) struct KvRouteCtx<'a> {
     pub(crate) indexer: &'a pf_kvcache::KvIndexer,
     pub(crate) rng: &'a mut RouteRng,
-    /// Block size of the fleet's prefix stores; 0 when no block store is
-    /// configured (every overlap is then 0).
+    /// Block size of the fleet's prefix stores.
     pub(crate) block_tokens: u32,
     pub(crate) chain: &'a mut Vec<u64>,
 }
@@ -233,9 +243,6 @@ impl<'a> KvRouteCtx<'a> {
     /// a block store could hold for it).
     fn rehash(&mut self, spec: &RequestSpec) {
         self.chain.clear();
-        if self.block_tokens == 0 {
-            return;
-        }
         let mut parent = pf_kvcache::KV_ROOT_HASH;
         for content in spec.matchable_blocks(self.block_tokens) {
             parent = pf_kvcache::block_hash(parent, content);
@@ -378,7 +385,8 @@ impl ClusterSimulation {
     /// # Errors
     ///
     /// Returns [`SimError`] if any request cannot fit an instance, an
-    /// instance stalls, or the policy has a non-finite parameter.
+    /// instance stalls, or the policy cannot run on the fleet
+    /// ([`SimError::InvalidRouterPolicy`]).
     ///
     /// # Panics
     ///
@@ -400,7 +408,8 @@ impl ClusterSimulation {
     /// # Errors
     ///
     /// Returns [`SimError`] if any request cannot fit an instance, an
-    /// instance stalls, or the policy has a non-finite parameter.
+    /// instance stalls, or the policy cannot run on the fleet
+    /// ([`SimError::InvalidRouterPolicy`]).
     ///
     /// # Panics
     ///

@@ -129,24 +129,22 @@ impl QueueOrder {
 }
 
 /// Prefix-cache configuration: the instance retains finished requests'
-/// conversation KV in an LRU keyed by [`pf_workload::PrefixId`], so later
-/// requests declaring the same prefix skip re-prefilling the cached
-/// tokens. The cache's occupancy is charged against the *same* KV pool as
-/// request KV (and reclaimed first under memory pressure), bounded by
-/// `budget_frac` of capacity.
+/// conversation KV as a chain of fixed-size chained-hash KV blocks
+/// ([`pf_kvcache::BlockPrefixCache`]), so later requests sharing a
+/// leading run of those blocks — the session's earlier turns, or a shared
+/// system prompt across sessions — skip re-prefilling the cached tokens.
+/// Eviction is LRU and suffix-granular, and the store emits
+/// [`pf_kvcache::KvEvent`]s consumable by a global
+/// [`pf_kvcache::KvIndexer`]. The cache's occupancy is charged against
+/// the *same* KV pool as request KV (and reclaimed first under memory
+/// pressure), bounded by `budget_frac` of capacity.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrefixCacheConfig {
     /// Largest fraction of KV capacity the prefix cache may occupy, in
     /// `(0, 1]`.
     pub budget_frac: f64,
-    /// `Some(block_tokens)` switches the store from whole-prefix-id
-    /// entries to fixed-size chained-hash KV blocks
-    /// ([`pf_kvcache::BlockPrefixCache`]): matches are block runs (cross
-    /// conversation via shared system prompts), eviction is
-    /// suffix-granular, and the engine emits
-    /// [`pf_kvcache::KvEvent`]s consumable by a global
-    /// [`pf_kvcache::KvIndexer`]. `None` (default) keeps the legacy
-    /// whole-prefix LRU and replays bit-identically to earlier versions.
+    /// Tokens per KV block; `None` means 64-token blocks (see
+    /// [`PrefixCacheConfig::block_size`]).
     pub block_tokens: Option<u32>,
 }
 
@@ -167,8 +165,8 @@ impl PrefixCacheConfig {
         }
     }
 
-    /// Switches the store to block granularity with `block_tokens`-token
-    /// blocks (see [`PrefixCacheConfig::block_tokens`]).
+    /// Sets the store's block size to `block_tokens` tokens (see
+    /// [`PrefixCacheConfig::block_tokens`]).
     ///
     /// # Panics
     ///
@@ -177,6 +175,11 @@ impl PrefixCacheConfig {
         assert!(block_tokens > 0, "KV block size must be positive");
         self.block_tokens = Some(block_tokens);
         self
+    }
+
+    /// Tokens per KV block: the configured size, or 64 when unset.
+    pub fn block_size(&self) -> u32 {
+        self.block_tokens.unwrap_or(64)
     }
 
     /// Cache budget in tokens for a pool of `capacity_tokens`.
@@ -395,7 +398,8 @@ impl SimConfigBuilder {
     }
 
     /// Enables the simulated prefix cache with `budget_frac` of KV
-    /// capacity (see [`PrefixCacheConfig`]).
+    /// capacity and the default 64-token blocks (see
+    /// [`PrefixCacheConfig`]).
     pub fn prefix_cache(mut self, budget_frac: f64) -> Self {
         self.config.prefix_cache = Some(PrefixCacheConfig::with_budget_frac(budget_frac));
         self
@@ -419,8 +423,8 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Enables a *block-granular* prefix store with `budget_frac` of
-    /// capacity and `block_tokens`-token chained-hash blocks (see
+    /// Enables the simulated prefix cache with `budget_frac` of capacity
+    /// and `block_tokens`-token chained-hash blocks (see
     /// [`PrefixCacheConfig::block_tokens`]).
     pub fn prefix_cache_blocks(mut self, budget_frac: f64, block_tokens: u32) -> Self {
         self.config.prefix_cache =
@@ -432,13 +436,6 @@ impl SimConfigBuilder {
     /// [`crate::fleet::RouterConfig`]).
     pub fn router(mut self, router: crate::fleet::RouterConfig) -> Self {
         self.config.router = router;
-        self
-    }
-
-    /// Selects the KV index backing KvOverlap routing over a
-    /// disaggregated prefill pool (see [`crate::DisaggKvIndex`]).
-    pub fn disagg_kv_index(mut self, index: crate::fleet::DisaggKvIndex) -> Self {
-        self.config.router.disagg_kv_index = index;
         self
     }
 

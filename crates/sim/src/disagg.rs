@@ -135,8 +135,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use pf_autoscale::{AutoscaleConfig, AutoscalePlanner, PoolRole, ScalingDecision, StepLatency};
 use pf_core::{AdmissionIndex, BatchEntry};
 use pf_kvcache::{
-    block_hash, ApproxKvIndexer, BlockPrefixCache, KvEvent, KvIndexer, PrefixCache,
-    PrefixCacheStats, KV_ROOT_HASH,
+    block_hash, BlockPrefixCache, KvEvent, KvIndexer, PrefixCacheStats, KV_ROOT_HASH,
 };
 use pf_metrics::{GoodputReport, RequestTiming, SeriesGroup, SimDuration, SimTime, SlaSpec};
 use pf_obs::{GaugeKind, Pool, TraceEvent, TraceSink};
@@ -146,8 +145,8 @@ use crate::cluster::RouterPolicy;
 use crate::config::{PrefixCacheConfig, QueueOrder, SimConfig};
 use crate::error::SimError;
 use crate::fleet::{
-    self, pick_cost_logit, pick_rotating_min, pick_routed, slot_gpu, DisaggKvIndex, FleetMember,
-    GpuType, MemberCore, MemberState, RouteCandidate, RouteRng, RouterConfig, ScalingEvent,
+    self, pick_cost_logit, pick_rotating_min, pick_routed, slot_gpu, FleetMember, GpuType,
+    MemberCore, MemberState, RouteCandidate, RouteRng, RouterConfig, ScalingEvent,
     ROUTE_RNG_STREAM,
 };
 use crate::link::{LinkScheduler, StreamDone, StreamSpec};
@@ -290,6 +289,8 @@ pub struct DisaggConfig {
     /// Front-end routing policy over the prefill pool.
     /// [`RouterPolicy::PrefixAffinity`] steers requests to the prefill
     /// instance caching the longest prefix of their prompt;
+    /// [`RouterPolicy::KvOverlap`] trades load against the overlap the
+    /// members' published KV events show;
     /// [`RouterPolicy::RoundRobin`] rotates; every other policy routes by
     /// the pool's load signal (queued plus held prompt tokens). All exact
     /// ties break with a rotating cursor.
@@ -401,7 +402,8 @@ impl DisaggCluster {
     /// # Errors
     ///
     /// Returns [`SimError`] when a request cannot fit either pool or the
-    /// router policy has a non-finite parameter.
+    /// router policy cannot run on the pools
+    /// ([`SimError::InvalidRouterPolicy`]).
     ///
     /// # Panics
     ///
@@ -423,7 +425,8 @@ impl DisaggCluster {
     /// # Errors
     ///
     /// Returns [`SimError`] when a request cannot fit either pool or the
-    /// router policy has a non-finite parameter.
+    /// router policy cannot run on the pools
+    /// ([`SimError::InvalidRouterPolicy`]).
     ///
     /// # Panics
     ///
@@ -506,7 +509,8 @@ impl ElasticDisaggCluster {
     /// # Errors
     ///
     /// Returns [`SimError`] when a request cannot fit either pool or the
-    /// router policy has a non-finite parameter.
+    /// router policy cannot run on the pools
+    /// ([`SimError::InvalidRouterPolicy`]).
     ///
     /// # Panics
     ///
@@ -527,7 +531,8 @@ impl ElasticDisaggCluster {
     /// # Errors
     ///
     /// Returns [`SimError`] when a request cannot fit either pool or the
-    /// router policy has a non-finite parameter.
+    /// router policy cannot run on the pools
+    /// ([`SimError::InvalidRouterPolicy`]).
     ///
     /// # Panics
     ///
@@ -665,74 +670,6 @@ impl Job {
     }
 }
 
-/// The prefill pool's prefix-reuse store: the legacy whole-prefix-id LRU
-/// or — under [`DisaggKvIndex::Exact`] — the block-granular chained-hash
-/// store, whose [`KvEvent`]s the run publishes into the exact router
-/// index (mirroring the colocated engine's store selection).
-#[derive(Debug)]
-enum PrefillStore {
-    Whole(PrefixCache),
-    Blocks(BlockPrefixCache),
-}
-
-impl PrefillStore {
-    fn used_tokens(&self) -> u64 {
-        match self {
-            PrefillStore::Whole(cache) => cache.used_tokens(),
-            PrefillStore::Blocks(store) => store.used_tokens(),
-        }
-    }
-
-    fn evict_down_to(&mut self, target_tokens: u64) {
-        match self {
-            PrefillStore::Whole(cache) => {
-                cache.evict_down_to(target_tokens);
-            }
-            PrefillStore::Blocks(store) => {
-                store.evict_down_to(target_tokens);
-            }
-        }
-    }
-
-    fn stats(&self) -> PrefixCacheStats {
-        match self {
-            PrefillStore::Whole(cache) => cache.stats(),
-            PrefillStore::Blocks(store) => store.stats(),
-        }
-    }
-
-    /// Cached overlap a request would enjoy right now, *without* touching
-    /// recency or statistics (router probe, slack-purge feasibility).
-    fn peek_match(&self, spec: &RequestSpec) -> u64 {
-        match self {
-            PrefillStore::Whole(cache) => match spec.prefix_id {
-                Some(id) => cache
-                    .peek(id.raw())
-                    .map_or(0, |cached| cached.min(u64::from(spec.prefix_len))),
-                None => 0,
-            },
-            PrefillStore::Blocks(store) => {
-                store.peek_run(spec.matchable_blocks(store.block_tokens() as u32))
-            }
-        }
-    }
-
-    /// Consumes an admission-time hit: the cached overlap in tokens,
-    /// refreshing recency and counting lookup/hit statistics.
-    fn lookup_match(&mut self, spec: &RequestSpec) -> u64 {
-        match self {
-            PrefillStore::Whole(cache) => match spec.prefix_id {
-                Some(id) => cache.lookup(id.raw(), u64::from(spec.prefix_len)),
-                None => 0,
-            },
-            PrefillStore::Blocks(store) => {
-                let block_tokens = store.block_tokens() as u32;
-                store.lookup_run(spec.matchable_blocks(block_tokens))
-            }
-        }
-    }
-}
-
 /// Run-side state of one layer-streamed transfer (a parallel array to the
 /// link scheduler's stream ids).
 #[derive(Debug)]
@@ -771,7 +708,7 @@ struct PrefillMember {
     /// Instance-local prefix store (None when disabled). Its occupancy
     /// shares the instance's KV capacity with `held_tokens` and is
     /// reclaimed first when a batch needs the room.
-    prefix: Option<PrefillStore>,
+    prefix: Option<BlockPrefixCache>,
     busy: bool,
     completed: usize,
     /// Claimed by a decode scale-up: flips into the decode pool (after
@@ -816,7 +753,9 @@ impl PrefillMember {
 
     /// Prefix-cache occupancy in tokens (0 when disabled).
     fn prefix_used(&self) -> u64 {
-        self.prefix.as_ref().map_or(0, PrefillStore::used_tokens)
+        self.prefix
+            .as_ref()
+            .map_or(0, BlockPrefixCache::used_tokens)
     }
 
     /// Deadline-slack pressure of this instance's prompt queue: the sum
@@ -838,7 +777,7 @@ impl PrefillMember {
     fn cached_match(&self, spec: &RequestSpec) -> u64 {
         self.prefix
             .as_ref()
-            .map_or(0, |store| store.peek_match(spec))
+            .map_or(0, |store| fleet::peek_prefix(store, spec))
     }
 }
 
@@ -1004,18 +943,11 @@ struct Run<'s> {
     decode_cursor: usize,
     /// Routing tunables (copied out of the base config at start).
     router_cfg: RouterConfig,
-    /// Approximate (TTL) KV index for [`RouterPolicy::KvOverlap`]: the
-    /// router *observes* each chain it routes instead of consuming member
-    /// events (prefill members keep whole-prefix caches and emit no
-    /// removals), so entries expire rather than being invalidated.
-    approx_index: ApproxKvIndexer,
     /// Dedicated softmax stream (never the workload's generators).
     route_rng: RouteRng,
     /// Reusable chained-hash buffer of the routed request.
     chain_scratch: Vec<u64>,
-    /// Block size used for chain hashing/observation (falls back to 64
-    /// when the base config has no block store — the index is router-side
-    /// bookkeeping only).
+    /// Block size of the members' prefix stores (0 = no prefix cache).
     block_tokens: u32,
 
     prefill: Vec<PrefillMember>,
@@ -1039,9 +971,12 @@ struct Run<'s> {
     stream_done_buf: Vec<StreamDone>,
     /// Layer chunks per stream (the spec override or the model's count).
     num_layers: u32,
-    /// Exact event-driven KV router index (`Some` iff
-    /// [`RouterConfig::disagg_kv_index`] selects [`DisaggKvIndex::Exact`]).
-    exact_index: Option<KvIndexer>,
+    /// Whether the policy is [`RouterPolicy::KvOverlap`] — only then do
+    /// members publish KV events into `kv_index`.
+    kv_routing: bool,
+    /// Global event-fed KV index; members publish under their pool index,
+    /// the same index space [`Run::route_prefill`] scores over.
+    kv_index: KvIndexer,
     /// Reusable KV-event drain buffer of [`Run::flush_kv_events`].
     kv_event_scratch: Vec<KvEvent>,
 
@@ -1085,7 +1020,7 @@ impl<'s> Run<'s> {
             arrival_times.windows(2).all(|w| w[0] <= w[1]),
             "arrival times must be sorted"
         );
-        config.router.check()?;
+        config.router.check(config.base.prefix_cache)?;
         let perf = config.base.perf_model();
         let capacity = config.base.capacity_tokens();
         if capacity == 0 {
@@ -1137,19 +1072,14 @@ impl<'s> Run<'s> {
             route_cursor: 0,
             decode_cursor: 0,
             router_cfg: config.base.router,
-            approx_index: ApproxKvIndexer::new(
-                config.base.router.approx_index_ttl.as_micros().max(1),
-            ),
             route_rng: RouteRng::new(pf_workload::rng::derive_seed(
                 config.base.seed,
                 ROUTE_RNG_STREAM,
             )),
             chain_scratch: Vec::new(),
-            block_tokens: config
-                .base
-                .prefix_cache
-                .and_then(|p| p.block_tokens)
-                .unwrap_or(64),
+            // Read only under KvOverlap, which `check` admits only with a
+            // cache.
+            block_tokens: config.base.prefix_cache.map_or(0, |p| p.block_size()),
             prefill: Vec::new(),
             decode: Vec::new(),
             prefill_scaling: Vec::new(),
@@ -1175,12 +1105,8 @@ impl<'s> Run<'s> {
             } else {
                 config.base.model.n_layers
             },
-            exact_index: match config.base.router.disagg_kv_index {
-                DisaggKvIndex::Approx => None,
-                DisaggKvIndex::Exact => Some(KvIndexer::new(
-                    config.base.router.kv_event_delay.as_micros(),
-                )),
-            },
+            kv_routing: matches!(config.router, RouterPolicy::KvOverlap { .. }),
+            kv_index: KvIndexer::new(config.base.router.kv_event_delay.as_micros()),
             kv_event_scratch: Vec::new(),
             remaining: requests.len(),
             timed_out: 0,
@@ -1237,12 +1163,7 @@ impl<'s> Run<'s> {
             batch: Vec::new(),
             held_tokens: 0,
             prefix: self.prefix_cache.map(|spec| {
-                let budget = spec.budget_tokens(self.capacity);
-                if self.exact_index.is_some() {
-                    PrefillStore::Blocks(BlockPrefixCache::new(budget, self.block_tokens))
-                } else {
-                    PrefillStore::Whole(PrefixCache::new(budget))
-                }
+                BlockPrefixCache::new(spec.budget_tokens(self.capacity), spec.block_size())
             }),
             busy: false,
             completed: 0,
@@ -1336,8 +1257,7 @@ impl<'s> Run<'s> {
     /// queue's remaining-slack pressure (weighted by
     /// [`RouterConfig::slack_pressure_weight`] of capacity), so urgent
     /// queues attract less new traffic. KvOverlap scores candidates
-    /// against the pool's approximate TTL index (see
-    /// [`Run::approx_index`]) and records the chosen chain afterwards.
+    /// against the pool's event-fed KV index (see [`Run::kv_index`]).
     fn route_prefill(&mut self, now: SimTime, spec: &RequestSpec) -> usize {
         let n = self.prefill.len();
         let slack_weighted = matches!(
@@ -1346,65 +1266,21 @@ impl<'s> Run<'s> {
         ) && (self.default_deadline.is_some() || self.queued_deadlines > 0);
         let default_deadline = self.default_deadline;
         let pressure_tokens = self.router_cfg.slack_pressure_weight * self.capacity as f64;
-        if let RouterPolicy::KvOverlap {
-            overlap_weight,
-            temperature,
-        } = self.router
-        {
+        // KvOverlap scores each member by the index's view of it; the
+        // other policies probe the member stores directly.
+        let chain = if self.kv_routing {
+            self.kv_index.advance(now.as_micros());
             self.chain_scratch.clear();
             let mut parent = KV_ROOT_HASH;
             for content in spec.matchable_blocks(self.block_tokens) {
                 parent = block_hash(parent, content);
                 self.chain_scratch.push(parent);
             }
-            let now_us = now.as_micros();
-            if let Some(index) = self.exact_index.as_mut() {
-                index.advance(now_us);
-            }
-            let chain = &self.chain_scratch;
-            let exact = self.exact_index.as_ref();
-            let approx = &self.approx_index;
-            let block_tokens = u64::from(self.block_tokens);
-            let candidates = &mut self.scratch_route;
-            candidates.clear();
-            candidates.extend(
-                self.prefill
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, m)| m.core.is_live())
-                    .map(|(i, m)| {
-                        let mut load = m.load_signal() as f64;
-                        if slack_weighted {
-                            load += pressure_tokens * m.slack_pressure(now, default_deadline);
-                        }
-                        RouteCandidate {
-                            index: i,
-                            load: load / m.core.gpu.perf_scale,
-                            cached_match: match exact {
-                                Some(index) => index.overlap(i as u32, chain),
-                                None => {
-                                    approx.overlap_blocks(i as u32, chain, now_us) * block_tokens
-                                }
-                            },
-                        }
-                    }),
-            );
-            let prompt = f64::from(spec.input_len.max(1));
-            let target = pick_cost_logit(
-                candidates,
-                |c| c.load - overlap_weight * (c.cached_match as f64 / prompt),
-                temperature,
-                &mut self.route_cursor,
-                n,
-                &mut self.route_rng,
-            )
-            .expect("at least one live prefill instance");
-            if self.exact_index.is_none() {
-                self.approx_index
-                    .observe(target as u32, &self.chain_scratch, now_us);
-            }
-            return target;
-        }
+            Some(self.chain_scratch.as_slice())
+        } else {
+            None
+        };
+        let kv_index = &self.kv_index;
         // Disjoint borrows: candidates are rebuilt into the reusable
         // buffer from the prefill pool (routing runs per arrival).
         let candidates = &mut self.scratch_route;
@@ -1422,10 +1298,29 @@ impl<'s> Run<'s> {
                     RouteCandidate {
                         index: i,
                         load: load / m.core.gpu.perf_scale,
-                        cached_match: m.cached_match(spec),
+                        cached_match: match chain {
+                            Some(chain) => kv_index.overlap(i as u32, chain),
+                            None => m.cached_match(spec),
+                        },
                     }
                 }),
         );
+        if let RouterPolicy::KvOverlap {
+            overlap_weight,
+            temperature,
+        } = self.router
+        {
+            let prompt = f64::from(spec.input_len.max(1));
+            return pick_cost_logit(
+                candidates,
+                |c| c.load - overlap_weight * (c.cached_match as f64 / prompt),
+                temperature,
+                &mut self.route_cursor,
+                n,
+                &mut self.route_rng,
+            )
+            .expect("at least one live prefill instance");
+        }
         pick_routed(
             self.router,
             candidates,
@@ -1494,7 +1389,7 @@ impl<'s> Run<'s> {
                 let prompt = u64::from(job.spec.input_len);
                 let cached = prefix
                     .as_ref()
-                    .map_or(0, |store| store.peek_match(&job.spec));
+                    .map_or(0, |store| fleet::peek_prefix(store, &job.spec));
                 gpu.scale_step(perf.prefill_step(prompt.saturating_sub(cached).max(1)))
             } else {
                 SimDuration::ZERO
@@ -1643,7 +1538,7 @@ impl<'s> Run<'s> {
             // (at least the final prompt position is always computed;
             // the reclaim above may have shrunk the probed match).
             if let Some(store) = member.prefix.as_mut() {
-                job.cached_prefix = store.lookup_match(&job.spec);
+                job.cached_prefix = fleet::lookup_prefix(store, &job.spec);
             }
             member.queued_tokens -= prompt;
             member.held_tokens += tokens;
@@ -1765,21 +1660,7 @@ impl<'s> Run<'s> {
         let Some(store) = member.prefix.as_mut() else {
             return;
         };
-        match store {
-            PrefillStore::Whole(cache) => {
-                let Some(id) = job.spec.prefix_id else {
-                    return;
-                };
-                cache.insert(id.raw(), u64::from(job.spec.input_len) + 1);
-            }
-            PrefillStore::Blocks(blocks) => {
-                if job.spec.prefix_id.is_none() && job.spec.system_prompt_id.is_none() {
-                    return;
-                }
-                let block_tokens = blocks.block_tokens() as u32;
-                blocks.insert_chain(job.spec.storable_blocks(block_tokens, job.generated));
-            }
-        }
+        fleet::store_prefix(store, &job.spec, job.generated);
         if held + store.used_tokens() > capacity {
             store.evict_down_to(capacity.saturating_sub(held));
         }
@@ -1980,19 +1861,20 @@ impl<'s> Run<'s> {
         }
     }
 
-    /// Drains member `i`'s block-store KV events (exact-index mode only):
-    /// each is mirrored to the trace sink and published into the exact
-    /// router index. No-op for whole-prefix stores.
+    /// Drains member `i`'s prefix-store KV events: each is mirrored to the
+    /// trace sink and, under [`RouterPolicy::KvOverlap`], published into
+    /// the router index.
     fn flush_kv_events(&mut self, i: usize, now: SimTime) {
         let Run {
             prefill,
             kv_event_scratch,
-            exact_index,
+            kv_routing,
+            kv_index,
             sink,
             ..
         } = self;
         let member = &mut prefill[i];
-        let Some(PrefillStore::Blocks(store)) = member.prefix.as_mut() else {
+        let Some(store) = member.prefix.as_mut() else {
             return;
         };
         if store.pending_events() == 0 {
@@ -2002,26 +1884,12 @@ impl<'s> Run<'s> {
         store.drain_events(kv_event_scratch);
         let instance = member.instance;
         for &ev in kv_event_scratch.iter() {
-            fleet::emit(
-                sink,
-                match ev {
-                    KvEvent::Stored { block, .. } => TraceEvent::KvStored {
-                        at: now,
-                        instance,
-                        block,
-                    },
-                    KvEvent::Removed { block } => TraceEvent::KvRemoved {
-                        at: now,
-                        instance,
-                        block,
-                    },
-                },
-            );
+            fleet::emit(sink, fleet::kv_trace_event(now, instance, ev));
         }
-        if let Some(index) = exact_index.as_mut() {
+        if *kv_routing {
             let now_us = now.as_micros();
             for &ev in kv_event_scratch.iter() {
-                index.publish(i as u32, ev, now_us);
+                kv_index.publish(i as u32, ev, now_us);
             }
         }
     }
@@ -2284,7 +2152,7 @@ impl<'s> Run<'s> {
         let claimed = std::mem::take(&mut member.repurpose_claimed);
         member.core.stop(now);
         // A stopping member's cached blocks vanish with it: publish the
-        // removals so the exact router index stops crediting the ghost.
+        // removals so the router index stops crediting the ghost.
         if let Some(store) = self.prefill[i].prefix.as_mut() {
             store.evict_down_to(0);
         }

@@ -205,7 +205,8 @@ impl ElasticCluster {
     /// # Errors
     ///
     /// Returns [`SimError`] if a request can never fit an instance, an
-    /// instance stalls, or the router policy has a non-finite parameter.
+    /// instance stalls, or the router policy cannot run on the fleet
+    /// ([`SimError::InvalidRouterPolicy`]).
     ///
     /// # Panics
     ///
@@ -227,7 +228,8 @@ impl ElasticCluster {
     /// # Errors
     ///
     /// Returns [`SimError`] if a request can never fit an instance, an
-    /// instance stalls, or the router policy has a non-finite parameter.
+    /// instance stalls, or the router policy cannot run on the fleet
+    /// ([`SimError::InvalidRouterPolicy`]).
     ///
     /// # Panics
     ///
@@ -334,7 +336,7 @@ pub(crate) struct Run {
     chain_scratch: Vec<u64>,
     /// Reusable per-tick event drain buffer.
     kv_event_buf: Vec<(SimTime, pf_kvcache::KvEvent)>,
-    /// Block size of the members' prefix stores (0 = no block store).
+    /// Block size of the members' prefix stores (0 = no prefix cache).
     block_tokens: u32,
     /// Timed arrivals not yet routed.
     stream: VecDeque<(SimTime, RequestSpec)>,
@@ -376,13 +378,14 @@ impl Run {
             arrival_times.windows(2).all(|w| w[0] <= w[1]),
             "arrival times must be sorted"
         );
-        router.check()?;
         let first = &initial.first().expect("fleet needs an initial member").0;
+        router.check(first.prefix_cache)?;
         let router_cfg = first.router;
         let kv_routing = matches!(router, RouterPolicy::KvOverlap { .. });
         let kv_indexer = pf_kvcache::KvIndexer::new(router_cfg.kv_event_delay.as_micros());
         let route_rng = RouteRng::new(pf_workload::rng::derive_seed(first.seed, ROUTE_RNG_STREAM));
-        let block_tokens = first.prefix_cache.and_then(|p| p.block_tokens).unwrap_or(0);
+        // Read only under KvOverlap, which `check` admits only with a cache.
+        let block_tokens = first.prefix_cache.map_or(0, |p| p.block_size());
         let mut run = Run {
             planning,
             members: Vec::new(),

@@ -61,7 +61,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use pf_core::{
     BatchEntry, FutureMemoryEstimator, MemoryState, QueuedRequest, RunningRequest, Scheduler,
 };
-use pf_kvcache::{BlockPrefixCache, KvCacheManager, KvEvent, PrefixCache, PrefixCacheStats};
+use pf_kvcache::{BlockPrefixCache, KvCacheManager, KvEvent};
 use pf_metrics::{GoodputReport, RequestTiming, SimDuration, SimTime, StepSeries};
 use pf_obs::{GaugeKind, TraceEvent, TraceSink};
 use pf_workload::{ClosedLoopClients, RequestSpec};
@@ -237,74 +237,6 @@ impl Arrivals {
     }
 }
 
-/// The engine's prefix-reuse store: the legacy whole-prefix-id LRU, or —
-/// when [`crate::PrefixCacheConfig::block_tokens`] is set — the
-/// block-granular chained-hash store, whose matches are block *runs*
-/// (crossing conversations via shared system prompts), whose eviction is
-/// suffix-granular, and which emits [`KvEvent`]s for the global router
-/// index. Both charge their occupancy against the same KV pool under
-/// [`PREFIX_SENTINEL`].
-#[derive(Debug)]
-enum PrefixStore {
-    Whole(PrefixCache),
-    Blocks(BlockPrefixCache),
-}
-
-impl PrefixStore {
-    fn used_tokens(&self) -> u64 {
-        match self {
-            PrefixStore::Whole(cache) => cache.used_tokens(),
-            PrefixStore::Blocks(store) => store.used_tokens(),
-        }
-    }
-
-    fn evict_down_to(&mut self, target_tokens: u64) -> u64 {
-        match self {
-            PrefixStore::Whole(cache) => cache.evict_down_to(target_tokens),
-            PrefixStore::Blocks(store) => store.evict_down_to(target_tokens),
-        }
-    }
-
-    fn stats(&self) -> PrefixCacheStats {
-        match self {
-            PrefixStore::Whole(cache) => cache.stats(),
-            PrefixStore::Blocks(store) => store.stats(),
-        }
-    }
-
-    /// Cached overlap a request would enjoy right now, *without* touching
-    /// recency or statistics — the router's probe and the slack purge's
-    /// feasibility estimate.
-    fn peek_match(&self, spec: &RequestSpec) -> u64 {
-        match self {
-            PrefixStore::Whole(cache) => match spec.prefix_id {
-                Some(id) => cache
-                    .peek(id.raw())
-                    .map_or(0, |cached| cached.min(u64::from(spec.prefix_len))),
-                None => 0,
-            },
-            PrefixStore::Blocks(store) => {
-                store.peek_run(spec.matchable_blocks(store.block_tokens() as u32))
-            }
-        }
-    }
-
-    /// Consumes an admission-time hit: the cached overlap in tokens,
-    /// refreshing recency and counting lookup/hit statistics.
-    fn lookup_match(&mut self, spec: &RequestSpec) -> u64 {
-        match self {
-            PrefixStore::Whole(cache) => match spec.prefix_id {
-                Some(id) => cache.lookup(id.raw(), u64::from(spec.prefix_len)),
-                None => 0,
-            },
-            PrefixStore::Blocks(store) => {
-                let block_tokens = store.block_tokens() as u32;
-                store.lookup_run(spec.matchable_blocks(block_tokens))
-            }
-        }
-    }
-}
-
 /// The serving engine. Construct via [`crate::Simulation`].
 pub(crate) struct Engine {
     perf: PerfModel,
@@ -324,9 +256,12 @@ pub(crate) struct Engine {
     /// Backing store for every ingested request's spec; `Pending`/`Live`
     /// entries carry slab handles.
     specs: Slab<RequestSpec>,
-    /// Simulated prefix store (disabled unless configured). Its occupancy
-    /// is mirrored into `kv` under [`PREFIX_SENTINEL`].
-    prefix: Option<PrefixStore>,
+    /// Simulated prefix store (disabled unless configured): matches are
+    /// block *runs* (crossing conversations via shared system prompts),
+    /// eviction is suffix-granular, and it emits [`KvEvent`]s for the
+    /// global router index. Its occupancy is mirrored into `kv` under
+    /// [`PREFIX_SENTINEL`].
+    prefix: Option<BlockPrefixCache>,
     /// `(time, event)` log of block store/evict events, appended by the
     /// per-tick flush and drained by cluster drivers into the global
     /// [`pf_kvcache::KvIndexer`]. Only populated after
@@ -407,15 +342,9 @@ impl Engine {
         // history, mirroring a service whose statistics are already warm.
         let output_len_sum: u64 = config.history_warmup.iter().map(|&l| u64::from(l)).sum();
         let output_len_count = config.history_warmup.len() as u64;
-        let prefix = config.prefix_cache.map(|spec| {
-            let budget = spec.budget_tokens(capacity);
-            match spec.block_tokens {
-                Some(block_tokens) => {
-                    PrefixStore::Blocks(BlockPrefixCache::new(budget, block_tokens))
-                }
-                None => PrefixStore::Whole(PrefixCache::new(budget)),
-            }
-        });
+        let prefix = config
+            .prefix_cache
+            .map(|spec| BlockPrefixCache::new(spec.budget_tokens(capacity), spec.block_size()));
         Engine {
             perf,
             capacity,
@@ -565,11 +494,10 @@ impl Engine {
         out.append(&mut self.kv_events);
     }
 
-    /// Drains the block store's pending events, mirroring each to the
-    /// trace sink and — when enabled — the driver-facing log. No-op for
-    /// the whole-prefix store.
+    /// Drains the prefix store's pending events, mirroring each to the
+    /// trace sink and — when enabled — the driver-facing log.
     fn flush_kv_events(&mut self, sink: &mut Option<&mut dyn TraceSink>) {
-        let Some(PrefixStore::Blocks(store)) = self.prefix.as_mut() else {
+        let Some(store) = self.prefix.as_mut() else {
             return;
         };
         if store.pending_events() == 0 {
@@ -580,21 +508,7 @@ impl Engine {
         let at = self.now;
         let instance = self.instance;
         for &ev in &self.scratch_kv_events {
-            fleet::emit(
-                sink,
-                match ev {
-                    KvEvent::Stored { block, .. } => TraceEvent::KvStored {
-                        at,
-                        instance,
-                        block,
-                    },
-                    KvEvent::Removed { block } => TraceEvent::KvRemoved {
-                        at,
-                        instance,
-                        block,
-                    },
-                },
-            );
+            fleet::emit(sink, fleet::kv_trace_event(at, instance, ev));
             if self.log_kv_events {
                 self.kv_events.push((at, ev));
             }
@@ -703,7 +617,7 @@ impl Engine {
     pub(crate) fn cached_prefix_tokens(&self, spec: &RequestSpec) -> u64 {
         self.prefix
             .as_ref()
-            .map_or(0, |store| store.peek_match(spec))
+            .map_or(0, |store| fleet::peek_prefix(store, spec))
     }
 
     /// Re-charges the pool's sentinel allocation to the cache's current
@@ -787,48 +701,23 @@ impl Engine {
     /// lookup/hit statistics.
     fn prefix_lookup(&mut self, pending: &Pending) -> u64 {
         let spec = &self.specs[pending.spec];
-        match self.prefix.as_mut() {
-            Some(store) => store.lookup_match(spec),
-            None => 0,
-        }
+        self.prefix
+            .as_mut()
+            .map_or(0, |store| fleet::lookup_prefix(store, spec))
     }
 
-    /// Retains a finished request's conversation KV in the prefix store —
-    /// under its declared prefix id (whole-prefix store) or as a chain of
-    /// fixed-size blocks (block store) — so the session's next turn can
-    /// skip re-prefilling it.
+    /// Retains a finished request's conversation KV in the prefix store as
+    /// a chain of fixed-size blocks, so the session's next turn can skip
+    /// re-prefilling it. A chain the pool cannot charge is cut short by
+    /// `sync_prefix_charge`, which trims leaves: the conversation keeps
+    /// its leading blocks instead of thrashing the store.
     fn cache_finished_prefix(&mut self, spec: &RequestSpec, generated: u32) {
-        let available = self.kv.available_tokens();
         let Some(store) = self.prefix.as_mut() else {
             return;
         };
         let before = store.used_tokens();
-        match store {
-            PrefixStore::Whole(cache) => {
-                let Some(id) = spec.prefix_id else {
-                    return;
-                };
-                let conversation = u64::from(spec.input_len) + u64::from(generated);
-                // A conversation the pool cannot charge even after
-                // evicting every other entry would thrash: the insert
-                // flushes the LRU, then `sync_prefix_charge` evicts the
-                // new entry itself. Skip it — the cache keeps its
-                // still-useful entries instead.
-                if conversation > available + before {
-                    return;
-                }
-                cache.insert(id.raw(), conversation);
-            }
-            PrefixStore::Blocks(store) => {
-                if spec.prefix_id.is_none() && spec.system_prompt_id.is_none() {
-                    return;
-                }
-                let block_tokens = store.block_tokens() as u32;
-                store.insert_chain(spec.storable_blocks(block_tokens, generated));
-            }
-        }
-        let changed = store.used_tokens() != before;
-        if changed {
+        fleet::store_prefix(store, spec, generated);
+        if store.used_tokens() != before {
             self.sync_prefix_charge();
         }
     }
@@ -919,7 +808,9 @@ impl Engine {
             // transfer-bound, not compute-bound; never early-drop those.
             let min_feasible = if slack_aware && !p.swapped {
                 let tokens = u64::from(spec.input_len) + u64::from(p.generated);
-                let cached = prefix.as_ref().map_or(0, |store| store.peek_match(spec));
+                let cached = prefix
+                    .as_ref()
+                    .map_or(0, |store| fleet::peek_prefix(store, spec));
                 perf.prefill_step(tokens.saturating_sub(cached).max(1))
             } else {
                 SimDuration::ZERO
@@ -1353,10 +1244,11 @@ impl Engine {
         // Idle cached prefixes occupy memory but no running request
         // attends to them: they must not be billed as attention KV in the
         // step's bandwidth term.
-        let kv_tokens = self
-            .kv
-            .logical_tokens()
-            .saturating_sub(self.prefix.as_ref().map_or(0, PrefixStore::used_tokens));
+        let kv_tokens = self.kv.logical_tokens().saturating_sub(
+            self.prefix
+                .as_ref()
+                .map_or(0, BlockPrefixCache::used_tokens),
+        );
         let duration = if chunk_tokens > 0 {
             self.perf.mixed_step(chunk_tokens, emitters, kv_tokens)
         } else {
@@ -1623,9 +1515,12 @@ impl Engine {
             prefix_stats: self
                 .prefix
                 .as_ref()
-                .map(PrefixStore::stats)
+                .map(BlockPrefixCache::stats)
                 .unwrap_or_default(),
-            prefix_cached_tokens: self.prefix.as_ref().map_or(0, PrefixStore::used_tokens),
+            prefix_cached_tokens: self
+                .prefix
+                .as_ref()
+                .map_or(0, BlockPrefixCache::used_tokens),
             kv_used_tokens_end,
             outcomes: self.outcomes,
         }
@@ -1859,70 +1754,46 @@ mod tests {
         Engine::new(config, Arrivals::offline(Vec::new()))
     }
 
-    /// Regression: a finished conversation that fits the token budget but
-    /// exceeds what the pool can ever charge (free tokens plus the current
-    /// sentinel charge) must be skipped outright. The old path inserted
-    /// it, which flushed every other LRU entry during `sync_prefix_charge`
-    /// and then evicted the new entry itself — an empty cache for nothing.
+    /// A finished conversation longer than the pool's free room is cut
+    /// short to what the pool can charge: the colder warm entry gives way
+    /// first, the new conversation keeps its leading blocks, and the
+    /// sentinel charge tracks the store exactly — live request KV is never
+    /// displaced.
     #[test]
-    fn over_budget_conversation_skips_instead_of_flushing_cache() {
-        let mut engine = prefix_engine(10_000, 0.5); // budget 5_000 tokens
-        match engine.prefix.as_mut().expect("cache enabled") {
-            PrefixStore::Whole(cache) => cache.insert(1, 500),
-            PrefixStore::Blocks(_) => unreachable!("whole-prefix store expected"),
-        }
-        engine.sync_prefix_charge();
-        // Live work crowds the pool: 9_000 of 10_000 tokens held, leaving
-        // 500 free beyond the 500-token sentinel charge.
+    fn over_budget_conversation_is_cut_to_the_free_room() {
+        let mut engine = prefix_engine(10_000, 0.5); // budget 5_000, 64-token blocks
+        let warm = RequestSpec::new(98u64, 448, 64, 64).with_prefix(1u64, 0);
+        engine.cache_finished_prefix(&warm, 64);
+        let previous = engine.prefix.as_ref().unwrap().used_tokens();
+        assert_eq!(previous, 512, "warm conversation cached as 8 blocks");
+        // Live work crowds the pool: 9_000 of 10_000 tokens held.
         engine.kv.allocate(7, 9_000, 9_000).expect("blocker fits");
-        assert_eq!(engine.kv.available_tokens(), 500);
+        let free = engine.kv.available_tokens();
+        assert_eq!(free, 488);
 
         // conversation = 3_000 + 1_000 = 4_000: under the 5_000 budget but
-        // over the 1_000 the pool could ever charge (500 free + 500 cached).
+        // far over the 1_000 the pool can charge (488 free + 512 cached).
         let spec = RequestSpec::new(99u64, 3_000, 1_000, 1_000).with_prefix(2u64, 0);
         engine.cache_finished_prefix(&spec, 1_000);
 
         let store = engine.prefix.as_ref().unwrap();
-        assert_eq!(store.used_tokens(), 500, "warm entry survives untouched");
-        match store {
-            PrefixStore::Whole(cache) => {
-                assert_eq!(cache.peek(1), Some(500));
-                assert_eq!(cache.peek(2), None, "unchargeable conversation skipped");
-            }
-            PrefixStore::Blocks(_) => unreachable!(),
-        }
+        let charge = engine.kv.used_tokens() - 9_000;
         assert_eq!(
-            engine.kv.available_tokens(),
-            500,
-            "sentinel charge unchanged"
+            charge,
+            store.used_tokens(),
+            "sentinel charge tracks the store"
         );
-    }
-
-    /// A conversation the pool *can* charge after evicting colder entries
-    /// still lands in the cache — the skip is strictly for unchargeable
-    /// conversations, not a general admission tightening.
-    #[test]
-    fn chargeable_conversation_still_caches_after_evicting_lru() {
-        let mut engine = prefix_engine(10_000, 0.5);
-        match engine.prefix.as_mut().expect("cache enabled") {
-            PrefixStore::Whole(cache) => cache.insert(1, 500),
-            PrefixStore::Blocks(_) => unreachable!("whole-prefix store expected"),
-        }
-        engine.sync_prefix_charge();
-        engine.kv.allocate(7, 6_000, 6_000).expect("blocker fits");
-        // 3_500 free + 500 cached = 4_000 chargeable; a 4_000-token
-        // conversation fits exactly once the cold entry is evicted.
-        let spec = RequestSpec::new(99u64, 3_000, 1_000, 1_000).with_prefix(2u64, 0);
-        engine.cache_finished_prefix(&spec, 1_000);
-
-        let store = engine.prefix.as_ref().unwrap();
-        assert_eq!(store.used_tokens(), 4_000);
-        match store {
-            PrefixStore::Whole(cache) => {
-                assert_eq!(cache.peek(2), Some(4_000), "new conversation cached");
-                assert_eq!(cache.peek(1), None, "cold entry gave way");
-            }
-            PrefixStore::Blocks(_) => unreachable!(),
-        }
+        assert!(store.used_tokens() <= free + previous);
+        assert_eq!(
+            store.peek_run(warm.storable_blocks(64, 64)),
+            0,
+            "cold entry gave way"
+        );
+        assert_eq!(
+            store.peek_run(spec.storable_blocks(64, 1_000)),
+            store.used_tokens(),
+            "the new conversation keeps its leading blocks"
+        );
+        assert!(store.used_tokens() > 0);
     }
 }

@@ -44,9 +44,11 @@ pub enum SimError {
         /// Simulated time of the failing operation.
         at: SimTime,
     },
-    /// A router-policy parameter is not finite: a NaN or infinite
-    /// `KvOverlap` weight or temperature would silently route on garbage
-    /// costs.
+    /// The router policy cannot run as configured, and would otherwise
+    /// route silently on garbage: a NaN or infinite `KvOverlap` weight or
+    /// temperature (`overlap_weight`/`temperature`), or `KvOverlap` over
+    /// a fleet without a prefix cache (`prefix_cache`), where every
+    /// overlap reads 0.
     InvalidRouterPolicy {
         /// Name of the offending parameter.
         parameter: &'static str,
@@ -75,7 +77,11 @@ impl fmt::Display for SimError {
                 write!(f, "kv-cache protocol error at {at}: {error}")
             }
             SimError::InvalidRouterPolicy { parameter } => {
-                write!(f, "router policy parameter `{parameter}` must be finite")
+                write!(
+                    f,
+                    "router policy parameter `{parameter}` is invalid \
+                     (kv-overlap needs a finite weight and temperature and a prefix cache)"
+                )
             }
         }
     }
@@ -122,6 +128,6 @@ mod tests {
             parameter: "temperature"
         }
         .to_string()
-        .contains("`temperature` must be finite"));
+        .contains("`temperature` is invalid"));
     }
 }

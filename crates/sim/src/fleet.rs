@@ -63,8 +63,10 @@
 //! cold-start traffic onto member 0). [`crate::cluster`], the elastic
 //! fleet and both disagg pools route through them.
 
+use pf_kvcache::{BlockPrefixCache, KvEvent};
 use pf_metrics::SimTime;
 use pf_obs::{Pool, TraceEvent, TraceSink};
+use pf_workload::RequestSpec;
 
 /// Forwards a [`TraceEvent`] to the sink, if one is attached. This is the
 /// single emission funnel every engine and cluster module routes through:
@@ -90,6 +92,46 @@ pub(crate) fn emit_scale(
         emit(sink, TraceEvent::ScaleUp { at, pool, from, to });
     } else if to < from {
         emit(sink, TraceEvent::ScaleDown { at, pool, from, to });
+    }
+}
+
+/// The lifecycle trace event mirroring a prefix store's [`KvEvent`].
+pub(crate) fn kv_trace_event(at: SimTime, instance: u32, ev: KvEvent) -> TraceEvent {
+    match ev {
+        KvEvent::Stored { block, .. } => TraceEvent::KvStored {
+            at,
+            instance,
+            block,
+        },
+        KvEvent::Removed { block } => TraceEvent::KvRemoved {
+            at,
+            instance,
+            block,
+        },
+    }
+}
+
+/// Cached tokens of `spec`'s longest stored block run, without touching
+/// recency or statistics — the router's probe and the slack purge's
+/// feasibility estimate.
+pub(crate) fn peek_prefix(store: &BlockPrefixCache, spec: &RequestSpec) -> u64 {
+    store.peek_run(spec.matchable_blocks(store.block_tokens() as u32))
+}
+
+/// Consumes an admission-time hit: the cached tokens of `spec`'s longest
+/// stored block run, refreshing recency and counting lookup statistics.
+pub(crate) fn lookup_prefix(store: &mut BlockPrefixCache, spec: &RequestSpec) -> u64 {
+    let block_tokens = store.block_tokens() as u32;
+    store.lookup_run(spec.matchable_blocks(block_tokens))
+}
+
+/// Retains the KV blocks of `spec`'s conversation after `generated`
+/// output tokens, when the request declares a reusable prefix (a session
+/// or a shared system prompt).
+pub(crate) fn store_prefix(store: &mut BlockPrefixCache, spec: &RequestSpec, generated: u32) {
+    if spec.prefix_id.is_some() || spec.system_prompt_id.is_some() {
+        let block_tokens = store.block_tokens() as u32;
+        store.insert_chain(spec.storable_blocks(block_tokens, generated));
     }
 }
 
@@ -494,26 +536,6 @@ pub(crate) fn slack_share_weight(
     }
 }
 
-/// Which KV index backs [`crate::cluster::RouterPolicy::KvOverlap`]
-/// routing over the disagg prefill pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DisaggKvIndex {
-    /// The approximate TTL index fed by router-side observations (the
-    /// default, bit-identical to the historical behavior): members emit
-    /// no events, entries expire after
-    /// [`RouterConfig::approx_index_ttl`].
-    #[default]
-    Approx,
-    /// An exact event-driven index: prefill members run block-granular
-    /// prefix stores and publish [`pf_kvcache::KvEvent`]s into a
-    /// [`pf_kvcache::KvIndexer`] (delayed by
-    /// [`RouterConfig::kv_event_delay`]), so overlap scores reflect real
-    /// cache contents including evictions. Requires a
-    /// [`crate::PrefixCacheConfig`] on the base config; its
-    /// `block_tokens` sets the store granularity (default 64).
-    Exact,
-}
-
 /// Weight of the queue's deadline-slack pressure in
 /// [`crate::cluster::RouterPolicy::PrefixAffinity`]'s load signal: each
 /// unit of pressure (one queued request at zero remaining slack) counts
@@ -544,14 +566,6 @@ pub struct RouterConfig {
     /// stale overlap scores degrade
     /// [`crate::cluster::RouterPolicy::KvOverlap`] routing.
     pub kv_event_delay: pf_metrics::SimDuration,
-    /// Time-to-live for the approximate (TTL) indexer used where engines
-    /// do not emit removal events (the disagg prefill pool). Entries
-    /// observed at `t` stop matching after `t + ttl`.
-    pub approx_index_ttl: pf_metrics::SimDuration,
-    /// Which KV index backs KvOverlap routing over the disagg prefill
-    /// pool (ignored by the colocated drivers, which always run the
-    /// exact indexer). Defaults to [`DisaggKvIndex::Approx`].
-    pub disagg_kv_index: DisaggKvIndex,
 }
 
 impl Default for RouterConfig {
@@ -560,8 +574,6 @@ impl Default for RouterConfig {
             prefix_match_min_tokens: PREFIX_MATCH_MIN_TOKENS,
             slack_pressure_weight: SLACK_PRESSURE_WEIGHT,
             kv_event_delay: pf_metrics::SimDuration::ZERO,
-            approx_index_ttl: pf_metrics::SimDuration::from_secs(60),
-            disagg_kv_index: DisaggKvIndex::default(),
         }
     }
 }

@@ -59,7 +59,7 @@ pub use config::{
     SimConfigBuilder,
 };
 pub use error::SimError;
-pub use fleet::{DisaggKvIndex, GpuType, RouterConfig};
+pub use fleet::{GpuType, RouterConfig};
 pub use hardware::GpuSpec;
 pub use model::ModelSpec;
 pub use perf::{PerfModel, PerfTuning};

@@ -8,16 +8,15 @@
 //!   bit-identically against an untouched config (the promoted constants
 //!   kept their values);
 //! * overlap-scored routing reuses a tenant's shared system prompt
-//!   across sessions — the cross-session sharing whole-prefix affinity
-//!   cannot express — and beats both load-blind routing and whole-prefix
-//!   affinity on that traffic;
+//!   across sessions, beating load-blind routing on that traffic;
 //! * softmax routing (temperature > 0) replays bit-identically across
 //!   the colocated cluster, the elastic fleet and the disagg pools;
 //! * index staleness (the event-propagation delay) degrades reuse
 //!   monotonically toward load-blind routing;
-//! * block stores surface `kv-stored` lifecycle events to a trace sink;
-//! * a non-finite weight or temperature is a typed error on every fleet
-//!   shape.
+//! * block stores — colocated members and disaggregated prefill members
+//!   alike — surface `kv-stored` lifecycle events to a trace sink;
+//! * a non-finite weight or temperature, or overlap routing over a fleet
+//!   without a prefix cache, is a typed error on every fleet shape.
 
 use pf_autoscale::AutoscaleConfig;
 use pf_core::SchedulerConfig;
@@ -46,13 +45,6 @@ fn block_config(capacity: u64) -> SimConfig {
     let mut config = base_config(capacity);
     config.prefix_cache =
         Some(pf_sim::PrefixCacheConfig::with_budget_frac(0.4).blocks(BLOCK_TOKENS));
-    config
-}
-
-/// Whole-prefix store at the same budget, for affinity comparisons.
-fn whole_config(capacity: u64) -> SimConfig {
-    let mut config = base_config(capacity);
-    config.prefix_cache = Some(pf_sim::PrefixCacheConfig::with_budget_frac(0.4));
     config
 }
 
@@ -107,8 +99,8 @@ fn explicit_default_router_config_replays_bit_identically() {
             .run(requests.clone(), arrivals.clone())
             .expect("cluster run")
     };
-    let implicit = run(whole_config(30_000));
-    let mut explicit_cfg = whole_config(30_000);
+    let implicit = run(block_config(30_000));
+    let mut explicit_cfg = block_config(30_000);
     explicit_cfg.router = RouterConfig {
         prefix_match_min_tokens: 32,
         slack_pressure_weight: 0.05,
@@ -143,40 +135,6 @@ fn overlap_routing_reuses_shared_system_prompts_across_sessions() {
         "overlap routing must reuse more prefill than load-blind routing ({} vs {})",
         o.hit_tokens,
         b.hit_tokens
-    );
-}
-
-#[test]
-fn block_overlap_beats_whole_prefix_affinity_on_shared_sysprompts() {
-    // Whole-prefix affinity sees nothing reusable on a session's first
-    // turn — the tenant's 512-token system prompt is another session's
-    // prefix. Block-granular overlap routing reuses it, so at the same
-    // cache budget it must save strictly more prefill work.
-    let (requests, arrivals) = shared_sysprompt_traffic(240, 41);
-    let overlap = ClusterSimulation::new(
-        block_config(40_000),
-        3,
-        RouterPolicy::KvOverlap {
-            overlap_weight: 1.0,
-            temperature: 0.0,
-        },
-    )
-    .run(requests.clone(), arrivals.clone())
-    .expect("block-overlap run");
-    let affinity = ClusterSimulation::new(
-        whole_config(40_000),
-        3,
-        RouterPolicy::PrefixAffinity {
-            load_tiebreak: true,
-        },
-    )
-    .run(requests, arrivals)
-    .expect("whole-affinity run");
-    assert!(
-        overlap.prefix_stats().hit_tokens > affinity.prefix_stats().hit_tokens,
-        "block overlap must out-reuse whole-prefix affinity ({} vs {})",
-        overlap.prefix_stats().hit_tokens,
-        affinity.prefix_stats().hit_tokens
     );
 }
 
@@ -281,6 +239,26 @@ fn block_store_emits_kv_lifecycle_trace_events() {
         .filter(|e| matches!(e, TraceEvent::KvStored { .. }))
         .count();
     assert!(stored > 0, "block stores must surface kv-stored events");
+
+    // The disaggregated prefill pool runs the same store at the default
+    // block size, and publishes under every router, not just KvOverlap.
+    let (requests, arrivals) = shared_sysprompt_traffic(120, 53);
+    let mut config = base_config(20_000);
+    config.prefix_cache = Some(pf_sim::PrefixCacheConfig::with_budget_frac(0.4));
+    for policy in RouterPolicy::ALL {
+        let mut sink = RecordingSink::new();
+        let report = DisaggCluster::new(DisaggConfig::new(config.clone()).router(policy), 2, 2)
+            .run_traced(requests.clone(), arrivals.clone(), Some(&mut sink))
+            .expect("traced disagg run");
+        assert!(report.completed() > 0);
+        assert!(
+            sink.events
+                .iter()
+                .any(|e| matches!(e, TraceEvent::KvStored { .. })),
+            "{}: disagg prefill stores must surface kv-stored events",
+            policy.label()
+        );
+    }
 }
 
 #[test]
@@ -320,4 +298,31 @@ fn non_finite_overlap_parameters_are_rejected_before_the_first_event() {
                 .run(requests.clone(), arrivals.clone());
         assert_eq!(disagg.unwrap_err(), expected);
     }
+
+    // Without a prefix cache every overlap would read 0 and the policy
+    // would silently route on load alone.
+    let policy = kv(1.0, 0.0);
+    let expected = SimError::InvalidRouterPolicy {
+        parameter: "prefix_cache",
+    };
+    let mut sink = RecordingSink::new();
+    let cluster = ClusterSimulation::new(base_config(30_000), 2, policy).run_traced(
+        requests.clone(),
+        arrivals.clone(),
+        Some(&mut sink),
+    );
+    assert_eq!(cluster.unwrap_err(), expected);
+    assert!(sink.events.is_empty(), "rejected before the first event");
+    let autoscale = AutoscaleConfig::bounded(2, 2)
+        .interval(SimDuration::from_secs(1_000))
+        .warmup(SimDuration::from_secs(5));
+    let elastic = ElasticCluster::new(base_config(30_000), autoscale, 2)
+        .router(policy)
+        .run(requests.clone(), arrivals.clone());
+    assert_eq!(elastic.unwrap_err(), expected);
+    let mut sink = RecordingSink::new();
+    let disagg = DisaggCluster::new(DisaggConfig::new(base_config(30_000)).router(policy), 1, 1)
+        .run_traced(requests, arrivals, Some(&mut sink));
+    assert_eq!(disagg.unwrap_err(), expected);
+    assert!(sink.events.is_empty(), "rejected before the first event");
 }
