@@ -1796,4 +1796,75 @@ mod tests {
         );
         assert!(store.used_tokens() > 0);
     }
+
+    /// Regression: a finished turn that fits the token budget but exceeds
+    /// what the pool can ever charge (free tokens plus the current
+    /// sentinel charge) must not empty the cache. The unchargeable tail is
+    /// skipped; the cached history it extends survives untouched.
+    #[test]
+    fn over_budget_conversation_skips_instead_of_flushing_cache() {
+        let mut engine = prefix_engine(10_000, 0.5); // budget 5_000, 64-token blocks
+        let warm = RequestSpec::new(98u64, 448, 64, 64).with_prefix(1u64, 0);
+        engine.cache_finished_prefix(&warm, 64);
+        let previous = engine.prefix.as_ref().unwrap().used_tokens();
+        assert_eq!(previous, 512, "warm conversation cached as 8 blocks");
+        // Live work crowds the pool: 9_000 of 10_000 tokens held, leaving
+        // 488 free beyond the 512-token sentinel charge.
+        engine.kv.allocate(7, 9_000, 9_000).expect("blocker fits");
+        assert_eq!(engine.kv.available_tokens(), 488);
+
+        // The next turn of the same session: conversation = 3_000 + 1_000
+        // = 4_000, under the 5_000 budget but over the 1_000 the pool can
+        // charge. Its first 512 tokens are the warm entry.
+        let spec = RequestSpec::new(99u64, 3_000, 1_000, 1_000).with_prefix(1u64, 512);
+        engine.cache_finished_prefix(&spec, 1_000);
+
+        let store = engine.prefix.as_ref().unwrap();
+        assert_eq!(
+            store.peek_run(warm.storable_blocks(64, 64)),
+            previous,
+            "warm entry survives untouched"
+        );
+        assert_eq!(store.used_tokens(), 960, "15 whole blocks fit in 1_000");
+        assert_eq!(
+            store.peek_run(spec.storable_blocks(64, 1_000)),
+            store.used_tokens(),
+            "the unchargeable tail is skipped, the leading blocks kept"
+        );
+        assert_eq!(
+            engine.kv.used_tokens() - 9_000,
+            store.used_tokens(),
+            "sentinel charge tracks the store"
+        );
+    }
+
+    /// A conversation the pool *can* charge after evicting colder entries
+    /// still lands in the cache whole — cutting is strictly for
+    /// unchargeable conversations, not a general admission tightening.
+    #[test]
+    fn chargeable_conversation_still_caches_after_evicting_lru() {
+        let mut engine = prefix_engine(10_000, 0.5);
+        let warm = RequestSpec::new(98u64, 448, 64, 64).with_prefix(1u64, 0);
+        engine.cache_finished_prefix(&warm, 64);
+        assert_eq!(engine.prefix.as_ref().unwrap().used_tokens(), 512);
+        engine.kv.allocate(7, 6_000, 6_000).expect("blocker fits");
+        // 3_488 free + 512 cached = 4_000 chargeable; the 4_000-token
+        // conversation's 62 whole blocks fit once the cold entry is evicted.
+        let spec = RequestSpec::new(99u64, 3_000, 1_000, 1_000).with_prefix(2u64, 0);
+        engine.cache_finished_prefix(&spec, 1_000);
+
+        let store = engine.prefix.as_ref().unwrap();
+        assert_eq!(store.used_tokens(), 3_968);
+        assert_eq!(
+            store.peek_run(spec.storable_blocks(64, 1_000)),
+            3_968,
+            "new conversation cached"
+        );
+        assert_eq!(
+            store.peek_run(warm.storable_blocks(64, 64)),
+            0,
+            "cold entry gave way"
+        );
+        assert_eq!(engine.kv.used_tokens() - 6_000, store.used_tokens());
+    }
 }
