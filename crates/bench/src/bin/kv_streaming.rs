@@ -3,10 +3,10 @@
 //!
 //! Both modes serve the same prefill-heavy stream (long prompts, terse
 //! answers — the regime disaggregation targets) through a 1-prefill +
-//! 1-decode split joined by one honest serialized wire (a single
-//! transfer slot, so neither mode ever overcommits the link). The atomic
-//! path parks each request's whole KV footprint on the prefill engine
-//! until the full post-hoc transfer drains; the streamed path ships each
+//! 1-decode split joined by one shared link that both modes stream over
+//! (an atomic handoff is a one-chunk stream). The atomic path parks each
+//! request's whole KV footprint on the prefill engine until the full
+//! post-hoc transfer drains; the streamed path ships each
 //! layer's KV as the producing pass emits it, so the hold releases at
 //! roughly the pass end plus a small tail and the prefill engine's
 //! memory turns over link-latency sooner.
@@ -56,7 +56,6 @@ struct RowData {
     ttft_attainment: f64,
     tail_secs: f64,
     link_secs: f64,
-    wait_secs: f64,
     total_bytes: u64,
     transfers: usize,
     gpu_seconds: f64,
@@ -100,7 +99,6 @@ fn run_mode(gbps: f64, mode: Mode, requests: Vec<RequestSpec>, arrivals: Vec<Sim
         ttft_attainment: report.ttft_attainment(),
         tail_secs: report.transfers.total_tail_secs,
         link_secs: report.transfers.total_link_secs,
-        wait_secs: report.transfers.total_wait_secs,
         total_bytes: report.transfers.total_bytes,
         transfers: report.transfers.transfers,
         gpu_seconds: report.gpu_seconds(),
@@ -142,14 +140,12 @@ fn main() {
         "TTFT-ok %",
         "tail s",
         "wire s",
-        "wait s",
         "GPU-seconds",
         "makespan s",
     ])
     .with_aligns(&[
         Align::Right,
         Align::Left,
-        Align::Right,
         Align::Right,
         Align::Right,
         Align::Right,
@@ -165,7 +161,6 @@ fn main() {
             format!("{:.1}", row.ttft_attainment * 100.0),
             format!("{:.1}", row.tail_secs),
             format!("{:.1}", row.link_secs),
-            format!("{:.1}", row.wait_secs),
             format!("{:.0}", row.gpu_seconds),
             format!("{:.0}", row.makespan_s),
         ]);
@@ -201,15 +196,13 @@ fn main() {
         );
         // Streaming hides the wire behind the pass: most of each
         // transfer lands while prefill still runs (the tail fraction
-        // grows as the link starves but stays under half the wire), and
-        // the fluid link never queues a stream behind a slot.
+        // grows as the link starves but stays under half the wire).
         assert!(
             streamed.tail_secs < 0.5 * atomic.link_secs,
             "{gbps} GB/s: tail {:.3}s vs atomic wire {:.3}s",
             streamed.tail_secs,
             atomic.link_secs
         );
-        assert_eq!(streamed.wait_secs, 0.0, "{gbps} GB/s: streams queued");
         margins.push(streamed.ttft_attainment - atomic.ttft_attainment);
     }
     assert!(

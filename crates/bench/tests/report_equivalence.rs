@@ -275,7 +275,6 @@ fn fingerprints() -> Vec<(String, u64)> {
         h.word(report.transfers.transfers as u64);
         h.word(report.transfers.total_bytes);
         h.f64(report.transfers.total_link_secs);
-        h.f64(report.transfers.total_wait_secs);
         hash_outcomes(&mut h, &report.outcomes);
         pin(label.into(), h);
     }
@@ -303,7 +302,6 @@ fn fingerprints() -> Vec<(String, u64)> {
         h.word(report.transfers.transfers as u64);
         h.word(report.transfers.total_bytes);
         h.f64(report.transfers.total_link_secs);
-        h.f64(report.transfers.total_wait_secs);
         hash_outcomes(&mut h, &report.outcomes);
         pin("disagg-kv-overlap".into(), h);
     }
@@ -318,7 +316,7 @@ fn fingerprints() -> Vec<(String, u64)> {
         let arrivals: Vec<SimTime> = (0..n)
             .map(|i| SimTime::from_millis(15 * i as u64))
             .collect();
-        let transfer = KvTransferSpec::new(10.0, SimDuration::from_micros(200), 2).streamed();
+        let transfer = KvTransferSpec::new(10.0, SimDuration::from_micros(200), 1).streamed();
         let config = DisaggConfig::new(base(63, 12_000).build()).transfer(transfer);
         let report = DisaggCluster::new(config, 2, 2)
             .run(requests, arrivals)
@@ -411,7 +409,7 @@ fn fingerprints() -> Vec<(String, u64)> {
     // the variants out so the golden-coverage rule can see them pinned.
     assert_eq!(KvTransferSpec::nvlink().mode, TransferMode::Atomic);
     assert_eq!(
-        KvTransferSpec::new(10.0, SimDuration::from_micros(200), 2)
+        KvTransferSpec::new(10.0, SimDuration::from_micros(200), 1)
             .streamed()
             .mode,
         TransferMode::LayerStreamed

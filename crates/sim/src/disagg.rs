@@ -28,49 +28,48 @@
 //! # The KV-transfer cost model
 //!
 //! Moving a request between pools means moving its KV cache. The cost
-//! model ([`KvTransferSpec`]) charges, per handoff,
+//! model ([`KvTransferSpec`]) sizes each handoff as
 //!
 //! ```text
-//! bytes   = (input_len + 1) × kv_bytes_per_token(model)
-//!         = (input_len + 1) × 2 · layers · kv_heads · head_dim · 2
-//! latency = bytes / (link_gbps × 1e9)  +  per_hop_overhead
+//! bytes = (input_len + 1) × kv_bytes_per_token(model)
+//!       = (input_len + 1) × 2 · layers · kv_heads · head_dim · 2
 //! ```
 //!
-//! where `input_len + 1` counts the prompt plus the first generated token,
-//! `link_gbps` is the prefill→decode interconnect bandwidth (NVLink ≈ 200
-//! GB/s, PCIe 4.0 x16 ≈ 25 GB/s) and `per_hop_overhead` models connection
-//! setup, layer-wise descriptor exchange and scheduler hops. The latency
-//! is charged **between prefill completion and the first decode step**: it
-//! widens the gap between a request's first and second tokens (an MTPOT
-//! term), never its TTFT.
+//! where `input_len + 1` counts the prompt plus the first generated token.
+//! Every handoff is one stream on a single shared link of `link_gbps` (the
+//! prefill→decode interconnect: NVLink ≈ 200 GB/s, PCIe 4.0 x16 ≈ 25
+//! GB/s), arbitrated by [`crate::link::LinkScheduler`]: concurrent streams
+//! split the wire by weighted max-min fair share, with slack-aware weights
+//! (the shared [`crate::fleet`] slack grouping) so urgent transfers draw
+//! up to twice the bandwidth, and `per_hop_overhead` (connection setup,
+//! descriptor exchange, scheduler hops) is charged **once per stream**
+//! after its last byte — not per chunk, which would make thin links
+//! quadratically pessimistic in the layer count. An uncontended handoff
+//! therefore takes `bytes / (link_gbps × 1e9) + per_hop_overhead`. The
+//! latency is charged **between prefill completion and the first decode
+//! step**: it widens the gap between a request's first and second tokens
+//! (an MTPOT term), never its TTFT. A prefill instance keeps the
+//! request's KV resident (and charged against its capacity) until its
+//! stream lands, so a saturated link backpressures prompt admission
+//! exactly as it would in a real deployment.
 //!
-//! Transfers share a handoff queue with at most
-//! [`KvTransferSpec::max_inflight`] transfers in flight; excess handoffs
-//! wait for a slot in FIFO order. A prefill instance keeps the request's
-//! KV resident (and charged against its capacity) until the transfer
-//! completes, so a saturated link backpressures prompt admission exactly
-//! as it would in a real deployment.
+//! # Atomic and layer-streamed handoffs
 //!
-//! # Layer-wise streaming
-//!
-//! [`TransferMode::LayerStreamed`] replaces the post-hoc atomic blob with
-//! a chunked pipeline: while a prefill pass runs, each of the model's
-//! `num_layers` KV chunks becomes eligible for transfer as the pass
+//! The [`TransferMode`] only sets a stream's chunk count; chunk ℓ of L
+//! becomes eligible at `start + ⌈span·ℓ/L⌉` of the producing pass.
+//! [`TransferMode::Atomic`] sends one chunk, eligible exactly when the
+//! pass ends: the whole KV crosses after prefill, and the handoffs of one
+//! pass share the wire fairly rather than queueing one behind another.
+//! [`TransferMode::LayerStreamed`] sends one chunk per layer
+//! (`num_layers`, default the model's layer count) as the pass
 //! proportionally produces it, so the transfer overlaps the *remaining
 //! prefill compute* and only the tail chunks (bounded by link bandwidth
-//! versus prefill rate) land after the pass ends. The link itself turns
-//! from `max_inflight` fixed slots into a shared fluid resource:
-//! concurrent streams split `link_gbps` by weighted max-min fair share
-//! ([`crate::link::LinkScheduler`]), with slack-aware weights (the
-//! shared [`crate::fleet`] slack grouping) so urgent transfers draw up
-//! to twice the bandwidth, and `per_hop_overhead` charged **once per
-//! stream** — not per chunk, which would make thin links quadratically
-//! pessimistic in the layer count. TTFT is stamped at prefill end in
-//! both modes; streaming wins by *backpressure*: the source instance
-//! frees its held KV as soon as the short tail lands instead of a full
-//! transfer later, so a saturated prefill pool admits new prompts
-//! sooner, and the first decode step starts earlier (an MTPOT term).
-//! `docs/disagg.md` covers the model and its tuning knobs.
+//! versus prefill rate) land after the pass ends. TTFT is stamped at
+//! prefill end in both modes; streaming wins by *backpressure*: the
+//! source instance frees its held KV as soon as the short tail lands
+//! instead of a full transfer later, so a saturated prefill pool admits
+//! new prompts sooner, and the first decode step starts earlier (an
+//! MTPOT term). `docs/disagg.md` covers the model and its tuning knobs.
 //!
 //! # Elastic variant and cross-pool repurposing
 //!
@@ -129,7 +128,7 @@
 //! # Ok::<(), pf_sim::SimError>(())
 //! ```
 
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
 use pf_autoscale::{AutoscaleConfig, AutoscalePlanner, PoolRole, ScalingDecision, StepLatency};
@@ -161,48 +160,41 @@ pub struct KvTransferSpec {
     pub link_gbps: f64,
     /// Fixed per-transfer overhead (connection setup, descriptor hops).
     pub per_hop_overhead: SimDuration,
-    /// Maximum simultaneously in-flight transfers; excess handoffs queue
-    /// FIFO for a slot. Atomic mode only — the streamed link is a shared
-    /// fluid resource with no slot bound.
-    pub max_inflight: usize,
-    /// How transfers use the link (default [`TransferMode::Atomic`],
-    /// bit-identical to the historical behavior).
+    /// How transfers use the link (default [`TransferMode::Atomic`]).
     pub mode: TransferMode,
     /// Layer chunks per streamed transfer; `0` (the default) resolves to
     /// the model's layer count. Ignored in atomic mode.
     pub num_layers: u32,
 }
 
-/// How the prefill→decode KV handoff uses the link.
+/// How many chunks each prefill→decode KV stream carries on the shared
+/// link (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransferMode {
-    /// One atomic blob after prefill completes, over
-    /// [`KvTransferSpec::max_inflight`] fixed slots (the default).
+    /// One chunk holding the whole KV, eligible when the prefill pass
+    /// ends (the default).
     #[default]
     Atomic,
-    /// Layer-chunked streaming over the shared fair-share link: chunks
-    /// become eligible as the prefill pass produces them, overlapping the
-    /// transfer with the remaining compute (see the module docs).
+    /// One chunk per layer, each eligible as the prefill pass produces
+    /// it, overlapping the transfer with the remaining compute.
     LayerStreamed,
 }
 
 impl KvTransferSpec {
-    /// Creates a transfer spec, validating the parameters.
+    /// Creates an atomic transfer spec. `_slots` is ignored and kept only
+    /// for source compatibility: every handoff shares the one link.
     ///
     /// # Panics
     ///
-    /// Panics if the bandwidth is not finite and positive or
-    /// `max_inflight` is zero.
-    pub fn new(link_gbps: f64, per_hop_overhead: SimDuration, max_inflight: usize) -> Self {
+    /// Panics if the bandwidth is not finite and positive.
+    pub fn new(link_gbps: f64, per_hop_overhead: SimDuration, _slots: usize) -> Self {
         assert!(
             link_gbps.is_finite() && link_gbps > 0.0,
             "invalid link bandwidth {link_gbps}"
         );
-        assert!(max_inflight > 0, "need at least one in-flight transfer");
         KvTransferSpec {
             link_gbps,
             per_hop_overhead,
-            max_inflight,
             mode: TransferMode::Atomic,
             num_layers: 0,
         }
@@ -221,20 +213,14 @@ impl KvTransferSpec {
         self
     }
 
-    /// NVLink-class interconnect (≈200 GB/s, 50 µs overhead, 8 slots).
+    /// NVLink-class interconnect (≈200 GB/s, 50 µs overhead).
     pub fn nvlink() -> Self {
-        KvTransferSpec::new(200.0, SimDuration::from_micros(50), 8)
+        KvTransferSpec::new(200.0, SimDuration::from_micros(50), 1)
     }
 
-    /// PCIe 4.0 x16 interconnect (≈25 GB/s, 200 µs overhead, 4 slots).
+    /// PCIe 4.0 x16 interconnect (≈25 GB/s, 200 µs overhead).
     pub fn pcie4() -> Self {
-        KvTransferSpec::new(25.0, SimDuration::from_micros(200), 4)
-    }
-
-    /// Pure link latency for one transfer of `bytes` (excluding slot
-    /// queueing).
-    pub fn latency(&self, bytes: u64) -> SimDuration {
-        SimDuration::from_secs_f64(bytes as f64 / (self.link_gbps * 1e9)) + self.per_hop_overhead
+        KvTransferSpec::new(25.0, SimDuration::from_micros(200), 1)
     }
 }
 
@@ -620,8 +606,8 @@ struct Job {
     /// Prompt tokens served from the prefill instance's prefix cache
     /// (assigned when the job enters a prefill batch; shrinks the pass).
     cached_prefix: u64,
-    /// Link stream carrying this job's KV (layer-streamed mode only;
-    /// assigned when its prefill pass starts).
+    /// Link stream carrying this job's KV (assigned when its prefill pass
+    /// starts; `None` for a job that finishes at prefill).
     stream: Option<usize>,
 }
 
@@ -670,8 +656,8 @@ impl Job {
     }
 }
 
-/// Run-side state of one layer-streamed transfer (a parallel array to the
-/// link scheduler's stream ids).
+/// Run-side state of one KV transfer stream (a parallel array to the link
+/// scheduler's stream ids).
 #[derive(Debug)]
 struct StreamSlot {
     /// Source prefill member (pool index).
@@ -680,8 +666,6 @@ struct StreamSlot {
     tokens: u64,
     /// Stream payload in bytes.
     bytes: u64,
-    /// First-chunk eligibility instant (µs) — the traced transfer start.
-    start_us: u64,
     /// When the producing prefill pass ends (µs); transfer time beyond
     /// this is the un-hidden tail.
     produce_end_us: u64,
@@ -832,19 +816,17 @@ enum Ev {
     Arrival(RequestSpec),
     /// A prefill instance finishes its current batch.
     PrefillDone(usize),
-    /// A KV transfer lands on the decode side.
-    TransferDone { from: usize, tokens: u64, job: Job },
     /// A decode instance finishes one decode step.
     DecodeDone(usize),
     /// A warming instance becomes live.
     Ready { pool: PoolKind, member: usize },
     /// An autoscale planning round (elastic runs only).
     Plan,
-    /// The shared streamed link reaches its next projected completion
-    /// (dropped unprocessed when `generation` is stale — a stream joined
-    /// or drained since, rescheduling the wake).
+    /// The shared link reaches its next projected completion (dropped
+    /// unprocessed when `generation` is stale — a stream joined or
+    /// drained since, rescheduling the wake).
     LinkWake { generation: u64 },
-    /// A layer-streamed KV transfer fully lands (tail chunks plus the
+    /// A KV transfer stream fully lands (its last chunk plus the
     /// per-stream overhead).
     StreamDone { id: usize },
 }
@@ -924,7 +906,6 @@ struct Run<'s> {
     transfer: KvTransferSpec,
     kv_bytes_per_token: u64,
     max_prefill_batch_tokens: u64,
-    record: bool,
     router: RouterPolicy,
     prefill_order: PrefillOrder,
     repurpose_delay: Option<SimDuration>,
@@ -959,18 +940,18 @@ struct Run<'s> {
 
     heap: BinaryHeap<Scheduled>,
     seq: u64,
-    /// Free times of the `max_inflight` transfer slots, in microseconds
-    /// (atomic mode; unused when `link` is set).
-    link_free: BinaryHeap<Reverse<u64>>,
-    /// Shared-link fluid scheduler (`Some` iff the transfer mode is
-    /// [`TransferMode::LayerStreamed`]).
-    link: Option<LinkScheduler>,
+    /// The shared-link fluid scheduler every KV handoff streams over.
+    link: LinkScheduler,
     /// Per-stream run state, indexed by link stream id.
     stream_slots: Vec<StreamSlot>,
     /// Reusable completion buffer of [`Run::on_link_wake`].
     stream_done_buf: Vec<StreamDone>,
-    /// Layer chunks per stream (the spec override or the model's count).
-    num_layers: u32,
+    /// Chunks per stream: 1 for atomic handoffs, the layer count when
+    /// layer-streamed.
+    chunks: u32,
+    /// Whether handoffs are layer-streamed (counted in
+    /// [`TransferStats::streamed`]).
+    layer_streamed: bool,
     /// Whether the policy is [`RouterPolicy::KvOverlap`] — only then do
     /// members publish KV events into `kv_index`.
     kv_routing: bool,
@@ -987,9 +968,6 @@ struct Run<'s> {
     series: SeriesGroup,
     last_series_at: SimTime,
     stats: TransferStats,
-    /// `(start, done)` per transfer, recorded when the base config has
-    /// series recording on (tests use it to check the in-flight bound).
-    transfer_intervals: Vec<(SimTime, SimTime)>,
     /// Next trace-event instance id (dense over both pools' spawn order).
     next_instance: u32,
     /// Optional trace sink; `None` costs one branch per emission site.
@@ -1052,6 +1030,15 @@ impl<'s> Run<'s> {
                 });
             }
         }
+        // The one place the transfer mode is read: it only sets how many
+        // chunks every stream on the shared link carries.
+        let (chunks, layer_streamed) = match config.transfer.mode {
+            TransferMode::Atomic => (1, false),
+            TransferMode::LayerStreamed if config.transfer.num_layers > 0 => {
+                (config.transfer.num_layers, true)
+            }
+            TransferMode::LayerStreamed => (config.base.model.n_layers.max(1), true),
+        };
         let mut run = Run {
             perf,
             capacity,
@@ -1059,7 +1046,6 @@ impl<'s> Run<'s> {
             transfer: config.transfer,
             kv_bytes_per_token: config.base.model.kv_bytes_per_token(),
             max_prefill_batch_tokens: max_batch,
-            record: config.base.record_series,
             router: config.router,
             prefill_order: config.prefill_order,
             repurpose_delay: config.repurpose,
@@ -1088,23 +1074,14 @@ impl<'s> Run<'s> {
             planning,
             heap: BinaryHeap::new(),
             seq: 0,
-            link_free: (0..config.transfer.max_inflight)
-                .map(|_| Reverse(0))
-                .collect(),
-            link: match config.transfer.mode {
-                TransferMode::Atomic => None,
-                TransferMode::LayerStreamed => Some(LinkScheduler::new(
-                    config.transfer.link_gbps,
-                    config.transfer.per_hop_overhead.as_micros(),
-                )),
-            },
+            link: LinkScheduler::new(
+                config.transfer.link_gbps,
+                config.transfer.per_hop_overhead.as_micros(),
+            ),
             stream_slots: Vec::new(),
             stream_done_buf: Vec::new(),
-            num_layers: if config.transfer.num_layers > 0 {
-                config.transfer.num_layers
-            } else {
-                config.base.model.n_layers
-            },
+            chunks,
+            layer_streamed,
             kv_routing: matches!(config.router, RouterPolicy::KvOverlap { .. }),
             kv_index: KvIndexer::new(config.base.router.kv_event_delay.as_micros()),
             kv_event_scratch: Vec::new(),
@@ -1115,7 +1092,6 @@ impl<'s> Run<'s> {
             series: SeriesGroup::new(),
             last_series_at: SimTime::ZERO,
             stats: TransferStats::default(),
-            transfer_intervals: Vec::new(),
             next_instance: 0,
             sink,
             scratch_finished: Vec::new(),
@@ -1235,9 +1211,6 @@ impl<'s> Run<'s> {
             match ev {
                 Ev::Arrival(spec) => self.on_arrival(now, spec),
                 Ev::PrefillDone(i) => self.on_prefill_done(now, i),
-                Ev::TransferDone { from, tokens, job } => {
-                    self.on_transfer_done(now, from, tokens, job);
-                }
                 Ev::DecodeDone(j) => self.on_decode_done(now, j),
                 Ev::Ready { pool, member } => self.on_ready(now, pool, member),
                 Ev::Plan => self.on_plan(now),
@@ -1578,19 +1551,18 @@ impl<'s> Run<'s> {
         // stream's last chunk turns eligible exactly at the pass end, so
         // its `StreamDone` can never land before the job is parked.
         self.schedule(now + duration, Ev::PrefillDone(i));
-        if self.link.is_some() {
-            self.start_streams(i, now, duration);
-        }
+        self.start_streams(i, now, duration);
     }
 
     /// Opens one link stream per multi-token job in member `i`'s freshly
-    /// started pass: chunk `l` of `num_layers` becomes eligible as the
-    /// pass proportionally produces layer `l`, so the transfer overlaps
-    /// the remaining prefill compute.
+    /// started pass: chunk `l` of [`Run::chunks`] becomes eligible as the
+    /// pass proportionally produces it (a one-chunk atomic stream at the
+    /// pass end), so a layer-streamed transfer overlaps the remaining
+    /// prefill compute.
     fn start_streams(&mut self, i: usize, now: SimTime, duration: SimDuration) {
         let now_us = now.as_micros();
         let end_us = now_us + duration.as_micros();
-        let chunks = self.num_layers.max(1);
+        let chunks = self.chunks;
         let first_at = now_us + (end_us - now_us).div_ceil(u64::from(chunks));
         let aging_cap = match self.queue_order {
             QueueOrder::LeastSlackFirst { aging_cap } => aging_cap,
@@ -1613,11 +1585,7 @@ impl<'s> Run<'s> {
                 aging_cap,
             );
             let request = job.spec.id.raw();
-            let link = self
-                .link
-                .as_mut()
-                .expect("start_streams runs in streamed mode only");
-            let id = link.start_stream(
+            let id = self.link.start_stream(
                 now_us,
                 StreamSpec {
                     bytes,
@@ -1632,13 +1600,12 @@ impl<'s> Run<'s> {
                 from: i,
                 tokens,
                 bytes,
-                start_us: first_at,
                 produce_end_us: end_us,
                 job: None,
             });
             self.prefill[i].batch[idx].stream = Some(id);
-            // Future-stamped at the first chunk's eligibility, mirroring
-            // the atomic path's slot-granted start stamp.
+            // Future-stamped at the first chunk's eligibility (the pass
+            // end for an atomic handoff).
             fleet::emit(
                 &mut self.sink,
                 TraceEvent::KvTransferStart {
@@ -1706,12 +1673,11 @@ impl<'s> Run<'s> {
                 // over.
                 self.prefill[i].held_tokens -= job.prefill_tokens();
                 self.finish_job(now, instance, job);
-            } else if let Some(stream) = job.stream {
-                // Layer-streamed: the transfer has been in flight since
-                // the pass started; park the job for its `StreamDone`.
-                self.stream_slots[stream].job = Some(job);
             } else {
-                self.push_transfer(now, i, job);
+                // The stream opened when the pass started; park the job
+                // for its `StreamDone`.
+                let stream = job.stream.expect("multi-token jobs stream their KV");
+                self.stream_slots[stream].job = Some(job);
             }
         }
         self.flush_kv_events(i, now);
@@ -1734,62 +1700,15 @@ impl<'s> Run<'s> {
         self.maybe_stop_prefill(i, now);
     }
 
-    /// Enqueues one KV handoff on the bounded transfer link.
-    fn push_transfer(&mut self, now: SimTime, from: usize, job: Job) {
-        let tokens = job.prefill_tokens();
-        let bytes = tokens * self.kv_bytes_per_token;
-        let latency = self.transfer.latency(bytes);
-        let Reverse(free_us) = self.link_free.pop().expect("fixed slot count");
-        let start_us = free_us.max(now.as_micros());
-        let done_us = start_us + latency.as_micros();
-        self.link_free.push(Reverse(done_us));
-        let wait_secs = (start_us - now.as_micros()) as f64 / 1e6;
-        self.stats.transfers += 1;
-        self.stats.total_bytes += bytes;
-        self.stats.total_link_secs += latency.as_secs_f64();
-        self.stats.total_wait_secs += wait_secs;
-        self.stats.max_wait_secs = self.stats.max_wait_secs.max(wait_secs);
-        if self.record {
-            self.transfer_intervals.push((
-                SimTime::from_micros(start_us),
-                SimTime::from_micros(done_us),
-            ));
-        }
-        // Stamped at the slot-granted start time (possibly later than
-        // `now`): the span between queueing and start is decode stall.
-        fleet::emit(
-            &mut self.sink,
-            TraceEvent::KvTransferStart {
-                at: SimTime::from_micros(start_us),
-                instance: self.prefill[from].instance,
-                request: job.spec.id.raw(),
-            },
-        );
-        self.schedule(
-            SimTime::from_micros(done_us),
-            Ev::TransferDone { from, tokens, job },
-        );
-    }
-
-    fn on_transfer_done(&mut self, now: SimTime, from: usize, tokens: u64, job: Job) {
-        self.prefill[from].held_tokens -= tokens;
-        self.try_start_prefill(from, now);
-        self.maybe_stop_prefill(from, now);
-        self.handoff_to_decode(now, job);
-    }
-
     /// Schedules a wake at the link's next projected completion, tagged
     /// with the current generation; a join in the meantime bumps the
     /// generation, so the stale wake is dropped unprocessed and a fresh
     /// projection replaces it.
     fn schedule_link_wake(&mut self, now: SimTime) {
-        let Some(link) = self.link.as_ref() else {
+        let Some(at_us) = self.link.next_event_us() else {
             return;
         };
-        let Some(at_us) = link.next_event_us() else {
-            return;
-        };
-        let generation = link.generation();
+        let generation = self.link.generation();
         self.schedule(
             SimTime::from_micros(at_us.max(now.as_micros())),
             Ev::LinkWake { generation },
@@ -1797,15 +1716,12 @@ impl<'s> Run<'s> {
     }
 
     fn on_link_wake(&mut self, now: SimTime, generation: u64) {
-        let Some(link) = self.link.as_mut() else {
-            return;
-        };
-        if generation != link.generation() {
+        if generation != self.link.generation() {
             return; // Superseded by a join since this wake was scheduled.
         }
         let mut completions = std::mem::take(&mut self.stream_done_buf);
         completions.clear();
-        link.advance(now.as_micros(), &mut completions);
+        self.link.advance(now.as_micros(), &mut completions);
         for done in completions.drain(..) {
             self.schedule(
                 SimTime::from_micros(done.done_us.max(now.as_micros())),
@@ -1816,16 +1732,15 @@ impl<'s> Run<'s> {
         self.schedule_link_wake(now);
     }
 
-    /// A layer-streamed transfer fully lands: the source releases the
-    /// held KV, the stats charge the wire time plus one *per-stream*
-    /// overhead, and the job hands off to the decode pool exactly like an
-    /// atomic transfer end.
+    /// A KV transfer fully lands: the source releases the held KV, the
+    /// stats charge the uncontended wire time plus one *per-stream*
+    /// overhead and the time landed past the pass end, and the job hands
+    /// off to the decode pool.
     fn on_stream_done(&mut self, now: SimTime, id: usize) {
         let slot = &mut self.stream_slots[id];
         let from = slot.from;
         let tokens = slot.tokens;
         let bytes = slot.bytes;
-        let start_us = slot.start_us;
         let produce_end_us = slot.produce_end_us;
         let job = slot
             .job
@@ -1833,14 +1748,10 @@ impl<'s> Run<'s> {
             .expect("a stream completes only after its prefill pass parked the job");
         let wire_secs = bytes as f64 / (self.transfer.link_gbps * 1e9);
         self.stats.transfers += 1;
-        self.stats.streamed += 1;
+        self.stats.streamed += usize::from(self.layer_streamed);
         self.stats.total_bytes += bytes;
         self.stats.total_link_secs += wire_secs + self.transfer.per_hop_overhead.as_secs_f64();
         self.stats.total_tail_secs += now.as_micros().saturating_sub(produce_end_us) as f64 / 1e6;
-        if self.record {
-            self.transfer_intervals
-                .push((SimTime::from_micros(start_us), now));
-        }
         self.prefill[from].held_tokens -= tokens;
         self.try_start_prefill(from, now);
         self.maybe_stop_prefill(from, now);
@@ -1848,16 +1759,17 @@ impl<'s> Run<'s> {
         self.handoff_to_decode(now, job);
     }
 
-    /// Emits the shared-link utilization gauge (streamed mode only).
-    /// The link is a pool-wide resource, so the gauge carries the
-    /// pseudo-instance `u32::MAX` rather than any member's id.
+    /// Emits the shared-link utilization gauge. The link is a pool-wide
+    /// resource, so the gauge carries the pseudo-instance `u32::MAX`
+    /// rather than any member's id.
     fn emit_link_utilization(&mut self, now: SimTime) {
-        let Some(link) = self.link.as_ref() else {
-            return;
-        };
-        let utilization = link.utilization();
         if let Some(s) = self.sink.as_deref_mut() {
-            s.gauge(now, u32::MAX, GaugeKind::LinkUtilization, utilization);
+            s.gauge(
+                now,
+                u32::MAX,
+                GaugeKind::LinkUtilization,
+                self.link.utilization(),
+            );
         }
     }
 
@@ -1894,9 +1806,7 @@ impl<'s> Run<'s> {
         }
     }
 
-    /// Routes a landed KV handoff onto the decode pool — shared by the
-    /// atomic and streamed paths, so both modes admit to decode through
-    /// byte-identical logic.
+    /// Routes a landed KV handoff onto the decode pool.
     fn handoff_to_decode(&mut self, now: SimTime, job: Job) {
         if let Some(planning) = self.planning.as_mut() {
             planning
@@ -2535,7 +2445,6 @@ impl<'s> Run<'s> {
             prefix_stats,
             transfers: self.stats,
             pool_series: self.series,
-            transfer_intervals: self.transfer_intervals,
             outcomes: self.outcomes,
         }
     }
@@ -2548,28 +2457,27 @@ pub struct TransferStats {
     pub transfers: usize,
     /// Total KV bytes moved.
     pub total_bytes: u64,
-    /// Total pure link time (bandwidth + overhead), in seconds.
+    /// Total uncontended link time (bandwidth + one overhead per
+    /// transfer), in seconds.
     pub total_link_secs: f64,
-    /// Total time handoffs waited for one of the bounded in-flight slots.
-    /// Always zero under [`TransferMode::LayerStreamed`] — the shared
-    /// link admits every stream immediately at a proportional rate.
-    pub total_wait_secs: f64,
-    /// Longest single wait for a slot.
-    pub max_wait_secs: f64,
-    /// Transfers carried by layer streaming (a subset of `transfers`).
+    /// Transfers carried by layer streaming (a subset of `transfers`;
+    /// zero under [`TransferMode::Atomic`]).
     pub streamed: usize,
-    /// Total streamed transfer time landing *after* the producing prefill
-    /// pass ended (the un-hidden tail), in seconds. Zero in atomic mode.
+    /// Total time from each producing prefill pass's end until its KV
+    /// landed (the un-hidden tail: link contention, wire time past the
+    /// pass and the overhead), in seconds. For an atomic handoff this is
+    /// its whole handoff latency.
     pub total_tail_secs: f64,
 }
 
 impl TransferStats {
-    /// Mean end-to-end handoff latency (slot wait + link), in seconds.
+    /// Mean handoff latency the decode side sees — from the prefill
+    /// pass's end until the KV lands — in seconds.
     pub fn mean_handoff_secs(&self) -> f64 {
         if self.transfers == 0 {
             0.0
         } else {
-            (self.total_wait_secs + self.total_link_secs) / self.transfers as f64
+            self.total_tail_secs / self.transfers as f64
         }
     }
 }
@@ -2659,9 +2567,6 @@ pub struct DisaggReport {
     /// (`prefill-live`, `prefill-provisioned`, `decode-live`,
     /// `decode-provisioned`).
     pub pool_series: SeriesGroup,
-    /// `(start, end)` of every transfer when the base config records
-    /// series (used to verify the in-flight bound).
-    pub transfer_intervals: Vec<(SimTime, SimTime)>,
     /// Per-request outcomes in completion order.
     pub outcomes: Vec<RequestOutcome>,
 }

@@ -1,12 +1,12 @@
 //! A shared KV-transfer link modeled as a fluid, weighted max-min
 //! fair-share resource (progressive filling).
 //!
-//! The atomic transfer path in [`crate::disagg`] charges each handoff a
-//! closed-form latency and bounds concurrency with fixed slots. Layer-wise
-//! streaming needs a richer model: many streams share the link at once,
-//! each stream's bytes become *eligible* chunk by chunk while its prefill
-//! pass is still running, and completion times shift whenever a stream
-//! joins or leaves. [`LinkScheduler`] implements that model exactly:
+//! Every prefill→decode KV handoff in [`crate::disagg`] is one stream on
+//! this link: an atomic handoff is a single chunk that becomes eligible
+//! when its prefill pass ends, a layer-streamed one ships a chunk per
+//! layer while the pass is still running. Many streams share the link at
+//! once, and completion times shift whenever a stream joins or leaves.
+//! [`LinkScheduler`] implements that model exactly:
 //!
 //! - Chunk `ℓ ∈ 1..=L` of a stream producing over `[start, end]` becomes
 //!   eligible at `start + ceil((end − start)·ℓ/L)` — the pass emits KV
@@ -62,7 +62,6 @@ pub struct StreamDone {
 struct Stream {
     spec: StreamSpec,
     delivered: f64,
-    open: bool,
     /// Chunk landing times (µs), recorded when enabled.
     landings: Vec<u64>,
 }
@@ -126,6 +125,9 @@ pub struct LinkScheduler {
     bytes_per_us: f64,
     overhead_us: u64,
     streams: Vec<Stream>,
+    /// Ids of the open streams, ascending (ids are handed out in order);
+    /// the fluid loops walk only these, never the closed history.
+    open: Vec<usize>,
     /// Fluid clock, fractional µs. Monotone.
     cursor: f64,
     /// Integral of time with at least one active stream, in µs.
@@ -153,6 +155,7 @@ impl LinkScheduler {
             bytes_per_us: link_gbps * 1e3,
             overhead_us,
             streams: Vec::new(),
+            open: Vec::new(),
             cursor: 0.0,
             busy_us: 0.0,
             generation: 0,
@@ -187,14 +190,15 @@ impl LinkScheduler {
             spec.weight
         );
         self.sync_to(now_us as f64);
+        let id = self.streams.len();
         self.streams.push(Stream {
             spec,
             delivered: 0.0,
-            open: true,
             landings: Vec::new(),
         });
+        self.open.push(id);
         self.generation += 1;
-        self.streams.len() - 1
+        id
     }
 
     /// Advances the fluid model to `now_us` and drains any streams that
@@ -217,9 +221,7 @@ impl LinkScheduler {
     /// Projects the next stream-completion instant (`done_us`, overhead
     /// included) without mutating the model, or `None` when idle.
     pub fn next_event_us(&self) -> Option<u64> {
-        let open: Vec<usize> = (0..self.streams.len())
-            .filter(|&i| self.streams[i].open)
-            .collect();
+        let open = &self.open;
         if open.is_empty() {
             return None;
         }
@@ -293,7 +295,7 @@ impl LinkScheduler {
     /// Number of streams currently open (transmitting or waiting on
     /// production).
     pub fn inflight(&self) -> usize {
-        self.streams.iter().filter(|s| s.open).count()
+        self.open.len()
     }
 
     /// Total time the link spent transmitting, in seconds.
@@ -314,10 +316,8 @@ impl LinkScheduler {
     fn sync_to(&mut self, target: f64) {
         while self.cursor < target - EPS_US {
             let mut weight_sum = 0.0;
-            for s in &self.streams {
-                if !s.open {
-                    continue;
-                }
+            for &id in &self.open {
+                let s = &self.streams[id];
                 let limit = s.eligible_at(self.cursor).min(s.spec.bytes as f64);
                 if s.delivered < limit - EPS_BYTES {
                     weight_sum += s.spec.weight;
@@ -328,10 +328,9 @@ impl LinkScheduler {
                 // next eligibility boundary or the target, whichever is
                 // sooner.
                 let next = self
-                    .streams
+                    .open
                     .iter()
-                    .filter(|s| s.open)
-                    .filter_map(|s| s.next_boundary(self.cursor))
+                    .filter_map(|&id| self.streams[id].next_boundary(self.cursor))
                     .min()
                     .map_or(target, |b| (b as f64).min(target));
                 self.cursor = next.max(self.cursor);
@@ -340,10 +339,8 @@ impl LinkScheduler {
             // Breakpoints: a stream drains, a chunk becomes eligible, or
             // we reach the target.
             let mut dt = target - self.cursor;
-            for s in &self.streams {
-                if !s.open {
-                    continue;
-                }
+            for &id in &self.open {
+                let s = &self.streams[id];
                 let limit = s.eligible_at(self.cursor).min(s.spec.bytes as f64);
                 if s.delivered < limit - EPS_BYTES {
                     let rate = self.bytes_per_us * s.spec.weight / weight_sum;
@@ -359,11 +356,10 @@ impl LinkScheduler {
             let record = self.record_chunks;
             let bytes_per_us = self.bytes_per_us;
             let overhead_us = self.overhead_us;
-            let mut done: Vec<StreamDone> = Vec::new();
-            for (id, s) in self.streams.iter_mut().enumerate() {
-                if !s.open {
-                    continue;
-                }
+            let streams = &mut self.streams;
+            let pending = &mut self.pending;
+            self.open.retain(|&id| {
+                let s = &mut streams[id];
                 let bytes = s.spec.bytes as f64;
                 let limit = s.eligible_at(cursor).min(bytes);
                 if s.delivered < limit - EPS_BYTES {
@@ -384,17 +380,17 @@ impl LinkScheduler {
                         }
                     }
                 }
-                if s.delivered >= bytes - EPS_BYTES {
-                    s.open = false;
-                    let transmit_end_us = after.ceil() as u64;
-                    done.push(StreamDone {
-                        id,
-                        transmit_end_us,
-                        done_us: transmit_end_us + overhead_us,
-                    });
+                if s.delivered < bytes - EPS_BYTES {
+                    return true;
                 }
-            }
-            self.pending.append(&mut done);
+                let transmit_end_us = after.ceil() as u64;
+                pending.push(StreamDone {
+                    id,
+                    transmit_end_us,
+                    done_us: transmit_end_us + overhead_us,
+                });
+                false
+            });
             self.busy_us += dt;
             self.cursor = after;
         }

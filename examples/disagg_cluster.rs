@@ -50,12 +50,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.gpu_seconds(),
     );
     println!(
-        "kv transfers: {} handoffs, {:.1} GB moved, mean handoff {:.1} ms \
-         (longest slot wait {:.1} ms)",
+        "kv transfers: {} handoffs, {:.1} GB moved, mean handoff {:.1} ms after prefill",
         report.transfers.transfers,
         report.transfers.total_bytes as f64 / 1e9,
         report.transfers.mean_handoff_secs() * 1e3,
-        report.transfers.max_wait_secs * 1e3,
     );
     for (label, events) in [
         ("prefill", &report.prefill.events),
