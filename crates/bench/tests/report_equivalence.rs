@@ -17,18 +17,21 @@
 //! UPDATE_GOLDEN=1 cargo test -p pf-bench --test report_equivalence
 //! ```
 
-use pf_autoscale::{AutoscaleConfig, PredictorKind};
+use pf_autoscale::{AutoscaleConfig, PolicyConfig, PredictorKind};
 use pf_core::SchedulerConfig;
 use pf_metrics::{GoodputReport, SimDuration, SimTime, Summary};
 use pf_sim::cluster::{ClusterSimulation, RouterPolicy};
-use pf_sim::disagg::{DisaggCluster, DisaggConfig, KvTransferSpec, TransferMode};
-use pf_sim::elastic::ElasticCluster;
+use pf_sim::disagg::{
+    DisaggCluster, DisaggConfig, DisaggReport, ElasticDisaggCluster, KvTransferSpec, PoolReport,
+    PrefillOrder, RepurposeDirection, TransferMode,
+};
+use pf_sim::elastic::{ElasticCluster, ElasticReport};
 use pf_sim::{
-    EvictionMode, GpuSpec, ModelSpec, PrefillMode, QueueOrder, RequestOutcome, RouterConfig,
-    SimConfig, Simulation,
+    EvictionMode, GpuSpec, GpuType, ModelSpec, PrefillMode, QueueOrder, RequestOutcome,
+    RouterConfig, SimConfig, Simulation,
 };
 use pf_workload::rng::seeded;
-use pf_workload::{datasets, PoissonArrivals};
+use pf_workload::{datasets, LengthSampler, PoissonArrivals, RequestSpec};
 
 const GOLDEN_PATH: &str = "tests/golden/report_fingerprints.txt";
 
@@ -116,6 +119,130 @@ fn hash_sim_report(h: &mut Fnv, r: &pf_sim::SimReport) {
     hash_goodput(h, &r.goodput);
     hash_outcomes(h, &r.outcomes);
 }
+
+fn hash_gpu(h: &mut Fnv, gpu: &GpuType) {
+    h.word(gpu.name.len() as u64);
+    for byte in gpu.name.bytes() {
+        h.word(u64::from(byte));
+    }
+    h.f64(gpu.cost_weight);
+    h.f64(gpu.perf_scale);
+}
+
+fn hash_elastic(h: &mut Fnv, report: &ElasticReport) {
+    hash_goodput(h, &report.goodput);
+    h.word(report.makespan.as_micros());
+    h.word(report.unrouted as u64);
+    h.word(report.events.len() as u64);
+    h.word(report.instances.len() as u64);
+    for inst in &report.instances {
+        h.word(inst.routed as u64);
+        hash_sim_report(h, &inst.report);
+    }
+}
+
+/// One disagg pool's lifecycle: every instance's lifetime, GPU, routed
+/// and completed counts, then every scaling decision.
+fn hash_pool(h: &mut Fnv, pool: &PoolReport) {
+    h.word(pool.instances.len() as u64);
+    for inst in &pool.instances {
+        h.word(inst.spawned_at.as_micros());
+        h.word(inst.stopped_at.as_micros());
+        hash_gpu(h, &inst.gpu);
+        h.word(inst.routed as u64);
+        h.word(inst.completed as u64);
+    }
+    h.word(pool.events.len() as u64);
+    for ev in &pool.events {
+        h.word(ev.at.as_micros());
+        h.word(ev.from as u64);
+        h.word(ev.to as u64);
+    }
+}
+
+fn hash_repurposes(h: &mut Fnv, report: &DisaggReport) {
+    h.word(report.repurposes.len() as u64);
+    for ev in &report.repurposes {
+        h.word(ev.at.as_micros());
+        h.word(match ev.direction {
+            RepurposeDirection::PrefillToDecode => 0,
+            RepurposeDirection::DecodeToPrefill => 1,
+        });
+        h.word(ev.prefill_member as u64);
+        h.word(ev.decode_member as u64);
+    }
+}
+
+/// A three-phase day for the elastic disagg pools: a prefill-heavy
+/// morning grows the prefill pool, a decode-heavy midday drains it into
+/// the decode pool (prefill → decode flips), and a prefill-heavy
+/// afternoon with a trickle of long decodes flips drained decode members
+/// back (decode → prefill).
+fn three_phase_day(seed: u64) -> (Vec<RequestSpec>, Vec<SimTime>) {
+    let prefill_heavy = |n: usize, seed: u64| {
+        let input = LengthSampler::uniform(1024, 3072);
+        let output = LengthSampler::uniform(4, 32);
+        datasets::from_samplers(n, seed, &input, &output, 64)
+    };
+    let mut pairs: Vec<(RequestSpec, u64)> = Vec::new();
+    let mut at = 0u64;
+    for r in prefill_heavy(PHASE_MORNING, seed) {
+        at += 71_429; // 14 req/s
+        pairs.push((r, at));
+    }
+    let decode_heavy = datasets::from_samplers(
+        PHASE_MIDDAY,
+        seed + 1,
+        &LengthSampler::uniform(32, 128),
+        &LengthSampler::uniform(256, 640),
+        768,
+    );
+    for r in decode_heavy {
+        at += 100_000; // 10 req/s
+        pairs.push((r, at));
+    }
+    // The trickle starts when the midday load ends; the afternoon wave
+    // follows after a quiet half minute in which the decode pool drains.
+    let afternoon = at;
+    at += 30_000_000;
+    for (i, r) in prefill_heavy(PHASE_AFTERNOON, seed + 2)
+        .into_iter()
+        .enumerate()
+    {
+        // A slow first wave lets the decode pool drain before the
+        // second wave doubles the prompt rate.
+        at += if i < PHASE_AFTERNOON / 2 {
+            100_000
+        } else {
+            50_000
+        };
+        pairs.push((r, at));
+    }
+    let trickle = datasets::from_samplers(
+        PHASE_TRICKLE,
+        seed + 3,
+        &LengthSampler::uniform(32, 128),
+        &LengthSampler::uniform(1536, 3072),
+        3072,
+    );
+    for (i, r) in trickle.into_iter().enumerate() {
+        pairs.push((r, afternoon + 1_000 + 1_500_000 * i as u64));
+    }
+    pairs.sort_by_key(|&(_, at)| at);
+    pairs
+        .into_iter()
+        .enumerate()
+        .map(|(i, (mut r, at))| {
+            r.id = (i as u64).into();
+            (r, SimTime::from_micros(at))
+        })
+        .unzip()
+}
+
+const PHASE_MORNING: usize = 420;
+const PHASE_MIDDAY: usize = 360;
+const PHASE_AFTERNOON: usize = 600;
+const PHASE_TRICKLE: usize = 30;
 
 fn base(seed: u64, capacity: u64) -> pf_sim::SimConfigBuilder {
     SimConfig::builder(ModelSpec::llama2_7b(), GpuSpec::a100_80g())
@@ -352,16 +479,88 @@ fn fingerprints() -> Vec<(String, u64)> {
             .run(requests, arrivals)
             .expect("elastic run");
         let mut h = Fnv::new();
+        hash_elastic(&mut h, &report);
+        pin("elastic-holt".into(), h);
+    }
+
+    // A heterogeneous elastic fleet: slot 0 is a big GPU, every later slot
+    // a small one, so the planner's candidate-fleet scales, the
+    // perf-scaled routing loads and the costliest-first drain all feed
+    // the fingerprint.
+    {
+        let n = 400;
+        let requests = datasets::short_chat(n, 52);
+        let arrivals: Vec<SimTime> = (0..n)
+            .map(|i| SimTime::from_millis(12 * i as u64))
+            .collect();
+        let autoscale = AutoscaleConfig::bounded(1, 4)
+            .interval(SimDuration::from_secs(10))
+            .warmup(SimDuration::from_secs(15))
+            .predictor(PredictorKind::holt())
+            .initial_lengths(160.0, 224.0);
+        let report = ElasticCluster::new(base(52, 8_000).build(), autoscale, 1)
+            .fleet(vec![GpuType::big(), GpuType::small()])
+            .run(requests, arrivals)
+            .expect("elastic hetero run");
+        let mut h = Fnv::new();
+        hash_elastic(&mut h, &report);
+        for inst in &report.instances {
+            h.word(inst.spawned_at.as_micros());
+            h.word(inst.stopped_at.as_micros());
+            hash_gpu(&mut h, &inst.gpu);
+        }
+        pin("elastic-hetero".into(), h);
+    }
+
+    // Elastic disagg pools on mixed GPUs with repurposing: both flip
+    // directions, shortest-prompt-first prefill with its aging cap, and
+    // both pools' lifecycles (instances, scaling decisions, flips) are
+    // pinned.
+    {
+        let (requests, arrivals) = three_phase_day(81);
+        let pool = |max: usize, patience: u32| {
+            let mut policy = PolicyConfig::bounded(1, max);
+            policy.scale_down_patience = patience;
+            AutoscaleConfig::bounded(1, max)
+                .interval(SimDuration::from_secs(10))
+                .warmup(SimDuration::from_secs(20))
+                .predictor(PredictorKind::holt())
+                .initial_lengths(512.0, 64.0)
+                .policy(policy)
+        };
+        let config = DisaggConfig::new(base(81, 9_000).build())
+            .repurpose(SimDuration::from_secs(2))
+            .fleet(
+                vec![GpuType::big(), GpuType::small()],
+                vec![GpuType::small(), GpuType::big()],
+            )
+            .prefill_order(PrefillOrder::ShortestPromptFirst {
+                aging_cap: SimDuration::from_secs(5),
+            });
+        let report = ElasticDisaggCluster::new(config, pool(6, 1), pool(4, 1), 2, 1)
+            .run(requests, arrivals)
+            .expect("elastic disagg repurpose run");
+        for direction in [
+            RepurposeDirection::PrefillToDecode,
+            RepurposeDirection::DecodeToPrefill,
+        ] {
+            assert!(
+                report.repurposes.iter().any(|e| e.direction == direction),
+                "the three-phase day never flipped {direction:?}"
+            );
+        }
+        let mut h = Fnv::new();
         hash_goodput(&mut h, &report.goodput);
         h.word(report.makespan.as_micros());
-        h.word(report.unrouted as u64);
-        h.word(report.events.len() as u64);
-        h.word(report.instances.len() as u64);
-        for inst in &report.instances {
-            h.word(inst.routed as u64);
-            hash_sim_report(&mut h, &inst.report);
-        }
-        pin("elastic-holt".into(), h);
+        h.word(report.unserved as u64);
+        h.word(report.timed_out as u64);
+        h.word(report.transfers.transfers as u64);
+        h.word(report.transfers.total_bytes);
+        hash_outcomes(&mut h, &report.outcomes);
+        hash_pool(&mut h, &report.prefill);
+        hash_pool(&mut h, &report.decode);
+        hash_repurposes(&mut h, &report);
+        pin("disagg-elastic-repurpose".into(), h);
     }
 
     // Every remaining router-policy variant gets its own pinned scenario
@@ -408,6 +607,12 @@ fn fingerprints() -> Vec<(String, u64)> {
     // atomic NVLink spec, `disagg-stream` the layer-streamed one); spell
     // the variants out so the golden-coverage rule can see them pinned.
     assert_eq!(KvTransferSpec::nvlink().mode, TransferMode::Atomic);
+    // Likewise every disagg scenario but `disagg-elastic-repurpose` runs
+    // the default FIFO prefill order.
+    assert_eq!(
+        DisaggConfig::new(base(41, 12_000).build()).prefill_order,
+        PrefillOrder::Fifo
+    );
     assert_eq!(
         KvTransferSpec::new(10.0, SimDuration::from_micros(200), 1)
             .streamed()
