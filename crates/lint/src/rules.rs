@@ -19,8 +19,8 @@
 //! * **D4** — side-effecting expressions inside `debug_assert!` family
 //!   macros (assignments or known-mutating method calls), which make
 //!   debug and release builds diverge.
-//! * **X1** — (cross-file) every `RouterPolicy`, `TransferMode`, and
-//!   `QueueOrder` variant must appear in at least one golden fingerprint
+//! * **X1** — (cross-file) every `RouterPolicy`, `TransferMode`,
+//!   `QueueOrder`, `RepurposeDirection` and `PrefillOrder` variant must appear in at least one golden fingerprint
 //!   scenario in `report_equivalence.rs`, so new config surface cannot
 //!   ship un-goldened.
 //! * **S1** — an inline suppression without a justification.
@@ -73,7 +73,9 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "X1",
-        summary: "every RouterPolicy/TransferMode/QueueOrder variant appears in a golden scenario",
+        summary:
+            "every RouterPolicy/TransferMode/QueueOrder/RepurposeDirection/PrefillOrder variant \
+                  appears in a golden scenario",
     },
     RuleInfo {
         id: "S1",
@@ -137,7 +139,13 @@ const D4_ASSIGN_OPS: &[&str] = &[
 ];
 
 /// Enums X1 requires golden coverage for.
-const X1_ENUMS: &[&str] = &["RouterPolicy", "TransferMode", "QueueOrder"];
+const X1_ENUMS: &[&str] = &[
+    "RouterPolicy",
+    "TransferMode",
+    "QueueOrder",
+    "RepurposeDirection",
+    "PrefillOrder",
+];
 
 /// The golden fingerprint suite X1 checks against.
 pub const X1_GOLDEN_FILE: &str = "crates/bench/tests/report_equivalence.rs";
