@@ -77,10 +77,7 @@ use crate::config::{PrefixCacheConfig, SimConfig};
 use crate::elastic::Run;
 use crate::engine::Engine;
 use crate::error::SimError;
-use crate::fleet::{
-    pick_cost_logit, pick_rotating_min, pick_routed, GpuType, RouteCandidate, RouteRng,
-    RouterConfig,
-};
+use crate::fleet::{pick_rotating_min, GpuType, Pool, Routing};
 use crate::report::SimReport;
 
 /// Smallest cached overlap (tokens) for which [`RouterPolicy::PrefixAffinity`]
@@ -108,6 +105,11 @@ pub enum RouterPolicy {
     LeastUsedMemory,
     /// Lowest estimated total load: future required memory of the running
     /// batch plus expected queue footprint (the paper's §7 proposal).
+    ///
+    /// Not yet the paper's signal: the running-batch term evaluates Eq.
+    /// 2–4 over the batch's *ground-truth* output lengths (an oracle no
+    /// real router has), where the paper routes on the history-based
+    /// estimate.
     LeastEstimatedLoad,
     /// KV-aware prefix affinity: the live instance holding the longest
     /// cached prefix of the request's prompt wins, provided the overlap
@@ -224,60 +226,27 @@ impl RouterPolicy {
     }
 }
 
-/// Borrowed state [`RouterPolicy::KvOverlap`] routes against: the global
-/// event-fed index, the dedicated softmax stream, and a reusable buffer
-/// for the request's chained block hashes. Candidate index `i` is looked
-/// up in the indexer as instance `i as u32` — drivers publish engine
-/// events under the same index they route over.
-pub(crate) struct KvRouteCtx<'a> {
-    pub(crate) indexer: &'a pf_kvcache::KvIndexer,
-    pub(crate) rng: &'a mut RouteRng,
-    /// Block size of the fleet's prefix stores.
-    pub(crate) block_tokens: u32,
-    pub(crate) chain: &'a mut Vec<u64>,
-}
-
-impl<'a> KvRouteCtx<'a> {
-    /// Fills `chain` with the request's chained block hashes (system
-    /// prompt, then conversation prefix, then prompt tail — exactly what
-    /// a block store could hold for it).
-    fn rehash(&mut self, spec: &RequestSpec) {
-        self.chain.clear();
-        let mut parent = pf_kvcache::KV_ROOT_HASH;
-        for content in spec.matchable_blocks(self.block_tokens) {
-            parent = pf_kvcache::block_hash(parent, content);
-            self.chain.push(parent);
-        }
-    }
-}
-
-/// Applies `policy` to a candidate subset of an engine fleet (the live
-/// members). `n` is the full fleet size — the rotating cursor is indexed
-/// over it. Each candidate carries its GPU's `perf_scale`; queue-drain
-/// signals divide by it, so a fast GPU looks emptier than a slow one at
-/// equal queued work (1.0 everywhere reproduces the homogeneous dispatch
-/// bit-for-bit). [`RouterPolicy::LeastUsedMemory`] is *not* scaled: it
-/// measures KV headroom, and `GpuType` models speed and price, not
-/// memory. Each policy evaluates only the signal it routes on —
-/// `load_estimate` walks the whole queue, so the cheap policies must not
-/// pay for it. `scratch` is the caller-owned candidate buffer
-/// [`RouterPolicy::PrefixAffinity`] materializes into — routing runs per
-/// arrival, so the buffer is reused rather than reallocated.
-#[allow(clippy::too_many_arguments)]
+/// Applies the routing policy to a candidate subset of an engine fleet
+/// (the live members). `n` is the full fleet size — the rotating cursor
+/// is indexed over it. Each candidate carries its GPU's `perf_scale`;
+/// queue-drain signals divide by it, so a fast GPU looks emptier than a
+/// slow one at equal queued work (1.0 everywhere reproduces the
+/// homogeneous dispatch bit-for-bit). [`RouterPolicy::LeastUsedMemory`]
+/// is *not* scaled: it measures KV headroom, and `GpuType` models speed
+/// and price, not memory. Each policy evaluates only the signal it routes
+/// on — `load_estimate` walks the whole queue, so the cheap policies must
+/// not pay for it. The caller has run [`Routing::prepare`] for `spec`.
 pub(crate) fn pick_engine<'a, I>(
-    policy: RouterPolicy,
-    router: RouterConfig,
     candidates: I,
     spec: &RequestSpec,
-    cursor: &mut usize,
     n: usize,
-    scratch: &mut Vec<RouteCandidate>,
-    kv: &mut KvRouteCtx<'_>,
+    route: &mut Routing,
 ) -> Option<usize>
 where
     I: Iterator<Item = (usize, &'a Engine, f64)>,
 {
-    match policy {
+    let cursor = &mut route.cursor;
+    match route.policy {
         RouterPolicy::RoundRobin => {
             pick_rotating_min(candidates.map(|(i, _, _)| (i, 0.0)), cursor, n)
         }
@@ -294,48 +263,20 @@ where
             cursor,
             n,
         ),
-        RouterPolicy::PrefixAffinity { .. } => {
-            scratch.clear();
-            scratch.extend(candidates.map(|(i, e, s)| RouteCandidate {
-                index: i,
-                // The paper's §7 signal doubles as the affinity
-                // tie-break and below-threshold fallback. Queued
-                // deadline-slack pressure is folded in so urgent
-                // queues look fuller and get room to drain (zero — a
-                // no-op — for deadline-free runs); like the base
-                // load it divides by the GPU's speed — a fast member
-                // drains its urgent queue proportionally faster
-                // (matching the disagg router's treatment).
-                load: (e.load_estimate() + router.slack_pressure_weight * e.queue_slack_pressure())
-                    / s,
-                cached_match: e.cached_prefix_tokens(spec),
+        RouterPolicy::PrefixAffinity { .. } | RouterPolicy::KvOverlap { .. } => {
+            // The paper's §7 signal, with queued deadline-slack pressure
+            // folded in so urgent queues look fuller and get room to
+            // drain (zero — a no-op — for deadline-free runs); like the
+            // base load it divides by the GPU's speed — a fast member
+            // drains its urgent queue proportionally faster (matching the
+            // disagg router's treatment). It is the affinity tie-break
+            // and below-threshold fallback, and the overlap cost's load.
+            let weight = route.config.slack_pressure_weight;
+            route.fill(candidates.map(|(i, e, s)| {
+                let load = (e.load_estimate() + weight * e.queue_slack_pressure()) / s;
+                (i, load, || e.cached_prefix_tokens(spec))
             }));
-            pick_routed(policy, scratch, router.prefix_match_min_tokens, cursor, n)
-        }
-        RouterPolicy::KvOverlap {
-            overlap_weight,
-            temperature,
-        } => {
-            scratch.clear();
-            let prompt = f64::from(spec.input_len.max(1));
-            kv.rehash(spec);
-            scratch.extend(candidates.map(|(i, e, s)| RouteCandidate {
-                index: i,
-                load: (e.load_estimate() + router.slack_pressure_weight * e.queue_slack_pressure())
-                    / s,
-                // The *index's* view of the instance, not the instance's
-                // own cache: routing only sees blocks whose stored events
-                // have propagated.
-                cached_match: kv.indexer.overlap(i as u32, kv.chain),
-            }));
-            pick_cost_logit(
-                scratch,
-                |c| c.load - overlap_weight * (c.cached_match as f64 / prompt),
-                temperature,
-                cursor,
-                n,
-                kv.rng,
-            )
+            route.pick(spec, n)
         }
     }
 }
@@ -384,14 +325,10 @@ impl ClusterSimulation {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] if any request cannot fit an instance, an
-    /// instance stalls, or the policy cannot run on the fleet
+    /// Returns [`SimError`] if the arrival stream is malformed
+    /// ([`SimError::InvalidWorkload`]), any request cannot fit an
+    /// instance, an instance stalls, or the policy cannot run on the fleet
     /// ([`SimError::InvalidRouterPolicy`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `requests.len() != arrival_times.len()` or the times are
-    /// not sorted.
     pub fn run(
         self,
         requests: Vec<RequestSpec>,
@@ -407,14 +344,10 @@ impl ClusterSimulation {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] if any request cannot fit an instance, an
-    /// instance stalls, or the policy cannot run on the fleet
+    /// Returns [`SimError`] if the arrival stream is malformed
+    /// ([`SimError::InvalidWorkload`]), any request cannot fit an
+    /// instance, an instance stalls, or the policy cannot run on the fleet
     /// ([`SimError::InvalidRouterPolicy`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `requests.len() != arrival_times.len()` or the times are
-    /// not sorted.
     pub fn run_traced(
         self,
         requests: Vec<RequestSpec>,
@@ -426,9 +359,11 @@ impl ClusterSimulation {
             .into_iter()
             .map(|config| (config, GpuType::reference()))
             .collect();
-        let mut run = Run::start(initial, self.policy, None, requests, arrival_times)?;
+        let pool = Pool::new(pf_obs::Pool::Colocated, Vec::new(), None);
+        let mut run = Run::start(pool, initial, self.policy, None, requests, arrival_times)?;
         run.drive(&mut sink)?;
         let (routed_per_instance, instances) = run
+            .pool
             .members
             .into_iter()
             .map(|m| (m.core.routed, m.engine.into_report()))
@@ -650,11 +585,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must be sorted")]
-    fn unsorted_arrivals_panic() {
-        let _ = ClusterSimulation::new(base_config(1_000), 1, RouterPolicy::RoundRobin).run(
-            skewed_requests(2, 7),
-            vec![SimTime::from_secs(1), SimTime::ZERO],
+    fn malformed_arrivals_are_an_invalid_workload() {
+        let run = |arrivals| {
+            ClusterSimulation::new(base_config(1_000), 1, RouterPolicy::RoundRobin)
+                .run(skewed_requests(2, 7), arrivals)
+                .unwrap_err()
+        };
+        assert_eq!(
+            run(vec![SimTime::from_secs(1), SimTime::ZERO]),
+            SimError::InvalidWorkload {
+                reason: "arrival times must be sorted"
+            }
+        );
+        assert_eq!(
+            run(vec![SimTime::ZERO]),
+            SimError::InvalidWorkload {
+                reason: "one arrival time per request"
+            }
         );
     }
 }

@@ -73,25 +73,25 @@
 //!
 //! # Elastic variant and cross-pool repurposing
 //!
-//! [`ElasticDisaggCluster`] runs both pools on the [`crate::fleet`]
-//! lifecycle kernel: scale-ups provision instances that serve only after
-//! a warm-up delay, scale-downs cancel warming instances first and then
-//! drain live ones (they finish their work, transfer everything out and
-//! stop costing GPU-seconds). One [`AutoscalePlanner`] per pool — built
-//! with [`pf_autoscale::PoolRole::Prefill`] / [`PoolRole::Decode`] — sizes
-//! the pools independently.
+//! [`ElasticDisaggCluster`] runs each pool as a [`crate::fleet`] pool with
+//! its own [`AutoscaleConfig`] planner (role [`PoolRole::Prefill`] /
+//! [`PoolRole::Decode`]), both planned through the kernel's one planning
+//! round: scale-ups provision instances that serve only after a warm-up
+//! delay, scale-downs cancel warming instances first and then drain live
+//! ones (they finish their work, transfer everything out and stop costing
+//! GPU-seconds).
 //!
-//! With [`DisaggConfig::repurpose`] enabled, a decode scale-up first
-//! *claims* draining prefill instances instead of provisioning cold ones:
-//! when a claimed instance finishes draining, it flips into the decode
-//! pool after the short `repurpose_delay` (KV pool reset, CUDA graphs
-//! re-captured) instead of a full warm-up — the weights are already on
-//! the GPU. The flip is atomic in the cost ledger: the instance stops
-//! charging the prefill pool and starts charging the decode pool at the
-//! same instant, carries its [`GpuType`] with it, and is reported in
-//! [`DisaggReport::repurposes`]. A member never serves both roles at
-//! once: it must be fully drained (no queue, no batch, no held KV) before
-//! the flip, and its decode life starts from an empty KV pool.
+//! With [`DisaggConfig::repurpose`] enabled, a scale-up of either pool
+//! first *claims* the other pool's draining instances instead of
+//! provisioning cold ones. When a claimed instance finishes draining it
+//! flips pools after the short `repurpose_delay` (KV pool reset, CUDA
+//! graphs re-captured) instead of a full warm-up — the weights are
+//! already on the GPU. The flip is atomic in the cost ledger: the
+//! instance stops charging its old pool and starts charging its new one at
+//! the same instant, carries its [`GpuType`] with it, and is reported in
+//! [`DisaggReport::repurposes`]. A member never serves both roles at once:
+//! it must be fully drained (no queue, no batch, no held KV) before the
+//! flip, and its new life starts from an empty KV pool.
 //!
 //! # Heterogeneous pools
 //!
@@ -131,22 +131,19 @@
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
-use pf_autoscale::{AutoscaleConfig, AutoscalePlanner, PoolRole, ScalingDecision, StepLatency};
+use pf_autoscale::{AutoscaleConfig, PoolRole};
 use pf_core::{AdmissionIndex, BatchEntry};
-use pf_kvcache::{
-    block_hash, BlockPrefixCache, KvEvent, KvIndexer, PrefixCacheStats, KV_ROOT_HASH,
-};
+use pf_kvcache::{BlockPrefixCache, KvEvent, PrefixCacheStats};
 use pf_metrics::{GoodputReport, RequestTiming, SeriesGroup, SimDuration, SimTime, SlaSpec};
-use pf_obs::{GaugeKind, Pool, TraceEvent, TraceSink};
+use pf_obs::{GaugeKind, TraceEvent, TraceSink};
 use pf_workload::RequestSpec;
 
 use crate::cluster::RouterPolicy;
 use crate::config::{PrefixCacheConfig, QueueOrder, SimConfig};
 use crate::error::SimError;
 use crate::fleet::{
-    self, pick_cost_logit, pick_rotating_min, pick_routed, slot_gpu, FleetMember, GpuType,
-    MemberCore, MemberState, RouteCandidate, RouteRng, RouterConfig, ScalingEvent,
-    ROUTE_RNG_STREAM,
+    self, pick_rotating_min, FleetMember, GpuType, MemberCore, MemberState, Pool, PoolPlanner,
+    Resize, Routing, ScalingEvent,
 };
 use crate::link::{LinkScheduler, StreamDone, StreamSpec};
 use crate::perf::PerfModel;
@@ -387,14 +384,10 @@ impl DisaggCluster {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] when a request cannot fit either pool or the
-    /// router policy cannot run on the pools
+    /// Returns [`SimError`] when the arrival stream is malformed
+    /// ([`SimError::InvalidWorkload`]), a request cannot fit either pool,
+    /// or the router policy cannot run on the pools
     /// ([`SimError::InvalidRouterPolicy`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `requests.len() != arrival_times.len()` or the times are
-    /// not sorted.
     pub fn run(
         self,
         requests: Vec<RequestSpec>,
@@ -410,14 +403,10 @@ impl DisaggCluster {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] when a request cannot fit either pool or the
-    /// router policy cannot run on the pools
+    /// Returns [`SimError`] when the arrival stream is malformed
+    /// ([`SimError::InvalidWorkload`]), a request cannot fit either pool,
+    /// or the router policy cannot run on the pools
     /// ([`SimError::InvalidRouterPolicy`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `requests.len() != arrival_times.len()` or the times are
-    /// not sorted.
     pub fn run_traced(
         self,
         requests: Vec<RequestSpec>,
@@ -426,8 +415,7 @@ impl DisaggCluster {
     ) -> Result<DisaggReport, SimError> {
         Run::start(
             self.config,
-            self.prefill_instances,
-            self.decode_instances,
+            (self.prefill_instances, self.decode_instances),
             None,
             requests,
             arrival_times,
@@ -494,14 +482,10 @@ impl ElasticDisaggCluster {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] when a request cannot fit either pool or the
-    /// router policy cannot run on the pools
+    /// Returns [`SimError`] when the arrival stream is malformed
+    /// ([`SimError::InvalidWorkload`]), a request cannot fit either pool,
+    /// or the router policy cannot run on the pools
     /// ([`SimError::InvalidRouterPolicy`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `requests.len() != arrival_times.len()` or the times are
-    /// not sorted.
     pub fn run(
         self,
         requests: Vec<RequestSpec>,
@@ -516,84 +500,40 @@ impl ElasticDisaggCluster {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] when a request cannot fit either pool or the
-    /// router policy cannot run on the pools
+    /// Returns [`SimError`] when the arrival stream is malformed
+    /// ([`SimError::InvalidWorkload`]), a request cannot fit either pool,
+    /// or the router policy cannot run on the pools
     /// ([`SimError::InvalidRouterPolicy`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `requests.len() != arrival_times.len()` or the times are
-    /// not sorted.
     pub fn run_traced(
         self,
         requests: Vec<RequestSpec>,
         arrival_times: Vec<SimTime>,
         sink: Option<&mut dyn TraceSink>,
     ) -> Result<DisaggReport, SimError> {
-        let model = PoolModel {
-            perf: self.config.base.perf_model(),
-            capacity_tokens: self.config.base.capacity_tokens(),
-        };
-        let sla = self.config.base.sla;
-        let interval = self.prefill_autoscale.interval;
-        let pool_planner = |autoscale: AutoscaleConfig, role, slots: &[GpuType]| {
-            let max = autoscale.policy.max_replicas;
-            let warmup = autoscale.warmup;
-            let mut planner = AutoscalePlanner::with_role(autoscale, sla, model, role);
-            if !slots.is_empty() {
-                planner = planner.with_slot_perf_scales(
-                    (0..max).map(|k| slot_gpu(slots, k).perf_scale).collect(),
-                );
-            }
-            PoolPlanner { planner, warmup }
-        };
-        let planning = Planning {
-            prefill: pool_planner(
+        let base = &self.config.base;
+        let planners = (
+            fleet::pool_planner(
                 self.prefill_autoscale,
+                base,
                 PoolRole::Prefill,
                 &self.config.prefill_slots,
             ),
-            decode: pool_planner(
+            fleet::pool_planner(
                 self.decode_autoscale,
+                base,
                 PoolRole::Decode,
                 &self.config.decode_slots,
             ),
-            interval,
-            next_plan: SimTime::ZERO + interval,
-        };
+        );
         Run::start(
             self.config,
-            self.initial_prefill,
-            self.initial_decode,
-            Some(planning),
+            (self.initial_prefill, self.initial_decode),
+            Some(planners),
             requests,
             arrival_times,
             sink,
         )?
         .drive()
-    }
-}
-
-/// Step-latency oracle for one reference replica (either pool): the
-/// roofline [`PerfModel`] with the deployment's KV capacity. Heterogeneous
-/// slots scale this model through the planner's per-slot perf scales.
-#[derive(Debug, Clone, Copy)]
-struct PoolModel {
-    perf: PerfModel,
-    capacity_tokens: u64,
-}
-
-impl StepLatency for PoolModel {
-    fn prefill_secs(&self, prompt_tokens: u64) -> f64 {
-        self.perf.prefill_step(prompt_tokens).as_secs_f64()
-    }
-
-    fn decode_secs(&self, batch_size: u64, kv_tokens: u64) -> f64 {
-        self.perf.decode_step(batch_size, kv_tokens).as_secs_f64()
-    }
-
-    fn kv_capacity_tokens(&self) -> u64 {
-        self.capacity_tokens
     }
 }
 
@@ -695,9 +635,6 @@ struct PrefillMember {
     prefix: Option<BlockPrefixCache>,
     busy: bool,
     completed: usize,
-    /// Claimed by a decode scale-up: flips into the decode pool (after
-    /// the repurpose delay) the moment its drain completes.
-    repurpose_claimed: bool,
 }
 
 #[derive(Debug)]
@@ -725,16 +662,9 @@ struct DecodeMember {
     running_kv: u64,
     busy: bool,
     completed: usize,
-    /// Claimed by a prefill scale-up: flips into the prefill pool (after
-    /// the repurpose delay) the moment its drain completes.
-    repurpose_claimed: bool,
 }
 
 impl PrefillMember {
-    fn load_signal(&self) -> u64 {
-        self.queued_tokens + self.held_tokens
-    }
-
     /// Prefix-cache occupancy in tokens (0 when disabled).
     fn prefix_used(&self) -> u64 {
         self.prefix
@@ -765,16 +695,6 @@ impl PrefillMember {
     }
 }
 
-impl DecodeMember {
-    fn load_signal(&self) -> u64 {
-        debug_assert_eq!(
-            self.running_kv,
-            self.running.iter().map(Job::kv_tokens).sum::<u64>()
-        );
-        self.running_kv + self.pending_reserved
-    }
-}
-
 impl FleetMember for PrefillMember {
     fn core(&self) -> &MemberCore {
         &self.core
@@ -784,8 +704,9 @@ impl FleetMember for PrefillMember {
         &mut self.core
     }
 
+    /// Queued plus held prompt tokens.
     fn load_signal(&self) -> u64 {
-        PrefillMember::load_signal(self)
+        self.queued_tokens + self.held_tokens
     }
 }
 
@@ -798,16 +719,117 @@ impl FleetMember for DecodeMember {
         &mut self.core
     }
 
+    /// Resident KV of the batch plus the final footprints of pending
+    /// handoffs.
     fn load_signal(&self) -> u64 {
-        DecodeMember::load_signal(self)
+        debug_assert_eq!(
+            self.running_kv,
+            self.running.iter().map(Job::kv_tokens).sum::<u64>()
+        );
+        self.running_kv + self.pending_reserved
     }
 }
 
-/// Which pool an event addresses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PoolKind {
-    Prefill,
-    Decode,
+/// What differs between the members of the two pools, so that one
+/// generic function serves both wherever their lifecycle is the same:
+/// spawn, promotion, planning, claims and the repurpose flip.
+trait Stage: FleetMember + Sized {
+    /// The pool a claimed member of this one flips into.
+    type Other: Stage<Other = Self>;
+    /// Direction of a flip out of this pool.
+    const FLIP: RepurposeDirection;
+    /// This pool and the other one, out of the run's two.
+    fn pools<'a>(
+        prefill: &'a mut Pool<PrefillMember>,
+        decode: &'a mut Pool<DecodeMember>,
+    ) -> (&'a mut Pool<Self>, &'a mut Pool<Self::Other>);
+    /// A freshly provisioned, empty member with trace id `instance`.
+    fn provision(core: MemberCore, instance: u32, run: &Run<'_>) -> Self;
+    /// The event promoting member `i` once its warm-up ends.
+    fn ready(i: usize) -> Ev;
+    /// Id stamped into emitted trace events (see [`Run::spawn`]).
+    fn instance(&self) -> u32;
+    /// Stage completions (prefill passes finished / requests decoded).
+    fn completed(&self) -> usize;
+}
+
+impl Stage for PrefillMember {
+    type Other = DecodeMember;
+    const FLIP: RepurposeDirection = RepurposeDirection::PrefillToDecode;
+
+    fn pools<'a>(
+        prefill: &'a mut Pool<PrefillMember>,
+        decode: &'a mut Pool<DecodeMember>,
+    ) -> (&'a mut Pool<Self>, &'a mut Pool<DecodeMember>) {
+        (prefill, decode)
+    }
+
+    fn provision(core: MemberCore, instance: u32, run: &Run<'_>) -> Self {
+        PrefillMember {
+            core,
+            instance,
+            queue: VecDeque::new(),
+            queued_tokens: 0,
+            batch: Vec::new(),
+            held_tokens: 0,
+            prefix: run.prefix_cache.map(|spec| {
+                BlockPrefixCache::new(spec.budget_tokens(run.capacity), spec.block_size())
+            }),
+            busy: false,
+            completed: 0,
+        }
+    }
+
+    fn ready(i: usize) -> Ev {
+        Ev::PrefillReady(i)
+    }
+
+    fn instance(&self) -> u32 {
+        self.instance
+    }
+
+    fn completed(&self) -> usize {
+        self.completed
+    }
+}
+
+impl Stage for DecodeMember {
+    type Other = PrefillMember;
+    const FLIP: RepurposeDirection = RepurposeDirection::DecodeToPrefill;
+
+    fn pools<'a>(
+        prefill: &'a mut Pool<PrefillMember>,
+        decode: &'a mut Pool<DecodeMember>,
+    ) -> (&'a mut Pool<Self>, &'a mut Pool<PrefillMember>) {
+        (decode, prefill)
+    }
+
+    fn provision(core: MemberCore, instance: u32, _run: &Run<'_>) -> Self {
+        DecodeMember {
+            core,
+            instance,
+            pending: VecDeque::new(),
+            pending_reserved: 0,
+            running: Vec::new(),
+            admit_index: AdmissionIndex::default(),
+            index_steps: 0,
+            running_kv: 0,
+            busy: false,
+            completed: 0,
+        }
+    }
+
+    fn ready(i: usize) -> Ev {
+        Ev::DecodeReady(i)
+    }
+
+    fn instance(&self) -> u32 {
+        self.instance
+    }
+
+    fn completed(&self) -> usize {
+        self.completed
+    }
 }
 
 #[derive(Debug)]
@@ -818,8 +840,10 @@ enum Ev {
     PrefillDone(usize),
     /// A decode instance finishes one decode step.
     DecodeDone(usize),
-    /// A warming instance becomes live.
-    Ready { pool: PoolKind, member: usize },
+    /// A warming prefill instance becomes live.
+    PrefillReady(usize),
+    /// A warming decode instance becomes live.
+    DecodeReady(usize),
     /// An autoscale planning round (elastic runs only).
     Plan,
     /// The shared link reaches its next projected completion (dropped
@@ -860,18 +884,6 @@ impl Ord for Scheduled {
     }
 }
 
-struct PoolPlanner {
-    planner: AutoscalePlanner<PoolModel>,
-    warmup: SimDuration,
-}
-
-struct Planning {
-    prefill: PoolPlanner,
-    decode: PoolPlanner,
-    interval: SimDuration,
-    next_plan: SimTime,
-}
-
 /// Direction of a cross-pool repurposing flip.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RepurposeDirection {
@@ -906,11 +918,8 @@ struct Run<'s> {
     transfer: KvTransferSpec,
     kv_bytes_per_token: u64,
     max_prefill_batch_tokens: u64,
-    router: RouterPolicy,
     prefill_order: PrefillOrder,
     repurpose_delay: Option<SimDuration>,
-    prefill_slots: Vec<GpuType>,
-    decode_slots: Vec<GpuType>,
     prefix_cache: Option<PrefixCacheConfig>,
     default_deadline: Option<SimDuration>,
     queue_order: QueueOrder,
@@ -919,24 +928,17 @@ struct Run<'s> {
     /// deployment-wide default exists, so a trace with one deadlined
     /// request pays the scan only while that request is pending.
     queued_deadlines: usize,
-    /// Rotating tie-break cursors of the two pools' routing decisions.
-    route_cursor: usize,
+    /// The front end's routing over the prefill pool; under
+    /// [`RouterPolicy::KvOverlap`] prefill members publish into its KV
+    /// index under their pool index, the same index space
+    /// [`Run::route_prefill`] scores over.
+    route: Routing,
+    /// Rotating tie-break cursor of the handoff routing.
     decode_cursor: usize,
-    /// Routing tunables (copied out of the base config at start).
-    router_cfg: RouterConfig,
-    /// Dedicated softmax stream (never the workload's generators).
-    route_rng: RouteRng,
-    /// Reusable chained-hash buffer of the routed request.
-    chain_scratch: Vec<u64>,
-    /// Block size of the members' prefix stores (0 = no prefix cache).
-    block_tokens: u32,
 
-    prefill: Vec<PrefillMember>,
-    decode: Vec<DecodeMember>,
-    prefill_scaling: Vec<ScalingEvent>,
-    decode_scaling: Vec<ScalingEvent>,
+    prefill: Pool<PrefillMember>,
+    decode: Pool<DecodeMember>,
     repurposes: Vec<RepurposeEvent>,
-    planning: Option<Planning>,
 
     heap: BinaryHeap<Scheduled>,
     seq: u64,
@@ -952,12 +954,6 @@ struct Run<'s> {
     /// Whether handoffs are layer-streamed (counted in
     /// [`TransferStats::streamed`]).
     layer_streamed: bool,
-    /// Whether the policy is [`RouterPolicy::KvOverlap`] — only then do
-    /// members publish KV events into `kv_index`.
-    kv_routing: bool,
-    /// Global event-fed KV index; members publish under their pool index,
-    /// the same index space [`Run::route_prefill`] scores over.
-    kv_index: KvIndexer,
     /// Reusable KV-event drain buffer of [`Run::flush_kv_events`].
     kv_event_scratch: Vec<KvEvent>,
 
@@ -974,31 +970,22 @@ struct Run<'s> {
     sink: Option<&'s mut dyn TraceSink>,
     /// Reusable completion scratch of [`Run::on_decode_done`].
     scratch_finished: Vec<Job>,
-    /// Reusable per-arrival candidate buffer of [`Run::route_prefill`].
-    scratch_route: Vec<RouteCandidate>,
 }
 
 impl<'s> Run<'s> {
-    #[allow(clippy::too_many_lines)]
+    /// Provisions the `initial` `(prefill, decode)` members (live at t=0)
+    /// and schedules every arrival, plus the first planning round when the
+    /// pools are autoscaled by `planners` (`(prefill, decode)`).
     fn start(
         config: DisaggConfig,
-        initial_prefill: usize,
-        initial_decode: usize,
-        planning: Option<Planning>,
+        initial: (usize, usize),
+        planners: Option<(PoolPlanner, PoolPlanner)>,
         requests: Vec<RequestSpec>,
         arrival_times: Vec<SimTime>,
         sink: Option<&'s mut dyn TraceSink>,
     ) -> Result<Run<'s>, SimError> {
-        assert_eq!(
-            requests.len(),
-            arrival_times.len(),
-            "one arrival time per request"
-        );
-        assert!(
-            arrival_times.windows(2).all(|w| w[0] <= w[1]),
-            "arrival times must be sorted"
-        );
-        config.router.check(config.base.prefix_cache)?;
+        fleet::check_arrivals(&requests, &arrival_times)?;
+        let route = Routing::new(config.router, &config.base)?;
         let perf = config.base.perf_model();
         let capacity = config.base.capacity_tokens();
         if capacity == 0 {
@@ -1039,6 +1026,7 @@ impl<'s> Run<'s> {
             }
             TransferMode::LayerStreamed => (config.base.model.n_layers.max(1), true),
         };
+        let (prefill_planner, decode_planner) = planners.unzip();
         let mut run = Run {
             perf,
             capacity,
@@ -1046,32 +1034,17 @@ impl<'s> Run<'s> {
             transfer: config.transfer,
             kv_bytes_per_token: config.base.model.kv_bytes_per_token(),
             max_prefill_batch_tokens: max_batch,
-            router: config.router,
             prefill_order: config.prefill_order,
             repurpose_delay: config.repurpose,
-            prefill_slots: config.prefill_slots,
-            decode_slots: config.decode_slots,
             prefix_cache: config.base.prefix_cache,
             default_deadline: config.base.request_deadline,
             queue_order: config.base.queue_order,
             queued_deadlines: 0,
-            route_cursor: 0,
+            route,
             decode_cursor: 0,
-            router_cfg: config.base.router,
-            route_rng: RouteRng::new(pf_workload::rng::derive_seed(
-                config.base.seed,
-                ROUTE_RNG_STREAM,
-            )),
-            chain_scratch: Vec::new(),
-            // Read only under KvOverlap, which `check` admits only with a
-            // cache.
-            block_tokens: config.base.prefix_cache.map_or(0, |p| p.block_size()),
-            prefill: Vec::new(),
-            decode: Vec::new(),
-            prefill_scaling: Vec::new(),
-            decode_scaling: Vec::new(),
+            prefill: Pool::new(pf_obs::Pool::Prefill, config.prefill_slots, prefill_planner),
+            decode: Pool::new(pf_obs::Pool::Decode, config.decode_slots, decode_planner),
             repurposes: Vec::new(),
-            planning,
             heap: BinaryHeap::new(),
             seq: 0,
             link: LinkScheduler::new(
@@ -1082,8 +1055,6 @@ impl<'s> Run<'s> {
             stream_done_buf: Vec::new(),
             chunks,
             layer_streamed,
-            kv_routing: matches!(config.router, RouterPolicy::KvOverlap { .. }),
-            kv_index: KvIndexer::new(config.base.router.kv_event_delay.as_micros()),
             kv_event_scratch: Vec::new(),
             remaining: requests.len(),
             timed_out: 0,
@@ -1095,24 +1066,15 @@ impl<'s> Run<'s> {
             next_instance: 0,
             sink,
             scratch_finished: Vec::new(),
-            scratch_route: Vec::new(),
         };
-        for _ in 0..initial_prefill {
-            let gpu = slot_gpu(&run.prefill_slots, fleet::provisioned_count(&run.prefill));
-            run.spawn_prefill(SimTime::ZERO, SimDuration::ZERO, gpu);
-        }
-        for _ in 0..initial_decode {
-            let gpu = slot_gpu(&run.decode_slots, fleet::provisioned_count(&run.decode));
-            run.spawn_decode(SimTime::ZERO, SimDuration::ZERO, gpu);
-        }
+        run.grow::<PrefillMember>(SimTime::ZERO, initial.0, SimDuration::ZERO);
+        run.grow::<DecodeMember>(SimTime::ZERO, initial.1, SimDuration::ZERO);
         for (at, spec) in arrival_times.into_iter().zip(requests) {
             run.schedule(at, Ev::Arrival(spec));
         }
-        let first_plan = run.planning.as_ref().map(|p| p.next_plan);
-        if let Some(at) = first_plan {
-            if run.remaining > 0 {
-                run.schedule(at, Ev::Plan);
-            }
+        // Both pools plan on one cadence (the constructor checks).
+        if let (Some(planner), true) = (&run.prefill.planner, run.remaining > 0) {
+            run.schedule(SimTime::ZERO + planner.interval(), Ev::Plan);
         }
         run.record_fleet(SimTime::ZERO);
         Ok(run)
@@ -1128,80 +1090,51 @@ impl<'s> Run<'s> {
         });
     }
 
-    fn spawn_prefill(&mut self, now: SimTime, warmup: SimDuration, gpu: GpuType) {
-        let instance = self.next_instance;
-        self.next_instance += 1;
-        self.prefill.push(PrefillMember {
-            core: MemberCore::spawn(now, warmup, gpu),
-            instance,
-            queue: VecDeque::new(),
-            queued_tokens: 0,
-            batch: Vec::new(),
-            held_tokens: 0,
-            prefix: self.prefix_cache.map(|spec| {
-                BlockPrefixCache::new(spec.budget_tokens(self.capacity), spec.block_size())
-            }),
-            busy: false,
-            completed: 0,
-            repurpose_claimed: false,
-        });
-        if !warmup.is_zero() {
-            let member = self.prefill.len() - 1;
-            self.schedule(
-                now + warmup,
-                Ev::Ready {
-                    pool: PoolKind::Prefill,
-                    member,
-                },
-            );
-        }
+    /// `M`'s pool.
+    fn pool<M: Stage>(&mut self) -> &mut Pool<M> {
+        M::pools(&mut self.prefill, &mut self.decode).0
     }
 
-    fn spawn_decode(&mut self, now: SimTime, warmup: SimDuration, gpu: GpuType) {
-        let instance = self.next_instance;
+    /// Provisions a member of `M`'s pool on `gpu` at `now`, live after
+    /// `warmup` (at once when zero), under the next trace-event instance
+    /// id (dense over both pools' spawn order, so a flipped member gets a
+    /// fresh id in its new pool). Returns its pool index.
+    fn spawn<M: Stage>(&mut self, now: SimTime, warmup: SimDuration, gpu: GpuType) -> usize {
+        let member = M::provision(
+            MemberCore::spawn(now, warmup, gpu),
+            self.next_instance,
+            self,
+        );
         self.next_instance += 1;
-        self.decode.push(DecodeMember {
-            core: MemberCore::spawn(now, warmup, gpu),
-            instance,
-            pending: VecDeque::new(),
-            pending_reserved: 0,
-            running: Vec::new(),
-            admit_index: AdmissionIndex::default(),
-            index_steps: 0,
-            running_kv: 0,
-            busy: false,
-            completed: 0,
-            repurpose_claimed: false,
-        });
+        let members = &mut self.pool::<M>().members;
+        members.push(member);
+        let i = members.len() - 1;
         if !warmup.is_zero() {
-            let member = self.decode.len() - 1;
-            self.schedule(
-                now + warmup,
-                Ev::Ready {
-                    pool: PoolKind::Decode,
-                    member,
-                },
-            );
+            self.schedule(now + warmup, M::ready(i));
+        }
+        i
+    }
+
+    /// Spawns `n` members of `M`'s pool at `now`, each on the next slot of
+    /// the pool's GPU mix.
+    fn grow<M: Stage>(&mut self, now: SimTime, n: usize, warmup: SimDuration) {
+        for _ in 0..n {
+            let gpu = self.pool::<M>().next_gpu();
+            self.spawn::<M>(now, warmup, gpu);
         }
     }
 
     fn record_fleet(&mut self, at: SimTime) {
         let at = at.max(self.last_series_at);
         self.last_series_at = at;
-        let (p_live, _) = fleet::pool_counts(&self.prefill);
-        let (d_live, _) = fleet::pool_counts(&self.decode);
+        let (p_live, p_provisioned) = self.prefill.sizes();
+        let (d_live, d_provisioned) = self.decode.sizes();
         self.series.record("prefill-live", at, p_live as f64);
-        self.series.record(
-            "prefill-provisioned",
-            at,
-            fleet::provisioned_count(&self.prefill) as f64,
-        );
+        self.series
+            .record("prefill-provisioned", at, p_provisioned as f64);
         self.series.record("decode-live", at, d_live as f64);
-        self.series.record(
-            "decode-provisioned",
-            at,
-            fleet::provisioned_count(&self.decode) as f64,
-        );
+        self.series
+            .record("decode-provisioned", at, d_provisioned as f64);
     }
 
     fn drive(mut self) -> Result<DisaggReport, SimError> {
@@ -1212,7 +1145,8 @@ impl<'s> Run<'s> {
                 Ev::Arrival(spec) => self.on_arrival(now, spec),
                 Ev::PrefillDone(i) => self.on_prefill_done(now, i),
                 Ev::DecodeDone(j) => self.on_decode_done(now, j),
-                Ev::Ready { pool, member } => self.on_ready(now, pool, member),
+                Ev::PrefillReady(i) => self.on_ready::<PrefillMember>(now, i),
+                Ev::DecodeReady(j) => self.on_ready::<DecodeMember>(now, j),
                 Ev::Plan => self.on_plan(now),
                 Ev::LinkWake { generation } => self.on_link_wake(now, generation),
                 Ev::StreamDone { id } => self.on_stream_done(now, id),
@@ -1223,43 +1157,27 @@ impl<'s> Run<'s> {
 
     /// Routes an arrival over the live prefill members with the configured
     /// policy, delegating to the fleet kernel's shared routing dispatch
-    /// ([`pick_routed`]) — the pool's load signal is queued plus held
+    /// ([`Routing::pick`]) — the pool's load signal is queued plus held
     /// prompt tokens, divided by the member's GPU speed. Under
     /// [`RouterPolicy::PrefixAffinity`] or [`RouterPolicy::KvOverlap`]
     /// with deadlines in play, each candidate's load also carries its
     /// queue's remaining-slack pressure (weighted by
     /// [`RouterConfig::slack_pressure_weight`] of capacity), so urgent
     /// queues attract less new traffic. KvOverlap scores candidates
-    /// against the pool's event-fed KV index (see [`Run::kv_index`]).
+    /// against the event-fed KV index of [`Run::route`].
     fn route_prefill(&mut self, now: SimTime, spec: &RequestSpec) -> usize {
-        let n = self.prefill.len();
+        let members = &self.prefill.members;
+        let n = members.len();
+        let policy = self.route.policy;
         let slack_weighted = matches!(
-            self.router,
+            policy,
             RouterPolicy::PrefixAffinity { .. } | RouterPolicy::KvOverlap { .. }
         ) && (self.default_deadline.is_some() || self.queued_deadlines > 0);
         let default_deadline = self.default_deadline;
-        let pressure_tokens = self.router_cfg.slack_pressure_weight * self.capacity as f64;
-        // KvOverlap scores each member by the index's view of it; the
-        // other policies probe the member stores directly.
-        let chain = if self.kv_routing {
-            self.kv_index.advance(now.as_micros());
-            self.chain_scratch.clear();
-            let mut parent = KV_ROOT_HASH;
-            for content in spec.matchable_blocks(self.block_tokens) {
-                parent = block_hash(parent, content);
-                self.chain_scratch.push(parent);
-            }
-            Some(self.chain_scratch.as_slice())
-        } else {
-            None
-        };
-        let kv_index = &self.kv_index;
-        // Disjoint borrows: candidates are rebuilt into the reusable
-        // buffer from the prefill pool (routing runs per arrival).
-        let candidates = &mut self.scratch_route;
-        candidates.clear();
-        candidates.extend(
-            self.prefill
+        let pressure_tokens = self.route.config.slack_pressure_weight * self.capacity as f64;
+        self.route.prepare(now, spec);
+        self.route.fill(
+            members
                 .iter()
                 .enumerate()
                 .filter(|(_, m)| m.core.is_live())
@@ -1268,54 +1186,23 @@ impl<'s> Run<'s> {
                     if slack_weighted {
                         load += pressure_tokens * m.slack_pressure(now, default_deadline);
                     }
-                    RouteCandidate {
-                        index: i,
-                        load: load / m.core.gpu.perf_scale,
-                        cached_match: match chain {
-                            Some(chain) => kv_index.overlap(i as u32, chain),
-                            None => m.cached_match(spec),
-                        },
-                    }
+                    (i, load / m.core.gpu.perf_scale, || m.cached_match(spec))
                 }),
         );
-        if let RouterPolicy::KvOverlap {
-            overlap_weight,
-            temperature,
-        } = self.router
-        {
-            let prompt = f64::from(spec.input_len.max(1));
-            return pick_cost_logit(
-                candidates,
-                |c| c.load - overlap_weight * (c.cached_match as f64 / prompt),
-                temperature,
-                &mut self.route_cursor,
-                n,
-                &mut self.route_rng,
-            )
-            .expect("at least one live prefill instance");
-        }
-        pick_routed(
-            self.router,
-            candidates,
-            self.router_cfg.prefix_match_min_tokens,
-            &mut self.route_cursor,
-            n,
-        )
-        .expect("at least one live prefill instance")
+        self.route
+            .pick(spec, n)
+            .expect("at least one live prefill instance")
     }
 
     fn on_arrival(&mut self, now: SimTime, spec: RequestSpec) {
-        if let Some(planning) = self.planning.as_mut() {
-            planning
-                .prefill
-                .planner
-                .on_request_arrival(now, spec.input_len);
+        if let Some(planner) = self.prefill.planner.as_mut() {
+            planner.on_request_arrival(now, spec.input_len);
         }
         if spec.deadline.is_some() {
             self.queued_deadlines += 1;
         }
         let target = self.route_prefill(now, &spec);
-        let member = &mut self.prefill[target];
+        let member = &mut self.prefill.members[target];
         member.core.routed += 1;
         member.queued_tokens += u64::from(spec.input_len);
         fleet::emit(
@@ -1347,7 +1234,7 @@ impl<'s> Run<'s> {
         let slack_aware = self.queue_order.is_slack_aware();
         let perf = self.perf;
         let sink = &mut self.sink;
-        let member = &mut self.prefill[i];
+        let member = &mut self.prefill.members[i];
         let instance = member.instance;
         let gpu = member.core.gpu;
         let prefix = &member.prefix;
@@ -1465,7 +1352,7 @@ impl<'s> Run<'s> {
         let default_deadline = self.default_deadline;
         let perf = self.perf;
         let sink = &mut self.sink;
-        let member = &mut self.prefill[i];
+        let member = &mut self.prefill.members[i];
         if member.busy || !member.core.is_active() {
             return;
         }
@@ -1537,7 +1424,7 @@ impl<'s> Run<'s> {
         }
         self.queued_deadlines -= batched_own_deadlines;
         self.flush_kv_events(i, now);
-        let member = &mut self.prefill[i];
+        let member = &mut self.prefill.members[i];
         if member.batch.is_empty() {
             return;
         }
@@ -1570,9 +1457,9 @@ impl<'s> Run<'s> {
         };
         let default_deadline = self.default_deadline;
         let kv_bytes = self.kv_bytes_per_token;
-        let instance = self.prefill[i].instance;
-        for idx in 0..self.prefill[i].batch.len() {
-            let job = &self.prefill[i].batch[idx];
+        let instance = self.prefill.members[i].instance;
+        for idx in 0..self.prefill.members[i].batch.len() {
+            let job = &self.prefill.members[i].batch[idx];
             if job.generated + 1 >= job.spec.true_output_len {
                 continue; // Finishes at prefill; never crosses the link.
             }
@@ -1603,7 +1490,7 @@ impl<'s> Run<'s> {
                 produce_end_us: end_us,
                 job: None,
             });
-            self.prefill[i].batch[idx].stream = Some(id);
+            self.prefill.members[i].batch[idx].stream = Some(id);
             // Future-stamped at the first chunk's eligibility (the pass
             // end for an atomic handoff).
             fleet::emit(
@@ -1634,11 +1521,11 @@ impl<'s> Run<'s> {
     }
 
     fn on_prefill_done(&mut self, now: SimTime, i: usize) {
-        self.prefill[i].busy = false;
-        let batch = std::mem::take(&mut self.prefill[i].batch);
-        self.prefill[i].completed += batch.len();
+        self.prefill.members[i].busy = false;
+        let batch = std::mem::take(&mut self.prefill.members[i].batch);
+        self.prefill.members[i].completed += batch.len();
         let capacity = self.capacity;
-        let instance = self.prefill[i].instance;
+        let instance = self.prefill.members[i].instance;
         for mut job in batch {
             job.generated += 1;
             job.timing.record_token(now);
@@ -1660,18 +1547,15 @@ impl<'s> Run<'s> {
                     request,
                 },
             );
-            Self::cache_prefill_prefix(&mut self.prefill[i], capacity, &job);
-            if let Some(planning) = self.planning.as_mut() {
+            Self::cache_prefill_prefix(&mut self.prefill.members[i], capacity, &job);
+            if let Some(planner) = self.prefill.planner.as_mut() {
                 let ttft = job.timing.ttft().expect("first token just recorded");
-                planning
-                    .prefill
-                    .planner
-                    .on_request_finished(now, 1, ttft, SimDuration::ZERO);
+                planner.on_request_finished(now, 1, ttft, SimDuration::ZERO);
             }
             if job.generated >= job.spec.true_output_len {
                 // Single-token requests finish at prefill; nothing to hand
                 // over.
-                self.prefill[i].held_tokens -= job.prefill_tokens();
+                self.prefill.members[i].held_tokens -= job.prefill_tokens();
                 self.finish_job(now, instance, job);
             } else {
                 // The stream opened when the pass started; park the job
@@ -1682,7 +1566,7 @@ impl<'s> Run<'s> {
         }
         self.flush_kv_events(i, now);
         if let Some(s) = self.sink.as_deref_mut() {
-            let member = &self.prefill[i];
+            let member = &self.prefill.members[i];
             s.gauge(
                 now,
                 instance,
@@ -1752,7 +1636,7 @@ impl<'s> Run<'s> {
         self.stats.total_bytes += bytes;
         self.stats.total_link_secs += wire_secs + self.transfer.per_hop_overhead.as_secs_f64();
         self.stats.total_tail_secs += now.as_micros().saturating_sub(produce_end_us) as f64 / 1e6;
-        self.prefill[from].held_tokens -= tokens;
+        self.prefill.members[from].held_tokens -= tokens;
         self.try_start_prefill(from, now);
         self.maybe_stop_prefill(from, now);
         self.emit_link_utilization(now);
@@ -1780,12 +1664,11 @@ impl<'s> Run<'s> {
         let Run {
             prefill,
             kv_event_scratch,
-            kv_routing,
-            kv_index,
+            route,
             sink,
             ..
         } = self;
-        let member = &mut prefill[i];
+        let member = &mut prefill.members[i];
         let Some(store) = member.prefix.as_mut() else {
             return;
         };
@@ -1798,25 +1681,23 @@ impl<'s> Run<'s> {
         for &ev in kv_event_scratch.iter() {
             fleet::emit(sink, fleet::kv_trace_event(now, instance, ev));
         }
-        if *kv_routing {
+        if route.kv_routing {
             let now_us = now.as_micros();
             for &ev in kv_event_scratch.iter() {
-                kv_index.publish(i as u32, ev, now_us);
+                route.indexer.publish(i as u32, ev, now_us);
             }
         }
     }
 
     /// Routes a landed KV handoff onto the decode pool.
     fn handoff_to_decode(&mut self, now: SimTime, job: Job) {
-        if let Some(planning) = self.planning.as_mut() {
-            planning
-                .decode
-                .planner
-                .on_request_arrival(now, job.spec.input_len);
+        if let Some(planner) = self.decode.planner.as_mut() {
+            planner.on_request_arrival(now, job.spec.input_len);
         }
-        let n = self.decode.len();
+        let n = self.decode.members.len();
         let target = pick_rotating_min(
             self.decode
+                .members
                 .iter()
                 .enumerate()
                 .filter(|(_, m)| m.core.is_live())
@@ -1825,7 +1706,7 @@ impl<'s> Run<'s> {
             n,
         )
         .expect("at least one live decode instance");
-        let member = &mut self.decode[target];
+        let member = &mut self.decode.members[target];
         member.core.routed += 1;
         member.pending_reserved += job.final_footprint();
         // The transfer end carries the *receiving decode* instance: the
@@ -1890,7 +1771,7 @@ impl<'s> Run<'s> {
         let perf = self.perf;
         let queue_order = self.queue_order;
         let default_deadline = self.default_deadline;
-        let member = &mut self.decode[j];
+        let member = &mut self.decode.members[j];
         if member.busy || !member.core.is_active() {
             return;
         }
@@ -1934,12 +1815,12 @@ impl<'s> Run<'s> {
     }
 
     fn on_decode_done(&mut self, now: SimTime, j: usize) {
-        self.decode[j].busy = false;
-        let instance = self.decode[j].instance;
+        self.decode.members[j].busy = false;
+        let instance = self.decode.members[j].instance;
         let mut finished = std::mem::take(&mut self.scratch_finished);
         finished.clear();
         {
-            let member = &mut self.decode[j];
+            let member = &mut self.decode.members[j];
             // One coalesced decode event per batch tick (every running job
             // grew by one token this step).
             let emitters = member.running.len() as u32;
@@ -1985,7 +1866,7 @@ impl<'s> Run<'s> {
             }
         }
         if let Some(s) = self.sink.as_deref_mut() {
-            let member = &self.decode[j];
+            let member = &self.decode.members[j];
             let kv_tokens = member.running_kv;
             s.gauge(
                 now,
@@ -2001,14 +1882,9 @@ impl<'s> Run<'s> {
             );
         }
         for job in finished.drain(..) {
-            if let Some(planning) = self.planning.as_mut() {
+            if let Some(planner) = self.decode.planner.as_mut() {
                 let ttft = job.timing.ttft().expect("completed with tokens");
-                planning.decode.planner.on_request_finished(
-                    now,
-                    job.generated,
-                    ttft,
-                    job.timing.avg_tpot(),
-                );
+                planner.on_request_finished(now, job.generated, ttft, job.timing.avg_tpot());
             }
             self.finish_job(now, instance, job);
         }
@@ -2017,39 +1893,16 @@ impl<'s> Run<'s> {
         self.maybe_stop_decode(j, now);
     }
 
-    fn on_ready(&mut self, now: SimTime, pool: PoolKind, member: usize) {
-        let core = match pool {
-            PoolKind::Prefill => &mut self.prefill[member].core,
-            PoolKind::Decode => &mut self.decode[member].core,
-        };
+    fn on_ready<M: Stage>(&mut self, now: SimTime, i: usize) {
+        let core = self.pool::<M>().members[i].core_mut();
         if matches!(core.state, MemberState::Warming { .. }) {
             core.state = MemberState::Live;
             self.record_fleet(now);
         }
     }
 
-    /// Pending repurpose claims: draining prefill members the decode pool
-    /// owns but which have not flipped yet. The decode planner counts
-    /// them as capacity already ordered.
-    fn claimed_repurposes(&self) -> usize {
-        self.prefill
-            .iter()
-            .filter(|m| m.repurpose_claimed && m.core.stopped_at.is_none())
-            .count()
-    }
-
-    /// Pending reverse claims: draining decode members the prefill pool
-    /// owns but which have not flipped yet (the mirror of
-    /// [`Run::claimed_repurposes`]).
-    fn claimed_decode_repurposes(&self) -> usize {
-        self.decode
-            .iter()
-            .filter(|m| m.repurpose_claimed && m.core.stopped_at.is_none())
-            .count()
-    }
-
     fn maybe_stop_prefill(&mut self, i: usize, now: SimTime) {
-        let member = &mut self.prefill[i];
+        let member = &mut self.prefill.members[i];
         if !(member.core.state == MemberState::Draining
             && !member.busy
             && member.queue.is_empty()
@@ -2058,49 +1911,17 @@ impl<'s> Run<'s> {
         {
             return;
         }
-        let gpu = member.core.gpu;
-        let claimed = std::mem::take(&mut member.repurpose_claimed);
-        member.core.stop(now);
         // A stopping member's cached blocks vanish with it: publish the
         // removals so the router index stops crediting the ghost.
-        if let Some(store) = self.prefill[i].prefix.as_mut() {
+        if let Some(store) = member.prefix.as_mut() {
             store.evict_down_to(0);
         }
         self.flush_kv_events(i, now);
-        if claimed {
-            // The flip: the member leaves the prefill ledger and re-spawns
-            // in the decode pool at the same instant, with its KV pool
-            // reset and only the short repurpose delay before it serves
-            // (the weights are already resident). The decode planner sees
-            // it as ordinary warming capacity.
-            let delay = self
-                .repurpose_delay
-                .expect("claims only exist with repurposing enabled");
-            let from_instance = self.prefill[i].instance;
-            let decode_member = self.decode.len();
-            self.spawn_decode(now, delay, gpu);
-            // The flipped member serves a new role on a new track: it gets
-            // a fresh decode-side instance id, linked by this event.
-            fleet::emit(
-                &mut self.sink,
-                TraceEvent::Repurposed {
-                    at: now,
-                    from_instance,
-                    to_instance: self.decode[decode_member].instance,
-                },
-            );
-            self.repurposes.push(RepurposeEvent {
-                at: now,
-                direction: RepurposeDirection::PrefillToDecode,
-                prefill_member: i,
-                decode_member,
-            });
-        }
-        self.record_fleet(now);
+        self.stop_or_flip::<PrefillMember>(i, now);
     }
 
     fn maybe_stop_decode(&mut self, j: usize, now: SimTime) {
-        let member = &mut self.decode[j];
+        let member = &self.decode.members[j];
         if !(member.core.state == MemberState::Draining
             && !member.busy
             && member.running.is_empty()
@@ -2108,33 +1929,46 @@ impl<'s> Run<'s> {
         {
             return;
         }
-        let gpu = member.core.gpu;
-        let claimed = std::mem::take(&mut member.repurpose_claimed);
-        member.core.stop(now);
+        self.stop_or_flip::<DecodeMember>(j, now);
+    }
+
+    /// Stops drained member `i` of `M`'s pool. If the other pool claimed
+    /// it, it flips there: it leaves this pool's ledger and re-spawns in
+    /// the other at the same instant, with its KV pool reset and only the
+    /// short repurpose delay before it serves (the weights are already
+    /// resident). Its new pool sees it as ordinary warming capacity, and
+    /// it serves its new role under a fresh instance id, linked to the old
+    /// one by a [`TraceEvent::Repurposed`].
+    fn stop_or_flip<M: Stage>(&mut self, i: usize, now: SimTime) {
+        let member = &mut self.pool::<M>().members[i];
+        let from_instance = member.instance();
+        let core = member.core_mut();
+        let gpu = core.gpu;
+        let claimed = std::mem::take(&mut core.claimed);
+        core.stop(now);
         if claimed {
-            // The reverse flip: a drained decode member re-spawns in the
-            // prefill pool after the short repurpose delay — the mirror of
-            // the prefill→decode flip in [`Run::maybe_stop_prefill`], so
-            // pools rebalance through both phases of a diurnal day.
             let delay = self
                 .repurpose_delay
                 .expect("claims only exist with repurposing enabled");
-            let from_instance = self.decode[j].instance;
-            let prefill_member = self.prefill.len();
-            self.spawn_prefill(now, delay, gpu);
+            let to = self.spawn::<M::Other>(now, delay, gpu);
+            let to_instance = self.pool::<M::Other>().members[to].instance();
             fleet::emit(
                 &mut self.sink,
                 TraceEvent::Repurposed {
                     at: now,
                     from_instance,
-                    to_instance: self.prefill[prefill_member].instance,
+                    to_instance,
                 },
             );
+            let (prefill_member, decode_member) = match M::FLIP {
+                RepurposeDirection::PrefillToDecode => (i, to),
+                RepurposeDirection::DecodeToPrefill => (to, i),
+            };
             self.repurposes.push(RepurposeEvent {
                 at: now,
-                direction: RepurposeDirection::DecodeToPrefill,
+                direction: M::FLIP,
                 prefill_member,
-                decode_member: j,
+                decode_member,
             });
         }
         self.record_fleet(now);
@@ -2169,12 +2003,8 @@ impl<'s> Run<'s> {
     /// idle-stop check is deferred until after the decode decision, so an
     /// already-idle victim flips immediately instead of stopping cold.
     fn on_plan(&mut self, now: SimTime) {
-        let Some(mut planning) = self.planning.take() else {
-            return;
-        };
-        planning.next_plan = now + planning.interval;
-        let prefill_drained = self.plan_pool(PoolKind::Prefill, now, &mut planning);
-        let decode_drained = self.plan_pool(PoolKind::Decode, now, &mut planning);
+        let prefill_drained = self.plan_pool::<PrefillMember>(now);
+        let decode_drained = self.plan_pool::<DecodeMember>(now);
         for victim in decode_drained {
             self.maybe_stop_decode(victim, now);
         }
@@ -2182,244 +2012,54 @@ impl<'s> Run<'s> {
             self.maybe_stop_prefill(victim, now);
         }
         self.record_fleet(now);
-        if self.remaining > 0 {
-            let at = planning.next_plan;
-            self.planning = Some(planning);
-            self.schedule(at, Ev::Plan);
-        } else {
-            self.planning = Some(planning);
+        if let (Some(planner), true) = (&self.prefill.planner, self.remaining > 0) {
+            self.schedule(now + planner.interval(), Ev::Plan);
         }
     }
 
-    /// Runs one pool's planner and applies its decision, returning the
-    /// members newly marked draining (their idle-stop check is the
-    /// caller's, after both pools have decided).
-    fn plan_pool(&mut self, pool: PoolKind, now: SimTime, planning: &mut Planning) -> Vec<usize> {
-        let (live, mut warming) = match pool {
-            PoolKind::Prefill => fleet::pool_counts(&self.prefill),
-            PoolKind::Decode => fleet::pool_counts(&self.decode),
-        };
-        // Claimed-but-not-flipped repurposes are capacity the pool has
-        // already ordered (in either direction).
-        warming += match pool {
-            PoolKind::Decode => self.claimed_repurposes(),
-            PoolKind::Prefill => self.claimed_decode_repurposes(),
-        };
-        let effective = live + warming;
-        if effective == 0 {
-            return Vec::new();
-        }
-        let pool_planner = match pool {
-            PoolKind::Prefill => &mut planning.prefill,
-            PoolKind::Decode => &mut planning.decode,
-        };
-        // Refresh the planner's candidate-fleet scales from the members
-        // each size would actually keep (drains remove the costliest
-        // first; claimed repurposes are approximated by the slot types
-        // they would otherwise have spawned into).
-        let slots = match pool {
-            PoolKind::Prefill => &self.prefill_slots,
-            PoolKind::Decode => &self.decode_slots,
-        };
-        if !slots.is_empty() {
-            let max = pool_planner.planner.config().policy.max_replicas;
-            let scales = match pool {
-                PoolKind::Prefill => fleet::candidate_perf_scales(&self.prefill, slots, max),
-                PoolKind::Decode => fleet::candidate_perf_scales(&self.decode, slots, max),
-            };
-            pool_planner.planner.update_slot_perf_scales(scales);
-        }
-        let outcome = pool_planner.planner.plan(now, live, warming);
-        let warmup = pool_planner.warmup;
-        let target = outcome.decision.target_or(effective);
-        let drained = self.apply_decision(pool, now, outcome.decision, warmup);
-        if target != effective {
-            let obs_pool = match pool {
-                PoolKind::Prefill => Pool::Prefill,
-                PoolKind::Decode => Pool::Decode,
-            };
-            fleet::emit_scale(&mut self.sink, now, obs_pool, effective, target);
-            let events = match pool {
-                PoolKind::Prefill => &mut self.prefill_scaling,
-                PoolKind::Decode => &mut self.decode_scaling,
-            };
-            events.push(ScalingEvent {
-                at: now,
-                from: effective,
-                to: target,
-            });
-        }
-        drained
-    }
-
-    /// Applies one pool's scaling decision: scale-ups spawn warming
-    /// instances (a decode scale-up claims draining prefill members first
-    /// when repurposing is enabled), scale-downs run the fleet kernel's
-    /// cancel-then-drain pass ([`fleet::shrink_pool`]). Returns the
-    /// members newly marked draining.
-    fn apply_decision(
-        &mut self,
-        pool: PoolKind,
-        now: SimTime,
-        decision: ScalingDecision,
-        warmup: SimDuration,
-    ) -> Vec<usize> {
-        let (live, mut warming) = match pool {
-            PoolKind::Prefill => fleet::pool_counts(&self.prefill),
-            PoolKind::Decode => fleet::pool_counts(&self.decode),
-        };
-        warming += match pool {
-            PoolKind::Decode => self.claimed_repurposes(),
-            PoolKind::Prefill => self.claimed_decode_repurposes(),
-        };
-        let effective = live + warming;
-        match decision {
-            ScalingDecision::ScaleUp { target } if target > effective => {
-                let mut need = target - effective;
+    /// Runs the planning round of `M`'s pool and applies its decision. A
+    /// scale-up first claims draining members of the other pool when
+    /// repurposing is enabled, then spawns the rest. A scale-down first
+    /// releases the pool's pending claims (they have not started costing
+    /// it anything yet), then cancels and drains its own members through
+    /// the fleet kernel's shrink pass. Returns the members newly marked
+    /// draining (their idle-stop check is the caller's, after both pools
+    /// have decided).
+    fn plan_pool<M: Stage>(&mut self, now: SimTime) -> Vec<usize> {
+        let (own, other) = M::pools(&mut self.prefill, &mut self.decode);
+        // Claimed-but-not-flipped members are capacity the pool has
+        // already ordered.
+        let claimed = fleet::pending_claims(&other.members);
+        match own.plan_round(now, claimed, &mut self.sink) {
+            Some(Resize::Grow(mut need)) => {
                 if self.repurpose_delay.is_some() {
-                    need -= match pool {
-                        PoolKind::Decode => self.claim_repurposes(need),
-                        PoolKind::Prefill => self.claim_decode_repurposes(need),
-                    };
+                    need -= fleet::claim_drained(&mut other.members, need);
                 }
-                for _ in 0..need {
-                    match pool {
-                        PoolKind::Prefill => {
-                            let gpu = slot_gpu(
-                                &self.prefill_slots,
-                                fleet::provisioned_count(&self.prefill),
-                            );
-                            self.spawn_prefill(now, warmup, gpu);
-                        }
-                        PoolKind::Decode => {
-                            let gpu = slot_gpu(
-                                &self.decode_slots,
-                                fleet::provisioned_count(&self.decode),
-                            );
-                            self.spawn_decode(now, warmup, gpu);
-                        }
-                    }
-                }
+                let warmup = own
+                    .planner
+                    .as_ref()
+                    .expect("only planned pools grow")
+                    .warmup();
+                self.grow::<M>(now, need, warmup);
                 Vec::new()
             }
-            ScalingDecision::ScaleDown { target } if target < effective => {
-                let mut excess = effective - target;
-                // Un-claim pending repurposes first: they have not
-                // started costing this pool anything yet.
-                match pool {
-                    PoolKind::Decode => {
-                        for i in (0..self.prefill.len()).rev() {
-                            if excess == 0 {
-                                break;
-                            }
-                            if self.prefill[i].repurpose_claimed
-                                && self.prefill[i].core.stopped_at.is_none()
-                            {
-                                self.prefill[i].repurpose_claimed = false;
-                                excess -= 1;
-                            }
-                        }
-                    }
-                    PoolKind::Prefill => {
-                        for j in (0..self.decode.len()).rev() {
-                            if excess == 0 {
-                                break;
-                            }
-                            if self.decode[j].repurpose_claimed
-                                && self.decode[j].core.stopped_at.is_none()
-                            {
-                                self.decode[j].repurpose_claimed = false;
-                                excess -= 1;
-                            }
-                        }
-                    }
-                }
-                if excess == 0 {
-                    return Vec::new();
-                }
-                // Claims reduced `excess` above; re-express the target
-                // over the pool's actual members only.
-                match pool {
-                    PoolKind::Prefill => {
-                        let (p_live, p_warming) = fleet::pool_counts(&self.prefill);
-                        let member_target = (p_live + p_warming).saturating_sub(excess);
-                        fleet::shrink_pool(&mut self.prefill, member_target, now)
-                    }
-                    PoolKind::Decode => {
-                        let (d_live, d_warming) = fleet::pool_counts(&self.decode);
-                        let member_target = (d_live + d_warming).saturating_sub(excess);
-                        fleet::shrink_pool(&mut self.decode, member_target, now)
-                    }
-                }
+            Some(Resize::Shrink(excess)) => {
+                let excess = excess - fleet::release_claims(&mut other.members, excess);
+                own.shrink_by(excess, now)
             }
-            _ => Vec::new(),
+            Some(Resize::Hold) | None => Vec::new(),
         }
-    }
-
-    /// Claims up to `need` draining, unclaimed prefill members for the
-    /// decode pool (least-loaded first: they flip soonest). Returns how
-    /// many were claimed.
-    fn claim_repurposes(&mut self, need: usize) -> usize {
-        let mut candidates: Vec<(u64, usize)> = self
-            .prefill
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.core.state == MemberState::Draining && !m.repurpose_claimed)
-            .map(|(i, m)| (m.load_signal(), i))
-            .collect();
-        candidates.sort_unstable();
-        let claimed = candidates.len().min(need);
-        for &(_, i) in candidates.iter().take(claimed) {
-            self.prefill[i].repurpose_claimed = true;
-        }
-        claimed
-    }
-
-    /// Claims up to `need` draining, unclaimed decode members for the
-    /// prefill pool (least-loaded first: they flip soonest). Returns how
-    /// many were claimed.
-    fn claim_decode_repurposes(&mut self, need: usize) -> usize {
-        let mut candidates: Vec<(u64, usize)> = self
-            .decode
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.core.state == MemberState::Draining && !m.repurpose_claimed)
-            .map(|(j, m)| (m.load_signal(), j))
-            .collect();
-        candidates.sort_unstable();
-        let claimed = candidates.len().min(need);
-        for &(_, j) in candidates.iter().take(claimed) {
-            self.decode[j].repurpose_claimed = true;
-        }
-        claimed
     }
 
     fn finish(mut self) -> DisaggReport {
         let end = self.clock;
         self.record_fleet(end);
-        let instance_report = |core: &MemberCore, completed: usize| PoolInstanceReport {
-            spawned_at: core.spawned_at,
-            stopped_at: core.stopped_at.unwrap_or(end),
-            gpu: core.gpu,
-            routed: core.routed,
-            completed,
-        };
-        let prefill = PoolReport {
-            instances: self
-                .prefill
-                .iter()
-                .map(|m| instance_report(&m.core, m.completed))
-                .collect(),
-            events: self.prefill_scaling,
-        };
-        let decode = PoolReport {
-            instances: self
-                .decode
-                .iter()
-                .map(|m| instance_report(&m.core, m.completed))
-                .collect(),
-            events: self.decode_scaling,
-        };
+        let mut prefix_stats = PrefixCacheStats::default();
+        for member in &self.prefill.members {
+            if let Some(cache) = &member.prefix {
+                prefix_stats.merge(&cache.stats());
+            }
+        }
         let makespan = end.saturating_since(SimTime::ZERO);
         let requests: Vec<(RequestTiming, u64)> = self
             .outcomes
@@ -2428,19 +2068,13 @@ impl<'s> Run<'s> {
             .collect();
         let goodput =
             GoodputReport::compute_with_timeouts(&self.sla, &requests, makespan, self.timed_out);
-        let mut prefix_stats = PrefixCacheStats::default();
-        for member in &self.prefill {
-            if let Some(cache) = &member.prefix {
-                prefix_stats.merge(&cache.stats());
-            }
-        }
         DisaggReport {
             goodput,
             makespan,
             unserved: self.remaining,
             timed_out: self.timed_out,
-            prefill,
-            decode,
+            prefill: PoolReport::new(self.prefill, end),
+            decode: PoolReport::new(self.decode, end),
             repurposes: self.repurposes,
             prefix_stats,
             transfers: self.stats,
@@ -2522,6 +2156,29 @@ pub struct PoolReport {
 }
 
 impl PoolReport {
+    /// The report of a finished pool whose members still up at `end` are
+    /// charged until then.
+    fn new<M: Stage>(pool: Pool<M>, end: SimTime) -> Self {
+        let instances = pool
+            .members
+            .iter()
+            .map(|m| {
+                let core = m.core();
+                PoolInstanceReport {
+                    spawned_at: core.spawned_at,
+                    stopped_at: core.stopped_at.unwrap_or(end),
+                    gpu: core.gpu,
+                    routed: core.routed,
+                    completed: m.completed(),
+                }
+            })
+            .collect();
+        PoolReport {
+            instances,
+            events: pool.events,
+        }
+    }
+
     /// Total GPU-seconds provisioned in this pool.
     pub fn gpu_seconds(&self) -> f64 {
         self.instances

@@ -4,7 +4,7 @@
 //! elastic fleet with no planner: [`crate::cluster::ClusterSimulation`]
 //! runs this same loop with every member live at t=0 and no planning
 //! rounds, spawns or drains. [`ElasticCluster`] adds the control loop on
-//! top: an [`AutoscalePlanner`] (from `pf-autoscale`) watches arrivals and
+//! top: an [`pf_autoscale::AutoscalePlanner`] watches arrivals and
 //! completions through sliding windows, forecasts the next adjustment
 //! interval, and resizes the fleet —
 //!
@@ -78,46 +78,21 @@
 
 use std::collections::VecDeque;
 
-use pf_autoscale::{AutoscaleConfig, AutoscalePlanner, ScalingDecision, StepLatency};
+use pf_autoscale::{AutoscaleConfig, PoolRole};
 use pf_metrics::{GoodputReport, SimDuration, SimTime, SlaSpec, StepSeries};
-use pf_obs::{Pool, TraceSink};
+use pf_obs::TraceSink;
 use pf_workload::RequestSpec;
 
-use crate::cluster::{pick_engine, KvRouteCtx, RouterPolicy};
+use crate::cluster::{pick_engine, RouterPolicy};
 use crate::config::SimConfig;
 use crate::engine::{Arrivals, Engine, Tick};
 use crate::error::SimError;
 use crate::fleet::{
-    self, slot_gpu, FleetMember, GpuType, MemberCore, MemberState, RouteCandidate, RouteRng,
-    RouterConfig, ROUTE_RNG_STREAM,
+    self, slot_gpu, FleetMember, GpuType, MemberCore, MemberState, Pool, Resize, Routing,
 };
-use crate::perf::PerfModel;
 use crate::report::SimReport;
 
 pub use crate::fleet::ScalingEvent;
-
-/// Step-latency oracle for one replica of the elastic fleet: the roofline
-/// [`PerfModel`] with the *deployment's* KV capacity (which an override in
-/// [`SimConfig`] may shrink below the hardware-derived value).
-#[derive(Debug, Clone, Copy)]
-struct ReplicaModel {
-    perf: PerfModel,
-    capacity_tokens: u64,
-}
-
-impl StepLatency for ReplicaModel {
-    fn prefill_secs(&self, prompt_tokens: u64) -> f64 {
-        self.perf.prefill_step(prompt_tokens).as_secs_f64()
-    }
-
-    fn decode_secs(&self, batch_size: u64, kv_tokens: u64) -> f64 {
-        self.perf.decode_step(batch_size, kv_tokens).as_secs_f64()
-    }
-
-    fn kv_capacity_tokens(&self) -> u64 {
-        self.capacity_tokens
-    }
-}
 
 #[derive(Debug)]
 pub(crate) struct Member {
@@ -204,14 +179,10 @@ impl ElasticCluster {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] if a request can never fit an instance, an
-    /// instance stalls, or the router policy cannot run on the fleet
-    /// ([`SimError::InvalidRouterPolicy`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `requests.len() != arrival_times.len()` or the times are
-    /// not sorted.
+    /// Returns [`SimError`] if the arrival stream is malformed
+    /// ([`SimError::InvalidWorkload`]), a request can never fit an
+    /// instance, an instance stalls, or the router policy cannot run on
+    /// the fleet ([`SimError::InvalidRouterPolicy`]).
     pub fn run(
         self,
         requests: Vec<RequestSpec>,
@@ -227,45 +198,34 @@ impl ElasticCluster {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] if a request can never fit an instance, an
-    /// instance stalls, or the router policy cannot run on the fleet
-    /// ([`SimError::InvalidRouterPolicy`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `requests.len() != arrival_times.len()` or the times are
-    /// not sorted.
+    /// Returns [`SimError`] if the arrival stream is malformed
+    /// ([`SimError::InvalidWorkload`]), a request can never fit an
+    /// instance, an instance stalls, or the router policy cannot run on
+    /// the fleet ([`SimError::InvalidRouterPolicy`]).
     pub fn run_traced(
         self,
         requests: Vec<RequestSpec>,
         arrival_times: Vec<SimTime>,
         mut sink: Option<&mut dyn TraceSink>,
     ) -> Result<ElasticReport, SimError> {
-        let model = ReplicaModel {
-            perf: self.base.perf_model(),
-            capacity_tokens: self.base.capacity_tokens(),
-        };
-        let max_replicas = self.autoscale.policy.max_replicas;
-        let mut planner = AutoscalePlanner::new(self.autoscale, self.base.sla, model);
-        if !self.slots.is_empty() {
-            let scales = (0..max_replicas)
-                .map(|k| slot_gpu(&self.slots, k).perf_scale)
-                .collect();
-            planner = planner.with_slot_perf_scales(scales);
-        }
+        let planner =
+            fleet::pool_planner(self.autoscale, &self.base, PoolRole::Colocated, &self.slots);
         // The initial replicas are provisioned exactly like later spawns:
         // replica `k` is the `k`-th spawn on slot `k`.
         let initial = (0..self.initial_replicas)
-            .map(|k| replica(&self.base, &self.slots, k, k))
+            .map(|k| {
+                let gpu = slot_gpu(&self.slots, k);
+                (replica(&self.base, gpu, k), gpu)
+            })
             .collect();
         let sla = self.base.sla;
         let planning = Planning {
             next_adjust: SimTime::ZERO + planner.interval(),
-            planner,
             base: self.base,
-            slots: self.slots,
         };
+        let pool = Pool::new(pf_obs::Pool::Colocated, self.slots, Some(planner));
         let mut run = Run::start(
+            pool,
             initial,
             self.router,
             Some(planning),
@@ -277,30 +237,22 @@ impl ElasticCluster {
     }
 }
 
-/// Config and GPU of the elastic fleet's `spawned`-th replica, provisioned
-/// on slot `slot`: an independent sampling stream per instance, and the
-/// slot GPU's `perf_scale` multiplying the whole stack's kernel speed (×1.0
-/// for the reference type — bit-identical).
-fn replica(
-    base: &SimConfig,
-    slots: &[GpuType],
-    slot: usize,
-    spawned: usize,
-) -> (SimConfig, GpuType) {
-    let gpu = slot_gpu(slots, slot);
+/// Config of the elastic fleet's `spawned`-th replica, provisioned on
+/// `gpu`: an independent sampling stream per instance, and the GPU's
+/// `perf_scale` multiplying the whole stack's kernel speed (×1.0 for the
+/// reference type — bit-identical).
+fn replica(base: &SimConfig, gpu: GpuType, spawned: usize) -> SimConfig {
     let mut config = base.clone();
     config.seed = config.seed.wrapping_add(spawned as u64);
     config.tuning.kernel_speedup *= gpu.perf_scale;
-    (config, gpu)
+    config
 }
 
-/// The autoscaling control loop of an elastic run.
+/// The autoscaling cadence of an elastic run (its planner lives in the
+/// fleet's [`Pool`]).
 pub(crate) struct Planning {
-    planner: AutoscalePlanner<ReplicaModel>,
     /// The config every replica is provisioned from.
     base: SimConfig,
-    /// Declared GPU mix (empty = homogeneous reference fleet).
-    slots: Vec<GpuType>,
     /// When the next planning round runs.
     next_adjust: SimTime,
 }
@@ -308,43 +260,22 @@ pub(crate) struct Planning {
 /// Mutable state of one colocated run: the event core shared by
 /// [`ElasticCluster`] and [`crate::cluster::ClusterSimulation`].
 pub(crate) struct Run {
-    /// The autoscaling loop; `None` for a fixed fleet, which then never
-    /// plans, spawns or drains, and feeds no planner.
+    /// The autoscaling cadence; `None` for a fixed fleet, which then
+    /// never plans, spawns or drains, and feeds no planner.
     planning: Option<Planning>,
-    /// Every member ever provisioned, in spawn order (the index is the
-    /// member's trace-event instance id).
-    pub(crate) members: Vec<Member>,
-    router: RouterPolicy,
-    /// Rotating tie-break cursor of the router (see
-    /// [`crate::fleet::pick_rotating_min`]).
-    route_cursor: usize,
-    /// Reusable per-arrival candidate buffer of the affinity router (see
-    /// [`pick_engine`]).
-    route_scratch: Vec<RouteCandidate>,
-    /// Routing tunables (copied out of `base` once at start).
-    router_cfg: RouterConfig,
-    /// Whether the policy is [`RouterPolicy::KvOverlap`] — only then do
-    /// members publish KV events into the global index.
-    kv_routing: bool,
-    /// Global event-fed KV index; members publish under their *member
-    /// index* (stable — members are stopped, never removed), the same
-    /// index space [`Run::route_target`] scores over.
-    kv_indexer: pf_kvcache::KvIndexer,
-    /// Dedicated softmax stream (never the workload's generators).
-    route_rng: RouteRng,
-    /// Reusable chained-hash buffer of the routed request.
-    chain_scratch: Vec<u64>,
+    /// The fleet: every member ever provisioned, in spawn order (the
+    /// index is the member's trace-event instance id and its key in the
+    /// router's KV index).
+    pub(crate) pool: Pool<Member>,
+    route: Routing,
     /// Reusable per-tick event drain buffer.
     kv_event_buf: Vec<(SimTime, pf_kvcache::KvEvent)>,
-    /// Block size of the members' prefix stores (0 = no prefix cache).
-    block_tokens: u32,
     /// Timed arrivals not yet routed.
     stream: VecDeque<(SimTime, RequestSpec)>,
     /// Requests that never reached a member: popped while no live member
     /// existed, or left in the stream when every member had stopped (both
     /// possible only when `max_sim_time` stops members early).
     pub(crate) unrouted: usize,
-    events: Vec<ScalingEvent>,
     live_series: StepSeries,
     provisioned_series: StepSeries,
     /// Series must be recorded in time order; planning rounds are stamped
@@ -353,55 +284,31 @@ pub(crate) struct Run {
 }
 
 impl Run {
-    /// Provisions the `initial` members (live at t=0) and checks the
-    /// arrival stream against them before the first event. The routing
-    /// layer (tunables, KV block size, softmax seed) follows member 0's
-    /// config.
+    /// Provisions the `initial` members of `pool` (live at t=0) and checks
+    /// the arrival stream against them before the first event. The
+    /// routing layer (tunables, KV block size, softmax seed) follows
+    /// member 0's config.
     ///
     /// # Panics
     ///
-    /// Panics if `initial` is empty, `requests.len() != arrival_times.len()`
-    /// or the times are not sorted.
+    /// Panics if `initial` is empty.
     pub(crate) fn start(
+        pool: Pool<Member>,
         initial: Vec<(SimConfig, GpuType)>,
         router: RouterPolicy,
         planning: Option<Planning>,
         requests: Vec<RequestSpec>,
         arrival_times: Vec<SimTime>,
     ) -> Result<Run, SimError> {
-        assert_eq!(
-            requests.len(),
-            arrival_times.len(),
-            "one arrival time per request"
-        );
-        assert!(
-            arrival_times.windows(2).all(|w| w[0] <= w[1]),
-            "arrival times must be sorted"
-        );
+        fleet::check_arrivals(&requests, &arrival_times)?;
         let first = &initial.first().expect("fleet needs an initial member").0;
-        router.check(first.prefix_cache)?;
-        let router_cfg = first.router;
-        let kv_routing = matches!(router, RouterPolicy::KvOverlap { .. });
-        let kv_indexer = pf_kvcache::KvIndexer::new(router_cfg.kv_event_delay.as_micros());
-        let route_rng = RouteRng::new(pf_workload::rng::derive_seed(first.seed, ROUTE_RNG_STREAM));
-        // Read only under KvOverlap, which `check` admits only with a cache.
-        let block_tokens = first.prefix_cache.map_or(0, |p| p.block_size());
         let mut run = Run {
             planning,
-            members: Vec::new(),
-            router,
-            route_cursor: 0,
-            route_scratch: Vec::new(),
-            router_cfg,
-            kv_routing,
-            kv_indexer,
-            route_rng,
-            chain_scratch: Vec::new(),
+            pool,
+            route: Routing::new(router, first)?,
             kv_event_buf: Vec::new(),
-            block_tokens,
             stream: arrival_times.into_iter().zip(requests).collect(),
             unrouted: 0,
-            events: Vec::new(),
             live_series: StepSeries::new(),
             provisioned_series: StepSeries::new(),
             last_record: SimTime::ZERO,
@@ -413,7 +320,7 @@ impl Run {
         // mixes KV capacities. Later spawns copy the elastic base config,
         // whose capacity the initial replicas already share (GPU types
         // differ in speed and cost only).
-        for member in &run.members {
+        for member in &run.pool.members {
             member.engine.validate()?;
             for (_, spec) in &run.stream {
                 member.engine.validate_spec(spec)?;
@@ -424,18 +331,10 @@ impl Run {
     }
 
     /// Provisions one replica of the elastic base config at `now`.
-    fn spawn(&mut self, now: SimTime) {
+    fn spawn(&mut self, now: SimTime, warmup: SimDuration) {
         let planning = self.planning.as_ref().expect("only the planner spawns");
-        // The slot an instance occupies is its rank among currently
-        // provisioned members: a fleet of n instances always runs on
-        // (approximately) the first n slots of the declared mix.
-        let (config, gpu) = replica(
-            &planning.base,
-            &planning.slots,
-            fleet::provisioned_count(&self.members),
-            self.members.len(),
-        );
-        let warmup = planning.planner.warmup();
+        let gpu = self.pool.next_gpu();
+        let config = replica(&planning.base, gpu, self.pool.members.len());
         self.add_member(config, gpu, now, warmup);
     }
 
@@ -443,38 +342,31 @@ impl Run {
         let mut engine = Engine::new(config, Arrivals::offline(Vec::new()));
         // Trace-event instance id: the member index, stable for the
         // member's lifetime.
-        engine.set_instance(self.members.len() as u32);
+        engine.set_instance(self.pool.members.len() as u32);
         engine.advance_to(now);
-        if self.kv_routing {
+        if self.route.kv_routing {
             engine.enable_kv_event_log();
         }
-        self.members.push(Member {
+        self.pool.members.push(Member {
             engine,
             core: MemberCore::spawn(now, warmup, gpu),
             seen_outcomes: 0,
         });
     }
 
-    fn live_count(&self) -> usize {
-        fleet::pool_counts(&self.members).0
-    }
-
-    fn warming_count(&self) -> usize {
-        fleet::pool_counts(&self.members).1
-    }
-
     fn record_fleet(&mut self, at: SimTime) {
         let at = at.max(self.last_record);
         self.last_record = at;
-        self.live_series.record(at, self.live_count() as f64);
-        self.provisioned_series
-            .record(at, fleet::provisioned_count(&self.members) as f64);
+        let (live, provisioned) = self.pool.sizes();
+        self.live_series.record(at, live as f64);
+        self.provisioned_series.record(at, provisioned as f64);
     }
 
     /// Index of the active member with the smallest clock (the global
     /// front), or `None` when no member is active.
     fn lagging_active(&self) -> Option<usize> {
-        self.members
+        self.pool
+            .members
             .iter()
             .enumerate()
             .filter(|(_, m)| m.core.is_active())
@@ -488,44 +380,17 @@ impl Run {
     /// Load signals divide by each member's `perf_scale`, so mixed fleets
     /// weight traffic toward their faster GPUs.
     fn route_target(&mut self, now: SimTime, spec: &RequestSpec) -> Option<usize> {
-        let Run {
-            members,
-            router,
-            route_cursor,
-            route_scratch,
-            router_cfg,
-            kv_routing,
-            kv_indexer,
-            route_rng,
-            chain_scratch,
-            block_tokens,
-            ..
-        } = self;
-        if *kv_routing {
-            // Stored events older than the propagation delay become
-            // visible at the routing-time reference clock.
-            kv_indexer.advance(now.as_micros());
-        }
-        let n = members.len();
-        let mut kv_ctx = KvRouteCtx {
-            indexer: kv_indexer,
-            rng: route_rng,
-            block_tokens: *block_tokens,
-            chain: chain_scratch,
-        };
+        let members = &self.pool.members;
+        self.route.prepare(now, spec);
         pick_engine(
-            *router,
-            *router_cfg,
             members
                 .iter()
                 .enumerate()
                 .filter(|(_, m)| m.core.is_live())
                 .map(|(i, m)| (i, &m.engine, m.core.gpu.perf_scale)),
             spec,
-            route_cursor,
-            n,
-            route_scratch,
-            &mut kv_ctx,
+            members.len(),
+            &mut self.route,
         )
     }
 
@@ -533,11 +398,11 @@ impl Run {
     fn harvest_outcomes(&mut self, i: usize) {
         // Disjoint borrows: the member is read, the planner is fed. This
         // runs after every member tick, so it must not allocate.
-        let Run {
+        let Pool {
             members,
-            planning: Some(Planning { planner, .. }),
+            planner: Some(planner),
             ..
-        } = self
+        } = &mut self.pool
         else {
             return;
         };
@@ -565,55 +430,32 @@ impl Run {
     }
 
     /// Runs one planning round at the scheduled time and applies the
-    /// decision (no-op without a planner).
+    /// decision (no-op without a planner): spawns, or the shared shrink
+    /// pass — cancel the newest warming members, then drain the costliest
+    /// / least-loaded live ones, never below one live member.
     fn adjust(&mut self, sink: &mut Option<&mut dyn TraceSink>) {
-        let Some(planning) = self.planning.as_mut() else {
+        let (Some(planning), Some(planner)) = (self.planning.as_mut(), self.pool.planner.as_ref())
+        else {
             return;
         };
         let at = planning.next_adjust;
-        planning.next_adjust = at + planning.planner.interval();
-        let (live, warming) = fleet::pool_counts(&self.members);
-        let effective = live + warming;
-        if effective == 0 {
-            // Horizon pressure stopped the whole fleet; nothing to steer.
+        planning.next_adjust = at + planner.interval();
+        let warmup = planner.warmup();
+        // `None`: horizon pressure stopped the whole fleet; nothing to
+        // steer.
+        let Some(resize) = self.pool.plan_round(at, 0, sink) else {
             return;
-        }
-        if !planning.slots.is_empty() {
-            // Refresh the planner's view of what each candidate size would
-            // run on: drains removed the costliest members first, so the
-            // surviving fleet can differ from the declared slot order.
-            let max = planning.planner.config().policy.max_replicas;
-            planning
-                .planner
-                .update_slot_perf_scales(fleet::candidate_perf_scales(
-                    &self.members,
-                    &planning.slots,
-                    max,
-                ));
-        }
-        let outcome = planning.planner.plan(at, live, warming);
-        let target = outcome.decision.target_or(effective);
-        match outcome.decision {
-            ScalingDecision::ScaleUp { target } if target > effective => {
-                for _ in effective..target {
-                    self.spawn(at);
+        };
+        match resize {
+            Resize::Grow(n) => {
+                for _ in 0..n {
+                    self.spawn(at, warmup);
                 }
             }
-            ScalingDecision::ScaleDown { target } if target < effective => {
-                // The shared shrink pass: cancel the newest warming
-                // members, then drain the costliest / least-loaded live
-                // ones — never below one live member.
-                let _ = fleet::shrink_pool(&mut self.members, target, at);
+            Resize::Shrink(n) => {
+                let _ = self.pool.shrink_by(n, at);
             }
-            _ => {}
-        }
-        if target != effective {
-            fleet::emit_scale(sink, at, Pool::Colocated, effective, target);
-            self.events.push(ScalingEvent {
-                at,
-                from: effective,
-                to: target,
-            });
+            Resize::Hold => {}
         }
         self.record_fleet(at);
     }
@@ -621,7 +463,7 @@ impl Run {
     /// Promotes warming members whose delay elapsed before `front`.
     fn promote_ready(&mut self, front: SimTime) -> bool {
         let mut promoted = false;
-        for member in &mut self.members {
+        for member in &mut self.pool.members {
             if let MemberState::Warming { ready_at } = member.core.state {
                 if ready_at <= front {
                     member.engine.advance_to(ready_at);
@@ -642,7 +484,7 @@ impl Run {
         // The loop ends when no member is active (every instance stopped)
         // or via the explicit all-idle break below.
         while let Some(i_min) = self.lagging_active() {
-            let front = self.members[i_min].engine.now();
+            let front = self.pool.members[i_min].engine.now();
             if self.promote_ready(front) {
                 continue;
             }
@@ -659,23 +501,23 @@ impl Run {
                         self.unrouted += 1;
                         continue;
                     };
-                    if let Some(planning) = self.planning.as_mut() {
-                        planning.planner.on_request_arrival(at, spec.input_len);
+                    if let Some(planner) = self.pool.planner.as_mut() {
+                        planner.on_request_arrival(at, spec.input_len);
                     }
-                    let arrival = at.max(self.members[target].engine.now());
-                    self.members[target].engine.inject(arrival, spec);
-                    self.members[target].core.routed += 1;
+                    let member = &mut self.pool.members[target];
+                    let arrival = at.max(member.engine.now());
+                    member.engine.inject(arrival, spec);
+                    member.core.routed += 1;
                     continue;
                 }
             }
-            let tick = self.members[i_min].engine.tick_traced(sink)?;
-            if self.kv_routing {
+            let member = &mut self.pool.members[i_min];
+            let tick = member.engine.tick_traced(sink)?;
+            if self.route.kv_routing {
                 self.kv_event_buf.clear();
-                self.members[i_min]
-                    .engine
-                    .drain_kv_events(&mut self.kv_event_buf);
+                member.engine.drain_kv_events(&mut self.kv_event_buf);
                 for &(at, ev) in &self.kv_event_buf {
-                    self.kv_indexer.publish(i_min as u32, ev, at.as_micros());
+                    self.route.indexer.publish(i_min as u32, ev, at.as_micros());
                 }
             }
             match tick {
@@ -685,48 +527,49 @@ impl Run {
                     // round and stream arrivals need the front to pause at
                     // their timestamps.
                     let bound = self.next_event().map_or(t, |next| next.min(t));
-                    self.members[i_min].engine.advance_to(bound.max(front));
+                    self.pool.members[i_min].engine.advance_to(bound.max(front));
                 }
                 Tick::Blocked => {
                     return Err(SimError::Stalled {
-                        queued: self.members[i_min].engine.outstanding(),
+                        queued: self.pool.members[i_min].engine.outstanding(),
                         at: front,
                     });
                 }
                 Tick::HorizonReached => {
                     // The member will never work again; release it so the
                     // run can terminate.
-                    self.members[i_min].core.stop(front);
+                    self.pool.members[i_min].core.stop(front);
                     self.record_fleet(front);
                 }
                 Tick::Drained => {
-                    if self.members[i_min].core.state == MemberState::Draining {
-                        self.members[i_min].core.stop(front);
+                    if self.pool.members[i_min].core.state == MemberState::Draining {
+                        self.pool.members[i_min].core.stop(front);
                         self.record_fleet(front);
                         continue;
                     }
-                    let all_idle = self
-                        .members
+                    let members = &self.pool.members;
+                    let all_idle = members
                         .iter()
                         .filter(|m| m.core.is_active())
                         .all(|m| m.engine.outstanding() == 0);
-                    if self.stream.is_empty() && all_idle && self.warming_count() == 0 {
+                    if self.stream.is_empty() && all_idle && fleet::pool_counts(members).1 == 0 {
                         break;
                     }
-                    let next = [self.next_event(), fleet::next_ready(&self.members)]
+                    let next = [self.next_event(), fleet::next_ready(members)]
                         .into_iter()
                         .flatten()
                         .min();
+                    let member = &mut self.pool.members[i_min];
                     match next {
                         // Idle live instance: fast-forward to the next
                         // global event so it stays a valid routing-time
                         // reference.
-                        Some(next) => self.members[i_min].engine.advance_to(next.max(front)),
+                        Some(next) => member.engine.advance_to(next.max(front)),
                         // A fixed fleet past its last arrival: nothing can
                         // reach this member again, so it leaves the lagging
                         // set with its clock (its report's makespan) where
                         // its work ended.
-                        None => self.members[i_min].core.stop(front),
+                        None => member.core.stop(front),
                     }
                 }
             }
@@ -740,19 +583,21 @@ impl Run {
     /// Builds the elastic report of a driven run.
     fn finish(mut self, sla: SlaSpec) -> ElasticReport {
         // Collect any completions the final ticks produced.
-        for i in 0..self.members.len() {
+        for i in 0..self.pool.members.len() {
             self.harvest_outcomes(i);
         }
         let end = self
+            .pool
             .members
             .iter()
             .map(|m| m.core.stopped_at.unwrap_or(m.engine.now()))
             .max()
             .unwrap_or(SimTime::ZERO);
-        self.live_series.record(end, self.live_count() as f64);
-        self.provisioned_series
-            .record(end, fleet::provisioned_count(&self.members) as f64);
+        let (live, provisioned) = self.pool.sizes();
+        self.live_series.record(end, live as f64);
+        self.provisioned_series.record(end, provisioned as f64);
         let instances: Vec<ElasticInstanceReport> = self
+            .pool
             .members
             .into_iter()
             .map(|m| {
@@ -783,7 +628,7 @@ impl Run {
             makespan,
             unrouted: self.unrouted,
             instances,
-            events: self.events,
+            events: self.pool.events,
             live_series: self.live_series,
             provisioned_series: self.provisioned_series,
         }

@@ -155,8 +155,9 @@ impl Arrivals {
         }
     }
 
+    /// One arrival per request at its time; the caller has checked the
+    /// stream ([`crate::fleet::check_arrivals`]).
     pub(crate) fn timed(requests: Vec<RequestSpec>, times: Vec<SimTime>) -> Self {
-        assert_eq!(requests.len(), times.len(), "one arrival time per request");
         let heap = times
             .iter()
             .enumerate()
@@ -389,12 +390,8 @@ impl Engine {
         }
     }
 
-    pub(crate) fn run(self) -> Result<SimReport, SimError> {
-        self.run_traced(None)
-    }
-
     /// Runs to completion with an optional [`TraceSink`] receiving every
-    /// lifecycle event. With `None` this is exactly [`Engine::run`]: the
+    /// lifecycle event. With `None` this is exactly an untraced run: the
     /// emission sites reduce to a branch on an empty option, so the
     /// untraced path stays allocation-free and bit-identical.
     pub(crate) fn run_traced(
@@ -558,18 +555,16 @@ impl Engine {
     }
 
     /// Runs upfront validation (also used by the cluster driver, which
-    /// validates against each member engine's capacity).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a prefix cache is enabled and the request id is
-    /// `u64::MAX` — that id is reserved for the cache's pool charge, and
-    /// letting it through would silently corrupt the KV accounting.
+    /// validates against each member engine's capacity). With a prefix
+    /// cache, request id `u64::MAX` is [`SimError::InvalidWorkload`]: that
+    /// id is reserved for the cache's pool charge, and letting it through
+    /// would silently corrupt the KV accounting.
     pub(crate) fn validate_spec(&self, spec: &RequestSpec) -> Result<(), SimError> {
-        assert!(
-            self.prefix.is_none() || spec.id.raw() != PREFIX_SENTINEL,
-            "request id u64::MAX is reserved for the prefix cache"
-        );
+        if self.prefix.is_some() && spec.id.raw() == PREFIX_SENTINEL {
+            return Err(SimError::InvalidWorkload {
+                reason: "request id u64::MAX is reserved for the prefix cache",
+            });
+        }
         let contiguous = matches!(self.config.kv_layout, crate::config::KvLayout::Contiguous);
         let static_mode = matches!(self.config.batching, BatchingMode::Static { .. });
         let needed = if contiguous || static_mode {

@@ -53,6 +53,14 @@ pub enum SimError {
         /// Name of the offending parameter.
         parameter: &'static str,
     },
+    /// The workload cannot be replayed as given: arrival times that do
+    /// not pair one-to-one with the requests or are not sorted, or a
+    /// request id reserved by the simulator (`u64::MAX`, the prefix
+    /// cache's pool charge).
+    InvalidWorkload {
+        /// The rule the workload breaks.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -83,6 +91,7 @@ impl fmt::Display for SimError {
                      (kv-overlap needs a finite weight and temperature and a prefix cache)"
                 )
             }
+            SimError::InvalidWorkload { reason } => write!(f, "invalid workload: {reason}"),
         }
     }
 }
@@ -129,5 +138,10 @@ mod tests {
         }
         .to_string()
         .contains("`temperature` is invalid"));
+        assert!(SimError::InvalidWorkload {
+            reason: "arrival times must be sorted"
+        }
+        .to_string()
+        .contains("invalid workload: arrival times must be sorted"));
     }
 }

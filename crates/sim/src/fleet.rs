@@ -8,6 +8,19 @@
 //! run. This module is the single definition of that machinery; the
 //! deployment modules contribute only their pool-specific work loops.
 //!
+//! # Pools and the planning round
+//!
+//! A crate-internal `Pool` owns one pool's members, its declared GPU
+//! slots, its scaling log and its optional autoscaling planner. The
+//! colocated fleet runs one pool, a disaggregated deployment one per
+//! stage. Every pool plans through the same round (`Pool::plan_round`):
+//! refresh the planner's candidate slot scales, plan, emit and log any
+//! size change, and hand back a grow/shrink count. The caller applies it:
+//! the colocated fleet spawns or runs [`shrink_pool`]; a disaggregated
+//! pool first takes or releases repurpose claims
+//! ([`MemberCore::claimed`]) on the other pool's draining members, then
+//! spawns or shrinks. A claimed member flips pools when its drain ends.
+//!
 //! # The member state machine
 //!
 //! ```text
@@ -63,10 +76,16 @@
 //! cold-start traffic onto member 0). [`crate::cluster`], the elastic
 //! fleet and both disagg pools route through them.
 
-use pf_kvcache::{BlockPrefixCache, KvEvent};
+use pf_autoscale::{AutoscaleConfig, AutoscalePlanner, PoolRole, ScalingDecision, StepLatency};
+use pf_kvcache::{BlockPrefixCache, KvEvent, KvIndexer};
 use pf_metrics::SimTime;
-use pf_obs::{Pool, TraceEvent, TraceSink};
+use pf_obs::{TraceEvent, TraceSink};
 use pf_workload::RequestSpec;
+
+use crate::cluster::RouterPolicy;
+use crate::config::SimConfig;
+use crate::error::SimError;
+use crate::perf::PerfModel;
 
 /// Forwards a [`TraceEvent`] to the sink, if one is attached. This is the
 /// single emission funnel every engine and cluster module routes through:
@@ -76,22 +95,6 @@ use pf_workload::RequestSpec;
 pub(crate) fn emit(sink: &mut Option<&mut dyn TraceSink>, ev: TraceEvent) {
     if let Some(s) = sink {
         s.event(ev);
-    }
-}
-
-/// Emits the pool-size transition `from → to` as a [`TraceEvent::ScaleUp`]
-/// or [`TraceEvent::ScaleDown`] (no event when the size is unchanged).
-pub(crate) fn emit_scale(
-    sink: &mut Option<&mut dyn TraceSink>,
-    at: SimTime,
-    pool: Pool,
-    from: usize,
-    to: usize,
-) {
-    if to > from {
-        emit(sink, TraceEvent::ScaleUp { at, pool, from, to });
-    } else if to < from {
-        emit(sink, TraceEvent::ScaleDown { at, pool, from, to });
     }
 }
 
@@ -133,6 +136,25 @@ pub(crate) fn store_prefix(store: &mut BlockPrefixCache, spec: &RequestSpec, gen
         let block_tokens = store.block_tokens() as u32;
         store.insert_chain(spec.storable_blocks(block_tokens, generated));
     }
+}
+
+/// Checks a timed arrival stream before the first event: one arrival
+/// time per request, in non-decreasing order. Every driver (the single
+/// engine, the colocated fleet and the disaggregated pools) runs this one
+/// check.
+///
+/// # Errors
+///
+/// [`SimError::InvalidWorkload`] naming the violated rule.
+pub(crate) fn check_arrivals(requests: &[RequestSpec], times: &[SimTime]) -> Result<(), SimError> {
+    let reason = if requests.len() != times.len() {
+        "one arrival time per request"
+    } else if times.windows(2).any(|w| w[0] > w[1]) {
+        "arrival times must be sorted"
+    } else {
+        return Ok(());
+    };
+    Err(SimError::InvalidWorkload { reason })
 }
 
 /// Lifecycle state of one fleet member (see the module-level diagram).
@@ -254,6 +276,9 @@ pub struct MemberCore {
     pub stopped_at: Option<SimTime>,
     /// Requests routed to this member.
     pub routed: usize,
+    /// Claimed by the other pool of a disaggregated deployment: flips
+    /// into it the moment its drain completes (see the module docs).
+    pub claimed: bool,
 }
 
 impl MemberCore {
@@ -273,6 +298,7 @@ impl MemberCore {
             spawned_at: now,
             stopped_at: None,
             routed: 0,
+            claimed: false,
         }
     }
 
@@ -471,6 +497,220 @@ pub fn drain_victim<T: FleetMember>(members: &[T]) -> Option<usize> {
         .map(|(i, _)| i)
 }
 
+/// Pending repurpose claims on one pool: claimed members that have not
+/// stopped (flipped) yet. The claiming pool counts them as capacity it
+/// has already ordered.
+pub(crate) fn pending_claims<T: FleetMember>(members: &[T]) -> usize {
+    members
+        .iter()
+        .filter(|m| m.core().claimed && m.core().stopped_at.is_none())
+        .count()
+}
+
+/// Claims up to `need` draining, unclaimed members for the other pool,
+/// least-loaded first (they flip soonest). Returns how many were claimed.
+pub(crate) fn claim_drained<T: FleetMember>(members: &mut [T], need: usize) -> usize {
+    let mut candidates: Vec<(u64, usize)> = members
+        .iter()
+        .enumerate()
+        .filter(|(_, m)| m.core().state == MemberState::Draining && !m.core().claimed)
+        .map(|(i, m)| (m.load_signal(), i))
+        .collect();
+    candidates.sort_unstable();
+    let claimed = candidates.len().min(need);
+    for &(_, i) in &candidates[..claimed] {
+        members[i].core_mut().claimed = true;
+    }
+    claimed
+}
+
+/// Releases up to `excess` pending claims, highest index first. Returns
+/// how many were released.
+pub(crate) fn release_claims<T: FleetMember>(members: &mut [T], excess: usize) -> usize {
+    let mut released = 0;
+    for member in members.iter_mut().rev() {
+        if released == excess {
+            break;
+        }
+        let core = member.core_mut();
+        if core.claimed && core.stopped_at.is_none() {
+            core.claimed = false;
+            released += 1;
+        }
+    }
+    released
+}
+
+/// Step-latency oracle for one reference replica: the roofline
+/// [`PerfModel`] with the deployment's KV capacity (which an override in
+/// [`SimConfig`] may shrink below the hardware-derived value).
+/// Heterogeneous slots scale it through the planner's per-slot perf
+/// scales.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ReplicaModel {
+    perf: PerfModel,
+    capacity_tokens: u64,
+}
+
+impl StepLatency for ReplicaModel {
+    fn prefill_secs(&self, prompt_tokens: u64) -> f64 {
+        self.perf.prefill_step(prompt_tokens).as_secs_f64()
+    }
+
+    fn decode_secs(&self, batch_size: u64, kv_tokens: u64) -> f64 {
+        self.perf.decode_step(batch_size, kv_tokens).as_secs_f64()
+    }
+
+    fn kv_capacity_tokens(&self) -> u64 {
+        self.capacity_tokens
+    }
+}
+
+/// The autoscaling planner of one pool.
+pub(crate) type PoolPlanner = AutoscalePlanner<ReplicaModel>;
+
+/// Builds the planner of a pool of `base` replicas in `role`, sizing
+/// candidate fleets against the declared GPU `slots` (empty = the
+/// homogeneous reference fleet).
+pub(crate) fn pool_planner(
+    autoscale: AutoscaleConfig,
+    base: &SimConfig,
+    role: PoolRole,
+    slots: &[GpuType],
+) -> PoolPlanner {
+    let model = ReplicaModel {
+        perf: base.perf_model(),
+        capacity_tokens: base.capacity_tokens(),
+    };
+    let max = autoscale.policy.max_replicas;
+    let planner = AutoscalePlanner::with_role(autoscale, base.sla, model, role);
+    if slots.is_empty() {
+        planner
+    } else {
+        planner.with_slot_perf_scales((0..max).map(|k| slot_gpu(slots, k).perf_scale).collect())
+    }
+}
+
+/// The member change a planning round asks its caller to make.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Resize {
+    /// Keep the members as they are.
+    Hold,
+    /// Add this many members (spawned, or claimed from another pool).
+    Grow(usize),
+    /// Remove this many members (un-claimed, cancelled or drained).
+    Shrink(usize),
+}
+
+/// One pool of a deployment: its members in spawn order (the index is
+/// stable — members stop, they are never removed), its declared GPU mix,
+/// the scaling decisions it took and its planner (`None` for a fixed
+/// pool, which never plans).
+pub(crate) struct Pool<M> {
+    pub(crate) members: Vec<M>,
+    /// Declared GPU mix (empty = homogeneous reference fleet).
+    pub(crate) slots: Vec<GpuType>,
+    /// Pool-size changes the planner made.
+    pub(crate) events: Vec<ScalingEvent>,
+    pub(crate) planner: Option<PoolPlanner>,
+    /// The pool label of emitted scaling events.
+    label: pf_obs::Pool,
+}
+
+impl<M: FleetMember> Pool<M> {
+    pub(crate) fn new(
+        label: pf_obs::Pool,
+        slots: Vec<GpuType>,
+        planner: Option<PoolPlanner>,
+    ) -> Self {
+        Pool {
+            members: Vec::new(),
+            slots,
+            events: Vec::new(),
+            planner,
+            label,
+        }
+    }
+
+    /// The GPU the next spawn runs on: the slot at its rank among the
+    /// currently provisioned members, so a pool of n instances always
+    /// runs on (approximately) the first n slots of the declared mix.
+    pub(crate) fn next_gpu(&self) -> GpuType {
+        slot_gpu(&self.slots, provisioned_count(&self.members))
+    }
+
+    /// `(live, provisioned)` member counts: the routing candidates, and
+    /// everything still costing GPU time.
+    pub(crate) fn sizes(&self) -> (usize, usize) {
+        (
+            pool_counts(&self.members).0,
+            provisioned_count(&self.members),
+        )
+    }
+
+    /// One planning round at `at`: refreshes the planner's candidate
+    /// slot scales from the members each size would keep, plans against
+    /// the live members and the warming ones plus `claimed` (members of
+    /// another pool this one has claimed but not received yet), logs any
+    /// size change and emits it as a [`TraceEvent::ScaleUp`] or
+    /// [`TraceEvent::ScaleDown`], and returns the member change for the
+    /// caller to apply. `None` when the pool has no planner or nothing
+    /// left to steer (horizon pressure stopped every member).
+    pub(crate) fn plan_round(
+        &mut self,
+        at: SimTime,
+        claimed: usize,
+        sink: &mut Option<&mut dyn TraceSink>,
+    ) -> Option<Resize> {
+        let planner = self.planner.as_mut()?;
+        let (live, warming) = pool_counts(&self.members);
+        let warming = warming + claimed;
+        let effective = live + warming;
+        if effective == 0 {
+            return None;
+        }
+        if !self.slots.is_empty() {
+            // Drains remove the costliest members first, so the surviving
+            // fleet can differ from the declared slot order (claimed
+            // members are approximated by the slots they would otherwise
+            // have spawned into).
+            let max = planner.config().policy.max_replicas;
+            planner.update_slot_perf_scales(candidate_perf_scales(&self.members, &self.slots, max));
+        }
+        let decision = planner.plan(at, live, warming).decision;
+        let (pool, from, to) = (self.label, effective, decision.target_or(effective));
+        if to != from {
+            let event = if to > from {
+                TraceEvent::ScaleUp { at, pool, from, to }
+            } else {
+                TraceEvent::ScaleDown { at, pool, from, to }
+            };
+            emit(sink, event);
+            self.events.push(ScalingEvent { at, from, to });
+        }
+        Some(match decision {
+            ScalingDecision::ScaleUp { target } if target > effective => {
+                Resize::Grow(target - effective)
+            }
+            ScalingDecision::ScaleDown { target } if target < effective => {
+                Resize::Shrink(effective - target)
+            }
+            _ => Resize::Hold,
+        })
+    }
+
+    /// Shrinks the pool's own members by `excess` through the shared
+    /// [`shrink_pool`] pass, returning the members newly marked draining.
+    pub(crate) fn shrink_by(&mut self, excess: usize, now: SimTime) -> Vec<usize> {
+        let (live, warming) = pool_counts(&self.members);
+        shrink_pool(
+            &mut self.members,
+            (live + warming).saturating_sub(excess),
+            now,
+        )
+    }
+}
+
 /// Smallest cached overlap (tokens) for which
 /// [`crate::cluster::RouterPolicy::PrefixAffinity`] prefers the matching
 /// instance over the least-loaded one. Below this the prefill saving is
@@ -609,6 +849,122 @@ impl RouteRng {
     }
 }
 
+/// The routing layer's state, owned by each fleet run and built in one
+/// place ([`Routing::new`]) from the policy and the fleet's base config:
+/// the policy and its tunables, the rotating tie-break cursor and the
+/// reusable candidate buffer, plus what only
+/// [`RouterPolicy::KvOverlap`] reads — the global event-fed KV index, the
+/// softmax stream and the routed request's chained block hashes.
+pub(crate) struct Routing {
+    pub(crate) policy: RouterPolicy,
+    /// Routing tunables (copied out of the base config).
+    pub(crate) config: RouterConfig,
+    /// Rotating tie-break cursor (see [`pick_rotating_min`]).
+    pub(crate) cursor: usize,
+    /// Reusable per-arrival candidate buffer.
+    scratch: Vec<RouteCandidate>,
+    /// Whether the policy is [`RouterPolicy::KvOverlap`] — only then do
+    /// members publish KV events into `indexer`.
+    pub(crate) kv_routing: bool,
+    /// Global event-fed KV index; members publish under the same index
+    /// the router scores them by.
+    pub(crate) indexer: KvIndexer,
+    /// Dedicated softmax stream (never the workload's generators).
+    rng: RouteRng,
+    /// Chained block hashes of the request being routed.
+    chain: Vec<u64>,
+    /// Block size of the members' prefix stores (0 = no prefix cache;
+    /// read only under `KvOverlap`, which [`RouterPolicy::check`] admits
+    /// only with a cache).
+    block_tokens: u32,
+}
+
+impl Routing {
+    /// The routing state of a fleet of `base` replicas under `policy`.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidRouterPolicy`] when the policy cannot run on
+    /// the fleet.
+    pub(crate) fn new(policy: RouterPolicy, base: &SimConfig) -> Result<Self, SimError> {
+        policy.check(base.prefix_cache)?;
+        Ok(Routing {
+            policy,
+            config: base.router,
+            cursor: 0,
+            scratch: Vec::new(),
+            kv_routing: matches!(policy, RouterPolicy::KvOverlap { .. }),
+            indexer: KvIndexer::new(base.router.kv_event_delay.as_micros()),
+            rng: RouteRng::new(pf_workload::rng::derive_seed(base.seed, ROUTE_RNG_STREAM)),
+            chain: Vec::new(),
+            block_tokens: base.prefix_cache.map_or(0, |p| p.block_size()),
+        })
+    }
+
+    /// Readies the KV index for routing `spec` at `now` (a no-op unless
+    /// [`RouterPolicy::KvOverlap`]): stored events older than the
+    /// propagation delay become visible, and `chain` is refilled with the
+    /// request's chained block hashes (system prompt, then conversation
+    /// prefix, then prompt tail — exactly what a block store could hold
+    /// for it).
+    pub(crate) fn prepare(&mut self, now: SimTime, spec: &RequestSpec) {
+        if !self.kv_routing {
+            return;
+        }
+        self.indexer.advance(now.as_micros());
+        self.chain.clear();
+        let mut parent = pf_kvcache::KV_ROOT_HASH;
+        for content in spec.matchable_blocks(self.block_tokens) {
+            parent = pf_kvcache::block_hash(parent, content);
+            self.chain.push(parent);
+        }
+    }
+
+    /// Refills `scratch` with `(index, load, peek)` candidates, crediting
+    /// each with its cached overlap: the KV index's view of the member
+    /// under [`RouterPolicy::KvOverlap`] (only blocks whose stored events
+    /// have propagated), otherwise `peek()` — the member's own store.
+    pub(crate) fn fill<P: FnOnce() -> u64>(
+        &mut self,
+        candidates: impl Iterator<Item = (usize, f64, P)>,
+    ) {
+        self.scratch.clear();
+        self.scratch
+            .extend(candidates.map(|(index, load, peek)| RouteCandidate {
+                index,
+                load,
+                cached_match: if self.kv_routing {
+                    self.indexer.overlap(index as u32, &self.chain)
+                } else {
+                    peek()
+                },
+            }));
+    }
+
+    /// Picks among the `scratch` candidates of a fleet of `n` members:
+    /// [`RouterPolicy::KvOverlap`] through its cost logit, every other
+    /// policy through [`pick_routed`].
+    pub(crate) fn pick(&mut self, spec: &RequestSpec, n: usize) -> Option<usize> {
+        let RouterPolicy::KvOverlap {
+            overlap_weight,
+            temperature,
+        } = self.policy
+        else {
+            let min_match = self.config.prefix_match_min_tokens;
+            return pick_routed(self.policy, &self.scratch, min_match, &mut self.cursor, n);
+        };
+        let prompt = f64::from(spec.input_len.max(1));
+        pick_cost_logit(
+            &self.scratch,
+            |c| c.load - overlap_weight * (c.cached_match as f64 / prompt),
+            temperature,
+            &mut self.cursor,
+            n,
+            &mut self.rng,
+        )
+    }
+}
+
 /// Selects among `candidates` by the given cost function: `temperature <=
 /// 0` degrades to the deterministic [`pick_rotating_min`] argmin (and
 /// consumes **no** randomness, so a zero-temperature run replays
@@ -617,7 +973,7 @@ impl RouteRng {
 /// temperature)` (normalized), using exactly one uniform draw and walking
 /// the cumulative weights in candidate order. The cursor is only touched
 /// on the argmin path.
-pub(crate) fn pick_cost_logit(
+fn pick_cost_logit(
     candidates: &[RouteCandidate],
     cost: impl Fn(&RouteCandidate) -> f64,
     temperature: f64,
@@ -697,7 +1053,7 @@ pub(crate) struct RouteCandidate {
 /// cost the caller folds into `load` before dispatching here with its own
 /// temperature handling — routes by the candidate's load, all exact ties
 /// broken by the rotating cursor. `n` is the full fleet size.
-pub(crate) fn pick_routed(
+fn pick_routed(
     policy: crate::cluster::RouterPolicy,
     candidates: &[RouteCandidate],
     min_match: u64,
@@ -886,6 +1242,65 @@ mod tests {
         assert_eq!(pool_counts(&pool), (1, 2));
         assert_eq!(provisioned_count(&pool), 3);
         assert_eq!(next_ready(&pool), Some(SimTime::from_secs(3)));
+    }
+
+    fn draining(load: u64) -> Toy {
+        let mut toy = live(load, GpuType::big());
+        toy.core.state = MemberState::Draining;
+        toy
+    }
+
+    fn claimed(pool: &[Toy]) -> Vec<usize> {
+        (0..pool.len()).filter(|&i| pool[i].core.claimed).collect()
+    }
+
+    #[test]
+    fn claim_drained_takes_least_loaded_draining_members_only() {
+        let mut pool = vec![
+            live(0, GpuType::big()),
+            draining(30),
+            draining(10),
+            warming(5),
+            draining(20),
+        ];
+        pool[4].core.claimed = true;
+        // Member 4 is already claimed and the live/warming ones are never
+        // candidates: only 2 then 1 remain, least-loaded first.
+        assert_eq!(claim_drained(&mut pool, 1), 1);
+        assert_eq!(claimed(&pool), vec![2, 4]);
+        assert_eq!(claim_drained(&mut pool, 5), 1, "only member 1 was left");
+        assert_eq!(claimed(&pool), vec![1, 2, 4]);
+        assert_eq!(claim_drained(&mut pool, 5), 0);
+    }
+
+    #[test]
+    fn release_claims_goes_newest_first_and_stops_at_the_excess() {
+        let mut pool = vec![
+            draining(0),
+            draining(0),
+            live(0, GpuType::big()),
+            draining(0),
+        ];
+        for i in [0, 1, 3] {
+            pool[i].core.claimed = true;
+        }
+        assert_eq!(release_claims(&mut pool, 2), 2);
+        assert_eq!(claimed(&pool), vec![0], "the two highest indices go");
+        assert_eq!(release_claims(&mut pool, 4), 1, "only one claim was left");
+        assert!(claimed(&pool).is_empty());
+    }
+
+    #[test]
+    fn stopped_members_are_never_pending_claims() {
+        let mut pool = vec![draining(0), draining(0)];
+        pool[0].core.claimed = true;
+        pool[1].core.claimed = true;
+        assert_eq!(pending_claims(&pool), 2);
+        pool[0].core.stop(SimTime::from_secs(3));
+        assert_eq!(pending_claims(&pool), 1);
+        // A stopped member's stale flag is not a claim to release either.
+        assert_eq!(release_claims(&mut pool, 2), 1);
+        assert_eq!(pending_claims(&pool), 0);
     }
 
     #[test]

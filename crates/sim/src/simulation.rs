@@ -31,7 +31,9 @@ use crate::report::SimReport;
 #[derive(Debug)]
 pub struct Simulation {
     config: SimConfig,
-    arrivals: Arrivals,
+    /// The arrival discipline, or the error a malformed timed stream
+    /// raised at construction (returned by `run`/`run_traced`).
+    arrivals: Result<Arrivals, SimError>,
 }
 
 impl Simulation {
@@ -40,7 +42,7 @@ impl Simulation {
     pub fn offline(config: SimConfig, requests: Vec<RequestSpec>) -> Self {
         Simulation {
             config,
-            arrivals: Arrivals::offline(requests),
+            arrivals: Ok(Arrivals::offline(requests)),
         }
     }
 
@@ -54,25 +56,21 @@ impl Simulation {
     ) -> Self {
         Simulation {
             config,
-            arrivals: Arrivals::closed_loop(requests, clients),
+            arrivals: Ok(Arrivals::closed_loop(requests, clients)),
         }
     }
 
-    /// Explicit arrival timestamps (one per request), e.g. a Poisson open
-    /// loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `times.len() != requests.len()`.
+    /// Explicit arrival timestamps (one per request, non-decreasing), e.g.
+    /// a Poisson open loop. A stream that breaks either rule makes
+    /// [`Simulation::run`] return [`SimError::InvalidWorkload`].
     pub fn with_arrivals(
         config: SimConfig,
         requests: Vec<RequestSpec>,
         times: Vec<SimTime>,
     ) -> Self {
-        Simulation {
-            config,
-            arrivals: Arrivals::timed(requests, times),
-        }
+        let arrivals = crate::fleet::check_arrivals(&requests, &times)
+            .map(|()| Arrivals::timed(requests, times));
+        Simulation { config, arrivals }
     }
 
     /// The configuration this simulation will run with.
@@ -85,9 +83,10 @@ impl Simulation {
     /// # Errors
     ///
     /// Returns [`SimError`] when the deployment cannot serve the workload:
-    /// no KV capacity, a request that can never fit, or a scheduler stall.
+    /// no KV capacity, a request that can never fit, a malformed workload,
+    /// or a scheduler stall.
     pub fn run(self) -> Result<SimReport, SimError> {
-        Engine::new(self.config, self.arrivals).run()
+        self.run_traced(None)
     }
 
     /// [`Simulation::run`] with an optional [`TraceSink`] receiving every
@@ -99,7 +98,8 @@ impl Simulation {
     /// # Errors
     ///
     /// Returns [`SimError`] when the deployment cannot serve the workload:
-    /// no KV capacity, a request that can never fit, or a scheduler stall.
+    /// no KV capacity, a request that can never fit, a malformed workload,
+    /// or a scheduler stall.
     ///
     /// # Example
     ///
@@ -123,6 +123,6 @@ impl Simulation {
     /// # Ok::<(), pf_sim::SimError>(())
     /// ```
     pub fn run_traced(self, sink: Option<&mut dyn TraceSink>) -> Result<SimReport, SimError> {
-        Engine::new(self.config, self.arrivals).run_traced(sink)
+        Engine::new(self.config, self.arrivals?).run_traced(sink)
     }
 }

@@ -486,6 +486,19 @@ fn oversized_prompt_is_rejected_upfront() {
 }
 
 #[test]
+fn mismatched_arrivals_are_an_invalid_workload() {
+    let err = DisaggCluster::new(DisaggConfig::new(base_config(3_000)), 1, 1)
+        .run(prefill_heavy_requests(2, 1), vec![SimTime::ZERO])
+        .unwrap_err();
+    assert_eq!(
+        err,
+        pf_sim::SimError::InvalidWorkload {
+            reason: "one arrival time per request"
+        }
+    );
+}
+
+#[test]
 fn least_slack_first_reduces_disagg_timeouts_on_mixed_deadlines() {
     // Mixed-deadline traffic through an overloaded prefill pool: FIFO
     // serves 3k-token documents with a minute of slack ahead of chat

@@ -190,6 +190,22 @@ fn static_min_and_max_bracket_the_elastic_fleet() {
 }
 
 #[test]
+fn unsorted_arrivals_are_an_invalid_workload() {
+    let err = ElasticCluster::new(base_config(6_000), autoscale(1, 4), 1)
+        .run(
+            datasets::short_chat(2, 1),
+            vec![SimTime::from_secs(1), SimTime::ZERO],
+        )
+        .unwrap_err();
+    assert_eq!(
+        err,
+        pf_sim::SimError::InvalidWorkload {
+            reason: "arrival times must be sorted"
+        }
+    );
+}
+
+#[test]
 #[should_panic(expected = "outside policy bounds")]
 fn initial_replicas_outside_bounds_panics() {
     let _ = ElasticCluster::new(base_config(6_000), autoscale(1, 4), 6);

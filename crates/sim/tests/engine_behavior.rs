@@ -210,6 +210,34 @@ fn oversized_request_is_rejected_upfront() {
 }
 
 #[test]
+fn malformed_workloads_are_typed_errors() {
+    use pf_metrics::SimTime;
+    let config = || small_config(SchedulerConfig::past_future(), 1_000);
+    let two = || decode_heavy(2, 3);
+    let invalid = |reason| SimError::InvalidWorkload { reason };
+    // The timed stream is checked when the simulation is built and the
+    // error comes back from `run`/`run_traced`, before the first event.
+    let unsorted = vec![SimTime::from_secs(1), SimTime::ZERO];
+    let err = Simulation::with_arrivals(config(), two(), unsorted)
+        .run()
+        .unwrap_err();
+    assert_eq!(err, invalid("arrival times must be sorted"));
+    let err = Simulation::with_arrivals(config(), two(), vec![SimTime::ZERO])
+        .run_traced(None)
+        .unwrap_err();
+    assert_eq!(err, invalid("one arrival time per request"));
+    // Request id u64::MAX is the prefix cache's pool charge.
+    let mut config = config();
+    config.prefix_cache = Some(pf_sim::PrefixCacheConfig::with_budget_frac(0.2));
+    let requests = vec![RequestSpec::new(u64::MAX, 16, 8, 16)];
+    let err = Simulation::offline(config, requests).run().unwrap_err();
+    assert_eq!(
+        err,
+        invalid("request id u64::MAX is reserved for the prefix cache")
+    );
+}
+
+#[test]
 fn conservative_stalls_on_uncappable_request() {
     // True output fits, but the worst case (input + max_new) exceeds
     // capacity, so a no-overcommit conservative scheduler can never admit.
