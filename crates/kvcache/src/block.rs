@@ -20,7 +20,7 @@
 //! All token counts are in KV token slots, as everywhere in this crate.
 
 // pf-lint: allow(D1): HashMap is only used by the indexer below for key-addressed lookups; iteration order never escapes
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 use crate::prefix::PrefixCacheStats;
 
@@ -102,10 +102,14 @@ pub struct BlockPrefixCache {
     budget_tokens: u64,
     used_tokens: u64,
     clock: u64,
-    /// Stored blocks by chained hash. A `BTreeMap` so every iteration
-    /// (the eviction victim scan in particular) walks keys in a fixed
-    /// order — eviction order feeds [`KvEvent`]s, which are replayed.
+    /// Stored blocks by chained hash (a `BTreeMap`, so any iteration
+    /// walks keys in a fixed order).
     entries: BTreeMap<u64, BlockEntry>,
+    /// `(last_used, hash)` of every entry with no children — the eviction
+    /// candidates, oldest first. Clock values are unique, so the order is
+    /// total and the victim sequence (which feeds the replayed
+    /// [`KvEvent`]s) is fixed.
+    leaves: BTreeSet<(u64, u64)>,
     stats: PrefixCacheStats,
     events: Vec<KvEvent>,
 }
@@ -126,6 +130,7 @@ impl BlockPrefixCache {
             used_tokens: 0,
             clock: 0,
             entries: BTreeMap::new(),
+            leaves: BTreeSet::new(),
             stats: PrefixCacheStats::default(),
             events: Vec::new(),
         }
@@ -177,6 +182,10 @@ impl BlockPrefixCache {
         self.clock += 1;
         let clock = self.clock;
         if let Some(e) = self.entries.get_mut(&block) {
+            if e.children == 0 {
+                self.leaves.remove(&(e.last_used, block));
+                self.leaves.insert((clock, block));
+            }
             e.last_used = clock;
         }
     }
@@ -259,7 +268,11 @@ impl BlockPrefixCache {
                         children: 0,
                     },
                 );
+                self.leaves.insert((self.clock, hash));
                 if let Some(p) = self.entries.get_mut(&parent) {
+                    if p.children == 0 {
+                        self.leaves.remove(&(p.last_used, parent));
+                    }
                     p.children += 1;
                 }
                 self.used_tokens += self.block_tokens;
@@ -291,16 +304,17 @@ impl BlockPrefixCache {
     fn evict_protected(&mut self, target_tokens: u64, protect: u64) -> u64 {
         let mut freed = 0;
         while self.used_tokens > target_tokens {
-            let victim = self
-                .entries
-                .iter()
-                .filter(|(hash, e)| e.children == 0 && **hash != protect)
-                .min_by_key(|(hash, e)| (e.last_used, **hash))
-                .map(|(hash, _)| *hash);
-            let Some(victim) = victim else { break };
+            let Some(&(last_used, victim)) = self.leaves.iter().find(|&&(_, hash)| hash != protect)
+            else {
+                break;
+            };
+            self.leaves.remove(&(last_used, victim));
             let entry = self.entries.remove(&victim).expect("victim exists");
             if let Some(p) = self.entries.get_mut(&entry.parent) {
                 p.children -= 1;
+                if p.children == 0 {
+                    self.leaves.insert((p.last_used, entry.parent));
+                }
             }
             self.used_tokens -= entry.tokens;
             freed += entry.tokens;
@@ -533,9 +547,9 @@ mod tests {
 
     /// Regression pin for the determinism contract: the eviction event
     /// *order* is part of the replayed surface (events feed the global
-    /// [`KvIndexer`], whose state feeds routing). The victim scan iterates
-    /// `entries`, so the map must have a fixed iteration order — this test
-    /// pins the exact sequence interleaved leaf/parent eviction produces.
+    /// [`KvIndexer`], whose state feeds routing). Victims come from the
+    /// ordered leaf set, oldest `last_used` first — this test pins the
+    /// exact sequence interleaved leaf/parent eviction produces.
     #[test]
     fn eviction_event_order_is_pinned() {
         let run = || {
@@ -635,11 +649,166 @@ mod tests {
         assert_eq!(idx.overlap(1, &hashes), 0);
     }
 
+    /// Reference model: the same store without the leaf index, whose
+    /// eviction scans every entry for the oldest leaf. The indexed store
+    /// must match it event for event.
+    #[derive(Default)]
+    struct ScanStore {
+        block_tokens: u64,
+        budget_tokens: u64,
+        used_tokens: u64,
+        clock: u64,
+        entries: BTreeMap<u64, BlockEntry>,
+        stats: PrefixCacheStats,
+        events: Vec<KvEvent>,
+    }
+
+    impl ScanStore {
+        fn new(budget_tokens: u64, block_tokens: u64) -> Self {
+            ScanStore {
+                block_tokens,
+                budget_tokens,
+                ..ScanStore::default()
+            }
+        }
+
+        fn touch(&mut self, block: u64) {
+            self.clock += 1;
+            self.entries.get_mut(&block).expect("stored").last_used = self.clock;
+        }
+
+        fn lookup_run(&mut self, contents: &[u64]) -> u64 {
+            self.stats.lookups += 1;
+            let mut matched = 0;
+            for hash in chain(contents) {
+                if !self.entries.contains_key(&hash) {
+                    break;
+                }
+                self.touch(hash);
+                matched += self.block_tokens;
+            }
+            if matched > 0 {
+                self.stats.hits += 1;
+                self.stats.hit_tokens += matched;
+            }
+            matched
+        }
+
+        fn insert_chain(&mut self, contents: &[u64]) -> u64 {
+            let mut parent = KV_ROOT_HASH;
+            let mut stored = 0;
+            for hash in chain(contents) {
+                if self.entries.contains_key(&hash) {
+                    self.touch(hash);
+                } else {
+                    if self.block_tokens > self.budget_tokens {
+                        break;
+                    }
+                    if self.used_tokens + self.block_tokens > self.budget_tokens {
+                        self.evict_protected(self.budget_tokens - self.block_tokens, parent);
+                        if self.used_tokens + self.block_tokens > self.budget_tokens {
+                            break;
+                        }
+                    }
+                    self.clock += 1;
+                    let entry = BlockEntry {
+                        parent,
+                        tokens: self.block_tokens,
+                        last_used: self.clock,
+                        children: 0,
+                    };
+                    self.entries.insert(hash, entry);
+                    if let Some(p) = self.entries.get_mut(&parent) {
+                        p.children += 1;
+                    }
+                    self.used_tokens += self.block_tokens;
+                    self.stats.insertions += 1;
+                    self.events.push(KvEvent::Stored {
+                        block: hash,
+                        parent,
+                        tokens: self.block_tokens,
+                    });
+                    stored += self.block_tokens;
+                }
+                parent = hash;
+            }
+            stored
+        }
+
+        fn evict_protected(&mut self, target_tokens: u64, protect: u64) -> u64 {
+            let mut freed = 0;
+            while self.used_tokens > target_tokens {
+                let victim = self
+                    .entries
+                    .iter()
+                    .filter(|(hash, e)| e.children == 0 && **hash != protect)
+                    .min_by_key(|(hash, e)| (e.last_used, **hash))
+                    .map(|(hash, _)| *hash);
+                let Some(victim) = victim else { break };
+                let entry = self.entries.remove(&victim).expect("victim exists");
+                if let Some(p) = self.entries.get_mut(&entry.parent) {
+                    p.children -= 1;
+                }
+                self.used_tokens -= entry.tokens;
+                freed += entry.tokens;
+                self.stats.evictions += 1;
+                self.stats.evicted_tokens += entry.tokens;
+                self.events.push(KvEvent::Removed { block: victim });
+            }
+            freed
+        }
+    }
+
     mod props {
         use super::*;
         use proptest::prelude::*;
 
         proptest! {
+            /// The indexed leaf set picks the same victims as the full
+            /// scan: random inserts, lookups and evictions under budgets
+            /// of a few blocks (so tip protection and chain cut-off fire)
+            /// emit identical event streams, return values and counters,
+            /// and the leaf set always equals the childless entries.
+            #[test]
+            fn indexed_eviction_matches_the_scan(
+                budget_blocks in 0u64..7,
+                ops in proptest::collection::vec(
+                    (0u8..3, proptest::collection::vec(0u64..3, 1..7), 0u64..80),
+                    1..80),
+            ) {
+                let mut store = BlockPrefixCache::new(budget_blocks * 10, 10);
+                let mut scan = ScanStore::new(budget_blocks * 10, 10);
+                let mut events = Vec::new();
+                for (op, contents, target) in ops {
+                    let (got, want) = match op {
+                        0 => (
+                            store.insert_chain(contents.iter().copied()),
+                            scan.insert_chain(&contents),
+                        ),
+                        1 => (
+                            store.lookup_run(contents.iter().copied()),
+                            scan.lookup_run(&contents),
+                        ),
+                        _ => (
+                            store.evict_down_to(target),
+                            scan.evict_protected(target, KV_ROOT_HASH),
+                        ),
+                    };
+                    prop_assert_eq!(got, want, "op {} on {:?}", op, contents);
+                    store.drain_events(&mut events);
+                    prop_assert_eq!(&events, &scan.events);
+                    prop_assert_eq!(store.stats(), scan.stats);
+                    prop_assert_eq!(store.used_tokens(), scan.used_tokens);
+                    let childless: BTreeSet<(u64, u64)> = store
+                        .entries
+                        .iter()
+                        .filter(|(_, e)| e.children == 0)
+                        .map(|(&hash, e)| (e.last_used, hash))
+                        .collect();
+                    prop_assert_eq!(&store.leaves, &childless);
+                }
+            }
+
             /// Chained hashing is deterministic and prefix-extension
             /// leaves leading hashes bit-identical.
             #[test]

@@ -234,8 +234,9 @@ impl RouterPolicy {
 /// homogeneous dispatch bit-for-bit). [`RouterPolicy::LeastUsedMemory`]
 /// is *not* scaled: it measures KV headroom, and `GpuType` models speed
 /// and price, not memory. Each policy evaluates only the signal it routes
-/// on — `load_estimate` walks the whole queue, so the cheap policies must
-/// not pay for it. The caller has run [`Routing::prepare`] for `spec`.
+/// on — `load_estimate` walks the queue, the running batch and the
+/// not-yet-ingested arrivals, so the cheap policies must not pay for it.
+/// The caller has run [`Routing::prepare`] for `spec`.
 pub(crate) fn pick_engine<'a, I>(
     candidates: I,
     spec: &RequestSpec,

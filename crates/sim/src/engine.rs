@@ -138,8 +138,13 @@ pub(crate) enum Tick {
 /// Request arrival schedule.
 #[derive(Debug)]
 pub(crate) struct Arrivals {
+    /// `(time, push index)` of every undelivered arrival.
     heap: BinaryHeap<Reverse<(u64, usize)>>,
-    specs: Vec<Option<RequestSpec>>,
+    /// Slots from push index `base` on; a delivered slot is `None` until
+    /// it reaches the front and is dropped, so the deque holds only the
+    /// undelivered run (a suffix, when arrivals come in time order).
+    specs: VecDeque<Option<RequestSpec>>,
+    base: usize,
     /// Closed-loop state: requests not yet bound to a client, plus the
     /// per-client think time.
     closed_loop: Option<(VecDeque<RequestSpec>, SimDuration)>,
@@ -151,6 +156,7 @@ impl Arrivals {
         Arrivals {
             heap,
             specs: requests.into_iter().map(Some).collect(),
+            base: 0,
             closed_loop: None,
         }
     }
@@ -166,6 +172,7 @@ impl Arrivals {
         Arrivals {
             heap,
             specs: requests.into_iter().map(Some).collect(),
+            base: 0,
             closed_loop: None,
         }
     }
@@ -177,7 +184,8 @@ impl Arrivals {
             .collect();
         let mut arrivals = Arrivals {
             heap: BinaryHeap::new(),
-            specs: Vec::new(),
+            specs: VecDeque::new(),
+            base: 0,
             closed_loop: Some((pending, clients.think_time)),
         };
         for spec in first_wave {
@@ -187,8 +195,8 @@ impl Arrivals {
     }
 
     fn push(&mut self, at: SimTime, spec: RequestSpec) {
-        let idx = self.specs.len();
-        self.specs.push(Some(spec));
+        let idx = self.base + self.specs.len();
+        self.specs.push_back(Some(spec));
         self.heap.push(Reverse((at.as_micros(), idx)));
     }
 
@@ -202,7 +210,13 @@ impl Arrivals {
         match self.heap.peek() {
             Some(Reverse((t, _))) if *t <= now.as_micros() => {
                 let Reverse((t, idx)) = self.heap.pop().expect("peeked");
-                let spec = self.specs[idx].take().expect("arrival consumed twice");
+                let spec = self.specs[idx - self.base]
+                    .take()
+                    .expect("arrival consumed twice");
+                while let Some(None) = self.specs.front() {
+                    self.specs.pop_front();
+                    self.base += 1;
+                }
                 Some((SimTime::from_micros(t), spec))
             }
             _ => None,
@@ -228,8 +242,10 @@ impl Arrivals {
                 .map_or(0, |(pending, _)| pending.len())
     }
 
-    /// Ids and sizes of every request this schedule will ever deliver
-    /// (used for upfront validation).
+    /// Every request this schedule has yet to deliver, in push order:
+    /// undelivered arrivals, then the closed-loop backlog (upfront
+    /// validation, where that is the whole workload, and the router's
+    /// load probe). The walk starts at the oldest undelivered slot.
     fn iter_specs(&self) -> impl Iterator<Item = &RequestSpec> {
         self.specs
             .iter()
@@ -293,7 +309,9 @@ pub(crate) struct Engine {
     // views and estimator batches in place instead of allocating.
     scratch_running: Vec<RunningRequest>,
     scratch_queue: Vec<QueuedRequest>,
-    scratch_entries: Vec<BatchEntry>,
+    /// Estimator batch for [`Engine::true_future_required_frac`]; a
+    /// `Cell` so the `&self` router probe can borrow it too.
+    scratch_entries: Cell<Vec<BatchEntry>>,
     scratch_ids: Vec<u64>,
 
     decode_steps: u64,
@@ -369,7 +387,7 @@ impl Engine {
             pressure_cache: Cell::new((u64::MAX, u64::MAX, 0.0)),
             scratch_running: Vec::new(),
             scratch_queue: Vec::new(),
-            scratch_entries: Vec::new(),
+            scratch_entries: Cell::new(Vec::new()),
             scratch_ids: Vec::new(),
             output_len_sum,
             output_len_count,
@@ -598,11 +616,9 @@ impl Engine {
         if self.capacity == 0 {
             return Err(SimError::NoKvCapacity { capacity: 0 });
         }
-        let specs: Vec<RequestSpec> = self.arrivals.iter_specs().copied().collect();
-        for spec in &specs {
-            self.validate_spec(spec)?;
-        }
-        Ok(())
+        self.arrivals
+            .iter_specs()
+            .try_for_each(|spec| self.validate_spec(spec))
     }
 
     /// Cached prefix overlap a request would enjoy on this instance right
@@ -1407,16 +1423,22 @@ impl Engine {
     }
 
     /// True future required memory of the current batch: Eq. 2–4 evaluated
-    /// with ground-truth remaining lengths. Reporting-only — schedulers
-    /// never see this. This is the cold (router-probe) entry point; the
-    /// per-step metrics path reuses `scratch_entries` instead.
+    /// with ground-truth remaining lengths. Schedulers never see this; the
+    /// per-step metrics and the router probe do, so it builds the batch in
+    /// the reusable `scratch_entries` instead of allocating (M* is
+    /// permutation-invariant — sorting the scratch in place computes the
+    /// same value).
     fn true_future_required_frac(&self) -> f64 {
-        let entries: Vec<BatchEntry> = self
-            .running
-            .iter()
-            .map(|l| Self::true_entry(&self.specs[l.spec], l))
-            .collect();
-        FutureMemoryEstimator::peak_memory(&entries) as f64 / self.capacity as f64
+        let mut entries = self.scratch_entries.take();
+        entries.clear();
+        entries.extend(
+            self.running
+                .iter()
+                .map(|l| Self::true_entry(&self.specs[l.spec], l)),
+        );
+        let peak = FutureMemoryEstimator::peak_memory_in_place(&mut entries);
+        self.scratch_entries.set(entries);
+        peak as f64 / self.capacity as f64
     }
 
     fn record_step_metrics(
@@ -1429,18 +1451,7 @@ impl Engine {
         self.consumed_weighted_sum += used_frac * secs;
         self.weighted_time += secs;
         self.peak_consumed_frac = self.peak_consumed_frac.max(used_frac);
-        // `true_future_required_frac` via the reusable entry buffer: this
-        // runs every step, so it must not allocate (M* is
-        // permutation-invariant — sorting the scratch in place computes
-        // the same value).
-        self.scratch_entries.clear();
-        for l in &self.running {
-            self.scratch_entries
-                .push(Self::true_entry(&self.specs[l.spec], l));
-        }
-        let future_frac = FutureMemoryEstimator::peak_memory_in_place(&mut self.scratch_entries)
-            as f64
-            / self.capacity as f64;
+        let future_frac = self.true_future_required_frac();
         self.future_required_sum += future_frac;
         self.future_required_samples += 1;
         if self.config.record_series {
@@ -1861,5 +1872,84 @@ mod tests {
             "cold entry gave way"
         );
         assert_eq!(engine.kv.used_tokens() - 6_000, store.used_tokens());
+    }
+
+    /// The router probe walks only undelivered arrivals: routed specs,
+    /// injected out of time order within a round, leave the walk as they
+    /// are ingested and the rest keep push order; `load_estimate` is
+    /// bit-for-bit the running batch's M* plus the queue's terms followed
+    /// by the pending arrivals' terms, summed in that order.
+    #[test]
+    fn load_probe_walks_only_undelivered_arrivals() {
+        let config = SimConfig::builder(ModelSpec::llama2_7b(), GpuSpec::a100_80g())
+            .scheduler(SchedulerConfig::past_future())
+            .capacity_override(4_000)
+            .record_series(false)
+            .seed(7)
+            .build();
+        let mut engine = Engine::new(config, Arrivals::timed(Vec::new(), Vec::new()));
+        let mut pending: Vec<(SimTime, RequestSpec)> = Vec::new();
+        let (mut saw_queue, mut saw_running, mut saw_pending) = (false, false, false);
+        for round in 0..16u32 {
+            for (k, offset_ms) in [20u64, 0, 35, 10].into_iter().enumerate() {
+                let id = round * 4 + k as u32;
+                let at = engine.now() + SimDuration::from_millis(offset_ms);
+                let spec = RequestSpec::new(u64::from(id), 200 + 37 * (id % 7), 8 + id % 13, 64);
+                engine.inject(at, spec);
+                pending.push((at, spec));
+            }
+            for _ in 0..3 {
+                match engine.tick_traced(&mut None).expect("tick") {
+                    Tick::Sleep(t) => engine.advance_to(t),
+                    Tick::Worked => {}
+                    tick => panic!("unexpected {tick:?}"),
+                }
+            }
+            engine.ingest_arrivals(&mut None);
+            pending.retain(|(at, _)| *at > engine.now());
+
+            let walked: Vec<u64> = engine.arrivals.iter_specs().map(|s| s.id.raw()).collect();
+            let expected: Vec<u64> = pending.iter().map(|(_, s)| s.id.raw()).collect();
+            assert_eq!(walked, expected, "round {round}");
+            assert_eq!(walked.len(), engine.arrivals.remaining());
+
+            let mean_output = if engine.output_len_count == 0 {
+                256.0
+            } else {
+                engine.output_len_sum as f64 / engine.output_len_count as f64
+            };
+            let terms: Vec<f64> = engine
+                .queue
+                .iter()
+                .map(|p| {
+                    f64::from(engine.specs[p.spec].input_len) + f64::from(p.generated) + mean_output
+                })
+                .chain(
+                    pending
+                        .iter()
+                        .map(|(_, s)| f64::from(s.input_len) + mean_output),
+                )
+                .collect();
+            let batch: Vec<BatchEntry> = engine
+                .running
+                .iter()
+                .map(|l| Engine::true_entry(&engine.specs[l.spec], l))
+                .collect();
+            let capacity = engine.capacity as f64;
+            let reference = FutureMemoryEstimator::peak_memory(&batch) as f64 / capacity
+                + terms.iter().sum::<f64>() / capacity;
+            assert_eq!(
+                engine.load_estimate().to_bits(),
+                reference.to_bits(),
+                "round {round}"
+            );
+            saw_queue |= !engine.queue.is_empty();
+            saw_running |= !engine.running.is_empty();
+            saw_pending |= !pending.is_empty();
+        }
+        assert!(
+            saw_queue && saw_running && saw_pending,
+            "the probe saw a queue, a batch and pending arrivals"
+        );
     }
 }
