@@ -357,7 +357,6 @@ fn fingerprints() -> Vec<(String, u64)> {
                 .prefix_cache_blocks(0.4, 64)
                 .router(RouterConfig {
                     kv_event_delay: SimDuration::from_millis(250),
-                    ..RouterConfig::default()
                 })
                 .build(),
             3,

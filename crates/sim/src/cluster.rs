@@ -272,9 +272,9 @@ where
             // drains its urgent queue proportionally faster (matching the
             // disagg router's treatment). It is the affinity tie-break
             // and below-threshold fallback, and the overlap cost's load.
-            let weight = route.config.slack_pressure_weight;
             route.fill(candidates.map(|(i, e, s)| {
-                let load = (e.load_estimate() + weight * e.queue_slack_pressure()) / s;
+                let pressure = SLACK_PRESSURE_WEIGHT * e.queue_slack_pressure();
+                let load = (e.load_estimate() + pressure) / s;
                 (i, load, || e.cached_prefix_tokens(spec))
             }));
             route.pick(spec, n)

@@ -75,6 +75,11 @@ pub enum PrefillMode {
     },
 }
 
+/// The default least-slack-first aging cap: [`QueueOrder::least_slack`]
+/// uses it, and the disagg link weighs streams by it when no queue order
+/// sets one.
+pub(crate) const DEFAULT_AGING_CAP: SimDuration = SimDuration::from_secs(30);
+
 /// Order in which the engine's admission loop (and the disaggregated
 /// pools' stage queues) serve waiting requests.
 ///
@@ -109,7 +114,7 @@ impl QueueOrder {
     /// Least-slack-first with a 30-second aging cap.
     pub fn least_slack() -> Self {
         QueueOrder::LeastSlackFirst {
-            aging_cap: SimDuration::from_secs(30),
+            aging_cap: DEFAULT_AGING_CAP,
         }
     }
 
@@ -250,9 +255,7 @@ pub struct SimConfig {
     /// [`QueueOrder::Fifo`]; see [`QueueOrder::LeastSlackFirst`] for
     /// deadline-aware scheduling).
     pub queue_order: QueueOrder,
-    /// Routing-layer tunables (prefix-affinity threshold, slack-pressure
-    /// weight, KV-index staleness). Defaults reproduce the historical
-    /// constants bit-for-bit.
+    /// Routing-layer tunables (the KV-index staleness).
     pub router: crate::fleet::RouterConfig,
 }
 

@@ -60,16 +60,15 @@
 //! [`TransferMode::Atomic`] sends one chunk, eligible exactly when the
 //! pass ends: the whole KV crosses after prefill, and the handoffs of one
 //! pass share the wire fairly rather than queueing one behind another.
-//! [`TransferMode::LayerStreamed`] sends one chunk per layer
-//! (`num_layers`, default the model's layer count) as the pass
-//! proportionally produces it, so the transfer overlaps the *remaining
-//! prefill compute* and only the tail chunks (bounded by link bandwidth
-//! versus prefill rate) land after the pass ends. TTFT is stamped at
-//! prefill end in both modes; streaming wins by *backpressure*: the
-//! source instance frees its held KV as soon as the short tail lands
-//! instead of a full transfer later, so a saturated prefill pool admits
-//! new prompts sooner, and the first decode step starts earlier (an
-//! MTPOT term). `docs/disagg.md` covers the model and its tuning knobs.
+//! [`TransferMode::LayerStreamed`] sends one chunk per model layer as
+//! the pass proportionally produces it, so the transfer overlaps the
+//! *remaining prefill compute* and only the tail chunks (bounded by link
+//! bandwidth versus prefill rate) land after the pass ends. TTFT is
+//! stamped at prefill end in both modes; streaming wins by
+//! *backpressure*: the source instance frees its held KV as soon as the
+//! short tail lands instead of a full transfer later, so a saturated
+//! prefill pool admits new prompts sooner, and the first decode step
+//! starts earlier (an MTPOT term). `docs/disagg.md` covers the model and its tuning knobs.
 //!
 //! # Elastic variant and cross-pool repurposing
 //!
@@ -139,7 +138,7 @@ use pf_obs::{GaugeKind, TraceEvent, TraceSink};
 use pf_workload::RequestSpec;
 
 use crate::cluster::RouterPolicy;
-use crate::config::{PrefixCacheConfig, QueueOrder, SimConfig};
+use crate::config::{PrefixCacheConfig, QueueOrder, SimConfig, DEFAULT_AGING_CAP};
 use crate::error::SimError;
 use crate::fleet::{
     self, pick_rotating_min, FleetMember, GpuType, MemberCore, MemberState, Pool, PoolPlanner,
@@ -159,9 +158,6 @@ pub struct KvTransferSpec {
     pub per_hop_overhead: SimDuration,
     /// How transfers use the link (default [`TransferMode::Atomic`]).
     pub mode: TransferMode,
-    /// Layer chunks per streamed transfer; `0` (the default) resolves to
-    /// the model's layer count. Ignored in atomic mode.
-    pub num_layers: u32,
 }
 
 /// How many chunks each prefill→decode KV stream carries on the shared
@@ -193,20 +189,12 @@ impl KvTransferSpec {
             link_gbps,
             per_hop_overhead,
             mode: TransferMode::Atomic,
-            num_layers: 0,
         }
     }
 
     /// Switches to layer-streamed transfers (see [`TransferMode`]).
     pub fn streamed(mut self) -> Self {
         self.mode = TransferMode::LayerStreamed;
-        self
-    }
-
-    /// Overrides the layer-chunk count of streamed transfers (`0` = the
-    /// model's layer count).
-    pub fn layers(mut self, num_layers: u32) -> Self {
-        self.num_layers = num_layers;
         self
     }
 
@@ -923,11 +911,10 @@ struct Run<'s> {
     prefix_cache: Option<PrefixCacheConfig>,
     default_deadline: Option<SimDuration>,
     queue_order: QueueOrder,
-    /// Jobs carrying their *own* deadline currently waiting in a prefill
-    /// queue — the per-pass purge runs only while this is non-zero or a
-    /// deployment-wide default exists, so a trace with one deadlined
-    /// request pays the scan only while that request is pending.
-    queued_deadlines: usize,
+    /// Whether any request can carry a deadline (a deployment-wide
+    /// default, or a request with its own): only then do the prefill
+    /// purge and the router's slack pressure scan the queues.
+    deadlines: bool,
     /// The front end's routing over the prefill pool; under
     /// [`RouterPolicy::KvOverlap`] prefill members publish into its KV
     /// index under their pool index, the same index space
@@ -1021,9 +1008,6 @@ impl<'s> Run<'s> {
         // chunks every stream on the shared link carries.
         let (chunks, layer_streamed) = match config.transfer.mode {
             TransferMode::Atomic => (1, false),
-            TransferMode::LayerStreamed if config.transfer.num_layers > 0 => {
-                (config.transfer.num_layers, true)
-            }
             TransferMode::LayerStreamed => (config.base.model.n_layers.max(1), true),
         };
         let (prefill_planner, decode_planner) = planners.unzip();
@@ -1039,7 +1023,8 @@ impl<'s> Run<'s> {
             prefix_cache: config.base.prefix_cache,
             default_deadline: config.base.request_deadline,
             queue_order: config.base.queue_order,
-            queued_deadlines: 0,
+            deadlines: config.base.request_deadline.is_some()
+                || requests.iter().any(|spec| spec.deadline.is_some()),
             route,
             decode_cursor: 0,
             prefill: Pool::new(pf_obs::Pool::Prefill, config.prefill_slots, prefill_planner),
@@ -1162,7 +1147,7 @@ impl<'s> Run<'s> {
     /// [`RouterPolicy::PrefixAffinity`] or [`RouterPolicy::KvOverlap`]
     /// with deadlines in play, each candidate's load also carries its
     /// queue's remaining-slack pressure (weighted by
-    /// [`RouterConfig::slack_pressure_weight`] of capacity), so urgent
+    /// [`fleet::SLACK_PRESSURE_WEIGHT`] of capacity), so urgent
     /// queues attract less new traffic. KvOverlap scores candidates
     /// against the event-fed KV index of [`Run::route`].
     fn route_prefill(&mut self, now: SimTime, spec: &RequestSpec) -> usize {
@@ -1172,9 +1157,9 @@ impl<'s> Run<'s> {
         let slack_weighted = matches!(
             policy,
             RouterPolicy::PrefixAffinity { .. } | RouterPolicy::KvOverlap { .. }
-        ) && (self.default_deadline.is_some() || self.queued_deadlines > 0);
+        ) && self.deadlines;
         let default_deadline = self.default_deadline;
-        let pressure_tokens = self.route.config.slack_pressure_weight * self.capacity as f64;
+        let pressure_tokens = fleet::SLACK_PRESSURE_WEIGHT * self.capacity as f64;
         self.route.prepare(now, spec);
         self.route.fill(
             members
@@ -1197,9 +1182,6 @@ impl<'s> Run<'s> {
     fn on_arrival(&mut self, now: SimTime, spec: RequestSpec) {
         if let Some(planner) = self.prefill.planner.as_mut() {
             planner.on_request_arrival(now, spec.input_len);
-        }
-        if spec.deadline.is_some() {
-            self.queued_deadlines += 1;
         }
         let target = self.route_prefill(now, &spec);
         let member = &mut self.prefill.members[target];
@@ -1224,10 +1206,10 @@ impl<'s> Run<'s> {
     /// below their minimum feasible prefill time (on this member's GPU,
     /// accounting for its current prefix-cache overlap) are dropped early
     /// — a pass spent on them is a pass stolen from prompts that can
-    /// still make it. Skipped entirely while no pending request can time
-    /// out.
+    /// still make it. The verdict is [`fleet::expiry`]; the scan is
+    /// skipped in runs where no request carries a deadline.
     fn purge_timed_out_prefill(&mut self, i: usize, now: SimTime) {
-        if self.default_deadline.is_none() && self.queued_deadlines == 0 {
+        if !self.deadlines {
             return;
         }
         let default_deadline = self.default_deadline;
@@ -1239,12 +1221,10 @@ impl<'s> Run<'s> {
         let gpu = member.core.gpu;
         let prefix = &member.prefix;
         let mut expired = 0usize;
-        let mut expired_own_deadline = 0usize;
         member.queue.retain(|job| {
             let Some(deadline) = job.spec.deadline.or(default_deadline) else {
                 return true;
             };
-            let waited = now.saturating_since(job.timing.arrival());
             let min_feasible = if slack_aware {
                 let prompt = u64::from(job.spec.input_len);
                 let cached = prefix
@@ -1254,33 +1234,14 @@ impl<'s> Run<'s> {
             } else {
                 SimDuration::ZERO
             };
-            if waited + min_feasible >= deadline {
-                expired += 1;
-                if job.spec.deadline.is_some() {
-                    expired_own_deadline += 1;
-                }
-                // Past the deadline outright = guillotine timeout; still
-                // inside it = slack-aware early drop.
-                fleet::emit(
-                    sink,
-                    if waited >= deadline {
-                        TraceEvent::TimedOut {
-                            at: now,
-                            instance,
-                            request: job.spec.id.raw(),
-                        }
-                    } else {
-                        TraceEvent::SlackDropped {
-                            at: now,
-                            instance,
-                            request: job.spec.id.raw(),
-                        }
-                    },
-                );
-                false
-            } else {
-                true
-            }
+            let (arrival, request) = (job.timing.arrival(), job.spec.id.raw());
+            let verdict = fleet::expiry(now, arrival, deadline, min_feasible, instance, request);
+            let Some(event) = verdict else {
+                return true;
+            };
+            fleet::emit(sink, event);
+            expired += 1;
+            false
         });
         if expired > 0 {
             member.queued_tokens = member
@@ -1290,7 +1251,6 @@ impl<'s> Run<'s> {
                 .sum();
             self.timed_out += expired;
             self.remaining -= expired;
-            self.queued_deadlines -= expired_own_deadline;
         }
     }
 
@@ -1358,7 +1318,6 @@ impl<'s> Run<'s> {
         }
         let instance = member.instance;
         let mut batch_computed_tokens = 0u64;
-        let mut batched_own_deadlines = 0usize;
         while let Some(pos) =
             Self::next_prefill_index(&member.queue, now, order, queue_order, default_deadline)
         {
@@ -1391,9 +1350,6 @@ impl<'s> Run<'s> {
                     .evict_down_to(room);
             }
             let mut job = member.queue.remove(pos).expect("selected within bounds");
-            if job.spec.deadline.is_some() {
-                batched_own_deadlines += 1;
-            }
             // Consume the prefix hit: the pass skips the cached tokens
             // (at least the final prompt position is always computed;
             // the reclaim above may have shrunk the probed match).
@@ -1422,7 +1378,6 @@ impl<'s> Run<'s> {
             );
             member.batch.push(job);
         }
-        self.queued_deadlines -= batched_own_deadlines;
         self.flush_kv_events(i, now);
         let member = &mut self.prefill.members[i];
         if member.batch.is_empty() {
@@ -1453,7 +1408,7 @@ impl<'s> Run<'s> {
         let first_at = now_us + (end_us - now_us).div_ceil(u64::from(chunks));
         let aging_cap = match self.queue_order {
             QueueOrder::LeastSlackFirst { aging_cap } => aging_cap,
-            _ => SimDuration::from_secs(30),
+            QueueOrder::Fifo => DEFAULT_AGING_CAP,
         };
         let default_deadline = self.default_deadline;
         let kv_bytes = self.kv_bytes_per_token;
@@ -1723,37 +1678,6 @@ impl<'s> Run<'s> {
         self.try_start_decode(target, now);
     }
 
-    /// Orders a decode member's pending handoffs least-slack-first
-    /// against the end-to-end deadline. A handoff lands here only after
-    /// its prefill finished *and* its KV transfer completed, so `waited`
-    /// — and therefore the slack ranking — already charges the transfer
-    /// latency. The grouping is the shared [`fleet::slack_rank_key`]:
-    /// aged jobs oldest first, then ascending slack, then deadline-less
-    /// jobs oldest first (stable, hence deterministic). A handoff whose
-    /// end-to-end deadline has already passed saturates to zero slack and
-    /// ranks *most* urgent — deliberately: it streamed its first token at
-    /// prefill, so cancellation is off the table (the client is
-    /// mid-response), and the most overdue client resumes soonest —
-    /// mirroring the engine queue's preempted-work-first group.
-    fn rank_pending_by_slack(
-        pending: &mut VecDeque<Job>,
-        now: SimTime,
-        aging_cap: SimDuration,
-        default_deadline: Option<SimDuration>,
-    ) {
-        if pending.len() < 2 {
-            return;
-        }
-        pending.make_contiguous().sort_by_key(|job| {
-            fleet::slack_rank_key(
-                now,
-                job.timing.arrival(),
-                job.spec.deadline.or(default_deadline),
-                aging_cap,
-            )
-        });
-    }
-
     /// Admits pending handoffs and starts one decode step on member `j` if
     /// it is idle with a non-empty batch.
     ///
@@ -1775,8 +1699,17 @@ impl<'s> Run<'s> {
         if member.busy || !member.core.is_active() {
             return;
         }
+        // Least-slack-first against the end-to-end deadline. A handoff
+        // lands here only after its prefill finished *and* its KV
+        // transfer completed, so `waited` already charges the transfer
+        // latency. An overdue handoff saturates to zero slack and ranks
+        // most urgent: it streamed its first token at prefill, so the
+        // client is mid-response and cancellation is off the table.
         if let QueueOrder::LeastSlackFirst { aging_cap } = queue_order {
-            Self::rank_pending_by_slack(&mut member.pending, now, aging_cap, default_deadline);
+            fleet::rank_by_slack(&mut member.pending, now, aging_cap, |job| {
+                let deadline = job.spec.deadline.or(default_deadline);
+                (false, job.timing.arrival(), deadline)
+            });
         }
         // Probe each pending handoff through the member's admission
         // index: every probe is one binary search returning exactly the

@@ -49,10 +49,10 @@
 //! cancellation frees exactly the queue slot). Under
 //! [`QueueOrder::LeastSlackFirst`] admission additionally serves the
 //! tightest remaining slack first and drops requests that can no longer
-//! make their deadline even if admitted alone immediately. The purge runs
-//! only while a deadline can actually fire (a deployment-wide default, or
-//! at least one queued request carrying its own), so deadline-less runs
-//! pay nothing per tick.
+//! make their deadline even if admitted alone immediately. Both take the
+//! shared [`crate::fleet`] expiry verdict and slack sort. The purge runs
+//! once a deadline can fire (a deployment-wide default, or an ingested
+//! request carrying its own), so deadline-less runs pay nothing per tick.
 
 use std::cell::Cell;
 use std::cmp::Reverse;
@@ -289,22 +289,6 @@ pub(crate) struct Engine {
     /// Reusable drain buffer for the per-tick event flush.
     scratch_kv_events: Vec<KvEvent>,
 
-    /// Slack-ranking cache: set whenever the queue gains an entry whose
-    /// rank is not known to respect the current order (arrival at the
-    /// back, preemption at the front). Pops and purges preserve order and
-    /// leave it clear.
-    queue_order_dirty: bool,
-    /// Earliest future instant at which a queued entry crosses the aging
-    /// cap and changes rank group — the only time-driven reorder. While
-    /// `now` is before this and the order is clean, the ranked queue is
-    /// reused as-is.
-    next_aging_at: Option<SimTime>,
-    /// Bumped on every queue mutation; keys the slack-pressure cache.
-    queue_epoch: u64,
-    /// `(now_micros, queue_epoch) → pressure` memo for the router probes,
-    /// which ask every candidate instance per routed request.
-    pressure_cache: Cell<(u64, u64, f64)>,
-
     // Reusable per-tick buffers: the steady-state loop builds scheduler
     // views and estimator batches in place instead of allocating.
     scratch_running: Vec<RunningRequest>,
@@ -318,11 +302,10 @@ pub(crate) struct Engine {
     prefill_steps: u64,
     evictions: u64,
     timed_out: usize,
-    /// Queued requests carrying their *own* deadline, maintained across
-    /// every queue mutation — the purge runs only while this is non-zero
-    /// or a deployment-wide default exists, so a trace with one deadlined
-    /// request pays the per-tick scan only while that request is pending.
-    queued_deadlines: usize,
+    /// Set once a request carrying its own deadline is ingested: from
+    /// then on (or from the start, under a deployment-wide default) the
+    /// purge and the slack-pressure probe scan the queue.
+    deadlines: bool,
     outcomes: Vec<RequestOutcome>,
 
     output_len_sum: u64,
@@ -381,10 +364,6 @@ impl Engine {
             kv_events: Vec::new(),
             log_kv_events: false,
             scratch_kv_events: Vec::new(),
-            queue_order_dirty: false,
-            next_aging_at: None,
-            queue_epoch: 0,
-            pressure_cache: Cell::new((u64::MAX, u64::MAX, 0.0)),
             scratch_running: Vec::new(),
             scratch_queue: Vec::new(),
             scratch_entries: Cell::new(Vec::new()),
@@ -395,7 +374,7 @@ impl Engine {
             prefill_steps: 0,
             evictions: 0,
             timed_out: 0,
-            queued_deadlines: 0,
+            deadlines: false,
             outcomes: Vec::new(),
             consumed_weighted_sum: 0.0,
             weighted_time: 0.0,
@@ -652,48 +631,11 @@ impl Engine {
         }
     }
 
-    /// Evicts cached prefixes (LRU first) until the pool can admit a
-    /// request of `tokens` prompt / `reserve_total` reservation. Returns
-    /// whether admission is now possible. Cached prefixes are always
-    /// reclaimed before live work is refused or evicted: a cache entry is
-    /// a bet on future savings, a request is work already accepted.
-    fn reclaim_prefix_for_admission(&mut self, tokens: u64, reserve_total: u64) -> bool {
-        loop {
-            if self.kv.can_admit(tokens, reserve_total) {
-                return true;
-            }
-            let Some(cache) = self.prefix.as_mut() else {
-                return false;
-            };
-            let occ = cache.used_tokens();
-            if occ == 0 {
-                return false;
-            }
-            // One LRU entry at a time, then re-check.
-            cache.evict_down_to(occ - 1);
-            self.sync_prefix_charge();
-        }
-    }
-
-    /// Evicts exactly one LRU prefix entry, returning whether anything
-    /// was reclaimed (used when a scheduler whose admission gate counts
-    /// used memory refuses an empty batch).
-    fn reclaim_prefix_one(&mut self) -> bool {
-        let Some(cache) = self.prefix.as_mut() else {
-            return false;
-        };
-        let occ = cache.used_tokens();
-        if occ == 0 {
-            return false;
-        }
-        cache.evict_down_to(occ - 1);
-        self.sync_prefix_charge();
-        true
-    }
-
-    /// Frees at least `needed` cached-prefix tokens if the cache holds
-    /// any, returning whether anything was reclaimed (decode-step memory
-    /// pressure).
+    /// Frees at least `needed` cached-prefix tokens (LRU first) if the
+    /// cache holds any, returning whether anything was reclaimed. Cached
+    /// prefixes are always reclaimed before live work is refused or
+    /// evicted: a cache entry is a bet on future savings, a request is
+    /// work already accepted.
     fn reclaim_prefix_tokens(&mut self, needed: u64) -> bool {
         let Some(cache) = self.prefix.as_mut() else {
             return false;
@@ -742,9 +684,7 @@ impl Engine {
 
     fn ingest_arrivals(&mut self, sink: &mut Option<&mut dyn TraceSink>) {
         while let Some((at, spec)) = self.arrivals.pop_due(self.now) {
-            if spec.deadline.is_some() {
-                self.queued_deadlines += 1;
-            }
+            self.deadlines |= spec.deadline.is_some();
             fleet::emit(
                 sink,
                 TraceEvent::Enqueued {
@@ -761,22 +701,8 @@ impl Engine {
                 evictions: 0,
                 swapped: false,
             });
-            self.queue_order_dirty = true;
-            self.queue_epoch += 1;
         }
         self.purge_timed_out(sink);
-    }
-
-    /// Pops the queue front, keeping the pending-deadline count exact.
-    /// Removing the front preserves the ranked order, so only the epoch
-    /// advances.
-    fn pop_queue_front(&mut self) -> Option<Pending> {
-        let pending = self.queue.pop_front()?;
-        self.queue_epoch += 1;
-        if self.specs[pending.spec].deadline.is_some() {
-            self.queued_deadlines -= 1;
-        }
-        Some(pending)
     }
 
     /// Cancels queued requests whose deadline has expired: the queue slot
@@ -790,11 +716,10 @@ impl Engine {
     /// below the minimum feasible prefill time is dropped *early*: even
     /// admitted alone right now its (re-)prefill would land past the
     /// deadline, so admitting it would burn a prefill pass and KV on a
-    /// guaranteed miss. Skipped entirely while no pending request can
-    /// time out.
+    /// guaranteed miss. The verdict is [`fleet::expiry`].
     fn purge_timed_out(&mut self, sink: &mut Option<&mut dyn TraceSink>) {
         let default_deadline = self.config.request_deadline;
-        if default_deadline.is_none() && self.queued_deadlines == 0 {
+        if default_deadline.is_none() && !self.deadlines {
             return;
         }
         let now = self.now;
@@ -803,14 +728,12 @@ impl Engine {
         let prefix = &self.prefix;
         let specs = &self.specs;
         let instance = self.instance;
-        let mut expired_own_deadline = 0usize;
         let mut removed: Vec<u32> = Vec::new();
         self.queue.retain(|p| {
             let spec = &specs[p.spec];
             let Some(deadline) = spec.deadline.or(default_deadline) else {
                 return true;
             };
-            let waited = now.saturating_since(p.timing.arrival());
             // The fastest possible path to a (first or resumed) token: a
             // dedicated prefill pass over everything this admission must
             // process, minus the current prefix-cache overlap (admission
@@ -826,101 +749,26 @@ impl Engine {
             } else {
                 SimDuration::ZERO
             };
-            if waited + min_feasible >= deadline {
-                removed.push(p.spec);
-                if spec.deadline.is_some() {
-                    expired_own_deadline += 1;
-                }
-                // Past the deadline outright = guillotine timeout; still
-                // inside it = slack-aware early drop.
-                fleet::emit(
-                    sink,
-                    if waited >= deadline {
-                        TraceEvent::TimedOut {
-                            at: now,
-                            instance,
-                            request: spec.id.raw(),
-                        }
-                    } else {
-                        TraceEvent::SlackDropped {
-                            at: now,
-                            instance,
-                            request: spec.id.raw(),
-                        }
-                    },
-                );
-                false
-            } else {
-                true
-            }
+            let (arrival, request) = (p.timing.arrival(), spec.id.raw());
+            let verdict = fleet::expiry(now, arrival, deadline, min_feasible, instance, request);
+            let Some(event) = verdict else {
+                return true;
+            };
+            fleet::emit(sink, event);
+            removed.push(p.spec);
+            false
         });
         let expired = removed.len();
-        if expired > 0 {
-            // Removals keep the surviving order intact — epoch only.
-            self.queue_epoch += 1;
-        }
         for idx in removed {
             self.specs.remove(idx);
         }
         self.timed_out += expired;
-        self.queued_deadlines -= expired_own_deadline;
         // A cancelled request still frees its closed-loop client: the
         // client gave up on this response and submits its next request
         // after the think time (no-op for open-loop schedules).
         for _ in 0..expired {
             self.arrivals.on_finish(now);
         }
-    }
-
-    /// Reorders the queue for [`QueueOrder::LeastSlackFirst`] (see the
-    /// module docs for the ranking): preempted work first, then aged
-    /// entries oldest-first, then ascending remaining slack, then
-    /// deadline-less entries oldest-first. The sort is stable, so equal
-    /// keys keep arrival order and the reorder is deterministic.
-    ///
-    /// The sort itself runs only when it can change anything. A ranked
-    /// queue stays ranked as time passes: within the slack group every
-    /// key shifts by the same elapsed time (saturating at zero, which
-    /// collapses neighbours into ties a stable sort leaves in place), and
-    /// the other groups order by time-invariant arrival. The only inputs
-    /// that can disturb the order are queue mutations that insert at a
-    /// rank-unknown position (`queue_order_dirty`) and an entry crossing
-    /// the aging cap into the starvation group (`next_aging_at`). Short of
-    /// those, a full stable re-sort is the identity and is skipped.
-    fn rank_queue_by_slack(&mut self, aging_cap: SimDuration) {
-        if self.queue.len() < 2 {
-            return;
-        }
-        let now = self.now;
-        let aging_due = self.next_aging_at.is_some_and(|at| now >= at);
-        if !self.queue_order_dirty && !aging_due {
-            return;
-        }
-        let default_deadline = self.config.request_deadline;
-        let specs = &self.specs;
-        self.queue.make_contiguous().sort_by_key(|p| {
-            let arrival = p.timing.arrival();
-            if p.generated > 0 || p.swapped {
-                return (0u8, arrival.as_micros());
-            }
-            fleet::slack_rank_key(
-                now,
-                arrival,
-                specs[p.spec].deadline.or(default_deadline),
-                aging_cap,
-            )
-        });
-        self.queue_order_dirty = false;
-        // Next time-driven reorder: the earliest not-yet-aged entry that
-        // can still change group (preempted entries always rank ahead of
-        // the aged group and never migrate).
-        self.next_aging_at = self
-            .queue
-            .iter()
-            .filter(|p| !(p.generated > 0 || p.swapped))
-            .map(|p| p.timing.arrival() + aging_cap)
-            .filter(|&ages_at| ages_at > now)
-            .min();
     }
 
     /// Router-facing urgency signal: the sum over queued requests with an
@@ -931,28 +779,16 @@ impl Engine {
     /// urgent queues receive less new traffic and get room to drain.
     pub(crate) fn queue_slack_pressure(&self) -> f64 {
         let default_deadline = self.config.request_deadline;
-        if default_deadline.is_none() && self.queued_deadlines == 0 {
+        if default_deadline.is_none() && !self.deadlines {
             return 0.0;
         }
-        // Routers probe every candidate instance per request; between
-        // probes neither the clock nor the queue of an idle candidate
-        // moves, so the sum is memoized on `(now, queue_epoch)`.
-        let key = (self.now.as_micros(), self.queue_epoch);
-        let (at, epoch, cached) = self.pressure_cache.get();
-        if (at, epoch) == key {
-            return cached;
-        }
-        let now = self.now;
-        let pressure = self
-            .queue
+        self.queue
             .iter()
             .filter_map(|p| {
                 let deadline = self.specs[p.spec].deadline.or(default_deadline)?;
-                Some(fleet::slack_urgency(now, p.timing.arrival(), deadline))
+                Some(fleet::slack_urgency(self.now, p.timing.arrival(), deadline))
             })
-            .sum();
-        self.pressure_cache.set((key.0, key.1, pressure));
-        pressure
+            .sum()
     }
 
     fn memory_state(&self) -> MemoryState {
@@ -997,7 +833,12 @@ impl Engine {
             return false;
         }
         if let QueueOrder::LeastSlackFirst { aging_cap } = self.config.queue_order {
-            self.rank_queue_by_slack(aging_cap);
+            let default_deadline = self.config.request_deadline;
+            let specs = &self.specs;
+            fleet::rank_by_slack(&mut self.queue, self.now, aging_cap, |p| {
+                let deadline = specs[p.spec].deadline.or(default_deadline);
+                (p.generated > 0 || p.swapped, p.timing.arrival(), deadline)
+            });
         }
         // Handle discipline: every slab slot is owned by exactly one queue
         // or batch entry.
@@ -1040,13 +881,13 @@ impl Engine {
                 // (Refusal with a live batch is ordinary backpressure and
                 // resolves as requests finish; draining the cache for it
                 // would forfeit hits for no admission gain.)
-                if self.running.is_empty() && self.reclaim_prefix_one() {
+                if self.running.is_empty() && self.reclaim_prefix_tokens(1) {
                     continue;
                 }
                 break;
             }
             let mut admitted_now = 0usize;
-            for _ in 0..plan {
+            'admit: for _ in 0..plan {
                 let pending = self.queue.front().expect("plan within queue bounds");
                 let spec = &self.specs[pending.spec];
                 // Pre-pay the prompt plus the first output token's slot.
@@ -1054,15 +895,18 @@ impl Engine {
                 let reserve_total = u64::from(spec.input_len) + u64::from(spec.max_new_tokens);
                 let req = spec.id.raw();
                 if self.kv.allocate(req, needed, reserve_total).is_err() {
-                    // Reclaim cached prefixes before refusing admission:
-                    // request KV outranks speculative cache entries.
-                    if !self.reclaim_prefix_for_admission(needed, reserve_total)
-                        || self.kv.allocate(req, needed, reserve_total).is_err()
-                    {
+                    // Reclaim cached prefixes, one LRU entry at a time,
+                    // before refusing admission.
+                    while !self.kv.can_admit(needed, reserve_total) {
+                        if !self.reclaim_prefix_tokens(1) {
+                            break 'admit;
+                        }
+                    }
+                    if self.kv.allocate(req, needed, reserve_total).is_err() {
                         break;
                     }
                 }
-                let pending = self.pop_queue_front().expect("front exists");
+                let pending = self.queue.pop_front().expect("front exists");
                 // Swap-in restores the full KV wholesale — no recompute to
                 // skip; everything else (fresh admissions *and* recompute
                 // re-prefills) can reuse cached prefix tokens.
@@ -1330,7 +1174,6 @@ impl Engine {
         let spec = &self.specs[live.spec];
         let held = u64::from(spec.input_len) + u64::from(live.generated);
         let request = spec.id.raw();
-        let has_deadline = spec.deadline.is_some();
         self.kv.release(request);
         self.scheduler.on_eviction(request);
         self.evictions += 1;
@@ -1358,9 +1201,6 @@ impl Engine {
                 }
             },
         );
-        if has_deadline {
-            self.queued_deadlines += 1;
-        }
         self.queue.push_front(Pending {
             spec: live.spec,
             generated: live.generated,
@@ -1368,10 +1208,6 @@ impl Engine {
             evictions: live.evictions + 1,
             swapped,
         });
-        // A preempted entry enters at the front (rank group 0) — rank
-        // unknown relative to other preempted work, so the order is dirty.
-        self.queue_order_dirty = true;
-        self.queue_epoch += 1;
     }
 
     fn finish(&mut self, live: Live, sink: &mut Option<&mut dyn TraceSink>) {
@@ -1572,7 +1408,7 @@ impl Engine {
                 if worst <= self.capacity {
                     max_in = cand_in;
                     max_cap = cand_cap;
-                    batch.push(self.pop_queue_front().expect("front exists"));
+                    batch.push(self.queue.pop_front().expect("front exists"));
                 } else {
                     break;
                 }

@@ -75,10 +75,21 @@
 //! rotating tie-breaks (first-index tie-breaking would herd all
 //! cold-start traffic onto member 0). [`crate::cluster`], the elastic
 //! fleet and both disagg pools route through them.
+//!
+//! # Deadlines
+//!
+//! `expiry` and `rank_by_slack` (crate-internal) are the one definition
+//! of the deadline policy: every queue that cancels expired requests —
+//! the engine's and each disagg prefill member's — takes its verdict from
+//! `expiry`, and every queue sorted least-slack-first — the engine's and
+//! each disagg decode member's pending handoffs — sorts through
+//! `rank_by_slack`.
+
+use std::collections::VecDeque;
 
 use pf_autoscale::{AutoscaleConfig, AutoscalePlanner, PoolRole, ScalingDecision, StepLatency};
 use pf_kvcache::{BlockPrefixCache, KvEvent, KvIndexer};
-use pf_metrics::SimTime;
+use pf_metrics::{SimDuration, SimTime};
 use pf_obs::{TraceEvent, TraceSink};
 use pf_workload::RequestSpec;
 
@@ -237,11 +248,11 @@ impl GpuType {
     /// Scales a reference-GPU step duration to this GPU's speed (a
     /// `perf_scale` of 2.0 halves it). Exactly the identity for the
     /// reference scale 1.0, so homogeneous runs replay bit-identically.
-    pub fn scale_step(&self, duration: pf_metrics::SimDuration) -> pf_metrics::SimDuration {
+    pub fn scale_step(&self, duration: SimDuration) -> SimDuration {
         if self.perf_scale == 1.0 {
             duration
         } else {
-            pf_metrics::SimDuration::from_secs_f64(duration.as_secs_f64() / self.perf_scale)
+            SimDuration::from_secs_f64(duration.as_secs_f64() / self.perf_scale)
         }
     }
 }
@@ -284,7 +295,7 @@ pub struct MemberCore {
 impl MemberCore {
     /// Provisions a member at `now`: live immediately when `warmup` is
     /// zero, warming until `now + warmup` otherwise.
-    pub fn spawn(now: SimTime, warmup: pf_metrics::SimDuration, gpu: GpuType) -> Self {
+    pub fn spawn(now: SimTime, warmup: SimDuration, gpu: GpuType) -> Self {
         let state = if warmup.is_zero() {
             MemberState::Live
         } else {
@@ -717,19 +728,50 @@ impl<M: FleetMember> Pool<M> {
 /// smaller than the imbalance it can cause.
 pub const PREFIX_MATCH_MIN_TOKENS: u64 = 32;
 
-/// The least-slack-first ranking key shared by every queue in the crate
-/// (engine admission, disagg prefill selection, disagg decode pending):
+/// The one deadline verdict for a queued request, shared by the engine
+/// queue and the disagg prefill queues: [`TraceEvent::TimedOut`] once it
+/// has waited its whole `deadline` (the guillotine),
+/// [`TraceEvent::SlackDropped`] while still inside it but with less slack
+/// left than `min_feasible` — the fastest path to its next token, which
+/// only [`crate::config::QueueOrder::LeastSlackFirst`] callers make
+/// non-zero — and `None` while it can still make it. Either event means
+/// the caller cancels the request.
+pub(crate) fn expiry(
+    now: SimTime,
+    arrival: SimTime,
+    deadline: SimDuration,
+    min_feasible: SimDuration,
+    instance: u32,
+    request: u64,
+) -> Option<TraceEvent> {
+    let waited = now.saturating_since(arrival);
+    if waited >= deadline {
+        Some(TraceEvent::TimedOut {
+            at: now,
+            instance,
+            request,
+        })
+    } else if waited + min_feasible >= deadline {
+        Some(TraceEvent::SlackDropped {
+            at: now,
+            instance,
+            request,
+        })
+    } else {
+        None
+    }
+}
+
+/// The least-slack-first ranking key shared by every queue in the crate:
 /// entries past the aging cap first, oldest first (the starvation bound);
 /// then ascending remaining slack `deadline − waited` (saturating — an
 /// already-expired entry ranks most urgent); deadline-less entries last,
-/// oldest first. Callers prepend their own higher-priority groups (the
-/// engine ranks preempted mid-response work at 0) — this key only uses
-/// groups 1–3.
+/// oldest first. [`rank_by_slack`] puts preempted work (group 0) ahead.
 pub(crate) fn slack_rank_key(
     now: SimTime,
     arrival: SimTime,
-    deadline: Option<pf_metrics::SimDuration>,
-    aging_cap: pf_metrics::SimDuration,
+    deadline: Option<SimDuration>,
+    aging_cap: SimDuration,
 ) -> (u8, u64) {
     let waited = now.saturating_since(arrival);
     if waited >= aging_cap {
@@ -741,15 +783,31 @@ pub(crate) fn slack_rank_key(
     }
 }
 
+/// Sorts `queue` least-slack-first: preempted mid-response work first,
+/// oldest first, then the [`slack_rank_key`] groups. `entry` reads an
+/// item's `(preempted, arrival, effective deadline)`. The sort is
+/// stable, so equal keys keep their queue order and re-ranking an
+/// already ranked queue leaves it unchanged.
+pub(crate) fn rank_by_slack<T>(
+    queue: &mut VecDeque<T>,
+    now: SimTime,
+    aging_cap: SimDuration,
+    entry: impl Fn(&T) -> (bool, SimTime, Option<SimDuration>),
+) {
+    queue.make_contiguous().sort_by_key(|item| {
+        let (preempted, arrival, deadline) = entry(item);
+        if preempted {
+            return (0, arrival.as_micros());
+        }
+        slack_rank_key(now, arrival, deadline, aging_cap)
+    });
+}
+
 /// One queued request's contribution to the router-facing slack-pressure
 /// signal: `1 / (1 + slack_secs)` — 1.0 at zero remaining slack, decaying
 /// as the deadline recedes. Summed per queue and weighed by
 /// [`SLACK_PRESSURE_WEIGHT`].
-pub(crate) fn slack_urgency(
-    now: SimTime,
-    arrival: SimTime,
-    deadline: pf_metrics::SimDuration,
-) -> f64 {
+pub(crate) fn slack_urgency(now: SimTime, arrival: SimTime, deadline: SimDuration) -> f64 {
     let waited = now.saturating_since(arrival);
     1.0 / (1.0 + (deadline - waited).as_secs_f64())
 }
@@ -763,8 +821,8 @@ pub(crate) fn slack_urgency(
 pub(crate) fn slack_share_weight(
     now: SimTime,
     arrival: SimTime,
-    deadline: Option<pf_metrics::SimDuration>,
-    aging_cap: pf_metrics::SimDuration,
+    deadline: Option<SimDuration>,
+    aging_cap: SimDuration,
 ) -> f64 {
     let waited = now.saturating_since(arrival);
     if waited >= aging_cap {
@@ -787,35 +845,15 @@ pub(crate) fn slack_share_weight(
 pub const SLACK_PRESSURE_WEIGHT: f64 = 0.05;
 
 /// Tunables of the routing layer shared by every fleet driver (coloc
-/// cluster, elastic fleet, disagg pools). The defaults reproduce the
-/// historical hard-coded constants bit-for-bit, so a config that never
-/// touches this struct replays exactly as before the fields existed.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// cluster, elastic fleet, disagg pools).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RouterConfig {
-    /// Smallest cached overlap (tokens) for which
-    /// [`crate::cluster::RouterPolicy::PrefixAffinity`] prefers the
-    /// matching instance over the least-loaded one. Defaults to
-    /// [`PREFIX_MATCH_MIN_TOKENS`].
-    pub prefix_match_min_tokens: u64,
-    /// Weight of the queue's deadline-slack pressure in the affinity and
-    /// overlap load signals. Defaults to [`SLACK_PRESSURE_WEIGHT`].
-    pub slack_pressure_weight: f64,
     /// Propagation delay between an engine persisting/evicting a KV block
     /// and the global [`pf_kvcache::KvIndexer`] reflecting it. Zero (the
     /// default) models an ideal in-process index; raise it to study how
     /// stale overlap scores degrade
     /// [`crate::cluster::RouterPolicy::KvOverlap`] routing.
-    pub kv_event_delay: pf_metrics::SimDuration,
-}
-
-impl Default for RouterConfig {
-    fn default() -> Self {
-        Self {
-            prefix_match_min_tokens: PREFIX_MATCH_MIN_TOKENS,
-            slack_pressure_weight: SLACK_PRESSURE_WEIGHT,
-            kv_event_delay: pf_metrics::SimDuration::ZERO,
-        }
-    }
+    pub kv_event_delay: SimDuration,
 }
 
 /// Deterministic uniform stream for softmax routing draws (SplitMix64).
@@ -851,14 +889,12 @@ impl RouteRng {
 
 /// The routing layer's state, owned by each fleet run and built in one
 /// place ([`Routing::new`]) from the policy and the fleet's base config:
-/// the policy and its tunables, the rotating tie-break cursor and the
+/// the policy, the rotating tie-break cursor and the
 /// reusable candidate buffer, plus what only
 /// [`RouterPolicy::KvOverlap`] reads — the global event-fed KV index, the
 /// softmax stream and the routed request's chained block hashes.
 pub(crate) struct Routing {
     pub(crate) policy: RouterPolicy,
-    /// Routing tunables (copied out of the base config).
-    pub(crate) config: RouterConfig,
     /// Rotating tie-break cursor (see [`pick_rotating_min`]).
     pub(crate) cursor: usize,
     /// Reusable per-arrival candidate buffer.
@@ -890,7 +926,6 @@ impl Routing {
         policy.check(base.prefix_cache)?;
         Ok(Routing {
             policy,
-            config: base.router,
             cursor: 0,
             scratch: Vec::new(),
             kv_routing: matches!(policy, RouterPolicy::KvOverlap { .. }),
@@ -950,8 +985,7 @@ impl Routing {
             temperature,
         } = self.policy
         else {
-            let min_match = self.config.prefix_match_min_tokens;
-            return pick_routed(self.policy, &self.scratch, min_match, &mut self.cursor, n);
+            return pick_routed(self.policy, &self.scratch, &mut self.cursor, n);
         };
         let prompt = f64::from(spec.input_len.max(1));
         pick_cost_logit(
@@ -1047,8 +1081,8 @@ pub(crate) struct RouteCandidate {
 /// the elastic fleet and the disagg pools:
 /// [`crate::cluster::RouterPolicy::RoundRobin`] rotates,
 /// [`crate::cluster::RouterPolicy::PrefixAffinity`] takes the longest
-/// cached match at or above `min_match` (ties by load or rotation), and
-/// everything else — including
+/// cached match at or above [`PREFIX_MATCH_MIN_TOKENS`] (ties by load or
+/// rotation), and everything else — including
 /// [`crate::cluster::RouterPolicy::KvOverlap`], whose overlap-discounted
 /// cost the caller folds into `load` before dispatching here with its own
 /// temperature handling — routes by the candidate's load, all exact ties
@@ -1056,7 +1090,6 @@ pub(crate) struct RouteCandidate {
 fn pick_routed(
     policy: crate::cluster::RouterPolicy,
     candidates: &[RouteCandidate],
-    min_match: u64,
     cursor: &mut usize,
     n: usize,
 ) -> Option<usize> {
@@ -1074,7 +1107,7 @@ fn pick_routed(
         }
         RouterPolicy::PrefixAffinity { load_tiebreak } => {
             let best_match = candidates.iter().map(|c| c.cached_match).max().unwrap_or(0);
-            if best_match >= min_match {
+            if best_match >= PREFIX_MATCH_MIN_TOKENS {
                 let matched = candidates.iter().filter(|c| c.cached_match == best_match);
                 if load_tiebreak {
                     pick_rotating_min(matched.map(by_load), cursor, n)
@@ -1091,7 +1124,6 @@ fn pick_routed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pf_metrics::SimDuration;
 
     struct Toy {
         core: MemberCore,
@@ -1301,6 +1333,116 @@ mod tests {
         // A stopped member's stale flag is not a claim to release either.
         assert_eq!(release_claims(&mut pool, 2), 1);
         assert_eq!(pending_claims(&pool), 0);
+    }
+
+    /// The name of `expiry`'s verdict for a request that has waited
+    /// `waited_ms` of a `deadline_ms` deadline, checking the event is
+    /// stamped now, on instance 3, for request 7.
+    fn verdict(waited_ms: u64, deadline_ms: u64, min_feasible_ms: u64) -> Option<&'static str> {
+        let arrival = SimTime::from_secs(10);
+        let now = arrival + SimDuration::from_millis(waited_ms);
+        let event = expiry(
+            now,
+            arrival,
+            SimDuration::from_millis(deadline_ms),
+            SimDuration::from_millis(min_feasible_ms),
+            3,
+            7,
+        )?;
+        assert_eq!(
+            (event.at(), event.instance(), event.request()),
+            (now, Some(3), Some(7))
+        );
+        Some(event.name())
+    }
+
+    #[test]
+    fn expiry_times_out_once_the_whole_deadline_is_waited() {
+        assert_eq!(verdict(500, 500, 0), Some("timed-out"));
+        // Past the deadline outright is a timeout, never a slack drop.
+        assert_eq!(verdict(600, 500, 200), Some("timed-out"));
+    }
+
+    #[test]
+    fn expiry_drops_early_when_the_fastest_path_lands_on_the_deadline() {
+        assert_eq!(verdict(300, 500, 200), Some("slack-dropped"));
+        assert_eq!(verdict(300, 500, 199), None);
+    }
+
+    #[test]
+    fn expiry_without_a_feasibility_bound_never_drops_early() {
+        assert_eq!(verdict(499, 500, 0), None);
+        assert_eq!(verdict(0, 500, 0), None);
+    }
+
+    #[test]
+    fn rank_by_slack_orders_preempted_aged_slack_then_deadline_less() {
+        let secs = SimTime::from_secs;
+        let dur = SimDuration::from_secs;
+        // (label, preempted, arrival, deadline), ranked at t = 100 s with a
+        // 30 s aging cap.
+        let mut queue: VecDeque<(&str, bool, SimTime, Option<SimDuration>)> = VecDeque::from([
+            ("lax", false, secs(90), Some(dur(60))),
+            ("fresh", false, secs(95), None),
+            ("tight", false, secs(98), Some(dur(5))),
+            ("aged", false, secs(60), None),
+            ("resumed-late", true, secs(99), Some(dur(1))),
+            ("tight-twin", false, secs(96), Some(dur(7))),
+            ("waiting", false, secs(80), None),
+            ("resumed-early", true, secs(50), None),
+        ]);
+        let entry = |e: &(&str, bool, SimTime, Option<SimDuration>)| (e.1, e.2, e.3);
+        rank_at_100s(&mut queue, entry);
+        let order: Vec<&str> = queue.iter().map(|e| e.0).collect();
+        // Preempted oldest first, then the aged entry, then ascending
+        // slack — "tight" and "tight-twin" both have 3 s left and keep
+        // their queue order — then deadline-less oldest first.
+        let ranked = [
+            "resumed-early",
+            "resumed-late",
+            "aged",
+            "tight",
+            "tight-twin",
+            "lax",
+            "waiting",
+            "fresh",
+        ];
+        assert_eq!(order, ranked);
+        // Re-ranking a ranked queue is the identity.
+        rank_at_100s(&mut queue, entry);
+        let order: Vec<&str> = queue.iter().map(|e| e.0).collect();
+        assert_eq!(order, ranked);
+    }
+
+    #[test]
+    fn rank_by_slack_keeps_queue_order_among_equal_keys() {
+        // Alternating 1 s / 2 s of slack, each entry tagged with its queue
+        // position: long enough that an unstable sort would reorder ties.
+        let mut queue: VecDeque<(usize, SimTime, Option<SimDuration>)> = (0..96)
+            .map(|i| {
+                let arrival = SimTime::from_secs(90 + i as u64 % 4);
+                let waited = SimTime::from_secs(100).saturating_since(arrival);
+                let slack = SimDuration::from_secs(1 + (i as u64 % 2));
+                (i, arrival, Some(waited + slack))
+            })
+            .collect();
+        rank_at_100s(&mut queue, |e| (false, e.1, e.2));
+        let order: Vec<usize> = queue.iter().map(|e| e.0).collect();
+        let evens = (0..96).step_by(2);
+        let odds = (1..96).step_by(2);
+        assert_eq!(order, evens.chain(odds).collect::<Vec<_>>());
+    }
+
+    fn rank_at_100s<T>(
+        queue: &mut VecDeque<T>,
+        entry: impl Fn(&T) -> (bool, SimTime, Option<SimDuration>),
+    ) {
+        rank_by_slack(
+            queue,
+            SimTime::from_secs(100),
+            SimDuration::from_secs(30),
+            entry,
+        );
     }
 
     #[test]

@@ -1,12 +1,9 @@
 //! Behavioral tests for block-granular KV routing
-//! ([`RouterPolicy::KvOverlap`]) and the named router configuration:
+//! ([`RouterPolicy::KvOverlap`]) and its KV-index staleness knob:
 //!
 //! * `KvOverlap { overlap_weight: 0, temperature: 0 }` on deadline-free
 //!   traffic is bit-identical to `LeastEstimatedLoad` — the overlap term
 //!   vanishes and the zero-temperature pick consumes no randomness;
-//! * an explicitly spelled-out default [`RouterConfig`] replays
-//!   bit-identically against an untouched config (the promoted constants
-//!   kept their values);
 //! * overlap-scored routing reuses a tenant's shared system prompt
 //!   across sessions, beating load-blind routing on that traffic;
 //! * softmax routing (temperature > 0) replays bit-identically across
@@ -25,7 +22,7 @@ use pf_obs::{RecordingSink, TraceEvent};
 use pf_sim::cluster::{ClusterSimulation, RouterPolicy};
 use pf_sim::disagg::{DisaggCluster, DisaggConfig};
 use pf_sim::elastic::ElasticCluster;
-use pf_sim::{GpuSpec, ModelSpec, RouterConfig, SimConfig, SimError};
+use pf_sim::{GpuSpec, ModelSpec, SimConfig, SimError};
 use pf_workload::datasets;
 
 const BLOCK_TOKENS: u32 = 64;
@@ -77,39 +74,6 @@ fn zero_weight_zero_temperature_degrades_to_least_estimated_load() {
     assert_eq!(degraded.makespan(), blind.makespan());
     assert_eq!(degraded.satisfied(), blind.satisfied());
     assert_eq!(degraded.prefix_stats(), blind.prefix_stats());
-}
-
-#[test]
-fn explicit_default_router_config_replays_bit_identically() {
-    // The promoted constants kept their historical values…
-    let defaults = RouterConfig::default();
-    assert_eq!(defaults.prefix_match_min_tokens, 32);
-    assert!((defaults.slack_pressure_weight - 0.05).abs() < f64::EPSILON);
-    assert_eq!(defaults.kv_event_delay, SimDuration::ZERO);
-
-    // …and spelling them out produces the exact run an untouched config
-    // produces.
-    let spec = datasets::MultiTurnSpec::default();
-    let (requests, arrivals) = datasets::multi_turn_chat_timed(160, 29, &spec, 2.0, 2.0, 3.0);
-    let affinity = RouterPolicy::PrefixAffinity {
-        load_tiebreak: true,
-    };
-    let run = |config: SimConfig| {
-        ClusterSimulation::new(config, 3, affinity)
-            .run(requests.clone(), arrivals.clone())
-            .expect("cluster run")
-    };
-    let implicit = run(block_config(30_000));
-    let mut explicit_cfg = block_config(30_000);
-    explicit_cfg.router = RouterConfig {
-        prefix_match_min_tokens: 32,
-        slack_pressure_weight: 0.05,
-        ..RouterConfig::default()
-    };
-    let explicit = run(explicit_cfg);
-    assert_eq!(implicit.routed_per_instance, explicit.routed_per_instance);
-    assert_eq!(implicit.makespan(), explicit.makespan());
-    assert_eq!(implicit.prefix_stats(), explicit.prefix_stats());
 }
 
 #[test]
