@@ -375,12 +375,6 @@ impl KvIndexer {
         }
     }
 
-    /// The configured propagation delay in microseconds.
-    #[must_use]
-    pub fn delay_micros(&self) -> u64 {
-        self.delay_micros
-    }
-
     // pf-lint: allow(D1): returns the map for key-addressed mutation only
     fn slot(&mut self, instance: u32) -> &mut HashMap<u64, u64> {
         let i = instance as usize;

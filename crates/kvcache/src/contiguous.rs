@@ -53,11 +53,6 @@ impl ContiguousPool {
         }
     }
 
-    /// Reservation held by request `req`, if known.
-    pub fn reservation_of(&self, req: u64) -> Option<u64> {
-        self.requests.get(&req).map(|e| e.reserved)
-    }
-
     fn bump_peak(&mut self) {
         self.peak = self.peak.max(self.reserved);
     }
@@ -169,7 +164,7 @@ mod tests {
         assert_eq!(p.used_tokens(), 500);
         assert_eq!(p.logical_tokens(), 50);
         assert_eq!(p.overhead_tokens(), 450);
-        assert_eq!(p.reservation_of(1), Some(500));
+        assert_eq!(p.release(1), 500);
     }
 
     #[test]

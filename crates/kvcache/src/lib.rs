@@ -23,6 +23,10 @@
 //! vectors of one token across all layers. Requests are identified by opaque
 //! `u64` keys chosen by the caller.
 //!
+//! A decode step grows the whole running batch by one token each with a
+//! single [`KvCacheManager::extend_each`] call, all or nothing;
+//! [`KvCacheManager::extend`] grows one request by any amount.
+//!
 //! # Example
 //!
 //! ```
@@ -30,9 +34,11 @@
 //!
 //! let mut pool = TokenPool::new(1000);
 //! pool.allocate(1, 300, 300)?; // prefill: 300 prompt tokens
-//! pool.extend(1, 1)?;          // one decode step
-//! assert_eq!(pool.used_tokens(), 301);
+//! pool.allocate(2, 100, 100)?;
+//! pool.extend_each(&[1, 2])?;  // one decode step of the batch
+//! assert_eq!(pool.used_tokens(), 402);
 //! assert_eq!(pool.release(1), 301);
+//! assert_eq!(pool.release(2), 101);
 //! assert_eq!(pool.used_tokens(), 0);
 //! # Ok::<(), pf_kvcache::KvCacheError>(())
 //! ```
@@ -134,6 +140,13 @@ impl From<AllocError> for KvCacheError {
 
 /// Common interface of all KV-cache managers.
 ///
+/// A request's life is [`allocate`](Self::allocate) at admission, one
+/// token of growth per decode step, and [`release`](Self::release) at
+/// completion or eviction. A decode step grows the whole batch through
+/// [`extend_each`](Self::extend_each), one call per step; when that is
+/// refused, [`extension_shortfall`](Self::extension_shortfall) says how
+/// many slots the caller must free first.
+///
 /// Implementations distinguish *logical* tokens (tokens whose KV entries are
 /// actually stored) from *physical* tokens (slots consumed, including any
 /// fragmentation or reservation overhead). For [`TokenPool`] the two are
@@ -199,6 +212,38 @@ pub trait KvCacheManager: fmt::Debug {
     /// Returns [`KvCacheError::UnknownRequest`] if any listed request is
     /// not tracked (a `debug_assert!` panic in debug builds).
     fn extension_shortfall(&self, requests: &[u64]) -> Result<u64, KvCacheError>;
+
+    /// Grows every listed request by one logical token — one decode step
+    /// of the whole batch in one call, all or nothing. Succeeds exactly
+    /// when [`extension_shortfall`](Self::extension_shortfall) is 0; the
+    /// ids must be distinct.
+    ///
+    /// The default body is that shortfall check followed by
+    /// `extend(req, 1)` per request; [`TokenPool`] overrides it with a
+    /// single pass over the batch.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KvCacheError::Alloc`] when the shortfall is positive and
+    /// [`KvCacheError::UnknownRequest`] if any listed request is not
+    /// tracked (a `debug_assert!` panic in debug builds); the manager
+    /// state is unchanged on either error. A per-request `extend` failure
+    /// past a zero shortfall (a [`ContiguousPool`] request outgrowing its
+    /// reservation, itself a caller bug) is returned as is, with the
+    /// requests listed before it already grown.
+    fn extend_each(&mut self, requests: &[u64]) -> Result<(), KvCacheError> {
+        if self.extension_shortfall(requests)? > 0 {
+            return Err(AllocError {
+                requested: requests.len() as u64,
+                available: self.available_tokens(),
+            }
+            .into());
+        }
+        for &req in requests {
+            self.extend(req, 1)?;
+        }
+        Ok(())
+    }
 
     /// Highest physical usage ever observed.
     fn peak_used_tokens(&self) -> u64;

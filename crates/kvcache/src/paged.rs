@@ -63,8 +63,7 @@ impl PagedPool {
         self.block_size
     }
 
-    /// Free blocks remaining.
-    pub fn free_blocks(&self) -> u64 {
+    fn free_blocks(&self) -> u64 {
         self.capacity_blocks - self.used_blocks
     }
 

@@ -41,11 +41,6 @@ impl TokenPool {
         }
     }
 
-    /// Tokens held by request `req`, if known.
-    pub fn tokens_of(&self, req: u64) -> Option<u64> {
-        self.requests.get(&req).copied()
-    }
-
     fn bump_peak(&mut self) {
         self.peak = self.peak.max(self.used);
     }
@@ -120,6 +115,36 @@ impl KvCacheManager for TokenPool {
         Ok((requests.len() as u64).saturating_sub(self.available_tokens()))
     }
 
+    /// One pass: a single capacity check, one touch per entry, and one
+    /// bump of `used` and `peak`. An unknown id rolls back the entries
+    /// already grown.
+    fn extend_each(&mut self, requests: &[u64]) -> Result<(), KvCacheError> {
+        let n = requests.len() as u64;
+        let available = self.available_tokens();
+        if n > available {
+            // Misuse outranks shortage, as in `extension_shortfall`.
+            self.extension_shortfall(requests)?;
+            return Err(AllocError {
+                requested: n,
+                available,
+            }
+            .into());
+        }
+        for (i, &req) in requests.iter().enumerate() {
+            let Some(held) = self.requests.get_mut(&req) else {
+                for grown in &requests[..i] {
+                    *self.requests.get_mut(grown).expect("grown above") -= 1;
+                }
+                debug_assert!(false, "extend of unknown request {req}");
+                return Err(KvCacheError::UnknownRequest { req });
+            };
+            *held += 1;
+        }
+        self.used += n;
+        self.bump_peak();
+        Ok(())
+    }
+
     fn peak_used_tokens(&self) -> u64 {
         self.peak
     }
@@ -139,9 +164,8 @@ mod tests {
         p.allocate(1, 20, 20).unwrap();
         p.allocate(2, 10, 10).unwrap();
         assert_eq!(p.used_tokens(), 30);
-        assert_eq!(p.tokens_of(1), Some(20));
         p.extend(1, 5).unwrap();
-        assert_eq!(p.tokens_of(1), Some(25));
+        assert_eq!(p.used_tokens(), 35);
         assert_eq!(p.release(1), 25);
         assert_eq!(p.release(1), 0); // double release is a no-op
         assert_eq!(p.used_tokens(), 10);
@@ -168,8 +192,8 @@ mod tests {
         let mut p = TokenPool::new(10);
         p.allocate(1, 8, 8).unwrap();
         assert!(p.extend(1, 3).is_err());
-        assert_eq!(p.tokens_of(1), Some(8));
         assert_eq!(p.used_tokens(), 8);
+        assert_eq!(p.release(1), 8);
     }
 
     #[test]

@@ -61,7 +61,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use pf_core::{
     BatchEntry, FutureMemoryEstimator, MemoryState, QueuedRequest, RunningRequest, Scheduler,
 };
-use pf_kvcache::{BlockPrefixCache, KvCacheManager, KvEvent};
+use pf_kvcache::{BlockPrefixCache, KvCacheError, KvCacheManager, KvEvent};
 use pf_metrics::{GoodputReport, RequestTiming, SimDuration, SimTime, StepSeries};
 use pf_obs::{GaugeKind, TraceEvent, TraceSink};
 use pf_workload::{ClosedLoopClients, RequestSpec};
@@ -297,6 +297,12 @@ pub(crate) struct Engine {
     /// `Cell` so the `&self` router probe can borrow it too.
     scratch_entries: Cell<Vec<BatchEntry>>,
     scratch_ids: Vec<u64>,
+    /// The running batch's true M* (in tokens), kept across decode steps
+    /// that advance every member in lockstep — each Eq. 3 term is
+    /// invariant under such a step. Cleared on every membership change
+    /// and after any step where some member did not advance in lockstep;
+    /// a `Cell` so the `&self` router probe can fill it.
+    true_peak: Cell<Option<u64>>,
 
     decode_steps: u64,
     prefill_steps: u64,
@@ -368,6 +374,7 @@ impl Engine {
             scratch_queue: Vec::new(),
             scratch_entries: Cell::new(Vec::new()),
             scratch_ids: Vec::new(),
+            true_peak: Cell::new(None),
             output_len_sum,
             output_len_count,
             decode_steps: 0,
@@ -933,6 +940,7 @@ impl Engine {
                         request: req,
                     },
                 );
+                self.true_peak.set(None);
                 self.running.push(Live {
                     spec: pending.spec,
                     generated: pending.generated,
@@ -1026,6 +1034,9 @@ impl Engine {
                 i += 1;
             }
         }
+        // No M* invalidation beyond the admission pushes and finishes: an
+        // emitting entry's first token was pre-paid (see `true_entry`),
+        // so its Eq. 3 terms are unchanged, and no other member advanced.
     }
 
     /// One decode (or mixed chunked-prefill) step.
@@ -1049,26 +1060,40 @@ impl Engine {
                 }
             }
         }
-        // Make room for one new token per decoding request: reclaim cached
-        // prefixes first, then evict the most recently admitted request
-        // while short (recompute preemption).
+        // Grow every decoding request by one token in one pool call. While
+        // the pool refuses, make room: reclaim cached prefixes first, then
+        // evict the most recently admitted request (recompute preemption).
+        let mut emitters;
         loop {
             self.scratch_ids.clear();
+            emitters = 0u64;
             for l in &self.running {
-                if l.prefill_remaining == 0 && !l.first_token_pending {
-                    self.scratch_ids.push(self.specs[l.spec].id.raw());
+                if l.prefill_remaining == 0 {
+                    emitters += 1;
+                    if !l.first_token_pending {
+                        self.scratch_ids.push(self.specs[l.spec].id.raw());
+                    }
                 }
             }
             if self.scratch_ids.is_empty() {
                 break;
             }
             let at = self.now;
-            let shortfall = self
-                .kv
-                .extension_shortfall(&self.scratch_ids)
-                .map_err(|error| SimError::KvCache { error, at })?;
+            let error = match self.kv.extend_each(&self.scratch_ids) {
+                Ok(()) => break,
+                Err(error) => error,
+            };
+            // A refusal without a shortfall (a reservation outgrown) or an
+            // unknown id is a bookkeeping bug, not a lack of room.
+            let shortfall = match error {
+                KvCacheError::Alloc(_) => self
+                    .kv
+                    .extension_shortfall(&self.scratch_ids)
+                    .map_err(|error| SimError::KvCache { error, at })?,
+                KvCacheError::UnknownRequest { .. } => 0,
+            };
             if shortfall == 0 {
-                break;
+                return Err(SimError::KvCache { error, at });
             }
             if self.reclaim_prefix_tokens(shortfall) {
                 continue;
@@ -1083,19 +1108,9 @@ impl Engine {
             }
             self.evict_most_recent(sink);
         }
-        // Grow every decoding request by one token.
-        let mut emitters = 0u64;
-        let at = self.now;
-        for live in &self.running {
-            if live.prefill_remaining == 0 {
-                emitters += 1;
-                if !live.first_token_pending {
-                    self.kv
-                        .extend(self.specs[live.spec].id.raw(), 1)
-                        .map_err(|error| SimError::KvCache { error, at })?;
-                }
-            }
-        }
+        // When every member grew from steady state (none mid-prefill, none
+        // with a pending first token), this step leaves M* unchanged.
+        let lockstep = self.scratch_ids.len() == self.running.len();
         // Idle cached prefixes occupy memory but no running request
         // attends to them: they must not be billed as attention KV in the
         // step's bandwidth term.
@@ -1166,11 +1181,17 @@ impl Engine {
             }
             i += 1;
         }
+        // Cleared only now: the step's metrics were recorded before
+        // emission, on the pre-step batch.
+        if !lockstep {
+            self.true_peak.set(None);
+        }
         Ok(())
     }
 
     fn evict_most_recent(&mut self, sink: &mut Option<&mut dyn TraceSink>) {
         let live = self.running.pop().expect("eviction from non-empty batch");
+        self.true_peak.set(None);
         let spec = &self.specs[live.spec];
         let held = u64::from(spec.input_len) + u64::from(live.generated);
         let request = spec.id.raw();
@@ -1211,6 +1232,7 @@ impl Engine {
     }
 
     fn finish(&mut self, live: Live, sink: &mut Option<&mut dyn TraceSink>) {
+        self.true_peak.set(None);
         let spec = self.specs.remove(live.spec);
         if sink.is_some() {
             let sla_ok = self.config.sla.evaluate(&live.timing).is_satisfied();
@@ -1260,11 +1282,32 @@ impl Engine {
 
     /// True future required memory of the current batch: Eq. 2–4 evaluated
     /// with ground-truth remaining lengths. Schedulers never see this; the
-    /// per-step metrics and the router probe do, so it builds the batch in
-    /// the reusable `scratch_entries` instead of allocating (M* is
-    /// permutation-invariant — sorting the scratch in place computes the
-    /// same value).
+    /// per-step metrics and the router probe do.
+    ///
+    /// The value is served from `true_peak` while the batch has only
+    /// advanced in lockstep since it was computed (see the field), so a
+    /// steady decode phase evaluates Eq. 2–4 once, not once per step. On a
+    /// miss it builds the batch in the reusable `scratch_entries` instead
+    /// of allocating (M* is permutation-invariant — sorting the scratch in
+    /// place computes the same value). Debug builds check every hit
+    /// against a fresh evaluation.
     fn true_future_required_frac(&self) -> f64 {
+        let peak = match self.true_peak.get() {
+            Some(peak) => {
+                debug_assert_eq!(peak, self.fresh_true_peak(), "stale cached true M*");
+                peak
+            }
+            None => {
+                let peak = self.fresh_true_peak();
+                self.true_peak.set(Some(peak));
+                peak
+            }
+        };
+        peak as f64 / self.capacity as f64
+    }
+
+    /// Eq. 2–4 over the running batch's [`Self::true_entry`]s, uncached.
+    fn fresh_true_peak(&self) -> u64 {
         let mut entries = self.scratch_entries.take();
         entries.clear();
         entries.extend(
@@ -1274,7 +1317,7 @@ impl Engine {
         );
         let peak = FutureMemoryEstimator::peak_memory_in_place(&mut entries);
         self.scratch_entries.set(entries);
-        peak as f64 / self.capacity as f64
+        peak
     }
 
     fn record_step_metrics(
@@ -1787,5 +1830,70 @@ mod tests {
             saw_queue && saw_running && saw_pending,
             "the probe saw a queue, a batch and pending arrivals"
         );
+    }
+
+    /// The cached true M* never goes stale: after every tick — admission
+    /// rounds, lockstep decode steps, chunked mixed steps, pending first
+    /// tokens, finishes and preemptions — it equals a fresh Eq. 2–4
+    /// evaluation bit for bit. Release builds compile out the cache's own
+    /// debug cross-check, so this is the check that runs there.
+    #[test]
+    fn cached_true_peak_matches_a_fresh_evaluation_after_every_tick() {
+        let requests: Vec<RequestSpec> = (0..48u32)
+            .map(|id| {
+                let output = 4 + (id * 37) % 90;
+                RequestSpec::new(u64::from(id), 60 + (id * 53) % 300, output, 128)
+            })
+            .collect();
+        let prefills = [
+            PrefillMode::WholePrompt,
+            PrefillMode::Chunked { chunk_tokens: 96 },
+        ];
+        let evictions = [
+            EvictionMode::Recompute,
+            EvictionMode::Swap { pcie_gbps: 25.0 },
+        ];
+        for prefill in prefills {
+            for eviction in evictions {
+                let config = SimConfig::builder(ModelSpec::llama2_7b(), GpuSpec::a100_80g())
+                    .scheduler(SchedulerConfig::aggressive(0.99))
+                    .prefill(prefill)
+                    .eviction(eviction)
+                    .capacity_override(2_400)
+                    .record_series(false)
+                    .seed(3)
+                    .build();
+                let mut engine = Engine::new(config, Arrivals::offline(requests.clone()));
+                let (mut ticks, mut hits) = (0u32, 0u32);
+                loop {
+                    match engine.tick_traced(&mut None).expect("tick") {
+                        Tick::Worked => {}
+                        Tick::Drained => break,
+                        tick => panic!("unexpected {tick:?}"),
+                    }
+                    ticks += 1;
+                    hits += u32::from(engine.true_peak.get().is_some());
+                    let batch: Vec<BatchEntry> = engine
+                        .running
+                        .iter()
+                        .map(|l| Engine::true_entry(&engine.specs[l.spec], l))
+                        .collect();
+                    let fresh =
+                        FutureMemoryEstimator::peak_memory(&batch) as f64 / engine.capacity as f64;
+                    assert_eq!(
+                        engine.true_future_required_frac().to_bits(),
+                        fresh.to_bits(),
+                        "{prefill:?} {eviction:?}: tick {ticks}"
+                    );
+                }
+                let label = format!("{prefill:?} {eviction:?}");
+                assert_eq!(engine.outcomes.len(), requests.len(), "{label}");
+                assert!(engine.evictions > 0, "{label}: no preemption exercised");
+                assert!(
+                    hits > ticks / 4,
+                    "{label}: cache served {hits} of {ticks} ticks"
+                );
+            }
+        }
     }
 }
