@@ -5,10 +5,15 @@ use rand::Rng;
 /// Empirical distribution over historical output lengths.
 ///
 /// `P(l) = C(l, L_h) / w` where `C` counts occurrences of `l` in the window
-/// (Eq. 1). Stored as a sorted sample vector, which makes both the
-/// unconditional draw (uniform index) and the conditional draw from
-/// `P(l > threshold)` (uniform index over a suffix found by binary search)
-/// O(log n).
+/// (Eq. 1). Stored as a sorted sample vector: an unconditional draw is a
+/// uniform index, and a draw from the conditional `P(l > threshold)` is a
+/// uniform index over the suffix of values above `threshold`, found by one
+/// binary search. The Past-Future scheduler, which draws several times for
+/// the same threshold in one admission call, finds that suffix once.
+///
+/// [`OutputLengthHistory`](crate::OutputLengthHistory) keeps one of these
+/// current in place as requests finish; [`from_lengths`](Self::from_lengths)
+/// builds one from scratch.
 ///
 /// # Example
 ///
@@ -19,7 +24,6 @@ use rand::Rng;
 /// let d = OutputLengthDistribution::from_lengths([40u32, 10, 20, 30]).unwrap();
 /// assert_eq!(d.min(), 10);
 /// assert_eq!(d.max(), 40);
-/// assert_eq!(d.fraction_greater_than(20), 0.5);
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
 /// let sample = d.sample_greater_than(&mut rng, 25).unwrap();
@@ -39,6 +43,39 @@ impl OutputLengthDistribution {
         }
         sorted.sort_unstable();
         Some(OutputLengthDistribution { sorted })
+    }
+
+    /// An empty sample for a history to fill in place. Never handed out
+    /// while empty (see [`OutputLengthHistory::distribution`]).
+    ///
+    /// [`OutputLengthHistory::distribution`]: crate::OutputLengthHistory::distribution
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        OutputLengthDistribution {
+            sorted: Vec::with_capacity(capacity),
+        }
+    }
+
+    /// Removes one copy of `evicted` (which must be present) and inserts
+    /// `added`, keeping the sample sorted. The lengths are `u32`, so the
+    /// result is the same vector that sorting the new multiset gives,
+    /// whatever order equal lengths arrived in.
+    pub(crate) fn replace(&mut self, evicted: Option<u32>, added: u32) {
+        let to = self.sorted.partition_point(|&v| v < added);
+        let Some(old) = evicted else {
+            self.sorted.insert(to, added);
+            return;
+        };
+        let from = self.sorted.partition_point(|&v| v < old);
+        debug_assert_eq!(self.sorted.get(from), Some(&old), "evicted length not held");
+        // One memmove over the span between the two positions moves the
+        // evicted slot to where `added` belongs.
+        if to <= from {
+            self.sorted[to..=from].rotate_right(1);
+            self.sorted[to] = added;
+        } else {
+            self.sorted[from..to].rotate_left(1);
+            self.sorted[to - 1] = added;
+        }
     }
 
     /// Number of observations backing the distribution (`w` in Eq. 1).
@@ -67,20 +104,6 @@ impl OutputLengthDistribution {
         self.sorted.iter().map(|&v| v as f64).sum::<f64>() / self.sorted.len() as f64
     }
 
-    /// Probability mass at exactly `l`: `C(l, L_h) / w` (Eq. 1).
-    pub fn prob_of(&self, l: u32) -> f64 {
-        let lo = self.sorted.partition_point(|&v| v < l);
-        let hi = self.sorted.partition_point(|&v| v <= l);
-        (hi - lo) as f64 / self.sorted.len() as f64
-    }
-
-    /// Fraction of observations strictly greater than `threshold`
-    /// (the normalizer of `P(l > threshold)`).
-    pub fn fraction_greater_than(&self, threshold: u32) -> f64 {
-        let idx = self.sorted.partition_point(|&v| v <= threshold);
-        (self.sorted.len() - idx) as f64 / self.sorted.len() as f64
-    }
-
     /// Empirical quantile (`q` in `[0, 1]`), by nearest-rank.
     ///
     /// # Panics
@@ -94,7 +117,20 @@ impl OutputLengthDistribution {
 
     /// Draws a length from `P(l)`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
-        self.sorted[rng.gen_range(0..self.sorted.len())]
+        self.sample_from(rng, 0).expect("non-empty by construction")
+    }
+
+    /// Index of the first observation strictly greater than `threshold`:
+    /// the support of `P(l | l > threshold)` is the sorted suffix from here,
+    /// empty when this equals [`len`](Self::len).
+    pub(crate) fn greater_than_start(&self, threshold: u32) -> usize {
+        self.sorted.partition_point(|&v| v <= threshold)
+    }
+
+    /// Draws uniformly from the sorted suffix starting at index `start`, or
+    /// returns `None` without drawing when that suffix is empty.
+    pub(crate) fn sample_from<R: Rng + ?Sized>(&self, rng: &mut R, start: usize) -> Option<u32> {
+        (start < self.sorted.len()).then(|| self.sorted[rng.gen_range(start..self.sorted.len())])
     }
 
     /// Draws a length from the conditional `P(l | l > threshold)`.
@@ -103,11 +139,7 @@ impl OutputLengthDistribution {
     /// must fall back to another bound (the Past-Future scheduler falls back
     /// to the request's `max_new_tokens`).
     pub fn sample_greater_than<R: Rng + ?Sized>(&self, rng: &mut R, threshold: u32) -> Option<u32> {
-        let idx = self.sorted.partition_point(|&v| v <= threshold);
-        if idx == self.sorted.len() {
-            return None;
-        }
-        Some(self.sorted[rng.gen_range(idx..self.sorted.len())])
+        self.sample_from(rng, self.greater_than_start(threshold))
     }
 
     /// The sorted backing sample (primarily for tests and diagnostics).
@@ -139,23 +171,6 @@ mod tests {
         assert_eq!(d.max(), 5);
         assert_eq!(d.mean(), 3.0);
         assert_eq!(d.as_sorted_slice(), &[1, 3, 3, 5]);
-    }
-
-    #[test]
-    fn prob_of_counts_duplicates() {
-        let d = OutputLengthDistribution::from_lengths([2u32, 2, 2, 8]).unwrap();
-        assert_eq!(d.prob_of(2), 0.75);
-        assert_eq!(d.prob_of(8), 0.25);
-        assert_eq!(d.prob_of(5), 0.0);
-    }
-
-    #[test]
-    fn fraction_greater_than_boundaries() {
-        let d = OutputLengthDistribution::from_lengths([10u32, 20, 30, 40]).unwrap();
-        assert_eq!(d.fraction_greater_than(0), 1.0);
-        assert_eq!(d.fraction_greater_than(10), 0.75);
-        assert_eq!(d.fraction_greater_than(39), 0.25);
-        assert_eq!(d.fraction_greater_than(40), 0.0);
     }
 
     #[test]
@@ -227,16 +242,6 @@ mod tests {
                     Some(v) => prop_assert!(v > threshold),
                     None => prop_assert!(d.max() <= threshold),
                 }
-            }
-
-            #[test]
-            fn prob_masses_sum_to_one(
-                lengths in proptest::collection::vec(0u32..100, 1..100),
-            ) {
-                let d = OutputLengthDistribution::from_lengths(lengths.iter().copied()).unwrap();
-                let distinct: std::collections::BTreeSet<u32> = lengths.iter().copied().collect();
-                let sum: f64 = distinct.iter().map(|&l| d.prob_of(l)).sum();
-                prop_assert!((sum - 1.0).abs() < 1e-9);
             }
 
             #[test]

@@ -147,14 +147,6 @@ impl FutureMemoryEstimator {
             .collect()
     }
 
-    /// Builds an [`AdmissionIndex`] over a batch in Eq. 2 order — see the
-    /// index type for the O(log n) candidate-probe contract.
-    pub fn admission_index(sorted: &[BatchEntry]) -> AdmissionIndex {
-        let mut index = AdmissionIndex::default();
-        index.rebuild(sorted);
-        index
-    }
-
     /// The paper's "optimal time point" (Figures 5 and 6): the smallest
     /// number of future decode steps after which `candidate` can join
     /// `running` without the batch's future required memory exceeding
@@ -583,7 +575,8 @@ mod tests {
         // must reproduce the direct Eq. 2–4 computation (19, then 18).
         let mut running = vec![e(5, 2), e(5, 4)];
         FutureMemoryEstimator::sort_by_remaining_desc(&mut running);
-        let index = FutureMemoryEstimator::admission_index(&running);
+        let mut index = AdmissionIndex::default();
+        index.rebuild(&running);
         let candidate = e(3, 5);
         assert_eq!(index.peak_with(candidate, 0), 19);
         assert_eq!(index.peak_with(candidate, 1), 18);
@@ -591,7 +584,8 @@ mod tests {
 
     #[test]
     fn admission_index_empty_batch() {
-        let index = FutureMemoryEstimator::admission_index(&[]);
+        let mut index = AdmissionIndex::default();
+        index.rebuild(&[]);
         assert!(index.is_empty());
         // The never-rebuilt default is the same valid empty index.
         assert_eq!(
@@ -719,7 +713,8 @@ mod tests {
                 let mut batch: Vec<BatchEntry> =
                     entries.into_iter().filter(|e| e.remaining > 0).collect();
                 FutureMemoryEstimator::sort_by_remaining_desc(&mut batch);
-                let index = FutureMemoryEstimator::admission_index(&batch);
+                let mut index = AdmissionIndex::default();
+                index.rebuild(&batch);
                 // Any step strictly below the smallest remaining keeps the
                 // index valid (no member finishes).
                 let min_remaining = batch.iter().map(|e| e.remaining).min().unwrap_or(u64::MAX);

@@ -7,6 +7,15 @@ use crate::distribution::OutputLengthDistribution;
 /// Ring buffer of the output lengths of the `window` most recently finished
 /// requests, denoted `L_h` in the paper (Eq. 1 uses `w = 1000`).
 ///
+/// Next to the ring the history keeps the same sample in ascending order,
+/// which is the empirical distribution `P(l)` itself. [`record`] updates
+/// it in place — one binary search for the evicted length, one for the new
+/// one, and one memmove over the span between them — so
+/// [`distribution`] is a borrow that never collects or sorts the window.
+///
+/// [`record`]: OutputLengthHistory::record
+/// [`distribution`]: OutputLengthHistory::distribution
+///
 /// # Example
 ///
 /// ```
@@ -19,11 +28,14 @@ use crate::distribution::OutputLengthDistribution;
 /// // Window of 3: the oldest observation (10) has been evicted.
 /// assert_eq!(history.len(), 3);
 /// assert_eq!(history.iter().min(), Some(20));
+/// assert_eq!(history.distribution().unwrap().min(), 20);
 /// ```
 #[derive(Debug, Clone)]
 pub struct OutputLengthHistory {
     window: usize,
     buf: VecDeque<u32>,
+    /// `buf` in ascending order; empty exactly when `buf` is.
+    sorted: OutputLengthDistribution,
 }
 
 impl OutputLengthHistory {
@@ -40,15 +52,20 @@ impl OutputLengthHistory {
         OutputLengthHistory {
             window,
             buf: VecDeque::with_capacity(window),
+            sorted: OutputLengthDistribution::with_capacity(window),
         }
     }
 
-    /// Records the actual output length of a finished request.
+    /// Records the actual output length of a finished request, evicting the
+    /// oldest observation once the window is full. O(w) with no allocation.
     pub fn record(&mut self, output_len: u32) {
-        if self.buf.len() == self.window {
-            self.buf.pop_front();
-        }
+        let evicted = if self.buf.len() == self.window {
+            self.buf.pop_front()
+        } else {
+            None
+        };
         self.buf.push_back(output_len);
+        self.sorted.replace(evicted, output_len);
     }
 
     /// Window size `w`.
@@ -71,10 +88,11 @@ impl OutputLengthHistory {
         self.buf.iter().copied()
     }
 
-    /// Builds the empirical distribution `P(l)` over the window (Eq. 1), or
-    /// `None` when no request has finished yet.
-    pub fn distribution(&self) -> Option<OutputLengthDistribution> {
-        OutputLengthDistribution::from_lengths(self.iter())
+    /// The empirical distribution `P(l)` over the window (Eq. 1), or `None`
+    /// when no request has finished yet. Kept current by
+    /// [`record`](OutputLengthHistory::record), so this is O(1).
+    pub fn distribution(&self) -> Option<&OutputLengthDistribution> {
+        (!self.buf.is_empty()).then_some(&self.sorted)
     }
 }
 
@@ -130,6 +148,34 @@ mod tests {
         h.extend(0..100u32);
         assert_eq!(h.len(), 5);
         assert_eq!(h.iter().collect::<Vec<_>>(), vec![95, 96, 97, 98, 99]);
+    }
+
+    /// The in-place window is exactly the distribution rebuilt from
+    /// scratch after every `record`, through evictions of duplicated
+    /// lengths (the small length range forces runs of equal values).
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn in_place_window_matches_rebuild(
+                window in 1usize..=64,
+                lengths in proptest::collection::vec(0u32..8, 0..320),
+            ) {
+                let mut h = OutputLengthHistory::new(window);
+                prop_assert!(h.distribution().is_none());
+                for len in lengths {
+                    h.record(len);
+                    prop_assert_eq!(
+                        h.distribution().cloned(),
+                        OutputLengthDistribution::from_lengths(h.iter())
+                    );
+                }
+            }
+        }
     }
 
     #[test]

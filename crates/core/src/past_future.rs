@@ -19,6 +19,11 @@ use crate::scheduler::{MemoryState, QueuedRequest, RunningRequest, Scheduler};
 /// every historical length) the predictor falls back to the request's
 /// `max_new_tokens` cap — exactly the paper's service-startup
 /// initialization.
+///
+/// A prediction is two steps: one binary search locates the support of
+/// `P(l | l > l_t)` in the sorted sample, and one draw samples from it.
+/// The scheduler keeps the first step's result for a running request
+/// across the passes of one admission call and repeats only the draw.
 #[derive(Debug, Clone)]
 pub struct OutputLengthPredictor {
     history: OutputLengthHistory,
@@ -42,8 +47,8 @@ impl OutputLengthPredictor {
         &self.history
     }
 
-    /// Builds the current `P(l)`, or `None` before any completion.
-    pub fn distribution(&self) -> Option<OutputLengthDistribution> {
+    /// The current `P(l)`, or `None` before any completion.
+    pub fn distribution(&self) -> Option<&OutputLengthDistribution> {
         self.history.distribution()
     }
 
@@ -52,7 +57,8 @@ impl OutputLengthPredictor {
     ///
     /// A still-running request always gets a prediction strictly greater
     /// than `generated` (it must emit at least one more token), except when
-    /// it has reached the cap, in which case the prediction equals the cap.
+    /// it has reached (or passed) the cap, in which case the prediction
+    /// equals the cap.
     pub fn predict<R: rand::Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -60,19 +66,41 @@ impl OutputLengthPredictor {
         generated: u32,
         max_new_tokens: u32,
     ) -> u32 {
-        let fallback = max_new_tokens;
-        let Some(dist) = distribution else {
-            return fallback;
+        let start = Self::suffix_start(distribution, generated);
+        Self::draw(rng, distribution, start, generated, max_new_tokens)
+    }
+
+    /// First step of [`predict`](Self::predict): the index in
+    /// `distribution`'s sorted sample where the support of a request that
+    /// has generated `generated` tokens starts — 0 for a request that has
+    /// generated nothing (it draws from all of `P(l)`), otherwise the first
+    /// length above `generated`. 0 when there is no distribution.
+    pub(crate) fn suffix_start(
+        distribution: Option<&OutputLengthDistribution>,
+        generated: u32,
+    ) -> usize {
+        match distribution {
+            Some(dist) if generated > 0 => dist.greater_than_start(generated),
+            _ => 0,
+        }
+    }
+
+    /// Second step of [`predict`](Self::predict): draws from the support
+    /// starting at `start` and clamps the draw into
+    /// `(generated, max_new_tokens]`. Falls back to `max_new_tokens` without
+    /// touching `rng` when there is no distribution or the support is empty.
+    pub(crate) fn draw<R: rand::Rng + ?Sized>(
+        rng: &mut R,
+        distribution: Option<&OutputLengthDistribution>,
+        start: usize,
+        generated: u32,
+        max_new_tokens: u32,
+    ) -> u32 {
+        let Some(sampled) = distribution.and_then(|dist| dist.sample_from(rng, start)) else {
+            return max_new_tokens;
         };
-        let sampled = if generated == 0 {
-            dist.sample(rng)
-        } else {
-            match dist.sample_greater_than(rng, generated) {
-                Some(v) => v,
-                None => return fallback,
-            }
-        };
-        sampled.clamp(generated.saturating_add(1), max_new_tokens.max(1))
+        let cap = max_new_tokens.max(1);
+        sampled.clamp(generated.saturating_add(1).min(cap), cap)
     }
 }
 
@@ -80,7 +108,8 @@ impl OutputLengthPredictor {
 ///
 /// At every admission opportunity it:
 ///
-/// 1. builds `P(l)` from the sliding window of recently finished requests;
+/// 1. reads `P(l)` over the sliding window of recently finished requests,
+///    which the history keeps sorted as requests finish;
 /// 2. samples a fresh predicted output length for every running request
 ///    from `P(l > l_t)` and for every queue candidate from `P(l)`;
 /// 3. walks the queue in FCFS order, admitting each candidate only while
@@ -90,7 +119,9 @@ impl OutputLengthPredictor {
 /// `sample_repeats` full passes are evaluated and the most conservative
 /// admission count wins, which is the paper's "repeat the sampling
 /// prediction several times when the running batch is small" refinement —
-/// it suppresses the variance of single draws.
+/// it suppresses the variance of single draws. A running request's support
+/// `P(l > l_t)` is the same in every pass of one call, so it is located
+/// once per call and each pass only draws.
 #[derive(Debug)]
 pub struct PastFutureScheduler {
     predictor: OutputLengthPredictor,
@@ -98,11 +129,9 @@ pub struct PastFutureScheduler {
     sample_repeats: usize,
     rng: StdRng,
     name: String,
-    /// `P(l)` cache: rebuilding (and re-sorting) the distribution from the
-    /// history ring is the scheduler's dominant cost, yet it only changes
-    /// when a request finishes. Invalidated by `on_request_finished`.
-    dist_cache: Option<OutputLengthDistribution>,
-    dist_dirty: bool,
+    /// Reusable per-call suffix starts, one per running request (see
+    /// [`OutputLengthPredictor::suffix_start`]).
+    starts: Vec<usize>,
     /// Reusable admission batch, kept in Eq. 2 order (`remaining`
     /// descending) so each candidate probe is a binary insertion plus a
     /// linear `peak_memory_sorted` scan instead of a clone + full sort.
@@ -135,16 +164,9 @@ impl PastFutureScheduler {
             sample_repeats,
             rng: StdRng::seed_from_u64(seed),
             name: format!("past-future(reserved={:.0}%)", reserved_frac * 100.0),
-            dist_cache: None,
-            dist_dirty: true,
+            starts: Vec::new(),
             entries: Vec::new(),
         }
-    }
-
-    /// The paper's default configuration: window 1000, 5% reserved memory,
-    /// 4 sampling passes.
-    pub fn with_defaults(seed: u64) -> Self {
-        PastFutureScheduler::new(OutputLengthHistory::DEFAULT_WINDOW, 0.05, 4, seed)
     }
 
     /// The reserved-memory fraction.
@@ -164,13 +186,18 @@ impl PastFutureScheduler {
         queue: &[QueuedRequest],
         budget: u64,
     ) -> usize {
-        let dist = self.dist_cache.as_ref();
+        let dist = self.predictor.distribution();
+        debug_assert_eq!(self.starts.len(), running.len());
         // Lines 2–6: refresh predictions for the running batch.
         self.entries.clear();
-        for r in running {
-            let predicted =
-                self.predictor
-                    .predict(&mut self.rng, dist, r.generated, r.max_new_tokens);
+        for (r, &start) in running.iter().zip(&self.starts) {
+            let predicted = OutputLengthPredictor::draw(
+                &mut self.rng,
+                dist,
+                start,
+                r.generated,
+                r.max_new_tokens,
+            );
             self.entries.push(BatchEntry {
                 committed: r.committed(),
                 remaining: u64::from(predicted.saturating_sub(r.generated).max(1)),
@@ -224,10 +251,15 @@ impl Scheduler for PastFutureScheduler {
         if queue.is_empty() {
             return 0;
         }
-        if self.dist_dirty {
-            self.dist_cache = self.predictor.distribution();
-            self.dist_dirty = false;
-        }
+        // A running request's support `P(l > l_t)` is the same in every
+        // pass, so its binary search runs once per call.
+        let dist = self.predictor.distribution();
+        self.starts.clear();
+        self.starts.extend(
+            running
+                .iter()
+                .map(|r| OutputLengthPredictor::suffix_start(dist, r.generated)),
+        );
         let budget = (memory.capacity_tokens as f64 * (1.0 - self.reserved_frac)) as u64;
         let mut admitted = usize::MAX;
         for _ in 0..self.sample_repeats {
@@ -241,7 +273,6 @@ impl Scheduler for PastFutureScheduler {
 
     fn on_request_finished(&mut self, output_len: u32) {
         self.predictor.record(output_len);
-        self.dist_dirty = true;
     }
 }
 
@@ -249,7 +280,7 @@ impl Scheduler for PastFutureScheduler {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn queued(id: u64, input: u32, max_new: u32) -> QueuedRequest {
         QueuedRequest {
@@ -375,15 +406,15 @@ mod tests {
         for len in [100u32, 200, 300] {
             p.record(len);
         }
-        let dist = p.distribution().unwrap();
+        let dist = p.distribution();
         let mut rng = StdRng::seed_from_u64(3);
         // A request at 250 generated tokens can only be predicted as 300.
         for _ in 0..50 {
-            let pred = p.predict(&mut rng, Some(&dist), 250, 1000);
+            let pred = p.predict(&mut rng, dist, 250, 1000);
             assert_eq!(pred, 300);
         }
         // A request past every historical length falls back to its cap.
-        assert_eq!(p.predict(&mut rng, Some(&dist), 300, 1000), 1000);
+        assert_eq!(p.predict(&mut rng, dist, 300, 1000), 1000);
         // Cold start falls back to the cap.
         assert_eq!(p.predict(&mut rng, None, 0, 777), 777);
     }
@@ -394,12 +425,180 @@ mod tests {
         for _ in 0..10 {
             p.record(5000);
         }
-        let dist = p.distribution().unwrap();
+        let dist = p.distribution();
         let mut rng = StdRng::seed_from_u64(4);
         // History says 5000, but the request is capped at 128.
-        assert_eq!(p.predict(&mut rng, Some(&dist), 0, 128), 128);
+        assert_eq!(p.predict(&mut rng, dist, 0, 128), 128);
         // Running request: prediction stays > generated even when clamped.
-        assert_eq!(p.predict(&mut rng, Some(&dist), 100, 128), 128);
+        assert_eq!(p.predict(&mut rng, dist, 100, 128), 128);
+    }
+
+    #[test]
+    fn prediction_at_or_past_the_cap_is_the_cap() {
+        // The history only holds lengths above the cap, and the request
+        // is at or past it, so `generated + 1` exceeds the cap.
+        let mut p = OutputLengthPredictor::new(10);
+        for _ in 0..10 {
+            p.record(5000);
+        }
+        let dist = p.distribution();
+        let mut rng = StdRng::seed_from_u64(4);
+        assert_eq!(p.predict(&mut rng, dist, 128, 128), 128);
+        assert_eq!(p.predict(&mut rng, dist, 200, 128), 128);
+    }
+
+    /// Admission exactly as it was written before the history kept its
+    /// sample sorted: `P(l)` rebuilt on every call, then a full prediction
+    /// (binary search and draw) per running request in every pass, then
+    /// sort, insert and scan.
+    struct Reference {
+        window: usize,
+        history: std::collections::VecDeque<u32>,
+        reserved_frac: f64,
+        sample_repeats: usize,
+        rng: StdRng,
+    }
+
+    impl Reference {
+        fn new(window: usize, reserved_frac: f64, sample_repeats: usize, seed: u64) -> Self {
+            Reference {
+                window,
+                history: std::collections::VecDeque::new(),
+                reserved_frac,
+                sample_repeats,
+                rng: StdRng::seed_from_u64(seed),
+            }
+        }
+
+        fn on_request_finished(&mut self, output_len: u32) {
+            if self.history.len() == self.window {
+                self.history.pop_front();
+            }
+            self.history.push_back(output_len);
+        }
+
+        fn predict(
+            rng: &mut StdRng,
+            dist: Option<&OutputLengthDistribution>,
+            generated: u32,
+            max_new_tokens: u32,
+        ) -> u32 {
+            let Some(dist) = dist else {
+                return max_new_tokens;
+            };
+            let sorted = dist.as_sorted_slice();
+            let idx = if generated == 0 {
+                0
+            } else {
+                sorted.partition_point(|&v| v <= generated)
+            };
+            if idx == sorted.len() {
+                return max_new_tokens;
+            }
+            let sampled = sorted[rng.gen_range(idx..sorted.len())];
+            sampled.clamp(generated.saturating_add(1), max_new_tokens.max(1))
+        }
+
+        fn plan_admission(
+            &mut self,
+            running: &[RunningRequest],
+            queue: &[QueuedRequest],
+            memory: &MemoryState,
+        ) -> usize {
+            if queue.is_empty() {
+                return 0;
+            }
+            let dist = OutputLengthDistribution::from_lengths(self.history.iter().copied());
+            let budget = (memory.capacity_tokens as f64 * (1.0 - self.reserved_frac)) as u64;
+            let mut admitted = usize::MAX;
+            for _ in 0..self.sample_repeats {
+                let mut entries: Vec<BatchEntry> = running
+                    .iter()
+                    .map(|r| {
+                        let predicted = Self::predict(
+                            &mut self.rng,
+                            dist.as_ref(),
+                            r.generated,
+                            r.max_new_tokens,
+                        );
+                        BatchEntry {
+                            committed: r.committed(),
+                            remaining: u64::from(predicted.saturating_sub(r.generated).max(1)),
+                        }
+                    })
+                    .collect();
+                FutureMemoryEstimator::sort_by_remaining_desc(&mut entries);
+                let mut pass = 0;
+                for c in queue {
+                    let predicted =
+                        Self::predict(&mut self.rng, dist.as_ref(), c.generated, c.max_new_tokens);
+                    let (committed, remaining) = c.post_prefill_entry(predicted);
+                    let pos = entries.partition_point(|e| e.remaining >= remaining);
+                    entries.insert(
+                        pos,
+                        BatchEntry {
+                            committed,
+                            remaining,
+                        },
+                    );
+                    if FutureMemoryEstimator::peak_memory_sorted(&entries) > budget {
+                        break;
+                    }
+                    pass += 1;
+                }
+                admitted = admitted.min(pass);
+                if admitted == 0 {
+                    break;
+                }
+            }
+            admitted
+        }
+    }
+
+    #[test]
+    fn matches_rebuild_per_call_reference() {
+        let mut admissions = 0;
+        for seed in 0..48u64 {
+            let mut g = StdRng::seed_from_u64(1000 + seed);
+            let window = g.gen_range(1..=48usize);
+            let reserved = [0.0, 0.05, 0.1][g.gen_range(0..3usize)];
+            let repeats = g.gen_range(1..=4usize);
+            let mut s = PastFutureScheduler::new(window, reserved, repeats, seed);
+            let mut r = Reference::new(window, reserved, repeats, seed);
+            // Few distinct lengths, so thresholds land on runs of equals.
+            let max_len = g.gen_range(1..=300u32);
+            for call in 0..150 {
+                for _ in 0..g.gen_range(0..4usize) {
+                    let len = g.gen_range(0..=max_len) / 10 * 10;
+                    s.on_request_finished(len);
+                    r.on_request_finished(len);
+                }
+                let running: Vec<RunningRequest> = (0..g.gen_range(0..24u64))
+                    .map(|id| {
+                        // Up to past every historical length, below the cap.
+                        let max_new = g.gen_range(1..=max_len + 50);
+                        let generated = g.gen_range(0..max_new) / 10 * 10;
+                        running(id, g.gen_range(1..200), generated, max_new)
+                    })
+                    .collect();
+                let queue: Vec<QueuedRequest> = (0..g.gen_range(0..8u64))
+                    .map(|id| {
+                        let max_new = g.gen_range(1..=max_len + 50);
+                        let mut q = queued(100 + id, g.gen_range(1..200), max_new);
+                        if g.gen_range(0..4u32) == 0 {
+                            q.generated = g.gen_range(0..max_new);
+                        }
+                        q
+                    })
+                    .collect();
+                let mem = memory(g.gen_range(0..30_000), 0);
+                let got = s.plan_admission(&running, &queue, &mem);
+                let want = r.plan_admission(&running, &queue, &mem);
+                assert_eq!(got, want, "seed {seed}, call {call}");
+                admissions += got;
+            }
+        }
+        assert!(admissions > 0, "the drive never admitted anything");
     }
 
     #[test]
