@@ -124,7 +124,6 @@ fn replay(scheduler: &mut dyn Scheduler, log: &mut Table) -> Outcome {
                 break;
             }
             let victim = running.pop().expect("non-empty");
-            scheduler.on_eviction(victim.id);
             outcome.evictions += 1;
             queued = Some(victim); // re-queued with generated tokens kept
             log.row([

@@ -34,11 +34,6 @@ impl AggressiveScheduler {
             name: format!("aggressive(watermark={:.0}%)", watermark * 100.0),
         }
     }
-
-    /// The admission watermark.
-    pub fn watermark(&self) -> f64 {
-        self.watermark
-    }
 }
 
 impl Default for AggressiveScheduler {
@@ -154,7 +149,10 @@ mod tests {
             AggressiveScheduler::new(0.95).name(),
             "aggressive(watermark=95%)"
         );
-        assert_eq!(AggressiveScheduler::default().watermark(), 0.99);
+        assert_eq!(
+            AggressiveScheduler::default().name(),
+            "aggressive(watermark=99%)"
+        );
     }
 
     #[test]

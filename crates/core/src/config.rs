@@ -5,7 +5,6 @@ use std::fmt;
 use crate::aggressive::AggressiveScheduler;
 use crate::conservative::ConservativeScheduler;
 use crate::history::OutputLengthHistory;
-use crate::oracle::OracleScheduler;
 use crate::past_future::PastFutureScheduler;
 use crate::scheduler::Scheduler;
 
@@ -91,7 +90,7 @@ impl SchedulerConfig {
             SchedulerConfig::Conservative { overcommit } => {
                 Box::new(ConservativeScheduler::new(overcommit))
             }
-            SchedulerConfig::Oracle => Box::new(OracleScheduler::new()),
+            SchedulerConfig::Oracle => Box::new(PastFutureScheduler::oracle()),
         }
     }
 

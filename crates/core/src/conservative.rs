@@ -32,11 +32,6 @@ impl ConservativeScheduler {
         };
         ConservativeScheduler { overcommit, name }
     }
-
-    /// The overcommit factor.
-    pub fn overcommit(&self) -> f64 {
-        self.overcommit
-    }
 }
 
 impl Default for ConservativeScheduler {

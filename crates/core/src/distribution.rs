@@ -26,8 +26,8 @@ use rand::Rng;
 /// assert_eq!(d.max(), 40);
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-/// let sample = d.sample_greater_than(&mut rng, 25).unwrap();
-/// assert!(sample > 25);
+/// let sample = d.sample(&mut rng);
+/// assert!([10, 20, 30, 40].contains(&sample));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OutputLengthDistribution {
@@ -133,15 +133,6 @@ impl OutputLengthDistribution {
         (start < self.sorted.len()).then(|| self.sorted[rng.gen_range(start..self.sorted.len())])
     }
 
-    /// Draws a length from the conditional `P(l | l > threshold)`.
-    ///
-    /// Returns `None` when no observation exceeds `threshold` — the caller
-    /// must fall back to another bound (the Past-Future scheduler falls back
-    /// to the request's `max_new_tokens`).
-    pub fn sample_greater_than<R: Rng + ?Sized>(&self, rng: &mut R, threshold: u32) -> Option<u32> {
-        self.sample_from(rng, self.greater_than_start(threshold))
-    }
-
     /// The sorted backing sample (primarily for tests and diagnostics).
     pub fn as_sorted_slice(&self) -> &[u32] {
         &self.sorted
@@ -156,6 +147,16 @@ mod tests {
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(7)
+    }
+
+    /// A draw from the conditional `P(l | l > threshold)`, `None` when no
+    /// observation exceeds `threshold`.
+    fn sample_greater_than(
+        d: &OutputLengthDistribution,
+        rng: &mut StdRng,
+        threshold: u32,
+    ) -> Option<u32> {
+        d.sample_from(rng, d.greater_than_start(threshold))
     }
 
     #[test]
@@ -195,11 +196,11 @@ mod tests {
         let d = OutputLengthDistribution::from_lengths([10u32, 20, 30]).unwrap();
         let mut r = rng();
         for _ in 0..200 {
-            let s = d.sample_greater_than(&mut r, 15).unwrap();
+            let s = sample_greater_than(&d, &mut r, 15).unwrap();
             assert!(s == 20 || s == 30);
         }
-        assert_eq!(d.sample_greater_than(&mut r, 30), None);
-        assert_eq!(d.sample_greater_than(&mut r, 100), None);
+        assert_eq!(sample_greater_than(&d, &mut r, 30), None);
+        assert_eq!(sample_greater_than(&d, &mut r, 100), None);
     }
 
     #[test]
@@ -210,7 +211,7 @@ mod tests {
         let n = 30_000;
         let mut count_20 = 0;
         for _ in 0..n {
-            if d.sample_greater_than(&mut r, 15).unwrap() == 20 {
+            if sample_greater_than(&d, &mut r, 15).unwrap() == 20 {
                 count_20 += 1;
             }
         }
@@ -238,7 +239,7 @@ mod tests {
             ) {
                 let d = OutputLengthDistribution::from_lengths(lengths.iter().copied()).unwrap();
                 let mut r = StdRng::seed_from_u64(seed);
-                match d.sample_greater_than(&mut r, threshold) {
+                match sample_greater_than(&d, &mut r, threshold) {
                     Some(v) => prop_assert!(v > threshold),
                     None => prop_assert!(d.max() <= threshold),
                 }

@@ -113,12 +113,6 @@ impl FutureMemoryEstimator {
         profile
     }
 
-    /// Whether the batch plus capacity constraint admits completion without
-    /// a future shortfall.
-    pub fn fits(entries: &[BatchEntry], capacity: u64) -> bool {
-        Self::peak_memory(entries) <= capacity
-    }
-
     /// `M*` computed by sorting `entries` in place — the allocation-free
     /// variant of [`peak_memory`](Self::peak_memory) for callers that own
     /// a reusable scratch buffer. Leaves the slice in Eq. 2 order.
@@ -399,7 +393,6 @@ mod tests {
     fn empty_batch_needs_nothing() {
         assert_eq!(FutureMemoryEstimator::peak_memory(&[]), 0);
         assert!(FutureMemoryEstimator::memory_profile(&[]).is_empty());
-        assert!(FutureMemoryEstimator::fits(&[], 0));
     }
 
     #[test]
@@ -483,13 +476,6 @@ mod tests {
         let peak = FutureMemoryEstimator::peak_memory(&batch);
         batch.sort_unstable_by_key(|e| std::cmp::Reverse(e.remaining));
         assert_eq!(FutureMemoryEstimator::peak_memory_sorted(&batch), peak);
-    }
-
-    #[test]
-    fn fits_is_inclusive() {
-        let batch = [e(5, 2), e(5, 4), e(3, 5)];
-        assert!(FutureMemoryEstimator::fits(&batch, 19));
-        assert!(!FutureMemoryEstimator::fits(&batch, 18));
     }
 
     #[test]

@@ -17,14 +17,15 @@
 //!   (Eq. 2–3) and takes the maximum (Eq. 4): the *future required memory*
 //!   `M*`. Admission is allowed only while `M*` fits in capacity.
 //!
-//! Four [`Scheduler`] implementations are provided:
+//! Four policies ([`SchedulerConfig`] variants) run on three
+//! [`Scheduler`] types:
 //!
-//! | Scheduler | Policy | Models |
-//! |---|---|---|
-//! | [`PastFutureScheduler`] | Algorithm 1 | LightLLM |
-//! | [`AggressiveScheduler`] | admit while current usage below a watermark | vLLM |
-//! | [`ConservativeScheduler`] | budget `input + max_new_tokens` per request | TGI, DeepSpeed-MII |
-//! | [`OracleScheduler`] | Eq. 2–4 with *true* output lengths | the paper's "theoretical optimum" |
+//! | Policy | Scheduler | Admission | Models |
+//! |---|---|---|---|
+//! | [`PastFuture`](SchedulerConfig::PastFuture) | [`PastFutureScheduler`] | Algorithm 1: Eq. 2–4 over sampled output lengths | LightLLM |
+//! | [`Oracle`](SchedulerConfig::Oracle) | [`PastFutureScheduler`] | Eq. 2–4 over *true* output lengths, no reserve | the paper's "theoretical optimum" |
+//! | [`Aggressive`](SchedulerConfig::Aggressive) | [`AggressiveScheduler`] | admit while current usage below a watermark | vLLM |
+//! | [`Conservative`](SchedulerConfig::Conservative) | [`ConservativeScheduler`] | budget `input + max_new_tokens` per request | TGI, DeepSpeed-MII |
 //!
 //! # Example
 //!
@@ -65,7 +66,6 @@ mod conservative;
 mod distribution;
 mod estimator;
 mod history;
-mod oracle;
 mod past_future;
 mod scheduler;
 
@@ -75,6 +75,5 @@ pub use conservative::ConservativeScheduler;
 pub use distribution::OutputLengthDistribution;
 pub use estimator::{AdmissionIndex, BatchEntry, CompletionPoint, FutureMemoryEstimator};
 pub use history::OutputLengthHistory;
-pub use oracle::OracleScheduler;
-pub use past_future::{OutputLengthPredictor, PastFutureScheduler};
+pub use past_future::PastFutureScheduler;
 pub use scheduler::{MemoryState, QueuedRequest, RunningRequest, Scheduler};

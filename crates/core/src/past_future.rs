@@ -1,4 +1,5 @@
-//! The Past-Future scheduler (paper Algorithm 1).
+//! The Past-Future scheduler (paper Algorithm 1) and, over true output
+//! lengths, the oracle "theoretical optimum" baseline.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -8,100 +9,21 @@ use crate::estimator::{BatchEntry, FutureMemoryEstimator};
 use crate::history::OutputLengthHistory;
 use crate::scheduler::{MemoryState, QueuedRequest, RunningRequest, Scheduler};
 
-/// Output-length prediction based on the historical distribution
-/// (paper Section 3.2).
-///
-/// For a queued request the predicted total output length is a draw from
-/// `P(l)`; for a request that has already generated `l_t` tokens it is a
-/// draw from the conditional `P(l | l > l_t)`, refreshed at every
-/// scheduling step so the prediction tracks reality as the request keeps
-/// generating. When the history cannot answer (cold start, or `l_t` beyond
-/// every historical length) the predictor falls back to the request's
-/// `max_new_tokens` cap — exactly the paper's service-startup
-/// initialization.
-///
-/// A prediction is two steps: one binary search locates the support of
-/// `P(l | l > l_t)` in the sorted sample, and one draw samples from it.
-/// The scheduler keeps the first step's result for a running request
-/// across the passes of one admission call and repeats only the draw.
-#[derive(Debug, Clone)]
-pub struct OutputLengthPredictor {
-    history: OutputLengthHistory,
-}
-
-impl OutputLengthPredictor {
-    /// Creates a predictor with the given history window size.
-    pub fn new(window: usize) -> Self {
-        OutputLengthPredictor {
-            history: OutputLengthHistory::new(window),
-        }
-    }
-
-    /// Records a finished request's actual output length.
-    pub fn record(&mut self, output_len: u32) {
-        self.history.record(output_len);
-    }
-
-    /// Read access to the backing history.
-    pub fn history(&self) -> &OutputLengthHistory {
-        &self.history
-    }
-
-    /// The current `P(l)`, or `None` before any completion.
-    pub fn distribution(&self) -> Option<&OutputLengthDistribution> {
-        self.history.distribution()
-    }
-
-    /// Predicts the total output length of a request that has generated
-    /// `generated` tokens so far, clamped to its `max_new_tokens` cap.
-    ///
-    /// A still-running request always gets a prediction strictly greater
-    /// than `generated` (it must emit at least one more token), except when
-    /// it has reached (or passed) the cap, in which case the prediction
-    /// equals the cap.
-    pub fn predict<R: rand::Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        distribution: Option<&OutputLengthDistribution>,
-        generated: u32,
-        max_new_tokens: u32,
-    ) -> u32 {
-        let start = Self::suffix_start(distribution, generated);
-        Self::draw(rng, distribution, start, generated, max_new_tokens)
-    }
-
-    /// First step of [`predict`](Self::predict): the index in
-    /// `distribution`'s sorted sample where the support of a request that
-    /// has generated `generated` tokens starts — 0 for a request that has
-    /// generated nothing (it draws from all of `P(l)`), otherwise the first
-    /// length above `generated`. 0 when there is no distribution.
-    pub(crate) fn suffix_start(
-        distribution: Option<&OutputLengthDistribution>,
-        generated: u32,
-    ) -> usize {
-        match distribution {
-            Some(dist) if generated > 0 => dist.greater_than_start(generated),
-            _ => 0,
-        }
-    }
-
-    /// Second step of [`predict`](Self::predict): draws from the support
-    /// starting at `start` and clamps the draw into
-    /// `(generated, max_new_tokens]`. Falls back to `max_new_tokens` without
-    /// touching `rng` when there is no distribution or the support is empty.
-    pub(crate) fn draw<R: rand::Rng + ?Sized>(
-        rng: &mut R,
-        distribution: Option<&OutputLengthDistribution>,
-        start: usize,
-        generated: u32,
-        max_new_tokens: u32,
-    ) -> u32 {
-        let Some(sampled) = distribution.and_then(|dist| dist.sample_from(rng, start)) else {
-            return max_new_tokens;
-        };
-        let cap = max_new_tokens.max(1);
-        sampled.clamp(generated.saturating_add(1).min(cap), cap)
-    }
+/// Where the scheduler's output-length estimates come from.
+#[derive(Debug)]
+enum LengthSource {
+    /// Draws from the empirical distribution of recently finished requests
+    /// (Eq. 1, paper Section 3.2).
+    History {
+        history: OutputLengthHistory,
+        rng: StdRng,
+        /// Reusable per-call suffix starts, one per running request (see
+        /// [`suffix_start`]).
+        starts: Vec<usize>,
+    },
+    /// The engine's ground truth (`oracle_remaining`), or the generation
+    /// cap when the engine supplies none.
+    Oracle,
 }
 
 /// The Past-Future scheduler (paper Algorithm 1, deployed in LightLLM).
@@ -122,16 +44,18 @@ impl OutputLengthPredictor {
 /// it suppresses the variance of single draws. A running request's support
 /// `P(l > l_t)` is the same in every pass of one call, so it is located
 /// once per call and each pass only draws.
+///
+/// [`SchedulerConfig::Oracle`](crate::SchedulerConfig::Oracle) builds the
+/// same admission over the *true* output lengths instead, with no reserve
+/// and one pass: the paper's "theoretical optimum" baseline. Under the
+/// simulator's exact token accounting it never evicts; impossible in
+/// production, it calibrates how close the sampled predictions get.
 #[derive(Debug)]
 pub struct PastFutureScheduler {
-    predictor: OutputLengthPredictor,
+    source: LengthSource,
     reserved_frac: f64,
     sample_repeats: usize,
-    rng: StdRng,
     name: String,
-    /// Reusable per-call suffix starts, one per running request (see
-    /// [`OutputLengthPredictor::suffix_start`]).
-    starts: Vec<usize>,
     /// Reusable admission batch, kept in Eq. 2 order (`remaining`
     /// descending) so each candidate probe is a binary insertion plus a
     /// linear `peak_memory_sorted` scan instead of a clone + full sort.
@@ -150,8 +74,8 @@ impl PastFutureScheduler {
     ///
     /// # Panics
     ///
-    /// Panics if `reserved_frac` is outside `[0, 1)` or `sample_repeats`
-    /// is 0.
+    /// Panics if `window` is 0, `reserved_frac` is outside `[0, 1)` or
+    /// `sample_repeats` is 0.
     pub fn new(window: usize, reserved_frac: f64, sample_repeats: usize, seed: u64) -> Self {
         assert!(
             (0.0..1.0).contains(&reserved_frac),
@@ -159,82 +83,164 @@ impl PastFutureScheduler {
         );
         assert!(sample_repeats > 0, "sample_repeats must be at least 1");
         PastFutureScheduler {
-            predictor: OutputLengthPredictor::new(window),
+            source: LengthSource::History {
+                history: OutputLengthHistory::new(window),
+                rng: StdRng::seed_from_u64(seed),
+                starts: Vec::new(),
+            },
             reserved_frac,
             sample_repeats,
-            rng: StdRng::seed_from_u64(seed),
             name: format!("past-future(reserved={:.0}%)", reserved_frac * 100.0),
-            starts: Vec::new(),
             entries: Vec::new(),
         }
     }
 
-    /// The reserved-memory fraction.
-    pub fn reserved_frac(&self) -> f64 {
-        self.reserved_frac
-    }
-
-    /// Read access to the predictor (for diagnostics).
-    pub fn predictor(&self) -> &OutputLengthPredictor {
-        &self.predictor
+    /// The "theoretical optimum": admission over the true output lengths,
+    /// with no reserve and one pass.
+    pub(crate) fn oracle() -> Self {
+        PastFutureScheduler {
+            source: LengthSource::Oracle,
+            reserved_frac: 0.0,
+            sample_repeats: 1,
+            name: "theoretical-optimum".to_string(),
+            entries: Vec::new(),
+        }
     }
 
     /// One full Algorithm-1 pass: returns how many queue-front requests fit.
+    /// The source is matched once per pass, so each arm's entry loops are
+    /// monomorphic.
     fn admission_pass(
         &mut self,
         running: &[RunningRequest],
         queue: &[QueuedRequest],
         budget: u64,
     ) -> usize {
-        let dist = self.predictor.distribution();
-        debug_assert_eq!(self.starts.len(), running.len());
-        // Lines 2–6: refresh predictions for the running batch.
-        self.entries.clear();
-        for (r, &start) in running.iter().zip(&self.starts) {
-            let predicted = OutputLengthPredictor::draw(
-                &mut self.rng,
-                dist,
-                start,
-                r.generated,
-                r.max_new_tokens,
-            );
-            self.entries.push(BatchEntry {
-                committed: r.committed(),
-                remaining: u64::from(predicted.saturating_sub(r.generated).max(1)),
-            });
-        }
-        FutureMemoryEstimator::sort_by_remaining_desc(&mut self.entries);
-        // Lines 7–16: admit queue candidates while M* fits the budget.
-        // Candidates are modelled at their post-prefill state (the prefill
-        // emits their first token while the rest of the batch is paused).
-        // The batch stays in Eq. 2 order across insertions, so each probe
-        // is O(log n) placement + O(n) scan; M* is permutation-invariant,
-        // so the result is identical to re-sorting from scratch.
-        let mut admitted = 0;
-        for candidate in queue {
-            let predicted = self.predictor.predict(
-                &mut self.rng,
-                dist,
-                candidate.generated,
-                candidate.max_new_tokens,
-            );
-            let (committed, remaining) = candidate.post_prefill_entry(predicted);
-            let pos = self.entries.partition_point(|e| e.remaining >= remaining);
-            self.entries.insert(
-                pos,
-                BatchEntry {
-                    committed,
-                    remaining,
-                },
-            );
-            if FutureMemoryEstimator::peak_memory_sorted(&self.entries) <= budget {
-                admitted += 1;
-            } else {
-                break;
+        let entries = &mut self.entries;
+        entries.clear();
+        match &mut self.source {
+            LengthSource::History {
+                history,
+                rng,
+                starts,
+            } => {
+                let dist = history.distribution();
+                debug_assert_eq!(starts.len(), running.len());
+                // Lines 2–6: refresh predictions for the running batch.
+                entries.extend(running.iter().zip(starts.iter()).map(|(r, &start)| {
+                    let predicted = draw(rng, dist, start, r.generated, r.max_new_tokens);
+                    BatchEntry {
+                        committed: r.committed(),
+                        remaining: u64::from(predicted.saturating_sub(r.generated).max(1)),
+                    }
+                }));
+                admit_prefix(entries, queue, budget, |c| {
+                    predict(rng, dist, c.generated, c.max_new_tokens)
+                })
+            }
+            LengthSource::Oracle => {
+                entries.extend(running.iter().map(|r| {
+                    BatchEntry {
+                        committed: r.committed(),
+                        remaining: r
+                            .oracle_remaining
+                            .map_or_else(|| r.worst_case_remaining(), u64::from),
+                    }
+                }));
+                admit_prefix(entries, queue, budget, |c| {
+                    c.oracle_remaining
+                        .map_or(c.max_new_tokens, |r| c.generated + r)
+                })
             }
         }
-        admitted
     }
+}
+
+/// Lines 7–16 of Algorithm 1: sorts the running batch in `entries` into
+/// Eq. 2 order, then admits queue candidates while `M*` fits `budget`,
+/// stopping at the first that does not. `predicted_total` gives a
+/// candidate's total output length and is called lazily, up to and
+/// including the first rejection. Candidates are modelled at their
+/// post-prefill state (the prefill emits their first token while the rest
+/// of the batch is paused). The batch stays in Eq. 2 order across
+/// insertions, so each probe is O(log n) placement + O(n) scan; `M*` is
+/// permutation-invariant, so the result is identical to re-sorting from
+/// scratch.
+fn admit_prefix(
+    entries: &mut Vec<BatchEntry>,
+    queue: &[QueuedRequest],
+    budget: u64,
+    mut predicted_total: impl FnMut(&QueuedRequest) -> u32,
+) -> usize {
+    FutureMemoryEstimator::sort_by_remaining_desc(entries);
+    let mut admitted = 0;
+    for candidate in queue {
+        let (committed, remaining) = candidate.post_prefill_entry(predicted_total(candidate));
+        let pos = entries.partition_point(|e| e.remaining >= remaining);
+        entries.insert(
+            pos,
+            BatchEntry {
+                committed,
+                remaining,
+            },
+        );
+        if FutureMemoryEstimator::peak_memory_sorted(entries) > budget {
+            break;
+        }
+        admitted += 1;
+    }
+    admitted
+}
+
+/// Predicts the total output length of a request that has generated
+/// `generated` tokens so far (paper Section 3.2): a draw from `P(l)` for a
+/// queued request, from the conditional `P(l | l > l_t)` for one that has
+/// generated `l_t` tokens, clamped to its `max_new_tokens` cap.
+///
+/// A still-running request always gets a prediction strictly greater than
+/// `generated` (it must emit at least one more token), except when it has
+/// reached (or passed) the cap, in which case the prediction equals the
+/// cap. When the history cannot answer (cold start, or `l_t` beyond every
+/// historical length) the prediction is the cap — exactly the paper's
+/// service-startup initialization.
+fn predict(
+    rng: &mut StdRng,
+    distribution: Option<&OutputLengthDistribution>,
+    generated: u32,
+    max_new_tokens: u32,
+) -> u32 {
+    let start = suffix_start(distribution, generated);
+    draw(rng, distribution, start, generated, max_new_tokens)
+}
+
+/// First step of [`predict`]: the index in `distribution`'s sorted sample
+/// where the support of a request that has generated `generated` tokens
+/// starts — 0 for a request that has generated nothing (it draws from all
+/// of `P(l)`), otherwise the first length above `generated`. 0 when there
+/// is no distribution.
+fn suffix_start(distribution: Option<&OutputLengthDistribution>, generated: u32) -> usize {
+    match distribution {
+        Some(dist) if generated > 0 => dist.greater_than_start(generated),
+        _ => 0,
+    }
+}
+
+/// Second step of [`predict`]: draws from the support starting at `start`
+/// and clamps the draw into `(generated, max_new_tokens]`. Falls back to
+/// `max_new_tokens` without touching `rng` when there is no distribution
+/// or the support is empty.
+fn draw(
+    rng: &mut StdRng,
+    distribution: Option<&OutputLengthDistribution>,
+    start: usize,
+    generated: u32,
+    max_new_tokens: u32,
+) -> u32 {
+    let Some(sampled) = distribution.and_then(|dist| dist.sample_from(rng, start)) else {
+        return max_new_tokens;
+    };
+    let cap = max_new_tokens.max(1);
+    sampled.clamp(generated.saturating_add(1).min(cap), cap)
 }
 
 impl Scheduler for PastFutureScheduler {
@@ -253,13 +259,14 @@ impl Scheduler for PastFutureScheduler {
         }
         // A running request's support `P(l > l_t)` is the same in every
         // pass, so its binary search runs once per call.
-        let dist = self.predictor.distribution();
-        self.starts.clear();
-        self.starts.extend(
-            running
-                .iter()
-                .map(|r| OutputLengthPredictor::suffix_start(dist, r.generated)),
-        );
+        if let LengthSource::History {
+            history, starts, ..
+        } = &mut self.source
+        {
+            let dist = history.distribution();
+            starts.clear();
+            starts.extend(running.iter().map(|r| suffix_start(dist, r.generated)));
+        }
         let budget = (memory.capacity_tokens as f64 * (1.0 - self.reserved_frac)) as u64;
         let mut admitted = usize::MAX;
         for _ in 0..self.sample_repeats {
@@ -272,7 +279,9 @@ impl Scheduler for PastFutureScheduler {
     }
 
     fn on_request_finished(&mut self, output_len: u32) {
-        self.predictor.record(output_len);
+        if let LengthSource::History { history, .. } = &mut self.source {
+            history.record(output_len);
+        }
     }
 }
 
@@ -400,51 +409,48 @@ mod tests {
         assert!(many <= single, "repeats must not increase admission");
     }
 
+    /// A history window of `window` holding `lengths`.
+    fn history(window: usize, lengths: impl IntoIterator<Item = u32>) -> OutputLengthHistory {
+        let mut h = OutputLengthHistory::new(window);
+        h.extend(lengths);
+        h
+    }
+
     #[test]
     fn predictor_conditional_refresh() {
-        let mut p = OutputLengthPredictor::new(10);
-        for len in [100u32, 200, 300] {
-            p.record(len);
-        }
-        let dist = p.distribution();
+        let h = history(10, [100u32, 200, 300]);
+        let dist = h.distribution();
         let mut rng = StdRng::seed_from_u64(3);
         // A request at 250 generated tokens can only be predicted as 300.
         for _ in 0..50 {
-            let pred = p.predict(&mut rng, dist, 250, 1000);
-            assert_eq!(pred, 300);
+            assert_eq!(predict(&mut rng, dist, 250, 1000), 300);
         }
         // A request past every historical length falls back to its cap.
-        assert_eq!(p.predict(&mut rng, dist, 300, 1000), 1000);
+        assert_eq!(predict(&mut rng, dist, 300, 1000), 1000);
         // Cold start falls back to the cap.
-        assert_eq!(p.predict(&mut rng, None, 0, 777), 777);
+        assert_eq!(predict(&mut rng, None, 0, 777), 777);
     }
 
     #[test]
     fn prediction_clamped_to_cap() {
-        let mut p = OutputLengthPredictor::new(10);
-        for _ in 0..10 {
-            p.record(5000);
-        }
-        let dist = p.distribution();
+        let h = history(10, [5000u32; 10]);
+        let dist = h.distribution();
         let mut rng = StdRng::seed_from_u64(4);
         // History says 5000, but the request is capped at 128.
-        assert_eq!(p.predict(&mut rng, dist, 0, 128), 128);
+        assert_eq!(predict(&mut rng, dist, 0, 128), 128);
         // Running request: prediction stays > generated even when clamped.
-        assert_eq!(p.predict(&mut rng, dist, 100, 128), 128);
+        assert_eq!(predict(&mut rng, dist, 100, 128), 128);
     }
 
     #[test]
     fn prediction_at_or_past_the_cap_is_the_cap() {
         // The history only holds lengths above the cap, and the request
         // is at or past it, so `generated + 1` exceeds the cap.
-        let mut p = OutputLengthPredictor::new(10);
-        for _ in 0..10 {
-            p.record(5000);
-        }
-        let dist = p.distribution();
+        let h = history(10, [5000u32; 10]);
+        let dist = h.distribution();
         let mut rng = StdRng::seed_from_u64(4);
-        assert_eq!(p.predict(&mut rng, dist, 128, 128), 128);
-        assert_eq!(p.predict(&mut rng, dist, 200, 128), 128);
+        assert_eq!(predict(&mut rng, dist, 128, 128), 128);
+        assert_eq!(predict(&mut rng, dist, 200, 128), 128);
     }
 
     /// Admission exactly as it was written before the history kept its
@@ -599,6 +605,185 @@ mod tests {
             }
         }
         assert!(admissions > 0, "the drive never admitted anything");
+    }
+
+    fn oracle_queued(id: u64, input: u32, true_out: u32) -> QueuedRequest {
+        QueuedRequest {
+            oracle_remaining: Some(true_out),
+            ..queued(id, input, 10_000)
+        }
+    }
+
+    #[test]
+    fn oracle_admits_to_exact_capacity() {
+        let mut s = PastFutureScheduler::oracle();
+        // Two requests, each peaking at input 10 + output 40 = 50; they
+        // finish simultaneously, so M* = 100 exactly.
+        let queue = [oracle_queued(0, 10, 40), oracle_queued(1, 10, 40)];
+        assert_eq!(s.plan_admission(&[], &queue, &memory(100, 0)), 2);
+        assert_eq!(s.plan_admission(&[], &queue, &memory(99, 0)), 1);
+    }
+
+    #[test]
+    fn oracle_exploits_staggered_completions() {
+        let mut s = PastFutureScheduler::oracle();
+        // A short request rides along with a long one because it releases
+        // memory early. Post-prefill entries (11, 49) and (11, 1):
+        // M1 = 11 + 49 = 60, M2 = 22 + 1·2 = 24, so M* = 60, where summing
+        // the totals would need 72.
+        let queue = [oracle_queued(0, 10, 50), oracle_queued(1, 10, 2)];
+        assert_eq!(s.plan_admission(&[], &queue, &memory(72, 0)), 2);
+        assert_eq!(
+            s.plan_admission(&[], &queue, &memory(60, 0)),
+            2,
+            "M* is only 60"
+        );
+    }
+
+    #[test]
+    fn oracle_uses_true_remaining_for_running() {
+        let mut s = PastFutureScheduler::oracle();
+        let running = [RunningRequest {
+            oracle_remaining: Some(5),
+            ..running(0, 50, 10, 10_000)
+        }];
+        // Running truly needs 60 + 5 = 65 peak. The queued candidate is
+        // modelled post-prefill as (21, 19): its prefill emits one token
+        // while the running request is paused. Batch peak: sorted
+        // (21,19),(60,5): M1 = 21 + 19 = 40, M2 = 81 + 5·2 = 91.
+        let queue = [oracle_queued(1, 20, 20)];
+        assert_eq!(s.plan_admission(&running, &queue, &memory(91, 60)), 1);
+        assert_eq!(s.plan_admission(&running, &queue, &memory(90, 60)), 0);
+    }
+
+    #[test]
+    fn oracle_falls_back_to_worst_case_without_oracle_data() {
+        let mut s = PastFutureScheduler::oracle();
+        let queue = [queued(0, 10, 100)];
+        assert_eq!(s.plan_admission(&[], &queue, &memory(109, 0)), 0);
+        assert_eq!(s.plan_admission(&[], &queue, &memory(110, 0)), 1);
+    }
+
+    #[test]
+    fn oracle_name_is_stable() {
+        assert_eq!(PastFutureScheduler::oracle().name(), "theoretical-optimum");
+    }
+
+    /// The oracle's batch exactly as it was built when it was its own
+    /// scheduler: the running entries, then every candidate post-prefill.
+    fn oracle_reference_entries(
+        running: &[RunningRequest],
+        queue: &[QueuedRequest],
+    ) -> (Vec<BatchEntry>, Vec<BatchEntry>) {
+        let running = running
+            .iter()
+            .map(|r| BatchEntry {
+                committed: r.committed(),
+                remaining: r
+                    .oracle_remaining
+                    .map(u64::from)
+                    .unwrap_or_else(|| r.worst_case_remaining()),
+            })
+            .collect();
+        let candidates = queue
+            .iter()
+            .map(|c| {
+                let predicted_total = c
+                    .oracle_remaining
+                    .map(|r| c.generated + r)
+                    .unwrap_or(c.max_new_tokens);
+                let (committed, remaining) = c.post_prefill_entry(predicted_total);
+                BatchEntry {
+                    committed,
+                    remaining,
+                }
+            })
+            .collect();
+        (running, candidates)
+    }
+
+    /// The oracle's admission as it was written: every candidate re-sorts
+    /// the whole batch through `peak_memory`.
+    fn oracle_reference(
+        running: &[RunningRequest],
+        queue: &[QueuedRequest],
+        memory: &MemoryState,
+    ) -> usize {
+        let (mut entries, candidates) = oracle_reference_entries(running, queue);
+        let mut admitted = 0;
+        for candidate in candidates {
+            entries.push(candidate);
+            if FutureMemoryEstimator::peak_memory(&entries) <= memory.capacity_tokens {
+                admitted += 1;
+            } else {
+                break;
+            }
+        }
+        admitted
+    }
+
+    /// A ground truth for a request capped at `max_new`: mostly below the
+    /// cap, sometimes 0, above the cap, or absent; drawn from a few values
+    /// so remaining lengths tie.
+    fn truth(g: &mut StdRng, max_new: u32) -> Option<u32> {
+        match g.gen_range(0..8u32) {
+            0 => None,
+            1 => Some(0),
+            2 => Some(max_new + g.gen_range(1..50u32)),
+            _ => Some(g.gen_range(0..=max_new) / 8 * 8),
+        }
+    }
+
+    #[test]
+    fn oracle_matches_resorting_reference() {
+        let mut g = StdRng::seed_from_u64(27);
+        let mut s = PastFutureScheduler::oracle();
+        let (mut admissions, mut rejections) = (0, 0);
+        for call in 0..3000 {
+            let running: Vec<RunningRequest> = (0..g.gen_range(0..16u64))
+                .map(|id| {
+                    let max_new = g.gen_range(1..=200);
+                    RunningRequest {
+                        oracle_remaining: truth(&mut g, max_new),
+                        ..running(id, g.gen_range(1..100), g.gen_range(0..=max_new), max_new)
+                    }
+                })
+                .collect();
+            let queue: Vec<QueuedRequest> = (0..g.gen_range(1..8u64))
+                .map(|id| {
+                    let max_new = g.gen_range(1..=200);
+                    // A quarter are requeued after an eviction.
+                    let generated = if g.gen_range(0..4u32) == 0 {
+                        g.gen_range(1..=max_new)
+                    } else {
+                        0
+                    };
+                    QueuedRequest {
+                        generated,
+                        oracle_remaining: truth(&mut g, max_new),
+                        ..queued(100 + id, g.gen_range(1..100), max_new)
+                    }
+                })
+                .collect();
+            // Capacity within a token of the peak with some queue prefix
+            // admitted, so every boundary is probed.
+            let (mut batch, candidates) = oracle_reference_entries(&running, &queue);
+            batch.extend(&candidates[..g.gen_range(0..=candidates.len())]);
+            let peak = FutureMemoryEstimator::peak_memory(&batch);
+            let mem = memory((peak + g.gen_range(0..3u64)).saturating_sub(1), 0);
+            let want = oracle_reference(&running, &queue, &mem);
+            assert_eq!(
+                s.plan_admission(&running, &queue, &mem),
+                want,
+                "call {call}"
+            );
+            admissions += want;
+            rejections += usize::from(want < queue.len());
+        }
+        assert!(
+            admissions > 0 && rejections > 0,
+            "the drive never hit both sides"
+        );
     }
 
     #[test]

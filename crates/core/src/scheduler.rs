@@ -119,11 +119,6 @@ pub trait Scheduler: fmt::Debug {
     fn on_request_finished(&mut self, output_len: u32) {
         let _ = output_len;
     }
-
-    /// Observes an eviction of a running request (default: ignored).
-    fn on_eviction(&mut self, id: u64) {
-        let _ = id;
-    }
 }
 
 #[cfg(test)]

@@ -328,8 +328,9 @@ impl ClusterSimulation {
     ///
     /// Returns [`SimError`] if the arrival stream is malformed
     /// ([`SimError::InvalidWorkload`]), any request cannot fit an
-    /// instance, an instance stalls, or the policy cannot run on the fleet
-    /// ([`SimError::InvalidRouterPolicy`]).
+    /// instance, an instance stalls, a scheduler parameter is out of range
+    /// ([`SimError::InvalidScheduler`]), or the policy cannot run on the
+    /// fleet ([`SimError::InvalidRouterPolicy`]).
     pub fn run(
         self,
         requests: Vec<RequestSpec>,
@@ -347,8 +348,9 @@ impl ClusterSimulation {
     ///
     /// Returns [`SimError`] if the arrival stream is malformed
     /// ([`SimError::InvalidWorkload`]), any request cannot fit an
-    /// instance, an instance stalls, or the policy cannot run on the fleet
-    /// ([`SimError::InvalidRouterPolicy`]).
+    /// instance, an instance stalls, a scheduler parameter is out of range
+    /// ([`SimError::InvalidScheduler`]), or the policy cannot run on the
+    /// fleet ([`SimError::InvalidRouterPolicy`]).
     pub fn run_traced(
         self,
         requests: Vec<RequestSpec>,

@@ -181,8 +181,9 @@ impl ElasticCluster {
     ///
     /// Returns [`SimError`] if the arrival stream is malformed
     /// ([`SimError::InvalidWorkload`]), a request can never fit an
-    /// instance, an instance stalls, or the router policy cannot run on
-    /// the fleet ([`SimError::InvalidRouterPolicy`]).
+    /// instance, an instance stalls, a scheduler parameter is out of range
+    /// ([`SimError::InvalidScheduler`]), or the router policy cannot run
+    /// on the fleet ([`SimError::InvalidRouterPolicy`]).
     pub fn run(
         self,
         requests: Vec<RequestSpec>,
@@ -200,8 +201,9 @@ impl ElasticCluster {
     ///
     /// Returns [`SimError`] if the arrival stream is malformed
     /// ([`SimError::InvalidWorkload`]), a request can never fit an
-    /// instance, an instance stalls, or the router policy cannot run on
-    /// the fleet ([`SimError::InvalidRouterPolicy`]).
+    /// instance, an instance stalls, a scheduler parameter is out of range
+    /// ([`SimError::InvalidScheduler`]), or the router policy cannot run
+    /// on the fleet ([`SimError::InvalidRouterPolicy`]).
     pub fn run_traced(
         self,
         requests: Vec<RequestSpec>,
@@ -301,6 +303,9 @@ impl Run {
         arrival_times: Vec<SimTime>,
     ) -> Result<Run, SimError> {
         fleet::check_arrivals(&requests, &arrival_times)?;
+        for (config, _) in &initial {
+            fleet::check_scheduler(&config.scheduler)?;
+        }
         let first = &initial.first().expect("fleet needs an initial member").0;
         let mut run = Run {
             planning,

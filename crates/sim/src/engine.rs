@@ -1196,7 +1196,6 @@ impl Engine {
         let held = u64::from(spec.input_len) + u64::from(live.generated);
         let request = spec.id.raw();
         self.kv.release(request);
-        self.scheduler.on_eviction(request);
         self.evictions += 1;
         let swapped = match self.config.eviction {
             EvictionMode::Recompute => false,

@@ -53,6 +53,14 @@ pub enum SimError {
         /// Name of the offending parameter.
         parameter: &'static str,
     },
+    /// The scheduler config holds a value its constructor rejects: a
+    /// Past-Future `window` or `sample_repeats` of 0 or a `reserved_frac`
+    /// outside `[0, 1)`, an aggressive `watermark` outside `(0, 1]`, or a
+    /// conservative `overcommit` below 1; NaN is out of every range.
+    InvalidScheduler {
+        /// Name of the offending parameter.
+        parameter: &'static str,
+    },
     /// The workload cannot be replayed as given: arrival times that do
     /// not pair one-to-one with the requests or are not sorted, or a
     /// request id reserved by the simulator (`u64::MAX`, the prefix
@@ -90,6 +98,9 @@ impl fmt::Display for SimError {
                     "router policy parameter `{parameter}` is invalid \
                      (kv-overlap needs a finite weight and temperature and a prefix cache)"
                 )
+            }
+            SimError::InvalidScheduler { parameter } => {
+                write!(f, "scheduler parameter `{parameter}` is out of range")
             }
             SimError::InvalidWorkload { reason } => write!(f, "invalid workload: {reason}"),
         }
@@ -138,6 +149,11 @@ mod tests {
         }
         .to_string()
         .contains("`temperature` is invalid"));
+        assert!(SimError::InvalidScheduler {
+            parameter: "reserved_frac"
+        }
+        .to_string()
+        .contains("`reserved_frac` is out of range"));
         assert!(SimError::InvalidWorkload {
             reason: "arrival times must be sorted"
         }

@@ -88,6 +88,7 @@
 use std::collections::VecDeque;
 
 use pf_autoscale::{AutoscaleConfig, AutoscalePlanner, PoolRole, ScalingDecision, StepLatency};
+use pf_core::SchedulerConfig;
 use pf_kvcache::{BlockPrefixCache, KvEvent, KvIndexer};
 use pf_metrics::{SimDuration, SimTime};
 use pf_obs::{TraceEvent, TraceSink};
@@ -166,6 +167,36 @@ pub(crate) fn check_arrivals(requests: &[RequestSpec], times: &[SimTime]) -> Res
         return Ok(());
     };
     Err(SimError::InvalidWorkload { reason })
+}
+
+/// Checks a scheduler config before an engine builds it, where the
+/// scheduler's constructor would panic on an out-of-range value. Both
+/// colocated drivers (the single engine and the colocated fleet) run this
+/// one check.
+///
+/// # Errors
+///
+/// [`SimError::InvalidScheduler`] naming the offending parameter.
+pub(crate) fn check_scheduler(config: &SchedulerConfig) -> Result<(), SimError> {
+    let parameter = match *config {
+        SchedulerConfig::PastFuture { window: 0, .. } => "window",
+        SchedulerConfig::PastFuture { reserved_frac, .. }
+            if !(0.0..1.0).contains(&reserved_frac) =>
+        {
+            "reserved_frac"
+        }
+        SchedulerConfig::PastFuture {
+            sample_repeats: 0, ..
+        } => "sample_repeats",
+        SchedulerConfig::Aggressive { watermark } if !(watermark > 0.0 && watermark <= 1.0) => {
+            "watermark"
+        }
+        SchedulerConfig::Conservative { overcommit } if !(1.0..).contains(&overcommit) => {
+            "overcommit"
+        }
+        _ => return Ok(()),
+    };
+    Err(SimError::InvalidScheduler { parameter })
 }
 
 /// Lifecycle state of one fleet member (see the module-level diagram).

@@ -84,6 +84,7 @@ impl Simulation {
     ///
     /// Returns [`SimError`] when the deployment cannot serve the workload:
     /// no KV capacity, a request that can never fit, a malformed workload,
+    /// an out-of-range scheduler parameter ([`SimError::InvalidScheduler`])
     /// or a scheduler stall.
     pub fn run(self) -> Result<SimReport, SimError> {
         self.run_traced(None)
@@ -99,6 +100,7 @@ impl Simulation {
     ///
     /// Returns [`SimError`] when the deployment cannot serve the workload:
     /// no KV capacity, a request that can never fit, a malformed workload,
+    /// an out-of-range scheduler parameter ([`SimError::InvalidScheduler`])
     /// or a scheduler stall.
     ///
     /// # Example
@@ -123,6 +125,8 @@ impl Simulation {
     /// # Ok::<(), pf_sim::SimError>(())
     /// ```
     pub fn run_traced(self, sink: Option<&mut dyn TraceSink>) -> Result<SimReport, SimError> {
-        Engine::new(self.config, self.arrivals?).run_traced(sink)
+        let arrivals = self.arrivals?;
+        crate::fleet::check_scheduler(&self.config.scheduler)?;
+        Engine::new(self.config, arrivals).run_traced(sink)
     }
 }

@@ -669,3 +669,58 @@ fn closed_loop_clients_survive_timeouts() {
         report.timed_out
     );
 }
+
+#[test]
+fn out_of_range_scheduler_configs_are_rejected_before_the_first_event() {
+    use pf_autoscale::AutoscaleConfig;
+    use pf_metrics::SimTime;
+    use pf_obs::RecordingSink;
+    use pf_sim::cluster::{ClusterSimulation, RouterPolicy};
+    use pf_sim::elastic::ElasticCluster;
+
+    let past_future = |window, reserved_frac, sample_repeats| SchedulerConfig::PastFuture {
+        window,
+        reserved_frac,
+        sample_repeats,
+    };
+    let requests = decode_heavy(4, 5);
+    let arrivals = vec![SimTime::ZERO; requests.len()];
+    for (parameter, scheduler) in [
+        ("window", past_future(0, 0.05, 4)),
+        ("reserved_frac", past_future(1000, 1.0, 4)),
+        ("reserved_frac", past_future(1000, -0.01, 4)),
+        ("reserved_frac", past_future(1000, f64::NAN, 4)),
+        ("sample_repeats", past_future(1000, 0.05, 0)),
+        ("watermark", SchedulerConfig::aggressive(0.0)),
+        ("watermark", SchedulerConfig::aggressive(1.01)),
+        ("watermark", SchedulerConfig::aggressive(f64::NAN)),
+        ("overcommit", SchedulerConfig::conservative_overcommit(0.99)),
+        (
+            "overcommit",
+            SchedulerConfig::conservative_overcommit(f64::NAN),
+        ),
+    ] {
+        let expected = SimError::InvalidScheduler { parameter };
+        let config = || small_config(scheduler.clone(), 2_000);
+        let mut sink = RecordingSink::new();
+        let single = Simulation::offline(config(), requests.clone()).run_traced(Some(&mut sink));
+        assert_eq!(single.unwrap_err(), expected, "{scheduler:?}");
+        assert!(sink.events.is_empty(), "rejected before the first event");
+        // Every member of a mixed fleet is checked, not just the first.
+        let good = small_config(SchedulerConfig::past_future(), 2_000);
+        let mut sink = RecordingSink::new();
+        let cluster =
+            ClusterSimulation::heterogeneous(vec![good, config()], RouterPolicy::RoundRobin)
+                .run_traced(requests.clone(), arrivals.clone(), Some(&mut sink));
+        assert_eq!(cluster.unwrap_err(), expected, "{scheduler:?}");
+        assert!(sink.events.is_empty(), "rejected before the first event");
+        let mut sink = RecordingSink::new();
+        let elastic = ElasticCluster::new(config(), AutoscaleConfig::bounded(1, 2), 1).run_traced(
+            requests.clone(),
+            arrivals.clone(),
+            Some(&mut sink),
+        );
+        assert_eq!(elastic.unwrap_err(), expected, "{scheduler:?}");
+        assert!(sink.events.is_empty(), "rejected before the first event");
+    }
+}

@@ -58,10 +58,9 @@ impl From<u64> for PrefixId {
 ///
 /// `true_output_len` is simulation ground truth: the number of tokens the
 /// model *will* generate before emitting EOS. Schedulers never see it (only
-/// the [`OracleScheduler`] baseline does, via a dedicated oracle channel);
-/// they see `max_new_tokens`, the user-configured generation cap.
-///
-/// [`OracleScheduler`]: https://docs.rs/pf-core
+/// the oracle "theoretical optimum" baseline, `SchedulerConfig::Oracle` in
+/// pf-core, does, via a dedicated oracle channel); they see
+/// `max_new_tokens`, the user-configured generation cap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestSpec {
     /// Unique id.

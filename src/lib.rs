@@ -5,8 +5,9 @@
 //! workspace:
 //!
 //! * [`core`] — the paper's contribution: output-length distribution
-//!   prediction and future-required-memory estimation, plus the
-//!   aggressive/conservative/oracle baselines;
+//!   prediction and future-required-memory estimation in one Eq. 2–4
+//!   admission, which also runs the oracle baseline on true output
+//!   lengths, plus the aggressive and conservative baselines;
 //! * [`sim`] — a discrete-event continuous-batching serving engine with a
 //!   roofline GPU performance model (the LightLLM stand-in), including the
 //!   static [`sim::cluster`] and elastic [`sim::elastic`] multi-instance
@@ -45,9 +46,8 @@ pub use pf_workload as workload;
 /// One-stop imports for examples and downstream users.
 pub mod prelude {
     pub use pf_core::{
-        AggressiveScheduler, ConservativeScheduler, FutureMemoryEstimator, OracleScheduler,
-        OutputLengthHistory, OutputLengthPredictor, PastFutureScheduler, Scheduler,
-        SchedulerConfig,
+        AggressiveScheduler, ConservativeScheduler, FutureMemoryEstimator, OutputLengthHistory,
+        PastFutureScheduler, Scheduler, SchedulerConfig,
     };
     pub use pf_frameworks::{Framework, FrameworkPreset};
     pub use pf_kvcache::{KvCacheManager, PagedPool, TokenPool};
