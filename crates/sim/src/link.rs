@@ -26,6 +26,28 @@
 //!
 //! All state advances through deterministic `f64` arithmetic in a fixed
 //! order, so replays are bit-identical.
+//!
+//! # Walking the fluid once
+//!
+//! Two things keep a walk cheap without moving any result bit:
+//!
+//! - **Cached eligibility.** Each open stream keeps a small record whose
+//!   `limit` (bytes eligible) and `boundary` (when that next changes) are
+//!   step functions of `floor(cursor)`. They stay exact while
+//!   `cursor < boundary`, so a step re-derives them, with their integer
+//!   divisions, only when the cursor reaches the boundary.
+//! - **A projection the next advance reuses.**
+//!   [`LinkScheduler::next_event_us`] walks a scratch copy of the records
+//!   to the first drain and keeps the walked state, keyed by the
+//!   generation and the bit pattern of the cursor it started from.
+//!   Between generation bumps the state changes only when the cursor
+//!   moves, so the key pins the state. The next advance adopts that
+//!   state instead of walking again when the key still matches, chunks
+//!   are not being recorded, and the target lies at least 1 µs past the
+//!   drain: then the target cap binds at none of the walked steps. A
+//!   repeated projection on unchanged state returns the kept result.
+//!   Debug builds re-walk every reuse from scratch and assert that it
+//!   matches.
 
 /// One stream's shape: how many bytes, over which production window, in
 /// how many chunks, at what fair-share weight.
@@ -58,65 +80,219 @@ pub struct StreamDone {
     pub done_us: u64,
 }
 
-#[derive(Debug, Clone)]
+/// Delivered-byte slack below which a stream counts as caught up.
+const EPS_BYTES: f64 = 1e-6;
+/// Cursor slack (µs) below which two fluid instants are the same.
+const EPS_US: f64 = 1e-9;
+
+/// What a stream leaves behind: its final byte count and, when recording
+/// is on, its chunk landing times.
+#[derive(Debug, Clone, Default)]
 struct Stream {
-    spec: StreamSpec,
+    /// Bytes delivered, written when the stream closes (an open stream's
+    /// count lives in its [`Open`] record).
     delivered: f64,
     /// Chunk landing times (µs), recorded when enabled.
     landings: Vec<u64>,
 }
 
-impl Stream {
-    fn span_us(&self) -> u64 {
-        self.spec.produce_end_us - self.spec.produce_start_us
+/// An open stream's fluid state, with its chunk eligibility cached.
+///
+/// `limit` (bytes eligible) and `boundary` (the next instant that changes
+/// it) are step functions of `floor(cursor)` and stay exact while
+/// `cursor < boundary`, so a step re-derives them only once the cursor
+/// reaches the boundary.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Open {
+    id: usize,
+    spec: StreamSpec,
+    /// `spec.bytes` as `f64`.
+    bytes: f64,
+    delivered: f64,
+    limit: f64,
+    /// Next eligibility boundary in µs, `INFINITY` once every chunk is
+    /// eligible.
+    boundary: f64,
+    /// Fair-share rate over the current step (bytes/µs), set while active.
+    rate: f64,
+}
+
+impl Open {
+    fn new(id: usize, spec: StreamSpec, cursor: f64) -> Self {
+        let mut open = Open {
+            id,
+            spec,
+            bytes: spec.bytes as f64,
+            delivered: 0.0,
+            limit: 0.0,
+            boundary: 0.0,
+            rate: 0.0,
+        };
+        open.refresh(cursor);
+        open
     }
 
-    /// Bytes eligible for transfer at fluid time `t` (µs).
-    fn eligible_at(&self, t: f64) -> f64 {
-        let bytes = self.spec.bytes as f64;
-        let span = self.span_us();
-        if span == 0 || t >= self.spec.produce_end_us as f64 {
-            return bytes;
-        }
-        let start = self.spec.produce_start_us;
-        if t < start as f64 {
-            return 0.0;
-        }
-        // Chunk ℓ is eligible at start + ceil(span·ℓ/L), an integer, so
-        // count chunks via the equivalent integer test span·ℓ ≤ floor(t−start)·L.
-        let elapsed = (t as u64).saturating_sub(start);
-        let l = self.spec.chunks as u64;
-        let k = (elapsed * l / span).min(l);
-        bytes * k as f64 / l as f64
+    /// Re-derives `limit` and `boundary` at fluid time `t`.
+    fn refresh(&mut self, t: f64) {
+        let StreamSpec {
+            produce_start_us: start,
+            produce_end_us: end,
+            chunks,
+            ..
+        } = self.spec;
+        let span = end - start;
+        let l = u64::from(chunks);
+        (self.limit, self.boundary) = if span == 0 || t >= end as f64 {
+            (self.bytes, f64::INFINITY)
+        } else if t < start as f64 {
+            // Production starts in the future: nothing yet, first chunk next.
+            (0.0, (start + span.div_ceil(l)) as f64)
+        } else {
+            // Chunk ℓ is eligible at start + ceil(span·ℓ/L), an integer, so
+            // count chunks via the equivalent integer test
+            // span·ℓ ≤ floor(t−start)·L. `floor(t) < end` keeps k below L.
+            let elapsed = (t as u64).saturating_sub(start);
+            let k = elapsed * l / span;
+            let limit = (self.bytes * k as f64 / l as f64).min(self.bytes);
+            (limit, (start + (span * (k + 1)).div_ceil(l)) as f64)
+        };
     }
 
-    /// The next eligibility boundary strictly after `t`, if production is
-    /// still ahead of the cursor.
-    fn next_boundary(&self, t: f64) -> Option<u64> {
-        let span = self.span_us();
-        if span == 0 || t >= self.spec.produce_end_us as f64 {
-            return None;
+    /// Has eligible bytes not yet delivered.
+    fn active(&self) -> bool {
+        self.delivered < self.limit - EPS_BYTES
+    }
+
+    fn drained(&self) -> bool {
+        self.delivered >= self.bytes - EPS_BYTES
+    }
+
+    /// Records each chunk threshold crossed in a step that started at
+    /// `cursor` with `before` bytes delivered, at its exact fluid
+    /// crossing time.
+    fn record_landings(&self, landings: &mut Vec<u64>, before: f64, cursor: f64) {
+        let chunk = self.bytes / self.spec.chunks as f64;
+        let mut c = landings.len() + 1;
+        while c <= self.spec.chunks as usize && self.delivered >= chunk * c as f64 - EPS_BYTES {
+            let at = cursor + (chunk * c as f64 - before).max(0.0) / self.rate;
+            landings.push(at.ceil() as u64);
+            c += 1;
         }
-        let start = self.spec.produce_start_us;
-        if t < start as f64 {
-            // First chunk's boundary (production may start in the future).
-            let l = self.spec.chunks as u64;
-            return Some(start + span.div_ceil(l));
-        }
-        let elapsed = (t as u64).saturating_sub(start);
-        let l = self.spec.chunks as u64;
-        let k = (elapsed * l / span).min(l);
-        if k >= l {
-            return None;
-        }
-        Some(start + (span * (k + 1)).div_ceil(l))
     }
 }
 
-/// Delivered-byte slack below which a stream counts as caught up.
-const EPS_BYTES: f64 = 1e-6;
-/// Cursor slack (µs) below which two fluid instants are the same.
-const EPS_US: f64 = 1e-9;
+/// What one fluid step did.
+enum Step {
+    /// Every open stream waited on production: the cursor jumped to the
+    /// next eligibility boundary or the horizon, and no byte moved.
+    Idle,
+    /// Bytes moved for `dt` µs; `drained` when a stream delivered its last
+    /// byte.
+    Moved { dt: f64, drained: bool },
+}
+
+/// Advances `open` by one breakpoint from `*cursor`, never past
+/// `horizon`: a stream drains or catches up with production, an
+/// eligibility boundary passes, or the horizon is reached. With
+/// `landings`, chunk landing times are recorded into it.
+///
+/// The arithmetic is the fluid model's reference order: the weight sum in
+/// ascending id order, each rate as `bytes_per_us · w / Σw`, and `dt` as
+/// a plain minimum, which no order changes.
+///
+/// Panics on a step that moves neither the cursor nor a byte, in release
+/// builds too: the walk would otherwise spin forever.
+fn step(
+    open: &mut [Open],
+    cursor: &mut f64,
+    horizon: f64,
+    bytes_per_us: f64,
+    mut landings: Option<&mut [Stream]>,
+) -> Step {
+    let at = *cursor;
+    let mut weight_sum = 0.0;
+    let mut boundary = f64::INFINITY;
+    for o in open.iter_mut() {
+        if at >= o.boundary {
+            o.refresh(at);
+        }
+        if o.active() {
+            weight_sum += o.spec.weight;
+        }
+        boundary = boundary.min(o.boundary);
+    }
+    if weight_sum <= 0.0 {
+        // Idle (or everyone throttled by production): jump to the next
+        // eligibility boundary or the horizon, whichever is sooner.
+        *cursor = boundary.min(horizon).max(at);
+        assert!(*cursor > at, "fluid step stalled");
+        return Step::Idle;
+    }
+    let mut dt = (horizon - at).min(boundary - at);
+    for o in open.iter_mut() {
+        if o.active() {
+            o.rate = bytes_per_us * o.spec.weight / weight_sum;
+            dt = dt.min((o.limit - o.delivered) / o.rate);
+        }
+    }
+    assert!(dt.is_finite() && dt > 0.0, "fluid step stalled");
+    let mut drained = false;
+    for o in open.iter_mut() {
+        if o.active() {
+            let before = o.delivered;
+            o.delivered = (before + o.rate * dt).min(o.limit);
+            if let Some(streams) = landings.as_deref_mut() {
+                o.record_landings(&mut streams[o.id].landings, before, at);
+            }
+        }
+        drained |= o.drained();
+    }
+    *cursor = at + dt;
+    Step::Moved { dt, drained }
+}
+
+/// A projection's walk to its first drain, kept for the `sync_to` that
+/// follows it.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Projection {
+    /// `(generation, cursor bits)` the walk started from; `None` once
+    /// adopted or never walked.
+    key: Option<(u64, u64)>,
+    /// The open records after the drain step, drained streams included.
+    open: Vec<Open>,
+    cursor: f64,
+    busy_us: f64,
+    done_us: Option<u64>,
+}
+
+impl Projection {
+    /// Walks a copy of `link`'s open streams to the first drain, leaving
+    /// the key to the caller.
+    fn walk(&mut self, link: &LinkScheduler) {
+        self.open.clear();
+        self.open.extend_from_slice(&link.open);
+        self.cursor = link.cursor;
+        self.busy_us = link.busy_us;
+        self.done_us = loop {
+            match step(
+                &mut self.open,
+                &mut self.cursor,
+                f64::INFINITY,
+                link.bytes_per_us,
+                None,
+            ) {
+                Step::Idle if self.cursor == f64::INFINITY => break None,
+                Step::Idle => {}
+                Step::Moved { dt, drained } => {
+                    self.busy_us += dt;
+                    if drained {
+                        break Some(self.cursor.ceil() as u64 + link.overhead_us);
+                    }
+                }
+            }
+        };
+    }
+}
 
 /// The shared-link bandwidth scheduler (see the module docs).
 #[derive(Debug, Clone)]
@@ -125,9 +301,9 @@ pub struct LinkScheduler {
     bytes_per_us: f64,
     overhead_us: u64,
     streams: Vec<Stream>,
-    /// Ids of the open streams, ascending (ids are handed out in order);
+    /// The open streams, ascending by id (ids are handed out in order);
     /// the fluid loops walk only these, never the closed history.
-    open: Vec<usize>,
+    open: Vec<Open>,
     /// Fluid clock, fractional µs. Monotone.
     cursor: f64,
     /// Integral of time with at least one active stream, in µs.
@@ -137,6 +313,8 @@ pub struct LinkScheduler {
     generation: u64,
     record_chunks: bool,
     pending: Vec<StreamDone>,
+    /// The last `next_event_us` walk (see the module docs).
+    projection: Projection,
 }
 
 impl LinkScheduler {
@@ -161,6 +339,7 @@ impl LinkScheduler {
             generation: 0,
             record_chunks: false,
             pending: Vec::new(),
+            projection: Projection::default(),
         }
     }
 
@@ -191,12 +370,8 @@ impl LinkScheduler {
         );
         self.sync_to(now_us as f64);
         let id = self.streams.len();
-        self.streams.push(Stream {
-            spec,
-            delivered: 0.0,
-            landings: Vec::new(),
-        });
-        self.open.push(id);
+        self.streams.push(Stream::default());
+        self.open.push(Open::new(id, spec, self.cursor));
         self.generation += 1;
         id
     }
@@ -219,71 +394,34 @@ impl LinkScheduler {
     }
 
     /// Projects the next stream-completion instant (`done_us`, overhead
-    /// included) without mutating the model, or `None` when idle.
-    pub fn next_event_us(&self) -> Option<u64> {
-        let open = &self.open;
-        if open.is_empty() {
+    /// included), or `None` when idle. The fluid model does not move: the
+    /// walk runs on a scratch copy, which is kept for the next
+    /// [`LinkScheduler::advance`] and for a repeated call on unchanged
+    /// state.
+    pub fn next_event_us(&mut self) -> Option<u64> {
+        if self.open.is_empty() {
             return None;
         }
-        let mut cursor = self.cursor;
-        let mut delivered: Vec<f64> = open.iter().map(|&i| self.streams[i].delivered).collect();
-        // Piecewise-linear projection: identical fluid algorithm to
-        // `sync_to`, run forward on scratch state until the first drain.
-        loop {
-            let mut weight_sum = 0.0;
-            for (slot, &i) in open.iter().enumerate() {
-                let s = &self.streams[i];
-                let limit = s.eligible_at(cursor).min(s.spec.bytes as f64);
-                if delivered[slot] < limit - EPS_BYTES {
-                    weight_sum += s.spec.weight;
-                }
-            }
-            if weight_sum <= 0.0 {
-                // Everyone is caught up with production: idle-jump to the
-                // earliest future eligibility boundary.
-                let next = open
-                    .iter()
-                    .filter_map(|&i| self.streams[i].next_boundary(cursor))
-                    .min()?;
-                cursor = next as f64;
-                continue;
-            }
-            let mut dt = f64::INFINITY;
-            for (slot, &i) in open.iter().enumerate() {
-                let s = &self.streams[i];
-                let limit = s.eligible_at(cursor).min(s.spec.bytes as f64);
-                if delivered[slot] < limit - EPS_BYTES {
-                    let rate = self.bytes_per_us * s.spec.weight / weight_sum;
-                    dt = dt.min((limit - delivered[slot]) / rate);
-                }
-                if let Some(b) = s.next_boundary(cursor) {
-                    dt = dt.min(b as f64 - cursor);
-                }
-            }
-            debug_assert!(dt.is_finite() && dt > 0.0);
-            let mut first_done: Option<u64> = None;
-            for (slot, &i) in open.iter().enumerate() {
-                let s = &self.streams[i];
-                let limit = s.eligible_at(cursor).min(s.spec.bytes as f64);
-                if delivered[slot] < limit - EPS_BYTES {
-                    let rate = self.bytes_per_us * s.spec.weight / weight_sum;
-                    delivered[slot] = (delivered[slot] + rate * dt).min(limit);
-                }
-                if delivered[slot] >= s.spec.bytes as f64 - EPS_BYTES {
-                    let end = (cursor + dt).ceil() as u64 + self.overhead_us;
-                    first_done = Some(first_done.map_or(end, |e: u64| e.min(end)));
-                }
-            }
-            cursor += dt;
-            if let Some(done) = first_done {
-                return Some(done);
-            }
+        let key = Some((self.generation, self.cursor.to_bits()));
+        if self.projection.key == key {
+            self.debug_assert_projection_fresh();
+            return self.projection.done_us;
         }
+        // Taking the kept walk out reuses its buffer while `walk` reads the
+        // scheduler.
+        let mut projection = std::mem::take(&mut self.projection);
+        projection.walk(self);
+        projection.key = key;
+        self.projection = projection;
+        self.projection.done_us
     }
 
     /// Bytes delivered so far on stream `id`.
     pub fn delivered_bytes(&self, id: usize) -> f64 {
-        self.streams[id].delivered
+        match self.open.binary_search_by_key(&id, |o| o.id) {
+            Ok(slot) => self.open[slot].delivered,
+            Err(_) => self.streams[id].delivered,
+        }
     }
 
     /// Chunk landing times (µs) recorded for stream `id` (empty unless
@@ -313,87 +451,82 @@ impl LinkScheduler {
 
     /// Advances the fluid trajectory to `target` (fractional µs),
     /// breakpoint by breakpoint, closing streams whose last byte lands.
+    ///
+    /// When the last projection walked from this very state (same
+    /// generation, bit-equal cursor), chunks are not being recorded, and
+    /// `target` lies at least 1 µs past the projected drain, the walk up
+    /// to that drain is the projection's: the `target − cursor` cap binds
+    /// at none of its steps, so the projected state is adopted as is and
+    /// only the rest of the way is walked.
     fn sync_to(&mut self, target: f64) {
+        let p = &self.projection;
+        if !self.record_chunks
+            && p.key == Some((self.generation, self.cursor.to_bits()))
+            && p.done_us.is_some()
+            && target >= p.cursor + 1.0
+        {
+            self.debug_assert_projection_fresh();
+            std::mem::swap(&mut self.open, &mut self.projection.open);
+            self.projection.key = None;
+            self.cursor = self.projection.cursor;
+            self.busy_us = self.projection.busy_us;
+            self.close_drained();
+        }
         while self.cursor < target - EPS_US {
-            let mut weight_sum = 0.0;
-            for &id in &self.open {
-                let s = &self.streams[id];
-                let limit = s.eligible_at(self.cursor).min(s.spec.bytes as f64);
-                if s.delivered < limit - EPS_BYTES {
-                    weight_sum += s.spec.weight;
-                }
-            }
-            if weight_sum <= 0.0 {
-                // Idle (or everyone throttled by production): jump to the
-                // next eligibility boundary or the target, whichever is
-                // sooner.
-                let next = self
-                    .open
-                    .iter()
-                    .filter_map(|&id| self.streams[id].next_boundary(self.cursor))
-                    .min()
-                    .map_or(target, |b| (b as f64).min(target));
-                self.cursor = next.max(self.cursor);
-                continue;
-            }
-            // Breakpoints: a stream drains, a chunk becomes eligible, or
-            // we reach the target.
-            let mut dt = target - self.cursor;
-            for &id in &self.open {
-                let s = &self.streams[id];
-                let limit = s.eligible_at(self.cursor).min(s.spec.bytes as f64);
-                if s.delivered < limit - EPS_BYTES {
-                    let rate = self.bytes_per_us * s.spec.weight / weight_sum;
-                    dt = dt.min((limit - s.delivered) / rate);
-                }
-                if let Some(b) = s.next_boundary(self.cursor) {
-                    dt = dt.min(b as f64 - self.cursor);
-                }
-            }
-            debug_assert!(dt.is_finite() && dt > 0.0, "fluid step stalled");
-            let cursor = self.cursor;
-            let after = cursor + dt;
-            let record = self.record_chunks;
-            let bytes_per_us = self.bytes_per_us;
-            let overhead_us = self.overhead_us;
-            let streams = &mut self.streams;
-            let pending = &mut self.pending;
-            self.open.retain(|&id| {
-                let s = &mut streams[id];
-                let bytes = s.spec.bytes as f64;
-                let limit = s.eligible_at(cursor).min(bytes);
-                if s.delivered < limit - EPS_BYTES {
-                    let rate = bytes_per_us * s.spec.weight / weight_sum;
-                    let before = s.delivered;
-                    s.delivered = (before + rate * dt).min(limit);
-                    if record {
-                        // Record each chunk threshold crossed in this
-                        // interval at its exact fluid crossing time.
-                        let chunk = bytes / s.spec.chunks as f64;
-                        let mut c = s.landings.len() + 1;
-                        while c <= s.spec.chunks as usize
-                            && s.delivered >= chunk * c as f64 - EPS_BYTES
-                        {
-                            let at = cursor + (chunk * c as f64 - before).max(0.0) / rate;
-                            s.landings.push(at.ceil() as u64);
-                            c += 1;
-                        }
+            let landings = self.record_chunks.then_some(&mut self.streams[..]);
+            match step(
+                &mut self.open,
+                &mut self.cursor,
+                target,
+                self.bytes_per_us,
+                landings,
+            ) {
+                Step::Idle => {}
+                Step::Moved { dt, drained } => {
+                    self.busy_us += dt;
+                    if drained {
+                        self.close_drained();
                     }
                 }
-                if s.delivered < bytes - EPS_BYTES {
-                    return true;
-                }
-                let transmit_end_us = after.ceil() as u64;
-                pending.push(StreamDone {
-                    id,
-                    transmit_end_us,
-                    done_us: transmit_end_us + overhead_us,
-                });
-                false
-            });
-            self.busy_us += dt;
-            self.cursor = after;
+            }
         }
         self.cursor = self.cursor.max(target);
+    }
+
+    /// Closes the drained streams at the cursor, in id order.
+    fn close_drained(&mut self) {
+        let transmit_end_us = self.cursor.ceil() as u64;
+        let done_us = transmit_end_us + self.overhead_us;
+        let LinkScheduler {
+            open,
+            streams,
+            pending,
+            ..
+        } = self;
+        open.retain(|o| {
+            if !o.drained() {
+                return true;
+            }
+            streams[o.id].delivered = o.delivered;
+            pending.push(StreamDone {
+                id: o.id,
+                transmit_end_us,
+                done_us,
+            });
+            false
+        });
+    }
+
+    /// Debug builds re-walk every projection hit from scratch, as the
+    /// engine does for its cached true M*.
+    fn debug_assert_projection_fresh(&self) {
+        if cfg!(debug_assertions) {
+            let mut fresh = Projection {
+                key: self.projection.key,
+                ..Projection::default()
+            };
+            fresh.walk(self);
+            assert!(fresh == self.projection, "stale link projection");
+        }
     }
 }
