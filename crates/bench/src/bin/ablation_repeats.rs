@@ -10,10 +10,11 @@
 //! cargo run --release -p pf-bench --bin ablation_repeats [-- --quick]
 //! ```
 
+use pf_bench::scenario::base;
 use pf_bench::{default_threads, output_lengths, pct, run_parallel, Cli};
 use pf_core::SchedulerConfig;
 use pf_metrics::{Align, Table};
-use pf_sim::{GpuSpec, ModelSpec, SimConfig, SimReport, Simulation};
+use pf_sim::{SimReport, Simulation};
 use pf_workload::datasets;
 
 fn main() {
@@ -39,12 +40,10 @@ fn main() {
                     reserved_frac: 0.05,
                     sample_repeats,
                 };
-                let config = SimConfig::builder(ModelSpec::llama2_7b(), GpuSpec::a100_80g())
+                let config = base(71)
                     .scheduler(scheduler)
                     .capacity_override(capacity)
                     .history_warmup(warmup)
-                    .record_series(false)
-                    .seed(71)
                     .build();
                 let report = Simulation::offline(config, requests)
                     .run()

@@ -10,10 +10,11 @@
 //! cargo run --release -p pf-bench --bin ablation_window [-- --quick]
 //! ```
 
+use pf_bench::scenario::base;
 use pf_bench::{default_threads, output_lengths, pct, run_parallel, Cli};
 use pf_core::SchedulerConfig;
 use pf_metrics::{Align, Table};
-use pf_sim::{GpuSpec, ModelSpec, SimConfig, SimReport, Simulation};
+use pf_sim::{SimReport, Simulation};
 use pf_workload::datasets;
 
 fn main() {
@@ -34,12 +35,7 @@ fn main() {
                     reserved_frac: 0.05,
                     sample_repeats: 4,
                 };
-                let config = SimConfig::builder(ModelSpec::llama2_7b(), GpuSpec::a100_80g())
-                    .scheduler(scheduler)
-                    .history_warmup(warmup)
-                    .record_series(false)
-                    .seed(70)
-                    .build();
+                let config = base(70).scheduler(scheduler).history_warmup(warmup).build();
                 let report = Simulation::offline(config, requests)
                     .run()
                     .expect("window ablation run");

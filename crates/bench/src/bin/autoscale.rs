@@ -18,12 +18,12 @@
 //! ```
 
 use pf_autoscale::{AutoscaleConfig, PredictorKind};
-use pf_bench::{default_threads, run_parallel, Cli};
-use pf_core::SchedulerConfig;
-use pf_metrics::{Align, SimDuration, SimTime, Table};
-use pf_sim::elastic::{ElasticCluster, ElasticReport};
-use pf_sim::{GpuSpec, ModelSpec, SimConfig};
-use pf_workload::{datasets, rng::seeded, RateProfile, RequestSpec};
+use pf_bench::scenario::{base, by_name, run_all, Report, Run, Scenario, Topology, Workload};
+use pf_bench::Cli;
+use pf_metrics::Align::{Left, Right};
+use pf_metrics::{SimDuration, Table};
+use pf_sim::elastic::ElasticReport;
+use pf_workload::{datasets, rng::seeded, RateProfile};
 
 const MIN_REPLICAS: usize = 1;
 const MAX_REPLICAS: usize = 4;
@@ -31,81 +31,56 @@ const INTERVAL_S: u64 = 10;
 const WARMUP_S: u64 = 20;
 const PERIOD_S: u64 = 180;
 
-#[derive(Clone, Copy)]
-enum Fleet {
-    Static(usize),
-    Elastic(PredictorKind),
-}
-
-impl Fleet {
-    fn label(&self) -> String {
-        match self {
-            Fleet::Static(n) => format!("static-{n}"),
-            Fleet::Elastic(kind) => format!("elastic-{}", kind.label()),
-        }
-    }
-}
-
-fn base_config() -> SimConfig {
-    SimConfig::builder(ModelSpec::llama2_7b(), GpuSpec::a100_80g())
-        .scheduler(SchedulerConfig::past_future())
-        .capacity_override(6_000)
-        .record_series(false)
-        .seed(41)
-        .build()
-}
-
-fn run_fleet(fleet: Fleet, requests: Vec<RequestSpec>, arrivals: Vec<SimTime>) -> ElasticReport {
-    let config = match fleet {
-        Fleet::Static(n) => AutoscaleConfig::bounded(n, n),
-        Fleet::Elastic(kind) => {
-            AutoscaleConfig::bounded(MIN_REPLICAS, MAX_REPLICAS).predictor(kind)
-        }
-    }
-    .interval(SimDuration::from_secs(INTERVAL_S))
-    .warmup(SimDuration::from_secs(WARMUP_S))
-    .initial_lengths(160.0, 224.0);
-    let initial = match fleet {
-        Fleet::Static(n) => n,
-        Fleet::Elastic(_) => MIN_REPLICAS,
-    };
-    ElasticCluster::new(base_config(), config, initial)
-        .run(requests, arrivals)
-        .expect("fleet run")
-}
-
-fn fleets() -> Vec<Fleet> {
-    vec![
-        Fleet::Static(1),
-        Fleet::Static(2),
-        Fleet::Static(MAX_REPLICAS),
-        Fleet::Elastic(PredictorKind::Constant),
-        Fleet::Elastic(PredictorKind::ewma()),
-        Fleet::Elastic(PredictorKind::holt()),
-        Fleet::Elastic(PredictorKind::holt_winters(
-            (PERIOD_S / INTERVAL_S) as usize,
-        )),
+/// Every fleet on one load shape: static fleets of 1, 2 and 4 (the
+/// degenerate `min == max` elastic configuration) and the elastic planner
+/// with each predictor. The load's arrivals come from the stream seeded
+/// one past its requests.
+fn fleets(seed: u64, n: usize, profile: RateProfile) -> Vec<Scenario> {
+    let statics =
+        [1, 2, MAX_REPLICAS].map(|n| (format!("static-{n}"), AutoscaleConfig::bounded(n, n), n));
+    let elastics = [
+        PredictorKind::Constant,
+        PredictorKind::ewma(),
+        PredictorKind::holt(),
+        PredictorKind::holt_winters((PERIOD_S / INTERVAL_S) as usize),
     ]
+    .map(|kind| {
+        let autoscale = AutoscaleConfig::bounded(MIN_REPLICAS, MAX_REPLICAS).predictor(kind);
+        (format!("elastic-{}", kind.label()), autoscale, MIN_REPLICAS)
+    });
+    statics
+        .into_iter()
+        .chain(elastics)
+        .map(|(name, autoscale, initial)| {
+            let autoscale = autoscale
+                .interval(SimDuration::from_secs(INTERVAL_S))
+                .warmup(SimDuration::from_secs(WARMUP_S))
+                .initial_lengths(160.0, 224.0);
+            let config = base(41).capacity_override(6_000).build();
+            Scenario::new(
+                name,
+                seed,
+                Topology::elastic(config, autoscale, initial),
+                move |seed| {
+                    Workload::Timed(
+                        datasets::short_chat(n, seed),
+                        profile.assign(&mut seeded(seed + 1), n),
+                    )
+                },
+            )
+        })
+        .collect()
 }
 
-fn scenario_table(
-    cli: &Cli,
-    name: &str,
-    title: &str,
-    requests: &[RequestSpec],
-    arrivals: &[SimTime],
-) -> Vec<(String, ElasticReport)> {
-    let jobs: Vec<Box<dyn FnOnce() -> (String, ElasticReport) + Send>> = fleets()
-        .into_iter()
-        .map(|fleet| {
-            let requests = requests.to_vec();
-            let arrivals = arrivals.to_vec();
-            Box::new(move || (fleet.label(), run_fleet(fleet, requests, arrivals)))
-                as Box<dyn FnOnce() -> (String, ElasticReport) + Send>
-        })
-        .collect();
-    let reports = run_parallel(jobs, default_threads());
+fn elastic(run: &Run) -> &ElasticReport {
+    match &run.report {
+        Report::Elastic(report) => report,
+        _ => unreachable!("every fleet here is elastic"),
+    }
+}
 
+fn scenario_table(cli: &Cli, name: &str, title: &str, scenarios: &[Scenario]) -> Vec<Run> {
+    let runs = run_all(scenarios);
     let mut table = Table::new([
         "fleet",
         "completed",
@@ -116,30 +91,22 @@ fn scenario_table(
         "makespan s",
         "scaling events",
     ])
-    .with_aligns(&[
-        Align::Left,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-    ]);
-    for (label, report) in &reports {
+    .with_aligns(&[Left, Right, Right, Right, Right, Right, Right, Right]);
+    for run in &runs {
+        let (h, report) = (&run.headline, elastic(run));
         table.row([
-            label.clone(),
-            report.completed().to_string(),
-            format!("{:.1}", report.sla_attainment() * 100.0),
-            format!("{:.0}", report.goodput_tok_per_s()),
-            format!("{:.0}", report.gpu_seconds()),
+            run.name.clone(),
+            h.completed.to_string(),
+            format!("{:.1}", h.sla_attainment * 100.0),
+            format!("{:.0}", h.goodput_tok_per_s),
+            format!("{:.0}", h.gpu_seconds),
             report.peak_replicas().to_string(),
             format!("{:.0}", report.makespan.as_secs_f64()),
             report.events.len().to_string(),
         ]);
     }
     cli.emit(name, title, &table);
-    reports
+    runs
 }
 
 fn main() {
@@ -147,59 +114,53 @@ fn main() {
 
     // Diurnal: three cycles from 2 to 12 req/s (one instance saturates
     // near 7 req/s of this workload).
-    let n_diurnal = cli.size(3_600, 700);
-    let diurnal_requests = datasets::short_chat(n_diurnal, 42);
-    let diurnal = RateProfile::diurnal(2.0, 12.0, SimDuration::from_secs(PERIOD_S));
-    let diurnal_arrivals = diurnal.assign(&mut seeded(43), n_diurnal);
-    let diurnal_reports = scenario_table(
+    let diurnal = fleets(
+        42,
+        cli.size(3_600, 700),
+        RateProfile::diurnal(2.0, 12.0, SimDuration::from_secs(PERIOD_S)),
+    );
+    let diurnal_runs = scenario_table(
         &cli,
         "autoscale_diurnal",
         "Elastic autoscaling: diurnal load (2 -> 12 req/s, 180 s period)",
-        &diurnal_requests,
-        &diurnal_arrivals,
+        &diurnal,
     );
 
     // Bursty: 12 req/s bursts of 40 s every 180 s over a 1 req/s floor.
-    let n_bursty = cli.size(1_800, 400);
-    let bursty_requests = datasets::short_chat(n_bursty, 44);
-    let bursty = RateProfile::bursty(
-        1.0,
-        12.0,
-        SimDuration::from_secs(40),
-        SimDuration::from_secs(PERIOD_S),
+    let bursty = fleets(
+        44,
+        cli.size(1_800, 400),
+        RateProfile::bursty(
+            1.0,
+            12.0,
+            SimDuration::from_secs(40),
+            SimDuration::from_secs(PERIOD_S),
+        ),
     );
-    let bursty_arrivals = bursty.assign(&mut seeded(45), n_bursty);
-    let bursty_reports = scenario_table(
+    let bursty_runs = scenario_table(
         &cli,
         "autoscale_bursty",
         "Elastic autoscaling: bursty load (1 req/s floor, 12 req/s bursts)",
-        &bursty_requests,
-        &bursty_arrivals,
+        &bursty,
     );
 
     // Headline checks (diurnal): the trend-following elastic fleet matches
     // the static-max fleet's SLA attainment within 5 points at strictly
     // lower provisioned cost, and the run replays bit-identically.
-    let by_label = |label: &str| {
-        diurnal_reports
-            .iter()
-            .find(|(l, _)| l == label)
-            .unwrap_or_else(|| panic!("missing fleet {label}"))
-    };
-    let static_max = &by_label(&format!("static-{MAX_REPLICAS}")).1;
-    let elastic = &by_label("elastic-holt").1;
-    let attainment_gap = static_max.sla_attainment() - elastic.sla_attainment();
+    let static_max = &by_name(&diurnal_runs, &format!("static-{MAX_REPLICAS}")).headline;
+    let elastic_holt = by_name(&diurnal_runs, "elastic-holt");
+    let holt = &elastic_holt.headline;
     assert!(
-        attainment_gap <= 0.05,
+        static_max.sla_attainment - holt.sla_attainment <= 0.05,
         "elastic SLA attainment {:.3} trails static-max {:.3} by more than 5 points",
-        elastic.sla_attainment(),
-        static_max.sla_attainment()
+        holt.sla_attainment,
+        static_max.sla_attainment
     );
     assert!(
-        elastic.gpu_seconds() < static_max.gpu_seconds(),
+        holt.gpu_seconds < static_max.gpu_seconds,
         "elastic provisioned {:.0} GPU-s, static-max {:.0}",
-        elastic.gpu_seconds(),
-        static_max.gpu_seconds()
+        holt.gpu_seconds,
+        static_max.gpu_seconds
     );
     // Bursty checks: the planner forecasts `warmup/interval + 1` steps
     // ahead and provisions against the horizon maximum, so the
@@ -207,69 +168,62 @@ fn main() {
     // step bursts (a burst still ramping at planning time is extrapolated
     // across the warm-up delay instead of chased one interval at a time) —
     // while still provisioning strictly fewer GPU-seconds than static-max.
-    let bursty_by_label = |label: &str| {
-        &bursty_reports
-            .iter()
-            .find(|(l, _)| l == label)
-            .unwrap_or_else(|| panic!("missing fleet {label}"))
-            .1
-    };
-    let bursty_holt = bursty_by_label("elastic-holt");
-    let bursty_ewma = bursty_by_label("elastic-ewma");
-    let bursty_static_max = bursty_by_label(&format!("static-{MAX_REPLICAS}"));
+    let bursty_holt = &by_name(&bursty_runs, "elastic-holt").headline;
+    let bursty_ewma = &by_name(&bursty_runs, "elastic-ewma").headline;
+    let bursty_static_max = &by_name(&bursty_runs, &format!("static-{MAX_REPLICAS}")).headline;
     if cli.quick {
         // The quick run sees a single burst, which no predictor can
         // anticipate cold: require parity only.
         assert!(
-            bursty_holt.sla_attainment() >= bursty_ewma.sla_attainment(),
+            bursty_holt.sla_attainment >= bursty_ewma.sla_attainment,
             "horizon-forecasting holt ({:.3}) fell below one-step ewma ({:.3}) on step bursts",
-            bursty_holt.sla_attainment(),
-            bursty_ewma.sla_attainment()
+            bursty_holt.sla_attainment,
+            bursty_ewma.sla_attainment
         );
     } else {
         assert!(
-            bursty_holt.sla_attainment() > bursty_ewma.sla_attainment(),
+            bursty_holt.sla_attainment > bursty_ewma.sla_attainment,
             "horizon-forecasting holt ({:.3}) no longer beats one-step ewma ({:.3}) on step bursts",
-            bursty_holt.sla_attainment(),
-            bursty_ewma.sla_attainment()
+            bursty_holt.sla_attainment,
+            bursty_ewma.sla_attainment
         );
     }
     assert!(
-        bursty_holt.gpu_seconds() < bursty_static_max.gpu_seconds(),
+        bursty_holt.gpu_seconds < bursty_static_max.gpu_seconds,
         "elastic-holt provisioned {:.0} GPU-s on bursty, static-max {:.0}",
-        bursty_holt.gpu_seconds(),
-        bursty_static_max.gpu_seconds()
+        bursty_holt.gpu_seconds,
+        bursty_static_max.gpu_seconds
     );
-    let replay = run_fleet(
-        Fleet::Elastic(PredictorKind::holt()),
-        diurnal_requests.clone(),
-        diurnal_arrivals.clone(),
-    );
+    let scenario = diurnal
+        .iter()
+        .find(|s| s.name == "elastic-holt")
+        .expect("holt fleet");
+    let replay = scenario.run(None);
     assert_eq!(
-        replay.makespan, elastic.makespan,
-        "non-deterministic makespan"
+        replay.fingerprint, elastic_holt.fingerprint,
+        "non-deterministic replay"
     );
+    assert_eq!(replay.headline, *holt, "non-deterministic GPU-seconds");
     assert_eq!(
-        replay.gpu_seconds(),
-        elastic.gpu_seconds(),
-        "non-deterministic GPU-seconds"
+        elastic(&replay).events,
+        elastic(elastic_holt).events,
+        "non-deterministic scaling"
     );
-    assert_eq!(replay.events, elastic.events, "non-deterministic scaling");
     println!(
         "[ok] bursty: horizon-forecasting holt {:.1}% vs ewma {:.1}% SLA at {:.0} GPU-s (static-{} {:.0})",
-        bursty_holt.sla_attainment() * 100.0,
-        bursty_ewma.sla_attainment() * 100.0,
-        bursty_holt.gpu_seconds(),
+        bursty_holt.sla_attainment * 100.0,
+        bursty_ewma.sla_attainment * 100.0,
+        bursty_holt.gpu_seconds,
         MAX_REPLICAS,
-        bursty_static_max.gpu_seconds(),
+        bursty_static_max.gpu_seconds,
     );
     println!(
         "[ok] elastic-holt: SLA {:.1}% (static-{} {:.1}%), {:.0} GPU-s vs {:.0} ({:.0}% saved), deterministic replay",
-        elastic.sla_attainment() * 100.0,
+        holt.sla_attainment * 100.0,
         MAX_REPLICAS,
-        static_max.sla_attainment() * 100.0,
-        elastic.gpu_seconds(),
-        static_max.gpu_seconds(),
-        (1.0 - elastic.gpu_seconds() / static_max.gpu_seconds()) * 100.0,
+        static_max.sla_attainment * 100.0,
+        holt.gpu_seconds,
+        static_max.gpu_seconds,
+        (1.0 - holt.gpu_seconds / static_max.gpu_seconds) * 100.0,
     );
 }

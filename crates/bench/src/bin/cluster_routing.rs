@@ -14,11 +14,13 @@
 //! cargo run --release -p pf-bench --bin cluster_routing [-- --quick]
 //! ```
 
-use pf_bench::{default_threads, output_lengths, run_parallel, Cli};
+use pf_bench::scenario::{base, run_all, Report, Scenario, Topology, Workload};
+use pf_bench::{output_lengths, Cli};
 use pf_core::SchedulerConfig;
-use pf_metrics::{Align, SimTime, Table};
-use pf_sim::cluster::{ClusterReport, ClusterSimulation, RouterPolicy};
-use pf_sim::{GpuSpec, ModelSpec, SimConfig};
+use pf_metrics::Align::{Left, Right};
+use pf_metrics::{SimTime, Table};
+use pf_sim::cluster::RouterPolicy;
+use pf_sim::SimConfig;
 use pf_workload::{datasets, rng::seeded, LengthSampler, PoissonArrivals};
 
 fn main() {
@@ -33,47 +35,43 @@ fn main() {
             LengthSampler::log_normal_median(1500.0, 0.5, 512, 4096),
         ),
     ]);
-    let requests = datasets::from_samplers(n, 10, &input, &output, 4096);
     let warmup = output_lengths(&datasets::from_samplers(1000, 11, &input, &output, 4096));
-    let mut arrivals: Vec<SimTime> = PoissonArrivals::new(14.0).assign(&mut seeded(12), n);
-    arrivals.sort_unstable();
+    // A mixed fleet: two large instances, one medium, one small
+    // (co-tenancy / heterogeneous GPUs). Count-based balancing overloads
+    // the small instance.
+    let configs: Vec<SimConfig> = [22_000u64, 22_000, 14_000, 8_000]
+        .iter()
+        .enumerate()
+        .map(|(i, &capacity)| {
+            base(72 + i as u64)
+                .scheduler(SchedulerConfig::past_future_reserved(0.05))
+                .capacity_override(capacity)
+                .history_warmup(warmup.clone())
+                .build()
+        })
+        .collect();
 
-    let policies = [
+    let scenarios = [
         RouterPolicy::RoundRobin,
         RouterPolicy::LeastOutstanding,
         RouterPolicy::LeastUsedMemory,
         RouterPolicy::LeastEstimatedLoad,
-    ];
-    let jobs: Vec<Box<dyn FnOnce() -> ClusterReport + Send>> = policies
-        .into_iter()
-        .map(|policy| {
-            let requests = requests.clone();
-            let arrivals = arrivals.clone();
-            let warmup = warmup.clone();
-            Box::new(move || {
-                // A mixed fleet: two large instances, one medium, one small
-                // (co-tenancy / heterogeneous GPUs). Count-based balancing
-                // overloads the small instance.
-                let configs: Vec<SimConfig> = [22_000u64, 22_000, 14_000, 8_000]
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &capacity)| {
-                        SimConfig::builder(ModelSpec::llama2_7b(), GpuSpec::a100_80g())
-                            .scheduler(SchedulerConfig::past_future_reserved(0.05))
-                            .capacity_override(capacity)
-                            .history_warmup(warmup.clone())
-                            .record_series(false)
-                            .seed(72 + i as u64)
-                            .build()
-                    })
-                    .collect();
-                ClusterSimulation::heterogeneous(configs, policy)
-                    .run(requests, arrivals)
-                    .expect("cluster run")
-            }) as Box<dyn FnOnce() -> ClusterReport + Send>
+    ]
+    .map(|policy| {
+        let topology = Topology::Cluster {
+            configs: configs.clone(),
+            policy,
+        };
+        let (input, output) = (input.clone(), output.clone());
+        Scenario::new(policy.label(), 10, topology, move |seed| {
+            let requests = datasets::from_samplers(n, seed, &input, &output, 4096);
+            let mut arrivals: Vec<SimTime> =
+                PoissonArrivals::new(14.0).assign(&mut seeded(seed + 2), n);
+            arrivals.sort_unstable();
+            Workload::Timed(requests, arrivals)
         })
-        .collect();
-    let reports = run_parallel(jobs, default_threads());
+    });
+    let runs = run_all(&scenarios);
 
     let mut table = Table::new([
         "router policy",
@@ -83,21 +81,18 @@ fn main() {
         "evictions",
         "per-instance requests",
     ])
-    .with_aligns(&[
-        Align::Left,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Left,
-    ]);
-    for report in &reports {
+    .with_aligns(&[Left, Right, Right, Right, Right, Left]);
+    for run in &runs {
+        let Report::Cluster(report) = &run.report else {
+            unreachable!("every run here is a cluster");
+        };
+        let h = &run.headline;
         table.row([
-            report.policy.label().to_string(),
+            run.name.clone(),
             format!("{:.1}", report.makespan().as_secs_f64()),
-            format!("{:.0}", report.goodput_tok_per_s()),
-            format!("{}/{}", report.satisfied(), report.completed()),
-            report.evictions().to_string(),
+            format!("{:.0}", h.goodput_tok_per_s),
+            format!("{}/{}", h.satisfied, h.completed),
+            h.evictions.to_string(),
             format!("{:?}", report.routed_per_instance),
         ]);
     }

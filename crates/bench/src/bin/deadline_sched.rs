@@ -27,39 +27,27 @@
 use std::collections::HashMap;
 
 use pf_autoscale::{AutoscaleConfig, PredictorKind};
+use pf_bench::scenario::{base, run_all, steady, Run, Scenario, Topology, Workload};
 use pf_bench::{pct, Cli};
-use pf_core::SchedulerConfig;
-use pf_metrics::{Align, SimDuration, SimTime, Table};
-use pf_sim::cluster::{ClusterSimulation, RouterPolicy};
-use pf_sim::disagg::{DisaggCluster, DisaggConfig};
-use pf_sim::elastic::ElasticCluster;
-use pf_sim::{GpuSpec, ModelSpec, QueueOrder, RequestOutcome, SimConfig};
+use pf_metrics::Align::{Left, Right};
+use pf_metrics::{SimDuration, Table};
+use pf_sim::cluster::RouterPolicy;
+use pf_sim::disagg::DisaggConfig;
+use pf_sim::QueueOrder;
 use pf_workload::{datasets, RequestSpec};
-
-/// One topology × queue-order measurement.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct RunResult {
-    completed: usize,
-    timed_out: usize,
-    /// Fraction of all issued requests whose first token landed within
-    /// their own deadline (timed-out / unserved requests are misses).
-    attainment: f64,
-    gpu_seconds: f64,
-    makespan_s: f64,
-}
 
 /// Deadline attainment over every issued request: an outcome attains iff
 /// its TTFT is within the deadline its spec carried; requests without an
 /// outcome (timed out, unserved) are misses.
-fn deadline_attainment<'a>(
-    outcomes: impl Iterator<Item = &'a RequestOutcome>,
-    requests: &[RequestSpec],
-) -> f64 {
+fn deadline_attainment(run: &Run, requests: &[RequestSpec]) -> f64 {
     let deadlines: HashMap<u64, SimDuration> = requests
         .iter()
         .filter_map(|r| r.deadline.map(|d| (r.id.raw(), d)))
         .collect();
-    let attained = outcomes
+    let attained = run
+        .report
+        .outcomes()
+        .into_iter()
         .filter(|o| {
             let Some(deadline) = deadlines.get(&o.id) else {
                 return true;
@@ -70,93 +58,43 @@ fn deadline_attainment<'a>(
     attained as f64 / requests.len() as f64
 }
 
-fn base_config(order: QueueOrder) -> SimConfig {
-    SimConfig::builder(ModelSpec::llama2_7b(), GpuSpec::a100_80g())
-        .scheduler(SchedulerConfig::past_future())
-        .capacity_override(8_000)
-        .record_series(false)
-        .queue_order(order)
-        .seed(72)
-        .build()
-}
-
-fn steady(n: usize, gap_ms: u64) -> Vec<SimTime> {
-    (0..n)
-        .map(|i| SimTime::from_millis(gap_ms * i as u64))
-        .collect()
-}
-
-fn coloc_run(order: QueueOrder, requests: &[RequestSpec], arrivals: &[SimTime]) -> RunResult {
-    let report = ClusterSimulation::new(base_config(order), 2, RouterPolicy::LeastEstimatedLoad)
-        .run(requests.to_vec(), arrivals.to_vec())
-        .expect("colocated run");
-    let makespan_s = report.makespan().as_secs_f64();
-    RunResult {
-        completed: report.completed(),
-        timed_out: report.instances.iter().map(|r| r.timed_out).sum(),
-        attainment: deadline_attainment(
-            report.instances.iter().flat_map(|r| r.outcomes.iter()),
-            requests,
-        ),
-        // Fixed fleet: both instances are provisioned for the whole run.
-        gpu_seconds: 2.0 * makespan_s,
-        makespan_s,
-    }
-}
-
-fn disagg_run(order: QueueOrder, requests: &[RequestSpec], arrivals: &[SimTime]) -> RunResult {
-    let mut base = base_config(order);
-    base.capacity_override = Some(12_000);
-    let report = DisaggCluster::new(DisaggConfig::new(base), 1, 1)
-        .run(requests.to_vec(), arrivals.to_vec())
-        .expect("disagg run");
-    RunResult {
-        completed: report.completed(),
-        timed_out: report.timed_out,
-        attainment: deadline_attainment(report.outcomes.iter(), requests),
-        gpu_seconds: report.gpu_seconds(),
-        makespan_s: report.makespan.as_secs_f64(),
-    }
-}
-
-fn elastic_run(order: QueueOrder, requests: &[RequestSpec], arrivals: &[SimTime]) -> RunResult {
-    let autoscale = AutoscaleConfig::bounded(2, 2)
-        .interval(SimDuration::from_secs(10))
-        .warmup(SimDuration::from_secs(20))
-        .predictor(PredictorKind::holt())
-        .initial_lengths(160.0, 224.0);
-    let report = ElasticCluster::new(base_config(order), autoscale, 2)
-        .run(requests.to_vec(), arrivals.to_vec())
-        .expect("elastic run");
-    RunResult {
-        completed: report.completed(),
-        timed_out: report.timed_out(),
-        attainment: deadline_attainment(
-            report
-                .instances
-                .iter()
-                .flat_map(|i| i.report.outcomes.iter()),
-            requests,
-        ),
-        gpu_seconds: report.gpu_seconds(),
-        makespan_s: report.makespan.as_secs_f64(),
+/// One topology under `order`, at matched provisioning: a fixed
+/// 2-instance colocated cluster, a fixed 1-prefill/1-decode split, or a
+/// fixed-size (min = max = 2) elastic fleet.
+fn topology(label: &str, order: QueueOrder) -> Topology {
+    let config = |capacity: u64| {
+        base(72)
+            .capacity_override(capacity)
+            .queue_order(order)
+            .build()
+    };
+    match label {
+        "coloc-2x" => Topology::cluster(config(8_000), 2, RouterPolicy::LeastEstimatedLoad),
+        "disagg-1p1d" => Topology::disagg(DisaggConfig::new(config(12_000)), 1, 1),
+        _ => {
+            let autoscale = AutoscaleConfig::bounded(2, 2)
+                .interval(SimDuration::from_secs(10))
+                .warmup(SimDuration::from_secs(20))
+                .predictor(PredictorKind::holt())
+                .initial_lengths(160.0, 224.0);
+            Topology::elastic(config(8_000), autoscale, 2)
+        }
     }
 }
 
 fn main() {
     let cli = Cli::parse();
 
-    // (label, workload seed, (n, gap ms) full, (n, gap ms) quick,
-    // runner). Rates are tuned so each topology's queue transiently
-    // outruns the tight 5 s chat deadline under FIFO while the lax 60 s
-    // class stays feasible.
-    type Runner = fn(QueueOrder, &[RequestSpec], &[SimTime]) -> RunResult;
-    type Scenario = (&'static str, u64, (usize, u64), (usize, u64), Runner);
-    let scenarios: [Scenario; 3] = [
-        ("coloc-2x", 71, (300, 60), (140, 50), coloc_run),
-        ("disagg-1p1d", 33, (300, 25), (150, 25), disagg_run),
-        ("elastic-2", 73, (400, 60), (200, 50), elastic_run),
+    // (label, workload seed, (n, gap ms) full, (n, gap ms) quick). Rates
+    // are tuned so each topology's queue transiently outruns the tight
+    // 5 s chat deadline under FIFO while the lax 60 s class stays
+    // feasible.
+    let topologies = [
+        ("coloc-2x", 71, (300, 60), (140, 50)),
+        ("disagg-1p1d", 33, (300, 25), (150, 25)),
+        ("elastic-2", 73, (400, 60), (200, 50)),
     ];
+    let orders = [QueueOrder::Fifo, QueueOrder::least_slack()];
 
     let mut table = Table::new([
         "topology",
@@ -167,30 +105,33 @@ fn main() {
         "GPU-seconds",
         "makespan s",
     ])
-    .with_aligns(&[
-        Align::Left,
-        Align::Left,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-    ]);
+    .with_aligns(&[Left, Left, Right, Right, Right, Right, Right]);
 
-    for (label, seed, full, quick, runner) in scenarios {
+    for (label, seed, full, quick) in topologies {
         let (n, gap_ms) = if cli.quick { quick } else { full };
-        let requests = datasets::mixed_deadline(n, seed);
-        let arrivals = steady(n, gap_ms);
-        let fifo = runner(QueueOrder::Fifo, &requests, &arrivals);
-        let lsf = runner(QueueOrder::least_slack(), &requests, &arrivals);
+        let scenarios = orders.map(|order| {
+            Scenario::new(order.label(), seed, topology(label, order), move |seed| {
+                Workload::Timed(datasets::mixed_deadline(n, seed), steady(n, gap_ms))
+            })
+        });
+        let runs = run_all(&scenarios);
+        let requests = scenarios[0].workload().requests().to_vec();
+        let attainment = |run: &Run| deadline_attainment(run, &requests);
 
         // Deterministic replay: the identical run must reproduce the
         // identical report, bit for bit.
-        for (order, first) in [(QueueOrder::Fifo, fifo), (QueueOrder::least_slack(), lsf)] {
-            let replay = runner(order, &requests, &arrivals);
-            assert_eq!(replay, first, "{label}/{} replay diverged", order.label());
+        for (scenario, first) in scenarios.iter().zip(&runs) {
+            let replay = scenario.run(None);
+            assert_eq!(
+                (replay.fingerprint, replay.headline),
+                (first.fingerprint, first.headline),
+                "{label}/{} replay diverged",
+                scenario.name
+            );
         }
 
+        let (fifo, lsf) = (&runs[0].headline, &runs[1].headline);
+        let (fifo_att, lsf_att) = (attainment(&runs[0]), attainment(&runs[1]));
         assert!(
             fifo.timed_out > 0,
             "{label}: the scenario must pressure deadlines under FIFO"
@@ -202,10 +143,8 @@ fn main() {
             fifo.timed_out
         );
         assert!(
-            lsf.attainment >= fifo.attainment,
-            "{label}: least-slack-first attainment {:.3} fell below FIFO {:.3}",
-            lsf.attainment,
-            fifo.attainment
+            lsf_att >= fifo_att,
+            "{label}: least-slack-first attainment {lsf_att:.3} fell below FIFO {fifo_att:.3}"
         );
         // Matched provisioning: identical fleet sizes; the provisioned
         // time may stretch only by what serving the rescued requests
@@ -217,15 +156,16 @@ fn main() {
             fifo.gpu_seconds
         );
 
-        for (order, result) in [("fifo", fifo), ("least-slack", lsf)] {
+        for (order, run) in ["fifo", "least-slack"].into_iter().zip(&runs) {
+            let h = &run.headline;
             table.row([
                 label.to_string(),
                 order.to_string(),
-                result.completed.to_string(),
-                result.timed_out.to_string(),
-                pct(result.attainment),
-                format!("{:.0}", result.gpu_seconds),
-                format!("{:.0}", result.makespan_s),
+                h.completed.to_string(),
+                h.timed_out.to_string(),
+                pct(attainment(run)),
+                format!("{:.0}", h.gpu_seconds),
+                format!("{:.0}", run.report.makespan().as_secs_f64()),
             ]);
         }
     }

@@ -23,26 +23,20 @@
 //! cargo run --release -p pf-bench --bin disagg [-- --quick]
 //! ```
 
+use std::sync::Arc;
+
 use pf_autoscale::{AutoscaleConfig, PredictorKind};
-use pf_bench::{default_threads, run_parallel, Cli};
-use pf_core::SchedulerConfig;
-use pf_metrics::{Align, SimDuration, SimTime, Table};
-use pf_sim::disagg::{DisaggCluster, DisaggConfig, ElasticDisaggCluster};
-use pf_sim::elastic::ElasticCluster;
-use pf_sim::{GpuSpec, ModelSpec, SimConfig};
-use pf_workload::{datasets, rng::seeded, PoissonArrivals, RateProfile, RequestSpec};
+use pf_bench::scenario::{
+    base, by_name, run_all, Report, Run, Scenario, Topology, Workload, WorkloadFn,
+};
+use pf_bench::Cli;
+use pf_metrics::Align::{Left, Right};
+use pf_metrics::{SimDuration, Table};
+use pf_sim::disagg::DisaggConfig;
+use pf_workload::{datasets, rng::seeded, PoissonArrivals, RateProfile};
 
 const INTERVAL_S: u64 = 10;
 const WARMUP_S: u64 = 20;
-
-fn base_config(capacity: u64) -> SimConfig {
-    SimConfig::builder(ModelSpec::llama2_7b(), GpuSpec::a100_80g())
-        .scheduler(SchedulerConfig::past_future())
-        .capacity_override(capacity)
-        .record_series(false)
-        .seed(31)
-        .build()
-}
 
 #[derive(Clone, Copy)]
 enum Fleet {
@@ -62,138 +56,69 @@ enum Fleet {
 }
 
 impl Fleet {
-    fn label(&self) -> String {
-        match *self {
-            Fleet::Coloc(n) => format!("coloc-static-{n}"),
-            Fleet::Disagg(p, d) => format!("disagg-{p}p{d}d"),
-            Fleet::DisaggElastic { pmax, dmax, .. } => format!("disagg-elastic-{pmax}p{dmax}d"),
-        }
-    }
-}
-
-/// Common row extracted from either report type.
-#[derive(Clone)]
-struct RowData {
-    label: String,
-    completed: usize,
-    ttft_attainment: f64,
-    ttft_p99_secs: f64,
-    sla_attainment: f64,
-    goodput_tok_per_s: f64,
-    gpu_seconds: f64,
-    peak: String,
-    makespan_s: f64,
-    scaling_events: usize,
-}
-
-fn run_fleet(
-    fleet: Fleet,
-    capacity: u64,
-    requests: Vec<RequestSpec>,
-    arrivals: Vec<SimTime>,
-) -> RowData {
-    let label = fleet.label();
-    match fleet {
-        Fleet::Coloc(n) => {
-            let autoscale = AutoscaleConfig::bounded(n, n)
-                .interval(SimDuration::from_secs(INTERVAL_S))
-                .warmup(SimDuration::from_secs(WARMUP_S));
-            let report = ElasticCluster::new(base_config(capacity), autoscale, n)
-                .run(requests, arrivals)
-                .expect("colocated run");
-            RowData {
-                label,
-                completed: report.completed(),
-                ttft_attainment: report.goodput.ttft_attainment(),
-                ttft_p99_secs: report.goodput.ttft_secs.p99,
-                sla_attainment: report.sla_attainment(),
-                goodput_tok_per_s: report.goodput_tok_per_s(),
-                gpu_seconds: report.gpu_seconds(),
-                peak: format!("{}", report.peak_replicas()),
-                makespan_s: report.makespan.as_secs_f64(),
-                scaling_events: report.events.len(),
-            }
-        }
-        Fleet::Disagg(p, d) => {
-            let report = DisaggCluster::new(DisaggConfig::new(base_config(capacity)), p, d)
-                .run(requests, arrivals)
-                .expect("disagg run");
-            RowData {
-                label,
-                completed: report.completed(),
-                ttft_attainment: report.ttft_attainment(),
-                ttft_p99_secs: report.goodput.ttft_secs.p99,
-                sla_attainment: report.sla_attainment(),
-                goodput_tok_per_s: report.goodput_tok_per_s(),
-                gpu_seconds: report.gpu_seconds(),
-                peak: format!("{p}+{d}"),
-                makespan_s: report.makespan.as_secs_f64(),
-                scaling_events: 0,
-            }
-        }
-        Fleet::DisaggElastic {
-            pmax,
-            dmax,
-            p0,
-            d0,
-            predictor,
-        } => {
-            let pool = |max: usize| {
-                AutoscaleConfig::bounded(1, max)
+    /// The fleet as a scenario serving `workload` from `seed`.
+    fn scenario(self, capacity: u64, seed: u64, workload: &WorkloadFn) -> Scenario {
+        let config = base(31).capacity_override(capacity).build();
+        let (name, topology) = match self {
+            Fleet::Coloc(n) => {
+                let autoscale = AutoscaleConfig::bounded(n, n)
                     .interval(SimDuration::from_secs(INTERVAL_S))
-                    .warmup(SimDuration::from_secs(WARMUP_S))
-                    .predictor(predictor)
-                    .initial_lengths(512.0, 128.0)
-            };
-            let report = ElasticDisaggCluster::new(
-                DisaggConfig::new(base_config(capacity)),
-                pool(pmax),
-                pool(dmax),
+                    .warmup(SimDuration::from_secs(WARMUP_S));
+                (
+                    format!("coloc-static-{n}"),
+                    Topology::elastic(config, autoscale, n),
+                )
+            }
+            Fleet::Disagg(p, d) => (
+                format!("disagg-{p}p{d}d"),
+                Topology::disagg(DisaggConfig::new(config), p, d),
+            ),
+            Fleet::DisaggElastic {
+                pmax,
+                dmax,
                 p0,
                 d0,
-            )
-            .run(requests, arrivals)
-            .expect("elastic disagg run");
-            RowData {
-                label,
-                completed: report.completed(),
-                ttft_attainment: report.ttft_attainment(),
-                ttft_p99_secs: report.goodput.ttft_secs.p99,
-                sla_attainment: report.sla_attainment(),
-                goodput_tok_per_s: report.goodput_tok_per_s(),
-                gpu_seconds: report.gpu_seconds(),
-                peak: format!(
-                    "{}+{}",
-                    report.peak_prefill_replicas(),
-                    report.peak_decode_replicas()
-                ),
-                makespan_s: report.makespan.as_secs_f64(),
-                scaling_events: report.prefill.events.len() + report.decode.events.len(),
+                predictor,
+            } => {
+                let pool = |max: usize| {
+                    AutoscaleConfig::bounded(1, max)
+                        .interval(SimDuration::from_secs(INTERVAL_S))
+                        .warmup(SimDuration::from_secs(WARMUP_S))
+                        .predictor(predictor)
+                        .initial_lengths(512.0, 128.0)
+                };
+                let topology = Topology::ElasticDisagg {
+                    config: DisaggConfig::new(config),
+                    prefill: pool(pmax),
+                    decode: pool(dmax),
+                    initial: (p0, d0),
+                };
+                (format!("disagg-elastic-{pmax}p{dmax}d"), topology)
             }
+        };
+        Scenario {
+            name,
+            seed,
+            topology,
+            workload: workload.clone(),
         }
     }
 }
 
-fn scenario_table(
-    cli: &Cli,
-    name: &str,
-    title: &str,
-    fleets: &[Fleet],
-    capacity: u64,
-    requests: &[RequestSpec],
-    arrivals: &[SimTime],
-) -> Vec<RowData> {
-    let jobs: Vec<Box<dyn FnOnce() -> RowData + Send>> = fleets
-        .iter()
-        .map(|&fleet| {
-            let requests = requests.to_vec();
-            let arrivals = arrivals.to_vec();
-            Box::new(move || run_fleet(fleet, capacity, requests, arrivals))
-                as Box<dyn FnOnce() -> RowData + Send>
-        })
-        .collect();
-    let rows = run_parallel(jobs, default_threads());
+/// Peak replicas and scaling decisions, per report type.
+fn fleet_columns(run: &Run) -> (String, usize) {
+    match &run.report {
+        Report::Elastic(r) => (r.peak_replicas().to_string(), r.events.len()),
+        Report::Disagg(r) => (
+            format!("{}+{}", r.peak_prefill_replicas(), r.peak_decode_replicas()),
+            r.prefill.events.len() + r.decode.events.len(),
+        ),
+        _ => unreachable!("fleets here are elastic or disaggregated"),
+    }
+}
 
+fn scenario_table(cli: &Cli, name: &str, title: &str, scenarios: &[Scenario]) -> Vec<Run> {
+    let runs = run_all(scenarios);
     let mut table = Table::new([
         "fleet",
         "completed",
@@ -207,39 +132,26 @@ fn scenario_table(
         "scaling events",
     ])
     .with_aligns(&[
-        Align::Left,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
+        Left, Right, Right, Right, Right, Right, Right, Right, Right, Right,
     ]);
-    for row in &rows {
+    for run in &runs {
+        let h = &run.headline;
+        let (peak, scaling_events) = fleet_columns(run);
         table.row([
-            row.label.clone(),
-            row.completed.to_string(),
-            format!("{:.1}", row.ttft_attainment * 100.0),
-            format!("{:.2}", row.ttft_p99_secs),
-            format!("{:.1}", row.sla_attainment * 100.0),
-            format!("{:.0}", row.goodput_tok_per_s),
-            format!("{:.0}", row.gpu_seconds),
-            row.peak.clone(),
-            format!("{:.0}", row.makespan_s),
-            row.scaling_events.to_string(),
+            run.name.clone(),
+            h.completed.to_string(),
+            format!("{:.1}", h.ttft_attainment * 100.0),
+            format!("{:.2}", h.ttft_p99_s),
+            format!("{:.1}", h.sla_attainment * 100.0),
+            format!("{:.0}", h.goodput_tok_per_s),
+            format!("{:.0}", h.gpu_seconds),
+            peak,
+            format!("{:.0}", run.report.makespan().as_secs_f64()),
+            scaling_events.to_string(),
         ]);
     }
     cli.emit(name, title, &table);
-    rows
-}
-
-fn by_label<'a>(rows: &'a [RowData], label: &str) -> &'a RowData {
-    rows.iter()
-        .find(|r| r.label == label)
-        .unwrap_or_else(|| panic!("missing fleet {label}"))
+    runs
 }
 
 fn main() {
@@ -252,9 +164,13 @@ fn main() {
     // dedicated prefill pool keeps first tokens flowing and pushes the
     // stress onto the decode side's MTPOT — the disaggregation trade.
     let n_steady = cli.size(3_000, 900);
-    let steady_requests = datasets::prefill_heavy(n_steady, 51);
-    let steady_arrivals = PoissonArrivals::new(12.0).assign(&mut seeded(52), n_steady);
-    let steady_fleets = [
+    let steady: WorkloadFn = Arc::new(move |seed| {
+        Workload::Timed(
+            datasets::prefill_heavy(n_steady, seed),
+            PoissonArrivals::new(12.0).assign(&mut seeded(seed + 1), n_steady),
+        )
+    });
+    let steady_fleets: Vec<Scenario> = [
         Fleet::Coloc(4),
         Fleet::Disagg(2, 2),
         Fleet::Disagg(3, 1),
@@ -265,22 +181,19 @@ fn main() {
             d0: 2,
             predictor: PredictorKind::holt(),
         },
-    ];
-    let steady_rows = scenario_table(
+    ]
+    .iter()
+    .map(|fleet| fleet.scenario(9_000, 51, &steady))
+    .collect();
+    let steady_runs = scenario_table(
         &cli,
         "disagg_prefill_heavy",
         "Disaggregation: steady prefill-heavy load (12 req/s, 1-3k prompts, 4 GPUs)",
         &steady_fleets,
-        9_000,
-        &steady_requests,
-        &steady_arrivals,
     );
 
-    // Scenario 2 — diurnal chat cycle.
-    let n_diurnal = cli.size(2_400, 500);
-    let diurnal_requests = datasets::short_chat(n_diurnal, 53);
-    let diurnal_arrivals = RateProfile::diurnal(2.0, 10.0, SimDuration::from_secs(180))
-        .assign(&mut seeded(54), n_diurnal);
+    // Scenarios 2 and 3 — a diurnal chat cycle and a bursty chat square
+    // wave on the same fleets.
     let chat_fleets = [
         Fleet::Coloc(4),
         Fleet::Disagg(1, 3),
@@ -294,42 +207,49 @@ fn main() {
             predictor: PredictorKind::holt_winters(18),
         },
     ];
-    scenario_table(
-        &cli,
-        "disagg_diurnal",
-        "Disaggregation: diurnal chat load (2 -> 10 req/s, 180 s period, 4 GPUs)",
-        &chat_fleets,
-        6_000,
-        &diurnal_requests,
-        &diurnal_arrivals,
-    );
-
-    // Scenario 3 — bursty chat square wave.
-    let n_bursty = cli.size(1_500, 350);
-    let bursty_requests = datasets::short_chat(n_bursty, 55);
-    let bursty_arrivals = RateProfile::bursty(
-        1.0,
-        10.0,
-        SimDuration::from_secs(40),
-        SimDuration::from_secs(180),
-    )
-    .assign(&mut seeded(56), n_bursty);
-    scenario_table(
-        &cli,
-        "disagg_bursty",
-        "Disaggregation: bursty chat load (1 req/s floor, 10 req/s bursts, 4 GPUs)",
-        &chat_fleets,
-        6_000,
-        &bursty_requests,
-        &bursty_arrivals,
-    );
+    let chat = |n: usize, profile: RateProfile| -> WorkloadFn {
+        Arc::new(move |seed| {
+            Workload::Timed(
+                datasets::short_chat(n, seed),
+                profile.assign(&mut seeded(seed + 1), n),
+            )
+        })
+    };
+    for (name, title, seed, n, profile) in [
+        (
+            "disagg_diurnal",
+            "Disaggregation: diurnal chat load (2 -> 10 req/s, 180 s period, 4 GPUs)",
+            53,
+            cli.size(2_400, 500),
+            RateProfile::diurnal(2.0, 10.0, SimDuration::from_secs(180)),
+        ),
+        (
+            "disagg_bursty",
+            "Disaggregation: bursty chat load (1 req/s floor, 10 req/s bursts, 4 GPUs)",
+            55,
+            cli.size(1_500, 350),
+            RateProfile::bursty(
+                1.0,
+                10.0,
+                SimDuration::from_secs(40),
+                SimDuration::from_secs(180),
+            ),
+        ),
+    ] {
+        let workload = chat(n, profile);
+        let scenarios: Vec<Scenario> = chat_fleets
+            .iter()
+            .map(|fleet| fleet.scenario(6_000, seed, &workload))
+            .collect();
+        scenario_table(&cli, name, title, &scenarios);
+    }
 
     // Headline checks (prefill-heavy): the matched-GPU disaggregated split
     // protects TTFT — attainment at least the colocated fleet's, with a
     // no-worse p99 — at no extra provisioned cost, and the elastic run
     // replays bit-identically.
-    let coloc = by_label(&steady_rows, "coloc-static-4");
-    let split = by_label(&steady_rows, "disagg-2p2d");
+    let coloc = &by_name(&steady_runs, "coloc-static-4").headline;
+    let split = &by_name(&steady_runs, "disagg-2p2d").headline;
     assert!(
         split.ttft_attainment >= coloc.ttft_attainment,
         "disagg TTFT attainment {:.3} fell below colocated {:.3}",
@@ -337,10 +257,10 @@ fn main() {
         coloc.ttft_attainment
     );
     assert!(
-        split.ttft_p99_secs <= coloc.ttft_p99_secs,
+        split.ttft_p99_s <= coloc.ttft_p99_s,
         "disagg TTFT p99 {:.2}s exceeds colocated {:.2}s",
-        split.ttft_p99_secs,
-        coloc.ttft_p99_secs
+        split.ttft_p99_s,
+        coloc.ttft_p99_s
     );
     assert!(
         split.gpu_seconds <= coloc.gpu_seconds * 1.02,
@@ -348,30 +268,15 @@ fn main() {
         split.gpu_seconds,
         coloc.gpu_seconds
     );
-    let elastic = by_label(&steady_rows, "disagg-elastic-3p3d");
-    let replay = run_fleet(
-        Fleet::DisaggElastic {
-            pmax: 3,
-            dmax: 3,
-            p0: 2,
-            d0: 2,
-            predictor: PredictorKind::holt(),
-        },
-        9_000,
-        steady_requests.clone(),
-        steady_arrivals.clone(),
+    let elastic = by_name(&steady_runs, "disagg-elastic-3p3d");
+    let replay = steady_fleets[3].run(None);
+    assert_eq!(
+        replay.fingerprint, elastic.fingerprint,
+        "non-deterministic replay"
     );
     assert_eq!(
-        replay.makespan_s, elastic.makespan_s,
-        "non-deterministic makespan"
-    );
-    assert_eq!(
-        replay.gpu_seconds, elastic.gpu_seconds,
+        replay.headline, elastic.headline,
         "non-deterministic GPU-seconds"
-    );
-    assert_eq!(
-        replay.scaling_events, elastic.scaling_events,
-        "non-deterministic scaling"
     );
     println!(
         "[ok] disagg-2p2d: TTFT-SLA {:.1}% vs coloc-static-4 {:.1}% at {:.0} vs {:.0} GPU-s; \

@@ -9,10 +9,11 @@
 //! cargo run --release -p pf-bench --bin fig1 [-- --quick]
 //! ```
 
+use pf_bench::scenario::base;
 use pf_bench::{default_threads, output_lengths, pct, run_parallel, Cli};
 use pf_core::SchedulerConfig;
 use pf_metrics::{Align, Table};
-use pf_sim::{GpuSpec, ModelSpec, SimConfig, SimReport, Simulation};
+use pf_sim::{SimReport, Simulation};
 use pf_workload::{datasets, RequestSpec};
 
 fn main() {
@@ -36,11 +37,10 @@ fn main() {
             let requests = builder(n, 2);
             let warmup = warmup.clone();
             jobs.push(Box::new(move || {
-                let config = SimConfig::builder(ModelSpec::llama2_7b(), GpuSpec::a100_80g())
+                let config = base(30)
                     .scheduler(scheduler)
                     .history_warmup(warmup)
                     .record_series(true)
-                    .seed(30)
                     .build();
                 let report = Simulation::offline(config, requests)
                     .run()

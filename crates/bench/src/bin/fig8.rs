@@ -10,10 +10,11 @@
 //! cargo run --release -p pf-bench --bin fig8 [-- --quick]
 //! ```
 
+use pf_bench::scenario::base;
 use pf_bench::{default_threads, output_lengths, run_parallel, Cli};
 use pf_core::SchedulerConfig;
 use pf_metrics::{Align, Table};
-use pf_sim::{GpuSpec, ModelSpec, SimConfig, SimReport, Simulation};
+use pf_sim::{SimReport, Simulation};
 use pf_workload::datasets;
 
 fn main() {
@@ -42,12 +43,7 @@ fn main() {
             let requests = requests.clone();
             let warmup = warmup.clone();
             Box::new(move || {
-                let config = SimConfig::builder(ModelSpec::llama2_7b(), GpuSpec::a100_80g())
-                    .scheduler(scheduler)
-                    .history_warmup(warmup)
-                    .record_series(false)
-                    .seed(50)
-                    .build();
+                let config = base(50).scheduler(scheduler).history_warmup(warmup).build();
                 Simulation::offline(config, requests)
                     .run()
                     .expect("fig8 simulation")

@@ -29,14 +29,15 @@
 //! cargo run --release -p pf-bench --bin hetero_fleet [-- --quick]
 //! ```
 
-use pf_autoscale::{AutoscaleConfig, PredictorKind};
+use pf_autoscale::{AutoscaleConfig, PolicyConfig, PredictorKind};
+use pf_bench::scenario::{base, by_name, run_all, Report, Run, Scenario, Topology, Workload};
 use pf_bench::Cli;
-use pf_core::SchedulerConfig;
-use pf_metrics::{Align, SimDuration, SimTime, Table};
-use pf_sim::disagg::{DisaggConfig, DisaggReport, ElasticDisaggCluster};
-use pf_sim::elastic::{ElasticCluster, ElasticReport};
-use pf_sim::{GpuSpec, GpuType, ModelSpec, SimConfig};
-use pf_workload::{datasets, rng::seeded, LengthSampler, RateProfile, RequestSpec};
+use pf_metrics::Align::{Left, Right};
+use pf_metrics::{SimDuration, SimTime, Table};
+use pf_sim::cluster::RouterPolicy;
+use pf_sim::disagg::{DisaggConfig, DisaggReport};
+use pf_sim::GpuType;
+use pf_workload::{datasets, rng::seeded, LengthSampler, RateProfile};
 
 const INTERVAL_S: u64 = 10;
 const WARMUP_S: u64 = 20;
@@ -44,28 +45,19 @@ const WARMUP_S: u64 = 20;
 /// only the KV pool reset and CUDA-graph capture remain.
 const REPURPOSE_S: u64 = 2;
 
-fn base_config(capacity: u64) -> SimConfig {
-    SimConfig::builder(ModelSpec::llama2_7b(), GpuSpec::a100_80g())
-        .scheduler(SchedulerConfig::past_future())
-        .capacity_override(capacity)
-        .record_series(false)
-        .seed(71)
-        .build()
-}
-
 /// The phase-shift workload: `n_prefill` requests of summarization-style
 /// traffic (huge prompts, near-single-token answers — only the prefill
 /// pool loads) at 14 req/s, then an abrupt switch to generation-style
 /// traffic (short prompts, long answers) at 10 req/s — the decode pool
 /// must grow in the same planning round the prefill pool sheds its
 /// surplus.
-fn phase_shift_workload(n_prefill: usize, n_decode: usize) -> (Vec<RequestSpec>, Vec<SimTime>) {
+fn phase_shift_workload(n_prefill: usize, n_decode: usize, seed: u64) -> Workload {
     let pre_in = LengthSampler::uniform(1024, 3072);
     let pre_out = LengthSampler::uniform(4, 16);
-    let mut requests = datasets::from_samplers(n_prefill, 72, &pre_in, &pre_out, 32);
+    let mut requests = datasets::from_samplers(n_prefill, seed, &pre_in, &pre_out, 32);
     let long_in = LengthSampler::uniform(48, 160);
     let long_out = LengthSampler::uniform(192, 512);
-    let tail = datasets::from_samplers(n_decode, 73, &long_in, &long_out, 640);
+    let tail = datasets::from_samplers(n_decode, seed + 1, &long_in, &long_out, 640);
     requests.extend(tail.into_iter().enumerate().map(|(i, mut r)| {
         r.id = ((n_prefill + i) as u64).into();
         r
@@ -77,16 +69,14 @@ fn phase_shift_workload(n_prefill: usize, n_decode: usize) -> (Vec<RequestSpec>,
     arrivals.extend(
         (1..=n_decode as u64).map(|i| SimTime::from_micros(phase_b_start + 100_000 * i)), // 10 req/s
     );
-    (requests, arrivals)
+    Workload::Timed(requests, arrivals)
 }
 
-fn repurpose_run(
-    repurpose: bool,
-    requests: Vec<RequestSpec>,
-    arrivals: Vec<SimTime>,
-) -> DisaggReport {
+/// Elastic disaggregated pools on the phase shift, with cross-pool
+/// repurposing on or off.
+fn repurpose_scenario(repurpose: bool, n_prefill: usize, n_decode: usize) -> Scenario {
     let pool = |max: usize, patience: u32| {
-        let mut policy = pf_autoscale::PolicyConfig::bounded(1, max);
+        let mut policy = PolicyConfig::bounded(1, max);
         policy.scale_down_patience = patience;
         AutoscaleConfig::bounded(1, max)
             .interval(SimDuration::from_secs(INTERVAL_S))
@@ -95,77 +85,47 @@ fn repurpose_run(
             .initial_lengths(512.0, 64.0)
             .policy(policy)
     };
-    let mut config = DisaggConfig::new(base_config(9_000));
+    let mut config = DisaggConfig::new(base(71).capacity_override(9_000).build());
     if repurpose {
         config = config.repurpose(SimDuration::from_secs(REPURPOSE_S));
     }
     // Prefill instances drain in well under an interval (no long decodes),
     // so the prefill pool sheds surplus with minimal patience — the decode
     // pool keeps the default hysteresis.
-    ElasticDisaggCluster::new(config, pool(4, 1), pool(4, 3), 2, 1)
-        .run(requests, arrivals)
-        .expect("elastic disagg run")
-}
-
-#[derive(Clone, Copy)]
-enum ColocFleet {
-    AllBig,
-    MixedStatic,
-    MixedElastic,
-}
-
-impl ColocFleet {
-    fn label(self) -> &'static str {
-        match self {
-            ColocFleet::AllBig => "static-4xbig",
-            ColocFleet::MixedStatic => "static-2big+2mid",
-            ColocFleet::MixedElastic => "elastic-2big+2mid",
-        }
-    }
-}
-
-fn mixed_run(
-    fleet: ColocFleet,
-    requests: Vec<RequestSpec>,
-    arrivals: Vec<SimTime>,
-) -> ElasticReport {
-    let (min, max, initial) = match fleet {
-        ColocFleet::AllBig | ColocFleet::MixedStatic => (4, 4, 4),
-        ColocFleet::MixedElastic => (1, 4, 2),
+    let topology = Topology::ElasticDisagg {
+        config,
+        prefill: pool(4, 1),
+        decode: pool(4, 3),
+        initial: (2, 1),
     };
-    let autoscale = AutoscaleConfig::bounded(min, max)
-        .interval(SimDuration::from_secs(INTERVAL_S))
-        .warmup(SimDuration::from_secs(WARMUP_S))
-        .predictor(PredictorKind::holt())
-        .initial_lengths(160.0, 224.0);
-    let mut cluster = ElasticCluster::new(base_config(6_000), autoscale, initial);
-    match fleet {
-        ColocFleet::AllBig => cluster = cluster.fleet(vec![GpuType::big(); 4]),
-        ColocFleet::MixedStatic | ColocFleet::MixedElastic => {
-            cluster = cluster.fleet(vec![
-                GpuType::big(),
-                GpuType::big(),
-                GpuType::mid(),
-                GpuType::mid(),
-            ]);
-        }
+    let name = if repurpose {
+        "repurpose-on"
+    } else {
+        "repurpose-off"
+    };
+    Scenario::new(name, 72, topology, move |seed| {
+        phase_shift_workload(n_prefill, n_decode, seed)
+    })
+}
+
+fn disagg(run: &Run) -> &DisaggReport {
+    match &run.report {
+        Report::Disagg(report) => report,
+        _ => unreachable!("the repurposing runs are disaggregated"),
     }
-    cluster.run(requests, arrivals).expect("elastic run")
 }
 
 fn main() {
     let cli = Cli::parse();
 
     // Scenario 1 — cross-pool repurposing on the phase-shift workload.
-    let n_prefill = cli.size(1_400, 700);
-    let n_decode = cli.size(900, 450);
     // Phase A: 100 s (50 s quick) of pure prefill load; phase B: 90 s
     // (45 s quick) of pure decode load. The planner rounds right after
     // the switch shed prefill capacity and order decode capacity — the
     // repurposing window.
-    let (requests, arrivals) = phase_shift_workload(n_prefill, n_decode);
-    let off = repurpose_run(false, requests.clone(), arrivals.clone());
-    let on = repurpose_run(true, requests.clone(), arrivals.clone());
+    let (n_prefill, n_decode) = (cli.size(1_400, 700), cli.size(900, 450));
+    let repurposing = [false, true].map(|on| repurpose_scenario(on, n_prefill, n_decode));
+    let runs = run_all(&repurposing);
 
     let mut table = Table::new([
         "fleet",
@@ -177,24 +137,21 @@ fn main() {
         "repurposes",
         "peak",
     ])
-    .with_aligns(&[
-        Align::Left,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-    ]);
-    for (label, report) in [("repurpose-off", &off), ("repurpose-on", &on)] {
+    .with_aligns(&[Left, Right, Right, Right, Right, Right, Right, Right]);
+    let cost = |run: &Run| {
+        run.headline
+            .cost_weighted_gpu_seconds
+            .expect("fleets carry GPU costs")
+    };
+    for run in &runs {
+        let (h, report) = (&run.headline, disagg(run));
         table.row([
-            label.to_string(),
-            report.completed().to_string(),
-            format!("{:.1}", report.ttft_attainment() * 100.0),
-            format!("{:.2}", report.goodput.ttft_secs.p99),
-            format!("{:.1}", report.sla_attainment() * 100.0),
-            format!("{:.0}", report.cost_weighted_gpu_seconds()),
+            run.name.clone(),
+            h.completed.to_string(),
+            format!("{:.1}", h.ttft_attainment * 100.0),
+            format!("{:.2}", h.ttft_p99_s),
+            format!("{:.1}", h.sla_attainment * 100.0),
+            format!("{:.0}", cost(run)),
             report.repurposes.len().to_string(),
             format!(
                 "{}+{}",
@@ -209,15 +166,16 @@ fn main() {
         &table,
     );
 
+    let (off, on) = (&runs[0], &runs[1]);
     assert!(
-        !on.repurposes.is_empty(),
+        !disagg(on).repurposes.is_empty(),
         "the phase shift never triggered a repurpose flip"
     );
     assert!(
-        on.ttft_attainment() >= off.ttft_attainment(),
+        on.headline.ttft_attainment >= off.headline.ttft_attainment,
         "repurposing TTFT attainment {:.3} fell below no-repurpose {:.3}",
-        on.ttft_attainment(),
-        off.ttft_attainment()
+        on.headline.ttft_attainment,
+        off.headline.ttft_attainment
     );
     // The flip substitutes one-for-one for the cold spawn, so provisioned
     // cost is matched (measured: bit-identical on the quick size, +0.015%
@@ -225,45 +183,61 @@ fn main() {
     // substituted capacity serves 18 s sooner, which shows up as full-SLA
     // attainment through the transition.
     assert!(
-        on.cost_weighted_gpu_seconds() <= off.cost_weighted_gpu_seconds() * 1.002,
+        cost(on) <= cost(off) * 1.002,
         "repurposing spent {:.1} cost-weighted GPU-s vs {:.1} without — not matched",
-        on.cost_weighted_gpu_seconds(),
-        off.cost_weighted_gpu_seconds()
+        cost(on),
+        cost(off)
     );
     assert!(
-        on.sla_attainment() >= off.sla_attainment() + 0.02,
+        on.headline.sla_attainment >= off.headline.sla_attainment + 0.02,
         "repurposing SLA {:.3} no longer beats no-repurpose {:.3} through the transition",
-        on.sla_attainment(),
-        off.sla_attainment()
+        on.headline.sla_attainment,
+        off.headline.sla_attainment
     );
     // Deterministic replay of the repurposing run.
-    let replay = repurpose_run(true, requests, arrivals);
-    assert_eq!(replay.makespan, on.makespan, "non-deterministic makespan");
+    let replay = repurposing[1].run(None);
     assert_eq!(
-        replay.cost_weighted_gpu_seconds(),
-        on.cost_weighted_gpu_seconds(),
-        "non-deterministic cost"
+        replay.fingerprint, on.fingerprint,
+        "non-deterministic replay"
     );
-    assert_eq!(
-        replay.repurposes, on.repurposes,
-        "non-deterministic repurposing"
-    );
+    assert_eq!(cost(&replay), cost(on), "non-deterministic cost");
 
-    // Scenario 2 — mixed static fleet vs the all-big baseline on diurnal
-    // chat.
+    // Scenario 2 — an all-big static fleet, a mixed static fleet and an
+    // elastic fleet over the same mixed slots, on diurnal chat.
     let n = cli.size(3_000, 700);
-    let chat = datasets::short_chat(n, 74);
-    let chat_arrivals =
-        RateProfile::diurnal(2.0, 10.0, SimDuration::from_secs(180)).assign(&mut seeded(75), n);
-    let fleets = [
-        ColocFleet::AllBig,
-        ColocFleet::MixedStatic,
-        ColocFleet::MixedElastic,
+    let mixed_slots = vec![
+        GpuType::big(),
+        GpuType::big(),
+        GpuType::mid(),
+        GpuType::mid(),
     ];
-    let reports: Vec<(ColocFleet, ElasticReport)> = fleets
-        .iter()
-        .map(|&fleet| (fleet, mixed_run(fleet, chat.clone(), chat_arrivals.clone())))
-        .collect();
+    let fleets = [
+        ("static-4xbig", (4, 4, 4), vec![GpuType::big(); 4]),
+        ("static-2big+2mid", (4, 4, 4), mixed_slots.clone()),
+        ("elastic-2big+2mid", (1, 4, 2), mixed_slots),
+    ]
+    .map(|(name, (min, max, initial), fleet)| {
+        let autoscale = AutoscaleConfig::bounded(min, max)
+            .interval(SimDuration::from_secs(INTERVAL_S))
+            .warmup(SimDuration::from_secs(WARMUP_S))
+            .predictor(PredictorKind::holt())
+            .initial_lengths(160.0, 224.0);
+        let topology = Topology::Elastic {
+            base: base(71).capacity_override(6_000).build(),
+            autoscale,
+            initial,
+            router: RouterPolicy::LeastEstimatedLoad,
+            fleet,
+        };
+        Scenario::new(name, 74, topology, move |seed| {
+            let profile = RateProfile::diurnal(2.0, 10.0, SimDuration::from_secs(180));
+            Workload::Timed(
+                datasets::short_chat(n, seed),
+                profile.assign(&mut seeded(seed + 1), n),
+            )
+        })
+    });
+    let runs = run_all(&fleets);
 
     let mut table = Table::new([
         "fleet",
@@ -273,21 +247,18 @@ fn main() {
         "cost-wt GPU-s",
         "peak",
     ])
-    .with_aligns(&[
-        Align::Left,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-    ]);
-    for (fleet, report) in &reports {
+    .with_aligns(&[Left, Right, Right, Right, Right, Right]);
+    for run in &runs {
+        let Report::Elastic(report) = &run.report else {
+            unreachable!("the mixed fleets are elastic");
+        };
+        let h = &run.headline;
         table.row([
-            fleet.label().to_string(),
-            report.completed().to_string(),
-            format!("{:.1}", report.sla_attainment() * 100.0),
-            format!("{:.0}", report.gpu_seconds()),
-            format!("{:.0}", report.cost_weighted_gpu_seconds()),
+            run.name.clone(),
+            h.completed.to_string(),
+            format!("{:.1}", h.sla_attainment * 100.0),
+            format!("{:.0}", h.gpu_seconds),
+            format!("{:.0}", cost(run)),
             report.peak_replicas().to_string(),
         ]);
     }
@@ -297,45 +268,39 @@ fn main() {
         &table,
     );
 
-    let by_fleet = |want: &str| {
-        &reports
-            .iter()
-            .find(|(f, _)| f.label() == want)
-            .unwrap_or_else(|| panic!("missing fleet {want}"))
-            .1
-    };
-    let all_big = by_fleet("static-4xbig");
-    let mixed = by_fleet("static-2big+2mid");
-    let sla_gap = all_big.sla_attainment() - mixed.sla_attainment();
-    assert!(
-        sla_gap <= 0.05,
-        "mixed fleet SLA {:.3} trails all-big {:.3} by more than 5 points",
-        mixed.sla_attainment(),
-        all_big.sla_attainment()
+    let all_big = by_name(&runs, "static-4xbig");
+    let mixed = by_name(&runs, "static-2big+2mid");
+    let (all_big_sla, mixed_sla) = (
+        all_big.headline.sla_attainment,
+        mixed.headline.sla_attainment,
     );
     assert!(
-        mixed.cost_weighted_gpu_seconds() < all_big.cost_weighted_gpu_seconds(),
+        all_big_sla - mixed_sla <= 0.05,
+        "mixed fleet SLA {mixed_sla:.3} trails all-big {all_big_sla:.3} by more than 5 points",
+    );
+    assert!(
+        cost(mixed) < cost(all_big),
         "mixed fleet cost {:.0} is not below all-big {:.0}",
-        mixed.cost_weighted_gpu_seconds(),
-        all_big.cost_weighted_gpu_seconds()
+        cost(mixed),
+        cost(all_big)
     );
 
     println!(
         "[ok] repurpose-on: TTFT {:.1}% vs off {:.1}% at {:.0} vs {:.0} cost-weighted GPU-s \
          ({} flips); replay deterministic",
-        on.ttft_attainment() * 100.0,
-        off.ttft_attainment() * 100.0,
-        on.cost_weighted_gpu_seconds(),
-        off.cost_weighted_gpu_seconds(),
-        on.repurposes.len(),
+        on.headline.ttft_attainment * 100.0,
+        off.headline.ttft_attainment * 100.0,
+        cost(on),
+        cost(off),
+        disagg(on).repurposes.len(),
     );
     println!(
         "[ok] mixed 2big+2mid: SLA {:.1}% (all-big {:.1}%) at {:.0} vs {:.0} cost-weighted GPU-s \
          ({:.0}% cheaper)",
-        mixed.sla_attainment() * 100.0,
-        all_big.sla_attainment() * 100.0,
-        mixed.cost_weighted_gpu_seconds(),
-        all_big.cost_weighted_gpu_seconds(),
-        (1.0 - mixed.cost_weighted_gpu_seconds() / all_big.cost_weighted_gpu_seconds()) * 100.0,
+        mixed_sla * 100.0,
+        all_big_sla * 100.0,
+        cost(mixed),
+        cost(all_big),
+        (1.0 - cost(mixed) / cost(all_big)) * 100.0,
     );
 }

@@ -31,15 +31,14 @@
 //! ```
 
 use pf_autoscale::{AutoscaleConfig, PredictorKind};
-use pf_bench::{default_threads, pct, run_parallel, Cli};
+use pf_bench::scenario::{base, by_name, run_all, Run, Scenario, Topology, Workload};
+use pf_bench::{pct, Cli};
 use pf_core::SchedulerConfig;
-use pf_kvcache::PrefixCacheStats;
-use pf_metrics::{Align, SimDuration, SimTime, SlaSpec, Table};
-use pf_sim::cluster::{ClusterSimulation, RouterPolicy};
-use pf_sim::disagg::{DisaggCluster, DisaggConfig};
-use pf_sim::elastic::ElasticCluster;
-use pf_sim::{GpuSpec, ModelSpec, SimConfig};
-use pf_workload::{datasets, LengthSampler, RequestSpec};
+use pf_metrics::Align::{Left, Right};
+use pf_metrics::{SimDuration, SlaSpec, Table};
+use pf_sim::cluster::RouterPolicy;
+use pf_sim::disagg::DisaggConfig;
+use pf_workload::{datasets, LengthSampler};
 
 const CAPACITY: u64 = 48_000;
 const PREFIX_BUDGET_FRAC: f64 = 0.5;
@@ -56,140 +55,73 @@ const AFFINITY: RouterPolicy = RouterPolicy::PrefixAffinity {
     load_tiebreak: true,
 };
 
-/// Reserved-fraction scheduler as in `prefix_routing`: admission packs
+fn name(deployment: &str, router: RouterPolicy, delay: SimDuration) -> String {
+    format!(
+        "{deployment}/{}/{:.2}s",
+        router.label(),
+        delay.as_secs_f64()
+    )
+}
+
+/// The colocated, elastic and disaggregated deployments under `router`,
+/// whose index sees KV events `delay` late, named by [`name`]. The
+/// reserved-fraction scheduler is as in `prefix_routing`: admission packs
 /// request KV into the half of memory the cache does not own.
-fn config(delay: SimDuration) -> SimConfig {
-    let mut config = SimConfig::builder(ModelSpec::llama2_7b(), GpuSpec::a100_80g())
+fn deployments(router: RouterPolicy, delay: SimDuration, n: usize) -> [Scenario; 3] {
+    let mut config = base(67)
         .scheduler(SchedulerConfig::past_future_reserved(PREFIX_BUDGET_FRAC))
         .capacity_override(CAPACITY)
         .sla(SlaSpec::new(
             SimDuration::from_secs(2),
             SimDuration::from_millis(1_500),
         ))
-        .record_series(false)
-        .seed(67)
         .prefix_cache_blocks(PREFIX_BUDGET_FRAC, BLOCK_TOKENS)
         .build();
     config.router.kv_event_delay = delay;
-    config
+    let autoscale = AutoscaleConfig::bounded(2, COLOC_INSTANCES)
+        .interval(SimDuration::from_secs(10))
+        .warmup(SimDuration::from_secs(20))
+        .predictor(PredictorKind::holt())
+        .initial_lengths(900.0, 150.0);
+    // Two load points just past each deployment's prefill knee, as in
+    // `prefix_routing`; comparisons are always within one deployment at
+    // matched GPU-seconds.
+    [
+        (
+            "coloc-4",
+            Topology::cluster(config.clone(), COLOC_INSTANCES, router),
+            30.0,
+        ),
+        (
+            "elastic-2..4",
+            Topology::Elastic {
+                base: config.clone(),
+                autoscale,
+                initial: 4,
+                router,
+                fleet: Vec::new(),
+            },
+            11.0,
+        ),
+        (
+            "disagg-2p2d",
+            Topology::disagg(DisaggConfig::new(config).router(router), 2, 2),
+            11.0,
+        ),
+    ]
+    .map(|(deployment, topology, sessions_per_sec)| {
+        let name = name(deployment, router, delay);
+        Scenario::new(name, 68, topology, move |seed| {
+            tenant_chat(n, seed, sessions_per_sec)
+        })
+    })
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    Coloc,
-    Elastic,
-    Disagg,
-}
-
-impl Mode {
-    fn label(self) -> &'static str {
-        match self {
-            Mode::Coloc => "coloc-4",
-            Mode::Elastic => "elastic-2..4",
-            Mode::Disagg => "disagg-2p2d",
-        }
-    }
-}
-
-#[derive(Clone)]
-struct RowData {
-    mode: Mode,
-    router: RouterPolicy,
-    delay: SimDuration,
-    completed: usize,
-    prefix: PrefixCacheStats,
-    ttft_attainment: f64,
-    sla_attainment: f64,
-    gpu_seconds: f64,
-    makespan_s: f64,
-    /// Routing fingerprint for the determinism check.
-    routed: Vec<usize>,
-}
-
-struct Job {
-    mode: Mode,
-    router: RouterPolicy,
-    delay: SimDuration,
-}
-
-fn run_job(job: &Job, requests: Vec<RequestSpec>, arrivals: Vec<SimTime>) -> RowData {
-    let config = config(job.delay);
-    match job.mode {
-        Mode::Coloc => {
-            let report = ClusterSimulation::new(config, COLOC_INSTANCES, job.router)
-                .run(requests, arrivals)
-                .expect("colocated run");
-            let makespan = report.makespan().as_secs_f64();
-            RowData {
-                mode: job.mode,
-                router: job.router,
-                delay: job.delay,
-                completed: report.completed(),
-                prefix: report.prefix_stats(),
-                ttft_attainment: report.ttft_attainment(),
-                sla_attainment: report.satisfied() as f64 / report.completed().max(1) as f64,
-                gpu_seconds: COLOC_INSTANCES as f64 * makespan,
-                makespan_s: makespan,
-                routed: report.routed_per_instance.clone(),
-            }
-        }
-        Mode::Elastic => {
-            let autoscale = AutoscaleConfig::bounded(2, COLOC_INSTANCES)
-                .interval(SimDuration::from_secs(10))
-                .warmup(SimDuration::from_secs(20))
-                .predictor(PredictorKind::holt())
-                .initial_lengths(900.0, 150.0);
-            let report = ElasticCluster::new(config, autoscale, 4)
-                .router(job.router)
-                .run(requests, arrivals)
-                .expect("elastic run");
-            RowData {
-                mode: job.mode,
-                router: job.router,
-                delay: job.delay,
-                completed: report.completed(),
-                prefix: report.prefix_stats(),
-                ttft_attainment: report.ttft_attainment(),
-                sla_attainment: report.sla_attainment(),
-                gpu_seconds: report.gpu_seconds(),
-                makespan_s: report.makespan.as_secs_f64(),
-                routed: report.instances.iter().map(|i| i.routed).collect(),
-            }
-        }
-        Mode::Disagg => {
-            let report = DisaggCluster::new(DisaggConfig::new(config).router(job.router), 2, 2)
-                .run(requests, arrivals)
-                .expect("disagg run");
-            RowData {
-                mode: job.mode,
-                router: job.router,
-                delay: job.delay,
-                completed: report.completed(),
-                prefix: report.prefix_stats,
-                ttft_attainment: report.ttft_attainment(),
-                sla_attainment: report.sla_attainment(),
-                gpu_seconds: report.gpu_seconds(),
-                makespan_s: report.makespan.as_secs_f64(),
-                routed: report.prefill.instances.iter().map(|i| i.routed).collect(),
-            }
-        }
-    }
-}
-
-fn find(rows: &[RowData], mode: Mode, router: RouterPolicy) -> &RowData {
-    rows.iter()
-        .find(|r| r.mode == mode && r.router == router && r.delay.is_zero())
-        .unwrap_or_else(|| panic!("missing row {} / {}", mode.label(), router.label()))
-}
-
-fn main() {
-    let cli = Cli::parse();
-
-    // Multi-tenant chat: short sessions (the shape that starves
-    // per-session reuse — most requests are session openers) behind long
-    // tenant system prompts, so the bulk of every opener's prefill is
-    // cross-session reusable at block granularity only.
-    let n = cli.size(2_400, 600);
+/// Multi-tenant chat: short sessions (the shape that starves per-session
+/// reuse — most requests are session openers) behind long tenant system
+/// prompts, so the bulk of every opener's prefill is cross-session
+/// reusable at block granularity only.
+fn tenant_chat(n: usize, seed: u64, sessions_per_sec: f64) -> Workload {
     let spec = datasets::SharedSyspromptSpec {
         tenants: 24,
         system_prompt_len: 768,
@@ -203,51 +135,36 @@ fn main() {
             max_context: 2_048,
         },
     };
-    // Two load points just past each deployment's prefill knee, as in
-    // `prefix_routing`; comparisons are always within one deployment at
-    // matched GPU-seconds.
-    let coloc = datasets::shared_sysprompt_chat_timed(n, 68, &spec, 30.0, 2.0, 2.0);
-    let scaled = datasets::shared_sysprompt_chat_timed(n, 68, &spec, 11.0, 2.0, 2.0);
-    let stream = |mode: Mode| match mode {
-        Mode::Coloc => coloc.clone(),
-        Mode::Elastic | Mode::Disagg => scaled.clone(),
-    };
+    let (requests, arrivals) =
+        datasets::shared_sysprompt_chat_timed(n, seed, &spec, sessions_per_sec, 2.0, 2.0);
+    Workload::Timed(requests, arrivals)
+}
 
-    // 3 routers x 3 deployments, and the staleness sweep.
-    let mut jobs_spec: Vec<Job> = [Mode::Coloc, Mode::Elastic, Mode::Disagg]
-        .into_iter()
-        .flat_map(|mode| {
-            [RouterPolicy::LeastEstimatedLoad, AFFINITY, KV_OVERLAP]
-                .into_iter()
-                .map(move |router| Job {
-                    mode,
-                    router,
-                    delay: SimDuration::ZERO,
-                })
-        })
-        .collect();
+/// The fresh-index run of `router` in `mode`.
+fn fresh<'a>(runs: &'a [Run], mode: &str, router: RouterPolicy) -> &'a Run {
+    by_name(runs, &name(mode, router, SimDuration::ZERO))
+}
+
+fn main() {
+    let cli = Cli::parse();
+    let n = cli.size(2_400, 600);
+
+    // 3 routers x 3 deployments, and the staleness sweep on the
+    // colocated fleet (the first deployment).
+    let [by_load, by_affinity, by_overlap] =
+        [RouterPolicy::LeastEstimatedLoad, AFFINITY, KV_OVERLAP]
+            .map(|router| deployments(router, SimDuration::ZERO, n));
     let staleness = [
         SimDuration::from_millis(250),
         SimDuration::from_secs(1),
         SimDuration::from_secs(4),
     ];
-    for delay in staleness {
-        jobs_spec.push(Job {
-            mode: Mode::Coloc,
-            router: KV_OVERLAP,
-            delay,
-        });
-    }
-
-    let jobs: Vec<Box<dyn FnOnce() -> RowData + Send>> = jobs_spec
-        .into_iter()
-        .map(|job| {
-            let (requests, arrivals) = stream(job.mode);
-            Box::new(move || run_job(&job, requests, arrivals))
-                as Box<dyn FnOnce() -> RowData + Send>
-        })
+    let scenarios: Vec<Scenario> = (0..3)
+        .flat_map(|i| [&by_load[i], &by_affinity[i], &by_overlap[i]])
+        .cloned()
+        .chain(staleness.map(|delay| deployments(KV_OVERLAP, delay, n)[0].clone()))
         .collect();
-    let rows = run_parallel(jobs, default_threads());
+    let runs = run_all(&scenarios);
 
     let mut table = Table::new([
         "deployment",
@@ -262,29 +179,24 @@ fn main() {
         "makespan s",
     ])
     .with_aligns(&[
-        Align::Left,
-        Align::Left,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
+        Left, Left, Right, Right, Right, Right, Right, Right, Right, Right,
     ]);
-    for row in &rows {
+    for run in &runs {
+        let (deployment, rest) = run.name.split_once('/').expect("deployment/...");
+        let (router, delay) = rest.split_once('/').expect("router/delay");
+        let h = &run.headline;
+        let prefix = run.report.prefix_stats();
         table.row([
-            row.mode.label().to_string(),
-            row.router.label().to_string(),
-            format!("{:.2}s", row.delay.as_secs_f64()),
-            row.completed.to_string(),
-            pct(row.prefix.hit_rate()),
-            format!("{:.2}", row.prefix.hit_tokens as f64 / 1e6),
-            format!("{:.1}", row.ttft_attainment * 100.0),
-            format!("{:.1}", row.sla_attainment * 100.0),
-            format!("{:.0}", row.gpu_seconds),
-            format!("{:.0}", row.makespan_s),
+            deployment.to_string(),
+            router.to_string(),
+            delay.to_string(),
+            h.completed.to_string(),
+            pct(prefix.hit_rate()),
+            format!("{:.2}", prefix.hit_tokens as f64 / 1e6),
+            format!("{:.1}", h.ttft_attainment * 100.0),
+            format!("{:.1}", h.sla_attainment * 100.0),
+            format!("{:.0}", h.gpu_seconds),
+            format!("{:.0}", run.report.makespan().as_secs_f64()),
         ]);
     }
     cli.emit(
@@ -297,123 +209,101 @@ fn main() {
     // Headline: overlap routing reaches at least prefix-affinity's (and
     // load routing's) TTFT attainment at matched GPU-seconds with a real
     // hit rate, colocated and disaggregated.
-    for mode in [Mode::Coloc, Mode::Disagg] {
-        let load = find(&rows, mode, RouterPolicy::LeastEstimatedLoad);
-        let affinity = find(&rows, mode, AFFINITY);
-        let kv = find(&rows, mode, KV_OVERLAP);
-        assert_eq!(kv.completed, load.completed, "{}", mode.label());
+    for mode in ["coloc-4", "disagg-2p2d"] {
+        let load = fresh(&runs, mode, RouterPolicy::LeastEstimatedLoad);
+        let affinity = &fresh(&runs, mode, AFFINITY).headline;
+        let kv = fresh(&runs, mode, KV_OVERLAP);
+        let (load_hits, kv_hits) = (load.report.prefix_stats(), kv.report.prefix_stats());
+        let (load, kv) = (&load.headline, &kv.headline);
+        assert_eq!(kv.completed, load.completed, "{mode}");
         // The event-fed global index must match direct store probes, in
         // the colocated fleet and in the disaggregated prefill pool.
         assert!(
             kv.ttft_attainment >= affinity.ttft_attainment,
-            "{}: overlap TTFT attainment {:.3} below prefix-affinity {:.3}",
-            mode.label(),
+            "{mode}: overlap TTFT attainment {:.3} below prefix-affinity {:.3}",
             kv.ttft_attainment,
             affinity.ttft_attainment
         );
         assert!(
             kv.ttft_attainment >= load.ttft_attainment,
-            "{}: overlap TTFT attainment {:.3} below least-estimated-load {:.3}",
-            mode.label(),
+            "{mode}: overlap TTFT attainment {:.3} below least-estimated-load {:.3}",
             kv.ttft_attainment,
             load.ttft_attainment
         );
         assert!(
             kv.gpu_seconds <= load.gpu_seconds * 1.02,
-            "{}: overlap spent {:.0} GPU-s vs {:.0} — not a matched comparison",
-            mode.label(),
+            "{mode}: overlap spent {:.0} GPU-s vs {:.0} — not a matched comparison",
             kv.gpu_seconds,
             load.gpu_seconds
         );
         assert!(
-            kv.prefix.hit_rate() > 0.0,
-            "{}: overlap routing produced no hits",
-            mode.label()
+            kv_hits.hit_rate() > 0.0,
+            "{mode}: overlap routing produced no hits"
         );
         assert!(
-            kv.prefix.hit_tokens > load.prefix.hit_tokens,
-            "{}: overlap saved {} tokens vs {} under blind routing",
-            mode.label(),
-            kv.prefix.hit_tokens,
-            load.prefix.hit_tokens
+            kv_hits.hit_tokens > load_hits.hit_tokens,
+            "{mode}: overlap saved {} tokens vs {} under blind routing",
+            kv_hits.hit_tokens,
+            load_hits.hit_tokens
         );
     }
-    let kv_coloc = find(&rows, Mode::Coloc, KV_OVERLAP);
+    let kv_coloc = fresh(&runs, "coloc-4", KV_OVERLAP);
+    let kv_coloc_hits = kv_coloc.report.prefix_stats();
     // Elastic sanity: the index tracks members behind the autoscaler.
-    let elastic = find(&rows, Mode::Elastic, KV_OVERLAP);
-    assert!(elastic.prefix.hit_rate() > 0.0, "elastic: no cache hits");
+    let elastic = fresh(&runs, "elastic-2..4", KV_OVERLAP);
+    assert!(
+        elastic.report.prefix_stats().hit_rate() > 0.0,
+        "elastic: no cache hits"
+    );
 
     // Staleness: a never-propagating index cannot beat a fresh one. The
     // sweep rows print above; the endpoints must order.
-    let stalest = rows
-        .iter()
-        .filter(|r| r.router == KV_OVERLAP && r.mode == Mode::Coloc)
-        .max_by_key(|r| r.delay)
-        .expect("sweep rows");
+    let stalest_delay = staleness[staleness.len() - 1];
+    let stalest = by_name(&runs, &name("coloc-4", KV_OVERLAP, stalest_delay));
     assert!(
-        kv_coloc.prefix.hit_tokens >= stalest.prefix.hit_tokens,
+        kv_coloc_hits.hit_tokens >= stalest.report.prefix_stats().hit_tokens,
         "fresh index saved {} tokens but {:.2}s-stale saved {}",
-        kv_coloc.prefix.hit_tokens,
-        stalest.delay.as_secs_f64(),
-        stalest.prefix.hit_tokens
+        kv_coloc_hits.hit_tokens,
+        stalest_delay.as_secs_f64(),
+        stalest.report.prefix_stats().hit_tokens
     );
 
     // Deterministic replay: argmin overlap routing in coloc and disagg,
     // and softmax routing (nonzero temperature) in coloc, are all
     // bit-identical across reruns.
-    for mode in [Mode::Coloc, Mode::Disagg] {
-        let first = find(&rows, mode, KV_OVERLAP);
-        let (requests, arrivals) = stream(mode);
-        let replay = run_job(
-            &Job {
-                mode,
-                router: KV_OVERLAP,
-                delay: SimDuration::ZERO,
-            },
-            requests,
-            arrivals,
+    for mode in ["coloc-4", "disagg-2p2d"] {
+        let first = fresh(&runs, mode, KV_OVERLAP);
+        let scenario = by_overlap.iter().find(|s| s.name == first.name);
+        let replay = scenario.expect("deployment").run(None);
+        assert_eq!(
+            replay.fingerprint, first.fingerprint,
+            "{mode}: non-deterministic replay"
         );
         assert_eq!(
-            replay.makespan_s,
-            first.makespan_s,
-            "{}: non-deterministic makespan",
-            mode.label()
-        );
-        assert_eq!(
-            replay.routed,
-            first.routed,
-            "{}: non-deterministic routing",
-            mode.label()
-        );
-        assert_eq!(
-            replay.prefix,
-            first.prefix,
-            "{}: non-deterministic prefix-cache stats",
-            mode.label()
+            replay.report.prefix_stats(),
+            first.report.prefix_stats(),
+            "{mode}: non-deterministic prefix-cache stats"
         );
     }
-    let softmax_job = || Job {
-        mode: Mode::Coloc,
-        router: RouterPolicy::KvOverlap {
-            overlap_weight: 1.0,
-            temperature: 0.3,
-        },
-        delay: SimDuration::from_millis(250),
+    let softmax = RouterPolicy::KvOverlap {
+        overlap_weight: 1.0,
+        temperature: 0.3,
     };
-    let (requests, arrivals) = stream(Mode::Coloc);
-    let soft_a = run_job(&softmax_job(), requests.clone(), arrivals.clone());
-    let soft_b = run_job(&softmax_job(), requests, arrivals);
-    assert_eq!(soft_a.routed, soft_b.routed, "softmax routing must replay");
-    assert_eq!(soft_a.makespan_s, soft_b.makespan_s);
-    assert_eq!(soft_a.prefix, soft_b.prefix);
+    let [softmax, ..] = deployments(softmax, SimDuration::from_millis(250), n);
+    let (soft_a, soft_b) = (softmax.run(None), softmax.run(None));
+    assert_eq!(
+        soft_a.fingerprint, soft_b.fingerprint,
+        "softmax routing must replay"
+    );
+    assert_eq!(soft_a.report.prefix_stats(), soft_b.report.prefix_stats());
 
-    let load_coloc = find(&rows, Mode::Coloc, RouterPolicy::LeastEstimatedLoad);
+    let load_coloc = &fresh(&runs, "coloc-4", RouterPolicy::LeastEstimatedLoad).headline;
     println!(
         "[ok] kv-overlap: coloc TTFT-SLA {:.1}% vs affinity {:.1}% vs load {:.1}% at hit rate {}; \
          softmax + argmin replay deterministic; staleness sweep ordered",
-        kv_coloc.ttft_attainment * 100.0,
-        find(&rows, Mode::Coloc, AFFINITY).ttft_attainment * 100.0,
+        kv_coloc.headline.ttft_attainment * 100.0,
+        fresh(&runs, "coloc-4", AFFINITY).headline.ttft_attainment * 100.0,
         load_coloc.ttft_attainment * 100.0,
-        pct(kv_coloc.prefix.hit_rate()),
+        pct(kv_coloc_hits.hit_rate()),
     );
 }

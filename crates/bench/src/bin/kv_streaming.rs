@@ -22,116 +22,69 @@
 //! cargo run --release -p pf-bench --bin kv_streaming [-- --quick]
 //! ```
 
-use pf_bench::{default_threads, run_parallel, Cli};
-use pf_metrics::{Align, SimDuration, SimTime, SlaSpec, Table};
-use pf_sim::disagg::{DisaggCluster, DisaggConfig, KvTransferSpec};
-use pf_sim::{GpuSpec, ModelSpec, SimConfig};
-use pf_workload::{datasets, LengthSampler, RequestSpec};
+use pf_bench::scenario::{
+    base, by_name, run_all, steady, Report, Run, Scenario, Topology, Workload,
+};
+use pf_bench::Cli;
+use pf_metrics::Align::{Left, Right};
+use pf_metrics::{SimDuration, SlaSpec, Table};
+use pf_sim::disagg::{DisaggConfig, DisaggReport, KvTransferSpec};
+use pf_workload::{datasets, LengthSampler};
 
 /// Link widths swept, widest first. 8 GB/s comfortably clears the
 /// stream's aggregate KV demand (~4.3 GB/s); 5 GB/s barely does, so the
 /// atomic path's post-hoc serialization compounds into queueing.
 const LINK_GBPS: [f64; 4] = [8.0, 7.0, 6.0, 5.0];
 
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    Atomic,
-    Streamed,
+/// `<link GB/s> <atomic|streamed>`.
+fn name(gbps: f64, streamed: bool) -> String {
+    let mode = if streamed { "streamed" } else { "atomic" };
+    format!("{gbps:.0} {mode}")
 }
 
-impl Mode {
-    fn label(self) -> &'static str {
-        match self {
-            Mode::Atomic => "atomic",
-            Mode::Streamed => "streamed",
-        }
-    }
-}
-
-#[derive(Clone)]
-struct RowData {
-    gbps: f64,
-    mode: Mode,
-    completed: usize,
-    ttft_attainment: f64,
-    tail_secs: f64,
-    link_secs: f64,
-    total_bytes: u64,
-    transfers: usize,
-    gpu_seconds: f64,
-    makespan_s: f64,
-}
-
-/// Long prompts, terse answers, arriving every 250 ms: steady pressure
-/// that keeps the prefill pass busy without drowning either pool.
-fn workload(n: usize) -> (Vec<RequestSpec>, Vec<SimTime>) {
-    let input = LengthSampler::uniform(1024, 3072);
-    let output = LengthSampler::uniform(8, 48);
-    let requests = datasets::from_samplers(n, 5, &input, &output, 64);
-    let arrivals = (0..n)
-        .map(|i| SimTime::from_millis(250 * i as u64))
-        .collect();
-    (requests, arrivals)
-}
-
-fn run_mode(gbps: f64, mode: Mode, requests: Vec<RequestSpec>, arrivals: Vec<SimTime>) -> RowData {
+/// A 1p+1d split on a `gbps` link, atomic or streamed, serving long
+/// prompts with terse answers arriving every 250 ms: steady pressure that
+/// keeps the prefill pass busy without drowning either pool.
+fn scenario(gbps: f64, streamed: bool, n: usize) -> Scenario {
     let transfer = KvTransferSpec::new(gbps, SimDuration::from_micros(200), 1);
-    let transfer = match mode {
-        Mode::Atomic => transfer,
-        Mode::Streamed => transfer.streamed(),
+    let transfer = if streamed {
+        transfer.streamed()
+    } else {
+        transfer
     };
-    let base = SimConfig::builder(ModelSpec::llama2_7b(), GpuSpec::a100_80g())
+    let config = base(5)
         .capacity_override(4_500)
         .sla(SlaSpec::new(
             SimDuration::from_millis(1_500),
             SimDuration::from_millis(1_500),
         ))
-        .record_series(false)
-        .seed(5)
         .build();
-    let report = DisaggCluster::new(DisaggConfig::new(base).transfer(transfer), 1, 1)
-        .run(requests, arrivals)
-        .expect("disagg run");
-    RowData {
-        gbps,
-        mode,
-        completed: report.completed(),
-        ttft_attainment: report.ttft_attainment(),
-        tail_secs: report.transfers.total_tail_secs,
-        link_secs: report.transfers.total_link_secs,
-        total_bytes: report.transfers.total_bytes,
-        transfers: report.transfers.transfers,
-        gpu_seconds: report.gpu_seconds(),
-        makespan_s: report.makespan.as_secs_f64(),
-    }
+    let topology = Topology::disagg(DisaggConfig::new(config).transfer(transfer), 1, 1);
+    Scenario::new(name(gbps, streamed), 5, topology, move |seed| {
+        let input = LengthSampler::uniform(1024, 3072);
+        let output = LengthSampler::uniform(8, 48);
+        Workload::Timed(
+            datasets::from_samplers(n, seed, &input, &output, 64),
+            steady(n, 250),
+        )
+    })
 }
 
-fn find(rows: &[RowData], gbps: f64, mode: Mode) -> &RowData {
-    rows.iter()
-        .find(|r| r.gbps == gbps && r.mode == mode)
-        .unwrap_or_else(|| panic!("missing row {gbps} GB/s {}", mode.label()))
+fn disagg(run: &Run) -> &DisaggReport {
+    match &run.report {
+        Report::Disagg(report) => report,
+        _ => unreachable!("every run here is disaggregated"),
+    }
 }
 
 fn main() {
     let cli = Cli::parse();
     let n = cli.size(240, 160);
-    let (requests, arrivals) = workload(n);
-
-    let jobs: Vec<Box<dyn FnOnce() -> RowData + Send>> = LINK_GBPS
+    let scenarios: Vec<Scenario> = LINK_GBPS
         .iter()
-        .flat_map(|&gbps| {
-            [Mode::Atomic, Mode::Streamed]
-                .into_iter()
-                .map(move |mode| (gbps, mode))
-        })
-        .map(|(gbps, mode)| {
-            let requests = requests.clone();
-            let arrivals = arrivals.clone();
-            Box::new(move || run_mode(gbps, mode, requests, arrivals))
-                as Box<dyn FnOnce() -> RowData + Send>
-        })
+        .flat_map(|&gbps| [false, true].map(|streamed| scenario(gbps, streamed, n)))
         .collect();
-    let rows = run_parallel(jobs, default_threads());
+    let runs = run_all(&scenarios);
 
     let mut table = Table::new([
         "link GB/s",
@@ -143,26 +96,19 @@ fn main() {
         "GPU-seconds",
         "makespan s",
     ])
-    .with_aligns(&[
-        Align::Right,
-        Align::Left,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-    ]);
-    for row in &rows {
+    .with_aligns(&[Right, Left, Right, Right, Right, Right, Right, Right]);
+    for run in &runs {
+        let (gbps, mode) = run.name.split_once(' ').expect("gbps and mode");
+        let (h, report) = (&run.headline, disagg(run));
         table.row([
-            format!("{:.0}", row.gbps),
-            row.mode.label().to_string(),
-            row.completed.to_string(),
-            format!("{:.1}", row.ttft_attainment * 100.0),
-            format!("{:.1}", row.tail_secs),
-            format!("{:.1}", row.link_secs),
-            format!("{:.0}", row.gpu_seconds),
-            format!("{:.0}", row.makespan_s),
+            gbps.to_string(),
+            mode.to_string(),
+            h.completed.to_string(),
+            format!("{:.1}", h.ttft_attainment * 100.0),
+            format!("{:.1}", report.transfers.total_tail_secs),
+            format!("{:.1}", report.transfers.total_link_secs),
+            format!("{:.0}", h.gpu_seconds),
+            format!("{:.0}", report.makespan.as_secs_f64()),
         ]);
     }
     cli.emit(
@@ -177,33 +123,35 @@ fn main() {
     // the link narrows.
     let mut margins = Vec::new();
     for &gbps in &LINK_GBPS {
-        let atomic = find(&rows, gbps, Mode::Atomic);
-        let streamed = find(&rows, gbps, Mode::Streamed);
-        assert_eq!(streamed.completed, atomic.completed, "{gbps} GB/s");
-        assert_eq!(streamed.total_bytes, atomic.total_bytes, "{gbps} GB/s");
-        assert_eq!(streamed.transfers, atomic.transfers, "{gbps} GB/s");
+        let atomic = by_name(&runs, &name(gbps, false));
+        let streamed = by_name(&runs, &name(gbps, true));
+        let (a, s) = (&atomic.headline, &streamed.headline);
+        let (a_link, s_link) = (disagg(atomic).transfers, disagg(streamed).transfers);
+        assert_eq!(s.completed, a.completed, "{gbps} GB/s");
+        assert_eq!(s_link.total_bytes, a_link.total_bytes, "{gbps} GB/s");
+        assert_eq!(s_link.transfers, a_link.transfers, "{gbps} GB/s");
         assert!(
-            streamed.ttft_attainment > atomic.ttft_attainment,
+            s.ttft_attainment > a.ttft_attainment,
             "{gbps} GB/s: streamed attainment {:.3} did not beat atomic {:.3}",
-            streamed.ttft_attainment,
-            atomic.ttft_attainment
+            s.ttft_attainment,
+            a.ttft_attainment
         );
         assert!(
-            streamed.gpu_seconds <= atomic.gpu_seconds * 1.02,
+            s.gpu_seconds <= a.gpu_seconds * 1.02,
             "{gbps} GB/s: streamed spent {:.0} GPU-s vs {:.0} — not a matched comparison",
-            streamed.gpu_seconds,
-            atomic.gpu_seconds
+            s.gpu_seconds,
+            a.gpu_seconds
         );
         // Streaming hides the wire behind the pass: most of each
         // transfer lands while prefill still runs (the tail fraction
         // grows as the link starves but stays under half the wire).
         assert!(
-            streamed.tail_secs < 0.5 * atomic.link_secs,
+            s_link.total_tail_secs < 0.5 * a_link.total_link_secs,
             "{gbps} GB/s: tail {:.3}s vs atomic wire {:.3}s",
-            streamed.tail_secs,
-            atomic.link_secs
+            s_link.total_tail_secs,
+            a_link.total_link_secs
         );
-        margins.push(streamed.ttft_attainment - atomic.ttft_attainment);
+        margins.push(s.ttft_attainment - a.ttft_attainment);
     }
     assert!(
         margins.last().expect("sweep") > margins.first().expect("sweep"),
@@ -212,20 +160,15 @@ fn main() {
 
     // Deterministic replay at the narrowest link.
     let narrowest = *LINK_GBPS.last().expect("sweep");
-    let first = find(&rows, narrowest, Mode::Streamed);
-    let replay = run_mode(narrowest, Mode::Streamed, requests, arrivals);
+    let first = by_name(&runs, &name(narrowest, true));
+    let replay = scenario(narrowest, true, n).run(None);
     assert_eq!(
-        replay.makespan_s, first.makespan_s,
-        "non-deterministic makespan"
+        replay.fingerprint, first.fingerprint,
+        "non-deterministic replay"
     );
-    assert_eq!(
-        replay.ttft_attainment, first.ttft_attainment,
-        "non-deterministic attainment"
-    );
-    assert_eq!(replay.tail_secs, first.tail_secs, "non-deterministic tail");
 
-    let widest = find(&rows, LINK_GBPS[0], Mode::Streamed);
-    let widest_atomic = find(&rows, LINK_GBPS[0], Mode::Atomic);
+    let widest = &by_name(&runs, &name(LINK_GBPS[0], true)).headline;
+    let widest_atomic = &by_name(&runs, &name(LINK_GBPS[0], false)).headline;
     println!(
         "[ok] kv-streaming: TTFT-SLA {:.1}% vs atomic {:.1}% at {:.0} GB/s, \
          margin {:.1}pp -> {:.1}pp as the link narrows to {:.0} GB/s; replay deterministic",

@@ -10,10 +10,10 @@
 //! prefixes) and [`RouterPolicy::PrefixAffinity`] (longest cached prefix
 //! wins, load breaks ties), in three deployments:
 //!
-//! * **colocated** — a fixed [`ClusterSimulation`] fleet;
-//! * **elastic** — an autoscaled [`ElasticCluster`];
-//! * **disagg** — a fixed [`DisaggCluster`], where prefix hits shrink the
-//!   dedicated prefill pool's passes directly.
+//! * **colocated** — a fixed [`pf_sim::cluster::ClusterSimulation`] fleet;
+//! * **elastic** — an autoscaled [`pf_sim::elastic::ElasticCluster`];
+//! * **disagg** — a fixed [`pf_sim::disagg::DisaggCluster`], where prefix
+//!   hits shrink the dedicated prefill pool's passes directly.
 //!
 //! Every instance runs the same block-granular prefix cache (half the KV
 //! pool, 64-token blocks); only the routing signal differs, so the delta
@@ -27,26 +27,35 @@
 //! ```
 
 use pf_autoscale::{AutoscaleConfig, PredictorKind};
-use pf_bench::{default_threads, pct, run_parallel, Cli};
+use pf_bench::scenario::{base, by_name, run_all, Report, Scenario, Topology, Workload};
+use pf_bench::{pct, Cli};
 use pf_core::SchedulerConfig;
-use pf_kvcache::PrefixCacheStats;
-use pf_metrics::{Align, SimDuration, SimTime, SlaSpec, Table};
-use pf_sim::cluster::{ClusterSimulation, RouterPolicy};
-use pf_sim::disagg::{DisaggCluster, DisaggConfig};
-use pf_sim::elastic::ElasticCluster;
-use pf_sim::{GpuSpec, ModelSpec, SimConfig};
-use pf_workload::{datasets, LengthSampler, RequestSpec};
+use pf_metrics::Align::{Left, Right};
+use pf_metrics::{SimDuration, SlaSpec, Table};
+use pf_sim::cluster::RouterPolicy;
+use pf_sim::disagg::DisaggConfig;
+use pf_sim::SimReport;
+use pf_workload::{datasets, LengthSampler};
 
 const CAPACITY: u64 = 48_000;
 const PREFIX_BUDGET_FRAC: f64 = 0.5;
 const COLOC_INSTANCES: usize = 4;
 
+const AFFINITY: RouterPolicy = RouterPolicy::PrefixAffinity {
+    load_tiebreak: true,
+};
+
+fn name(deployment: &str, router: RouterPolicy) -> String {
+    format!("{deployment}/{}", router.label())
+}
+
+/// The three deployments under `router`, named by [`name`].
 /// The scheduler's reserved fraction matches the cache budget: admission
 /// packs request KV into the other half of memory, so a saturated queue
 /// does not squeeze the prefix cache to zero (the same split a real
 /// deployment makes when it provisions prefix-cache blocks).
-fn base_config() -> SimConfig {
-    SimConfig::builder(ModelSpec::llama2_7b(), GpuSpec::a100_80g())
+fn deployments(router: RouterPolicy, n: usize) -> [Scenario; 3] {
+    let config = base(61)
         .scheduler(SchedulerConfig::past_future_reserved(PREFIX_BUDGET_FRAC))
         .capacity_override(CAPACITY)
         .prefix_cache(PREFIX_BUDGET_FRAC)
@@ -56,140 +65,51 @@ fn base_config() -> SimConfig {
             SimDuration::from_secs(2),
             SimDuration::from_millis(1_500),
         ))
-        .record_series(false)
-        .seed(61)
-        .build()
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    Coloc,
-    Elastic,
-    Disagg,
-}
-
-impl Mode {
-    fn label(self) -> &'static str {
-        match self {
-            Mode::Coloc => "coloc-4",
-            Mode::Elastic => "elastic-1..4",
-            Mode::Disagg => "disagg-2p2d",
-        }
-    }
-}
-
-#[derive(Clone)]
-struct RowData {
-    mode: Mode,
-    router: RouterPolicy,
-    completed: usize,
-    prefix: PrefixCacheStats,
-    ttft_attainment: f64,
-    ttft_p99_secs: f64,
-    sla_attainment: f64,
-    gpu_seconds: f64,
-    makespan_s: f64,
-    /// Routing fingerprint for the determinism check (requests per
-    /// instance, in spawn order).
-    routed: Vec<usize>,
-}
-
-fn run_mode(
-    mode: Mode,
-    router: RouterPolicy,
-    requests: Vec<RequestSpec>,
-    arrivals: Vec<SimTime>,
-) -> RowData {
-    match mode {
-        Mode::Coloc => {
-            let report = ClusterSimulation::new(base_config(), COLOC_INSTANCES, router)
-                .run(requests, arrivals)
-                .expect("colocated run");
-            let makespan = report.makespan().as_secs_f64();
-            RowData {
-                mode,
+        .build();
+    let autoscale = AutoscaleConfig::bounded(2, COLOC_INSTANCES)
+        .interval(SimDuration::from_secs(10))
+        .warmup(SimDuration::from_secs(20))
+        .predictor(PredictorKind::holt())
+        .initial_lengths(900.0, 150.0);
+    // Two load points, each just past its deployment's prefill knee: the
+    // 4-engine colocated fleet takes the full stream; the disaggregated
+    // split (only two prefill GPUs) and the elastic fleet (averages fewer
+    // than four live replicas) take a 0.8x stream. Comparisons are always
+    // within one deployment at matched GPU-seconds.
+    [
+        (
+            "coloc-4",
+            Topology::cluster(config.clone(), COLOC_INSTANCES, router),
+            10.5,
+        ),
+        (
+            "elastic-1..4",
+            Topology::Elastic {
+                base: config.clone(),
+                autoscale,
+                initial: 4,
                 router,
-                completed: report.completed(),
-                prefix: report.prefix_stats(),
-                ttft_attainment: report.ttft_attainment(),
-                ttft_p99_secs: ttft_p99(&report.instances),
-                sla_attainment: report.satisfied() as f64 / report.completed().max(1) as f64,
-                // A fixed fleet is provisioned for the whole run.
-                gpu_seconds: COLOC_INSTANCES as f64 * makespan,
-                makespan_s: makespan,
-                routed: report.routed_per_instance.clone(),
-            }
-        }
-        Mode::Elastic => {
-            let autoscale = AutoscaleConfig::bounded(2, COLOC_INSTANCES)
-                .interval(SimDuration::from_secs(10))
-                .warmup(SimDuration::from_secs(20))
-                .predictor(PredictorKind::holt())
-                .initial_lengths(900.0, 150.0);
-            let report = ElasticCluster::new(base_config(), autoscale, 4)
-                .router(router)
-                .run(requests, arrivals)
-                .expect("elastic run");
-            RowData {
-                mode,
-                router,
-                completed: report.completed(),
-                prefix: report.prefix_stats(),
-                ttft_attainment: report.ttft_attainment(),
-                ttft_p99_secs: report.goodput.ttft_secs.p99,
-                sla_attainment: report.sla_attainment(),
-                gpu_seconds: report.gpu_seconds(),
-                makespan_s: report.makespan.as_secs_f64(),
-                routed: report.instances.iter().map(|i| i.routed).collect(),
-            }
-        }
-        Mode::Disagg => {
-            let report = DisaggCluster::new(DisaggConfig::new(base_config()).router(router), 2, 2)
-                .run(requests, arrivals)
-                .expect("disagg run");
-            RowData {
-                mode,
-                router,
-                completed: report.completed(),
-                prefix: report.prefix_stats,
-                ttft_attainment: report.ttft_attainment(),
-                ttft_p99_secs: report.goodput.ttft_secs.p99,
-                sla_attainment: report.sla_attainment(),
-                gpu_seconds: report.gpu_seconds(),
-                makespan_s: report.makespan.as_secs_f64(),
-                routed: report.prefill.instances.iter().map(|i| i.routed).collect(),
-            }
-        }
-    }
+                fleet: Vec::new(),
+            },
+            7.2,
+        ),
+        (
+            "disagg-2p2d",
+            Topology::disagg(DisaggConfig::new(config).router(router), 2, 2),
+            7.2,
+        ),
+    ]
+    .map(|(deployment, topology, sessions_per_sec)| {
+        Scenario::new(name(deployment, router), 62, topology, move |seed| {
+            multi_turn(n, seed, sessions_per_sec)
+        })
+    })
 }
 
-fn ttft_p99(instances: &[pf_sim::SimReport]) -> f64 {
-    let mut ttfts: Vec<f64> = instances
-        .iter()
-        .flat_map(|r| r.outcomes.iter())
-        .filter_map(|o| o.timing.ttft().map(|t| t.as_secs_f64()))
-        .collect();
-    ttfts.sort_by(f64::total_cmp);
-    if ttfts.is_empty() {
-        return 0.0;
-    }
-    let rank = ((ttfts.len() as f64) * 0.99).ceil() as usize;
-    ttfts[rank.saturating_sub(1).min(ttfts.len() - 1)]
-}
-
-fn find(rows: &[RowData], mode: Mode, router: RouterPolicy) -> &RowData {
-    rows.iter()
-        .find(|r| r.mode == mode && r.router == router)
-        .unwrap_or_else(|| panic!("missing row {} / {}", mode.label(), router.label()))
-}
-
-fn main() {
-    let cli = Cli::parse();
-
-    // Session-structured chat at a rate that pressures prefill: the
-    // conversation prefixes grow to ~3k tokens, so blind routing pays a
-    // full re-prefill of the history almost every turn.
-    let n = cli.size(2_400, 600);
+/// Session-structured chat at a rate that pressures prefill: the
+/// conversation prefixes grow to ~3k tokens, so blind routing pays a full
+/// re-prefill of the history almost every turn.
+fn multi_turn(n: usize, seed: u64, sessions_per_sec: f64) -> Workload {
     let spec = datasets::MultiTurnSpec {
         // Prefill-bound chat: deep conversations with terse answers (the
         // RAG/agent-loop shape). Decode barely loads the fleet, so TTFT
@@ -203,38 +123,42 @@ fn main() {
         max_context: 2_048,
     };
     // Sessions arrive Poisson; follow-up turns wait for the previous
-    // answer plus think time, as real users do (open-loop assignment would
-    // deliver turn k+1 before turn k finished at exactly the loads where
-    // TTFT matters, making prefix reuse impossible for any router).
-    //
-    // Two load points, each just past its deployment's prefill knee: the
-    // 4-engine colocated fleet takes the full stream; the disaggregated
-    // split (only two prefill GPUs) and the elastic fleet (averages fewer
-    // than four live replicas) take a 0.8x stream. Comparisons are always
-    // within one deployment at matched GPU-seconds.
-    let coloc = datasets::multi_turn_chat_timed(n, 62, &spec, 10.5, 2.0, 2.0);
-    let scaled = datasets::multi_turn_chat_timed(n, 62, &spec, 7.2, 2.0, 2.0);
-    let stream = |mode: Mode| match mode {
-        Mode::Coloc => coloc.clone(),
-        Mode::Elastic | Mode::Disagg => scaled.clone(),
-    };
+    // answer plus think time, as real users do (open-loop assignment
+    // would deliver turn k+1 before turn k finished at exactly the loads
+    // where TTFT matters, making prefix reuse impossible for any router).
+    let (requests, arrivals) =
+        datasets::multi_turn_chat_timed(n, seed, &spec, sessions_per_sec, 2.0, 2.0);
+    Workload::Timed(requests, arrivals)
+}
 
-    let affinity = RouterPolicy::PrefixAffinity {
-        load_tiebreak: true,
-    };
-    let combos: Vec<(Mode, RouterPolicy)> = [Mode::Coloc, Mode::Elastic, Mode::Disagg]
-        .into_iter()
-        .flat_map(|mode| [(mode, RouterPolicy::LeastEstimatedLoad), (mode, affinity)])
-        .collect();
-    let jobs: Vec<Box<dyn FnOnce() -> RowData + Send>> = combos
+/// Nearest-rank TTFT p99 over a fixed fleet's pooled requests. The
+/// colocated rows report this rank, not `Headline`'s interpolated p99, so
+/// their numbers stay comparable with earlier results of this table.
+fn ttft_p99(instances: &[SimReport]) -> f64 {
+    let mut ttfts: Vec<f64> = instances
         .iter()
-        .map(|&(mode, router)| {
-            let (requests, arrivals) = stream(mode);
-            Box::new(move || run_mode(mode, router, requests, arrivals))
-                as Box<dyn FnOnce() -> RowData + Send>
-        })
+        .flat_map(|r| r.outcomes.iter())
+        .filter_map(|o| o.timing.ttft().map(|t| t.as_secs_f64()))
         .collect();
-    let rows = run_parallel(jobs, default_threads());
+    ttfts.sort_by(f64::total_cmp);
+    if ttfts.is_empty() {
+        return 0.0;
+    }
+    let rank = ((ttfts.len() as f64) * 0.99).ceil() as usize;
+    ttfts[rank.saturating_sub(1).min(ttfts.len() - 1)]
+}
+
+fn main() {
+    let cli = Cli::parse();
+    let n = cli.size(2_400, 600);
+    let [by_load, by_affinity] =
+        [RouterPolicy::LeastEstimatedLoad, AFFINITY].map(|r| deployments(r, n));
+    let scenarios: Vec<Scenario> = by_load
+        .into_iter()
+        .zip(by_affinity.clone())
+        .flat_map(<[Scenario; 2]>::from)
+        .collect();
+    let runs = run_all(&scenarios);
 
     let mut table = Table::new([
         "deployment",
@@ -249,29 +173,27 @@ fn main() {
         "makespan s",
     ])
     .with_aligns(&[
-        Align::Left,
-        Align::Left,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
+        Left, Left, Right, Right, Right, Right, Right, Right, Right, Right,
     ]);
-    for row in &rows {
+    for run in &runs {
+        let (deployment, router) = run.name.split_once('/').expect("deployment/router");
+        let h = &run.headline;
+        let prefix = run.report.prefix_stats();
+        let ttft_p99_s = match &run.report {
+            Report::Cluster(r) => ttft_p99(&r.instances),
+            _ => h.ttft_p99_s,
+        };
         table.row([
-            row.mode.label().to_string(),
-            row.router.label().to_string(),
-            row.completed.to_string(),
-            pct(row.prefix.hit_rate()),
-            format!("{:.2}", row.prefix.hit_tokens as f64 / 1e6),
-            format!("{:.1}", row.ttft_attainment * 100.0),
-            format!("{:.2}", row.ttft_p99_secs),
-            format!("{:.1}", row.sla_attainment * 100.0),
-            format!("{:.0}", row.gpu_seconds),
-            format!("{:.0}", row.makespan_s),
+            deployment.to_string(),
+            router.to_string(),
+            h.completed.to_string(),
+            pct(prefix.hit_rate()),
+            format!("{:.2}", prefix.hit_tokens as f64 / 1e6),
+            format!("{:.1}", h.ttft_attainment * 100.0),
+            format!("{ttft_p99_s:.2}"),
+            format!("{:.1}", h.sla_attainment * 100.0),
+            format!("{:.0}", h.gpu_seconds),
+            format!("{:.0}", run.report.makespan().as_secs_f64()),
         ]);
     }
     cli.emit(
@@ -283,73 +205,65 @@ fn main() {
     // Headline assertions: affinity wins TTFT attainment at equal
     // GPU-seconds with a real hit rate, in the colocated fleet and in the
     // disaggregated prefill pool.
-    for mode in [Mode::Coloc, Mode::Disagg] {
-        let load = find(&rows, mode, RouterPolicy::LeastEstimatedLoad);
-        let prefix = find(&rows, mode, affinity);
-        assert_eq!(prefix.completed, load.completed, "{}", mode.label());
+    for mode in ["coloc-4", "disagg-2p2d"] {
+        let load = by_name(&runs, &name(mode, RouterPolicy::LeastEstimatedLoad));
+        let prefix = by_name(&runs, &name(mode, AFFINITY));
+        let (load_hits, prefix_hits) = (load.report.prefix_stats(), prefix.report.prefix_stats());
+        let (load, prefix) = (&load.headline, &prefix.headline);
+        assert_eq!(prefix.completed, load.completed, "{mode}");
         assert!(
             prefix.ttft_attainment >= load.ttft_attainment,
-            "{}: prefix-affinity TTFT attainment {:.3} below least-estimated-load {:.3}",
-            mode.label(),
+            "{mode}: prefix-affinity TTFT attainment {:.3} below least-estimated-load {:.3}",
             prefix.ttft_attainment,
             load.ttft_attainment
         );
         assert!(
             prefix.gpu_seconds <= load.gpu_seconds * 1.02,
-            "{}: prefix-affinity spent {:.0} GPU-s vs {:.0} — not a matched comparison",
-            mode.label(),
+            "{mode}: prefix-affinity spent {:.0} GPU-s vs {:.0} — not a matched comparison",
             prefix.gpu_seconds,
             load.gpu_seconds
         );
         assert!(
-            prefix.prefix.hit_rate() > 0.0,
-            "{}: prefix-affinity produced no cache hits",
-            mode.label()
+            prefix_hits.hit_rate() > 0.0,
+            "{mode}: prefix-affinity produced no cache hits"
         );
         assert!(
-            prefix.prefix.hit_tokens > load.prefix.hit_tokens,
-            "{}: affinity saved {} tokens vs {} under blind routing",
-            mode.label(),
-            prefix.prefix.hit_tokens,
-            load.prefix.hit_tokens
+            prefix_hits.hit_tokens > load_hits.hit_tokens,
+            "{mode}: affinity saved {} tokens vs {} under blind routing",
+            prefix_hits.hit_tokens,
+            load_hits.hit_tokens
         );
     }
     // Elastic sanity: the cache works behind the autoscaler too.
-    let elastic = find(&rows, Mode::Elastic, affinity);
-    assert!(elastic.prefix.hit_rate() > 0.0, "elastic: no cache hits");
+    let elastic = by_name(&runs, &name("elastic-1..4", AFFINITY));
+    assert!(
+        elastic.report.prefix_stats().hit_rate() > 0.0,
+        "elastic: no cache hits"
+    );
 
     // Deterministic replay: same inputs, bit-identical outcome.
-    for mode in [Mode::Coloc, Mode::Disagg] {
-        let first = find(&rows, mode, affinity);
-        let (requests, arrivals) = stream(mode);
-        let replay = run_mode(mode, affinity, requests, arrivals);
+    for mode in ["coloc-4", "disagg-2p2d"] {
+        let scenario = by_affinity.iter().find(|s| s.name == name(mode, AFFINITY));
+        let replay = scenario.expect("deployment").run(None);
+        let first = by_name(&runs, &replay.name);
         assert_eq!(
-            replay.makespan_s,
-            first.makespan_s,
-            "{}: non-deterministic makespan",
-            mode.label()
+            replay.fingerprint, first.fingerprint,
+            "{mode}: non-deterministic replay"
         );
         assert_eq!(
-            replay.routed,
-            first.routed,
-            "{}: non-deterministic routing",
-            mode.label()
-        );
-        assert_eq!(
-            replay.prefix,
-            first.prefix,
-            "{}: non-deterministic prefix-cache stats",
-            mode.label()
+            replay.report.prefix_stats(),
+            first.report.prefix_stats(),
+            "{mode}: non-deterministic prefix-cache stats"
         );
     }
 
-    let coloc_load = find(&rows, Mode::Coloc, RouterPolicy::LeastEstimatedLoad);
-    let coloc_prefix = find(&rows, Mode::Coloc, affinity);
+    let coloc_load = &by_name(&runs, &name("coloc-4", RouterPolicy::LeastEstimatedLoad)).headline;
+    let coloc_prefix = by_name(&runs, &name("coloc-4", AFFINITY));
     println!(
         "[ok] prefix-affinity: coloc TTFT-SLA {:.1}% vs {:.1}% at hit rate {}; \
          replay deterministic in coloc and disagg",
-        coloc_prefix.ttft_attainment * 100.0,
+        coloc_prefix.headline.ttft_attainment * 100.0,
         coloc_load.ttft_attainment * 100.0,
-        pct(coloc_prefix.prefix.hit_rate()),
+        pct(coloc_prefix.report.prefix_stats().hit_rate()),
     );
 }

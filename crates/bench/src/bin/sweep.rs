@@ -16,95 +16,81 @@
 //! ```
 
 use pf_autoscale::{AutoscaleConfig, PredictorKind};
+use pf_bench::scenario::{base, run_all, steady, Report, Run, Scenario, Topology, Workload};
 use pf_bench::sweep::{aggregate, SeedRun};
-use pf_bench::{default_threads, run_parallel, Cli};
-use pf_core::SchedulerConfig;
-use pf_metrics::{SimDuration, SimTime, Table};
-use pf_sim::disagg::{DisaggCluster, DisaggConfig};
-use pf_sim::elastic::ElasticCluster;
-use pf_sim::{GpuSpec, ModelSpec, SimConfig, Simulation};
+use pf_bench::Cli;
+use pf_metrics::{SimDuration, Table};
+use pf_sim::disagg::DisaggConfig;
 use pf_workload::datasets;
 
-fn base_config(capacity: u64, seed: u64) -> SimConfig {
-    SimConfig::builder(ModelSpec::llama2_7b(), GpuSpec::a100_80g())
-        .scheduler(SchedulerConfig::past_future())
-        .capacity_override(capacity)
-        .record_series(false)
-        .seed(seed)
-        .build()
+/// The swept scenarios, each a function of the seed alone: colocated
+/// offline ShareGPT, a 2p+2d split and an elastic 1..4 fleet on steady
+/// ShareGPT streams.
+fn bank(coloc_n: usize, pool_n: usize) -> [Box<dyn Fn(u64) -> Scenario>; 3] {
+    [
+        Box::new(move |seed| {
+            let config = base(seed).capacity_override(40_000).build();
+            Scenario::new("coloc", seed, Topology::Single(config), move |seed| {
+                Workload::Offline(datasets::sharegpt(coloc_n, seed))
+            })
+        }),
+        Box::new(move |seed| {
+            let config = DisaggConfig::new(base(seed).capacity_override(30_000).build());
+            Scenario::new(
+                "disagg",
+                seed,
+                Topology::disagg(config, 2, 2),
+                move |seed| Workload::Timed(datasets::sharegpt(pool_n, seed), steady(pool_n, 20)),
+            )
+        }),
+        Box::new(move |seed| {
+            let autoscale = AutoscaleConfig::bounded(1, 4)
+                .interval(SimDuration::from_secs(10))
+                .warmup(SimDuration::from_secs(15))
+                .predictor(PredictorKind::holt())
+                .initial_lengths(512.0, 64.0);
+            let config = base(seed).capacity_override(20_000).build();
+            let topology = Topology::elastic(config, autoscale, 1);
+            Scenario::new("elastic", seed, topology, move |seed| {
+                Workload::Timed(datasets::sharegpt(pool_n, seed), steady(pool_n, 30))
+            })
+        }),
+    ]
 }
 
-fn steady_arrivals(n: usize, gap_ms: u64) -> Vec<SimTime> {
-    (0..n)
-        .map(|i| SimTime::from_millis(gap_ms * i as u64))
+/// The simulated metrics each topology reports, in display order.
+fn metrics(run: &Run) -> Vec<(String, f64)> {
+    let h = &run.headline;
+    let makespan = ("makespan_s", run.report.makespan().as_secs_f64());
+    let metrics = match &run.report {
+        Report::Single(r) => vec![
+            ("goodput_tok_per_s", h.goodput_tok_per_s),
+            ("throughput_tok_per_s", r.throughput()),
+            ("sla_attainment", h.sla_attainment),
+            ("evicted_req_pct", r.evicted_request_pct()),
+            ("avg_consumed_frac", r.avg_consumed_frac),
+            makespan,
+        ],
+        Report::Disagg(_) => vec![
+            ("goodput_tok_per_s", h.goodput_tok_per_s),
+            ("sla_attainment", h.sla_attainment),
+            ("ttft_attainment", h.ttft_attainment),
+            ("gpu_seconds", h.gpu_seconds),
+            makespan,
+        ],
+        Report::Elastic(r) => vec![
+            ("goodput_tok_per_s", h.goodput_tok_per_s),
+            ("sla_attainment", h.sla_attainment),
+            ("gpu_seconds", h.gpu_seconds),
+            ("peak_replicas", r.peak_replicas() as f64),
+            makespan,
+        ],
+        Report::Cluster(_) => unreachable!("the bank holds no fixed cluster"),
+    };
+    metrics
+        .into_iter()
+        .map(|(name, value)| (name.to_string(), value))
         .collect()
-}
-
-fn metric(name: &str, value: f64) -> (String, f64) {
-    (name.to_string(), value)
-}
-
-fn coloc_run(n: usize, seed: u64) -> SeedRun {
-    let requests = datasets::sharegpt(n, seed);
-    let report = Simulation::offline(base_config(40_000, seed), requests)
-        .run()
-        .expect("coloc sweep run");
-    SeedRun {
-        scenario: "coloc".to_string(),
-        seed,
-        metrics: vec![
-            metric("goodput_tok_per_s", report.goodput_tok_per_s()),
-            metric("throughput_tok_per_s", report.throughput()),
-            metric("sla_attainment", report.goodput.satisfied_fraction()),
-            metric("evicted_req_pct", report.evicted_request_pct()),
-            metric("avg_consumed_frac", report.avg_consumed_frac),
-            metric("makespan_s", report.makespan.as_secs_f64()),
-        ],
-    }
-}
-
-fn disagg_run(n: usize, seed: u64) -> SeedRun {
-    let requests = datasets::sharegpt(n, seed);
-    let arrivals = steady_arrivals(n, 20);
-    let config = DisaggConfig::new(base_config(30_000, seed));
-    let report = DisaggCluster::new(config, 2, 2)
-        .run(requests, arrivals)
-        .expect("disagg sweep run");
-    SeedRun {
-        scenario: "disagg".to_string(),
-        seed,
-        metrics: vec![
-            metric("goodput_tok_per_s", report.goodput_tok_per_s()),
-            metric("sla_attainment", report.sla_attainment()),
-            metric("ttft_attainment", report.ttft_attainment()),
-            metric("gpu_seconds", report.gpu_seconds()),
-            metric("makespan_s", report.makespan.as_secs_f64()),
-        ],
-    }
-}
-
-fn elastic_run(n: usize, seed: u64) -> SeedRun {
-    let requests = datasets::sharegpt(n, seed);
-    let arrivals = steady_arrivals(n, 30);
-    let autoscale = AutoscaleConfig::bounded(1, 4)
-        .interval(SimDuration::from_secs(10))
-        .warmup(SimDuration::from_secs(15))
-        .predictor(PredictorKind::holt())
-        .initial_lengths(512.0, 64.0);
-    let report = ElasticCluster::new(base_config(20_000, seed), autoscale, 1)
-        .run(requests, arrivals)
-        .expect("elastic sweep run");
-    SeedRun {
-        scenario: "elastic".to_string(),
-        seed,
-        metrics: vec![
-            metric("goodput_tok_per_s", report.goodput_tok_per_s()),
-            metric("sla_attainment", report.sla_attainment()),
-            metric("gpu_seconds", report.gpu_seconds()),
-            metric("peak_replicas", report.peak_replicas() as f64),
-            metric("makespan_s", report.makespan.as_secs_f64()),
-        ],
-    }
 }
 
 fn main() {
@@ -118,17 +104,19 @@ fn main() {
         )
         .max(1);
 
-    let coloc_n = cli.size(600, 120);
-    let pool_n = cli.size(400, 100);
-    type Job = Box<dyn FnOnce() -> SeedRun + Send>;
-    let mut jobs: Vec<Job> = Vec::new();
-    for seed in 1..=seeds {
-        jobs.push(Box::new(move || coloc_run(coloc_n, seed)));
-        jobs.push(Box::new(move || disagg_run(pool_n, seed)));
-        jobs.push(Box::new(move || elastic_run(pool_n, seed)));
-    }
-    let total = jobs.len();
-    let runs = run_parallel(jobs, default_threads());
+    let bank = bank(cli.size(600, 120), cli.size(400, 100));
+    let scenarios: Vec<Scenario> = (1..=seeds)
+        .flat_map(|seed| bank.iter().map(move |entry| entry(seed)))
+        .collect();
+    let runs: Vec<SeedRun> = scenarios
+        .iter()
+        .zip(run_all(&scenarios))
+        .map(|(scenario, run)| SeedRun {
+            scenario: scenario.name.clone(),
+            seed: scenario.seed,
+            metrics: metrics(&run),
+        })
+        .collect();
     let rows = aggregate(&runs);
 
     let mut table = Table::new(["scenario", "metric", "mean", "sd", "min", "max", "seeds"]);
@@ -145,7 +133,11 @@ fn main() {
     }
     cli.emit(
         "sweep",
-        &format!("Multi-seed sweep ({seeds} seeds × 3 scenarios, {total} runs)"),
+        &format!(
+            "Multi-seed sweep ({seeds} seeds × {} scenarios, {} runs)",
+            bank.len(),
+            runs.len()
+        ),
         &table,
     );
 }

@@ -6,10 +6,11 @@
 //! cargo run --release -p pf-bench --bin table1 [-- --quick]
 //! ```
 
+use pf_bench::scenario::base;
 use pf_bench::{default_threads, output_lengths, pct, run_parallel, Cli};
 use pf_core::SchedulerConfig;
 use pf_metrics::{Align, Table};
-use pf_sim::{GpuSpec, ModelSpec, SimConfig, SimReport, Simulation};
+use pf_sim::{SimReport, Simulation};
 use pf_workload::{datasets, RequestSpec};
 
 struct Row {
@@ -58,12 +59,7 @@ fn main() {
             let warmup = warmup.clone();
             jobs.push(Box::new(move || {
                 let method = scheduler.to_string();
-                let config = SimConfig::builder(ModelSpec::llama2_7b(), GpuSpec::a100_80g())
-                    .scheduler(scheduler)
-                    .history_warmup(warmup)
-                    .record_series(false)
-                    .seed(20)
-                    .build();
+                let config = base(20).scheduler(scheduler).history_warmup(warmup).build();
                 let report = Simulation::offline(config, requests)
                     .run()
                     .unwrap_or_else(|e| panic!("{name}/{method}: {e}"));

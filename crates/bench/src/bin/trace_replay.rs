@@ -14,40 +14,51 @@
 //! ```
 
 use pf_autoscale::{AutoscaleConfig, PredictorKind};
+use pf_bench::scenario::{base, run_all, Report, Scenario, Topology, Workload};
 use pf_bench::Cli;
-use pf_core::SchedulerConfig;
-use pf_metrics::{Align, SimDuration, SimTime, Table};
-use pf_sim::disagg::{DisaggCluster, DisaggConfig};
-use pf_sim::elastic::{ElasticCluster, ElasticReport};
-use pf_sim::{GpuSpec, ModelSpec, SimConfig};
+use pf_metrics::Align::{Left, Right};
+use pf_metrics::{SimDuration, Table};
+use pf_sim::disagg::DisaggConfig;
 use pf_workload::trace_io::{
     arrival_times_from_records, read_trace_csv, records_from_timed_requests, requests_from_records,
     write_trace_csv,
 };
-use pf_workload::{datasets, rng::seeded, RateProfile, RequestSpec};
+use pf_workload::{datasets, rng::seeded, RateProfile};
 
 /// `datasets::short_chat`'s generation cap — replayed requests must carry
 /// the same `max_new_tokens` for the rebuilt specs to be bit-identical.
 const SHORT_CHAT_CAP: u32 = 512;
 
-fn base_config() -> SimConfig {
-    SimConfig::builder(ModelSpec::llama2_7b(), GpuSpec::a100_80g())
-        .scheduler(SchedulerConfig::past_future())
-        .capacity_override(6_000)
-        .record_series(false)
-        .seed(61)
-        .build()
-}
-
-fn elastic_run(requests: Vec<RequestSpec>, arrivals: Vec<SimTime>) -> ElasticReport {
+/// Both cluster runners, serving `workload` (seeded by `seed`).
+fn clusters(
+    path: &str,
+    seed: u64,
+    workload: impl Fn(u64) -> Workload + Clone + Send + Sync + 'static,
+) -> [Scenario; 2] {
+    let config = base(61).capacity_override(6_000).build();
     let autoscale = AutoscaleConfig::bounded(1, 4)
         .interval(SimDuration::from_secs(10))
         .warmup(SimDuration::from_secs(20))
         .predictor(PredictorKind::holt())
         .initial_lengths(160.0, 224.0);
-    ElasticCluster::new(base_config(), autoscale, 1)
-        .run(requests, arrivals)
-        .expect("elastic run")
+    [
+        (
+            "elastic-1..4",
+            Topology::elastic(config.clone(), autoscale, 1),
+        ),
+        (
+            "disagg-2p2d",
+            Topology::disagg(DisaggConfig::new(config), 2, 2),
+        ),
+    ]
+    .map(|(cluster, topology)| {
+        Scenario::new(
+            format!("{cluster} {path}"),
+            seed,
+            topology,
+            workload.clone(),
+        )
+    })
 }
 
 fn main() {
@@ -56,9 +67,16 @@ fn main() {
     // The workload a production gateway would have logged: three diurnal
     // cycles of short chat.
     let n = cli.size(1_200, 300);
-    let requests = datasets::short_chat(n, 62);
-    let arrivals =
-        RateProfile::diurnal(2.0, 10.0, SimDuration::from_secs(180)).assign(&mut seeded(63), n);
+    let direct = clusters("direct", 62, move |seed| {
+        let profile = RateProfile::diurnal(2.0, 10.0, SimDuration::from_secs(180));
+        Workload::Timed(
+            datasets::short_chat(n, seed),
+            profile.assign(&mut seeded(seed + 1), n),
+        )
+    });
+    let Workload::Timed(requests, arrivals) = direct[0].workload() else {
+        unreachable!("the gateway log is timed");
+    };
 
     // Export → CSV on disk → import. The CSV is the real artifact: users
     // replace it with their own traces in the same schema.
@@ -84,39 +102,31 @@ fn main() {
 
     // Drive both cluster runners from the original stream and from the
     // replayed trace; the pairs must agree exactly.
-    let elastic_direct = elastic_run(requests.clone(), arrivals.clone());
-    let elastic_replay = elastic_run(replayed_requests.clone(), replayed_arrivals.clone());
-    assert_eq!(
-        elastic_direct.makespan, elastic_replay.makespan,
-        "elastic replay diverged on makespan"
-    );
-    assert_eq!(
-        elastic_direct.gpu_seconds(),
-        elastic_replay.gpu_seconds(),
-        "elastic replay diverged on GPU-seconds"
-    );
+    let replayed = clusters("trace-replay", 62, move |_| {
+        Workload::Timed(replayed_requests.clone(), replayed_arrivals.clone())
+    });
+    let runs = run_all(&[direct, replayed].concat());
+    let (direct, replayed) = runs.split_at(2);
+    for (direct, replay) in direct.iter().zip(replayed) {
+        assert_eq!(
+            direct.fingerprint, replay.fingerprint,
+            "{} diverged from its trace replay",
+            direct.name
+        );
+        assert_eq!(direct.headline, replay.headline, "{} diverged", direct.name);
+    }
+    let (Report::Elastic(elastic_direct), Report::Elastic(elastic_replay)) =
+        (&direct[0].report, &replayed[0].report)
+    else {
+        unreachable!("the first cluster is elastic");
+    };
     assert_eq!(
         elastic_direct.events, elastic_replay.events,
         "elastic replay diverged on scaling events"
     );
-    assert_eq!(elastic_direct.completed(), elastic_replay.completed());
-
-    let disagg = |requests: Vec<RequestSpec>, arrivals: Vec<SimTime>| {
-        DisaggCluster::new(DisaggConfig::new(base_config()), 2, 2)
-            .run(requests, arrivals)
-            .expect("disagg run")
+    let Report::Disagg(disagg_replay) = &replayed[1].report else {
+        unreachable!("the second cluster is disaggregated");
     };
-    let disagg_direct = disagg(requests, arrivals);
-    let disagg_replay = disagg(replayed_requests, replayed_arrivals);
-    assert_eq!(
-        disagg_direct.makespan, disagg_replay.makespan,
-        "disagg replay diverged on makespan"
-    );
-    assert_eq!(
-        disagg_direct.transfers, disagg_replay.transfers,
-        "disagg replay diverged on KV transfers"
-    );
-    assert_eq!(disagg_direct.completed(), disagg_replay.completed());
 
     let mut table = Table::new([
         "cluster",
@@ -126,34 +136,17 @@ fn main() {
         "GPU-seconds",
         "makespan s",
     ])
-    .with_aligns(&[
-        Align::Left,
-        Align::Left,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-        Align::Right,
-    ]);
-    let mut elastic_row = |label: &str, report: &ElasticReport| {
+    .with_aligns(&[Left, Left, Right, Right, Right, Right]);
+    for run in [&direct[0], &replayed[0], &direct[1], &replayed[1]] {
+        let (cluster, path) = run.name.split_once(' ').expect("cluster and path");
+        let h = &run.headline;
         table.row([
-            "elastic-1..4".to_string(),
-            label.to_string(),
-            report.completed().to_string(),
-            format!("{:.1}", report.sla_attainment() * 100.0),
-            format!("{:.0}", report.gpu_seconds()),
-            format!("{:.0}", report.makespan.as_secs_f64()),
-        ]);
-    };
-    elastic_row("direct", &elastic_direct);
-    elastic_row("trace-replay", &elastic_replay);
-    for (label, report) in [("direct", &disagg_direct), ("trace-replay", &disagg_replay)] {
-        table.row([
-            "disagg-2p2d".to_string(),
-            label.to_string(),
-            report.completed().to_string(),
-            format!("{:.1}", report.sla_attainment() * 100.0),
-            format!("{:.0}", report.gpu_seconds()),
-            format!("{:.0}", report.makespan.as_secs_f64()),
+            cluster.to_string(),
+            path.to_string(),
+            h.completed.to_string(),
+            format!("{:.1}", h.sla_attainment * 100.0),
+            format!("{:.0}", h.gpu_seconds),
+            format!("{:.0}", run.report.makespan().as_secs_f64()),
         ]);
     }
     cli.emit(
@@ -165,7 +158,7 @@ fn main() {
         "[ok] trace round-trips losslessly through {} and replays bit-identically \
          (elastic {:.0} GPU-s, disagg {} transfers)",
         trace_path.display(),
-        elastic_replay.gpu_seconds(),
+        replayed[0].headline.gpu_seconds,
         disagg_replay.transfers.transfers,
     );
 }

@@ -7,6 +7,7 @@
 //! any SLO budget alerts.
 
 use pf_autoscale::{AutoscaleConfig, PredictorKind};
+use pf_bench::scenario::{base, steady, Scenario, Topology, Workload};
 use pf_bench::Cli;
 use pf_core::SchedulerConfig;
 use pf_metrics::{SimDuration, SimTime, SlaSpec, Table};
@@ -14,34 +15,18 @@ use pf_obs::{
     chrome_trace_json_from_spans, reconstruct, Phase, PhaseTotals, RecordingSink, RequestSpans,
     SloConfig, SpanOutcome, TelemetryRecorder, TraceEvent,
 };
-use pf_sim::disagg::{DisaggCluster, DisaggConfig};
-use pf_sim::elastic::ElasticCluster;
-use pf_sim::{GpuSpec, ModelSpec, QueueOrder, SimConfig, Simulation};
+use pf_sim::disagg::DisaggConfig;
+use pf_sim::QueueOrder;
 use pf_workload::{datasets, LengthSampler};
-
-fn base_config(capacity: u64, seed: u64) -> SimConfig {
-    SimConfig::builder(ModelSpec::llama2_7b(), GpuSpec::a100_80g())
-        .scheduler(SchedulerConfig::past_future())
-        .capacity_override(capacity)
-        .record_series(false)
-        .seed(seed)
-        .build()
-}
-
-fn steady_arrivals(n: usize, gap_ms: u64) -> Vec<SimTime> {
-    (0..n)
-        .map(|i| SimTime::from_millis(gap_ms * i as u64))
-        .collect()
-}
 
 /// Runs a traced scenario twice and asserts the two event streams are
 /// identical (replay determinism — the trace is a pure function of the
 /// simulation).
-fn traced_twice(run: impl Fn(&mut RecordingSink)) -> RecordingSink {
+fn traced_twice(scenario: &Scenario) -> RecordingSink {
     let mut first = RecordingSink::new();
-    run(&mut first);
+    scenario.run(Some(&mut first));
     let mut second = RecordingSink::new();
-    run(&mut second);
+    scenario.run(Some(&mut second));
     assert_eq!(
         first.events, second.events,
         "replay determinism violated: two identical runs emitted different traces"
@@ -86,85 +71,77 @@ fn main() {
     // Colocated, memory-tight with deadlines: queue, prefill, decode,
     // preemption re-queues and deadline drops all show up.
     let n = cli.size(256, 48);
-    let coloc_events = {
-        let input = LengthSampler::uniform(8, 32);
-        let output = LengthSampler::uniform(64, 256);
-        let requests = datasets::from_samplers(n, 3, &input, &output, 512);
-        let config = SimConfig::builder(ModelSpec::llama2_7b(), GpuSpec::a100_80g())
-            .scheduler(SchedulerConfig::aggressive(0.99))
-            .capacity_override(1_200)
-            .record_series(false)
-            .request_deadline(SimDuration::from_secs(60))
-            .queue_order(QueueOrder::least_slack())
-            .sla(SlaSpec::new(
-                SimDuration::from_secs(10),
-                SimDuration::from_millis(1500),
-            ))
-            .seed(11)
-            .build();
-        let sink = traced_twice(|sink| {
-            Simulation::offline(config.clone(), requests.clone())
-                .run_traced(Some(sink))
-                .expect("colocated run");
-        });
-        let spans = reconstruct(&sink.events);
-        check_partition("colocated", &spans);
-        phase_row(&mut table, "colocated", &spans);
-        std::fs::create_dir_all(&cli.out_dir).expect("create results directory");
-        std::fs::write(
-            cli.out_dir.join("trace_colocated.json"),
-            chrome_trace_json_from_spans(&spans, &sink.events),
-        )
-        .expect("write colocated trace");
-        sink.events
-    };
-
+    let colocated = Scenario::new(
+        "colocated",
+        3,
+        Topology::Single(
+            base(11)
+                .scheduler(SchedulerConfig::aggressive(0.99))
+                .capacity_override(1_200)
+                .request_deadline(SimDuration::from_secs(60))
+                .queue_order(QueueOrder::least_slack())
+                .sla(SlaSpec::new(
+                    SimDuration::from_secs(10),
+                    SimDuration::from_millis(1500),
+                ))
+                .build(),
+        ),
+        move |seed| {
+            let input = LengthSampler::uniform(8, 32);
+            let output = LengthSampler::uniform(64, 256);
+            Workload::Offline(datasets::from_samplers(n, seed, &input, &output, 512))
+        },
+    );
     // Disaggregated 2p+2d: the kv-transfer and stalled phases appear.
-    {
-        let n = cli.size(120, 40);
-        let input = LengthSampler::uniform(1024, 3072);
-        let output = LengthSampler::uniform(8, 48);
-        let requests = datasets::from_samplers(n, 2, &input, &output, 64);
-        let arrivals = steady_arrivals(n, 120);
-        let sink = traced_twice(|sink| {
-            DisaggCluster::new(DisaggConfig::new(base_config(12_000, 7)), 2, 2)
-                .run_traced(requests.clone(), arrivals.clone(), Some(sink))
-                .expect("disagg run");
-        });
-        let spans = reconstruct(&sink.events);
-        check_partition("disagg-2p2d", &spans);
-        phase_row(&mut table, "disagg-2p2d", &spans);
-        std::fs::write(
-            cli.out_dir.join("trace_disagg.json"),
-            chrome_trace_json_from_spans(&spans, &sink.events),
-        )
-        .expect("write disagg trace");
-    }
-
+    let disagg_n = cli.size(120, 40);
+    let disagg = Scenario::new(
+        "disagg-2p2d",
+        2,
+        Topology::disagg(
+            DisaggConfig::new(base(7).capacity_override(12_000).build()),
+            2,
+            2,
+        ),
+        move |seed| {
+            let input = LengthSampler::uniform(1024, 3072);
+            let output = LengthSampler::uniform(8, 48);
+            let requests = datasets::from_samplers(disagg_n, seed, &input, &output, 64);
+            Workload::Timed(requests, steady(disagg_n, 120))
+        },
+    );
     // Elastic 1..4 instances: scaling events land on the cluster track.
-    {
-        let n = cli.size(400, 120);
-        let requests = datasets::sharegpt(n, 4);
-        let arrivals = steady_arrivals(n, 40);
-        let autoscale = AutoscaleConfig::bounded(1, 4)
-            .interval(SimDuration::from_secs(10))
-            .warmup(SimDuration::from_secs(15))
-            .predictor(PredictorKind::holt())
-            .initial_lengths(512.0, 64.0);
-        let sink = traced_twice(|sink| {
-            ElasticCluster::new(base_config(12_000, 7), autoscale, 1)
-                .run_traced(requests.clone(), arrivals.clone(), Some(sink))
-                .expect("elastic run");
-        });
+    let elastic_n = cli.size(400, 120);
+    let autoscale = AutoscaleConfig::bounded(1, 4)
+        .interval(SimDuration::from_secs(10))
+        .warmup(SimDuration::from_secs(15))
+        .predictor(PredictorKind::holt())
+        .initial_lengths(512.0, 64.0);
+    let elastic = Scenario::new(
+        "elastic-1..4",
+        4,
+        Topology::elastic(base(7).capacity_override(12_000).build(), autoscale, 1),
+        move |seed| Workload::Timed(datasets::sharegpt(elastic_n, seed), steady(elastic_n, 40)),
+    );
+
+    std::fs::create_dir_all(&cli.out_dir).expect("create results directory");
+    let mut traces = Vec::new();
+    for (scenario, file) in [
+        (&colocated, "trace_colocated.json"),
+        (&disagg, "trace_disagg.json"),
+        (&elastic, "trace_elastic.json"),
+    ] {
+        let sink = traced_twice(scenario);
         let spans = reconstruct(&sink.events);
-        check_partition("elastic-1..4", &spans);
-        phase_row(&mut table, "elastic-1..4", &spans);
+        check_partition(&scenario.name, &spans);
+        phase_row(&mut table, &scenario.name, &spans);
         std::fs::write(
-            cli.out_dir.join("trace_elastic.json"),
+            cli.out_dir.join(file),
             chrome_trace_json_from_spans(&spans, &sink.events),
         )
-        .expect("write elastic trace");
+        .unwrap_or_else(|e| panic!("write {file}: {e}"));
+        traces.push(sink.events);
     }
+    let coloc_events = traces.swap_remove(0);
 
     cli.emit(
         "trace_phases",

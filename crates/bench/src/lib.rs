@@ -7,12 +7,13 @@
 //! * prints the table(s) to stdout;
 //! * writes `results/<name>.csv` and `results/<name>.md`.
 //!
-//! See `DESIGN.md` §3 for the experiment index and `EXPERIMENTS.md` for
-//! paper-vs-measured numbers.
+//! [`scenario`] is the registry of the runs they make, and its module doc
+//! is the experiment index.
 
 #![warn(missing_docs)]
 
 pub mod cli;
+pub mod scenario;
 pub mod sweep;
 pub mod timing;
 

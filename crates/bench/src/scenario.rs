@@ -1,0 +1,919 @@
+//! The scenario registry: every run the benches and the golden suite make,
+//! as plain Rust values.
+//!
+//! A [`Scenario`] names a [`Topology`] (one engine, a fixed cluster, an
+//! elastic fleet, or fixed or elastic disaggregated pools) with its
+//! configs, a workload builder and a seed. [`Scenario::run`] builds the
+//! workload from the seed, runs the topology and returns its full
+//! [`Report`] together with the one [`Headline`] every topology shares
+//! and a 64-bit fingerprint of the report.
+//!
+//! Most scenarios start from [`base`], the Llama2-7B on A100-80G
+//! deployment, and arrive on a [`steady`] cadence or a seeded stream.
+//! A scenario that must rerun over a seed bank is built by a function of
+//! the seed alone, so a sweep can call it once per seed.
+//!
+//! [`goldens`] is the pinned subset: the test suite fingerprints each of
+//! its runs against `tests/golden/report_fingerprints.txt` and explains
+//! any drift with the headline digests in `tests/golden/report_digests.tsv`.
+//!
+//! The experiments, one binary each under `src/bin` (all accept `--quick`
+//! and `--out <dir>`):
+//!
+//! * paper figures and tables: `fig1`, `fig3`–`fig9`, `table1`, `table2`,
+//!   and the Past-Future ablations `ablation_window` and
+//!   `ablation_repeats`;
+//! * fleet extensions, each a scenario list plus its claim:
+//!   `cluster_routing`, `autoscale`, `disagg`, `kv_streaming`,
+//!   `prefix_routing`, `kv_routing`, `hetero_fleet`, `deadline_sched`,
+//!   `trace_replay` and `trace_viz`;
+//! * `sweep` reruns the headline scenarios over a seed bank, and
+//!   `simulate` runs one configurable deployment.
+
+use std::sync::Arc;
+
+use pf_autoscale::{AutoscaleConfig, PolicyConfig, PredictorKind};
+use pf_core::SchedulerConfig;
+use pf_kvcache::PrefixCacheStats;
+use pf_metrics::{GoodputReport, SimDuration, SimTime, Summary};
+use pf_obs::TraceSink;
+use pf_sim::cluster::{ClusterReport, ClusterSimulation, RouterPolicy};
+use pf_sim::disagg::{
+    DisaggCluster, DisaggConfig, DisaggReport, ElasticDisaggCluster, KvTransferSpec, PoolReport,
+    PrefillOrder, RepurposeDirection, TransferMode,
+};
+use pf_sim::elastic::{ElasticCluster, ElasticReport};
+use pf_sim::{
+    EvictionMode, GpuSpec, GpuType, Headline, ModelSpec, PrefillMode, QueueOrder, RequestOutcome,
+    RouterConfig, SimConfig, SimConfigBuilder, SimReport, Simulation,
+};
+use pf_workload::rng::seeded;
+use pf_workload::{datasets, LengthSampler, PoissonArrivals, RequestSpec};
+
+use crate::{default_threads, run_parallel};
+
+/// The deployment most scenarios start from: Llama2-7B on one A100-80G,
+/// Past-Future scheduling, no utilization series, seeded.
+pub fn base(seed: u64) -> SimConfigBuilder {
+    SimConfig::builder(ModelSpec::llama2_7b(), GpuSpec::a100_80g())
+        .record_series(false)
+        .seed(seed)
+}
+
+/// `n` arrivals `gap_ms` apart, the first at t = 0.
+pub fn steady(n: usize, gap_ms: u64) -> Vec<SimTime> {
+    (0..n)
+        .map(|i| SimTime::from_millis(gap_ms * i as u64))
+        .collect()
+}
+
+/// `requests` arriving open-loop at `rate` req/s, on the arrival stream
+/// seeded by `seed`.
+pub fn poisson(requests: Vec<RequestSpec>, rate: f64, seed: u64) -> Workload {
+    let arrivals = PoissonArrivals::new(rate).assign(&mut seeded(seed), requests.len());
+    Workload::Timed(requests, arrivals)
+}
+
+/// The requests a scenario serves and when they arrive.
+#[derive(Debug, Clone)]
+pub enum Workload {
+    /// Every request queued at t = 0 (one engine only).
+    Offline(Vec<RequestSpec>),
+    /// One non-decreasing arrival instant per request.
+    Timed(Vec<RequestSpec>, Vec<SimTime>),
+}
+
+impl Workload {
+    /// The requests, whatever their arrival discipline.
+    pub fn requests(&self) -> &[RequestSpec] {
+        match self {
+            Workload::Offline(requests) | Workload::Timed(requests, _) => requests,
+        }
+    }
+}
+
+/// A deployment shape with its configs; each variant mirrors the
+/// constructor of the pf-sim type that runs it.
+// A topology is built once per scenario and cloned once per run, so the
+// size of its largest variant costs nothing worth boxing for.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone)]
+pub enum Topology {
+    /// One colocated engine ([`Simulation`]).
+    Single(SimConfig),
+    /// A fixed fleet behind one router, one config per instance
+    /// ([`ClusterSimulation::heterogeneous`]).
+    Cluster {
+        /// Per-instance configs.
+        configs: Vec<SimConfig>,
+        /// Front-end routing policy.
+        policy: RouterPolicy,
+    },
+    /// An autoscaled colocated fleet ([`ElasticCluster`]).
+    Elastic {
+        /// Replica config.
+        base: SimConfig,
+        /// Planner settings and replica bounds.
+        autoscale: AutoscaleConfig,
+        /// Replicas live at t = 0.
+        initial: usize,
+        /// Front-end routing policy.
+        router: RouterPolicy,
+        /// GPU type per provisioning slot (empty = reference type).
+        fleet: Vec<GpuType>,
+    },
+    /// Fixed prefill and decode pools ([`DisaggCluster`]).
+    Disagg {
+        /// Pool configs.
+        config: DisaggConfig,
+        /// Prefill instances.
+        prefill: usize,
+        /// Decode instances.
+        decode: usize,
+    },
+    /// Independently autoscaled prefill and decode pools
+    /// ([`ElasticDisaggCluster`]).
+    ElasticDisagg {
+        /// Pool configs.
+        config: DisaggConfig,
+        /// Prefill-pool planner.
+        prefill: AutoscaleConfig,
+        /// Decode-pool planner.
+        decode: AutoscaleConfig,
+        /// Prefill and decode replicas live at t = 0.
+        initial: (usize, usize),
+    },
+}
+
+impl Topology {
+    /// `instances` copies of `config` behind `policy`, seeded per instance
+    /// exactly as [`ClusterSimulation::new`] seeds them.
+    pub fn cluster(config: SimConfig, instances: usize, policy: RouterPolicy) -> Topology {
+        let configs = (0..instances)
+            .map(|i| SimConfig {
+                seed: config.seed.wrapping_add(i as u64),
+                ..config.clone()
+            })
+            .collect();
+        Topology::Cluster { configs, policy }
+    }
+
+    /// An elastic fleet of reference GPUs behind least-estimated-load
+    /// routing (the [`ElasticCluster`] defaults).
+    pub fn elastic(base: SimConfig, autoscale: AutoscaleConfig, initial: usize) -> Topology {
+        Topology::Elastic {
+            base,
+            autoscale,
+            initial,
+            router: RouterPolicy::LeastEstimatedLoad,
+            fleet: Vec::new(),
+        }
+    }
+
+    /// The fixed `prefill`p + `decode`d split of `config`.
+    pub fn disagg(config: DisaggConfig, prefill: usize, decode: usize) -> Topology {
+        Topology::Disagg {
+            config,
+            prefill,
+            decode,
+        }
+    }
+}
+
+/// A topology's full report.
+#[derive(Debug)]
+pub enum Report {
+    /// From [`Topology::Single`].
+    Single(SimReport),
+    /// From [`Topology::Cluster`].
+    Cluster(ClusterReport),
+    /// From [`Topology::Elastic`].
+    Elastic(ElasticReport),
+    /// From [`Topology::Disagg`] and [`Topology::ElasticDisagg`].
+    Disagg(DisaggReport),
+}
+
+impl Report {
+    /// End of the run: the latest instance finish time.
+    pub fn makespan(&self) -> SimDuration {
+        match self {
+            Report::Single(r) => r.makespan,
+            Report::Cluster(r) => r.makespan(),
+            Report::Elastic(r) => r.makespan,
+            Report::Disagg(r) => r.makespan,
+        }
+    }
+
+    /// Every completed request's outcome, instance by instance.
+    pub fn outcomes(&self) -> Vec<&RequestOutcome> {
+        match self {
+            Report::Single(r) => r.outcomes.iter().collect(),
+            Report::Cluster(r) => r.instances.iter().flat_map(|i| &i.outcomes).collect(),
+            Report::Elastic(r) => r
+                .instances
+                .iter()
+                .flat_map(|i| &i.report.outcomes)
+                .collect(),
+            Report::Disagg(r) => r.outcomes.iter().collect(),
+        }
+    }
+
+    /// Prefix-cache statistics merged across the instances that cache
+    /// (the prefill pool of a disaggregated run).
+    pub fn prefix_stats(&self) -> PrefixCacheStats {
+        match self {
+            Report::Single(r) => r.prefix_stats,
+            Report::Cluster(r) => r.prefix_stats(),
+            Report::Elastic(r) => r.prefix_stats(),
+            Report::Disagg(r) => r.prefix_stats,
+        }
+    }
+}
+
+/// One finished scenario run.
+#[derive(Debug)]
+pub struct Run {
+    /// The scenario's name.
+    pub name: String,
+    /// The topology's full report.
+    pub report: Report,
+    /// Its headline numbers.
+    pub headline: Headline,
+    /// FNV-1a fingerprint of the report (see [`Scenario::run`]).
+    pub fingerprint: u64,
+}
+
+/// Builds a scenario's workload from its seed.
+pub type WorkloadFn = Arc<dyn Fn(u64) -> Workload + Send + Sync>;
+
+/// A named, seeded run: a topology, and a workload built from the seed.
+#[derive(Clone)]
+pub struct Scenario {
+    /// Label in tables and golden files.
+    pub name: String,
+    /// Seed the workload is built from (topology configs carry their own).
+    pub seed: u64,
+    /// The deployment.
+    pub topology: Topology,
+    /// The workload builder.
+    pub workload: WorkloadFn,
+}
+
+impl Scenario {
+    /// A scenario from its parts.
+    pub fn new(
+        name: impl Into<String>,
+        seed: u64,
+        topology: Topology,
+        workload: impl Fn(u64) -> Workload + Send + Sync + 'static,
+    ) -> Scenario {
+        Scenario {
+            name: name.into(),
+            seed,
+            topology,
+            workload: Arc::new(workload),
+        }
+    }
+
+    /// The workload this scenario serves.
+    pub fn workload(&self) -> Workload {
+        (self.workload)(self.seed)
+    }
+
+    /// Runs the scenario, feeding lifecycle events to `sink` if given.
+    ///
+    /// The fingerprint hashes every scalar counter, the f64 bit patterns
+    /// and the per-request timing stream, so any change to admission
+    /// order, clock arithmetic, RNG consumption or preemption shifts it.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the scenario, if the simulation rejects its
+    /// deployment or workload, or if a fleet topology gets an offline
+    /// workload.
+    pub fn run(&self, sink: Option<&mut dyn TraceSink>) -> Run {
+        let (requests, arrivals) = match self.workload() {
+            Workload::Offline(requests) => (requests, None),
+            Workload::Timed(requests, arrivals) => (requests, Some(arrivals)),
+        };
+        let timed = |arrivals: Option<Vec<SimTime>>| {
+            arrivals.unwrap_or_else(|| panic!("{}: a fleet needs arrival times", self.name))
+        };
+        let report = match self.topology.clone() {
+            Topology::Single(config) => match arrivals {
+                None => Simulation::offline(config, requests),
+                Some(arrivals) => Simulation::with_arrivals(config, requests, arrivals),
+            }
+            .run_traced(sink)
+            .map(Report::Single),
+            Topology::Cluster { configs, policy } => {
+                ClusterSimulation::heterogeneous(configs, policy)
+                    .run_traced(requests, timed(arrivals), sink)
+                    .map(Report::Cluster)
+            }
+            Topology::Elastic {
+                base,
+                autoscale,
+                initial,
+                router,
+                fleet,
+            } => {
+                let mut cluster = ElasticCluster::new(base, autoscale, initial).router(router);
+                if !fleet.is_empty() {
+                    cluster = cluster.fleet(fleet);
+                }
+                cluster
+                    .run_traced(requests, timed(arrivals), sink)
+                    .map(Report::Elastic)
+            }
+            Topology::Disagg {
+                config,
+                prefill,
+                decode,
+            } => DisaggCluster::new(config, prefill, decode)
+                .run_traced(requests, timed(arrivals), sink)
+                .map(Report::Disagg),
+            Topology::ElasticDisagg {
+                config,
+                prefill,
+                decode,
+                initial: (p, d),
+            } => ElasticDisaggCluster::new(config, prefill, decode, p, d)
+                .run_traced(requests, timed(arrivals), sink)
+                .map(Report::Disagg),
+        }
+        .unwrap_or_else(|e| panic!("{}: {e}", self.name));
+        self.finish(report)
+    }
+
+    fn finish(&self, report: Report) -> Run {
+        let mut h = Fnv::new();
+        let headline = match &report {
+            Report::Single(r) => {
+                hash_sim_report(&mut h, r);
+                r.headline()
+            }
+            Report::Cluster(r) => {
+                hash_cluster(&mut h, r);
+                r.headline()
+            }
+            Report::Elastic(r) => {
+                let typed =
+                    matches!(&self.topology, Topology::Elastic { fleet, .. } if !fleet.is_empty());
+                hash_elastic(&mut h, r, typed);
+                r.headline()
+            }
+            Report::Disagg(r) => {
+                let (Topology::Disagg { config, .. } | Topology::ElasticDisagg { config, .. }) =
+                    &self.topology
+                else {
+                    unreachable!("only the disagg topologies report DisaggReport")
+                };
+                let elastic = matches!(self.topology, Topology::ElasticDisagg { .. });
+                hash_disagg(&mut h, r, config.transfer.mode, elastic);
+                r.headline()
+            }
+        };
+        Run {
+            name: self.name.clone(),
+            report,
+            headline,
+            fingerprint: h.0,
+        }
+    }
+}
+
+/// Runs every scenario untraced on parallel workers; results come back in
+/// input order.
+pub fn run_all(scenarios: &[Scenario]) -> Vec<Run> {
+    let jobs: Vec<_> = scenarios.iter().map(|s| move || s.run(None)).collect();
+    run_parallel(jobs, default_threads())
+}
+
+/// The run of the scenario called `name`.
+///
+/// # Panics
+///
+/// Panics if no run has that name.
+pub fn by_name<'a>(runs: &'a [Run], name: &str) -> &'a Run {
+    runs.iter()
+        .find(|run| run.name == name)
+        .unwrap_or_else(|| panic!("no scenario named {name}"))
+}
+
+/// The fingerprint of one engine's report, as [`Scenario::run`] computes
+/// it for [`Topology::Single`].
+pub fn sim_fingerprint(report: &SimReport) -> u64 {
+    let mut h = Fnv::new();
+    hash_sim_report(&mut h, report);
+    h.0
+}
+
+/// FNV-1a over a stream of u64 words (stable, dependency-free).
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for byte in w.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.word(v.to_bits());
+    }
+}
+
+fn hash_summary(h: &mut Fnv, s: &Summary) {
+    h.word(s.count as u64);
+    for v in [s.mean, s.std_dev, s.min, s.max, s.p50, s.p90, s.p99] {
+        h.f64(v);
+    }
+}
+
+fn hash_goodput(h: &mut Fnv, g: &GoodputReport) {
+    h.word(g.total_requests as u64);
+    h.word(g.satisfied_requests as u64);
+    h.word(g.total_output_tokens);
+    h.word(g.satisfied_output_tokens);
+    h.word(g.duration.as_micros());
+    h.f64(g.throughput_tok_per_s);
+    h.f64(g.goodput_tok_per_s);
+    hash_summary(h, &g.ttft_secs);
+    hash_summary(h, &g.mtpot_secs);
+}
+
+/// The per-request stream is the most sensitive probe: every token
+/// timestamp of every completed request feeds the hash.
+fn hash_outcomes(h: &mut Fnv, outcomes: &[RequestOutcome]) {
+    let micros = |t: SimTime| t.saturating_since(SimTime::ZERO).as_micros();
+    h.word(outcomes.len() as u64);
+    for o in outcomes {
+        h.word(o.id);
+        h.word(u64::from(o.input_len));
+        h.word(u64::from(o.output_len));
+        h.word(u64::from(o.evictions));
+        h.word(micros(o.timing.arrival()));
+        h.word(o.timing.ttft().map_or(u64::MAX, |d| d.as_micros()));
+        h.word(o.timing.n_tokens());
+        h.word(micros(o.timing.last_token_at()));
+    }
+}
+
+fn hash_sim_report(h: &mut Fnv, r: &SimReport) {
+    h.word(r.completed as u64);
+    h.word(r.unfinished as u64);
+    h.word(r.timed_out as u64);
+    h.word(r.decode_steps);
+    h.word(r.prefill_steps);
+    h.word(r.evictions);
+    h.word(r.makespan.as_micros());
+    h.word(r.capacity_tokens);
+    h.f64(r.avg_consumed_frac);
+    h.f64(r.avg_future_required_frac);
+    h.f64(r.peak_consumed_frac);
+    h.word(r.kv_used_tokens_end);
+    h.word(r.prefix_stats.lookups);
+    h.word(r.prefix_stats.hits);
+    h.word(r.prefix_cached_tokens);
+    hash_goodput(h, &r.goodput);
+    hash_outcomes(h, &r.outcomes);
+}
+
+fn hash_cluster(h: &mut Fnv, r: &ClusterReport) {
+    for (routed, instance) in r.routed_per_instance.iter().zip(&r.instances) {
+        h.word(*routed as u64);
+        hash_sim_report(h, instance);
+    }
+}
+
+fn hash_gpu(h: &mut Fnv, gpu: &GpuType) {
+    h.word(gpu.name.len() as u64);
+    for byte in gpu.name.bytes() {
+        h.word(u64::from(byte));
+    }
+    h.f64(gpu.cost_weight);
+    h.f64(gpu.perf_scale);
+}
+
+/// An elastic fleet's goodput, instances and scaling; a fleet of typed
+/// GPU slots adds each instance's lifetime and GPU.
+fn hash_elastic(h: &mut Fnv, r: &ElasticReport, typed_fleet: bool) {
+    hash_goodput(h, &r.goodput);
+    h.word(r.makespan.as_micros());
+    h.word(r.unrouted as u64);
+    h.word(r.events.len() as u64);
+    h.word(r.instances.len() as u64);
+    for inst in &r.instances {
+        h.word(inst.routed as u64);
+        hash_sim_report(h, &inst.report);
+    }
+    if typed_fleet {
+        for inst in &r.instances {
+            h.word(inst.spawned_at.as_micros());
+            h.word(inst.stopped_at.as_micros());
+            hash_gpu(h, &inst.gpu);
+        }
+    }
+}
+
+/// One disagg pool's lifecycle: every instance's lifetime, GPU, routed
+/// and completed counts, then every scaling decision.
+fn hash_pool(h: &mut Fnv, pool: &PoolReport) {
+    h.word(pool.instances.len() as u64);
+    for inst in &pool.instances {
+        h.word(inst.spawned_at.as_micros());
+        h.word(inst.stopped_at.as_micros());
+        hash_gpu(h, &inst.gpu);
+        h.word(inst.routed as u64);
+        h.word(inst.completed as u64);
+    }
+    h.word(pool.events.len() as u64);
+    for ev in &pool.events {
+        h.word(ev.at.as_micros());
+        h.word(ev.from as u64);
+        h.word(ev.to as u64);
+    }
+}
+
+/// A disaggregated run's goodput, transfers and outcome stream. Streamed
+/// links add their streamed count and un-hidden tail; elastic pools hash
+/// both pools' lifecycles and every repurposing flip in place of the
+/// link time.
+fn hash_disagg(h: &mut Fnv, r: &DisaggReport, mode: TransferMode, elastic: bool) {
+    let streamed = match mode {
+        TransferMode::Atomic => false,
+        TransferMode::LayerStreamed => true,
+    };
+    hash_goodput(h, &r.goodput);
+    h.word(r.makespan.as_micros());
+    h.word(r.unserved as u64);
+    h.word(r.timed_out as u64);
+    h.word(r.transfers.transfers as u64);
+    if streamed {
+        h.word(r.transfers.streamed as u64);
+    }
+    h.word(r.transfers.total_bytes);
+    if !elastic {
+        h.f64(r.transfers.total_link_secs);
+    }
+    if streamed {
+        h.f64(r.transfers.total_tail_secs);
+    }
+    hash_outcomes(h, &r.outcomes);
+    if elastic {
+        hash_pool(h, &r.prefill);
+        hash_pool(h, &r.decode);
+        h.word(r.repurposes.len() as u64);
+        for ev in &r.repurposes {
+            h.word(ev.at.as_micros());
+            h.word(match ev.direction {
+                RepurposeDirection::PrefillToDecode => 0,
+                RepurposeDirection::DecodeToPrefill => 1,
+            });
+            h.word(ev.prefill_member as u64);
+            h.word(ev.decode_member as u64);
+        }
+    }
+}
+
+/// A three-phase day for the elastic disagg pools: a prefill-heavy
+/// morning grows the prefill pool, a decode-heavy midday drains it into
+/// the decode pool (prefill → decode flips), and a prefill-heavy
+/// afternoon with a trickle of long decodes flips drained decode members
+/// back (decode → prefill).
+fn three_phase_day(seed: u64) -> Workload {
+    const MORNING: usize = 420;
+    const MIDDAY: usize = 360;
+    const AFTERNOON: usize = 600;
+    const TRICKLE: usize = 30;
+    let prefill_heavy = |n: usize, seed: u64| {
+        let input = LengthSampler::uniform(1024, 3072);
+        let output = LengthSampler::uniform(4, 32);
+        datasets::from_samplers(n, seed, &input, &output, 64)
+    };
+    let mut pairs: Vec<(RequestSpec, u64)> = Vec::new();
+    let mut at = 0u64;
+    for r in prefill_heavy(MORNING, seed) {
+        at += 71_429; // 14 req/s
+        pairs.push((r, at));
+    }
+    let decode_heavy = datasets::from_samplers(
+        MIDDAY,
+        seed + 1,
+        &LengthSampler::uniform(32, 128),
+        &LengthSampler::uniform(256, 640),
+        768,
+    );
+    for r in decode_heavy {
+        at += 100_000; // 10 req/s
+        pairs.push((r, at));
+    }
+    // The trickle starts when the midday load ends; the afternoon wave
+    // follows after a quiet half minute in which the decode pool drains.
+    let afternoon = at;
+    at += 30_000_000;
+    for (i, r) in prefill_heavy(AFTERNOON, seed + 2).into_iter().enumerate() {
+        // A slow first wave lets the decode pool drain before the
+        // second wave doubles the prompt rate.
+        at += if i < AFTERNOON / 2 { 100_000 } else { 50_000 };
+        pairs.push((r, at));
+    }
+    let trickle = datasets::from_samplers(
+        TRICKLE,
+        seed + 3,
+        &LengthSampler::uniform(32, 128),
+        &LengthSampler::uniform(1536, 3072),
+        3072,
+    );
+    for (i, r) in trickle.into_iter().enumerate() {
+        pairs.push((r, afternoon + 1_000 + 1_500_000 * i as u64));
+    }
+    pairs.sort_by_key(|&(_, at)| at);
+    let (requests, arrivals) = pairs
+        .into_iter()
+        .enumerate()
+        .map(|(i, (mut r, at))| {
+            r.id = (i as u64).into();
+            (r, SimTime::from_micros(at))
+        })
+        .unzip();
+    Workload::Timed(requests, arrivals)
+}
+
+/// The shared-system-prompt chat the KV-overlap goldens route.
+fn sysprompt_chat(seed: u64) -> Workload {
+    let spec = datasets::SharedSyspromptSpec::default();
+    let (requests, arrivals) =
+        datasets::shared_sysprompt_chat_timed(300, seed, &spec, 3.0, 2.0, 3.0);
+    Workload::Timed(requests, arrivals)
+}
+
+/// The pinned scenarios, in golden-file order: every engine shape, and
+/// every `RouterPolicy`, `QueueOrder`, `TransferMode`, `PrefillOrder` and
+/// `RepurposeDirection` variant, across several seeds.
+pub fn goldens() -> Vec<Scenario> {
+    let mut out = Vec::new();
+
+    // Colocated offline, the Table-1 hot loop, across seeds.
+    for seed in [1u64, 2, 3] {
+        out.push(Scenario::new(
+            format!("coloc-offline-pf-seed{seed}"),
+            seed,
+            Topology::Single(base(seed).capacity_override(20_000).build()),
+            |seed| Workload::Offline(datasets::sharegpt(300, seed)),
+        ));
+    }
+
+    // The oracle scheduler exercises the `oracle_remaining` view fields.
+    out.push(Scenario::new(
+        "coloc-oracle",
+        7,
+        Topology::Single(
+            base(7)
+                .capacity_override(15_000)
+                .scheduler(SchedulerConfig::Oracle)
+                .build(),
+        ),
+        |seed| Workload::Offline(datasets::distribution_1(250, seed)),
+    ));
+
+    // Slack-aware queue ordering with per-request deadlines: exercises
+    // ranking, aging, early drops, and the timed-out accounting.
+    for seed in [11u64, 12] {
+        out.push(Scenario::new(
+            format!("coloc-slack-deadline-seed{seed}"),
+            seed,
+            Topology::Single(
+                base(seed)
+                    .capacity_override(8_000)
+                    .queue_order(QueueOrder::least_slack())
+                    .build(),
+            ),
+            |seed| poisson(datasets::mixed_deadline(400, seed), 40.0, seed),
+        ));
+    }
+
+    // Chunked prefill + swap preemption + prefix cache: the remaining
+    // engine code paths (mixed steps, swap transfers, cache reclaim).
+    out.push(Scenario::new(
+        "coloc-chunked-swap-prefix",
+        21,
+        Topology::Single(
+            base(21)
+                .capacity_override(6_000)
+                .prefill(PrefillMode::Chunked { chunk_tokens: 512 })
+                .eviction(EvictionMode::Swap { pcie_gbps: 32.0 })
+                .prefix_cache(0.2)
+                .build(),
+        ),
+        |seed| poisson(datasets::multi_turn_chat(300, seed), 30.0, seed + 1),
+    ));
+
+    // Cluster routing probes (`load_estimate`, `queue_slack_pressure`,
+    // `cached_prefix_tokens`).
+    out.push(Scenario::new(
+        "cluster-least-load",
+        31,
+        Topology::cluster(
+            base(31)
+                .capacity_override(6_000)
+                .queue_order(QueueOrder::least_slack())
+                .build(),
+            3,
+            RouterPolicy::LeastEstimatedLoad,
+        ),
+        |seed| poisson(datasets::mixed_deadline(400, seed), 60.0, seed),
+    ));
+
+    // KV-overlap softmax routing over the block-granular store: chained
+    // block hashing, delayed event propagation into the global index,
+    // and the temperature-scaled cost-logit draw all consume determinism
+    // budget, so the complete routed stream is pinned.
+    out.push(Scenario::new(
+        "cluster-kv-softmax",
+        61,
+        Topology::cluster(
+            base(61)
+                .capacity_override(20_000)
+                .prefix_cache_blocks(0.4, 64)
+                .router(RouterConfig {
+                    kv_event_delay: SimDuration::from_millis(250),
+                })
+                .build(),
+            3,
+            RouterPolicy::KvOverlap {
+                overlap_weight: 1.0,
+                temperature: 0.25,
+            },
+        ),
+        sysprompt_chat,
+    ));
+
+    // Disaggregated 2p+2d on the atomic NVLink default, plain and
+    // slack-ordered.
+    for (name, order, seed) in [
+        ("disagg-fifo", QueueOrder::Fifo, 41u64),
+        ("disagg-slack", QueueOrder::least_slack(), 42),
+    ] {
+        let config = DisaggConfig::new(
+            base(seed)
+                .capacity_override(12_000)
+                .queue_order(order)
+                .build(),
+        );
+        out.push(Scenario::new(
+            name,
+            seed,
+            Topology::disagg(config, 2, 2),
+            move |seed| {
+                let requests = if order.is_slack_aware() {
+                    datasets::mixed_deadline(300, seed)
+                } else {
+                    datasets::sharegpt(300, seed)
+                };
+                Workload::Timed(requests, steady(300, 15))
+            },
+        ));
+    }
+
+    // Disaggregated pools under KV-overlap routing: the prefill members'
+    // block stores publish into the event-fed index the router scores,
+    // and the softmax picks replay from the router's own stream.
+    out.push(Scenario::new(
+        "disagg-kv-overlap",
+        62,
+        Topology::disagg(
+            DisaggConfig::new(
+                base(62)
+                    .capacity_override(12_000)
+                    .prefix_cache_blocks(0.4, 64)
+                    .build(),
+            )
+            .router(RouterPolicy::KvOverlap {
+                overlap_weight: 1.0,
+                temperature: 0.2,
+            }),
+            2,
+            2,
+        ),
+        sysprompt_chat,
+    ));
+
+    // Layer-streamed transfers over a narrow shared link: the fluid
+    // fair-share scheduler, chunk eligibility clock, and the stream-done
+    // handoff all feed the outcome stream.
+    out.push(Scenario::new(
+        "disagg-stream",
+        63,
+        Topology::disagg(
+            DisaggConfig::new(base(63).capacity_override(12_000).build())
+                .transfer(KvTransferSpec::new(10.0, SimDuration::from_micros(200), 1).streamed()),
+            2,
+            2,
+        ),
+        |seed| Workload::Timed(datasets::sharegpt(300, seed), steady(300, 15)),
+    ));
+
+    // Elastic autoscaling fleets: spawn/drain decisions ride on engine
+    // outcomes, so any drift shows up in the scaling event stream. The
+    // heterogeneous one puts a big GPU on slot 0 and small ones after, so
+    // the planner's candidate-fleet scales, the perf-scaled routing loads
+    // and the costliest-first drain all feed the fingerprint.
+    for (name, seed, max, fleet) in [
+        ("elastic-holt", 51u64, 3, Vec::new()),
+        (
+            "elastic-hetero",
+            52,
+            4,
+            vec![GpuType::big(), GpuType::small()],
+        ),
+    ] {
+        let autoscale = AutoscaleConfig::bounded(1, max)
+            .interval(SimDuration::from_secs(10))
+            .warmup(SimDuration::from_secs(15))
+            .predictor(PredictorKind::holt())
+            .initial_lengths(160.0, 224.0);
+        out.push(Scenario::new(
+            name,
+            seed,
+            Topology::Elastic {
+                base: base(seed).capacity_override(8_000).build(),
+                autoscale,
+                initial: 1,
+                router: RouterPolicy::LeastEstimatedLoad,
+                fleet,
+            },
+            |seed| Workload::Timed(datasets::short_chat(400, seed), steady(400, 12)),
+        ));
+    }
+
+    // Elastic disagg pools on mixed GPUs with repurposing: both flip
+    // directions, shortest-prompt-first prefill with its aging cap, and
+    // both pools' lifecycles are pinned.
+    let pool = |max: usize| {
+        let mut policy = PolicyConfig::bounded(1, max);
+        policy.scale_down_patience = 1;
+        AutoscaleConfig::bounded(1, max)
+            .interval(SimDuration::from_secs(10))
+            .warmup(SimDuration::from_secs(20))
+            .predictor(PredictorKind::holt())
+            .initial_lengths(512.0, 64.0)
+            .policy(policy)
+    };
+    out.push(Scenario::new(
+        "disagg-elastic-repurpose",
+        81,
+        Topology::ElasticDisagg {
+            config: DisaggConfig::new(base(81).capacity_override(9_000).build())
+                .repurpose(SimDuration::from_secs(2))
+                .fleet(
+                    vec![GpuType::big(), GpuType::small()],
+                    vec![GpuType::small(), GpuType::big()],
+                )
+                .prefill_order(PrefillOrder::ShortestPromptFirst {
+                    aging_cap: SimDuration::from_secs(5),
+                }),
+            prefill: pool(6),
+            decode: pool(4),
+            initial: (2, 1),
+        },
+        three_phase_day,
+    ));
+
+    // Every remaining router policy on multi-turn chat, whose repeated
+    // session prefixes give `PrefixAffinity` real overlap to chase, under
+    // the spelled-out form of `QueueOrder::least_slack()`.
+    for (name, policy) in [
+        ("cluster-round-robin", RouterPolicy::RoundRobin),
+        ("cluster-least-outstanding", RouterPolicy::LeastOutstanding),
+        ("cluster-least-used-memory", RouterPolicy::LeastUsedMemory),
+        (
+            "cluster-prefix-affinity",
+            RouterPolicy::PrefixAffinity {
+                load_tiebreak: true,
+            },
+        ),
+    ] {
+        let config = base(71)
+            .capacity_override(6_000)
+            .prefix_cache(0.2)
+            .queue_order(QueueOrder::LeastSlackFirst {
+                aging_cap: SimDuration::from_secs(30),
+            })
+            .build();
+        out.push(Scenario::new(
+            name,
+            71,
+            Topology::cluster(config, 3, policy),
+            |seed| poisson(datasets::multi_turn_chat(300, seed), 50.0, seed),
+        ));
+    }
+
+    out
+}

@@ -16,11 +16,12 @@
 
 use pf_autoscale::{AutoscaleConfig, PredictorKind};
 use pf_bench::output_lengths;
+use pf_bench::scenario::base;
 use pf_core::SchedulerConfig;
 use pf_metrics::SimDuration;
 use pf_sim::disagg::{DisaggCluster, DisaggConfig};
 use pf_sim::elastic::ElasticCluster;
-use pf_sim::{GpuSpec, ModelSpec, SimConfig, SimReport, Simulation};
+use pf_sim::{SimReport, Simulation};
 use pf_workload::{datasets, rng::seeded, PoissonArrivals, RateProfile};
 
 /// One Table-1-style offline run on Distribution-1 (the `--quick` bench
@@ -29,12 +30,7 @@ fn table1_run(scheduler: SchedulerConfig) -> SimReport {
     let n = 250;
     let requests = datasets::distribution_1(n, 1);
     let warmup = output_lengths(&datasets::distribution_1(1000, 777));
-    let config = SimConfig::builder(ModelSpec::llama2_7b(), GpuSpec::a100_80g())
-        .scheduler(scheduler)
-        .history_warmup(warmup)
-        .record_series(false)
-        .seed(20)
-        .build();
+    let config = base(20).scheduler(scheduler).history_warmup(warmup).build();
     Simulation::offline(config, requests)
         .run()
         .expect("table1 run")
@@ -107,14 +103,7 @@ fn autoscale_gpu_seconds_saving_band_holds() {
     let requests = datasets::short_chat(n, 42);
     let arrivals =
         RateProfile::diurnal(2.0, 12.0, SimDuration::from_secs(180)).assign(&mut seeded(43), n);
-    let base = || {
-        SimConfig::builder(ModelSpec::llama2_7b(), GpuSpec::a100_80g())
-            .scheduler(SchedulerConfig::past_future())
-            .capacity_override(6_000)
-            .record_series(false)
-            .seed(41)
-            .build()
-    };
+    let config = || base(41).capacity_override(6_000).build();
     let autoscale = |min: usize, max: usize| {
         AutoscaleConfig::bounded(min, max)
             .interval(SimDuration::from_secs(10))
@@ -122,19 +111,19 @@ fn autoscale_gpu_seconds_saving_band_holds() {
             .predictor(PredictorKind::holt())
             .initial_lengths(160.0, 224.0)
     };
-    let static_max = ElasticCluster::new(base(), autoscale(4, 4), 4)
+    let static_max = ElasticCluster::new(config(), autoscale(4, 4), 4)
         .run(requests.clone(), arrivals.clone())
         .expect("static run");
-    let elastic = ElasticCluster::new(base(), autoscale(1, 4), 1)
+    let elastic = ElasticCluster::new(config(), autoscale(1, 4), 1)
         .run(requests, arrivals)
         .expect("elastic run");
 
-    let gap = static_max.sla_attainment() - elastic.sla_attainment();
+    let gap = static_max.headline().sla_attainment - elastic.headline().sla_attainment;
     assert!(
         gap <= 0.05,
         "elastic SLA {:.3} trails static-max {:.3} by more than 5 points",
-        elastic.sla_attainment(),
-        static_max.sla_attainment()
+        elastic.headline().sla_attainment,
+        static_max.headline().sla_attainment
     );
     let saving = 1.0 - elastic.gpu_seconds() / static_max.gpu_seconds();
     assert!(
@@ -151,28 +140,21 @@ fn disagg_ttft_headline_holds() {
     let n = 900;
     let requests = datasets::prefill_heavy(n, 51);
     let arrivals = PoissonArrivals::new(12.0).assign(&mut seeded(52), n);
-    let base = || {
-        SimConfig::builder(ModelSpec::llama2_7b(), GpuSpec::a100_80g())
-            .scheduler(SchedulerConfig::past_future())
-            .capacity_override(9_000)
-            .record_series(false)
-            .seed(31)
-            .build()
-    };
+    let config = || base(31).capacity_override(9_000).build();
     let coloc_autoscale = AutoscaleConfig::bounded(4, 4)
         .interval(SimDuration::from_secs(10))
         .warmup(SimDuration::from_secs(20));
-    let coloc = ElasticCluster::new(base(), coloc_autoscale, 4)
+    let coloc = ElasticCluster::new(config(), coloc_autoscale, 4)
         .run(requests.clone(), arrivals.clone())
         .expect("colocated run");
-    let split = DisaggCluster::new(DisaggConfig::new(base()), 2, 2)
+    let split = DisaggCluster::new(DisaggConfig::new(config()), 2, 2)
         .run(requests, arrivals)
         .expect("disagg run");
 
     assert!(
-        split.ttft_attainment() >= coloc.goodput.ttft_attainment(),
+        split.headline().ttft_attainment >= coloc.goodput.ttft_attainment(),
         "disagg TTFT attainment {:.3} fell below colocated {:.3}",
-        split.ttft_attainment(),
+        split.headline().ttft_attainment,
         coloc.goodput.ttft_attainment()
     );
     assert!(

@@ -20,9 +20,10 @@
 //!   macros (assignments or known-mutating method calls), which make
 //!   debug and release builds diverge.
 //! * **X1** — (cross-file) every `RouterPolicy`, `TransferMode`,
-//!   `QueueOrder`, `RepurposeDirection` and `PrefillOrder` variant must appear in at least one golden fingerprint
-//!   scenario in `report_equivalence.rs`, so new config surface cannot
-//!   ship un-goldened.
+//!   `QueueOrder`, `RepurposeDirection` and `PrefillOrder` variant must
+//!   appear in the scenario registry that defines the golden fingerprint
+//!   scenarios (`crates/bench/src/scenario.rs`), so new config surface
+//!   cannot ship un-goldened.
 //! * **S1** — an inline suppression without a justification.
 //!
 //! Rules operate on lexed tokens (comments and strings are separate
@@ -147,8 +148,8 @@ const X1_ENUMS: &[&str] = &[
     "PrefillOrder",
 ];
 
-/// The golden fingerprint suite X1 checks against.
-pub const X1_GOLDEN_FILE: &str = "crates/bench/tests/report_equivalence.rs";
+/// The scenario registry that names the golden configs X1 checks against.
+pub const X1_GOLDEN_FILE: &str = "crates/bench/src/scenario.rs";
 
 fn in_d1_scope(path: &str) -> bool {
     D1_CRATES

@@ -373,17 +373,6 @@ impl GoodputReport {
             && self.ttft_secs.p99 <= sla.max_ttft.as_secs_f64()
             && self.mtpot_secs.p99 <= sla.max_mtpot.as_secs_f64()
     }
-
-    /// Goodput under the system-level P99 interpretation (see
-    /// [`GoodputReport::is_p99_compliant`]): full throughput when
-    /// compliant, zero otherwise.
-    pub fn p99_goodput_tok_per_s(&self, sla: &SlaSpec) -> f64 {
-        if self.is_p99_compliant(sla) {
-            self.throughput_tok_per_s
-        } else {
-            0.0
-        }
-    }
 }
 
 #[cfg(test)]
@@ -538,7 +527,7 @@ mod tests {
     #[test]
     fn p99_compliance_all_or_nothing() {
         let sla = SlaSpec::chat_7b();
-        // 100 fast requests: compliant, full throughput counts.
+        // 100 fast requests: compliant.
         let fast: Vec<(RequestTiming, u64)> = (0..100)
             .map(|_| {
                 let mut t = RequestTiming::new(SimTime::ZERO);
@@ -549,12 +538,7 @@ mod tests {
             .collect();
         let report = GoodputReport::compute(&sla, &fast, SimDuration::from_secs(10));
         assert!(report.is_p99_compliant(&sla));
-        assert_eq!(
-            report.p99_goodput_tok_per_s(&sla),
-            report.throughput_tok_per_s
-        );
-        // Two slow requests out of 100 push the P99 over the limit: the
-        // whole system scores zero under this interpretation.
+        // Two slow requests out of 100 push the P99 over the limit.
         let mut mixed = fast;
         for _ in 0..2 {
             let mut t = RequestTiming::new(SimTime::ZERO);
@@ -563,7 +547,6 @@ mod tests {
         }
         let report = GoodputReport::compute(&sla, &mixed, SimDuration::from_secs(10));
         assert!(!report.is_p99_compliant(&sla));
-        assert_eq!(report.p99_goodput_tok_per_s(&sla), 0.0);
         // One in ~100 stays under the P99 bar.
         let report_one = GoodputReport::compute(
             &sla,

@@ -65,11 +65,11 @@
 //! let arrivals = (0..48).map(|i| SimTime::from_millis(100 * i)).collect();
 //! let report = ClusterSimulation::new(config, 3, RouterPolicy::LeastEstimatedLoad)
 //!     .run(requests, arrivals)?;
-//! assert_eq!(report.completed(), 48);
+//! assert_eq!(report.headline().completed, 48);
 //! # Ok::<(), pf_sim::SimError>(())
 //! ```
 
-use pf_metrics::{SimDuration, SimTime};
+use pf_metrics::{SimDuration, SimTime, Summary};
 use pf_obs::TraceSink;
 use pf_workload::RequestSpec;
 
@@ -78,7 +78,7 @@ use crate::elastic::Run;
 use crate::engine::Engine;
 use crate::error::SimError;
 use crate::fleet::{pick_rotating_min, GpuType, Pool, Routing};
-use crate::report::SimReport;
+use crate::report::{Headline, SimReport};
 
 /// Smallest cached overlap (tokens) for which [`RouterPolicy::PrefixAffinity`]
 /// prefers the matching instance over the least-loaded one (re-exported
@@ -395,19 +395,6 @@ pub struct ClusterReport {
 }
 
 impl ClusterReport {
-    /// Total completed requests.
-    pub fn completed(&self) -> usize {
-        self.instances.iter().map(|r| r.completed).sum()
-    }
-
-    /// Total SLA-satisfying requests.
-    pub fn satisfied(&self) -> usize {
-        self.instances
-            .iter()
-            .map(|r| r.goodput.satisfied_requests)
-            .sum()
-    }
-
     /// Cluster makespan: the latest instance finish time.
     pub fn makespan(&self) -> SimDuration {
         self.instances
@@ -433,28 +420,49 @@ impl ClusterReport {
         }
     }
 
-    /// Total evictions across instances.
-    pub fn evictions(&self) -> u64 {
-        self.instances.iter().map(|r| r.evictions).sum()
-    }
-
-    /// Fraction of completed requests whose TTFT met the SLA (1.0 when no
-    /// request completed) — the headline prefix-affinity routing improves.
-    pub fn ttft_attainment(&self) -> f64 {
-        let total: usize = self
-            .instances
-            .iter()
-            .map(|r| r.goodput.total_requests)
-            .sum();
-        if total == 0 {
-            return 1.0;
+    /// The cluster's headline: counters summed over instances, attainment
+    /// over every instance's requests, latency percentiles over the pooled
+    /// completed requests, and the fixed fleet provisioned for the whole
+    /// cluster makespan.
+    pub fn headline(&self) -> Headline {
+        let sum = |f: fn(&SimReport) -> usize| self.instances.iter().map(f).sum::<usize>();
+        let total = sum(|r| r.goodput.total_requests);
+        let satisfied = sum(|r| r.goodput.satisfied_requests);
+        let ttft_ok = sum(|r| r.goodput.ttft_ok_count());
+        let fraction = |n: usize| {
+            if total == 0 {
+                1.0
+            } else {
+                n as f64 / total as f64
+            }
+        };
+        // The samples `GoodputReport` summarizes per instance, pooled.
+        let started = || {
+            self.instances
+                .iter()
+                .flat_map(|r| &r.outcomes)
+                .filter(|o| o.timing.ttft().is_some())
+        };
+        let ttft = Summary::from_samples(
+            started()
+                .filter_map(|o| o.timing.ttft())
+                .map(|t| t.as_secs_f64()),
+        );
+        let mtpot = Summary::from_samples(started().map(|o| o.timing.mtpot().as_secs_f64()));
+        Headline {
+            completed: sum(|r| r.completed),
+            satisfied,
+            timed_out: sum(|r| r.timed_out),
+            sla_attainment: fraction(satisfied),
+            ttft_attainment: fraction(ttft_ok),
+            goodput_tok_per_s: self.goodput_tok_per_s(),
+            ttft_p50_s: ttft.p50,
+            ttft_p99_s: ttft.p99,
+            mtpot_p99_s: mtpot.p99,
+            evictions: self.instances.iter().map(|r| r.evictions).sum(),
+            gpu_seconds: self.instances.len() as f64 * self.makespan().as_secs_f64(),
+            cost_weighted_gpu_seconds: None,
         }
-        let ttft_ok: usize = self
-            .instances
-            .iter()
-            .map(|r| r.goodput.ttft_ok_count())
-            .sum();
-        ttft_ok as f64 / total as f64
     }
 
     /// Prefix-cache statistics merged across instances (all zero when
@@ -465,18 +473,6 @@ impl ClusterReport {
             stats.merge(&instance.prefix_stats);
         }
         stats
-    }
-
-    /// Imbalance of routed requests: max/min across instances (1.0 =
-    /// perfectly balanced by count).
-    pub fn routing_imbalance(&self) -> f64 {
-        let max = self.routed_per_instance.iter().copied().max().unwrap_or(0);
-        let min = self.routed_per_instance.iter().copied().min().unwrap_or(0);
-        if min == 0 {
-            f64::INFINITY
-        } else {
-            max as f64 / min as f64
-        }
     }
 }
 
@@ -518,7 +514,7 @@ mod tests {
             let report = ClusterSimulation::new(base_config(8_000), 3, policy)
                 .run(skewed_requests(90, 1), burst_arrivals(90, 50))
                 .unwrap_or_else(|e| panic!("{}: {e}", policy.label()));
-            assert_eq!(report.completed(), 90, "{}", policy.label());
+            assert_eq!(report.headline().completed, 90, "{}", policy.label());
             assert_eq!(report.instances.len(), 3);
             assert_eq!(report.routed_per_instance.iter().sum::<usize>(), 90);
         }
@@ -530,7 +526,6 @@ mod tests {
             .run(skewed_requests(90, 2), burst_arrivals(90, 50))
             .unwrap();
         assert_eq!(report.routed_per_instance, vec![30, 30, 30]);
-        assert!((report.routing_imbalance() - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -563,7 +558,7 @@ mod tests {
         let b = run();
         assert_eq!(a.makespan(), b.makespan());
         assert_eq!(a.routed_per_instance, b.routed_per_instance);
-        assert_eq!(a.evictions(), b.evictions());
+        assert_eq!(a.headline().evictions, b.headline().evictions);
     }
 
     #[test]
@@ -576,7 +571,7 @@ mod tests {
         let plain = crate::Simulation::with_arrivals(base_config(6_000), requests, arrivals)
             .run()
             .unwrap();
-        assert_eq!(cluster.completed(), plain.completed);
+        assert_eq!(cluster.headline().completed, plain.completed);
         assert_eq!(cluster.instances[0].decode_steps, plain.decode_steps);
         assert_eq!(cluster.makespan(), plain.makespan);
     }

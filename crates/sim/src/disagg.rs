@@ -146,7 +146,7 @@ use crate::fleet::{
 };
 use crate::link::{LinkScheduler, StreamDone, StreamSpec};
 use crate::perf::PerfModel;
-use crate::report::RequestOutcome;
+use crate::report::{Headline, RequestOutcome};
 
 /// The KV-transfer cost model between the prefill and decode pools (see
 /// the module docs for the formula).
@@ -2167,18 +2167,6 @@ impl DisaggReport {
         self.outcomes.len()
     }
 
-    /// Fraction of requests satisfying the full SLA (timed-out requests
-    /// count as misses).
-    pub fn sla_attainment(&self) -> f64 {
-        self.goodput.satisfied_fraction()
-    }
-
-    /// Fraction of requests whose TTFT met the SLA (the prefill pool's
-    /// objective; timed-out requests count as misses).
-    pub fn ttft_attainment(&self) -> f64 {
-        self.goodput.ttft_attainment()
-    }
-
     /// SLA-satisfying output tokens per second over the makespan.
     pub fn goodput_tok_per_s(&self) -> f64 {
         self.goodput.goodput_tok_per_s
@@ -2189,11 +2177,20 @@ impl DisaggReport {
         self.prefill.gpu_seconds() + self.decode.gpu_seconds()
     }
 
-    /// Total cost-weighted GPU-seconds across both pools — the objective
-    /// heterogeneous fleets compete on (equals
-    /// [`DisaggReport::gpu_seconds`] for homogeneous weight-1.0 fleets).
-    pub fn cost_weighted_gpu_seconds(&self) -> f64 {
-        self.prefill.cost_weighted_gpu_seconds() + self.decode.cost_weighted_gpu_seconds()
+    /// The run's headline: SLA terms from the cluster-level goodput and
+    /// both pools' provisioned time (raw and cost-weighted — equal for
+    /// weight-1.0 fleets).
+    pub fn headline(&self) -> Headline {
+        Headline {
+            completed: self.completed(),
+            timed_out: self.timed_out,
+            evictions: self.outcomes.iter().map(|o| u64::from(o.evictions)).sum(),
+            gpu_seconds: self.gpu_seconds(),
+            cost_weighted_gpu_seconds: Some(
+                self.prefill.cost_weighted_gpu_seconds() + self.decode.cost_weighted_gpu_seconds(),
+            ),
+            ..Headline::of_goodput(&self.goodput)
+        }
     }
 
     /// Largest number of simultaneously provisioned prefill replicas.

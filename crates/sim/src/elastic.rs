@@ -31,7 +31,7 @@
 //! candidate fleets against the mean `perf_scale` of the slots they would
 //! occupy, and the shrink pass releases the costliest members first.
 //! Reports price every instance at its `cost_weight`
-//! ([`ElasticReport::cost_weighted_gpu_seconds`]).
+//! ([`ElasticReport::headline`]'s `cost_weighted_gpu_seconds`).
 //!
 //! The front end routes every arriving request among the **live**
 //! instances with a configurable [`RouterPolicy`] (default
@@ -42,7 +42,7 @@
 //! cursor, not by lowest index. Member engines inherit the base config's
 //! [`QueueOrder`](crate::QueueOrder), so deadline-slack-aware admission
 //! (and its early-drop of doomed requests) works unchanged inside an
-//! elastic fleet, and [`ElasticReport::timed_out`] requests count as SLA
+//! elastic fleet, and timed-out requests count as SLA
 //! misses in the cluster-level goodput.
 //!
 //! The run is fully deterministic: one global clock orders engine steps,
@@ -71,7 +71,7 @@
 //!     .assign(&mut seeded(2), 120);
 //! let report = ElasticCluster::new(base, autoscale, 1)
 //!     .run(requests, arrivals)?;
-//! assert_eq!(report.completed(), 120);
+//! assert_eq!(report.headline().completed, 120);
 //! assert!(report.gpu_seconds() > 0.0);
 //! # Ok::<(), pf_sim::SimError>(())
 //! ```
@@ -90,7 +90,7 @@ use crate::error::SimError;
 use crate::fleet::{
     self, slot_gpu, FleetMember, GpuType, MemberCore, MemberState, Pool, Resize, Routing,
 };
-use crate::report::SimReport;
+use crate::report::{Headline, SimReport};
 
 pub use crate::fleet::ScalingEvent;
 
@@ -691,22 +691,6 @@ pub struct ElasticReport {
 }
 
 impl ElasticReport {
-    /// Total completed requests.
-    pub fn completed(&self) -> usize {
-        self.instances.iter().map(|i| i.report.completed).sum()
-    }
-
-    /// Requests that satisfied the SLA.
-    pub fn satisfied(&self) -> usize {
-        self.goodput.satisfied_requests
-    }
-
-    /// Fraction of requests that satisfied the SLA (timed-out requests
-    /// count as misses).
-    pub fn sla_attainment(&self) -> f64 {
-        self.goodput.satisfied_fraction()
-    }
-
     /// SLA-satisfying output tokens per second over the makespan.
     pub fn goodput_tok_per_s(&self) -> f64 {
         self.goodput.goodput_tok_per_s
@@ -718,32 +702,27 @@ impl ElasticReport {
         self.instances.iter().map(|i| i.active_secs()).sum()
     }
 
-    /// Total provisioned GPU-seconds weighted by each instance's GPU cost
-    /// — the objective heterogeneous fleets compete on. Equals
-    /// [`ElasticReport::gpu_seconds`] for homogeneous weight-1.0 fleets.
-    pub fn cost_weighted_gpu_seconds(&self) -> f64 {
-        self.instances.iter().map(|i| i.cost_weighted_secs()).sum()
-    }
-
     /// Largest number of simultaneously provisioned replicas.
     pub fn peak_replicas(&self) -> usize {
         self.provisioned_series.max_value().unwrap_or(0.0) as usize
     }
 
-    /// Total evictions across instances.
-    pub fn evictions(&self) -> u64 {
-        self.instances.iter().map(|i| i.report.evictions).sum()
-    }
-
-    /// Requests dropped because their deadline expired while queued,
-    /// summed across instances.
-    pub fn timed_out(&self) -> usize {
-        self.instances.iter().map(|i| i.report.timed_out).sum()
-    }
-
-    /// Fraction of completed requests whose TTFT met the SLA.
-    pub fn ttft_attainment(&self) -> f64 {
-        self.goodput.ttft_attainment()
+    /// The fleet's headline: SLA terms from the cluster-level goodput,
+    /// counters summed over instances, and every instance's provisioned
+    /// time (raw and cost-weighted — equal for weight-1.0 fleets).
+    pub fn headline(&self) -> Headline {
+        let sum =
+            |f: fn(&SimReport) -> usize| self.instances.iter().map(|i| f(&i.report)).sum::<usize>();
+        Headline {
+            completed: sum(|r| r.completed),
+            timed_out: sum(|r| r.timed_out),
+            evictions: self.instances.iter().map(|i| i.report.evictions).sum(),
+            gpu_seconds: self.gpu_seconds(),
+            cost_weighted_gpu_seconds: Some(
+                self.instances.iter().map(|i| i.cost_weighted_secs()).sum(),
+            ),
+            ..Headline::of_goodput(&self.goodput)
+        }
     }
 
     /// Prefix-cache statistics merged across instances (all zero when

@@ -63,5 +63,5 @@ pub use fleet::{GpuType, RouterConfig};
 pub use hardware::GpuSpec;
 pub use model::ModelSpec;
 pub use perf::{PerfModel, PerfTuning};
-pub use report::{RequestOutcome, SimReport};
+pub use report::{Headline, RequestOutcome, SimReport};
 pub use simulation::Simulation;

@@ -18,6 +18,60 @@ pub struct RequestOutcome {
     pub evictions: u32,
 }
 
+/// The headline numbers of one run, in one shape for every topology
+/// (each report type's `headline()` fills it with its own definitions).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Headline {
+    /// Requests that finished.
+    pub completed: usize,
+    /// Finished requests that met the full SLA.
+    pub satisfied: usize,
+    /// Requests cancelled past their deadline.
+    pub timed_out: usize,
+    /// Fraction of requests meeting the full SLA (timed-out requests count
+    /// as misses; 1.0 when no request was issued).
+    pub sla_attainment: f64,
+    /// Fraction of requests whose TTFT met the SLA (same denominator).
+    pub ttft_attainment: f64,
+    /// SLA-satisfying output tokens per second over the makespan.
+    pub goodput_tok_per_s: f64,
+    /// Median TTFT of completed requests, in seconds.
+    pub ttft_p50_s: f64,
+    /// 99th-percentile TTFT of completed requests, in seconds.
+    pub ttft_p99_s: f64,
+    /// 99th-percentile maximum time-per-output-token, in seconds.
+    pub mtpot_p99_s: f64,
+    /// Preemptions (a request can be evicted more than once).
+    pub evictions: u64,
+    /// GPU time provisioned, in seconds (a fixed fleet is provisioned for
+    /// its whole makespan).
+    pub gpu_seconds: f64,
+    /// Provisioned GPU time weighted by each instance's GPU cost, for
+    /// topologies that carry GPU types.
+    pub cost_weighted_gpu_seconds: Option<f64>,
+}
+
+impl Headline {
+    /// The SLA terms of one goodput summary; the caller fills in the
+    /// counters and costs the summary does not carry.
+    pub(crate) fn of_goodput(goodput: &GoodputReport) -> Headline {
+        Headline {
+            completed: 0,
+            satisfied: goodput.satisfied_requests,
+            timed_out: 0,
+            sla_attainment: goodput.satisfied_fraction(),
+            ttft_attainment: goodput.ttft_attainment(),
+            goodput_tok_per_s: goodput.goodput_tok_per_s,
+            ttft_p50_s: goodput.ttft_secs.p50,
+            ttft_p99_s: goodput.ttft_secs.p99,
+            mtpot_p99_s: goodput.mtpot_secs.p99,
+            evictions: 0,
+            gpu_seconds: 0.0,
+            cost_weighted_gpu_seconds: None,
+        }
+    }
+}
+
 /// Aggregate result of one simulation run.
 #[derive(Debug, Clone)]
 pub struct SimReport {
@@ -93,6 +147,19 @@ impl SimReport {
     /// Output tokens per second counting only SLA-satisfying requests.
     pub fn goodput_tok_per_s(&self) -> f64 {
         self.goodput.goodput_tok_per_s
+    }
+
+    /// The run's headline numbers; one engine is provisioned for the
+    /// whole makespan.
+    pub fn headline(&self) -> Headline {
+        Headline {
+            completed: self.completed,
+            timed_out: self.timed_out,
+            evictions: self.evictions,
+            gpu_seconds: self.makespan.as_secs_f64(),
+            cost_weighted_gpu_seconds: None,
+            ..Headline::of_goodput(&self.goodput)
+        }
     }
 
     /// One-line human-readable summary.

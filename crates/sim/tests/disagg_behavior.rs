@@ -454,18 +454,31 @@ fn heterogeneous_pools_price_and_pace_by_gpu_type() {
     // Declaring the reference type explicitly changes nothing, bit for bit.
     assert_eq!(reference.makespan, homogeneous.makespan);
     assert_eq!(
-        reference.cost_weighted_gpu_seconds(),
-        homogeneous.cost_weighted_gpu_seconds()
+        reference
+            .headline()
+            .cost_weighted_gpu_seconds
+            .expect("fleet cost"),
+        homogeneous
+            .headline()
+            .cost_weighted_gpu_seconds
+            .expect("fleet cost")
     );
     assert_eq!(
         reference.gpu_seconds(),
-        reference.cost_weighted_gpu_seconds()
+        reference
+            .headline()
+            .cost_weighted_gpu_seconds
+            .expect("fleet cost")
     );
     // A mixed pool completes everything, bills the cheap GPU at its
     // weight, and routes more work to the faster member.
     assert_eq!(mixed.completed(), n);
     assert!(
-        mixed.cost_weighted_gpu_seconds() < mixed.gpu_seconds(),
+        mixed
+            .headline()
+            .cost_weighted_gpu_seconds
+            .expect("fleet cost")
+            < mixed.gpu_seconds(),
         "a sub-1.0-cost member must cut the weighted bill"
     );
     assert!(
@@ -574,10 +587,10 @@ fn streamed_transfers_hide_the_link_behind_prefill() {
     // The payoff: hiding the wire behind the pass frees prefill KV sooner,
     // so TTFT attainment strictly improves at no extra GPU cost.
     assert!(
-        streamed.ttft_attainment() > atomic.ttft_attainment() + 0.1,
+        streamed.headline().ttft_attainment > atomic.headline().ttft_attainment + 0.1,
         "streamed attainment {:.3} vs atomic {:.3}",
-        streamed.ttft_attainment(),
-        atomic.ttft_attainment()
+        streamed.headline().ttft_attainment,
+        atomic.headline().ttft_attainment
     );
     assert!(
         streamed.gpu_seconds() <= atomic.gpu_seconds(),

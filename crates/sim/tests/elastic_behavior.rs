@@ -43,7 +43,7 @@ fn diurnal_run(seed: u64) -> ElasticReport {
 #[test]
 fn ramp_forces_scale_up_and_completes_everything() {
     let report = diurnal_run(10);
-    assert_eq!(report.completed(), 900);
+    assert_eq!(report.headline().completed, 900);
     assert_eq!(report.unrouted, 0);
     assert!(
         report.peak_replicas() > 1,
@@ -71,7 +71,7 @@ fn drained_instances_finish_their_work_and_receive_nothing_new() {
     let report = ElasticCluster::new(base_config(6_000), autoscale(1, 4), 1)
         .run(requests, arrivals)
         .expect("elastic run");
-    assert_eq!(report.completed(), burst + tail);
+    assert_eq!(report.headline().completed, burst + tail);
     let makespan_end = SimTime::ZERO + report.makespan;
     let mut saw_early_stop = false;
     for (idx, instance) in report.instances.iter().enumerate() {
@@ -158,7 +158,7 @@ fn elastic_run_is_deterministic() {
         b.instances.iter().map(|i| i.routed).collect::<Vec<_>>()
     );
     assert_eq!(a.goodput.satisfied_requests, b.goodput.satisfied_requests);
-    assert_eq!(a.evictions(), b.evictions());
+    assert_eq!(a.headline().evictions, b.headline().evictions);
 }
 
 #[test]
@@ -182,10 +182,10 @@ fn static_min_and_max_bracket_the_elastic_fleet() {
     assert_eq!(static_four.peak_replicas(), 4);
     assert!(elastic.gpu_seconds() < static_four.gpu_seconds());
     assert!(
-        elastic.sla_attainment() >= static_one.sla_attainment(),
+        elastic.headline().sla_attainment >= static_one.headline().sla_attainment,
         "elastic {} vs single-instance {}",
-        elastic.sla_attainment(),
-        static_one.sla_attainment()
+        elastic.headline().sla_attainment,
+        static_one.headline().sla_attainment
     );
 }
 
@@ -231,7 +231,10 @@ fn declaring_the_reference_fleet_changes_nothing() {
     assert_eq!(implicit.gpu_seconds(), explicit.gpu_seconds());
     assert_eq!(
         implicit.gpu_seconds(),
-        implicit.cost_weighted_gpu_seconds(),
+        implicit
+            .headline()
+            .cost_weighted_gpu_seconds
+            .expect("fleet cost"),
         "weight-1.0 fleets bill plain GPU-seconds"
     );
 }
@@ -252,7 +255,7 @@ fn mixed_fleet_completes_and_bills_by_cost_weight() {
         ])
         .run(requests, arrivals)
         .expect("mixed run");
-    assert_eq!(report.completed(), n);
+    assert_eq!(report.headline().completed, n);
     assert_eq!(report.unrouted, 0);
     // The ledger recomputes from per-instance lifetimes and weights.
     let recompute: f64 = report
@@ -260,10 +263,24 @@ fn mixed_fleet_completes_and_bills_by_cost_weight() {
         .iter()
         .map(|i| i.active_secs() * i.gpu.cost_weight)
         .sum();
-    assert!((report.cost_weighted_gpu_seconds() - recompute).abs() < 1e-9);
+    assert!(
+        (report
+            .headline()
+            .cost_weighted_gpu_seconds
+            .expect("fleet cost")
+            - recompute)
+            .abs()
+            < 1e-9
+    );
     // Any mid-tier instance in the fleet bills below plain seconds.
     if report.instances.iter().any(|i| i.gpu.cost_weight < 1.0) {
-        assert!(report.cost_weighted_gpu_seconds() < report.gpu_seconds());
+        assert!(
+            report
+                .headline()
+                .cost_weighted_gpu_seconds
+                .expect("fleet cost")
+                < report.gpu_seconds()
+        );
     }
     // Determinism with mixed types.
     let replay = ElasticCluster::new(base_config(6_000), autoscale(1, 4), 2)
@@ -280,8 +297,14 @@ fn mixed_fleet_completes_and_bills_by_cost_weight() {
     assert_eq!(replay.makespan, report.makespan);
     assert_eq!(replay.events, report.events);
     assert_eq!(
-        replay.cost_weighted_gpu_seconds(),
-        report.cost_weighted_gpu_seconds()
+        replay
+            .headline()
+            .cost_weighted_gpu_seconds
+            .expect("fleet cost"),
+        report
+            .headline()
+            .cost_weighted_gpu_seconds
+            .expect("fleet cost")
     );
 }
 
@@ -301,10 +324,10 @@ fn elastic_timed_out_requests_are_reported() {
         .run(requests, arrivals)
         .expect("elastic run");
     assert!(
-        report.timed_out() > 0,
+        report.headline().timed_out > 0,
         "a 50 req/s burst into a 2-replica fleet must shed load"
     );
-    assert_eq!(report.completed() + report.timed_out(), n);
+    assert_eq!(report.headline().completed + report.headline().timed_out, n);
 }
 
 #[test]
@@ -327,20 +350,23 @@ fn least_slack_first_reduces_elastic_timeouts_on_mixed_deadlines() {
     let fifo = run(pf_sim::QueueOrder::Fifo);
     let lsf = run(pf_sim::QueueOrder::least_slack());
     assert!(
-        fifo.timed_out() > 0,
+        fifo.headline().timed_out > 0,
         "the scenario must pressure deadlines under FIFO"
     );
     assert!(
-        lsf.timed_out() < fifo.timed_out(),
+        lsf.headline().timed_out < fifo.headline().timed_out,
         "least-slack-first timed out {} vs FIFO {}",
-        lsf.timed_out(),
-        fifo.timed_out()
+        lsf.headline().timed_out,
+        fifo.headline().timed_out
     );
-    assert_eq!(lsf.completed() + lsf.timed_out() + lsf.unrouted, n);
+    assert_eq!(
+        lsf.headline().completed + lsf.headline().timed_out + lsf.unrouted,
+        n
+    );
     // Timed-out requests weigh the cluster-level goodput denominator.
     assert_eq!(
         lsf.goodput.total_requests,
-        lsf.completed() + lsf.timed_out()
+        lsf.headline().completed + lsf.headline().timed_out
     );
 }
 

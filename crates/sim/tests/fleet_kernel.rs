@@ -259,7 +259,10 @@ fn repurpose_flip_is_atomic_in_the_cost_ledger() {
             .chain(&report.decode.instances)
             .map(|i| i.stopped_at.saturating_since(i.spawned_at).as_secs_f64() * i.gpu.cost_weight)
             .sum();
-        let reported = report.cost_weighted_gpu_seconds();
+        let reported = report
+            .headline()
+            .cost_weighted_gpu_seconds
+            .expect("fleet cost");
         assert!(
             (recompute - reported).abs() < 1e-6,
             "seed {seed}: ledger {reported} vs instance sum {recompute}"
@@ -289,7 +292,10 @@ fn repurposing_run_is_deterministic() {
     let b = repurposing_run(72);
     assert_eq!(a.makespan, b.makespan);
     assert_eq!(a.repurposes, b.repurposes);
-    assert_eq!(a.cost_weighted_gpu_seconds(), b.cost_weighted_gpu_seconds());
+    assert_eq!(
+        a.headline().cost_weighted_gpu_seconds.expect("fleet cost"),
+        b.headline().cost_weighted_gpu_seconds.expect("fleet cost")
+    );
     assert_eq!(a.prefill.events, b.prefill.events);
     assert_eq!(a.decode.events, b.decode.events);
 }

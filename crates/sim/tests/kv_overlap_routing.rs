@@ -72,7 +72,7 @@ fn zero_weight_zero_temperature_degrades_to_least_estimated_load() {
     let blind = run(RouterPolicy::LeastEstimatedLoad);
     assert_eq!(degraded.routed_per_instance, blind.routed_per_instance);
     assert_eq!(degraded.makespan(), blind.makespan());
-    assert_eq!(degraded.satisfied(), blind.satisfied());
+    assert_eq!(degraded.headline().satisfied, blind.headline().satisfied);
     assert_eq!(degraded.prefix_stats(), blind.prefix_stats());
 }
 
@@ -90,7 +90,7 @@ fn overlap_routing_reuses_shared_system_prompts_across_sessions() {
         temperature: 0.0,
     });
     let blind = run(RouterPolicy::LeastEstimatedLoad);
-    assert_eq!(overlap.completed(), n);
+    assert_eq!(overlap.headline().completed, n);
     let o = overlap.prefix_stats();
     let b = blind.prefix_stats();
     assert!(o.hits > 0, "overlap routing must produce block hits");
@@ -196,7 +196,7 @@ fn block_store_emits_kv_lifecycle_trace_events() {
         })
         .run_traced(requests, arrivals, Some(&mut sink))
         .expect("traced elastic run");
-    assert!(report.completed() > 0);
+    assert!(report.headline().completed > 0);
     let stored = sink
         .events
         .iter()

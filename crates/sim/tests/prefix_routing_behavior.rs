@@ -95,7 +95,7 @@ fn prefix_affinity_routes_sessions_back_and_saves_prefill() {
         load_tiebreak: true,
     });
     let blind = run(RouterPolicy::LeastEstimatedLoad);
-    assert_eq!(affinity.completed(), 240);
+    assert_eq!(affinity.headline().completed, 240);
     let a = affinity.prefix_stats();
     let b = blind.prefix_stats();
     assert!(a.hits > 0, "affinity routing must produce cache hits");
@@ -179,7 +179,7 @@ fn disabled_prefix_cache_changes_nothing() {
     )
     .run(requests, arrivals)
     .expect("cache-less run");
-    assert_eq!(report.completed(), 100);
+    assert_eq!(report.headline().completed, 100);
     let stats = report.prefix_stats();
     assert_eq!(stats.lookups, 0);
     assert_eq!(stats.hits, 0);
@@ -202,7 +202,7 @@ fn prefix_affinity_replays_bit_identically() {
     assert_eq!(a.makespan(), b.makespan());
     assert_eq!(a.routed_per_instance, b.routed_per_instance);
     assert_eq!(a.prefix_stats(), b.prefix_stats());
-    assert_eq!(a.satisfied(), b.satisfied());
+    assert_eq!(a.headline().satisfied, b.headline().satisfied);
 
     let run_disagg = || {
         DisaggCluster::new(
@@ -315,7 +315,7 @@ fn prefix_affinity_slack_pressure_only_acts_with_deadlines() {
     let lsf = run(pf_sim::QueueOrder::least_slack());
     assert_eq!(fifo.routed_per_instance, lsf.routed_per_instance);
     assert_eq!(fifo.makespan(), lsf.makespan());
-    assert_eq!(fifo.completed(), lsf.completed());
+    assert_eq!(fifo.headline().completed, lsf.headline().completed);
 }
 
 #[test]

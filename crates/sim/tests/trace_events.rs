@@ -194,7 +194,7 @@ fn traced_elastic_run_is_bit_identical_and_emits_scaling() {
         .iter()
         .filter(|ev| matches!(ev, TraceEvent::Finished { .. }))
         .count();
-    assert_eq!(finished, traced.completed());
+    assert_eq!(finished, traced.headline().completed);
 }
 
 #[test]
@@ -229,7 +229,7 @@ fn traced_cluster_run_is_bit_identical_and_never_scales() {
         .iter()
         .filter(|ev| matches!(ev, TraceEvent::Finished { .. }))
         .count();
-    assert_eq!(finished, traced.completed());
+    assert_eq!(finished, traced.headline().completed);
     for span in &reconstruct(&sink.events) {
         assert!(span.phases_partition_lifetime());
     }

@@ -465,7 +465,7 @@ pub fn multi_turn_chat_timed(
     (requests, arrivals)
 }
 
-/// Parameters of the [`shared_sysprompt_chat`] tenant-traffic builder.
+/// Parameters of the [`shared_sysprompt_chat_timed`] tenant-traffic builder.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SharedSyspromptSpec {
     /// Distinct tenants; each owns one shared system prompt and sessions
@@ -498,89 +498,18 @@ impl Default for SharedSyspromptSpec {
 }
 
 /// Multi-tenant chat where sessions of one tenant share a long system
-/// prompt: the cross-session variant of [`multi_turn_chat`].
+/// prompt: the cross-session variant of [`multi_turn_chat_timed`].
 ///
 /// Every session carries its own [`crate::PrefixId`] (turn *k + 1*
-/// repeats the conversation of turn *k*, as in [`multi_turn_chat`]), and
-/// additionally declares its tenant's `system_prompt_id` over the first
+/// repeats the conversation of turn *k*), and additionally declares its
+/// tenant's `system_prompt_id` over the first
 /// [`SharedSyspromptSpec::system_prompt_len`] prompt tokens. Whole-prefix
 /// caching sees nothing reusable on a session's first turn; block-granular
 /// caching reuses the tenant's system-prompt blocks stored by *other*
 /// sessions ([`crate::RequestSpec::matchable_blocks`]).
 ///
-/// Sessions are interleaved round-robin across
-/// [`MultiTurnSpec::concurrent_sessions`] slots, as in [`multi_turn_chat`].
-pub fn shared_sysprompt_chat(n: usize, seed: u64, spec: &SharedSyspromptSpec) -> Vec<RequestSpec> {
-    assert!(spec.tenants > 0, "need at least one tenant");
-    let chat = &spec.chat;
-    assert!(
-        chat.concurrent_sessions > 0,
-        "need at least one concurrent session"
-    );
-    assert!(
-        (0.0..1.0).contains(&chat.continue_prob),
-        "continue probability {} outside [0, 1)",
-        chat.continue_prob
-    );
-    let base = derive_seed(seed, 112);
-    let mut user_rng = seeded(derive_seed(base, 0));
-    let mut out_rng = seeded(derive_seed(base, 1));
-    let mut cont_rng = seeded(derive_seed(base, 2));
-    let mut tenant_rng = seeded(derive_seed(base, 3));
-    struct Slot {
-        session: u64,
-        tenant: u64,
-        conversation: u32,
-    }
-    let mut slots: Vec<Option<Slot>> = (0..chat.concurrent_sessions).map(|_| None).collect();
-    let mut next_session = 0u64;
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let slot = &mut slots[i % chat.concurrent_sessions];
-        let (session, tenant, prefix_len) = match slot {
-            Some(s) => (s.session, s.tenant, s.conversation),
-            None => {
-                let session = next_session;
-                next_session += 1;
-                let tenant = tenant_rng.gen_range(0..spec.tenants as u64);
-                *slot = Some(Slot {
-                    session,
-                    tenant,
-                    conversation: 0,
-                });
-                (session, tenant, 0)
-            }
-        };
-        let fresh = if prefix_len == 0 {
-            spec.system_prompt_len + chat.user_turn.sample(&mut user_rng)
-        } else {
-            chat.user_turn.sample(&mut user_rng)
-        };
-        let input_len = prefix_len + fresh;
-        let output_len = chat
-            .assistant_turn
-            .sample(&mut out_rng)
-            .clamp(1, chat.max_new_tokens);
-        out.push(
-            RequestSpec::new(i as u64, input_len, output_len, chat.max_new_tokens)
-                .with_prefix(session, prefix_len)
-                .with_system_prompt(tenant, spec.system_prompt_len),
-        );
-        let conversation = input_len + output_len;
-        let continues = cont_rng.gen_bool(chat.continue_prob)
-            && conversation + chat.user_turn.max_len() + chat.max_new_tokens <= chat.max_context;
-        *slot = continues.then_some(Slot {
-            session,
-            tenant,
-            conversation,
-        });
-    }
-    out
-}
-
-/// Session-timed variant of [`shared_sysprompt_chat`]: sessions arrive
-/// Poisson at `sessions_per_sec` and follow-up turns wait one think gap,
-/// exactly as in [`multi_turn_chat_timed`]. Returns
+/// Sessions arrive Poisson at `sessions_per_sec` and follow-up turns wait
+/// one think gap, exactly as in [`multi_turn_chat_timed`]. Returns
 /// `(requests, arrival_times)` sorted by arrival, ids dense in arrival
 /// order.
 ///
@@ -989,8 +918,7 @@ mod tests {
     #[test]
     fn shared_sysprompt_chat_shares_tenant_prompts() {
         let spec = SharedSyspromptSpec::default();
-        let reqs = shared_sysprompt_chat(400, 5, &spec);
-        assert_eq!(reqs.len(), 400);
+        let (reqs, _) = shared_sysprompt_chat_timed(400, 5, &spec, 4.0, 2.0, 3.0);
         let mut tenants = std::collections::HashSet::new();
         let mut session_tenant: std::collections::HashMap<u64, u64> = Default::default();
         for r in &reqs {
@@ -1016,8 +944,6 @@ mod tests {
         let b: Vec<u64> = firsts[1].matchable_blocks(64).collect();
         assert_eq!(a, b);
         assert_eq!(a.len() as u32, spec.system_prompt_len / 64);
-        // Determinism.
-        assert_eq!(shared_sysprompt_chat(400, 5, &spec), reqs);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! processes for LLM serving experiments.
 //!
 //! This crate generates every workload the paper evaluates on, as synthetic
-//! equivalents of the original datasets (see `DESIGN.md` for the
-//! substitution table):
+//! equivalents of the original datasets (each builder's doc names what it
+//! stands in for; the module doc of `pf_bench::scenario` indexes the
+//! experiments that use them):
 //!
 //! * [`datasets`] — Distribution-1/2/3 (uniform ranges straight from the
 //!   paper), ShareGPT-like, ShareGPT-o1-like (chain-of-thought heavy

@@ -34,14 +34,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let report =
         ElasticDisaggCluster::new(config, pool(3), pool(3), 1, 1).run(requests, arrivals)?;
+    let headline = report.headline();
 
     println!(
         "served {} requests in {:.0} s: TTFT-SLA {:.1}%, full SLA {:.1}%, goodput {:.0} tok/s",
-        report.completed(),
+        headline.completed,
         report.makespan.as_secs_f64(),
-        report.ttft_attainment() * 100.0,
-        report.sla_attainment() * 100.0,
-        report.goodput_tok_per_s(),
+        headline.ttft_attainment * 100.0,
+        headline.sla_attainment * 100.0,
+        headline.goodput_tok_per_s,
     );
     println!(
         "pools: prefill peaked at {} and decode at {} replicas; {:.0} GPU-seconds total",

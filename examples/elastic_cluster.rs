@@ -32,13 +32,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let arrivals = profile.assign(&mut seeded(2), n);
 
     let report = ElasticCluster::new(base, autoscale, 1).run(requests, arrivals)?;
+    let headline = report.headline();
 
     println!(
         "served {} requests in {:.0} s: SLA attainment {:.1}%, goodput {:.0} tok/s",
-        report.completed(),
+        headline.completed,
         report.makespan.as_secs_f64(),
-        report.sla_attainment() * 100.0,
-        report.goodput_tok_per_s(),
+        headline.sla_attainment * 100.0,
+        headline.goodput_tok_per_s,
     );
     println!(
         "fleet: peak {} replicas, {:.0} GPU-seconds provisioned \

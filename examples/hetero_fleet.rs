@@ -49,12 +49,15 @@ fn main() {
         ])
         .run(requests, arrivals)
         .expect("mixed elastic run");
+    let headline = report.headline();
     println!(
         "mixed fleet: {} requests, SLA {:.1}%, {:.0} GPU-s billed as {:.0} cost-weighted GPU-s",
-        report.completed(),
-        report.sla_attainment() * 100.0,
-        report.gpu_seconds(),
-        report.cost_weighted_gpu_seconds(),
+        headline.completed,
+        headline.sla_attainment * 100.0,
+        headline.gpu_seconds,
+        headline
+            .cost_weighted_gpu_seconds
+            .expect("elastic fleets carry GPU costs"),
     );
     for (i, instance) in report.instances.iter().enumerate() {
         println!(
@@ -102,11 +105,12 @@ fn main() {
     let report = ElasticDisaggCluster::new(config, pool(4, 1), pool(4, 3), 2, 1)
         .run(shift, times)
         .expect("repurposing run");
+    let headline = report.headline();
     println!(
         "\nphase shift: {} requests, TTFT-SLA {:.1}%, full SLA {:.1}%, {} repurpose flip(s)",
-        report.completed(),
-        report.ttft_attainment() * 100.0,
-        report.sla_attainment() * 100.0,
+        headline.completed,
+        headline.ttft_attainment * 100.0,
+        headline.sla_attainment * 100.0,
         report.repurposes.len(),
     );
     for event in &report.repurposes {
