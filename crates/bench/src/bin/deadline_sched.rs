@@ -24,7 +24,7 @@
 //! cargo run --release -p pf-bench --bin deadline_sched [-- --quick]
 //! ```
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use pf_autoscale::{AutoscaleConfig, PredictorKind};
 use pf_bench::scenario::{base, run_all, steady, Run, Scenario, Topology, Workload};
@@ -40,7 +40,7 @@ use pf_workload::{datasets, RequestSpec};
 /// its TTFT is within the deadline its spec carried; requests without an
 /// outcome (timed out, unserved) are misses.
 fn deadline_attainment(run: &Run, requests: &[RequestSpec]) -> f64 {
-    let deadlines: HashMap<u64, SimDuration> = requests
+    let deadlines: BTreeMap<u64, SimDuration> = requests
         .iter()
         .filter_map(|r| r.deadline.map(|d| (r.id.raw(), d)))
         .collect();

@@ -21,8 +21,8 @@
 //! and `--out <dir>`):
 //!
 //! * paper figures and tables: `fig1`, `fig3`–`fig9`, `table1`, `table2`,
-//!   and the Past-Future ablations `ablation_window` and
-//!   `ablation_repeats`;
+//!   and the Past-Future ablations `ablation` (sampling passes and
+//!   history window);
 //! * fleet extensions, each a scenario list plus its claim:
 //!   `cluster_routing`, `autoscale`, `disagg`, `kv_streaming`,
 //!   `prefix_routing`, `kv_routing`, `hetero_fleet`, `deadline_sched`,
@@ -94,9 +94,10 @@ impl Workload {
 
 /// A deployment shape with its configs; each variant mirrors the
 /// constructor of the pf-sim type that runs it.
-// A topology is built once per scenario and cloned once per run, so the
-// size of its largest variant costs nothing worth boxing for.
-#[allow(clippy::large_enum_variant)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "a topology is built once per scenario and cloned once per run, so the size of its largest variant costs nothing worth boxing for"
+)]
 #[derive(Debug, Clone)]
 pub enum Topology {
     /// One colocated engine ([`Simulation`]).

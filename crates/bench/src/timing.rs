@@ -1,17 +1,20 @@
-//! The workspace's only wall-clock site outside the shims.
+//! The workspace's only wall-clock site.
 //!
 //! Simulated time is the repository's currency everywhere else — replay
 //! from a seed must reproduce every number bit-identically, and host time
 //! cannot be replayed. Self-profiling (the `benchmark/` package) is the one
-//! legitimate consumer of wall time, and it goes through this module so
-//! the `pf-lint` D2 rule can allowlist exactly one file instead of
-//! whitelisting call sites ad hoc. Do not read `Instant`/`SystemTime`
-//! anywhere else; measured durations must never feed back into simulation
-//! state.
+//! legitimate consumer of wall time, and it goes through this module, the
+//! one `#[expect]` of the `clippy.toml` ban on `Instant::now`. Do not read
+//! `Instant`/`SystemTime` anywhere else; measured durations must never feed
+//! back into simulation state.
 
 use std::time::Instant;
 
 /// Wall-clock seconds `f` takes to run once.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "self-profiling wall time; it never feeds back into simulation state"
+)]
 pub fn wall_secs(f: impl FnOnce()) -> f64 {
     let start = Instant::now();
     f();

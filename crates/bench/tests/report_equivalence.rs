@@ -14,12 +14,87 @@
 //! UPDATE_GOLDEN=1 cargo test -p pf-bench --test report_equivalence
 //! ```
 
-use pf_bench::scenario::{goldens, Report};
-use pf_sim::disagg::RepurposeDirection;
-use pf_sim::Headline;
+use std::collections::BTreeSet;
+
+use pf_bench::scenario::{goldens, Report, Topology};
+use pf_sim::cluster::RouterPolicy;
+use pf_sim::disagg::{DisaggConfig, PrefillOrder, RepurposeDirection, TransferMode};
+use pf_sim::{Headline, QueueOrder, SimConfig};
 
 const GOLDEN_PATH: &str = "tests/golden/report_fingerprints.txt";
 const DIGEST_PATH: &str = "tests/golden/report_digests.tsv";
+
+/// Every variant of the config enums a golden must run: new config surface
+/// is pinned by a fingerprint before it ships.
+const VARIANTS: [&str; 14] = [
+    "RouterPolicy::RoundRobin",
+    "RouterPolicy::LeastOutstanding",
+    "RouterPolicy::LeastUsedMemory",
+    "RouterPolicy::LeastEstimatedLoad",
+    "RouterPolicy::PrefixAffinity",
+    "RouterPolicy::KvOverlap",
+    "QueueOrder::Fifo",
+    "QueueOrder::LeastSlackFirst",
+    "TransferMode::Atomic",
+    "TransferMode::LayerStreamed",
+    "PrefillOrder::Fifo",
+    "PrefillOrder::ShortestPromptFirst",
+    "RepurposeDirection::PrefillToDecode",
+    "RepurposeDirection::DecodeToPrefill",
+];
+
+/// The config variants one golden runs. Every `match` is exhaustive with no
+/// wildcard arm, so a new variant fails to compile here until this test
+/// names it (and lists it in [`VARIANTS`]).
+fn variants_run(topology: &Topology, report: &Report) -> Vec<&'static str> {
+    let router = |policy: RouterPolicy| match policy {
+        RouterPolicy::RoundRobin => "RouterPolicy::RoundRobin",
+        RouterPolicy::LeastOutstanding => "RouterPolicy::LeastOutstanding",
+        RouterPolicy::LeastUsedMemory => "RouterPolicy::LeastUsedMemory",
+        RouterPolicy::LeastEstimatedLoad => "RouterPolicy::LeastEstimatedLoad",
+        RouterPolicy::PrefixAffinity { .. } => "RouterPolicy::PrefixAffinity",
+        RouterPolicy::KvOverlap { .. } => "RouterPolicy::KvOverlap",
+    };
+    let queue = |config: &SimConfig| match config.queue_order {
+        QueueOrder::Fifo => "QueueOrder::Fifo",
+        QueueOrder::LeastSlackFirst { .. } => "QueueOrder::LeastSlackFirst",
+    };
+    let disagg = |config: &DisaggConfig| {
+        let transfer = match config.transfer.mode {
+            TransferMode::Atomic => "TransferMode::Atomic",
+            TransferMode::LayerStreamed => "TransferMode::LayerStreamed",
+        };
+        let prefill = match config.prefill_order {
+            PrefillOrder::Fifo => "PrefillOrder::Fifo",
+            PrefillOrder::ShortestPromptFirst { .. } => "PrefillOrder::ShortestPromptFirst",
+        };
+        vec![
+            queue(&config.base),
+            router(config.router),
+            transfer,
+            prefill,
+        ]
+    };
+    let mut run = match topology {
+        Topology::Single(config) => vec![queue(config)],
+        Topology::Cluster { configs, policy } => {
+            configs.iter().map(queue).chain([router(*policy)]).collect()
+        }
+        Topology::Elastic {
+            base,
+            router: policy,
+            ..
+        } => vec![queue(base), router(*policy)],
+        Topology::Disagg { config, .. } | Topology::ElasticDisagg { config, .. } => disagg(config),
+    };
+    if let Report::Disagg(report) = report {
+        run.extend(report.repurposes.iter().map(|event| match event.direction {
+            RepurposeDirection::PrefillToDecode => "RepurposeDirection::PrefillToDecode",
+            RepurposeDirection::DecodeToPrefill => "RepurposeDirection::DecodeToPrefill",
+        }));
+    }
+    run
+}
 
 /// The headline scalars a digest row holds, in column order.
 fn digest_fields(h: &Headline) -> [(&'static str, Option<f64>); 12] {
@@ -93,27 +168,21 @@ fn explain_drift(label: &str, headline: &Headline, digest: &str) -> String {
 
 #[test]
 fn reports_are_bit_identical_to_goldens() {
+    let mut covered = BTreeSet::new();
     let current: Vec<(String, u64, Headline)> = goldens()
         .iter()
         .map(|scenario| {
             let run = scenario.run(None);
-            // The repurposing golden pins both flip directions.
-            if let Report::Disagg(report) = &run.report {
-                if scenario.name == "disagg-elastic-repurpose" {
-                    for direction in [
-                        RepurposeDirection::PrefillToDecode,
-                        RepurposeDirection::DecodeToPrefill,
-                    ] {
-                        assert!(
-                            report.repurposes.iter().any(|e| e.direction == direction),
-                            "the three-phase day never flipped {direction:?}"
-                        );
-                    }
-                }
-            }
+            covered.extend(variants_run(&scenario.topology, &run.report));
             (scenario.name.clone(), run.fingerprint, run.headline)
         })
         .collect();
+    let unpinned: Vec<_> = VARIANTS.iter().filter(|v| !covered.contains(*v)).collect();
+    assert!(unpinned.is_empty(), "no golden runs {unpinned:?}");
+    assert!(
+        covered.iter().all(|v| VARIANTS.contains(v)),
+        "VARIANTS misses one of {covered:?}"
+    );
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         let rendered: String = current

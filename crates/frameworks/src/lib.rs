@@ -175,7 +175,7 @@ mod tests {
 
     #[test]
     fn presets_are_distinct_and_named() {
-        let names: std::collections::HashSet<&str> = [
+        let names: std::collections::BTreeSet<&str> = [
             Framework::LightLlm,
             Framework::Vllm,
             Framework::Tgi,

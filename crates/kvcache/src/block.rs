@@ -26,8 +26,12 @@
 //!
 //! All token counts are in KV token slots, as everywhere in this crate.
 
-// pf-lint: allow(D1): the block-hash maps below are key-addressed only (get/insert/remove/len); nothing iterates them
-use std::collections::{HashMap, VecDeque};
+#[expect(
+    clippy::disallowed_types,
+    reason = "the block-hash maps below are key-addressed only (get/insert/remove/len); nothing iterates them"
+)]
+use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::prefix::PrefixCacheStats;
@@ -78,7 +82,10 @@ impl Hasher for ChainHasher {
 }
 
 /// A map keyed by chained block hash.
-// pf-lint: allow(D1): key-addressed only; every holder probes by hash and never iterates
+#[expect(
+    clippy::disallowed_types,
+    reason = "key-addressed only; every holder probes by hash and never iterates"
+)]
 type ChainMap<V> = HashMap<u64, V, BuildHasherDefault<ChainHasher>>;
 
 /// A KV-cache lifecycle record an engine publishes for the global index.
@@ -1036,7 +1043,7 @@ mod tests {
                 delayed in 0u8..2,
             ) {
                 let mut idx = KvIndexer::new(u64::from(delayed) * 700);
-                let mut shadow: Vec<std::collections::HashMap<u64, u64>> =
+                let mut shadow: Vec<std::collections::BTreeMap<u64, u64>> =
                     vec![Default::default(); 3];
                 // Per-instance stores generate *valid* event streams
                 // (no remove of a never-stored block), which the op

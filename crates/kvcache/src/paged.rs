@@ -1,5 +1,10 @@
 //! Block-granularity KV-cache pool (vLLM PagedAttention).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the `requests` map is key-addressed only (get/insert/remove/contains_key/len); nothing iterates it, so its order cannot reach events or reports"
+)]
+
 use std::collections::HashMap;
 
 use crate::{AllocError, KvCacheError, KvCacheManager};

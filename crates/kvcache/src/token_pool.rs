@@ -1,5 +1,10 @@
 //! Token-granularity KV-cache pool (LightLLM TokenAttention).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the `requests` map is key-addressed only (get/insert/remove/contains_key/len); nothing iterates it, so its order cannot reach events or reports"
+)]
+
 use std::collections::HashMap;
 
 use crate::{AllocError, KvCacheError, KvCacheManager};
@@ -275,7 +280,7 @@ mod tests {
             #[test]
             fn accounting_invariants(ops in proptest::collection::vec(op_strategy(), 0..200)) {
                 let mut pool = TokenPool::new(500);
-                let mut shadow: std::collections::HashMap<u64, u64> = Default::default();
+                let mut shadow: std::collections::BTreeMap<u64, u64> = Default::default();
                 for op in ops {
                     match op {
                         Op::Alloc(r, t) => {

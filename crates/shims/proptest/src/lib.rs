@@ -199,7 +199,10 @@ pub mod strategy {
             impl<$($name: Strategy),+> Strategy for ($($name,)+) {
                 type Value = ($($name::Value,)+);
 
-                #[allow(non_snake_case)]
+                #[expect(
+                    non_snake_case,
+                    reason = "the tuple's elements bind to its type parameters' names"
+                )]
                 fn sample_value(&self, rng: &mut TestRng) -> Self::Value {
                     let ($($name,)+) = self;
                     ($($name.sample_value(rng),)+)

@@ -328,8 +328,9 @@ impl ClusterSimulation {
     ///
     /// Returns [`SimError`] if the arrival stream is malformed
     /// ([`SimError::InvalidWorkload`]), any request cannot fit an
-    /// instance, an instance stalls, a scheduler parameter is out of range
-    /// ([`SimError::InvalidScheduler`]), or the policy cannot run on the
+    /// instance, an instance stalls, a scheduler or prefix-cache parameter
+    /// is out of range ([`SimError::InvalidScheduler`],
+    /// [`SimError::InvalidPrefixCache`]), or the policy cannot run on the
     /// fleet ([`SimError::InvalidRouterPolicy`]).
     pub fn run(
         self,
@@ -348,8 +349,9 @@ impl ClusterSimulation {
     ///
     /// Returns [`SimError`] if the arrival stream is malformed
     /// ([`SimError::InvalidWorkload`]), any request cannot fit an
-    /// instance, an instance stalls, a scheduler parameter is out of range
-    /// ([`SimError::InvalidScheduler`]), or the policy cannot run on the
+    /// instance, an instance stalls, a scheduler or prefix-cache parameter
+    /// is out of range ([`SimError::InvalidScheduler`],
+    /// [`SimError::InvalidPrefixCache`]), or the policy cannot run on the
     /// fleet ([`SimError::InvalidRouterPolicy`]).
     pub fn run_traced(
         self,

@@ -374,8 +374,9 @@ impl DisaggCluster {
     ///
     /// Returns [`SimError`] when the arrival stream is malformed
     /// ([`SimError::InvalidWorkload`]), a request cannot fit either pool,
-    /// or the router policy cannot run on the pools
-    /// ([`SimError::InvalidRouterPolicy`]).
+    /// a prefix-cache parameter is out of range
+    /// ([`SimError::InvalidPrefixCache`]), or the router policy cannot run
+    /// on the pools ([`SimError::InvalidRouterPolicy`]).
     pub fn run(
         self,
         requests: Vec<RequestSpec>,
@@ -393,8 +394,9 @@ impl DisaggCluster {
     ///
     /// Returns [`SimError`] when the arrival stream is malformed
     /// ([`SimError::InvalidWorkload`]), a request cannot fit either pool,
-    /// or the router policy cannot run on the pools
-    /// ([`SimError::InvalidRouterPolicy`]).
+    /// a prefix-cache parameter is out of range
+    /// ([`SimError::InvalidPrefixCache`]), or the router policy cannot run
+    /// on the pools ([`SimError::InvalidRouterPolicy`]).
     pub fn run_traced(
         self,
         requests: Vec<RequestSpec>,
@@ -472,8 +474,9 @@ impl ElasticDisaggCluster {
     ///
     /// Returns [`SimError`] when the arrival stream is malformed
     /// ([`SimError::InvalidWorkload`]), a request cannot fit either pool,
-    /// or the router policy cannot run on the pools
-    /// ([`SimError::InvalidRouterPolicy`]).
+    /// a prefix-cache parameter is out of range
+    /// ([`SimError::InvalidPrefixCache`]), or the router policy cannot run
+    /// on the pools ([`SimError::InvalidRouterPolicy`]).
     pub fn run(
         self,
         requests: Vec<RequestSpec>,
@@ -490,8 +493,9 @@ impl ElasticDisaggCluster {
     ///
     /// Returns [`SimError`] when the arrival stream is malformed
     /// ([`SimError::InvalidWorkload`]), a request cannot fit either pool,
-    /// or the router policy cannot run on the pools
-    /// ([`SimError::InvalidRouterPolicy`]).
+    /// a prefix-cache parameter is out of range
+    /// ([`SimError::InvalidPrefixCache`]), or the router policy cannot run
+    /// on the pools ([`SimError::InvalidRouterPolicy`]).
     pub fn run_traced(
         self,
         requests: Vec<RequestSpec>,
@@ -972,6 +976,7 @@ impl<'s> Run<'s> {
         sink: Option<&'s mut dyn TraceSink>,
     ) -> Result<Run<'s>, SimError> {
         fleet::check_arrivals(&requests, &arrival_times)?;
+        fleet::check_prefix_cache(config.base.prefix_cache)?;
         let route = Routing::new(config.router, &config.base)?;
         let perf = config.base.perf_model();
         let capacity = config.base.capacity_tokens();

@@ -181,8 +181,9 @@ impl ElasticCluster {
     ///
     /// Returns [`SimError`] if the arrival stream is malformed
     /// ([`SimError::InvalidWorkload`]), a request can never fit an
-    /// instance, an instance stalls, a scheduler parameter is out of range
-    /// ([`SimError::InvalidScheduler`]), or the router policy cannot run
+    /// instance, an instance stalls, a scheduler or prefix-cache parameter
+    /// is out of range ([`SimError::InvalidScheduler`],
+    /// [`SimError::InvalidPrefixCache`]), or the router policy cannot run
     /// on the fleet ([`SimError::InvalidRouterPolicy`]).
     pub fn run(
         self,
@@ -201,8 +202,9 @@ impl ElasticCluster {
     ///
     /// Returns [`SimError`] if the arrival stream is malformed
     /// ([`SimError::InvalidWorkload`]), a request can never fit an
-    /// instance, an instance stalls, a scheduler parameter is out of range
-    /// ([`SimError::InvalidScheduler`]), or the router policy cannot run
+    /// instance, an instance stalls, a scheduler or prefix-cache parameter
+    /// is out of range ([`SimError::InvalidScheduler`],
+    /// [`SimError::InvalidPrefixCache`]), or the router policy cannot run
     /// on the fleet ([`SimError::InvalidRouterPolicy`]).
     pub fn run_traced(
         self,
@@ -305,6 +307,7 @@ impl Run {
         fleet::check_arrivals(&requests, &arrival_times)?;
         for (config, _) in &initial {
             fleet::check_scheduler(&config.scheduler)?;
+            fleet::check_prefix_cache(config.prefix_cache)?;
         }
         let first = &initial.first().expect("fleet needs an initial member").0;
         let mut run = Run {

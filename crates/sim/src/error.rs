@@ -61,6 +61,14 @@ pub enum SimError {
         /// Name of the offending parameter.
         parameter: &'static str,
     },
+    /// The prefix-cache config holds a value its builder rejects: a
+    /// `budget_frac` outside `(0, 1]` (NaN included) or a `block_tokens`
+    /// of 0. Its fields are public, so a struct literal can skip the
+    /// builder's asserts.
+    InvalidPrefixCache {
+        /// Name of the offending parameter.
+        parameter: &'static str,
+    },
     /// The workload cannot be replayed as given: arrival times that do
     /// not pair one-to-one with the requests or are not sorted, or a
     /// request id reserved by the simulator (`u64::MAX`, the prefix
@@ -101,6 +109,9 @@ impl fmt::Display for SimError {
             }
             SimError::InvalidScheduler { parameter } => {
                 write!(f, "scheduler parameter `{parameter}` is out of range")
+            }
+            SimError::InvalidPrefixCache { parameter } => {
+                write!(f, "prefix-cache parameter `{parameter}` is out of range")
             }
             SimError::InvalidWorkload { reason } => write!(f, "invalid workload: {reason}"),
         }
@@ -154,6 +165,11 @@ mod tests {
         }
         .to_string()
         .contains("`reserved_frac` is out of range"));
+        assert!(SimError::InvalidPrefixCache {
+            parameter: "block_tokens"
+        }
+        .to_string()
+        .contains("prefix-cache parameter `block_tokens` is out of range"));
         assert!(SimError::InvalidWorkload {
             reason: "arrival times must be sorted"
         }

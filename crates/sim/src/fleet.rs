@@ -95,7 +95,7 @@ use pf_obs::{TraceEvent, TraceSink};
 use pf_workload::RequestSpec;
 
 use crate::cluster::RouterPolicy;
-use crate::config::SimConfig;
+use crate::config::{PrefixCacheConfig, SimConfig};
 use crate::error::SimError;
 use crate::perf::PerfModel;
 
@@ -197,6 +197,23 @@ pub(crate) fn check_scheduler(config: &SchedulerConfig) -> Result<(), SimError> 
         _ => return Ok(()),
     };
     Err(SimError::InvalidScheduler { parameter })
+}
+
+/// Checks a prefix-cache config before an engine or pool builds its store,
+/// where a zero block size would panic and a budget outside `(0, 1]` would
+/// model a cache with no room or one larger than the KV pool. Every driver
+/// runs this one check.
+///
+/// # Errors
+///
+/// [`SimError::InvalidPrefixCache`] naming the offending parameter.
+pub(crate) fn check_prefix_cache(config: Option<PrefixCacheConfig>) -> Result<(), SimError> {
+    let parameter = match config {
+        Some(c) if !(c.budget_frac > 0.0 && c.budget_frac <= 1.0) => "budget_frac",
+        Some(c) if c.block_tokens == Some(0) => "block_tokens",
+        _ => return Ok(()),
+    };
+    Err(SimError::InvalidPrefixCache { parameter })
 }
 
 /// Lifecycle state of one fleet member (see the module-level diagram).

@@ -85,7 +85,8 @@ impl Simulation {
     /// Returns [`SimError`] when the deployment cannot serve the workload:
     /// no KV capacity, a request that can never fit, a malformed workload,
     /// an out-of-range scheduler parameter ([`SimError::InvalidScheduler`])
-    /// or a scheduler stall.
+    /// or prefix-cache parameter ([`SimError::InvalidPrefixCache`]), or a
+    /// scheduler stall.
     pub fn run(self) -> Result<SimReport, SimError> {
         self.run_traced(None)
     }
@@ -101,7 +102,8 @@ impl Simulation {
     /// Returns [`SimError`] when the deployment cannot serve the workload:
     /// no KV capacity, a request that can never fit, a malformed workload,
     /// an out-of-range scheduler parameter ([`SimError::InvalidScheduler`])
-    /// or a scheduler stall.
+    /// or prefix-cache parameter ([`SimError::InvalidPrefixCache`]), or a
+    /// scheduler stall.
     ///
     /// # Example
     ///
@@ -127,6 +129,7 @@ impl Simulation {
     pub fn run_traced(self, sink: Option<&mut dyn TraceSink>) -> Result<SimReport, SimError> {
         let arrivals = self.arrivals?;
         crate::fleet::check_scheduler(&self.config.scheduler)?;
+        crate::fleet::check_prefix_cache(self.config.prefix_cache)?;
         Engine::new(self.config, arrivals).run_traced(sink)
     }
 }

@@ -309,7 +309,7 @@ fn static_batching_is_slower_than_continuous() {
 #[test]
 fn outcomes_match_ground_truth_lengths() {
     let requests = decode_heavy(40, 13);
-    let by_id: std::collections::HashMap<u64, u32> = requests
+    let by_id: std::collections::BTreeMap<u64, u32> = requests
         .iter()
         .map(|r| (r.id.raw(), r.true_output_len))
         .collect();
@@ -721,6 +721,66 @@ fn out_of_range_scheduler_configs_are_rejected_before_the_first_event() {
             Some(&mut sink),
         );
         assert_eq!(elastic.unwrap_err(), expected, "{scheduler:?}");
+        assert!(sink.events.is_empty(), "rejected before the first event");
+    }
+}
+
+#[test]
+fn out_of_range_prefix_cache_configs_are_rejected_before_the_first_event() {
+    use pf_autoscale::AutoscaleConfig;
+    use pf_metrics::SimTime;
+    use pf_obs::RecordingSink;
+    use pf_sim::cluster::{ClusterSimulation, RouterPolicy};
+    use pf_sim::disagg::{DisaggCluster, DisaggConfig};
+    use pf_sim::elastic::ElasticCluster;
+    use pf_sim::PrefixCacheConfig;
+
+    // The fields are public, so a struct literal skips the builder asserts.
+    let cache = |budget_frac, block_tokens| PrefixCacheConfig {
+        budget_frac,
+        block_tokens,
+    };
+    let requests = decode_heavy(4, 5);
+    let arrivals = vec![SimTime::ZERO; requests.len()];
+    for (parameter, prefix_cache) in [
+        ("budget_frac", cache(0.0, None)),
+        ("budget_frac", cache(-0.1, None)),
+        ("budget_frac", cache(1.5, None)),
+        ("budget_frac", cache(f64::NAN, None)),
+        ("block_tokens", cache(0.2, Some(0))),
+    ] {
+        let expected = SimError::InvalidPrefixCache { parameter };
+        let config = || SimConfig {
+            prefix_cache: Some(prefix_cache),
+            ..small_config(SchedulerConfig::past_future(), 2_000)
+        };
+        let mut sink = RecordingSink::new();
+        let single = Simulation::offline(config(), requests.clone()).run_traced(Some(&mut sink));
+        assert_eq!(single.unwrap_err(), expected, "{prefix_cache:?}");
+        assert!(sink.events.is_empty(), "rejected before the first event");
+        let mut sink = RecordingSink::new();
+        let cluster = ClusterSimulation::new(config(), 2, RouterPolicy::RoundRobin).run_traced(
+            requests.clone(),
+            arrivals.clone(),
+            Some(&mut sink),
+        );
+        assert_eq!(cluster.unwrap_err(), expected, "{prefix_cache:?}");
+        assert!(sink.events.is_empty(), "rejected before the first event");
+        let mut sink = RecordingSink::new();
+        let elastic = ElasticCluster::new(config(), AutoscaleConfig::bounded(1, 2), 1).run_traced(
+            requests.clone(),
+            arrivals.clone(),
+            Some(&mut sink),
+        );
+        assert_eq!(elastic.unwrap_err(), expected, "{prefix_cache:?}");
+        assert!(sink.events.is_empty(), "rejected before the first event");
+        let mut sink = RecordingSink::new();
+        let disagg = DisaggCluster::new(DisaggConfig::new(config()), 1, 1).run_traced(
+            requests.clone(),
+            arrivals.clone(),
+            Some(&mut sink),
+        );
+        assert_eq!(disagg.unwrap_err(), expected, "{prefix_cache:?}");
         assert!(sink.events.is_empty(), "rejected before the first event");
     }
 }

@@ -51,7 +51,7 @@ proptest! {
         prop_assert_eq!(report.completed, n);
         prop_assert_eq!(report.unfinished, 0);
         prop_assert_eq!(report.goodput.total_output_tokens, expected_tokens);
-        let truth: std::collections::HashMap<u64, u32> = requests
+        let truth: std::collections::BTreeMap<u64, u32> = requests
             .iter()
             .map(|r| (r.id.raw(), r.true_output_len))
             .collect();

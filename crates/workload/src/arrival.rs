@@ -33,12 +33,6 @@ impl ClosedLoopClients {
             think_time: SimDuration::ZERO,
         }
     }
-
-    /// Sets a think time between consecutive requests of one client.
-    pub fn with_think_time(mut self, think_time: SimDuration) -> Self {
-        self.think_time = think_time;
-        self
-    }
 }
 
 /// Open-loop Poisson arrival process.
@@ -167,7 +161,7 @@ impl RateProfile {
     }
 
     /// Instantaneous arrival rate at simulated time `t`.
-    pub fn rate_at(&self, t: SimTime) -> f64 {
+    fn rate_at(&self, t: SimTime) -> f64 {
         match *self {
             RateProfile::Diurnal {
                 base_per_s,
@@ -195,7 +189,7 @@ impl RateProfile {
     }
 
     /// Upper bound of the rate over all times (the thinning envelope).
-    pub fn max_rate(&self) -> f64 {
+    fn max_rate(&self) -> f64 {
         match *self {
             RateProfile::Diurnal { peak_per_s, .. } => peak_per_s,
             RateProfile::Bursty { burst_per_s, .. } => burst_per_s,
@@ -236,10 +230,9 @@ mod tests {
 
     #[test]
     fn closed_loop_builder() {
-        let c = ClosedLoopClients::new(40).with_think_time(SimDuration::from_secs(1));
+        let c = ClosedLoopClients::new(40);
         assert_eq!(c.n_clients, 40);
-        assert_eq!(c.think_time, SimDuration::from_secs(1));
-        assert_eq!(ClosedLoopClients::new(3).think_time, SimDuration::ZERO);
+        assert_eq!(c.think_time, SimDuration::ZERO);
     }
 
     #[test]

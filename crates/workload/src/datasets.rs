@@ -205,7 +205,7 @@ pub fn mixed_deadline(n: usize, seed: u64) -> Vec<RequestSpec> {
 /// # Panics
 ///
 /// Panics if `tight_frac` is outside `[0, 1]` or either deadline is zero.
-pub fn mixed_deadline_with(n: usize, seed: u64, spec: &MixedDeadlineSpec) -> Vec<RequestSpec> {
+fn mixed_deadline_with(n: usize, seed: u64, spec: &MixedDeadlineSpec) -> Vec<RequestSpec> {
     assert!(
         (0.0..=1.0).contains(&spec.tight_frac),
         "tight fraction {} outside [0, 1]",
@@ -295,7 +295,7 @@ pub fn multi_turn_chat(n: usize, seed: u64) -> Vec<RequestSpec> {
 }
 
 /// [`multi_turn_chat`] with explicit parameters.
-pub fn multi_turn_chat_with(n: usize, seed: u64, spec: &MultiTurnSpec) -> Vec<RequestSpec> {
+fn multi_turn_chat_with(n: usize, seed: u64, spec: &MultiTurnSpec) -> Vec<RequestSpec> {
     assert!(
         spec.concurrent_sessions > 0,
         "need at least one concurrent session"
@@ -377,8 +377,7 @@ pub fn multi_turn_chat_with(n: usize, seed: u64, spec: &MultiTurnSpec) -> Vec<Re
 /// # Panics
 ///
 /// Panics if `sessions_per_sec` is not finite and positive, the think
-/// parameters are negative, or `spec` violates [`multi_turn_chat_with`]'s
-/// constraints.
+/// parameters are negative, or `spec.continue_prob` is outside `[0, 1)`.
 pub fn multi_turn_chat_timed(
     n: usize,
     seed: u64,
@@ -548,7 +547,6 @@ pub fn shared_sysprompt_chat_timed(
     let mut think_rng = seeded(derive_seed(base, 4));
     let mut tenant_rng = seeded(derive_seed(base, 5));
     // (arrival_us, session, turn, input_len, output_len, prefix_len, tenant)
-    #[allow(clippy::type_complexity)]
     let mut turns: Vec<(u64, u64, u32, u32, u32, u32, u64)> = Vec::with_capacity(2 * n);
     let mut session_start = 0.0f64;
     let mut session = 0u64;
@@ -829,7 +827,7 @@ mod tests {
         let spec = MultiTurnSpec::default();
         let reqs = multi_turn_chat(600, 1);
         assert_eq!(reqs.len(), 600);
-        let mut turns: std::collections::HashMap<u64, Vec<&RequestSpec>> = Default::default();
+        let mut turns: std::collections::BTreeMap<u64, Vec<&RequestSpec>> = Default::default();
         for r in &reqs {
             let prefix = r.prefix_id.expect("every chat request has a session");
             turns.entry(prefix.raw()).or_default().push(r);
@@ -883,7 +881,7 @@ mod tests {
         assert_eq!(reqs.len(), 500);
         assert_eq!(times.len(), 500);
         assert!(times.windows(2).all(|w| w[0] <= w[1]), "sorted arrivals");
-        let mut last_turn: std::collections::HashMap<u64, (u32, pf_metrics::SimTime)> =
+        let mut last_turn: std::collections::BTreeMap<u64, (u32, pf_metrics::SimTime)> =
             Default::default();
         let mut follow_ups = 0;
         for (r, &at) in reqs.iter().zip(&times) {
@@ -919,8 +917,8 @@ mod tests {
     fn shared_sysprompt_chat_shares_tenant_prompts() {
         let spec = SharedSyspromptSpec::default();
         let (reqs, _) = shared_sysprompt_chat_timed(400, 5, &spec, 4.0, 2.0, 3.0);
-        let mut tenants = std::collections::HashSet::new();
-        let mut session_tenant: std::collections::HashMap<u64, u64> = Default::default();
+        let mut tenants = std::collections::BTreeSet::new();
+        let mut session_tenant: std::collections::BTreeMap<u64, u64> = Default::default();
         for r in &reqs {
             let tenant = r.system_prompt_id.expect("every request has a tenant");
             assert!(tenant < spec.tenants as u64);
@@ -952,7 +950,7 @@ mod tests {
         let (reqs, times) = shared_sysprompt_chat_timed(400, 7, &spec, 4.0, 2.0, 3.0);
         assert_eq!(reqs.len(), 400);
         assert!(times.windows(2).all(|w| w[0] <= w[1]), "sorted arrivals");
-        let mut last_turn: std::collections::HashMap<u64, u32> = Default::default();
+        let mut last_turn: std::collections::BTreeMap<u64, u32> = Default::default();
         for r in &reqs {
             let session = r.prefix_id.expect("sessions everywhere").raw();
             match last_turn.get(&session) {

@@ -214,12 +214,6 @@ impl RequestSpec {
         self.input_len + self.true_output_len
     }
 
-    /// Worst-case total KV footprint (input + max_new_tokens) — what a
-    /// conservative scheduler budgets for.
-    pub fn max_total_len(&self) -> u32 {
-        self.input_len + self.max_new_tokens
-    }
-
     /// Leading prompt tokens whose content is *predictable at routing
     /// time* from the request's declared identities: the shared system
     /// prompt plus, for session traffic, the repeated conversation
@@ -240,7 +234,7 @@ impl RequestSpec {
     /// output tokens) whose content the serving instance now holds and a
     /// future request could repeat: the whole conversation for session
     /// traffic, the system prompt alone for sessionless tenant traffic.
-    pub fn storable_shared_len(&self, generated: u32) -> u64 {
+    fn storable_shared_len(&self, generated: u32) -> u64 {
         if self.prefix_id.is_some() {
             u64::from(self.input_len) + u64::from(generated)
         } else if self.system_prompt_id.is_some() {
@@ -299,8 +293,9 @@ impl RequestSpec {
     }
 
     /// Content words of the complete shared blocks the serving instance
-    /// holds once the request finished with `generated` output tokens
-    /// (see [`storable_shared_len`](RequestSpec::storable_shared_len)).
+    /// holds once the request finished with `generated` output tokens: the
+    /// whole conversation for session traffic, the system prompt alone for
+    /// sessionless tenant traffic.
     ///
     /// # Panics
     ///
@@ -348,7 +343,7 @@ mod tests {
         let r = RequestSpec::new(3u64, 100, 50, 512);
         assert_eq!(r.id, RequestId(3));
         assert_eq!(r.true_total_len(), 150);
-        assert_eq!(r.max_total_len(), 612);
+        assert_eq!(r.max_new_tokens, 512);
         assert_eq!(r.image_tokens, 0);
         assert_eq!(r.prefix_id, None);
         assert_eq!(r.prefix_len, 0);

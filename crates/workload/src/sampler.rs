@@ -158,27 +158,6 @@ impl LengthSampler {
         }
     }
 
-    /// Draws `n` lengths.
-    pub fn sample_n<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<u32> {
-        (0..n).map(|_| self.sample(rng)).collect()
-    }
-
-    /// Smallest length this sampler can produce.
-    pub fn min_len(&self) -> u32 {
-        match self {
-            LengthSampler::Fixed(v) => *v,
-            LengthSampler::UniformRange { lo, .. } => *lo,
-            LengthSampler::LogNormal { min, .. } | LengthSampler::Exponential { min, .. } => *min,
-            LengthSampler::Mixture(components) => components
-                .iter()
-                .filter(|(w, _)| *w > 0.0)
-                .map(|(_, s)| s.min_len())
-                .min()
-                .unwrap_or(0),
-            LengthSampler::Empirical(samples) => samples.iter().copied().min().unwrap_or(0),
-        }
-    }
-
     /// Largest length this sampler can produce.
     pub fn max_len(&self) -> u32 {
         match self {
@@ -223,6 +202,28 @@ mod tests {
     use super::*;
     use crate::rng::seeded;
 
+    /// Draws `n` lengths.
+    fn sample_n<R: Rng + ?Sized>(sampler: &LengthSampler, rng: &mut R, n: usize) -> Vec<u32> {
+        (0..n).map(|_| sampler.sample(rng)).collect()
+    }
+
+    /// Smallest length `sampler` can produce: the lower bound its samples
+    /// are checked against.
+    fn min_len(sampler: &LengthSampler) -> u32 {
+        match sampler {
+            LengthSampler::Fixed(v) => *v,
+            LengthSampler::UniformRange { lo, .. } => *lo,
+            LengthSampler::LogNormal { min, .. } | LengthSampler::Exponential { min, .. } => *min,
+            LengthSampler::Mixture(components) => components
+                .iter()
+                .filter(|(w, _)| *w > 0.0)
+                .map(|(_, s)| min_len(s))
+                .min()
+                .unwrap_or(0),
+            LengthSampler::Empirical(samples) => samples.iter().copied().min().unwrap_or(0),
+        }
+    }
+
     #[test]
     fn fixed_and_uniform() {
         let mut rng = seeded(1);
@@ -232,7 +233,6 @@ mod tests {
             let v = u.sample(&mut rng);
             assert!((5..=10).contains(&v));
         }
-        assert_eq!(u.min_len(), 5);
         assert_eq!(u.max_len(), 10);
     }
 
@@ -240,7 +240,7 @@ mod tests {
     fn uniform_covers_endpoints() {
         let mut rng = seeded(2);
         let u = LengthSampler::uniform(1, 3);
-        let samples = u.sample_n(&mut rng, 1000);
+        let samples = sample_n(&u, &mut rng, 1000);
         assert!(samples.contains(&1));
         assert!(samples.contains(&3));
     }
@@ -250,7 +250,7 @@ mod tests {
         // For LogNormal(mu, sigma): median = exp(mu), mean = exp(mu + s²/2).
         let mut rng = seeded(3);
         let s = LengthSampler::log_normal(6.0, 0.5, 1, 100_000);
-        let samples = s.sample_n(&mut rng, 50_000);
+        let samples = sample_n(&s, &mut rng, 50_000);
         let mut sorted = samples.clone();
         sorted.sort_unstable();
         let median = sorted[sorted.len() / 2] as f64;
@@ -271,7 +271,7 @@ mod tests {
     fn exponential_mean() {
         let mut rng = seeded(4);
         let s = LengthSampler::exponential(200.0, 0, 1_000_000);
-        let samples = s.sample_n(&mut rng, 50_000);
+        let samples = sample_n(&s, &mut rng, 50_000);
         let mean = samples.iter().map(|&v| v as f64).sum::<f64>() / samples.len() as f64;
         assert!((mean - 200.0).abs() < 10.0, "mean {mean}");
     }
@@ -283,10 +283,9 @@ mod tests {
             (0.8, LengthSampler::Fixed(1)),
             (0.2, LengthSampler::Fixed(100)),
         ]);
-        let samples = m.sample_n(&mut rng, 10_000);
+        let samples = sample_n(&m, &mut rng, 10_000);
         let ones = samples.iter().filter(|&&v| v == 1).count() as f64 / 10_000.0;
         assert!((ones - 0.8).abs() < 0.03, "P(1) = {ones}");
-        assert_eq!(m.min_len(), 1);
         assert_eq!(m.max_len(), 100);
     }
 
@@ -296,7 +295,6 @@ mod tests {
             (0.0, LengthSampler::Fixed(1_000_000)),
             (1.0, LengthSampler::Fixed(5)),
         ]);
-        assert_eq!(m.min_len(), 5);
         assert_eq!(m.max_len(), 5);
         let mut rng = seeded(6);
         assert_eq!(m.sample(&mut rng), 5);
@@ -309,7 +307,6 @@ mod tests {
         for _ in 0..100 {
             assert!([2, 4, 8].contains(&e.sample(&mut rng)));
         }
-        assert_eq!(e.min_len(), 2);
         assert_eq!(e.max_len(), 8);
     }
 
@@ -367,7 +364,7 @@ mod tests {
                 let mut rng = seeded(seed);
                 for _ in 0..50 {
                     let v = sampler.sample(&mut rng);
-                    prop_assert!(v >= sampler.min_len(), "{v} < min {}", sampler.min_len());
+                    prop_assert!(v >= min_len(&sampler), "{v} < min {}", min_len(&sampler));
                     prop_assert!(v <= sampler.max_len(), "{v} > max {}", sampler.max_len());
                 }
             }
@@ -383,14 +380,14 @@ mod tests {
                 let mut rng = seeded(seed);
                 for _ in 0..50 {
                     let v = m.sample(&mut rng);
-                    prop_assert!(v >= m.min_len() && v <= m.max_len());
+                    prop_assert!(v >= min_len(&m) && v <= m.max_len());
                 }
             }
 
             #[test]
             fn sampling_is_deterministic(sampler in sampler_strategy(), seed in 0u64..1_000) {
-                let a = sampler.sample_n(&mut seeded(seed), 20);
-                let b = sampler.sample_n(&mut seeded(seed), 20);
+                let a = sample_n(&sampler, &mut seeded(seed), 20);
+                let b = sample_n(&sampler, &mut seeded(seed), 20);
                 prop_assert_eq!(a, b);
             }
         }

@@ -216,7 +216,7 @@ mod tests {
 
     #[test]
     fn labels_are_unique() {
-        let labels: std::collections::HashSet<&str> =
+        let labels: std::collections::BTreeSet<&str> =
             TraceArchetype::ALL.iter().map(|a| a.label()).collect();
         assert_eq!(labels.len(), TraceArchetype::ALL.len());
     }

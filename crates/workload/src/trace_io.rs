@@ -278,7 +278,7 @@ pub fn requests_from_records(records: &[TraceRecord], max_new_tokens: u32) -> Ve
 
 /// Extracts records from generated requests (round-trip with
 /// [`requests_from_records`]).
-pub fn records_from_requests(requests: &[RequestSpec]) -> Vec<TraceRecord> {
+fn records_from_requests(requests: &[RequestSpec]) -> Vec<TraceRecord> {
     requests
         .iter()
         .map(|r| TraceRecord {

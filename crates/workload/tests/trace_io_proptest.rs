@@ -2,8 +2,10 @@
 //! is the identity over arbitrary traces, and malformed rows fail with
 //! correctly located errors.
 
+use pf_metrics::SimTime;
 use pf_workload::trace_io::{
-    read_trace_csv, records_from_requests, requests_from_records, write_trace_csv, TraceRecord,
+    read_trace_csv, records_from_timed_requests, requests_from_records, write_trace_csv,
+    TraceRecord,
 };
 use proptest::prelude::*;
 
@@ -73,15 +75,16 @@ proptest! {
         }
         // And back: extracting records from the requests matches the
         // surviving records (cap chosen above any sampled output;
-        // timestamps live outside RequestSpec, so the untimed extraction
-        // drops them).
-        let back = records_from_requests(&requests);
+        // timestamps live outside RequestSpec, so the extraction stamps
+        // the ones it is given).
+        let arrivals = vec![SimTime::ZERO; requests.len()];
+        let back = records_from_timed_requests(&requests, &arrivals);
         let expected: Vec<TraceRecord> = records
             .iter()
             .filter(|r| r.output_len > 0)
             .copied()
             .map(|mut r| {
-                r.arrival_us = None;
+                r.arrival_us = Some(0);
                 r
             })
             .collect();
