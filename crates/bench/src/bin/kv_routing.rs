@@ -10,7 +10,7 @@
 //! * [`RouterPolicy::LeastEstimatedLoad`] — the paper's §7 signal, blind
 //!   to caches;
 //! * [`RouterPolicy::PrefixAffinity`] — longest cached prefix wins, load
-//!   breaks ties (probes every engine's store directly);
+//!   breaks ties (reads the same event-fed index as `KvOverlap`);
 //! * [`RouterPolicy::KvOverlap`] — cost-logit routing against the global
 //!   event-driven [`pf_kvcache::KvIndexer`], trading cached overlap
 //!   against load in one score;

@@ -716,8 +716,8 @@ pub fn goldens() -> Vec<Scenario> {
         |seed| poisson(datasets::multi_turn_chat(300, seed), 30.0, seed + 1),
     ));
 
-    // Cluster routing probes (`load_estimate`, `queue_slack_pressure`,
-    // `cached_prefix_tokens`).
+    // Cluster routing signals (`load_estimate`, `queue_slack_pressure`,
+    // the event-fed KV index).
     out.push(Scenario::new(
         "cluster-least-load",
         31,

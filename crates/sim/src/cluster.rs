@@ -31,16 +31,19 @@
 //!   ([`crate::SimConfigBuilder::prefix_cache`]) and workloads carrying
 //!   prefix structure ([`pf_workload::datasets::multi_turn_chat`]);
 //!   without a cache every match is 0 and it routes on load;
-//! * [`RouterPolicy::KvOverlap`] — block-granular overlap scoring against
-//!   a *global event-fed KV index* ([`pf_kvcache::KvIndexer`]): engines
-//!   publish block stored/removed events (subject to a configurable
-//!   propagation delay), and the router trades estimated load against the
-//!   indexed overlap through a cost logit with optional softmax
-//!   temperature. Requires a prefix cache
+//! * [`RouterPolicy::KvOverlap`] — block-granular overlap scoring that
+//!   trades estimated load against the cached overlap through a cost
+//!   logit with optional softmax temperature. Requires a prefix cache
 //!   ([`crate::SimConfigBuilder::prefix_cache`], or
 //!   [`crate::SimConfigBuilder::prefix_cache_blocks`] for another block
 //!   size): a fleet without one is rejected with
 //!   [`SimError::InvalidRouterPolicy`] before its first event.
+//!
+//! Both overlap policies read one *global event-fed KV index*
+//! ([`pf_kvcache::KvIndexer`]): engines publish block stored/removed
+//! events, which become visible after the configured propagation delay
+//! ([`crate::RouterConfig::kv_event_delay`]; zero, the default, mirrors
+//! every store exactly). No policy probes an engine's store directly.
 //!
 //! All load-based policies break exact ties with a deterministic rotating
 //! cursor rather than by lowest index — equal-load instances (the steady
@@ -75,19 +78,9 @@ use pf_workload::RequestSpec;
 
 use crate::config::{PrefixCacheConfig, SimConfig};
 use crate::elastic::Run;
-use crate::engine::Engine;
 use crate::error::SimError;
-use crate::fleet::{pick_rotating_min, GpuType, Pool, Routing};
+use crate::fleet::{GpuType, Pool};
 use crate::report::{Headline, SimReport};
-
-/// Smallest cached overlap (tokens) for which [`RouterPolicy::PrefixAffinity`]
-/// prefers the matching instance over the least-loaded one (re-exported
-/// from the fleet kernel, which owns the routing surface).
-pub use crate::fleet::PREFIX_MATCH_MIN_TOKENS;
-/// Weight of queued deadline-slack pressure in
-/// [`RouterPolicy::PrefixAffinity`]'s load signal (re-exported from the
-/// fleet kernel, which owns the routing surface).
-pub use crate::fleet::SLACK_PRESSURE_WEIGHT;
 
 /// Request-forwarding policy of the cluster front end.
 ///
@@ -112,13 +105,14 @@ pub enum RouterPolicy {
     /// estimate.
     LeastEstimatedLoad,
     /// KV-aware prefix affinity: the live instance holding the longest
-    /// cached prefix of the request's prompt wins, provided the overlap
-    /// reaches [`PREFIX_MATCH_MIN_TOKENS`]; otherwise (and among
+    /// cached prefix of the request's prompt *according to the event-fed
+    /// [`pf_kvcache::KvIndexer`]* wins, provided the overlap reaches
+    /// [`crate::fleet::PREFIX_MATCH_MIN_TOKENS`]; otherwise (and among
     /// equal-length matches) the decision falls back to load. When
     /// requests carry deadlines, each candidate's load also carries its
     /// queue's remaining-slack pressure (weighted by
-    /// [`SLACK_PRESSURE_WEIGHT`]), so queues full of urgent work attract
-    /// less new traffic; deadline-free runs are unaffected.
+    /// [`crate::fleet::SLACK_PRESSURE_WEIGHT`]), so queues full of urgent
+    /// work attract less new traffic; deadline-free runs are unaffected.
     PrefixAffinity {
         /// `true` breaks equal-match ties by least estimated load;
         /// `false` breaks them with the rotating cursor only.
@@ -136,8 +130,8 @@ pub enum RouterPolicy {
     /// where `overlap_tokens` is the request's longest chained-block run
     /// held by the instance *according to the event-fed
     /// [`pf_kvcache::KvIndexer`]* (stale by the configured
-    /// [`crate::fleet::RouterConfig::kv_event_delay`], unlike
-    /// [`RouterPolicy::PrefixAffinity`]'s omniscient peek). With
+    /// [`crate::fleet::RouterConfig::kv_event_delay`], the same view
+    /// [`RouterPolicy::PrefixAffinity`] reads). With
     /// `temperature <= 0` the lowest cost wins deterministically and no
     /// randomness is consumed — `overlap_weight` 0 then replays
     /// [`RouterPolicy::LeastEstimatedLoad`] bit-for-bit on deadline-free
@@ -223,62 +217,6 @@ impl RouterPolicy {
             }
         }
         Ok(())
-    }
-}
-
-/// Applies the routing policy to a candidate subset of an engine fleet
-/// (the live members). `n` is the full fleet size — the rotating cursor
-/// is indexed over it. Each candidate carries its GPU's `perf_scale`;
-/// queue-drain signals divide by it, so a fast GPU looks emptier than a
-/// slow one at equal queued work (1.0 everywhere reproduces the
-/// homogeneous dispatch bit-for-bit). [`RouterPolicy::LeastUsedMemory`]
-/// is *not* scaled: it measures KV headroom, and `GpuType` models speed
-/// and price, not memory. Each policy evaluates only the signal it routes
-/// on — `load_estimate` walks the queue, the running batch and the
-/// not-yet-ingested arrivals, so the cheap policies must not pay for it.
-/// The caller has run [`Routing::prepare`] for `spec`.
-pub(crate) fn pick_engine<'a, I>(
-    candidates: I,
-    spec: &RequestSpec,
-    n: usize,
-    route: &mut Routing,
-) -> Option<usize>
-where
-    I: Iterator<Item = (usize, &'a Engine, f64)>,
-{
-    let cursor = &mut route.cursor;
-    match route.policy {
-        RouterPolicy::RoundRobin => {
-            pick_rotating_min(candidates.map(|(i, _, _)| (i, 0.0)), cursor, n)
-        }
-        RouterPolicy::LeastOutstanding => pick_rotating_min(
-            candidates.map(|(i, e, s)| (i, e.outstanding() as f64 / s)),
-            cursor,
-            n,
-        ),
-        RouterPolicy::LeastUsedMemory => {
-            pick_rotating_min(candidates.map(|(i, e, _)| (i, e.used_frac())), cursor, n)
-        }
-        RouterPolicy::LeastEstimatedLoad => pick_rotating_min(
-            candidates.map(|(i, e, s)| (i, e.load_estimate() / s)),
-            cursor,
-            n,
-        ),
-        RouterPolicy::PrefixAffinity { .. } | RouterPolicy::KvOverlap { .. } => {
-            // The paper's §7 signal, with queued deadline-slack pressure
-            // folded in so urgent queues look fuller and get room to
-            // drain (zero — a no-op — for deadline-free runs); like the
-            // base load it divides by the GPU's speed — a fast member
-            // drains its urgent queue proportionally faster (matching the
-            // disagg router's treatment). It is the affinity tie-break
-            // and below-threshold fallback, and the overlap cost's load.
-            route.fill(candidates.map(|(i, e, s)| {
-                let pressure = SLACK_PRESSURE_WEIGHT * e.queue_slack_pressure();
-                let load = (e.load_estimate() + pressure) / s;
-                (i, load, || e.cached_prefix_tokens(spec))
-            }));
-            route.pick(spec, n)
-        }
     }
 }
 

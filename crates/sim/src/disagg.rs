@@ -202,11 +202,6 @@ impl KvTransferSpec {
     pub fn nvlink() -> Self {
         KvTransferSpec::new(200.0, SimDuration::from_micros(50), 1)
     }
-
-    /// PCIe 4.0 x16 interconnect (≈25 GB/s, 200 µs overhead).
-    pub fn pcie4() -> Self {
-        KvTransferSpec::new(25.0, SimDuration::from_micros(200), 1)
-    }
 }
 
 /// Order in which a prefill instance serves its prompt queue.
@@ -259,9 +254,9 @@ pub struct DisaggConfig {
     pub max_prefill_batch_tokens: u64,
     /// Front-end routing policy over the prefill pool.
     /// [`RouterPolicy::PrefixAffinity`] steers requests to the prefill
-    /// instance caching the longest prefix of their prompt;
-    /// [`RouterPolicy::KvOverlap`] trades load against the overlap the
-    /// members' published KV events show;
+    /// instance holding the longest prefix of their prompt, and
+    /// [`RouterPolicy::KvOverlap`] trades load against that overlap, both
+    /// as the members' published KV events show it;
     /// [`RouterPolicy::RoundRobin`] rotates; every other policy routes by
     /// the pool's load signal (queued plus held prompt tokens). All exact
     /// ties break with a rotating cursor.
@@ -679,7 +674,7 @@ impl PrefillMember {
     }
 
     /// Cached overlap this instance would serve `spec` from, without
-    /// touching the cache (router probe).
+    /// touching the cache (the batch-budget probe).
     fn cached_match(&self, spec: &RequestSpec) -> u64 {
         self.prefix
             .as_ref()
@@ -919,8 +914,9 @@ struct Run<'s> {
     /// default, or a request with its own): only then do the prefill
     /// purge and the router's slack pressure scan the queues.
     deadlines: bool,
-    /// The front end's routing over the prefill pool; under
-    /// [`RouterPolicy::KvOverlap`] prefill members publish into its KV
+    /// The front end's routing over the prefill pool; under an overlap
+    /// policy ([`RouterPolicy::PrefixAffinity`] or
+    /// [`RouterPolicy::KvOverlap`]) prefill members publish into its KV
     /// index under their pool index, the same index space
     /// [`Run::route_prefill`] scores over.
     route: Routing,
@@ -1146,41 +1142,35 @@ impl<'s> Run<'s> {
     }
 
     /// Routes an arrival over the live prefill members with the configured
-    /// policy, delegating to the fleet kernel's shared routing dispatch
-    /// ([`Routing::pick`]) — the pool's load signal is queued plus held
+    /// policy through the fleet kernel's one routing call
+    /// ([`Routing::route`]). The pool's load signal is queued plus held
     /// prompt tokens, divided by the member's GPU speed. Under
     /// [`RouterPolicy::PrefixAffinity`] or [`RouterPolicy::KvOverlap`]
     /// with deadlines in play, each candidate's load also carries its
     /// queue's remaining-slack pressure (weighted by
-    /// [`fleet::SLACK_PRESSURE_WEIGHT`] of capacity), so urgent
-    /// queues attract less new traffic. KvOverlap scores candidates
-    /// against the event-fed KV index of [`Run::route`].
+    /// [`fleet::SLACK_PRESSURE_WEIGHT`] of capacity), so urgent queues
+    /// attract less new traffic.
     fn route_prefill(&mut self, now: SimTime, spec: &RequestSpec) -> usize {
         let members = &self.prefill.members;
-        let n = members.len();
-        let policy = self.route.policy;
         let slack_weighted = matches!(
-            policy,
+            self.route.policy,
             RouterPolicy::PrefixAffinity { .. } | RouterPolicy::KvOverlap { .. }
         ) && self.deadlines;
         let default_deadline = self.default_deadline;
         let pressure_tokens = fleet::SLACK_PRESSURE_WEIGHT * self.capacity as f64;
-        self.route.prepare(now, spec);
-        self.route.fill(
-            members
-                .iter()
-                .enumerate()
-                .filter(|(_, m)| m.core.is_live())
-                .map(|(i, m)| {
-                    let mut load = m.load_signal() as f64;
-                    if slack_weighted {
-                        load += pressure_tokens * m.slack_pressure(now, default_deadline);
-                    }
-                    (i, load / m.core.gpu.perf_scale, || m.cached_match(spec))
-                }),
-        );
+        let candidates = members
+            .iter()
+            .enumerate()
+            .filter(|(_, m)| m.core.is_live())
+            .map(|(i, m)| {
+                let mut load = m.load_signal() as f64;
+                if slack_weighted {
+                    load += pressure_tokens * m.slack_pressure(now, default_deadline);
+                }
+                (i, load / m.core.gpu.perf_scale)
+            });
         self.route
-            .pick(spec, n)
+            .route(now, spec, members.len(), candidates)
             .expect("at least one live prefill instance")
     }
 
@@ -1618,8 +1608,8 @@ impl<'s> Run<'s> {
     }
 
     /// Drains member `i`'s prefix-store KV events: each is mirrored to the
-    /// trace sink and, under [`RouterPolicy::KvOverlap`], published into
-    /// the router index.
+    /// trace sink and, under an overlap policy, published into the router
+    /// index.
     fn flush_kv_events(&mut self, i: usize, now: SimTime) {
         let Run {
             prefill,

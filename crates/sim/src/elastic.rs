@@ -83,7 +83,7 @@ use pf_metrics::{GoodputReport, SimDuration, SimTime, SlaSpec, StepSeries};
 use pf_obs::TraceSink;
 use pf_workload::RequestSpec;
 
-use crate::cluster::{pick_engine, RouterPolicy};
+use crate::cluster::RouterPolicy;
 use crate::config::SimConfig;
 use crate::engine::{Arrivals, Engine, Tick};
 use crate::error::SimError;
@@ -383,23 +383,16 @@ impl Run {
     }
 
     /// Routes `spec` among the live members with the configured policy,
-    /// breaking exact load ties with the rotating cursor (first-index
-    /// tie-breaking would herd every cold-start request onto member 0).
-    /// Load signals divide by each member's `perf_scale`, so mixed fleets
-    /// weight traffic toward their faster GPUs.
+    /// each scored by its engine's [`Engine::route_load`].
     fn route_target(&mut self, now: SimTime, spec: &RequestSpec) -> Option<usize> {
         let members = &self.pool.members;
-        self.route.prepare(now, spec);
-        pick_engine(
-            members
-                .iter()
-                .enumerate()
-                .filter(|(_, m)| m.core.is_live())
-                .map(|(i, m)| (i, &m.engine, m.core.gpu.perf_scale)),
-            spec,
-            members.len(),
-            &mut self.route,
-        )
+        let policy = self.route.policy;
+        let candidates = members
+            .iter()
+            .enumerate()
+            .filter(|(_, m)| m.core.is_live())
+            .map(|(i, m)| (i, m.engine.route_load(policy, m.core.gpu.perf_scale)));
+        self.route.route(now, spec, members.len(), candidates)
     }
 
     /// Feeds newly finished requests of member `i` to the planner, if any.

@@ -66,6 +66,7 @@ use pf_metrics::{GoodputReport, RequestTiming, SimDuration, SimTime, StepSeries}
 use pf_obs::{GaugeKind, TraceEvent, TraceSink};
 use pf_workload::{ClosedLoopClients, RequestSpec};
 
+use crate::cluster::RouterPolicy;
 use crate::config::{BatchingMode, EvictionMode, PrefillMode, QueueOrder, SimConfig};
 use crate::error::SimError;
 use crate::fleet;
@@ -558,6 +559,32 @@ impl Engine {
         self.true_future_required_frac() + queued_tokens / self.capacity as f64
     }
 
+    /// This instance's load under `policy`'s routing signal, divided by
+    /// its GPU's `perf_scale` so a fast GPU looks emptier than a slow one
+    /// at equal queued work (1.0 everywhere reproduces the homogeneous
+    /// dispatch bit-for-bit). [`RouterPolicy::LeastUsedMemory`] is *not*
+    /// scaled: it measures KV headroom, and `GpuType` models speed and
+    /// price, not memory. The overlap policies add the queue's
+    /// deadline-slack pressure (weighted by
+    /// [`crate::fleet::SLACK_PRESSURE_WEIGHT`]; zero for deadline-free
+    /// runs) to the paper's §7 estimate, so urgent queues look fuller and
+    /// get room to drain. Each policy evaluates only the signal it routes
+    /// on: [`Engine::load_estimate`] walks the queue, the running batch
+    /// and the not-yet-ingested arrivals, so the cheap policies must not
+    /// pay for it.
+    pub(crate) fn route_load(&self, policy: RouterPolicy, perf_scale: f64) -> f64 {
+        match policy {
+            RouterPolicy::RoundRobin => 0.0,
+            RouterPolicy::LeastOutstanding => self.outstanding() as f64 / perf_scale,
+            RouterPolicy::LeastUsedMemory => self.used_frac(),
+            RouterPolicy::LeastEstimatedLoad => self.load_estimate() / perf_scale,
+            RouterPolicy::PrefixAffinity { .. } | RouterPolicy::KvOverlap { .. } => {
+                let pressure = fleet::SLACK_PRESSURE_WEIGHT * self.queue_slack_pressure();
+                (self.load_estimate() + pressure) / perf_scale
+            }
+        }
+    }
+
     /// Runs upfront validation (also used by the cluster driver, which
     /// validates against each member engine's capacity). With a prefix
     /// cache, request id `u64::MAX` is [`SimError::InvalidWorkload`]: that
@@ -605,16 +632,6 @@ impl Engine {
         self.arrivals
             .iter_specs()
             .try_for_each(|spec| self.validate_spec(spec))
-    }
-
-    /// Cached prefix overlap a request would enjoy on this instance right
-    /// now, *without* touching the cache — the KV-aware router's probe
-    /// (only the instance that actually serves the request refreshes the
-    /// entry).
-    pub(crate) fn cached_prefix_tokens(&self, spec: &RequestSpec) -> u64 {
-        self.prefix
-            .as_ref()
-            .map_or(0, |store| fleet::peek_prefix(store, spec))
     }
 
     /// Re-charges the pool's sentinel allocation to the cache's current
@@ -781,9 +798,9 @@ impl Engine {
     /// Router-facing urgency signal: the sum over queued requests with an
     /// effective deadline of `1 / (1 + slack_secs)`. Zero for
     /// deadline-free queues; grows as deadlines accumulate or tighten.
-    /// [`crate::cluster::RouterPolicy::PrefixAffinity`]'s load tie-break
-    /// adds this (weighted by [`crate::fleet::SLACK_PRESSURE_WEIGHT`]) so
-    /// urgent queues receive less new traffic and get room to drain.
+    /// The overlap policies' load ([`Engine::route_load`]) adds this
+    /// (weighted by [`crate::fleet::SLACK_PRESSURE_WEIGHT`]) so urgent
+    /// queues receive less new traffic and get room to drain.
     pub(crate) fn queue_slack_pressure(&self) -> f64 {
         let default_deadline = self.config.request_deadline;
         if default_deadline.is_none() && !self.deadlines {

@@ -70,11 +70,12 @@
 //!
 //! # Routing surface
 //!
-//! `pick_rotating_min` and `pick_routed` (crate-internal) are the one
-//! definition of the load-minimizing routing dispatch with deterministic
-//! rotating tie-breaks (first-index tie-breaking would herd all
-//! cold-start traffic onto member 0). [`crate::cluster`], the elastic
-//! fleet and both disagg pools route through them.
+//! `Routing::route` (crate-internal) is the one routing call: every
+//! fleet — [`crate::cluster`], the elastic fleet and the disagg prefill
+//! pool — hands it `(index, load)` candidates, and it credits each with
+//! the cached overlap the event-fed [`pf_kvcache::KvIndexer`] shows,
+//! then dispatches with deterministic rotating tie-breaks (first-index
+//! tie-breaking would herd all cold-start traffic onto member 0).
 //!
 //! # Deadlines
 //!
@@ -308,7 +309,7 @@ impl GpuType {
 /// The GPU type of provisioning slot `k` in a declared mix (slots past the
 /// end repeat the last entry; an empty mix is the homogeneous reference
 /// fleet).
-pub fn slot_gpu(slots: &[GpuType], k: usize) -> GpuType {
+pub(crate) fn slot_gpu(slots: &[GpuType], k: usize) -> GpuType {
     match slots.get(k) {
         Some(gpu) => *gpu,
         None => slots.last().copied().unwrap_or_default(),
@@ -433,7 +434,7 @@ pub fn provisioned_count<T: FleetMember>(members: &[T]) -> usize {
 }
 
 /// Earliest pending ready-at among warming members.
-pub fn next_ready<T: FleetMember>(members: &[T]) -> Option<SimTime> {
+pub(crate) fn next_ready<T: FleetMember>(members: &[T]) -> Option<SimTime> {
     members
         .iter()
         .filter_map(|m| match m.core().state {
@@ -540,7 +541,7 @@ pub fn shrink_pool<T: FleetMember>(members: &mut [T], target: usize, now: SimTim
 /// (release expensive capacity as soon as cheap capacity suffices), then
 /// lowest load (it empties soonest), then lowest index. For a homogeneous
 /// fleet this reduces to the classic least-loaded-first victim.
-pub fn drain_victim<T: FleetMember>(members: &[T]) -> Option<usize> {
+pub(crate) fn drain_victim<T: FleetMember>(members: &[T]) -> Option<usize> {
     members
         .iter()
         .enumerate()
@@ -882,8 +883,9 @@ pub(crate) fn slack_share_weight(
     }
 }
 
-/// Weight of the queue's deadline-slack pressure in
-/// [`crate::cluster::RouterPolicy::PrefixAffinity`]'s load signal: each
+/// Weight of the queue's deadline-slack pressure in the load signal of
+/// the overlap policies ([`crate::cluster::RouterPolicy::PrefixAffinity`]
+/// and [`crate::cluster::RouterPolicy::KvOverlap`]): each
 /// unit of pressure (one queued request at zero remaining slack) counts
 /// like this fraction of an instance's capacity in load. Urgent queues
 /// therefore look *fuller* to the affinity tie-break and receive less new
@@ -899,8 +901,10 @@ pub struct RouterConfig {
     /// Propagation delay between an engine persisting/evicting a KV block
     /// and the global [`pf_kvcache::KvIndexer`] reflecting it. Zero (the
     /// default) models an ideal in-process index; raise it to study how
-    /// stale overlap scores degrade
-    /// [`crate::cluster::RouterPolicy::KvOverlap`] routing.
+    /// stale overlap scores degrade the overlap policies,
+    /// [`crate::cluster::RouterPolicy::PrefixAffinity`] and
+    /// [`crate::cluster::RouterPolicy::KvOverlap`], which both read that
+    /// one index.
     pub kv_event_delay: SimDuration,
 }
 
@@ -937,18 +941,20 @@ impl RouteRng {
 
 /// The routing layer's state, owned by each fleet run and built in one
 /// place ([`Routing::new`]) from the policy and the fleet's base config:
-/// the policy, the rotating tie-break cursor and the
-/// reusable candidate buffer, plus what only
-/// [`RouterPolicy::KvOverlap`] reads — the global event-fed KV index, the
-/// softmax stream and the routed request's chained block hashes.
+/// the policy, the rotating tie-break cursor and the reusable candidate
+/// buffer, plus what only the overlap policies read — the global
+/// event-fed KV index, the softmax stream and the routed request's
+/// chained block hashes.
 pub(crate) struct Routing {
     pub(crate) policy: RouterPolicy,
     /// Rotating tie-break cursor (see [`pick_rotating_min`]).
-    pub(crate) cursor: usize,
+    cursor: usize,
     /// Reusable per-arrival candidate buffer.
     scratch: Vec<RouteCandidate>,
-    /// Whether the policy is [`RouterPolicy::KvOverlap`] — only then do
-    /// members publish KV events into `indexer`.
+    /// Whether the policy reads cached overlap
+    /// ([`RouterPolicy::PrefixAffinity`] or [`RouterPolicy::KvOverlap`])
+    /// and the fleet has a prefix cache — only then do members publish KV
+    /// events into `indexer`.
     pub(crate) kv_routing: bool,
     /// Global event-fed KV index; members publish under the same index
     /// the router scores them by.
@@ -957,9 +963,7 @@ pub(crate) struct Routing {
     rng: RouteRng,
     /// Chained block hashes of the request being routed.
     chain: Vec<u64>,
-    /// Block size of the members' prefix stores (0 = no prefix cache;
-    /// read only under `KvOverlap`, which [`RouterPolicy::check`] admits
-    /// only with a cache).
+    /// Block size of the members' prefix stores (0 = no prefix cache).
     block_tokens: u32,
 }
 
@@ -972,11 +976,15 @@ impl Routing {
     /// the fleet.
     pub(crate) fn new(policy: RouterPolicy, base: &SimConfig) -> Result<Self, SimError> {
         policy.check(base.prefix_cache)?;
+        let reads_overlap = matches!(
+            policy,
+            RouterPolicy::PrefixAffinity { .. } | RouterPolicy::KvOverlap { .. }
+        );
         Ok(Routing {
             policy,
             cursor: 0,
             scratch: Vec::new(),
-            kv_routing: matches!(policy, RouterPolicy::KvOverlap { .. }),
+            kv_routing: reads_overlap && base.prefix_cache.is_some(),
             indexer: KvIndexer::new(base.router.kv_event_delay.as_micros()),
             rng: RouteRng::new(pf_workload::rng::derive_seed(base.seed, ROUTE_RNG_STREAM)),
             chain: Vec::new(),
@@ -984,50 +992,39 @@ impl Routing {
         })
     }
 
-    /// Readies the KV index for routing `spec` at `now` (a no-op unless
-    /// [`RouterPolicy::KvOverlap`]): stored events older than the
-    /// propagation delay become visible, and `chain` is refilled with the
-    /// request's chained block hashes (system prompt, then conversation
-    /// prefix, then prompt tail — exactly what a block store could hold
-    /// for it).
-    pub(crate) fn prepare(&mut self, now: SimTime, spec: &RequestSpec) {
-        if !self.kv_routing {
-            return;
-        }
-        self.indexer.advance(now.as_micros());
-        self.chain.clear();
-        let mut parent = pf_kvcache::KV_ROOT_HASH;
-        for content in spec.matchable_blocks(self.block_tokens) {
-            parent = pf_kvcache::block_hash(parent, content);
-            self.chain.push(parent);
-        }
-    }
-
-    /// Refills `scratch` with `(index, load, peek)` candidates, crediting
-    /// each with its cached overlap: the KV index's view of the member
-    /// under [`RouterPolicy::KvOverlap`] (only blocks whose stored events
-    /// have propagated), otherwise `peek()` — the member's own store.
-    pub(crate) fn fill<P: FnOnce() -> u64>(
+    /// Routes `spec` at `now` among `candidates`, `(index, load)` pairs of
+    /// a fleet of `n` members. Under `kv_routing` the index first applies
+    /// every stored event older than the propagation delay, the request's
+    /// chained block hashes (system prompt, then conversation prefix,
+    /// then prompt tail — exactly what a block store could hold for it)
+    /// are computed once, and each candidate is credited with the overlap
+    /// the index shows for it; otherwise every overlap is 0.
+    /// [`RouterPolicy::KvOverlap`] then picks through its cost logit,
+    /// every other policy through [`pick_routed`].
+    pub(crate) fn route(
         &mut self,
-        candidates: impl Iterator<Item = (usize, f64, P)>,
-    ) {
+        now: SimTime,
+        spec: &RequestSpec,
+        n: usize,
+        candidates: impl Iterator<Item = (usize, f64)>,
+    ) -> Option<usize> {
+        self.chain.clear();
+        if self.kv_routing {
+            self.indexer.advance(now.as_micros());
+            let mut parent = pf_kvcache::KV_ROOT_HASH;
+            for content in spec.matchable_blocks(self.block_tokens) {
+                parent = pf_kvcache::block_hash(parent, content);
+                self.chain.push(parent);
+            }
+        }
+        let (indexer, chain) = (&self.indexer, &self.chain);
         self.scratch.clear();
         self.scratch
-            .extend(candidates.map(|(index, load, peek)| RouteCandidate {
+            .extend(candidates.map(|(index, load)| RouteCandidate {
                 index,
                 load,
-                cached_match: if self.kv_routing {
-                    self.indexer.overlap(index as u32, &self.chain)
-                } else {
-                    peek()
-                },
+                cached_match: indexer.overlap(index as u32, chain),
             }));
-    }
-
-    /// Picks among the `scratch` candidates of a fleet of `n` members:
-    /// [`RouterPolicy::KvOverlap`] through its cost logit, every other
-    /// policy through [`pick_routed`].
-    pub(crate) fn pick(&mut self, spec: &RequestSpec, n: usize) -> Option<usize> {
         let RouterPolicy::KvOverlap {
             overlap_weight,
             temperature,

@@ -156,30 +156,36 @@ fn softmax_routing_replays_bit_identically() {
 fn index_staleness_degrades_reuse() {
     // A delay far longer than the run leaves the global index empty:
     // every overlap score reads zero and routing collapses to the load
-    // term, losing the affinity that concentrates a tenant's blocks.
+    // term, losing the affinity that concentrates a tenant's blocks. Both
+    // overlap policies read the same index.
     let (requests, arrivals) = shared_sysprompt_traffic(240, 47);
-    let run = |delay| {
-        let mut config = block_config(40_000);
-        config.router.kv_event_delay = delay;
-        ClusterSimulation::new(
-            config,
-            3,
-            RouterPolicy::KvOverlap {
-                overlap_weight: 1.0,
-                temperature: 0.0,
-            },
-        )
-        .run(requests.clone(), arrivals.clone())
-        .expect("cluster run")
-    };
-    let fresh = run(SimDuration::ZERO);
-    let stale = run(SimDuration::from_secs(100_000));
-    assert!(
-        fresh.prefix_stats().hit_tokens > stale.prefix_stats().hit_tokens,
-        "a fresh index must out-reuse a never-propagated one ({} vs {})",
-        fresh.prefix_stats().hit_tokens,
-        stale.prefix_stats().hit_tokens
-    );
+    let policies = [
+        RouterPolicy::KvOverlap {
+            overlap_weight: 1.0,
+            temperature: 0.0,
+        },
+        RouterPolicy::PrefixAffinity {
+            load_tiebreak: true,
+        },
+    ];
+    for policy in policies {
+        let run = |delay| {
+            let mut config = block_config(40_000);
+            config.router.kv_event_delay = delay;
+            ClusterSimulation::new(config, 3, policy)
+                .run(requests.clone(), arrivals.clone())
+                .expect("cluster run")
+        };
+        let fresh = run(SimDuration::ZERO);
+        let stale = run(SimDuration::from_secs(100_000));
+        assert!(
+            fresh.prefix_stats().hit_tokens > stale.prefix_stats().hit_tokens,
+            "{}: a fresh index must out-reuse a never-propagated one ({} vs {})",
+            policy.label(),
+            fresh.prefix_stats().hit_tokens,
+            stale.prefix_stats().hit_tokens
+        );
+    }
 }
 
 #[test]
