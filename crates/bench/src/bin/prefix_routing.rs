@@ -27,14 +27,13 @@
 //! ```
 
 use pf_autoscale::{AutoscaleConfig, PredictorKind};
-use pf_bench::scenario::{base, by_name, run_all, Report, Scenario, Topology, Workload};
+use pf_bench::scenario::{base, by_name, run_all, Scenario, Topology, Workload};
 use pf_bench::{pct, Cli};
 use pf_core::SchedulerConfig;
 use pf_metrics::Align::{Left, Right};
 use pf_metrics::{SimDuration, SlaSpec, Table};
 use pf_sim::cluster::RouterPolicy;
 use pf_sim::disagg::DisaggConfig;
-use pf_sim::SimReport;
 use pf_workload::{datasets, LengthSampler};
 
 const CAPACITY: u64 = 48_000;
@@ -131,23 +130,6 @@ fn multi_turn(n: usize, seed: u64, sessions_per_sec: f64) -> Workload {
     Workload::Timed(requests, arrivals)
 }
 
-/// Nearest-rank TTFT p99 over a fixed fleet's pooled requests. The
-/// colocated rows report this rank, not `Headline`'s interpolated p99, so
-/// their numbers stay comparable with earlier results of this table.
-fn ttft_p99(instances: &[SimReport]) -> f64 {
-    let mut ttfts: Vec<f64> = instances
-        .iter()
-        .flat_map(|r| r.outcomes.iter())
-        .filter_map(|o| o.timing.ttft().map(|t| t.as_secs_f64()))
-        .collect();
-    ttfts.sort_by(f64::total_cmp);
-    if ttfts.is_empty() {
-        return 0.0;
-    }
-    let rank = ((ttfts.len() as f64) * 0.99).ceil() as usize;
-    ttfts[rank.saturating_sub(1).min(ttfts.len() - 1)]
-}
-
 fn main() {
     let cli = Cli::parse();
     let n = cli.size(2_400, 600);
@@ -179,10 +161,6 @@ fn main() {
         let (deployment, router) = run.name.split_once('/').expect("deployment/router");
         let h = &run.headline;
         let prefix = run.report.prefix_stats();
-        let ttft_p99_s = match &run.report {
-            Report::Cluster(r) => ttft_p99(&r.instances),
-            _ => h.ttft_p99_s,
-        };
         table.row([
             deployment.to_string(),
             router.to_string(),
@@ -190,7 +168,7 @@ fn main() {
             pct(prefix.hit_rate()),
             format!("{:.2}", prefix.hit_tokens as f64 / 1e6),
             format!("{:.1}", h.ttft_attainment * 100.0),
-            format!("{ttft_p99_s:.2}"),
+            format!("{:.2}", h.ttft_p99_s),
             format!("{:.1}", h.sla_attainment * 100.0),
             format!("{:.0}", h.gpu_seconds),
             format!("{:.0}", run.report.makespan().as_secs_f64()),

@@ -51,6 +51,50 @@ fn members(seed: u64) -> [Member; 3] {
     ]
 }
 
+/// A one-member cluster makes no routing choice and serves exactly the
+/// single engine's schedule, stamping each request at its scheduled
+/// arrival, under every policy that can run on the member (the overlap
+/// policies over a prefix cache among them).
+#[test]
+fn one_member_cluster_equals_single_engine() {
+    for seed in SEEDS {
+        for (name, config, _, workload) in members(seed) {
+            let single = Scenario::new(
+                format!("{name}-single"),
+                seed,
+                Topology::Single(config.clone()),
+                workload,
+            );
+            let Report::Single(single) = single.run(None).report else {
+                unreachable!("the topology fixes the report type");
+            };
+            let kv_overlap = RouterPolicy::KvOverlap {
+                overlap_weight: 1.0,
+                temperature: 0.0,
+            };
+            let policies = RouterPolicy::ALL
+                .into_iter()
+                .chain(config.prefix_cache.is_some().then_some(kv_overlap));
+            for policy in policies {
+                let cluster = Scenario::new(
+                    format!("{name}-cluster"),
+                    seed,
+                    Topology::cluster(config.clone(), 1, policy),
+                    workload,
+                );
+                let Report::Cluster(cluster) = cluster.run(None).report else {
+                    unreachable!("the topology fixes the report type");
+                };
+                assert_eq!(
+                    sim_fingerprint(&cluster.instances[0]),
+                    sim_fingerprint(&single),
+                    "{name} seed {seed} {policy:?}: the one-member cluster diverged from the single engine"
+                );
+            }
+        }
+    }
+}
+
 /// An elastic fleet pinned at one replica makes no scaling decision and
 /// serves exactly the schedule of a one-member fixed cluster.
 #[test]

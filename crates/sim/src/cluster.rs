@@ -502,21 +502,6 @@ mod tests {
     }
 
     #[test]
-    fn single_instance_cluster_matches_plain_simulation() {
-        let requests = skewed_requests(40, 6);
-        let arrivals = burst_arrivals(40, 100);
-        let cluster = ClusterSimulation::new(base_config(6_000), 1, RouterPolicy::RoundRobin)
-            .run(requests.clone(), arrivals.clone())
-            .unwrap();
-        let plain = crate::Simulation::with_arrivals(base_config(6_000), requests, arrivals)
-            .run()
-            .unwrap();
-        assert_eq!(cluster.headline().completed, plain.completed);
-        assert_eq!(cluster.instances[0].decode_steps, plain.decode_steps);
-        assert_eq!(cluster.makespan(), plain.makespan);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one instance")]
     fn zero_instances_panics() {
         let _ = ClusterSimulation::new(base_config(1_000), 0, RouterPolicy::RoundRobin);

@@ -505,9 +505,11 @@ impl Run {
                     if let Some(planner) = self.pool.planner.as_mut() {
                         planner.on_request_arrival(at, spec.input_len);
                     }
+                    // Stamped at its scheduled arrival: a busy member
+                    // ingests it at its next tick, and its TTFT counts
+                    // from when the client sent it.
                     let member = &mut self.pool.members[target];
-                    let arrival = at.max(member.engine.now());
-                    member.engine.inject(arrival, spec);
+                    member.engine.inject(at, spec);
                     member.core.routed += 1;
                     continue;
                 }
