@@ -1122,16 +1122,13 @@ pub(crate) struct RouteCandidate {
     pub(crate) cached_match: u64,
 }
 
-/// The single definition of the routing dispatch, shared by the cluster,
-/// the elastic fleet and the disagg pools:
+/// The dispatch of every policy but [`crate::cluster::RouterPolicy::KvOverlap`]
+/// (which [`Routing::route`] sends through its cost logit):
 /// [`crate::cluster::RouterPolicy::RoundRobin`] rotates,
 /// [`crate::cluster::RouterPolicy::PrefixAffinity`] takes the longest
 /// cached match at or above [`PREFIX_MATCH_MIN_TOKENS`] (ties by load or
-/// rotation), and everything else — including
-/// [`crate::cluster::RouterPolicy::KvOverlap`], whose overlap-discounted
-/// cost the caller folds into `load` before dispatching here with its own
-/// temperature handling — routes by the candidate's load, all exact ties
-/// broken by the rotating cursor. `n` is the full fleet size.
+/// rotation), and everything else routes by the candidate's load, all
+/// exact ties broken by the rotating cursor. `n` is the full fleet size.
 fn pick_routed(
     policy: crate::cluster::RouterPolicy,
     candidates: &[RouteCandidate],
