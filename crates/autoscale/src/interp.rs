@@ -92,14 +92,9 @@ pub struct PerfInterpolator<M> {
 const CORRECTION_BOUNDS: (f64, f64) = (0.2, 5.0);
 
 impl<M: StepLatency> PerfInterpolator<M> {
-    /// Wraps a step-latency model with neutral corrections (colocated
-    /// replicas).
-    pub fn new(model: M) -> Self {
-        PerfInterpolator::with_role(model, PoolRole::Colocated)
-    }
-
-    /// Wraps a step-latency model for replicas of the given [`PoolRole`].
-    pub fn with_role(model: M, role: PoolRole) -> Self {
+    /// Wraps a step-latency model, with neutral corrections, for replicas
+    /// of the given [`PoolRole`].
+    pub fn new(model: M, role: PoolRole) -> Self {
         PerfInterpolator {
             model,
             role,
@@ -130,30 +125,16 @@ impl<M: StepLatency> PerfInterpolator<M> {
     }
 
     /// Expected service quality for `load` spread over `replicas`
-    /// replicas, with corrections applied.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replicas` is zero.
-    pub fn predict(&self, load: &LoadSample, replicas: usize) -> PerfEstimate {
-        self.predict_scaled(load, replicas, 1.0)
-    }
-
-    /// [`PerfInterpolator::predict`] for replicas whose step latencies run
-    /// `perf_scale`× the base model's speed (2.0 = twice as fast). A
-    /// heterogeneous planner passes the mean `perf_scale` of the candidate
-    /// fleet; 1.0 reproduces the homogeneous prediction bit-for-bit.
+    /// replicas whose step latencies run `perf_scale`× the base model's
+    /// speed (1.0 = the base model, 2.0 = twice as fast), with corrections
+    /// applied. A heterogeneous planner passes the mean `perf_scale` of the
+    /// candidate fleet.
     ///
     /// # Panics
     ///
     /// Panics if `replicas` is zero or `perf_scale` is not finite and
     /// positive.
-    pub fn predict_scaled(
-        &self,
-        load: &LoadSample,
-        replicas: usize,
-        perf_scale: f64,
-    ) -> PerfEstimate {
+    pub fn predict(&self, load: &LoadSample, replicas: usize, perf_scale: f64) -> PerfEstimate {
         let mut e = self.raw_predict(load, replicas, perf_scale);
         e.ttft_secs = (e.ttft_secs * self.ttft_correction).min(INFEASIBLE_TTFT_SECS);
         e.tpot_secs *= self.tpot_correction;
@@ -162,23 +143,12 @@ impl<M: StepLatency> PerfInterpolator<M> {
 
     /// Folds one interval's observed TTFT/TPOT (means over finished
     /// requests) into the correction factors, comparing against what the
-    /// uncorrected model predicts for the same operating point. Only the
-    /// latency term the pool's role controls is folded: a decode pool
-    /// teaches nothing about TTFT and a prefill pool nothing about TPOT.
+    /// uncorrected model predicts for the same operating point: `replicas`
+    /// running at `perf_scale`× the base model's speed, the fleet that
+    /// actually produced the observed latencies. Only the latency term the
+    /// pool's role controls is folded: a decode pool teaches nothing about
+    /// TTFT and a prefill pool nothing about TPOT.
     pub fn observe(
-        &mut self,
-        load: &LoadSample,
-        replicas: usize,
-        observed_ttft_secs: f64,
-        observed_tpot_secs: f64,
-    ) {
-        self.observe_scaled(load, replicas, 1.0, observed_ttft_secs, observed_tpot_secs);
-    }
-
-    /// [`PerfInterpolator::observe`] against replicas running at
-    /// `perf_scale`× the base model's speed — the scale of the fleet that
-    /// actually produced the observed latencies.
-    pub fn observe_scaled(
         &mut self,
         load: &LoadSample,
         replicas: usize,
@@ -423,8 +393,8 @@ mod tests {
 
     #[test]
     fn idle_load_costs_one_prefill() {
-        let interp = PerfInterpolator::new(ToyModel);
-        let e = interp.predict(&LoadSample::ZERO, 2);
+        let interp = PerfInterpolator::new(ToyModel, PoolRole::Colocated);
+        let e = interp.predict(&LoadSample::ZERO, 2, 1.0);
         assert!(e.feasible);
         assert_eq!(e.utilization, 0.0);
         assert!(e.ttft_secs < 0.02);
@@ -432,10 +402,10 @@ mod tests {
 
     #[test]
     fn latency_improves_with_more_replicas() {
-        let interp = PerfInterpolator::new(ToyModel);
+        let interp = PerfInterpolator::new(ToyModel, PoolRole::Colocated);
         let load = chat_load(20.0);
-        let one = interp.predict(&load, 1);
-        let four = interp.predict(&load, 4);
+        let one = interp.predict(&load, 1, 1.0);
+        let four = interp.predict(&load, 4, 1.0);
         assert!(four.ttft_secs < one.ttft_secs);
         assert!(four.tpot_secs <= one.tpot_secs);
         assert!(four.utilization < one.utilization);
@@ -443,59 +413,59 @@ mod tests {
 
     #[test]
     fn overload_is_flagged_infeasible() {
-        let interp = PerfInterpolator::new(ToyModel);
+        let interp = PerfInterpolator::new(ToyModel, PoolRole::Colocated);
         // Max decode throughput/replica ≈ n_max/t_step ≈ 66/0.0206 ≈ 3.2k
         // tok/s; 40 req/s × 400 tok = 16k tok/s ≫ that on one replica.
-        let e = interp.predict(&chat_load(40.0), 1);
+        let e = interp.predict(&chat_load(40.0), 1, 1.0);
         assert!(!e.feasible);
         assert!(e.utilization >= 1.0);
         assert!(e.ttft_secs >= 1e5);
         // Spread over enough replicas it becomes feasible again.
-        let e = interp.predict(&chat_load(40.0), 8);
+        let e = interp.predict(&chat_load(40.0), 8, 1.0);
         assert!(e.feasible, "utilization {}", e.utilization);
     }
 
     #[test]
     fn utilization_scales_linearly_with_rate() {
-        let interp = PerfInterpolator::new(ToyModel);
-        let lo = interp.predict(&chat_load(2.0), 2);
-        let hi = interp.predict(&chat_load(4.0), 2);
+        let interp = PerfInterpolator::new(ToyModel, PoolRole::Colocated);
+        let lo = interp.predict(&chat_load(2.0), 2, 1.0);
+        let hi = interp.predict(&chat_load(4.0), 2, 1.0);
         assert!((hi.utilization / lo.utilization - 2.0).abs() < 1e-6);
     }
 
     #[test]
     fn corrections_track_observed_bias() {
-        let mut interp = PerfInterpolator::new(ToyModel);
+        let mut interp = PerfInterpolator::new(ToyModel, PoolRole::Colocated);
         let load = chat_load(5.0);
-        let raw = interp.predict(&load, 2);
+        let raw = interp.predict(&load, 2, 1.0);
         // The "real system" is consistently 2× slower than the sketch.
         for _ in 0..30 {
-            interp.observe(&load, 2, raw.ttft_secs * 2.0, raw.tpot_secs * 2.0);
+            interp.observe(&load, 2, 1.0, raw.ttft_secs * 2.0, raw.tpot_secs * 2.0);
         }
         assert!((interp.ttft_correction() - 2.0).abs() < 0.05);
         assert!((interp.tpot_correction() - 2.0).abs() < 0.05);
-        let corrected = interp.predict(&load, 2);
+        let corrected = interp.predict(&load, 2, 1.0);
         assert!((corrected.ttft_secs / raw.ttft_secs - 2.0).abs() < 0.05);
     }
 
     #[test]
     fn corrections_stay_bounded() {
-        let mut interp = PerfInterpolator::new(ToyModel);
+        let mut interp = PerfInterpolator::new(ToyModel, PoolRole::Colocated);
         let load = chat_load(5.0);
         for _ in 0..100 {
-            interp.observe(&load, 2, 1e9, 1e9);
+            interp.observe(&load, 2, 1.0, 1e9, 1e9);
         }
         assert!(interp.ttft_correction() <= 5.0);
         for _ in 0..100 {
-            interp.observe(&load, 2, 1e-12, 1e-12);
+            interp.observe(&load, 2, 1.0, 1e-12, 1e-12);
         }
         assert!(interp.ttft_correction() >= 0.2);
     }
 
     #[test]
     fn saturated_observations_are_ignored() {
-        let mut interp = PerfInterpolator::new(ToyModel);
-        interp.observe(&chat_load(40.0), 1, 500.0, 50.0);
+        let mut interp = PerfInterpolator::new(ToyModel, PoolRole::Colocated);
+        interp.observe(&chat_load(40.0), 1, 1.0, 500.0, 50.0);
         assert_eq!(interp.ttft_correction(), 1.0);
         assert_eq!(interp.tpot_correction(), 1.0);
     }
@@ -503,66 +473,68 @@ mod tests {
     #[test]
     #[should_panic(expected = "zero replicas")]
     fn zero_replicas_panics() {
-        let _ = PerfInterpolator::new(ToyModel).predict(&LoadSample::ZERO, 0);
+        let _ =
+            PerfInterpolator::new(ToyModel, PoolRole::Colocated).predict(&LoadSample::ZERO, 0, 1.0);
     }
 
     #[test]
     fn perf_scale_speeds_up_the_sketch() {
-        let interp = PerfInterpolator::new(ToyModel);
+        let interp = PerfInterpolator::new(ToyModel, PoolRole::Colocated);
         let load = chat_load(10.0);
-        let base = interp.predict(&load, 2);
-        let fast = interp.predict_scaled(&load, 2, 2.0);
-        let slow = interp.predict_scaled(&load, 2, 0.5);
+        let base = interp.predict(&load, 2, 1.0);
+        let fast = interp.predict(&load, 2, 2.0);
+        let slow = interp.predict(&load, 2, 0.5);
         assert!(fast.ttft_secs < base.ttft_secs);
         assert!(fast.tpot_secs < base.tpot_secs);
         assert!(fast.utilization < base.utilization);
         assert!(slow.ttft_secs > base.ttft_secs);
         assert!(slow.utilization > base.utilization);
-        // Scale 1.0 is the identity, bit for bit.
-        let unit = interp.predict_scaled(&load, 2, 1.0);
-        assert_eq!(unit, base);
     }
 
     #[test]
     #[should_panic(expected = "invalid perf scale")]
     fn non_finite_scale_panics() {
-        let _ = PerfInterpolator::new(ToyModel).predict_scaled(&LoadSample::ZERO, 1, f64::NAN);
+        let _ = PerfInterpolator::new(ToyModel, PoolRole::Colocated).predict(
+            &LoadSample::ZERO,
+            1,
+            f64::NAN,
+        );
     }
 
     #[test]
     fn prefill_role_is_ttft_only() {
-        let interp = PerfInterpolator::with_role(ToyModel, PoolRole::Prefill);
-        let e = interp.predict(&chat_load(10.0), 1);
+        let interp = PerfInterpolator::new(ToyModel, PoolRole::Prefill);
+        let e = interp.predict(&chat_load(10.0), 1, 1.0);
         assert!(e.feasible);
         assert_eq!(e.tpot_secs, 0.0, "prefill column must not bind on TPOT");
         assert!(e.ttft_secs > 0.0);
         // Saturate the prefill servers: service 0.012 s × 100 req/s > 1.
-        let e = interp.predict(&chat_load(100.0), 1);
+        let e = interp.predict(&chat_load(100.0), 1, 1.0);
         assert!(!e.feasible);
         // More replicas restore feasibility and shrink TTFT.
-        let few = interp.predict(&chat_load(40.0), 1);
-        let many = interp.predict(&chat_load(40.0), 4);
+        let few = interp.predict(&chat_load(40.0), 1, 1.0);
+        let many = interp.predict(&chat_load(40.0), 4, 1.0);
         assert!(many.ttft_secs < few.ttft_secs);
     }
 
     #[test]
     fn decode_role_is_tpot_only() {
-        let interp = PerfInterpolator::with_role(ToyModel, PoolRole::Decode);
-        let e = interp.predict(&chat_load(20.0), 2);
+        let interp = PerfInterpolator::new(ToyModel, PoolRole::Decode);
+        let e = interp.predict(&chat_load(20.0), 2, 1.0);
         assert_eq!(e.ttft_secs, 0.0, "decode column must not bind on TTFT");
         assert!(e.tpot_secs > 0.0);
         // Same decode overload point as the colocated column.
-        let overloaded = interp.predict(&chat_load(40.0), 1);
+        let overloaded = interp.predict(&chat_load(40.0), 1, 1.0);
         assert!(!overloaded.feasible);
         assert!(overloaded.utilization >= 1.0);
     }
 
     #[test]
     fn role_corrections_only_touch_their_own_term() {
-        let mut prefill = PerfInterpolator::with_role(ToyModel, PoolRole::Prefill);
+        let mut prefill = PerfInterpolator::new(ToyModel, PoolRole::Prefill);
         let load = chat_load(5.0);
         for _ in 0..20 {
-            prefill.observe(&load, 2, 1.0, 1.0);
+            prefill.observe(&load, 2, 1.0, 1.0, 1.0);
         }
         assert_eq!(
             prefill.tpot_correction(),
@@ -570,9 +542,9 @@ mod tests {
             "prefill pool must not learn TPOT corrections"
         );
         assert_ne!(prefill.ttft_correction(), 1.0);
-        let mut decode = PerfInterpolator::with_role(ToyModel, PoolRole::Decode);
+        let mut decode = PerfInterpolator::new(ToyModel, PoolRole::Decode);
         for _ in 0..20 {
-            decode.observe(&load, 2, 1.0, 1.0);
+            decode.observe(&load, 2, 1.0, 1.0, 1.0);
         }
         assert_eq!(
             decode.ttft_correction(),

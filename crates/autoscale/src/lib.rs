@@ -42,7 +42,7 @@
 //! forecast alone would chronically lag step bursts.
 //!
 //! For disaggregated (DistServe/Dynamo-style) fleets, build one planner
-//! per pool with [`AutoscalePlanner::with_role`]: a [`PoolRole::Prefill`]
+//! per pool with [`AutoscalePlanner::new`]: a [`PoolRole::Prefill`]
 //! planner reads the TTFT-bound column of the interpolator (M/M/1 queue of
 //! prefill passes) and a [`PoolRole::Decode`] planner the TPOT-bound
 //! column (the decode fixed point), so each pool is sized against exactly
@@ -58,7 +58,7 @@
 //!
 //! ```
 //! use pf_autoscale::{
-//!     AutoscaleConfig, AutoscalePlanner, PredictorKind, ScalingDecision, StepLatency,
+//!     AutoscaleConfig, AutoscalePlanner, PoolRole, PredictorKind, ScalingDecision, StepLatency,
 //! };
 //! use pf_metrics::{SimDuration, SimTime, SlaSpec};
 //!
@@ -75,7 +75,7 @@
 //! let config = AutoscaleConfig::bounded(1, 8)
 //!     .interval(SimDuration::from_secs(10))
 //!     .predictor(PredictorKind::holt());
-//! let mut planner = AutoscalePlanner::new(config, SlaSpec::chat_7b(), Toy);
+//! let mut planner = AutoscalePlanner::new(config, SlaSpec::chat_7b(), Toy, PoolRole::Colocated);
 //!
 //! // A burst of arrivals in the first interval...
 //! for i in 0..200 {

@@ -23,16 +23,6 @@ impl LoadSample {
         mean_output_tokens: 0.0,
     };
 
-    /// Offered token throughput demand (decode tokens per second).
-    pub fn decode_tokens_per_s(&self) -> f64 {
-        self.request_rate * self.mean_output_tokens
-    }
-
-    /// Offered prefill demand (prompt tokens per second).
-    pub fn prefill_tokens_per_s(&self) -> f64 {
-        self.request_rate * self.mean_input_tokens
-    }
-
     /// Mean total KV footprint of one request at completion.
     pub fn mean_total_tokens(&self) -> f64 {
         self.mean_input_tokens + self.mean_output_tokens
@@ -60,8 +50,6 @@ mod tests {
             mean_input_tokens: 100.0,
             mean_output_tokens: 300.0,
         };
-        assert_eq!(s.decode_tokens_per_s(), 1200.0);
-        assert_eq!(s.prefill_tokens_per_s(), 400.0);
         assert_eq!(s.mean_total_tokens(), 400.0);
     }
 

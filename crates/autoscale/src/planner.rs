@@ -57,21 +57,16 @@ pub struct AutoscalePlanner<M> {
 }
 
 impl<M: StepLatency> AutoscalePlanner<M> {
-    /// Creates a planner for one replica type serving both stages
-    /// (colocated prefill + decode).
-    pub fn new(config: AutoscaleConfig, sla: SlaSpec, model: M) -> Self {
-        AutoscalePlanner::with_role(config, sla, model, PoolRole::Colocated)
-    }
-
-    /// Creates a planner for one pool of a disaggregated fleet: the
-    /// interpolator reads the column of the performance sketch the pool's
-    /// stage controls (prefill → TTFT, decode → TPOT).
-    pub fn with_role(config: AutoscaleConfig, sla: SlaSpec, model: M, role: PoolRole) -> Self {
+    /// Creates a planner for replicas of the given [`PoolRole`]: colocated
+    /// replicas serve both stages, and the pool of a disaggregated fleet
+    /// reads the column of the performance sketch its stage controls
+    /// (prefill → TTFT, decode → TPOT).
+    pub fn new(config: AutoscaleConfig, sla: SlaSpec, model: M, role: PoolRole) -> Self {
         let horizon =
             (config.warmup.as_micros()).div_ceil(config.interval.as_micros()) as usize + 1;
         AutoscalePlanner {
             predictor: LoadPredictor::new(config.predictor),
-            interpolator: PerfInterpolator::with_role(model, role),
+            interpolator: PerfInterpolator::new(model, role),
             policy: ScalingPolicy::new(config.policy, sla),
             horizon,
             arrivals: ObservationWindow::new(config.interval),
@@ -234,7 +229,7 @@ impl<M: StepLatency> AutoscalePlanner<M> {
         {
             let scale = self.fleet_scale(served_by);
             self.interpolator
-                .observe_scaled(&previous, served_by, scale, ttft, tpot);
+                .observe(&previous, served_by, scale, ttft, tpot);
         }
         self.previous_interval = Some((observed, live_replicas.max(1)));
         // 3. Forecast the warm-up horizon ahead (provisioning against the
@@ -247,10 +242,7 @@ impl<M: StepLatency> AutoscalePlanner<M> {
             self.policy.config().max_replicas,
         );
         let estimates: Vec<PerfEstimate> = (min..=max)
-            .map(|n| {
-                self.interpolator
-                    .predict_scaled(&forecast, n, self.fleet_scale(n))
-            })
+            .map(|n| self.interpolator.predict(&forecast, n, self.fleet_scale(n)))
             .collect();
         // 4. Decide.
         let decision = self.policy.decide(effective_replicas, &estimates);
@@ -297,7 +289,7 @@ mod tests {
             .interval(SimDuration::from_secs(10))
             .predictor(PredictorKind::ewma())
             .initial_lengths(100.0, 300.0);
-        AutoscalePlanner::new(config, sla(), ToyModel)
+        AutoscalePlanner::new(config, sla(), ToyModel, PoolRole::Colocated)
     }
 
     /// Streams `rate` arrivals/s (and matching completions) through one
@@ -404,7 +396,7 @@ mod tests {
                 .interval(SimDuration::from_secs(10))
                 .predictor(PredictorKind::ewma())
                 .initial_lengths(100.0, 300.0);
-            let mut p = AutoscalePlanner::new(config, sla(), ToyModel);
+            let mut p = AutoscalePlanner::new(config, sla(), ToyModel, PoolRole::Colocated);
             if let Some(scales) = scales {
                 p = p.with_slot_perf_scales(scales);
             }
@@ -429,7 +421,8 @@ mod tests {
     #[should_panic(expected = "one perf scale per provisioning slot")]
     fn too_few_slot_scales_panics() {
         let config = AutoscaleConfig::bounded(1, 4);
-        let _ = AutoscalePlanner::new(config, sla(), ToyModel).with_slot_perf_scales(vec![1.0]);
+        let _ = AutoscalePlanner::new(config, sla(), ToyModel, PoolRole::Colocated)
+            .with_slot_perf_scales(vec![1.0]);
     }
 
     #[test]
@@ -438,7 +431,7 @@ mod tests {
             let config = AutoscaleConfig::bounded(1, 4)
                 .interval(SimDuration::from_secs(interval_s))
                 .warmup(SimDuration::from_secs(warmup_s));
-            AutoscalePlanner::new(config, sla(), ToyModel).horizon()
+            AutoscalePlanner::new(config, sla(), ToyModel, PoolRole::Colocated).horizon()
         };
         assert_eq!(case(0, 10), 1, "zero warm-up degenerates to one step");
         assert_eq!(case(10, 10), 2);
@@ -457,7 +450,7 @@ mod tests {
                 .warmup(SimDuration::from_secs(warmup_s))
                 .predictor(PredictorKind::holt())
                 .initial_lengths(100.0, 300.0);
-            let mut p = AutoscalePlanner::new(config, sla(), ToyModel);
+            let mut p = AutoscalePlanner::new(config, sla(), ToyModel, PoolRole::Colocated);
             let mut targets = Vec::new();
             let mut current = 1usize;
             for (i, rate) in [1usize, 2, 4, 6, 8, 10, 12].iter().enumerate() {

@@ -88,7 +88,7 @@ proptest! {
             .interval(SimDuration::from_secs(10))
             .warmup(SimDuration::from_secs(25))
             .predictor(kind);
-        let mut planner = AutoscalePlanner::new(config, sla(), ToyModel);
+        let mut planner = AutoscalePlanner::new(config, sla(), ToyModel, PoolRole::Colocated);
         let mut current = min;
         for (i, &rate) in rates.iter().enumerate() {
             let end = (i as u64 + 1) * 10;
@@ -116,7 +116,7 @@ proptest! {
             .interval(SimDuration::from_secs(10))
             .predictor(PredictorKind::ewma());
         let patience = config.policy.scale_down_patience as usize;
-        let mut planner = AutoscalePlanner::new(config, sla(), ToyModel);
+        let mut planner = AutoscalePlanner::new(config, sla(), ToyModel, PoolRole::Colocated);
         let mut current = 1usize;
         // Planning rounds elapsed since the last scale-up (counting the
         // current round).
@@ -193,12 +193,12 @@ proptest! {
             mean_input_tokens: input,
             mean_output_tokens: output,
         };
-        let prefill = pf_autoscale::PerfInterpolator::with_role(ToyModel, PoolRole::Prefill)
-            .predict(&load, replicas);
+        let prefill = pf_autoscale::PerfInterpolator::new(ToyModel, PoolRole::Prefill)
+            .predict(&load, replicas, 1.0);
         prop_assert_eq!(prefill.tpot_secs, 0.0);
         prop_assert!(prefill.ttft_secs.is_finite() && prefill.ttft_secs >= 0.0);
-        let decode = pf_autoscale::PerfInterpolator::with_role(ToyModel, PoolRole::Decode)
-            .predict(&load, replicas);
+        let decode = pf_autoscale::PerfInterpolator::new(ToyModel, PoolRole::Decode)
+            .predict(&load, replicas, 1.0);
         prop_assert_eq!(decode.ttft_secs, 0.0);
         prop_assert!(decode.tpot_secs.is_finite() && decode.tpot_secs >= 0.0);
     }

@@ -17,67 +17,11 @@
 //! cargo run --release -p pf-bench --bin autoscale [-- --quick]
 //! ```
 
-use pf_autoscale::{AutoscaleConfig, PredictorKind};
-use pf_bench::scenario::{base, by_name, run_all, Report, Run, Scenario, Topology, Workload};
+use pf_bench::scenario::fleets::{autoscale_bursty, autoscale_diurnal, MAX_REPLICAS};
+use pf_bench::scenario::{by_name, run_all, Run, Scenario};
 use pf_bench::Cli;
 use pf_metrics::Align::{Left, Right};
-use pf_metrics::{SimDuration, Table};
-use pf_sim::elastic::ElasticReport;
-use pf_workload::{datasets, rng::seeded, RateProfile};
-
-const MIN_REPLICAS: usize = 1;
-const MAX_REPLICAS: usize = 4;
-const INTERVAL_S: u64 = 10;
-const WARMUP_S: u64 = 20;
-const PERIOD_S: u64 = 180;
-
-/// Every fleet on one load shape: static fleets of 1, 2 and 4 (the
-/// degenerate `min == max` elastic configuration) and the elastic planner
-/// with each predictor. The load's arrivals come from the stream seeded
-/// one past its requests.
-fn fleets(seed: u64, n: usize, profile: RateProfile) -> Vec<Scenario> {
-    let statics =
-        [1, 2, MAX_REPLICAS].map(|n| (format!("static-{n}"), AutoscaleConfig::bounded(n, n), n));
-    let elastics = [
-        PredictorKind::Constant,
-        PredictorKind::ewma(),
-        PredictorKind::holt(),
-        PredictorKind::holt_winters((PERIOD_S / INTERVAL_S) as usize),
-    ]
-    .map(|kind| {
-        let autoscale = AutoscaleConfig::bounded(MIN_REPLICAS, MAX_REPLICAS).predictor(kind);
-        (format!("elastic-{}", kind.label()), autoscale, MIN_REPLICAS)
-    });
-    statics
-        .into_iter()
-        .chain(elastics)
-        .map(|(name, autoscale, initial)| {
-            let autoscale = autoscale
-                .interval(SimDuration::from_secs(INTERVAL_S))
-                .warmup(SimDuration::from_secs(WARMUP_S))
-                .initial_lengths(160.0, 224.0);
-            let config = base(41).capacity_override(6_000).build();
-            Scenario::new(
-                name,
-                seed,
-                Topology::elastic(config, autoscale, initial),
-                move |seed| {
-                    Workload::Timed(
-                        datasets::short_chat(n, seed),
-                        profile.assign(&mut seeded(seed + 1), n),
-                    )
-                },
-            )
-        })
-        .collect()
-}
-
-fn elastic(run: &Run) -> &ElasticReport {
-    match &run.report {
-        Report::Elastic(report) => report,
-        _ => unreachable!("every fleet here is elastic"),
-    }
-}
+use pf_metrics::Table;
 
 fn scenario_table(cli: &Cli, name: &str, title: &str, scenarios: &[Scenario]) -> Vec<Run> {
     let runs = run_all(scenarios);
@@ -93,7 +37,7 @@ fn scenario_table(cli: &Cli, name: &str, title: &str, scenarios: &[Scenario]) ->
     ])
     .with_aligns(&[Left, Right, Right, Right, Right, Right, Right, Right]);
     for run in &runs {
-        let (h, report) = (&run.headline, elastic(run));
+        let (h, report) = (&run.headline, run.report.elastic());
         table.row([
             run.name.clone(),
             h.completed.to_string(),
@@ -112,13 +56,7 @@ fn scenario_table(cli: &Cli, name: &str, title: &str, scenarios: &[Scenario]) ->
 fn main() {
     let cli = Cli::parse();
 
-    // Diurnal: three cycles from 2 to 12 req/s (one instance saturates
-    // near 7 req/s of this workload).
-    let diurnal = fleets(
-        42,
-        cli.size(3_600, 700),
-        RateProfile::diurnal(2.0, 12.0, SimDuration::from_secs(PERIOD_S)),
-    );
+    let diurnal = autoscale_diurnal(42, cli.size(3_600, 700));
     let diurnal_runs = scenario_table(
         &cli,
         "autoscale_diurnal",
@@ -126,17 +64,7 @@ fn main() {
         &diurnal,
     );
 
-    // Bursty: 12 req/s bursts of 40 s every 180 s over a 1 req/s floor.
-    let bursty = fleets(
-        44,
-        cli.size(1_800, 400),
-        RateProfile::bursty(
-            1.0,
-            12.0,
-            SimDuration::from_secs(40),
-            SimDuration::from_secs(PERIOD_S),
-        ),
-    );
+    let bursty = autoscale_bursty(44, cli.size(1_800, 400));
     let bursty_runs = scenario_table(
         &cli,
         "autoscale_bursty",
@@ -198,15 +126,10 @@ fn main() {
         .iter()
         .find(|s| s.name == "elastic-holt")
         .expect("holt fleet");
-    let replay = scenario.run(None);
+    let replay = scenario.replay(elastic_holt);
     assert_eq!(
-        replay.fingerprint, elastic_holt.fingerprint,
-        "non-deterministic replay"
-    );
-    assert_eq!(replay.headline, *holt, "non-deterministic GPU-seconds");
-    assert_eq!(
-        elastic(&replay).events,
-        elastic(elastic_holt).events,
+        replay.report.elastic().events,
+        elastic_holt.report.elastic().events,
         "non-deterministic scaling"
     );
     println!(

@@ -23,87 +23,11 @@
 //! cargo run --release -p pf-bench --bin disagg [-- --quick]
 //! ```
 
-use std::sync::Arc;
-
-use pf_autoscale::{AutoscaleConfig, PredictorKind};
-use pf_bench::scenario::{
-    base, by_name, run_all, Report, Run, Scenario, Topology, Workload, WorkloadFn,
-};
+use pf_bench::scenario::fleets::{disagg_bursty, disagg_diurnal, disagg_prefill_heavy};
+use pf_bench::scenario::{by_name, run_all, Report, Run, Scenario};
 use pf_bench::Cli;
 use pf_metrics::Align::{Left, Right};
-use pf_metrics::{SimDuration, Table};
-use pf_sim::disagg::DisaggConfig;
-use pf_workload::{datasets, rng::seeded, PoissonArrivals, RateProfile};
-
-const INTERVAL_S: u64 = 10;
-const WARMUP_S: u64 = 20;
-
-#[derive(Clone, Copy)]
-enum Fleet {
-    /// Colocated fleet of `n` conventional engines.
-    Coloc(usize),
-    /// Static disaggregated split: `p` prefill + `d` decode instances.
-    Disagg(usize, usize),
-    /// Elastic disaggregated pools bounded to `[1, pmax]` / `[1, dmax]`,
-    /// starting from `p0` / `d0` instances with the given predictor.
-    DisaggElastic {
-        pmax: usize,
-        dmax: usize,
-        p0: usize,
-        d0: usize,
-        predictor: PredictorKind,
-    },
-}
-
-impl Fleet {
-    /// The fleet as a scenario serving `workload` from `seed`.
-    fn scenario(self, capacity: u64, seed: u64, workload: &WorkloadFn) -> Scenario {
-        let config = base(31).capacity_override(capacity).build();
-        let (name, topology) = match self {
-            Fleet::Coloc(n) => {
-                let autoscale = AutoscaleConfig::bounded(n, n)
-                    .interval(SimDuration::from_secs(INTERVAL_S))
-                    .warmup(SimDuration::from_secs(WARMUP_S));
-                (
-                    format!("coloc-static-{n}"),
-                    Topology::elastic(config, autoscale, n),
-                )
-            }
-            Fleet::Disagg(p, d) => (
-                format!("disagg-{p}p{d}d"),
-                Topology::disagg(DisaggConfig::new(config), p, d),
-            ),
-            Fleet::DisaggElastic {
-                pmax,
-                dmax,
-                p0,
-                d0,
-                predictor,
-            } => {
-                let pool = |max: usize| {
-                    AutoscaleConfig::bounded(1, max)
-                        .interval(SimDuration::from_secs(INTERVAL_S))
-                        .warmup(SimDuration::from_secs(WARMUP_S))
-                        .predictor(predictor)
-                        .initial_lengths(512.0, 128.0)
-                };
-                let topology = Topology::ElasticDisagg {
-                    config: DisaggConfig::new(config),
-                    prefill: pool(pmax),
-                    decode: pool(dmax),
-                    initial: (p0, d0),
-                };
-                (format!("disagg-elastic-{pmax}p{dmax}d"), topology)
-            }
-        };
-        Scenario {
-            name,
-            seed,
-            topology,
-            workload: workload.clone(),
-        }
-    }
-}
+use pf_metrics::Table;
 
 /// Peak replicas and scaling decisions, per report type.
 fn fleet_columns(run: &Run) -> (String, usize) {
@@ -157,92 +81,30 @@ fn scenario_table(cli: &Cli, name: &str, title: &str, scenarios: &[Scenario]) ->
 fn main() {
     let cli = Cli::parse();
 
-    // Scenario 1 — steady prefill-heavy (summarization/RAG): 12 req/s of
-    // 1-3k-token prompts with terse answers against four A100s. 12 req/s
-    // sits just past the colocated fleet's admission ceiling: its TTFT
-    // tail collapses (prompts queue behind decode-held KV), while a
-    // dedicated prefill pool keeps first tokens flowing and pushes the
-    // stress onto the decode side's MTPOT — the disaggregation trade.
-    let n_steady = cli.size(3_000, 900);
-    let steady: WorkloadFn = Arc::new(move |seed| {
-        Workload::Timed(
-            datasets::prefill_heavy(n_steady, seed),
-            PoissonArrivals::new(12.0).assign(&mut seeded(seed + 1), n_steady),
-        )
-    });
-    let steady_fleets: Vec<Scenario> = [
-        Fleet::Coloc(4),
-        Fleet::Disagg(2, 2),
-        Fleet::Disagg(3, 1),
-        Fleet::DisaggElastic {
-            pmax: 3,
-            dmax: 3,
-            p0: 2,
-            d0: 2,
-            predictor: PredictorKind::holt(),
-        },
-    ]
-    .iter()
-    .map(|fleet| fleet.scenario(9_000, 51, &steady))
-    .collect();
+    // Steady prefill-heavy load sits just past the colocated fleet's
+    // admission ceiling: its TTFT tail collapses (prompts queue behind
+    // decode-held KV), while a dedicated prefill pool keeps first tokens
+    // flowing and pushes the stress onto the decode side's MTPOT — the
+    // disaggregation trade.
+    let steady_fleets = disagg_prefill_heavy(51, cli.size(3_000, 900));
     let steady_runs = scenario_table(
         &cli,
         "disagg_prefill_heavy",
         "Disaggregation: steady prefill-heavy load (12 req/s, 1-3k prompts, 4 GPUs)",
         &steady_fleets,
     );
-
-    // Scenarios 2 and 3 — a diurnal chat cycle and a bursty chat square
-    // wave on the same fleets.
-    let chat_fleets = [
-        Fleet::Coloc(4),
-        Fleet::Disagg(1, 3),
-        Fleet::DisaggElastic {
-            pmax: 2,
-            dmax: 3,
-            p0: 1,
-            d0: 2,
-            // One cycle is 18 adjustment intervals: a seasonal predictor
-            // pre-provisions for the recurring peak.
-            predictor: PredictorKind::holt_winters(18),
-        },
-    ];
-    let chat = |n: usize, profile: RateProfile| -> WorkloadFn {
-        Arc::new(move |seed| {
-            Workload::Timed(
-                datasets::short_chat(n, seed),
-                profile.assign(&mut seeded(seed + 1), n),
-            )
-        })
-    };
-    for (name, title, seed, n, profile) in [
-        (
-            "disagg_diurnal",
-            "Disaggregation: diurnal chat load (2 -> 10 req/s, 180 s period, 4 GPUs)",
-            53,
-            cli.size(2_400, 500),
-            RateProfile::diurnal(2.0, 10.0, SimDuration::from_secs(180)),
-        ),
-        (
-            "disagg_bursty",
-            "Disaggregation: bursty chat load (1 req/s floor, 10 req/s bursts, 4 GPUs)",
-            55,
-            cli.size(1_500, 350),
-            RateProfile::bursty(
-                1.0,
-                10.0,
-                SimDuration::from_secs(40),
-                SimDuration::from_secs(180),
-            ),
-        ),
-    ] {
-        let workload = chat(n, profile);
-        let scenarios: Vec<Scenario> = chat_fleets
-            .iter()
-            .map(|fleet| fleet.scenario(6_000, seed, &workload))
-            .collect();
-        scenario_table(&cli, name, title, &scenarios);
-    }
+    scenario_table(
+        &cli,
+        "disagg_diurnal",
+        "Disaggregation: diurnal chat load (2 -> 10 req/s, 180 s period, 4 GPUs)",
+        &disagg_diurnal(53, cli.size(2_400, 500)),
+    );
+    scenario_table(
+        &cli,
+        "disagg_bursty",
+        "Disaggregation: bursty chat load (1 req/s floor, 10 req/s bursts, 4 GPUs)",
+        &disagg_bursty(55, cli.size(1_500, 350)),
+    );
 
     // Headline checks (prefill-heavy): the matched-GPU disaggregated split
     // protects TTFT — attainment at least the colocated fleet's, with a
@@ -268,16 +130,7 @@ fn main() {
         split.gpu_seconds,
         coloc.gpu_seconds
     );
-    let elastic = by_name(&steady_runs, "disagg-elastic-3p3d");
-    let replay = steady_fleets[3].run(None);
-    assert_eq!(
-        replay.fingerprint, elastic.fingerprint,
-        "non-deterministic replay"
-    );
-    assert_eq!(
-        replay.headline, elastic.headline,
-        "non-deterministic GPU-seconds"
-    );
+    steady_fleets[3].replay(by_name(&steady_runs, "disagg-elastic-3p3d"));
     println!(
         "[ok] disagg-2p2d: TTFT-SLA {:.1}% vs coloc-static-4 {:.1}% at {:.0} vs {:.0} GPU-s; \
          elastic replay deterministic",

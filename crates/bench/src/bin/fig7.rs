@@ -6,110 +6,13 @@
 //! cargo run --release -p pf-bench --bin fig7 [-- --quick]
 //! ```
 
-use pf_bench::{default_threads, output_lengths, run_parallel, Cli};
-use pf_core::SchedulerConfig;
-use pf_metrics::{Align, SlaSpec, Table};
-use pf_sim::{GpuSpec, ModelSpec, SimConfig, SimReport, Simulation};
-use pf_workload::{datasets, ClosedLoopClients, RequestSpec};
-
-struct Case {
-    model: &'static str,
-    dataset: &'static str,
-    scheduler: String,
-    clients: usize,
-    report: SimReport,
-}
+use pf_bench::scenario::{paper, run_all};
+use pf_bench::Cli;
+use pf_metrics::{Align, Table};
 
 fn main() {
     let cli = Cli::parse();
-    let models: [(&'static str, ModelSpec, u32, SlaSpec, &[usize]); 3] = [
-        (
-            "Llama2-7B",
-            ModelSpec::llama2_7b(),
-            1,
-            SlaSpec::chat_7b(),
-            &[10, 20, 30, 40, 60, 80, 100],
-        ),
-        (
-            "Llama2-13B",
-            ModelSpec::llama2_13b(),
-            1,
-            SlaSpec::chat_7b(),
-            &[10, 20, 30, 40, 60, 80, 100],
-        ),
-        (
-            "Llama2-70B (4xA100)",
-            ModelSpec::llama2_70b(),
-            4,
-            SlaSpec::chat_70b(),
-            &[100, 200, 300, 400, 500],
-        ),
-    ];
-    type DatasetFn = fn(usize, u64) -> Vec<RequestSpec>;
-    let workloads: [(&'static str, DatasetFn); 4] = [
-        ("ShareGPT-o1", datasets::sharegpt_o1),
-        ("Distribution-1", datasets::distribution_1),
-        ("Distribution-2", datasets::distribution_2),
-        ("Distribution-3", datasets::distribution_3),
-    ];
-    let schedulers = [
-        SchedulerConfig::conservative(),
-        SchedulerConfig::aggressive(0.99),
-        SchedulerConfig::past_future_reserved(0.03),
-    ];
-
-    let mut jobs: Vec<Box<dyn FnOnce() -> Case + Send>> = Vec::new();
-    for (model_name, model, tp, sla, clients_list) in models {
-        let clients_list: Vec<usize> = if cli.quick {
-            clients_list.iter().copied().step_by(2).collect()
-        } else {
-            clients_list.to_vec()
-        };
-        for (dataset_name, builder) in workloads {
-            let warmup = output_lengths(&builder(1000, 888));
-            for scheduler in schedulers.clone() {
-                for &clients in &clients_list {
-                    // Fixed workload size per curve (the paper measures a
-                    // fixed test window at every concurrency level, which
-                    // is what makes goodput plateau beyond saturation).
-                    let n_requests = if tp > 1 {
-                        cli.size(1000, 250)
-                    } else {
-                        cli.size(400, 150)
-                    };
-                    let requests = builder(n_requests, 3);
-                    let warmup = warmup.clone();
-                    let scheduler = scheduler.clone();
-                    jobs.push(Box::new(move || {
-                        let config = SimConfig::builder(model, GpuSpec::a100_80g())
-                            .tensor_parallel(tp)
-                            .scheduler(scheduler)
-                            .sla(sla)
-                            .history_warmup(warmup)
-                            .record_series(false)
-                            .seed(40)
-                            .build();
-                        let report = Simulation::closed_loop(
-                            config,
-                            requests,
-                            ClosedLoopClients::new(clients),
-                        )
-                        .run()
-                        .expect("fig7 simulation");
-                        Case {
-                            model: model_name,
-                            dataset: dataset_name,
-                            scheduler: report.scheduler_name.clone(),
-                            clients,
-                            report,
-                        }
-                    }));
-                }
-            }
-        }
-    }
-
-    let cases = run_parallel(jobs, default_threads());
+    let runs = run_all(&paper::fig7(3, cli.quick));
     let mut table = Table::new([
         "model",
         "dataset",
@@ -130,17 +33,14 @@ fn main() {
         Align::Right,
         Align::Right,
     ]);
-    for case in &cases {
-        table.row([
-            case.model.to_string(),
-            case.dataset.to_string(),
-            case.scheduler.clone(),
-            case.clients.to_string(),
-            format!("{:.0}", case.report.goodput_tok_per_s()),
-            format!("{:.0}", case.report.throughput()),
-            format!("{:.0}", case.report.goodput.satisfied_fraction() * 100.0),
-            format!("{:.1}", case.report.evicted_request_pct()),
-        ]);
+    for run in &runs {
+        let report = run.report.single();
+        table.row(run.name.split('/').map(str::to_string).chain([
+            format!("{:.0}", report.goodput_tok_per_s()),
+            format!("{:.0}", report.throughput()),
+            format!("{:.0}", report.goodput.satisfied_fraction() * 100.0),
+            format!("{:.1}", report.evicted_request_pct()),
+        ]));
     }
     cli.emit("fig7", "Figure 7: goodput vs. concurrent clients", &table);
 }

@@ -6,97 +6,13 @@
 //! cargo run --release -p pf-bench --bin fig9 [-- --quick]
 //! ```
 
-use pf_bench::{default_threads, output_lengths, run_parallel, Cli};
-use pf_frameworks::Framework;
-use pf_metrics::{Align, SlaSpec, Table};
-use pf_sim::{GpuSpec, ModelSpec, SimReport, Simulation};
-use pf_workload::{datasets, ClosedLoopClients};
-
-struct Case {
-    model: &'static str,
-    hardware: String,
-    framework: &'static str,
-    report: SimReport,
-}
+use pf_bench::scenario::{paper, run_all};
+use pf_bench::Cli;
+use pf_metrics::{Align, Table};
 
 fn main() {
     let cli = Cli::parse();
-    type Fleet = Vec<(GpuSpec, u32)>;
-    let deployments: [(&'static str, ModelSpec, SlaSpec, Fleet); 3] = [
-        (
-            "Llama2-7B",
-            ModelSpec::llama2_7b(),
-            SlaSpec::chat_7b(),
-            vec![
-                (GpuSpec::a100_80g(), 1),
-                (GpuSpec::h800(), 1),
-                (GpuSpec::rtx_4090(), 1),
-                (GpuSpec::a30(), 1),
-            ],
-        ),
-        (
-            "Llama2-13B",
-            ModelSpec::llama2_13b(),
-            SlaSpec::chat_7b(),
-            vec![
-                (GpuSpec::a100_80g(), 1),
-                (GpuSpec::h800(), 1),
-                (GpuSpec::rtx_4090(), 2),
-                (GpuSpec::a30(), 2),
-            ],
-        ),
-        (
-            "Llama2-70B",
-            ModelSpec::llama2_70b(),
-            SlaSpec::chat_70b(),
-            vec![
-                (GpuSpec::a100_80g(), 4),
-                (GpuSpec::h800(), 4),
-                (GpuSpec::rtx_4090(), 8),
-            ],
-        ),
-    ];
-
-    let mut jobs: Vec<Box<dyn FnOnce() -> Case + Send>> = Vec::new();
-    for (model_name, model, sla, hardware_list) in deployments {
-        for (gpu, tp) in hardware_list {
-            for framework in Framework::FIGURE9 {
-                let warmup = output_lengths(&datasets::sharegpt(1000, 666));
-                jobs.push(Box::new(move || {
-                    let config = framework
-                        .config(model, gpu, tp)
-                        .sla(sla)
-                        .history_warmup(warmup)
-                        .record_series(false)
-                        .seed(60)
-                        .build();
-                    // Load the deployment to ~1.5x its concurrent capacity
-                    // so throughput saturates and SLA pressure appears.
-                    let capacity = config.capacity_tokens();
-                    let avg_footprint = 950u64; // ShareGPT mean input+output
-                    let clients = ((capacity / avg_footprint) * 3 / 2).clamp(8, 256) as usize;
-                    let n_requests = (clients * 4).clamp(120, 1000);
-                    let requests = datasets::sharegpt(n_requests, 5);
-                    let report =
-                        Simulation::closed_loop(config, requests, ClosedLoopClients::new(clients))
-                            .run()
-                            .expect("fig9 simulation");
-                    Case {
-                        model: model_name,
-                        hardware: if tp > 1 {
-                            format!("{} x{}", gpu.name, tp)
-                        } else {
-                            gpu.name.to_string()
-                        },
-                        framework: framework.name(),
-                        report,
-                    }
-                }));
-            }
-        }
-    }
-
-    let cases = run_parallel(jobs, default_threads());
+    let runs = run_all(&paper::fig9(5));
     let mut table = Table::new([
         "model",
         "hardware",
@@ -115,16 +31,14 @@ fn main() {
         Align::Right,
         Align::Right,
     ]);
-    for case in &cases {
-        table.row([
-            case.model.to_string(),
-            case.hardware.clone(),
-            case.framework.to_string(),
-            format!("{:.0}", case.report.throughput()),
-            format!("{:.0}", case.report.goodput_tok_per_s()),
-            format!("{:.0}", case.report.goodput.satisfied_fraction() * 100.0),
-            format!("{:.1}", case.report.evicted_request_pct()),
-        ]);
+    for run in &runs {
+        let report = run.report.single();
+        table.row(run.name.split('/').map(str::to_string).chain([
+            format!("{:.0}", report.throughput()),
+            format!("{:.0}", report.goodput_tok_per_s()),
+            format!("{:.0}", report.goodput.satisfied_fraction() * 100.0),
+            format!("{:.1}", report.evicted_request_pct()),
+        ]));
     }
     cli.emit(
         "fig9",

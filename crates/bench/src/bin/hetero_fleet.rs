@@ -30,12 +30,12 @@
 //! ```
 
 use pf_autoscale::{AutoscaleConfig, PolicyConfig, PredictorKind};
-use pf_bench::scenario::{base, by_name, run_all, Report, Run, Scenario, Topology, Workload};
+use pf_bench::scenario::{base, by_name, run_all, Run, Scenario, Topology, Workload};
 use pf_bench::Cli;
 use pf_metrics::Align::{Left, Right};
 use pf_metrics::{SimDuration, SimTime, Table};
 use pf_sim::cluster::RouterPolicy;
-use pf_sim::disagg::{DisaggConfig, DisaggReport};
+use pf_sim::disagg::DisaggConfig;
 use pf_sim::GpuType;
 use pf_workload::{datasets, rng::seeded, LengthSampler, RateProfile};
 
@@ -108,13 +108,6 @@ fn repurpose_scenario(repurpose: bool, n_prefill: usize, n_decode: usize) -> Sce
     })
 }
 
-fn disagg(run: &Run) -> &DisaggReport {
-    match &run.report {
-        Report::Disagg(report) => report,
-        _ => unreachable!("the repurposing runs are disaggregated"),
-    }
-}
-
 fn main() {
     let cli = Cli::parse();
 
@@ -144,7 +137,7 @@ fn main() {
             .expect("fleets carry GPU costs")
     };
     for run in &runs {
-        let (h, report) = (&run.headline, disagg(run));
+        let (h, report) = (&run.headline, run.report.disagg());
         table.row([
             run.name.clone(),
             h.completed.to_string(),
@@ -168,7 +161,7 @@ fn main() {
 
     let (off, on) = (&runs[0], &runs[1]);
     assert!(
-        !disagg(on).repurposes.is_empty(),
+        !on.report.disagg().repurposes.is_empty(),
         "the phase shift never triggered a repurpose flip"
     );
     assert!(
@@ -195,12 +188,7 @@ fn main() {
         off.headline.sla_attainment
     );
     // Deterministic replay of the repurposing run.
-    let replay = repurposing[1].run(None);
-    assert_eq!(
-        replay.fingerprint, on.fingerprint,
-        "non-deterministic replay"
-    );
-    assert_eq!(cost(&replay), cost(on), "non-deterministic cost");
+    repurposing[1].replay(on);
 
     // Scenario 2 — an all-big static fleet, a mixed static fleet and an
     // elastic fleet over the same mixed slots, on diurnal chat.
@@ -249,10 +237,7 @@ fn main() {
     ])
     .with_aligns(&[Left, Right, Right, Right, Right, Right]);
     for run in &runs {
-        let Report::Elastic(report) = &run.report else {
-            unreachable!("the mixed fleets are elastic");
-        };
-        let h = &run.headline;
+        let (h, report) = (&run.headline, run.report.elastic());
         table.row([
             run.name.clone(),
             h.completed.to_string(),
@@ -292,7 +277,7 @@ fn main() {
         off.headline.ttft_attainment * 100.0,
         cost(on),
         cost(off),
-        disagg(on).repurposes.len(),
+        on.report.disagg().repurposes.len(),
     );
     println!(
         "[ok] mixed 2big+2mid: SLA {:.1}% (all-big {:.1}%) at {:.0} vs {:.0} cost-weighted GPU-s \

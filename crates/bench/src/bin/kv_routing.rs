@@ -30,20 +30,15 @@
 //! cargo run --release -p pf-bench --bin kv_routing [-- --quick]
 //! ```
 
-use pf_autoscale::{AutoscaleConfig, PredictorKind};
-use pf_bench::scenario::{base, by_name, run_all, Run, Scenario, Topology, Workload};
+use pf_bench::scenario::fleets::{prefix_base, prefix_deployments, PREFIX_BUDGET_FRAC};
+use pf_bench::scenario::{by_name, run_all, Run, Scenario, Workload};
 use pf_bench::{pct, Cli};
-use pf_core::SchedulerConfig;
 use pf_metrics::Align::{Left, Right};
-use pf_metrics::{SimDuration, SlaSpec, Table};
+use pf_metrics::{SimDuration, Table};
 use pf_sim::cluster::RouterPolicy;
-use pf_sim::disagg::DisaggConfig;
 use pf_workload::{datasets, LengthSampler};
 
-const CAPACITY: u64 = 48_000;
-const PREFIX_BUDGET_FRAC: f64 = 0.5;
 const BLOCK_TOKENS: u32 = 64;
-const COLOC_INSTANCES: usize = 4;
 
 /// The new stack: overlap scored against the global index, argmin pick.
 const KV_OVERLAP: RouterPolicy = RouterPolicy::KvOverlap {
@@ -64,50 +59,20 @@ fn name(deployment: &str, router: RouterPolicy, delay: SimDuration) -> String {
 }
 
 /// The colocated, elastic and disaggregated deployments under `router`,
-/// whose index sees KV events `delay` late, named by [`name`]. The
-/// reserved-fraction scheduler is as in `prefix_routing`: admission packs
-/// request KV into the half of memory the cache does not own.
+/// whose index sees KV events `delay` late, named by [`name`].
 fn deployments(router: RouterPolicy, delay: SimDuration, n: usize) -> [Scenario; 3] {
-    let mut config = base(67)
-        .scheduler(SchedulerConfig::past_future_reserved(PREFIX_BUDGET_FRAC))
-        .capacity_override(CAPACITY)
-        .sla(SlaSpec::new(
-            SimDuration::from_secs(2),
-            SimDuration::from_millis(1_500),
-        ))
+    let mut config = prefix_base(67)
         .prefix_cache_blocks(PREFIX_BUDGET_FRAC, BLOCK_TOKENS)
         .build();
     config.router.kv_event_delay = delay;
-    let autoscale = AutoscaleConfig::bounded(2, COLOC_INSTANCES)
-        .interval(SimDuration::from_secs(10))
-        .warmup(SimDuration::from_secs(20))
-        .predictor(PredictorKind::holt())
-        .initial_lengths(900.0, 150.0);
+    let [coloc, elastic, disagg] = prefix_deployments(config, router);
     // Two load points just past each deployment's prefill knee, as in
     // `prefix_routing`; comparisons are always within one deployment at
     // matched GPU-seconds.
     [
-        (
-            "coloc-4",
-            Topology::cluster(config.clone(), COLOC_INSTANCES, router),
-            30.0,
-        ),
-        (
-            "elastic-2..4",
-            Topology::Elastic {
-                base: config.clone(),
-                autoscale,
-                initial: 4,
-                router,
-                fleet: Vec::new(),
-            },
-            11.0,
-        ),
-        (
-            "disagg-2p2d",
-            Topology::disagg(DisaggConfig::new(config).router(router), 2, 2),
-            11.0,
-        ),
+        ("coloc-4", coloc, 30.0),
+        ("elastic-2..4", elastic, 11.0),
+        ("disagg-2p2d", disagg, 11.0),
     ]
     .map(|(deployment, topology, sessions_per_sec)| {
         let name = name(deployment, router, delay);
@@ -274,11 +239,7 @@ fn main() {
     for mode in ["coloc-4", "disagg-2p2d"] {
         let first = fresh(&runs, mode, KV_OVERLAP);
         let scenario = by_overlap.iter().find(|s| s.name == first.name);
-        let replay = scenario.expect("deployment").run(None);
-        assert_eq!(
-            replay.fingerprint, first.fingerprint,
-            "{mode}: non-deterministic replay"
-        );
+        let replay = scenario.expect("deployment").replay(first);
         assert_eq!(
             replay.report.prefix_stats(),
             first.report.prefix_stats(),
@@ -290,11 +251,8 @@ fn main() {
         temperature: 0.3,
     };
     let [softmax, ..] = deployments(softmax, SimDuration::from_millis(250), n);
-    let (soft_a, soft_b) = (softmax.run(None), softmax.run(None));
-    assert_eq!(
-        soft_a.fingerprint, soft_b.fingerprint,
-        "softmax routing must replay"
-    );
+    let soft_a = softmax.run(None);
+    let soft_b = softmax.replay(&soft_a);
     assert_eq!(soft_a.report.prefix_stats(), soft_b.report.prefix_stats());
 
     let load_coloc = &fresh(&runs, "coloc-4", RouterPolicy::LeastEstimatedLoad).headline;

@@ -22,13 +22,11 @@
 //! cargo run --release -p pf-bench --bin kv_streaming [-- --quick]
 //! ```
 
-use pf_bench::scenario::{
-    base, by_name, run_all, steady, Report, Run, Scenario, Topology, Workload,
-};
+use pf_bench::scenario::{base, by_name, run_all, steady, Scenario, Topology, Workload};
 use pf_bench::Cli;
 use pf_metrics::Align::{Left, Right};
 use pf_metrics::{SimDuration, SlaSpec, Table};
-use pf_sim::disagg::{DisaggConfig, DisaggReport, KvTransferSpec};
+use pf_sim::disagg::{DisaggConfig, KvTransferSpec};
 use pf_workload::{datasets, LengthSampler};
 
 /// Link widths swept, widest first. 8 GB/s comfortably clears the
@@ -70,13 +68,6 @@ fn scenario(gbps: f64, streamed: bool, n: usize) -> Scenario {
     })
 }
 
-fn disagg(run: &Run) -> &DisaggReport {
-    match &run.report {
-        Report::Disagg(report) => report,
-        _ => unreachable!("every run here is disaggregated"),
-    }
-}
-
 fn main() {
     let cli = Cli::parse();
     let n = cli.size(240, 160);
@@ -99,7 +90,7 @@ fn main() {
     .with_aligns(&[Right, Left, Right, Right, Right, Right, Right, Right]);
     for run in &runs {
         let (gbps, mode) = run.name.split_once(' ').expect("gbps and mode");
-        let (h, report) = (&run.headline, disagg(run));
+        let (h, report) = (&run.headline, run.report.disagg());
         table.row([
             gbps.to_string(),
             mode.to_string(),
@@ -126,7 +117,10 @@ fn main() {
         let atomic = by_name(&runs, &name(gbps, false));
         let streamed = by_name(&runs, &name(gbps, true));
         let (a, s) = (&atomic.headline, &streamed.headline);
-        let (a_link, s_link) = (disagg(atomic).transfers, disagg(streamed).transfers);
+        let (a_link, s_link) = (
+            atomic.report.disagg().transfers,
+            streamed.report.disagg().transfers,
+        );
         assert_eq!(s.completed, a.completed, "{gbps} GB/s");
         assert_eq!(s_link.total_bytes, a_link.total_bytes, "{gbps} GB/s");
         assert_eq!(s_link.transfers, a_link.transfers, "{gbps} GB/s");
@@ -160,12 +154,7 @@ fn main() {
 
     // Deterministic replay at the narrowest link.
     let narrowest = *LINK_GBPS.last().expect("sweep");
-    let first = by_name(&runs, &name(narrowest, true));
-    let replay = scenario(narrowest, true, n).run(None);
-    assert_eq!(
-        replay.fingerprint, first.fingerprint,
-        "non-deterministic replay"
-    );
+    scenario(narrowest, true, n).replay(by_name(&runs, &name(narrowest, true)));
 
     let widest = &by_name(&runs, &name(LINK_GBPS[0], true)).headline;
     let widest_atomic = &by_name(&runs, &name(LINK_GBPS[0], false)).headline;

@@ -26,19 +26,13 @@
 //! cargo run --release -p pf-bench --bin prefix_routing [-- --quick]
 //! ```
 
-use pf_autoscale::{AutoscaleConfig, PredictorKind};
-use pf_bench::scenario::{base, by_name, run_all, Scenario, Topology, Workload};
+use pf_bench::scenario::fleets::{prefix_base, prefix_deployments, PREFIX_BUDGET_FRAC};
+use pf_bench::scenario::{by_name, run_all, Scenario, Workload};
 use pf_bench::{pct, Cli};
-use pf_core::SchedulerConfig;
 use pf_metrics::Align::{Left, Right};
-use pf_metrics::{SimDuration, SlaSpec, Table};
+use pf_metrics::Table;
 use pf_sim::cluster::RouterPolicy;
-use pf_sim::disagg::DisaggConfig;
 use pf_workload::{datasets, LengthSampler};
-
-const CAPACITY: u64 = 48_000;
-const PREFIX_BUDGET_FRAC: f64 = 0.5;
-const COLOC_INSTANCES: usize = 4;
 
 const AFFINITY: RouterPolicy = RouterPolicy::PrefixAffinity {
     load_tiebreak: true,
@@ -49,54 +43,18 @@ fn name(deployment: &str, router: RouterPolicy) -> String {
 }
 
 /// The three deployments under `router`, named by [`name`].
-/// The scheduler's reserved fraction matches the cache budget: admission
-/// packs request KV into the other half of memory, so a saturated queue
-/// does not squeeze the prefix cache to zero (the same split a real
-/// deployment makes when it provisions prefix-cache blocks).
 fn deployments(router: RouterPolicy, n: usize) -> [Scenario; 3] {
-    let config = base(61)
-        .scheduler(SchedulerConfig::past_future_reserved(PREFIX_BUDGET_FRAC))
-        .capacity_override(CAPACITY)
-        .prefix_cache(PREFIX_BUDGET_FRAC)
-        // Interactive-chat TTFT bound: multi-turn users notice first-token
-        // stalls far sooner than the 10 s batch-style default.
-        .sla(SlaSpec::new(
-            SimDuration::from_secs(2),
-            SimDuration::from_millis(1_500),
-        ))
-        .build();
-    let autoscale = AutoscaleConfig::bounded(2, COLOC_INSTANCES)
-        .interval(SimDuration::from_secs(10))
-        .warmup(SimDuration::from_secs(20))
-        .predictor(PredictorKind::holt())
-        .initial_lengths(900.0, 150.0);
+    let config = prefix_base(61).prefix_cache(PREFIX_BUDGET_FRAC).build();
+    let [coloc, elastic, disagg] = prefix_deployments(config, router);
     // Two load points, each just past its deployment's prefill knee: the
     // 4-engine colocated fleet takes the full stream; the disaggregated
     // split (only two prefill GPUs) and the elastic fleet (averages fewer
     // than four live replicas) take a 0.8x stream. Comparisons are always
     // within one deployment at matched GPU-seconds.
     [
-        (
-            "coloc-4",
-            Topology::cluster(config.clone(), COLOC_INSTANCES, router),
-            10.5,
-        ),
-        (
-            "elastic-1..4",
-            Topology::Elastic {
-                base: config.clone(),
-                autoscale,
-                initial: 4,
-                router,
-                fleet: Vec::new(),
-            },
-            7.2,
-        ),
-        (
-            "disagg-2p2d",
-            Topology::disagg(DisaggConfig::new(config).router(router), 2, 2),
-            7.2,
-        ),
+        ("coloc-4", coloc, 10.5),
+        ("elastic-1..4", elastic, 7.2),
+        ("disagg-2p2d", disagg, 7.2),
     ]
     .map(|(deployment, topology, sessions_per_sec)| {
         Scenario::new(name(deployment, router), 62, topology, move |seed| {
@@ -221,13 +179,9 @@ fn main() {
 
     // Deterministic replay: same inputs, bit-identical outcome.
     for mode in ["coloc-4", "disagg-2p2d"] {
-        let scenario = by_affinity.iter().find(|s| s.name == name(mode, AFFINITY));
-        let replay = scenario.expect("deployment").run(None);
-        let first = by_name(&runs, &replay.name);
-        assert_eq!(
-            replay.fingerprint, first.fingerprint,
-            "{mode}: non-deterministic replay"
-        );
+        let first = by_name(&runs, &name(mode, AFFINITY));
+        let scenario = by_affinity.iter().find(|s| s.name == first.name);
+        let replay = scenario.expect("deployment").replay(first);
         assert_eq!(
             replay.report.prefix_stats(),
             first.report.prefix_stats(),

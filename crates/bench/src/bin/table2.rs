@@ -6,60 +6,13 @@
 //! cargo run --release -p pf-bench --bin table2 [-- --quick]
 //! ```
 
-use pf_bench::{default_threads, run_parallel, Cli};
-use pf_frameworks::Framework;
+use pf_bench::scenario::{paper, run_all};
+use pf_bench::Cli;
 use pf_metrics::{Align, Table};
-use pf_sim::{GpuSpec, ModelSpec, SimReport, Simulation};
-use pf_workload::{datasets, RequestSpec};
 
 fn main() {
     let cli = Cli::parse();
-    let n = cli.size(2000, 300);
-    type DatasetFn = fn(usize, u64) -> Vec<RequestSpec>;
-    let cases: [(&'static str, ModelSpec, DatasetFn); 3] = [
-        (
-            "Qwen-VL-Chat",
-            ModelSpec::qwen_vl_chat(),
-            datasets::textvqa_qwen_vl,
-        ),
-        (
-            "Llava-1.5-7B",
-            ModelSpec::llava_15_7b(),
-            datasets::textvqa_llava,
-        ),
-        (
-            "Llava-1.5-13B",
-            ModelSpec::llava_15_13b(),
-            datasets::textvqa_llava,
-        ),
-    ];
-
-    type Job = Box<dyn FnOnce() -> (&'static str, SimReport, SimReport) + Send>;
-    let mut jobs: Vec<Job> = Vec::new();
-    for (name, model, dataset) in cases {
-        jobs.push(Box::new(move || {
-            let requests = dataset(n, 42);
-            let origin = Framework::HfOriginal
-                .config(model, GpuSpec::a100_80g(), 1)
-                .record_series(false)
-                .seed(1)
-                .build();
-            let origin_report = Simulation::offline(origin, requests.clone())
-                .run()
-                .expect("origin run");
-            let lightllm = Framework::LightLlm
-                .config(model, GpuSpec::a100_80g(), 1)
-                .record_series(false)
-                .seed(1)
-                .build();
-            let lightllm_report = Simulation::offline(lightllm, requests)
-                .run()
-                .expect("lightllm run");
-            (name, origin_report, lightllm_report)
-        }));
-    }
-    let results = run_parallel(jobs, default_threads());
-
+    let runs = run_all(&paper::table2(42, cli.size(2000, 300)));
     let mut table = Table::new([
         "Model",
         "Origin (tokens/s)",
@@ -67,12 +20,20 @@ fn main() {
         "speedup",
     ])
     .with_aligns(&[Align::Left, Align::Right, Align::Right, Align::Right]);
-    for (name, origin, lightllm) in &results {
+    for pair in runs.chunks(2) {
+        let [origin, lightllm] = pair else {
+            unreachable!("table2 runs come in origin/LightLLM pairs")
+        };
+        let model = origin.name.split('/').next().expect("a named run");
+        let (origin, lightllm) = (
+            origin.report.single().throughput(),
+            lightllm.report.single().throughput(),
+        );
         table.row([
-            name.to_string(),
-            format!("{:.2}", origin.throughput()),
-            format!("{:.2}", lightllm.throughput()),
-            format!("{:.2}x", lightllm.throughput() / origin.throughput()),
+            model.to_string(),
+            format!("{origin:.2}"),
+            format!("{lightllm:.2}"),
+            format!("{:.2}x", lightllm / origin),
         ]);
     }
     cli.emit(

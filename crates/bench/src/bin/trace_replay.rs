@@ -14,7 +14,7 @@
 //! ```
 
 use pf_autoscale::{AutoscaleConfig, PredictorKind};
-use pf_bench::scenario::{base, run_all, Report, Scenario, Topology, Workload};
+use pf_bench::scenario::{base, run_all, Scenario, Topology, Workload};
 use pf_bench::Cli;
 use pf_metrics::Align::{Left, Right};
 use pf_metrics::{SimDuration, Table};
@@ -115,18 +115,12 @@ fn main() {
         );
         assert_eq!(direct.headline, replay.headline, "{} diverged", direct.name);
     }
-    let (Report::Elastic(elastic_direct), Report::Elastic(elastic_replay)) =
-        (&direct[0].report, &replayed[0].report)
-    else {
-        unreachable!("the first cluster is elastic");
-    };
     assert_eq!(
-        elastic_direct.events, elastic_replay.events,
+        direct[0].report.elastic().events,
+        replayed[0].report.elastic().events,
         "elastic replay diverged on scaling events"
     );
-    let Report::Disagg(disagg_replay) = &replayed[1].report else {
-        unreachable!("the second cluster is disaggregated");
-    };
+    let disagg_replay = replayed[1].report.disagg();
 
     let mut table = Table::new([
         "cluster",

@@ -8,7 +8,13 @@
 //! * writes `results/<name>.csv` and `results/<name>.md`.
 //!
 //! [`scenario`] is the registry of the runs they make, and its module doc
-//! is the experiment index.
+//! is the experiment index. Every bench that simulates, the configurable
+//! `simulate` runner aside, runs registry [`scenario::Scenario`]s and
+//! renders its tables from the [`scenario::Run`]s. The paper benches take
+//! their scenario lists from [`scenario::paper`] and the `autoscale` and
+//! `disagg` benches theirs from [`scenario::fleets`], each a function of
+//! the seed and the size; the golden bands call the same constructors, so
+//! they check the very runs the benches print.
 
 #![warn(missing_docs)]
 

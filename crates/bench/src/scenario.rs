@@ -9,9 +9,10 @@
 //! and a 64-bit fingerprint of the report.
 //!
 //! Most scenarios start from [`base`], the Llama2-7B on A100-80G
-//! deployment, and arrive on a [`steady`] cadence or a seeded stream.
-//! A scenario that must rerun over a seed bank is built by a function of
-//! the seed alone, so a sweep can call it once per seed.
+//! deployment, and arrive on a [`steady`] cadence, a seeded stream or
+//! from closed-loop clients. A bench's scenarios are built by a function
+//! of the workload seed and the size, so a sweep can rerun them over a
+//! seed bank and a test can read the very runs a bench prints.
 //!
 //! [`goldens`] is the pinned subset: the test suite fingerprints each of
 //! its runs against `tests/golden/report_fingerprints.txt` and explains
@@ -20,15 +21,20 @@
 //! The experiments, one binary each under `src/bin` (all accept `--quick`
 //! and `--out <dir>`):
 //!
-//! * paper figures and tables: `fig1`, `fig3`–`fig9`, `table1`, `table2`,
-//!   and the Past-Future ablations `ablation` (sampling passes and
-//!   history window);
+//! * paper figures and tables, each a scenario list from [`paper`]:
+//!   `fig1`, `fig7`, `fig8`, `fig9`, `table1`, `table2`, and the
+//!   Past-Future ablations `ablation` (sampling passes and history
+//!   window); `fig3`–`fig6` run no simulation (length-history similarity
+//!   and the admission rule on toy batches);
 //! * fleet extensions, each a scenario list plus its claim:
-//!   `cluster_routing`, `autoscale`, `disagg`, `kv_streaming`,
-//!   `prefix_routing`, `kv_routing`, `hetero_fleet`, `deadline_sched`,
-//!   `trace_replay` and `trace_viz`;
+//!   `cluster_routing`, `autoscale` and `disagg` (their fleets in
+//!   [`fleets`]), `kv_streaming`, `prefix_routing`, `kv_routing`,
+//!   `hetero_fleet`, `deadline_sched`, `trace_replay` and `trace_viz`;
 //! * `sweep` reruns the headline scenarios over a seed bank, and
 //!   `simulate` runs one configurable deployment.
+
+pub mod fleets;
+pub mod paper;
 
 use std::sync::Arc;
 
@@ -48,7 +54,7 @@ use pf_sim::{
     RouterConfig, SimConfig, SimConfigBuilder, SimReport, Simulation,
 };
 use pf_workload::rng::seeded;
-use pf_workload::{datasets, LengthSampler, PoissonArrivals, RequestSpec};
+use pf_workload::{datasets, ClosedLoopClients, LengthSampler, PoissonArrivals, RequestSpec};
 
 use crate::{default_threads, run_parallel};
 
@@ -81,13 +87,18 @@ pub enum Workload {
     Offline(Vec<RequestSpec>),
     /// One non-decreasing arrival instant per request.
     Timed(Vec<RequestSpec>, Vec<SimTime>),
+    /// This many closed-loop clients with zero think time, each issuing
+    /// its next request when the last one finishes (one engine only).
+    ClosedLoop(Vec<RequestSpec>, usize),
 }
 
 impl Workload {
     /// The requests, whatever their arrival discipline.
     pub fn requests(&self) -> &[RequestSpec] {
         match self {
-            Workload::Offline(requests) | Workload::Timed(requests, _) => requests,
+            Workload::Offline(requests)
+            | Workload::Timed(requests, _)
+            | Workload::ClosedLoop(requests, _) => requests,
         }
     }
 }
@@ -195,6 +206,35 @@ pub enum Report {
 }
 
 impl Report {
+    /// The engine's report of a [`Topology::Single`] run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run had another topology, as [`Report::elastic`] and
+    /// [`Report::disagg`] do.
+    pub fn single(&self) -> &SimReport {
+        match self {
+            Report::Single(r) => r,
+            _ => panic!("not a single-engine report"),
+        }
+    }
+
+    /// The fleet's report of a [`Topology::Elastic`] run.
+    pub fn elastic(&self) -> &ElasticReport {
+        match self {
+            Report::Elastic(r) => r,
+            _ => panic!("not an elastic-fleet report"),
+        }
+    }
+
+    /// The pools' report of a disaggregated run.
+    pub fn disagg(&self) -> &DisaggReport {
+        match self {
+            Report::Disagg(r) => r,
+            _ => panic!("not a disaggregated report"),
+        }
+    }
+
     /// End of the run: the latest instance finish time.
     pub fn makespan(&self) -> SimDuration {
         match self {
@@ -290,26 +330,29 @@ impl Scenario {
     /// # Panics
     ///
     /// Panics, naming the scenario, if the simulation rejects its
-    /// deployment or workload, or if a fleet topology gets an offline
-    /// workload.
+    /// deployment or workload, or if a fleet topology gets an offline or
+    /// closed-loop workload.
     pub fn run(&self, sink: Option<&mut dyn TraceSink>) -> Run {
-        let (requests, arrivals) = match self.workload() {
-            Workload::Offline(requests) => (requests, None),
-            Workload::Timed(requests, arrivals) => (requests, Some(arrivals)),
-        };
-        let timed = |arrivals: Option<Vec<SimTime>>| {
-            arrivals.unwrap_or_else(|| panic!("{}: a fleet needs arrival times", self.name))
+        let timed = || match self.workload() {
+            Workload::Timed(requests, arrivals) => (requests, arrivals),
+            _ => panic!("{}: a fleet needs arrival times", self.name),
         };
         let report = match self.topology.clone() {
-            Topology::Single(config) => match arrivals {
-                None => Simulation::offline(config, requests),
-                Some(arrivals) => Simulation::with_arrivals(config, requests, arrivals),
+            Topology::Single(config) => match self.workload() {
+                Workload::Offline(requests) => Simulation::offline(config, requests),
+                Workload::Timed(requests, arrivals) => {
+                    Simulation::with_arrivals(config, requests, arrivals)
+                }
+                Workload::ClosedLoop(requests, clients) => {
+                    Simulation::closed_loop(config, requests, ClosedLoopClients::new(clients))
+                }
             }
             .run_traced(sink)
             .map(Report::Single),
             Topology::Cluster { configs, policy } => {
+                let (requests, arrivals) = timed();
                 ClusterSimulation::heterogeneous(configs, policy)
-                    .run_traced(requests, timed(arrivals), sink)
+                    .run_traced(requests, arrivals, sink)
                     .map(Report::Cluster)
             }
             Topology::Elastic {
@@ -323,28 +366,52 @@ impl Scenario {
                 if !fleet.is_empty() {
                     cluster = cluster.fleet(fleet);
                 }
+                let (requests, arrivals) = timed();
                 cluster
-                    .run_traced(requests, timed(arrivals), sink)
+                    .run_traced(requests, arrivals, sink)
                     .map(Report::Elastic)
             }
             Topology::Disagg {
                 config,
                 prefill,
                 decode,
-            } => DisaggCluster::new(config, prefill, decode)
-                .run_traced(requests, timed(arrivals), sink)
-                .map(Report::Disagg),
+            } => {
+                let (requests, arrivals) = timed();
+                DisaggCluster::new(config, prefill, decode)
+                    .run_traced(requests, arrivals, sink)
+                    .map(Report::Disagg)
+            }
             Topology::ElasticDisagg {
                 config,
                 prefill,
                 decode,
                 initial: (p, d),
-            } => ElasticDisaggCluster::new(config, prefill, decode, p, d)
-                .run_traced(requests, timed(arrivals), sink)
-                .map(Report::Disagg),
+            } => {
+                let (requests, arrivals) = timed();
+                ElasticDisaggCluster::new(config, prefill, decode, p, d)
+                    .run_traced(requests, arrivals, sink)
+                    .map(Report::Disagg)
+            }
         }
         .unwrap_or_else(|e| panic!("{}: {e}", self.name));
         self.finish(report)
+    }
+
+    /// Runs the scenario again, untraced, and returns the replay.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the scenario, unless the replay reproduces `run`'s
+    /// fingerprint and headline bit for bit.
+    pub fn replay(&self, run: &Run) -> Run {
+        let replay = self.run(None);
+        assert_eq!(
+            (replay.fingerprint, replay.headline),
+            (run.fingerprint, run.headline),
+            "{}: non-deterministic replay",
+            self.name
+        );
+        replay
     }
 
     fn finish(&self, report: Report) -> Run {

@@ -4,9 +4,13 @@
 //! divergence in admission order, timing or RNG use fails it.
 
 use pf_autoscale::AutoscaleConfig;
-use pf_bench::scenario::{base, poisson, sim_fingerprint, Report, Scenario, Topology, Workload};
+use pf_bench::scenario::{
+    base, poisson, sim_fingerprint, Report, Run, Scenario, Topology, Workload,
+};
+use pf_metrics::SimDuration;
 use pf_sim::cluster::RouterPolicy;
-use pf_sim::{Headline, QueueOrder, SimConfig};
+use pf_sim::disagg::{DisaggConfig, TransferStats};
+use pf_sim::{Headline, QueueOrder, RequestOutcome, SimConfig, SimReport};
 use pf_workload::datasets;
 
 const SEEDS: std::ops::Range<u64> = 0..6;
@@ -149,6 +153,109 @@ fn pinned_elastic_fleet_equals_one_member_cluster() {
                 ..elastic.headline()
             };
             assert_eq!(elastic, single, "{name} seed {seed}");
+        }
+    }
+}
+
+/// The constant every arrival moves by in the time-shift relation: whole
+/// microseconds, so every shifted instant stays exact.
+const SHIFT: SimDuration = SimDuration::from_micros(3_700_013);
+
+/// `workload` with every arrival moved `SHIFT` later.
+fn shifted(workload: fn(u64) -> Workload) -> impl Fn(u64) -> Workload {
+    move |seed| match workload(seed) {
+        Workload::Timed(requests, arrivals) => Workload::Timed(
+            requests,
+            arrivals.into_iter().map(|at| at + SHIFT).collect(),
+        ),
+        _ => unreachable!("every member's workload is timed"),
+    }
+}
+
+/// The headline terms that do not depend on where the run starts (the
+/// rates and the provisioned time run over the makespan, which moves).
+fn clockless(h: Headline) -> Headline {
+    Headline {
+        goodput_tok_per_s: 0.0,
+        gpu_seconds: 0.0,
+        cost_weighted_gpu_seconds: None,
+        ..h
+    }
+}
+
+/// Every engine's step, KV and routed counters, engine by engine, or the
+/// unserved count and link totals of a disaggregated run.
+fn counters(report: &Report) -> (Vec<[u64; 6]>, Option<(usize, TransferStats)>) {
+    let engine = |r: &SimReport, routed: usize| {
+        [
+            r.decode_steps,
+            r.prefill_steps,
+            r.unfinished as u64,
+            r.kv_used_tokens_end,
+            r.prefix_cached_tokens,
+            routed as u64,
+        ]
+    };
+    match report {
+        Report::Single(r) => (vec![engine(r, 0)], None),
+        Report::Cluster(r) => {
+            let routed = r.routed_per_instance.iter();
+            let engines = r.instances.iter().zip(routed);
+            (
+                engines.map(|(r, &routed)| engine(r, routed)).collect(),
+                None,
+            )
+        }
+        Report::Disagg(r) => (Vec::new(), Some((r.unserved, r.transfers))),
+        Report::Elastic(_) => unreachable!("elastic fleets are exempt"),
+    }
+}
+
+/// `moved` is `base` with every timing shifted by `SHIFT`: the same
+/// requests in the same order on the same engines, with the same
+/// latencies and counters, each arrival (and so every token instant and
+/// the makespan) moved by exactly `SHIFT`.
+fn assert_shifted(what: &str, base: &Run, moved: &Run) {
+    let (b, m) = (&base.report, &moved.report);
+    assert_eq!(b.makespan() + SHIFT, m.makespan(), "{what}");
+    let (bh, mh) = (clockless(base.headline), clockless(moved.headline));
+    assert_eq!(bh, mh, "{what}");
+    assert_eq!(counters(b), counters(m), "{what}");
+    assert_eq!(b.prefix_stats(), m.prefix_stats(), "{what}");
+    let outcomes = |report: &Report, shift: SimDuration| -> Vec<_> {
+        let outcome = |o: &RequestOutcome| {
+            let t = &o.timing;
+            let request = (o.id, o.input_len, o.output_len, o.evictions);
+            let latency = (t.ttft(), t.mtpot(), t.avg_tpot(), t.total_latency());
+            (request, t.arrival() + shift, t.n_tokens(), latency)
+        };
+        report.outcomes().into_iter().map(outcome).collect()
+    };
+    assert_eq!(outcomes(b, SHIFT), outcomes(m, SimDuration::ZERO), "{what}");
+}
+
+/// Relation (c): shifting every arrival by a constant shifts every
+/// timing by that constant and changes nothing else, on one engine, on a
+/// fixed cluster behind the member's router, and on 2p+2d disaggregated
+/// pools (the link's f64 walk included: its totals stay bit-identical).
+/// Nothing in these topologies reads the absolute clock. An elastic fleet
+/// is exempt: its planning rounds fall on multiples of the interval from
+/// t = 0, so a shifted workload meets them at other phases of its load.
+#[test]
+fn shifting_every_arrival_shifts_every_timing() {
+    for seed in SEEDS {
+        for (name, config, router, workload) in members(seed) {
+            let disagg = DisaggConfig::new(config.clone()).router(router);
+            for (shape, topology) in [
+                ("single", Topology::Single(config.clone())),
+                ("cluster", Topology::cluster(config.clone(), 3, router)),
+                ("disagg", Topology::disagg(disagg, 2, 2)),
+            ] {
+                let what = format!("{name} seed {seed} {shape}");
+                let base = Scenario::new(&what, seed, topology.clone(), workload);
+                let moved = Scenario::new(&what, seed, topology, shifted(workload));
+                assert_shifted(&what, &base.run(None), &moved.run(None));
+            }
         }
     }
 }

@@ -11,29 +11,47 @@
 //!   keeps TTFT-SLA attainment at least colocated's on prefill-heavy
 //!   load).
 //!
-//! Workload sizes are scaled down from the full bench runs to keep the
-//! suite fast; the pinned bands were measured on these exact seeds.
+//! Each band reads the runs of the `--quick` bench that prints them,
+//! from the same `pf_bench::scenario` constructor with the same seed and
+//! size; the pinned bands were measured on these runs.
 
-use pf_autoscale::{AutoscaleConfig, PredictorKind};
-use pf_bench::output_lengths;
-use pf_bench::scenario::base;
+use std::sync::OnceLock;
+
+use pf_bench::scenario::{by_name, fleets, paper, run_all, Run, Scenario};
 use pf_core::SchedulerConfig;
-use pf_metrics::SimDuration;
-use pf_sim::disagg::{DisaggCluster, DisaggConfig};
-use pf_sim::elastic::ElasticCluster;
-use pf_sim::{SimReport, Simulation};
-use pf_workload::{datasets, rng::seeded, PoissonArrivals, RateProfile};
+use pf_sim::SimReport;
 
-/// One Table-1-style offline run on Distribution-1 (the `--quick` bench
-/// size, so the pinned bands match `bench --bin table1 -- --quick`).
-fn table1_run(scheduler: SchedulerConfig) -> SimReport {
-    let n = 250;
-    let requests = datasets::distribution_1(n, 1);
-    let warmup = output_lengths(&datasets::distribution_1(1000, 777));
-    let config = base(20).scheduler(scheduler).history_warmup(warmup).build();
-    Simulation::offline(config, requests)
-        .run()
-        .expect("table1 run")
+/// Runs the scenarios of `scenarios` named in `names`, in input order.
+fn run_named(scenarios: Vec<Scenario>, names: &[&str]) -> Vec<Run> {
+    let wanted: Vec<Scenario> = scenarios
+        .into_iter()
+        .filter(|s| names.contains(&s.name.as_str()))
+        .collect();
+    assert_eq!(
+        wanted.len(),
+        names.len(),
+        "missing scenarios among {names:?}"
+    );
+    run_all(&wanted)
+}
+
+/// The four Distribution-1 rows of `table1 --quick` the bands check, run
+/// once and shared by every test that reads them.
+fn table1_run(scheduler: SchedulerConfig) -> &'static SimReport {
+    static RUNS: OnceLock<Vec<Run>> = OnceLock::new();
+    let name = |s: &SchedulerConfig| format!("Distribution-1/{s}");
+    let runs = RUNS.get_or_init(|| {
+        let names = [
+            SchedulerConfig::Oracle,
+            SchedulerConfig::past_future_reserved(0.05),
+            SchedulerConfig::aggressive(0.95),
+            SchedulerConfig::conservative(),
+        ]
+        .map(|s| name(&s));
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        run_named(paper::table1(1, 250), &names)
+    });
+    by_name(runs, &name(&scheduler)).report.single()
 }
 
 #[test]
@@ -99,77 +117,60 @@ fn table1_utilization_ordering_holds() {
 
 #[test]
 fn autoscale_gpu_seconds_saving_band_holds() {
-    let n = 700;
-    let requests = datasets::short_chat(n, 42);
-    let arrivals =
-        RateProfile::diurnal(2.0, 12.0, SimDuration::from_secs(180)).assign(&mut seeded(43), n);
-    let config = || base(41).capacity_override(6_000).build();
-    let autoscale = |min: usize, max: usize| {
-        AutoscaleConfig::bounded(min, max)
-            .interval(SimDuration::from_secs(10))
-            .warmup(SimDuration::from_secs(20))
-            .predictor(PredictorKind::holt())
-            .initial_lengths(160.0, 224.0)
-    };
-    let static_max = ElasticCluster::new(config(), autoscale(4, 4), 4)
-        .run(requests.clone(), arrivals.clone())
-        .expect("static run");
-    let elastic = ElasticCluster::new(config(), autoscale(1, 4), 1)
-        .run(requests, arrivals)
-        .expect("elastic run");
+    // `autoscale --quick`'s diurnal table.
+    let runs = run_named(
+        fleets::autoscale_diurnal(42, 700),
+        &["static-4", "elastic-holt"],
+    );
+    let static_max = by_name(&runs, "static-4").headline;
+    let elastic = by_name(&runs, "elastic-holt").headline;
 
-    let gap = static_max.headline().sla_attainment - elastic.headline().sla_attainment;
+    let gap = static_max.sla_attainment - elastic.sla_attainment;
     assert!(
         gap <= 0.05,
         "elastic SLA {:.3} trails static-max {:.3} by more than 5 points",
-        elastic.headline().sla_attainment,
-        static_max.headline().sla_attainment
+        elastic.sla_attainment,
+        static_max.sla_attainment
     );
-    let saving = 1.0 - elastic.gpu_seconds() / static_max.gpu_seconds();
+    let saving = 1.0 - elastic.gpu_seconds / static_max.gpu_seconds;
     assert!(
         (0.25..=0.65).contains(&saving),
         "GPU-seconds saving {saving:.3} left the golden band [0.25, 0.65] \
          (elastic {:.0}, static-max {:.0})",
-        elastic.gpu_seconds(),
-        static_max.gpu_seconds()
+        elastic.gpu_seconds,
+        static_max.gpu_seconds
     );
 }
 
 #[test]
 fn disagg_ttft_headline_holds() {
-    let n = 900;
-    let requests = datasets::prefill_heavy(n, 51);
-    let arrivals = PoissonArrivals::new(12.0).assign(&mut seeded(52), n);
-    let config = || base(31).capacity_override(9_000).build();
-    let coloc_autoscale = AutoscaleConfig::bounded(4, 4)
-        .interval(SimDuration::from_secs(10))
-        .warmup(SimDuration::from_secs(20));
-    let coloc = ElasticCluster::new(config(), coloc_autoscale, 4)
-        .run(requests.clone(), arrivals.clone())
-        .expect("colocated run");
-    let split = DisaggCluster::new(DisaggConfig::new(config()), 2, 2)
-        .run(requests, arrivals)
-        .expect("disagg run");
+    // `disagg --quick`'s steady prefill-heavy table.
+    let runs = run_named(
+        fleets::disagg_prefill_heavy(51, 900),
+        &["coloc-static-4", "disagg-2p2d"],
+    );
+    let coloc = by_name(&runs, "coloc-static-4").headline;
+    let split = by_name(&runs, "disagg-2p2d").headline;
 
     assert!(
-        split.headline().ttft_attainment >= coloc.goodput.ttft_attainment(),
+        split.ttft_attainment >= coloc.ttft_attainment,
         "disagg TTFT attainment {:.3} fell below colocated {:.3}",
-        split.headline().ttft_attainment,
-        coloc.goodput.ttft_attainment()
+        split.ttft_attainment,
+        coloc.ttft_attainment
     );
     assert!(
-        split.goodput.ttft_secs.p99 <= coloc.goodput.ttft_secs.p99,
+        split.ttft_p99_s <= coloc.ttft_p99_s,
         "disagg TTFT p99 {:.2}s exceeds colocated {:.2}s",
-        split.goodput.ttft_secs.p99,
-        coloc.goodput.ttft_secs.p99
+        split.ttft_p99_s,
+        coloc.ttft_p99_s
     );
     // Matched provisioning: the split spends the same GPU-seconds within
     // a 2% tolerance.
     assert!(
-        split.gpu_seconds() <= coloc.gpu_seconds() * 1.02,
+        split.gpu_seconds <= coloc.gpu_seconds * 1.02,
         "disagg {:.0} GPU-s vs colocated {:.0}",
-        split.gpu_seconds(),
-        coloc.gpu_seconds()
+        split.gpu_seconds,
+        coloc.gpu_seconds
     );
 }
 

@@ -138,11 +138,6 @@ impl LengthHistogram {
         self.total
     }
 
-    /// Number of allocated bins (highest occupied bin + 1).
-    pub fn n_bins(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Raw count in bin `bin` (0 for bins beyond the allocated range).
     pub fn count_in_bin(&self, bin: usize) -> u64 {
         self.counts.get(bin).copied().unwrap_or(0)

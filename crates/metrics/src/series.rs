@@ -88,17 +88,6 @@ impl StepSeries {
         }
     }
 
-    /// Duration-weighted mean over the full recorded range.
-    pub fn overall_mean(&self) -> Option<f64> {
-        let (&(start, _), &(end, _)) = (self.points.first()?, self.points.last()?);
-        if start == end {
-            // Single instant: fall back to the plain mean of point values.
-            let sum: f64 = self.points.iter().map(|&(_, v)| v).sum();
-            return Some(sum / self.points.len() as f64);
-        }
-        self.time_weighted_mean(start, end)
-    }
-
     /// Maximum recorded value.
     pub fn max_value(&self) -> Option<f64> {
         self.points
@@ -228,23 +217,14 @@ mod tests {
         s.record(t(3), 2.0);
         assert_eq!(s.max_value(), Some(5.0));
         // [0,1): 1.0; [1,3): 5.0; the final value never accrues time.
-        let m = s.overall_mean().unwrap();
+        let m = s.time_weighted_mean(t(0), t(3)).unwrap();
         assert!((m - (1.0 + 5.0 * 2.0) / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn single_instant_mean() {
-        let mut s = StepSeries::new();
-        s.record(t(5), 2.0);
-        s.record(t(5), 4.0);
-        assert_eq!(s.overall_mean(), Some(3.0));
     }
 
     #[test]
     fn empty_series() {
         let s = StepSeries::new();
         assert!(s.is_empty());
-        assert_eq!(s.overall_mean(), None);
         assert_eq!(s.max_value(), None);
         assert!(s.downsample(10).is_empty());
     }
@@ -291,7 +271,8 @@ mod tests {
                 for (i, &v) in values.iter().enumerate() {
                     s.record(SimTime::from_secs(i as u64), v);
                 }
-                let m = s.overall_mean().unwrap();
+                let end = SimTime::from_secs(values.len() as u64 - 1);
+                let m = s.time_weighted_mean(SimTime::ZERO, end).unwrap();
                 let min = values.iter().cloned().fold(f64::INFINITY, f64::min);
                 let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
                 prop_assert!(m >= min - 1e-9 && m <= max + 1e-9);

@@ -106,16 +106,6 @@ pub struct SimilarityMatrix {
 }
 
 impl SimilarityMatrix {
-    /// Builds a matrix from row-major values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len() != n * n`.
-    pub fn from_values(n: usize, values: Vec<f64>) -> Self {
-        assert_eq!(values.len(), n * n, "matrix shape mismatch");
-        SimilarityMatrix { n, values }
-    }
-
     /// Matrix dimension (number of windows).
     pub fn len(&self) -> usize {
         self.n
@@ -250,7 +240,10 @@ mod tests {
 
     #[test]
     fn small_matrices_return_none() {
-        let m = SimilarityMatrix::from_values(1, vec![1.0]);
+        let m = SimilarityMatrix {
+            n: 1,
+            values: vec![1.0],
+        };
         assert_eq!(m.diagonal_mean(), None);
         assert_eq!(m.off_diagonal_mean(), None);
         assert!(!m.is_empty());

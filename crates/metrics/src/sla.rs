@@ -302,26 +302,60 @@ impl GoodputReport {
                 Some(SlaViolation::NoTokens) => violations.no_tokens += 1,
             }
         }
-        let secs = duration.as_secs_f64();
-        let rate = |tokens: u64| {
-            if secs > 0.0 {
-                tokens as f64 / secs
-            } else {
-                0.0
-            }
-        };
         GoodputReport {
             total_requests: requests.len() + timed_out,
             satisfied_requests,
             total_output_tokens,
             satisfied_output_tokens,
             duration,
-            throughput_tok_per_s: rate(total_output_tokens),
-            goodput_tok_per_s: rate(satisfied_output_tokens),
+            throughput_tok_per_s: rate(total_output_tokens, duration),
+            goodput_tok_per_s: rate(satisfied_output_tokens, duration),
             ttft_secs: Summary::of(&ttfts),
             mtpot_secs: Summary::of(&mtpots),
             violations,
         }
+    }
+
+    /// Pools the reports of instances that served disjoint requests into
+    /// one report over `duration`: the counters add, the rates are taken
+    /// over `duration`, and the latency summaries over `timings`, the
+    /// instances' completed requests in order. For instances that share
+    /// one SLA this is [`GoodputReport::compute_with_timeouts`] over the
+    /// pooled requests.
+    pub fn pooled<'a>(
+        parts: impl IntoIterator<Item = &'a GoodputReport>,
+        timings: impl IntoIterator<Item = &'a RequestTiming>,
+        duration: SimDuration,
+    ) -> GoodputReport {
+        let (ttfts, mtpots): (Vec<f64>, Vec<f64>) = timings
+            .into_iter()
+            .filter_map(|t| Some((t.ttft()?.as_secs_f64(), t.mtpot().as_secs_f64())))
+            .unzip();
+        let mut pooled = GoodputReport {
+            total_requests: 0,
+            satisfied_requests: 0,
+            total_output_tokens: 0,
+            satisfied_output_tokens: 0,
+            duration,
+            throughput_tok_per_s: 0.0,
+            goodput_tok_per_s: 0.0,
+            ttft_secs: Summary::of(&ttfts),
+            mtpot_secs: Summary::of(&mtpots),
+            violations: ViolationCounts::default(),
+        };
+        for part in parts {
+            pooled.total_requests += part.total_requests;
+            pooled.satisfied_requests += part.satisfied_requests;
+            pooled.total_output_tokens += part.total_output_tokens;
+            pooled.satisfied_output_tokens += part.satisfied_output_tokens;
+            pooled.violations.ttft += part.violations.ttft;
+            pooled.violations.mtpot += part.violations.mtpot;
+            pooled.violations.no_tokens += part.violations.no_tokens;
+            pooled.violations.timed_out += part.violations.timed_out;
+        }
+        pooled.throughput_tok_per_s = rate(pooled.total_output_tokens, duration);
+        pooled.goodput_tok_per_s = rate(pooled.satisfied_output_tokens, duration);
+        pooled
     }
 
     /// Fraction of requests that satisfied the SLA (1.0 when empty).
@@ -372,6 +406,16 @@ impl GoodputReport {
         self.violations.timed_out == 0
             && self.ttft_secs.p99 <= sla.max_ttft.as_secs_f64()
             && self.mtpot_secs.p99 <= sla.max_mtpot.as_secs_f64()
+    }
+}
+
+/// Tokens per second over `duration` (zero over an empty interval).
+fn rate(tokens: u64, duration: SimDuration) -> f64 {
+    let secs = duration.as_secs_f64();
+    if secs > 0.0 {
+        tokens as f64 / secs
+    } else {
+        0.0
     }
 }
 
@@ -515,6 +559,30 @@ mod tests {
         // A run with cancellations can never be P99-compliant.
         assert!(without.is_p99_compliant(&sla));
         assert!(!with.is_p99_compliant(&sla));
+    }
+
+    #[test]
+    fn pooled_equals_compute_over_the_pooled_requests() {
+        let sla = SlaSpec::chat_7b();
+        let timing = |first: f64, last: f64| {
+            let mut t = RequestTiming::new(SimTime::ZERO);
+            t.record_token(secs(first));
+            t.record_token(secs(last));
+            t
+        };
+        let a = [(timing(0.5, 0.6), 100), (timing(20.0, 20.1), 300)];
+        let b = [(timing(0.2, 4.0), 50), (timing(1.0, 1.5), 70)];
+        let duration = SimDuration::from_secs(10);
+        let parts = [
+            GoodputReport::compute_with_timeouts(&sla, &a, duration, 2),
+            GoodputReport::compute_with_timeouts(&sla, &b, duration, 1),
+        ];
+        let all: Vec<_> = a.iter().chain(&b).copied().collect();
+        let pooled = GoodputReport::pooled(&parts, all.iter().map(|(t, _)| t), duration);
+        assert_eq!(
+            pooled,
+            GoodputReport::compute_with_timeouts(&sla, &all, duration, 3)
+        );
     }
 
     #[test]

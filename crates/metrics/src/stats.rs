@@ -108,12 +108,6 @@ impl Summary {
             p99: percentile_sorted(&sorted, 99.0),
         }
     }
-
-    /// Summarizes an iterator of values.
-    pub fn from_samples<I: IntoIterator<Item = f64>>(iter: I) -> Summary {
-        let values: Vec<f64> = iter.into_iter().collect();
-        Summary::of(&values)
-    }
 }
 
 impl fmt::Display for Summary {

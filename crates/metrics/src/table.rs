@@ -77,11 +77,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders as a GitHub-flavored markdown table.
     pub fn to_markdown(&self) -> String {
         let mut out = String::new();
@@ -203,11 +198,6 @@ mod tests {
         assert_eq!(lines[0], "name   value");
         assert_eq!(lines[2], "alpha      1");
         assert_eq!(lines[3], "beta      22");
-    }
-
-    #[test]
-    fn n_rows_counts() {
-        assert_eq!(sample().n_rows(), 2);
     }
 
     #[test]

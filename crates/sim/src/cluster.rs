@@ -72,7 +72,7 @@
 //! # Ok::<(), pf_sim::SimError>(())
 //! ```
 
-use pf_metrics::{SimDuration, SimTime, Summary};
+use pf_metrics::{GoodputReport, SimDuration, SimTime};
 use pf_obs::TraceSink;
 use pf_workload::RequestSpec;
 
@@ -360,48 +360,26 @@ impl ClusterReport {
         }
     }
 
-    /// The cluster's headline: counters summed over instances, attainment
-    /// over every instance's requests, latency percentiles over the pooled
-    /// completed requests, and the fixed fleet provisioned for the whole
-    /// cluster makespan.
+    /// The cluster's headline: the SLA terms of one goodput report pooled
+    /// over every instance's requests on the cluster makespan, counters
+    /// summed over instances, and the fixed fleet provisioned for the
+    /// whole makespan.
     pub fn headline(&self) -> Headline {
-        let sum = |f: fn(&SimReport) -> usize| self.instances.iter().map(f).sum::<usize>();
-        let total = sum(|r| r.goodput.total_requests);
-        let satisfied = sum(|r| r.goodput.satisfied_requests);
-        let ttft_ok = sum(|r| r.goodput.ttft_ok_count());
-        let fraction = |n: usize| {
-            if total == 0 {
-                1.0
-            } else {
-                n as f64 / total as f64
-            }
-        };
-        // The samples `GoodputReport` summarizes per instance, pooled.
-        let started = || {
+        let goodput = GoodputReport::pooled(
+            self.instances.iter().map(|r| &r.goodput),
             self.instances
                 .iter()
                 .flat_map(|r| &r.outcomes)
-                .filter(|o| o.timing.ttft().is_some())
-        };
-        let ttft = Summary::from_samples(
-            started()
-                .filter_map(|o| o.timing.ttft())
-                .map(|t| t.as_secs_f64()),
+                .map(|o| &o.timing),
+            self.makespan(),
         );
-        let mtpot = Summary::from_samples(started().map(|o| o.timing.mtpot().as_secs_f64()));
         Headline {
-            completed: sum(|r| r.completed),
-            satisfied,
-            timed_out: sum(|r| r.timed_out),
-            sla_attainment: fraction(satisfied),
-            ttft_attainment: fraction(ttft_ok),
-            goodput_tok_per_s: self.goodput_tok_per_s(),
-            ttft_p50_s: ttft.p50,
-            ttft_p99_s: ttft.p99,
-            mtpot_p99_s: mtpot.p99,
+            completed: self.instances.iter().map(|r| r.completed).sum(),
+            timed_out: self.instances.iter().map(|r| r.timed_out).sum(),
             evictions: self.instances.iter().map(|r| r.evictions).sum(),
             gpu_seconds: self.instances.len() as f64 * self.makespan().as_secs_f64(),
             cost_weighted_gpu_seconds: None,
+            ..Headline::of_goodput(&goodput)
         }
     }
 

@@ -948,6 +948,9 @@ struct Run<'s> {
     timed_out: usize,
     outcomes: Vec<RequestOutcome>,
     clock: SimTime,
+    /// The base config's `max_sim_time` in µs (`u64::MAX` without one):
+    /// the run stops at the first event at or past it.
+    horizon_us: u64,
     series: SeriesGroup,
     last_series_at: SimTime,
     stats: TransferStats,
@@ -1046,6 +1049,10 @@ impl<'s> Run<'s> {
             timed_out: 0,
             outcomes: Vec::with_capacity(requests.len()),
             clock: SimTime::ZERO,
+            horizon_us: config
+                .base
+                .max_sim_time
+                .map_or(u64::MAX, |limit| limit.as_micros()),
             series: SeriesGroup::new(),
             last_series_at: SimTime::ZERO,
             stats: TransferStats::default(),
@@ -1125,6 +1132,10 @@ impl<'s> Run<'s> {
 
     fn drive(mut self) -> Result<DisaggReport, SimError> {
         while let Some(Scheduled { at_us, ev, .. }) = self.heap.pop() {
+            if at_us >= self.horizon_us {
+                // Requests still in flight count as unserved.
+                break;
+            }
             let now = SimTime::from_micros(at_us);
             self.clock = self.clock.max(now);
             match ev {
@@ -2131,7 +2142,8 @@ pub struct DisaggReport {
     pub goodput: GoodputReport,
     /// Run end time.
     pub makespan: SimDuration,
-    /// Requests that never completed (zero unless the run was cut short).
+    /// Requests neither completed nor timed out: those still in flight
+    /// when `max_sim_time` stopped the run.
     pub unserved: usize,
     /// Requests cancelled because their deadline expired before their
     /// prefill started.

@@ -643,7 +643,7 @@ pub(crate) fn pool_planner(
         capacity_tokens: base.capacity_tokens(),
     };
     let max = autoscale.policy.max_replicas;
-    let planner = AutoscalePlanner::with_role(autoscale, base.sla, model, role);
+    let planner = AutoscalePlanner::new(autoscale, base.sla, model, role);
     if slots.is_empty() {
         planner
     } else {

@@ -732,3 +732,42 @@ fn reverse_repurposing_rebalances_a_diurnal_day() {
         assert!(decode.spawned_at < event.at);
     }
 }
+
+/// `max_sim_time` is a hard stop for the disaggregated pools, fixed or
+/// elastic, as for one engine: a horizon at a quarter of the full run's
+/// makespan ends the run by then, and every request it cut off counts as
+/// unserved.
+#[test]
+fn max_sim_time_stops_both_disagg_topologies() {
+    let n = 300;
+    let run = |horizon: Option<SimDuration>, elastic: bool| {
+        let mut config = base_config(12_000);
+        config.max_sim_time = horizon;
+        let (requests, arrivals) = (prefill_heavy_requests(n, 3), steady_arrivals(n, 100));
+        let config = DisaggConfig::new(config);
+        if elastic {
+            ElasticDisaggCluster::new(config, autoscale(1, 4), autoscale(1, 4), 1, 1)
+                .run(requests, arrivals)
+        } else {
+            DisaggCluster::new(config, 2, 2).run(requests, arrivals)
+        }
+        .expect("disagg run")
+    };
+    for elastic in [false, true] {
+        let full = run(None, elastic);
+        assert_eq!(full.unserved, 0);
+        let horizon = full.makespan / 4;
+        let cut = run(Some(horizon), elastic);
+        assert!(
+            cut.makespan <= horizon,
+            "elastic={elastic}: ran to {:?} past the {horizon:?} horizon",
+            cut.makespan
+        );
+        assert!(cut.unserved > 0, "elastic={elastic}");
+        assert_eq!(
+            cut.completed() + cut.timed_out + cut.unserved,
+            n,
+            "elastic={elastic}: every issued request ends exactly once"
+        );
+    }
+}
