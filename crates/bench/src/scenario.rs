@@ -50,8 +50,8 @@ use pf_sim::disagg::{
 };
 use pf_sim::elastic::{ElasticCluster, ElasticReport};
 use pf_sim::{
-    EvictionMode, GpuSpec, GpuType, Headline, ModelSpec, PrefillMode, QueueOrder, RequestOutcome,
-    RouterConfig, SimConfig, SimConfigBuilder, SimReport, Simulation,
+    BatchingMode, EvictionMode, GpuSpec, GpuType, Headline, KvLayout, ModelSpec, PrefillMode,
+    QueueOrder, RequestOutcome, RouterConfig, SimConfig, SimConfigBuilder, SimReport, Simulation,
 };
 use pf_workload::rng::seeded;
 use pf_workload::{datasets, ClosedLoopClients, LengthSampler, PoissonArrivals, RequestSpec};
@@ -723,8 +723,9 @@ fn sysprompt_chat(seed: u64) -> Workload {
 }
 
 /// The pinned scenarios, in golden-file order: every engine shape, and
-/// every `RouterPolicy`, `QueueOrder`, `TransferMode`, `PrefillOrder` and
-/// `RepurposeDirection` variant, across several seeds.
+/// every `RouterPolicy`, `QueueOrder`, `TransferMode`, `PrefillOrder`,
+/// `RepurposeDirection`, `KvLayout`, `BatchingMode`, `EvictionMode` and
+/// `PrefillMode` variant, across several seeds.
 pub fn goldens() -> Vec<Scenario> {
     let mut out = Vec::new();
 
@@ -980,6 +981,48 @@ pub fn goldens() -> Vec<Scenario> {
             71,
             Topology::cluster(config, 3, policy),
             |seed| poisson(datasets::multi_turn_chat(300, seed), 50.0, seed),
+        ));
+    }
+
+    // The memory managers beside the token pool. vLLM's paged pool under
+    // the aggressive watermark evicts, and the prefix cache's pool charge
+    // rounds up to whole blocks.
+    out.push(Scenario::new(
+        "coloc-paged-aggressive-prefix",
+        91,
+        Topology::Single(
+            base(91)
+                .capacity_override(6_000)
+                .kv_layout(KvLayout::Paged { block_size: 16 })
+                .scheduler(SchedulerConfig::aggressive(0.99))
+                .prefix_cache(0.2)
+                .build(),
+        ),
+        |seed| poisson(datasets::multi_turn_chat(300, seed), 30.0, seed),
+    ));
+
+    // Contiguous max-length reservation under continuous batching, and
+    // under the HF-original preset's static batches.
+    for (name, seed, batching, rate) in [
+        ("coloc-contiguous", 92u64, BatchingMode::Continuous, 3.0),
+        (
+            "coloc-contiguous-static",
+            93,
+            BatchingMode::Static { max_batch: 16 },
+            0.5,
+        ),
+    ] {
+        out.push(Scenario::new(
+            name,
+            seed,
+            Topology::Single(
+                base(seed)
+                    .capacity_override(20_000)
+                    .kv_layout(KvLayout::Contiguous)
+                    .batching(batching)
+                    .build(),
+            ),
+            move |seed| poisson(datasets::sharegpt(300, seed), rate, seed),
         ));
     }
 

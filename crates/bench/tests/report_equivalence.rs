@@ -19,14 +19,14 @@ use std::collections::BTreeSet;
 use pf_bench::scenario::{goldens, Report, Topology};
 use pf_sim::cluster::RouterPolicy;
 use pf_sim::disagg::{DisaggConfig, PrefillOrder, RepurposeDirection, TransferMode};
-use pf_sim::{Headline, QueueOrder, SimConfig};
+use pf_sim::{BatchingMode, EvictionMode, Headline, KvLayout, PrefillMode, QueueOrder, SimConfig};
 
 const GOLDEN_PATH: &str = "tests/golden/report_fingerprints.txt";
 const DIGEST_PATH: &str = "tests/golden/report_digests.tsv";
 
 /// Every variant of the config enums a golden must run: new config surface
 /// is pinned by a fingerprint before it ships.
-const VARIANTS: [&str; 14] = [
+const VARIANTS: [&str; 23] = [
     "RouterPolicy::RoundRobin",
     "RouterPolicy::LeastOutstanding",
     "RouterPolicy::LeastUsedMemory",
@@ -41,6 +41,15 @@ const VARIANTS: [&str; 14] = [
     "PrefillOrder::ShortestPromptFirst",
     "RepurposeDirection::PrefillToDecode",
     "RepurposeDirection::DecodeToPrefill",
+    "KvLayout::TokenPool",
+    "KvLayout::Paged",
+    "KvLayout::Contiguous",
+    "BatchingMode::Continuous",
+    "BatchingMode::Static",
+    "EvictionMode::Recompute",
+    "EvictionMode::Swap",
+    "PrefillMode::WholePrompt",
+    "PrefillMode::Chunked",
 ];
 
 /// The config variants one golden runs. Every `match` is exhaustive with no
@@ -55,9 +64,30 @@ fn variants_run(topology: &Topology, report: &Report) -> Vec<&'static str> {
         RouterPolicy::PrefixAffinity { .. } => "RouterPolicy::PrefixAffinity",
         RouterPolicy::KvOverlap { .. } => "RouterPolicy::KvOverlap",
     };
-    let queue = |config: &SimConfig| match config.queue_order {
-        QueueOrder::Fifo => "QueueOrder::Fifo",
-        QueueOrder::LeastSlackFirst { .. } => "QueueOrder::LeastSlackFirst",
+    let engine = |config: &SimConfig| {
+        [
+            match config.queue_order {
+                QueueOrder::Fifo => "QueueOrder::Fifo",
+                QueueOrder::LeastSlackFirst { .. } => "QueueOrder::LeastSlackFirst",
+            },
+            match config.kv_layout {
+                KvLayout::TokenPool => "KvLayout::TokenPool",
+                KvLayout::Paged { .. } => "KvLayout::Paged",
+                KvLayout::Contiguous => "KvLayout::Contiguous",
+            },
+            match config.batching {
+                BatchingMode::Continuous => "BatchingMode::Continuous",
+                BatchingMode::Static { .. } => "BatchingMode::Static",
+            },
+            match config.eviction {
+                EvictionMode::Recompute => "EvictionMode::Recompute",
+                EvictionMode::Swap { .. } => "EvictionMode::Swap",
+            },
+            match config.prefill {
+                PrefillMode::WholePrompt => "PrefillMode::WholePrompt",
+                PrefillMode::Chunked { .. } => "PrefillMode::Chunked",
+            },
+        ]
     };
     let disagg = |config: &DisaggConfig| {
         let transfer = match config.transfer.mode {
@@ -68,23 +98,26 @@ fn variants_run(topology: &Topology, report: &Report) -> Vec<&'static str> {
             PrefillOrder::Fifo => "PrefillOrder::Fifo",
             PrefillOrder::ShortestPromptFirst { .. } => "PrefillOrder::ShortestPromptFirst",
         };
-        vec![
-            queue(&config.base),
-            router(config.router),
-            transfer,
-            prefill,
-        ]
+        let mut run = engine(&config.base).to_vec();
+        run.extend([router(config.router), transfer, prefill]);
+        run
     };
     let mut run = match topology {
-        Topology::Single(config) => vec![queue(config)],
-        Topology::Cluster { configs, policy } => {
-            configs.iter().map(queue).chain([router(*policy)]).collect()
-        }
+        Topology::Single(config) => engine(config).to_vec(),
+        Topology::Cluster { configs, policy } => configs
+            .iter()
+            .flat_map(engine)
+            .chain([router(*policy)])
+            .collect(),
         Topology::Elastic {
             base,
             router: policy,
             ..
-        } => vec![queue(base), router(*policy)],
+        } => {
+            let mut run = engine(base).to_vec();
+            run.push(router(*policy));
+            run
+        }
         Topology::Disagg { config, .. } | Topology::ElasticDisagg { config, .. } => disagg(config),
     };
     if let Report::Disagg(report) = report {
