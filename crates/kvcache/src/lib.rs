@@ -1,16 +1,27 @@
 //! KV-cache memory managers for LLM serving simulation.
 //!
 //! Continuous batching lives or dies by KV-cache memory accounting (paper
-//! Section 2.2). This crate implements the three manager designs the paper
-//! discusses, behind one [`KvCacheManager`] trait:
+//! Section 2.2). The paper contrasts three manager designs; this crate
+//! models them as one allocator, [`KvPool`], with the designs as its
+//! parameters:
 //!
-//! * [`TokenPool`] — token-granularity allocation, LightLLM's
-//!   *TokenAttention* design. Zero internal fragmentation.
-//! * [`PagedPool`] — fixed-size block allocation, vLLM's *PagedAttention*
-//!   design. Internal fragmentation limited to the last block per request.
-//! * [`ContiguousPool`] — contiguous max-length reservation,
-//!   FasterTransformer/ORCA style. Massive reservation waste, shown here as
-//!   the motivating baseline.
+//! * [`KvPool::new`] — block size 1, LightLLM's *TokenAttention*: the
+//!   attention kernel follows a per-request token-index table into one
+//!   global pool, so there is no internal fragmentation.
+//! * [`KvPool::paged`] — blocks of `block_size` slots, vLLM's
+//!   *PagedAttention*: fragmentation is confined to each request's last
+//!   block.
+//! * [`KvPool::contiguous`] — block size 1 with each request's maximum
+//!   length reserved up front, FasterTransformer/ORCA style: the gap
+//!   between the reservation and the tokens actually generated is pure
+//!   waste, the paper's motivating baseline.
+//!
+//! Capacity rounds down to whole blocks. A request of `logical` stored
+//! tokens holds `max(round_up(logical, block_size), floor)` slots, where
+//! `floor` is its `reserve_total` in the reserving pool and 0 otherwise.
+//! There the floor is also a ceiling: growing past the reservation is a
+//! caller bug (a real system sizes the region for the configured maximum),
+//! a `debug_assert!` panic and a [`KvCacheError::Alloc`] in release builds.
 //!
 //! The crate also provides the prefix store KV-aware routers use to
 //! simulate prefix-cache hits on shared prompt prefixes (system prompts,
@@ -30,9 +41,9 @@
 //! # Example
 //!
 //! ```
-//! use pf_kvcache::{KvCacheManager, TokenPool};
+//! use pf_kvcache::{KvCacheManager, KvPool};
 //!
-//! let mut pool = TokenPool::new(1000);
+//! let mut pool = KvPool::new(1000);
 //! pool.allocate(1, 300, 300)?; // prefill: 300 prompt tokens
 //! pool.allocate(2, 100, 100)?;
 //! pool.extend_each(&[1, 2])?;  // one decode step of the batch
@@ -40,6 +51,16 @@
 //! assert_eq!(pool.release(1), 301);
 //! assert_eq!(pool.release(2), 101);
 //! assert_eq!(pool.used_tokens(), 0);
+//!
+//! let mut paged = KvPool::paged(64, 16);
+//! paged.allocate(1, 17, 17)?; // needs 2 blocks = 32 physical slots
+//! assert_eq!((paged.logical_tokens(), paged.used_tokens()), (17, 32));
+//! assert_eq!(paged.overhead_tokens(), 15);
+//!
+//! let mut contiguous = KvPool::contiguous(4096);
+//! // 100-token prompt, but up to 2048 new tokens: reserves 2148 slots.
+//! contiguous.allocate(1, 100, 2148)?;
+//! assert_eq!((contiguous.logical_tokens(), contiguous.used_tokens()), (100, 2148));
 //! # Ok::<(), pf_kvcache::KvCacheError>(())
 //! ```
 
@@ -49,12 +70,12 @@
 mod block;
 mod contiguous;
 mod paged;
+mod pool;
 mod prefix;
 mod token_pool;
 
 pub use block::{block_hash, BlockPrefixCache, KvEvent, KvIndexer, KV_ROOT_HASH};
-pub use contiguous::ContiguousPool;
-pub use paged::PagedPool;
+pub use pool::KvPool;
 pub use prefix::PrefixCacheStats;
 pub use token_pool::TokenPool;
 
@@ -138,7 +159,7 @@ impl From<AllocError> for KvCacheError {
     }
 }
 
-/// Common interface of all KV-cache managers.
+/// The KV-cache manager interface, implemented by [`KvPool`].
 ///
 /// A request's life is [`allocate`](Self::allocate) at admission, one
 /// token of growth per decode step, and [`release`](Self::release) at
@@ -147,11 +168,11 @@ impl From<AllocError> for KvCacheError {
 /// refused, [`extension_shortfall`](Self::extension_shortfall) says how
 /// many slots the caller must free first.
 ///
-/// Implementations distinguish *logical* tokens (tokens whose KV entries are
+/// A manager distinguishes *logical* tokens (tokens whose KV entries are
 /// actually stored) from *physical* tokens (slots consumed, including any
-/// fragmentation or reservation overhead). For [`TokenPool`] the two are
-/// equal; for [`PagedPool`] physical ≥ logical because of partially filled
-/// blocks; for [`ContiguousPool`] physical is the full reservation.
+/// fragmentation or reservation overhead). At block size 1 the two are
+/// equal; with larger blocks physical ≥ logical because of partially
+/// filled blocks; in a reserving pool physical is the full reservation.
 pub trait KvCacheManager: fmt::Debug {
     /// Total capacity in physical token slots.
     fn capacity_tokens(&self) -> u64;
@@ -218,47 +239,21 @@ pub trait KvCacheManager: fmt::Debug {
     /// when [`extension_shortfall`](Self::extension_shortfall) is 0; the
     /// ids must be distinct.
     ///
-    /// The default body is that shortfall check followed by
-    /// `extend(req, 1)` per request; [`TokenPool`] overrides it with a
-    /// single pass over the batch.
-    ///
     /// # Errors
     ///
-    /// Returns [`KvCacheError::Alloc`] when the shortfall is positive and
+    /// Returns [`KvCacheError::Alloc`] when the shortfall is positive or
+    /// a request outgrows its reservation (a caller bug, a
+    /// `debug_assert!` panic in debug builds), and
     /// [`KvCacheError::UnknownRequest`] if any listed request is not
     /// tracked (a `debug_assert!` panic in debug builds); the manager
-    /// state is unchanged on either error. A per-request `extend` failure
-    /// past a zero shortfall (a [`ContiguousPool`] request outgrowing its
-    /// reservation, itself a caller bug) is returned as is, with the
-    /// requests listed before it already grown.
-    fn extend_each(&mut self, requests: &[u64]) -> Result<(), KvCacheError> {
-        if self.extension_shortfall(requests)? > 0 {
-            return Err(AllocError {
-                requested: requests.len() as u64,
-                available: self.available_tokens(),
-            }
-            .into());
-        }
-        for &req in requests {
-            self.extend(req, 1)?;
-        }
-        Ok(())
-    }
+    /// state is unchanged on every error.
+    fn extend_each(&mut self, requests: &[u64]) -> Result<(), KvCacheError>;
 
     /// Highest physical usage ever observed.
     fn peak_used_tokens(&self) -> u64;
 
     /// Number of live requests.
     fn n_requests(&self) -> usize;
-
-    /// Fraction of capacity physically used, in `[0, 1]`.
-    fn utilization(&self) -> f64 {
-        if self.capacity_tokens() == 0 {
-            0.0
-        } else {
-            self.used_tokens() as f64 / self.capacity_tokens() as f64
-        }
-    }
 
     /// Physical-minus-logical overhead (fragmentation / reservation waste).
     fn overhead_tokens(&self) -> u64 {
@@ -284,19 +279,72 @@ mod trait_tests {
         assert_eq!(manager.n_requests(), 0);
     }
 
-    #[test]
-    fn all_managers_satisfy_basic_contract() {
-        check_basic(&mut TokenPool::new(100));
-        check_basic(&mut PagedPool::new(100, 4));
-        check_basic(&mut ContiguousPool::new(100));
+    /// One pool per layout: token, paged and contiguous.
+    fn layouts() -> [KvPool; 3] {
+        [
+            KvPool::new(100),
+            KvPool::paged(100, 4),
+            KvPool::contiguous(100),
+        ]
+    }
+
+    /// Runs `misuse` on a fresh pool of every layout and returns each
+    /// panic message (`None` where it did not panic).
+    fn panic_messages(misuse: impl Fn(&mut KvPool)) -> Vec<Option<String>> {
+        layouts()
+            .into_iter()
+            .map(|mut pool| {
+                let payload =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| misuse(&mut pool)))
+                        .err()?;
+                payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            })
+            .collect()
     }
 
     #[test]
-    fn utilization_bounds() {
-        let mut pool = TokenPool::new(10);
-        assert_eq!(pool.utilization(), 0.0);
-        pool.allocate(1, 10, 10).unwrap();
-        assert_eq!(pool.utilization(), 1.0);
+    fn all_managers_satisfy_basic_contract() {
+        for mut pool in layouts() {
+            check_basic(&mut pool);
+        }
+    }
+
+    #[test]
+    fn duplicate_allocate_panics() {
+        let messages = panic_messages(|pool| {
+            pool.allocate(1, 1, 1).unwrap();
+            let _ = pool.allocate(1, 1, 1);
+        });
+        for message in messages {
+            assert!(message.is_some_and(|m| m.contains("already allocated")));
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn extend_unknown_panics_in_debug() {
+        let extend = panic_messages(|pool| {
+            let _ = pool.extend(9, 1);
+        });
+        let shortfall = panic_messages(|pool| {
+            let _ = pool.extension_shortfall(&[9]);
+        });
+        for message in extend.into_iter().chain(shortfall) {
+            assert!(message.is_some_and(|m| m.contains("unknown request")));
+        }
+    }
+
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn extend_unknown_errors_in_release() {
+        for mut pool in layouts() {
+            let unknown = Err(KvCacheError::UnknownRequest { req: 9 });
+            assert_eq!(pool.extend(9, 1), unknown, "{pool:?}");
+            assert_eq!(pool.extension_shortfall(&[9]).map(|_| ()), unknown);
+        }
     }
 
     #[test]

@@ -1,171 +1,35 @@
-//! Token-granularity KV-cache pool (LightLLM TokenAttention).
+//! LightLLM's TokenAttention: the [`KvPool`] at block size 1.
 
-#![expect(
-    clippy::disallowed_types,
-    reason = "the `requests` map is key-addressed only (get/insert/remove/contains_key/len); nothing iterates it, so its order cannot reach events or reports"
-)]
+use crate::KvPool;
 
-use std::collections::HashMap;
-
-use crate::{AllocError, KvCacheError, KvCacheManager};
-
-/// Token-granularity allocator: every logical token occupies exactly one
-/// physical slot, so there is no internal fragmentation and no reservation.
-///
-/// This models LightLLM's TokenAttention memory manager, where the attention
-/// kernel follows a per-request token-index table into one global KV pool.
-///
-/// # Example
+/// The token-granular [`KvPool`] under its earlier name:
 ///
 /// ```
 /// use pf_kvcache::{KvCacheManager, TokenPool};
 ///
 /// let mut pool = TokenPool::new(100);
 /// pool.allocate(7, 40, 40)?;
-/// assert_eq!(pool.available_tokens(), 60);
 /// assert!(pool.extend(7, 60).is_ok());
 /// assert!(pool.extend(7, 1).is_err()); // full
 /// # Ok::<(), pf_kvcache::KvCacheError>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct TokenPool {
-    capacity: u64,
-    used: u64,
-    peak: u64,
-    requests: HashMap<u64, u64>,
-}
+pub type TokenPool = KvPool;
 
-impl TokenPool {
-    /// Creates a pool with `capacity` token slots.
+impl KvPool {
+    /// A pool of `capacity` slots where every logical token occupies
+    /// exactly one slot: no fragmentation and no reservation.
     pub fn new(capacity: u64) -> Self {
-        TokenPool {
-            capacity,
-            used: 0,
-            peak: 0,
-            requests: HashMap::new(),
-        }
-    }
-
-    fn bump_peak(&mut self) {
-        self.peak = self.peak.max(self.used);
-    }
-}
-
-impl KvCacheManager for TokenPool {
-    fn capacity_tokens(&self) -> u64 {
-        self.capacity
-    }
-
-    fn used_tokens(&self) -> u64 {
-        self.used
-    }
-
-    fn logical_tokens(&self) -> u64 {
-        self.used
-    }
-
-    fn can_admit(&self, tokens: u64, _reserve_total: u64) -> bool {
-        tokens <= self.available_tokens()
-    }
-
-    fn allocate(&mut self, req: u64, tokens: u64, _reserve_total: u64) -> Result<(), AllocError> {
-        assert!(
-            !self.requests.contains_key(&req),
-            "request {req} already allocated"
-        );
-        if tokens > self.available_tokens() {
-            return Err(AllocError {
-                requested: tokens,
-                available: self.available_tokens(),
-            });
-        }
-        self.requests.insert(req, tokens);
-        self.used += tokens;
-        self.bump_peak();
-        Ok(())
-    }
-
-    fn extend(&mut self, req: u64, tokens: u64) -> Result<(), KvCacheError> {
-        let available = self.available_tokens();
-        let Some(held) = self.requests.get_mut(&req) else {
-            debug_assert!(false, "extend of unknown request {req}");
-            return Err(KvCacheError::UnknownRequest { req });
-        };
-        if tokens > available {
-            return Err(AllocError {
-                requested: tokens,
-                available,
-            }
-            .into());
-        }
-        *held += tokens;
-        self.used += tokens;
-        self.bump_peak();
-        Ok(())
-    }
-
-    fn release(&mut self, req: u64) -> u64 {
-        let freed = self.requests.remove(&req).unwrap_or(0);
-        self.used -= freed;
-        freed
-    }
-
-    fn extension_shortfall(&self, requests: &[u64]) -> Result<u64, KvCacheError> {
-        for &req in requests {
-            if !self.requests.contains_key(&req) {
-                debug_assert!(false, "unknown request {req}");
-                return Err(KvCacheError::UnknownRequest { req });
-            }
-        }
-        Ok((requests.len() as u64).saturating_sub(self.available_tokens()))
-    }
-
-    /// One pass: a single capacity check, one touch per entry, and one
-    /// bump of `used` and `peak`. An unknown id rolls back the entries
-    /// already grown.
-    fn extend_each(&mut self, requests: &[u64]) -> Result<(), KvCacheError> {
-        let n = requests.len() as u64;
-        let available = self.available_tokens();
-        if n > available {
-            // Misuse outranks shortage, as in `extension_shortfall`.
-            self.extension_shortfall(requests)?;
-            return Err(AllocError {
-                requested: n,
-                available,
-            }
-            .into());
-        }
-        for (i, &req) in requests.iter().enumerate() {
-            let Some(held) = self.requests.get_mut(&req) else {
-                for grown in &requests[..i] {
-                    *self.requests.get_mut(grown).expect("grown above") -= 1;
-                }
-                debug_assert!(false, "extend of unknown request {req}");
-                return Err(KvCacheError::UnknownRequest { req });
-            };
-            *held += 1;
-        }
-        self.used += n;
-        self.bump_peak();
-        Ok(())
-    }
-
-    fn peak_used_tokens(&self) -> u64 {
-        self.peak
-    }
-
-    fn n_requests(&self) -> usize {
-        self.requests.len()
+        KvPool::with_layout(capacity, 1, false)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{AllocError, KvCacheManager, KvPool};
 
     #[test]
     fn allocate_extend_release_roundtrip() {
-        let mut p = TokenPool::new(50);
+        let mut p = KvPool::new(50);
         p.allocate(1, 20, 20).unwrap();
         p.allocate(2, 10, 10).unwrap();
         assert_eq!(p.used_tokens(), 30);
@@ -179,7 +43,7 @@ mod tests {
 
     #[test]
     fn rejects_over_capacity() {
-        let mut p = TokenPool::new(10);
+        let mut p = KvPool::new(10);
         let err = p.allocate(1, 11, 11).unwrap_err();
         assert_eq!(
             err,
@@ -194,7 +58,7 @@ mod tests {
 
     #[test]
     fn failed_extend_leaves_state() {
-        let mut p = TokenPool::new(10);
+        let mut p = KvPool::new(10);
         p.allocate(1, 8, 8).unwrap();
         assert!(p.extend(1, 3).is_err());
         assert_eq!(p.used_tokens(), 8);
@@ -203,7 +67,7 @@ mod tests {
 
     #[test]
     fn peak_tracks_high_water_mark() {
-        let mut p = TokenPool::new(100);
+        let mut p = KvPool::new(100);
         p.allocate(1, 60, 60).unwrap();
         p.allocate(2, 30, 30).unwrap();
         p.release(1);
@@ -214,7 +78,7 @@ mod tests {
 
     #[test]
     fn no_overhead() {
-        let mut p = TokenPool::new(100);
+        let mut p = KvPool::new(100);
         p.allocate(1, 33, 99).unwrap();
         assert_eq!(p.overhead_tokens(), 0);
         assert_eq!(p.logical_tokens(), p.used_tokens());
@@ -222,37 +86,10 @@ mod tests {
 
     #[test]
     fn can_admit_matches_allocate() {
-        let mut p = TokenPool::new(10);
+        let mut p = KvPool::new(10);
         p.allocate(1, 4, 4).unwrap();
         assert!(p.can_admit(6, 6));
         assert!(!p.can_admit(7, 7));
-    }
-
-    #[test]
-    #[should_panic(expected = "already allocated")]
-    fn duplicate_allocate_panics() {
-        let mut p = TokenPool::new(10);
-        p.allocate(1, 1, 1).unwrap();
-        let _ = p.allocate(1, 1, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown request")]
-    #[cfg(debug_assertions)]
-    fn extend_unknown_panics_in_debug() {
-        let mut p = TokenPool::new(10);
-        let _ = p.extend(9, 1);
-    }
-
-    #[test]
-    #[cfg(not(debug_assertions))]
-    fn extend_unknown_errors_in_release() {
-        let mut p = TokenPool::new(10);
-        assert_eq!(p.extend(9, 1), Err(KvCacheError::UnknownRequest { req: 9 }));
-        assert_eq!(
-            p.extension_shortfall(&[9]),
-            Err(KvCacheError::UnknownRequest { req: 9 })
-        );
     }
 
     mod props {
@@ -279,7 +116,7 @@ mod tests {
         proptest! {
             #[test]
             fn accounting_invariants(ops in proptest::collection::vec(op_strategy(), 0..200)) {
-                let mut pool = TokenPool::new(500);
+                let mut pool = KvPool::new(500);
                 let mut shadow: std::collections::BTreeMap<u64, u64> = Default::default();
                 for op in ops {
                     match op {

@@ -2,12 +2,11 @@
 //! `extension_shortfall` check followed by `extend(req, 1)` per request.
 //! The batched call must succeed exactly when the shortfall is zero, leave
 //! the same accounting as the reference on success, and change nothing on
-//! error — for every manager, whether it overrides the default body
-//! (`TokenPool`) or keeps it (`PagedPool`, `ContiguousPool`).
+//! error — at block size 1, at larger block sizes and in a reserving pool.
 
 use std::collections::BTreeSet;
 
-use pf_kvcache::{ContiguousPool, KvCacheManager, PagedPool, TokenPool};
+use pf_kvcache::{KvCacheManager, KvPool};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -38,7 +37,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 /// The accounting `extend_each` must agree on.
-fn snapshot(pool: &dyn KvCacheManager) -> (u64, u64, u64, usize) {
+fn snapshot(pool: &KvPool) -> (u64, u64, u64, usize) {
     (
         pool.used_tokens(),
         pool.logical_tokens(),
@@ -49,10 +48,7 @@ fn snapshot(pool: &dyn KvCacheManager) -> (u64, u64, u64, usize) {
 
 /// Replays `ops` on `pool`, checking every `Step` against the reference
 /// sequence run on a clone.
-fn check_against_reference<M: KvCacheManager + Clone>(
-    mut pool: M,
-    ops: &[Op],
-) -> Result<(), TestCaseError> {
+fn check_against_reference(mut pool: KvPool, ops: &[Op]) -> Result<(), TestCaseError> {
     let mut live: BTreeSet<u64> = BTreeSet::new();
     for op in ops {
         match *op {
@@ -106,7 +102,7 @@ proptest! {
     fn token_pool_extend_each_matches_reference(
         ops in proptest::collection::vec(op_strategy(), 0..MAX_OPS),
     ) {
-        check_against_reference(TokenPool::new(300), &ops)?;
+        check_against_reference(KvPool::new(300), &ops)?;
     }
 
     #[test]
@@ -114,25 +110,25 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 0..MAX_OPS),
         block_size in 1u64..17,
     ) {
-        check_against_reference(PagedPool::new(300, block_size), &ops)?;
+        check_against_reference(KvPool::paged(300, block_size), &ops)?;
     }
 
     #[test]
     fn contiguous_pool_extend_each_matches_reference(
         ops in proptest::collection::vec(op_strategy(), 0..MAX_OPS),
     ) {
-        check_against_reference(ContiguousPool::new(4 * RESERVE_PAD), &ops)?;
+        check_against_reference(KvPool::contiguous(4 * RESERVE_PAD), &ops)?;
     }
 }
 
 #[test]
 fn token_pool_refuses_a_step_one_slot_short() {
-    let mut pool = TokenPool::new(32);
+    let mut pool = KvPool::new(32);
     pool.allocate(1, 15, 15).unwrap();
     pool.allocate(2, 15, 15).unwrap();
     pool.extend_each(&[1, 2]).unwrap();
     assert_eq!(snapshot(&pool), (32, 32, 32, 2));
-    let mut one_short = TokenPool::new(33);
+    let mut one_short = KvPool::new(33);
     one_short.allocate(1, 16, 16).unwrap();
     one_short.allocate(2, 16, 16).unwrap();
     let error = one_short.extend_each(&[1, 2]).unwrap_err();
@@ -149,28 +145,28 @@ fn token_pool_refuses_a_step_one_slot_short() {
 fn unknown_id_mid_batch_rolls_back_in_release() {
     use pf_kvcache::KvCacheError;
 
-    let pools: Vec<Box<dyn KvCacheManager>> = vec![
-        Box::new(TokenPool::new(100)),
-        Box::new(PagedPool::new(100, 4)),
-        Box::new(ContiguousPool::new(1_000)),
+    let pools = [
+        KvPool::new(100),
+        KvPool::paged(100, 4),
+        KvPool::contiguous(1_000),
     ];
     for mut pool in pools {
         pool.allocate(1, 10, 100).unwrap();
         pool.allocate(2, 20, 100).unwrap();
-        let before = snapshot(&*pool);
+        let before = snapshot(&pool);
         assert_eq!(
             pool.extend_each(&[1, 9, 2]),
             Err(KvCacheError::UnknownRequest { req: 9 }),
             "{pool:?}"
         );
-        assert_eq!(snapshot(&*pool), before, "{pool:?}");
+        assert_eq!(snapshot(&pool), before, "{pool:?}");
         // Request 1 was not left grown: only request 2's tokens remain.
         pool.release(1);
         assert_eq!(pool.logical_tokens(), 20, "{pool:?}");
     }
     // Misuse outranks shortage: a batch that is both short and names an
     // unknown id reports the id.
-    let mut full = TokenPool::new(30);
+    let mut full = KvPool::new(30);
     full.allocate(1, 10, 10).unwrap();
     full.allocate(2, 20, 20).unwrap();
     assert_eq!(
@@ -184,7 +180,7 @@ fn unknown_id_mid_batch_rolls_back_in_release() {
 #[should_panic(expected = "unknown request")]
 #[cfg(debug_assertions)]
 fn unknown_id_mid_batch_panics_in_debug() {
-    let mut pool = TokenPool::new(100);
+    let mut pool = KvPool::new(100);
     pool.allocate(1, 10, 10).unwrap();
     pool.allocate(2, 20, 20).unwrap();
     let _ = pool.extend_each(&[1, 9, 2]);

@@ -1,7 +1,7 @@
 //! Simulation configuration.
 
 use pf_core::SchedulerConfig;
-use pf_kvcache::{ContiguousPool, KvCacheManager, PagedPool, TokenPool};
+use pf_kvcache::KvPool;
 use pf_metrics::{SimDuration, SlaSpec};
 
 use crate::hardware::GpuSpec;
@@ -298,13 +298,13 @@ impl SimConfig {
             .unwrap_or_else(|| self.perf_model().kv_capacity_tokens())
     }
 
-    /// Instantiates the configured KV-cache manager.
-    pub fn build_kv_manager(&self) -> Box<dyn KvCacheManager> {
+    /// Instantiates the KV-cache pool at the configured layout.
+    pub fn build_kv_manager(&self) -> KvPool {
         let capacity = self.capacity_tokens();
         match self.kv_layout {
-            KvLayout::TokenPool => Box::new(TokenPool::new(capacity)),
-            KvLayout::Paged { block_size } => Box::new(PagedPool::new(capacity, block_size)),
-            KvLayout::Contiguous => Box::new(ContiguousPool::new(capacity)),
+            KvLayout::TokenPool => KvPool::new(capacity),
+            KvLayout::Paged { block_size } => KvPool::paged(capacity, block_size),
+            KvLayout::Contiguous => KvPool::contiguous(capacity),
         }
     }
 }
@@ -474,6 +474,8 @@ mod tests {
 
     #[test]
     fn kv_manager_matches_layout() {
+        use pf_kvcache::KvCacheManager;
+
         let base =
             SimConfig::builder(ModelSpec::llama2_7b(), GpuSpec::a100_80g()).capacity_override(1000);
         let token = base.clone().kv_layout(KvLayout::TokenPool).build();

@@ -61,7 +61,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use pf_core::{
     BatchEntry, FutureMemoryEstimator, MemoryState, QueuedRequest, RunningRequest, Scheduler,
 };
-use pf_kvcache::{BlockPrefixCache, KvCacheError, KvCacheManager, KvEvent};
+use pf_kvcache::{BlockPrefixCache, KvCacheError, KvCacheManager, KvEvent, KvPool};
 use pf_metrics::{GoodputReport, RequestTiming, SimDuration, SimTime, StepSeries};
 use pf_obs::{GaugeKind, TraceEvent, TraceSink};
 use pf_workload::{ClosedLoopClients, RequestSpec};
@@ -259,7 +259,7 @@ impl Arrivals {
 pub(crate) struct Engine {
     perf: PerfModel,
     capacity: u64,
-    kv: Box<dyn KvCacheManager>,
+    kv: KvPool,
     scheduler: Box<dyn Scheduler>,
     needs_oracle: bool,
     config: SimConfig,

@@ -50,7 +50,7 @@ pub mod prelude {
         PastFutureScheduler, Scheduler, SchedulerConfig,
     };
     pub use pf_frameworks::{Framework, FrameworkPreset};
-    pub use pf_kvcache::{KvCacheManager, PagedPool, TokenPool};
+    pub use pf_kvcache::{KvCacheManager, KvPool};
     pub use pf_metrics::{GoodputReport, RequestTiming, SimDuration, SimTime, SlaSpec, Summary};
     pub use pf_sim::{GpuSpec, ModelSpec, PerfModel, SimConfig, SimReport, Simulation};
     pub use pf_workload::{datasets, ClosedLoopClients, LengthSampler, RequestSpec};
