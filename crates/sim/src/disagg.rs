@@ -336,6 +336,21 @@ impl DisaggConfig {
         self.decode_slots = decode_slots;
         self
     }
+
+    /// Checks both pools' GPU types and the link before any planner,
+    /// member or link is built from them (a zero `link_gbps` would panic
+    /// in the link scheduler).
+    fn check_hardware(&self) -> Result<(), SimError> {
+        fleet::check_gpus(self.prefill_slots.iter().chain(&self.decode_slots))?;
+        let gbps = self.transfer.link_gbps;
+        if gbps.is_finite() && gbps > 0.0 {
+            Ok(())
+        } else {
+            Err(SimError::InvalidHardware {
+                parameter: "link_gbps",
+            })
+        }
+    }
 }
 
 /// A disaggregated cluster with *fixed* pool sizes.
@@ -370,8 +385,10 @@ impl DisaggCluster {
     /// Returns [`SimError`] when the arrival stream is malformed
     /// ([`SimError::InvalidWorkload`]), a request cannot fit either pool,
     /// a prefix-cache parameter is out of range
-    /// ([`SimError::InvalidPrefixCache`]), or the router policy cannot run
-    /// on the pools ([`SimError::InvalidRouterPolicy`]).
+    /// ([`SimError::InvalidPrefixCache`]), a GPU type or the link holds a
+    /// value that is not finite and positive ([`SimError::InvalidHardware`]),
+    /// or the router policy cannot run on the pools
+    /// ([`SimError::InvalidRouterPolicy`]).
     pub fn run(
         self,
         requests: Vec<RequestSpec>,
@@ -390,14 +407,17 @@ impl DisaggCluster {
     /// Returns [`SimError`] when the arrival stream is malformed
     /// ([`SimError::InvalidWorkload`]), a request cannot fit either pool,
     /// a prefix-cache parameter is out of range
-    /// ([`SimError::InvalidPrefixCache`]), or the router policy cannot run
-    /// on the pools ([`SimError::InvalidRouterPolicy`]).
+    /// ([`SimError::InvalidPrefixCache`]), a GPU type or the link holds a
+    /// value that is not finite and positive ([`SimError::InvalidHardware`]),
+    /// or the router policy cannot run on the pools
+    /// ([`SimError::InvalidRouterPolicy`]).
     pub fn run_traced(
         self,
         requests: Vec<RequestSpec>,
         arrival_times: Vec<SimTime>,
         sink: Option<&mut dyn TraceSink>,
     ) -> Result<DisaggReport, SimError> {
+        self.config.check_hardware()?;
         Run::start(
             self.config,
             (self.prefill_instances, self.decode_instances),
@@ -470,8 +490,10 @@ impl ElasticDisaggCluster {
     /// Returns [`SimError`] when the arrival stream is malformed
     /// ([`SimError::InvalidWorkload`]), a request cannot fit either pool,
     /// a prefix-cache parameter is out of range
-    /// ([`SimError::InvalidPrefixCache`]), or the router policy cannot run
-    /// on the pools ([`SimError::InvalidRouterPolicy`]).
+    /// ([`SimError::InvalidPrefixCache`]), a GPU type or the link holds a
+    /// value that is not finite and positive ([`SimError::InvalidHardware`]),
+    /// or the router policy cannot run on the pools
+    /// ([`SimError::InvalidRouterPolicy`]).
     pub fn run(
         self,
         requests: Vec<RequestSpec>,
@@ -489,14 +511,17 @@ impl ElasticDisaggCluster {
     /// Returns [`SimError`] when the arrival stream is malformed
     /// ([`SimError::InvalidWorkload`]), a request cannot fit either pool,
     /// a prefix-cache parameter is out of range
-    /// ([`SimError::InvalidPrefixCache`]), or the router policy cannot run
-    /// on the pools ([`SimError::InvalidRouterPolicy`]).
+    /// ([`SimError::InvalidPrefixCache`]), a GPU type or the link holds a
+    /// value that is not finite and positive ([`SimError::InvalidHardware`]),
+    /// or the router policy cannot run on the pools
+    /// ([`SimError::InvalidRouterPolicy`]).
     pub fn run_traced(
         self,
         requests: Vec<RequestSpec>,
         arrival_times: Vec<SimTime>,
         sink: Option<&mut dyn TraceSink>,
     ) -> Result<DisaggReport, SimError> {
+        self.config.check_hardware()?;
         let base = &self.config.base;
         let planners = (
             fleet::pool_planner(

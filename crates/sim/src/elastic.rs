@@ -181,10 +181,11 @@ impl ElasticCluster {
     ///
     /// Returns [`SimError`] if the arrival stream is malformed
     /// ([`SimError::InvalidWorkload`]), a request can never fit an
-    /// instance, an instance stalls, a scheduler or prefix-cache parameter
-    /// is out of range ([`SimError::InvalidScheduler`],
-    /// [`SimError::InvalidPrefixCache`]), or the router policy cannot run
-    /// on the fleet ([`SimError::InvalidRouterPolicy`]).
+    /// instance, an instance stalls, a scheduler, prefix-cache or GPU-type
+    /// parameter is out of range ([`SimError::InvalidScheduler`],
+    /// [`SimError::InvalidPrefixCache`], [`SimError::InvalidHardware`]),
+    /// or the router policy cannot run on the fleet
+    /// ([`SimError::InvalidRouterPolicy`]).
     pub fn run(
         self,
         requests: Vec<RequestSpec>,
@@ -202,16 +203,18 @@ impl ElasticCluster {
     ///
     /// Returns [`SimError`] if the arrival stream is malformed
     /// ([`SimError::InvalidWorkload`]), a request can never fit an
-    /// instance, an instance stalls, a scheduler or prefix-cache parameter
-    /// is out of range ([`SimError::InvalidScheduler`],
-    /// [`SimError::InvalidPrefixCache`]), or the router policy cannot run
-    /// on the fleet ([`SimError::InvalidRouterPolicy`]).
+    /// instance, an instance stalls, a scheduler, prefix-cache or GPU-type
+    /// parameter is out of range ([`SimError::InvalidScheduler`],
+    /// [`SimError::InvalidPrefixCache`], [`SimError::InvalidHardware`]),
+    /// or the router policy cannot run on the fleet
+    /// ([`SimError::InvalidRouterPolicy`]).
     pub fn run_traced(
         self,
         requests: Vec<RequestSpec>,
         arrival_times: Vec<SimTime>,
         mut sink: Option<&mut dyn TraceSink>,
     ) -> Result<ElasticReport, SimError> {
+        fleet::check_gpus(&self.slots)?;
         let planner =
             fleet::pool_planner(self.autoscale, &self.base, PoolRole::Colocated, &self.slots);
         // The initial replicas are provisioned exactly like later spawns:

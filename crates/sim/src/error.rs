@@ -69,6 +69,15 @@ pub enum SimError {
         /// Name of the offending parameter.
         parameter: &'static str,
     },
+    /// A GPU type or the KV link holds a value its constructor rejects: a
+    /// `perf_scale` or `cost_weight` of a fleet slot, or the link's
+    /// `link_gbps`, that is not finite and positive. Their fields are
+    /// public, so a struct literal can skip `GpuType::new`'s and
+    /// `KvTransferSpec::new`'s asserts.
+    InvalidHardware {
+        /// Name of the offending parameter.
+        parameter: &'static str,
+    },
     /// The workload cannot be replayed as given: arrival times that do
     /// not pair one-to-one with the requests or are not sorted, or a
     /// request id reserved by the simulator (`u64::MAX`, the prefix
@@ -112,6 +121,9 @@ impl fmt::Display for SimError {
             }
             SimError::InvalidPrefixCache { parameter } => {
                 write!(f, "prefix-cache parameter `{parameter}` is out of range")
+            }
+            SimError::InvalidHardware { parameter } => {
+                write!(f, "hardware parameter `{parameter}` is out of range")
             }
             SimError::InvalidWorkload { reason } => write!(f, "invalid workload: {reason}"),
         }

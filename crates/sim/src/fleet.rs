@@ -217,6 +217,30 @@ pub(crate) fn check_prefix_cache(config: Option<PrefixCacheConfig>) -> Result<()
     Err(SimError::InvalidPrefixCache { parameter })
 }
 
+/// Checks the GPU types of a fleet's slots before any planner or member is
+/// built from them, where a `perf_scale` that is not finite and positive
+/// would divide step times by zero and a `cost_weight` would price the
+/// cost ledger at NaN or at no cost. Every fleet driver with a GPU mix
+/// runs this one check.
+///
+/// # Errors
+///
+/// [`SimError::InvalidHardware`] naming the offending parameter.
+pub(crate) fn check_gpus<'a>(slots: impl IntoIterator<Item = &'a GpuType>) -> Result<(), SimError> {
+    let valid = |x: f64| x.is_finite() && x > 0.0;
+    for gpu in slots {
+        let parameter = if !valid(gpu.perf_scale) {
+            "perf_scale"
+        } else if !valid(gpu.cost_weight) {
+            "cost_weight"
+        } else {
+            continue;
+        };
+        return Err(SimError::InvalidHardware { parameter });
+    }
+    Ok(())
+}
+
 /// Lifecycle state of one fleet member (see the module-level diagram).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemberState {

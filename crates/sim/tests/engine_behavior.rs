@@ -784,3 +784,67 @@ fn out_of_range_prefix_cache_configs_are_rejected_before_the_first_event() {
         assert!(sink.events.is_empty(), "rejected before the first event");
     }
 }
+
+#[test]
+fn out_of_range_hardware_is_rejected_before_the_first_event() {
+    use pf_autoscale::AutoscaleConfig;
+    use pf_metrics::SimTime;
+    use pf_obs::RecordingSink;
+    use pf_sim::disagg::{DisaggCluster, DisaggConfig, ElasticDisaggCluster, KvTransferSpec};
+    use pf_sim::elastic::ElasticCluster;
+    use pf_sim::GpuType;
+
+    // The fields are public, so a struct literal skips the constructors'
+    // asserts.
+    let gpu = |cost_weight, perf_scale| GpuType {
+        name: "bad",
+        cost_weight,
+        perf_scale,
+    };
+    let link = |link_gbps| KvTransferSpec {
+        link_gbps,
+        ..KvTransferSpec::nvlink()
+    };
+    let requests = decode_heavy(4, 5);
+    let arrivals = vec![SimTime::ZERO; requests.len()];
+    let config = || small_config(SchedulerConfig::past_future(), 2_000);
+    let autoscale = || AutoscaleConfig::bounded(1, 2);
+    let mut cases = Vec::new();
+    for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        cases.push(("perf_scale", gpu(1.0, bad), link(200.0)));
+        cases.push(("cost_weight", gpu(bad, 1.0), link(200.0)));
+        cases.push(("link_gbps", GpuType::reference(), link(bad)));
+    }
+    for (parameter, bad_gpu, transfer) in cases {
+        let expected = SimError::InvalidHardware { parameter };
+        let case = format!("{parameter}: {bad_gpu:?} {transfer:?}");
+        if parameter != "link_gbps" {
+            // Every slot is checked, not just the first.
+            let mut sink = RecordingSink::new();
+            let elastic = ElasticCluster::new(config(), autoscale(), 1)
+                .fleet(vec![GpuType::reference(), bad_gpu])
+                .run_traced(requests.clone(), arrivals.clone(), Some(&mut sink));
+            assert_eq!(elastic.unwrap_err(), expected, "elastic {case}");
+            assert!(sink.events.is_empty(), "rejected before the first event");
+        }
+        // The bad GPU sits in the decode pool: both pools are checked.
+        let disagg = || {
+            DisaggConfig::new(config())
+                .transfer(transfer)
+                .fleet(vec![GpuType::reference()], vec![bad_gpu])
+        };
+        let mut sink = RecordingSink::new();
+        let fixed = DisaggCluster::new(disagg(), 1, 1).run_traced(
+            requests.clone(),
+            arrivals.clone(),
+            Some(&mut sink),
+        );
+        assert_eq!(fixed.unwrap_err(), expected, "disagg {case}");
+        assert!(sink.events.is_empty(), "rejected before the first event");
+        let mut sink = RecordingSink::new();
+        let elastic = ElasticDisaggCluster::new(disagg(), autoscale(), autoscale(), 1, 1)
+            .run_traced(requests.clone(), arrivals.clone(), Some(&mut sink));
+        assert_eq!(elastic.unwrap_err(), expected, "elastic disagg {case}");
+        assert!(sink.events.is_empty(), "rejected before the first event");
+    }
+}
