@@ -8,6 +8,7 @@ use pf_bench::scenario::{
     base, poisson, sim_fingerprint, Report, Run, Scenario, Topology, Workload,
 };
 use pf_metrics::SimDuration;
+use pf_obs::RecordingSink;
 use pf_sim::cluster::RouterPolicy;
 use pf_sim::disagg::{DisaggConfig, TransferStats};
 use pf_sim::{Headline, QueueOrder, RequestOutcome, SimConfig, SimReport};
@@ -153,6 +154,72 @@ fn pinned_elastic_fleet_equals_one_member_cluster() {
                 ..elastic.headline()
             };
             assert_eq!(elastic, single, "{name} seed {seed}");
+        }
+    }
+}
+
+/// Relation (d), routing: `KvOverlap` with no overlap weight and zero
+/// temperature scores by the load term alone and picks the argmin without
+/// a random draw, so it routes exactly as `LeastEstimatedLoad` does (same
+/// cost key, same rotating tie-break) on the prefix-cache member behind a
+/// 3-member cluster.
+#[test]
+fn weightless_kv_overlap_equals_least_estimated_load() {
+    for seed in SEEDS {
+        let [.., (name, config, _, workload)] = members(seed);
+        let run = |policy| {
+            let topology = Topology::cluster(config.clone(), 3, policy);
+            Scenario::new(name, seed, topology, workload).run(None)
+        };
+        let degraded = run(RouterPolicy::KvOverlap {
+            overlap_weight: 0.0,
+            temperature: 0.0,
+        });
+        let blind = run(RouterPolicy::LeastEstimatedLoad);
+        let (Report::Cluster(d), Report::Cluster(b)) = (&degraded.report, &blind.report) else {
+            unreachable!("the topology fixes the report type");
+        };
+        assert_eq!(
+            d.routed_per_instance, b.routed_per_instance,
+            "{name} seed {seed}"
+        );
+        assert_eq!(
+            degraded.fingerprint, blind.fingerprint,
+            "{name} seed {seed}"
+        );
+    }
+}
+
+/// Relation (d), tracing: a trace sink only observes. Every member runs
+/// traced and untraced on one engine, a 3-member cluster, an elastic fleet
+/// of up to 3 replicas and 2p+2d disaggregated pools, and the two reports
+/// share one fingerprint. (`trace_events.rs` checks the events
+/// themselves.)
+#[test]
+fn traced_runs_equal_untraced_runs() {
+    for seed in SEEDS {
+        for (name, config, router, workload) in members(seed) {
+            let elastic = Topology::Elastic {
+                base: config.clone(),
+                autoscale: AutoscaleConfig::bounded(1, 3),
+                initial: 1,
+                router,
+                fleet: Vec::new(),
+            };
+            let disagg = DisaggConfig::new(config.clone()).router(router);
+            for (shape, topology) in [
+                ("single", Topology::Single(config.clone())),
+                ("cluster", Topology::cluster(config.clone(), 3, router)),
+                ("elastic", elastic),
+                ("disagg", Topology::disagg(disagg, 2, 2)),
+            ] {
+                let what = format!("{name} seed {seed} {shape}");
+                let scenario = Scenario::new(&what, seed, topology, workload);
+                let mut sink = RecordingSink::new();
+                let traced = scenario.run(Some(&mut sink));
+                assert!(!sink.events.is_empty(), "{what}: nothing traced");
+                assert_eq!(traced.fingerprint, scenario.run(None).fingerprint, "{what}");
+            }
         }
     }
 }
