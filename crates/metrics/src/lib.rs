@@ -46,9 +46,7 @@ mod window;
 
 pub use hist::{Binning, LengthHistogram, ZeroBinWidth};
 pub use series::{SeriesGroup, StepSeries};
-pub use similarity::{
-    cosine_similarity, diagonal_mean, off_diagonal_mean, SimilarityMatrix, WindowedLengths,
-};
+pub use similarity::{cosine_similarity, SimilarityMatrix, WindowedLengths};
 pub use sla::{GoodputReport, RequestTiming, SlaOutcome, SlaSpec, SlaViolation};
 pub use stats::{mean, percentile, std_dev, Summary};
 pub use table::{Align, Table};

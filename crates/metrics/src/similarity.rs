@@ -131,7 +131,11 @@ impl SimilarityMatrix {
     /// This is the paper's "diagonal" statistic. Returns `None` when there
     /// are fewer than two windows.
     pub fn diagonal_mean(&self) -> Option<f64> {
-        diagonal_mean(self)
+        if self.n < 2 {
+            return None;
+        }
+        let sum: f64 = (0..self.n - 1).map(|i| self.get(i, i + 1)).sum();
+        Some(sum / (self.n - 1) as f64)
     }
 
     /// Mean similarity over all distinct pairs `(i, j)`, `i != j`.
@@ -139,33 +143,19 @@ impl SimilarityMatrix {
     /// This is the paper's "global" statistic. Returns `None` when there are
     /// fewer than two windows.
     pub fn off_diagonal_mean(&self) -> Option<f64> {
-        off_diagonal_mean(self)
-    }
-}
-
-/// Mean similarity of adjacent windows (the matrix super-diagonal).
-pub fn diagonal_mean(m: &SimilarityMatrix) -> Option<f64> {
-    if m.n < 2 {
-        return None;
-    }
-    let sum: f64 = (0..m.n - 1).map(|i| m.get(i, i + 1)).sum();
-    Some(sum / (m.n - 1) as f64)
-}
-
-/// Mean similarity over all distinct window pairs.
-pub fn off_diagonal_mean(m: &SimilarityMatrix) -> Option<f64> {
-    if m.n < 2 {
-        return None;
-    }
-    let mut sum = 0.0;
-    let mut count = 0usize;
-    for i in 0..m.n {
-        for j in (i + 1)..m.n {
-            sum += m.get(i, j);
-            count += 1;
+        if self.n < 2 {
+            return None;
         }
+        let mut sum = 0.0;
+        let mut count = 0usize;
+        for i in 0..self.n {
+            for j in (i + 1)..self.n {
+                sum += self.get(i, j);
+                count += 1;
+            }
+        }
+        Some(sum / count as f64)
     }
-    Some(sum / count as f64)
 }
 
 #[cfg(test)]
