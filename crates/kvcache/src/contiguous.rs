@@ -61,6 +61,14 @@ mod tests {
     }
 
     #[test]
+    fn reservation_is_prepaid_in_the_shortfall() {
+        let mut p = KvPool::contiguous(30);
+        p.allocate(1, 20, 20).unwrap(); // at its reservation
+        p.allocate(2, 5, 10).unwrap(); // the pool is full
+        assert_eq!(p.extension_shortfall(&[1, 2]), Ok(0));
+    }
+
+    #[test]
     #[should_panic(expected = "grew past its reservation")]
     #[cfg(debug_assertions)]
     fn growing_past_reservation_panics_in_debug() {
