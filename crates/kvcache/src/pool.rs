@@ -50,7 +50,7 @@ impl KvPool {
         blocks.max(if self.reserving { reserve_total } else { 0 })
     }
 
-    /// Undoes one token of `extend_each` growth on each listed request.
+    /// Undoes one token of `extend_each` growth; a reservation stays held.
     fn shrink_each(&mut self, requests: &[u64]) {
         for req in requests {
             let mut entry = self.requests[req];

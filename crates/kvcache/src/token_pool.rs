@@ -9,6 +9,7 @@ use crate::KvPool;
 ///
 /// let mut pool = TokenPool::new(100);
 /// pool.allocate(7, 40, 40)?;
+/// assert_eq!(pool.available_tokens(), 60);
 /// assert!(pool.extend(7, 60).is_ok());
 /// assert!(pool.extend(7, 1).is_err()); // full
 /// # Ok::<(), pf_kvcache::KvCacheError>(())

@@ -342,14 +342,7 @@ impl DisaggConfig {
     /// in the link scheduler).
     fn check_hardware(&self) -> Result<(), SimError> {
         fleet::check_gpus(self.prefill_slots.iter().chain(&self.decode_slots))?;
-        let gbps = self.transfer.link_gbps;
-        if gbps.is_finite() && gbps > 0.0 {
-            Ok(())
-        } else {
-            Err(SimError::InvalidHardware {
-                parameter: "link_gbps",
-            })
-        }
+        fleet::check_positive("link_gbps", self.transfer.link_gbps)
     }
 }
 

@@ -227,18 +227,20 @@ pub(crate) fn check_prefix_cache(config: Option<PrefixCacheConfig>) -> Result<()
 ///
 /// [`SimError::InvalidHardware`] naming the offending parameter.
 pub(crate) fn check_gpus<'a>(slots: impl IntoIterator<Item = &'a GpuType>) -> Result<(), SimError> {
-    let valid = |x: f64| x.is_finite() && x > 0.0;
-    for gpu in slots {
-        let parameter = if !valid(gpu.perf_scale) {
-            "perf_scale"
-        } else if !valid(gpu.cost_weight) {
-            "cost_weight"
-        } else {
-            continue;
-        };
-        return Err(SimError::InvalidHardware { parameter });
+    slots.into_iter().try_for_each(|gpu| {
+        check_positive("perf_scale", gpu.perf_scale)?;
+        check_positive("cost_weight", gpu.cost_weight)
+    })
+}
+
+/// [`SimError::InvalidHardware`] naming `parameter` unless `value` is
+/// finite and positive.
+pub(crate) fn check_positive(parameter: &'static str, value: f64) -> Result<(), SimError> {
+    if value.is_finite() && value > 0.0 {
+        Ok(())
+    } else {
+        Err(SimError::InvalidHardware { parameter })
     }
-    Ok(())
 }
 
 /// Lifecycle state of one fleet member (see the module-level diagram).
