@@ -98,9 +98,9 @@ fn variants_run(topology: &Topology, report: &Report) -> Vec<&'static str> {
             PrefillOrder::Fifo => "PrefillOrder::Fifo",
             PrefillOrder::ShortestPromptFirst { .. } => "PrefillOrder::ShortestPromptFirst",
         };
-        let mut run = engine(&config.base).to_vec();
-        run.extend([router(config.router), transfer, prefill]);
-        run
+        let run = engine(&config.base).into_iter();
+        run.chain([router(config.router), transfer, prefill])
+            .collect()
     };
     let mut run = match topology {
         Topology::Single(config) => engine(config).to_vec(),
@@ -113,11 +113,7 @@ fn variants_run(topology: &Topology, report: &Report) -> Vec<&'static str> {
             base,
             router: policy,
             ..
-        } => {
-            let mut run = engine(base).to_vec();
-            run.push(router(*policy));
-            run
-        }
+        } => engine(base).into_iter().chain([router(*policy)]).collect(),
         Topology::Disagg { config, .. } | Topology::ElasticDisagg { config, .. } => disagg(config),
     };
     if let Report::Disagg(report) = report {
