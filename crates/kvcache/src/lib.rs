@@ -265,7 +265,7 @@ pub trait KvCacheManager: fmt::Debug {
 mod trait_tests {
     use super::*;
 
-    fn check_basic(manager: &mut dyn KvCacheManager) {
+    fn check_basic(manager: &mut KvPool) {
         assert_eq!(manager.used_tokens(), 0);
         manager.allocate(1, 10, 20).unwrap();
         assert!(manager.used_tokens() >= 10);
