@@ -3,6 +3,21 @@
 
 use crate::KvPool;
 
+/// The reserving [`KvPool`] under its earlier name; [`KvPool::contiguous`]
+/// builds one:
+///
+/// ```
+/// use pf_kvcache::{ContiguousPool, KvCacheManager};
+///
+/// let mut pool = ContiguousPool::contiguous(4096);
+/// // 100-token prompt, but up to 2048 new tokens: reserves 2148 slots.
+/// pool.allocate(1, 100, 2148)?;
+/// assert_eq!(pool.used_tokens(), 2148);
+/// assert_eq!(pool.logical_tokens(), 100);
+/// # Ok::<(), pf_kvcache::KvCacheError>(())
+/// ```
+pub type ContiguousPool = KvPool;
+
 impl KvPool {
     /// A pool of `capacity` slots where each request holds its whole
     /// `reserve_total` (prompt + `max_new_tokens`) from admission on.

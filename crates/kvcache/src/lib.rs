@@ -51,16 +51,6 @@
 //! assert_eq!(pool.release(1), 301);
 //! assert_eq!(pool.release(2), 101);
 //! assert_eq!(pool.used_tokens(), 0);
-//!
-//! let mut paged = KvPool::paged(64, 16);
-//! paged.allocate(1, 17, 17)?; // needs 2 blocks = 32 physical slots
-//! assert_eq!((paged.logical_tokens(), paged.used_tokens()), (17, 32));
-//! assert_eq!(paged.overhead_tokens(), 15);
-//!
-//! let mut contiguous = KvPool::contiguous(4096);
-//! // 100-token prompt, but up to 2048 new tokens: reserves 2148 slots.
-//! contiguous.allocate(1, 100, 2148)?;
-//! assert_eq!((contiguous.logical_tokens(), contiguous.used_tokens()), (100, 2148));
 //! # Ok::<(), pf_kvcache::KvCacheError>(())
 //! ```
 
@@ -75,6 +65,8 @@ mod prefix;
 mod token_pool;
 
 pub use block::{block_hash, BlockPrefixCache, KvEvent, KvIndexer, KV_ROOT_HASH};
+pub use contiguous::ContiguousPool;
+pub use paged::PagedPool;
 pub use pool::KvPool;
 pub use prefix::PrefixCacheStats;
 pub use token_pool::TokenPool;

@@ -2,6 +2,21 @@
 
 use crate::KvPool;
 
+/// The paged [`KvPool`] under its earlier name; [`KvPool::paged`] builds
+/// one:
+///
+/// ```
+/// use pf_kvcache::{KvCacheManager, PagedPool};
+///
+/// let mut pool = PagedPool::paged(64, 16);
+/// pool.allocate(1, 17, 17)?; // needs 2 blocks = 32 physical slots
+/// assert_eq!(pool.logical_tokens(), 17);
+/// assert_eq!(pool.used_tokens(), 32);
+/// assert_eq!(pool.overhead_tokens(), 15);
+/// # Ok::<(), pf_kvcache::KvCacheError>(())
+/// ```
+pub type PagedPool = KvPool;
+
 impl KvPool {
     /// A pool of `capacity` slots in `block_size`-slot blocks, rounded
     /// down to whole blocks. Only a request's last block is partly full.
@@ -79,6 +94,14 @@ mod tests {
     #[should_panic(expected = "block size must be positive")]
     fn zero_block_size_panics() {
         let _ = KvPool::paged(16, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown request")]
+    #[cfg(debug_assertions)]
+    fn extend_unknown_panics_in_debug() {
+        let mut p = KvPool::paged(32, 16);
+        let _ = p.extend(9, 1);
     }
 
     mod props {

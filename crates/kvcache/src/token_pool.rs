@@ -93,6 +93,14 @@ mod tests {
         assert!(!p.can_admit(7, 7));
     }
 
+    #[test]
+    #[should_panic(expected = "unknown request")]
+    #[cfg(debug_assertions)]
+    fn extend_unknown_panics_in_debug() {
+        let mut p = KvPool::new(10);
+        let _ = p.extend(9, 1);
+    }
+
     mod props {
         use super::*;
         use proptest::prelude::*;
