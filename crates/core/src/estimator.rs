@@ -70,13 +70,12 @@ impl FutureMemoryEstimator {
     }
 
     /// `M*` for entries already sorted by `remaining` descending (Eq. 2
-    /// order). Useful for incremental admission loops that maintain the
-    /// sorted batch themselves.
+    /// order).
     ///
     /// # Panics
     ///
     /// Panics in debug builds if the slice is not sorted descending.
-    pub fn peak_memory_sorted(sorted: &[BatchEntry]) -> u64 {
+    fn peak_memory_sorted(sorted: &[BatchEntry]) -> u64 {
         debug_assert!(
             sorted.windows(2).all(|w| w[0].remaining >= w[1].remaining),
             "entries must be sorted by remaining length, descending"
@@ -113,17 +112,8 @@ impl FutureMemoryEstimator {
         profile
     }
 
-    /// `M*` computed by sorting `entries` in place — the allocation-free
-    /// variant of [`peak_memory`](Self::peak_memory) for callers that own
-    /// a reusable scratch buffer. Leaves the slice in Eq. 2 order.
-    pub fn peak_memory_in_place(entries: &mut [BatchEntry]) -> u64 {
-        Self::sort_by_remaining_desc(entries);
-        Self::peak_memory_sorted(entries)
-    }
-
-    /// Sorts entries into Eq. 2 order (`remaining` descending), the order
-    /// [`peak_memory_sorted`](Self::peak_memory_sorted) requires.
-    pub fn sort_by_remaining_desc(entries: &mut [BatchEntry]) {
+    /// Sorts entries into Eq. 2 order (`remaining` descending).
+    fn sort_by_remaining_desc(entries: &mut [BatchEntry]) {
         entries.sort_unstable_by_key(|e| std::cmp::Reverse(e.remaining));
     }
 
@@ -176,6 +166,89 @@ impl FutureMemoryEstimator {
         }
         // Past the horizon the batch has fully drained.
         Some(horizon + 1)
+    }
+}
+
+/// A reusable Eq. 2–4 batch held as packed `u64` sort keys, for the two
+/// hot loops that evaluate `M*` from scratch: Past-Future admission and the
+/// engine's true peak.
+///
+/// Each entry is the key `(remaining << 32) | slot`, where `slot` indexes
+/// `committed`, a parallel vector that keeps the committed tokens exact as
+/// `u64`. Sorting the keys descending is a primitive integer sort that
+/// puts the batch in Eq. 2 order; ties on `remaining` fall in slot order,
+/// which cannot change `M*` (the tied group's largest term is the same in
+/// any order). Every `remaining` must fit in 32 bits, as it does at both
+/// callers, which derive it from `u32` lengths; a larger one panics rather
+/// than pack into the slot bits.
+///
+/// [`FutureMemoryEstimator::peak_memory`] is the reference it must match.
+///
+/// # Example
+///
+/// ```
+/// use pf_core::{BatchEntry, FutureMemoryEstimator, PackedBatch};
+///
+/// let running = [
+///     BatchEntry { committed: 5, remaining: 2 },
+///     BatchEntry { committed: 5, remaining: 4 },
+/// ];
+/// let candidate = BatchEntry { committed: 3, remaining: 5 };
+/// let mut batch = PackedBatch::default();
+/// batch.fill(running);
+/// batch.insert(candidate);
+/// let reference = [running[0], running[1], candidate];
+/// assert_eq!(batch.peak(), 19);
+/// assert_eq!(batch.peak(), FutureMemoryEstimator::peak_memory(&reference));
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct PackedBatch {
+    /// `(remaining << 32) | slot` per entry, descending.
+    keys: Vec<u64>,
+    /// Committed tokens, indexed by slot.
+    committed: Vec<u64>,
+}
+
+impl PackedBatch {
+    /// Replaces the batch with `entries` in Eq. 2 order, reusing the
+    /// allocations.
+    pub fn fill(&mut self, entries: impl IntoIterator<Item = BatchEntry>) {
+        self.keys.clear();
+        self.committed.clear();
+        for entry in entries {
+            self.keys.push(self.key(entry));
+            self.committed.push(entry.committed);
+        }
+        self.keys.sort_unstable_by(|a, b| b.cmp(a));
+    }
+
+    /// Inserts `entry` at its Eq. 2 position: a binary search and one
+    /// shift of the keys, no sort.
+    pub fn insert(&mut self, entry: BatchEntry) {
+        let key = self.key(entry);
+        let pos = self.keys.partition_point(|&k| k > key);
+        self.keys.insert(pos, key);
+        self.committed.push(entry.committed);
+    }
+
+    /// `M*` of the batch (Eq. 4): one scan of
+    /// `M_i = Σ_{k≤i} committed_k + remaining_i · (i+1)`. Zero when empty.
+    pub fn peak(&self) -> u64 {
+        let mut prefix_committed = 0u64;
+        let mut peak = 0u64;
+        for (i, &key) in self.keys.iter().enumerate() {
+            prefix_committed += self.committed[key as u32 as usize];
+            peak = peak.max(prefix_committed + (key >> 32) * (i as u64 + 1));
+        }
+        peak
+    }
+
+    /// The packed key of `entry`, which takes the next free slot.
+    fn key(&self, entry: BatchEntry) -> u64 {
+        let slot = self.committed.len() as u64;
+        debug_assert!(slot <= u64::from(u32::MAX), "slot {slot} exceeds 32 bits");
+        let remaining = u32::try_from(entry.remaining).expect("remaining length fits in 32 bits");
+        (u64::from(remaining) << 32) | slot
     }
 }
 
@@ -594,6 +667,12 @@ mod tests {
         assert_eq!(index.peak_with(e(2, 1), 0), 11);
     }
 
+    #[test]
+    #[should_panic(expected = "fits in 32 bits")]
+    fn packed_batch_rejects_remaining_past_32_bits() {
+        PackedBatch::default().insert(e(1, 1 << 32));
+    }
+
     mod props {
         use super::*;
         use proptest::prelude::*;
@@ -605,6 +684,22 @@ mod tests {
                     remaining,
                 }),
                 0..64,
+            )
+        }
+
+        /// Batches for the packed keys: remaining lengths that tie (a few
+        /// small values, 0 among them) or span all 32 bits, and committed
+        /// counts that stay small or exceed 2³² (where a `(remaining,
+        /// committed)` packing would overflow).
+        fn packed_entries_strategy() -> impl Strategy<Value = Vec<BatchEntry>> {
+            let committed = prop_oneof![0u64..10_000, (1u64 << 32)..(1u64 << 40)];
+            let remaining = prop_oneof![Just(0u64), 0u64..4, 0u64..=u64::from(u32::MAX)];
+            proptest::collection::vec(
+                (committed, remaining).prop_map(|(committed, remaining)| BatchEntry {
+                    committed,
+                    remaining,
+                }),
+                0..48,
             )
         }
 
@@ -761,6 +856,31 @@ mod tests {
                         index.peak_with(probe, steps),
                         FutureMemoryEstimator::peak_memory(&merged)
                     );
+                }
+            }
+
+            /// The packed batch returns exactly what `peak_memory` returns,
+            /// on batches with tied and zero remaining lengths, committed
+            /// counts above 2³² and remaining lengths up to `u32::MAX`;
+            /// and a run of sorted inserts leaves the same keys as filling
+            /// the grown batch from scratch (a full re-sort) after each one.
+            #[test]
+            fn packed_batch_matches_peak_memory(
+                entries in packed_entries_strategy(),
+                inserts in packed_entries_strategy(),
+            ) {
+                let mut batch = PackedBatch::default();
+                batch.fill(entries.iter().copied());
+                prop_assert_eq!(batch.peak(), FutureMemoryEstimator::peak_memory(&entries));
+                let mut all = entries;
+                let mut resorted = PackedBatch::default();
+                for entry in inserts {
+                    batch.insert(entry);
+                    all.push(entry);
+                    resorted.fill(all.iter().copied());
+                    prop_assert_eq!(&batch.keys, &resorted.keys);
+                    prop_assert_eq!(&batch.committed, &resorted.committed);
+                    prop_assert_eq!(batch.peak(), FutureMemoryEstimator::peak_memory(&all));
                 }
             }
 

@@ -73,7 +73,9 @@ pub use aggressive::AggressiveScheduler;
 pub use config::SchedulerConfig;
 pub use conservative::ConservativeScheduler;
 pub use distribution::OutputLengthDistribution;
-pub use estimator::{AdmissionIndex, BatchEntry, CompletionPoint, FutureMemoryEstimator};
+pub use estimator::{
+    AdmissionIndex, BatchEntry, CompletionPoint, FutureMemoryEstimator, PackedBatch,
+};
 pub use history::OutputLengthHistory;
 pub use past_future::PastFutureScheduler;
 pub use scheduler::{MemoryState, QueuedRequest, RunningRequest, Scheduler};

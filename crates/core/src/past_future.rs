@@ -5,7 +5,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::distribution::OutputLengthDistribution;
-use crate::estimator::{BatchEntry, FutureMemoryEstimator};
+use crate::estimator::{BatchEntry, PackedBatch};
 use crate::history::OutputLengthHistory;
 use crate::scheduler::{MemoryState, QueuedRequest, RunningRequest, Scheduler};
 
@@ -56,10 +56,10 @@ pub struct PastFutureScheduler {
     reserved_frac: f64,
     sample_repeats: usize,
     name: String,
-    /// Reusable admission batch, kept in Eq. 2 order (`remaining`
-    /// descending) so each candidate probe is a binary insertion plus a
-    /// linear `peak_memory_sorted` scan instead of a clone + full sort.
-    entries: Vec<BatchEntry>,
+    /// Reusable admission batch of packed Eq. 2 keys: each pass sorts the
+    /// running batch once, and each candidate probe is a binary insertion
+    /// plus one linear scan.
+    entries: PackedBatch,
 }
 
 impl PastFutureScheduler {
@@ -91,7 +91,7 @@ impl PastFutureScheduler {
             reserved_frac,
             sample_repeats,
             name: format!("past-future(reserved={:.0}%)", reserved_frac * 100.0),
-            entries: Vec::new(),
+            entries: PackedBatch::default(),
         }
     }
 
@@ -103,7 +103,7 @@ impl PastFutureScheduler {
             reserved_frac: 0.0,
             sample_repeats: 1,
             name: "theoretical-optimum".to_string(),
-            entries: Vec::new(),
+            entries: PackedBatch::default(),
         }
     }
 
@@ -117,7 +117,6 @@ impl PastFutureScheduler {
         budget: u64,
     ) -> usize {
         let entries = &mut self.entries;
-        entries.clear();
         match &mut self.source {
             LengthSource::History {
                 history,
@@ -127,7 +126,7 @@ impl PastFutureScheduler {
                 let dist = history.distribution();
                 debug_assert_eq!(starts.len(), running.len());
                 // Lines 2–6: refresh predictions for the running batch.
-                entries.extend(running.iter().zip(starts.iter()).map(|(r, &start)| {
+                entries.fill(running.iter().zip(starts.iter()).map(|(r, &start)| {
                     let predicted = draw(rng, dist, start, r.generated, r.max_new_tokens);
                     BatchEntry {
                         committed: r.committed(),
@@ -139,7 +138,7 @@ impl PastFutureScheduler {
                 })
             }
             LengthSource::Oracle => {
-                entries.extend(running.iter().map(|r| {
+                entries.fill(running.iter().map(|r| {
                     BatchEntry {
                         committed: r.committed(),
                         remaining: r
@@ -156,8 +155,8 @@ impl PastFutureScheduler {
     }
 }
 
-/// Lines 7–16 of Algorithm 1: sorts the running batch in `entries` into
-/// Eq. 2 order, then admits queue candidates while `M*` fits `budget`,
+/// Lines 7–16 of Algorithm 1: admits queue candidates into the running
+/// batch in `entries` (already in Eq. 2 order) while `M*` fits `budget`,
 /// stopping at the first that does not. `predicted_total` gives a
 /// candidate's total output length and is called lazily, up to and
 /// including the first rejection. Candidates are modelled at their
@@ -167,24 +166,19 @@ impl PastFutureScheduler {
 /// permutation-invariant, so the result is identical to re-sorting from
 /// scratch.
 fn admit_prefix(
-    entries: &mut Vec<BatchEntry>,
+    entries: &mut PackedBatch,
     queue: &[QueuedRequest],
     budget: u64,
     mut predicted_total: impl FnMut(&QueuedRequest) -> u32,
 ) -> usize {
-    FutureMemoryEstimator::sort_by_remaining_desc(entries);
     let mut admitted = 0;
     for candidate in queue {
         let (committed, remaining) = candidate.post_prefill_entry(predicted_total(candidate));
-        let pos = entries.partition_point(|e| e.remaining >= remaining);
-        entries.insert(
-            pos,
-            BatchEntry {
-                committed,
-                remaining,
-            },
-        );
-        if FutureMemoryEstimator::peak_memory_sorted(entries) > budget {
+        entries.insert(BatchEntry {
+            committed,
+            remaining,
+        });
+        if entries.peak() > budget {
             break;
         }
         admitted += 1;
@@ -288,6 +282,7 @@ impl Scheduler for PastFutureScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimator::FutureMemoryEstimator;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -453,10 +448,10 @@ mod tests {
         assert_eq!(predict(&mut rng, dist, 200, 128), 128);
     }
 
-    /// Admission exactly as it was written before the history kept its
-    /// sample sorted: `P(l)` rebuilt on every call, then a full prediction
-    /// (binary search and draw) per running request in every pass, then
-    /// sort, insert and scan.
+    /// Admission as it was written before the history kept its sample
+    /// sorted: `P(l)` rebuilt on every call, then a full prediction (binary
+    /// search and draw) per running request in every pass, then a fresh
+    /// `peak_memory` per candidate.
     struct Reference {
         window: usize,
         history: std::collections::VecDeque<u32>,
@@ -533,21 +528,16 @@ mod tests {
                         }
                     })
                     .collect();
-                FutureMemoryEstimator::sort_by_remaining_desc(&mut entries);
                 let mut pass = 0;
                 for c in queue {
                     let predicted =
                         Self::predict(&mut self.rng, dist.as_ref(), c.generated, c.max_new_tokens);
                     let (committed, remaining) = c.post_prefill_entry(predicted);
-                    let pos = entries.partition_point(|e| e.remaining >= remaining);
-                    entries.insert(
-                        pos,
-                        BatchEntry {
-                            committed,
-                            remaining,
-                        },
-                    );
-                    if FutureMemoryEstimator::peak_memory_sorted(&entries) > budget {
+                    entries.push(BatchEntry {
+                        committed,
+                        remaining,
+                    });
+                    if FutureMemoryEstimator::peak_memory(&entries) > budget {
                         break;
                     }
                     pass += 1;

@@ -2,12 +2,41 @@
 
 #![expect(
     clippy::disallowed_types,
-    reason = "the `requests` map is key-addressed only (get/insert/remove/contains_key/len); nothing iterates it, so its order cannot reach events or reports"
+    reason = "the `requests` map is key-addressed only (get/insert/remove/contains_key/len) and hashes ids with `IdHasher`'s one multiply; nothing iterates it, so its order cannot reach events or reports"
 )]
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::{AllocError, KvCacheError, KvCacheManager};
+
+/// Hasher for the request ids keying [`KvPool`]'s map: one multiply by an
+/// odd constant. Ids are dense and sequential, so the identity would leave
+/// hashbrown's tag bits (the hash's top bits) nearly constant; the multiply
+/// carries the low bits up, and being a bijection on every low-bit window
+/// it still sends consecutive ids to distinct buckets. Unlike SipHash it
+/// does not resist ids chosen to collide; the ids come from the workload
+/// the simulator is given, and colliding ids could only slow the map,
+/// never change what a lookup returns. Only `write_u64` is on the hot
+/// path; `write` folds arbitrary bytes FNV-style for completeness.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
 
 /// A request's stored tokens and the slots it holds.
 #[derive(Debug, Clone, Copy)]
@@ -27,7 +56,7 @@ pub struct KvPool {
     used: u64,
     logical: u64,
     peak: u64,
-    requests: HashMap<u64, Entry>,
+    requests: HashMap<u64, Entry, BuildHasherDefault<IdHasher>>,
 }
 
 impl KvPool {
@@ -40,25 +69,25 @@ impl KvPool {
             used: 0,
             logical: 0,
             peak: 0,
-            requests: HashMap::new(),
+            requests: HashMap::default(),
         }
-    }
-
-    /// Slots a request of `logical` tokens holds.
-    fn slots_for(&self, logical: u64, reserve_total: u64) -> u64 {
-        let blocks = logical.div_ceil(self.block_size) * self.block_size;
-        blocks.max(if self.reserving { reserve_total } else { 0 })
     }
 
     /// Undoes one token of `extend_each` growth; a reservation stays held.
     fn shrink_each(&mut self, requests: &[u64]) {
         for req in requests {
-            let mut entry = self.requests[req];
+            let entry = self.requests.get_mut(req).expect("a grown entry");
             entry.logical -= 1;
-            entry.held = self.slots_for(entry.logical, entry.held);
-            self.requests.insert(*req, entry);
+            entry.held = slots_for(self.block_size, self.reserving, entry.logical, entry.held);
         }
     }
+}
+
+/// Slots a request of `logical` tokens holds in a pool of `block_size`
+/// blocks that reserves `reserve_total` up front when `reserving`.
+fn slots_for(block_size: u64, reserving: bool, logical: u64, reserve_total: u64) -> u64 {
+    let blocks = logical.div_ceil(block_size) * block_size;
+    blocks.max(if reserving { reserve_total } else { 0 })
 }
 
 fn unknown(req: u64) -> KvCacheError {
@@ -88,7 +117,7 @@ impl KvCacheManager for KvPool {
     }
 
     fn can_admit(&self, tokens: u64, reserve_total: u64) -> bool {
-        self.slots_for(tokens, reserve_total) <= self.available_tokens()
+        slots_for(self.block_size, self.reserving, tokens, reserve_total) <= self.available_tokens()
     }
 
     fn allocate(&mut self, req: u64, logical: u64, reserve_total: u64) -> Result<(), AllocError> {
@@ -96,7 +125,7 @@ impl KvCacheManager for KvPool {
             !self.requests.contains_key(&req),
             "request {req} already allocated"
         );
-        let held = self.slots_for(logical, reserve_total);
+        let held = slots_for(self.block_size, self.reserving, logical, reserve_total);
         if held > self.available_tokens() {
             return Err(AllocError {
                 requested: if self.reserving { held } else { logical },

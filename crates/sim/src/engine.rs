@@ -58,9 +58,7 @@ use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use pf_core::{
-    BatchEntry, FutureMemoryEstimator, MemoryState, QueuedRequest, RunningRequest, Scheduler,
-};
+use pf_core::{BatchEntry, MemoryState, PackedBatch, QueuedRequest, RunningRequest, Scheduler};
 use pf_kvcache::{BlockPrefixCache, KvCacheError, KvCacheManager, KvEvent, KvPool};
 use pf_metrics::{GoodputReport, RequestTiming, SimDuration, SimTime, StepSeries};
 use pf_obs::{GaugeKind, TraceEvent, TraceSink};
@@ -296,7 +294,7 @@ pub(crate) struct Engine {
     scratch_queue: Vec<QueuedRequest>,
     /// Estimator batch for [`Engine::true_future_required_frac`]; a
     /// `Cell` so the `&self` router probe can borrow it too.
-    scratch_entries: Cell<Vec<BatchEntry>>,
+    scratch_entries: Cell<PackedBatch>,
     scratch_ids: Vec<u64>,
     /// The running batch's true M* (in tokens), kept across decode steps
     /// that advance every member in lockstep — each Eq. 3 term is
@@ -373,7 +371,7 @@ impl Engine {
             scratch_kv_events: Vec::new(),
             scratch_running: Vec::new(),
             scratch_queue: Vec::new(),
-            scratch_entries: Cell::new(Vec::new()),
+            scratch_entries: Cell::new(PackedBatch::default()),
             scratch_ids: Vec::new(),
             true_peak: Cell::new(None),
             output_len_sum,
@@ -1304,9 +1302,8 @@ impl Engine {
     /// advanced in lockstep since it was computed (see the field), so a
     /// steady decode phase evaluates Eq. 2–4 once, not once per step. On a
     /// miss it builds the batch in the reusable `scratch_entries` instead
-    /// of allocating (M* is permutation-invariant — sorting the scratch in
-    /// place computes the same value). Debug builds check every hit
-    /// against a fresh evaluation.
+    /// of allocating. Debug builds check every hit against a fresh
+    /// evaluation.
     fn true_future_required_frac(&self) -> f64 {
         let peak = match self.true_peak.get() {
             Some(peak) => {
@@ -1325,13 +1322,12 @@ impl Engine {
     /// Eq. 2–4 over the running batch's [`Self::true_entry`]s, uncached.
     fn fresh_true_peak(&self) -> u64 {
         let mut entries = self.scratch_entries.take();
-        entries.clear();
-        entries.extend(
+        entries.fill(
             self.running
                 .iter()
                 .map(|l| Self::true_entry(&self.specs[l.spec], l)),
         );
-        let peak = FutureMemoryEstimator::peak_memory_in_place(&mut entries);
+        let peak = entries.peak();
         self.scratch_entries.set(entries);
         peak
     }
@@ -1642,7 +1638,7 @@ mod tests {
     use super::*;
     use crate::config::PrefixCacheConfig;
     use crate::{GpuSpec, ModelSpec};
-    use pf_core::SchedulerConfig;
+    use pf_core::{FutureMemoryEstimator, SchedulerConfig};
 
     fn prefix_engine(capacity: u64, budget_frac: f64) -> Engine {
         let mut config = SimConfig::builder(ModelSpec::llama2_7b(), GpuSpec::a100_80g())
@@ -1851,8 +1847,9 @@ mod tests {
     /// The cached true M* never goes stale: after every tick — admission
     /// rounds, lockstep decode steps, chunked mixed steps, pending first
     /// tokens, finishes and preemptions — it equals a fresh Eq. 2–4
-    /// evaluation bit for bit. Release builds compile out the cache's own
-    /// debug cross-check, so this is the check that runs there.
+    /// evaluation bit for bit, and so does the packed-key evaluation that
+    /// fills the cache. Release builds compile out the cache's own debug
+    /// cross-check, so this is the check that runs there.
     #[test]
     fn cached_true_peak_matches_a_fresh_evaluation_after_every_tick() {
         let requests: Vec<RequestSpec> = (0..48u32)
@@ -1894,8 +1891,13 @@ mod tests {
                         .iter()
                         .map(|l| Engine::true_entry(&engine.specs[l.spec], l))
                         .collect();
-                    let fresh =
-                        FutureMemoryEstimator::peak_memory(&batch) as f64 / engine.capacity as f64;
+                    let reference = FutureMemoryEstimator::peak_memory(&batch);
+                    assert_eq!(
+                        engine.fresh_true_peak(),
+                        reference,
+                        "{prefill:?} {eviction:?}: packed M*, tick {ticks}"
+                    );
+                    let fresh = reference as f64 / engine.capacity as f64;
                     assert_eq!(
                         engine.true_future_required_frac().to_bits(),
                         fresh.to_bits(),
