@@ -5,42 +5,10 @@
 //! the arguments (inside a block or a closure), and `.set(…)` through a
 //! shared reference (`Cell::set`).
 
-use std::path::Path;
+#[expect(dead_code, reason = "this test scans test code too")]
+mod scan;
 
-/// `src` with comments and string/char literals blanked, newlines kept.
-/// Block comments are taken unnested: a nested one ends early, which can
-/// only add findings, never hide one.
-fn code_only(src: &str) -> String {
-    let s: Vec<char> = src.chars().collect();
-    let at = |k: usize| s.get(k).copied().unwrap_or('\0');
-    // Just past the first `close` at or after `k`, skipping `\` escapes if `esc`.
-    let until = |mut k: usize, close: &str, esc: bool| {
-        let close: Vec<char> = close.chars().collect();
-        while k < s.len() && !s[k..].starts_with(&close) {
-            k += if esc && s[k] == '\\' { 2 } else { 1 };
-        }
-        k + close.len()
-    };
-    let (mut out, mut i) = (String::new(), 0);
-    while i < s.len() {
-        let h = (1..).take_while(|&k| at(i + k) == '#').count();
-        let raw_close = format!("\"{}", "#".repeat(h));
-        let end = match (at(i), at(i + 1)) {
-            ('/', '/') => until(i, "\n", false) - 1,
-            ('/', '*') => until(i + 2, "*/", false),
-            ('"', _) => until(i + 1, "\"", true),
-            ('r', _) if at(i + 1 + h) == '"' => until(i + 2 + h, &raw_close, false),
-            ('\'', '\\') => until(i + 3, "'", false),
-            ('\'', _) if at(i + 2) == '\'' => i + 3,
-            _ => i + 1,
-        }
-        .min(s.len());
-        let keep = |&c: &char| if c == '\n' || end == i + 1 { c } else { ' ' };
-        out.extend(s[i..end].iter().map(keep));
-        i = end;
-    }
-    out
-}
+use scan::{code_only, workspace_sources};
 
 /// Lines of the `debug_assert*!` invocations in `src` whose arguments
 /// assign (`=`, `+=`, `<<=`, …) or call `.set(`.
@@ -77,22 +45,9 @@ fn debug_asserts_have_no_side_effects() {
                    debug_assert!(a <= b && a != b || a >= b, \"x = {}\", '=');\n\
                    // debug_assert!({ y = 1; true });\nself.debug_assert_fresh(); z = 1;";
     assert_eq!(side_effects(fixture), [1, 2, 3], "the scanner itself");
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let crates = std::fs::read_dir(root.join("crates")).unwrap().flatten();
-    let mut dirs: Vec<_> = crates.map(|m| m.path().join("src")).collect();
-    dirs.push(root.join("src"));
     let mut findings = Vec::new();
-    while let Some(dir) = dirs.pop() {
-        for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
-            let path = entry.path();
-            if path.is_dir() {
-                dirs.push(path);
-            } else if path.extension().is_some_and(|ext| ext == "rs") {
-                let src = std::fs::read_to_string(&path).unwrap();
-                let shown = path.strip_prefix(root).unwrap().display().to_string();
-                findings.extend(side_effects(&src).iter().map(|l| format!("{shown}:{l}")));
-            }
-        }
+    for (path, src) in workspace_sources() {
+        findings.extend(side_effects(&src).iter().map(|l| format!("{path}:{l}")));
     }
     findings.sort();
     assert_eq!(findings, Vec::<String>::new());
