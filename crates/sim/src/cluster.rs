@@ -266,9 +266,10 @@ impl ClusterSimulation {
     ///
     /// Returns [`SimError`] if the arrival stream is malformed
     /// ([`SimError::InvalidWorkload`]), any request cannot fit an
-    /// instance, an instance stalls, a scheduler or prefix-cache parameter
-    /// is out of range ([`SimError::InvalidScheduler`],
-    /// [`SimError::InvalidPrefixCache`]), or the policy cannot run on the
+    /// instance, an instance stalls, a scheduler, prefix-cache or engine
+    /// parameter is out of range ([`SimError::InvalidScheduler`],
+    /// [`SimError::InvalidPrefixCache`], [`SimError::InvalidEngine`],
+    /// [`SimError::InvalidHardware`]), or the policy cannot run on the
     /// fleet ([`SimError::InvalidRouterPolicy`]).
     pub fn run(
         self,
@@ -287,9 +288,10 @@ impl ClusterSimulation {
     ///
     /// Returns [`SimError`] if the arrival stream is malformed
     /// ([`SimError::InvalidWorkload`]), any request cannot fit an
-    /// instance, an instance stalls, a scheduler or prefix-cache parameter
-    /// is out of range ([`SimError::InvalidScheduler`],
-    /// [`SimError::InvalidPrefixCache`]), or the policy cannot run on the
+    /// instance, an instance stalls, a scheduler, prefix-cache or engine
+    /// parameter is out of range ([`SimError::InvalidScheduler`],
+    /// [`SimError::InvalidPrefixCache`], [`SimError::InvalidEngine`],
+    /// [`SimError::InvalidHardware`]), or the policy cannot run on the
     /// fleet ([`SimError::InvalidRouterPolicy`]).
     pub fn run_traced(
         self,

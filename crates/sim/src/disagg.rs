@@ -138,7 +138,7 @@ use pf_obs::{GaugeKind, TraceEvent, TraceSink};
 use pf_workload::RequestSpec;
 
 use crate::cluster::RouterPolicy;
-use crate::config::{PrefixCacheConfig, QueueOrder, SimConfig, DEFAULT_AGING_CAP};
+use crate::config::{BatchingMode, PrefixCacheConfig, QueueOrder, SimConfig, DEFAULT_AGING_CAP};
 use crate::error::SimError;
 use crate::fleet::{
     self, pick_rotating_min, FleetMember, GpuType, MemberCore, MemberState, Pool, PoolPlanner,
@@ -378,8 +378,10 @@ impl DisaggCluster {
     /// Returns [`SimError`] when the arrival stream is malformed
     /// ([`SimError::InvalidWorkload`]), a request cannot fit either pool,
     /// a prefix-cache parameter is out of range
-    /// ([`SimError::InvalidPrefixCache`]), a GPU type or the link holds a
-    /// value that is not finite and positive ([`SimError::InvalidHardware`]),
+    /// ([`SimError::InvalidPrefixCache`]), an engine size is zero or the
+    /// base batches statically ([`SimError::InvalidEngine`]), a GPU type or
+    /// a link holds a value that is not finite and positive
+    /// ([`SimError::InvalidHardware`]),
     /// or the router policy cannot run on the pools
     /// ([`SimError::InvalidRouterPolicy`]).
     pub fn run(
@@ -400,8 +402,10 @@ impl DisaggCluster {
     /// Returns [`SimError`] when the arrival stream is malformed
     /// ([`SimError::InvalidWorkload`]), a request cannot fit either pool,
     /// a prefix-cache parameter is out of range
-    /// ([`SimError::InvalidPrefixCache`]), a GPU type or the link holds a
-    /// value that is not finite and positive ([`SimError::InvalidHardware`]),
+    /// ([`SimError::InvalidPrefixCache`]), an engine size is zero or the
+    /// base batches statically ([`SimError::InvalidEngine`]), a GPU type or
+    /// a link holds a value that is not finite and positive
+    /// ([`SimError::InvalidHardware`]),
     /// or the router policy cannot run on the pools
     /// ([`SimError::InvalidRouterPolicy`]).
     pub fn run_traced(
@@ -483,8 +487,10 @@ impl ElasticDisaggCluster {
     /// Returns [`SimError`] when the arrival stream is malformed
     /// ([`SimError::InvalidWorkload`]), a request cannot fit either pool,
     /// a prefix-cache parameter is out of range
-    /// ([`SimError::InvalidPrefixCache`]), a GPU type or the link holds a
-    /// value that is not finite and positive ([`SimError::InvalidHardware`]),
+    /// ([`SimError::InvalidPrefixCache`]), an engine size is zero or the
+    /// base batches statically ([`SimError::InvalidEngine`]), a GPU type or
+    /// a link holds a value that is not finite and positive
+    /// ([`SimError::InvalidHardware`]),
     /// or the router policy cannot run on the pools
     /// ([`SimError::InvalidRouterPolicy`]).
     pub fn run(
@@ -504,8 +510,10 @@ impl ElasticDisaggCluster {
     /// Returns [`SimError`] when the arrival stream is malformed
     /// ([`SimError::InvalidWorkload`]), a request cannot fit either pool,
     /// a prefix-cache parameter is out of range
-    /// ([`SimError::InvalidPrefixCache`]), a GPU type or the link holds a
-    /// value that is not finite and positive ([`SimError::InvalidHardware`]),
+    /// ([`SimError::InvalidPrefixCache`]), an engine size is zero or the
+    /// base batches statically ([`SimError::InvalidEngine`]), a GPU type or
+    /// a link holds a value that is not finite and positive
+    /// ([`SimError::InvalidHardware`]),
     /// or the router policy cannot run on the pools
     /// ([`SimError::InvalidRouterPolicy`]).
     pub fn run_traced(
@@ -994,6 +1002,12 @@ impl<'s> Run<'s> {
     ) -> Result<Run<'s>, SimError> {
         fleet::check_arrivals(&requests, &arrival_times)?;
         fleet::check_prefix_cache(config.base.prefix_cache)?;
+        fleet::check_engine(&config.base)?;
+        if let BatchingMode::Static { .. } = config.base.batching {
+            return Err(SimError::InvalidEngine {
+                parameter: "batching",
+            });
+        }
         let route = Routing::new(config.router, &config.base)?;
         let perf = config.base.perf_model();
         let capacity = config.base.capacity_tokens();

@@ -181,9 +181,10 @@ impl ElasticCluster {
     ///
     /// Returns [`SimError`] if the arrival stream is malformed
     /// ([`SimError::InvalidWorkload`]), a request can never fit an
-    /// instance, an instance stalls, a scheduler, prefix-cache or GPU-type
-    /// parameter is out of range ([`SimError::InvalidScheduler`],
-    /// [`SimError::InvalidPrefixCache`], [`SimError::InvalidHardware`]),
+    /// instance, an instance stalls, a scheduler, prefix-cache, engine or
+    /// GPU-type parameter is out of range ([`SimError::InvalidScheduler`],
+    /// [`SimError::InvalidPrefixCache`], [`SimError::InvalidEngine`],
+    /// [`SimError::InvalidHardware`]),
     /// or the router policy cannot run on the fleet
     /// ([`SimError::InvalidRouterPolicy`]).
     pub fn run(
@@ -203,9 +204,10 @@ impl ElasticCluster {
     ///
     /// Returns [`SimError`] if the arrival stream is malformed
     /// ([`SimError::InvalidWorkload`]), a request can never fit an
-    /// instance, an instance stalls, a scheduler, prefix-cache or GPU-type
-    /// parameter is out of range ([`SimError::InvalidScheduler`],
-    /// [`SimError::InvalidPrefixCache`], [`SimError::InvalidHardware`]),
+    /// instance, an instance stalls, a scheduler, prefix-cache, engine or
+    /// GPU-type parameter is out of range ([`SimError::InvalidScheduler`],
+    /// [`SimError::InvalidPrefixCache`], [`SimError::InvalidEngine`],
+    /// [`SimError::InvalidHardware`]),
     /// or the router policy cannot run on the fleet
     /// ([`SimError::InvalidRouterPolicy`]).
     pub fn run_traced(
@@ -311,6 +313,7 @@ impl Run {
         for (config, _) in &initial {
             fleet::check_scheduler(&config.scheduler)?;
             fleet::check_prefix_cache(config.prefix_cache)?;
+            fleet::check_engine(config)?;
         }
         let first = &initial.first().expect("fleet needs an initial member").0;
         let mut run = Run {

@@ -69,12 +69,21 @@ pub enum SimError {
         /// Name of the offending parameter.
         parameter: &'static str,
     },
-    /// A GPU type or the KV link holds a value its constructor rejects: a
-    /// `perf_scale` or `cost_weight` of a fleet slot, or the link's
-    /// `link_gbps`, that is not finite and positive. Their fields are
-    /// public, so a struct literal can skip `GpuType::new`'s and
-    /// `KvTransferSpec::new`'s asserts.
+    /// A GPU type or a link holds a value its constructor rejects: a
+    /// `perf_scale` or `cost_weight` of a fleet slot, the KV link's
+    /// `link_gbps` or the swap link's `pcie_gbps`, that is not finite and
+    /// positive. Their fields are public, so a struct literal can skip
+    /// `GpuType::new`'s and `KvTransferSpec::new`'s asserts.
     InvalidHardware {
+        /// Name of the offending parameter.
+        parameter: &'static str,
+    },
+    /// An engine config holds a size its engine cannot run: a static
+    /// `max_batch`, a paged `block_size` or a chunked `chunk_tokens` of 0,
+    /// or static batching (`batching`) in a disaggregated pool, whose
+    /// stages batch continuously. The enum fields are public, so a
+    /// variant literal skips every builder.
+    InvalidEngine {
         /// Name of the offending parameter.
         parameter: &'static str,
     },
@@ -124,6 +133,9 @@ impl fmt::Display for SimError {
             }
             SimError::InvalidHardware { parameter } => {
                 write!(f, "hardware parameter `{parameter}` is out of range")
+            }
+            SimError::InvalidEngine { parameter } => {
+                write!(f, "engine parameter `{parameter}` is out of range")
             }
             SimError::InvalidWorkload { reason } => write!(f, "invalid workload: {reason}"),
         }
@@ -182,6 +194,11 @@ mod tests {
         }
         .to_string()
         .contains("prefix-cache parameter `block_tokens` is out of range"));
+        assert!(SimError::InvalidEngine {
+            parameter: "chunk_tokens"
+        }
+        .to_string()
+        .contains("engine parameter `chunk_tokens` is out of range"));
         assert!(SimError::InvalidWorkload {
             reason: "arrival times must be sorted"
         }

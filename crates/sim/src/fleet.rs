@@ -96,7 +96,9 @@ use pf_obs::{TraceEvent, TraceSink};
 use pf_workload::RequestSpec;
 
 use crate::cluster::RouterPolicy;
-use crate::config::{PrefixCacheConfig, SimConfig};
+use crate::config::{
+    BatchingMode, EvictionMode, KvLayout, PrefillMode, PrefixCacheConfig, SimConfig,
+};
 use crate::error::SimError;
 use crate::perf::PerfModel;
 
@@ -215,6 +217,31 @@ pub(crate) fn check_prefix_cache(config: Option<PrefixCacheConfig>) -> Result<()
         _ => return Ok(()),
     };
     Err(SimError::InvalidPrefixCache { parameter })
+}
+
+/// Checks an engine config's sizes and swap link before an engine is
+/// built from it: a static `max_batch` or a paged `block_size` of 0
+/// panics, a `chunk_tokens` of 0 never finishes a prefill, and a swap
+/// `pcie_gbps` that is not finite and positive panics at the first
+/// swap-out. Every driver runs this one check.
+///
+/// # Errors
+///
+/// [`SimError::InvalidEngine`] naming the zero size, or
+/// [`SimError::InvalidHardware`] for `pcie_gbps`.
+pub(crate) fn check_engine(config: &SimConfig) -> Result<(), SimError> {
+    let parameter = if config.batching == (BatchingMode::Static { max_batch: 0 }) {
+        "max_batch"
+    } else if config.kv_layout == (KvLayout::Paged { block_size: 0 }) {
+        "block_size"
+    } else if config.prefill == (PrefillMode::Chunked { chunk_tokens: 0 }) {
+        "chunk_tokens"
+    } else if let EvictionMode::Swap { pcie_gbps } = config.eviction {
+        return check_positive("pcie_gbps", pcie_gbps);
+    } else {
+        return Ok(());
+    };
+    Err(SimError::InvalidEngine { parameter })
 }
 
 /// Checks the GPU types of a fleet's slots before any planner or member is

@@ -84,8 +84,9 @@ impl Simulation {
     ///
     /// Returns [`SimError`] when the deployment cannot serve the workload:
     /// no KV capacity, a request that can never fit, a malformed workload,
-    /// an out-of-range scheduler parameter ([`SimError::InvalidScheduler`])
-    /// or prefix-cache parameter ([`SimError::InvalidPrefixCache`]), or a
+    /// an out-of-range scheduler, prefix-cache or engine parameter
+    /// ([`SimError::InvalidScheduler`], [`SimError::InvalidPrefixCache`],
+    /// [`SimError::InvalidEngine`], [`SimError::InvalidHardware`]), or a
     /// scheduler stall.
     pub fn run(self) -> Result<SimReport, SimError> {
         self.run_traced(None)
@@ -101,8 +102,9 @@ impl Simulation {
     ///
     /// Returns [`SimError`] when the deployment cannot serve the workload:
     /// no KV capacity, a request that can never fit, a malformed workload,
-    /// an out-of-range scheduler parameter ([`SimError::InvalidScheduler`])
-    /// or prefix-cache parameter ([`SimError::InvalidPrefixCache`]), or a
+    /// an out-of-range scheduler, prefix-cache or engine parameter
+    /// ([`SimError::InvalidScheduler`], [`SimError::InvalidPrefixCache`],
+    /// [`SimError::InvalidEngine`], [`SimError::InvalidHardware`]), or a
     /// scheduler stall.
     ///
     /// # Example
@@ -130,6 +132,7 @@ impl Simulation {
         let arrivals = self.arrivals?;
         crate::fleet::check_scheduler(&self.config.scheduler)?;
         crate::fleet::check_prefix_cache(self.config.prefix_cache)?;
+        crate::fleet::check_engine(&self.config)?;
         Engine::new(self.config, arrivals).run_traced(sink)
     }
 }

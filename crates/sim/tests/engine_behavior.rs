@@ -848,3 +848,86 @@ fn out_of_range_hardware_is_rejected_before_the_first_event() {
         assert!(sink.events.is_empty(), "rejected before the first event");
     }
 }
+
+/// Engine sizes of zero and a swap link that is not finite and positive
+/// panicked (`max_batch`, `block_size`, `pcie_gbps`) or never finished a
+/// prefill (`chunk_tokens`); every entry point now returns a typed error
+/// before the first event. A disaggregated deployment also rejects static
+/// batching, since its pools batch continuously.
+#[test]
+fn invalid_engine_configs_are_rejected_before_the_first_event() {
+    use pf_metrics::SimTime;
+    use pf_obs::RecordingSink;
+    use pf_sim::cluster::{ClusterSimulation, RouterPolicy};
+    use pf_sim::disagg::{DisaggCluster, DisaggConfig};
+    use pf_sim::EvictionMode;
+
+    let requests = datasets::sharegpt(40, 1);
+    let arrivals = vec![SimTime::ZERO; requests.len()];
+    let invalid_engine = |parameter| SimError::InvalidEngine { parameter };
+    let base = || SimConfig {
+        max_sim_time: Some(SimDuration::from_secs(600)),
+        ..small_config(SchedulerConfig::past_future(), 40_000)
+    };
+    let mut cases = vec![
+        (
+            SimConfig {
+                batching: BatchingMode::Static { max_batch: 0 },
+                ..base()
+            },
+            invalid_engine("max_batch"),
+        ),
+        (
+            SimConfig {
+                kv_layout: KvLayout::Paged { block_size: 0 },
+                ..base()
+            },
+            invalid_engine("block_size"),
+        ),
+        (
+            SimConfig {
+                prefill: PrefillMode::Chunked { chunk_tokens: 0 },
+                ..base()
+            },
+            invalid_engine("chunk_tokens"),
+        ),
+    ];
+    for pcie_gbps in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        let config = SimConfig {
+            eviction: EvictionMode::Swap { pcie_gbps },
+            ..base()
+        };
+        let expected = SimError::InvalidHardware {
+            parameter: "pcie_gbps",
+        };
+        cases.push((config, expected));
+    }
+    for (config, expected) in cases {
+        let case = format!("{expected:?}: {:?}", config.eviction);
+        let mut sink = RecordingSink::new();
+        let single =
+            Simulation::offline(config.clone(), requests.clone()).run_traced(Some(&mut sink));
+        assert_eq!(single.unwrap_err(), expected, "single {case}");
+        assert!(sink.events.is_empty(), "rejected before the first event");
+        let mut sink = RecordingSink::new();
+        let cluster = ClusterSimulation::new(config.clone(), 2, RouterPolicy::RoundRobin)
+            .run_traced(requests.clone(), arrivals.clone(), Some(&mut sink));
+        assert_eq!(cluster.unwrap_err(), expected, "cluster {case}");
+        assert!(sink.events.is_empty(), "rejected before the first event");
+        let mut sink = RecordingSink::new();
+        let disagg = DisaggCluster::new(DisaggConfig::new(config), 1, 1).run_traced(
+            requests.clone(),
+            arrivals.clone(),
+            Some(&mut sink),
+        );
+        assert_eq!(disagg.unwrap_err(), expected, "disagg {case}");
+        assert!(sink.events.is_empty(), "rejected before the first event");
+    }
+    let statically_batched = SimConfig {
+        batching: BatchingMode::Static { max_batch: 8 },
+        ..base()
+    };
+    let disagg =
+        DisaggCluster::new(DisaggConfig::new(statically_batched), 1, 1).run(requests, arrivals);
+    assert_eq!(disagg.unwrap_err(), invalid_engine("batching"));
+}
