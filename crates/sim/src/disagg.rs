@@ -7,23 +7,26 @@
 //! splits them. **Prefill instances** serve a queue of prompts in batched
 //! whole-prompt passes and emit each request's *first* token — in FIFO
 //! order or shortest-prompt-first with an aging cap
-//! ([`PrefillOrder`]); **decode instances** run continuous-batching token
-//! generation for requests whose KV cache has been handed over, admitting
-//! handoffs by the paper's future-required-memory estimate (Eq. 2–4 on
-//! ground-truth lengths — an oracle, so the decode batch packs densely yet
-//! never evicts). The pools scale (and in the elastic variant autoscale)
-//! independently, each against the SLA term its stage controls: prefill
-//! against TTFT, decode against TPOT.
+//! ([`PrefillOrder`]); **decode instances** are the colocated engine
+//! behind [`crate::Simulation`], fed the requests whose KV cache has been
+//! handed over. Each runs continuous-batching token generation and admits
+//! handoffs through the engine's one admission path with
+//! [`SchedulerConfig::Oracle`]: the paper's future-required-memory
+//! estimate (Eq. 2–4) on true output lengths, so the decode batch packs
+//! densely yet never evicts. The pools scale (and in the elastic variant
+//! autoscale) independently, each against the SLA term its stage
+//! controls: prefill against TTFT, decode against TPOT.
 //!
 //! When the base config sets [`QueueOrder::LeastSlackFirst`](crate::QueueOrder),
 //! deadline slack overrides the [`PrefillOrder`]: each prefill instance
 //! serves the queued prompt with the least remaining slack next (aging
 //! cap intact), and prompts whose slack has fallen below their minimum
 //! feasible prefill time are dropped early instead of burning a pass on a
-//! guaranteed miss. Decode admission ranks pending handoffs by remaining
+//! guaranteed miss. Decode admission ranks queued handoffs by remaining
 //! slack against the *end-to-end* deadline — a handoff reaches the decode
 //! pool only after its KV transfer lands, so the transfer latency is
-//! charged before the ranking.
+//! charged before the ranking. No deadline cancels a handoff: it streamed
+//! its first token at prefill, so its client is mid-response.
 //!
 //! # The KV-transfer cost model
 //!
@@ -131,7 +134,7 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
 use pf_autoscale::{AutoscaleConfig, PoolRole};
-use pf_core::{AdmissionIndex, BatchEntry};
+use pf_core::SchedulerConfig;
 use pf_kvcache::{BlockPrefixCache, KvEvent, PrefixCacheStats};
 use pf_metrics::{GoodputReport, RequestTiming, SeriesGroup, SimDuration, SimTime, SlaSpec};
 use pf_obs::{GaugeKind, TraceEvent, TraceSink};
@@ -139,6 +142,7 @@ use pf_workload::RequestSpec;
 
 use crate::cluster::RouterPolicy;
 use crate::config::{BatchingMode, PrefixCacheConfig, QueueOrder, SimConfig, DEFAULT_AGING_CAP};
+use crate::engine::{Arrivals, Engine, Tick};
 use crate::error::SimError;
 use crate::fleet::{
     self, pick_rotating_min, FleetMember, GpuType, MemberCore, MemberState, Pool, PoolPlanner,
@@ -241,10 +245,16 @@ impl PrefillOrder {
 /// two pools joined by a [`KvTransferSpec`] link.
 #[derive(Debug, Clone)]
 pub struct DisaggConfig {
-    /// Replica description shared by both pools (scheduler settings are
-    /// unused — the pools run stage-specific loops; a
-    /// [`SimConfig::prefix_cache`] setting is honoured on the prefill
-    /// pool, where hits shrink prefill passes directly).
+    /// Replica description shared by both pools. Both honour the model,
+    /// GPU, tensor parallelism, capacity, tuning, SLA, deadlines
+    /// ([`SimConfig::request_deadline`], [`SimConfig::queue_order`]) and
+    /// [`SimConfig::max_sim_time`]. A [`SimConfig::prefix_cache`] applies
+    /// to the prefill pool, where hits shrink prefill passes directly. The
+    /// decode engines also honour the KV layout, eviction mode and seed
+    /// (offset per spawn); their scheduler is fixed to
+    /// [`SchedulerConfig::Oracle`], so [`SimConfig::scheduler`] and
+    /// [`SimConfig::history_warmup`] are unused, and static batching is
+    /// rejected ([`SimError::InvalidEngine`]).
     pub base: SimConfig,
     /// The prefill→decode KV-transfer link.
     pub transfer: KvTransferSpec,
@@ -381,9 +391,8 @@ impl DisaggCluster {
     /// ([`SimError::InvalidPrefixCache`]), an engine size is zero or the
     /// base batches statically ([`SimError::InvalidEngine`]), a GPU type or
     /// a link holds a value that is not finite and positive
-    /// ([`SimError::InvalidHardware`]),
-    /// or the router policy cannot run on the pools
-    /// ([`SimError::InvalidRouterPolicy`]).
+    /// ([`SimError::InvalidHardware`]), or the router policy cannot run on
+    /// the pools ([`SimError::InvalidRouterPolicy`]).
     pub fn run(
         self,
         requests: Vec<RequestSpec>,
@@ -399,15 +408,7 @@ impl DisaggCluster {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] when the arrival stream is malformed
-    /// ([`SimError::InvalidWorkload`]), a request cannot fit either pool,
-    /// a prefix-cache parameter is out of range
-    /// ([`SimError::InvalidPrefixCache`]), an engine size is zero or the
-    /// base batches statically ([`SimError::InvalidEngine`]), a GPU type or
-    /// a link holds a value that is not finite and positive
-    /// ([`SimError::InvalidHardware`]),
-    /// or the router policy cannot run on the pools
-    /// ([`SimError::InvalidRouterPolicy`]).
+    /// As [`DisaggCluster::run`].
     pub fn run_traced(
         self,
         requests: Vec<RequestSpec>,
@@ -484,15 +485,7 @@ impl ElasticDisaggCluster {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] when the arrival stream is malformed
-    /// ([`SimError::InvalidWorkload`]), a request cannot fit either pool,
-    /// a prefix-cache parameter is out of range
-    /// ([`SimError::InvalidPrefixCache`]), an engine size is zero or the
-    /// base batches statically ([`SimError::InvalidEngine`]), a GPU type or
-    /// a link holds a value that is not finite and positive
-    /// ([`SimError::InvalidHardware`]),
-    /// or the router policy cannot run on the pools
-    /// ([`SimError::InvalidRouterPolicy`]).
+    /// As [`DisaggCluster::run`].
     pub fn run(
         self,
         requests: Vec<RequestSpec>,
@@ -507,15 +500,7 @@ impl ElasticDisaggCluster {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] when the arrival stream is malformed
-    /// ([`SimError::InvalidWorkload`]), a request cannot fit either pool,
-    /// a prefix-cache parameter is out of range
-    /// ([`SimError::InvalidPrefixCache`]), an engine size is zero or the
-    /// base batches statically ([`SimError::InvalidEngine`]), a GPU type or
-    /// a link holds a value that is not finite and positive
-    /// ([`SimError::InvalidHardware`]),
-    /// or the router policy cannot run on the pools
-    /// ([`SimError::InvalidRouterPolicy`]).
+    /// As [`DisaggCluster::run`].
     pub fn run_traced(
         self,
         requests: Vec<RequestSpec>,
@@ -555,7 +540,6 @@ impl ElasticDisaggCluster {
 struct Job {
     spec: RequestSpec,
     timing: RequestTiming,
-    generated: u32,
     /// Prompt tokens served from the prefill instance's prefix cache
     /// (assigned when the job enters a prefill batch; shrinks the pass).
     cached_prefix: u64,
@@ -569,7 +553,6 @@ impl Job {
         Job {
             spec,
             timing: RequestTiming::new(arrived),
-            generated: 0,
             cached_prefix: 0,
             stream: None,
         }
@@ -579,33 +562,6 @@ impl Job {
     /// the first generated token.
     fn prefill_tokens(&self) -> u64 {
         u64::from(self.spec.input_len) + 1
-    }
-
-    /// Worst-case KV footprint at completion (routing signal for pending
-    /// handoffs whose admission point is not yet known).
-    fn final_footprint(&self) -> u64 {
-        u64::from(self.spec.input_len) + u64::from(self.spec.true_output_len)
-    }
-
-    /// KV tokens currently resident while decoding.
-    fn kv_tokens(&self) -> u64 {
-        u64::from(self.spec.input_len) + u64::from(self.generated)
-    }
-
-    /// Future-memory entry (Eq. 2–4 of the paper, on ground truth): what
-    /// this request holds now and how much it will still grow.
-    fn batch_entry(&self) -> BatchEntry {
-        debug_assert!(
-            self.spec.true_output_len >= self.generated,
-            "request {} generated {} past its true output length {}",
-            self.spec.id.raw(),
-            self.generated,
-            self.spec.true_output_len
-        );
-        BatchEntry {
-            committed: self.kv_tokens(),
-            remaining: u64::from(self.spec.true_output_len.saturating_sub(self.generated)),
-        }
     }
 }
 
@@ -650,31 +606,20 @@ struct PrefillMember {
     completed: usize,
 }
 
+/// A decode-pool member: a colocated [`Engine`] fed the handoffs that
+/// land on it ([`Engine::hand_off`]), provisioned from [`Run::decode_base`].
 #[derive(Debug)]
-struct DecodeMember {
+struct Decoder {
+    engine: Engine,
     core: MemberCore,
-    /// Id stamped into emitted trace events (see [`PrefillMember::instance`]).
-    instance: u32,
-    /// Transferred requests waiting for admission into the decode batch.
-    pending: VecDeque<Job>,
-    /// Final footprints of `pending` (routing signal).
-    pending_reserved: u64,
-    running: Vec<Job>,
-    /// O(log n) Eq. 2–4 probe state over `running`, maintained exactly:
-    /// admissions insert at the probe's Eq. 2 position
-    /// ([`AdmissionIndex::admit`]), completions retire the sorted tail
-    /// ([`AdmissionIndex::retire_due`] — finishing jobs are precisely the
-    /// minimum-remaining entries), and synchronized decode steps between
-    /// membership changes only advance `index_steps` (every completion
-    /// term is step-invariant). The batch is never cloned or re-sorted on
-    /// the decode path.
-    admit_index: AdmissionIndex,
-    index_steps: u64,
-    /// KV tokens resident across `running`, maintained incrementally
-    /// (`Σ kv_tokens`, the decode-step and routing load signal).
-    running_kv: u64,
+    /// Whether the engine's current step is in flight (its `DecodeDone`
+    /// is scheduled).
     busy: bool,
+    /// Requests this member finished, moved out of its engine into the
+    /// run's outcomes.
     completed: usize,
+    /// Engine timeouts already counted in the run's report.
+    seen_timed_out: usize,
 }
 
 impl PrefillMember {
@@ -723,7 +668,7 @@ impl FleetMember for PrefillMember {
     }
 }
 
-impl FleetMember for DecodeMember {
+impl FleetMember for Decoder {
     fn core(&self) -> &MemberCore {
         &self.core
     }
@@ -732,14 +677,10 @@ impl FleetMember for DecodeMember {
         &mut self.core
     }
 
-    /// Resident KV of the batch plus the final footprints of pending
-    /// handoffs.
+    /// Resident KV plus what the queued handoffs hold
+    /// ([`Engine::resident_load`]).
     fn load_signal(&self) -> u64 {
-        debug_assert_eq!(
-            self.running_kv,
-            self.running.iter().map(Job::kv_tokens).sum::<u64>()
-        );
-        self.running_kv + self.pending_reserved
+        self.engine.resident_load()
     }
 }
 
@@ -754,7 +695,7 @@ trait Stage: FleetMember + Sized {
     /// This pool and the other one, out of the run's two.
     fn pools<'a>(
         prefill: &'a mut Pool<PrefillMember>,
-        decode: &'a mut Pool<DecodeMember>,
+        decode: &'a mut Pool<Decoder>,
     ) -> (&'a mut Pool<Self>, &'a mut Pool<Self::Other>);
     /// A freshly provisioned, empty member with trace id `instance`.
     fn provision(core: MemberCore, instance: u32, run: &Run<'_>) -> Self;
@@ -767,13 +708,13 @@ trait Stage: FleetMember + Sized {
 }
 
 impl Stage for PrefillMember {
-    type Other = DecodeMember;
+    type Other = Decoder;
     const FLIP: RepurposeDirection = RepurposeDirection::PrefillToDecode;
 
     fn pools<'a>(
         prefill: &'a mut Pool<PrefillMember>,
-        decode: &'a mut Pool<DecodeMember>,
-    ) -> (&'a mut Pool<Self>, &'a mut Pool<DecodeMember>) {
+        decode: &'a mut Pool<Decoder>,
+    ) -> (&'a mut Pool<Self>, &'a mut Pool<Decoder>) {
         (prefill, decode)
     }
 
@@ -806,29 +747,30 @@ impl Stage for PrefillMember {
     }
 }
 
-impl Stage for DecodeMember {
+impl Stage for Decoder {
     type Other = PrefillMember;
     const FLIP: RepurposeDirection = RepurposeDirection::DecodeToPrefill;
 
     fn pools<'a>(
         prefill: &'a mut Pool<PrefillMember>,
-        decode: &'a mut Pool<DecodeMember>,
+        decode: &'a mut Pool<Decoder>,
     ) -> (&'a mut Pool<Self>, &'a mut Pool<PrefillMember>) {
         (decode, prefill)
     }
 
-    fn provision(core: MemberCore, instance: u32, _run: &Run<'_>) -> Self {
-        DecodeMember {
+    /// An engine seeded and sped up for its spawn index exactly as an
+    /// elastic replica is ([`fleet::replica`]).
+    fn provision(core: MemberCore, instance: u32, run: &Run<'_>) -> Self {
+        let config = fleet::replica(&run.decode_base, core.gpu, run.decode.members.len());
+        let mut engine = Engine::new(config, Arrivals::offline(Vec::new()));
+        engine.set_instance(instance);
+        engine.advance_to(core.spawned_at);
+        Decoder {
+            engine,
             core,
-            instance,
-            pending: VecDeque::new(),
-            pending_reserved: 0,
-            running: Vec::new(),
-            admit_index: AdmissionIndex::default(),
-            index_steps: 0,
-            running_kv: 0,
             busy: false,
             completed: 0,
+            seen_timed_out: 0,
         }
     }
 
@@ -837,7 +779,7 @@ impl Stage for DecodeMember {
     }
 
     fn instance(&self) -> u32 {
-        self.instance
+        self.engine.instance()
     }
 
     fn completed(&self) -> usize {
@@ -950,7 +892,12 @@ struct Run<'s> {
     decode_cursor: usize,
 
     prefill: Pool<PrefillMember>,
-    decode: Pool<DecodeMember>,
+    decode: Pool<Decoder>,
+    /// The config every decode engine is provisioned from: the base with
+    /// no prefix cache (a handoff brings its KV along) and no series,
+    /// admitting by Eq. 2–4 on true lengths
+    /// ([`SchedulerConfig::Oracle`]).
+    decode_base: SimConfig,
     repurposes: Vec<RepurposeEvent>,
 
     heap: BinaryHeap<Scheduled>,
@@ -984,8 +931,6 @@ struct Run<'s> {
     next_instance: u32,
     /// Optional trace sink; `None` costs one branch per emission site.
     sink: Option<&'s mut dyn TraceSink>,
-    /// Reusable completion scratch of [`Run::on_decode_done`].
-    scratch_finished: Vec<Job>,
 }
 
 impl<'s> Run<'s> {
@@ -1031,14 +976,6 @@ impl<'s> Run<'s> {
                     capacity: max_batch,
                 });
             }
-            let decode_need = u64::from(spec.input_len) + u64::from(spec.true_output_len);
-            if decode_need > capacity {
-                return Err(SimError::RequestTooLarge {
-                    id: spec.id.raw(),
-                    needed: decode_need,
-                    capacity,
-                });
-            }
         }
         // The one place the transfer mode is read: it only sets how many
         // chunks every stream on the shared link carries.
@@ -1065,6 +1002,12 @@ impl<'s> Run<'s> {
             decode_cursor: 0,
             prefill: Pool::new(pf_obs::Pool::Prefill, config.prefill_slots, prefill_planner),
             decode: Pool::new(pf_obs::Pool::Decode, config.decode_slots, decode_planner),
+            decode_base: SimConfig {
+                scheduler: SchedulerConfig::Oracle,
+                prefix_cache: None,
+                record_series: false,
+                ..config.base
+            },
             repurposes: Vec::new(),
             heap: BinaryHeap::new(),
             seq: 0,
@@ -1090,10 +1033,14 @@ impl<'s> Run<'s> {
             stats: TransferStats::default(),
             next_instance: 0,
             sink,
-            scratch_finished: Vec::new(),
         };
         run.grow::<PrefillMember>(SimTime::ZERO, initial.0, SimDuration::ZERO);
-        run.grow::<DecodeMember>(SimTime::ZERO, initial.1, SimDuration::ZERO);
+        run.grow::<Decoder>(SimTime::ZERO, initial.1, SimDuration::ZERO);
+        // Every decode engine shares the base capacity and layout.
+        let decoder = &run.decode.members[0].engine;
+        for spec in &requests {
+            decoder.validate_spec(spec)?;
+        }
         for (at, spec) in arrival_times.into_iter().zip(requests) {
             run.schedule(at, Ev::Arrival(spec));
         }
@@ -1173,12 +1120,12 @@ impl<'s> Run<'s> {
             match ev {
                 Ev::Arrival(spec) => self.on_arrival(now, spec),
                 Ev::PrefillDone(i) => self.on_prefill_done(now, i),
-                Ev::DecodeDone(j) => self.on_decode_done(now, j),
+                Ev::DecodeDone(j) => self.on_decode_done(now, j)?,
                 Ev::PrefillReady(i) => self.on_ready::<PrefillMember>(now, i),
-                Ev::DecodeReady(j) => self.on_ready::<DecodeMember>(now, j),
+                Ev::DecodeReady(j) => self.on_ready::<Decoder>(now, j),
                 Ev::Plan => self.on_plan(now),
                 Ev::LinkWake { generation } => self.on_link_wake(now, generation),
-                Ev::StreamDone { id } => self.on_stream_done(now, id),
+                Ev::StreamDone { id } => self.on_stream_done(now, id)?,
             }
         }
         Ok(self.finish())
@@ -1397,23 +1344,7 @@ impl<'s> Run<'s> {
             member.queued_tokens -= prompt;
             member.held_tokens += tokens;
             batch_computed_tokens += prompt.saturating_sub(job.cached_prefix).max(1);
-            let request = job.spec.id.raw();
-            fleet::emit(
-                sink,
-                TraceEvent::Admitted {
-                    at: now,
-                    instance,
-                    request,
-                },
-            );
-            fleet::emit(
-                sink,
-                TraceEvent::PrefillStart {
-                    at: now,
-                    instance,
-                    request,
-                },
-            );
+            fleet::emit_prefill_start(sink, now, instance, job.spec.id.raw());
             member.batch.push(job);
         }
         self.flush_kv_events(i, now);
@@ -1453,7 +1384,7 @@ impl<'s> Run<'s> {
         let instance = self.prefill.members[i].instance;
         for idx in 0..self.prefill.members[i].batch.len() {
             let job = &self.prefill.members[i].batch[idx];
-            if job.generated + 1 >= job.spec.true_output_len {
+            if job.spec.true_output_len <= 1 {
                 continue; // Finishes at prefill; never crosses the link.
             }
             let tokens = job.prefill_tokens();
@@ -1507,7 +1438,8 @@ impl<'s> Run<'s> {
         let Some(store) = member.prefix.as_mut() else {
             return;
         };
-        fleet::store_prefix(store, &job.spec, job.generated);
+        // The prefill emitted the first token.
+        fleet::store_prefix(store, &job.spec, 1);
         if held + store.used_tokens() > capacity {
             store.evict_down_to(capacity.saturating_sub(held));
         }
@@ -1520,36 +1452,38 @@ impl<'s> Run<'s> {
         let capacity = self.capacity;
         let instance = self.prefill.members[i].instance;
         for mut job in batch {
-            job.generated += 1;
             job.timing.record_token(now);
             // Prefill emits every request's first token, exactly once.
-            let request = job.spec.id.raw();
-            fleet::emit(
-                &mut self.sink,
-                TraceEvent::PrefillEnd {
-                    at: now,
-                    instance,
-                    request,
-                },
-            );
-            fleet::emit(
-                &mut self.sink,
-                TraceEvent::FirstToken {
-                    at: now,
-                    instance,
-                    request,
-                },
-            );
+            fleet::emit_prefill_end(&mut self.sink, now, instance, job.spec.id.raw(), true);
             Self::cache_prefill_prefix(&mut self.prefill.members[i], capacity, &job);
             if let Some(planner) = self.prefill.planner.as_mut() {
                 let ttft = job.timing.ttft().expect("first token just recorded");
                 planner.on_request_finished(now, 1, ttft, SimDuration::ZERO);
             }
-            if job.generated >= job.spec.true_output_len {
+            if job.spec.true_output_len <= 1 {
                 // Single-token requests finish at prefill; nothing to hand
                 // over.
                 self.prefill.members[i].held_tokens -= job.prefill_tokens();
-                self.finish_job(now, instance, job);
+                if self.sink.is_some() {
+                    let sla_ok = self.sla.evaluate(&job.timing).is_satisfied();
+                    fleet::emit(
+                        &mut self.sink,
+                        TraceEvent::Finished {
+                            at: now,
+                            instance,
+                            request: job.spec.id.raw(),
+                            sla_ok,
+                        },
+                    );
+                }
+                self.remaining -= 1;
+                self.outcomes.push(RequestOutcome {
+                    id: job.spec.id.raw(),
+                    input_len: job.spec.input_len,
+                    output_len: 1,
+                    timing: job.timing,
+                    evictions: 0,
+                });
             } else {
                 // The stream opened when the pass started; park the job
                 // for its `StreamDone`.
@@ -1613,7 +1547,7 @@ impl<'s> Run<'s> {
     /// stats charge the uncontended wire time plus one *per-stream*
     /// overhead and the time landed past the pass end, and the job hands
     /// off to the decode pool.
-    fn on_stream_done(&mut self, now: SimTime, id: usize) {
+    fn on_stream_done(&mut self, now: SimTime, id: usize) -> Result<(), SimError> {
         let slot = &mut self.stream_slots[id];
         let from = slot.from;
         let tokens = slot.tokens;
@@ -1633,7 +1567,7 @@ impl<'s> Run<'s> {
         self.try_start_prefill(from, now);
         self.maybe_stop_prefill(from, now);
         self.emit_link_utilization(now);
-        self.handoff_to_decode(now, job);
+        self.handoff_to_decode(now, job)
     }
 
     /// Emits the shared-link utilization gauge. The link is a pool-wide
@@ -1682,8 +1616,10 @@ impl<'s> Run<'s> {
         }
     }
 
-    /// Routes a landed KV handoff onto the decode pool.
-    fn handoff_to_decode(&mut self, now: SimTime, job: Job) {
+    /// Routes a landed KV handoff onto the decode pool, by each live
+    /// member's [`Decoder::load_signal`] over its GPU speed, and ticks the
+    /// receiving engine if it is idle.
+    fn handoff_to_decode(&mut self, now: SimTime, job: Job) -> Result<(), SimError> {
         if let Some(planner) = self.decode.planner.as_mut() {
             planner.on_request_arrival(now, job.spec.input_len);
         }
@@ -1701,167 +1637,77 @@ impl<'s> Run<'s> {
         .expect("at least one live decode instance");
         let member = &mut self.decode.members[target];
         member.core.routed += 1;
-        member.pending_reserved += job.final_footprint();
         // The transfer end carries the *receiving decode* instance: the
         // request's decode phase runs there from this point on.
         fleet::emit(
             &mut self.sink,
             TraceEvent::KvTransferEnd {
                 at: now,
-                instance: member.instance,
+                instance: member.engine.instance(),
                 request: job.spec.id.raw(),
             },
         );
-        member.pending.push_back(job);
-        self.try_start_decode(target, now);
+        member.engine.hand_off(now, job.spec, job.timing);
+        if member.busy {
+            return Ok(());
+        }
+        self.tick_decode(target, now)
     }
 
-    /// Admits pending handoffs and starts one decode step on member `j` if
-    /// it is idle with a non-empty batch.
-    ///
-    /// Admission uses the paper's future-required-memory estimate (Eq.
-    /// 2–4) on ground-truth remaining lengths: a handoff joins the batch
-    /// only when the batch's *peak* future footprint — not its worst-case
-    /// sum — stays within capacity. Exact lengths make the estimate an
-    /// oracle, so admitted requests are never evicted, while packing the
-    /// batch far denser than a conservative full-reservation rule. Under
-    /// [`QueueOrder::LeastSlackFirst`] the pending handoffs are ranked by
-    /// remaining end-to-end slack before admission, so the most urgent
-    /// request joins the batch (and resumes token emission) first.
-    fn try_start_decode(&mut self, j: usize, now: SimTime) {
-        let capacity = self.capacity;
-        let perf = self.perf;
-        let queue_order = self.queue_order;
-        let default_deadline = self.default_deadline;
+    /// Ticks idle decode member `j` at `now`, its engine's clock. The
+    /// engine admits queued handoffs by Eq. 2–4 (under
+    /// [`QueueOrder::LeastSlackFirst`], least end-to-end slack first) and
+    /// runs one decode step; `DecodeDone` fires at the step's end. An
+    /// engine with nothing to run stays idle, and a draining one stops.
+    fn tick_decode(&mut self, j: usize, now: SimTime) -> Result<(), SimError> {
         let member = &mut self.decode.members[j];
-        if member.busy || !member.core.is_active() {
-            return;
-        }
-        // Least-slack-first against the end-to-end deadline. A handoff
-        // lands here only after its prefill finished *and* its KV
-        // transfer completed, so `waited` already charges the transfer
-        // latency. An overdue handoff saturates to zero slack and ranks
-        // most urgent: it streamed its first token at prefill, so the
-        // client is mid-response and cancellation is off the table.
-        if let QueueOrder::LeastSlackFirst { aging_cap } = queue_order {
-            fleet::rank_by_slack(&mut member.pending, now, aging_cap, |job| {
-                let deadline = job.spec.deadline.or(default_deadline);
-                (false, job.timing.arrival(), deadline)
-            });
-        }
-        // Probe each pending handoff through the member's admission
-        // index: every probe is one binary search returning exactly the
-        // Eq. 2–4 peak a fresh clone-and-sort would (`M*` is invariant to
-        // how equal-`remaining` entries tie-break — the later of two tied
-        // positions always dominates — so the index's insertion position
-        // is as good as any sort's). An accepted candidate folds into the
-        // index at that same position, so the batch is never re-sorted.
-        while let Some(front) = member.pending.front() {
-            let candidate = front.batch_entry();
-            if member.admit_index.peak_with(candidate, member.index_steps) > capacity {
-                break;
+        let tick = member.engine.tick_traced(&mut self.sink)?;
+        // Only a preempted handoff can time out: no deadline cancels one
+        // whose KV is resident.
+        let timed_out = member.engine.timed_out() - member.seen_timed_out;
+        member.seen_timed_out += timed_out;
+        self.timed_out += timed_out;
+        self.remaining -= timed_out;
+        match tick {
+            Tick::Worked => {
+                member.busy = true;
+                let end = member.engine.now();
+                self.schedule(end, Ev::DecodeDone(j));
             }
-            let job = member.pending.pop_front().expect("peeked");
-            member.pending_reserved -= job.final_footprint();
-            member.running_kv += job.kv_tokens();
-            member.admit_index.admit(candidate, member.index_steps);
-            member.index_steps = 0;
-            member.running.push(job);
+            Tick::Blocked => {
+                return Err(SimError::Stalled {
+                    queued: member.engine.outstanding(),
+                    at: now,
+                });
+            }
+            Tick::Sleep(_) | Tick::Drained | Tick::HorizonReached => {
+                self.maybe_stop_decode(j, now);
+            }
         }
-        if member.running.is_empty() {
-            return;
-        }
-        let batch = member.running.len() as u64;
-        debug_assert_eq!(
-            member.running_kv,
-            member.running.iter().map(Job::kv_tokens).sum::<u64>()
-        );
-        let kv_tokens = member.running_kv;
-        member.busy = true;
-        let duration = member
-            .core
-            .gpu
-            .scale_step(perf.decode_step(batch, kv_tokens));
-        self.schedule(now + duration, Ev::DecodeDone(j));
+        Ok(())
     }
 
-    fn on_decode_done(&mut self, now: SimTime, j: usize) {
-        self.decode.members[j].busy = false;
-        let instance = self.decode.members[j].instance;
-        let mut finished = std::mem::take(&mut self.scratch_finished);
-        finished.clear();
-        {
-            let member = &mut self.decode.members[j];
-            // One coalesced decode event per batch tick (every running job
-            // grew by one token this step).
-            let emitters = member.running.len() as u32;
-            if emitters > 0 {
-                fleet::emit(
-                    &mut self.sink,
-                    TraceEvent::DecodeStep {
-                        at: now,
-                        instance,
-                        batch: emitters,
-                    },
-                );
-            }
-            // Every running job grew by one KV token this step; finished
-            // jobs then take their (post-step) residency with them.
-            member.running_kv += member.running.len() as u64;
-            let mut k = 0;
-            while k < member.running.len() {
-                let job = &mut member.running[k];
-                job.generated += 1;
-                job.timing.record_token(now);
-                if job.generated >= job.spec.true_output_len {
-                    let job = member.running.remove(k);
-                    member.running_kv -= job.kv_tokens();
-                    finished.push(job);
-                } else {
-                    k += 1;
-                }
-            }
-            member.completed += finished.len();
-            if finished.is_empty() {
-                // Membership unchanged: the admission index stays valid,
-                // one synchronized step further along.
-                member.index_steps += 1;
-            } else {
-                // Jobs finishing this step are exactly the index entries
-                // whose remaining length hits zero at `index_steps + 1` —
-                // the tail of the Eq. 2 order. Retiring them in place
-                // keeps the index exact without re-sorting the batch.
-                let retired = member.admit_index.retire_due(member.index_steps + 1);
-                debug_assert_eq!(retired, finished.len());
-                member.index_steps = 0;
+    /// Decode member `j`'s step ended: its finished requests join the
+    /// run's outcomes and feed the decode planner, and the engine ticks
+    /// again.
+    fn on_decode_done(&mut self, now: SimTime, j: usize) -> Result<(), SimError> {
+        let Pool {
+            members, planner, ..
+        } = &mut self.decode;
+        let member = &mut members[j];
+        member.busy = false;
+        let before = self.outcomes.len();
+        self.outcomes.extend(member.engine.drain_outcomes());
+        let finished = &self.outcomes[before..];
+        if let Some(planner) = planner.as_mut() {
+            for o in finished {
+                let ttft = o.timing.ttft().expect("completed with tokens");
+                planner.on_request_finished(now, o.output_len, ttft, o.timing.avg_tpot());
             }
         }
-        if let Some(s) = self.sink.as_deref_mut() {
-            let member = &self.decode.members[j];
-            let kv_tokens = member.running_kv;
-            s.gauge(
-                now,
-                instance,
-                GaugeKind::BatchSize,
-                member.running.len() as f64,
-            );
-            s.gauge(
-                now,
-                instance,
-                GaugeKind::KvOccupancy,
-                kv_tokens as f64 / self.capacity as f64,
-            );
-        }
-        for job in finished.drain(..) {
-            if let Some(planner) = self.decode.planner.as_mut() {
-                let ttft = job.timing.ttft().expect("completed with tokens");
-                planner.on_request_finished(now, job.generated, ttft, job.timing.avg_tpot());
-            }
-            self.finish_job(now, instance, job);
-        }
-        self.scratch_finished = finished;
-        self.try_start_decode(j, now);
-        self.maybe_stop_decode(j, now);
+        member.completed += finished.len();
+        self.remaining -= finished.len();
+        self.tick_decode(j, now)
     }
 
     fn on_ready<M: Stage>(&mut self, now: SimTime, i: usize) {
@@ -1895,12 +1741,11 @@ impl<'s> Run<'s> {
         let member = &self.decode.members[j];
         if !(member.core.state == MemberState::Draining
             && !member.busy
-            && member.running.is_empty()
-            && member.pending.is_empty())
+            && member.engine.outstanding() == 0)
         {
             return;
         }
-        self.stop_or_flip::<DecodeMember>(j, now);
+        self.stop_or_flip::<Decoder>(j, now);
     }
 
     /// Stops drained member `i` of `M`'s pool. If the other pool claimed
@@ -1945,29 +1790,6 @@ impl<'s> Run<'s> {
         self.record_fleet(now);
     }
 
-    fn finish_job(&mut self, now: SimTime, instance: u32, job: Job) {
-        if self.sink.is_some() {
-            let sla_ok = self.sla.evaluate(&job.timing).is_satisfied();
-            fleet::emit(
-                &mut self.sink,
-                TraceEvent::Finished {
-                    at: now,
-                    instance,
-                    request: job.spec.id.raw(),
-                    sla_ok,
-                },
-            );
-        }
-        self.remaining -= 1;
-        self.outcomes.push(RequestOutcome {
-            id: job.spec.id.raw(),
-            input_len: job.spec.input_len,
-            output_len: job.generated,
-            timing: job.timing,
-            evictions: 0,
-        });
-    }
-
     /// One planning round: each pool's planner decides independently. The
     /// prefill decision runs first so a decode scale-up in the same round
     /// can claim its freshly draining victims; the prefill victims'
@@ -1975,7 +1797,7 @@ impl<'s> Run<'s> {
     /// already-idle victim flips immediately instead of stopping cold.
     fn on_plan(&mut self, now: SimTime) {
         let prefill_drained = self.plan_pool::<PrefillMember>(now);
-        let decode_drained = self.plan_pool::<DecodeMember>(now);
+        let decode_drained = self.plan_pool::<Decoder>(now);
         for victim in decode_drained {
             self.maybe_stop_decode(victim, now);
         }
@@ -2178,7 +2000,8 @@ pub struct DisaggReport {
     /// when `max_sim_time` stopped the run.
     pub unserved: usize,
     /// Requests cancelled because their deadline expired before their
-    /// prefill started.
+    /// prefill started (a handoff is never cancelled unless preempted,
+    /// which the decode pool's oracle admission rules out).
     pub timed_out: usize,
     /// The prefill pool.
     pub prefill: PoolReport,

@@ -88,7 +88,7 @@ use crate::config::SimConfig;
 use crate::engine::{Arrivals, Engine, Tick};
 use crate::error::SimError;
 use crate::fleet::{
-    self, slot_gpu, FleetMember, GpuType, MemberCore, MemberState, Pool, Resize, Routing,
+    self, replica, slot_gpu, FleetMember, GpuType, MemberCore, MemberState, Pool, Resize, Routing,
 };
 use crate::report::{Headline, SimReport};
 
@@ -244,17 +244,6 @@ impl ElasticCluster {
         run.drive(&mut sink)?;
         Ok(run.finish(sla))
     }
-}
-
-/// Config of the elastic fleet's `spawned`-th replica, provisioned on
-/// `gpu`: an independent sampling stream per instance, and the GPU's
-/// `perf_scale` multiplying the whole stack's kernel speed (×1.0 for the
-/// reference type — bit-identical).
-fn replica(base: &SimConfig, gpu: GpuType, spawned: usize) -> SimConfig {
-    let mut config = base.clone();
-    config.seed = config.seed.wrapping_add(spawned as u64);
-    config.tuning.kernel_speedup *= gpu.perf_scale;
-    config
 }
 
 /// The autoscaling cadence of an elastic run (its planner lives in the

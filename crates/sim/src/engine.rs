@@ -53,6 +53,15 @@
 //! shared [`crate::fleet`] expiry verdict and slack sort. The purge runs
 //! once a deadline can fire (a deployment-wide default, or an ingested
 //! request carrying its own), so deadline-less runs pay nothing per tick.
+//!
+//! # Handoffs
+//!
+//! The disaggregated decode pool runs this engine too. A handoff
+//! ([`Engine::hand_off`]) is a request whose prompt was prefilled, and
+//! whose first token was emitted, on a prefill instance. It queues like
+//! any request, but its admission allocates its KV without a pass, it
+//! emits its next token at the next decode step, no deadline cancels it,
+//! and least-slack-first ranks it by its end-to-end slack.
 
 use std::cell::Cell;
 use std::cmp::Reverse;
@@ -83,6 +92,22 @@ const PLAN_WINDOW: usize = 256;
 /// reach it.
 const PREFIX_SENTINEL: u64 = u64::MAX;
 
+/// How an admission brings a queued request's KV into the pool.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Restore {
+    /// A prefill pass computes the prompt and any generated tokens: fresh
+    /// arrivals and recompute-preempted victims.
+    Recompute,
+    /// A PCIe transfer copies the KV back from host memory: swap-preempted
+    /// victims.
+    SwapIn,
+    /// The KV already exists: a disaggregated handoff whose prompt was
+    /// prefilled and whose first token was emitted on another instance
+    /// ([`Engine::hand_off`]). Admission allocates it without a pass and
+    /// the request resumes at the next decode step.
+    Resident,
+}
+
 #[derive(Debug)]
 struct Pending {
     /// Handle into the engine's spec slab — queue rotations and slack
@@ -91,9 +116,20 @@ struct Pending {
     generated: u32,
     timing: RequestTiming,
     evictions: u32,
-    /// KV state parked in host memory (swap preemption): readmission pays
-    /// a PCIe transfer instead of a recompute prefill.
-    swapped: bool,
+    restore: Restore,
+}
+
+impl Pending {
+    /// Whether this is a preemption victim waiting to resume: its client
+    /// is mid-response, so least-slack-first serves it first. A handoff
+    /// also streamed its first token, but it ranks by its slack.
+    fn preempted(&self) -> bool {
+        match self.restore {
+            Restore::Recompute => self.generated > 0,
+            Restore::SwapIn => true,
+            Restore::Resident => false,
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -108,9 +144,9 @@ struct Live {
     /// The first post-(re)admission token is pre-paid by the admission
     /// allocation and consumes no extra KV slot.
     first_token_pending: bool,
-    /// This admission restores a swapped-out victim: the "prefill" is a
-    /// PCIe swap-in transfer, not a recompute pass.
-    swapped_in: bool,
+    /// How this admission restored the KV: a swap-in's "prefill" is a
+    /// PCIe transfer, and a resident handoff has no pass at all.
+    restore: Restore,
     /// Prompt tokens served from the prefix cache at this admission: the
     /// prefill pass skips them (KV accounting is unchanged — the request
     /// still holds its full footprint).
@@ -520,6 +556,50 @@ impl Engine {
         self.arrivals.push(at, spec);
     }
 
+    /// Queues a disaggregated handoff landing at `at` (an idle engine's
+    /// clock catches up to it): a request whose prompt was prefilled, and
+    /// whose first token `timing` recorded, on another instance, with its
+    /// KV now resident here. It waits for admission like any queued
+    /// request but no deadline cancels it. Its admission allocates the KV
+    /// plus the next token's slot and runs no pass, and it emits that
+    /// token at the next decode step.
+    pub(crate) fn hand_off(&mut self, at: SimTime, spec: RequestSpec, timing: RequestTiming) {
+        let generated = u32::try_from(timing.n_tokens()).expect("token count fits u32");
+        debug_assert!(generated > 0, "a handoff carries its first token");
+        self.now = self.now.max(at);
+        self.deadlines |= spec.deadline.is_some();
+        let spec = self.specs.insert(spec);
+        self.queue.push_back(Pending {
+            spec,
+            generated,
+            timing,
+            evictions: 0,
+            restore: Restore::Resident,
+        });
+    }
+
+    /// The decode pool's routing signal: KV resident in the pool plus
+    /// what each queued handoff holds (`input_len + generated`). A decode
+    /// server knows all of it; none of it is ground truth.
+    pub(crate) fn resident_load(&self) -> u64 {
+        let queued: u64 = self
+            .queue
+            .iter()
+            .map(|p| u64::from(self.specs[p.spec].input_len) + u64::from(p.generated))
+            .sum();
+        self.kv.used_tokens() + queued
+    }
+
+    /// Id stamped into emitted trace events.
+    pub(crate) fn instance(&self) -> u32 {
+        self.instance
+    }
+
+    /// Queued requests cancelled by their deadline so far.
+    pub(crate) fn timed_out(&self) -> usize {
+        self.timed_out
+    }
+
     /// Requests in flight, waiting, or already routed to this engine but
     /// not yet ingested (the router must see its own recent decisions, or
     /// a burst of arrivals herds onto one instance).
@@ -616,6 +696,13 @@ impl Engine {
     /// TTFT/TPOT into the autoscaling planner as requests finish.
     pub(crate) fn outcomes(&self) -> &[RequestOutcome] {
         &self.outcomes
+    }
+
+    /// Moves out the outcomes completed since the last drain, for a driver
+    /// that keeps its own ledger (the disaggregated decode pool). The
+    /// engine's own report then no longer counts them.
+    pub(crate) fn drain_outcomes(&mut self) -> std::vec::Drain<'_, RequestOutcome> {
+        self.outcomes.drain(..)
     }
 
     /// Consumes the engine and produces its report (cluster co-simulation).
@@ -721,7 +808,7 @@ impl Engine {
                 generated: 0,
                 timing: RequestTiming::new(at),
                 evictions: 0,
-                swapped: false,
+                restore: Restore::Recompute,
             });
         }
         self.purge_timed_out(sink);
@@ -753,6 +840,11 @@ impl Engine {
         let mut removed: Vec<u32> = Vec::new();
         self.queue.retain(|p| {
             let spec = &specs[p.spec];
+            // A handoff streamed its first token on the prefill instance:
+            // the client is mid-response, so it is never cancelled.
+            if p.restore == Restore::Resident {
+                return true;
+            }
             let Some(deadline) = spec.deadline.or(default_deadline) else {
                 return true;
             };
@@ -762,7 +854,7 @@ impl Engine {
             // skips cached tokens — a near-fully-cached prompt is feasible
             // far later than its raw length suggests). Swap restores are
             // transfer-bound, not compute-bound; never early-drop those.
-            let min_feasible = if slack_aware && !p.swapped {
+            let min_feasible = if slack_aware && p.restore == Restore::Recompute {
                 let tokens = u64::from(spec.input_len) + u64::from(p.generated);
                 let cached = prefix
                     .as_ref()
@@ -849,7 +941,9 @@ impl Engine {
     /// processed incrementally by subsequent steps. The configured
     /// [`QueueOrder`] decides which requests sit at the front (under
     /// [`QueueOrder::LeastSlackFirst`], the ones closest to their
-    /// deadline). Returns whether any request was admitted.
+    /// deadline). Returns whether an admission needs a pass (a prefill or
+    /// swap-in, whole or chunked): a round that admits only handoffs
+    /// leaves the tick to the decode step.
     fn try_admission(&mut self, sink: &mut Option<&mut dyn TraceSink>) -> bool {
         if self.queue.is_empty() {
             return false;
@@ -859,13 +953,13 @@ impl Engine {
             let specs = &self.specs;
             fleet::rank_by_slack(&mut self.queue, self.now, aging_cap, |p| {
                 let deadline = specs[p.spec].deadline.or(default_deadline);
-                (p.generated > 0 || p.swapped, p.timing.arrival(), deadline)
+                (p.preempted(), p.timing.arrival(), deadline)
             });
         }
         // Handle discipline: every slab slot is owned by exactly one queue
         // or batch entry.
         debug_assert_eq!(self.specs.len(), self.queue.len() + self.running.len());
-        let mut admitted_total = 0usize;
+        let mut passes_total = 0usize;
         loop {
             let window = PLAN_WINDOW.min(self.queue.len());
             if window == 0 {
@@ -879,14 +973,20 @@ impl Engine {
                     "request {} generated past its true output length",
                     spec.id.raw()
                 );
+                // Schedulers model an admission as emitting one token at
+                // once, as a prefill does. A handoff emits its next token
+                // at the next decode step instead, from the slot its
+                // admission pre-pays, so it is shown one token earlier:
+                // its modelled entry is then its state at that step.
+                let generated = p.generated - u32::from(p.restore == Restore::Resident);
                 self.scratch_queue.push(QueuedRequest {
                     id: spec.id.raw(),
                     input_len: spec.input_len,
-                    generated: p.generated,
+                    generated,
                     max_new_tokens: spec.max_new_tokens,
                     oracle_remaining: self
                         .needs_oracle
-                        .then(|| spec.true_output_len.saturating_sub(p.generated)),
+                        .then(|| spec.true_output_len.saturating_sub(generated)),
                 });
             }
             self.fill_running_views();
@@ -908,7 +1008,7 @@ impl Engine {
                 }
                 break;
             }
-            let mut admitted_now = 0usize;
+            let (mut admitted_now, mut passes_now) = (0usize, 0usize);
             'admit: for _ in 0..plan {
                 let pending = self.queue.front().expect("plan within queue bounds");
                 let spec = &self.specs[pending.spec];
@@ -929,83 +1029,74 @@ impl Engine {
                     }
                 }
                 let pending = self.queue.pop_front().expect("front exists");
-                // Swap-in restores the full KV wholesale — no recompute to
-                // skip; everything else (fresh admissions *and* recompute
-                // re-prefills) can reuse cached prefix tokens.
-                let cached = if pending.swapped {
-                    0
-                } else {
-                    self.prefix_lookup(&pending)
+                // Only a recompute pass can skip cached prefix tokens: a
+                // swap-in restores the full KV wholesale, and a handoff's
+                // KV is already here.
+                let cached = match pending.restore {
+                    Restore::Recompute => self.prefix_lookup(&pending),
+                    Restore::SwapIn | Restore::Resident => 0,
                 };
                 let prefill_tokens =
                     u64::from(self.specs[pending.spec].input_len) + u64::from(pending.generated);
-                fleet::emit(
-                    sink,
-                    TraceEvent::Admitted {
-                        at: self.now,
-                        instance: self.instance,
-                        request: req,
-                    },
-                );
-                fleet::emit(
-                    sink,
-                    TraceEvent::PrefillStart {
-                        at: self.now,
-                        instance: self.instance,
-                        request: req,
-                    },
-                );
+                if pending.restore != Restore::Resident {
+                    passes_now += 1;
+                    fleet::emit_prefill_start(sink, self.now, self.instance, req);
+                }
                 self.true_peak.set(None);
                 self.running.push(Live {
                     spec: pending.spec,
                     generated: pending.generated,
                     timing: pending.timing,
                     evictions: pending.evictions,
-                    prefill_remaining: match self.config.prefill {
-                        PrefillMode::WholePrompt => 0,
-                        // Swap-in restores the KV state wholesale; it never
-                        // goes through chunked prompt processing.
-                        PrefillMode::Chunked { .. } if pending.swapped => 0,
+                    prefill_remaining: match (self.config.prefill, pending.restore) {
                         // Even a full-prefix hit computes at least the last
                         // prompt position.
-                        PrefillMode::Chunked { .. } => prefill_tokens.saturating_sub(cached).max(1),
+                        (PrefillMode::Chunked { .. }, Restore::Recompute) => {
+                            prefill_tokens.saturating_sub(cached).max(1)
+                        }
+                        // A swap-in or a handoff restores the KV wholesale;
+                        // it never goes through chunked prompt processing.
+                        _ => 0,
                     },
                     first_token_pending: true,
-                    swapped_in: pending.swapped,
+                    restore: pending.restore,
                     cached_prefix: cached,
                 });
                 admitted_now += 1;
             }
-            admitted_total += admitted_now;
+            passes_total += passes_now;
             // Whole-prompt mode prefills each admission round immediately,
             // so the next planning round sees the post-prefill state (the
             // state the schedulers' future-memory entries model).
-            if admitted_now > 0 && matches!(self.config.prefill, PrefillMode::WholePrompt) {
+            if passes_now > 0 && matches!(self.config.prefill, PrefillMode::WholePrompt) {
                 self.prefill_step(admitted_now, sink);
             }
             if admitted_now < plan || plan < window {
                 break;
             }
         }
-        admitted_total > 0
+        passes_total > 0
     }
 
     /// Dedicated prefill step over the `admitted` most recent batch entries
-    /// (whole-prompt mode). Every admitted request emits its first token at
-    /// the end of the step.
+    /// (whole-prompt mode). Every admitted request but a handoff emits its
+    /// first token at the end of the step; a handoff waits for the next
+    /// decode step.
     fn prefill_step(&mut self, admitted: usize, sink: &mut Option<&mut dyn TraceSink>) {
         let start = self.running.len() - admitted;
         let mut prompt_tokens = 0u64;
         let mut swapped_tokens = 0u64;
         for live in &self.running[start..] {
             let tokens = u64::from(self.specs[live.spec].input_len) + u64::from(live.generated);
-            if live.swapped_in {
-                swapped_tokens += tokens;
-            } else {
+            match live.restore {
                 // Prefix-cache hits shrink the prefill to the uncached
                 // suffix (at least one position: the final prompt token is
                 // always computed).
-                prompt_tokens += tokens.saturating_sub(live.cached_prefix).max(1);
+                Restore::Recompute => {
+                    prompt_tokens += tokens.saturating_sub(live.cached_prefix).max(1);
+                }
+                Restore::SwapIn => swapped_tokens += tokens,
+                Restore::Resident => {}
             }
         }
         let mut duration = self.perf.prefill_step(prompt_tokens);
@@ -1019,29 +1110,16 @@ impl Engine {
         let mut i = start;
         while i < self.running.len() {
             let live = &mut self.running[i];
+            if live.restore == Restore::Resident {
+                i += 1;
+                continue;
+            }
             live.first_token_pending = false;
             live.generated += 1;
             let first_ever = live.timing.ttft().is_none();
             live.timing.record_token(self.now);
             let request = self.specs[live.spec].id.raw();
-            fleet::emit(
-                sink,
-                TraceEvent::PrefillEnd {
-                    at: self.now,
-                    instance,
-                    request,
-                },
-            );
-            if first_ever {
-                fleet::emit(
-                    sink,
-                    TraceEvent::FirstToken {
-                        at: self.now,
-                        instance,
-                        request,
-                    },
-                );
-            }
+            fleet::emit_prefill_end(sink, self.now, instance, request, first_ever);
             if self.running[i].generated >= self.specs[self.running[i].spec].true_output_len {
                 let live = self.running.remove(i);
                 self.finish(live, sink);
@@ -1165,28 +1243,12 @@ impl Engine {
                 live.generated += 1;
                 let first_ever = live.timing.ttft().is_none();
                 live.timing.record_token(self.now);
-                let request = self.specs[live.spec].id.raw();
                 // A chunked prefill that just drained emits its first
-                // (or post-preemption resumed) token on this step.
-                if was_pending {
-                    fleet::emit(
-                        sink,
-                        TraceEvent::PrefillEnd {
-                            at: self.now,
-                            instance,
-                            request,
-                        },
-                    );
-                }
-                if first_ever {
-                    fleet::emit(
-                        sink,
-                        TraceEvent::FirstToken {
-                            at: self.now,
-                            instance,
-                            request,
-                        },
-                    );
+                // (or post-preemption resumed) token on this step; a
+                // handoff's token ends no prefill.
+                if was_pending && live.restore != Restore::Resident {
+                    let request = self.specs[live.spec].id.raw();
+                    fleet::emit_prefill_end(sink, self.now, instance, request, first_ever);
                 }
                 if self.running[i].generated >= self.specs[self.running[i].spec].true_output_len {
                     let live = self.running.remove(i);
@@ -1212,17 +1274,17 @@ impl Engine {
         let request = spec.id.raw();
         self.kv.release(request);
         self.evictions += 1;
-        let swapped = match self.config.eviction {
-            EvictionMode::Recompute => false,
+        let restore = match self.config.eviction {
+            EvictionMode::Recompute => Restore::Recompute,
             EvictionMode::Swap { pcie_gbps } => {
                 // The swap-out transfer stalls the engine before the step.
                 self.now += self.perf.swap_transfer(held, pcie_gbps);
-                true
+                Restore::SwapIn
             }
         };
         fleet::emit(
             sink,
-            if swapped {
+            if restore == Restore::SwapIn {
                 TraceEvent::Swapped {
                     at: self.now,
                     instance: self.instance,
@@ -1241,7 +1303,7 @@ impl Engine {
             generated: live.generated,
             timing: live.timing,
             evictions: live.evictions + 1,
-            swapped,
+            restore,
         });
     }
 
@@ -1474,26 +1536,9 @@ impl Engine {
                     at: self.now,
                 });
             }
-            if sink.is_some() {
-                for pending in &batch {
-                    let request = self.specs[pending.spec].id.raw();
-                    fleet::emit(
-                        sink,
-                        TraceEvent::Admitted {
-                            at: self.now,
-                            instance,
-                            request,
-                        },
-                    );
-                    fleet::emit(
-                        sink,
-                        TraceEvent::PrefillStart {
-                            at: self.now,
-                            instance,
-                            request,
-                        },
-                    );
-                }
+            for pending in &batch {
+                let request = self.specs[pending.spec].id.raw();
+                fleet::emit_prefill_start(sink, self.now, instance, request);
             }
             let b = batch.len() as u64;
             // Prefill over padded prompts.
@@ -1505,27 +1550,8 @@ impl Engine {
                 pending.generated += 1;
                 let first_ever = pending.timing.ttft().is_none();
                 pending.timing.record_token(self.now);
-                if sink.is_some() {
-                    let request = self.specs[pending.spec].id.raw();
-                    fleet::emit(
-                        sink,
-                        TraceEvent::PrefillEnd {
-                            at: self.now,
-                            instance,
-                            request,
-                        },
-                    );
-                    if first_ever {
-                        fleet::emit(
-                            sink,
-                            TraceEvent::FirstToken {
-                                at: self.now,
-                                instance,
-                                request,
-                            },
-                        );
-                    }
-                }
+                let request = self.specs[pending.spec].id.raw();
+                fleet::emit_prefill_end(sink, self.now, instance, request, first_ever);
             }
             // Decode until the whole batch finishes (early finishers idle
             // inside the batch — padding waste).

@@ -79,12 +79,15 @@
 //!
 //! # Deadlines
 //!
-//! `expiry` and `rank_by_slack` (crate-internal) are the one definition
+//! `expiry` and `slack_rank_key` (crate-internal) are the one definition
 //! of the deadline policy: every queue that cancels expired requests —
 //! the engine's and each disagg prefill member's — takes its verdict from
-//! `expiry`, and every queue sorted least-slack-first — the engine's and
-//! each disagg decode member's pending handoffs — sorts through
-//! `rank_by_slack`.
+//! `expiry`, and every queue served least-slack-first ranks by
+//! `slack_rank_key` — the engine's through `rank_by_slack`, each disagg
+//! prefill member's one pick at a time. The disagg decode members are
+//! engines: their queued handoffs rank by end-to-end slack like any queued
+//! request, and no deadline cancels one, since each has streamed its
+//! first token.
 
 use std::collections::VecDeque;
 
@@ -110,6 +113,62 @@ use crate::perf::PerfModel;
 pub(crate) fn emit(sink: &mut Option<&mut dyn TraceSink>, ev: TraceEvent) {
     if let Some(s) = sink {
         s.event(ev);
+    }
+}
+
+/// Emits a request's admission into a prefill pass at `at`:
+/// [`TraceEvent::Admitted`], then [`TraceEvent::PrefillStart`].
+pub(crate) fn emit_prefill_start(
+    sink: &mut Option<&mut dyn TraceSink>,
+    at: SimTime,
+    instance: u32,
+    request: u64,
+) {
+    emit(
+        sink,
+        TraceEvent::Admitted {
+            at,
+            instance,
+            request,
+        },
+    );
+    emit(
+        sink,
+        TraceEvent::PrefillStart {
+            at,
+            instance,
+            request,
+        },
+    );
+}
+
+/// Emits the end of a request's prefill pass at `at`:
+/// [`TraceEvent::PrefillEnd`], then [`TraceEvent::FirstToken`] when the
+/// pass emitted the request's first token.
+pub(crate) fn emit_prefill_end(
+    sink: &mut Option<&mut dyn TraceSink>,
+    at: SimTime,
+    instance: u32,
+    request: u64,
+    first_token: bool,
+) {
+    emit(
+        sink,
+        TraceEvent::PrefillEnd {
+            at,
+            instance,
+            request,
+        },
+    );
+    if first_token {
+        emit(
+            sink,
+            TraceEvent::FirstToken {
+                at,
+                instance,
+                request,
+            },
+        );
     }
 }
 
@@ -268,6 +327,18 @@ pub(crate) fn check_positive(parameter: &'static str, value: f64) -> Result<(), 
     } else {
         Err(SimError::InvalidHardware { parameter })
     }
+}
+
+/// Config of a pool's `spawned`-th engine, provisioned on `gpu`: an
+/// independent sampling stream per instance, and the GPU's `perf_scale`
+/// multiplying the whole stack's kernel speed (×1.0 for the reference
+/// type — bit-identical). The elastic fleet and the disaggregated decode
+/// pool provision every engine through it.
+pub(crate) fn replica(base: &SimConfig, gpu: GpuType, spawned: usize) -> SimConfig {
+    let mut config = base.clone();
+    config.seed = config.seed.wrapping_add(spawned as u64);
+    config.tuning.kernel_speedup *= gpu.perf_scale;
+    config
 }
 
 /// Lifecycle state of one fleet member (see the module-level diagram).

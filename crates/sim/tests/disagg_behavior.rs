@@ -771,3 +771,63 @@ fn max_sim_time_stops_both_disagg_topologies() {
         );
     }
 }
+
+/// The decode pool admits handoffs by Eq. 2–4 on true output lengths, so
+/// a decode pool with room for only a few full-length requests at a time
+/// queues the rest instead of over-admitting: every request completes and
+/// none is ever evicted. An admission that predicts lengths (History)
+/// over-admits such a pool and preempts.
+#[test]
+fn decode_memory_pressure_queues_handoffs_without_evicting() {
+    let n = 60;
+    // Outputs of 256–640 tokens on 32–128-token prompts: a 2_400-token
+    // decode pool holds three to five of them at full length.
+    let requests = decode_heavy_requests(n, 31);
+    let report = DisaggCluster::new(DisaggConfig::new(base_config(2_400)), 1, 2)
+        .run(requests, steady_arrivals(n, 20))
+        .expect("disagg run");
+    assert_eq!(report.completed(), n);
+    assert_eq!(report.unserved, 0);
+    assert_eq!(report.headline().evictions, 0);
+    // The pool was under pressure: handoffs waited seconds for room
+    // between their first token and their second.
+    let waited = report
+        .outcomes
+        .iter()
+        .filter(|o| o.timing.mtpot() > SimDuration::from_secs(2))
+        .count();
+    assert!(waited > n / 2, "only {waited} of {n} handoffs queued");
+}
+
+/// A deadline cancels a prompt still queued for prefill: no token has
+/// streamed yet. A handoff has streamed its first token, so it completes
+/// however long it then queues for the decode pool, past its deadline
+/// included.
+#[test]
+fn deadlines_cancel_queued_prompts_but_never_handoffs() {
+    let n = 120;
+    let deadline = SimDuration::from_secs(10);
+    let requests: Vec<RequestSpec> = decode_heavy_requests(n, 32)
+        .into_iter()
+        .map(|r| r.with_deadline(deadline))
+        .collect();
+    // A prefill GPU at a twentieth of the reference speed falls behind a
+    // burst, and a 2_400-token decode pool queues what it hands off.
+    let slow = GpuType::new("slow", 1.0, 0.05);
+    let config = DisaggConfig::new(base_config(2_400)).fleet(vec![slow], Vec::new());
+    let report = DisaggCluster::new(config, 1, 1)
+        .run(requests, steady_arrivals(n, 10))
+        .expect("disagg run");
+    assert!(report.timed_out > 0, "no queued prompt was cancelled");
+    assert_eq!(report.completed() + report.timed_out, n);
+    assert_eq!(report.unserved, 0);
+    // Completed requests made their deadline to the first token, then
+    // waited past it for the decode pool.
+    let late = report
+        .outcomes
+        .iter()
+        .filter(|o| o.timing.ttft().expect("completed") < deadline)
+        .filter(|o| o.timing.mtpot() > deadline)
+        .count();
+    assert!(late > 0, "no handoff queued past its deadline");
+}
