@@ -46,7 +46,7 @@ use pf_obs::TraceSink;
 use pf_sim::cluster::{ClusterReport, ClusterSimulation, RouterPolicy};
 use pf_sim::disagg::{
     DisaggCluster, DisaggConfig, DisaggReport, ElasticDisaggCluster, KvTransferSpec, PoolReport,
-    PrefillOrder, RepurposeDirection, TransferMode,
+    RepurposeDirection, TransferMode,
 };
 use pf_sim::elastic::{ElasticCluster, ElasticReport};
 use pf_sim::{
@@ -105,10 +105,6 @@ impl Workload {
 
 /// A deployment shape with its configs; each variant mirrors the
 /// constructor of the pf-sim type that runs it.
-#[expect(
-    clippy::large_enum_variant,
-    reason = "a topology is built once per scenario and cloned once per run, so the size of its largest variant costs nothing worth boxing for"
-)]
 #[derive(Debug, Clone)]
 pub enum Topology {
     /// One colocated engine ([`Simulation`]).
@@ -723,7 +719,7 @@ fn sysprompt_chat(seed: u64) -> Workload {
 }
 
 /// The pinned scenarios, in golden-file order: every engine shape, and
-/// every `RouterPolicy`, `QueueOrder`, `TransferMode`, `PrefillOrder`,
+/// every `RouterPolicy`, `QueueOrder`, `TransferMode`,
 /// `RepurposeDirection`, `KvLayout`, `BatchingMode`, `EvictionMode` and
 /// `PrefillMode` variant, across several seeds.
 pub fn goldens() -> Vec<Scenario> {
@@ -939,15 +935,19 @@ pub fn goldens() -> Vec<Scenario> {
         "disagg-elastic-repurpose",
         81,
         Topology::ElasticDisagg {
-            config: DisaggConfig::new(base(81).capacity_override(9_000).build())
-                .repurpose(SimDuration::from_secs(2))
-                .fleet(
-                    vec![GpuType::big(), GpuType::small()],
-                    vec![GpuType::small(), GpuType::big()],
-                )
-                .prefill_order(PrefillOrder::ShortestPromptFirst {
-                    aging_cap: SimDuration::from_secs(5),
-                }),
+            config: DisaggConfig::new(
+                base(81)
+                    .capacity_override(9_000)
+                    .queue_order(QueueOrder::ShortestPromptFirst {
+                        aging_cap: SimDuration::from_secs(5),
+                    })
+                    .build(),
+            )
+            .repurpose(SimDuration::from_secs(2))
+            .fleet(
+                vec![GpuType::big(), GpuType::small()],
+                vec![GpuType::small(), GpuType::big()],
+            ),
             prefill: pool(6),
             decode: pool(4),
             initial: (2, 1),

@@ -18,7 +18,7 @@ use std::collections::BTreeSet;
 
 use pf_bench::scenario::{goldens, Report, Topology};
 use pf_sim::cluster::RouterPolicy;
-use pf_sim::disagg::{DisaggConfig, PrefillOrder, RepurposeDirection, TransferMode};
+use pf_sim::disagg::{DisaggConfig, RepurposeDirection, TransferMode};
 use pf_sim::{BatchingMode, EvictionMode, Headline, KvLayout, PrefillMode, QueueOrder, SimConfig};
 
 const GOLDEN_PATH: &str = "tests/golden/report_fingerprints.txt";
@@ -26,7 +26,7 @@ const DIGEST_PATH: &str = "tests/golden/report_digests.tsv";
 
 /// Every variant of the config enums a golden must run: new config surface
 /// is pinned by a fingerprint before it ships.
-const VARIANTS: [&str; 23] = [
+const VARIANTS: [&str; 22] = [
     "RouterPolicy::RoundRobin",
     "RouterPolicy::LeastOutstanding",
     "RouterPolicy::LeastUsedMemory",
@@ -35,10 +35,9 @@ const VARIANTS: [&str; 23] = [
     "RouterPolicy::KvOverlap",
     "QueueOrder::Fifo",
     "QueueOrder::LeastSlackFirst",
+    "QueueOrder::ShortestPromptFirst",
     "TransferMode::Atomic",
     "TransferMode::LayerStreamed",
-    "PrefillOrder::Fifo",
-    "PrefillOrder::ShortestPromptFirst",
     "RepurposeDirection::PrefillToDecode",
     "RepurposeDirection::DecodeToPrefill",
     "KvLayout::TokenPool",
@@ -69,6 +68,7 @@ fn variants_run(topology: &Topology, report: &Report) -> Vec<&'static str> {
             match config.queue_order {
                 QueueOrder::Fifo => "QueueOrder::Fifo",
                 QueueOrder::LeastSlackFirst { .. } => "QueueOrder::LeastSlackFirst",
+                QueueOrder::ShortestPromptFirst { .. } => "QueueOrder::ShortestPromptFirst",
             },
             match config.kv_layout {
                 KvLayout::TokenPool => "KvLayout::TokenPool",
@@ -94,13 +94,8 @@ fn variants_run(topology: &Topology, report: &Report) -> Vec<&'static str> {
             TransferMode::Atomic => "TransferMode::Atomic",
             TransferMode::LayerStreamed => "TransferMode::LayerStreamed",
         };
-        let prefill = match config.prefill_order {
-            PrefillOrder::Fifo => "PrefillOrder::Fifo",
-            PrefillOrder::ShortestPromptFirst { .. } => "PrefillOrder::ShortestPromptFirst",
-        };
         let run = engine(&config.base).into_iter();
-        run.chain([router(config.router), transfer, prefill])
-            .collect()
+        run.chain([router(config.router), transfer]).collect()
     };
     let mut run = match topology {
         Topology::Single(config) => engine(config).to_vec(),

@@ -76,12 +76,12 @@ pub enum PrefillMode {
 }
 
 /// The default least-slack-first aging cap: [`QueueOrder::least_slack`]
-/// uses it, and the disagg link weighs streams by it when no queue order
-/// sets one.
+/// uses it, and the disagg link weighs streams by it under any other
+/// queue order.
 pub(crate) const DEFAULT_AGING_CAP: SimDuration = SimDuration::from_secs(30);
 
-/// Order in which the engine's admission loop (and the disaggregated
-/// pools' stage queues) serve waiting requests.
+/// Order in which the engine's admission loop serves waiting requests
+/// (in every topology, the disaggregated pools' engines included).
 ///
 /// [`QueueOrder::LeastSlackFirst`] is the deadline-aware discipline: the
 /// queue is ranked by *remaining slack* — the request's effective deadline
@@ -94,6 +94,12 @@ pub(crate) const DEFAULT_AGING_CAP: SimDuration = SimDuration::from_secs(30);
 /// below the minimum feasible prefill time are dropped early and counted
 /// `timed_out` — admitting them would burn a prefill pass (and KV) on a
 /// request that is guaranteed to miss.
+///
+/// [`QueueOrder::ShortestPromptFirst`] ranks by prompt length instead:
+/// short prompts overtake long ones, cutting the TTFT tail on mixed
+/// prompt lengths, and the same aging cap bounds how long a long prompt
+/// can be overtaken. In every order, preempted requests (mid-response)
+/// are served first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueueOrder {
     /// Arrival order (the default; deadlines only act as the cancellation
@@ -106,6 +112,13 @@ pub enum QueueOrder {
         /// Once a request has waited this long it is served in arrival
         /// order ahead of any slack ranking (starvation bound for
         /// deadline-less and lax requests).
+        aging_cap: SimDuration,
+    },
+    /// Shortest prompt first, with no early drop (see the type-level
+    /// docs).
+    ShortestPromptFirst {
+        /// Once a request has waited this long it is served in arrival
+        /// order ahead of any shorter prompt (starvation bound).
         aging_cap: SimDuration,
     },
 }
@@ -123,6 +136,7 @@ impl QueueOrder {
         match self {
             QueueOrder::Fifo => "fifo",
             QueueOrder::LeastSlackFirst { .. } => "least-slack",
+            QueueOrder::ShortestPromptFirst { .. } => "sjf",
         }
     }
 

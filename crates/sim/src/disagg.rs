@@ -4,24 +4,25 @@
 //! A colocated engine runs prefill and decode on the same GPU, so the two
 //! stages interfere: prompt passes stall token emission (MTPOT), and the
 //! decode batch's KV residency starves prompt admission (TTFT). This module
-//! splits them. **Prefill instances** serve a queue of prompts in batched
-//! whole-prompt passes and emit each request's *first* token — in FIFO
-//! order or shortest-prompt-first with an aging cap
-//! ([`PrefillOrder`]); **decode instances** are the colocated engine
-//! behind [`crate::Simulation`], fed the requests whose KV cache has been
-//! handed over. Each runs continuous-batching token generation and admits
-//! handoffs through the engine's one admission path with
-//! [`SchedulerConfig::Oracle`]: the paper's future-required-memory
-//! estimate (Eq. 2–4) on true output lengths, so the decode batch packs
-//! densely yet never evicts. The pools scale (and in the elastic variant
-//! autoscale) independently, each against the SLA term its stage
-//! controls: prefill against TTFT, decode against TPOT.
+//! splits them. Every instance of both pools is the colocated engine
+//! behind [`crate::Simulation`], in its pool's role. **Prefill instances**
+//! serve a queue of prompts in batched whole-prompt passes, in the base
+//! config's [`QueueOrder`] (arrival order, least slack first or shortest
+//! prompt first, each with its aging cap), emit each request's *first*
+//! token and hand the request over to the link. **Decode instances** are
+//! fed the requests whose KV cache has been handed over. Each runs
+//! continuous-batching token generation and admits handoffs through the
+//! engine's one admission path with [`SchedulerConfig::Oracle`]: the
+//! paper's future-required-memory estimate (Eq. 2–4) on true output
+//! lengths, so the decode batch packs densely yet never evicts. The pools
+//! scale (and in the elastic variant autoscale) independently, each
+//! against the SLA term its stage controls: prefill against TTFT, decode
+//! against TPOT.
 //!
-//! When the base config sets [`QueueOrder::LeastSlackFirst`](crate::QueueOrder),
-//! deadline slack overrides the [`PrefillOrder`]: each prefill instance
-//! serves the queued prompt with the least remaining slack next (aging
-//! cap intact), and prompts whose slack has fallen below their minimum
-//! feasible prefill time are dropped early instead of burning a pass on a
+//! Under [`QueueOrder::LeastSlackFirst`] each prefill instance serves the
+//! queued prompt with the least remaining slack next (aging cap intact),
+//! and prompts whose slack has fallen below their minimum feasible
+//! prefill time are dropped early instead of burning a pass on a
 //! guaranteed miss. Decode admission ranks queued handoffs by remaining
 //! slack against the *end-to-end* deadline — a handoff reaches the decode
 //! pool only after its KV transfer lands, so the transfer latency is
@@ -98,7 +99,8 @@
 //! # Heterogeneous pools
 //!
 //! [`DisaggConfig::fleet`] assigns a [`GpuType`] per provisioning slot in
-//! each pool. A member's `perf_scale` scales its step durations, routing
+//! each pool. A member's `perf_scale` scales its engine's kernel speed
+//! (every step but its fixed overhead), as in the elastic fleet; routing
 //! divides load signals by it, the per-pool planners size candidates
 //! against the mean scale of the slots they would occupy, and reports
 //! price every instance at its `cost_weight`.
@@ -131,25 +133,25 @@
 //! ```
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
+use std::ops::Range;
 
 use pf_autoscale::{AutoscaleConfig, PoolRole};
 use pf_core::SchedulerConfig;
-use pf_kvcache::{BlockPrefixCache, KvEvent, PrefixCacheStats};
+use pf_kvcache::{KvEvent, PrefixCacheStats};
 use pf_metrics::{GoodputReport, RequestTiming, SeriesGroup, SimDuration, SimTime, SlaSpec};
 use pf_obs::{GaugeKind, TraceEvent, TraceSink};
 use pf_workload::RequestSpec;
 
 use crate::cluster::RouterPolicy;
-use crate::config::{BatchingMode, PrefixCacheConfig, QueueOrder, SimConfig, DEFAULT_AGING_CAP};
-use crate::engine::{Arrivals, Engine, Tick};
+use crate::config::{BatchingMode, PrefillMode, QueueOrder, SimConfig, DEFAULT_AGING_CAP};
+use crate::engine::{Arrivals, Engine, Handoff, Tick};
 use crate::error::SimError;
 use crate::fleet::{
     self, pick_rotating_min, FleetMember, GpuType, MemberCore, MemberState, Pool, PoolPlanner,
     Resize, Routing, ScalingEvent,
 };
 use crate::link::{LinkScheduler, StreamDone, StreamSpec};
-use crate::perf::PerfModel;
 use crate::report::{Headline, RequestOutcome};
 
 /// The KV-transfer cost model between the prefill and decode pools (see
@@ -208,51 +210,26 @@ impl KvTransferSpec {
     }
 }
 
-/// Order in which a prefill instance serves its prompt queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrefillOrder {
-    /// Arrival order (the default).
-    Fifo,
-    /// Shortest prompt first: short prompts overtake long ones, cutting
-    /// the TTFT tail on mixed prompt lengths — bounded by an aging cap so
-    /// long prompts cannot starve.
-    ShortestPromptFirst {
-        /// Once the *oldest* queued prompt has waited this long, it is
-        /// served next regardless of length (starvation bound).
-        aging_cap: SimDuration,
-    },
-}
-
-impl PrefillOrder {
-    /// Shortest-prompt-first with a 10-second aging cap.
-    pub fn sjf() -> Self {
-        PrefillOrder::ShortestPromptFirst {
-            aging_cap: SimDuration::from_secs(10),
-        }
-    }
-
-    /// Short label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            PrefillOrder::Fifo => "fifo",
-            PrefillOrder::ShortestPromptFirst { .. } => "sjf",
-        }
-    }
-}
-
 /// Configuration of a disaggregated deployment: one replica type (model,
 /// GPU, capacity, SLA — all from the embedded [`SimConfig`]) split into
 /// two pools joined by a [`KvTransferSpec`] link.
 #[derive(Debug, Clone)]
 pub struct DisaggConfig {
-    /// Replica description shared by both pools. Both honour the model,
-    /// GPU, tensor parallelism, capacity, tuning, SLA, deadlines
+    /// Replica description every engine of both pools is provisioned
+    /// from. Both pools honour the model, GPU, tensor parallelism,
+    /// capacity, KV layout, tuning, SLA, deadlines
     /// ([`SimConfig::request_deadline`], [`SimConfig::queue_order`]) and
-    /// [`SimConfig::max_sim_time`]. A [`SimConfig::prefix_cache`] applies
-    /// to the prefill pool, where hits shrink prefill passes directly. The
-    /// decode engines also honour the KV layout, eviction mode and seed
-    /// (offset per spawn); their scheduler is fixed to
-    /// [`SchedulerConfig::Oracle`], so [`SimConfig::scheduler`] and
+    /// [`SimConfig::max_sim_time`], except that the decode pool serves
+    /// handoffs in arrival order under
+    /// [`QueueOrder::ShortestPromptFirst`]. A [`SimConfig::prefix_cache`]
+    /// applies to the prefill pool, where hits shrink prefill passes
+    /// directly. Admission is fixed per pool: a prefill engine runs whole
+    /// prompts ([`PrefillMode::WholePrompt`]) and admits a prompt while it
+    /// and its first token fit beside the KV its requests hold
+    /// ([`SchedulerConfig::Aggressive`] at a full watermark; cached
+    /// prefixes yield to prompts), and a decode engine admits by
+    /// [`SchedulerConfig::Oracle`], seeded per spawn, with the eviction
+    /// mode. So [`SimConfig::scheduler`], [`SimConfig::prefill`] and
     /// [`SimConfig::history_warmup`] are unused, and static batching is
     /// rejected ([`SimError::InvalidEngine`]).
     pub base: SimConfig,
@@ -271,8 +248,6 @@ pub struct DisaggConfig {
     /// the pool's load signal (queued plus held prompt tokens). All exact
     /// ties break with a rotating cursor.
     pub router: RouterPolicy,
-    /// Queue discipline of the prefill instances (default FIFO).
-    pub prefill_order: PrefillOrder,
     /// Cross-pool repurposing delay: when set, decode scale-ups claim
     /// draining prefill instances, which flip into the decode pool this
     /// long after finishing their drain — much shorter than a full
@@ -294,7 +269,6 @@ impl DisaggConfig {
             transfer: KvTransferSpec::nvlink(),
             max_prefill_batch_tokens: 8_192,
             router: RouterPolicy::LeastEstimatedLoad,
-            prefill_order: PrefillOrder::Fifo,
             repurpose: None,
             prefill_slots: Vec::new(),
             decode_slots: Vec::new(),
@@ -321,12 +295,6 @@ impl DisaggConfig {
     /// Sets the prefill-pool routing policy.
     pub fn router(mut self, router: RouterPolicy) -> Self {
         self.router = router;
-        self
-    }
-
-    /// Sets the prefill queue discipline.
-    pub fn prefill_order(mut self, order: PrefillOrder) -> Self {
-        self.prefill_order = order;
         self
     }
 
@@ -388,8 +356,9 @@ impl DisaggCluster {
     /// Returns [`SimError`] when the arrival stream is malformed
     /// ([`SimError::InvalidWorkload`]), a request cannot fit either pool,
     /// a prefix-cache parameter is out of range
-    /// ([`SimError::InvalidPrefixCache`]), an engine size is zero or the
-    /// base batches statically ([`SimError::InvalidEngine`]), a GPU type or
+    /// ([`SimError::InvalidPrefixCache`]), an engine size or the prefill
+    /// batch budget is zero or the base batches statically
+    /// ([`SimError::InvalidEngine`]), a GPU type or
     /// a link holds a value that is not finite and positive
     /// ([`SimError::InvalidHardware`]), or the router policy cannot run on
     /// the pools ([`SimError::InvalidRouterPolicy`]).
@@ -535,125 +504,67 @@ impl ElasticDisaggCluster {
     }
 }
 
-/// One request travelling through the pipeline.
-#[derive(Debug, Clone)]
-struct Job {
-    spec: RequestSpec,
-    timing: RequestTiming,
-    /// Prompt tokens served from the prefill instance's prefix cache
-    /// (assigned when the job enters a prefill batch; shrinks the pass).
-    cached_prefix: u64,
-    /// Link stream carrying this job's KV (assigned when its prefill pass
-    /// starts; `None` for a job that finishes at prefill).
-    stream: Option<usize>,
-}
-
-impl Job {
-    fn new(spec: RequestSpec, arrived: SimTime) -> Self {
-        Job {
-            spec,
-            timing: RequestTiming::new(arrived),
-            cached_prefix: 0,
-            stream: None,
-        }
-    }
-
-    /// KV tokens a prefill instance holds for this job: the prompt plus
-    /// the first generated token.
-    fn prefill_tokens(&self) -> u64 {
-        u64::from(self.spec.input_len) + 1
-    }
-}
-
 /// Run-side state of one KV transfer stream (a parallel array to the link
 /// scheduler's stream ids).
 #[derive(Debug)]
 struct StreamSlot {
     /// Source prefill member (pool index).
     from: usize,
-    /// KV tokens held on the source until the stream completes.
-    tokens: u64,
     /// Stream payload in bytes.
     bytes: u64,
     /// When the producing prefill pass ends (µs); transfer time beyond
     /// this is the un-hidden tail.
     produce_end_us: u64,
-    /// The job, parked here by its prefill completion until the stream
+    /// The request the pass handed out, parked here until the stream
     /// lands.
-    job: Option<Job>,
+    handoff: Option<Handoff>,
 }
 
-#[derive(Debug)]
-struct PrefillMember {
-    core: MemberCore,
-    /// Id stamped into emitted trace events (dense over both pools'
-    /// spawn order; a repurposed member gets a fresh decode-side id).
-    instance: u32,
-    /// Prompts routed here, waiting for a prefill pass.
-    queue: VecDeque<Job>,
-    /// Prompt tokens waiting in `queue` (routing signal).
-    queued_tokens: u64,
-    /// The batch currently in the prefill pass (empty when idle).
-    batch: Vec<Job>,
-    /// KV tokens resident: the in-flight batch plus completed prefills
-    /// whose transfer has not finished yet.
-    held_tokens: u64,
-    /// Instance-local prefix store (None when disabled). Its occupancy
-    /// shares the instance's KV capacity with `held_tokens` and is
-    /// reclaimed first when a batch needs the room.
-    prefix: Option<BlockPrefixCache>,
-    busy: bool,
-    completed: usize,
+/// Which of the run's two pools a member, event or planning round
+/// belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PoolKind {
+    Prefill,
+    Decode,
 }
 
-/// A decode-pool member: a colocated [`Engine`] fed the handoffs that
-/// land on it ([`Engine::hand_off`]), provisioned from [`Run::decode_base`].
+impl PoolKind {
+    /// The pool a claimed member of this one flips into.
+    fn other(self) -> Self {
+        match self {
+            PoolKind::Prefill => PoolKind::Decode,
+            PoolKind::Decode => PoolKind::Prefill,
+        }
+    }
+
+    /// Direction of a flip out of this pool.
+    fn flip(self) -> RepurposeDirection {
+        match self {
+            PoolKind::Prefill => RepurposeDirection::PrefillToDecode,
+            PoolKind::Decode => RepurposeDirection::DecodeToPrefill,
+        }
+    }
+}
+
+/// A member of either pool: a colocated [`Engine`] provisioned from its
+/// pool's config ([`Run::prefill_base`], in the prefill role, or
+/// [`Run::decode_base`]) and fed the prompts routed to it or the handoffs
+/// that land on it.
 #[derive(Debug)]
-struct Decoder {
+struct Member {
     engine: Engine,
     core: MemberCore,
-    /// Whether the engine's current step is in flight (its `DecodeDone`
+    /// Whether the engine's current pass or step is in flight (its `Done`
     /// is scheduled).
     busy: bool,
-    /// Requests this member finished, moved out of its engine into the
-    /// run's outcomes.
+    /// Requests this member served its stage for: prompts prefilled, or
+    /// requests decoded to their end.
     completed: usize,
     /// Engine timeouts already counted in the run's report.
     seen_timed_out: usize,
 }
 
-impl PrefillMember {
-    /// Prefix-cache occupancy in tokens (0 when disabled).
-    fn prefix_used(&self) -> u64 {
-        self.prefix
-            .as_ref()
-            .map_or(0, BlockPrefixCache::used_tokens)
-    }
-
-    /// Deadline-slack pressure of this instance's prompt queue: the sum
-    /// over queued jobs with an effective deadline of
-    /// `1 / (1 + slack_secs)` (the same urgency signal the colocated
-    /// engines expose to routers). Zero for deadline-free queues.
-    fn slack_pressure(&self, now: SimTime, default_deadline: Option<SimDuration>) -> f64 {
-        self.queue
-            .iter()
-            .filter_map(|job| {
-                let deadline = job.spec.deadline.or(default_deadline)?;
-                Some(fleet::slack_urgency(now, job.timing.arrival(), deadline))
-            })
-            .sum()
-    }
-
-    /// Cached overlap this instance would serve `spec` from, without
-    /// touching the cache (the batch-budget probe).
-    fn cached_match(&self, spec: &RequestSpec) -> u64 {
-        self.prefix
-            .as_ref()
-            .map_or(0, |store| fleet::peek_prefix(store, spec))
-    }
-}
-
-impl FleetMember for PrefillMember {
+impl FleetMember for Member {
     fn core(&self) -> &MemberCore {
         &self.core
     }
@@ -662,128 +573,10 @@ impl FleetMember for PrefillMember {
         &mut self.core
     }
 
-    /// Queued plus held prompt tokens.
-    fn load_signal(&self) -> u64 {
-        self.queued_tokens + self.held_tokens
-    }
-}
-
-impl FleetMember for Decoder {
-    fn core(&self) -> &MemberCore {
-        &self.core
-    }
-
-    fn core_mut(&mut self) -> &mut MemberCore {
-        &mut self.core
-    }
-
-    /// Resident KV plus what the queued handoffs hold
+    /// KV held by requests plus what the queued and routed ones will hold
     /// ([`Engine::resident_load`]).
     fn load_signal(&self) -> u64 {
         self.engine.resident_load()
-    }
-}
-
-/// What differs between the members of the two pools, so that one
-/// generic function serves both wherever their lifecycle is the same:
-/// spawn, promotion, planning, claims and the repurpose flip.
-trait Stage: FleetMember + Sized {
-    /// The pool a claimed member of this one flips into.
-    type Other: Stage<Other = Self>;
-    /// Direction of a flip out of this pool.
-    const FLIP: RepurposeDirection;
-    /// This pool and the other one, out of the run's two.
-    fn pools<'a>(
-        prefill: &'a mut Pool<PrefillMember>,
-        decode: &'a mut Pool<Decoder>,
-    ) -> (&'a mut Pool<Self>, &'a mut Pool<Self::Other>);
-    /// A freshly provisioned, empty member with trace id `instance`.
-    fn provision(core: MemberCore, instance: u32, run: &Run<'_>) -> Self;
-    /// The event promoting member `i` once its warm-up ends.
-    fn ready(i: usize) -> Ev;
-    /// Id stamped into emitted trace events (see [`Run::spawn`]).
-    fn instance(&self) -> u32;
-    /// Stage completions (prefill passes finished / requests decoded).
-    fn completed(&self) -> usize;
-}
-
-impl Stage for PrefillMember {
-    type Other = Decoder;
-    const FLIP: RepurposeDirection = RepurposeDirection::PrefillToDecode;
-
-    fn pools<'a>(
-        prefill: &'a mut Pool<PrefillMember>,
-        decode: &'a mut Pool<Decoder>,
-    ) -> (&'a mut Pool<Self>, &'a mut Pool<Decoder>) {
-        (prefill, decode)
-    }
-
-    fn provision(core: MemberCore, instance: u32, run: &Run<'_>) -> Self {
-        PrefillMember {
-            core,
-            instance,
-            queue: VecDeque::new(),
-            queued_tokens: 0,
-            batch: Vec::new(),
-            held_tokens: 0,
-            prefix: run.prefix_cache.map(|spec| {
-                BlockPrefixCache::new(spec.budget_tokens(run.capacity), spec.block_size())
-            }),
-            busy: false,
-            completed: 0,
-        }
-    }
-
-    fn ready(i: usize) -> Ev {
-        Ev::PrefillReady(i)
-    }
-
-    fn instance(&self) -> u32 {
-        self.instance
-    }
-
-    fn completed(&self) -> usize {
-        self.completed
-    }
-}
-
-impl Stage for Decoder {
-    type Other = PrefillMember;
-    const FLIP: RepurposeDirection = RepurposeDirection::DecodeToPrefill;
-
-    fn pools<'a>(
-        prefill: &'a mut Pool<PrefillMember>,
-        decode: &'a mut Pool<Decoder>,
-    ) -> (&'a mut Pool<Self>, &'a mut Pool<PrefillMember>) {
-        (decode, prefill)
-    }
-
-    /// An engine seeded and sped up for its spawn index exactly as an
-    /// elastic replica is ([`fleet::replica`]).
-    fn provision(core: MemberCore, instance: u32, run: &Run<'_>) -> Self {
-        let config = fleet::replica(&run.decode_base, core.gpu, run.decode.members.len());
-        let mut engine = Engine::new(config, Arrivals::offline(Vec::new()));
-        engine.set_instance(instance);
-        engine.advance_to(core.spawned_at);
-        Decoder {
-            engine,
-            core,
-            busy: false,
-            completed: 0,
-            seen_timed_out: 0,
-        }
-    }
-
-    fn ready(i: usize) -> Ev {
-        Ev::DecodeReady(i)
-    }
-
-    fn instance(&self) -> u32 {
-        self.engine.instance()
-    }
-
-    fn completed(&self) -> usize {
-        self.completed
     }
 }
 
@@ -791,14 +584,15 @@ impl Stage for Decoder {
 enum Ev {
     /// A request reaches the cluster front end.
     Arrival(RequestSpec),
-    /// A prefill instance finishes its current batch.
-    PrefillDone(usize),
-    /// A decode instance finishes one decode step.
-    DecodeDone(usize),
-    /// A warming prefill instance becomes live.
-    PrefillReady(usize),
-    /// A warming decode instance becomes live.
-    DecodeReady(usize),
+    /// A member finishes its prefill pass or decode step; `handoffs` are
+    /// the link streams the pass opened (none for a decode step).
+    Done {
+        pool: PoolKind,
+        member: usize,
+        handoffs: Range<usize>,
+    },
+    /// A warming member becomes live.
+    Ready(PoolKind, usize),
     /// An autoscale planning round (elastic runs only).
     Plan,
     /// The shared link reaches its next projected completion (dropped
@@ -867,21 +661,15 @@ pub struct RepurposeEvent {
 
 /// Mutable state of one disaggregated run.
 struct Run<'s> {
-    perf: PerfModel,
     capacity: u64,
     sla: SlaSpec,
     transfer: KvTransferSpec,
     kv_bytes_per_token: u64,
-    max_prefill_batch_tokens: u64,
-    prefill_order: PrefillOrder,
     repurpose_delay: Option<SimDuration>,
-    prefix_cache: Option<PrefixCacheConfig>,
     default_deadline: Option<SimDuration>,
-    queue_order: QueueOrder,
-    /// Whether any request can carry a deadline (a deployment-wide
-    /// default, or a request with its own): only then do the prefill
-    /// purge and the router's slack pressure scan the queues.
-    deadlines: bool,
+    /// The aging cap grouping the link streams' weights: the queue
+    /// order's under [`QueueOrder::LeastSlackFirst`], else the default.
+    link_aging_cap: SimDuration,
     /// The front end's routing over the prefill pool; under an overlap
     /// policy ([`RouterPolicy::PrefixAffinity`] or
     /// [`RouterPolicy::KvOverlap`]) prefill members publish into its KV
@@ -891,8 +679,16 @@ struct Run<'s> {
     /// Rotating tie-break cursor of the handoff routing.
     decode_cursor: usize,
 
-    prefill: Pool<PrefillMember>,
-    decode: Pool<Decoder>,
+    prefill: Pool<Member>,
+    decode: Pool<Member>,
+    /// The config every prefill engine is provisioned from: the base
+    /// passing whole prompts with no series, admitting a prompt while it
+    /// fits beside the held KV ([`SchedulerConfig::Aggressive`] at a full
+    /// watermark).
+    prefill_base: SimConfig,
+    /// Computed prompt tokens one prefill pass batches at most: the
+    /// prefill engines' role parameter.
+    max_prefill_batch_tokens: u64,
     /// The config every decode engine is provisioned from: the base with
     /// no prefix cache (a handoff brings its KV along) and no series,
     /// admitting by Eq. 2–4 on true lengths
@@ -914,8 +710,8 @@ struct Run<'s> {
     /// Whether handoffs are layer-streamed (counted in
     /// [`TransferStats::streamed`]).
     layer_streamed: bool,
-    /// Reusable KV-event drain buffer of [`Run::flush_kv_events`].
-    kv_event_scratch: Vec<KvEvent>,
+    /// Reusable KV-event drain buffer of [`Run::on_done`].
+    kv_event_buf: Vec<(SimTime, KvEvent)>,
 
     remaining: usize,
     timed_out: usize,
@@ -948,27 +744,24 @@ impl<'s> Run<'s> {
         fleet::check_arrivals(&requests, &arrival_times)?;
         fleet::check_prefix_cache(config.base.prefix_cache)?;
         fleet::check_engine(&config.base)?;
+        // The builder rejects a zero budget; a field literal can skip it.
+        if config.max_prefill_batch_tokens == 0 {
+            return Err(SimError::InvalidEngine {
+                parameter: "max_prefill_batch_tokens",
+            });
+        }
         if let BatchingMode::Static { .. } = config.base.batching {
             return Err(SimError::InvalidEngine {
                 parameter: "batching",
             });
         }
         let route = Routing::new(config.router, &config.base)?;
-        let perf = config.base.perf_model();
         let capacity = config.base.capacity_tokens();
         if capacity == 0 {
             return Err(SimError::NoKvCapacity { capacity });
         }
         let max_batch = config.max_prefill_batch_tokens;
         for spec in &requests {
-            let prefill_need = u64::from(spec.input_len) + 1;
-            if prefill_need > capacity {
-                return Err(SimError::RequestTooLarge {
-                    id: spec.id.raw(),
-                    needed: prefill_need,
-                    capacity,
-                });
-            }
             if u64::from(spec.input_len) > max_batch {
                 return Err(SimError::RequestTooLarge {
                     id: spec.id.raw(),
@@ -985,25 +778,35 @@ impl<'s> Run<'s> {
         };
         let (prefill_planner, decode_planner) = planners.unzip();
         let mut run = Run {
-            perf,
             capacity,
             sla: config.base.sla,
             transfer: config.transfer,
             kv_bytes_per_token: config.base.model.kv_bytes_per_token(),
-            max_prefill_batch_tokens: max_batch,
-            prefill_order: config.prefill_order,
             repurpose_delay: config.repurpose,
-            prefix_cache: config.base.prefix_cache,
             default_deadline: config.base.request_deadline,
-            queue_order: config.base.queue_order,
-            deadlines: config.base.request_deadline.is_some()
-                || requests.iter().any(|spec| spec.deadline.is_some()),
+            link_aging_cap: match config.base.queue_order {
+                QueueOrder::LeastSlackFirst { aging_cap } => aging_cap,
+                QueueOrder::Fifo | QueueOrder::ShortestPromptFirst { .. } => DEFAULT_AGING_CAP,
+            },
             route,
             decode_cursor: 0,
             prefill: Pool::new(pf_obs::Pool::Prefill, config.prefill_slots, prefill_planner),
             decode: Pool::new(pf_obs::Pool::Decode, config.decode_slots, decode_planner),
+            prefill_base: SimConfig {
+                scheduler: SchedulerConfig::Aggressive { watermark: 1.0 },
+                prefill: PrefillMode::WholePrompt,
+                record_series: false,
+                ..config.base.clone()
+            },
+            max_prefill_batch_tokens: max_batch,
             decode_base: SimConfig {
                 scheduler: SchedulerConfig::Oracle,
+                // Prompt length orders prefill, where it cuts the TTFT
+                // tail; handoffs keep their arrival order.
+                queue_order: match config.base.queue_order {
+                    QueueOrder::ShortestPromptFirst { .. } => QueueOrder::Fifo,
+                    order => order,
+                },
                 prefix_cache: None,
                 record_series: false,
                 ..config.base
@@ -1019,7 +822,7 @@ impl<'s> Run<'s> {
             stream_done_buf: Vec::new(),
             chunks,
             layer_streamed,
-            kv_event_scratch: Vec::new(),
+            kv_event_buf: Vec::new(),
             remaining: requests.len(),
             timed_out: 0,
             outcomes: Vec::with_capacity(requests.len()),
@@ -1034,12 +837,23 @@ impl<'s> Run<'s> {
             next_instance: 0,
             sink,
         };
-        run.grow::<PrefillMember>(SimTime::ZERO, initial.0, SimDuration::ZERO);
-        run.grow::<Decoder>(SimTime::ZERO, initial.1, SimDuration::ZERO);
-        // Every decode engine shares the base capacity and layout.
-        let decoder = &run.decode.members[0].engine;
+        run.grow(
+            PoolKind::Prefill,
+            SimTime::ZERO,
+            initial.0,
+            SimDuration::ZERO,
+        );
+        run.grow(
+            PoolKind::Decode,
+            SimTime::ZERO,
+            initial.1,
+            SimDuration::ZERO,
+        );
+        // Every engine shares the base capacity and KV layout; a prefill
+        // engine also reserves its prefix store's request id.
+        let prefiller = &run.prefill.members[0].engine;
         for spec in &requests {
-            decoder.validate_spec(spec)?;
+            prefiller.validate_spec(spec)?;
         }
         for (at, spec) in arrival_times.into_iter().zip(requests) {
             run.schedule(at, Ev::Arrival(spec));
@@ -1062,37 +876,55 @@ impl<'s> Run<'s> {
         });
     }
 
-    /// `M`'s pool.
-    fn pool<M: Stage>(&mut self) -> &mut Pool<M> {
-        M::pools(&mut self.prefill, &mut self.decode).0
+    fn pool(&mut self, kind: PoolKind) -> &mut Pool<Member> {
+        match kind {
+            PoolKind::Prefill => &mut self.prefill,
+            PoolKind::Decode => &mut self.decode,
+        }
     }
 
-    /// Provisions a member of `M`'s pool on `gpu` at `now`, live after
-    /// `warmup` (at once when zero), under the next trace-event instance
-    /// id (dense over both pools' spawn order, so a flipped member gets a
-    /// fresh id in its new pool). Returns its pool index.
-    fn spawn<M: Stage>(&mut self, now: SimTime, warmup: SimDuration, gpu: GpuType) -> usize {
-        let member = M::provision(
-            MemberCore::spawn(now, warmup, gpu),
-            self.next_instance,
-            self,
-        );
+    /// Provisions an engine in `kind`'s pool on `gpu` at `now`, seeded
+    /// and sped up for its spawn index exactly as an elastic replica is
+    /// ([`fleet::replica`]), live after `warmup` (at once when zero),
+    /// under the next trace-event instance id (dense over both pools'
+    /// spawn order, so a flipped member gets a fresh id in its new pool).
+    /// Returns its pool index.
+    fn spawn(&mut self, kind: PoolKind, now: SimTime, warmup: SimDuration, gpu: GpuType) -> usize {
+        let (pool, base) = match kind {
+            PoolKind::Prefill => (&mut self.prefill, &self.prefill_base),
+            PoolKind::Decode => (&mut self.decode, &self.decode_base),
+        };
+        let config = fleet::replica(base, gpu, pool.members.len());
+        let mut engine = Engine::new(config, Arrivals::offline(Vec::new()));
+        engine.set_instance(self.next_instance);
+        engine.advance_to(now);
+        if kind == PoolKind::Prefill {
+            engine.prefill_only(self.max_prefill_batch_tokens);
+            if self.route.kv_routing {
+                engine.enable_kv_event_log();
+            }
+        }
         self.next_instance += 1;
-        let members = &mut self.pool::<M>().members;
-        members.push(member);
-        let i = members.len() - 1;
+        pool.members.push(Member {
+            engine,
+            core: MemberCore::spawn(now, warmup, gpu),
+            busy: false,
+            completed: 0,
+            seen_timed_out: 0,
+        });
+        let i = pool.members.len() - 1;
         if !warmup.is_zero() {
-            self.schedule(now + warmup, M::ready(i));
+            self.schedule(now + warmup, Ev::Ready(kind, i));
         }
         i
     }
 
-    /// Spawns `n` members of `M`'s pool at `now`, each on the next slot of
-    /// the pool's GPU mix.
-    fn grow<M: Stage>(&mut self, now: SimTime, n: usize, warmup: SimDuration) {
+    /// Spawns `n` members of `kind`'s pool at `now`, each on the next slot
+    /// of the pool's GPU mix.
+    fn grow(&mut self, kind: PoolKind, now: SimTime, n: usize, warmup: SimDuration) {
         for _ in 0..n {
-            let gpu = self.pool::<M>().next_gpu();
-            self.spawn::<M>(now, warmup, gpu);
+            let gpu = self.pool(kind).next_gpu();
+            self.spawn(kind, now, warmup, gpu);
         }
     }
 
@@ -1118,11 +950,13 @@ impl<'s> Run<'s> {
             let now = SimTime::from_micros(at_us);
             self.clock = self.clock.max(now);
             match ev {
-                Ev::Arrival(spec) => self.on_arrival(now, spec),
-                Ev::PrefillDone(i) => self.on_prefill_done(now, i),
-                Ev::DecodeDone(j) => self.on_decode_done(now, j)?,
-                Ev::PrefillReady(i) => self.on_ready::<PrefillMember>(now, i),
-                Ev::DecodeReady(j) => self.on_ready::<Decoder>(now, j),
+                Ev::Arrival(spec) => self.on_arrival(now, spec)?,
+                Ev::Done {
+                    pool,
+                    member,
+                    handoffs,
+                } => self.on_done(now, pool, member, handoffs)?,
+                Ev::Ready(pool, i) => self.on_ready(now, pool, i),
                 Ev::Plan => self.on_plan(now),
                 Ev::LinkWake { generation } => self.on_link_wake(now, generation),
                 Ev::StreamDone { id } => self.on_stream_done(now, id)?,
@@ -1133,20 +967,19 @@ impl<'s> Run<'s> {
 
     /// Routes an arrival over the live prefill members with the configured
     /// policy through the fleet kernel's one routing call
-    /// ([`Routing::route`]). The pool's load signal is queued plus held
-    /// prompt tokens, divided by the member's GPU speed. Under
-    /// [`RouterPolicy::PrefixAffinity`] or [`RouterPolicy::KvOverlap`]
-    /// with deadlines in play, each candidate's load also carries its
-    /// queue's remaining-slack pressure (weighted by
-    /// [`fleet::SLACK_PRESSURE_WEIGHT`] of capacity), so urgent queues
-    /// attract less new traffic.
+    /// ([`Routing::route`]). The pool's load signal is
+    /// [`Engine::resident_load`], divided by the member's GPU speed. Under
+    /// [`RouterPolicy::PrefixAffinity`] or [`RouterPolicy::KvOverlap`],
+    /// each candidate's load also carries its queue's remaining-slack
+    /// pressure ([`Engine::queue_slack_pressure`], weighted by
+    /// [`fleet::SLACK_PRESSURE_WEIGHT`] of capacity; zero without
+    /// deadlines), so urgent queues attract less new traffic.
     fn route_prefill(&mut self, now: SimTime, spec: &RequestSpec) -> usize {
         let members = &self.prefill.members;
         let slack_weighted = matches!(
             self.route.policy,
             RouterPolicy::PrefixAffinity { .. } | RouterPolicy::KvOverlap { .. }
-        ) && self.deadlines;
-        let default_deadline = self.default_deadline;
+        );
         let pressure_tokens = fleet::SLACK_PRESSURE_WEIGHT * self.capacity as f64;
         let candidates = members
             .iter()
@@ -1155,7 +988,7 @@ impl<'s> Run<'s> {
             .map(|(i, m)| {
                 let mut load = m.load_signal() as f64;
                 if slack_weighted {
-                    load += pressure_tokens * m.slack_pressure(now, default_deadline);
+                    load += pressure_tokens * m.engine.queue_slack_pressure();
                 }
                 (i, load / m.core.gpu.perf_scale)
             });
@@ -1164,239 +997,107 @@ impl<'s> Run<'s> {
             .expect("at least one live prefill instance")
     }
 
-    fn on_arrival(&mut self, now: SimTime, spec: RequestSpec) {
+    /// Routes an arrival onto the prefill pool, stamped at its arrival: a
+    /// busy member ingests it after its pass, an idle one ticks now.
+    fn on_arrival(&mut self, now: SimTime, spec: RequestSpec) -> Result<(), SimError> {
         if let Some(planner) = self.prefill.planner.as_mut() {
             planner.on_request_arrival(now, spec.input_len);
         }
         let target = self.route_prefill(now, &spec);
         let member = &mut self.prefill.members[target];
         member.core.routed += 1;
-        member.queued_tokens += u64::from(spec.input_len);
-        fleet::emit(
-            &mut self.sink,
-            TraceEvent::Enqueued {
-                at: now,
-                instance: member.instance,
-                request: spec.id.raw(),
-            },
-        );
-        member.queue.push_back(Job::new(spec, now));
-        self.try_start_prefill(target, now);
+        member.engine.inject(now, spec);
+        if member.busy {
+            return Ok(());
+        }
+        self.tick(PoolKind::Prefill, target, now)
     }
 
-    /// Cancels queued prompts on member `i` whose deadline expired before
-    /// their prefill started: the request leaves the queue (it holds no
-    /// KV yet) and counts as timed out. Under
-    /// [`QueueOrder::LeastSlackFirst`] prompts whose remaining slack is
-    /// below their minimum feasible prefill time (on this member's GPU,
-    /// accounting for its current prefix-cache overlap) are dropped early
-    /// — a pass spent on them is a pass stolen from prompts that can
-    /// still make it. The verdict is [`fleet::expiry`]; the scan is
-    /// skipped in runs where no request carries a deadline.
-    fn purge_timed_out_prefill(&mut self, i: usize, now: SimTime) {
-        if !self.deadlines {
-            return;
-        }
-        let default_deadline = self.default_deadline;
-        let slack_aware = self.queue_order.is_slack_aware();
-        let perf = self.perf;
-        let sink = &mut self.sink;
-        let member = &mut self.prefill.members[i];
-        let instance = member.instance;
-        let gpu = member.core.gpu;
-        let prefix = &member.prefix;
-        let mut expired = 0usize;
-        member.queue.retain(|job| {
-            let Some(deadline) = job.spec.deadline.or(default_deadline) else {
-                return true;
-            };
-            let min_feasible = if slack_aware {
-                let prompt = u64::from(job.spec.input_len);
-                let cached = prefix
-                    .as_ref()
-                    .map_or(0, |store| fleet::peek_prefix(store, &job.spec));
-                gpu.scale_step(perf.prefill_step(prompt.saturating_sub(cached).max(1)))
-            } else {
-                SimDuration::ZERO
-            };
-            let (arrival, request) = (job.timing.arrival(), job.spec.id.raw());
-            let verdict = fleet::expiry(now, arrival, deadline, min_feasible, instance, request);
-            let Some(event) = verdict else {
-                return true;
-            };
-            fleet::emit(sink, event);
-            expired += 1;
-            false
-        });
-        if expired > 0 {
-            member.queued_tokens = member
-                .queue
-                .iter()
-                .map(|j| u64::from(j.spec.input_len))
-                .sum();
-            self.timed_out += expired;
-            self.remaining -= expired;
-        }
-    }
-
-    /// The queue position the prefill order serves next. Queue order is
-    /// arrival order, so the front is always the oldest entry — the aging
-    /// caps only need to inspect it. [`QueueOrder::LeastSlackFirst`]
-    /// overrides the [`PrefillOrder`]: the prompt with the least
-    /// remaining deadline slack joins the pass next (deadline-less
-    /// prompts rank last, oldest first).
-    fn next_prefill_index(
-        queue: &VecDeque<Job>,
-        now: SimTime,
-        order: PrefillOrder,
-        queue_order: QueueOrder,
-        default_deadline: Option<SimDuration>,
-    ) -> Option<usize> {
-        let front = queue.front()?;
-        if let QueueOrder::LeastSlackFirst { aging_cap } = queue_order {
-            return queue
-                .iter()
-                .enumerate()
-                .min_by_key(|(pos, job)| {
-                    let key = fleet::slack_rank_key(
-                        now,
-                        job.timing.arrival(),
-                        job.spec.deadline.or(default_deadline),
-                        aging_cap,
-                    );
-                    (key, *pos)
-                })
-                .map(|(pos, _)| pos);
-        }
-        match order {
-            PrefillOrder::Fifo => Some(0),
-            PrefillOrder::ShortestPromptFirst { aging_cap } => {
-                if now.saturating_since(front.timing.arrival()) >= aging_cap {
-                    return Some(0);
+    /// Ticks idle member `i` of `kind`'s pool at `now`. A prefill engine
+    /// runs one pass over its queued prompts and hands out every request
+    /// that needs more tokens, whose streams open now; a decode engine
+    /// admits queued handoffs by Eq. 2–4 (under
+    /// [`QueueOrder::LeastSlackFirst`], least end-to-end slack first) and
+    /// runs one decode step. `Done` fires at the engine's post-tick clock.
+    /// An engine with nothing to run stays idle, and a draining one stops.
+    fn tick(&mut self, kind: PoolKind, i: usize, now: SimTime) -> Result<(), SimError> {
+        let member = match kind {
+            PoolKind::Prefill => &mut self.prefill.members[i],
+            PoolKind::Decode => &mut self.decode.members[i],
+        };
+        member.engine.advance_to(now);
+        let tick = member.engine.tick_traced(&mut self.sink)?;
+        // A queued prompt can time out; a handoff only once preempted.
+        let timed_out = member.engine.timed_out() - member.seen_timed_out;
+        member.seen_timed_out += timed_out;
+        self.timed_out += timed_out;
+        self.remaining -= timed_out;
+        match tick {
+            Tick::Worked => {
+                member.busy = true;
+                let end = member.engine.now();
+                let first = self.stream_slots.len();
+                let handoffs = first..first + member.engine.pending_handoffs();
+                // Scheduled before the pass's streams open, so that at
+                // equal timestamps `Done` always pops first: a stream's
+                // last chunk turns eligible exactly at the pass end, so
+                // its `StreamDone` never lands before the pass has ended.
+                self.schedule(
+                    end,
+                    Ev::Done {
+                        pool: kind,
+                        member: i,
+                        handoffs,
+                    },
+                );
+                if kind == PoolKind::Prefill {
+                    self.open_streams(i, now, end);
                 }
-                queue
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(pos, job)| (job.spec.input_len, *pos))
-                    .map(|(pos, _)| pos)
+            }
+            // A decode engine with nothing running can never admit; a
+            // prefill engine waits for its held KV to be released.
+            Tick::Blocked if kind == PoolKind::Decode => {
+                return Err(SimError::Stalled {
+                    queued: member.engine.outstanding(),
+                    at: now,
+                });
+            }
+            Tick::Blocked | Tick::Sleep(_) | Tick::Drained | Tick::HorizonReached => {
+                self.maybe_stop(kind, i, now);
             }
         }
+        Ok(())
     }
 
-    /// Starts a prefill pass on member `i` if it is idle and a batch fits
-    /// the token budget and the instance's free KV. The configured
-    /// [`PrefillOrder`] picks which queued prompt joins next; prefix-cache
-    /// hits shrink each job's contribution to the pass, and cached
-    /// prefixes are evicted (LRU first) when the batch needs their slots.
-    fn try_start_prefill(&mut self, i: usize, now: SimTime) {
-        self.purge_timed_out_prefill(i, now);
-        let capacity = self.capacity;
-        let max_batch = self.max_prefill_batch_tokens;
-        let order = self.prefill_order;
-        let queue_order = self.queue_order;
-        let default_deadline = self.default_deadline;
-        let perf = self.perf;
-        let sink = &mut self.sink;
-        let member = &mut self.prefill.members[i];
-        if member.busy || !member.core.is_active() {
-            return;
-        }
-        let instance = member.instance;
-        let mut batch_computed_tokens = 0u64;
-        while let Some(pos) =
-            Self::next_prefill_index(&member.queue, now, order, queue_order, default_deadline)
-        {
-            let spec = member.queue[pos].spec;
-            let prompt = u64::from(spec.input_len);
-            // The prompt plus the first generated token (see
-            // [`Job::prefill_tokens`]).
-            let tokens = prompt + 1;
-            if member.held_tokens + tokens > capacity {
-                break;
-            }
-            // The batch budget bounds *computed* tokens — what the pass
-            // actually costs — so prefix hits make room for more prompts.
-            // Decide the break on a pre-eviction probe: eviction can only
-            // shrink the match (grow the cost), so a probe that already
-            // busts the budget certainly busts it afterwards — and a job
-            // that breaks here must not have evicted cache entries first.
-            let computed_probe = prompt.saturating_sub(member.cached_match(&spec)).max(1);
-            if !member.batch.is_empty() && batch_computed_tokens + computed_probe > max_batch {
-                break;
-            }
-            // The request's KV outranks cached prefixes: reclaim cache
-            // slots so the batch entry fits alongside the cache.
-            if member.held_tokens + member.prefix_used() + tokens > capacity {
-                let room = capacity - member.held_tokens - tokens;
-                member
-                    .prefix
-                    .as_mut()
-                    .expect("non-zero prefix occupancy implies a cache")
-                    .evict_down_to(room);
-            }
-            let mut job = member.queue.remove(pos).expect("selected within bounds");
-            // Consume the prefix hit: the pass skips the cached tokens
-            // (at least the final prompt position is always computed;
-            // the reclaim above may have shrunk the probed match).
-            if let Some(store) = member.prefix.as_mut() {
-                job.cached_prefix = fleet::lookup_prefix(store, &job.spec);
-            }
-            member.queued_tokens -= prompt;
-            member.held_tokens += tokens;
-            batch_computed_tokens += prompt.saturating_sub(job.cached_prefix).max(1);
-            fleet::emit_prefill_start(sink, now, instance, job.spec.id.raw());
-            member.batch.push(job);
-        }
-        self.flush_kv_events(i, now);
-        let member = &mut self.prefill.members[i];
-        if member.batch.is_empty() {
-            return;
-        }
-        member.busy = true;
-        let duration = member
-            .core
-            .gpu
-            .scale_step(perf.prefill_step(batch_computed_tokens));
-        // The pass completion is scheduled before any stream events so
-        // that, at equal timestamps, `PrefillDone` always pops first: a
-        // stream's last chunk turns eligible exactly at the pass end, so
-        // its `StreamDone` can never land before the job is parked.
-        self.schedule(now + duration, Ev::PrefillDone(i));
-        self.start_streams(i, now, duration);
-    }
-
-    /// Opens one link stream per multi-token job in member `i`'s freshly
-    /// started pass: chunk `l` of [`Run::chunks`] becomes eligible as the
-    /// pass proportionally produces it (a one-chunk atomic stream at the
-    /// pass end), so a layer-streamed transfer overlaps the remaining
-    /// prefill compute.
-    fn start_streams(&mut self, i: usize, now: SimTime, duration: SimDuration) {
-        let now_us = now.as_micros();
-        let end_us = now_us + duration.as_micros();
+    /// Opens one link stream per request prefill member `i`'s pass, begun
+    /// at `now` and ending at `end`, handed out: chunk `l` of
+    /// [`Run::chunks`] becomes eligible as the pass proportionally
+    /// produces it (a one-chunk atomic stream at the pass end), so a
+    /// layer-streamed transfer overlaps the remaining prefill compute.
+    fn open_streams(&mut self, i: usize, now: SimTime, end: SimTime) {
+        let (now_us, end_us) = (now.as_micros(), end.as_micros());
         let chunks = self.chunks;
         let first_at = now_us + (end_us - now_us).div_ceil(u64::from(chunks));
-        let aging_cap = match self.queue_order {
-            QueueOrder::LeastSlackFirst { aging_cap } => aging_cap,
-            QueueOrder::Fifo => DEFAULT_AGING_CAP,
-        };
-        let default_deadline = self.default_deadline;
-        let kv_bytes = self.kv_bytes_per_token;
-        let instance = self.prefill.members[i].instance;
-        for idx in 0..self.prefill.members[i].batch.len() {
-            let job = &self.prefill.members[i].batch[idx];
-            if job.spec.true_output_len <= 1 {
-                continue; // Finishes at prefill; never crosses the link.
-            }
-            let tokens = job.prefill_tokens();
-            let bytes = tokens * kv_bytes;
+        let Run {
+            prefill,
+            link,
+            stream_slots,
+            sink,
+            ..
+        } = self;
+        let engine = &mut prefill.members[i].engine;
+        let instance = engine.instance();
+        for handoff in engine.drain_handoffs() {
+            // The prompt plus the first generated token.
+            let bytes = (u64::from(handoff.spec.input_len) + 1) * self.kv_bytes_per_token;
             let weight = fleet::slack_share_weight(
                 now,
-                job.timing.arrival(),
-                job.spec.deadline.or(default_deadline),
-                aging_cap,
+                handoff.timing.arrival(),
+                handoff.spec.deadline.or(self.default_deadline),
+                self.link_aging_cap,
             );
-            let request = job.spec.id.raw();
-            let id = self.link.start_stream(
+            let request = handoff.spec.id.raw();
+            let id = link.start_stream(
                 now_us,
                 StreamSpec {
                     bytes,
@@ -1406,19 +1107,17 @@ impl<'s> Run<'s> {
                     weight,
                 },
             );
-            debug_assert_eq!(id, self.stream_slots.len());
-            self.stream_slots.push(StreamSlot {
+            debug_assert_eq!(id, stream_slots.len());
+            stream_slots.push(StreamSlot {
                 from: i,
-                tokens,
                 bytes,
                 produce_end_us: end_us,
-                job: None,
+                handoff: Some(handoff),
             });
-            self.prefill.members[i].batch[idx].stream = Some(id);
             // Future-stamped at the first chunk's eligibility (the pass
             // end for an atomic handoff).
             fleet::emit(
-                &mut self.sink,
+                sink,
                 TraceEvent::KvTransferStart {
                     at: SimTime::from_micros(first_at),
                     instance,
@@ -1430,85 +1129,64 @@ impl<'s> Run<'s> {
         self.emit_link_utilization(now);
     }
 
-    /// Retains a prefilled prompt's KV in the instance's prefix cache:
-    /// the session's next turn routed here skips recomputing it. Keeps
-    /// the instance invariant `held + cache ≤ capacity`.
-    fn cache_prefill_prefix(member: &mut PrefillMember, capacity: u64, job: &Job) {
-        let held = member.held_tokens;
-        let Some(store) = member.prefix.as_mut() else {
-            return;
+    /// Member `i` of `kind`'s pool ended its pass or step: its KV-block
+    /// events reach the router index, the requests it finished join the
+    /// run's outcomes, the pool's planner learns each first token the pass
+    /// emitted and each finished request, and the engine ticks again.
+    fn on_done(
+        &mut self,
+        now: SimTime,
+        kind: PoolKind,
+        i: usize,
+        handoffs: Range<usize>,
+    ) -> Result<(), SimError> {
+        let Run {
+            prefill,
+            decode,
+            route,
+            kv_event_buf,
+            outcomes,
+            stream_slots,
+            ..
+        } = self;
+        let Pool {
+            members, planner, ..
+        } = match kind {
+            PoolKind::Prefill => prefill,
+            PoolKind::Decode => decode,
         };
-        // The prefill emitted the first token.
-        fleet::store_prefix(store, &job.spec, 1);
-        if held + store.used_tokens() > capacity {
-            store.evict_down_to(capacity.saturating_sub(held));
+        let member = &mut members[i];
+        member.busy = false;
+        if kind == PoolKind::Prefill && route.kv_routing {
+            kv_event_buf.clear();
+            member.engine.drain_kv_events(kv_event_buf);
+            for &(at, ev) in kv_event_buf.iter() {
+                route.indexer.publish(i as u32, ev, at.as_micros());
+            }
         }
-    }
-
-    fn on_prefill_done(&mut self, now: SimTime, i: usize) {
-        self.prefill.members[i].busy = false;
-        let batch = std::mem::take(&mut self.prefill.members[i].batch);
-        self.prefill.members[i].completed += batch.len();
-        let capacity = self.capacity;
-        let instance = self.prefill.members[i].instance;
-        for mut job in batch {
-            job.timing.record_token(now);
-            // Prefill emits every request's first token, exactly once.
-            fleet::emit_prefill_end(&mut self.sink, now, instance, job.spec.id.raw(), true);
-            Self::cache_prefill_prefix(&mut self.prefill.members[i], capacity, &job);
-            if let Some(planner) = self.prefill.planner.as_mut() {
-                let ttft = job.timing.ttft().expect("first token just recorded");
+        let before = outcomes.len();
+        outcomes.extend(member.engine.drain_outcomes());
+        let finished = &outcomes[before..];
+        if let Some(planner) = planner.as_mut() {
+            for id in handoffs.clone() {
+                let handoff = stream_slots[id]
+                    .handoff
+                    .as_ref()
+                    .expect("parked until it lands");
+                let ttft = handoff
+                    .timing
+                    .ttft()
+                    .expect("the pass emitted its first token");
                 planner.on_request_finished(now, 1, ttft, SimDuration::ZERO);
             }
-            if job.spec.true_output_len <= 1 {
-                // Single-token requests finish at prefill; nothing to hand
-                // over.
-                self.prefill.members[i].held_tokens -= job.prefill_tokens();
-                if self.sink.is_some() {
-                    let sla_ok = self.sla.evaluate(&job.timing).is_satisfied();
-                    fleet::emit(
-                        &mut self.sink,
-                        TraceEvent::Finished {
-                            at: now,
-                            instance,
-                            request: job.spec.id.raw(),
-                            sla_ok,
-                        },
-                    );
-                }
-                self.remaining -= 1;
-                self.outcomes.push(RequestOutcome {
-                    id: job.spec.id.raw(),
-                    input_len: job.spec.input_len,
-                    output_len: 1,
-                    timing: job.timing,
-                    evictions: 0,
-                });
-            } else {
-                // The stream opened when the pass started; park the job
-                // for its `StreamDone`.
-                let stream = job.stream.expect("multi-token jobs stream their KV");
-                self.stream_slots[stream].job = Some(job);
+            for o in finished {
+                let ttft = o.timing.ttft().expect("completed with tokens");
+                planner.on_request_finished(now, o.output_len, ttft, o.timing.avg_tpot());
             }
         }
-        self.flush_kv_events(i, now);
-        if let Some(s) = self.sink.as_deref_mut() {
-            let member = &self.prefill.members[i];
-            s.gauge(
-                now,
-                instance,
-                GaugeKind::QueueDepth,
-                member.queue.len() as f64,
-            );
-            s.gauge(
-                now,
-                instance,
-                GaugeKind::KvOccupancy,
-                member.held_tokens as f64 / capacity as f64,
-            );
-        }
-        self.try_start_prefill(i, now);
-        self.maybe_stop_prefill(i, now);
+        member.completed += handoffs.len() + finished.len();
+        self.remaining -= finished.len();
+        self.tick(kind, i, now)
     }
 
     /// Schedules a wake at the link's next projected completion, tagged
@@ -1543,31 +1221,28 @@ impl<'s> Run<'s> {
         self.schedule_link_wake(now);
     }
 
-    /// A KV transfer fully lands: the source releases the held KV, the
-    /// stats charge the uncontended wire time plus one *per-stream*
-    /// overhead and the time landed past the pass end, and the job hands
-    /// off to the decode pool.
+    /// A KV transfer fully lands: the source releases the held KV (and an
+    /// idle source ticks, since a prompt may fit now), the stats charge
+    /// the uncontended wire time plus one *per-stream* overhead and the
+    /// time landed past the pass end, and the request hands off to the
+    /// decode pool.
     fn on_stream_done(&mut self, now: SimTime, id: usize) -> Result<(), SimError> {
         let slot = &mut self.stream_slots[id];
-        let from = slot.from;
-        let tokens = slot.tokens;
-        let bytes = slot.bytes;
-        let produce_end_us = slot.produce_end_us;
-        let job = slot
-            .job
-            .take()
-            .expect("a stream completes only after its prefill pass parked the job");
+        let (from, bytes, produce_end_us) = (slot.from, slot.bytes, slot.produce_end_us);
+        let handoff = slot.handoff.take().expect("a stream lands once");
         let wire_secs = bytes as f64 / (self.transfer.link_gbps * 1e9);
         self.stats.transfers += 1;
         self.stats.streamed += usize::from(self.layer_streamed);
         self.stats.total_bytes += bytes;
         self.stats.total_link_secs += wire_secs + self.transfer.per_hop_overhead.as_secs_f64();
         self.stats.total_tail_secs += now.as_micros().saturating_sub(produce_end_us) as f64 / 1e6;
-        self.prefill.members[from].held_tokens -= tokens;
-        self.try_start_prefill(from, now);
-        self.maybe_stop_prefill(from, now);
+        let source = &mut self.prefill.members[from];
+        source.engine.release(handoff.spec.id.raw());
+        if !source.busy {
+            self.tick(PoolKind::Prefill, from, now)?;
+        }
         self.emit_link_utilization(now);
-        self.handoff_to_decode(now, job)
+        self.handoff_to_decode(now, handoff)
     }
 
     /// Emits the shared-link utilization gauge. The link is a pool-wide
@@ -1584,44 +1259,12 @@ impl<'s> Run<'s> {
         }
     }
 
-    /// Drains member `i`'s prefix-store KV events: each is mirrored to the
-    /// trace sink and, under an overlap policy, published into the router
-    /// index.
-    fn flush_kv_events(&mut self, i: usize, now: SimTime) {
-        let Run {
-            prefill,
-            kv_event_scratch,
-            route,
-            sink,
-            ..
-        } = self;
-        let member = &mut prefill.members[i];
-        let Some(store) = member.prefix.as_mut() else {
-            return;
-        };
-        if store.pending_events() == 0 {
-            return;
-        }
-        kv_event_scratch.clear();
-        store.drain_events(kv_event_scratch);
-        let instance = member.instance;
-        for &ev in kv_event_scratch.iter() {
-            fleet::emit(sink, fleet::kv_trace_event(now, instance, ev));
-        }
-        if route.kv_routing {
-            let now_us = now.as_micros();
-            for &ev in kv_event_scratch.iter() {
-                route.indexer.publish(i as u32, ev, now_us);
-            }
-        }
-    }
-
     /// Routes a landed KV handoff onto the decode pool, by each live
-    /// member's [`Decoder::load_signal`] over its GPU speed, and ticks the
+    /// member's [`Member::load_signal`] over its GPU speed, and ticks the
     /// receiving engine if it is idle.
-    fn handoff_to_decode(&mut self, now: SimTime, job: Job) -> Result<(), SimError> {
+    fn handoff_to_decode(&mut self, now: SimTime, handoff: Handoff) -> Result<(), SimError> {
         if let Some(planner) = self.decode.planner.as_mut() {
-            planner.on_request_arrival(now, job.spec.input_len);
+            planner.on_request_arrival(now, handoff.spec.input_len);
         }
         let n = self.decode.members.len();
         let target = pick_rotating_min(
@@ -1644,130 +1287,55 @@ impl<'s> Run<'s> {
             TraceEvent::KvTransferEnd {
                 at: now,
                 instance: member.engine.instance(),
-                request: job.spec.id.raw(),
+                request: handoff.spec.id.raw(),
             },
         );
-        member.engine.hand_off(now, job.spec, job.timing);
+        member.engine.hand_off(now, handoff.spec, handoff.timing);
         if member.busy {
             return Ok(());
         }
-        self.tick_decode(target, now)
+        self.tick(PoolKind::Decode, target, now)
     }
 
-    /// Ticks idle decode member `j` at `now`, its engine's clock. The
-    /// engine admits queued handoffs by Eq. 2–4 (under
-    /// [`QueueOrder::LeastSlackFirst`], least end-to-end slack first) and
-    /// runs one decode step; `DecodeDone` fires at the step's end. An
-    /// engine with nothing to run stays idle, and a draining one stops.
-    fn tick_decode(&mut self, j: usize, now: SimTime) -> Result<(), SimError> {
-        let member = &mut self.decode.members[j];
-        let tick = member.engine.tick_traced(&mut self.sink)?;
-        // Only a preempted handoff can time out: no deadline cancels one
-        // whose KV is resident.
-        let timed_out = member.engine.timed_out() - member.seen_timed_out;
-        member.seen_timed_out += timed_out;
-        self.timed_out += timed_out;
-        self.remaining -= timed_out;
-        match tick {
-            Tick::Worked => {
-                member.busy = true;
-                let end = member.engine.now();
-                self.schedule(end, Ev::DecodeDone(j));
-            }
-            Tick::Blocked => {
-                return Err(SimError::Stalled {
-                    queued: member.engine.outstanding(),
-                    at: now,
-                });
-            }
-            Tick::Sleep(_) | Tick::Drained | Tick::HorizonReached => {
-                self.maybe_stop_decode(j, now);
-            }
-        }
-        Ok(())
-    }
-
-    /// Decode member `j`'s step ended: its finished requests join the
-    /// run's outcomes and feed the decode planner, and the engine ticks
-    /// again.
-    fn on_decode_done(&mut self, now: SimTime, j: usize) -> Result<(), SimError> {
-        let Pool {
-            members, planner, ..
-        } = &mut self.decode;
-        let member = &mut members[j];
-        member.busy = false;
-        let before = self.outcomes.len();
-        self.outcomes.extend(member.engine.drain_outcomes());
-        let finished = &self.outcomes[before..];
-        if let Some(planner) = planner.as_mut() {
-            for o in finished {
-                let ttft = o.timing.ttft().expect("completed with tokens");
-                planner.on_request_finished(now, o.output_len, ttft, o.timing.avg_tpot());
-            }
-        }
-        member.completed += finished.len();
-        self.remaining -= finished.len();
-        self.tick_decode(j, now)
-    }
-
-    fn on_ready<M: Stage>(&mut self, now: SimTime, i: usize) {
-        let core = self.pool::<M>().members[i].core_mut();
+    fn on_ready(&mut self, now: SimTime, kind: PoolKind, i: usize) {
+        let core = &mut self.pool(kind).members[i].core;
         if matches!(core.state, MemberState::Warming { .. }) {
             core.state = MemberState::Live;
             self.record_fleet(now);
         }
     }
 
-    fn maybe_stop_prefill(&mut self, i: usize, now: SimTime) {
-        let member = &mut self.prefill.members[i];
-        if !(member.core.state == MemberState::Draining
+    /// Stops member `i` of `kind`'s pool once it is draining and idle with
+    /// nothing outstanding (no queue, no batch, no held KV).
+    fn maybe_stop(&mut self, kind: PoolKind, i: usize, now: SimTime) {
+        let member = &self.pool(kind).members[i];
+        if member.core.state == MemberState::Draining
             && !member.busy
-            && member.queue.is_empty()
-            && member.batch.is_empty()
-            && member.held_tokens == 0)
+            && member.engine.outstanding() == 0
         {
-            return;
+            self.stop_or_flip(kind, i, now);
         }
-        // A stopping member's cached blocks vanish with it: publish the
-        // removals so the router index stops crediting the ghost.
-        if let Some(store) = member.prefix.as_mut() {
-            store.evict_down_to(0);
-        }
-        self.flush_kv_events(i, now);
-        self.stop_or_flip::<PrefillMember>(i, now);
     }
 
-    fn maybe_stop_decode(&mut self, j: usize, now: SimTime) {
-        let member = &self.decode.members[j];
-        if !(member.core.state == MemberState::Draining
-            && !member.busy
-            && member.engine.outstanding() == 0)
-        {
-            return;
-        }
-        self.stop_or_flip::<Decoder>(j, now);
-    }
-
-    /// Stops drained member `i` of `M`'s pool. If the other pool claimed
-    /// it, it flips there: it leaves this pool's ledger and re-spawns in
-    /// the other at the same instant, with its KV pool reset and only the
-    /// short repurpose delay before it serves (the weights are already
-    /// resident). Its new pool sees it as ordinary warming capacity, and
-    /// it serves its new role under a fresh instance id, linked to the old
-    /// one by a [`TraceEvent::Repurposed`].
-    fn stop_or_flip<M: Stage>(&mut self, i: usize, now: SimTime) {
-        let member = &mut self.pool::<M>().members[i];
-        let from_instance = member.instance();
-        let core = member.core_mut();
-        let gpu = core.gpu;
-        let claimed = std::mem::take(&mut core.claimed);
-        core.stop(now);
+    /// Stops drained member `i` of `kind`'s pool. If the other pool
+    /// claimed it, it flips there: it leaves this pool's ledger and
+    /// re-spawns in the other at the same instant, with its KV pool reset
+    /// and only the short repurpose delay before it serves (the weights
+    /// are already resident). Its new pool sees it as ordinary warming
+    /// capacity, and it serves its new role under a fresh instance id,
+    /// linked to the old one by a [`TraceEvent::Repurposed`].
+    fn stop_or_flip(&mut self, kind: PoolKind, i: usize, now: SimTime) {
+        let member = &mut self.pool(kind).members[i];
+        let from_instance = member.engine.instance();
+        let gpu = member.core.gpu;
+        let claimed = std::mem::take(&mut member.core.claimed);
+        member.core.stop(now);
         if claimed {
             let delay = self
                 .repurpose_delay
                 .expect("claims only exist with repurposing enabled");
-            let to = self.spawn::<M::Other>(now, delay, gpu);
-            let to_instance = self.pool::<M::Other>().members[to].instance();
+            let to = self.spawn(kind.other(), now, delay, gpu);
+            let to_instance = self.pool(kind.other()).members[to].engine.instance();
             fleet::emit(
                 &mut self.sink,
                 TraceEvent::Repurposed {
@@ -1776,13 +1344,13 @@ impl<'s> Run<'s> {
                     to_instance,
                 },
             );
-            let (prefill_member, decode_member) = match M::FLIP {
-                RepurposeDirection::PrefillToDecode => (i, to),
-                RepurposeDirection::DecodeToPrefill => (to, i),
+            let (prefill_member, decode_member) = match kind {
+                PoolKind::Prefill => (i, to),
+                PoolKind::Decode => (to, i),
             };
             self.repurposes.push(RepurposeEvent {
                 at: now,
-                direction: M::FLIP,
+                direction: kind.flip(),
                 prefill_member,
                 decode_member,
             });
@@ -1796,13 +1364,13 @@ impl<'s> Run<'s> {
     /// idle-stop check is deferred until after the decode decision, so an
     /// already-idle victim flips immediately instead of stopping cold.
     fn on_plan(&mut self, now: SimTime) {
-        let prefill_drained = self.plan_pool::<PrefillMember>(now);
-        let decode_drained = self.plan_pool::<Decoder>(now);
+        let prefill_drained = self.plan_pool(PoolKind::Prefill, now);
+        let decode_drained = self.plan_pool(PoolKind::Decode, now);
         for victim in decode_drained {
-            self.maybe_stop_decode(victim, now);
+            self.maybe_stop(PoolKind::Decode, victim, now);
         }
         for victim in prefill_drained {
-            self.maybe_stop_prefill(victim, now);
+            self.maybe_stop(PoolKind::Prefill, victim, now);
         }
         self.record_fleet(now);
         if let (Some(planner), true) = (&self.prefill.planner, self.remaining > 0) {
@@ -1810,16 +1378,19 @@ impl<'s> Run<'s> {
         }
     }
 
-    /// Runs the planning round of `M`'s pool and applies its decision. A
-    /// scale-up first claims draining members of the other pool when
+    /// Runs the planning round of `kind`'s pool and applies its decision.
+    /// A scale-up first claims draining members of the other pool when
     /// repurposing is enabled, then spawns the rest. A scale-down first
     /// releases the pool's pending claims (they have not started costing
     /// it anything yet), then cancels and drains its own members through
     /// the fleet kernel's shrink pass. Returns the members newly marked
     /// draining (their idle-stop check is the caller's, after both pools
     /// have decided).
-    fn plan_pool<M: Stage>(&mut self, now: SimTime) -> Vec<usize> {
-        let (own, other) = M::pools(&mut self.prefill, &mut self.decode);
+    fn plan_pool(&mut self, kind: PoolKind, now: SimTime) -> Vec<usize> {
+        let (own, other) = match kind {
+            PoolKind::Prefill => (&mut self.prefill, &mut self.decode),
+            PoolKind::Decode => (&mut self.decode, &mut self.prefill),
+        };
         // Claimed-but-not-flipped members are capacity the pool has
         // already ordered.
         let claimed = fleet::pending_claims(&other.members);
@@ -1833,7 +1404,7 @@ impl<'s> Run<'s> {
                     .as_ref()
                     .expect("only planned pools grow")
                     .warmup();
-                self.grow::<M>(now, need, warmup);
+                self.grow(kind, now, need, warmup);
                 Vec::new()
             }
             Some(Resize::Shrink(excess)) => {
@@ -1849,8 +1420,8 @@ impl<'s> Run<'s> {
         self.record_fleet(end);
         let mut prefix_stats = PrefixCacheStats::default();
         for member in &self.prefill.members {
-            if let Some(cache) = &member.prefix {
-                prefix_stats.merge(&cache.stats());
+            if let Some(stats) = member.engine.prefix_stats() {
+                prefix_stats.merge(&stats);
             }
         }
         let makespan = end.saturating_since(SimTime::ZERO);
@@ -1920,8 +1491,8 @@ pub struct PoolInstanceReport {
     pub gpu: GpuType,
     /// Requests routed to it.
     pub routed: usize,
-    /// Stage completions it performed (prefill passes finished / requests
-    /// fully decoded).
+    /// Stage completions it performed (prompts prefilled / requests fully
+    /// decoded).
     pub completed: usize,
 }
 
@@ -1951,19 +1522,16 @@ pub struct PoolReport {
 impl PoolReport {
     /// The report of a finished pool whose members still up at `end` are
     /// charged until then.
-    fn new<M: Stage>(pool: Pool<M>, end: SimTime) -> Self {
+    fn new(pool: Pool<Member>, end: SimTime) -> Self {
         let instances = pool
             .members
             .iter()
-            .map(|m| {
-                let core = m.core();
-                PoolInstanceReport {
-                    spawned_at: core.spawned_at,
-                    stopped_at: core.stopped_at.unwrap_or(end),
-                    gpu: core.gpu,
-                    routed: core.routed,
-                    completed: m.completed(),
-                }
+            .map(|m| PoolInstanceReport {
+                spawned_at: m.core.spawned_at,
+                stopped_at: m.core.stopped_at.unwrap_or(end),
+                gpu: m.core.gpu,
+                routed: m.core.routed,
+                completed: m.completed,
             })
             .collect();
         PoolReport {

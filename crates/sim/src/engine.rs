@@ -56,19 +56,33 @@
 //!
 //! # Handoffs
 //!
-//! The disaggregated decode pool runs this engine too. A handoff
-//! ([`Engine::hand_off`]) is a request whose prompt was prefilled, and
-//! whose first token was emitted, on a prefill instance. It queues like
-//! any request, but its admission allocates its KV without a pass, it
-//! emits its next token at the next decode step, no deadline cancels it,
-//! and least-slack-first ranks it by its end-to-end slack.
+//! Both disaggregated pools run this engine too. A prefill instance is an
+//! engine in the prefill role ([`Engine::prefill_only`]). Each tick runs at
+//! most one whole-prompt pass, of at most its budget of *computed* tokens
+//! (prefix-cache hits are not computed), and admits a prompt only while
+//! the KV its requests hold plus the prompt and its first token fit the
+//! pool: cached prefixes yield to prompts. When the pass ends, a request
+//! that needs more tokens is handed out ([`Engine::drain_handoffs`]): it
+//! leaves the batch and its prompt enters the prefix store, but its KV
+//! stays held until the driver releases it ([`Engine::release`]) as its
+//! transfer lands, so a slow link backpressures admission. A request
+//! whose output is one token finishes at the pass like any other.
+//!
+//! On the decode side, a handoff ([`Engine::hand_off`]) is a request
+//! whose prompt was prefilled, and whose first token was emitted, on a
+//! prefill instance. It queues like any request, but its admission
+//! allocates its KV without a pass, it emits its next token at the next
+//! decode step, no deadline cancels it, and least-slack-first ranks it by
+//! its end-to-end slack.
 
 use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use pf_core::{BatchEntry, MemoryState, PackedBatch, QueuedRequest, RunningRequest, Scheduler};
-use pf_kvcache::{BlockPrefixCache, KvCacheError, KvCacheManager, KvEvent, KvPool};
+use pf_kvcache::{
+    BlockPrefixCache, KvCacheError, KvCacheManager, KvEvent, KvPool, PrefixCacheStats,
+};
 use pf_metrics::{GoodputReport, RequestTiming, SimDuration, SimTime, StepSeries};
 use pf_obs::{GaugeKind, TraceEvent, TraceSink};
 use pf_workload::{ClosedLoopClients, RequestSpec};
@@ -106,6 +120,28 @@ enum Restore {
     /// ([`Engine::hand_off`]). Admission allocates it without a pass and
     /// the request resumes at the next decode step.
     Resident,
+}
+
+/// What an engine serves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// Whole requests (a colocated instance), or handoffs to decode (a
+    /// disaggregated decode instance).
+    Serve,
+    /// Prompts only: a disaggregated prefill instance (see "Handoffs").
+    Prefill {
+        /// Computed prompt tokens one pass may batch.
+        max_pass_tokens: u64,
+    },
+}
+
+/// A request a prefill-role engine handed out at the end of its pass: its
+/// prompt is prefilled and its first token recorded, and its KV stays
+/// held on the engine until [`Engine::release`].
+#[derive(Debug)]
+pub(crate) struct Handoff {
+    pub(crate) spec: RequestSpec,
+    pub(crate) timing: RequestTiming,
 }
 
 #[derive(Debug)]
@@ -297,6 +333,7 @@ pub(crate) struct Engine {
     scheduler: Box<dyn Scheduler>,
     needs_oracle: bool,
     config: SimConfig,
+    role: Role,
     /// Id stamped into emitted trace events (clusters assign one per
     /// spawned member; standalone runs stay at 0).
     instance: u32,
@@ -305,6 +342,11 @@ pub(crate) struct Engine {
     arrivals: Arrivals,
     queue: VecDeque<Pending>,
     running: Vec<Live>,
+    /// Requests handed out by the last prefill-role pass, until the
+    /// driver drains them.
+    handoffs: Vec<Handoff>,
+    /// Handed-out requests whose KV is still held here.
+    held: usize,
     /// Backing store for every ingested request's spec; `Pending`/`Live`
     /// entries carry slab handles.
     specs: Slab<RequestSpec>,
@@ -395,11 +437,14 @@ impl Engine {
             scheduler,
             needs_oracle,
             config,
+            role: Role::Serve,
             instance: 0,
             now: SimTime::ZERO,
             arrivals,
             queue: VecDeque::new(),
             running: Vec::new(),
+            handoffs: Vec::new(),
+            held: 0,
             specs: Slab::new(),
             prefix,
             kv_events: Vec::new(),
@@ -544,7 +589,7 @@ impl Engine {
         let at = self.now;
         let instance = self.instance;
         for &ev in &self.scratch_kv_events {
-            fleet::emit(sink, fleet::kv_trace_event(at, instance, ev));
+            fleet::emit(sink, kv_trace_event(at, instance, ev));
             if self.log_kv_events {
                 self.kv_events.push((at, ev));
             }
@@ -578,16 +623,54 @@ impl Engine {
         });
     }
 
-    /// The decode pool's routing signal: KV resident in the pool plus
-    /// what each queued handoff holds (`input_len + generated`). A decode
-    /// server knows all of it; none of it is ground truth.
+    /// Makes this a disaggregated prefill instance whose passes batch at
+    /// most `max_pass_tokens` computed prompt tokens (see "Handoffs").
+    pub(crate) fn prefill_only(&mut self, max_pass_tokens: u64) {
+        self.role = Role::Prefill { max_pass_tokens };
+    }
+
+    /// Moves out the requests the last pass handed out (prefill role).
+    pub(crate) fn drain_handoffs(&mut self) -> std::vec::Drain<'_, Handoff> {
+        self.handoffs.drain(..)
+    }
+
+    /// Handed-out requests the last pass left for [`Engine::drain_handoffs`].
+    pub(crate) fn pending_handoffs(&self) -> usize {
+        self.handoffs.len()
+    }
+
+    /// Frees the KV a handed-out request held here (prefill role): its
+    /// transfer landed.
+    pub(crate) fn release(&mut self, request: u64) {
+        self.kv.release(request);
+        self.held -= 1;
+    }
+
+    /// KV held by requests: the pool's use less the prefix store's.
+    fn held_tokens(&self) -> u64 {
+        let cached = self
+            .prefix
+            .as_ref()
+            .map_or(0, BlockPrefixCache::used_tokens);
+        self.kv.used_tokens().saturating_sub(cached)
+    }
+
+    /// The disaggregated pools' routing signal: KV held by requests plus
+    /// what each queued or routed request holds once admitted
+    /// (`input_len + generated`). A server knows all of it; none of it is
+    /// ground truth.
     pub(crate) fn resident_load(&self) -> u64 {
         let queued: u64 = self
             .queue
             .iter()
             .map(|p| u64::from(self.specs[p.spec].input_len) + u64::from(p.generated))
             .sum();
-        self.kv.used_tokens() + queued
+        let routed: u64 = self
+            .arrivals
+            .iter_specs()
+            .map(|spec| u64::from(spec.input_len))
+            .sum();
+        self.held_tokens() + queued + routed
     }
 
     /// Id stamped into emitted trace events.
@@ -600,11 +683,12 @@ impl Engine {
         self.timed_out
     }
 
-    /// Requests in flight, waiting, or already routed to this engine but
-    /// not yet ingested (the router must see its own recent decisions, or
-    /// a burst of arrivals herds onto one instance).
+    /// Requests in flight, waiting, already routed to this engine but not
+    /// yet ingested (the router must see its own recent decisions, or a
+    /// burst of arrivals herds onto one instance), or handed out with
+    /// their KV still held here.
     pub(crate) fn outstanding(&self) -> usize {
-        self.running.len() + self.queue.len() + self.arrivals.remaining()
+        self.running.len() + self.queue.len() + self.arrivals.remaining() + self.held
     }
 
     /// Fraction of KV capacity physically in use right now.
@@ -705,6 +789,11 @@ impl Engine {
         self.outcomes.drain(..)
     }
 
+    /// The prefix store's statistics (`None` without a store).
+    pub(crate) fn prefix_stats(&self) -> Option<PrefixCacheStats> {
+        self.prefix.as_ref().map(BlockPrefixCache::stats)
+    }
+
     /// Consumes the engine and produces its report (cluster co-simulation).
     pub(crate) fn into_report(self) -> SimReport {
         self.finish_report()
@@ -765,7 +854,7 @@ impl Engine {
         let spec = &self.specs[pending.spec];
         self.prefix
             .as_mut()
-            .map_or(0, |store| fleet::lookup_prefix(store, spec))
+            .map_or(0, |store| lookup_prefix(store, spec))
     }
 
     /// Retains a finished request's conversation KV in the prefix store as
@@ -778,7 +867,7 @@ impl Engine {
             return;
         };
         let before = store.used_tokens();
-        fleet::store_prefix(store, spec, generated);
+        store_prefix(store, spec, generated);
         if store.used_tokens() != before {
             self.sync_prefix_charge();
         }
@@ -856,9 +945,7 @@ impl Engine {
             // transfer-bound, not compute-bound; never early-drop those.
             let min_feasible = if slack_aware && p.restore == Restore::Recompute {
                 let tokens = u64::from(spec.input_len) + u64::from(p.generated);
-                let cached = prefix
-                    .as_ref()
-                    .map_or(0, |store| fleet::peek_prefix(store, spec));
+                let cached = prefix.as_ref().map_or(0, |store| peek_prefix(store, spec));
                 perf.prefill_step(tokens.saturating_sub(cached).max(1))
             } else {
                 SimDuration::ZERO
@@ -900,15 +987,51 @@ impl Engine {
             .iter()
             .filter_map(|p| {
                 let deadline = self.specs[p.spec].deadline.or(default_deadline)?;
-                Some(fleet::slack_urgency(self.now, p.timing.arrival(), deadline))
+                Some(slack_urgency(self.now, p.timing.arrival(), deadline))
             })
             .sum()
     }
 
+    /// The scheduler's view of the pool. A prefill instance's cached
+    /// prefixes yield to prompts, so its view leaves them out.
     fn memory_state(&self) -> MemoryState {
         MemoryState {
             capacity_tokens: self.capacity,
-            used_tokens: self.kv.used_tokens(),
+            used_tokens: match self.role {
+                Role::Serve => self.kv.used_tokens(),
+                Role::Prefill { .. } => self.held_tokens(),
+            },
+        }
+    }
+
+    /// Ranks the queue by the configured [`QueueOrder`] (a stable sort, so
+    /// equal keys keep their queue order).
+    fn rank_queue(&mut self) {
+        let now = self.now;
+        let specs = &self.specs;
+        match self.config.queue_order {
+            QueueOrder::Fifo => {}
+            QueueOrder::LeastSlackFirst { aging_cap } => {
+                let default_deadline = self.config.request_deadline;
+                fleet::rank_by_slack(&mut self.queue, now, aging_cap, |p| {
+                    let deadline = specs[p.spec].deadline.or(default_deadline);
+                    (p.preempted(), p.timing.arrival(), deadline)
+                });
+            }
+            // Preempted work first, then requests past the aging cap,
+            // oldest first, then ascending prompt length.
+            QueueOrder::ShortestPromptFirst { aging_cap } => {
+                self.queue.make_contiguous().sort_by_key(|p| {
+                    let arrival = p.timing.arrival();
+                    if p.preempted() {
+                        (0, arrival.as_micros())
+                    } else if now.saturating_since(arrival) >= aging_cap {
+                        (1, arrival.as_micros())
+                    } else {
+                        (2, u64::from(specs[p.spec].input_len))
+                    }
+                });
+            }
         }
     }
 
@@ -943,22 +1066,23 @@ impl Engine {
     /// [`QueueOrder::LeastSlackFirst`], the ones closest to their
     /// deadline). Returns whether an admission needs a pass (a prefill or
     /// swap-in, whole or chunked): a round that admits only handoffs
-    /// leaves the tick to the decode step.
+    /// leaves the tick to the decode step. A prefill instance admits one
+    /// pass (see "Handoffs").
     fn try_admission(&mut self, sink: &mut Option<&mut dyn TraceSink>) -> bool {
         if self.queue.is_empty() {
             return false;
         }
-        if let QueueOrder::LeastSlackFirst { aging_cap } = self.config.queue_order {
-            let default_deadline = self.config.request_deadline;
-            let specs = &self.specs;
-            fleet::rank_by_slack(&mut self.queue, self.now, aging_cap, |p| {
-                let deadline = specs[p.spec].deadline.or(default_deadline);
-                (p.preempted(), p.timing.arrival(), deadline)
-            });
-        }
+        self.rank_queue();
         // Handle discipline: every slab slot is owned by exactly one queue
         // or batch entry.
         debug_assert_eq!(self.specs.len(), self.queue.len() + self.running.len());
+        let pass_budget = match self.role {
+            Role::Serve => None,
+            Role::Prefill { max_pass_tokens } => Some(max_pass_tokens),
+        };
+        // Computed tokens of the prefill-role pass so far.
+        let mut pass_tokens = 0u64;
+        let mut pass_full = false;
         let mut passes_total = 0usize;
         loop {
             let window = PLAN_WINDOW.min(self.queue.len());
@@ -1003,7 +1127,9 @@ impl Engine {
                 // (Refusal with a live batch is ordinary backpressure and
                 // resolves as requests finish; draining the cache for it
                 // would forfeit hits for no admission gain.)
-                if self.running.is_empty() && self.reclaim_prefix_tokens(1) {
+                // A prefill instance's view already leaves the cache out.
+                if pass_budget.is_none() && self.running.is_empty() && self.reclaim_prefix_tokens(1)
+                {
                     continue;
                 }
                 break;
@@ -1016,6 +1142,27 @@ impl Engine {
                 let needed = u64::from(spec.input_len) + u64::from(pending.generated) + 1;
                 let reserve_total = u64::from(spec.input_len) + u64::from(spec.max_new_tokens);
                 let req = spec.id.raw();
+                if let Some(budget) = pass_budget {
+                    // The prompt must fit beside the held KV; cached
+                    // prefixes are reclaimed below only once it does. The
+                    // budget bounds computed tokens, decided on a
+                    // pre-eviction probe: eviction can only shrink the
+                    // match, so a probe that busts the budget busts it
+                    // afterwards too, and a prompt that stops the pass
+                    // must not have evicted cache entries first.
+                    let cached = self
+                        .prefix
+                        .as_ref()
+                        .map_or(0, |store| peek_prefix(store, spec));
+                    let probe = u64::from(spec.input_len).saturating_sub(cached).max(1);
+                    let started = passes_total + passes_now > 0;
+                    if self.held_tokens() + needed > self.capacity
+                        || (started && pass_tokens + probe > budget)
+                    {
+                        pass_full = true;
+                        break;
+                    }
+                }
                 if self.kv.allocate(req, needed, reserve_total).is_err() {
                     // Reclaim cached prefixes, one LRU entry at a time,
                     // before refusing admission.
@@ -1040,7 +1187,8 @@ impl Engine {
                     u64::from(self.specs[pending.spec].input_len) + u64::from(pending.generated);
                 if pending.restore != Restore::Resident {
                     passes_now += 1;
-                    fleet::emit_prefill_start(sink, self.now, self.instance, req);
+                    pass_tokens += prefill_tokens.saturating_sub(cached).max(1);
+                    emit_prefill_start(sink, self.now, self.instance, req);
                 }
                 self.true_peak.set(None);
                 self.running.push(Live {
@@ -1067,13 +1215,18 @@ impl Engine {
             passes_total += passes_now;
             // Whole-prompt mode prefills each admission round immediately,
             // so the next planning round sees the post-prefill state (the
-            // state the schedulers' future-memory entries model).
-            if passes_now > 0 && matches!(self.config.prefill, PrefillMode::WholePrompt) {
+            // state the schedulers' future-memory entries model). A
+            // prefill instance runs its one pass after the last round.
+            let whole = matches!(self.config.prefill, PrefillMode::WholePrompt);
+            if passes_now > 0 && whole && pass_budget.is_none() {
                 self.prefill_step(admitted_now, sink);
             }
-            if admitted_now < plan || plan < window {
+            if pass_full || admitted_now < plan || plan < window {
                 break;
             }
+        }
+        if passes_total > 0 && pass_budget.is_some() {
+            self.prefill_step(passes_total, sink);
         }
         passes_total > 0
     }
@@ -1081,7 +1234,8 @@ impl Engine {
     /// Dedicated prefill step over the `admitted` most recent batch entries
     /// (whole-prompt mode). Every admitted request but a handoff emits its
     /// first token at the end of the step; a handoff waits for the next
-    /// decode step.
+    /// decode step. A prefill instance hands out every request that needs
+    /// more tokens.
     fn prefill_step(&mut self, admitted: usize, sink: &mut Option<&mut dyn TraceSink>) {
         let start = self.running.len() - admitted;
         let mut prompt_tokens = 0u64;
@@ -1119,10 +1273,13 @@ impl Engine {
             let first_ever = live.timing.ttft().is_none();
             live.timing.record_token(self.now);
             let request = self.specs[live.spec].id.raw();
-            fleet::emit_prefill_end(sink, self.now, instance, request, first_ever);
+            emit_prefill_end(sink, self.now, instance, request, first_ever);
             if self.running[i].generated >= self.specs[self.running[i].spec].true_output_len {
                 let live = self.running.remove(i);
                 self.finish(live, sink);
+            } else if self.role != Role::Serve {
+                let live = self.running.remove(i);
+                self.hand_out(live);
             } else {
                 i += 1;
             }
@@ -1248,7 +1405,7 @@ impl Engine {
                 // handoff's token ends no prefill.
                 if was_pending && live.restore != Restore::Resident {
                     let request = self.specs[live.spec].id.raw();
-                    fleet::emit_prefill_end(sink, self.now, instance, request, first_ever);
+                    emit_prefill_end(sink, self.now, instance, request, first_ever);
                 }
                 if self.running[i].generated >= self.specs[self.running[i].spec].true_output_len {
                     let live = self.running.remove(i);
@@ -1264,6 +1421,20 @@ impl Engine {
             self.true_peak.set(None);
         }
         Ok(())
+    }
+
+    /// Hands a prefilled request out of a prefill instance: it leaves the
+    /// batch, its KV stays held until [`Engine::release`], and its prompt
+    /// and first token are retained in the prefix store.
+    fn hand_out(&mut self, live: Live) {
+        self.true_peak.set(None);
+        let spec = self.specs.remove(live.spec);
+        self.cache_finished_prefix(&spec, live.generated);
+        self.held += 1;
+        self.handoffs.push(Handoff {
+            spec,
+            timing: live.timing,
+        });
     }
 
     fn evict_most_recent(&mut self, sink: &mut Option<&mut dyn TraceSink>) {
@@ -1446,6 +1617,7 @@ impl Engine {
         );
         let unfinished = self.running.len() + self.queue.len() + self.arrivals.remaining();
         let kv_used_tokens_end = self.kv.used_tokens();
+        let prefix_stats = self.prefix_stats().unwrap_or_default();
         SimReport {
             scheduler_name: self.scheduler.name().to_string(),
             goodput,
@@ -1471,11 +1643,7 @@ impl Engine {
             consumed_series: self.consumed_series,
             future_required_series: self.future_required_series,
             queue_series: self.queue_series,
-            prefix_stats: self
-                .prefix
-                .as_ref()
-                .map(BlockPrefixCache::stats)
-                .unwrap_or_default(),
+            prefix_stats,
             prefix_cached_tokens: self
                 .prefix
                 .as_ref()
@@ -1538,7 +1706,7 @@ impl Engine {
             }
             for pending in &batch {
                 let request = self.specs[pending.spec].id.raw();
-                fleet::emit_prefill_start(sink, self.now, instance, request);
+                emit_prefill_start(sink, self.now, instance, request);
             }
             let b = batch.len() as u64;
             // Prefill over padded prompts.
@@ -1551,7 +1719,7 @@ impl Engine {
                 let first_ever = pending.timing.ttft().is_none();
                 pending.timing.record_token(self.now);
                 let request = self.specs[pending.spec].id.raw();
-                fleet::emit_prefill_end(sink, self.now, instance, request, first_ever);
+                emit_prefill_end(sink, self.now, instance, request, first_ever);
             }
             // Decode until the whole batch finishes (early finishers idle
             // inside the batch — padding waste).
@@ -1657,6 +1825,111 @@ impl Engine {
             s.gauge(self.now, self.instance, GaugeKind::SlackPressure, 0.0);
         }
     }
+}
+
+/// Emits a request's admission into a prefill pass at `at`:
+/// [`TraceEvent::Admitted`], then [`TraceEvent::PrefillStart`].
+fn emit_prefill_start(
+    sink: &mut Option<&mut dyn TraceSink>,
+    at: SimTime,
+    instance: u32,
+    request: u64,
+) {
+    fleet::emit(
+        sink,
+        TraceEvent::Admitted {
+            at,
+            instance,
+            request,
+        },
+    );
+    fleet::emit(
+        sink,
+        TraceEvent::PrefillStart {
+            at,
+            instance,
+            request,
+        },
+    );
+}
+
+/// Emits the end of a request's prefill pass at `at`:
+/// [`TraceEvent::PrefillEnd`], then [`TraceEvent::FirstToken`] when the
+/// pass emitted the request's first token.
+fn emit_prefill_end(
+    sink: &mut Option<&mut dyn TraceSink>,
+    at: SimTime,
+    instance: u32,
+    request: u64,
+    first_token: bool,
+) {
+    fleet::emit(
+        sink,
+        TraceEvent::PrefillEnd {
+            at,
+            instance,
+            request,
+        },
+    );
+    if first_token {
+        fleet::emit(
+            sink,
+            TraceEvent::FirstToken {
+                at,
+                instance,
+                request,
+            },
+        );
+    }
+}
+
+/// The lifecycle trace event mirroring a prefix store's [`KvEvent`].
+fn kv_trace_event(at: SimTime, instance: u32, ev: KvEvent) -> TraceEvent {
+    match ev {
+        KvEvent::Stored { block, .. } => TraceEvent::KvStored {
+            at,
+            instance,
+            block,
+        },
+        KvEvent::Removed { block } => TraceEvent::KvRemoved {
+            at,
+            instance,
+            block,
+        },
+    }
+}
+
+/// Cached tokens of `spec`'s longest stored block run, without touching
+/// recency or statistics — the slack purge's feasibility estimate and the
+/// prefill pass budget's probe.
+fn peek_prefix(store: &BlockPrefixCache, spec: &RequestSpec) -> u64 {
+    store.peek_run(spec.matchable_blocks(store.block_tokens() as u32))
+}
+
+/// Consumes an admission-time hit: the cached tokens of `spec`'s longest
+/// stored block run, refreshing recency and counting lookup statistics.
+fn lookup_prefix(store: &mut BlockPrefixCache, spec: &RequestSpec) -> u64 {
+    let block_tokens = store.block_tokens() as u32;
+    store.lookup_run(spec.matchable_blocks(block_tokens))
+}
+
+/// Retains the KV blocks of `spec`'s conversation after `generated`
+/// output tokens, when the request declares a reusable prefix (a session
+/// or a shared system prompt).
+fn store_prefix(store: &mut BlockPrefixCache, spec: &RequestSpec, generated: u32) {
+    if spec.prefix_id.is_some() || spec.system_prompt_id.is_some() {
+        let block_tokens = store.block_tokens() as u32;
+        store.insert_chain(spec.storable_blocks(block_tokens, generated));
+    }
+}
+
+/// One queued request's contribution to the router-facing slack-pressure
+/// signal: `1 / (1 + slack_secs)` — 1.0 at zero remaining slack, decaying
+/// as the deadline recedes. Summed per queue and weighed by
+/// [`fleet::SLACK_PRESSURE_WEIGHT`].
+fn slack_urgency(now: SimTime, arrival: SimTime, deadline: SimDuration) -> f64 {
+    let waited = now.saturating_since(arrival);
+    1.0 / (1.0 + (deadline - waited).as_secs_f64())
 }
 
 #[cfg(test)]

@@ -80,20 +80,19 @@
 //! # Deadlines
 //!
 //! `expiry` and `slack_rank_key` (crate-internal) are the one definition
-//! of the deadline policy: every queue that cancels expired requests —
-//! the engine's and each disagg prefill member's — takes its verdict from
-//! `expiry`, and every queue served least-slack-first ranks by
-//! `slack_rank_key` — the engine's through `rank_by_slack`, each disagg
-//! prefill member's one pick at a time. The disagg decode members are
-//! engines: their queued handoffs rank by end-to-end slack like any queued
-//! request, and no deadline cancels one, since each has streamed its
-//! first token.
+//! of the deadline policy. The engine's queue, which every topology runs
+//! (both disagg pools included), takes its cancellation verdict from
+//! `expiry` and its least-slack-first order from `rank_by_slack`, and the
+//! disagg link weighs its streams by the same groups
+//! (`slack_share_weight`). Queued disagg handoffs rank by end-to-end slack
+//! like any queued request, and no deadline cancels one, since each has
+//! streamed its first token.
 
 use std::collections::VecDeque;
 
 use pf_autoscale::{AutoscaleConfig, AutoscalePlanner, PoolRole, ScalingDecision, StepLatency};
 use pf_core::SchedulerConfig;
-use pf_kvcache::{BlockPrefixCache, KvEvent, KvIndexer};
+use pf_kvcache::KvIndexer;
 use pf_metrics::{SimDuration, SimTime};
 use pf_obs::{TraceEvent, TraceSink};
 use pf_workload::RequestSpec;
@@ -113,102 +112,6 @@ use crate::perf::PerfModel;
 pub(crate) fn emit(sink: &mut Option<&mut dyn TraceSink>, ev: TraceEvent) {
     if let Some(s) = sink {
         s.event(ev);
-    }
-}
-
-/// Emits a request's admission into a prefill pass at `at`:
-/// [`TraceEvent::Admitted`], then [`TraceEvent::PrefillStart`].
-pub(crate) fn emit_prefill_start(
-    sink: &mut Option<&mut dyn TraceSink>,
-    at: SimTime,
-    instance: u32,
-    request: u64,
-) {
-    emit(
-        sink,
-        TraceEvent::Admitted {
-            at,
-            instance,
-            request,
-        },
-    );
-    emit(
-        sink,
-        TraceEvent::PrefillStart {
-            at,
-            instance,
-            request,
-        },
-    );
-}
-
-/// Emits the end of a request's prefill pass at `at`:
-/// [`TraceEvent::PrefillEnd`], then [`TraceEvent::FirstToken`] when the
-/// pass emitted the request's first token.
-pub(crate) fn emit_prefill_end(
-    sink: &mut Option<&mut dyn TraceSink>,
-    at: SimTime,
-    instance: u32,
-    request: u64,
-    first_token: bool,
-) {
-    emit(
-        sink,
-        TraceEvent::PrefillEnd {
-            at,
-            instance,
-            request,
-        },
-    );
-    if first_token {
-        emit(
-            sink,
-            TraceEvent::FirstToken {
-                at,
-                instance,
-                request,
-            },
-        );
-    }
-}
-
-/// The lifecycle trace event mirroring a prefix store's [`KvEvent`].
-pub(crate) fn kv_trace_event(at: SimTime, instance: u32, ev: KvEvent) -> TraceEvent {
-    match ev {
-        KvEvent::Stored { block, .. } => TraceEvent::KvStored {
-            at,
-            instance,
-            block,
-        },
-        KvEvent::Removed { block } => TraceEvent::KvRemoved {
-            at,
-            instance,
-            block,
-        },
-    }
-}
-
-/// Cached tokens of `spec`'s longest stored block run, without touching
-/// recency or statistics — the router's probe and the slack purge's
-/// feasibility estimate.
-pub(crate) fn peek_prefix(store: &BlockPrefixCache, spec: &RequestSpec) -> u64 {
-    store.peek_run(spec.matchable_blocks(store.block_tokens() as u32))
-}
-
-/// Consumes an admission-time hit: the cached tokens of `spec`'s longest
-/// stored block run, refreshing recency and counting lookup statistics.
-pub(crate) fn lookup_prefix(store: &mut BlockPrefixCache, spec: &RequestSpec) -> u64 {
-    let block_tokens = store.block_tokens() as u32;
-    store.lookup_run(spec.matchable_blocks(block_tokens))
-}
-
-/// Retains the KV blocks of `spec`'s conversation after `generated`
-/// output tokens, when the request declares a reusable prefix (a session
-/// or a shared system prompt).
-pub(crate) fn store_prefix(store: &mut BlockPrefixCache, spec: &RequestSpec, generated: u32) {
-    if spec.prefix_id.is_some() || spec.system_prompt_id.is_some() {
-        let block_tokens = store.block_tokens() as u32;
-        store.insert_chain(spec.storable_blocks(block_tokens, generated));
     }
 }
 
@@ -332,8 +235,8 @@ pub(crate) fn check_positive(parameter: &'static str, value: f64) -> Result<(), 
 /// Config of a pool's `spawned`-th engine, provisioned on `gpu`: an
 /// independent sampling stream per instance, and the GPU's `perf_scale`
 /// multiplying the whole stack's kernel speed (×1.0 for the reference
-/// type — bit-identical). The elastic fleet and the disaggregated decode
-/// pool provision every engine through it.
+/// type — bit-identical). The elastic fleet and both disaggregated pools
+/// provision every engine through it.
 pub(crate) fn replica(base: &SimConfig, gpu: GpuType, spawned: usize) -> SimConfig {
     let mut config = base.clone();
     config.seed = config.seed.wrapping_add(spawned as u64);
@@ -416,17 +319,6 @@ impl GpuType {
     /// price.
     pub fn small() -> Self {
         GpuType::new("small", 0.22, 0.30)
-    }
-
-    /// Scales a reference-GPU step duration to this GPU's speed (a
-    /// `perf_scale` of 2.0 halves it). Exactly the identity for the
-    /// reference scale 1.0, so homogeneous runs replay bit-identically.
-    pub fn scale_step(&self, duration: SimDuration) -> SimDuration {
-        if self.perf_scale == 1.0 {
-            duration
-        } else {
-            SimDuration::from_secs_f64(duration.as_secs_f64() / self.perf_scale)
-        }
     }
 }
 
@@ -901,8 +793,8 @@ impl<M: FleetMember> Pool<M> {
 /// smaller than the imbalance it can cause.
 pub const PREFIX_MATCH_MIN_TOKENS: u64 = 32;
 
-/// The one deadline verdict for a queued request, shared by the engine
-/// queue and the disagg prefill queues: [`TraceEvent::TimedOut`] once it
+/// The one deadline verdict for a queued request in an engine's queue:
+/// [`TraceEvent::TimedOut`] once it
 /// has waited its whole `deadline` (the guillotine),
 /// [`TraceEvent::SlackDropped`] while still inside it but with less slack
 /// left than `min_feasible` — the fastest path to its next token, which
@@ -974,15 +866,6 @@ pub(crate) fn rank_by_slack<T>(
         }
         slack_rank_key(now, arrival, deadline, aging_cap)
     });
-}
-
-/// One queued request's contribution to the router-facing slack-pressure
-/// signal: `1 / (1 + slack_secs)` — 1.0 at zero remaining slack, decaying
-/// as the deadline recedes. Summed per queue and weighed by
-/// [`SLACK_PRESSURE_WEIGHT`].
-pub(crate) fn slack_urgency(now: SimTime, arrival: SimTime, deadline: SimDuration) -> f64 {
-    let waited = now.saturating_since(arrival);
-    1.0 / (1.0 + (deadline - waited).as_secs_f64())
 }
 
 /// Fair-share weight of one KV stream on the shared transfer link,

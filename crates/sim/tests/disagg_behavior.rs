@@ -6,10 +6,10 @@ use pf_autoscale::{AutoscaleConfig, PolicyConfig, PredictorKind};
 use pf_metrics::{SimDuration, SimTime, SlaSpec};
 use pf_obs::{RecordingSink, TraceEvent};
 use pf_sim::disagg::{
-    DisaggCluster, DisaggConfig, DisaggReport, ElasticDisaggCluster, KvTransferSpec, PrefillOrder,
+    DisaggCluster, DisaggConfig, DisaggReport, ElasticDisaggCluster, KvTransferSpec,
     RepurposeDirection,
 };
-use pf_sim::{GpuSpec, GpuType, ModelSpec, SimConfig};
+use pf_sim::{GpuSpec, GpuType, ModelSpec, QueueOrder, SimConfig};
 use pf_workload::{datasets, rng::seeded, LengthSampler, RateProfile, RequestSpec};
 
 fn base_config(capacity: u64) -> SimConfig {
@@ -354,19 +354,17 @@ fn sjf_prefill_order_cuts_the_ttft_tail_without_starving_long_prompts() {
     let n = 600;
     let aging_cap = SimDuration::from_secs(8);
     let (requests, arrivals) = bursty_mixed_prompts(n, 21);
-    let run = |order: PrefillOrder| {
-        DisaggCluster::new(
-            DisaggConfig::new(base_config(12_000))
-                .prefill_order(order)
-                .prefill_batch_tokens(4_096),
-            1,
-            1,
-        )
-        .run(requests.clone(), arrivals.clone())
-        .expect("disagg run")
+    let run = |order: QueueOrder| {
+        let base = SimConfig {
+            queue_order: order,
+            ..base_config(12_000)
+        };
+        DisaggCluster::new(DisaggConfig::new(base).prefill_batch_tokens(4_096), 1, 1)
+            .run(requests.clone(), arrivals.clone())
+            .expect("disagg run")
     };
-    let fifo = run(PrefillOrder::Fifo);
-    let sjf = run(PrefillOrder::ShortestPromptFirst { aging_cap });
+    let fifo = run(QueueOrder::Fifo);
+    let sjf = run(QueueOrder::ShortestPromptFirst { aging_cap });
     assert_eq!(fifo.completed(), n);
     assert_eq!(sjf.completed(), n, "sjf must not drop or starve requests");
     assert!(
@@ -830,4 +828,44 @@ fn deadlines_cancel_queued_prompts_but_never_handoffs() {
         .filter(|o| o.timing.mtpot() > deadline)
         .count();
     assert!(late > 0, "no handoff queued past its deadline");
+}
+
+/// A prefill instance holds each prompt's KV until its transfer lands, so
+/// a slow link backpressures prompt admission: with room for one prompt
+/// at a time, the second prompt's prefill cannot start before the first
+/// prompt's KV has landed on the decode pool.
+#[test]
+fn held_kv_backpressures_prompt_admission() {
+    // Two 1_500-token prompts on 2_000-token instances: one fits at a time.
+    let requests: Vec<RequestSpec> = (0..2u64)
+        .map(|id| RequestSpec::new(id, 1_500, 8, 16))
+        .collect();
+    // Each prompt's KV takes about 1.6 s on this wire, its pass ~0.1 s.
+    let slow = KvTransferSpec::new(0.5, SimDuration::from_micros(200), 1);
+    let config = DisaggConfig::new(base_config(2_000)).transfer(slow);
+    let mut sink = RecordingSink::new();
+    let report = DisaggCluster::new(config, 1, 1)
+        .run_traced(requests, vec![SimTime::ZERO; 2], Some(&mut sink))
+        .expect("disagg run");
+    assert_eq!(report.completed(), 2);
+    let prefill_start = |id: u64| {
+        sink.events.iter().find_map(|ev| match *ev {
+            TraceEvent::PrefillStart { at, request, .. } if request == id => Some(at),
+            _ => None,
+        })
+    };
+    let landed = sink.events.iter().find_map(|ev| match *ev {
+        TraceEvent::KvTransferEnd { at, request: 0, .. } => Some(at),
+        _ => None,
+    });
+    let (first, second) = (prefill_start(0).unwrap(), prefill_start(1).unwrap());
+    let landed = landed.expect("the first prompt's KV lands");
+    assert!(
+        landed > first + SimDuration::from_secs(1),
+        "the link must be the bottleneck"
+    );
+    assert!(
+        second >= landed,
+        "second prefill started at {second}, before the first prompt's KV landed at {landed}"
+    );
 }

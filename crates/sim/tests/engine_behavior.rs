@@ -547,6 +547,108 @@ fn least_slack_first_reduces_timeouts_on_mixed_deadlines() {
     );
 }
 
+/// Shortest-prompt-first on one engine under memory pressure: a burst
+/// of short prompts overtakes the long prompt that arrived ahead of it,
+/// and the aging cap bounds how long a long prompt is overtaken by the
+/// short ones that keep arriving. An aged request heads the queue, so it
+/// waits at most for the batch ahead of it to make room: no request waits
+/// past the aging cap plus the longest any request stays in the batch.
+#[test]
+fn shortest_prompt_first_admits_short_prompts_first_within_the_aging_cap() {
+    use pf_metrics::SimTime;
+    use pf_obs::{RecordingSink, TraceEvent};
+    use pf_sim::QueueOrder;
+    let aging_cap = SimDuration::from_secs(2);
+    // 2_000-token prompts at 0 s (ahead of everything), 2.2, 5.2 and
+    // 8.2 s; 40 short prompts at 0 s, then 50 per second until 12 s. The
+    // short prompts keep a 3_000-token pool too full for a long one, yet
+    // are served well within the cap.
+    let mut requests = Vec::new();
+    let mut arrivals = Vec::new();
+    for i in 0..640u64 {
+        let at = SimTime::from_millis(20 * i.saturating_sub(40));
+        if i % 150 == 0 && i < 600 {
+            requests.push(RequestSpec::new(10_000 + i, 2_000, 8, 16));
+            arrivals.push(at);
+        }
+        let (input, output) = (100 + (i * 37 % 100) as u32, 8 + (i % 9) as u32);
+        requests.push(RequestSpec::new(i, input, output, 16));
+        arrivals.push(at);
+    }
+    let long = |id: u64| id >= 10_000;
+    let run = |order: QueueOrder| {
+        let config = SimConfig {
+            queue_order: order,
+            ..small_config(SchedulerConfig::Oracle, 3_000)
+        };
+        let mut sink = RecordingSink::new();
+        let report = Simulation::with_arrivals(config, requests.clone(), arrivals.clone())
+            .run_traced(Some(&mut sink))
+            .expect("engine run");
+        assert_eq!(report.completed, requests.len(), "{order:?}");
+        let admitted: Vec<(u64, SimTime)> = sink
+            .events
+            .iter()
+            .filter_map(|ev| match *ev {
+                TraceEvent::Admitted { at, request, .. } => Some((request, at)),
+                _ => None,
+            })
+            .collect();
+        let finished = |id: u64| {
+            sink.events.iter().find_map(|ev| match *ev {
+                TraceEvent::Finished { at, request, .. } if request == id => Some(at),
+                _ => None,
+            })
+        };
+        let longest_stay = admitted
+            .iter()
+            .map(|&(id, at)| finished(id).expect("finished").saturating_since(at))
+            .max()
+            .expect("admissions");
+        (admitted, longest_stay)
+    };
+    // Under FIFO the long prompt at t = 0 is admitted first.
+    let (fifo, _) = run(QueueOrder::Fifo);
+    assert!(long(fifo[0].0), "FIFO admits the first arrival first");
+    let (sjf, longest_stay) = run(QueueOrder::ShortestPromptFirst { aging_cap });
+    assert!(!long(sjf[0].0), "a short prompt overtakes the long one");
+    let first_long = sjf
+        .iter()
+        .position(|&(id, _)| long(id))
+        .expect("longs served");
+    assert!(
+        first_long > 20,
+        "only {first_long} short prompts overtook the first long one"
+    );
+    let arrival = |id: u64| {
+        let k = requests
+            .iter()
+            .position(|r| r.id.raw() == id)
+            .expect("known");
+        arrivals[k]
+    };
+    let bound = aging_cap + longest_stay;
+    for &(id, at) in &sjf {
+        let waited = at.saturating_since(arrival(id));
+        assert!(
+            waited <= bound,
+            "request {id} waited {waited}, past the aging cap plus {longest_stay}"
+        );
+    }
+    // The cap was what bounded the long prompts: each was overtaken for
+    // most of it.
+    let long_waits: Vec<SimDuration> = sjf
+        .iter()
+        .filter(|&&(id, _)| long(id))
+        .map(|&(id, at)| at.saturating_since(arrival(id)))
+        .collect();
+    assert_eq!(long_waits.len(), 4);
+    assert!(
+        long_waits.iter().all(|&w| w >= aging_cap),
+        "long prompts waited {long_waits:?}, not held back until aged"
+    );
+}
+
 #[test]
 fn deadline_less_requests_do_not_starve_under_least_slack() {
     // Deadline-less work ranks last under least-slack-first; the aging
@@ -923,6 +1025,22 @@ fn invalid_engine_configs_are_rejected_before_the_first_event() {
         assert_eq!(disagg.unwrap_err(), expected, "disagg {case}");
         assert!(sink.events.is_empty(), "rejected before the first event");
     }
+    // A public-field literal skips the builder's check on the budget.
+    let zero_budget = DisaggConfig {
+        max_prefill_batch_tokens: 0,
+        ..DisaggConfig::new(base())
+    };
+    let mut sink = RecordingSink::new();
+    let disagg = DisaggCluster::new(zero_budget, 1, 1).run_traced(
+        requests.clone(),
+        arrivals.clone(),
+        Some(&mut sink),
+    );
+    assert_eq!(
+        disagg.unwrap_err(),
+        invalid_engine("max_prefill_batch_tokens")
+    );
+    assert!(sink.events.is_empty(), "rejected before the first event");
     let statically_batched = SimConfig {
         batching: BatchingMode::Static { max_batch: 8 },
         ..base()

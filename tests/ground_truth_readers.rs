@@ -63,7 +63,8 @@ const ALLOWED: &[(&str, usize, &str)] = &[
     (
         "crates/sim/src/engine.rs",
         5,
-        "deciding that a request has ended (continuous and static batching)",
+        "deciding that a request has ended (continuous and static batching; \
+         on a disagg prefill instance, whether it ends there or is handed out)",
     ),
     (
         "crates/sim/src/engine.rs",
@@ -74,12 +75,7 @@ const ALLOWED: &[(&str, usize, &str)] = &[
         "crates/sim/src/engine.rs",
         1,
         "leak: upfront validation on the true total length (item 4), \
-         the disagg decode pool's too",
-    ),
-    (
-        "crates/sim/src/disagg.rs",
-        2,
-        "deciding that a request ends at prefill",
+         the disagg pools' too",
     ),
 ];
 
