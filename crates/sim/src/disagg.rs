@@ -536,14 +536,6 @@ impl PoolKind {
             PoolKind::Decode => PoolKind::Prefill,
         }
     }
-
-    /// Direction of a flip out of this pool.
-    fn flip(self) -> RepurposeDirection {
-        match self {
-            PoolKind::Prefill => RepurposeDirection::PrefillToDecode,
-            PoolKind::Decode => RepurposeDirection::DecodeToPrefill,
-        }
-    }
 }
 
 /// A member of either pool: a colocated [`Engine`] provisioned from its
@@ -1290,7 +1282,7 @@ impl<'s> Run<'s> {
                 request: handoff.spec.id.raw(),
             },
         );
-        member.engine.hand_off(now, handoff.spec, handoff.timing);
+        member.engine.hand_off(now, handoff);
         if member.busy {
             return Ok(());
         }
@@ -1344,13 +1336,13 @@ impl<'s> Run<'s> {
                     to_instance,
                 },
             );
-            let (prefill_member, decode_member) = match kind {
-                PoolKind::Prefill => (i, to),
-                PoolKind::Decode => (to, i),
+            let (direction, prefill_member, decode_member) = match kind {
+                PoolKind::Prefill => (RepurposeDirection::PrefillToDecode, i, to),
+                PoolKind::Decode => (RepurposeDirection::DecodeToPrefill, to, i),
             };
             self.repurposes.push(RepurposeEvent {
                 at: now,
-                direction: kind.flip(),
+                direction,
                 prefill_member,
                 decode_member,
             });

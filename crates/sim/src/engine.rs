@@ -603,12 +603,13 @@ impl Engine {
 
     /// Queues a disaggregated handoff landing at `at` (an idle engine's
     /// clock catches up to it): a request whose prompt was prefilled, and
-    /// whose first token `timing` recorded, on another instance, with its
-    /// KV now resident here. It waits for admission like any queued
+    /// whose first token its timing recorded, on a prefill instance, with
+    /// its KV now resident here. It waits for admission like any queued
     /// request but no deadline cancels it. Its admission allocates the KV
     /// plus the next token's slot and runs no pass, and it emits that
     /// token at the next decode step.
-    pub(crate) fn hand_off(&mut self, at: SimTime, spec: RequestSpec, timing: RequestTiming) {
+    pub(crate) fn hand_off(&mut self, at: SimTime, handoff: Handoff) {
+        let Handoff { spec, timing } = handoff;
         let generated = u32::try_from(timing.n_tokens()).expect("token count fits u32");
         debug_assert!(generated > 0, "a handoff carries its first token");
         self.now = self.now.max(at);
@@ -1126,10 +1127,10 @@ impl Engine {
                 // back until the scheduler admits or the cache is empty.
                 // (Refusal with a live batch is ordinary backpressure and
                 // resolves as requests finish; draining the cache for it
-                // would forfeit hits for no admission gain.)
-                // A prefill instance's view already leaves the cache out.
-                if pass_budget.is_none() && self.running.is_empty() && self.reclaim_prefix_tokens(1)
-                {
+                // would forfeit hits for no admission gain. A prefill
+                // instance's view leaves the cache out already.)
+                let cache_blocks = pass_budget.is_none() && self.running.is_empty();
+                if cache_blocks && self.reclaim_prefix_tokens(1) {
                     continue;
                 }
                 break;
