@@ -223,15 +223,16 @@ pub struct DisaggConfig {
     /// handoffs in arrival order under
     /// [`QueueOrder::ShortestPromptFirst`]. A [`SimConfig::prefix_cache`]
     /// applies to the prefill pool, where hits shrink prefill passes
-    /// directly. Admission is fixed per pool: a prefill engine runs whole
+    /// directly. Admission is fixed per pool. A prefill engine runs whole
     /// prompts ([`PrefillMode::WholePrompt`]) and admits a prompt while it
     /// and its first token fit beside the KV its requests hold
     /// ([`SchedulerConfig::Aggressive`] at a full watermark; cached
-    /// prefixes yield to prompts), and a decode engine admits by
-    /// [`SchedulerConfig::Oracle`], seeded per spawn, with the eviction
-    /// mode. So [`SimConfig::scheduler`], [`SimConfig::prefill`] and
-    /// [`SimConfig::history_warmup`] are unused, and static batching is
-    /// rejected ([`SimError::InvalidEngine`]).
+    /// prefixes yield to prompts). A decode engine admits by
+    /// [`SchedulerConfig::Oracle`] and honours the eviction mode; its
+    /// seed is offset per spawn. So [`SimConfig::scheduler`],
+    /// [`SimConfig::prefill`] and [`SimConfig::history_warmup`] are
+    /// unused, and static batching is rejected
+    /// ([`SimError::InvalidEngine`]).
     pub base: SimConfig,
     /// The prefill→decode KV-transfer link.
     pub transfer: KvTransferSpec,
@@ -1061,11 +1062,11 @@ impl<'s> Run<'s> {
         Ok(())
     }
 
-    /// Opens one link stream per request prefill member `i`'s pass, begun
-    /// at `now` and ending at `end`, handed out: chunk `l` of
-    /// [`Run::chunks`] becomes eligible as the pass proportionally
-    /// produces it (a one-chunk atomic stream at the pass end), so a
-    /// layer-streamed transfer overlaps the remaining prefill compute.
+    /// Opens one link stream for each request that prefill member `i`'s
+    /// pass, from `now` to `end`, handed out: chunk `l` of [`Run::chunks`]
+    /// becomes eligible as the pass proportionally produces it (a
+    /// one-chunk atomic stream at the pass end), so a layer-streamed
+    /// transfer overlaps the remaining prefill compute.
     fn open_streams(&mut self, i: usize, now: SimTime, end: SimTime) {
         let (now_us, end_us) = (now.as_micros(), end.as_micros());
         let chunks = self.chunks;
