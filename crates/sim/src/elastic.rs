@@ -110,8 +110,10 @@ impl FleetMember for Member {
         &mut self.core
     }
 
+    /// KV held by requests plus what the queued and routed ones will hold
+    /// ([`Engine::resident_load`]), as in the disaggregated pools.
     fn load_signal(&self) -> u64 {
-        self.engine.outstanding() as u64
+        self.engine.resident_load()
     }
 }
 

@@ -656,10 +656,11 @@ impl Engine {
         self.kv.used_tokens().saturating_sub(cached)
     }
 
-    /// The disaggregated pools' routing signal: KV held by requests plus
-    /// what each queued or routed request holds once admitted
-    /// (`input_len + generated`). A server knows all of it; none of it is
-    /// ground truth.
+    /// KV held by requests plus what each queued or routed request holds
+    /// once admitted (`input_len + generated`): the disaggregated pools'
+    /// routing signal and every fleet's drain and claim signal
+    /// ([`crate::fleet::FleetMember::load_signal`]). A server knows all of
+    /// it; none of it is ground truth.
     pub(crate) fn resident_load(&self) -> u64 {
         let queued: u64 = self
             .queue
