@@ -77,7 +77,7 @@ use pf_obs::TraceSink;
 use pf_workload::RequestSpec;
 
 use crate::config::{PrefixCacheConfig, SimConfig};
-use crate::elastic::Run;
+use crate::driver::Run;
 use crate::error::SimError;
 use crate::fleet::{GpuType, Pool};
 use crate::report::{Headline, SimReport};
@@ -297,18 +297,23 @@ impl ClusterSimulation {
         self,
         requests: Vec<RequestSpec>,
         arrival_times: Vec<SimTime>,
-        mut sink: Option<&mut dyn TraceSink>,
+        sink: Option<&mut dyn TraceSink>,
     ) -> Result<ClusterReport, SimError> {
+        let base = self.configs[0].clone();
         let initial = self
             .configs
             .into_iter()
             .map(|config| (config, GpuType::reference()))
             .collect();
-        let pool = Pool::new(pf_obs::Pool::Colocated, Vec::new(), None);
-        let mut run = Run::start(pool, initial, self.policy, None, requests, arrival_times)?;
-        run.drive(&mut sink)?;
-        let (routed_per_instance, instances) = run
-            .pool
+        let pools = [
+            Pool::new(pf_obs::Pool::Colocated, Vec::new(), None),
+            Pool::new(pf_obs::Pool::Decode, Vec::new(), None),
+        ];
+        let mut run = Run::start(pools, base, [initial, Vec::new()], self.policy, None, sink)?;
+        run.admit(requests, arrival_times)?;
+        run.drive()?;
+        let [pool, _] = run.pools;
+        let (routed_per_instance, instances) = pool
             .members
             .into_iter()
             .map(|m| (m.core.routed, m.engine.into_report()))

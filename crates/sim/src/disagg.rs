@@ -132,26 +132,18 @@
 //! # Ok::<(), pf_sim::SimError>(())
 //! ```
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-use std::ops::Range;
-
 use pf_autoscale::{AutoscaleConfig, PoolRole};
 use pf_core::SchedulerConfig;
-use pf_kvcache::{KvEvent, PrefixCacheStats};
-use pf_metrics::{GoodputReport, RequestTiming, SeriesGroup, SimDuration, SimTime, SlaSpec};
-use pf_obs::{GaugeKind, TraceEvent, TraceSink};
+use pf_kvcache::PrefixCacheStats;
+use pf_metrics::{GoodputReport, RequestTiming, SeriesGroup, SimDuration, SimTime};
+use pf_obs::TraceSink;
 use pf_workload::RequestSpec;
 
 use crate::cluster::RouterPolicy;
-use crate::config::{BatchingMode, PrefillMode, QueueOrder, SimConfig, DEFAULT_AGING_CAP};
-use crate::engine::{Arrivals, Engine, Handoff, Tick};
+use crate::config::{BatchingMode, PrefillMode, QueueOrder, SimConfig};
+use crate::driver::{replicas, Member, Run, Split};
 use crate::error::SimError;
-use crate::fleet::{
-    self, pick_rotating_min, FleetMember, GpuType, MemberCore, MemberState, Pool, PoolPlanner,
-    Resize, Routing, ScalingEvent,
-};
-use crate::link::{LinkScheduler, StreamDone, StreamSpec};
+use crate::fleet::{self, GpuType, Pool, PoolPlanner, ScalingEvent};
 use crate::report::{Headline, RequestOutcome};
 
 /// The KV-transfer cost model between the prefill and decode pools (see
@@ -316,12 +308,113 @@ impl DisaggConfig {
         self
     }
 
-    /// Checks both pools' GPU types and the link before any planner,
-    /// member or link is built from them (a zero `link_gbps` would panic
-    /// in the link scheduler).
-    fn check_hardware(&self) -> Result<(), SimError> {
+    /// Checks both pools' GPU types, the link and the base engine before
+    /// any planner, member or link is built from them (a zero `link_gbps`
+    /// would panic in the link scheduler).
+    fn check(&self) -> Result<(), SimError> {
         fleet::check_gpus(self.prefill_slots.iter().chain(&self.decode_slots))?;
-        fleet::check_positive("link_gbps", self.transfer.link_gbps)
+        fleet::check_positive("link_gbps", self.transfer.link_gbps)?;
+        fleet::check_prefix_cache(self.base.prefix_cache)?;
+        fleet::check_engine(&self.base)?;
+        // The builder rejects a zero budget; a field literal can skip it.
+        let parameter = if self.max_prefill_batch_tokens == 0 {
+            "max_prefill_batch_tokens"
+        } else if let BatchingMode::Static { .. } = self.base.batching {
+            "batching"
+        } else {
+            return Ok(());
+        };
+        Err(SimError::InvalidEngine { parameter })
+    }
+
+    /// The config every prefill engine is provisioned from: the base
+    /// passing whole prompts with no series, admitting a prompt while it
+    /// fits beside the held KV ([`SchedulerConfig::Aggressive`] at a full
+    /// watermark).
+    pub(crate) fn prefill_base(&self) -> SimConfig {
+        SimConfig {
+            scheduler: SchedulerConfig::Aggressive { watermark: 1.0 },
+            prefill: PrefillMode::WholePrompt,
+            record_series: false,
+            ..self.base.clone()
+        }
+    }
+
+    /// The config every decode engine is provisioned from: the base with
+    /// no prefix cache (a handoff brings its KV along) and no series,
+    /// admitting by Eq. 2–4 on true lengths ([`SchedulerConfig::Oracle`]).
+    pub(crate) fn decode_base(&self) -> SimConfig {
+        SimConfig {
+            scheduler: SchedulerConfig::Oracle,
+            // Prompt length orders prefill, where it cuts the TTFT tail;
+            // handoffs keep their arrival order.
+            queue_order: match self.base.queue_order {
+                QueueOrder::ShortestPromptFirst { .. } => QueueOrder::Fifo,
+                order => order,
+            },
+            prefix_cache: None,
+            record_series: false,
+            ..self.base.clone()
+        }
+    }
+
+    /// Runs both pools from `initial` `(prefill, decode)` members, each
+    /// autoscaled by `planners` when given, on the shared fleet driver
+    /// (the caller has run [`DisaggConfig::check`]).
+    fn run(
+        self,
+        initial: (usize, usize),
+        planners: Option<(PoolPlanner, PoolPlanner)>,
+        requests: Vec<RequestSpec>,
+        arrival_times: Vec<SimTime>,
+        sink: Option<&mut dyn TraceSink>,
+    ) -> Result<DisaggReport, SimError> {
+        let (prefill_planner, decode_planner) = planners.unzip();
+        let prefill_base = self.prefill_base();
+        let initial = [
+            replicas(&prefill_base, &self.prefill_slots, initial.0),
+            replicas(&self.decode_base(), &self.decode_slots, initial.1),
+        ];
+        let split = Split::new(&self);
+        let pools = [
+            Pool::new(pf_obs::Pool::Prefill, self.prefill_slots, prefill_planner),
+            Pool::new(pf_obs::Pool::Decode, self.decode_slots, decode_planner),
+        ];
+        let sla = self.base.sla;
+        let mut run = Run::start(pools, prefill_base, initial, self.router, Some(split), sink)?;
+        run.admit(requests, arrival_times)?;
+        run.drive()?;
+        let end = run.finish();
+        let mut prefix_stats = PrefixCacheStats::default();
+        for member in &run.pools[0].members {
+            if let Some(stats) = member.engine.prefix_stats() {
+                prefix_stats.merge(&stats);
+            }
+        }
+        let makespan = end.saturating_since(SimTime::ZERO);
+        let requests: Vec<(RequestTiming, u64)> = run
+            .outcomes
+            .iter()
+            .map(|o| (o.timing, u64::from(o.output_len)))
+            .collect();
+        let goodput =
+            GoodputReport::compute_with_timeouts(&sla, &requests, makespan, run.timed_out);
+        let unserved = run.unserved();
+        let split = run.split.expect("a split run");
+        let [prefill, decode] = run.pools;
+        Ok(DisaggReport {
+            goodput,
+            makespan,
+            unserved,
+            timed_out: run.timed_out,
+            prefill: PoolReport::new(prefill, end),
+            decode: PoolReport::new(decode, end),
+            repurposes: split.repurposes,
+            prefix_stats,
+            transfers: split.stats,
+            pool_series: run.series,
+            outcomes: run.outcomes,
+        })
     }
 }
 
@@ -385,16 +478,10 @@ impl DisaggCluster {
         arrival_times: Vec<SimTime>,
         sink: Option<&mut dyn TraceSink>,
     ) -> Result<DisaggReport, SimError> {
-        self.config.check_hardware()?;
-        Run::start(
-            self.config,
-            (self.prefill_instances, self.decode_instances),
-            None,
-            requests,
-            arrival_times,
-            sink,
-        )?
-        .drive()
+        self.config.check()?;
+        let initial = (self.prefill_instances, self.decode_instances);
+        self.config
+            .run(initial, None, requests, arrival_times, sink)
     }
 }
 
@@ -477,7 +564,7 @@ impl ElasticDisaggCluster {
         arrival_times: Vec<SimTime>,
         sink: Option<&mut dyn TraceSink>,
     ) -> Result<DisaggReport, SimError> {
-        self.config.check_hardware()?;
+        self.config.check()?;
         let base = &self.config.base;
         let planners = (
             fleet::pool_planner(
@@ -493,136 +580,9 @@ impl ElasticDisaggCluster {
                 &self.config.decode_slots,
             ),
         );
-        Run::start(
-            self.config,
-            (self.initial_prefill, self.initial_decode),
-            Some(planners),
-            requests,
-            arrival_times,
-            sink,
-        )?
-        .drive()
-    }
-}
-
-/// Run-side state of one KV transfer stream (a parallel array to the link
-/// scheduler's stream ids).
-#[derive(Debug)]
-struct StreamSlot {
-    /// Source prefill member (pool index).
-    from: usize,
-    /// Stream payload in bytes.
-    bytes: u64,
-    /// When the producing prefill pass ends (µs); transfer time beyond
-    /// this is the un-hidden tail.
-    produce_end_us: u64,
-    /// The request the pass handed out, parked here until the stream
-    /// lands.
-    handoff: Option<Handoff>,
-}
-
-/// Which of the run's two pools a member, event or planning round
-/// belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PoolKind {
-    Prefill,
-    Decode,
-}
-
-impl PoolKind {
-    /// The pool a claimed member of this one flips into.
-    fn other(self) -> Self {
-        match self {
-            PoolKind::Prefill => PoolKind::Decode,
-            PoolKind::Decode => PoolKind::Prefill,
-        }
-    }
-}
-
-/// A member of either pool: a colocated [`Engine`] provisioned from its
-/// pool's config ([`Run::prefill_base`], in the prefill role, or
-/// [`Run::decode_base`]) and fed the prompts routed to it or the handoffs
-/// that land on it.
-#[derive(Debug)]
-struct Member {
-    engine: Engine,
-    core: MemberCore,
-    /// Whether the engine's current pass or step is in flight (its `Done`
-    /// is scheduled).
-    busy: bool,
-    /// Requests this member served its stage for: prompts prefilled, or
-    /// requests decoded to their end.
-    completed: usize,
-    /// Engine timeouts already counted in the run's report.
-    seen_timed_out: usize,
-}
-
-impl FleetMember for Member {
-    fn core(&self) -> &MemberCore {
-        &self.core
-    }
-
-    fn core_mut(&mut self) -> &mut MemberCore {
-        &mut self.core
-    }
-
-    /// KV held by requests plus what the queued and routed ones will hold
-    /// ([`Engine::resident_load`]).
-    fn load_signal(&self) -> u64 {
-        self.engine.resident_load()
-    }
-}
-
-#[derive(Debug)]
-enum Ev {
-    /// A request reaches the cluster front end.
-    Arrival(RequestSpec),
-    /// A member finishes its prefill pass or decode step; `handoffs` are
-    /// the link streams the pass opened (none for a decode step).
-    Done {
-        pool: PoolKind,
-        member: usize,
-        handoffs: Range<usize>,
-    },
-    /// A warming member becomes live.
-    Ready(PoolKind, usize),
-    /// An autoscale planning round (elastic runs only).
-    Plan,
-    /// The shared link reaches its next projected completion (dropped
-    /// unprocessed when `generation` is stale — a stream joined or
-    /// drained since, rescheduling the wake).
-    LinkWake { generation: u64 },
-    /// A KV transfer stream fully lands (its last chunk plus the
-    /// per-stream overhead).
-    StreamDone { id: usize },
-}
-
-/// Heap entry: earliest `(at, seq)` first; `seq` makes ties deterministic.
-#[derive(Debug)]
-struct Scheduled {
-    at_us: u64,
-    seq: u64,
-    ev: Ev,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.at_us == other.at_us && self.seq == other.seq
-    }
-}
-
-impl Eq for Scheduled {}
-
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed so the max-heap pops the earliest event.
-        (other.at_us, other.seq).cmp(&(self.at_us, self.seq))
+        let initial = (self.initial_prefill, self.initial_decode);
+        self.config
+            .run(initial, Some(planners), requests, arrival_times, sink)
     }
 }
 
@@ -650,795 +610,6 @@ pub struct RepurposeEvent {
     /// Index into [`DisaggReport::decode`]'s instances (the counterpart
     /// of `prefill_member`, per the direction).
     pub decode_member: usize,
-}
-
-/// Mutable state of one disaggregated run.
-struct Run<'s> {
-    capacity: u64,
-    sla: SlaSpec,
-    transfer: KvTransferSpec,
-    kv_bytes_per_token: u64,
-    repurpose_delay: Option<SimDuration>,
-    default_deadline: Option<SimDuration>,
-    /// The aging cap grouping the link streams' weights: the queue
-    /// order's under [`QueueOrder::LeastSlackFirst`], else the default.
-    link_aging_cap: SimDuration,
-    /// The front end's routing over the prefill pool; under an overlap
-    /// policy ([`RouterPolicy::PrefixAffinity`] or
-    /// [`RouterPolicy::KvOverlap`]) prefill members publish into its KV
-    /// index under their pool index, the same index space
-    /// [`Run::route_prefill`] scores over.
-    route: Routing,
-    /// Rotating tie-break cursor of the handoff routing.
-    decode_cursor: usize,
-
-    prefill: Pool<Member>,
-    decode: Pool<Member>,
-    /// The config every prefill engine is provisioned from: the base
-    /// passing whole prompts with no series, admitting a prompt while it
-    /// fits beside the held KV ([`SchedulerConfig::Aggressive`] at a full
-    /// watermark).
-    prefill_base: SimConfig,
-    /// Computed prompt tokens one prefill pass batches at most: the
-    /// prefill engines' role parameter.
-    max_prefill_batch_tokens: u64,
-    /// The config every decode engine is provisioned from: the base with
-    /// no prefix cache (a handoff brings its KV along) and no series,
-    /// admitting by Eq. 2–4 on true lengths
-    /// ([`SchedulerConfig::Oracle`]).
-    decode_base: SimConfig,
-    repurposes: Vec<RepurposeEvent>,
-
-    heap: BinaryHeap<Scheduled>,
-    seq: u64,
-    /// The shared-link fluid scheduler every KV handoff streams over.
-    link: LinkScheduler,
-    /// Per-stream run state, indexed by link stream id.
-    stream_slots: Vec<StreamSlot>,
-    /// Reusable completion buffer of [`Run::on_link_wake`].
-    stream_done_buf: Vec<StreamDone>,
-    /// Chunks per stream: 1 for atomic handoffs, the layer count when
-    /// layer-streamed.
-    chunks: u32,
-    /// Whether handoffs are layer-streamed (counted in
-    /// [`TransferStats::streamed`]).
-    layer_streamed: bool,
-    /// Reusable KV-event drain buffer of [`Run::on_done`].
-    kv_event_buf: Vec<(SimTime, KvEvent)>,
-
-    remaining: usize,
-    timed_out: usize,
-    outcomes: Vec<RequestOutcome>,
-    clock: SimTime,
-    /// The base config's `max_sim_time` in µs (`u64::MAX` without one):
-    /// the run stops at the first event at or past it.
-    horizon_us: u64,
-    series: SeriesGroup,
-    last_series_at: SimTime,
-    stats: TransferStats,
-    /// Next trace-event instance id (dense over both pools' spawn order).
-    next_instance: u32,
-    /// Optional trace sink; `None` costs one branch per emission site.
-    sink: Option<&'s mut dyn TraceSink>,
-}
-
-impl<'s> Run<'s> {
-    /// Provisions the `initial` `(prefill, decode)` members (live at t=0)
-    /// and schedules every arrival, plus the first planning round when the
-    /// pools are autoscaled by `planners` (`(prefill, decode)`).
-    fn start(
-        config: DisaggConfig,
-        initial: (usize, usize),
-        planners: Option<(PoolPlanner, PoolPlanner)>,
-        requests: Vec<RequestSpec>,
-        arrival_times: Vec<SimTime>,
-        sink: Option<&'s mut dyn TraceSink>,
-    ) -> Result<Run<'s>, SimError> {
-        fleet::check_arrivals(&requests, &arrival_times)?;
-        fleet::check_prefix_cache(config.base.prefix_cache)?;
-        fleet::check_engine(&config.base)?;
-        // The builder rejects a zero budget; a field literal can skip it.
-        if config.max_prefill_batch_tokens == 0 {
-            return Err(SimError::InvalidEngine {
-                parameter: "max_prefill_batch_tokens",
-            });
-        }
-        if let BatchingMode::Static { .. } = config.base.batching {
-            return Err(SimError::InvalidEngine {
-                parameter: "batching",
-            });
-        }
-        let route = Routing::new(config.router, &config.base)?;
-        let capacity = config.base.capacity_tokens();
-        if capacity == 0 {
-            return Err(SimError::NoKvCapacity { capacity });
-        }
-        let max_batch = config.max_prefill_batch_tokens;
-        for spec in &requests {
-            if u64::from(spec.input_len) > max_batch {
-                return Err(SimError::RequestTooLarge {
-                    id: spec.id.raw(),
-                    needed: u64::from(spec.input_len),
-                    capacity: max_batch,
-                });
-            }
-        }
-        // The one place the transfer mode is read: it only sets how many
-        // chunks every stream on the shared link carries.
-        let (chunks, layer_streamed) = match config.transfer.mode {
-            TransferMode::Atomic => (1, false),
-            TransferMode::LayerStreamed => (config.base.model.n_layers.max(1), true),
-        };
-        let (prefill_planner, decode_planner) = planners.unzip();
-        let mut run = Run {
-            capacity,
-            sla: config.base.sla,
-            transfer: config.transfer,
-            kv_bytes_per_token: config.base.model.kv_bytes_per_token(),
-            repurpose_delay: config.repurpose,
-            default_deadline: config.base.request_deadline,
-            link_aging_cap: match config.base.queue_order {
-                QueueOrder::LeastSlackFirst { aging_cap } => aging_cap,
-                QueueOrder::Fifo | QueueOrder::ShortestPromptFirst { .. } => DEFAULT_AGING_CAP,
-            },
-            route,
-            decode_cursor: 0,
-            prefill: Pool::new(pf_obs::Pool::Prefill, config.prefill_slots, prefill_planner),
-            decode: Pool::new(pf_obs::Pool::Decode, config.decode_slots, decode_planner),
-            prefill_base: SimConfig {
-                scheduler: SchedulerConfig::Aggressive { watermark: 1.0 },
-                prefill: PrefillMode::WholePrompt,
-                record_series: false,
-                ..config.base.clone()
-            },
-            max_prefill_batch_tokens: max_batch,
-            decode_base: SimConfig {
-                scheduler: SchedulerConfig::Oracle,
-                // Prompt length orders prefill, where it cuts the TTFT
-                // tail; handoffs keep their arrival order.
-                queue_order: match config.base.queue_order {
-                    QueueOrder::ShortestPromptFirst { .. } => QueueOrder::Fifo,
-                    order => order,
-                },
-                prefix_cache: None,
-                record_series: false,
-                ..config.base
-            },
-            repurposes: Vec::new(),
-            heap: BinaryHeap::new(),
-            seq: 0,
-            link: LinkScheduler::new(
-                config.transfer.link_gbps,
-                config.transfer.per_hop_overhead.as_micros(),
-            ),
-            stream_slots: Vec::new(),
-            stream_done_buf: Vec::new(),
-            chunks,
-            layer_streamed,
-            kv_event_buf: Vec::new(),
-            remaining: requests.len(),
-            timed_out: 0,
-            outcomes: Vec::with_capacity(requests.len()),
-            clock: SimTime::ZERO,
-            horizon_us: config
-                .base
-                .max_sim_time
-                .map_or(u64::MAX, |limit| limit.as_micros()),
-            series: SeriesGroup::new(),
-            last_series_at: SimTime::ZERO,
-            stats: TransferStats::default(),
-            next_instance: 0,
-            sink,
-        };
-        run.grow(
-            PoolKind::Prefill,
-            SimTime::ZERO,
-            initial.0,
-            SimDuration::ZERO,
-        );
-        run.grow(
-            PoolKind::Decode,
-            SimTime::ZERO,
-            initial.1,
-            SimDuration::ZERO,
-        );
-        // Every engine shares the base capacity and KV layout; a prefill
-        // engine also reserves its prefix store's request id.
-        let prefiller = &run.prefill.members[0].engine;
-        for spec in &requests {
-            prefiller.validate_spec(spec)?;
-        }
-        for (at, spec) in arrival_times.into_iter().zip(requests) {
-            run.schedule(at, Ev::Arrival(spec));
-        }
-        // Both pools plan on one cadence (the constructor checks).
-        if let (Some(planner), true) = (&run.prefill.planner, run.remaining > 0) {
-            run.schedule(SimTime::ZERO + planner.interval(), Ev::Plan);
-        }
-        run.record_fleet(SimTime::ZERO);
-        Ok(run)
-    }
-
-    fn schedule(&mut self, at: SimTime, ev: Ev) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Scheduled {
-            at_us: at.as_micros(),
-            seq,
-            ev,
-        });
-    }
-
-    fn pool(&mut self, kind: PoolKind) -> &mut Pool<Member> {
-        match kind {
-            PoolKind::Prefill => &mut self.prefill,
-            PoolKind::Decode => &mut self.decode,
-        }
-    }
-
-    /// Provisions an engine in `kind`'s pool on `gpu` at `now`, seeded
-    /// and sped up for its spawn index exactly as an elastic replica is
-    /// ([`fleet::replica`]), live after `warmup` (at once when zero),
-    /// under the next trace-event instance id (dense over both pools'
-    /// spawn order, so a flipped member gets a fresh id in its new pool).
-    /// Returns its pool index.
-    fn spawn(&mut self, kind: PoolKind, now: SimTime, warmup: SimDuration, gpu: GpuType) -> usize {
-        let (pool, base) = match kind {
-            PoolKind::Prefill => (&mut self.prefill, &self.prefill_base),
-            PoolKind::Decode => (&mut self.decode, &self.decode_base),
-        };
-        let config = fleet::replica(base, gpu, pool.members.len());
-        let mut engine = Engine::new(config, Arrivals::offline(Vec::new()));
-        engine.set_instance(self.next_instance);
-        engine.advance_to(now);
-        if kind == PoolKind::Prefill {
-            engine.prefill_only(self.max_prefill_batch_tokens);
-            if self.route.kv_routing {
-                engine.enable_kv_event_log();
-            }
-        }
-        self.next_instance += 1;
-        pool.members.push(Member {
-            engine,
-            core: MemberCore::spawn(now, warmup, gpu),
-            busy: false,
-            completed: 0,
-            seen_timed_out: 0,
-        });
-        let i = pool.members.len() - 1;
-        if !warmup.is_zero() {
-            self.schedule(now + warmup, Ev::Ready(kind, i));
-        }
-        i
-    }
-
-    /// Spawns `n` members of `kind`'s pool at `now`, each on the next slot
-    /// of the pool's GPU mix.
-    fn grow(&mut self, kind: PoolKind, now: SimTime, n: usize, warmup: SimDuration) {
-        for _ in 0..n {
-            let gpu = self.pool(kind).next_gpu();
-            self.spawn(kind, now, warmup, gpu);
-        }
-    }
-
-    fn record_fleet(&mut self, at: SimTime) {
-        let at = at.max(self.last_series_at);
-        self.last_series_at = at;
-        let (p_live, p_provisioned) = self.prefill.sizes();
-        let (d_live, d_provisioned) = self.decode.sizes();
-        self.series.record("prefill-live", at, p_live as f64);
-        self.series
-            .record("prefill-provisioned", at, p_provisioned as f64);
-        self.series.record("decode-live", at, d_live as f64);
-        self.series
-            .record("decode-provisioned", at, d_provisioned as f64);
-    }
-
-    fn drive(mut self) -> Result<DisaggReport, SimError> {
-        while let Some(Scheduled { at_us, ev, .. }) = self.heap.pop() {
-            if at_us >= self.horizon_us {
-                // Requests still in flight count as unserved.
-                break;
-            }
-            let now = SimTime::from_micros(at_us);
-            self.clock = self.clock.max(now);
-            match ev {
-                Ev::Arrival(spec) => self.on_arrival(now, spec)?,
-                Ev::Done {
-                    pool,
-                    member,
-                    handoffs,
-                } => self.on_done(now, pool, member, handoffs)?,
-                Ev::Ready(pool, i) => self.on_ready(now, pool, i),
-                Ev::Plan => self.on_plan(now),
-                Ev::LinkWake { generation } => self.on_link_wake(now, generation),
-                Ev::StreamDone { id } => self.on_stream_done(now, id)?,
-            }
-        }
-        Ok(self.finish())
-    }
-
-    /// Routes an arrival over the live prefill members with the configured
-    /// policy through the fleet kernel's one routing call
-    /// ([`Routing::route`]). The pool's load signal is
-    /// [`Engine::resident_load`], divided by the member's GPU speed. Under
-    /// [`RouterPolicy::PrefixAffinity`] or [`RouterPolicy::KvOverlap`],
-    /// each candidate's load also carries its queue's remaining-slack
-    /// pressure ([`Engine::queue_slack_pressure`], weighted by
-    /// [`fleet::SLACK_PRESSURE_WEIGHT`] of capacity; zero without
-    /// deadlines), so urgent queues attract less new traffic.
-    fn route_prefill(&mut self, now: SimTime, spec: &RequestSpec) -> usize {
-        let members = &self.prefill.members;
-        let slack_weighted = matches!(
-            self.route.policy,
-            RouterPolicy::PrefixAffinity { .. } | RouterPolicy::KvOverlap { .. }
-        );
-        let pressure_tokens = fleet::SLACK_PRESSURE_WEIGHT * self.capacity as f64;
-        let candidates = members
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.core.is_live())
-            .map(|(i, m)| {
-                let mut load = m.load_signal() as f64;
-                if slack_weighted {
-                    load += pressure_tokens * m.engine.queue_slack_pressure();
-                }
-                (i, load / m.core.gpu.perf_scale)
-            });
-        self.route
-            .route(now, spec, members.len(), candidates)
-            .expect("at least one live prefill instance")
-    }
-
-    /// Routes an arrival onto the prefill pool, stamped at its arrival: a
-    /// busy member ingests it after its pass, an idle one ticks now.
-    fn on_arrival(&mut self, now: SimTime, spec: RequestSpec) -> Result<(), SimError> {
-        if let Some(planner) = self.prefill.planner.as_mut() {
-            planner.on_request_arrival(now, spec.input_len);
-        }
-        let target = self.route_prefill(now, &spec);
-        let member = &mut self.prefill.members[target];
-        member.core.routed += 1;
-        member.engine.inject(now, spec);
-        if member.busy {
-            return Ok(());
-        }
-        self.tick(PoolKind::Prefill, target, now)
-    }
-
-    /// Ticks idle member `i` of `kind`'s pool at `now`. A prefill engine
-    /// runs one pass over its queued prompts and hands out every request
-    /// that needs more tokens, whose streams open now; a decode engine
-    /// admits queued handoffs by Eq. 2–4 (under
-    /// [`QueueOrder::LeastSlackFirst`], least end-to-end slack first) and
-    /// runs one decode step. `Done` fires at the engine's post-tick clock.
-    /// An engine with nothing to run stays idle, and a draining one stops.
-    fn tick(&mut self, kind: PoolKind, i: usize, now: SimTime) -> Result<(), SimError> {
-        let member = match kind {
-            PoolKind::Prefill => &mut self.prefill.members[i],
-            PoolKind::Decode => &mut self.decode.members[i],
-        };
-        member.engine.advance_to(now);
-        let tick = member.engine.tick_traced(&mut self.sink)?;
-        // A queued prompt can time out; a handoff only once preempted.
-        let timed_out = member.engine.timed_out() - member.seen_timed_out;
-        member.seen_timed_out += timed_out;
-        self.timed_out += timed_out;
-        self.remaining -= timed_out;
-        match tick {
-            Tick::Worked => {
-                member.busy = true;
-                let end = member.engine.now();
-                let first = self.stream_slots.len();
-                let handoffs = first..first + member.engine.pending_handoffs();
-                // Scheduled before the pass's streams open, so that at
-                // equal timestamps `Done` always pops first: a stream's
-                // last chunk turns eligible exactly at the pass end, so
-                // its `StreamDone` never lands before the pass has ended.
-                self.schedule(
-                    end,
-                    Ev::Done {
-                        pool: kind,
-                        member: i,
-                        handoffs,
-                    },
-                );
-                if kind == PoolKind::Prefill {
-                    self.open_streams(i, now, end);
-                }
-            }
-            // A decode engine with nothing running can never admit; a
-            // prefill engine waits for its held KV to be released.
-            Tick::Blocked if kind == PoolKind::Decode => {
-                return Err(SimError::Stalled {
-                    queued: member.engine.outstanding(),
-                    at: now,
-                });
-            }
-            Tick::Blocked | Tick::Sleep(_) | Tick::Drained | Tick::HorizonReached => {
-                self.maybe_stop(kind, i, now);
-            }
-        }
-        Ok(())
-    }
-
-    /// Opens one link stream for each request that prefill member `i`'s
-    /// pass, from `now` to `end`, handed out: chunk `l` of [`Run::chunks`]
-    /// becomes eligible as the pass proportionally produces it (a
-    /// one-chunk atomic stream at the pass end), so a layer-streamed
-    /// transfer overlaps the remaining prefill compute.
-    fn open_streams(&mut self, i: usize, now: SimTime, end: SimTime) {
-        let (now_us, end_us) = (now.as_micros(), end.as_micros());
-        let chunks = self.chunks;
-        let first_at = now_us + (end_us - now_us).div_ceil(u64::from(chunks));
-        let Run {
-            prefill,
-            link,
-            stream_slots,
-            sink,
-            ..
-        } = self;
-        let engine = &mut prefill.members[i].engine;
-        let instance = engine.instance();
-        for handoff in engine.drain_handoffs() {
-            // The prompt plus the first generated token.
-            let bytes = (u64::from(handoff.spec.input_len) + 1) * self.kv_bytes_per_token;
-            let weight = fleet::slack_share_weight(
-                now,
-                handoff.timing.arrival(),
-                handoff.spec.deadline.or(self.default_deadline),
-                self.link_aging_cap,
-            );
-            let request = handoff.spec.id.raw();
-            let id = link.start_stream(
-                now_us,
-                StreamSpec {
-                    bytes,
-                    produce_start_us: now_us,
-                    produce_end_us: end_us,
-                    chunks,
-                    weight,
-                },
-            );
-            debug_assert_eq!(id, stream_slots.len());
-            stream_slots.push(StreamSlot {
-                from: i,
-                bytes,
-                produce_end_us: end_us,
-                handoff: Some(handoff),
-            });
-            // Future-stamped at the first chunk's eligibility (the pass
-            // end for an atomic handoff).
-            fleet::emit(
-                sink,
-                TraceEvent::KvTransferStart {
-                    at: SimTime::from_micros(first_at),
-                    instance,
-                    request,
-                },
-            );
-        }
-        self.schedule_link_wake(now);
-        self.emit_link_utilization(now);
-    }
-
-    /// Member `i` of `kind`'s pool ended its pass or step: its KV-block
-    /// events reach the router index, the requests it finished join the
-    /// run's outcomes, the pool's planner learns each first token the pass
-    /// emitted and each finished request, and the engine ticks again.
-    fn on_done(
-        &mut self,
-        now: SimTime,
-        kind: PoolKind,
-        i: usize,
-        handoffs: Range<usize>,
-    ) -> Result<(), SimError> {
-        let Run {
-            prefill,
-            decode,
-            route,
-            kv_event_buf,
-            outcomes,
-            stream_slots,
-            ..
-        } = self;
-        let Pool {
-            members, planner, ..
-        } = match kind {
-            PoolKind::Prefill => prefill,
-            PoolKind::Decode => decode,
-        };
-        let member = &mut members[i];
-        member.busy = false;
-        if kind == PoolKind::Prefill && route.kv_routing {
-            kv_event_buf.clear();
-            member.engine.drain_kv_events(kv_event_buf);
-            for &(at, ev) in kv_event_buf.iter() {
-                route.indexer.publish(i as u32, ev, at.as_micros());
-            }
-        }
-        let before = outcomes.len();
-        outcomes.extend(member.engine.drain_outcomes());
-        let finished = &outcomes[before..];
-        if let Some(planner) = planner.as_mut() {
-            for id in handoffs.clone() {
-                let handoff = stream_slots[id]
-                    .handoff
-                    .as_ref()
-                    .expect("parked until it lands");
-                let ttft = handoff
-                    .timing
-                    .ttft()
-                    .expect("the pass emitted its first token");
-                planner.on_request_finished(now, 1, ttft, SimDuration::ZERO);
-            }
-            for o in finished {
-                let ttft = o.timing.ttft().expect("completed with tokens");
-                planner.on_request_finished(now, o.output_len, ttft, o.timing.avg_tpot());
-            }
-        }
-        member.completed += handoffs.len() + finished.len();
-        self.remaining -= finished.len();
-        self.tick(kind, i, now)
-    }
-
-    /// Schedules a wake at the link's next projected completion, tagged
-    /// with the current generation; a join in the meantime bumps the
-    /// generation, so the stale wake is dropped unprocessed and a fresh
-    /// projection replaces it.
-    fn schedule_link_wake(&mut self, now: SimTime) {
-        let Some(at_us) = self.link.next_event_us() else {
-            return;
-        };
-        let generation = self.link.generation();
-        self.schedule(
-            SimTime::from_micros(at_us.max(now.as_micros())),
-            Ev::LinkWake { generation },
-        );
-    }
-
-    fn on_link_wake(&mut self, now: SimTime, generation: u64) {
-        if generation != self.link.generation() {
-            return; // Superseded by a join since this wake was scheduled.
-        }
-        let mut completions = std::mem::take(&mut self.stream_done_buf);
-        completions.clear();
-        self.link.advance(now.as_micros(), &mut completions);
-        for done in completions.drain(..) {
-            self.schedule(
-                SimTime::from_micros(done.done_us.max(now.as_micros())),
-                Ev::StreamDone { id: done.id },
-            );
-        }
-        self.stream_done_buf = completions;
-        self.schedule_link_wake(now);
-    }
-
-    /// A KV transfer fully lands: the source releases the held KV (and an
-    /// idle source ticks, since a prompt may fit now), the stats charge
-    /// the uncontended wire time plus one *per-stream* overhead and the
-    /// time landed past the pass end, and the request hands off to the
-    /// decode pool.
-    fn on_stream_done(&mut self, now: SimTime, id: usize) -> Result<(), SimError> {
-        let slot = &mut self.stream_slots[id];
-        let (from, bytes, produce_end_us) = (slot.from, slot.bytes, slot.produce_end_us);
-        let handoff = slot.handoff.take().expect("a stream lands once");
-        let wire_secs = bytes as f64 / (self.transfer.link_gbps * 1e9);
-        self.stats.transfers += 1;
-        self.stats.streamed += usize::from(self.layer_streamed);
-        self.stats.total_bytes += bytes;
-        self.stats.total_link_secs += wire_secs + self.transfer.per_hop_overhead.as_secs_f64();
-        self.stats.total_tail_secs += now.as_micros().saturating_sub(produce_end_us) as f64 / 1e6;
-        let source = &mut self.prefill.members[from];
-        source.engine.release(handoff.spec.id.raw());
-        if !source.busy {
-            self.tick(PoolKind::Prefill, from, now)?;
-        }
-        self.emit_link_utilization(now);
-        self.handoff_to_decode(now, handoff)
-    }
-
-    /// Emits the shared-link utilization gauge. The link is a pool-wide
-    /// resource, so the gauge carries the pseudo-instance `u32::MAX`
-    /// rather than any member's id.
-    fn emit_link_utilization(&mut self, now: SimTime) {
-        if let Some(s) = self.sink.as_deref_mut() {
-            s.gauge(
-                now,
-                u32::MAX,
-                GaugeKind::LinkUtilization,
-                self.link.utilization(),
-            );
-        }
-    }
-
-    /// Routes a landed KV handoff onto the decode pool, by each live
-    /// member's [`Member::load_signal`] over its GPU speed, and ticks the
-    /// receiving engine if it is idle.
-    fn handoff_to_decode(&mut self, now: SimTime, handoff: Handoff) -> Result<(), SimError> {
-        if let Some(planner) = self.decode.planner.as_mut() {
-            planner.on_request_arrival(now, handoff.spec.input_len);
-        }
-        let n = self.decode.members.len();
-        let target = pick_rotating_min(
-            self.decode
-                .members
-                .iter()
-                .enumerate()
-                .filter(|(_, m)| m.core.is_live())
-                .map(|(j, m)| (j, m.load_signal() as f64 / m.core.gpu.perf_scale)),
-            &mut self.decode_cursor,
-            n,
-        )
-        .expect("at least one live decode instance");
-        let member = &mut self.decode.members[target];
-        member.core.routed += 1;
-        // The transfer end carries the *receiving decode* instance: the
-        // request's decode phase runs there from this point on.
-        fleet::emit(
-            &mut self.sink,
-            TraceEvent::KvTransferEnd {
-                at: now,
-                instance: member.engine.instance(),
-                request: handoff.spec.id.raw(),
-            },
-        );
-        member.engine.hand_off(now, handoff);
-        if member.busy {
-            return Ok(());
-        }
-        self.tick(PoolKind::Decode, target, now)
-    }
-
-    fn on_ready(&mut self, now: SimTime, kind: PoolKind, i: usize) {
-        let core = &mut self.pool(kind).members[i].core;
-        if matches!(core.state, MemberState::Warming { .. }) {
-            core.state = MemberState::Live;
-            self.record_fleet(now);
-        }
-    }
-
-    /// Stops member `i` of `kind`'s pool once it is draining and idle with
-    /// nothing outstanding (no queue, no batch, no held KV).
-    fn maybe_stop(&mut self, kind: PoolKind, i: usize, now: SimTime) {
-        let member = &self.pool(kind).members[i];
-        if member.core.state == MemberState::Draining
-            && !member.busy
-            && member.engine.outstanding() == 0
-        {
-            self.stop_or_flip(kind, i, now);
-        }
-    }
-
-    /// Stops drained member `i` of `kind`'s pool. If the other pool
-    /// claimed it, it flips there: it leaves this pool's ledger and
-    /// re-spawns in the other at the same instant, with its KV pool reset
-    /// and only the short repurpose delay before it serves (the weights
-    /// are already resident). Its new pool sees it as ordinary warming
-    /// capacity, and it serves its new role under a fresh instance id,
-    /// linked to the old one by a [`TraceEvent::Repurposed`].
-    fn stop_or_flip(&mut self, kind: PoolKind, i: usize, now: SimTime) {
-        let member = &mut self.pool(kind).members[i];
-        let from_instance = member.engine.instance();
-        let gpu = member.core.gpu;
-        let claimed = std::mem::take(&mut member.core.claimed);
-        member.core.stop(now);
-        if claimed {
-            let delay = self
-                .repurpose_delay
-                .expect("claims only exist with repurposing enabled");
-            let to = self.spawn(kind.other(), now, delay, gpu);
-            let to_instance = self.pool(kind.other()).members[to].engine.instance();
-            fleet::emit(
-                &mut self.sink,
-                TraceEvent::Repurposed {
-                    at: now,
-                    from_instance,
-                    to_instance,
-                },
-            );
-            let (direction, prefill_member, decode_member) = match kind {
-                PoolKind::Prefill => (RepurposeDirection::PrefillToDecode, i, to),
-                PoolKind::Decode => (RepurposeDirection::DecodeToPrefill, to, i),
-            };
-            self.repurposes.push(RepurposeEvent {
-                at: now,
-                direction,
-                prefill_member,
-                decode_member,
-            });
-        }
-        self.record_fleet(now);
-    }
-
-    /// One planning round: each pool's planner decides independently. The
-    /// prefill decision runs first so a decode scale-up in the same round
-    /// can claim its freshly draining victims; the prefill victims'
-    /// idle-stop check is deferred until after the decode decision, so an
-    /// already-idle victim flips immediately instead of stopping cold.
-    fn on_plan(&mut self, now: SimTime) {
-        let prefill_drained = self.plan_pool(PoolKind::Prefill, now);
-        let decode_drained = self.plan_pool(PoolKind::Decode, now);
-        for victim in decode_drained {
-            self.maybe_stop(PoolKind::Decode, victim, now);
-        }
-        for victim in prefill_drained {
-            self.maybe_stop(PoolKind::Prefill, victim, now);
-        }
-        self.record_fleet(now);
-        if let (Some(planner), true) = (&self.prefill.planner, self.remaining > 0) {
-            self.schedule(now + planner.interval(), Ev::Plan);
-        }
-    }
-
-    /// Runs the planning round of `kind`'s pool and applies its decision.
-    /// A scale-up first claims draining members of the other pool when
-    /// repurposing is enabled, then spawns the rest. A scale-down first
-    /// releases the pool's pending claims (they have not started costing
-    /// it anything yet), then cancels and drains its own members through
-    /// the fleet kernel's shrink pass. Returns the members newly marked
-    /// draining (their idle-stop check is the caller's, after both pools
-    /// have decided).
-    fn plan_pool(&mut self, kind: PoolKind, now: SimTime) -> Vec<usize> {
-        let (own, other) = match kind {
-            PoolKind::Prefill => (&mut self.prefill, &mut self.decode),
-            PoolKind::Decode => (&mut self.decode, &mut self.prefill),
-        };
-        // Claimed-but-not-flipped members are capacity the pool has
-        // already ordered.
-        let claimed = fleet::pending_claims(&other.members);
-        match own.plan_round(now, claimed, &mut self.sink) {
-            Some(Resize::Grow(mut need)) => {
-                if self.repurpose_delay.is_some() {
-                    need -= fleet::claim_drained(&mut other.members, need);
-                }
-                let warmup = own
-                    .planner
-                    .as_ref()
-                    .expect("only planned pools grow")
-                    .warmup();
-                self.grow(kind, now, need, warmup);
-                Vec::new()
-            }
-            Some(Resize::Shrink(excess)) => {
-                let excess = excess - fleet::release_claims(&mut other.members, excess);
-                own.shrink_by(excess, now)
-            }
-            Some(Resize::Hold) | None => Vec::new(),
-        }
-    }
-
-    fn finish(mut self) -> DisaggReport {
-        let end = self.clock;
-        self.record_fleet(end);
-        let mut prefix_stats = PrefixCacheStats::default();
-        for member in &self.prefill.members {
-            if let Some(stats) = member.engine.prefix_stats() {
-                prefix_stats.merge(&stats);
-            }
-        }
-        let makespan = end.saturating_since(SimTime::ZERO);
-        let requests: Vec<(RequestTiming, u64)> = self
-            .outcomes
-            .iter()
-            .map(|o| (o.timing, u64::from(o.output_len)))
-            .collect();
-        let goodput =
-            GoodputReport::compute_with_timeouts(&self.sla, &requests, makespan, self.timed_out);
-        DisaggReport {
-            goodput,
-            makespan,
-            unserved: self.remaining,
-            timed_out: self.timed_out,
-            prefill: PoolReport::new(self.prefill, end),
-            decode: PoolReport::new(self.decode, end),
-            repurposes: self.repurposes,
-            prefix_stats,
-            transfers: self.stats,
-            pool_series: self.series,
-            outcomes: self.outcomes,
-        }
-    }
 }
 
 /// Aggregate KV-transfer statistics of one run.

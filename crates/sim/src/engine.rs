@@ -635,11 +635,6 @@ impl Engine {
         self.handoffs.drain(..)
     }
 
-    /// Handed-out requests the last pass left for [`Engine::drain_handoffs`].
-    pub(crate) fn pending_handoffs(&self) -> usize {
-        self.handoffs.len()
-    }
-
     /// Frees the KV a handed-out request held here (prefill role): its
     /// transfer landed.
     pub(crate) fn release(&mut self, request: u64) {
@@ -736,7 +731,24 @@ impl Engine {
     /// on: [`Engine::load_estimate`] walks the queue, the running batch
     /// and the not-yet-ingested arrivals, so the cheap policies must not
     /// pay for it.
+    ///
+    /// A prefill instance scores every policy by [`Engine::resident_load`]
+    /// (its requests leave with their first token, so no output estimate
+    /// applies), the overlap policies adding the slack pressure in tokens
+    /// of capacity.
     pub(crate) fn route_load(&self, policy: RouterPolicy, perf_scale: f64) -> f64 {
+        if let Role::Prefill { .. } = self.role {
+            let mut load = self.resident_load() as f64;
+            if matches!(
+                policy,
+                RouterPolicy::PrefixAffinity { .. } | RouterPolicy::KvOverlap { .. }
+            ) {
+                load += fleet::SLACK_PRESSURE_WEIGHT
+                    * self.capacity as f64
+                    * self.queue_slack_pressure();
+            }
+            return load / perf_scale;
+        }
         match policy {
             RouterPolicy::RoundRobin => 0.0,
             RouterPolicy::LeastOutstanding => self.outstanding() as f64 / perf_scale,
@@ -755,6 +767,16 @@ impl Engine {
     /// id is reserved for the cache's pool charge, and letting it through
     /// would silently corrupt the KV accounting.
     pub(crate) fn validate_spec(&self, spec: &RequestSpec) -> Result<(), SimError> {
+        if let Role::Prefill { max_pass_tokens } = self.role {
+            // A prompt is prefilled in one pass.
+            if u64::from(spec.input_len) > max_pass_tokens {
+                return Err(SimError::RequestTooLarge {
+                    id: spec.id.raw(),
+                    needed: u64::from(spec.input_len),
+                    capacity: max_pass_tokens,
+                });
+            }
+        }
         if self.prefix.is_some() && spec.id.raw() == PREFIX_SENTINEL {
             return Err(SimError::InvalidWorkload {
                 reason: "request id u64::MAX is reserved for the prefix cache",
@@ -782,13 +804,6 @@ impl Engine {
     /// TTFT/TPOT into the autoscaling planner as requests finish.
     pub(crate) fn outcomes(&self) -> &[RequestOutcome] {
         &self.outcomes
-    }
-
-    /// Moves out the outcomes completed since the last drain, for a driver
-    /// that keeps its own ledger (the disaggregated decode pool). The
-    /// engine's own report then no longer counts them.
-    pub(crate) fn drain_outcomes(&mut self) -> std::vec::Drain<'_, RequestOutcome> {
-        self.outcomes.drain(..)
     }
 
     /// The prefix store's statistics (`None` without a store).

@@ -42,6 +42,7 @@
 pub mod cluster;
 mod config;
 pub mod disagg;
+mod driver;
 pub mod elastic;
 mod engine;
 mod error;
