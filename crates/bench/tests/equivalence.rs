@@ -10,7 +10,7 @@ use pf_bench::scenario::{
 use pf_metrics::SimDuration;
 use pf_obs::RecordingSink;
 use pf_sim::cluster::RouterPolicy;
-use pf_sim::disagg::{DisaggConfig, TransferStats};
+use pf_sim::disagg::{DisaggConfig, DisaggReport, PoolReport, TransferStats};
 use pf_sim::{Headline, QueueOrder, RequestOutcome, SimConfig, SimReport};
 use pf_workload::datasets;
 
@@ -100,60 +100,127 @@ fn one_member_cluster_equals_single_engine() {
     }
 }
 
-/// An elastic fleet pinned at one replica makes no scaling decision and
-/// serves exactly the schedule of a one-member fixed cluster.
+/// An elastic fleet pinned at its initial size (one, two or three
+/// replicas) makes no scaling decision and serves exactly the schedule of
+/// the same fixed cluster: every member's report, the routed counts and
+/// the headline agree, and the run ends at the last served work, not at
+/// the next planning round.
 #[test]
 fn pinned_elastic_fleet_equals_one_member_cluster() {
     for seed in SEEDS {
         for (name, config, router, workload) in members(seed) {
-            let cluster = Scenario::new(
-                format!("{name}-cluster"),
+            for n in 1..=3 {
+                let cluster = Scenario::new(
+                    format!("{name}-cluster"),
+                    seed,
+                    Topology::cluster(config.clone(), n, router),
+                    workload,
+                );
+                let elastic = Scenario::new(
+                    format!("{name}-elastic"),
+                    seed,
+                    Topology::Elastic {
+                        base: config.clone(),
+                        autoscale: AutoscaleConfig::bounded(n, n),
+                        initial: n,
+                        router,
+                        fleet: Vec::new(),
+                    },
+                    workload,
+                );
+                let (Report::Cluster(cluster), Report::Elastic(elastic)) =
+                    (cluster.run(None).report, elastic.run(None).report)
+                else {
+                    unreachable!("the topologies fix the report types");
+                };
+                let what = format!("{name} seed {seed} n={n}");
+                assert!(
+                    elastic.events.is_empty(),
+                    "{what}: a fleet pinned at its size scaled"
+                );
+                let routed: Vec<usize> = elastic.instances.iter().map(|i| i.routed).collect();
+                assert_eq!(cluster.routed_per_instance, routed, "{what}");
+                for (k, (member, fixed)) in
+                    elastic.instances.iter().zip(&cluster.instances).enumerate()
+                {
+                    assert_eq!(
+                        sim_fingerprint(&member.report),
+                        sim_fingerprint(fixed),
+                        "{what}: the pinned fleet's member {k} diverged from the cluster's"
+                    );
+                }
+                // One run, three report types: their headline definitions
+                // must agree (only the elastic fleet prices its GPUs).
+                if n == 1 {
+                    assert_eq!(
+                        cluster.headline(),
+                        cluster.instances[0].headline(),
+                        "{what}"
+                    );
+                }
+                let elastic = Headline {
+                    cost_weighted_gpu_seconds: None,
+                    ..elastic.headline()
+                };
+                assert_eq!(elastic, cluster.headline(), "{what}");
+            }
+        }
+    }
+}
+
+/// The disaggregated counterpart: both pools pinned at two replicas make
+/// no scaling decision and serve exactly the schedule of fixed 2p+2d
+/// pools. The headline (but for the cost-weighted term, which only the
+/// elastic pools price), every instance's routed count and every outcome
+/// agree.
+#[test]
+fn pinned_elastic_disagg_pools_equal_fixed_pools() {
+    let outcomes = |r: &DisaggReport| -> Vec<_> {
+        r.outcomes
+            .iter()
+            .map(|o| (o.id, o.input_len, o.output_len, o.evictions, o.timing))
+            .collect()
+    };
+    let routed =
+        |pool: &PoolReport| -> Vec<usize> { pool.instances.iter().map(|i| i.routed).collect() };
+    for seed in SEEDS {
+        for (name, config, router, workload) in members(seed) {
+            let config = DisaggConfig::new(config).router(router);
+            let fixed = Scenario::new(
+                format!("{name}-disagg"),
                 seed,
-                Topology::cluster(config.clone(), 1, router),
+                Topology::disagg(config.clone(), 2, 2),
                 workload,
             );
-            let elastic = Scenario::new(
-                format!("{name}-elastic"),
+            let pinned = Scenario::new(
+                format!("{name}-elastic-disagg"),
                 seed,
-                Topology::Elastic {
-                    base: config,
-                    autoscale: AutoscaleConfig::bounded(1, 1),
-                    initial: 1,
-                    router,
-                    fleet: Vec::new(),
+                Topology::ElasticDisagg {
+                    config,
+                    prefill: AutoscaleConfig::bounded(2, 2),
+                    decode: AutoscaleConfig::bounded(2, 2),
+                    initial: (2, 2),
                 },
                 workload,
             );
-            let (Report::Cluster(cluster), Report::Elastic(elastic)) =
-                (cluster.run(None).report, elastic.run(None).report)
+            let (Report::Disagg(fixed), Report::Disagg(pinned)) =
+                (fixed.run(None).report, pinned.run(None).report)
             else {
                 unreachable!("the topologies fix the report types");
             };
+            let what = format!("{name} seed {seed}");
             assert!(
-                elastic.events.is_empty(),
-                "{name} seed {seed}: a fleet pinned at one replica scaled"
+                pinned.prefill.events.is_empty() && pinned.decode.events.is_empty(),
+                "{what}: pools pinned at their size scaled"
             );
-            assert_eq!(elastic.instances.len(), 1, "{name} seed {seed}");
-            let member = &elastic.instances[0];
-            assert_eq!(
-                cluster.routed_per_instance,
-                [member.routed],
-                "{name} seed {seed}"
-            );
-            assert_eq!(
-                sim_fingerprint(&member.report),
-                sim_fingerprint(&cluster.instances[0]),
-                "{name} seed {seed}: the pinned fleet's member diverged from the cluster's"
-            );
-            // One run, three report types: their headline definitions
-            // must agree (only the elastic fleet prices its GPUs).
-            let single = cluster.instances[0].headline();
-            assert_eq!(cluster.headline(), single, "{name} seed {seed}");
-            let elastic = Headline {
+            assert_eq!(routed(&pinned.prefill), routed(&fixed.prefill), "{what}");
+            assert_eq!(routed(&pinned.decode), routed(&fixed.decode), "{what}");
+            assert_eq!(outcomes(&pinned), outcomes(&fixed), "{what}");
+            let headline = |r: &DisaggReport| Headline {
                 cost_weighted_gpu_seconds: None,
-                ..elastic.headline()
+                ..r.headline()
             };
-            assert_eq!(elastic, single, "{name} seed {seed}");
+            assert_eq!(headline(&pinned), headline(&fixed), "{what}");
         }
     }
 }

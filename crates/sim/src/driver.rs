@@ -26,16 +26,22 @@
 //!
 //! A member ticks when it is woken (by an arrival, a landed handoff or
 //! released KV) and again when its pass or step ends (`Done`). A tick's
-//! KV-block events, timeouts, finished requests and planner samples are
-//! taken when the tick runs. An idle colocated member's clock follows the
-//! global events, and the router reads the KV index at the earliest clock
-//! of the pool's active members, none before the arrival.
+//! KV-block events and timeouts are taken when the tick runs, its
+//! finished requests and planner samples at its `Done`, in completion
+//! order. An idle member's clock follows the arrivals, and the router
+//! reads the KV index at the earliest clock of the pool's active members,
+//! none before the arrival.
 //!
-//! # Horizon and run end
+//! # Run end
 //!
-//! The run stops at the first event at or past the base config's
-//! `max_sim_time`; work in flight then counts as unfinished and arrivals
-//! not yet routed as unrouted.
+//! A run ends at its last served work (the last engine step, prefill
+//! pass or landed stream), once every request has completed, timed out
+//! or found no member: no planning round, link wake or `Ready` after it
+//! runs, so none can push the makespan, a member's clock or its
+//! provisioned time past that point. It stops earlier at the first event
+//! at or past the base config's `max_sim_time`, which it then ends at
+//! (or before, if its last work came first); work in flight then counts
+//! as unfinished and arrivals not yet routed as unrouted.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -286,10 +292,6 @@ pub(crate) struct Run<'s> {
     pub(crate) outcomes: Vec<RequestOutcome>,
     /// The base config's `max_sim_time` in µs (`u64::MAX` without one).
     horizon_us: u64,
-    /// When the next planning round runs (`None` without a planner).
-    next_plan: Option<SimTime>,
-    /// The last event time processed.
-    clock: SimTime,
     /// Live and provisioned member counts over time, per pool.
     pub(crate) series: SeriesGroup,
     last_series_at: SimTime,
@@ -338,8 +340,6 @@ impl<'s> Run<'s> {
             unrouted: 0,
             timed_out: 0,
             outcomes: Vec::new(),
-            next_plan: None,
-            clock: SimTime::ZERO,
             series: SeriesGroup::new(),
             last_series_at: SimTime::ZERO,
             next_instance: 0,
@@ -379,9 +379,7 @@ impl<'s> Run<'s> {
         self.stream = arrival_times.into_iter().zip(requests).collect();
         // Both pools plan on one cadence.
         if let Some(planner) = &self.pools[0].planner {
-            let at = SimTime::ZERO + planner.interval();
-            self.next_plan = Some(at);
-            self.schedule(at, Ev::Plan);
+            self.schedule(SimTime::ZERO + planner.interval(), Ev::Plan);
         }
         Ok(())
     }
@@ -484,7 +482,7 @@ impl<'s> Run<'s> {
     /// or until the horizon.
     pub(crate) fn drive(&mut self) -> Result<(), SimError> {
         loop {
-            if self.colocated_done() {
+            if self.remaining == 0 {
                 break;
             }
             let arrival = self
@@ -502,21 +500,13 @@ impl<'s> Run<'s> {
                 break;
             }
             let now = SimTime::from_micros(at_us);
-            self.clock = now;
             if is_arrival {
                 let (at, spec) = self.stream.pop_front().expect("peeked");
                 self.on_arrival(at, spec);
-                self.idle_jump();
             } else {
                 match self.heap.pop().expect("peeked").0.ev {
-                    Ev::Ready(kind, i) => {
-                        self.on_ready(now, kind, i);
-                        self.idle_jump();
-                    }
-                    Ev::Plan => {
-                        self.on_plan(now);
-                        self.idle_jump();
-                    }
+                    Ev::Ready(kind, i) => self.on_ready(now, kind, i),
+                    Ev::Plan => self.on_plan(now),
                     Ev::Done(kind, i) => self.on_done(now, kind, i)?,
                     Ev::LinkWake { generation } => self.on_link_wake(now, generation),
                     Ev::StreamDone { id } => self.on_stream_done(now, id)?,
@@ -530,43 +520,6 @@ impl<'s> Run<'s> {
         Ok(())
     }
 
-    /// Whether a colocated run has nothing left: every request ended,
-    /// every member idle and none warming.
-    fn colocated_done(&self) -> bool {
-        self.split.is_none()
-            && self.remaining == 0
-            && self.pools[0]
-                .members
-                .iter()
-                .all(|m| !m.busy && !matches!(m.core.state, MemberState::Warming { .. }))
-    }
-
-    /// The next global event of a colocated run: an arrival, the planning
-    /// round or a warming member's ready time.
-    fn next_global(&self) -> Option<SimTime> {
-        let arrival = self.stream.front().map(|&(at, _)| at);
-        [arrival, self.next_plan, fleet::next_ready(&self.pools[0].members)]
-            .into_iter()
-            .flatten()
-            .min()
-    }
-
-    /// Moves every idle active member of a colocated run to the next
-    /// global event.
-    fn idle_jump(&mut self) {
-        if self.split.is_some() {
-            return;
-        }
-        let Some(next) = self.next_global() else {
-            return;
-        };
-        for member in &mut self.pools[0].members {
-            if member.core.is_active() && !member.busy {
-                member.engine.advance_to(next.max(member.engine.now()));
-            }
-        }
-    }
-
     /// Routes an arrival among the live members of the first pool with
     /// the configured policy, each scored by [`Engine::route_load`]
     /// divided by its GPU speed, and stamps it at its arrival: a busy
@@ -578,6 +531,12 @@ impl<'s> Run<'s> {
         let Pool {
             members, planner, ..
         } = &mut self.pools[0];
+        // An idle member's clock follows the arrivals.
+        for member in members.iter_mut() {
+            if member.core.is_active() && !member.busy && member.engine.outstanding() == 0 {
+                member.engine.advance_to(at);
+            }
+        }
         let now = members
             .iter()
             .filter(|m| m.core.is_active())
@@ -657,15 +616,6 @@ impl<'s> Run<'s> {
             }
             Tick::Blocked | Tick::Sleep(_) | Tick::Drained | Tick::HorizonReached => {
                 self.maybe_stop(kind, i, now);
-                if !self.colocated_done()
-                    && self.split.is_none()
-                    && self.pools[0].members[i].core.is_active()
-                {
-                    if let Some(next) = self.next_global() {
-                        let engine = &mut self.pools[0].members[i].engine;
-                        engine.advance_to(next.max(now));
-                    }
-                }
             }
         }
         Ok(())
@@ -885,13 +835,9 @@ impl<'s> Run<'s> {
     }
 
     fn on_ready(&mut self, now: SimTime, kind: PoolKind, i: usize) {
-        let colocated = self.split.is_none();
-        let member = &mut self.pool(kind).members[i];
-        if let MemberState::Warming { ready_at } = member.core.state {
-            member.core.state = MemberState::Live;
-            if colocated {
-                member.engine.advance_to(ready_at);
-            }
+        let core = &mut self.pool(kind).members[i].core;
+        if matches!(core.state, MemberState::Warming { .. }) {
+            core.state = MemberState::Live;
             self.record_fleet(now);
         }
     }
@@ -966,11 +912,8 @@ impl<'s> Run<'s> {
             self.maybe_stop(PoolKind::Front, victim, now);
         }
         self.record_fleet(now);
-        let interval = self.pools[0].planner.as_ref().map(|p| p.interval());
-        self.next_plan = None;
-        if let (Some(interval), true) = (interval, self.split.is_none() || self.remaining > 0) {
-            self.next_plan = Some(now + interval);
-            self.schedule(now + interval, Ev::Plan);
+        if let Some(planner) = &self.pools[0].planner {
+            self.schedule(now + planner.interval(), Ev::Plan);
         }
     }
 
@@ -1019,20 +962,18 @@ impl<'s> Run<'s> {
         self.remaining + self.unrouted
     }
 
-    /// The run's end: a colocated fleet's latest member activity, or the
-    /// last event a disaggregated run processed. Records the final pool
-    /// sizes there.
+    /// The run's end: its last served work (the latest member clock: an
+    /// engine step, a prefill pass or a landed stream) or the horizon,
+    /// whichever is first. Records the final pool sizes there.
     pub(crate) fn finish(&mut self) -> SimTime {
-        let end = if self.split.is_some() {
-            self.clock
-        } else {
-            self.pools[0]
-                .members
-                .iter()
-                .map(|m| m.core.stopped_at.unwrap_or(m.engine.now()))
-                .max()
-                .unwrap_or(SimTime::ZERO)
-        };
+        let last_work = self
+            .pools
+            .iter()
+            .flat_map(|pool| &pool.members)
+            .map(|m| m.engine.now())
+            .max()
+            .unwrap_or(SimTime::ZERO);
+        let end = last_work.min(SimTime::from_micros(self.horizon_us));
         self.record_fleet(end);
         end
     }

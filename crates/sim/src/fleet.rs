@@ -449,17 +449,6 @@ pub fn provisioned_count<T: FleetMember>(members: &[T]) -> usize {
         .count()
 }
 
-/// Earliest pending ready-at among warming members.
-pub(crate) fn next_ready<T: FleetMember>(members: &[T]) -> Option<SimTime> {
-    members
-        .iter()
-        .filter_map(|m| match m.core().state {
-            MemberState::Warming { ready_at } => Some(ready_at),
-            _ => None,
-        })
-        .min()
-}
-
 /// Per-slot `perf_scale`s describing the fleet each candidate size would
 /// *actually* run, for the planner's heterogeneous sizing
 /// (`AutoscalePlanner::update_slot_perf_scales`).
@@ -1318,11 +1307,10 @@ mod tests {
     }
 
     #[test]
-    fn counts_and_next_ready() {
+    fn counts_split_live_warming_and_provisioned() {
         let pool = vec![live(0, GpuType::big()), warming(3), warming(7)];
         assert_eq!(pool_counts(&pool), (1, 2));
         assert_eq!(provisioned_count(&pool), 3);
-        assert_eq!(next_ready(&pool), Some(SimTime::from_secs(3)));
     }
 
     fn draining(load: u64) -> Toy {
