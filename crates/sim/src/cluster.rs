@@ -8,10 +8,10 @@
 //! an instance using the state visible at arrival time. (The engines
 //! themselves are internal; the public surface is [`ClusterSimulation`].)
 //!
-//! A fixed fleet is an elastic fleet with no planner: [`ClusterSimulation`]
-//! runs the event core of [`crate::elastic`] with every instance live at
-//! t=0 and no planning rounds, so the colocated topology has exactly one
-//! event loop.
+//! A fixed fleet is a fleet with no planner: [`ClusterSimulation`] runs
+//! the crate's one fleet driver, the event heap behind the elastic and
+//! disaggregated fleets too, with every instance live at t=0 and no
+//! planning rounds.
 //!
 //! Routing signals, from least to most informed:
 //!
@@ -286,13 +286,7 @@ impl ClusterSimulation {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] if the arrival stream is malformed
-    /// ([`SimError::InvalidWorkload`]), any request cannot fit an
-    /// instance, an instance stalls, a scheduler, prefix-cache or engine
-    /// parameter is out of range ([`SimError::InvalidScheduler`],
-    /// [`SimError::InvalidPrefixCache`], [`SimError::InvalidEngine`],
-    /// [`SimError::InvalidHardware`]), or the policy cannot run on the
-    /// fleet ([`SimError::InvalidRouterPolicy`]).
+    /// As [`ClusterSimulation::run`].
     pub fn run_traced(
         self,
         requests: Vec<RequestSpec>,
@@ -309,8 +303,9 @@ impl ClusterSimulation {
             Pool::new(pf_obs::Pool::Colocated, Vec::new(), None),
             Pool::new(pf_obs::Pool::Decode, Vec::new(), None),
         ];
-        let mut run = Run::start(pools, base, [initial, Vec::new()], self.policy, None, sink)?;
-        run.admit(requests, arrival_times)?;
+        let workload = (requests, arrival_times);
+        let initial = [initial, Vec::new()];
+        let mut run = Run::start(pools, base, initial, self.policy, None, workload, sink)?;
         run.drive()?;
         let [pool, _] = run.pools;
         let (routed_per_instance, instances) = pool

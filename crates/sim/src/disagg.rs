@@ -105,9 +105,12 @@
 //! against the mean scale of the slots they would occupy, and reports
 //! price every instance at its `cost_weight`.
 //!
-//! The run is fully deterministic: one global event heap orders arrivals,
-//! step completions, transfers and planning rounds, with a monotone
-//! sequence number breaking timestamp ties.
+//! Both topologies run on the crate's one fleet driver, the event heap
+//! behind the colocated fleets too: a disaggregated run is a colocated
+//! one plus the decode pool and the link. The run is fully
+//! deterministic: the heap orders arrivals, step completions, transfers
+//! and planning rounds, with a fixed rank and a monotone sequence number
+//! breaking timestamp ties, and a run ends at its last served work.
 //!
 //! # Example
 //!
@@ -135,13 +138,13 @@
 use pf_autoscale::{AutoscaleConfig, PoolRole};
 use pf_core::SchedulerConfig;
 use pf_kvcache::PrefixCacheStats;
-use pf_metrics::{GoodputReport, RequestTiming, SeriesGroup, SimDuration, SimTime};
+use pf_metrics::{GoodputReport, SeriesGroup, SimDuration, SimTime};
 use pf_obs::TraceSink;
 use pf_workload::RequestSpec;
 
 use crate::cluster::RouterPolicy;
 use crate::config::{BatchingMode, PrefillMode, QueueOrder, SimConfig};
-use crate::driver::{replicas, Member, Run, Split};
+use crate::driver::{fleet_goodput, replicas, Member, Run, Split};
 use crate::error::SimError;
 use crate::fleet::{self, GpuType, Pool, PoolPlanner, ScalingEvent};
 use crate::report::{Headline, RequestOutcome};
@@ -381,30 +384,33 @@ impl DisaggConfig {
             Pool::new(pf_obs::Pool::Decode, self.decode_slots, decode_planner),
         ];
         let sla = self.base.sla;
-        let mut run = Run::start(pools, prefill_base, initial, self.router, Some(split), sink)?;
-        run.admit(requests, arrival_times)?;
-        run.drive()?;
-        let end = run.finish();
+        let workload = (requests, arrival_times);
+        let mut run = Run::start(
+            pools,
+            prefill_base,
+            initial,
+            self.router,
+            Some(split),
+            workload,
+            sink,
+        )?;
+        let end = run.drive()?;
         let mut prefix_stats = PrefixCacheStats::default();
-        for member in &run.pools[0].members {
-            if let Some(stats) = member.engine.prefix_stats() {
-                prefix_stats.merge(&stats);
-            }
-        }
-        let makespan = end.saturating_since(SimTime::ZERO);
-        let requests: Vec<(RequestTiming, u64)> = run
-            .outcomes
+        for stats in run.pools[0]
+            .members
             .iter()
-            .map(|o| (o.timing, u64::from(o.output_len)))
-            .collect();
-        let goodput =
-            GoodputReport::compute_with_timeouts(&sla, &requests, makespan, run.timed_out);
-        let unserved = run.unserved();
+            .filter_map(|m| m.engine.prefix_stats())
+        {
+            prefix_stats.merge(&stats);
+        }
+        let goodput = fleet_goodput(&sla, &run.outcomes, end, run.timed_out);
+        // In flight when the horizon stopped the run, or never routed.
+        let unserved = run.remaining + run.unrouted;
         let split = run.split.expect("a split run");
         let [prefill, decode] = run.pools;
         Ok(DisaggReport {
             goodput,
-            makespan,
+            makespan: end.saturating_since(SimTime::ZERO),
             unserved,
             timed_out: run.timed_out,
             prefill: PoolReport::new(prefill, end),

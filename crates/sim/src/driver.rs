@@ -48,7 +48,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::ops::Range;
 
 use pf_kvcache::KvEvent;
-use pf_metrics::{SeriesGroup, SimDuration, SimTime};
+use pf_metrics::{GoodputReport, RequestTiming, SeriesGroup, SimDuration, SimTime, SlaSpec};
 use pf_obs::{GaugeKind, TraceEvent, TraceSink};
 use pf_workload::RequestSpec;
 
@@ -60,8 +60,8 @@ use crate::disagg::{
 use crate::engine::{Arrivals, Engine, Handoff, Tick};
 use crate::error::SimError;
 use crate::fleet::{
-    self, pick_rotating_min, slot_gpu, FleetMember, GpuType, MemberCore, MemberState, Pool,
-    Resize, Routing,
+    self, pick_rotating_min, slot_gpu, FleetMember, GpuType, MemberCore, MemberState, Pool, Resize,
+    Routing,
 };
 use crate::link::{LinkScheduler, StreamDone, StreamSpec};
 use crate::report::RequestOutcome;
@@ -75,16 +75,6 @@ pub(crate) enum PoolKind {
     Front = 0,
     /// The decode pool of a disaggregated run (empty in a colocated one).
     Decode = 1,
-}
-
-impl PoolKind {
-    /// The pool a claimed member of this one flips into.
-    fn other(self) -> Self {
-        match self {
-            PoolKind::Front => PoolKind::Decode,
-            PoolKind::Decode => PoolKind::Front,
-        }
-    }
 }
 
 /// A member of either pool: a colocated [`Engine`] provisioned from its
@@ -134,6 +124,23 @@ pub(crate) fn replicas(base: &SimConfig, slots: &[GpuType], n: usize) -> Vec<(Si
             (fleet::replica(base, gpu, k), gpu)
         })
         .collect()
+}
+
+/// A fleet's goodput over its completed requests' `outcomes`, measured
+/// on the makespan up to `end`; the `timed_out` requests enter the
+/// denominators as SLA misses.
+pub(crate) fn fleet_goodput<'a>(
+    sla: &SlaSpec,
+    outcomes: impl IntoIterator<Item = &'a RequestOutcome>,
+    end: SimTime,
+    timed_out: usize,
+) -> GoodputReport {
+    let requests: Vec<(RequestTiming, u64)> = outcomes
+        .into_iter()
+        .map(|o| (o.timing, u64::from(o.output_len)))
+        .collect();
+    let makespan = end.saturating_since(SimTime::ZERO);
+    GoodputReport::compute_with_timeouts(sla, &requests, makespan, timed_out)
 }
 
 /// Run-side state of one KV transfer stream (a parallel array to the link
@@ -279,10 +286,10 @@ pub(crate) struct Run<'s> {
     seq: u64,
     /// Timed arrivals not yet routed.
     stream: VecDeque<(SimTime, RequestSpec)>,
-    /// Reusable KV-event drain buffer of [`Run::harvest`].
+    /// Reusable KV-event drain buffer of [`Run::tick`].
     kv_event_buf: Vec<(SimTime, KvEvent)>,
     /// Requests neither ended (completed or timed out) nor unrouted.
-    remaining: usize,
+    pub(crate) remaining: usize,
     /// Requests that reached no member: no member was live, or the
     /// horizon stopped the run first.
     pub(crate) unrouted: usize,
@@ -304,10 +311,13 @@ pub(crate) struct Run<'s> {
 impl<'s> Run<'s> {
     /// Starts a run of `pools` (the first takes the arrivals; the second
     /// is the decode pool of a `split` run) with their `initial` members
-    /// live at t=0. Spawns of the first pool copy `base`. Every initial
-    /// config is checked before any engine is built from it, and the
-    /// routing layer (tunables, KV block size, softmax seed) follows the
-    /// first pool's first member.
+    /// live at t=0, against the timed arrivals of `workload`. Spawns of
+    /// the first pool copy `base`. The arrivals and every initial config
+    /// are checked before any engine is built, each request against every
+    /// member of the first pool (a heterogeneous fixed fleet mixes KV
+    /// capacities; later spawns and the decode pool share the base
+    /// capacity and layout). The routing layer (tunables, KV block size,
+    /// softmax seed) follows the first pool's first member.
     ///
     /// # Panics
     ///
@@ -318,8 +328,10 @@ impl<'s> Run<'s> {
         initial: [Vec<(SimConfig, GpuType)>; 2],
         router: RouterPolicy,
         split: Option<Split>,
+        (requests, arrival_times): (Vec<RequestSpec>, Vec<SimTime>),
         sink: Option<&'s mut dyn TraceSink>,
     ) -> Result<Self, SimError> {
+        fleet::check_arrivals(&requests, &arrival_times)?;
         for (config, _) in initial.iter().flatten() {
             fleet::check_scheduler(&config.scheduler)?;
             fleet::check_prefix_cache(config.prefix_cache)?;
@@ -336,7 +348,7 @@ impl<'s> Run<'s> {
             seq: 0,
             stream: VecDeque::new(),
             kv_event_buf: Vec::new(),
-            remaining: 0,
+            remaining: requests.len(),
             unrouted: 0,
             timed_out: 0,
             outcomes: Vec::new(),
@@ -350,38 +362,19 @@ impl<'s> Run<'s> {
                 run.add_member(kind, config, gpu, SimTime::ZERO, SimDuration::ZERO);
             }
         }
-        run.record_fleet(SimTime::ZERO);
-        Ok(run)
-    }
-
-    /// Takes the timed arrivals, each checked against every member of the
-    /// first pool (a heterogeneous fixed fleet mixes KV capacities; later
-    /// spawns and the decode pool share the base capacity and layout),
-    /// and schedules the first planning round of a planned run.
-    pub(crate) fn admit(
-        &mut self,
-        requests: Vec<RequestSpec>,
-        arrival_times: Vec<SimTime>,
-    ) -> Result<(), SimError> {
-        fleet::check_arrivals(&requests, &arrival_times)?;
-        for member in &self.pools[0].members {
+        for member in &run.pools[0].members {
             member.engine.validate()?;
             for spec in &requests {
                 member.engine.validate_spec(spec)?;
             }
         }
-        self.remaining = requests.len();
-        self.outcomes.reserve(if self.split.is_some() {
-            requests.len()
-        } else {
-            0
-        });
-        self.stream = arrival_times.into_iter().zip(requests).collect();
+        run.stream = arrival_times.into_iter().zip(requests).collect();
         // Both pools plan on one cadence.
-        if let Some(planner) = &self.pools[0].planner {
-            self.schedule(SimTime::ZERO + planner.interval(), Ev::Plan);
+        if let Some(planner) = &run.pools[0].planner {
+            run.schedule(SimTime::ZERO + planner.interval(), Ev::Plan);
         }
-        Ok(())
+        run.record_fleet(SimTime::ZERO);
+        Ok(run)
     }
 
     fn schedule(&mut self, at: SimTime, ev: Ev) {
@@ -463,44 +456,39 @@ impl<'s> Run<'s> {
     fn record_fleet(&mut self, at: SimTime) {
         let at = at.max(self.last_series_at);
         self.last_series_at = at;
-        let names: &[(PoolKind, &str, &str)] = if self.split.is_some() {
-            &[
-                (PoolKind::Front, "prefill-live", "prefill-provisioned"),
-                (PoolKind::Decode, "decode-live", "decode-provisioned"),
-            ]
-        } else {
-            &[(PoolKind::Front, "live", "provisioned")]
+        let names: &[[&str; 2]] = match self.split {
+            Some(_) => &[
+                ["prefill-live", "prefill-provisioned"],
+                ["decode-live", "decode-provisioned"],
+            ],
+            None => &[["live", "provisioned"]],
         };
-        for &(kind, live_name, provisioned_name) in names {
-            let (live, provisioned) = self.pools[kind as usize].sizes();
-            self.series.record(live_name, at, live as f64);
-            self.series.record(provisioned_name, at, provisioned as f64);
+        for (pool, [live, provisioned]) in self.pools.iter().zip(names) {
+            let sizes = pool.sizes();
+            self.series.record(live, at, sizes.0 as f64);
+            self.series.record(provisioned, at, sizes.1 as f64);
         }
     }
 
     /// Runs the fleet until every request has ended or found no member,
-    /// or until the horizon.
-    pub(crate) fn drive(&mut self) -> Result<(), SimError> {
-        loop {
-            if self.remaining == 0 {
-                break;
-            }
+    /// or until the horizon, and returns the run's end: its last served
+    /// work (the latest member clock: an engine step, a prefill pass or a
+    /// landed stream) or the horizon, whichever is first.
+    pub(crate) fn drive(&mut self) -> Result<SimTime, SimError> {
+        while self.remaining > 0 {
             let arrival = self
                 .stream
                 .front()
                 .map(|&(at, _)| (at.as_micros(), ARRIVAL_RANK));
             let event = self.heap.peek().map(|Reverse(s)| (s.at_us, s.rank));
-            let (at_us, is_arrival) = match (arrival, event) {
-                (Some(a), Some(e)) if a < e => (a.0, true),
-                (Some(a), None) => (a.0, true),
-                (_, Some(e)) => (e.0, false),
-                (None, None) => break,
+            let Some((at_us, rank)) = arrival.into_iter().chain(event).min() else {
+                break;
             };
             if at_us >= self.horizon_us {
                 break;
             }
             let now = SimTime::from_micros(at_us);
-            if is_arrival {
+            if rank == ARRIVAL_RANK {
                 let (at, spec) = self.stream.pop_front().expect("peeked");
                 self.on_arrival(at, spec);
             } else {
@@ -517,7 +505,13 @@ impl<'s> Run<'s> {
         self.unrouted += self.stream.len();
         self.remaining -= self.stream.len();
         self.stream.clear();
-        Ok(())
+        let last_work = (self.pools.iter().flat_map(|pool| &pool.members))
+            .map(|m| m.engine.now())
+            .max()
+            .unwrap_or(SimTime::ZERO);
+        let end = last_work.min(SimTime::from_micros(self.horizon_us));
+        self.record_fleet(end);
+        Ok(end)
     }
 
     /// Routes an arrival among the live members of the first pool with
@@ -641,10 +635,15 @@ impl<'s> Run<'s> {
         let handed = std::mem::take(&mut member.handed);
         let finished = &member.engine.outcomes()[member.seen_outcomes..];
         if let Some(planner) = planner.as_mut() {
-            let streams = split.as_ref().map_or(&[][..], |s| &s.streams[handed.clone()]);
+            let streams = split
+                .as_ref()
+                .map_or(&[][..], |s| &s.streams[handed.clone()]);
             for slot in streams {
                 let handoff = slot.handoff.as_ref().expect("parked until it lands");
-                let ttft = handoff.timing.ttft().expect("the pass emitted the first token");
+                let ttft = handoff
+                    .timing
+                    .ttft()
+                    .expect("the pass emitted the first token");
                 planner.on_request_finished(now, 1, ttft, SimDuration::ZERO);
             }
             for o in finished {
@@ -787,7 +786,12 @@ impl<'s> Run<'s> {
     fn emit_link_utilization(&mut self, now: SimTime) {
         if let Some(s) = self.sink.as_deref_mut() {
             let link = &self.split.as_ref().expect("a split run").link;
-            s.gauge(now, u32::MAX, GaugeKind::LinkUtilization, link.utilization());
+            s.gauge(
+                now,
+                u32::MAX,
+                GaugeKind::LinkUtilization,
+                link.utilization(),
+            );
         }
     }
 
@@ -868,12 +872,15 @@ impl<'s> Run<'s> {
         let claimed = std::mem::take(&mut member.core.claimed);
         member.core.stop(now);
         if claimed {
-            let split = self.split.as_ref().expect("claims only arise in a split run");
-            let delay = split
-                .repurpose_delay
+            let delay = (self.split.as_ref())
+                .and_then(|split| split.repurpose_delay)
                 .expect("claims only exist with repurposing enabled");
-            let to = self.spawn(kind.other(), now, delay, gpu);
-            let to_instance = self.pool(kind.other()).members[to].engine.instance();
+            let (direction, into) = match kind {
+                PoolKind::Front => (RepurposeDirection::PrefillToDecode, PoolKind::Decode),
+                PoolKind::Decode => (RepurposeDirection::DecodeToPrefill, PoolKind::Front),
+            };
+            let to = self.spawn(into, now, delay, gpu);
+            let to_instance = self.pool(into).members[to].engine.instance();
             fleet::emit(
                 &mut self.sink,
                 TraceEvent::Repurposed {
@@ -882,9 +889,9 @@ impl<'s> Run<'s> {
                     to_instance,
                 },
             );
-            let (direction, prefill_member, decode_member) = match kind {
-                PoolKind::Front => (RepurposeDirection::PrefillToDecode, i, to),
-                PoolKind::Decode => (RepurposeDirection::DecodeToPrefill, to, i),
+            let (prefill_member, decode_member) = match kind {
+                PoolKind::Front => (i, to),
+                PoolKind::Decode => (to, i),
             };
             let split = self.split.as_mut().expect("a split run");
             split.repurposes.push(RepurposeEvent {
@@ -926,7 +933,10 @@ impl<'s> Run<'s> {
     /// draining (their idle-stop check is the caller's, after both pools
     /// have decided).
     fn plan_pool(&mut self, kind: PoolKind, now: SimTime) -> Vec<usize> {
-        let repurpose = self.split.as_ref().is_some_and(|s| s.repurpose_delay.is_some());
+        let repurpose = self
+            .split
+            .as_ref()
+            .is_some_and(|s| s.repurpose_delay.is_some());
         let [front, decode] = &mut self.pools;
         let (own, other) = match kind {
             PoolKind::Front => (front, decode),
@@ -954,27 +964,5 @@ impl<'s> Run<'s> {
             }
             Some(Resize::Hold) | None => Vec::new(),
         }
-    }
-
-    /// Requests a disaggregated run left unserved: still in flight when
-    /// the horizon stopped it, or never routed.
-    pub(crate) fn unserved(&self) -> usize {
-        self.remaining + self.unrouted
-    }
-
-    /// The run's end: its last served work (the latest member clock: an
-    /// engine step, a prefill pass or a landed stream) or the horizon,
-    /// whichever is first. Records the final pool sizes there.
-    pub(crate) fn finish(&mut self) -> SimTime {
-        let last_work = self
-            .pools
-            .iter()
-            .flat_map(|pool| &pool.members)
-            .map(|m| m.engine.now())
-            .max()
-            .unwrap_or(SimTime::ZERO);
-        let end = last_work.min(SimTime::from_micros(self.horizon_us));
-        self.record_fleet(end);
-        end
     }
 }

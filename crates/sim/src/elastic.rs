@@ -1,12 +1,9 @@
 //! Elastic multi-instance serving: the cluster grows and shrinks mid-run.
 //!
-//! This module is the one colocated event core. A fixed fleet is an
-//! elastic fleet with no planner: [`crate::cluster::ClusterSimulation`]
-//! runs this same loop with every member live at t=0 and no planning
-//! rounds, spawns or drains. [`ElasticCluster`] adds the control loop on
-//! top: an [`pf_autoscale::AutoscalePlanner`] watches arrivals and
-//! completions through sliding windows, forecasts the next adjustment
-//! interval, and resizes the fleet —
+//! [`ElasticCluster`] puts a control loop on a colocated fleet: an
+//! [`pf_autoscale::AutoscalePlanner`] watches arrivals and completions
+//! through sliding windows, forecasts the next adjustment interval, and
+//! resizes the fleet —
 //!
 //! * **scale-up** provisions fresh instances that accept traffic only
 //!   after a configurable *warm-up delay* (boot + weight load);
@@ -16,10 +13,13 @@
 //!   receive nothing new, and stop (and stop costing GPU-seconds) once
 //!   empty.
 //!
-//! The member lifecycle (warm-up, drain, stop, the cost ledger) is the
-//! [`crate::fleet`] kernel — the same state machine the disaggregated
-//! pools run on; this module contributes only the engine work loop and
-//! the planning cadence.
+//! The fleet runs on the crate's one fleet driver, the event heap that
+//! also runs [`crate::cluster::ClusterSimulation`] (a fleet with no
+//! planner) and both disaggregated topologies; the member lifecycle
+//! (warm-up, drain, stop, the cost ledger) is the [`crate::fleet`]
+//! kernel. This module holds only the fleet's configuration and report.
+//! A run ends at its last served work: a fleet pinned at its initial size
+//! reports exactly what the same fixed cluster reports.
 //!
 //! # Heterogeneous fleets
 //!
@@ -45,7 +45,7 @@
 //! elastic fleet, and timed-out requests count as SLA
 //! misses in the cluster-level goodput.
 //!
-//! The run is fully deterministic: one global clock orders engine steps,
+//! The run is fully deterministic: one event heap orders engine steps,
 //! arrivals and planning rounds, and all randomness is seeded.
 //!
 //! # Example
@@ -83,7 +83,7 @@ use pf_workload::RequestSpec;
 
 use crate::cluster::RouterPolicy;
 use crate::config::SimConfig;
-use crate::driver::{replicas, Run};
+use crate::driver::{fleet_goodput, replicas, Run};
 use crate::error::SimError;
 use crate::fleet::{self, GpuType, Pool};
 use crate::report::{Headline, SimReport};
@@ -177,14 +177,7 @@ impl ElasticCluster {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] if the arrival stream is malformed
-    /// ([`SimError::InvalidWorkload`]), a request can never fit an
-    /// instance, an instance stalls, a scheduler, prefix-cache, engine or
-    /// GPU-type parameter is out of range ([`SimError::InvalidScheduler`],
-    /// [`SimError::InvalidPrefixCache`], [`SimError::InvalidEngine`],
-    /// [`SimError::InvalidHardware`]),
-    /// or the router policy cannot run on the fleet
-    /// ([`SimError::InvalidRouterPolicy`]).
+    /// As [`ElasticCluster::run`].
     pub fn run_traced(
         self,
         requests: Vec<RequestSpec>,
@@ -200,17 +193,10 @@ impl ElasticCluster {
             Pool::new(pf_obs::Pool::Colocated, self.slots, Some(planner)),
             Pool::new(pf_obs::Pool::Decode, Vec::new(), None),
         ];
-        let mut run = Run::start(
-            pools,
-            self.base,
-            [initial, Vec::new()],
-            self.router,
-            None,
-            sink,
-        )?;
-        run.admit(requests, arrival_times)?;
-        run.drive()?;
-        let end = run.finish();
+        let workload = (requests, arrival_times);
+        let initial = [initial, Vec::new()];
+        let mut run = Run::start(pools, self.base, initial, self.router, None, workload, sink)?;
+        let end = run.drive()?;
         let [pool, _] = run.pools;
         let instances: Vec<ElasticInstanceReport> = pool
             .members
@@ -223,22 +209,12 @@ impl ElasticCluster {
                 report: m.engine.into_report(),
             })
             .collect();
-        // Cluster-level goodput over every completed request, measured on
-        // the cluster makespan; timed-out requests enter the denominators
-        // as SLA misses.
-        let all_requests: Vec<(pf_metrics::RequestTiming, u64)> = instances
-            .iter()
-            .flat_map(|i| i.report.outcomes.iter())
-            .map(|o| (o.timing, u64::from(o.output_len)))
-            .collect();
-        let timed_out: usize = instances.iter().map(|i| i.report.timed_out).sum();
-        let makespan = end.saturating_since(SimTime::ZERO);
-        let goodput =
-            GoodputReport::compute_with_timeouts(&sla, &all_requests, makespan, timed_out);
+        let outcomes = instances.iter().flat_map(|i| &i.report.outcomes);
+        let goodput = fleet_goodput(&sla, outcomes, end, run.timed_out);
         let series = |name| run.series.get(name).cloned().unwrap_or_default();
         Ok(ElasticReport {
             goodput,
-            makespan,
+            makespan: end.saturating_since(SimTime::ZERO),
             unrouted: run.unrouted,
             live_series: series("live"),
             provisioned_series: series("provisioned"),

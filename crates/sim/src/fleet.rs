@@ -6,7 +6,8 @@
 //! and [`crate::disagg::ElasticDisaggCluster`] all manage pools of serving
 //! instances that are provisioned, warmed up, drained and released over a
 //! run. This module is the single definition of that machinery; the
-//! deployment modules contribute only their pool-specific work loops.
+//! crate's one fleet driver (crate-internal `driver::Run`) runs every
+//! topology's pools on it.
 //!
 //! # Pools and the planning round
 //!
@@ -15,11 +16,11 @@
 //! colocated fleet runs one pool, a disaggregated deployment one per
 //! stage. Every pool plans through the same round (`Pool::plan_round`):
 //! refresh the planner's candidate slot scales, plan, emit and log any
-//! size change, and hand back a grow/shrink count. The caller applies it:
-//! the colocated fleet spawns or runs [`shrink_pool`]; a disaggregated
-//! pool first takes or releases repurpose claims
-//! ([`MemberCore::claimed`]) on the other pool's draining members, then
-//! spawns or shrinks. A claimed member flips pools when its drain ends.
+//! size change, and hand back a grow/shrink count. The driver applies
+//! it: a scale-up first claims the other pool's draining members
+//! ([`MemberCore::claimed`]) when a disaggregated run repurposes, then
+//! spawns; a scale-down first releases such claims, then runs
+//! [`shrink_pool`]. A claimed member flips pools when its drain ends.
 //!
 //! # The member state machine
 //!
