@@ -92,7 +92,7 @@ pub(crate) struct Member {
     /// Requests this member served its stage for: requests finished here,
     /// plus prompts prefilled and handed out.
     pub(crate) completed: usize,
-    /// Engine outcomes already taken by the run.
+    /// Engine outcomes the run has seen (a colocated member keeps them).
     seen_outcomes: usize,
     /// Engine timeouts already counted by the run.
     seen_timed_out: usize,
@@ -338,6 +338,7 @@ impl<'s> Run<'s> {
             fleet::check_engine(config)?;
         }
         let first = &initial[0].first().expect("fleet needs an initial member").0;
+        let ledger = if split.is_some() { requests.len() } else { 0 };
         let mut run = Run {
             route: Routing::new(router, first)?,
             horizon_us: first.max_sim_time.map_or(u64::MAX, |t| t.as_micros()),
@@ -351,7 +352,7 @@ impl<'s> Run<'s> {
             remaining: requests.len(),
             unrouted: 0,
             timed_out: 0,
-            outcomes: Vec::new(),
+            outcomes: Vec::with_capacity(ledger),
             series: SeriesGroup::new(),
             last_series_at: SimTime::ZERO,
             next_instance: 0,
@@ -388,10 +389,6 @@ impl<'s> Run<'s> {
         }));
     }
 
-    fn pool(&mut self, kind: PoolKind) -> &mut Pool<Member> {
-        &mut self.pools[kind as usize]
-    }
-
     /// Provisions an engine of `config` in `kind`'s pool on `gpu` at `now`,
     /// live after `warmup` (at once when zero), under the next trace-event
     /// instance id (dense over both pools' spawn order, so a flipped member
@@ -416,7 +413,7 @@ impl<'s> Run<'s> {
                 engine.enable_kv_event_log();
             }
         }
-        let pool = self.pool(kind);
+        let pool = &mut self.pools[kind as usize];
         pool.members.push(Member {
             engine,
             core: MemberCore::spawn(now, warmup, gpu),
@@ -448,7 +445,7 @@ impl<'s> Run<'s> {
     /// of the pool's GPU mix.
     fn grow(&mut self, kind: PoolKind, now: SimTime, n: usize, warmup: SimDuration) {
         for _ in 0..n {
-            let gpu = self.pool(kind).next_gpu();
+            let gpu = self.pools[kind as usize].next_gpu();
             self.spawn(kind, now, warmup, gpu);
         }
     }
@@ -633,17 +630,20 @@ impl<'s> Run<'s> {
         let member = &mut members[i];
         member.busy = false;
         let handed = std::mem::take(&mut member.handed);
-        let finished = &member.engine.outcomes()[member.seen_outcomes..];
+        // A disaggregated run moves the finished requests into its own
+        // ledger; a colocated member keeps them for its report.
+        let finished = if split.is_some() {
+            let before = outcomes.len();
+            outcomes.extend(member.engine.drain_outcomes());
+            &outcomes[before..]
+        } else {
+            let seen = std::mem::replace(&mut member.seen_outcomes, member.engine.outcomes().len());
+            &member.engine.outcomes()[seen..]
+        };
         if let Some(planner) = planner.as_mut() {
-            let streams = split
-                .as_ref()
-                .map_or(&[][..], |s| &s.streams[handed.clone()]);
-            for slot in streams {
+            for slot in split.iter().flat_map(|s| &s.streams[handed.clone()]) {
                 let handoff = slot.handoff.as_ref().expect("parked until it lands");
-                let ttft = handoff
-                    .timing
-                    .ttft()
-                    .expect("the pass emitted the first token");
+                let ttft = handoff.timing.ttft().expect("the pass emitted it");
                 planner.on_request_finished(now, 1, ttft, SimDuration::ZERO);
             }
             for o in finished {
@@ -652,10 +652,6 @@ impl<'s> Run<'s> {
                 }
             }
         }
-        if split.is_some() {
-            outcomes.extend_from_slice(finished);
-        }
-        member.seen_outcomes += finished.len();
         member.completed += handed.len() + finished.len();
         self.remaining -= finished.len();
         self.tick(kind, i, now)
@@ -839,7 +835,7 @@ impl<'s> Run<'s> {
     }
 
     fn on_ready(&mut self, now: SimTime, kind: PoolKind, i: usize) {
-        let core = &mut self.pool(kind).members[i].core;
+        let core = &mut self.pools[kind as usize].members[i].core;
         if matches!(core.state, MemberState::Warming { .. }) {
             core.state = MemberState::Live;
             self.record_fleet(now);
@@ -849,7 +845,7 @@ impl<'s> Run<'s> {
     /// Stops member `i` of `kind`'s pool once it is draining and idle with
     /// nothing outstanding (no queue, no batch, no held KV).
     fn maybe_stop(&mut self, kind: PoolKind, i: usize, now: SimTime) {
-        let member = &self.pool(kind).members[i];
+        let member = &self.pools[kind as usize].members[i];
         if member.core.state == MemberState::Draining
             && !member.busy
             && member.engine.outstanding() == 0
@@ -866,7 +862,7 @@ impl<'s> Run<'s> {
     /// capacity, and it serves its new role under a fresh instance id,
     /// linked to the old one by a [`TraceEvent::Repurposed`].
     fn stop_or_flip(&mut self, kind: PoolKind, i: usize, now: SimTime) {
-        let member = &mut self.pool(kind).members[i];
+        let member = &mut self.pools[kind as usize].members[i];
         let from_instance = member.engine.instance();
         let gpu = member.core.gpu;
         let claimed = std::mem::take(&mut member.core.claimed);
@@ -880,7 +876,7 @@ impl<'s> Run<'s> {
                 PoolKind::Decode => (RepurposeDirection::DecodeToPrefill, PoolKind::Front),
             };
             let to = self.spawn(into, now, delay, gpu);
-            let to_instance = self.pool(into).members[to].engine.instance();
+            let to_instance = self.pools[into as usize].members[to].engine.instance();
             fleet::emit(
                 &mut self.sink,
                 TraceEvent::Repurposed {

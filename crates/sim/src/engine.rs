@@ -357,7 +357,7 @@ pub(crate) struct Engine {
     /// [`PREFIX_SENTINEL`].
     prefix: Option<BlockPrefixCache>,
     /// `(time, event)` log of block store/evict events, appended by the
-    /// per-tick flush and drained by cluster drivers into the global
+    /// per-tick flush and drained by the fleet driver into the global
     /// [`pf_kvcache::KvIndexer`]. Only populated after
     /// [`Engine::enable_kv_event_log`] — a standalone run has no consumer
     /// and must not accumulate an unbounded log.
@@ -506,8 +506,9 @@ impl Engine {
     /// Executes at most one engine action (admission-plus-prefill or one
     /// decode step) with an optional trace sink (see [`Engine::run_traced`]
     /// for the zero-cost contract). This is the co-simulation entry point
-    /// used by [`crate::cluster`], [`crate::elastic`] and [`crate::disagg`]
-    /// to interleave several engines on one global clock. Any KV-block
+    /// used by the fleet driver behind [`crate::cluster`],
+    /// [`crate::elastic`] and [`crate::disagg`] to interleave several
+    /// engines on one global clock. Any KV-block
     /// events the tick produced are flushed afterwards — to the sink as
     /// [`TraceEvent::KvStored`]/[`TraceEvent::KvRemoved`], and to the
     /// driver-facing log when enabled.
@@ -563,7 +564,7 @@ impl Engine {
     }
 
     /// Starts accumulating the `(time, event)` KV-block event log for a
-    /// cluster driver to drain (see [`Engine::drain_kv_events`]). Off by
+    /// fleet driver to drain (see [`Engine::drain_kv_events`]). Off by
     /// default so standalone runs never grow an unconsumed log.
     pub(crate) fn enable_kv_event_log(&mut self) {
         self.log_kv_events = true;
@@ -761,11 +762,13 @@ impl Engine {
         }
     }
 
-    /// Runs upfront validation (also used by the cluster driver, which
+    /// Runs upfront validation (also used by the fleet driver, which
     /// validates against each member engine's capacity). With a prefix
     /// cache, request id `u64::MAX` is [`SimError::InvalidWorkload`]: that
     /// id is reserved for the cache's pool charge, and letting it through
-    /// would silently corrupt the KV accounting.
+    /// would silently corrupt the KV accounting. A prefill-role engine
+    /// also rejects a prompt larger than its pass budget
+    /// ([`SimError::RequestTooLarge`] with the budget as the capacity).
     pub(crate) fn validate_spec(&self, spec: &RequestSpec) -> Result<(), SimError> {
         if let Role::Prefill { max_pass_tokens } = self.role {
             // A prompt is prefilled in one pass.
@@ -799,11 +802,19 @@ impl Engine {
         Ok(())
     }
 
-    /// Completed-request outcomes so far. The elastic cluster reads these
-    /// incrementally (by index) to feed observed output lengths and
-    /// TTFT/TPOT into the autoscaling planner as requests finish.
+    /// Completed-request outcomes so far. The fleet driver reads these
+    /// incrementally (by index) when a step ends, to feed observed output
+    /// lengths and TTFT/TPOT into the autoscaling planner and a
+    /// disaggregated run's ledger.
     pub(crate) fn outcomes(&self) -> &[RequestOutcome] {
         &self.outcomes
+    }
+
+    /// Moves out the outcomes completed since the last drain, for a driver
+    /// that keeps its own ledger (a disaggregated run). The engine's own
+    /// report then no longer counts them.
+    pub(crate) fn drain_outcomes(&mut self) -> std::vec::Drain<'_, RequestOutcome> {
+        self.outcomes.drain(..)
     }
 
     /// The prefix store's statistics (`None` without a store).

@@ -9,7 +9,7 @@ use pf_metrics::{SimDuration, SimTime};
 use pf_sim::cluster::{ClusterSimulation, RouterPolicy};
 use pf_sim::elastic::{ElasticCluster, ElasticReport};
 use pf_sim::{GpuSpec, ModelSpec, QueueOrder, SimConfig, SimReport};
-use pf_workload::{datasets, rng::seeded, RateProfile};
+use pf_workload::{datasets, rng::seeded, PoissonArrivals, RateProfile};
 
 fn base_config(capacity: u64) -> SimConfig {
     SimConfig::builder(ModelSpec::llama2_7b(), GpuSpec::a100_80g())
@@ -38,6 +38,26 @@ fn diurnal_run(seed: u64) -> ElasticReport {
     ElasticCluster::new(base_config(6_000), autoscale(1, 4), 1)
         .run(requests, arrivals)
         .expect("elastic run")
+}
+
+/// Members' steps overlap in time, so one can end before another that
+/// began earlier. The planner must learn each finished request when its
+/// step ends, in completion order: its sliding windows take samples in
+/// time order (debug builds assert it), so feeding a step's completions
+/// when the step begins, stamped with its end, breaks them.
+#[test]
+fn planner_learns_completions_in_time_order_across_busy_members() {
+    for seed in 0..6 {
+        let n = 300;
+        let requests = datasets::sharegpt(n, seed);
+        let arrivals = PoissonArrivals::new(12.0).assign(&mut seeded(seed), n);
+        let mut base = base_config(8_000);
+        base.seed = seed;
+        let report = ElasticCluster::new(base, AutoscaleConfig::bounded(3, 3), 3)
+            .run(requests, arrivals)
+            .expect("elastic run");
+        assert_eq!(report.headline().completed, n, "seed {seed}");
+    }
 }
 
 #[test]
