@@ -460,10 +460,10 @@ impl<'s> Run<'s> {
             ],
             None => &[["live", "provisioned"]],
         };
-        for (pool, [live, provisioned]) in self.pools.iter().zip(names) {
-            let sizes = pool.sizes();
-            self.series.record(live, at, sizes.0 as f64);
-            self.series.record(provisioned, at, sizes.1 as f64);
+        for (pool, [live_name, provisioned_name]) in self.pools.iter().zip(names) {
+            let (live, provisioned) = pool.sizes();
+            self.series.record(live_name, at, live as f64);
+            self.series.record(provisioned_name, at, provisioned as f64);
         }
     }
 
