@@ -1026,5 +1026,15 @@ pub fn goldens() -> Vec<Scenario> {
         ));
     }
 
+    // Closed-loop clients, the paper's goodput setting: the `fig7 --quick`
+    // cell at the knee of Past-Future's Distribution-1 curve, where
+    // goodput peaks and preemption starts.
+    let mut knee = paper::fig7(3, true)
+        .into_iter()
+        .find(|s| s.name == "Llama2-7B/Distribution-1/past-future(reserved=3%)/30")
+        .expect("fig7 runs the knee cell");
+    knee.name = "fig7-knee-closed-loop".into();
+    out.push(knee);
+
     out
 }
