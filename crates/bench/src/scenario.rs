@@ -3,7 +3,8 @@
 //!
 //! A [`Scenario`] names a [`Topology`] (one engine, a fixed cluster, an
 //! elastic fleet, or fixed or elastic disaggregated pools) with its
-//! configs, a workload builder and a seed. [`Scenario::run`] builds the
+//! configs, a [`Workload`] builder and a seed. Every topology serves every
+//! workload (offline, timed or closed-loop clients). [`Scenario::run`] builds the
 //! workload from the seed, runs the topology and returns its full
 //! [`Report`] together with the one [`Headline`] every topology shares
 //! and a 64-bit fingerprint of the report.
@@ -54,7 +55,9 @@ use pf_sim::{
     QueueOrder, RequestOutcome, RouterConfig, SimConfig, SimConfigBuilder, SimReport, Simulation,
 };
 use pf_workload::rng::seeded;
-use pf_workload::{datasets, ClosedLoopClients, LengthSampler, PoissonArrivals, RequestSpec};
+use pf_workload::{datasets, LengthSampler, PoissonArrivals, RequestSpec};
+
+pub use pf_sim::Workload;
 
 use crate::{default_threads, run_parallel};
 
@@ -78,29 +81,6 @@ pub fn steady(n: usize, gap_ms: u64) -> Vec<SimTime> {
 pub fn poisson(requests: Vec<RequestSpec>, rate: f64, seed: u64) -> Workload {
     let arrivals = PoissonArrivals::new(rate).assign(&mut seeded(seed), requests.len());
     Workload::Timed(requests, arrivals)
-}
-
-/// The requests a scenario serves and when they arrive.
-#[derive(Debug, Clone)]
-pub enum Workload {
-    /// Every request queued at t = 0 (one engine only).
-    Offline(Vec<RequestSpec>),
-    /// One non-decreasing arrival instant per request.
-    Timed(Vec<RequestSpec>, Vec<SimTime>),
-    /// This many closed-loop clients with zero think time, each issuing
-    /// its next request when the last one finishes (one engine only).
-    ClosedLoop(Vec<RequestSpec>, usize),
-}
-
-impl Workload {
-    /// The requests, whatever their arrival discipline.
-    pub fn requests(&self) -> &[RequestSpec] {
-        match self {
-            Workload::Offline(requests)
-            | Workload::Timed(requests, _)
-            | Workload::ClosedLoop(requests, _) => requests,
-        }
-    }
 }
 
 /// A deployment shape with its configs; each variant mirrors the
@@ -326,29 +306,16 @@ impl Scenario {
     /// # Panics
     ///
     /// Panics, naming the scenario, if the simulation rejects its
-    /// deployment or workload, or if a fleet topology gets an offline or
-    /// closed-loop workload.
+    /// deployment or workload.
     pub fn run(&self, sink: Option<&mut dyn TraceSink>) -> Run {
-        let timed = || match self.workload() {
-            Workload::Timed(requests, arrivals) => (requests, arrivals),
-            _ => panic!("{}: a fleet needs arrival times", self.name),
-        };
+        let workload = self.workload();
         let report = match self.topology.clone() {
-            Topology::Single(config) => match self.workload() {
-                Workload::Offline(requests) => Simulation::offline(config, requests),
-                Workload::Timed(requests, arrivals) => {
-                    Simulation::with_arrivals(config, requests, arrivals)
-                }
-                Workload::ClosedLoop(requests, clients) => {
-                    Simulation::closed_loop(config, requests, ClosedLoopClients::new(clients))
-                }
-            }
-            .run_traced(sink)
-            .map(Report::Single),
+            Topology::Single(config) => Simulation::new(config, workload)
+                .run_traced(sink)
+                .map(Report::Single),
             Topology::Cluster { configs, policy } => {
-                let (requests, arrivals) = timed();
                 ClusterSimulation::heterogeneous(configs, policy)
-                    .run_traced(requests, arrivals, sink)
+                    .run_workload(workload, sink)
                     .map(Report::Cluster)
             }
             Topology::Elastic {
@@ -362,32 +329,23 @@ impl Scenario {
                 if !fleet.is_empty() {
                     cluster = cluster.fleet(fleet);
                 }
-                let (requests, arrivals) = timed();
-                cluster
-                    .run_traced(requests, arrivals, sink)
-                    .map(Report::Elastic)
+                cluster.run_workload(workload, sink).map(Report::Elastic)
             }
             Topology::Disagg {
                 config,
                 prefill,
                 decode,
-            } => {
-                let (requests, arrivals) = timed();
-                DisaggCluster::new(config, prefill, decode)
-                    .run_traced(requests, arrivals, sink)
-                    .map(Report::Disagg)
-            }
+            } => DisaggCluster::new(config, prefill, decode)
+                .run_workload(workload, sink)
+                .map(Report::Disagg),
             Topology::ElasticDisagg {
                 config,
                 prefill,
                 decode,
                 initial: (p, d),
-            } => {
-                let (requests, arrivals) = timed();
-                ElasticDisaggCluster::new(config, prefill, decode, p, d)
-                    .run_traced(requests, arrivals, sink)
-                    .map(Report::Disagg)
-            }
+            } => ElasticDisaggCluster::new(config, prefill, decode, p, d)
+                .run_workload(workload, sink)
+                .map(Report::Disagg),
         }
         .unwrap_or_else(|e| panic!("{}: {e}", self.name));
         self.finish(report)

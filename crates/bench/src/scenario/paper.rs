@@ -14,7 +14,7 @@ use pf_sim::{GpuSpec, ModelSpec, SimConfig, SimConfigBuilder};
 use pf_workload::datasets::{
     self, mixed_phase, sharegpt, sharegpt_o1, textvqa_llava, textvqa_qwen_vl,
 };
-use pf_workload::RequestSpec;
+use pf_workload::{ClosedLoopClients, RequestSpec};
 
 use super::{base, Scenario, Topology, Workload};
 use crate::output_lengths;
@@ -44,7 +44,7 @@ fn closed_loop(
     n: usize,
     clients: usize,
 ) -> impl Fn(u64) -> Workload + Send + Sync {
-    move |seed| Workload::ClosedLoop(dataset(n, seed), clients)
+    move |seed| Workload::ClosedLoop(dataset(n, seed), ClosedLoopClients::new(clients))
 }
 
 /// Table 1: every scheduler configuration on `n` requests of each of

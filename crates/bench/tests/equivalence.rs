@@ -4,15 +4,17 @@
 //! divergence in admission order, timing or RNG use fails it.
 
 use pf_autoscale::AutoscaleConfig;
+use std::sync::Arc;
+
 use pf_bench::scenario::{
-    base, poisson, sim_fingerprint, Report, Run, Scenario, Topology, Workload,
+    base, poisson, sim_fingerprint, Report, Run, Scenario, Topology, Workload, WorkloadFn,
 };
 use pf_metrics::SimDuration;
 use pf_obs::RecordingSink;
 use pf_sim::cluster::RouterPolicy;
 use pf_sim::disagg::{DisaggConfig, DisaggReport, PoolReport, TransferStats};
-use pf_sim::{Headline, QueueOrder, RequestOutcome, SimConfig, SimReport};
-use pf_workload::datasets;
+use pf_sim::{BatchingMode, Headline, QueueOrder, RequestOutcome, SimConfig, SimReport};
+use pf_workload::{datasets, ClosedLoopClients};
 
 const SEEDS: std::ops::Range<u64> = 0..6;
 const REQUESTS: usize = 150;
@@ -56,45 +58,78 @@ fn members(seed: u64) -> [Member; 3] {
     ]
 }
 
+/// The inputs a member serves in the one-member relation: its timed
+/// workload, the same requests offline and to closed-loop clients, and the
+/// timed workload again under static batching.
+fn inputs(
+    config: &SimConfig,
+    workload: fn(u64) -> Workload,
+) -> [(&'static str, SimConfig, WorkloadFn); 4] {
+    let requests = move |seed| workload(seed).requests().to_vec();
+    let statically_batched = SimConfig {
+        batching: BatchingMode::Static { max_batch: 16 },
+        ..config.clone()
+    };
+    [
+        ("timed", config.clone(), Arc::new(workload)),
+        (
+            "offline",
+            config.clone(),
+            Arc::new(move |seed| Workload::Offline(requests(seed))),
+        ),
+        (
+            "closed-loop",
+            config.clone(),
+            Arc::new(move |seed| Workload::ClosedLoop(requests(seed), ClosedLoopClients::new(12))),
+        ),
+        ("static", statically_batched, Arc::new(workload)),
+    ]
+}
+
 /// A one-member cluster makes no routing choice and serves exactly the
 /// single engine's schedule, stamping each request at its scheduled
 /// arrival, under every policy that can run on the member (the overlap
-/// policies over a prefix cache among them).
+/// policies over a prefix cache among them), on every input: timed,
+/// offline, closed-loop clients and static batches.
 #[test]
 fn one_member_cluster_equals_single_engine() {
     for seed in SEEDS {
-        for (name, config, _, workload) in members(seed) {
-            let single = Scenario::new(
-                format!("{name}-single"),
-                seed,
-                Topology::Single(config.clone()),
-                workload,
-            );
-            let Report::Single(single) = single.run(None).report else {
-                unreachable!("the topology fixes the report type");
-            };
-            let kv_overlap = RouterPolicy::KvOverlap {
-                overlap_weight: 1.0,
-                temperature: 0.0,
-            };
-            let policies = RouterPolicy::ALL
-                .into_iter()
-                .chain(config.prefix_cache.is_some().then_some(kv_overlap));
-            for policy in policies {
-                let cluster = Scenario::new(
-                    format!("{name}-cluster"),
+        for (name, member, _, workload) in members(seed) {
+            for (input, config, workload) in inputs(&member, workload) {
+                let scenario = |name: String, topology| Scenario {
+                    name,
                     seed,
-                    Topology::cluster(config.clone(), 1, policy),
-                    workload,
+                    topology,
+                    workload: workload.clone(),
+                };
+                let single = scenario(
+                    format!("{name}-{input}-single"),
+                    Topology::Single(config.clone()),
                 );
-                let Report::Cluster(cluster) = cluster.run(None).report else {
+                let Report::Single(single) = single.run(None).report else {
                     unreachable!("the topology fixes the report type");
                 };
-                assert_eq!(
-                    sim_fingerprint(&cluster.instances[0]),
-                    sim_fingerprint(&single),
-                    "{name} seed {seed} {policy:?}: the one-member cluster diverged from the single engine"
-                );
+                let kv_overlap = RouterPolicy::KvOverlap {
+                    overlap_weight: 1.0,
+                    temperature: 0.0,
+                };
+                let policies = RouterPolicy::ALL
+                    .into_iter()
+                    .chain(config.prefix_cache.is_some().then_some(kv_overlap));
+                for policy in policies {
+                    let cluster = scenario(
+                        format!("{name}-{input}-cluster"),
+                        Topology::cluster(config.clone(), 1, policy),
+                    );
+                    let Report::Cluster(cluster) = cluster.run(None).report else {
+                        unreachable!("the topology fixes the report type");
+                    };
+                    assert_eq!(
+                        sim_fingerprint(&cluster.instances[0]),
+                        sim_fingerprint(&single),
+                        "{name} {input} seed {seed} {policy:?}: the one-member cluster diverged from the single engine"
+                    );
+                }
             }
         }
     }

@@ -9,9 +9,9 @@
 //! themselves are internal; the public surface is [`ClusterSimulation`].)
 //!
 //! A fixed fleet is a fleet with no planner: [`ClusterSimulation`] runs
-//! the crate's one fleet driver, the event heap behind the elastic and
-//! disaggregated fleets too, with every instance live at t=0 and no
-//! planning rounds.
+//! the crate's one event loop, the event heap behind the single engine
+//! and the elastic and disaggregated fleets too, with every instance live
+//! at t=0 and no planning rounds.
 //!
 //! Routing signals, from least to most informed:
 //!
@@ -81,6 +81,7 @@ use crate::driver::Run;
 use crate::error::SimError;
 use crate::fleet::{GpuType, Pool};
 use crate::report::{Headline, SimReport};
+use crate::simulation::Workload;
 
 /// Request-forwarding policy of the cluster front end.
 ///
@@ -279,10 +280,8 @@ impl ClusterSimulation {
         self.run_traced(requests, arrival_times, None)
     }
 
-    /// [`ClusterSimulation::run`] with an optional [`TraceSink`] receiving
-    /// every per-instance lifecycle event (instances are numbered in
-    /// construction order). With `None` this is exactly `run` — the traced
-    /// path adds no work when no sink is attached.
+    /// [`ClusterSimulation::run`] with an optional [`TraceSink`] (see
+    /// [`ClusterSimulation::run_workload`]).
     ///
     /// # Errors
     ///
@@ -291,6 +290,21 @@ impl ClusterSimulation {
         self,
         requests: Vec<RequestSpec>,
         arrival_times: Vec<SimTime>,
+        sink: Option<&mut dyn TraceSink>,
+    ) -> Result<ClusterReport, SimError> {
+        self.run_workload(Workload::Timed(requests, arrival_times), sink)
+    }
+
+    /// Runs the cluster against `workload`, with an optional [`TraceSink`]
+    /// receiving every per-instance lifecycle event (instances are
+    /// numbered in construction order).
+    ///
+    /// # Errors
+    ///
+    /// As [`ClusterSimulation::run`].
+    pub fn run_workload(
+        self,
+        workload: Workload,
         sink: Option<&mut dyn TraceSink>,
     ) -> Result<ClusterReport, SimError> {
         let base = self.configs[0].clone();
@@ -303,7 +317,6 @@ impl ClusterSimulation {
             Pool::new(pf_obs::Pool::Colocated, Vec::new(), None),
             Pool::new(pf_obs::Pool::Decode, Vec::new(), None),
         ];
-        let workload = (requests, arrival_times);
         let initial = [initial, Vec::new()];
         let mut run = Run::start(pools, base, initial, self.policy, None, workload, sink)?;
         run.drive()?;
@@ -332,7 +345,8 @@ pub struct ClusterReport {
     /// Per-instance simulation reports.
     pub instances: Vec<SimReport>,
     /// Requests that reached no instance because `max_sim_time` had
-    /// stopped every instance first.
+    /// stopped every instance first (closed-loop requests no client got
+    /// to submit by then among them).
     pub unrouted: usize,
 }
 

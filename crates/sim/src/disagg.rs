@@ -148,6 +148,7 @@ use crate::driver::{fleet_goodput, replicas, Member, Run, Split};
 use crate::error::SimError;
 use crate::fleet::{self, GpuType, Pool, PoolPlanner, ScalingEvent};
 use crate::report::{Headline, RequestOutcome};
+use crate::simulation::Workload;
 
 /// The KV-transfer cost model between the prefill and decode pools (see
 /// the module docs for the formula).
@@ -368,8 +369,7 @@ impl DisaggConfig {
         self,
         initial: (usize, usize),
         planners: Option<(PoolPlanner, PoolPlanner)>,
-        requests: Vec<RequestSpec>,
-        arrival_times: Vec<SimTime>,
+        workload: Workload,
         sink: Option<&mut dyn TraceSink>,
     ) -> Result<DisaggReport, SimError> {
         let (prefill_planner, decode_planner) = planners.unzip();
@@ -384,7 +384,6 @@ impl DisaggConfig {
             Pool::new(pf_obs::Pool::Decode, self.decode_slots, decode_planner),
         ];
         let sla = self.base.sla;
-        let workload = (requests, arrival_times);
         let mut run = Run::start(
             pools,
             prefill_base,
@@ -470,10 +469,8 @@ impl DisaggCluster {
         self.run_traced(requests, arrival_times, None)
     }
 
-    /// [`DisaggCluster::run`] with an optional [`TraceSink`] receiving
-    /// every lifecycle event, including the KV-transfer handoffs. With
-    /// `None` this is exactly `run`: bit-identical reports, no allocation
-    /// on the emission paths.
+    /// [`DisaggCluster::run`] with an optional [`TraceSink`] (see
+    /// [`DisaggCluster::run_workload`]).
     ///
     /// # Errors
     ///
@@ -484,10 +481,23 @@ impl DisaggCluster {
         arrival_times: Vec<SimTime>,
         sink: Option<&mut dyn TraceSink>,
     ) -> Result<DisaggReport, SimError> {
+        self.run_workload(Workload::Timed(requests, arrival_times), sink)
+    }
+
+    /// Runs the cluster against `workload`, with an optional [`TraceSink`]
+    /// receiving every lifecycle event, the KV-transfer handoffs included.
+    ///
+    /// # Errors
+    ///
+    /// As [`DisaggCluster::run`].
+    pub fn run_workload(
+        self,
+        workload: Workload,
+        sink: Option<&mut dyn TraceSink>,
+    ) -> Result<DisaggReport, SimError> {
         self.config.check()?;
         let initial = (self.prefill_instances, self.decode_instances);
-        self.config
-            .run(initial, None, requests, arrival_times, sink)
+        self.config.run(initial, None, workload, sink)
     }
 }
 
@@ -557,9 +567,8 @@ impl ElasticDisaggCluster {
         self.run_traced(requests, arrival_times, None)
     }
 
-    /// [`ElasticDisaggCluster::run`] with an optional [`TraceSink`]
-    /// receiving every lifecycle event, including per-pool scaling and
-    /// cross-pool repurposing. With `None` this is exactly `run`.
+    /// [`ElasticDisaggCluster::run`] with an optional [`TraceSink`] (see
+    /// [`ElasticDisaggCluster::run_workload`]).
     ///
     /// # Errors
     ///
@@ -568,6 +577,21 @@ impl ElasticDisaggCluster {
         self,
         requests: Vec<RequestSpec>,
         arrival_times: Vec<SimTime>,
+        sink: Option<&mut dyn TraceSink>,
+    ) -> Result<DisaggReport, SimError> {
+        self.run_workload(Workload::Timed(requests, arrival_times), sink)
+    }
+
+    /// Runs the elastic cluster against `workload`, with an optional
+    /// [`TraceSink`] receiving every lifecycle event, per-pool scaling and
+    /// cross-pool repurposing included.
+    ///
+    /// # Errors
+    ///
+    /// As [`DisaggCluster::run`].
+    pub fn run_workload(
+        self,
+        workload: Workload,
         sink: Option<&mut dyn TraceSink>,
     ) -> Result<DisaggReport, SimError> {
         self.config.check()?;
@@ -587,8 +611,7 @@ impl ElasticDisaggCluster {
             ),
         );
         let initial = (self.initial_prefill, self.initial_decode);
-        self.config
-            .run(initial, Some(planners), requests, arrival_times, sink)
+        self.config.run(initial, Some(planners), workload, sink)
     }
 }
 

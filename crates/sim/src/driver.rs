@@ -1,12 +1,13 @@
-//! The one fleet driver: every multi-instance topology runs on one event
-//! heap.
+//! The one event loop: every topology, a single engine included, runs on
+//! one event heap.
 //!
-//! [`crate::cluster::ClusterSimulation`], [`crate::elastic::ElasticCluster`],
-//! [`crate::disagg::DisaggCluster`] and
-//! [`crate::disagg::ElasticDisaggCluster`] each start a `Run` and drive it.
-//! A colocated fleet is a run with one pool: it takes the arrivals, and
-//! its members never hand a request out. A disaggregated run adds the
-//! decode pool and the KV-transfer link: its first pool is then the
+//! [`crate::Simulation`], [`crate::cluster::ClusterSimulation`],
+//! [`crate::elastic::ElasticCluster`], [`crate::disagg::DisaggCluster`]
+//! and [`crate::disagg::ElasticDisaggCluster`] each start a `Run` and
+//! drive it. A colocated fleet is a run with one pool: it takes the
+//! arrivals, and its members never hand a request out; a single engine is
+//! such a pool of one member with no planner. A disaggregated run adds
+//! the decode pool and the KV-transfer link: its first pool is then the
 //! prefill pool, whose engines hand every request that needs more tokens
 //! over the link to the decode pool. Every member of either pool is the
 //! colocated [`Engine`] (in the prefill role in a disaggregated first
@@ -15,7 +16,11 @@
 //!
 //! # Event order
 //!
-//! Arrivals are a time-ordered stream beside the heap; routing is one
+//! Arrivals are a time-ordered stream beside the heap, from one of two
+//! sources ([`Workload`]): an open-loop workload fills it upfront, and a
+//! closed-loop client submits its next request the think time after its
+//! last one ends (finishes at its member's `Done`, or times out in a
+//! tick), which keeps the stream in time order. Routing is one
 //! [`Routing::route`] call over the live members of the first pool, each
 //! scored by [`Engine::route_load`]. The heap holds everything else. At
 //! equal timestamps a warming member's `Ready` comes first, then the
@@ -25,12 +30,13 @@
 //! routed before any member acts on it.
 //!
 //! A member ticks when it is woken (by an arrival, a landed handoff or
-//! released KV) and again when its pass or step ends (`Done`). A tick's
-//! KV-block events and timeouts are taken when the tick runs, its
-//! finished requests and planner samples at its `Done`, in completion
-//! order. An idle member's clock follows the arrivals, and the router
-//! reads the KV index at the earliest clock of the pool's active members,
-//! none before the arrival.
+//! released KV) and again when its pass or step ends (`Done`), taking in
+//! the requests routed to it since; a client it freed at `Done` is routed
+//! before that tick. A tick's KV-block events and timeouts are taken when
+//! the tick runs, its finished requests and planner samples at its
+//! `Done`, in completion order. An idle member's clock follows the
+//! arrivals, and the router reads the KV index at the earliest clock of
+//! the pool's active members, none before the arrival.
 //!
 //! # Run end
 //!
@@ -41,7 +47,9 @@
 //! provisioned time past that point. It stops earlier at the first event
 //! at or past the base config's `max_sim_time`, which it then ends at
 //! (or before, if its last work came first); work in flight then counts
-//! as unfinished and arrivals not yet routed as unrouted.
+//! as unfinished, and arrivals not yet routed, or not yet submitted by a
+//! closed-loop client, as unrouted. A colocated or decode engine whose
+//! queue can never be admitted stalls the run ([`SimError::Stalled`]).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -57,7 +65,7 @@ use crate::config::{QueueOrder, SimConfig, DEFAULT_AGING_CAP};
 use crate::disagg::{
     DisaggConfig, KvTransferSpec, RepurposeDirection, RepurposeEvent, TransferMode, TransferStats,
 };
-use crate::engine::{Arrivals, Engine, Handoff, Tick};
+use crate::engine::{Engine, Handoff, Tick};
 use crate::error::SimError;
 use crate::fleet::{
     self, pick_rotating_min, slot_gpu, FleetMember, GpuType, MemberCore, MemberState, Pool, Resize,
@@ -65,6 +73,7 @@ use crate::fleet::{
 };
 use crate::link::{LinkScheduler, StreamDone, StreamSpec};
 use crate::report::RequestOutcome;
+use crate::simulation::Workload;
 
 /// Which of a run's two pools a member, event or planning round belongs
 /// to.
@@ -141,6 +150,32 @@ pub(crate) fn fleet_goodput<'a>(
         .collect();
     let makespan = end.saturating_since(SimTime::ZERO);
     GoodputReport::compute_with_timeouts(sla, &requests, makespan, timed_out)
+}
+
+/// The requests of `workload` and their arrivals (t = 0 when offline or
+/// in a closed-loop client's hands), how many of the front requests are
+/// submitted (all of them but the ones waiting for a closed-loop client:
+/// the first wave submits at t = 0), and the clients' think time. A timed
+/// stream needs one arrival time per request, in non-decreasing order.
+fn arrival_sources(
+    workload: Workload,
+) -> Result<(Vec<RequestSpec>, Vec<SimTime>, usize, SimDuration), SimError> {
+    let (requests, times, submitted, think) = match workload {
+        Workload::Offline(requests) => (requests, None, usize::MAX, SimDuration::ZERO),
+        Workload::Timed(requests, times) => (requests, Some(times), usize::MAX, SimDuration::ZERO),
+        Workload::ClosedLoop(requests, clients) => {
+            (requests, None, clients.n_clients, clients.think_time)
+        }
+    };
+    let times = times.unwrap_or_else(|| vec![SimTime::ZERO; requests.len()]);
+    let reason = if requests.len() != times.len() {
+        "one arrival time per request"
+    } else if !times.is_sorted() {
+        "arrival times must be sorted"
+    } else {
+        return Ok((requests, times, submitted, think));
+    };
+    Err(SimError::InvalidWorkload { reason })
 }
 
 /// Run-side state of one KV transfer stream (a parallel array to the link
@@ -284,8 +319,13 @@ pub(crate) struct Run<'s> {
     route: Routing,
     heap: BinaryHeap<Reverse<Scheduled>>,
     seq: u64,
-    /// Timed arrivals not yet routed.
+    /// Requests not yet routed, in submission order: the first `submitted`
+    /// are submitted, in arrival order; the rest wait for a closed-loop
+    /// client to free, which stamps the next one.
     stream: VecDeque<(SimTime, RequestSpec)>,
+    submitted: usize,
+    /// The closed-loop clients' think time.
+    think: SimDuration,
     /// Reusable KV-event drain buffer of [`Run::tick`].
     kv_event_buf: Vec<(SimTime, KvEvent)>,
     /// Requests neither ended (completed or timed out) nor unrouted.
@@ -311,8 +351,8 @@ pub(crate) struct Run<'s> {
 impl<'s> Run<'s> {
     /// Starts a run of `pools` (the first takes the arrivals; the second
     /// is the decode pool of a `split` run) with their `initial` members
-    /// live at t=0, against the timed arrivals of `workload`. Spawns of
-    /// the first pool copy `base`. The arrivals and every initial config
+    /// live at t=0, against `workload`. Spawns of the first pool copy
+    /// `base`. The arrivals and every initial config
     /// are checked before any engine is built, each request against every
     /// member of the first pool (a heterogeneous fixed fleet mixes KV
     /// capacities; later spawns and the decode pool share the base
@@ -328,10 +368,10 @@ impl<'s> Run<'s> {
         initial: [Vec<(SimConfig, GpuType)>; 2],
         router: RouterPolicy,
         split: Option<Split>,
-        (requests, arrival_times): (Vec<RequestSpec>, Vec<SimTime>),
+        workload: Workload,
         sink: Option<&'s mut dyn TraceSink>,
     ) -> Result<Self, SimError> {
-        fleet::check_arrivals(&requests, &arrival_times)?;
+        let (requests, times, submitted, think) = arrival_sources(workload)?;
         for (config, _) in initial.iter().flatten() {
             fleet::check_scheduler(&config.scheduler)?;
             fleet::check_prefix_cache(config.prefix_cache)?;
@@ -348,8 +388,10 @@ impl<'s> Run<'s> {
             heap: BinaryHeap::new(),
             seq: 0,
             stream: VecDeque::new(),
-            kv_event_buf: Vec::new(),
+            submitted: submitted.min(requests.len()),
+            think,
             remaining: requests.len(),
+            kv_event_buf: Vec::new(),
             unrouted: 0,
             timed_out: 0,
             outcomes: Vec::with_capacity(ledger),
@@ -364,12 +406,12 @@ impl<'s> Run<'s> {
             }
         }
         for member in &run.pools[0].members {
-            member.engine.validate()?;
+            member.engine.check_capacity()?;
             for spec in &requests {
                 member.engine.validate_spec(spec)?;
             }
         }
-        run.stream = arrival_times.into_iter().zip(requests).collect();
+        run.stream = times.into_iter().zip(requests).collect();
         // Both pools plan on one cadence.
         if let Some(planner) = &run.pools[0].planner {
             run.schedule(SimTime::ZERO + planner.interval(), Ev::Plan);
@@ -401,7 +443,7 @@ impl<'s> Run<'s> {
         now: SimTime,
         warmup: SimDuration,
     ) -> usize {
-        let mut engine = Engine::new(config, Arrivals::offline(Vec::new()));
+        let mut engine = Engine::new(config);
         engine.set_instance(self.next_instance);
         self.next_instance += 1;
         engine.advance_to(now);
@@ -473,10 +515,8 @@ impl<'s> Run<'s> {
     /// landed stream) or the horizon, whichever is first.
     pub(crate) fn drive(&mut self) -> Result<SimTime, SimError> {
         while self.remaining > 0 {
-            let arrival = self
-                .stream
-                .front()
-                .map(|&(at, _)| (at.as_micros(), ARRIVAL_RANK));
+            let arrival =
+                (self.submitted > 0).then(|| (self.stream[0].0.as_micros(), ARRIVAL_RANK));
             let event = self.heap.peek().map(|Reverse(s)| (s.at_us, s.rank));
             let Some((at_us, rank)) = arrival.into_iter().chain(event).min() else {
                 break;
@@ -486,8 +526,7 @@ impl<'s> Run<'s> {
             }
             let now = SimTime::from_micros(at_us);
             if rank == ARRIVAL_RANK {
-                let (at, spec) = self.stream.pop_front().expect("peeked");
-                self.on_arrival(at, spec);
+                self.route_next();
             } else {
                 match self.heap.pop().expect("peeked").0.ev {
                     Ev::Ready(kind, i) => self.on_ready(now, kind, i),
@@ -498,10 +537,10 @@ impl<'s> Run<'s> {
                 }
             }
         }
-        // Arrivals the horizon cut off reach no member.
+        // Arrivals the horizon cut off reach no member, nor do requests no
+        // closed-loop client got to submit.
         self.unrouted += self.stream.len();
         self.remaining -= self.stream.len();
-        self.stream.clear();
         let last_work = (self.pools.iter().flat_map(|pool| &pool.members))
             .map(|m| m.engine.now())
             .max()
@@ -605,18 +644,41 @@ impl<'s> Run<'s> {
                     at: now,
                 });
             }
-            Tick::Blocked | Tick::Sleep(_) | Tick::Drained | Tick::HorizonReached => {
+            Tick::Blocked | Tick::Drained => {
                 self.maybe_stop(kind, i, now);
             }
         }
+        self.free_clients(now, timed_out);
         Ok(())
+    }
+
+    /// `n` closed-loop clients whose requests ended at `now` submit their
+    /// next ones after the think time (no-op for an open-loop workload).
+    fn free_clients(&mut self, now: SimTime, n: usize) {
+        let at = now + self.think;
+        let n = n.min(self.stream.len() - self.submitted);
+        let freed = self.submitted..self.submitted + n;
+        debug_assert!(n == 0 || self.submitted == 0 || self.stream[self.submitted - 1].0 <= at);
+        self.stream
+            .range_mut(freed)
+            .for_each(|(arrival, _)| *arrival = at);
+        self.submitted += n;
+    }
+
+    /// Routes the next submitted request at its arrival.
+    fn route_next(&mut self) {
+        let (at, spec) = self.stream.pop_front().expect("a submitted request");
+        self.submitted -= 1;
+        self.on_arrival(at, spec);
     }
 
     /// Member `i` of `kind`'s pool ended its pass or step at `now`: the
     /// requests it finished end (a disaggregated run keeps their outcomes
     /// in its own ledger), the pool's planner learns each first token the
-    /// pass handed out and each finished request, and the engine ticks
-    /// again.
+    /// pass handed out and each finished request, their closed-loop
+    /// clients resubmit (a resubmission due now is routed while the member
+    /// still counts as busy, so it waits in the inbox), and the engine
+    /// ticks again.
     fn on_done(&mut self, now: SimTime, kind: PoolKind, i: usize) -> Result<(), SimError> {
         let Run {
             pools,
@@ -628,7 +690,6 @@ impl<'s> Run<'s> {
             members, planner, ..
         } = &mut pools[kind as usize];
         let member = &mut members[i];
-        member.busy = false;
         let handed = std::mem::take(&mut member.handed);
         // A disaggregated run moves the finished requests into its own
         // ledger; a colocated member keeps them for its report.
@@ -653,7 +714,13 @@ impl<'s> Run<'s> {
             }
         }
         member.completed += handed.len() + finished.len();
-        self.remaining -= finished.len();
+        let finished = finished.len();
+        self.remaining -= finished;
+        self.free_clients(now, finished);
+        while self.submitted > 0 && self.stream[0].0 <= now {
+            self.route_next();
+        }
+        self.pools[kind as usize].members[i].busy = false;
         self.tick(kind, i, now)
     }
 

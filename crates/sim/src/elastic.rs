@@ -87,6 +87,7 @@ use crate::driver::{fleet_goodput, replicas, Run};
 use crate::error::SimError;
 use crate::fleet::{self, GpuType, Pool};
 use crate::report::{Headline, SimReport};
+use crate::simulation::Workload;
 
 pub use crate::fleet::ScalingEvent;
 
@@ -170,10 +171,8 @@ impl ElasticCluster {
         self.run_traced(requests, arrival_times, None)
     }
 
-    /// [`ElasticCluster::run`] with an optional [`TraceSink`] receiving
-    /// every member engine's lifecycle events plus fleet-level scaling
-    /// events. With `None` this is exactly `run`: bit-identical reports,
-    /// no allocation on the emission paths.
+    /// [`ElasticCluster::run`] with an optional [`TraceSink`] (see
+    /// [`ElasticCluster::run_workload`]).
     ///
     /// # Errors
     ///
@@ -182,6 +181,21 @@ impl ElasticCluster {
         self,
         requests: Vec<RequestSpec>,
         arrival_times: Vec<SimTime>,
+        sink: Option<&mut dyn TraceSink>,
+    ) -> Result<ElasticReport, SimError> {
+        self.run_workload(Workload::Timed(requests, arrival_times), sink)
+    }
+
+    /// Runs the elastic fleet against `workload`, with an optional
+    /// [`TraceSink`] receiving every member engine's lifecycle events plus
+    /// fleet-level scaling events.
+    ///
+    /// # Errors
+    ///
+    /// As [`ElasticCluster::run`].
+    pub fn run_workload(
+        self,
+        workload: Workload,
         sink: Option<&mut dyn TraceSink>,
     ) -> Result<ElasticReport, SimError> {
         fleet::check_gpus(&self.slots)?;
@@ -193,7 +207,6 @@ impl ElasticCluster {
             Pool::new(pf_obs::Pool::Colocated, self.slots, Some(planner)),
             Pool::new(pf_obs::Pool::Decode, Vec::new(), None),
         ];
-        let workload = (requests, arrival_times);
         let initial = [initial, Vec::new()];
         let mut run = Run::start(pools, self.base, initial, self.router, None, workload, sink)?;
         let end = run.drive()?;
@@ -262,7 +275,8 @@ pub struct ElasticReport {
     /// Run end time (latest instance activity).
     pub makespan: SimDuration,
     /// Requests dropped because no live instance existed (only possible
-    /// when `max_sim_time` stops the fleet early).
+    /// when `max_sim_time` stops the fleet early, closed-loop requests no
+    /// client got to submit by then among them).
     pub unrouted: usize,
     /// Per-instance reports, in spawn order.
     pub instances: Vec<ElasticInstanceReport>,

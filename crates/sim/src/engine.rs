@@ -2,7 +2,7 @@
 //!
 //! A discrete-event reimplementation of the LightLLM/vLLM serving loop:
 //!
-//! 1. ingest arrivals;
+//! 1. take in the requests routed to it;
 //! 2. ask the [`Scheduler`] how many queued requests to admit, allocate
 //!    their prompts and run a prefill step (or start chunked prefill);
 //! 3. otherwise run one decode step: every running request grows by one
@@ -26,8 +26,8 @@
 //! [`QueueOrder`]:
 //!
 //! ```text
-//!             ingest                 scheduler plan + KV alloc
-//! arrivals ──────────▶ queue ════(QueueOrder ranks the queue)════▶ running
+//!             take in                scheduler plan + KV alloc
+//! inbox ─────────────▶ queue ════(QueueOrder ranks the queue)════▶ running
 //!                      ▲  │                                          │
 //!   preemption: evicted│  │ purge:                            finish │
 //!   victims re-queue   │  │  · waited ≥ deadline (Fifo guillotine)   ▼
@@ -76,8 +76,7 @@
 //! its end-to-end slack.
 
 use std::cell::Cell;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use pf_core::{BatchEntry, MemoryState, PackedBatch, QueuedRequest, RunningRequest, Scheduler};
 use pf_kvcache::{
@@ -85,7 +84,7 @@ use pf_kvcache::{
 };
 use pf_metrics::{GoodputReport, RequestTiming, SimDuration, SimTime, StepSeries};
 use pf_obs::{GaugeKind, TraceEvent, TraceSink};
-use pf_workload::{ClosedLoopClients, RequestSpec};
+use pf_workload::RequestSpec;
 
 use crate::cluster::RouterPolicy;
 use crate::config::{BatchingMode, EvictionMode, PrefillMode, QueueOrder, SimConfig};
@@ -189,143 +188,30 @@ struct Live {
     cached_prefix: u64,
 }
 
-/// Outcome of one engine tick (co-simulation protocol).
+/// Outcome of one engine tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Tick {
     /// The engine performed a prefill or decode step (clock advanced).
     Worked,
-    /// Nothing to do until the contained arrival time.
-    Sleep(SimTime),
-    /// Requests are queued but nothing can ever run without external input
-    /// (standalone runs treat this as [`SimError::Stalled`]; a cluster may
-    /// still inject work).
+    /// Requests are queued but nothing can run without external input:
+    /// the fleet driver stalls the run ([`SimError::Stalled`]), unless a
+    /// prefill engine waits for its held KV to be released.
     Blocked,
     /// All work drained.
     Drained,
-    /// `max_sim_time` reached.
-    HorizonReached,
 }
 
-/// Request arrival schedule.
-#[derive(Debug)]
-pub(crate) struct Arrivals {
-    /// `(time, push index)` of every undelivered arrival.
-    heap: BinaryHeap<Reverse<(u64, usize)>>,
-    /// Slots from push index `base` on; a delivered slot is `None` until
-    /// it reaches the front and is dropped, so the deque holds only the
-    /// undelivered run (a suffix, when arrivals come in time order).
-    specs: VecDeque<Option<RequestSpec>>,
-    base: usize,
-    /// Closed-loop state: requests not yet bound to a client, plus the
-    /// per-client think time.
-    closed_loop: Option<(VecDeque<RequestSpec>, SimDuration)>,
+/// A static batch's padding ([`Engine::static_tick`]): every sequence is
+/// padded to the longest prompt, `max_in`, and reserves `max_in +
+/// max_cap` tokens; `decoded` counts the batch's decode steps so far.
+#[derive(Debug, Default, Clone, Copy)]
+struct Padding {
+    max_in: u64,
+    max_cap: u64,
+    decoded: u64,
 }
 
-impl Arrivals {
-    pub(crate) fn offline(requests: Vec<RequestSpec>) -> Self {
-        let heap = (0..requests.len()).map(|i| Reverse((0, i))).collect();
-        Arrivals {
-            heap,
-            specs: requests.into_iter().map(Some).collect(),
-            base: 0,
-            closed_loop: None,
-        }
-    }
-
-    /// One arrival per request at its time; the caller has checked the
-    /// stream ([`crate::fleet::check_arrivals`]).
-    pub(crate) fn timed(requests: Vec<RequestSpec>, times: Vec<SimTime>) -> Self {
-        let heap = times
-            .iter()
-            .enumerate()
-            .map(|(i, t)| Reverse((t.as_micros(), i)))
-            .collect();
-        Arrivals {
-            heap,
-            specs: requests.into_iter().map(Some).collect(),
-            base: 0,
-            closed_loop: None,
-        }
-    }
-
-    pub(crate) fn closed_loop(requests: Vec<RequestSpec>, clients: ClosedLoopClients) -> Self {
-        let mut pending: VecDeque<RequestSpec> = requests.into();
-        let first_wave: Vec<RequestSpec> = (0..clients.n_clients)
-            .filter_map(|_| pending.pop_front())
-            .collect();
-        let mut arrivals = Arrivals {
-            heap: BinaryHeap::new(),
-            specs: VecDeque::new(),
-            base: 0,
-            closed_loop: Some((pending, clients.think_time)),
-        };
-        for spec in first_wave {
-            arrivals.push(SimTime::ZERO, spec);
-        }
-        arrivals
-    }
-
-    fn push(&mut self, at: SimTime, spec: RequestSpec) {
-        let idx = self.base + self.specs.len();
-        self.specs.push_back(Some(spec));
-        self.heap.push(Reverse((at.as_micros(), idx)));
-    }
-
-    fn next_time(&self) -> Option<SimTime> {
-        self.heap
-            .peek()
-            .map(|Reverse((t, _))| SimTime::from_micros(*t))
-    }
-
-    fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, RequestSpec)> {
-        match self.heap.peek() {
-            Some(Reverse((t, _))) if *t <= now.as_micros() => {
-                let Reverse((t, idx)) = self.heap.pop().expect("peeked");
-                let spec = self.specs[idx - self.base]
-                    .take()
-                    .expect("arrival consumed twice");
-                while let Some(None) = self.specs.front() {
-                    self.specs.pop_front();
-                    self.base += 1;
-                }
-                Some((SimTime::from_micros(t), spec))
-            }
-            _ => None,
-        }
-    }
-
-    /// Closed-loop hook: a finished request frees its client, which submits
-    /// the next pending request after the think time.
-    fn on_finish(&mut self, now: SimTime) {
-        if let Some((pending, think)) = &mut self.closed_loop {
-            let think = *think;
-            if let Some(spec) = pending.pop_front() {
-                self.push(now + think, spec);
-            }
-        }
-    }
-
-    fn remaining(&self) -> usize {
-        self.heap.len()
-            + self
-                .closed_loop
-                .as_ref()
-                .map_or(0, |(pending, _)| pending.len())
-    }
-
-    /// Every request this schedule has yet to deliver, in push order:
-    /// undelivered arrivals, then the closed-loop backlog (upfront
-    /// validation, where that is the whole workload, and the router's
-    /// load probe). The walk starts at the oldest undelivered slot.
-    fn iter_specs(&self) -> impl Iterator<Item = &RequestSpec> {
-        self.specs
-            .iter()
-            .flatten()
-            .chain(self.closed_loop.iter().flat_map(|(p, _)| p.iter()))
-    }
-}
-
-/// The serving engine. Construct via [`crate::Simulation`].
+/// The serving engine, a member of a fleet driver's pool.
 pub(crate) struct Engine {
     perf: PerfModel,
     capacity: u64,
@@ -334,14 +220,19 @@ pub(crate) struct Engine {
     needs_oracle: bool,
     config: SimConfig,
     role: Role,
-    /// Id stamped into emitted trace events (clusters assign one per
-    /// spawned member; standalone runs stay at 0).
+    /// Id stamped into emitted trace events (the fleet driver assigns one
+    /// per spawned member, from 0).
     instance: u32,
 
     now: SimTime,
-    arrivals: Arrivals,
+    /// Requests routed here, in routing (and so arrival) order, until the
+    /// next tick takes them in.
+    inbox: Vec<(SimTime, RequestSpec)>,
     queue: VecDeque<Pending>,
+    /// The running batch; under static batching, the batch in flight.
     running: Vec<Live>,
+    /// The static batch's padding while one is in flight.
+    padding: Padding,
     /// Requests handed out by the last prefill-role pass, until the
     /// driver drains them.
     handoffs: Vec<Handoff>,
@@ -359,8 +250,8 @@ pub(crate) struct Engine {
     /// `(time, event)` log of block store/evict events, appended by the
     /// per-tick flush and drained by the fleet driver into the global
     /// [`pf_kvcache::KvIndexer`]. Only populated after
-    /// [`Engine::enable_kv_event_log`] — a standalone run has no consumer
-    /// and must not accumulate an unbounded log.
+    /// [`Engine::enable_kv_event_log`] — a run whose router reads no KV
+    /// index has no consumer and must not accumulate an unbounded log.
     kv_events: Vec<(SimTime, KvEvent)>,
     log_kv_events: bool,
     /// Reusable drain buffer for the per-tick event flush.
@@ -414,7 +305,7 @@ impl std::fmt::Debug for Engine {
 }
 
 impl Engine {
-    pub(crate) fn new(config: SimConfig, arrivals: Arrivals) -> Self {
+    pub(crate) fn new(config: SimConfig) -> Self {
         let perf = config.perf_model();
         let capacity = config.capacity_tokens();
         let kv = config.build_kv_manager();
@@ -427,8 +318,9 @@ impl Engine {
         // history, mirroring a service whose statistics are already warm.
         let output_len_sum: u64 = config.history_warmup.iter().map(|&l| u64::from(l)).sum();
         let output_len_count = config.history_warmup.len() as u64;
-        let prefix = config
-            .prefix_cache
+        // Static batches reserve their padded worst case and reuse nothing.
+        let prefix = (config.prefix_cache)
+            .filter(|_| config.batching == BatchingMode::Continuous)
             .map(|spec| BlockPrefixCache::new(spec.budget_tokens(capacity), spec.block_size()));
         Engine {
             perf,
@@ -440,9 +332,10 @@ impl Engine {
             role: Role::Serve,
             instance: 0,
             now: SimTime::ZERO,
-            arrivals,
+            inbox: Vec::new(),
             queue: VecDeque::new(),
             running: Vec::new(),
+            padding: Padding::default(),
             handoffs: Vec::new(),
             held: 0,
             specs: Slab::new(),
@@ -474,42 +367,14 @@ impl Engine {
         }
     }
 
-    /// Runs to completion with an optional [`TraceSink`] receiving every
-    /// lifecycle event. With `None` this is exactly an untraced run: the
-    /// emission sites reduce to a branch on an empty option, so the
-    /// untraced path stays allocation-free and bit-identical.
-    pub(crate) fn run_traced(
-        mut self,
-        sink: Option<&mut dyn TraceSink>,
-    ) -> Result<SimReport, SimError> {
-        let mut sink = sink;
-        self.validate()?;
-        if let BatchingMode::Static { max_batch } = self.config.batching {
-            return self.run_static(max_batch, &mut sink);
-        }
-        loop {
-            match self.tick_traced(&mut sink)? {
-                Tick::Worked => {}
-                Tick::Sleep(t) => self.now = t,
-                Tick::Blocked => {
-                    return Err(SimError::Stalled {
-                        queued: self.queue.len(),
-                        at: self.now,
-                    });
-                }
-                Tick::Drained | Tick::HorizonReached => break,
-            }
-        }
-        Ok(self.finish_report())
-    }
-
     /// Executes at most one engine action (admission-plus-prefill or one
-    /// decode step) with an optional trace sink (see [`Engine::run_traced`]
-    /// for the zero-cost contract). This is the co-simulation entry point
-    /// used by the fleet driver behind [`crate::cluster`],
-    /// [`crate::elastic`] and [`crate::disagg`] to interleave several
-    /// engines on one global clock. Any KV-block
-    /// events the tick produced are flushed afterwards — to the sink as
+    /// decode step) with an optional trace sink; with `None` every
+    /// emission site reduces to a branch on an empty option, so the
+    /// untraced path stays allocation-free and bit-identical. This is the
+    /// one entry point of the fleet driver, which interleaves every
+    /// engine of a run (a [`crate::Simulation`]'s one, or a fleet's
+    /// members) on one global clock. Any KV-block events the tick
+    /// produced are flushed afterwards — to the sink as
     /// [`TraceEvent::KvStored`]/[`TraceEvent::KvRemoved`], and to the
     /// driver-facing log when enabled.
     pub(crate) fn tick_traced(
@@ -522,10 +387,10 @@ impl Engine {
     }
 
     fn tick_inner(&mut self, sink: &mut Option<&mut dyn TraceSink>) -> Result<Tick, SimError> {
-        self.ingest_arrivals(sink);
-        if self.time_exceeded() {
-            return Ok(Tick::HorizonReached);
+        if let BatchingMode::Static { max_batch } = self.config.batching {
+            return Ok(self.static_tick(max_batch, sink));
         }
+        self.take_inbox(sink);
         if self.try_admission(sink) {
             return Ok(Tick::Worked);
         }
@@ -534,12 +399,11 @@ impl Engine {
             return Ok(Tick::Worked);
         }
         // Idle: nothing running, nothing admissible.
-        match self.arrivals.next_time() {
-            Some(t) if t > self.now => Ok(Tick::Sleep(t)),
-            Some(_) => unreachable!("due arrival not ingested"),
-            None if !self.queue.is_empty() => Ok(Tick::Blocked),
-            None => Ok(Tick::Drained),
-        }
+        Ok(if self.queue.is_empty() {
+            Tick::Drained
+        } else {
+            Tick::Blocked
+        })
     }
 
     /// Current simulated time of this engine.
@@ -547,7 +411,7 @@ impl Engine {
         self.now
     }
 
-    /// Advances the idle engine's clock (cluster co-simulation only).
+    /// Advances the idle engine's clock (the fleet driver's only).
     ///
     /// # Panics
     ///
@@ -565,7 +429,8 @@ impl Engine {
 
     /// Starts accumulating the `(time, event)` KV-block event log for a
     /// fleet driver to drain (see [`Engine::drain_kv_events`]). Off by
-    /// default so standalone runs never grow an unconsumed log.
+    /// default so a run that reads no KV index never grows an unconsumed
+    /// log.
     pub(crate) fn enable_kv_event_log(&mut self) {
         self.log_kv_events = true;
     }
@@ -597,9 +462,10 @@ impl Engine {
         }
     }
 
-    /// Injects an externally routed request arriving at `at`.
+    /// Routes a request arriving at `at`, in time order and by the next
+    /// tick, here: it waits in the inbox until that tick takes it in.
     pub(crate) fn inject(&mut self, at: SimTime, spec: RequestSpec) {
-        self.arrivals.push(at, spec);
+        self.inbox.push((at, spec));
     }
 
     /// Queues a disaggregated handoff landing at `at` (an idle engine's
@@ -663,10 +529,8 @@ impl Engine {
             .iter()
             .map(|p| u64::from(self.specs[p.spec].input_len) + u64::from(p.generated))
             .sum();
-        let routed: u64 = self
-            .arrivals
-            .iter_specs()
-            .map(|spec| u64::from(spec.input_len))
+        let routed: u64 = (self.inbox.iter())
+            .map(|(_, spec)| u64::from(spec.input_len))
             .sum();
         self.held_tokens() + queued + routed
     }
@@ -682,11 +546,11 @@ impl Engine {
     }
 
     /// Requests in flight, waiting, already routed to this engine but not
-    /// yet ingested (the router must see its own recent decisions, or a
+    /// yet taken in (the router must see its own recent decisions, or a
     /// burst of arrivals herds onto one instance), or handed out with
     /// their KV still held here.
     pub(crate) fn outstanding(&self) -> usize {
-        self.running.len() + self.queue.len() + self.arrivals.remaining() + self.held
+        self.running.len() + self.queue.len() + self.inbox.len() + self.held
     }
 
     /// Fraction of KV capacity physically in use right now.
@@ -710,10 +574,8 @@ impl Engine {
             .iter()
             .map(|p| f64::from(self.specs[p.spec].input_len) + f64::from(p.generated) + mean_output)
             .chain(
-                // Routed but not yet ingested arrivals count too.
-                self.arrivals
-                    .iter_specs()
-                    .map(|spec| f64::from(spec.input_len) + mean_output),
+                // Routed requests not yet taken in count too.
+                (self.inbox.iter()).map(|(_, spec)| f64::from(spec.input_len) + mean_output),
             )
             .sum();
         self.true_future_required_frac() + queued_tokens / self.capacity as f64
@@ -730,8 +592,7 @@ impl Engine {
     /// runs) to the paper's §7 estimate, so urgent queues look fuller and
     /// get room to drain. Each policy evaluates only the signal it routes
     /// on: [`Engine::load_estimate`] walks the queue, the running batch
-    /// and the not-yet-ingested arrivals, so the cheap policies must not
-    /// pay for it.
+    /// and the inbox, so the cheap policies must not pay for it.
     ///
     /// A prefill instance scores every policy by [`Engine::resident_load`]
     /// (its requests leave with their first token, so no output estimate
@@ -762,8 +623,8 @@ impl Engine {
         }
     }
 
-    /// Runs upfront validation (also used by the fleet driver, which
-    /// validates against each member engine's capacity). With a prefix
+    /// Validates one request upfront against this engine (the fleet driver
+    /// checks every request against each initial member). With a prefix
     /// cache, request id `u64::MAX` is [`SimError::InvalidWorkload`]: that
     /// id is reserved for the cache's pool charge, and letting it through
     /// would silently corrupt the KV accounting. A prefill-role engine
@@ -822,18 +683,12 @@ impl Engine {
         self.prefix.as_ref().map(BlockPrefixCache::stats)
     }
 
-    /// Consumes the engine and produces its report (cluster co-simulation).
-    pub(crate) fn into_report(self) -> SimReport {
-        self.finish_report()
-    }
-
-    pub(crate) fn validate(&self) -> Result<(), SimError> {
+    /// Rejects an engine with no KV capacity before its first event.
+    pub(crate) fn check_capacity(&self) -> Result<(), SimError> {
         if self.capacity == 0 {
             return Err(SimError::NoKvCapacity { capacity: 0 });
         }
-        self.arrivals
-            .iter_specs()
-            .try_for_each(|spec| self.validate_spec(spec))
+        Ok(())
     }
 
     /// Re-charges the pool's sentinel allocation to the cache's current
@@ -901,15 +756,10 @@ impl Engine {
         }
     }
 
-    fn time_exceeded(&self) -> bool {
-        match self.config.max_sim_time {
-            Some(limit) => self.now.saturating_since(SimTime::ZERO) >= limit,
-            None => false,
-        }
-    }
-
-    fn ingest_arrivals(&mut self, sink: &mut Option<&mut dyn TraceSink>) {
-        while let Some((at, spec)) = self.arrivals.pop_due(self.now) {
+    /// Queues every routed request at its arrival, then purges the queue.
+    fn take_inbox(&mut self, sink: &mut Option<&mut dyn TraceSink>) {
+        for (at, spec) in self.inbox.drain(..) {
+            debug_assert!(at <= self.now, "taken in before its arrival");
             self.deadlines |= spec.deadline.is_some();
             fleet::emit(
                 sink,
@@ -987,16 +837,9 @@ impl Engine {
             removed.push(p.spec);
             false
         });
-        let expired = removed.len();
+        self.timed_out += removed.len();
         for idx in removed {
             self.specs.remove(idx);
-        }
-        self.timed_out += expired;
-        // A cancelled request still frees its closed-loop client: the
-        // client gave up on this response and submits its next request
-        // after the think time (no-op for open-loop schedules).
-        for _ in 0..expired {
-            self.arrivals.on_finish(now);
         }
     }
 
@@ -1287,7 +1130,7 @@ impl Engine {
         }
         self.now += duration;
         self.prefill_steps += 1;
-        self.record_step_metrics(duration, sink);
+        self.record_step_metrics(duration, None, sink);
         let instance = self.instance;
         let mut i = start;
         while i < self.running.len() {
@@ -1416,7 +1259,7 @@ impl Engine {
                 },
             );
         }
-        self.record_step_metrics(duration, sink);
+        self.record_step_metrics(duration, None, sink);
         let instance = self.instance;
         // Emit tokens; finish completed requests.
         let mut i = 0;
@@ -1528,7 +1371,6 @@ impl Engine {
         self.scheduler.on_request_finished(live.generated);
         self.output_len_sum += u64::from(live.generated);
         self.output_len_count += 1;
-        self.arrivals.on_finish(self.now);
         self.outcomes.push(RequestOutcome {
             id: spec.id.raw(),
             input_len: spec.input_len,
@@ -1593,17 +1435,23 @@ impl Engine {
         peak
     }
 
+    /// Accumulates one step's memory metrics. A static batch passes its
+    /// padded `reserved` tokens: static systems reserve the padded worst
+    /// case for the whole batch, which is then both the consumed and the
+    /// future-required memory, under no slack pressure.
     fn record_step_metrics(
         &mut self,
         duration: SimDuration,
+        reserved: Option<u64>,
         sink: &mut Option<&mut dyn TraceSink>,
     ) {
-        let used_frac = self.kv.used_tokens() as f64 / self.capacity as f64;
+        let used_frac =
+            reserved.unwrap_or_else(|| self.kv.used_tokens()) as f64 / self.capacity as f64;
         let secs = duration.as_secs_f64();
         self.consumed_weighted_sum += used_frac * secs;
         self.weighted_time += secs;
         self.peak_consumed_frac = self.peak_consumed_frac.max(used_frac);
-        let future_frac = self.true_future_required_frac();
+        let future_frac = reserved.map_or_else(|| self.true_future_required_frac(), |_| used_frac);
         self.future_required_sum += future_frac;
         self.future_required_samples += 1;
         if self.config.record_series {
@@ -1612,25 +1460,17 @@ impl Engine {
             self.queue_series.record(self.now, self.queue.len() as f64);
         }
         if let Some(s) = sink {
-            s.gauge(
-                self.now,
-                self.instance,
-                GaugeKind::QueueDepth,
-                self.queue.len() as f64,
-            );
-            s.gauge(self.now, self.instance, GaugeKind::KvOccupancy, used_frac);
-            s.gauge(
-                self.now,
-                self.instance,
-                GaugeKind::BatchSize,
-                self.running.len() as f64,
-            );
-            let pressure = self.queue_slack_pressure();
-            s.gauge(self.now, self.instance, GaugeKind::SlackPressure, pressure);
+            let (at, id) = (self.now, self.instance);
+            s.gauge(at, id, GaugeKind::QueueDepth, self.queue.len() as f64);
+            s.gauge(at, id, GaugeKind::KvOccupancy, used_frac);
+            s.gauge(at, id, GaugeKind::BatchSize, self.running.len() as f64);
+            let pressure = reserved.map_or_else(|| self.queue_slack_pressure(), |_| 0.0);
+            s.gauge(at, id, GaugeKind::SlackPressure, pressure);
         }
     }
 
-    fn finish_report(self) -> SimReport {
+    /// Consumes the engine and produces its report.
+    pub(crate) fn into_report(self) -> SimReport {
         let makespan = self.now - SimTime::ZERO;
         let requests: Vec<(RequestTiming, u64)> = self
             .outcomes
@@ -1643,7 +1483,7 @@ impl Engine {
             makespan,
             self.timed_out,
         );
-        let unfinished = self.running.len() + self.queue.len() + self.arrivals.remaining();
+        let unfinished = self.running.len() + self.queue.len() + self.inbox.len();
         let kv_used_tokens_end = self.kv.used_tokens();
         let prefix_stats = self.prefix_stats().unwrap_or_default();
         SimReport {
@@ -1681,177 +1521,111 @@ impl Engine {
         }
     }
 
-    /// Static batching (pre-ORCA "original implementation" baseline): form
-    /// a batch, pad every sequence to the batch maximum, run the whole
-    /// batch to completion, repeat.
-    fn run_static(
-        mut self,
-        max_batch: usize,
-        sink: &mut Option<&mut dyn TraceSink>,
-    ) -> Result<SimReport, SimError> {
-        assert!(max_batch > 0, "static batch size must be positive");
+    /// One tick of [`BatchingMode::Static`], the pre-ORCA baseline. With no
+    /// batch in flight it takes the inbox in, purges the queue, forms a
+    /// batch from the queue front under the padded worst-case reservation
+    /// and runs the padded prefill; otherwise it runs one padded decode
+    /// step. The step that finishes the last sequence ends the batch
+    /// (early finishers idle inside it: padding waste). `Blocked` only if
+    /// the front request cannot fit alone, which validation rules out.
+    fn static_tick(&mut self, max_batch: usize, sink: &mut Option<&mut dyn TraceSink>) -> Tick {
         let instance = self.instance;
-        loop {
-            self.ingest_arrivals(sink);
-            if self.time_exceeded() {
-                break;
-            }
-            if self.queue.is_empty() {
-                match self.arrivals.next_time() {
-                    Some(t) if t > self.now => {
-                        self.now = t;
-                        continue;
-                    }
-                    Some(_) => unreachable!("due arrival not ingested"),
-                    None => break,
-                }
-            }
-            // Form a batch under padded worst-case reservation.
-            let mut batch: Vec<Pending> = Vec::new();
-            let mut max_in = 0u64;
-            let mut max_cap = 0u64;
-            while batch.len() < max_batch {
+        let prefill = self.running.is_empty();
+        if prefill {
+            self.take_inbox(sink);
+            self.padding = Padding::default();
+            while self.running.len() < max_batch {
                 let Some(front) = self.queue.front() else {
                     break;
                 };
-                let front_spec = &self.specs[front.spec];
-                let cand_in = max_in.max(u64::from(front_spec.input_len));
-                let cand_cap = max_cap.max(u64::from(front_spec.max_new_tokens));
-                let worst = (batch.len() as u64 + 1) * (cand_in + cand_cap);
-                if worst <= self.capacity {
-                    max_in = cand_in;
-                    max_cap = cand_cap;
-                    batch.push(self.queue.pop_front().expect("front exists"));
-                } else {
+                let spec = &self.specs[front.spec];
+                let max_in = self.padding.max_in.max(u64::from(spec.input_len));
+                let max_cap = self.padding.max_cap.max(u64::from(spec.max_new_tokens));
+                if (self.running.len() as u64 + 1) * (max_in + max_cap) > self.capacity {
                     break;
                 }
-            }
-            if batch.is_empty() {
-                return Err(SimError::Stalled {
-                    queued: self.queue.len(),
-                    at: self.now,
-                });
-            }
-            for pending in &batch {
-                let request = self.specs[pending.spec].id.raw();
-                emit_prefill_start(sink, self.now, instance, request);
-            }
-            let b = batch.len() as u64;
-            // Prefill over padded prompts.
-            let duration = self.perf.prefill_step(b * max_in);
-            self.now += duration;
-            self.prefill_steps += 1;
-            self.accumulate_static_metrics(b, max_in, max_cap, duration, sink);
-            for pending in &mut batch {
-                pending.generated += 1;
-                let first_ever = pending.timing.ttft().is_none();
-                pending.timing.record_token(self.now);
-                let request = self.specs[pending.spec].id.raw();
-                emit_prefill_end(sink, self.now, instance, request, first_ever);
-            }
-            // Decode until the whole batch finishes (early finishers idle
-            // inside the batch — padding waste).
-            let mut step_idx = 1u64;
-            loop {
-                let specs = &self.specs;
-                if !batch
-                    .iter()
-                    .any(|p| p.generated < specs[p.spec].true_output_len)
-                {
-                    break;
-                }
-                if self.time_exceeded() {
-                    break;
-                }
-                step_idx += 1;
-                let kv_tokens = b * (max_in + step_idx);
-                let duration = self.perf.decode_step(b, kv_tokens);
-                self.now += duration;
-                self.decode_steps += 1;
-                if sink.is_some() {
-                    let specs = &self.specs;
-                    let emitters = batch
-                        .iter()
-                        .filter(|p| p.generated < specs[p.spec].true_output_len)
-                        .count() as u32;
-                    fleet::emit(
-                        sink,
-                        TraceEvent::DecodeStep {
-                            at: self.now,
-                            instance,
-                            batch: emitters,
-                        },
-                    );
-                }
-                self.accumulate_static_metrics(b, max_in, max_cap, duration, sink);
-                let specs = &self.specs;
-                for pending in &mut batch {
-                    if pending.generated < specs[pending.spec].true_output_len {
-                        pending.generated += 1;
-                        pending.timing.record_token(self.now);
-                    }
-                }
-            }
-            for pending in batch {
-                let spec = self.specs.remove(pending.spec);
-                if sink.is_some() {
-                    let sla_ok = self.config.sla.evaluate(&pending.timing).is_satisfied();
-                    fleet::emit(
-                        sink,
-                        TraceEvent::Finished {
-                            at: self.now,
-                            instance,
-                            request: spec.id.raw(),
-                            sla_ok,
-                        },
-                    );
-                }
-                self.scheduler.on_request_finished(pending.generated);
-                self.arrivals.on_finish(self.now);
-                self.outcomes.push(RequestOutcome {
-                    id: spec.id.raw(),
-                    input_len: spec.input_len,
-                    output_len: pending.generated,
+                (self.padding.max_in, self.padding.max_cap) = (max_in, max_cap);
+                emit_prefill_start(sink, self.now, instance, spec.id.raw());
+                let pending = self.queue.pop_front().expect("front exists");
+                self.running.push(Live {
+                    spec: pending.spec,
+                    generated: pending.generated,
                     timing: pending.timing,
                     evictions: 0,
+                    prefill_remaining: 0,
+                    first_token_pending: false,
+                    restore: Restore::Recompute,
+                    cached_prefix: 0,
                 });
             }
+            if self.running.is_empty() {
+                return if self.queue.is_empty() {
+                    Tick::Drained
+                } else {
+                    Tick::Blocked
+                };
+            }
+        } else {
+            self.padding.decoded += 1;
         }
-        Ok(self.finish_report())
-    }
-
-    fn accumulate_static_metrics(
-        &mut self,
-        batch: u64,
-        max_in: u64,
-        max_cap: u64,
-        duration: SimDuration,
-        sink: &mut Option<&mut dyn TraceSink>,
-    ) {
-        // Static systems reserve the padded worst case for the whole batch.
-        let used_frac = (batch * (max_in + max_cap)) as f64 / self.capacity as f64;
-        let secs = duration.as_secs_f64();
-        self.consumed_weighted_sum += used_frac * secs;
-        self.weighted_time += secs;
-        self.peak_consumed_frac = self.peak_consumed_frac.max(used_frac);
-        self.future_required_sum += used_frac;
-        self.future_required_samples += 1;
-        if self.config.record_series {
-            self.consumed_series.record(self.now, used_frac);
-            self.future_required_series.record(self.now, used_frac);
-            self.queue_series.record(self.now, self.queue.len() as f64);
-        }
-        if let Some(s) = sink {
-            s.gauge(
-                self.now,
-                self.instance,
-                GaugeKind::QueueDepth,
-                self.queue.len() as f64,
+        let (max_in, max_cap) = (self.padding.max_in, self.padding.max_cap);
+        let b = self.running.len() as u64;
+        let duration = if prefill {
+            self.prefill_steps += 1;
+            self.perf.prefill_step(b * max_in)
+        } else {
+            self.decode_steps += 1;
+            // The padded prompt plus every token so far, this step's too.
+            self.perf
+                .decode_step(b, b * (max_in + self.padding.decoded + 1))
+        };
+        self.now += duration;
+        let specs = &self.specs;
+        if !prefill && sink.is_some() {
+            let unfinished = |l: &&Live| l.generated < specs[l.spec].true_output_len;
+            let batch = self.running.iter().filter(unfinished).count() as u32;
+            let at = self.now;
+            fleet::emit(
+                sink,
+                TraceEvent::DecodeStep {
+                    at,
+                    instance,
+                    batch,
+                },
             );
-            s.gauge(self.now, self.instance, GaugeKind::KvOccupancy, used_frac);
-            s.gauge(self.now, self.instance, GaugeKind::BatchSize, batch as f64);
-            s.gauge(self.now, self.instance, GaugeKind::SlackPressure, 0.0);
         }
+        self.record_step_metrics(duration, Some(b * (max_in + max_cap)), sink);
+        let specs = &self.specs;
+        for live in &mut self.running {
+            if prefill {
+                let request = specs[live.spec].id.raw();
+                emit_prefill_end(
+                    sink,
+                    self.now,
+                    instance,
+                    request,
+                    live.timing.ttft().is_none(),
+                );
+            } else if live.generated >= specs[live.spec].true_output_len {
+                continue;
+            }
+            live.generated += 1;
+            live.timing.record_token(self.now);
+        }
+        // The batch grew outside admission: the router's cached M* is stale.
+        self.true_peak.set(None);
+        if !self
+            .running
+            .iter()
+            .any(|l| l.generated < specs[l.spec].true_output_len)
+        {
+            let mut batch = std::mem::take(&mut self.running);
+            for live in batch.drain(..) {
+                self.finish(live, sink);
+            }
+            self.running = batch;
+        }
+        Tick::Worked
     }
 }
 
@@ -1975,7 +1749,7 @@ mod tests {
             .seed(7)
             .build();
         config.prefix_cache = Some(PrefixCacheConfig::with_budget_frac(budget_frac));
-        Engine::new(config, Arrivals::offline(Vec::new()))
+        Engine::new(config)
     }
 
     /// A finished conversation longer than the pool's free room is cut
@@ -2092,11 +1866,11 @@ mod tests {
         assert_eq!(engine.kv.used_tokens() - 6_000, store.used_tokens());
     }
 
-    /// The router probe walks only undelivered arrivals: routed specs,
-    /// injected out of time order within a round, leave the walk as they
-    /// are ingested and the rest keep push order; `load_estimate` is
-    /// bit-for-bit the running batch's M* plus the queue's terms followed
-    /// by the pending arrivals' terms, summed in that order.
+    /// The router probe walks only undelivered arrivals: requests routed
+    /// here wait in the inbox, in routing order, until the next tick takes
+    /// them in, and `load_estimate` is bit-for-bit the running batch's M*
+    /// plus the queue's terms followed by the inbox's terms, summed in
+    /// that order.
     #[test]
     fn load_probe_walks_only_undelivered_arrivals() {
         let config = SimConfig::builder(ModelSpec::llama2_7b(), GpuSpec::a100_80g())
@@ -2105,31 +1879,24 @@ mod tests {
             .record_series(false)
             .seed(7)
             .build();
-        let mut engine = Engine::new(config, Arrivals::timed(Vec::new(), Vec::new()));
-        let mut pending: Vec<(SimTime, RequestSpec)> = Vec::new();
-        let (mut saw_queue, mut saw_running, mut saw_pending) = (false, false, false);
+        let mut engine = Engine::new(config);
+        let (mut saw_queue, mut saw_running) = (false, false);
         for round in 0..16u32 {
-            for (k, offset_ms) in [20u64, 0, 35, 10].into_iter().enumerate() {
-                let id = round * 4 + k as u32;
-                let at = engine.now() + SimDuration::from_millis(offset_ms);
-                let spec = RequestSpec::new(u64::from(id), 200 + 37 * (id % 7), 8 + id % 13, 64);
-                engine.inject(at, spec);
-                pending.push((at, spec));
+            let routed: Vec<RequestSpec> = (0..4u32)
+                .map(|k| {
+                    let id = round * 4 + k;
+                    RequestSpec::new(u64::from(id), 200 + 37 * (id % 7), 8 + id % 13, 64)
+                })
+                .collect();
+            for &spec in &routed {
+                engine.inject(engine.now(), spec);
             }
-            for _ in 0..3 {
-                match engine.tick_traced(&mut None).expect("tick") {
-                    Tick::Sleep(t) => engine.advance_to(t),
-                    Tick::Worked => {}
-                    tick => panic!("unexpected {tick:?}"),
-                }
-            }
-            engine.ingest_arrivals(&mut None);
-            pending.retain(|(at, _)| *at > engine.now());
 
-            let walked: Vec<u64> = engine.arrivals.iter_specs().map(|s| s.id.raw()).collect();
-            let expected: Vec<u64> = pending.iter().map(|(_, s)| s.id.raw()).collect();
+            let walked: Vec<u64> = engine.inbox.iter().map(|(_, s)| s.id.raw()).collect();
+            let expected: Vec<u64> = routed.iter().map(|s| s.id.raw()).collect();
             assert_eq!(walked, expected, "round {round}");
-            assert_eq!(walked.len(), engine.arrivals.remaining());
+            let in_flight = engine.running.len() + engine.queue.len();
+            assert_eq!(engine.outstanding(), in_flight + routed.len());
 
             let mean_output = if engine.output_len_count == 0 {
                 256.0
@@ -2142,11 +1909,7 @@ mod tests {
                 .map(|p| {
                     f64::from(engine.specs[p.spec].input_len) + f64::from(p.generated) + mean_output
                 })
-                .chain(
-                    pending
-                        .iter()
-                        .map(|(_, s)| f64::from(s.input_len) + mean_output),
-                )
+                .chain(routed.iter().map(|s| f64::from(s.input_len) + mean_output))
                 .collect();
             let batch: Vec<BatchEntry> = engine
                 .running
@@ -2163,11 +1926,18 @@ mod tests {
             );
             saw_queue |= !engine.queue.is_empty();
             saw_running |= !engine.running.is_empty();
-            saw_pending |= !pending.is_empty();
+
+            for _ in 0..3 {
+                match engine.tick_traced(&mut None).expect("tick") {
+                    Tick::Worked => {}
+                    tick => panic!("unexpected {tick:?}"),
+                }
+                assert!(engine.inbox.is_empty(), "a tick takes the inbox in");
+            }
         }
         assert!(
-            saw_queue && saw_running && saw_pending,
-            "the probe saw a queue, a batch and pending arrivals"
+            saw_queue && saw_running,
+            "the probe saw a queue and a batch beside the inbox"
         );
     }
 
@@ -2203,7 +1973,10 @@ mod tests {
                     .record_series(false)
                     .seed(3)
                     .build();
-                let mut engine = Engine::new(config, Arrivals::offline(requests.clone()));
+                let mut engine = Engine::new(config);
+                for &spec in &requests {
+                    engine.inject(SimTime::ZERO, spec);
+                }
                 let (mut ticks, mut hits) = (0u32, 0u32);
                 loop {
                     match engine.tick_traced(&mut None).expect("tick") {

@@ -23,10 +23,10 @@ pub enum SimError {
         /// Total capacity in tokens.
         capacity: u64,
     },
-    /// The engine made no progress: nothing is running, requests are queued,
-    /// no arrivals are pending, and the scheduler refuses to admit anything
-    /// (e.g. a conservative scheduler facing a request whose worst case
-    /// exceeds its budget).
+    /// An engine made no progress: nothing is running, requests are
+    /// queued, and the scheduler refuses to admit any of them (e.g. a
+    /// conservative scheduler facing a request whose worst case exceeds
+    /// its budget).
     Stalled {
         /// Requests stuck in the queue.
         queued: usize,

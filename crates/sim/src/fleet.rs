@@ -116,29 +116,8 @@ pub(crate) fn emit(sink: &mut Option<&mut dyn TraceSink>, ev: TraceEvent) {
     }
 }
 
-/// Checks a timed arrival stream before the first event: one arrival
-/// time per request, in non-decreasing order. Every driver (the single
-/// engine, the colocated fleet and the disaggregated pools) runs this one
-/// check.
-///
-/// # Errors
-///
-/// [`SimError::InvalidWorkload`] naming the violated rule.
-pub(crate) fn check_arrivals(requests: &[RequestSpec], times: &[SimTime]) -> Result<(), SimError> {
-    let reason = if requests.len() != times.len() {
-        "one arrival time per request"
-    } else if times.windows(2).any(|w| w[0] > w[1]) {
-        "arrival times must be sorted"
-    } else {
-        return Ok(());
-    };
-    Err(SimError::InvalidWorkload { reason })
-}
-
 /// Checks a scheduler config before an engine builds it, where the
-/// scheduler's constructor would panic on an out-of-range value. Both
-/// colocated drivers (the single engine and the colocated fleet) run this
-/// one check.
+/// scheduler's constructor would panic on an out-of-range value.
 ///
 /// # Errors
 ///
@@ -167,8 +146,7 @@ pub(crate) fn check_scheduler(config: &SchedulerConfig) -> Result<(), SimError> 
 
 /// Checks a prefix-cache config before an engine or pool builds its store,
 /// where a zero block size would panic and a budget outside `(0, 1]` would
-/// model a cache with no room or one larger than the KV pool. Every driver
-/// runs this one check.
+/// model a cache with no room or one larger than the KV pool.
 ///
 /// # Errors
 ///
@@ -186,7 +164,7 @@ pub(crate) fn check_prefix_cache(config: Option<PrefixCacheConfig>) -> Result<()
 /// built from it: a static `max_batch` or a paged `block_size` of 0
 /// panics, a `chunk_tokens` of 0 never finishes a prefill, and a swap
 /// `pcie_gbps` that is not finite and positive panics at the first
-/// swap-out. Every driver runs this one check.
+/// swap-out.
 ///
 /// # Errors
 ///

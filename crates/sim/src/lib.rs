@@ -9,9 +9,10 @@
 //!   KV-cache token capacity;
 //! * [`SimConfig`] — scheduler choice, KV layout, batching and prefill
 //!   discipline, SLA, seeds;
-//! * [`Simulation`] — offline, closed-loop or timed arrivals driving the
-//!   engine; produces a [`SimReport`] with goodput, decode-step counts,
-//!   eviction statistics and memory-utilization series — every quantity the
+//! * [`Simulation`] — one engine, a fleet of one on the crate's one event
+//!   loop, serving a [`Workload`] (offline, timed or closed-loop clients);
+//!   produces a [`SimReport`] with goodput, decode-step counts, eviction
+//!   statistics and memory-utilization series — every quantity the
 //!   paper's evaluation section reports.
 //!
 //! The engine reproduces the mechanisms the paper's analysis depends on:
@@ -65,4 +66,4 @@ pub use hardware::GpuSpec;
 pub use model::ModelSpec;
 pub use perf::{PerfModel, PerfTuning};
 pub use report::{Headline, RequestOutcome, SimReport};
-pub use simulation::Simulation;
+pub use simulation::{Simulation, Workload};

@@ -1,16 +1,46 @@
-//! Simulation entry point.
+//! Simulation entry point, and the arrival disciplines every topology
+//! serves.
 
 use pf_metrics::SimTime;
 use pf_obs::TraceSink;
 use pf_workload::{ClosedLoopClients, RequestSpec};
 
+use crate::cluster::{ClusterSimulation, RouterPolicy};
 use crate::config::SimConfig;
-use crate::engine::{Arrivals, Engine};
 use crate::error::SimError;
 use crate::report::SimReport;
 
-/// A configured simulation: a deployment ([`SimConfig`]) plus a workload
-/// and an arrival discipline.
+/// The requests a run serves and when they arrive: the one arrival
+/// discipline [`Simulation`] and every fleet type take.
+#[derive(Debug, Clone)]
+pub enum Workload {
+    /// Every request queued at t = 0 (the paper's ablation setting:
+    /// Table 1, Figure 8).
+    Offline(Vec<RequestSpec>),
+    /// One arrival instant per request, in non-decreasing order (e.g. a
+    /// Poisson open loop). A stream that breaks either rule is a
+    /// [`SimError::InvalidWorkload`].
+    Timed(Vec<RequestSpec>, Vec<SimTime>),
+    /// Closed-loop clients: `n_clients` requests in flight at all times
+    /// until the workload drains (the paper's goodput setting: Figures 7
+    /// and 9). A client submits its next request the think time after its
+    /// last one finishes or times out.
+    ClosedLoop(Vec<RequestSpec>, ClosedLoopClients),
+}
+
+impl Workload {
+    /// The requests, whatever their arrival discipline.
+    pub fn requests(&self) -> &[RequestSpec] {
+        match self {
+            Workload::Offline(requests)
+            | Workload::Timed(requests, _)
+            | Workload::ClosedLoop(requests, _) => requests,
+        }
+    }
+}
+
+/// A configured simulation: a deployment ([`SimConfig`]) plus a
+/// [`Workload`]. It runs on the fleet driver as a fleet of one engine.
 ///
 /// # Example
 ///
@@ -31,46 +61,36 @@ use crate::report::SimReport;
 #[derive(Debug)]
 pub struct Simulation {
     config: SimConfig,
-    /// The arrival discipline, or the error a malformed timed stream
-    /// raised at construction (returned by `run`/`run_traced`).
-    arrivals: Result<Arrivals, SimError>,
+    workload: Workload,
 }
 
 impl Simulation {
-    /// All requests available at time zero (the paper's ablation setting:
-    /// Table 1, Figure 8).
-    pub fn offline(config: SimConfig, requests: Vec<RequestSpec>) -> Self {
-        Simulation {
-            config,
-            arrivals: Ok(Arrivals::offline(requests)),
-        }
+    /// One engine of `config` serving `workload`.
+    pub fn new(config: SimConfig, workload: Workload) -> Self {
+        Simulation { config, workload }
     }
 
-    /// Closed-loop clients: `clients.n_clients` requests in flight at all
-    /// times until the workload drains (the paper's goodput setting:
-    /// Figures 7 and 9).
+    /// All requests available at time zero ([`Workload::Offline`]).
+    pub fn offline(config: SimConfig, requests: Vec<RequestSpec>) -> Self {
+        Simulation::new(config, Workload::Offline(requests))
+    }
+
+    /// Closed-loop clients ([`Workload::ClosedLoop`]).
     pub fn closed_loop(
         config: SimConfig,
         requests: Vec<RequestSpec>,
         clients: ClosedLoopClients,
     ) -> Self {
-        Simulation {
-            config,
-            arrivals: Ok(Arrivals::closed_loop(requests, clients)),
-        }
+        Simulation::new(config, Workload::ClosedLoop(requests, clients))
     }
 
-    /// Explicit arrival timestamps (one per request, non-decreasing), e.g.
-    /// a Poisson open loop. A stream that breaks either rule makes
-    /// [`Simulation::run`] return [`SimError::InvalidWorkload`].
+    /// Explicit arrival timestamps ([`Workload::Timed`]).
     pub fn with_arrivals(
         config: SimConfig,
         requests: Vec<RequestSpec>,
         times: Vec<SimTime>,
     ) -> Self {
-        let arrivals = crate::fleet::check_arrivals(&requests, &times)
-            .map(|()| Arrivals::timed(requests, times));
-        Simulation { config, arrivals }
+        Simulation::new(config, Workload::Timed(requests, times))
     }
 
     /// The configuration this simulation will run with.
@@ -78,7 +98,9 @@ impl Simulation {
         &self.config
     }
 
-    /// Runs the simulation to completion (or to `max_sim_time`).
+    /// Runs the simulation to completion (or to `max_sim_time`: the
+    /// requests it cuts off, in flight or not yet arrived, count as
+    /// unfinished).
     ///
     /// # Errors
     ///
@@ -100,12 +122,7 @@ impl Simulation {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] when the deployment cannot serve the workload:
-    /// no KV capacity, a request that can never fit, a malformed workload,
-    /// an out-of-range scheduler, prefix-cache or engine parameter
-    /// ([`SimError::InvalidScheduler`], [`SimError::InvalidPrefixCache`],
-    /// [`SimError::InvalidEngine`], [`SimError::InvalidHardware`]), or a
-    /// scheduler stall.
+    /// As [`Simulation::run`].
     ///
     /// # Example
     ///
@@ -129,10 +146,13 @@ impl Simulation {
     /// # Ok::<(), pf_sim::SimError>(())
     /// ```
     pub fn run_traced(self, sink: Option<&mut dyn TraceSink>) -> Result<SimReport, SimError> {
-        let arrivals = self.arrivals?;
-        crate::fleet::check_scheduler(&self.config.scheduler)?;
-        crate::fleet::check_prefix_cache(self.config.prefix_cache)?;
-        crate::fleet::check_engine(&self.config)?;
-        Engine::new(self.config, arrivals).run_traced(sink)
+        // A one-member pool makes no routing choice; round-robin reads no
+        // load signal.
+        let mut cluster =
+            ClusterSimulation::heterogeneous(vec![self.config], RouterPolicy::RoundRobin)
+                .run_workload(self.workload, sink)?;
+        let mut report = cluster.instances.pop().expect("one instance");
+        report.unfinished += cluster.unrouted;
+        Ok(report)
     }
 }

@@ -8,8 +8,8 @@ use pf_core::SchedulerConfig;
 use pf_metrics::{SimDuration, SimTime};
 use pf_sim::cluster::{ClusterSimulation, RouterPolicy};
 use pf_sim::elastic::{ElasticCluster, ElasticReport};
-use pf_sim::{GpuSpec, ModelSpec, QueueOrder, SimConfig, SimReport};
-use pf_workload::{datasets, rng::seeded, PoissonArrivals, RateProfile};
+use pf_sim::{GpuSpec, ModelSpec, QueueOrder, SimConfig, SimReport, Workload};
+use pf_workload::{datasets, rng::seeded, ClosedLoopClients, PoissonArrivals, RateProfile};
 
 fn base_config(capacity: u64) -> SimConfig {
     SimConfig::builder(ModelSpec::llama2_7b(), GpuSpec::a100_80g())
@@ -392,10 +392,11 @@ fn least_slack_first_reduces_elastic_timeouts_on_mixed_deadlines() {
 
 #[test]
 fn every_request_ends_exactly_once_at_the_horizon() {
-    // `max_sim_time` cuts both fleets off mid-stream: each routed request
-    // ends in its member's report as completed, timed out or unfinished,
-    // and each request that found every member stopped counts as
-    // unrouted — exactly once in total.
+    // `max_sim_time` cuts both fleets off mid-stream, under a timed stream
+    // and under closed-loop clients: each routed request ends in its
+    // member's report as completed, timed out or unfinished, and each
+    // request that found every member stopped, or that no client got to
+    // submit, counts as unrouted — exactly once in total.
     let n = 600;
     let requests = datasets::mixed_deadline(n, 29);
     let arrivals: Vec<SimTime> = (0..n)
@@ -405,28 +406,43 @@ fn every_request_ends_exactly_once_at_the_horizon() {
     config.max_sim_time = Some(SimDuration::from_secs(30));
     config.queue_order = QueueOrder::least_slack();
     let ended = |r: &SimReport| r.completed + r.timed_out + r.unfinished;
+    let workloads = [
+        ("timed", Workload::Timed(requests.clone(), arrivals)),
+        (
+            "closed-loop",
+            Workload::ClosedLoop(requests, ClosedLoopClients::new(16)),
+        ),
+    ];
 
-    let cluster = ClusterSimulation::new(config.clone(), 3, RouterPolicy::LeastEstimatedLoad)
-        .run(requests.clone(), arrivals.clone())
-        .expect("cluster run");
-    assert!(cluster.unrouted > 0, "the horizon must cut the stream");
-    for (routed, report) in cluster.routed_per_instance.iter().zip(&cluster.instances) {
-        assert_eq!(ended(report), *routed);
-    }
-    let routed: usize = cluster.routed_per_instance.iter().sum();
-    assert_eq!(routed + cluster.unrouted, n);
+    for (label, workload) in workloads {
+        let cluster = ClusterSimulation::new(config.clone(), 3, RouterPolicy::LeastEstimatedLoad)
+            .run_workload(workload.clone(), None)
+            .expect("cluster run");
+        assert!(
+            cluster.unrouted > 0,
+            "{label}: the horizon must cut the stream"
+        );
+        for (routed, report) in cluster.routed_per_instance.iter().zip(&cluster.instances) {
+            assert_eq!(ended(report), *routed, "{label}");
+        }
+        let routed: usize = cluster.routed_per_instance.iter().sum();
+        assert_eq!(routed + cluster.unrouted, n, "{label}");
 
-    let elastic = ElasticCluster::new(config, autoscale(1, 4), 1)
-        .run(requests, arrivals)
-        .expect("elastic run");
-    assert!(elastic.unrouted > 0, "the horizon must cut the stream");
-    for instance in &elastic.instances {
-        assert_eq!(ended(&instance.report), instance.routed);
+        let elastic = ElasticCluster::new(config.clone(), autoscale(1, 4), 1)
+            .run_workload(workload, None)
+            .expect("elastic run");
+        assert!(
+            elastic.unrouted > 0,
+            "{label}: the horizon must cut the stream"
+        );
+        for instance in &elastic.instances {
+            assert_eq!(ended(&instance.report), instance.routed, "{label}");
+        }
+        let routed: usize = elastic.instances.iter().map(|i| i.routed).sum();
+        assert_eq!(routed + elastic.unrouted, n, "{label}");
+        assert!(
+            elastic.instances.iter().any(|i| i.report.unfinished > 0),
+            "{label}: the horizon must strand work in flight"
+        );
     }
-    let routed: usize = elastic.instances.iter().map(|i| i.routed).sum();
-    assert_eq!(routed + elastic.unrouted, n);
-    assert!(
-        elastic.instances.iter().any(|i| i.report.unfinished > 0),
-        "the horizon must strand work in flight"
-    );
 }

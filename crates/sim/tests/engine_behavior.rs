@@ -770,6 +770,77 @@ fn closed_loop_clients_survive_timeouts() {
          a decaying client pool would shed far less)",
         report.timed_out
     );
+
+    // A lone client under least-slack-first: the early drop can empty
+    // the queue while nothing runs, and the freed client resubmits at
+    // that very instant. The resubmission must wake the engine, not be
+    // stranded behind it.
+    for seed in 1..=3 {
+        let config = SimConfig {
+            queue_order: pf_sim::QueueOrder::least_slack(),
+            request_deadline: Some(SimDuration::from_millis(100)),
+            ..small_config(SchedulerConfig::past_future(), 20_000)
+        };
+        let report = Simulation::closed_loop(
+            config,
+            datasets::sharegpt(20, seed),
+            ClosedLoopClients::new(1),
+        )
+        .run()
+        .unwrap();
+        assert_eq!(report.completed + report.timed_out, 20, "seed {seed}");
+        assert_eq!(report.unfinished, 0, "seed {seed}");
+    }
+}
+
+/// Static batching is an engine tick rule, so every colocated topology
+/// serves it: a one-member cluster and an elastic fleet pinned at one
+/// replica run the single engine's padded batches, step for step.
+#[test]
+fn static_batching_runs_the_same_batches_on_every_colocated_topology() {
+    use pf_autoscale::AutoscaleConfig;
+    use pf_sim::cluster::{ClusterSimulation, RouterPolicy};
+    use pf_sim::elastic::ElasticCluster;
+    use pf_workload::rng::seeded;
+    use pf_workload::PoissonArrivals;
+
+    let requests = datasets::sharegpt(120, 1);
+    let arrivals = PoissonArrivals::new(0.5).assign(&mut seeded(1), requests.len());
+    let config = SimConfig {
+        batching: BatchingMode::Static { max_batch: 16 },
+        ..small_config(SchedulerConfig::past_future(), 20_000)
+    };
+    let config = SimConfig { seed: 1, ..config };
+    let single = Simulation::with_arrivals(config.clone(), requests.clone(), arrivals.clone())
+        .run()
+        .unwrap();
+    let cluster = ClusterSimulation::new(config.clone(), 1, RouterPolicy::LeastEstimatedLoad)
+        .run(requests.clone(), arrivals.clone())
+        .unwrap();
+    let elastic = ElasticCluster::new(config, AutoscaleConfig::bounded(1, 1), 1)
+        .run(requests, arrivals)
+        .unwrap();
+    assert_eq!(single.completed, 120);
+    let steps = |r: &pf_sim::SimReport| (r.decode_steps, r.prefill_steps, r.makespan);
+    let outcomes = |r: &pf_sim::SimReport| {
+        (r.outcomes.iter())
+            .map(|o| {
+                (
+                    o.id,
+                    o.output_len,
+                    o.timing.ttft(),
+                    o.timing.last_token_at(),
+                )
+            })
+            .collect::<Vec<_>>()
+    };
+    for (topology, report) in [
+        ("cluster", &cluster.instances[0]),
+        ("elastic", &elastic.instances[0].report),
+    ] {
+        assert_eq!(steps(report), steps(&single), "{topology}");
+        assert_eq!(outcomes(report), outcomes(&single), "{topology}");
+    }
 }
 
 #[test]
