@@ -4,10 +4,10 @@
 //! A [`Scenario`] names a [`Topology`] (one engine, a fixed cluster, an
 //! elastic fleet, or fixed or elastic disaggregated pools) with its
 //! configs, a [`Workload`] builder and a seed. Every topology serves every
-//! workload (offline, timed or closed-loop clients). [`Scenario::run`] builds the
-//! workload from the seed, runs the topology and returns its full
-//! [`Report`] together with the one [`Headline`] every topology shares
-//! and a 64-bit fingerprint of the report.
+//! workload (offline, timed or closed-loop clients). [`Scenario::run`]
+//! builds the workload from the seed, runs the topology and returns its
+//! full [`Report`] together with the one [`Headline`] every topology
+//! shares and a 64-bit fingerprint of the report.
 //!
 //! Most scenarios start from [`base`], the Llama2-7B on A100-80G
 //! deployment, and arrive on a [`steady`] cadence, a seeded stream or
