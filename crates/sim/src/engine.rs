@@ -225,9 +225,9 @@ pub(crate) struct Engine {
     instance: u32,
 
     now: SimTime,
-    /// Requests routed here, in routing (and so arrival) order, until the
-    /// next tick takes them in.
-    inbox: Vec<(SimTime, RequestSpec)>,
+    /// Requests routed here (arrival, `specs` handle), in routing (and so
+    /// arrival) order, until the next tick takes them in.
+    inbox: Vec<(SimTime, u32)>,
     queue: VecDeque<Pending>,
     /// The running batch; under static batching, the batch in flight.
     running: Vec<Live>,
@@ -238,8 +238,8 @@ pub(crate) struct Engine {
     handoffs: Vec<Handoff>,
     /// Handed-out requests whose KV is still held here.
     held: usize,
-    /// Backing store for every ingested request's spec; `Pending`/`Live`
-    /// entries carry slab handles.
+    /// Backing store for every routed request's spec; inbox, `Pending` and
+    /// `Live` entries carry slab handles.
     specs: Slab<RequestSpec>,
     /// Simulated prefix store (disabled unless configured): matches are
     /// block *runs* (crossing conversations via shared system prompts),
@@ -465,6 +465,7 @@ impl Engine {
     /// Routes a request arriving at `at`, in time order and by the next
     /// tick, here: it waits in the inbox until that tick takes it in.
     pub(crate) fn inject(&mut self, at: SimTime, spec: RequestSpec) {
+        let spec = self.specs.insert(spec);
         self.inbox.push((at, spec));
     }
 
@@ -530,7 +531,7 @@ impl Engine {
             .map(|p| u64::from(self.specs[p.spec].input_len) + u64::from(p.generated))
             .sum();
         let routed: u64 = (self.inbox.iter())
-            .map(|(_, spec)| u64::from(spec.input_len))
+            .map(|&(_, spec)| u64::from(self.specs[spec].input_len))
             .sum();
         self.held_tokens() + queued + routed
     }
@@ -575,7 +576,8 @@ impl Engine {
             .map(|p| f64::from(self.specs[p.spec].input_len) + f64::from(p.generated) + mean_output)
             .chain(
                 // Routed requests not yet taken in count too.
-                (self.inbox.iter()).map(|(_, spec)| f64::from(spec.input_len) + mean_output),
+                (self.inbox.iter())
+                    .map(|&(_, spec)| f64::from(self.specs[spec].input_len) + mean_output),
             )
             .sum();
         self.true_future_required_frac() + queued_tokens / self.capacity as f64
@@ -760,16 +762,16 @@ impl Engine {
     fn take_inbox(&mut self, sink: &mut Option<&mut dyn TraceSink>) {
         for (at, spec) in self.inbox.drain(..) {
             debug_assert!(at <= self.now, "taken in before its arrival");
-            self.deadlines |= spec.deadline.is_some();
+            let routed = &self.specs[spec];
+            self.deadlines |= routed.deadline.is_some();
             fleet::emit(
                 sink,
                 TraceEvent::Enqueued {
                     at,
                     instance: self.instance,
-                    request: spec.id.raw(),
+                    request: routed.id.raw(),
                 },
             );
-            let spec = self.specs.insert(spec);
             self.queue.push_back(Pending {
                 spec,
                 generated: 0,
@@ -944,9 +946,12 @@ impl Engine {
             return false;
         }
         self.rank_queue();
-        // Handle discipline: every slab slot is owned by exactly one queue
-        // or batch entry.
-        debug_assert_eq!(self.specs.len(), self.queue.len() + self.running.len());
+        // Handle discipline: every slab slot is owned by exactly one inbox,
+        // queue or batch entry.
+        debug_assert_eq!(
+            self.specs.len(),
+            self.queue.len() + self.running.len() + self.inbox.len()
+        );
         let pass_budget = match self.role {
             Role::Serve => None,
             Role::Prefill { max_pass_tokens } => Some(max_pass_tokens),
@@ -1892,7 +1897,11 @@ mod tests {
                 engine.inject(engine.now(), spec);
             }
 
-            let walked: Vec<u64> = engine.inbox.iter().map(|(_, s)| s.id.raw()).collect();
+            let walked: Vec<u64> = engine
+                .inbox
+                .iter()
+                .map(|&(_, s)| engine.specs[s].id.raw())
+                .collect();
             let expected: Vec<u64> = routed.iter().map(|s| s.id.raw()).collect();
             assert_eq!(walked, expected, "round {round}");
             let in_flight = engine.running.len() + engine.queue.len();
