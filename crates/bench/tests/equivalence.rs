@@ -185,7 +185,7 @@ fn pinned_elastic_fleet_equals_one_member_cluster() {
                     );
                 }
                 // One run, three report types: their headline definitions
-                // must agree (only the elastic fleet prices its GPUs).
+                // must agree.
                 if n == 1 {
                     assert_eq!(
                         cluster.headline(),
@@ -193,11 +193,7 @@ fn pinned_elastic_fleet_equals_one_member_cluster() {
                         "{what}"
                     );
                 }
-                let elastic = Headline {
-                    cost_weighted_gpu_seconds: None,
-                    ..elastic.headline()
-                };
-                assert_eq!(elastic, cluster.headline(), "{what}");
+                assert_eq!(elastic.headline(), cluster.headline(), "{what}");
             }
         }
     }
@@ -205,8 +201,7 @@ fn pinned_elastic_fleet_equals_one_member_cluster() {
 
 /// The disaggregated counterpart: both pools pinned at two replicas make
 /// no scaling decision and serve exactly the schedule of fixed 2p+2d
-/// pools. The headline (but for the cost-weighted term, which only the
-/// elastic pools price), every instance's routed count and every outcome
+/// pools. The headline, every instance's routed count and every outcome
 /// agree.
 #[test]
 fn pinned_elastic_disagg_pools_equal_fixed_pools() {
@@ -251,11 +246,7 @@ fn pinned_elastic_disagg_pools_equal_fixed_pools() {
             assert_eq!(routed(&pinned.prefill), routed(&fixed.prefill), "{what}");
             assert_eq!(routed(&pinned.decode), routed(&fixed.decode), "{what}");
             assert_eq!(outcomes(&pinned), outcomes(&fixed), "{what}");
-            let headline = |r: &DisaggReport| Headline {
-                cost_weighted_gpu_seconds: None,
-                ..r.headline()
-            };
-            assert_eq!(headline(&pinned), headline(&fixed), "{what}");
+            assert_eq!(pinned.headline(), fixed.headline(), "{what}");
         }
     }
 }

@@ -378,9 +378,10 @@ impl ClusterReport {
 
     /// The cluster's headline: the SLA terms of one goodput report pooled
     /// over every instance's requests on the cluster makespan, counters
-    /// summed over instances, and the fixed fleet provisioned for the
-    /// whole makespan.
+    /// summed over instances, and the fixed fleet of reference GPUs (cost
+    /// weight 1.0) provisioned for the whole makespan.
     pub fn headline(&self) -> Headline {
+        let gpu_seconds = self.instances.len() as f64 * self.makespan().as_secs_f64();
         let goodput = GoodputReport::pooled(
             self.instances.iter().map(|r| &r.goodput),
             self.instances
@@ -393,8 +394,8 @@ impl ClusterReport {
             completed: self.instances.iter().map(|r| r.completed).sum(),
             timed_out: self.instances.iter().map(|r| r.timed_out).sum(),
             evictions: self.instances.iter().map(|r| r.evictions).sum(),
-            gpu_seconds: self.instances.len() as f64 * self.makespan().as_secs_f64(),
-            cost_weighted_gpu_seconds: None,
+            gpu_seconds,
+            cost_weighted_gpu_seconds: Some(gpu_seconds),
             ..Headline::of_goodput(&goodput)
         }
     }

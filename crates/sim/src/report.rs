@@ -149,15 +149,16 @@ impl SimReport {
         self.goodput.goodput_tok_per_s
     }
 
-    /// The run's headline numbers; one engine is provisioned for the
-    /// whole makespan.
+    /// The run's headline numbers; one engine of the reference GPU (cost
+    /// weight 1.0) is provisioned for the whole makespan.
     pub fn headline(&self) -> Headline {
+        let gpu_seconds = self.makespan.as_secs_f64();
         Headline {
             completed: self.completed,
             timed_out: self.timed_out,
             evictions: self.evictions,
-            gpu_seconds: self.makespan.as_secs_f64(),
-            cost_weighted_gpu_seconds: None,
+            gpu_seconds,
+            cost_weighted_gpu_seconds: Some(gpu_seconds),
             ..Headline::of_goodput(&self.goodput)
         }
     }
