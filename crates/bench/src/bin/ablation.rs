@@ -39,7 +39,7 @@ fn main() {
         Align::Right,
     ]);
     for run in &run_all(&paper::ablation_repeats(9, cli.size(800, 150))) {
-        let report = run.report.single();
+        let report = &run.report.instances[0].report;
         repeats.row(run.name.split('/').map(str::to_string).chain([
             report.decode_steps.to_string(),
             pct(report.avg_consumed_frac),
@@ -60,7 +60,7 @@ fn main() {
     ])
     .with_aligns(&[Align::Right, Align::Right, Align::Right, Align::Right]);
     for run in &run_all(&paper::ablation_window(8, cli.size(500, 100))) {
-        let report = run.report.single();
+        let report = &run.report.instances[0].report;
         window.row([
             run.name.clone(),
             report.decode_steps.to_string(),

@@ -37,7 +37,7 @@ fn scenario_table(cli: &Cli, name: &str, title: &str, scenarios: &[Scenario]) ->
     ])
     .with_aligns(&[Left, Right, Right, Right, Right, Right, Right, Right]);
     for run in &runs {
-        let (h, report) = (&run.headline, run.report.elastic());
+        let (h, report) = (&run.headline, &run.report);
         table.row([
             run.name.clone(),
             h.completed.to_string(),
@@ -128,8 +128,7 @@ fn main() {
         .expect("holt fleet");
     let replay = scenario.replay(elastic_holt);
     assert_eq!(
-        replay.report.elastic().events,
-        elastic_holt.report.elastic().events,
+        replay.report.events, elastic_holt.report.events,
         "non-deterministic scaling"
     );
     println!(

@@ -14,7 +14,7 @@
 //! cargo run --release -p pf-bench --bin cluster_routing [-- --quick]
 //! ```
 
-use pf_bench::scenario::{base, run_all, Report, Scenario, Topology, Workload};
+use pf_bench::scenario::{base, run_all, Scenario, Topology, Workload};
 use pf_bench::{output_lengths, Cli};
 use pf_core::SchedulerConfig;
 use pf_metrics::Align::{Left, Right};
@@ -83,17 +83,15 @@ fn main() {
     ])
     .with_aligns(&[Left, Right, Right, Right, Right, Left]);
     for run in &runs {
-        let Report::Cluster(report) = &run.report else {
-            unreachable!("every run here is a cluster");
-        };
-        let h = &run.headline;
+        let (h, report) = (&run.headline, &run.report);
+        let routed: Vec<usize> = report.instances.iter().map(|m| m.routed).collect();
         table.row([
             run.name.clone(),
-            format!("{:.1}", report.makespan().as_secs_f64()),
+            format!("{:.1}", report.makespan.as_secs_f64()),
             format!("{:.0}", h.goodput_tok_per_s),
             format!("{}/{}", h.satisfied, h.completed),
             h.evictions.to_string(),
-            format!("{:?}", report.routed_per_instance),
+            format!("{routed:?}"),
         ]);
     }
     cli.emit(

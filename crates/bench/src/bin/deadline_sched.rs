@@ -46,8 +46,7 @@ fn deadline_attainment(run: &Run, requests: &[RequestSpec]) -> f64 {
         .collect();
     let attained = run
         .report
-        .outcomes()
-        .into_iter()
+        .all_outcomes()
         .filter(|o| {
             let Some(deadline) = deadlines.get(&o.id) else {
                 return true;
@@ -159,7 +158,7 @@ fn main() {
                 h.timed_out.to_string(),
                 pct(attainment(run)),
                 format!("{:.0}", h.gpu_seconds),
-                format!("{:.0}", run.report.makespan().as_secs_f64()),
+                format!("{:.0}", run.report.makespan.as_secs_f64()),
             ]);
         }
     }

@@ -24,21 +24,24 @@
 //! ```
 
 use pf_bench::scenario::fleets::{disagg_bursty, disagg_diurnal, disagg_prefill_heavy};
-use pf_bench::scenario::{by_name, run_all, Report, Run, Scenario};
+use pf_bench::scenario::{by_name, run_all, Run, Scenario};
 use pf_bench::Cli;
 use pf_metrics::Align::{Left, Right};
 use pf_metrics::Table;
+use pf_obs::Pool;
 
-/// Peak replicas and scaling decisions, per report type.
+/// Peak replicas (prefill+decode on split pools) and scaling decisions.
 fn fleet_columns(run: &Run) -> (String, usize) {
-    match &run.report {
-        Report::Elastic(r) => (r.peak_replicas().to_string(), r.events.len()),
-        Report::Disagg(r) => (
-            format!("{}+{}", r.peak_prefill_replicas(), r.peak_decode_replicas()),
-            r.prefill.events.len() + r.decode.events.len(),
+    let r = &run.report;
+    let peak = match r.instances[0].pool {
+        Pool::Colocated => r.peak_replicas().to_string(),
+        Pool::Prefill | Pool::Decode => format!(
+            "{}+{}",
+            r.peak_pool_replicas(Pool::Prefill),
+            r.peak_pool_replicas(Pool::Decode)
         ),
-        _ => unreachable!("fleets here are elastic or disaggregated"),
-    }
+    };
+    (peak, r.events.len())
 }
 
 fn scenario_table(cli: &Cli, name: &str, title: &str, scenarios: &[Scenario]) -> Vec<Run> {
@@ -70,7 +73,7 @@ fn scenario_table(cli: &Cli, name: &str, title: &str, scenarios: &[Scenario]) ->
             format!("{:.0}", h.goodput_tok_per_s),
             format!("{:.0}", h.gpu_seconds),
             peak,
-            format!("{:.0}", run.report.makespan().as_secs_f64()),
+            format!("{:.0}", run.report.makespan.as_secs_f64()),
             scaling_events.to_string(),
         ]);
     }

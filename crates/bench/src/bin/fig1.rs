@@ -41,7 +41,7 @@ fn main() {
         "future_required",
     ]);
     for run in &runs {
-        let report = run.report.single();
+        let report = &run.report.instances[0].report;
         summary.row(run.name.split('/').map(str::to_string).chain([
             pct(report.avg_consumed_frac),
             pct(report.avg_future_required_frac),

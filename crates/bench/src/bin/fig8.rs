@@ -23,7 +23,7 @@ fn main() {
         Align::Right,
     ]);
     for run in &runs {
-        let report = run.report.single();
+        let report = &run.report.instances[0].report;
         table.row([
             run.name.clone(),
             report.decode_steps.to_string(),

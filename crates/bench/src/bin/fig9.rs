@@ -32,7 +32,7 @@ fn main() {
         Align::Right,
     ]);
     for run in &runs {
-        let report = run.report.single();
+        let report = &run.report.instances[0].report;
         table.row(run.name.split('/').map(str::to_string).chain([
             format!("{:.0}", report.throughput()),
             format!("{:.0}", report.goodput_tok_per_s()),

@@ -34,6 +34,7 @@ use pf_bench::scenario::{base, by_name, run_all, Run, Scenario, Topology, Worklo
 use pf_bench::Cli;
 use pf_metrics::Align::{Left, Right};
 use pf_metrics::{SimDuration, SimTime, Table};
+use pf_obs::Pool;
 use pf_sim::cluster::RouterPolicy;
 use pf_sim::disagg::DisaggConfig;
 use pf_sim::GpuType;
@@ -131,13 +132,9 @@ fn main() {
         "peak",
     ])
     .with_aligns(&[Left, Right, Right, Right, Right, Right, Right, Right]);
-    let cost = |run: &Run| {
-        run.headline
-            .cost_weighted_gpu_seconds
-            .expect("fleets carry GPU costs")
-    };
+    let cost = |run: &Run| run.headline.cost_weighted_gpu_seconds;
     for run in &runs {
-        let (h, report) = (&run.headline, run.report.disagg());
+        let (h, report) = (&run.headline, &run.report);
         table.row([
             run.name.clone(),
             h.completed.to_string(),
@@ -148,8 +145,8 @@ fn main() {
             report.repurposes.len().to_string(),
             format!(
                 "{}+{}",
-                report.peak_prefill_replicas(),
-                report.peak_decode_replicas()
+                report.peak_pool_replicas(Pool::Prefill),
+                report.peak_pool_replicas(Pool::Decode)
             ),
         ]);
     }
@@ -161,7 +158,7 @@ fn main() {
 
     let (off, on) = (&runs[0], &runs[1]);
     assert!(
-        !on.report.disagg().repurposes.is_empty(),
+        !on.report.repurposes.is_empty(),
         "the phase shift never triggered a repurpose flip"
     );
     assert!(
@@ -237,7 +234,7 @@ fn main() {
     ])
     .with_aligns(&[Left, Right, Right, Right, Right, Right]);
     for run in &runs {
-        let (h, report) = (&run.headline, run.report.elastic());
+        let (h, report) = (&run.headline, &run.report);
         table.row([
             run.name.clone(),
             h.completed.to_string(),
@@ -277,7 +274,7 @@ fn main() {
         off.headline.ttft_attainment * 100.0,
         cost(on),
         cost(off),
-        on.report.disagg().repurposes.len(),
+        on.report.repurposes.len(),
     );
     println!(
         "[ok] mixed 2big+2mid: SLA {:.1}% (all-big {:.1}%) at {:.0} vs {:.0} cost-weighted GPU-s \

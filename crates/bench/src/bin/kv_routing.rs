@@ -150,7 +150,7 @@ fn main() {
         let (deployment, rest) = run.name.split_once('/').expect("deployment/...");
         let (router, delay) = rest.split_once('/').expect("router/delay");
         let h = &run.headline;
-        let prefix = run.report.prefix_stats();
+        let prefix = run.report.prefix_stats;
         table.row([
             deployment.to_string(),
             router.to_string(),
@@ -161,7 +161,7 @@ fn main() {
             format!("{:.1}", h.ttft_attainment * 100.0),
             format!("{:.1}", h.sla_attainment * 100.0),
             format!("{:.0}", h.gpu_seconds),
-            format!("{:.0}", run.report.makespan().as_secs_f64()),
+            format!("{:.0}", run.report.makespan.as_secs_f64()),
         ]);
     }
     cli.emit(
@@ -178,7 +178,7 @@ fn main() {
         let load = fresh(&runs, mode, RouterPolicy::LeastEstimatedLoad);
         let affinity = &fresh(&runs, mode, AFFINITY).headline;
         let kv = fresh(&runs, mode, KV_OVERLAP);
-        let (load_hits, kv_hits) = (load.report.prefix_stats(), kv.report.prefix_stats());
+        let (load_hits, kv_hits) = (load.report.prefix_stats, kv.report.prefix_stats);
         let (load, kv) = (&load.headline, &kv.headline);
         assert_eq!(kv.completed, load.completed, "{mode}");
         // The event-fed global index must match direct store probes, in
@@ -213,11 +213,11 @@ fn main() {
         );
     }
     let kv_coloc = fresh(&runs, "coloc-4", KV_OVERLAP);
-    let kv_coloc_hits = kv_coloc.report.prefix_stats();
+    let kv_coloc_hits = kv_coloc.report.prefix_stats;
     // Elastic sanity: the index tracks members behind the autoscaler.
     let elastic = fresh(&runs, "elastic-2..4", KV_OVERLAP);
     assert!(
-        elastic.report.prefix_stats().hit_rate() > 0.0,
+        elastic.report.prefix_stats.hit_rate() > 0.0,
         "elastic: no cache hits"
     );
 
@@ -226,11 +226,11 @@ fn main() {
     let stalest_delay = staleness[staleness.len() - 1];
     let stalest = by_name(&runs, &name("coloc-4", KV_OVERLAP, stalest_delay));
     assert!(
-        kv_coloc_hits.hit_tokens >= stalest.report.prefix_stats().hit_tokens,
+        kv_coloc_hits.hit_tokens >= stalest.report.prefix_stats.hit_tokens,
         "fresh index saved {} tokens but {:.2}s-stale saved {}",
         kv_coloc_hits.hit_tokens,
         stalest_delay.as_secs_f64(),
-        stalest.report.prefix_stats().hit_tokens
+        stalest.report.prefix_stats.hit_tokens
     );
 
     // Deterministic replay: argmin overlap routing in coloc and disagg,
@@ -241,8 +241,7 @@ fn main() {
         let scenario = by_overlap.iter().find(|s| s.name == first.name);
         let replay = scenario.expect("deployment").replay(first);
         assert_eq!(
-            replay.report.prefix_stats(),
-            first.report.prefix_stats(),
+            replay.report.prefix_stats, first.report.prefix_stats,
             "{mode}: non-deterministic prefix-cache stats"
         );
     }
@@ -253,7 +252,7 @@ fn main() {
     let [softmax, ..] = deployments(softmax, SimDuration::from_millis(250), n);
     let soft_a = softmax.run(None);
     let soft_b = softmax.replay(&soft_a);
-    assert_eq!(soft_a.report.prefix_stats(), soft_b.report.prefix_stats());
+    assert_eq!(soft_a.report.prefix_stats, soft_b.report.prefix_stats);
 
     let load_coloc = &fresh(&runs, "coloc-4", RouterPolicy::LeastEstimatedLoad).headline;
     println!(

@@ -90,7 +90,7 @@ fn main() {
     .with_aligns(&[Right, Left, Right, Right, Right, Right, Right, Right]);
     for run in &runs {
         let (gbps, mode) = run.name.split_once(' ').expect("gbps and mode");
-        let (h, report) = (&run.headline, run.report.disagg());
+        let (h, report) = (&run.headline, &run.report);
         table.row([
             gbps.to_string(),
             mode.to_string(),
@@ -117,10 +117,7 @@ fn main() {
         let atomic = by_name(&runs, &name(gbps, false));
         let streamed = by_name(&runs, &name(gbps, true));
         let (a, s) = (&atomic.headline, &streamed.headline);
-        let (a_link, s_link) = (
-            atomic.report.disagg().transfers,
-            streamed.report.disagg().transfers,
-        );
+        let (a_link, s_link) = (atomic.report.transfers, streamed.report.transfers);
         assert_eq!(s.completed, a.completed, "{gbps} GB/s");
         assert_eq!(s_link.total_bytes, a_link.total_bytes, "{gbps} GB/s");
         assert_eq!(s_link.transfers, a_link.transfers, "{gbps} GB/s");

@@ -118,7 +118,7 @@ fn main() {
     for run in &runs {
         let (deployment, router) = run.name.split_once('/').expect("deployment/router");
         let h = &run.headline;
-        let prefix = run.report.prefix_stats();
+        let prefix = run.report.prefix_stats;
         table.row([
             deployment.to_string(),
             router.to_string(),
@@ -129,7 +129,7 @@ fn main() {
             format!("{:.2}", h.ttft_p99_s),
             format!("{:.1}", h.sla_attainment * 100.0),
             format!("{:.0}", h.gpu_seconds),
-            format!("{:.0}", run.report.makespan().as_secs_f64()),
+            format!("{:.0}", run.report.makespan.as_secs_f64()),
         ]);
     }
     cli.emit(
@@ -144,7 +144,7 @@ fn main() {
     for mode in ["coloc-4", "disagg-2p2d"] {
         let load = by_name(&runs, &name(mode, RouterPolicy::LeastEstimatedLoad));
         let prefix = by_name(&runs, &name(mode, AFFINITY));
-        let (load_hits, prefix_hits) = (load.report.prefix_stats(), prefix.report.prefix_stats());
+        let (load_hits, prefix_hits) = (load.report.prefix_stats, prefix.report.prefix_stats);
         let (load, prefix) = (&load.headline, &prefix.headline);
         assert_eq!(prefix.completed, load.completed, "{mode}");
         assert!(
@@ -173,7 +173,7 @@ fn main() {
     // Elastic sanity: the cache works behind the autoscaler too.
     let elastic = by_name(&runs, &name("elastic-1..4", AFFINITY));
     assert!(
-        elastic.report.prefix_stats().hit_rate() > 0.0,
+        elastic.report.prefix_stats.hit_rate() > 0.0,
         "elastic: no cache hits"
     );
 
@@ -183,8 +183,7 @@ fn main() {
         let scenario = by_affinity.iter().find(|s| s.name == first.name);
         let replay = scenario.expect("deployment").replay(first);
         assert_eq!(
-            replay.report.prefix_stats(),
-            first.report.prefix_stats(),
+            replay.report.prefix_stats, first.report.prefix_stats,
             "{mode}: non-deterministic prefix-cache stats"
         );
     }
@@ -196,6 +195,6 @@ fn main() {
          replay deterministic in coloc and disagg",
         coloc_prefix.headline.ttft_attainment * 100.0,
         coloc_load.ttft_attainment * 100.0,
-        pct(coloc_prefix.report.prefix_stats().hit_rate()),
+        pct(coloc_prefix.report.prefix_stats.hit_rate()),
     );
 }

@@ -16,7 +16,7 @@
 //! ```
 
 use pf_autoscale::{AutoscaleConfig, PredictorKind};
-use pf_bench::scenario::{base, run_all, steady, Report, Run, Scenario, Topology, Workload};
+use pf_bench::scenario::{base, run_all, steady, Run, Scenario, Topology, Workload};
 use pf_bench::sweep::{aggregate, SeedRun};
 use pf_bench::Cli;
 use pf_metrics::{SimDuration, Table};
@@ -59,33 +59,38 @@ fn bank(coloc_n: usize, pool_n: usize) -> [Box<dyn Fn(u64) -> Scenario>; 3] {
 }
 
 /// The simulated metrics each topology reports, in display order.
-fn metrics(run: &Run) -> Vec<(String, f64)> {
-    let h = &run.headline;
-    let makespan = ("makespan_s", run.report.makespan().as_secs_f64());
-    let metrics = match &run.report {
-        Report::Single(r) => vec![
-            ("goodput_tok_per_s", h.goodput_tok_per_s),
-            ("throughput_tok_per_s", r.throughput()),
-            ("sla_attainment", h.sla_attainment),
-            ("evicted_req_pct", r.evicted_request_pct()),
-            ("avg_consumed_frac", r.avg_consumed_frac),
-            makespan,
-        ],
-        Report::Disagg(_) => vec![
+fn metrics(topology: &Topology, run: &Run) -> Vec<(String, f64)> {
+    let (h, report) = (&run.headline, &run.report);
+    let makespan = ("makespan_s", report.makespan.as_secs_f64());
+    let metrics = match topology {
+        Topology::Single(_) => {
+            let r = &report.instances[0].report;
+            vec![
+                ("goodput_tok_per_s", h.goodput_tok_per_s),
+                ("throughput_tok_per_s", r.throughput()),
+                ("sla_attainment", h.sla_attainment),
+                ("evicted_req_pct", r.evicted_request_pct()),
+                ("avg_consumed_frac", r.avg_consumed_frac),
+                makespan,
+            ]
+        }
+        Topology::Disagg { .. } => vec![
             ("goodput_tok_per_s", h.goodput_tok_per_s),
             ("sla_attainment", h.sla_attainment),
             ("ttft_attainment", h.ttft_attainment),
             ("gpu_seconds", h.gpu_seconds),
             makespan,
         ],
-        Report::Elastic(r) => vec![
+        Topology::Elastic { .. } => vec![
             ("goodput_tok_per_s", h.goodput_tok_per_s),
             ("sla_attainment", h.sla_attainment),
             ("gpu_seconds", h.gpu_seconds),
-            ("peak_replicas", r.peak_replicas() as f64),
+            ("peak_replicas", report.peak_replicas() as f64),
             makespan,
         ],
-        Report::Cluster(_) => unreachable!("the bank holds no fixed cluster"),
+        Topology::Cluster { .. } | Topology::ElasticDisagg { .. } => {
+            unreachable!("the bank holds no fixed cluster and no elastic split")
+        }
     };
     metrics
         .into_iter()
@@ -114,7 +119,7 @@ fn main() {
         .map(|(scenario, run)| SeedRun {
             scenario: scenario.name.clone(),
             seed: scenario.seed,
-            metrics: metrics(&run),
+            metrics: metrics(&scenario.topology, &run),
         })
         .collect();
     let rows = aggregate(&runs);

@@ -30,7 +30,7 @@ fn main() {
         Align::Right,
     ]);
     for run in &runs {
-        let report = run.report.single();
+        let report = &run.report.instances[0].report;
         table.row(run.name.split('/').map(str::to_string).chain([
             report.decode_steps.to_string(),
             pct(report.avg_consumed_frac),

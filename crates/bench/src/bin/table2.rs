@@ -26,8 +26,8 @@ fn main() {
         };
         let model = origin.name.split('/').next().expect("a named run");
         let (origin, lightllm) = (
-            origin.report.single().throughput(),
-            lightllm.report.single().throughput(),
+            origin.report.instances[0].report.throughput(),
+            lightllm.report.instances[0].report.throughput(),
         );
         table.row([
             model.to_string(),

@@ -116,11 +116,10 @@ fn main() {
         assert_eq!(direct.headline, replay.headline, "{} diverged", direct.name);
     }
     assert_eq!(
-        direct[0].report.elastic().events,
-        replayed[0].report.elastic().events,
+        direct[0].report.events, replayed[0].report.events,
         "elastic replay diverged on scaling events"
     );
-    let disagg_replay = replayed[1].report.disagg();
+    let disagg_replay = &replayed[1].report;
 
     let mut table = Table::new([
         "cluster",
@@ -140,7 +139,7 @@ fn main() {
             h.completed.to_string(),
             format!("{:.1}", h.sla_attainment * 100.0),
             format!("{:.0}", h.gpu_seconds),
-            format!("{:.0}", run.report.makespan().as_secs_f64()),
+            format!("{:.0}", run.report.makespan.as_secs_f64()),
         ]);
     }
     cli.emit(

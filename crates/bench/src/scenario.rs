@@ -5,9 +5,9 @@
 //! elastic fleet, or fixed or elastic disaggregated pools) with its
 //! configs, a [`Workload`] builder and a seed. Every topology serves every
 //! workload (offline, timed or closed-loop clients). [`Scenario::run`]
-//! builds the workload from the seed, runs the topology and returns its
-//! full [`Report`] together with the one [`Headline`] every topology
-//! shares and a 64-bit fingerprint of the report.
+//! builds the workload from the seed, runs the topology and returns the
+//! one [`FleetReport`] every topology shares, with its [`Headline`] and
+//! its [`fingerprint`], a 64-bit hash of every field of the report.
 //!
 //! Most scenarios start from [`base`], the Llama2-7B on A100-80G
 //! deployment, and arrive on a [`steady`] cadence, a seeded stream or
@@ -16,8 +16,9 @@
 //! seed bank and a test can read the very runs a bench prints.
 //!
 //! [`goldens`] is the pinned subset: the test suite fingerprints each of
-//! its runs against `tests/golden/report_fingerprints.txt` and explains
-//! any drift with the headline digests in `tests/golden/report_digests.tsv`.
+//! its runs against `tests/golden/report_fingerprints.txt`, explains any
+//! drift with the headline digests in `tests/golden/report_digests.tsv`,
+//! and checks each run's request ledger.
 //!
 //! The experiments, one binary each under `src/bin` (all accept `--quick`
 //! and `--out <dir>`):
@@ -42,17 +43,19 @@ use std::sync::Arc;
 use pf_autoscale::{AutoscaleConfig, PolicyConfig, PredictorKind};
 use pf_core::SchedulerConfig;
 use pf_kvcache::PrefixCacheStats;
-use pf_metrics::{GoodputReport, SimDuration, SimTime, Summary};
+use pf_metrics::{GoodputReport, SimDuration, SimTime, StepSeries, Summary, ViolationCounts};
 use pf_obs::TraceSink;
-use pf_sim::cluster::{ClusterReport, ClusterSimulation, RouterPolicy};
+use pf_sim::cluster::{ClusterSimulation, RouterPolicy};
 use pf_sim::disagg::{
-    DisaggCluster, DisaggConfig, DisaggReport, ElasticDisaggCluster, KvTransferSpec, PoolReport,
-    RepurposeDirection, TransferMode,
+    DisaggCluster, DisaggConfig, ElasticDisaggCluster, KvTransferSpec, RepurposeEvent,
+    TransferStats,
 };
-use pf_sim::elastic::{ElasticCluster, ElasticReport};
+use pf_sim::elastic::ElasticCluster;
+use pf_sim::fleet::ScalingEvent;
 use pf_sim::{
-    BatchingMode, EvictionMode, GpuSpec, GpuType, Headline, KvLayout, ModelSpec, PrefillMode,
-    QueueOrder, RequestOutcome, RouterConfig, SimConfig, SimConfigBuilder, SimReport, Simulation,
+    BatchingMode, EvictionMode, FleetReport, GpuSpec, GpuType, Headline, KvLayout, MemberReport,
+    ModelSpec, PrefillMode, QueueOrder, RequestOutcome, RouterConfig, SimConfig, SimConfigBuilder,
+    SimReport, Simulation,
 };
 use pf_workload::rng::seeded;
 use pf_workload::{datasets, LengthSampler, PoissonArrivals, RequestSpec};
@@ -168,95 +171,16 @@ impl Topology {
     }
 }
 
-/// A topology's full report.
-#[derive(Debug)]
-pub enum Report {
-    /// From [`Topology::Single`].
-    Single(SimReport),
-    /// From [`Topology::Cluster`].
-    Cluster(ClusterReport),
-    /// From [`Topology::Elastic`].
-    Elastic(ElasticReport),
-    /// From [`Topology::Disagg`] and [`Topology::ElasticDisagg`].
-    Disagg(DisaggReport),
-}
-
-impl Report {
-    /// The engine's report of a [`Topology::Single`] run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run had another topology, as [`Report::elastic`] and
-    /// [`Report::disagg`] do.
-    pub fn single(&self) -> &SimReport {
-        match self {
-            Report::Single(r) => r,
-            _ => panic!("not a single-engine report"),
-        }
-    }
-
-    /// The fleet's report of a [`Topology::Elastic`] run.
-    pub fn elastic(&self) -> &ElasticReport {
-        match self {
-            Report::Elastic(r) => r,
-            _ => panic!("not an elastic-fleet report"),
-        }
-    }
-
-    /// The pools' report of a disaggregated run.
-    pub fn disagg(&self) -> &DisaggReport {
-        match self {
-            Report::Disagg(r) => r,
-            _ => panic!("not a disaggregated report"),
-        }
-    }
-
-    /// End of the run: the latest instance finish time.
-    pub fn makespan(&self) -> SimDuration {
-        match self {
-            Report::Single(r) => r.makespan,
-            Report::Cluster(r) => r.makespan(),
-            Report::Elastic(r) => r.makespan,
-            Report::Disagg(r) => r.makespan,
-        }
-    }
-
-    /// Every completed request's outcome, instance by instance.
-    pub fn outcomes(&self) -> Vec<&RequestOutcome> {
-        match self {
-            Report::Single(r) => r.outcomes.iter().collect(),
-            Report::Cluster(r) => r.instances.iter().flat_map(|i| &i.outcomes).collect(),
-            Report::Elastic(r) => r
-                .instances
-                .iter()
-                .flat_map(|i| &i.report.outcomes)
-                .collect(),
-            Report::Disagg(r) => r.outcomes.iter().collect(),
-        }
-    }
-
-    /// Prefix-cache statistics merged across the instances that cache
-    /// (the prefill pool of a disaggregated run).
-    pub fn prefix_stats(&self) -> PrefixCacheStats {
-        match self {
-            Report::Single(r) => r.prefix_stats,
-            Report::Cluster(r) => r.prefix_stats(),
-            Report::Elastic(r) => r.prefix_stats(),
-            Report::Disagg(r) => r.prefix_stats,
-        }
-    }
-}
-
 /// One finished scenario run.
 #[derive(Debug)]
 pub struct Run {
     /// The scenario's name.
     pub name: String,
-    /// The topology's full report.
-    pub report: Report,
+    /// The run's report.
+    pub report: FleetReport,
     /// Its headline numbers.
     pub headline: Headline,
-    /// FNV-1a fingerprint of the report (see [`Scenario::run`]).
+    /// The report's [`fingerprint`].
     pub fingerprint: u64,
 }
 
@@ -299,9 +223,9 @@ impl Scenario {
 
     /// Runs the scenario, feeding lifecycle events to `sink` if given.
     ///
-    /// The fingerprint hashes every scalar counter, the f64 bit patterns
-    /// and the per-request timing stream, so any change to admission
-    /// order, clock arithmetic, RNG consumption or preemption shifts it.
+    /// The fingerprint ([`fingerprint`]) hashes every field of the report,
+    /// so any change to admission order, clock arithmetic, RNG
+    /// consumption, preemption, routing or scaling shifts it.
     ///
     /// # Panics
     ///
@@ -310,13 +234,9 @@ impl Scenario {
     pub fn run(&self, sink: Option<&mut dyn TraceSink>) -> Run {
         let workload = self.workload();
         let report = match self.topology.clone() {
-            Topology::Single(config) => Simulation::new(config, workload)
-                .run_traced(sink)
-                .map(Report::Single),
+            Topology::Single(config) => Simulation::new(config, workload).fleet_report(sink),
             Topology::Cluster { configs, policy } => {
-                ClusterSimulation::heterogeneous(configs, policy)
-                    .run_workload(workload, sink)
-                    .map(Report::Cluster)
+                ClusterSimulation::heterogeneous(configs, policy).run_workload(workload, sink)
             }
             Topology::Elastic {
                 base,
@@ -329,26 +249,28 @@ impl Scenario {
                 if !fleet.is_empty() {
                     cluster = cluster.fleet(fleet);
                 }
-                cluster.run_workload(workload, sink).map(Report::Elastic)
+                cluster.run_workload(workload, sink)
             }
             Topology::Disagg {
                 config,
                 prefill,
                 decode,
-            } => DisaggCluster::new(config, prefill, decode)
-                .run_workload(workload, sink)
-                .map(Report::Disagg),
+            } => DisaggCluster::new(config, prefill, decode).run_workload(workload, sink),
             Topology::ElasticDisagg {
                 config,
                 prefill,
                 decode,
                 initial: (p, d),
             } => ElasticDisaggCluster::new(config, prefill, decode, p, d)
-                .run_workload(workload, sink)
-                .map(Report::Disagg),
+                .run_workload(workload, sink),
         }
         .unwrap_or_else(|e| panic!("{}: {e}", self.name));
-        self.finish(report)
+        Run {
+            name: self.name.clone(),
+            headline: report.headline(),
+            fingerprint: fingerprint(&report),
+            report,
+        }
     }
 
     /// Runs the scenario again, untraced, and returns the replay.
@@ -366,42 +288,6 @@ impl Scenario {
             self.name
         );
         replay
-    }
-
-    fn finish(&self, report: Report) -> Run {
-        let mut h = Fnv::new();
-        let headline = match &report {
-            Report::Single(r) => {
-                hash_sim_report(&mut h, r);
-                r.headline()
-            }
-            Report::Cluster(r) => {
-                hash_cluster(&mut h, r);
-                r.headline()
-            }
-            Report::Elastic(r) => {
-                let typed =
-                    matches!(&self.topology, Topology::Elastic { fleet, .. } if !fleet.is_empty());
-                hash_elastic(&mut h, r, typed);
-                r.headline()
-            }
-            Report::Disagg(r) => {
-                let (Topology::Disagg { config, .. } | Topology::ElasticDisagg { config, .. }) =
-                    &self.topology
-                else {
-                    unreachable!("only the disagg topologies report DisaggReport")
-                };
-                let elastic = matches!(self.topology, Topology::ElasticDisagg { .. });
-                hash_disagg(&mut h, r, config.transfer.mode, elastic);
-                r.headline()
-            }
-        };
-        Run {
-            name: self.name.clone(),
-            report,
-            headline,
-            fingerprint: h.0,
-        }
     }
 }
 
@@ -423,11 +309,147 @@ pub fn by_name<'a>(runs: &'a [Run], name: &str) -> &'a Run {
         .unwrap_or_else(|| panic!("no scenario named {name}"))
 }
 
-/// The fingerprint of one engine's report, as [`Scenario::run`] computes
-/// it for [`Topology::Single`].
-pub fn sim_fingerprint(report: &SimReport) -> u64 {
+/// FNV-1a over every field of a run's report: each member's lifecycle and
+/// engine report ([`sim_fingerprint`]), the request ledger, the goodput,
+/// the fleet's outcome stream, scaling and repurposing decisions, link
+/// totals and replica series. Each struct is destructured whole, so a
+/// field added to the report fails to compile here until it is hashed.
+pub fn fingerprint(report: &FleetReport) -> u64 {
+    let FleetReport {
+        instances,
+        issued,
+        timed_out,
+        unserved,
+        unrouted,
+        goodput,
+        makespan,
+        prefix_stats,
+        outcomes,
+        events,
+        repurposes,
+        transfers,
+        series,
+    } = report;
     let mut h = Fnv::new();
-    hash_sim_report(&mut h, report);
+    h.word(instances.len() as u64);
+    for member in instances {
+        let MemberReport {
+            pool,
+            gpu,
+            spawned_at,
+            stopped_at,
+            routed,
+            served,
+            report,
+        } = member;
+        h.word(*pool as u64);
+        h.str(gpu.name);
+        h.f64(gpu.cost_weight);
+        h.f64(gpu.perf_scale);
+        h.time(*spawned_at);
+        h.time(*stopped_at);
+        h.word(*routed as u64);
+        h.word(*served as u64);
+        h.word(sim_fingerprint(report));
+    }
+    for n in [issued, timed_out, unserved, unrouted] {
+        h.word(*n as u64);
+    }
+    hash_goodput(&mut h, goodput);
+    h.word(makespan.as_micros());
+    hash_prefix_stats(&mut h, prefix_stats);
+    hash_outcomes(&mut h, outcomes);
+    h.word(events.len() as u64);
+    for ScalingEvent { at, pool, from, to } in events {
+        h.time(*at);
+        h.word(*pool as u64);
+        h.word(*from as u64);
+        h.word(*to as u64);
+    }
+    h.word(repurposes.len() as u64);
+    for RepurposeEvent {
+        at,
+        direction,
+        prefill_member,
+        decode_member,
+    } in repurposes
+    {
+        h.time(*at);
+        h.word(*direction as u64);
+        h.word(*prefill_member as u64);
+        h.word(*decode_member as u64);
+    }
+    let TransferStats {
+        transfers,
+        total_bytes,
+        total_link_secs,
+        streamed,
+        total_tail_secs,
+        in_flight,
+    } = transfers;
+    h.word(*transfers as u64);
+    h.word(*total_bytes);
+    h.f64(*total_link_secs);
+    h.word(*streamed as u64);
+    h.f64(*total_tail_secs);
+    h.word(*in_flight as u64);
+    h.word(series.len() as u64);
+    for (name, points) in series.iter() {
+        h.str(name);
+        hash_series(&mut h, points);
+    }
+    h.0
+}
+
+/// FNV-1a over every field of one engine's report: the word each member
+/// contributes to [`fingerprint`].
+pub fn sim_fingerprint(r: &SimReport) -> u64 {
+    let SimReport {
+        scheduler_name,
+        goodput,
+        decode_steps,
+        prefill_steps,
+        evictions,
+        completed,
+        unfinished,
+        timed_out,
+        makespan,
+        capacity_tokens,
+        avg_consumed_frac,
+        avg_future_required_frac,
+        peak_consumed_frac,
+        consumed_series,
+        future_required_series,
+        queue_series,
+        prefix_stats,
+        prefix_cached_tokens,
+        kv_used_tokens_end,
+        outcomes,
+    } = r;
+    let mut h = Fnv::new();
+    h.str(scheduler_name);
+    for n in [completed, unfinished, timed_out] {
+        h.word(*n as u64);
+    }
+    for n in [decode_steps, prefill_steps, evictions, capacity_tokens] {
+        h.word(*n);
+    }
+    h.word(makespan.as_micros());
+    for v in [
+        avg_consumed_frac,
+        avg_future_required_frac,
+        peak_consumed_frac,
+    ] {
+        h.f64(*v);
+    }
+    for series in [consumed_series, future_required_series, queue_series] {
+        hash_series(&mut h, series);
+    }
+    hash_prefix_stats(&mut h, prefix_stats);
+    h.word(*prefix_cached_tokens);
+    h.word(*kv_used_tokens_end);
+    hash_goodput(&mut h, goodput);
+    hash_outcomes(&mut h, outcomes);
     h.0
 }
 
@@ -449,6 +471,17 @@ impl Fnv {
     fn f64(&mut self, v: f64) {
         self.word(v.to_bits());
     }
+
+    fn time(&mut self, t: SimTime) {
+        self.word(t.saturating_since(SimTime::ZERO).as_micros());
+    }
+
+    fn str(&mut self, s: &str) {
+        self.word(s.len() as u64);
+        for byte in s.bytes() {
+            self.word(u64::from(byte));
+        }
+    }
 }
 
 fn hash_summary(h: &mut Fnv, s: &Summary) {
@@ -459,148 +492,87 @@ fn hash_summary(h: &mut Fnv, s: &Summary) {
 }
 
 fn hash_goodput(h: &mut Fnv, g: &GoodputReport) {
-    h.word(g.total_requests as u64);
-    h.word(g.satisfied_requests as u64);
-    h.word(g.total_output_tokens);
-    h.word(g.satisfied_output_tokens);
-    h.word(g.duration.as_micros());
-    h.f64(g.throughput_tok_per_s);
-    h.f64(g.goodput_tok_per_s);
-    hash_summary(h, &g.ttft_secs);
-    hash_summary(h, &g.mtpot_secs);
+    let GoodputReport {
+        total_requests,
+        satisfied_requests,
+        total_output_tokens,
+        satisfied_output_tokens,
+        duration,
+        throughput_tok_per_s,
+        goodput_tok_per_s,
+        ttft_secs,
+        mtpot_secs,
+        violations,
+    } = g;
+    h.word(*total_requests as u64);
+    h.word(*satisfied_requests as u64);
+    h.word(*total_output_tokens);
+    h.word(*satisfied_output_tokens);
+    h.word(duration.as_micros());
+    h.f64(*throughput_tok_per_s);
+    h.f64(*goodput_tok_per_s);
+    hash_summary(h, ttft_secs);
+    hash_summary(h, mtpot_secs);
+    let ViolationCounts {
+        ttft,
+        mtpot,
+        no_tokens,
+        timed_out,
+    } = violations;
+    for n in [ttft, mtpot, no_tokens, timed_out] {
+        h.word(*n as u64);
+    }
+}
+
+fn hash_prefix_stats(h: &mut Fnv, s: &PrefixCacheStats) {
+    let PrefixCacheStats {
+        lookups,
+        hits,
+        hit_tokens,
+        insertions,
+        evictions,
+        evicted_tokens,
+    } = s;
+    for n in [
+        lookups,
+        hits,
+        hit_tokens,
+        insertions,
+        evictions,
+        evicted_tokens,
+    ] {
+        h.word(*n);
+    }
+}
+
+fn hash_series(h: &mut Fnv, series: &StepSeries) {
+    h.word(series.len() as u64);
+    for &(at, value) in series.points() {
+        h.time(at);
+        h.f64(value);
+    }
 }
 
 /// The per-request stream is the most sensitive probe: every token
 /// timestamp of every completed request feeds the hash.
 fn hash_outcomes(h: &mut Fnv, outcomes: &[RequestOutcome]) {
-    let micros = |t: SimTime| t.saturating_since(SimTime::ZERO).as_micros();
     h.word(outcomes.len() as u64);
     for o in outcomes {
-        h.word(o.id);
-        h.word(u64::from(o.input_len));
-        h.word(u64::from(o.output_len));
-        h.word(u64::from(o.evictions));
-        h.word(micros(o.timing.arrival()));
-        h.word(o.timing.ttft().map_or(u64::MAX, |d| d.as_micros()));
-        h.word(o.timing.n_tokens());
-        h.word(micros(o.timing.last_token_at()));
-    }
-}
-
-fn hash_sim_report(h: &mut Fnv, r: &SimReport) {
-    h.word(r.completed as u64);
-    h.word(r.unfinished as u64);
-    h.word(r.timed_out as u64);
-    h.word(r.decode_steps);
-    h.word(r.prefill_steps);
-    h.word(r.evictions);
-    h.word(r.makespan.as_micros());
-    h.word(r.capacity_tokens);
-    h.f64(r.avg_consumed_frac);
-    h.f64(r.avg_future_required_frac);
-    h.f64(r.peak_consumed_frac);
-    h.word(r.kv_used_tokens_end);
-    h.word(r.prefix_stats.lookups);
-    h.word(r.prefix_stats.hits);
-    h.word(r.prefix_cached_tokens);
-    hash_goodput(h, &r.goodput);
-    hash_outcomes(h, &r.outcomes);
-}
-
-fn hash_cluster(h: &mut Fnv, r: &ClusterReport) {
-    for (routed, instance) in r.routed_per_instance.iter().zip(&r.instances) {
-        h.word(*routed as u64);
-        hash_sim_report(h, instance);
-    }
-}
-
-fn hash_gpu(h: &mut Fnv, gpu: &GpuType) {
-    h.word(gpu.name.len() as u64);
-    for byte in gpu.name.bytes() {
-        h.word(u64::from(byte));
-    }
-    h.f64(gpu.cost_weight);
-    h.f64(gpu.perf_scale);
-}
-
-/// An elastic fleet's goodput, instances and scaling; a fleet of typed
-/// GPU slots adds each instance's lifetime and GPU.
-fn hash_elastic(h: &mut Fnv, r: &ElasticReport, typed_fleet: bool) {
-    hash_goodput(h, &r.goodput);
-    h.word(r.makespan.as_micros());
-    h.word(r.unrouted as u64);
-    h.word(r.events.len() as u64);
-    h.word(r.instances.len() as u64);
-    for inst in &r.instances {
-        h.word(inst.routed as u64);
-        hash_sim_report(h, &inst.report);
-    }
-    if typed_fleet {
-        for inst in &r.instances {
-            h.word(inst.spawned_at.as_micros());
-            h.word(inst.stopped_at.as_micros());
-            hash_gpu(h, &inst.gpu);
-        }
-    }
-}
-
-/// One disagg pool's lifecycle: every instance's lifetime, GPU, routed
-/// and completed counts, then every scaling decision.
-fn hash_pool(h: &mut Fnv, pool: &PoolReport) {
-    h.word(pool.instances.len() as u64);
-    for inst in &pool.instances {
-        h.word(inst.spawned_at.as_micros());
-        h.word(inst.stopped_at.as_micros());
-        hash_gpu(h, &inst.gpu);
-        h.word(inst.routed as u64);
-        h.word(inst.completed as u64);
-    }
-    h.word(pool.events.len() as u64);
-    for ev in &pool.events {
-        h.word(ev.at.as_micros());
-        h.word(ev.from as u64);
-        h.word(ev.to as u64);
-    }
-}
-
-/// A disaggregated run's goodput, transfers and outcome stream. Streamed
-/// links add their streamed count and un-hidden tail; elastic pools hash
-/// both pools' lifecycles and every repurposing flip in place of the
-/// link time.
-fn hash_disagg(h: &mut Fnv, r: &DisaggReport, mode: TransferMode, elastic: bool) {
-    let streamed = match mode {
-        TransferMode::Atomic => false,
-        TransferMode::LayerStreamed => true,
-    };
-    hash_goodput(h, &r.goodput);
-    h.word(r.makespan.as_micros());
-    h.word(r.unserved as u64);
-    h.word(r.timed_out as u64);
-    h.word(r.transfers.transfers as u64);
-    if streamed {
-        h.word(r.transfers.streamed as u64);
-    }
-    h.word(r.transfers.total_bytes);
-    if !elastic {
-        h.f64(r.transfers.total_link_secs);
-    }
-    if streamed {
-        h.f64(r.transfers.total_tail_secs);
-    }
-    hash_outcomes(h, &r.outcomes);
-    if elastic {
-        hash_pool(h, &r.prefill);
-        hash_pool(h, &r.decode);
-        h.word(r.repurposes.len() as u64);
-        for ev in &r.repurposes {
-            h.word(ev.at.as_micros());
-            h.word(match ev.direction {
-                RepurposeDirection::PrefillToDecode => 0,
-                RepurposeDirection::DecodeToPrefill => 1,
-            });
-            h.word(ev.prefill_member as u64);
-            h.word(ev.decode_member as u64);
-        }
+        let RequestOutcome {
+            id,
+            input_len,
+            output_len,
+            timing,
+            evictions,
+        } = o;
+        h.word(*id);
+        h.word(u64::from(*input_len));
+        h.word(u64::from(*output_len));
+        h.word(u64::from(*evictions));
+        h.time(timing.arrival());
+        h.word(timing.ttft().map_or(u64::MAX, |d| d.as_micros()));
+        h.word(timing.n_tokens());
+        h.time(timing.last_token_at());
     }
 }
 

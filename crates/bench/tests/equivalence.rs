@@ -7,17 +7,27 @@ use pf_autoscale::AutoscaleConfig;
 use std::sync::Arc;
 
 use pf_bench::scenario::{
-    base, poisson, sim_fingerprint, Report, Run, Scenario, Topology, Workload, WorkloadFn,
+    base, poisson, sim_fingerprint, Run, Scenario, Topology, Workload, WorkloadFn,
 };
 use pf_metrics::SimDuration;
 use pf_obs::RecordingSink;
 use pf_sim::cluster::RouterPolicy;
-use pf_sim::disagg::{DisaggConfig, DisaggReport, PoolReport, TransferStats};
-use pf_sim::{BatchingMode, Headline, QueueOrder, RequestOutcome, SimConfig, SimReport};
+use pf_sim::disagg::{DisaggConfig, TransferStats};
+use pf_sim::{BatchingMode, FleetReport, Headline, QueueOrder, RequestOutcome, SimConfig};
 use pf_workload::{datasets, ClosedLoopClients};
 
 const SEEDS: std::ops::Range<u64> = 0..6;
 const REQUESTS: usize = 150;
+
+/// Requests routed to each member, in member order.
+fn routed(report: &FleetReport) -> Vec<usize> {
+    report.instances.iter().map(|m| m.routed).collect()
+}
+
+/// The fingerprint of the first member's engine report.
+fn first_member(run: &Run) -> u64 {
+    sim_fingerprint(&run.report.instances[0].report)
+}
 
 /// A fleet member's config, the router in front of it, and its workload.
 type Member = (&'static str, SimConfig, RouterPolicy, fn(u64) -> Workload);
@@ -90,7 +100,8 @@ fn inputs(
 /// single engine's schedule, stamping each request at its scheduled
 /// arrival, under every policy that can run on the member (the overlap
 /// policies over a prefix cache among them), on every input: timed,
-/// offline, closed-loop clients and static batches.
+/// offline, closed-loop clients and static batches. The member's report
+/// and the headline agree.
 #[test]
 fn one_member_cluster_equals_single_engine() {
     for seed in SEEDS {
@@ -106,9 +117,7 @@ fn one_member_cluster_equals_single_engine() {
                     format!("{name}-{input}-single"),
                     Topology::Single(config.clone()),
                 );
-                let Report::Single(single) = single.run(None).report else {
-                    unreachable!("the topology fixes the report type");
-                };
+                let single = single.run(None);
                 let kv_overlap = RouterPolicy::KvOverlap {
                     overlap_weight: 1.0,
                     temperature: 0.0,
@@ -121,14 +130,14 @@ fn one_member_cluster_equals_single_engine() {
                         format!("{name}-{input}-cluster"),
                         Topology::cluster(config.clone(), 1, policy),
                     );
-                    let Report::Cluster(cluster) = cluster.run(None).report else {
-                        unreachable!("the topology fixes the report type");
-                    };
+                    let cluster = cluster.run(None);
+                    let what = format!("{name} {input} seed {seed} {policy:?}");
                     assert_eq!(
-                        sim_fingerprint(&cluster.instances[0]),
-                        sim_fingerprint(&single),
-                        "{name} {input} seed {seed} {policy:?}: the one-member cluster diverged from the single engine"
+                        first_member(&cluster),
+                        first_member(&single),
+                        "{what}: the one-member cluster diverged from the single engine"
                     );
+                    assert_eq!(cluster.headline, single.headline, "{what}");
                 }
             }
         }
@@ -163,37 +172,22 @@ fn pinned_elastic_fleet_equals_one_member_cluster() {
                     },
                     workload,
                 );
-                let (Report::Cluster(cluster), Report::Elastic(elastic)) =
-                    (cluster.run(None).report, elastic.run(None).report)
-                else {
-                    unreachable!("the topologies fix the report types");
-                };
+                let (cluster, elastic) = (cluster.run(None), elastic.run(None));
                 let what = format!("{name} seed {seed} n={n}");
                 assert!(
-                    elastic.events.is_empty(),
+                    elastic.report.events.is_empty(),
                     "{what}: a fleet pinned at its size scaled"
                 );
-                let routed: Vec<usize> = elastic.instances.iter().map(|i| i.routed).collect();
-                assert_eq!(cluster.routed_per_instance, routed, "{what}");
-                for (k, (member, fixed)) in
-                    elastic.instances.iter().zip(&cluster.instances).enumerate()
-                {
+                assert_eq!(routed(&cluster.report), routed(&elastic.report), "{what}");
+                let members = elastic.report.instances.iter();
+                for (k, (member, fixed)) in members.zip(&cluster.report.instances).enumerate() {
                     assert_eq!(
                         sim_fingerprint(&member.report),
-                        sim_fingerprint(fixed),
+                        sim_fingerprint(&fixed.report),
                         "{what}: the pinned fleet's member {k} diverged from the cluster's"
                     );
                 }
-                // One run, three report types: their headline definitions
-                // must agree.
-                if n == 1 {
-                    assert_eq!(
-                        cluster.headline(),
-                        cluster.instances[0].headline(),
-                        "{what}"
-                    );
-                }
-                assert_eq!(elastic.headline(), cluster.headline(), "{what}");
+                assert_eq!(elastic.headline, cluster.headline, "{what}");
             }
         }
     }
@@ -205,14 +199,12 @@ fn pinned_elastic_fleet_equals_one_member_cluster() {
 /// agree.
 #[test]
 fn pinned_elastic_disagg_pools_equal_fixed_pools() {
-    let outcomes = |r: &DisaggReport| -> Vec<_> {
+    let outcomes = |r: &FleetReport| -> Vec<_> {
         r.outcomes
             .iter()
             .map(|o| (o.id, o.input_len, o.output_len, o.evictions, o.timing))
             .collect()
     };
-    let routed =
-        |pool: &PoolReport| -> Vec<usize> { pool.instances.iter().map(|i| i.routed).collect() };
     for seed in SEEDS {
         for (name, config, router, workload) in members(seed) {
             let config = DisaggConfig::new(config).router(router);
@@ -233,20 +225,15 @@ fn pinned_elastic_disagg_pools_equal_fixed_pools() {
                 },
                 workload,
             );
-            let (Report::Disagg(fixed), Report::Disagg(pinned)) =
-                (fixed.run(None).report, pinned.run(None).report)
-            else {
-                unreachable!("the topologies fix the report types");
-            };
+            let (fixed, pinned) = (fixed.run(None), pinned.run(None));
             let what = format!("{name} seed {seed}");
             assert!(
-                pinned.prefill.events.is_empty() && pinned.decode.events.is_empty(),
+                pinned.report.events.is_empty(),
                 "{what}: pools pinned at their size scaled"
             );
-            assert_eq!(routed(&pinned.prefill), routed(&fixed.prefill), "{what}");
-            assert_eq!(routed(&pinned.decode), routed(&fixed.decode), "{what}");
-            assert_eq!(outcomes(&pinned), outcomes(&fixed), "{what}");
-            assert_eq!(pinned.headline(), fixed.headline(), "{what}");
+            assert_eq!(routed(&pinned.report), routed(&fixed.report), "{what}");
+            assert_eq!(outcomes(&pinned.report), outcomes(&fixed.report), "{what}");
+            assert_eq!(pinned.headline, fixed.headline, "{what}");
         }
     }
 }
@@ -269,11 +256,9 @@ fn weightless_kv_overlap_equals_least_estimated_load() {
             temperature: 0.0,
         });
         let blind = run(RouterPolicy::LeastEstimatedLoad);
-        let (Report::Cluster(d), Report::Cluster(b)) = (&degraded.report, &blind.report) else {
-            unreachable!("the topology fixes the report type");
-        };
         assert_eq!(
-            d.routed_per_instance, b.routed_per_instance,
+            routed(&degraded.report),
+            routed(&blind.report),
             "{name} seed {seed}"
         );
         assert_eq!(
@@ -338,37 +323,27 @@ fn clockless(h: Headline) -> Headline {
     Headline {
         goodput_tok_per_s: 0.0,
         gpu_seconds: 0.0,
-        cost_weighted_gpu_seconds: None,
+        cost_weighted_gpu_seconds: 0.0,
         ..h
     }
 }
 
-/// Every engine's step, KV and routed counters, engine by engine, or the
-/// unserved count and link totals of a disaggregated run.
-fn counters(report: &Report) -> (Vec<[u64; 6]>, Option<(usize, TransferStats)>) {
-    let engine = |r: &SimReport, routed: usize| {
+/// Every member's step, KV, routed and served counters, member by
+/// member, then the unserved count and the link totals.
+fn counters(report: &FleetReport) -> (Vec<[u64; 7]>, usize, TransferStats) {
+    let members = report.instances.iter().map(|m| {
+        let r = &m.report;
         [
             r.decode_steps,
             r.prefill_steps,
             r.unfinished as u64,
             r.kv_used_tokens_end,
             r.prefix_cached_tokens,
-            routed as u64,
+            m.routed as u64,
+            m.served as u64,
         ]
-    };
-    match report {
-        Report::Single(r) => (vec![engine(r, 0)], None),
-        Report::Cluster(r) => {
-            let routed = r.routed_per_instance.iter();
-            let engines = r.instances.iter().zip(routed);
-            (
-                engines.map(|(r, &routed)| engine(r, routed)).collect(),
-                None,
-            )
-        }
-        Report::Disagg(r) => (Vec::new(), Some((r.unserved, r.transfers))),
-        Report::Elastic(_) => unreachable!("elastic fleets are exempt"),
-    }
+    });
+    (members.collect(), report.unserved, report.transfers)
 }
 
 /// `moved` is `base` with every timing shifted by `SHIFT`: the same
@@ -377,19 +352,19 @@ fn counters(report: &Report) -> (Vec<[u64; 6]>, Option<(usize, TransferStats)>) 
 /// the makespan) moved by exactly `SHIFT`.
 fn assert_shifted(what: &str, base: &Run, moved: &Run) {
     let (b, m) = (&base.report, &moved.report);
-    assert_eq!(b.makespan() + SHIFT, m.makespan(), "{what}");
+    assert_eq!(b.makespan + SHIFT, m.makespan, "{what}");
     let (bh, mh) = (clockless(base.headline), clockless(moved.headline));
     assert_eq!(bh, mh, "{what}");
     assert_eq!(counters(b), counters(m), "{what}");
-    assert_eq!(b.prefix_stats(), m.prefix_stats(), "{what}");
-    let outcomes = |report: &Report, shift: SimDuration| -> Vec<_> {
+    assert_eq!(b.prefix_stats, m.prefix_stats, "{what}");
+    let outcomes = |report: &FleetReport, shift: SimDuration| -> Vec<_> {
         let outcome = |o: &RequestOutcome| {
             let t = &o.timing;
             let request = (o.id, o.input_len, o.output_len, o.evictions);
             let latency = (t.ttft(), t.mtpot(), t.avg_tpot(), t.total_latency());
             (request, t.arrival() + shift, t.n_tokens(), latency)
         };
-        report.outcomes().into_iter().map(outcome).collect()
+        report.all_outcomes().map(outcome).collect()
     };
     assert_eq!(outcomes(b, SHIFT), outcomes(m, SimDuration::ZERO), "{what}");
 }

@@ -51,7 +51,7 @@ fn table1_run(scheduler: SchedulerConfig) -> &'static SimReport {
         let names: Vec<&str> = names.iter().map(String::as_str).collect();
         run_named(paper::table1(1, 250), &names)
     });
-    by_name(runs, &name(&scheduler)).report.single()
+    &by_name(runs, &name(&scheduler)).report.instances[0].report
 }
 
 #[test]

@@ -16,10 +16,12 @@
 
 use std::collections::BTreeSet;
 
-use pf_bench::scenario::{goldens, Report, Topology};
+use pf_bench::scenario::{goldens, Topology};
 use pf_sim::cluster::RouterPolicy;
 use pf_sim::disagg::{DisaggConfig, RepurposeDirection, TransferMode};
-use pf_sim::{BatchingMode, EvictionMode, Headline, KvLayout, PrefillMode, QueueOrder, SimConfig};
+use pf_sim::{
+    BatchingMode, EvictionMode, FleetReport, Headline, KvLayout, PrefillMode, QueueOrder, SimConfig,
+};
 
 const GOLDEN_PATH: &str = "tests/golden/report_fingerprints.txt";
 const DIGEST_PATH: &str = "tests/golden/report_digests.tsv";
@@ -54,7 +56,7 @@ const VARIANTS: [&str; 22] = [
 /// The config variants one golden runs. Every `match` is exhaustive with no
 /// wildcard arm, so a new variant fails to compile here until this test
 /// names it (and lists it in [`VARIANTS`]).
-fn variants_run(topology: &Topology, report: &Report) -> Vec<&'static str> {
+fn variants_run(topology: &Topology, report: &FleetReport) -> Vec<&'static str> {
     let router = |policy: RouterPolicy| match policy {
         RouterPolicy::RoundRobin => "RouterPolicy::RoundRobin",
         RouterPolicy::LeastOutstanding => "RouterPolicy::LeastOutstanding",
@@ -111,29 +113,27 @@ fn variants_run(topology: &Topology, report: &Report) -> Vec<&'static str> {
         } => engine(base).into_iter().chain([router(*policy)]).collect(),
         Topology::Disagg { config, .. } | Topology::ElasticDisagg { config, .. } => disagg(config),
     };
-    if let Report::Disagg(report) = report {
-        run.extend(report.repurposes.iter().map(|event| match event.direction {
-            RepurposeDirection::PrefillToDecode => "RepurposeDirection::PrefillToDecode",
-            RepurposeDirection::DecodeToPrefill => "RepurposeDirection::DecodeToPrefill",
-        }));
-    }
+    run.extend(report.repurposes.iter().map(|event| match event.direction {
+        RepurposeDirection::PrefillToDecode => "RepurposeDirection::PrefillToDecode",
+        RepurposeDirection::DecodeToPrefill => "RepurposeDirection::DecodeToPrefill",
+    }));
     run
 }
 
 /// The headline scalars a digest row holds, in column order.
-fn digest_fields(h: &Headline) -> [(&'static str, Option<f64>); 12] {
+fn digest_fields(h: &Headline) -> [(&'static str, f64); 12] {
     [
-        ("completed", Some(h.completed as f64)),
-        ("satisfied", Some(h.satisfied as f64)),
-        ("timed_out", Some(h.timed_out as f64)),
-        ("sla_attainment", Some(h.sla_attainment)),
-        ("ttft_attainment", Some(h.ttft_attainment)),
-        ("goodput_tok_per_s", Some(h.goodput_tok_per_s)),
-        ("ttft_p50_s", Some(h.ttft_p50_s)),
-        ("ttft_p99_s", Some(h.ttft_p99_s)),
-        ("mtpot_p99_s", Some(h.mtpot_p99_s)),
-        ("evictions", Some(h.evictions as f64)),
-        ("gpu_seconds", Some(h.gpu_seconds)),
+        ("completed", h.completed as f64),
+        ("satisfied", h.satisfied as f64),
+        ("timed_out", h.timed_out as f64),
+        ("sla_attainment", h.sla_attainment),
+        ("ttft_attainment", h.ttft_attainment),
+        ("goodput_tok_per_s", h.goodput_tok_per_s),
+        ("ttft_p50_s", h.ttft_p50_s),
+        ("ttft_p99_s", h.ttft_p99_s),
+        ("mtpot_p99_s", h.mtpot_p99_s),
+        ("evictions", h.evictions as f64),
+        ("gpu_seconds", h.gpu_seconds),
         ("cost_weighted_gpu_seconds", h.cost_weighted_gpu_seconds),
     ]
 }
@@ -149,10 +149,7 @@ fn render_digests(runs: &[(String, u64, Headline)]) -> String {
         out.push_str(label);
         for (_, value) in digest_fields(headline) {
             out.push('\t');
-            match value {
-                Some(v) => out.push_str(&v.to_string()),
-                None => out.push('-'),
-            }
+            out.push_str(&value.to_string());
         }
         out.push('\n');
     }
@@ -171,17 +168,16 @@ fn explain_drift(label: &str, headline: &Headline, digest: &str) -> String {
     let golden: Vec<&str> = row.split('\t').skip(1).collect();
     let mut lines = Vec::new();
     for ((name, now), was) in digest_fields(headline).into_iter().zip(golden) {
-        let was: Option<f64> = was.parse().ok();
+        let Ok(was) = was.parse::<f64>() else {
+            lines.push(format!("  {name}: {was} -> {now}"));
+            continue;
+        };
         if was == now {
             continue;
         }
-        let show = |v: Option<f64>| v.map_or("-".to_string(), |v| v.to_string());
-        let delta = match (was, now) {
-            // Rounded to micro-units: the digest explains, the hash gates.
-            (Some(was), Some(now)) => format!(" ({:+})", ((now - was) * 1e6).round() / 1e6),
-            _ => String::new(),
-        };
-        lines.push(format!("  {name}: {} -> {}{delta}", show(was), show(now)));
+        // Rounded to micro-units: the digest explains, the hash gates.
+        let delta = ((now - was) * 1e6).round() / 1e6;
+        lines.push(format!("  {name}: {was} -> {now} ({delta:+})"));
     }
     if lines.is_empty() {
         "  (headline unchanged)".to_string()
@@ -197,6 +193,11 @@ fn reports_are_bit_identical_to_goldens() {
         .iter()
         .map(|scenario| {
             let run = scenario.run(None);
+            assert!(
+                run.report.ledger_balances(),
+                "{}: the request ledger does not balance",
+                scenario.name
+            );
             covered.extend(variants_run(&scenario.topology, &run.report));
             (scenario.name.clone(), run.fingerprint, run.headline)
         })

@@ -47,7 +47,7 @@ mod window;
 pub use hist::{Binning, LengthHistogram, ZeroBinWidth};
 pub use series::{SeriesGroup, StepSeries};
 pub use similarity::{cosine_similarity, SimilarityMatrix, WindowedLengths};
-pub use sla::{GoodputReport, RequestTiming, SlaOutcome, SlaSpec, SlaViolation};
+pub use sla::{GoodputReport, RequestTiming, SlaOutcome, SlaSpec, SlaViolation, ViolationCounts};
 pub use stats::{mean, percentile, std_dev, Summary};
 pub use table::{Align, Table};
 pub use time::{SimDuration, SimTime};

@@ -11,7 +11,8 @@
 //! A fixed fleet is a fleet with no planner: [`ClusterSimulation`] runs
 //! the crate's one event loop, the event heap behind the single engine
 //! and the elastic and disaggregated fleets too, with every instance live
-//! at t=0 and no planning rounds.
+//! at t=0 and no planning rounds, and reports the [`FleetReport`] they
+//! all share ([`ClusterSimulation::run_workload`]).
 //!
 //! Routing signals, from least to most informed:
 //!
@@ -55,7 +56,7 @@
 //! ```
 //! use pf_core::SchedulerConfig;
 //! use pf_sim::cluster::{ClusterSimulation, RouterPolicy};
-//! use pf_sim::{GpuSpec, ModelSpec, SimConfig};
+//! use pf_sim::{GpuSpec, ModelSpec, SimConfig, Workload};
 //! use pf_workload::datasets;
 //! use pf_metrics::SimTime;
 //!
@@ -67,12 +68,12 @@
 //! let requests = datasets::sharegpt(48, 1);
 //! let arrivals = (0..48).map(|i| SimTime::from_millis(100 * i)).collect();
 //! let report = ClusterSimulation::new(config, 3, RouterPolicy::LeastEstimatedLoad)
-//!     .run(requests, arrivals)?;
+//!     .run_workload(Workload::Timed(requests, arrivals), None)?;
 //! assert_eq!(report.headline().completed, 48);
 //! # Ok::<(), pf_sim::SimError>(())
 //! ```
 
-use pf_metrics::{GoodputReport, SimDuration, SimTime};
+use pf_metrics::{SimDuration, SimTime};
 use pf_obs::TraceSink;
 use pf_workload::RequestSpec;
 
@@ -80,7 +81,7 @@ use crate::config::{PrefixCacheConfig, SimConfig};
 use crate::driver::Run;
 use crate::error::SimError;
 use crate::fleet::{GpuType, Pool};
-use crate::report::{Headline, SimReport};
+use crate::report::{FleetReport, SimReport};
 use crate::simulation::Workload;
 
 /// Request-forwarding policy of the cluster front end.
@@ -292,7 +293,8 @@ impl ClusterSimulation {
         arrival_times: Vec<SimTime>,
         sink: Option<&mut dyn TraceSink>,
     ) -> Result<ClusterReport, SimError> {
-        self.run_workload(Workload::Timed(requests, arrival_times), sink)
+        let report = self.run_workload(Workload::Timed(requests, arrival_times), sink)?;
+        Ok(report.into())
     }
 
     /// Runs the cluster against `workload`, with an optional [`TraceSink`]
@@ -306,7 +308,7 @@ impl ClusterSimulation {
         self,
         workload: Workload,
         sink: Option<&mut dyn TraceSink>,
-    ) -> Result<ClusterReport, SimError> {
+    ) -> Result<FleetReport, SimError> {
         let base = self.configs[0].clone();
         let initial = self
             .configs
@@ -318,96 +320,41 @@ impl ClusterSimulation {
             Pool::new(pf_obs::Pool::Decode, Vec::new(), None),
         ];
         let initial = [initial, Vec::new()];
-        let mut run = Run::start(pools, base, initial, self.policy, None, workload, sink)?;
-        run.drive()?;
-        let [pool, _] = run.pools;
-        let (routed_per_instance, instances) = pool
-            .members
-            .into_iter()
-            .map(|m| (m.core.routed, m.engine.into_report()))
-            .unzip();
-        Ok(ClusterReport {
-            policy: self.policy,
-            routed_per_instance,
-            instances,
-            unrouted: run.unrouted,
-        })
+        Run::start(pools, base, initial, self.policy, None, workload, sink)?.drive()
     }
 }
 
-/// Aggregated result of a cluster run.
+/// What [`ClusterSimulation::run`] returns: the members' engine reports,
+/// and the fleet's makespan and goodput. It is kept only because the
+/// frozen benchmark reads it; ROADMAP item 9 retires it for
+/// [`FleetReport`], which [`ClusterSimulation::run_workload`] returns.
 #[derive(Debug)]
 pub struct ClusterReport {
-    /// Routing policy used.
-    pub policy: RouterPolicy,
-    /// Requests routed to each instance.
-    pub routed_per_instance: Vec<usize>,
-    /// Per-instance simulation reports.
+    /// Per-instance engine reports.
     pub instances: Vec<SimReport>,
-    /// Requests that reached no instance because `max_sim_time` had
-    /// stopped every instance first (closed-loop requests no client got
-    /// to submit by then among them).
-    pub unrouted: usize,
+    makespan: SimDuration,
+    goodput_tok_per_s: f64,
+}
+
+impl From<FleetReport> for ClusterReport {
+    fn from(report: FleetReport) -> Self {
+        ClusterReport {
+            goodput_tok_per_s: report.goodput_tok_per_s(),
+            makespan: report.makespan,
+            instances: report.instances.into_iter().map(|m| m.report).collect(),
+        }
+    }
 }
 
 impl ClusterReport {
-    /// Cluster makespan: the latest instance finish time.
+    /// The run's end ([`FleetReport::makespan`]).
     pub fn makespan(&self) -> SimDuration {
-        self.instances
-            .iter()
-            .map(|r| r.makespan)
-            .max()
-            .unwrap_or(SimDuration::ZERO)
+        self.makespan
     }
 
-    /// Cluster goodput: SLA-satisfying output tokens per second over the
-    /// cluster makespan.
+    /// The fleet's goodput ([`FleetReport::goodput_tok_per_s`]).
     pub fn goodput_tok_per_s(&self) -> f64 {
-        let tokens: u64 = self
-            .instances
-            .iter()
-            .map(|r| r.goodput.satisfied_output_tokens)
-            .sum();
-        let secs = self.makespan().as_secs_f64();
-        if secs > 0.0 {
-            tokens as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
-    /// The cluster's headline: the SLA terms of one goodput report pooled
-    /// over every instance's requests on the cluster makespan, counters
-    /// summed over instances, and the fixed fleet of reference GPUs (cost
-    /// weight 1.0) provisioned for the whole makespan.
-    pub fn headline(&self) -> Headline {
-        let gpu_seconds = self.instances.len() as f64 * self.makespan().as_secs_f64();
-        let goodput = GoodputReport::pooled(
-            self.instances.iter().map(|r| &r.goodput),
-            self.instances
-                .iter()
-                .flat_map(|r| &r.outcomes)
-                .map(|o| &o.timing),
-            self.makespan(),
-        );
-        Headline {
-            completed: self.instances.iter().map(|r| r.completed).sum(),
-            timed_out: self.instances.iter().map(|r| r.timed_out).sum(),
-            evictions: self.instances.iter().map(|r| r.evictions).sum(),
-            gpu_seconds,
-            cost_weighted_gpu_seconds: Some(gpu_seconds),
-            ..Headline::of_goodput(&goodput)
-        }
-    }
-
-    /// Prefix-cache statistics merged across instances (all zero when
-    /// caches are disabled).
-    pub fn prefix_stats(&self) -> pf_kvcache::PrefixCacheStats {
-        let mut stats = pf_kvcache::PrefixCacheStats::default();
-        for instance in &self.instances {
-            stats.merge(&instance.prefix_stats);
-        }
-        stats
+        self.goodput_tok_per_s
     }
 }
 
@@ -443,24 +390,34 @@ mod tests {
             .collect()
     }
 
+    /// `requests` arriving `gap_ms` apart.
+    fn burst(requests: Vec<RequestSpec>, gap_ms: u64) -> Workload {
+        let arrivals = burst_arrivals(requests.len(), gap_ms);
+        Workload::Timed(requests, arrivals)
+    }
+
+    fn routed(report: &FleetReport) -> Vec<usize> {
+        report.instances.iter().map(|m| m.routed).collect()
+    }
+
     #[test]
     fn cluster_completes_everything_under_every_policy() {
         for policy in RouterPolicy::ALL {
             let report = ClusterSimulation::new(base_config(8_000), 3, policy)
-                .run(skewed_requests(90, 1), burst_arrivals(90, 50))
+                .run_workload(burst(skewed_requests(90, 1), 50), None)
                 .unwrap_or_else(|e| panic!("{}: {e}", policy.label()));
             assert_eq!(report.headline().completed, 90, "{}", policy.label());
             assert_eq!(report.instances.len(), 3);
-            assert_eq!(report.routed_per_instance.iter().sum::<usize>(), 90);
+            assert_eq!(routed(&report).iter().sum::<usize>(), 90);
         }
     }
 
     #[test]
     fn round_robin_balances_by_count() {
         let report = ClusterSimulation::new(base_config(8_000), 3, RouterPolicy::RoundRobin)
-            .run(skewed_requests(90, 2), burst_arrivals(90, 50))
+            .run_workload(burst(skewed_requests(90, 2), 50), None)
             .unwrap();
-        assert_eq!(report.routed_per_instance, vec![30, 30, 30]);
+        assert_eq!(routed(&report), vec![30, 30, 30]);
     }
 
     #[test]
@@ -469,16 +426,16 @@ mod tests {
         let arrivals = burst_arrivals(120, 20);
         let run = |policy| {
             ClusterSimulation::new(base_config(4_000), 4, policy)
-                .run(requests.clone(), arrivals.clone())
+                .run_workload(Workload::Timed(requests.clone(), arrivals.clone()), None)
                 .unwrap()
         };
         let rr = run(RouterPolicy::RoundRobin);
         let load = run(RouterPolicy::LeastEstimatedLoad);
         assert!(
-            load.makespan() <= rr.makespan(),
+            load.makespan <= rr.makespan,
             "estimated-load routing ({}) should not lose to round-robin ({})",
-            load.makespan(),
-            rr.makespan()
+            load.makespan,
+            rr.makespan
         );
     }
 
@@ -486,13 +443,13 @@ mod tests {
     fn cluster_is_deterministic() {
         let run = || {
             ClusterSimulation::new(base_config(6_000), 2, RouterPolicy::LeastEstimatedLoad)
-                .run(skewed_requests(60, 4), burst_arrivals(60, 100))
+                .run_workload(burst(skewed_requests(60, 4), 100), None)
                 .unwrap()
         };
         let a = run();
         let b = run();
-        assert_eq!(a.makespan(), b.makespan());
-        assert_eq!(a.routed_per_instance, b.routed_per_instance);
+        assert_eq!(a.makespan, b.makespan);
+        assert_eq!(routed(&a), routed(&b));
         assert_eq!(a.headline().evictions, b.headline().evictions);
     }
 

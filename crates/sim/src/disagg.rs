@@ -92,7 +92,7 @@
 //! already on the GPU. The flip is atomic in the cost ledger: the
 //! instance stops charging its old pool and starts charging its new one at
 //! the same instant, carries its [`GpuType`] with it, and is reported in
-//! [`DisaggReport::repurposes`]. A member never serves both roles at once:
+//! [`FleetReport::repurposes`]. A member never serves both roles at once:
 //! it must be fully drained (no queue, no batch, no held KV) before the
 //! flip, and its new life starts from an empty KV pool.
 //!
@@ -110,7 +110,11 @@
 //! one plus the decode pool and the link. The run is fully
 //! deterministic: the heap orders arrivals, step completions, transfers
 //! and planning rounds, with a fixed rank and a monotone sequence number
-//! breaking timestamp ties, and a run ends at its last served work.
+//! breaking timestamp ties, and a run ends at its last served work. This
+//! module holds the pools' configuration and the link's cost model; a
+//! run returns the [`FleetReport`] every topology shares, whose members
+//! are both pools' engines and whose outcomes are the run's own, in
+//! completion order.
 //!
 //! # Example
 //!
@@ -137,17 +141,16 @@
 
 use pf_autoscale::{AutoscaleConfig, PoolRole};
 use pf_core::SchedulerConfig;
-use pf_kvcache::PrefixCacheStats;
-use pf_metrics::{GoodputReport, SeriesGroup, SimDuration, SimTime};
+use pf_metrics::{SimDuration, SimTime};
 use pf_obs::TraceSink;
 use pf_workload::RequestSpec;
 
 use crate::cluster::RouterPolicy;
 use crate::config::{BatchingMode, PrefillMode, QueueOrder, SimConfig};
-use crate::driver::{fleet_goodput, replicas, Member, Run, Split};
+use crate::driver::{replicas, Run, Split};
 use crate::error::SimError;
-use crate::fleet::{self, GpuType, Pool, PoolPlanner, ScalingEvent};
-use crate::report::{Headline, RequestOutcome};
+use crate::fleet::{self, GpuType, Pool, PoolPlanner};
+use crate::report::FleetReport;
 use crate::simulation::Workload;
 
 /// The KV-transfer cost model between the prefill and decode pools (see
@@ -371,7 +374,7 @@ impl DisaggConfig {
         planners: Option<(PoolPlanner, PoolPlanner)>,
         workload: Workload,
         sink: Option<&mut dyn TraceSink>,
-    ) -> Result<DisaggReport, SimError> {
+    ) -> Result<FleetReport, SimError> {
         let (prefill_planner, decode_planner) = planners.unzip();
         let prefill_base = self.prefill_base();
         let initial = [
@@ -383,8 +386,7 @@ impl DisaggConfig {
             Pool::new(pf_obs::Pool::Prefill, self.prefill_slots, prefill_planner),
             Pool::new(pf_obs::Pool::Decode, self.decode_slots, decode_planner),
         ];
-        let sla = self.base.sla;
-        let mut run = Run::start(
+        Run::start(
             pools,
             prefill_base,
             initial,
@@ -392,34 +394,8 @@ impl DisaggConfig {
             Some(split),
             workload,
             sink,
-        )?;
-        let end = run.drive()?;
-        let mut prefix_stats = PrefixCacheStats::default();
-        for stats in run.pools[0]
-            .members
-            .iter()
-            .filter_map(|m| m.engine.prefix_stats())
-        {
-            prefix_stats.merge(&stats);
-        }
-        let goodput = fleet_goodput(&sla, &run.outcomes, end, run.timed_out);
-        // In flight when the horizon stopped the run, or never routed.
-        let unserved = run.remaining + run.unrouted;
-        let split = run.split.expect("a split run");
-        let [prefill, decode] = run.pools;
-        Ok(DisaggReport {
-            goodput,
-            makespan: end.saturating_since(SimTime::ZERO),
-            unserved,
-            timed_out: run.timed_out,
-            prefill: PoolReport::new(prefill, end),
-            decode: PoolReport::new(decode, end),
-            repurposes: split.repurposes,
-            prefix_stats,
-            transfers: split.stats,
-            pool_series: run.series,
-            outcomes: run.outcomes,
-        })
+        )?
+        .drive()
     }
 }
 
@@ -465,7 +441,7 @@ impl DisaggCluster {
         self,
         requests: Vec<RequestSpec>,
         arrival_times: Vec<SimTime>,
-    ) -> Result<DisaggReport, SimError> {
+    ) -> Result<FleetReport, SimError> {
         self.run_traced(requests, arrival_times, None)
     }
 
@@ -480,7 +456,7 @@ impl DisaggCluster {
         requests: Vec<RequestSpec>,
         arrival_times: Vec<SimTime>,
         sink: Option<&mut dyn TraceSink>,
-    ) -> Result<DisaggReport, SimError> {
+    ) -> Result<FleetReport, SimError> {
         self.run_workload(Workload::Timed(requests, arrival_times), sink)
     }
 
@@ -494,7 +470,7 @@ impl DisaggCluster {
         self,
         workload: Workload,
         sink: Option<&mut dyn TraceSink>,
-    ) -> Result<DisaggReport, SimError> {
+    ) -> Result<FleetReport, SimError> {
         self.config.check()?;
         let initial = (self.prefill_instances, self.decode_instances);
         self.config.run(initial, None, workload, sink)
@@ -563,7 +539,7 @@ impl ElasticDisaggCluster {
         self,
         requests: Vec<RequestSpec>,
         arrival_times: Vec<SimTime>,
-    ) -> Result<DisaggReport, SimError> {
+    ) -> Result<FleetReport, SimError> {
         self.run_traced(requests, arrival_times, None)
     }
 
@@ -578,7 +554,7 @@ impl ElasticDisaggCluster {
         requests: Vec<RequestSpec>,
         arrival_times: Vec<SimTime>,
         sink: Option<&mut dyn TraceSink>,
-    ) -> Result<DisaggReport, SimError> {
+    ) -> Result<FleetReport, SimError> {
         self.run_workload(Workload::Timed(requests, arrival_times), sink)
     }
 
@@ -593,7 +569,7 @@ impl ElasticDisaggCluster {
         self,
         workload: Workload,
         sink: Option<&mut dyn TraceSink>,
-    ) -> Result<DisaggReport, SimError> {
+    ) -> Result<FleetReport, SimError> {
         self.config.check()?;
         let base = &self.config.base;
         let planners = (
@@ -632,12 +608,13 @@ pub struct RepurposeEvent {
     pub at: SimTime,
     /// Which way the member flipped.
     pub direction: RepurposeDirection,
-    /// Index into [`DisaggReport::prefill`]'s instances: the drained
-    /// member for [`RepurposeDirection::PrefillToDecode`], the freshly
-    /// spawned one for [`RepurposeDirection::DecodeToPrefill`].
+    /// Index among the prefill pool's members
+    /// ([`FleetReport::pool`]): the drained member for
+    /// [`RepurposeDirection::PrefillToDecode`], the freshly spawned one for
+    /// [`RepurposeDirection::DecodeToPrefill`].
     pub prefill_member: usize,
-    /// Index into [`DisaggReport::decode`]'s instances (the counterpart
-    /// of `prefill_member`, per the direction).
+    /// Index among the decode pool's members (the counterpart of
+    /// `prefill_member`, per the direction).
     pub decode_member: usize,
 }
 
@@ -659,6 +636,9 @@ pub struct TransferStats {
     /// pass and the overhead), in seconds. For an atomic handoff this is
     /// its whole handoff latency.
     pub total_tail_secs: f64,
+    /// Handoffs still on the link when the run ended (only a run cut by
+    /// `max_sim_time` leaves any).
+    pub in_flight: usize,
 }
 
 impl TransferStats {
@@ -670,165 +650,5 @@ impl TransferStats {
         } else {
             self.total_tail_secs / self.transfers as f64
         }
-    }
-}
-
-/// One pool instance's lifetime, for reports.
-#[derive(Debug, Clone, Copy)]
-pub struct PoolInstanceReport {
-    /// When the instance was provisioned.
-    pub spawned_at: SimTime,
-    /// When it stopped costing GPU time (run end for instances still up).
-    pub stopped_at: SimTime,
-    /// The accelerator this instance ran on.
-    pub gpu: GpuType,
-    /// Requests routed to it.
-    pub routed: usize,
-    /// Stage completions it performed (prompts prefilled / requests fully
-    /// decoded).
-    pub completed: usize,
-}
-
-impl PoolInstanceReport {
-    /// GPU time this instance was provisioned for, in seconds.
-    pub fn active_secs(&self) -> f64 {
-        self.stopped_at
-            .saturating_since(self.spawned_at)
-            .as_secs_f64()
-    }
-
-    /// Provisioned seconds weighted by the instance's GPU cost.
-    pub fn cost_weighted_secs(&self) -> f64 {
-        self.active_secs() * self.gpu.cost_weight
-    }
-}
-
-/// Per-pool result of a disaggregated run.
-#[derive(Debug, Clone)]
-pub struct PoolReport {
-    /// Per-instance lifetimes, in spawn order.
-    pub instances: Vec<PoolInstanceReport>,
-    /// Pool-size changes the planner made (empty for fixed pools).
-    pub events: Vec<ScalingEvent>,
-}
-
-impl PoolReport {
-    /// The report of a finished pool whose members still up at `end` are
-    /// charged until then.
-    fn new(pool: Pool<Member>, end: SimTime) -> Self {
-        let instances = pool
-            .members
-            .iter()
-            .map(|m| PoolInstanceReport {
-                spawned_at: m.core.spawned_at,
-                stopped_at: m.core.stopped_at.unwrap_or(end),
-                gpu: m.core.gpu,
-                routed: m.core.routed,
-                completed: m.completed,
-            })
-            .collect();
-        PoolReport {
-            instances,
-            events: pool.events,
-        }
-    }
-
-    /// Total GPU-seconds provisioned in this pool.
-    pub fn gpu_seconds(&self) -> f64 {
-        self.instances
-            .iter()
-            .map(PoolInstanceReport::active_secs)
-            .sum()
-    }
-
-    /// Total cost-weighted GPU-seconds provisioned in this pool.
-    pub fn cost_weighted_gpu_seconds(&self) -> f64 {
-        self.instances
-            .iter()
-            .map(PoolInstanceReport::cost_weighted_secs)
-            .sum()
-    }
-}
-
-/// Aggregate result of a disaggregated cluster run.
-#[derive(Debug)]
-pub struct DisaggReport {
-    /// Cluster-level goodput over all completed requests.
-    pub goodput: GoodputReport,
-    /// Run end time.
-    pub makespan: SimDuration,
-    /// Requests neither completed nor timed out: those still in flight
-    /// when `max_sim_time` stopped the run.
-    pub unserved: usize,
-    /// Requests cancelled because their deadline expired before their
-    /// prefill started (a handoff is never cancelled unless preempted,
-    /// which the decode pool's oracle admission rules out).
-    pub timed_out: usize,
-    /// The prefill pool.
-    pub prefill: PoolReport,
-    /// The decode pool.
-    pub decode: PoolReport,
-    /// Cross-pool repurposing flips, in flip order (empty with
-    /// repurposing disabled).
-    pub repurposes: Vec<RepurposeEvent>,
-    /// Prefix-cache statistics merged across prefill instances (all zero
-    /// when caches are disabled).
-    pub prefix_stats: PrefixCacheStats,
-    /// KV-transfer statistics.
-    pub transfers: TransferStats,
-    /// Per-pool live/provisioned replica counts over time
-    /// (`prefill-live`, `prefill-provisioned`, `decode-live`,
-    /// `decode-provisioned`).
-    pub pool_series: SeriesGroup,
-    /// Per-request outcomes in completion order.
-    pub outcomes: Vec<RequestOutcome>,
-}
-
-impl DisaggReport {
-    /// Total completed requests.
-    pub fn completed(&self) -> usize {
-        self.outcomes.len()
-    }
-
-    /// SLA-satisfying output tokens per second over the makespan.
-    pub fn goodput_tok_per_s(&self) -> f64 {
-        self.goodput.goodput_tok_per_s
-    }
-
-    /// Total GPU-seconds provisioned across both pools.
-    pub fn gpu_seconds(&self) -> f64 {
-        self.prefill.gpu_seconds() + self.decode.gpu_seconds()
-    }
-
-    /// The run's headline: SLA terms from the cluster-level goodput and
-    /// both pools' provisioned time (raw and cost-weighted — equal for
-    /// weight-1.0 fleets).
-    pub fn headline(&self) -> Headline {
-        Headline {
-            completed: self.completed(),
-            timed_out: self.timed_out,
-            evictions: self.outcomes.iter().map(|o| u64::from(o.evictions)).sum(),
-            gpu_seconds: self.gpu_seconds(),
-            cost_weighted_gpu_seconds: Some(
-                self.prefill.cost_weighted_gpu_seconds() + self.decode.cost_weighted_gpu_seconds(),
-            ),
-            ..Headline::of_goodput(&self.goodput)
-        }
-    }
-
-    /// Largest number of simultaneously provisioned prefill replicas.
-    pub fn peak_prefill_replicas(&self) -> usize {
-        self.pool_series
-            .get("prefill-provisioned")
-            .and_then(|s| s.max_value())
-            .unwrap_or(0.0) as usize
-    }
-
-    /// Largest number of simultaneously provisioned decode replicas.
-    pub fn peak_decode_replicas(&self) -> usize {
-        self.pool_series
-            .get("decode-provisioned")
-            .and_then(|s| s.max_value())
-            .unwrap_or(0.0) as usize
     }
 }

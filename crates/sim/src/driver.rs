@@ -50,13 +50,19 @@
 //! as unfinished, and arrivals not yet routed, or not yet submitted by a
 //! closed-loop client, as unrouted. A colocated or decode engine whose
 //! queue can never be admitted stalls the run ([`SimError::Stalled`]).
+//!
+//! The run then builds the one [`FleetReport`] of every topology: each
+//! member's lifetime and engine report, the request ledger (checked
+//! against the members in debug builds), the goodput over every completed
+//! request, the scaling and repurposing decisions, the link totals and
+//! the replica series.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::ops::Range;
 
-use pf_kvcache::KvEvent;
-use pf_metrics::{GoodputReport, RequestTiming, SeriesGroup, SimDuration, SimTime, SlaSpec};
+use pf_kvcache::{KvEvent, PrefixCacheStats};
+use pf_metrics::{GoodputReport, RequestTiming, SeriesGroup, SimDuration, SimTime};
 use pf_obs::{GaugeKind, TraceEvent, TraceSink};
 use pf_workload::RequestSpec;
 
@@ -72,7 +78,7 @@ use crate::fleet::{
     Routing,
 };
 use crate::link::{LinkScheduler, StreamDone, StreamSpec};
-use crate::report::RequestOutcome;
+use crate::report::{series_names, FleetReport, MemberReport, RequestOutcome};
 use crate::simulation::Workload;
 
 /// Which of a run's two pools a member, event or planning round belongs
@@ -100,7 +106,7 @@ pub(crate) struct Member {
     handed: Range<usize>,
     /// Requests this member served its stage for: requests finished here,
     /// plus prompts prefilled and handed out.
-    pub(crate) completed: usize,
+    served: usize,
     /// Engine outcomes the run has seen (a colocated member keeps them).
     seen_outcomes: usize,
     /// Engine timeouts already counted by the run.
@@ -135,21 +141,22 @@ pub(crate) fn replicas(base: &SimConfig, slots: &[GpuType], n: usize) -> Vec<(Si
         .collect()
 }
 
-/// A fleet's goodput over its completed requests' `outcomes`, measured
-/// on the makespan up to `end`; the `timed_out` requests enter the
-/// denominators as SLA misses.
-pub(crate) fn fleet_goodput<'a>(
-    sla: &SlaSpec,
-    outcomes: impl IntoIterator<Item = &'a RequestOutcome>,
-    end: SimTime,
-    timed_out: usize,
-) -> GoodputReport {
-    let requests: Vec<(RequestTiming, u64)> = outcomes
-        .into_iter()
-        .map(|o| (o.timing, u64::from(o.output_len)))
-        .collect();
-    let makespan = end.saturating_since(SimTime::ZERO);
-    GoodputReport::compute_with_timeouts(sla, &requests, makespan, timed_out)
+/// The requests `member` finished since it was last asked: moved into the
+/// run's `ledger` when the run keeps its own (a disaggregated run), else
+/// left in the engine, which keeps them for its report.
+fn take_finished<'a>(
+    member: &'a mut Member,
+    ledger: &'a mut Vec<RequestOutcome>,
+    own_ledger: bool,
+) -> &'a [RequestOutcome] {
+    if own_ledger {
+        let before = ledger.len();
+        ledger.extend(member.engine.drain_outcomes());
+        &ledger[before..]
+    } else {
+        let seen = std::mem::replace(&mut member.seen_outcomes, member.engine.outcomes().len());
+        &member.engine.outcomes()[seen..]
+    }
 }
 
 /// The requests of `workload` and their arrivals (t = 0 when offline or
@@ -223,8 +230,8 @@ pub(crate) struct Split {
     decode_cursor: usize,
     /// Cross-pool repurposing delay (`None` disables claims).
     repurpose_delay: Option<SimDuration>,
-    pub(crate) repurposes: Vec<RepurposeEvent>,
-    pub(crate) stats: TransferStats,
+    repurposes: Vec<RepurposeEvent>,
+    stats: TransferStats,
 }
 
 impl Split {
@@ -311,11 +318,11 @@ struct Scheduled {
 pub(crate) struct Run<'s> {
     /// The pools, indexed by [`PoolKind`]: members in spawn order (the
     /// index is a member's key in the router's KV index).
-    pub(crate) pools: [Pool<Member>; 2],
+    pools: [Pool<Member>; 2],
     /// The config the first pool's spawns are provisioned from.
     base: SimConfig,
     /// The disaggregated half (`None` for a colocated run).
-    pub(crate) split: Option<Split>,
+    split: Option<Split>,
     route: Routing,
     heap: BinaryHeap<Reverse<Scheduled>>,
     seq: u64,
@@ -328,19 +335,21 @@ pub(crate) struct Run<'s> {
     think: SimDuration,
     /// Reusable KV-event drain buffer of [`Run::tick`].
     kv_event_buf: Vec<(SimTime, KvEvent)>,
+    /// Requests the workload issued.
+    issued: usize,
     /// Requests neither ended (completed or timed out) nor unrouted.
-    pub(crate) remaining: usize,
+    remaining: usize,
     /// Requests that reached no member: no member was live, or the
     /// horizon stopped the run first.
-    pub(crate) unrouted: usize,
+    unrouted: usize,
     /// Requests cancelled by their deadline.
-    pub(crate) timed_out: usize,
+    timed_out: usize,
     /// A disaggregated run's finished requests, in completion order.
-    pub(crate) outcomes: Vec<RequestOutcome>,
+    outcomes: Vec<RequestOutcome>,
     /// The base config's `max_sim_time` in µs (`u64::MAX` without one).
     horizon_us: u64,
     /// Live and provisioned member counts over time, per pool.
-    pub(crate) series: SeriesGroup,
+    series: SeriesGroup,
     last_series_at: SimTime,
     /// Next trace-event instance id (dense over both pools' spawn order).
     next_instance: u32,
@@ -390,6 +399,7 @@ impl<'s> Run<'s> {
             stream: VecDeque::new(),
             submitted: submitted.min(requests.len()),
             think,
+            issued: requests.len(),
             remaining: requests.len(),
             kv_event_buf: Vec::new(),
             unrouted: 0,
@@ -461,7 +471,7 @@ impl<'s> Run<'s> {
             core: MemberCore::spawn(now, warmup, gpu),
             busy: false,
             handed: 0..0,
-            completed: 0,
+            served: 0,
             seen_outcomes: 0,
             seen_timed_out: 0,
         });
@@ -495,25 +505,20 @@ impl<'s> Run<'s> {
     fn record_fleet(&mut self, at: SimTime) {
         let at = at.max(self.last_series_at);
         self.last_series_at = at;
-        let names: &[[&str; 2]] = match self.split {
-            Some(_) => &[
-                ["prefill-live", "prefill-provisioned"],
-                ["decode-live", "decode-provisioned"],
-            ],
-            None => &[["live", "provisioned"]],
-        };
-        for (pool, [live_name, provisioned_name]) in self.pools.iter().zip(names) {
+        let pools = if self.split.is_some() { 2 } else { 1 };
+        for pool in &self.pools[..pools] {
             let (live, provisioned) = pool.sizes();
+            let [live_name, provisioned_name] = series_names(pool.label);
             self.series.record(live_name, at, live as f64);
             self.series.record(provisioned_name, at, provisioned as f64);
         }
     }
 
     /// Runs the fleet until every request has ended or found no member,
-    /// or until the horizon, and returns the run's end: its last served
-    /// work (the latest member clock: an engine step, a prefill pass or a
-    /// landed stream) or the horizon, whichever is first.
-    pub(crate) fn drive(&mut self) -> Result<SimTime, SimError> {
+    /// or until the horizon, and reports the run, which ends at its last
+    /// served work (the latest member clock: an engine step, a prefill pass
+    /// or a landed stream) or at the horizon, whichever is first.
+    pub(crate) fn drive(mut self) -> Result<FleetReport, SimError> {
         while self.remaining > 0 {
             let arrival =
                 (self.submitted > 0).then(|| (self.stream[0].0.as_micros(), ARRIVAL_RANK));
@@ -541,13 +546,101 @@ impl<'s> Run<'s> {
         // closed-loop client got to submit.
         self.unrouted += self.stream.len();
         self.remaining -= self.stream.len();
+        // A step that ends past the horizon has finished its requests,
+        // though the run stops before the member's `Done`.
+        let split = self.split.is_some();
+        for member in self.pools.iter_mut().flat_map(|pool| &mut pool.members) {
+            let finished = take_finished(member, &mut self.outcomes, split).len();
+            member.served += finished;
+            self.remaining -= finished;
+        }
         let last_work = (self.pools.iter().flat_map(|pool| &pool.members))
             .map(|m| m.engine.now())
             .max()
             .unwrap_or(SimTime::ZERO);
         let end = last_work.min(SimTime::from_micros(self.horizon_us));
         self.record_fleet(end);
-        Ok(end)
+        Ok(self.report(end))
+    }
+
+    /// The report of the run ended at `end`: members still up are charged
+    /// until then, and the goodput counts every completed request on the
+    /// makespan, with the timed-out ones as misses. In debug builds the
+    /// request ledger is checked against the members.
+    fn report(self, end: SimTime) -> FleetReport {
+        let Run {
+            pools,
+            base,
+            split,
+            issued,
+            remaining,
+            unrouted,
+            timed_out,
+            outcomes,
+            series,
+            ..
+        } = self;
+        let mut instances = Vec::new();
+        let mut events = Vec::new();
+        for pool in pools {
+            let label = pool.label;
+            instances.extend(pool.members.into_iter().map(|m| MemberReport {
+                pool: label,
+                gpu: m.core.gpu,
+                spawned_at: m.core.spawned_at,
+                stopped_at: m.core.stopped_at.unwrap_or(end),
+                routed: m.core.routed,
+                served: m.served,
+                report: m.engine.into_report(),
+            }));
+            events.extend(pool.events);
+        }
+        let (repurposes, transfers) = split
+            .map(|split| {
+                let in_flight = split.streams.iter().filter(|s| s.handoff.is_some());
+                let transfers = TransferStats {
+                    in_flight: in_flight.count(),
+                    ..split.stats
+                };
+                (split.repurposes, transfers)
+            })
+            .unwrap_or_default();
+        let mut prefix_stats = PrefixCacheStats::default();
+        for member in &instances {
+            prefix_stats.merge(&member.report.prefix_stats);
+        }
+        let makespan = end.saturating_since(SimTime::ZERO);
+        let members = instances.iter().flat_map(|m| &m.report.outcomes);
+        let requests: Vec<(RequestTiming, u64)> = (outcomes.iter().chain(members))
+            .map(|o| (o.timing, u64::from(o.output_len)))
+            .collect();
+        let goodput =
+            GoodputReport::compute_with_timeouts(&base.sla, &requests, makespan, timed_out);
+        drop(requests);
+        let report = FleetReport {
+            goodput,
+            instances,
+            issued,
+            timed_out,
+            unserved: remaining + unrouted,
+            unrouted,
+            makespan,
+            prefix_stats,
+            outcomes,
+            events,
+            repurposes,
+            transfers,
+            series,
+        };
+        debug_assert!(
+            report.ledger_balances(),
+            "unbalanced ledger: {issued} issued, {} completed, {timed_out} timed out, \
+             {} unserved ({unrouted} unrouted, {} on the link)",
+            report.completed(),
+            report.unserved,
+            report.transfers.in_flight,
+        );
+        report
     }
 
     /// Routes an arrival among the live members of the first pool with
@@ -691,16 +784,7 @@ impl<'s> Run<'s> {
         } = &mut pools[kind as usize];
         let member = &mut members[i];
         let handed = std::mem::take(&mut member.handed);
-        // A disaggregated run moves the finished requests into its own
-        // ledger; a colocated member keeps them for its report.
-        let finished = if split.is_some() {
-            let before = outcomes.len();
-            outcomes.extend(member.engine.drain_outcomes());
-            &outcomes[before..]
-        } else {
-            let seen = std::mem::replace(&mut member.seen_outcomes, member.engine.outcomes().len());
-            &member.engine.outcomes()[seen..]
-        };
+        let finished = take_finished(member, outcomes, split.is_some());
         if let Some(planner) = planner.as_mut() {
             for slot in split.iter().flat_map(|s| &s.streams[handed.clone()]) {
                 let handoff = slot.handoff.as_ref().expect("parked until it lands");
@@ -713,8 +797,8 @@ impl<'s> Run<'s> {
                 }
             }
         }
-        member.completed += handed.len() + finished.len();
         let finished = finished.len();
+        member.served += handed.len() + finished;
         self.remaining -= finished;
         self.free_clients(now, finished);
         while self.submitted > 0 && self.stream[0].0 <= now {

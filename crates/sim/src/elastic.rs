@@ -17,9 +17,10 @@
 //! also runs [`crate::cluster::ClusterSimulation`] (a fleet with no
 //! planner) and both disaggregated topologies; the member lifecycle
 //! (warm-up, drain, stop, the cost ledger) is the [`crate::fleet`]
-//! kernel. This module holds only the fleet's configuration and report.
-//! A run ends at its last served work: a fleet pinned at its initial size
-//! reports exactly what the same fixed cluster reports.
+//! kernel. This module holds only the fleet's configuration: a run
+//! returns the [`FleetReport`] every topology shares. A run ends at its
+//! last served work: a fleet pinned at its initial size reports exactly
+//! what the same fixed cluster reports.
 //!
 //! # Heterogeneous fleets
 //!
@@ -31,7 +32,7 @@
 //! candidate fleets against the mean `perf_scale` of the slots they would
 //! occupy, and the shrink pass releases the costliest members first.
 //! Reports price every instance at its `cost_weight`
-//! ([`ElasticReport::headline`]'s `cost_weighted_gpu_seconds`).
+//! ([`FleetReport::headline`]'s `cost_weighted_gpu_seconds`).
 //!
 //! The front end routes every arriving request among the **live**
 //! instances with a configurable [`RouterPolicy`] (default
@@ -77,19 +78,17 @@
 //! ```
 
 use pf_autoscale::{AutoscaleConfig, PoolRole};
-use pf_metrics::{GoodputReport, SimDuration, SimTime, StepSeries};
+use pf_metrics::SimTime;
 use pf_obs::TraceSink;
 use pf_workload::RequestSpec;
 
 use crate::cluster::RouterPolicy;
 use crate::config::SimConfig;
-use crate::driver::{fleet_goodput, replicas, Run};
+use crate::driver::{replicas, Run};
 use crate::error::SimError;
 use crate::fleet::{self, GpuType, Pool};
-use crate::report::{Headline, SimReport};
+use crate::report::FleetReport;
 use crate::simulation::Workload;
-
-pub use crate::fleet::ScalingEvent;
 
 /// An elastic fleet of serving instances driven by an SLA-targeted
 /// autoscaling planner (identical replicas by default; see
@@ -167,7 +166,7 @@ impl ElasticCluster {
         self,
         requests: Vec<RequestSpec>,
         arrival_times: Vec<SimTime>,
-    ) -> Result<ElasticReport, SimError> {
+    ) -> Result<FleetReport, SimError> {
         self.run_traced(requests, arrival_times, None)
     }
 
@@ -182,7 +181,7 @@ impl ElasticCluster {
         requests: Vec<RequestSpec>,
         arrival_times: Vec<SimTime>,
         sink: Option<&mut dyn TraceSink>,
-    ) -> Result<ElasticReport, SimError> {
+    ) -> Result<FleetReport, SimError> {
         self.run_workload(Workload::Timed(requests, arrival_times), sink)
     }
 
@@ -197,139 +196,16 @@ impl ElasticCluster {
         self,
         workload: Workload,
         sink: Option<&mut dyn TraceSink>,
-    ) -> Result<ElasticReport, SimError> {
+    ) -> Result<FleetReport, SimError> {
         fleet::check_gpus(&self.slots)?;
         let planner =
             fleet::pool_planner(self.autoscale, &self.base, PoolRole::Colocated, &self.slots);
         let initial = replicas(&self.base, &self.slots, self.initial_replicas);
-        let sla = self.base.sla;
         let pools = [
             Pool::new(pf_obs::Pool::Colocated, self.slots, Some(planner)),
             Pool::new(pf_obs::Pool::Decode, Vec::new(), None),
         ];
         let initial = [initial, Vec::new()];
-        let mut run = Run::start(pools, self.base, initial, self.router, None, workload, sink)?;
-        let end = run.drive()?;
-        let [pool, _] = run.pools;
-        let instances: Vec<ElasticInstanceReport> = pool
-            .members
-            .into_iter()
-            .map(|m| ElasticInstanceReport {
-                spawned_at: m.core.spawned_at,
-                stopped_at: m.core.stopped_at.unwrap_or(end),
-                gpu: m.core.gpu,
-                routed: m.core.routed,
-                report: m.engine.into_report(),
-            })
-            .collect();
-        let outcomes = instances.iter().flat_map(|i| &i.report.outcomes);
-        let goodput = fleet_goodput(&sla, outcomes, end, run.timed_out);
-        let series = |name| run.series.get(name).cloned().unwrap_or_default();
-        Ok(ElasticReport {
-            goodput,
-            makespan: end.saturating_since(SimTime::ZERO),
-            unrouted: run.unrouted,
-            live_series: series("live"),
-            provisioned_series: series("provisioned"),
-            instances,
-            events: pool.events,
-        })
-    }
-}
-
-/// Per-instance result of an elastic run.
-#[derive(Debug)]
-pub struct ElasticInstanceReport {
-    /// When the instance was provisioned.
-    pub spawned_at: SimTime,
-    /// When it stopped costing GPU time (run end for instances still up).
-    pub stopped_at: SimTime,
-    /// The accelerator this instance ran on.
-    pub gpu: GpuType,
-    /// Requests routed to it.
-    pub routed: usize,
-    /// Its engine report.
-    pub report: SimReport,
-}
-
-impl ElasticInstanceReport {
-    /// GPU time this instance was provisioned for, in seconds (warm-up
-    /// time counts: the GPU is busy loading weights, not serving).
-    pub fn active_secs(&self) -> f64 {
-        self.stopped_at
-            .saturating_since(self.spawned_at)
-            .as_secs_f64()
-    }
-
-    /// Provisioned seconds weighted by the instance's GPU cost.
-    pub fn cost_weighted_secs(&self) -> f64 {
-        self.active_secs() * self.gpu.cost_weight
-    }
-}
-
-/// Aggregate result of an elastic cluster run.
-#[derive(Debug)]
-pub struct ElasticReport {
-    /// Cluster-level goodput over all completed requests.
-    pub goodput: GoodputReport,
-    /// Run end time (latest instance activity).
-    pub makespan: SimDuration,
-    /// Requests dropped because no live instance existed (only possible
-    /// when `max_sim_time` stops the fleet early, closed-loop requests no
-    /// client got to submit by then among them).
-    pub unrouted: usize,
-    /// Per-instance reports, in spawn order.
-    pub instances: Vec<ElasticInstanceReport>,
-    /// Fleet-size changes the planner made.
-    pub events: Vec<ScalingEvent>,
-    /// Live-replica count over time.
-    pub live_series: StepSeries,
-    /// Provisioned-replica count (live + warming + draining) over time.
-    pub provisioned_series: StepSeries,
-}
-
-impl ElasticReport {
-    /// SLA-satisfying output tokens per second over the makespan.
-    pub fn goodput_tok_per_s(&self) -> f64 {
-        self.goodput.goodput_tok_per_s
-    }
-
-    /// Total GPU-seconds provisioned across the fleet (the cost metric
-    /// the elastic planner competes on against static fleets).
-    pub fn gpu_seconds(&self) -> f64 {
-        self.instances.iter().map(|i| i.active_secs()).sum()
-    }
-
-    /// Largest number of simultaneously provisioned replicas.
-    pub fn peak_replicas(&self) -> usize {
-        self.provisioned_series.max_value().unwrap_or(0.0) as usize
-    }
-
-    /// The fleet's headline: SLA terms from the cluster-level goodput,
-    /// counters summed over instances, and every instance's provisioned
-    /// time (raw and cost-weighted — equal for weight-1.0 fleets).
-    pub fn headline(&self) -> Headline {
-        let sum =
-            |f: fn(&SimReport) -> usize| self.instances.iter().map(|i| f(&i.report)).sum::<usize>();
-        Headline {
-            completed: sum(|r| r.completed),
-            timed_out: sum(|r| r.timed_out),
-            evictions: self.instances.iter().map(|i| i.report.evictions).sum(),
-            gpu_seconds: self.gpu_seconds(),
-            cost_weighted_gpu_seconds: Some(
-                self.instances.iter().map(|i| i.cost_weighted_secs()).sum(),
-            ),
-            ..Headline::of_goodput(&self.goodput)
-        }
-    }
-
-    /// Prefix-cache statistics merged across instances (all zero when
-    /// caches are disabled).
-    pub fn prefix_stats(&self) -> pf_kvcache::PrefixCacheStats {
-        let mut stats = pf_kvcache::PrefixCacheStats::default();
-        for instance in &self.instances {
-            stats.merge(&instance.report.prefix_stats);
-        }
-        stats
+        Run::start(pools, self.base, initial, self.router, None, workload, sink)?.drive()
     }
 }

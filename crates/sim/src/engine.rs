@@ -281,6 +281,9 @@ pub(crate) struct Engine {
     /// purge and the slack-pressure probe scan the queue.
     deadlines: bool,
     outcomes: Vec<RequestOutcome>,
+    /// Outcomes moved out by [`Engine::drain_outcomes`] (still completed
+    /// here).
+    drained: usize,
 
     output_len_sum: u64,
     output_len_count: u64,
@@ -356,6 +359,7 @@ impl Engine {
             timed_out: 0,
             deadlines: false,
             outcomes: Vec::new(),
+            drained: 0,
             consumed_weighted_sum: 0.0,
             weighted_time: 0.0,
             future_required_sum: 0.0,
@@ -675,8 +679,9 @@ impl Engine {
 
     /// Moves out the outcomes completed since the last drain, for a driver
     /// that keeps its own ledger (a disaggregated run). The engine's own
-    /// report then no longer counts them.
+    /// report then no longer holds them, but still counts them completed.
     pub(crate) fn drain_outcomes(&mut self) -> std::vec::Drain<'_, RequestOutcome> {
+        self.drained += self.outcomes.len();
         self.outcomes.drain(..)
     }
 
@@ -1497,7 +1502,7 @@ impl Engine {
             decode_steps: self.decode_steps,
             prefill_steps: self.prefill_steps,
             evictions: self.evictions,
-            completed: self.outcomes.len(),
+            completed: self.drained + self.outcomes.len(),
             unfinished,
             timed_out: self.timed_out,
             makespan,

@@ -387,11 +387,13 @@ impl MemberCore {
     }
 }
 
-/// One fleet-size change, for reports.
+/// One pool-size change, for reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScalingEvent {
     /// When the planner decided.
     pub at: SimTime,
+    /// The pool it resized.
+    pub pool: pf_obs::Pool,
     /// Provisioned replicas (live + warming) before the decision.
     pub from: usize,
     /// Provisioned replicas after the decision.
@@ -657,8 +659,8 @@ pub(crate) struct Pool<M> {
     /// Pool-size changes the planner made.
     pub(crate) events: Vec<ScalingEvent>,
     pub(crate) planner: Option<PoolPlanner>,
-    /// The pool label of emitted scaling events.
-    label: pf_obs::Pool,
+    /// The pool label of its members and scaling events.
+    pub(crate) label: pf_obs::Pool,
 }
 
 impl<M: FleetMember> Pool<M> {
@@ -730,7 +732,7 @@ impl<M: FleetMember> Pool<M> {
                 TraceEvent::ScaleDown { at, pool, from, to }
             };
             emit(sink, event);
-            self.events.push(ScalingEvent { at, from, to });
+            self.events.push(ScalingEvent { at, pool, from, to });
         }
         Some(match decision {
             ScalingDecision::ScaleUp { target } if target > effective => {

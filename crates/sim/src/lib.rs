@@ -13,7 +13,11 @@
 //!   loop, serving a [`Workload`] (offline, timed or closed-loop clients);
 //!   produces a [`SimReport`] with goodput, decode-step counts, eviction
 //!   statistics and memory-utilization series — every quantity the
-//!   paper's evaluation section reports.
+//!   paper's evaluation section reports;
+//! * [`FleetReport`] — the one report of every topology (the single
+//!   engine, [`cluster`], [`elastic`] and [`disagg`] fleets): one
+//!   [`MemberReport`] per member of either pool, one request ledger
+//!   (issued = completed + timed out + unserved) and one [`Headline`].
 //!
 //! The engine reproduces the mechanisms the paper's analysis depends on:
 //! iteration-level continuous batching, dedicated or chunked prefill,
@@ -65,5 +69,5 @@ pub use fleet::{GpuType, RouterConfig};
 pub use hardware::GpuSpec;
 pub use model::ModelSpec;
 pub use perf::{PerfModel, PerfTuning};
-pub use report::{Headline, RequestOutcome, SimReport};
+pub use report::{FleetReport, Headline, MemberReport, RequestOutcome, SimReport};
 pub use simulation::{Simulation, Workload};

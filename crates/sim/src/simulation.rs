@@ -8,7 +8,7 @@ use pf_workload::{ClosedLoopClients, RequestSpec};
 use crate::cluster::{ClusterSimulation, RouterPolicy};
 use crate::config::SimConfig;
 use crate::error::SimError;
-use crate::report::SimReport;
+use crate::report::{FleetReport, SimReport};
 
 /// The requests a run serves and when they arrive: the one arrival
 /// discipline [`Simulation`] and every fleet type take.
@@ -146,13 +146,23 @@ impl Simulation {
     /// # Ok::<(), pf_sim::SimError>(())
     /// ```
     pub fn run_traced(self, sink: Option<&mut dyn TraceSink>) -> Result<SimReport, SimError> {
+        let mut fleet = self.fleet_report(sink)?;
+        let mut report = fleet.instances.pop().expect("one member").report;
+        report.unfinished += fleet.unrouted;
+        Ok(report)
+    }
+
+    /// Runs the simulation like [`Simulation::run_traced`] and returns the
+    /// [`FleetReport`] of its fleet of one, the report every topology
+    /// shares.
+    ///
+    /// # Errors
+    ///
+    /// As [`Simulation::run`].
+    pub fn fleet_report(self, sink: Option<&mut dyn TraceSink>) -> Result<FleetReport, SimError> {
         // A one-member pool makes no routing choice; round-robin reads no
         // load signal.
-        let mut cluster =
-            ClusterSimulation::heterogeneous(vec![self.config], RouterPolicy::RoundRobin)
-                .run_workload(self.workload, sink)?;
-        let mut report = cluster.instances.pop().expect("one instance");
-        report.unfinished += cluster.unrouted;
-        Ok(report)
+        ClusterSimulation::heterogeneous(vec![self.config], RouterPolicy::RoundRobin)
+            .run_workload(self.workload, sink)
     }
 }

@@ -4,13 +4,29 @@
 
 use pf_autoscale::{AutoscaleConfig, PolicyConfig, PredictorKind};
 use pf_metrics::{SimDuration, SimTime, SlaSpec};
+use pf_obs::Pool;
 use pf_obs::{RecordingSink, TraceEvent};
 use pf_sim::disagg::{
-    DisaggCluster, DisaggConfig, DisaggReport, ElasticDisaggCluster, KvTransferSpec,
-    RepurposeDirection,
+    DisaggCluster, DisaggConfig, ElasticDisaggCluster, KvTransferSpec, RepurposeDirection,
 };
-use pf_sim::{GpuSpec, GpuType, ModelSpec, QueueOrder, SimConfig};
+use pf_sim::fleet::ScalingEvent;
+use pf_sim::{FleetReport, GpuSpec, GpuType, MemberReport, ModelSpec, QueueOrder, SimConfig};
 use pf_workload::{datasets, rng::seeded, LengthSampler, RateProfile, RequestSpec};
+
+/// The scaling decisions of `pool`.
+fn events(report: &FleetReport, pool: Pool) -> Vec<ScalingEvent> {
+    report
+        .events
+        .iter()
+        .filter(|e| e.pool == pool)
+        .copied()
+        .collect()
+}
+
+/// Member `i` of `pool`, the index a repurposing flip names.
+fn member(report: &FleetReport, pool: Pool, i: usize) -> &MemberReport {
+    report.pool(pool).nth(i).expect("a member of the pool")
+}
 
 fn base_config(capacity: u64) -> SimConfig {
     SimConfig::builder(ModelSpec::llama2_7b(), GpuSpec::a100_80g())
@@ -61,14 +77,14 @@ fn requests_flow_through_both_pools_and_all_complete() {
         .expect("disagg run");
     assert_eq!(report.completed(), n);
     assert_eq!(report.unserved, 0);
-    let prefill_routed: usize = report.prefill.instances.iter().map(|i| i.routed).sum();
-    let prefill_done: usize = report.prefill.instances.iter().map(|i| i.completed).sum();
+    let prefill_routed: usize = report.pool(Pool::Prefill).map(|i| i.routed).sum();
+    let prefill_done: usize = report.pool(Pool::Prefill).map(|i| i.served).sum();
     assert_eq!(
         prefill_routed, n,
         "every request is routed to a prefill instance"
     );
     assert_eq!(prefill_done, n, "every request is prefilled");
-    let decode_routed: usize = report.decode.instances.iter().map(|i| i.routed).sum();
+    let decode_routed: usize = report.pool(Pool::Decode).map(|i| i.routed).sum();
     assert_eq!(
         decode_routed, report.transfers.transfers,
         "every transfer lands on a decode instance"
@@ -82,8 +98,8 @@ fn requests_flow_through_both_pools_and_all_complete() {
         assert!(outcome.output_len >= 1);
     }
     // Fixed pools never scale.
-    assert!(report.prefill.events.is_empty());
-    assert!(report.decode.events.is_empty());
+    assert!(events(&report, Pool::Prefill).is_empty());
+    assert!(events(&report, Pool::Decode).is_empty());
 }
 
 #[test]
@@ -152,7 +168,7 @@ fn single_token_requests_never_cross_the_link() {
         report.transfers.transfers, 0,
         "one-token requests finish at prefill"
     );
-    let decode_routed: usize = report.decode.instances.iter().map(|i| i.routed).sum();
+    let decode_routed: usize = report.pool(Pool::Decode).map(|i| i.routed).sum();
     assert_eq!(decode_routed, 0);
 }
 
@@ -183,7 +199,7 @@ fn transfer_latency_shows_up_between_first_and_second_token() {
     assert!(fast_report.outcomes[0].timing.mtpot() < SimDuration::from_secs(1));
 }
 
-fn elastic_run(requests: Vec<RequestSpec>, arrivals: Vec<SimTime>) -> DisaggReport {
+fn elastic_run(requests: Vec<RequestSpec>, arrivals: Vec<SimTime>) -> FleetReport {
     ElasticDisaggCluster::new(
         DisaggConfig::new(base_config(12_000)),
         autoscale(1, 4),
@@ -208,8 +224,7 @@ fn elastic_disagg_run_is_deterministic() {
     let b = make();
     assert_eq!(a.makespan, b.makespan);
     assert_eq!(a.gpu_seconds(), b.gpu_seconds());
-    assert_eq!(a.prefill.events, b.prefill.events);
-    assert_eq!(a.decode.events, b.decode.events);
+    assert_eq!(a.events, b.events);
     assert_eq!(a.transfers, b.transfers);
     assert_eq!(a.goodput.satisfied_requests, b.goodput.satisfied_requests);
 }
@@ -223,15 +238,15 @@ fn prefill_heavy_load_scales_only_the_prefill_pool() {
     let report = elastic_run(requests, steady_arrivals(n, 125));
     assert_eq!(report.completed(), n);
     assert!(
-        report.peak_prefill_replicas() > 1,
+        report.peak_pool_replicas(Pool::Prefill) > 1,
         "prefill pool never scaled: events {:?}",
-        report.prefill.events
+        events(&report, Pool::Prefill)
     );
     assert_eq!(
-        report.peak_decode_replicas(),
+        report.peak_pool_replicas(Pool::Decode),
         1,
         "decode pool should idle at minimum: events {:?}",
-        report.decode.events
+        events(&report, Pool::Decode)
     );
 }
 
@@ -244,15 +259,15 @@ fn decode_heavy_load_scales_only_the_decode_pool() {
     let report = elastic_run(requests, steady_arrivals(n, 160));
     assert_eq!(report.completed(), n);
     assert!(
-        report.peak_decode_replicas() > 1,
+        report.peak_pool_replicas(Pool::Decode) > 1,
         "decode pool never scaled: events {:?}",
-        report.decode.events
+        events(&report, Pool::Decode)
     );
     assert_eq!(
-        report.peak_prefill_replicas(),
+        report.peak_pool_replicas(Pool::Prefill),
         1,
         "prefill pool should idle at minimum: events {:?}",
-        report.prefill.events
+        events(&report, Pool::Prefill)
     );
 }
 
@@ -279,22 +294,20 @@ fn drained_instances_finish_their_work_before_stopping() {
     assert_eq!(report.completed(), burst + tail);
     let end = SimTime::ZERO + report.makespan;
     let mut early_stops = 0;
-    for pool in [&report.prefill, &report.decode] {
-        for instance in &pool.instances {
-            if instance.stopped_at < end {
-                early_stops += 1;
-                assert_eq!(
-                    instance.routed, instance.completed,
-                    "an instance stopped with routed work unfinished"
-                );
-            }
+    for instance in &report.instances {
+        if instance.stopped_at < end {
+            early_stops += 1;
+            assert_eq!(
+                instance.routed, instance.served,
+                "an instance stopped with routed work unfinished"
+            );
         }
     }
     assert!(
         early_stops > 0,
         "the quiet tail never drained any instance: prefill {:?}, decode {:?}",
-        report.prefill.events,
-        report.decode.events
+        events(&report, Pool::Prefill),
+        events(&report, Pool::Decode)
     );
 }
 
@@ -305,7 +318,8 @@ fn gpu_seconds_stay_below_peak_static_cost() {
     let arrivals =
         RateProfile::diurnal(1.0, 8.0, SimDuration::from_secs(120)).assign(&mut seeded(14), n);
     let report = elastic_run(requests, arrivals);
-    let peak_total = report.peak_prefill_replicas() + report.peak_decode_replicas();
+    let peak_total =
+        report.peak_pool_replicas(Pool::Prefill) + report.peak_pool_replicas(Pool::Decode);
     let peak_cost = peak_total as f64 * report.makespan.as_secs_f64();
     assert!(report.gpu_seconds() > 0.0);
     assert!(
@@ -377,7 +391,7 @@ fn sjf_prefill_order_cuts_the_ttft_tail_without_starving_long_prompts() {
     // prompt repeatedly overtaken during a burst) stays within the cap
     // plus one aged-flush backlog — operationally, no prompt waits
     // unboundedly behind short ones.
-    let max_ttft = |report: &DisaggReport| {
+    let max_ttft = |report: &FleetReport| {
         report
             .outcomes
             .iter()
@@ -452,38 +466,25 @@ fn heterogeneous_pools_price_and_pace_by_gpu_type() {
     // Declaring the reference type explicitly changes nothing, bit for bit.
     assert_eq!(reference.makespan, homogeneous.makespan);
     assert_eq!(
-        reference
-            .headline()
-            .cost_weighted_gpu_seconds
-            .expect("fleet cost"),
-        homogeneous
-            .headline()
-            .cost_weighted_gpu_seconds
-            .expect("fleet cost")
+        reference.headline().cost_weighted_gpu_seconds,
+        homogeneous.headline().cost_weighted_gpu_seconds
     );
     assert_eq!(
         reference.gpu_seconds(),
-        reference
-            .headline()
-            .cost_weighted_gpu_seconds
-            .expect("fleet cost")
+        reference.headline().cost_weighted_gpu_seconds
     );
     // A mixed pool completes everything, bills the cheap GPU at its
     // weight, and routes more work to the faster member.
     assert_eq!(mixed.completed(), n);
     assert!(
-        mixed
-            .headline()
-            .cost_weighted_gpu_seconds
-            .expect("fleet cost")
-            < mixed.gpu_seconds(),
+        mixed.headline().cost_weighted_gpu_seconds < mixed.gpu_seconds(),
         "a sub-1.0-cost member must cut the weighted bill"
     );
     assert!(
-        mixed.prefill.instances[0].routed > mixed.prefill.instances[1].routed,
+        member(&mixed, Pool::Prefill, 0).routed > member(&mixed, Pool::Prefill, 1).routed,
         "the faster GPU should draw more traffic ({} vs {})",
-        mixed.prefill.instances[0].routed,
-        mixed.prefill.instances[1].routed
+        member(&mixed, Pool::Prefill, 0).routed,
+        member(&mixed, Pool::Prefill, 1).routed
     );
 }
 
@@ -720,8 +721,8 @@ fn reverse_repurposing_rebalances_a_diurnal_day() {
         "the afternoon phase shift never flipped a decode member back"
     );
     for event in reverse {
-        let prefill = &report.prefill.instances[event.prefill_member];
-        let decode = &report.decode.instances[event.decode_member];
+        let prefill = member(&report, Pool::Prefill, event.prefill_member);
+        let decode = member(&report, Pool::Decode, event.decode_member);
         // Same conservation rules as the forward direction: the decode
         // life ends exactly where the prefill life begins, on one GPU.
         assert_eq!(decode.stopped_at, event.at);
@@ -734,7 +735,8 @@ fn reverse_repurposing_rebalances_a_diurnal_day() {
 /// `max_sim_time` is a hard stop for the disaggregated pools, fixed or
 /// elastic, as for one engine: a horizon at a quarter of the full run's
 /// makespan ends the run by then, and every request it cut off counts as
-/// unserved.
+/// unserved. The ledger balances against the members, with the handoffs
+/// the horizon left on the link among the unserved.
 #[test]
 fn max_sim_time_stops_both_disagg_topologies() {
     let n = 300;
@@ -767,6 +769,8 @@ fn max_sim_time_stops_both_disagg_topologies() {
             n,
             "elastic={elastic}: every issued request ends exactly once"
         );
+        assert!(cut.transfers.in_flight > 0, "elastic={elastic}");
+        assert!(cut.ledger_balances(), "elastic={elastic}: {cut:?}");
     }
 }
 

@@ -7,8 +7,8 @@ use pf_autoscale::{AutoscaleConfig, PredictorKind};
 use pf_core::SchedulerConfig;
 use pf_metrics::{SimDuration, SimTime};
 use pf_sim::cluster::{ClusterSimulation, RouterPolicy};
-use pf_sim::elastic::{ElasticCluster, ElasticReport};
-use pf_sim::{GpuSpec, ModelSpec, QueueOrder, SimConfig, SimReport, Workload};
+use pf_sim::elastic::ElasticCluster;
+use pf_sim::{FleetReport, GpuSpec, ModelSpec, QueueOrder, SimConfig, SimReport, Workload};
 use pf_workload::{datasets, rng::seeded, ClosedLoopClients, PoissonArrivals, RateProfile};
 
 fn base_config(capacity: u64) -> SimConfig {
@@ -30,7 +30,7 @@ fn autoscale(min: usize, max: usize) -> AutoscaleConfig {
 
 /// A run against a diurnal profile ramping well past one instance's
 /// capacity.
-fn diurnal_run(seed: u64) -> ElasticReport {
+fn diurnal_run(seed: u64) -> FleetReport {
     let n = 900;
     let requests = datasets::short_chat(n, seed);
     let arrivals = RateProfile::diurnal(1.0, 12.0, SimDuration::from_secs(180))
@@ -125,7 +125,9 @@ fn fleet_respects_policy_bounds() {
     let report = diurnal_run(12);
     assert!(report.peak_replicas() <= 4);
     let min_live = report
-        .live_series
+        .series
+        .get("colocated-live")
+        .expect("a live-replica series")
         .points()
         .iter()
         .map(|&(_, v)| v)
@@ -251,10 +253,7 @@ fn declaring_the_reference_fleet_changes_nothing() {
     assert_eq!(implicit.gpu_seconds(), explicit.gpu_seconds());
     assert_eq!(
         implicit.gpu_seconds(),
-        implicit
-            .headline()
-            .cost_weighted_gpu_seconds
-            .expect("fleet cost"),
+        implicit.headline().cost_weighted_gpu_seconds,
         "weight-1.0 fleets bill plain GPU-seconds"
     );
 }
@@ -283,24 +282,10 @@ fn mixed_fleet_completes_and_bills_by_cost_weight() {
         .iter()
         .map(|i| i.active_secs() * i.gpu.cost_weight)
         .sum();
-    assert!(
-        (report
-            .headline()
-            .cost_weighted_gpu_seconds
-            .expect("fleet cost")
-            - recompute)
-            .abs()
-            < 1e-9
-    );
+    assert!((report.headline().cost_weighted_gpu_seconds - recompute).abs() < 1e-9);
     // Any mid-tier instance in the fleet bills below plain seconds.
     if report.instances.iter().any(|i| i.gpu.cost_weight < 1.0) {
-        assert!(
-            report
-                .headline()
-                .cost_weighted_gpu_seconds
-                .expect("fleet cost")
-                < report.gpu_seconds()
-        );
+        assert!(report.headline().cost_weighted_gpu_seconds < report.gpu_seconds());
     }
     // Determinism with mixed types.
     let replay = ElasticCluster::new(base_config(6_000), autoscale(1, 4), 2)
@@ -317,14 +302,8 @@ fn mixed_fleet_completes_and_bills_by_cost_weight() {
     assert_eq!(replay.makespan, report.makespan);
     assert_eq!(replay.events, report.events);
     assert_eq!(
-        replay
-            .headline()
-            .cost_weighted_gpu_seconds
-            .expect("fleet cost"),
-        report
-            .headline()
-            .cost_weighted_gpu_seconds
-            .expect("fleet cost")
+        replay.headline().cost_weighted_gpu_seconds,
+        report.headline().cost_weighted_gpu_seconds
     );
 }
 
@@ -418,31 +397,26 @@ fn every_request_ends_exactly_once_at_the_horizon() {
         let cluster = ClusterSimulation::new(config.clone(), 3, RouterPolicy::LeastEstimatedLoad)
             .run_workload(workload.clone(), None)
             .expect("cluster run");
-        assert!(
-            cluster.unrouted > 0,
-            "{label}: the horizon must cut the stream"
-        );
-        for (routed, report) in cluster.routed_per_instance.iter().zip(&cluster.instances) {
-            assert_eq!(ended(report), *routed, "{label}");
-        }
-        let routed: usize = cluster.routed_per_instance.iter().sum();
-        assert_eq!(routed + cluster.unrouted, n, "{label}");
-
         let elastic = ElasticCluster::new(config.clone(), autoscale(1, 4), 1)
             .run_workload(workload, None)
             .expect("elastic run");
-        assert!(
-            elastic.unrouted > 0,
-            "{label}: the horizon must cut the stream"
-        );
-        for instance in &elastic.instances {
-            assert_eq!(ended(&instance.report), instance.routed, "{label}");
+        for (fleet, report) in [("cluster", cluster), ("elastic", elastic)] {
+            let what = format!("{label} {fleet}");
+            assert!(
+                report.unrouted > 0,
+                "{what}: the horizon must cut the stream"
+            );
+            for member in &report.instances {
+                assert_eq!(ended(&member.report), member.routed, "{what}");
+            }
+            let routed: usize = report.instances.iter().map(|m| m.routed).sum();
+            assert_eq!(routed + report.unrouted, n, "{what}");
+            assert!(
+                report.instances.iter().any(|m| m.report.unfinished > 0),
+                "{what}: the horizon must strand work in flight"
+            );
+            assert_eq!(report.issued, n, "{what}");
+            assert!(report.ledger_balances(), "{what}: {report:?}");
         }
-        let routed: usize = elastic.instances.iter().map(|i| i.routed).sum();
-        assert_eq!(routed + elastic.unrouted, n, "{label}");
-        assert!(
-            elastic.instances.iter().any(|i| i.report.unfinished > 0),
-            "{label}: the horizon must strand work in flight"
-        );
     }
 }

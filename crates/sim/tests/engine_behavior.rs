@@ -4,7 +4,8 @@
 use pf_core::SchedulerConfig;
 use pf_metrics::{SimDuration, SlaSpec};
 use pf_sim::{
-    BatchingMode, GpuSpec, KvLayout, ModelSpec, PrefillMode, SimConfig, SimError, Simulation,
+    BatchingMode, GpuSpec, GpuType, KvLayout, ModelSpec, PrefillMode, SimConfig, SimError,
+    Simulation,
 };
 use pf_workload::{datasets, ClosedLoopClients, RequestSpec};
 
@@ -198,6 +199,40 @@ fn max_sim_time_truncates() {
     assert!(truncated.completed < 200);
     assert!(truncated.unfinished > 0);
     assert!(truncated.makespan <= full_time / 3);
+}
+
+/// The single engine's fleet report holds one colocated member on the
+/// reference GPU, live from t = 0 to the makespan, whose engine report is
+/// the one `run` returns; its headline prices that lifetime, and its
+/// ledger balances.
+#[test]
+fn single_engine_reports_a_fleet_of_one() {
+    let n = 120;
+    let config = small_config(SchedulerConfig::past_future(), 4_000);
+    let requests = decode_heavy(n, 9);
+    let engine = Simulation::offline(config.clone(), requests.clone())
+        .run()
+        .unwrap();
+    let fleet = Simulation::offline(config, requests)
+        .fleet_report(None)
+        .unwrap();
+    assert_eq!(fleet.instances.len(), 1);
+    let member = &fleet.instances[0];
+    assert_eq!(member.pool, pf_obs::Pool::Colocated);
+    assert_eq!(member.gpu, GpuType::reference());
+    assert_eq!(member.stopped_at - member.spawned_at, engine.makespan);
+    assert_eq!((member.routed, member.served), (n, n));
+    assert_eq!(member.report.outcomes.len(), engine.outcomes.len());
+    assert_eq!(fleet.makespan, engine.makespan);
+    assert_eq!((fleet.issued, fleet.unserved, fleet.unrouted), (n, 0, 0));
+    assert!(fleet.ledger_balances());
+    let headline = fleet.headline();
+    assert_eq!(headline.completed, engine.completed);
+    assert_eq!(headline.satisfied, engine.goodput.satisfied_requests);
+    assert_eq!(headline.evictions, engine.evictions);
+    assert_eq!(headline.goodput_tok_per_s, engine.goodput_tok_per_s());
+    assert_eq!(headline.gpu_seconds, engine.makespan.as_secs_f64());
+    assert_eq!(headline.cost_weighted_gpu_seconds, headline.gpu_seconds);
 }
 
 #[test]

@@ -6,11 +6,12 @@
 use pf_autoscale::{AutoscaleConfig, PolicyConfig, PredictorKind};
 use pf_core::SchedulerConfig;
 use pf_metrics::{SimDuration, SimTime};
-use pf_sim::disagg::{DisaggConfig, DisaggReport, ElasticDisaggCluster, RepurposeDirection};
+use pf_obs::Pool;
+use pf_sim::disagg::{DisaggConfig, ElasticDisaggCluster, RepurposeDirection};
 use pf_sim::fleet::{
     pool_counts, provisioned_count, shrink_pool, FleetMember, GpuType, MemberCore, MemberState,
 };
-use pf_sim::{GpuSpec, ModelSpec, SimConfig};
+use pf_sim::{FleetReport, GpuSpec, MemberReport, ModelSpec, SimConfig};
 use pf_workload::{datasets, LengthSampler, RequestSpec};
 use proptest::prelude::*;
 
@@ -198,7 +199,12 @@ fn phase_shift(seed: u64) -> (Vec<RequestSpec>, Vec<SimTime>) {
     (requests, arrivals)
 }
 
-fn repurposing_run(seed: u64) -> DisaggReport {
+/// Member `i` of `pool`, the index a repurposing flip names.
+fn member(report: &FleetReport, pool: Pool, i: usize) -> &MemberReport {
+    report.pool(pool).nth(i).expect("a member of the pool")
+}
+
+fn repurposing_run(seed: u64) -> FleetReport {
     let (requests, arrivals) = phase_shift(seed);
     let pool = |max: usize, patience: u32| {
         let mut policy = PolicyConfig::bounded(1, max);
@@ -231,8 +237,8 @@ fn repurpose_flip_is_atomic_in_the_cost_ledger() {
             "seed {seed}: the phase shift never triggered a flip"
         );
         for event in &report.repurposes {
-            let prefill = &report.prefill.instances[event.prefill_member];
-            let decode = &report.decode.instances[event.decode_member];
+            let prefill = member(&report, Pool::Prefill, event.prefill_member);
+            let decode = member(&report, Pool::Decode, event.decode_member);
             // Conservation: the old-pool life ends exactly where the
             // new-pool life begins — the GPU is charged once, with no gap
             // and no overlap, so cost-weighted seconds are conserved
@@ -253,16 +259,11 @@ fn repurpose_flip_is_atomic_in_the_cost_ledger() {
         }
         // The ledger sums exactly what the instance lifetimes say.
         let recompute: f64 = report
-            .prefill
             .instances
             .iter()
-            .chain(&report.decode.instances)
             .map(|i| i.stopped_at.saturating_since(i.spawned_at).as_secs_f64() * i.gpu.cost_weight)
             .sum();
-        let reported = report
-            .headline()
-            .cost_weighted_gpu_seconds
-            .expect("fleet cost");
+        let reported = report.headline().cost_weighted_gpu_seconds;
         assert!(
             (recompute - reported).abs() < 1e-6,
             "seed {seed}: ledger {reported} vs instance sum {recompute}"
@@ -275,7 +276,7 @@ fn pools_never_drop_below_one_live_member() {
     let report = repurposing_run(72);
     for series in ["prefill-live", "decode-live"] {
         let min = report
-            .pool_series
+            .series
             .get(series)
             .expect("series recorded")
             .points()
@@ -293,9 +294,8 @@ fn repurposing_run_is_deterministic() {
     assert_eq!(a.makespan, b.makespan);
     assert_eq!(a.repurposes, b.repurposes);
     assert_eq!(
-        a.headline().cost_weighted_gpu_seconds.expect("fleet cost"),
-        b.headline().cost_weighted_gpu_seconds.expect("fleet cost")
+        a.headline().cost_weighted_gpu_seconds,
+        b.headline().cost_weighted_gpu_seconds
     );
-    assert_eq!(a.prefill.events, b.prefill.events);
-    assert_eq!(a.decode.events, b.decode.events);
+    assert_eq!(a.events, b.events);
 }

@@ -21,7 +21,7 @@ use pf_obs::{RecordingSink, TraceEvent};
 use pf_sim::cluster::{ClusterSimulation, RouterPolicy};
 use pf_sim::disagg::{DisaggCluster, DisaggConfig};
 use pf_sim::elastic::ElasticCluster;
-use pf_sim::{GpuSpec, ModelSpec, SimConfig, SimError};
+use pf_sim::{GpuSpec, ModelSpec, SimConfig, SimError, Workload};
 use pf_workload::datasets;
 
 const BLOCK_TOKENS: u32 = 64;
@@ -58,7 +58,7 @@ fn overlap_routing_reuses_shared_system_prompts_across_sessions() {
     let n = requests.len();
     let run = |policy| {
         ClusterSimulation::new(block_config(40_000), 3, policy)
-            .run(requests.clone(), arrivals.clone())
+            .run_workload(Workload::Timed(requests.clone(), arrivals.clone()), None)
             .expect("cluster run")
     };
     let overlap = run(RouterPolicy::KvOverlap {
@@ -67,8 +67,8 @@ fn overlap_routing_reuses_shared_system_prompts_across_sessions() {
     });
     let blind = run(RouterPolicy::LeastEstimatedLoad);
     assert_eq!(overlap.headline().completed, n);
-    let o = overlap.prefix_stats();
-    let b = blind.prefix_stats();
+    let o = overlap.prefix_stats;
+    let b = blind.prefix_stats;
     assert!(o.hits > 0, "overlap routing must produce block hits");
     assert!(
         o.hit_tokens > b.hit_tokens,
@@ -97,12 +97,12 @@ fn softmax_routing_replays_bit_identically() {
 
     let run_cluster = || {
         ClusterSimulation::new(config(), 3, overlap)
-            .run(requests.clone(), arrivals.clone())
+            .run_workload(Workload::Timed(requests.clone(), arrivals.clone()), None)
             .expect("cluster run")
     };
     let a = run_cluster();
     let b = run_cluster();
-    assert!(a.prefix_stats().hits > 0);
+    assert!(a.prefix_stats.hits > 0);
     assert_eq!(format!("{a:?}"), format!("{b:?}"));
 
     let run_elastic = || {
@@ -149,17 +149,17 @@ fn index_staleness_degrades_reuse() {
             let mut config = block_config(40_000);
             config.router.kv_event_delay = delay;
             ClusterSimulation::new(config, 3, policy)
-                .run(requests.clone(), arrivals.clone())
+                .run_workload(Workload::Timed(requests.clone(), arrivals.clone()), None)
                 .expect("cluster run")
         };
         let fresh = run(SimDuration::ZERO);
         let stale = run(SimDuration::from_secs(100_000));
         assert!(
-            fresh.prefix_stats().hit_tokens > stale.prefix_stats().hit_tokens,
+            fresh.prefix_stats.hit_tokens > stale.prefix_stats.hit_tokens,
             "{}: a fresh index must out-reuse a never-propagated one ({} vs {})",
             policy.label(),
-            fresh.prefix_stats().hit_tokens,
-            stale.prefix_stats().hit_tokens
+            fresh.prefix_stats.hit_tokens,
+            stale.prefix_stats.hit_tokens
         );
     }
 }

@@ -16,8 +16,13 @@ use pf_metrics::{SimDuration, SimTime};
 use pf_sim::cluster::{ClusterSimulation, RouterPolicy};
 use pf_sim::disagg::{DisaggCluster, DisaggConfig};
 use pf_sim::elastic::ElasticCluster;
-use pf_sim::{GpuSpec, ModelSpec, SimConfig, Simulation};
+use pf_sim::{FleetReport, GpuSpec, ModelSpec, SimConfig, Simulation, Workload};
 use pf_workload::{datasets, RequestSpec};
+
+/// Requests routed to each member, in member order.
+fn routed(report: &FleetReport) -> Vec<usize> {
+    report.instances.iter().map(|m| m.routed).collect()
+}
 
 fn base_config(capacity: u64) -> SimConfig {
     SimConfig::builder(ModelSpec::llama2_7b(), GpuSpec::a100_80g())
@@ -54,10 +59,10 @@ fn equal_load_ties_rotate_instead_of_piling_on_member_zero() {
         RouterPolicy::LeastEstimatedLoad,
     ] {
         let report = ClusterSimulation::new(base_config(20_000), 3, policy)
-            .run(requests.clone(), arrivals.clone())
+            .run_workload(Workload::Timed(requests.clone(), arrivals.clone()), None)
             .unwrap_or_else(|e| panic!("{}: {e}", policy.label()));
         assert_eq!(
-            report.routed_per_instance,
+            routed(&report),
             vec![10, 10, 10],
             "{}: equal loads must spread round-robin, not pile up",
             policy.label()
@@ -88,7 +93,7 @@ fn prefix_affinity_routes_sessions_back_and_saves_prefill() {
     let (requests, arrivals) = datasets::multi_turn_chat_timed(240, 11, &spec, 2.0, 3.0, 4.0);
     let run = |policy| {
         ClusterSimulation::new(prefix_config(40_000), 3, policy)
-            .run(requests.clone(), arrivals.clone())
+            .run_workload(Workload::Timed(requests.clone(), arrivals.clone()), None)
             .expect("cluster run")
     };
     let affinity = run(RouterPolicy::PrefixAffinity {
@@ -96,8 +101,8 @@ fn prefix_affinity_routes_sessions_back_and_saves_prefill() {
     });
     let blind = run(RouterPolicy::LeastEstimatedLoad);
     assert_eq!(affinity.headline().completed, 240);
-    let a = affinity.prefix_stats();
-    let b = blind.prefix_stats();
+    let a = affinity.prefix_stats;
+    let b = blind.prefix_stats;
     assert!(a.hits > 0, "affinity routing must produce cache hits");
     assert!(
         a.hit_tokens > b.hit_tokens,
@@ -177,10 +182,10 @@ fn disabled_prefix_cache_changes_nothing() {
             load_tiebreak: true,
         },
     )
-    .run(requests, arrivals)
+    .run_workload(Workload::Timed(requests, arrivals), None)
     .expect("cache-less run");
     assert_eq!(report.headline().completed, 100);
-    let stats = report.prefix_stats();
+    let stats = report.prefix_stats;
     assert_eq!(stats.lookups, 0);
     assert_eq!(stats.hits, 0);
 }
@@ -194,14 +199,14 @@ fn prefix_affinity_replays_bit_identically() {
     };
     let run_cluster = || {
         ClusterSimulation::new(prefix_config(30_000), 3, affinity)
-            .run(requests.clone(), arrivals.clone())
+            .run_workload(Workload::Timed(requests.clone(), arrivals.clone()), None)
             .expect("cluster run")
     };
     let a = run_cluster();
     let b = run_cluster();
-    assert_eq!(a.makespan(), b.makespan());
-    assert_eq!(a.routed_per_instance, b.routed_per_instance);
-    assert_eq!(a.prefix_stats(), b.prefix_stats());
+    assert_eq!(a.makespan, b.makespan);
+    assert_eq!(routed(&a), routed(&b));
+    assert_eq!(a.prefix_stats, b.prefix_stats);
     assert_eq!(a.headline().satisfied, b.headline().satisfied);
 
     let run_disagg = || {
@@ -217,18 +222,7 @@ fn prefix_affinity_replays_bit_identically() {
     let b = run_disagg();
     assert_eq!(a.makespan, b.makespan);
     assert_eq!(a.prefix_stats, b.prefix_stats);
-    assert_eq!(
-        a.prefill
-            .instances
-            .iter()
-            .map(|i| i.routed)
-            .collect::<Vec<_>>(),
-        b.prefill
-            .instances
-            .iter()
-            .map(|i| i.routed)
-            .collect::<Vec<_>>()
-    );
+    assert_eq!(routed(&a), routed(&b));
 }
 
 #[test]
@@ -308,13 +302,13 @@ fn prefix_affinity_slack_pressure_only_acts_with_deadlines() {
                 load_tiebreak: true,
             },
         )
-        .run(requests.clone(), arrivals.clone())
+        .run_workload(Workload::Timed(requests.clone(), arrivals.clone()), None)
         .expect("cluster run")
     };
     let fifo = run(pf_sim::QueueOrder::Fifo);
     let lsf = run(pf_sim::QueueOrder::least_slack());
-    assert_eq!(fifo.routed_per_instance, lsf.routed_per_instance);
-    assert_eq!(fifo.makespan(), lsf.makespan());
+    assert_eq!(routed(&fifo), routed(&lsf));
+    assert_eq!(fifo.makespan, lsf.makespan);
     assert_eq!(fifo.headline().completed, lsf.headline().completed);
 }
 

@@ -11,7 +11,7 @@ use pf_obs::{reconstruct, RecordingSink, SpanOutcome, TraceEvent};
 use pf_sim::cluster::{ClusterSimulation, RouterPolicy};
 use pf_sim::disagg::{DisaggCluster, DisaggConfig};
 use pf_sim::elastic::ElasticCluster;
-use pf_sim::{GpuSpec, ModelSpec, PrefixCacheConfig, QueueOrder, SimConfig, Simulation};
+use pf_sim::{GpuSpec, ModelSpec, PrefixCacheConfig, QueueOrder, SimConfig, Simulation, Workload};
 use pf_workload::{datasets, LengthSampler};
 
 fn base_config(capacity: u64) -> SimConfig {
@@ -214,7 +214,7 @@ fn traced_cluster_run_is_bit_identical_and_never_scales() {
                 temperature: 0.25,
             },
         )
-        .run_traced(requests.clone(), arrivals.clone(), sink)
+        .run_workload(Workload::Timed(requests.clone(), arrivals.clone()), sink)
     };
     let untraced = cluster(None).expect("untraced run");
     let mut sink = RecordingSink::new();

@@ -10,6 +10,7 @@ use pastfuture::autoscale::{AutoscaleConfig, PredictorKind};
 use pastfuture::prelude::*;
 use pastfuture::sim::disagg::{DisaggConfig, ElasticDisaggCluster, KvTransferSpec};
 use pastfuture::workload::{datasets, rng::seeded, PoissonArrivals};
+use pf_obs::Pool;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Summarization-style traffic: 1-3k-token prompts, terse answers.
@@ -46,8 +47,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "pools: prefill peaked at {} and decode at {} replicas; {:.0} GPU-seconds total",
-        report.peak_prefill_replicas(),
-        report.peak_decode_replicas(),
+        report.peak_pool_replicas(Pool::Prefill),
+        report.peak_pool_replicas(Pool::Decode),
         report.gpu_seconds(),
     );
     println!(
@@ -56,12 +57,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.transfers.total_bytes as f64 / 1e9,
         report.transfers.mean_handoff_secs() * 1e3,
     );
-    for (label, events) in [
-        ("prefill", &report.prefill.events),
-        ("decode", &report.decode.events),
-    ] {
-        println!("\n{label} pool scaling decisions:");
-        for event in events {
+    for pool in [Pool::Prefill, Pool::Decode] {
+        println!("\n{} pool scaling decisions:", pool.label());
+        for event in report.events.iter().filter(|e| e.pool == pool) {
             let dir = if event.to > event.from { "up" } else { "down" };
             println!(
                 "  t={:>5.0}s  {} {} -> {} replicas",

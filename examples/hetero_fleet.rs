@@ -55,9 +55,7 @@ fn main() {
         headline.completed,
         headline.sla_attainment * 100.0,
         headline.gpu_seconds,
-        headline
-            .cost_weighted_gpu_seconds
-            .expect("elastic fleets carry GPU costs"),
+        headline.cost_weighted_gpu_seconds,
     );
     for (i, instance) in report.instances.iter().enumerate() {
         println!(
