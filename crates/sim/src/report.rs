@@ -32,10 +32,11 @@ pub struct Headline {
     pub satisfied: usize,
     /// Requests cancelled past their deadline.
     pub timed_out: usize,
-    /// Fraction of requests meeting the full SLA (timed-out requests count
-    /// as misses; 1.0 when no request was issued).
+    /// Fraction of the issued requests meeting the full SLA (timed-out and
+    /// unserved requests count as misses; 1.0 when none was issued).
     pub sla_attainment: f64,
-    /// Fraction of requests whose TTFT met the SLA (same denominator).
+    /// Fraction of the issued requests whose TTFT met the SLA (same
+    /// denominator).
     pub ttft_attainment: f64,
     /// SLA-satisfying output tokens per second over the makespan.
     pub goodput_tok_per_s: f64,
@@ -311,17 +312,22 @@ impl FleetReport {
             && members(|r| r.unfinished) + self.transfers.in_flight + self.unrouted == self.unserved
     }
 
-    /// The run's headline numbers: the goodput's SLA terms, evictions
+    /// The run's headline numbers: the goodput's SLA terms over every
+    /// issued request (a request the horizon cut off is a miss), evictions
     /// summed over the member engines, and GPU time over every member's
     /// lifetime, raw and cost-weighted.
     pub fn headline(&self) -> Headline {
         let goodput = &self.goodput;
+        let share = |n: usize| match self.issued {
+            0 => 1.0,
+            issued => n as f64 / issued as f64,
+        };
         Headline {
             completed: self.completed(),
             satisfied: goodput.satisfied_requests,
             timed_out: self.timed_out,
-            sla_attainment: goodput.satisfied_fraction(),
-            ttft_attainment: goodput.ttft_attainment(),
+            sla_attainment: share(goodput.satisfied_requests),
+            ttft_attainment: share(goodput.ttft_ok_count()),
             goodput_tok_per_s: goodput.goodput_tok_per_s,
             ttft_p50_s: goodput.ttft_secs.p50,
             ttft_p99_s: goodput.ttft_secs.p99,

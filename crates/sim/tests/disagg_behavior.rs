@@ -736,7 +736,8 @@ fn reverse_repurposing_rebalances_a_diurnal_day() {
 /// elastic, as for one engine: a horizon at a quarter of the full run's
 /// makespan ends the run by then, and every request it cut off counts as
 /// unserved. The ledger balances against the members, with the handoffs
-/// the horizon left on the link among the unserved.
+/// the horizon left on the link among the unserved, and the headline's
+/// SLA terms count every issued request.
 #[test]
 fn max_sim_time_stops_both_disagg_topologies() {
     let n = 300;
@@ -771,6 +772,20 @@ fn max_sim_time_stops_both_disagg_topologies() {
         );
         assert!(cut.transfers.in_flight > 0, "elastic={elastic}");
         assert!(cut.ledger_balances(), "elastic={elastic}: {cut:?}");
+        // The unserved requests count as SLA misses.
+        let headline = cut.headline();
+        let share = |k: usize| k as f64 / n as f64;
+        assert_eq!(
+            headline.sla_attainment,
+            share(headline.satisfied),
+            "elastic={elastic}"
+        );
+        let ttft_ok = cut.goodput.ttft_ok_count();
+        assert_eq!(
+            headline.ttft_attainment,
+            share(ttft_ok),
+            "elastic={elastic}"
+        );
     }
 }
 

@@ -375,7 +375,8 @@ fn every_request_ends_exactly_once_at_the_horizon() {
     // and under closed-loop clients: each routed request ends in its
     // member's report as completed, timed out or unfinished, and each
     // request that found every member stopped, or that no client got to
-    // submit, counts as unrouted — exactly once in total.
+    // submit, counts as unrouted — exactly once in total. The SLA terms
+    // of the headline count every issued request.
     let n = 600;
     let requests = datasets::mixed_deadline(n, 29);
     let arrivals: Vec<SimTime> = (0..n)
@@ -417,6 +418,12 @@ fn every_request_ends_exactly_once_at_the_horizon() {
             );
             assert_eq!(report.issued, n, "{what}");
             assert!(report.ledger_balances(), "{what}: {report:?}");
+            // The requests the horizon cut off count as SLA misses.
+            let headline = report.headline();
+            let share = |k: usize| k as f64 / n as f64;
+            assert_eq!(headline.sla_attainment, share(headline.satisfied), "{what}");
+            let ttft_ok = report.goodput.ttft_ok_count();
+            assert_eq!(headline.ttft_attainment, share(ttft_ok), "{what}");
         }
     }
 }
