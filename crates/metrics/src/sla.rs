@@ -256,7 +256,7 @@ impl GoodputReport {
         requests: &[(RequestTiming, u64)],
         duration: SimDuration,
     ) -> GoodputReport {
-        GoodputReport::compute_with_timeouts(sla, requests, duration, 0)
+        GoodputReport::compute_with_timeouts(sla, requests.iter().copied(), duration, 0)
     }
 
     /// [`GoodputReport::compute`] plus `timed_out` requests that were
@@ -271,12 +271,17 @@ impl GoodputReport {
     /// requests only (a cancelled request has no latency to summarize), so
     /// [`GoodputReport::is_p99_compliant`] additionally requires that no
     /// request timed out.
+    ///
+    /// `requests` is streamed, not collected: a fleet passes its members'
+    /// outcomes without copying them into one buffer.
     pub fn compute_with_timeouts(
         sla: &SlaSpec,
-        requests: &[(RequestTiming, u64)],
+        requests: impl IntoIterator<Item = (RequestTiming, u64)>,
         duration: SimDuration,
         timed_out: usize,
     ) -> GoodputReport {
+        let requests = requests.into_iter();
+        let mut completed = 0;
         let mut satisfied_requests = 0;
         let mut total_output_tokens = 0;
         let mut satisfied_output_tokens = 0;
@@ -284,15 +289,16 @@ impl GoodputReport {
             timed_out,
             ..ViolationCounts::default()
         };
-        let mut ttfts = Vec::with_capacity(requests.len());
-        let mut mtpots = Vec::with_capacity(requests.len());
+        let mut ttfts = Vec::with_capacity(requests.size_hint().0);
+        let mut mtpots = Vec::with_capacity(requests.size_hint().0);
         for (timing, tokens) in requests {
+            completed += 1;
             total_output_tokens += tokens;
             if let Some(ttft) = timing.ttft() {
                 ttfts.push(ttft.as_secs_f64());
                 mtpots.push(timing.mtpot().as_secs_f64());
             }
-            match sla.evaluate(timing).violation {
+            match sla.evaluate(&timing).violation {
                 None => {
                     satisfied_requests += 1;
                     satisfied_output_tokens += tokens;
@@ -303,7 +309,7 @@ impl GoodputReport {
             }
         }
         GoodputReport {
-            total_requests: requests.len() + timed_out,
+            total_requests: completed + timed_out,
             satisfied_requests,
             total_output_tokens,
             satisfied_output_tokens,
@@ -501,8 +507,12 @@ mod tests {
         ok.record_token(secs(0.6));
         let completed = [(ok, 100)];
         let without = GoodputReport::compute(&sla, &completed, SimDuration::from_secs(10));
-        let with =
-            GoodputReport::compute_with_timeouts(&sla, &completed, SimDuration::from_secs(10), 3);
+        let with = GoodputReport::compute_with_timeouts(
+            &sla,
+            completed.iter().copied(),
+            SimDuration::from_secs(10),
+            3,
+        );
         // Cancelling three doomed requests must *lower* attainment, not
         // leave it untouched (and certainly not raise it).
         assert_eq!(without.satisfied_fraction(), 1.0);

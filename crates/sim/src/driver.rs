@@ -62,7 +62,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::ops::Range;
 
 use pf_kvcache::{KvEvent, PrefixCacheStats};
-use pf_metrics::{GoodputReport, RequestTiming, SeriesGroup, SimDuration, SimTime};
+use pf_metrics::{GoodputReport, SeriesGroup, SimDuration, SimTime};
 use pf_obs::{GaugeKind, TraceEvent, TraceSink};
 use pf_workload::RequestSpec;
 
@@ -568,18 +568,21 @@ impl<'s> Run<'s> {
     /// makespan, with the timed-out ones as misses. In debug builds the
     /// request ledger is checked against the members.
     fn report(self, end: SimTime) -> FleetReport {
-        let Run {
-            pools,
-            base,
-            split,
-            issued,
-            remaining,
-            unrouted,
-            timed_out,
-            outcomes,
-            series,
-            ..
-        } = self;
+        // Destructured in a block of its own, so that the arrival stream,
+        // the heap and the router's index are freed before the members'
+        // reports and the goodput allocate.
+        let (pools, base, split, series, outcomes, [issued, remaining, unrouted, timed_out]) = {
+            let run = self;
+            let counts = [run.issued, run.remaining, run.unrouted, run.timed_out];
+            (
+                run.pools,
+                run.base,
+                run.split,
+                run.series,
+                run.outcomes,
+                counts,
+            )
+        };
         let mut instances = Vec::new();
         let mut events = Vec::new();
         for pool in pools {
@@ -611,12 +614,10 @@ impl<'s> Run<'s> {
         }
         let makespan = end.saturating_since(SimTime::ZERO);
         let members = instances.iter().flat_map(|m| &m.report.outcomes);
-        let requests: Vec<(RequestTiming, u64)> = (outcomes.iter().chain(members))
-            .map(|o| (o.timing, u64::from(o.output_len)))
-            .collect();
+        let requests =
+            (outcomes.iter().chain(members)).map(|o| (o.timing, u64::from(o.output_len)));
         let goodput =
-            GoodputReport::compute_with_timeouts(&base.sla, &requests, makespan, timed_out);
-        drop(requests);
+            GoodputReport::compute_with_timeouts(&base.sla, requests, makespan, timed_out);
         let report = FleetReport {
             goodput,
             instances,

@@ -1482,14 +1482,10 @@ impl Engine {
     /// Consumes the engine and produces its report.
     pub(crate) fn into_report(self) -> SimReport {
         let makespan = self.now - SimTime::ZERO;
-        let requests: Vec<(RequestTiming, u64)> = self
-            .outcomes
-            .iter()
-            .map(|o| (o.timing, u64::from(o.output_len)))
-            .collect();
+        let requests = (self.outcomes.iter()).map(|o| (o.timing, u64::from(o.output_len)));
         let goodput = GoodputReport::compute_with_timeouts(
             &self.config.sla,
-            &requests,
+            requests,
             makespan,
             self.timed_out,
         );

@@ -257,12 +257,7 @@ impl FleetReport {
 
     /// Requests that finished.
     pub fn completed(&self) -> usize {
-        self.outcomes.len()
-            + self
-                .instances
-                .iter()
-                .map(|m| m.report.outcomes.len())
-                .sum::<usize>()
+        self.all_outcomes().count()
     }
 
     /// SLA-satisfying output tokens per second over the makespan.
@@ -270,7 +265,8 @@ impl FleetReport {
         self.goodput.goodput_tok_per_s
     }
 
-    /// `per_member` summed within each pool, then over the pools.
+    /// `per_member` summed within each pool, then over the pools (float
+    /// addition is not associative: the goldens pin this order).
     fn pool_sum(&self, per_member: fn(&MemberReport) -> f64) -> f64 {
         (self.instances.chunk_by(|a, b| a.pool == b.pool))
             .map(|pool| pool.iter().map(per_member).sum::<f64>())
