@@ -17,9 +17,10 @@
 //!    interval that just ended into a [`LoadSample`] — request rate, mean
 //!    prompt length, mean output length — and a forecaster
 //!    ([`PredictorKind::Constant`], [`PredictorKind::Ewma`], or
-//!    Holt–Winters with trend and additive seasonality) extrapolates the
-//!    next interval. Seasonal forecasting lets the fleet scale *ahead of*
-//!    a diurnal peak instead of chasing it.
+//!    [`PredictorKind::HoltWinters`] with trend and additive seasonality,
+//!    each with fixed smoothing factors) extrapolates the next interval.
+//!    Seasonal forecasting lets the fleet scale *ahead of* a diurnal peak
+//!    instead of chasing it.
 //! 2. **Interpolate** ([`PerfInterpolator`]): for every candidate fleet
 //!    size, map the forecast load to expected TTFT/TPOT using a
 //!    [`StepLatency`] model (in the simulator, a wrapper over the
@@ -29,12 +30,13 @@
 //!    correction factors, updated from observed-versus-predicted error
 //!    every interval, absorb the sketch's systematic bias.
 //! 3. **Decide** ([`ScalingPolicy`]): pick the smallest fleet whose
-//!    predicted latency holds the [`SlaSpec`](pf_metrics::SlaSpec) with
-//!    headroom. Scale-up jumps straight to the required count; scale-down
-//!    requires a stricter margin for several consecutive intervals and
-//!    then releases one replica at a time (asymmetric hysteresis — the
-//!    cost of under-provisioning is SLA burn plus a warm-up delay, the
-//!    cost of over-provisioning is only GPU-seconds).
+//!    predicted latency holds the [`SlaSpec`](pf_metrics::SlaSpec) within
+//!    80% of each limit. Scale-up jumps straight to the required count;
+//!    scale-down requires the smaller fleet within 50% for
+//!    `scale_down_patience` consecutive intervals and then releases one
+//!    replica at a time (asymmetric hysteresis — the cost of
+//!    under-provisioning is SLA burn plus a warm-up delay, the cost of
+//!    over-provisioning is only GPU-seconds).
 //!
 //! The planner forecasts `ceil(warmup / interval) + 1` steps ahead and
 //! provisions against the *horizon maximum*: capacity ordered now serves

@@ -5,16 +5,23 @@
 //! sits inside the SLA with a safety margin. Asymmetric hysteresis keeps
 //! it from flapping on noisy load:
 //!
-//! * **scale up** happens immediately, straight to the required count —
-//!   under-provisioning burns SLA, and new capacity already pays a
-//!   warm-up delay;
-//! * **scale down** requires the *smaller* fleet to satisfy a stricter
-//!   margin for several consecutive intervals, and then releases one
-//!   replica at a time.
+//! * **scale up** happens immediately, straight to the smallest count
+//!   predicted within 80% of the SLA — under-provisioning burns SLA, and
+//!   new capacity already pays a warm-up delay;
+//! * **scale down** requires the *smaller* fleet to stay within a stricter
+//!   50% of the SLA for `scale_down_patience` consecutive intervals, and
+//!   then releases one replica at a time.
 
 use pf_metrics::SlaSpec;
 
 use crate::interp::PerfEstimate;
+
+/// Fraction of the SLA budget predicted latency may use before a size
+/// counts as *sufficient* for scale-up purposes (predicted TTFT must stay
+/// below 80% of the limit).
+const HEADROOM: f64 = 0.8;
+/// Stricter fraction the smaller fleet must satisfy before scaling down.
+const SCALE_DOWN_HEADROOM: f64 = 0.5;
 
 /// Scaling-policy parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,21 +30,13 @@ pub struct PolicyConfig {
     pub min_replicas: usize,
     /// Largest fleet the policy will ever target.
     pub max_replicas: usize,
-    /// Fraction of the SLA budget predicted latency may use before a
-    /// size counts as *sufficient* for scale-up purposes (e.g. 0.8:
-    /// predicted TTFT must stay below 80% of the limit).
-    pub headroom: f64,
-    /// Stricter fraction the smaller fleet must satisfy before scaling
-    /// down (must be ≤ `headroom`).
-    pub scale_down_headroom: f64,
     /// Consecutive qualifying intervals required before releasing a
     /// replica.
     pub scale_down_patience: u32,
 }
 
 impl PolicyConfig {
-    /// Bounds-only constructor with the default margins (headroom 0.8,
-    /// scale-down headroom 0.5, patience 3).
+    /// Bounds-only constructor with the default patience of 3.
     ///
     /// # Panics
     ///
@@ -46,8 +45,6 @@ impl PolicyConfig {
         let config = PolicyConfig {
             min_replicas,
             max_replicas,
-            headroom: 0.8,
-            scale_down_headroom: 0.5,
             scale_down_patience: 3,
         };
         config.validate();
@@ -61,16 +58,6 @@ impl PolicyConfig {
             "min_replicas {} exceeds max_replicas {}",
             self.min_replicas,
             self.max_replicas
-        );
-        assert!(
-            self.headroom > 0.0 && self.headroom <= 1.0,
-            "headroom {} outside (0, 1]",
-            self.headroom
-        );
-        assert!(
-            self.scale_down_headroom > 0.0 && self.scale_down_headroom <= self.headroom,
-            "scale_down_headroom {} outside (0, headroom]",
-            self.scale_down_headroom
         );
     }
 }
@@ -163,7 +150,7 @@ impl ScalingPolicy {
         // saturate at max when nothing qualifies (overload: give it
         // everything we have).
         let needed = (min..=max)
-            .find(|&n| self.within(&estimates[n - min], self.config.headroom))
+            .find(|&n| self.within(&estimates[n - min], HEADROOM))
             .unwrap_or(max);
         if needed > current {
             self.down_streak = 0;
@@ -171,12 +158,7 @@ impl ScalingPolicy {
         }
         // Scale down only when one-fewer replicas would still hold the SLA
         // with the stricter margin, observed for `patience` intervals.
-        if current > min
-            && self.within(
-                &estimates[current - 1 - min],
-                self.config.scale_down_headroom,
-            )
-        {
+        if current > min && self.within(&estimates[current - 1 - min], SCALE_DOWN_HEADROOM) {
             self.down_streak += 1;
             if self.down_streak >= self.config.scale_down_patience {
                 self.down_streak = 0;

@@ -11,71 +11,67 @@
 //!   optional additive seasonality. Extrapolates ramps and anticipates
 //!   periodic load (diurnal cycles) once it has seen a full season.
 //!
+//! The smoothing factors are fixed: EWMA weights the newest observation
+//! 0.5; Holt smooths level 0.5 and trend 0.3; seasonal Holt–Winters
+//! smooths level 0.5, trend 0.2 and season 0.5.
+//!
 //! Every predictor is pure arithmetic over its inputs — deterministic,
 //! allocation-light, and independent per forecast component (request rate,
 //! input length, output length are forecast as three scalar series).
 
 use crate::load::LoadSample;
 
+/// Weight of the newest observation in the EWMA.
+const EWMA_ALPHA: f64 = 0.5;
+/// Level smoothing factor of Holt–Winters, seasonal or not.
+const HOLT_ALPHA: f64 = 0.5;
+/// Trend smoothing factor without seasonality (Holt's linear trend).
+const HOLT_BETA: f64 = 0.3;
+/// Trend smoothing factor with seasonality.
+const HOLT_WINTERS_BETA: f64 = 0.2;
+/// Seasonal smoothing factor.
+const HOLT_WINTERS_GAMMA: f64 = 0.5;
+
 /// Which scalar predictor to instantiate (see module docs).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PredictorKind {
     /// Repeat the last observation.
     Constant,
-    /// Exponentially weighted moving average with smoothing factor
-    /// `alpha` in `(0, 1]` (1.0 degenerates to Constant).
-    Ewma {
-        /// Weight of the newest observation.
-        alpha: f64,
-    },
-    /// Holt–Winters: level smoothing `alpha`, trend smoothing `beta`,
-    /// seasonal smoothing `gamma` over an additive season of
-    /// `season_len` intervals (`season_len == 0` disables seasonality,
-    /// leaving Holt's linear trend method).
+    /// Exponentially weighted moving average (newest observation weighted
+    /// 0.5).
+    Ewma,
+    /// Holt–Winters with level smoothing 0.5 over an additive season of
+    /// `season_len` intervals, smoothing trend 0.2 and season 0.5.
+    /// `season_len == 0` disables seasonality, leaving Holt's linear
+    /// trend method, which smooths its trend 0.3.
     HoltWinters {
-        /// Level smoothing factor in `(0, 1]`.
-        alpha: f64,
-        /// Trend smoothing factor in `[0, 1]`.
-        beta: f64,
-        /// Seasonal smoothing factor in `[0, 1]`.
-        gamma: f64,
         /// Intervals per season (0 = no seasonality).
         season_len: usize,
     },
 }
 
 impl PredictorKind {
-    /// Default EWMA (`alpha = 0.5`).
+    /// EWMA ([`PredictorKind::Ewma`]).
     pub const fn ewma() -> Self {
-        PredictorKind::Ewma { alpha: 0.5 }
+        PredictorKind::Ewma
     }
 
-    /// Default Holt–Winters with trend only (no seasonality).
+    /// Holt–Winters with trend only (no seasonality).
     pub const fn holt() -> Self {
-        PredictorKind::HoltWinters {
-            alpha: 0.5,
-            beta: 0.3,
-            gamma: 0.0,
-            season_len: 0,
-        }
+        PredictorKind::holt_winters(0)
     }
 
-    /// Default seasonal Holt–Winters over `season_len` intervals.
+    /// Seasonal Holt–Winters over `season_len` intervals.
     pub const fn holt_winters(season_len: usize) -> Self {
-        PredictorKind::HoltWinters {
-            alpha: 0.5,
-            beta: 0.2,
-            gamma: 0.5,
-            season_len,
-        }
+        PredictorKind::HoltWinters { season_len }
     }
 
     /// Short label for reports.
     pub fn label(&self) -> &'static str {
         match self {
             PredictorKind::Constant => "constant",
-            PredictorKind::Ewma { .. } => "ewma",
-            PredictorKind::HoltWinters { season_len: 0, .. } => "holt",
+            PredictorKind::Ewma => "ewma",
+            PredictorKind::HoltWinters { season_len: 0 } => "holt",
             PredictorKind::HoltWinters { .. } => "holt-winters",
         }
     }
@@ -83,42 +79,14 @@ impl PredictorKind {
     fn build(&self) -> SeriesPredictor {
         match *self {
             PredictorKind::Constant => SeriesPredictor::Constant { last: None },
-            PredictorKind::Ewma { alpha } => {
-                assert!(
-                    alpha > 0.0 && alpha <= 1.0,
-                    "ewma alpha {alpha} outside (0, 1]"
-                );
-                SeriesPredictor::Ewma { alpha, level: None }
-            }
-            PredictorKind::HoltWinters {
-                alpha,
-                beta,
-                gamma,
+            PredictorKind::Ewma => SeriesPredictor::Ewma { level: None },
+            PredictorKind::HoltWinters { season_len } => SeriesPredictor::HoltWinters {
                 season_len,
-            } => {
-                assert!(
-                    alpha > 0.0 && alpha <= 1.0,
-                    "holt-winters alpha {alpha} outside (0, 1]"
-                );
-                assert!(
-                    (0.0..=1.0).contains(&beta),
-                    "holt-winters beta {beta} outside [0, 1]"
-                );
-                assert!(
-                    (0.0..=1.0).contains(&gamma),
-                    "holt-winters gamma {gamma} outside [0, 1]"
-                );
-                SeriesPredictor::HoltWinters {
-                    alpha,
-                    beta,
-                    gamma,
-                    season_len,
-                    level: None,
-                    trend: 0.0,
-                    seasonal: vec![0.0; season_len],
-                    observed: 0,
-                }
-            }
+                level: None,
+                trend: 0.0,
+                seasonal: vec![0.0; season_len],
+                observed: 0,
+            },
         }
     }
 }
@@ -130,13 +98,9 @@ enum SeriesPredictor {
         last: Option<f64>,
     },
     Ewma {
-        alpha: f64,
         level: Option<f64>,
     },
     HoltWinters {
-        alpha: f64,
-        beta: f64,
-        gamma: f64,
         season_len: usize,
         level: Option<f64>,
         trend: f64,
@@ -149,16 +113,13 @@ impl SeriesPredictor {
     fn observe(&mut self, value: f64) {
         match self {
             SeriesPredictor::Constant { last } => *last = Some(value),
-            SeriesPredictor::Ewma { alpha, level } => {
+            SeriesPredictor::Ewma { level } => {
                 *level = Some(match *level {
                     None => value,
-                    Some(l) => *alpha * value + (1.0 - *alpha) * l,
+                    Some(l) => EWMA_ALPHA * value + (1.0 - EWMA_ALPHA) * l,
                 });
             }
             SeriesPredictor::HoltWinters {
-                alpha,
-                beta,
-                gamma,
                 season_len,
                 level,
                 trend,
@@ -181,8 +142,14 @@ impl SeriesPredictor {
                         } else {
                             0.0
                         };
-                        let new_level = *alpha * (value - s) + (1.0 - *alpha) * (l + *trend);
-                        *trend = *beta * (new_level - l) + (1.0 - *beta) * *trend;
+                        let new_level =
+                            HOLT_ALPHA * (value - s) + (1.0 - HOLT_ALPHA) * (l + *trend);
+                        let beta = if *season_len > 0 {
+                            HOLT_WINTERS_BETA
+                        } else {
+                            HOLT_BETA
+                        };
+                        *trend = beta * (new_level - l) + (1.0 - beta) * *trend;
                         *level = Some(new_level);
                     }
                 }
@@ -194,7 +161,8 @@ impl SeriesPredictor {
                         // deviation as the initial seasonal index.
                         deviation
                     } else {
-                        *gamma * deviation + (1.0 - *gamma) * seasonal[season_idx]
+                        HOLT_WINTERS_GAMMA * deviation
+                            + (1.0 - HOLT_WINTERS_GAMMA) * seasonal[season_idx]
                     };
                 }
                 *observed += 1;
@@ -243,10 +211,6 @@ pub struct LoadPredictor {
 
 impl LoadPredictor {
     /// Creates a predictor of the given kind.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the kind's smoothing parameters are out of range.
     pub fn new(kind: PredictorKind) -> Self {
         LoadPredictor {
             kind,
@@ -400,12 +364,6 @@ mod tests {
         assert_eq!(f.request_rate, 5.0);
         assert_eq!(f.mean_input_tokens, 120.0);
         assert_eq!(f.mean_output_tokens, 340.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside (0, 1]")]
-    fn bad_alpha_panics() {
-        let _ = LoadPredictor::new(PredictorKind::Ewma { alpha: 0.0 });
     }
 
     #[test]

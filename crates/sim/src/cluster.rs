@@ -169,7 +169,8 @@ impl std::hash::Hash for RouterPolicy {
 }
 
 impl RouterPolicy {
-    /// All policies, for sweeps.
+    /// Every policy that runs without a prefix cache, for sweeps: all but
+    /// [`RouterPolicy::KvOverlap`], which needs one.
     pub const ALL: [RouterPolicy; 5] = [
         RouterPolicy::RoundRobin,
         RouterPolicy::LeastOutstanding,

@@ -6,7 +6,7 @@ use pf_metrics::{SimDuration, SlaSpec};
 
 use crate::hardware::GpuSpec;
 use crate::model::ModelSpec;
-use crate::perf::{PerfModel, PerfTuning};
+use crate::perf::PerfModel;
 
 /// KV-cache memory-manager choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -239,8 +239,9 @@ pub struct SimConfig {
     pub prefill: PrefillMode,
     /// Preemption mechanism for evicted requests.
     pub eviction: EvictionMode,
-    /// Performance-model tuning.
-    pub tuning: PerfTuning,
+    /// Uniform speed multiplier of the whole serving stack in the
+    /// performance model (1.0 = LightLLM baseline; >1 = faster kernels).
+    pub kernel_speedup: f64,
     /// Seed for all stochastic components (scheduler sampling).
     pub seed: u64,
     /// Overrides the computed KV capacity (tokens). Used by toy scenarios
@@ -287,7 +288,7 @@ impl SimConfig {
                 batching: BatchingMode::Continuous,
                 prefill: PrefillMode::WholePrompt,
                 eviction: EvictionMode::Recompute,
-                tuning: PerfTuning::default(),
+                kernel_speedup: 1.0,
                 seed: 0,
                 capacity_override: None,
                 max_sim_time: None,
@@ -303,7 +304,12 @@ impl SimConfig {
 
     /// The performance model implied by this configuration.
     pub fn perf_model(&self) -> PerfModel {
-        PerfModel::new(self.model, self.gpu, self.tensor_parallel, self.tuning)
+        PerfModel::new(
+            self.model,
+            self.gpu,
+            self.tensor_parallel,
+            self.kernel_speedup,
+        )
     }
 
     /// KV-cache capacity in tokens (respecting any override).
@@ -372,15 +378,9 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Sets performance tuning parameters.
-    pub fn tuning(mut self, tuning: PerfTuning) -> Self {
-        self.config.tuning = tuning;
-        self
-    }
-
     /// Scales the whole stack's kernel speed (1.0 = LightLLM baseline).
     pub fn kernel_speedup(mut self, speedup: f64) -> Self {
-        self.config.tuning.kernel_speedup = speedup;
+        self.config.kernel_speedup = speedup;
         self
     }
 
@@ -517,9 +517,12 @@ mod tests {
 
     #[test]
     fn kernel_speedup_flows_into_tuning() {
-        let c = SimConfig::builder(ModelSpec::llama2_7b(), GpuSpec::a100_80g())
-            .kernel_speedup(1.5)
-            .build();
-        assert_eq!(c.tuning.kernel_speedup, 1.5);
+        let base = SimConfig::builder(ModelSpec::llama2_7b(), GpuSpec::a100_80g());
+        assert_eq!(base.clone().build().kernel_speedup, 1.0);
+        let fast = base.clone().kernel_speedup(1.5).build();
+        assert_eq!(fast.kernel_speedup, 1.5);
+        // The performance model runs the stack at the configured speed.
+        let step = |c: &SimConfig| c.perf_model().decode_step(8, 50_000);
+        assert!(step(&fast) < step(&base.build()));
     }
 }

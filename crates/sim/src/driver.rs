@@ -18,9 +18,9 @@
 //!
 //! Arrivals are a time-ordered stream beside the heap, from one of two
 //! sources ([`Workload`]): an open-loop workload fills it upfront, and a
-//! closed-loop client submits its next request the think time after its
-//! last one ends (finishes at its member's `Done`, or times out in a
-//! tick), which keeps the stream in time order. Routing is one
+//! closed-loop client submits its next request at the instant its last
+//! one ends (finishes at its member's `Done`, or times out in a tick),
+//! which keeps the stream in time order. Routing is one
 //! [`Routing::route`] call over the live members of the first pool, each
 //! scored by [`Engine::route_load`]. The heap holds everything else. At
 //! equal timestamps a warming member's `Ready` comes first, then the
@@ -162,17 +162,15 @@ fn take_finished<'a>(
 /// The requests of `workload` and their arrivals (t = 0 when offline or
 /// in a closed-loop client's hands), how many of the front requests are
 /// submitted (all of them but the ones waiting for a closed-loop client:
-/// the first wave submits at t = 0), and the clients' think time. A timed
-/// stream needs one arrival time per request, in non-decreasing order.
+/// the first wave submits at t = 0). A timed stream needs one arrival
+/// time per request, in non-decreasing order.
 fn arrival_sources(
     workload: Workload,
-) -> Result<(Vec<RequestSpec>, Vec<SimTime>, usize, SimDuration), SimError> {
-    let (requests, times, submitted, think) = match workload {
-        Workload::Offline(requests) => (requests, None, usize::MAX, SimDuration::ZERO),
-        Workload::Timed(requests, times) => (requests, Some(times), usize::MAX, SimDuration::ZERO),
-        Workload::ClosedLoop(requests, clients) => {
-            (requests, None, clients.n_clients, clients.think_time)
-        }
+) -> Result<(Vec<RequestSpec>, Vec<SimTime>, usize), SimError> {
+    let (requests, times, submitted) = match workload {
+        Workload::Offline(requests) => (requests, None, usize::MAX),
+        Workload::Timed(requests, times) => (requests, Some(times), usize::MAX),
+        Workload::ClosedLoop(requests, clients) => (requests, None, clients.n_clients),
     };
     let times = times.unwrap_or_else(|| vec![SimTime::ZERO; requests.len()]);
     let reason = if requests.len() != times.len() {
@@ -180,7 +178,7 @@ fn arrival_sources(
     } else if !times.is_sorted() {
         "arrival times must be sorted"
     } else {
-        return Ok((requests, times, submitted, think));
+        return Ok((requests, times, submitted));
     };
     Err(SimError::InvalidWorkload { reason })
 }
@@ -331,8 +329,6 @@ pub(crate) struct Run<'s> {
     /// client to free, which stamps the next one.
     stream: VecDeque<(SimTime, RequestSpec)>,
     submitted: usize,
-    /// The closed-loop clients' think time.
-    think: SimDuration,
     /// Reusable KV-event drain buffer of [`Run::tick`].
     kv_event_buf: Vec<(SimTime, KvEvent)>,
     /// Requests the workload issued.
@@ -380,7 +376,7 @@ impl<'s> Run<'s> {
         workload: Workload,
         sink: Option<&'s mut dyn TraceSink>,
     ) -> Result<Self, SimError> {
-        let (requests, times, submitted, think) = arrival_sources(workload)?;
+        let (requests, times, submitted) = arrival_sources(workload)?;
         for (config, _) in initial.iter().flatten() {
             fleet::check_scheduler(&config.scheduler)?;
             fleet::check_prefix_cache(config.prefix_cache)?;
@@ -398,7 +394,6 @@ impl<'s> Run<'s> {
             seq: 0,
             stream: VecDeque::new(),
             submitted: submitted.min(requests.len()),
-            think,
             issued: requests.len(),
             remaining: requests.len(),
             kv_event_buf: Vec::new(),
@@ -747,15 +742,14 @@ impl<'s> Run<'s> {
     }
 
     /// `n` closed-loop clients whose requests ended at `now` submit their
-    /// next ones after the think time (no-op for an open-loop workload).
+    /// next ones at `now` (no-op for an open-loop workload).
     fn free_clients(&mut self, now: SimTime, n: usize) {
-        let at = now + self.think;
         let n = n.min(self.stream.len() - self.submitted);
         let freed = self.submitted..self.submitted + n;
-        debug_assert!(n == 0 || self.submitted == 0 || self.stream[self.submitted - 1].0 <= at);
+        debug_assert!(n == 0 || self.submitted == 0 || self.stream[self.submitted - 1].0 <= now);
         self.stream
             .range_mut(freed)
-            .for_each(|(arrival, _)| *arrival = at);
+            .for_each(|(arrival, _)| *arrival = now);
         self.submitted += n;
     }
 

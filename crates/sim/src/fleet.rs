@@ -219,7 +219,7 @@ pub(crate) fn check_positive(parameter: &'static str, value: f64) -> Result<(), 
 pub(crate) fn replica(base: &SimConfig, gpu: GpuType, spawned: usize) -> SimConfig {
     let mut config = base.clone();
     config.seed = config.seed.wrapping_add(spawned as u64);
-    config.tuning.kernel_speedup *= gpu.perf_scale;
+    config.kernel_speedup *= gpu.perf_scale;
     config
 }
 

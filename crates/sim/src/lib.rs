@@ -68,6 +68,6 @@ pub use error::SimError;
 pub use fleet::{GpuType, RouterConfig};
 pub use hardware::GpuSpec;
 pub use model::ModelSpec;
-pub use perf::{PerfModel, PerfTuning};
+pub use perf::PerfModel;
 pub use report::{FleetReport, Headline, MemberReport, RequestOutcome, SimReport};
 pub use simulation::{Simulation, Workload};

@@ -11,8 +11,10 @@
 //!   with a decode batch in a single forward pass.
 //!
 //! Tensor parallelism divides both FLOPs and bytes across GPUs at an
-//! efficiency discount. A `kernel_speedup` multiplier differentiates
-//! faster/slower serving stacks (e.g. the TensorRT-LLM preset) without
+//! efficiency discount. The serving stack's efficiencies and step overhead
+//! are fixed constants (LightLLM's); the one per-deployment knob is the
+//! `kernel_speedup` multiplier, which differentiates faster/slower serving
+//! stacks (e.g. the TensorRT-LLM preset) and GPU generations without
 //! changing the model.
 
 use pf_metrics::SimDuration;
@@ -20,36 +22,16 @@ use pf_metrics::SimDuration;
 use crate::hardware::GpuSpec;
 use crate::model::ModelSpec;
 
-/// Utilization efficiencies and overheads of the serving stack.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PerfTuning {
-    /// Fraction of peak FLOPs achieved by prefill GEMMs.
-    pub prefill_flops_eff: f64,
-    /// Fraction of peak FLOPs achieved by decode GEMVs.
-    pub decode_flops_eff: f64,
-    /// Fraction of peak memory bandwidth achieved.
-    pub bw_eff: f64,
-    /// Tensor-parallel scaling efficiency per extra GPU.
-    pub tp_eff: f64,
-    /// Fixed per-step overhead (kernel launches, scheduler, Python glue).
-    pub step_overhead: SimDuration,
-    /// Uniform speed multiplier for the whole stack (1.0 = LightLLM
-    /// baseline; >1 = faster kernels).
-    pub kernel_speedup: f64,
-}
-
-impl Default for PerfTuning {
-    fn default() -> Self {
-        PerfTuning {
-            prefill_flops_eff: 0.55,
-            decode_flops_eff: 0.35,
-            bw_eff: 0.75,
-            tp_eff: 0.85,
-            step_overhead: SimDuration::from_micros(350),
-            kernel_speedup: 1.0,
-        }
-    }
-}
+/// Fraction of peak FLOPs achieved by prefill GEMMs.
+const PREFILL_FLOPS_EFF: f64 = 0.55;
+/// Fraction of peak FLOPs achieved by decode GEMVs.
+const DECODE_FLOPS_EFF: f64 = 0.35;
+/// Fraction of peak memory bandwidth achieved.
+const BW_EFF: f64 = 0.75;
+/// Tensor-parallel scaling efficiency per extra GPU.
+const TP_EFF: f64 = 0.85;
+/// Fixed per-step overhead (kernel launches, scheduler, Python glue).
+const STEP_OVERHEAD: SimDuration = SimDuration::from_micros(350);
 
 /// Step-latency model for one (model, GPU, tensor-parallel degree) triple.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,22 +39,23 @@ pub struct PerfModel {
     model: ModelSpec,
     gpu: GpuSpec,
     tensor_parallel: u32,
-    tuning: PerfTuning,
+    kernel_speedup: f64,
 }
 
 impl PerfModel {
-    /// Builds a performance model.
+    /// Builds a performance model whose whole stack runs `kernel_speedup`
+    /// times the LightLLM baseline's speed (1.0; >1 = faster kernels).
     ///
     /// # Panics
     ///
     /// Panics if `tensor_parallel` is zero.
-    pub fn new(model: ModelSpec, gpu: GpuSpec, tensor_parallel: u32, tuning: PerfTuning) -> Self {
+    pub fn new(model: ModelSpec, gpu: GpuSpec, tensor_parallel: u32, kernel_speedup: f64) -> Self {
         assert!(tensor_parallel > 0, "tensor_parallel must be at least 1");
         PerfModel {
             model,
             gpu,
             tensor_parallel,
-            tuning,
+            kernel_speedup,
         }
     }
 
@@ -106,22 +89,22 @@ impl PerfModel {
     fn effective_flops(&self, base_eff: f64) -> f64 {
         let tp = self.tensor_parallel as f64;
         let tp_scale = if self.tensor_parallel > 1 {
-            tp * self.tuning.tp_eff
+            tp * TP_EFF
         } else {
             1.0
         };
-        self.gpu.flops() * base_eff * tp_scale * self.tuning.kernel_speedup
+        self.gpu.flops() * base_eff * tp_scale * self.kernel_speedup
     }
 
     /// Effective bytes/s of the TP group.
     fn effective_bw(&self) -> f64 {
         let tp = self.tensor_parallel as f64;
         let tp_scale = if self.tensor_parallel > 1 {
-            tp * self.tuning.tp_eff
+            tp * TP_EFF
         } else {
             1.0
         };
-        self.gpu.bw_bytes_per_s() * self.tuning.bw_eff * tp_scale * self.tuning.kernel_speedup
+        self.gpu.bw_bytes_per_s() * BW_EFF * tp_scale * self.kernel_speedup
     }
 
     /// Latency of a prefill step over `prompt_tokens` total tokens.
@@ -130,7 +113,7 @@ impl PerfModel {
             return SimDuration::ZERO;
         }
         let compute = self.model.flops_per_token() * prompt_tokens as f64
-            / self.effective_flops(self.tuning.prefill_flops_eff);
+            / self.effective_flops(PREFILL_FLOPS_EFF);
         let memory = self.model.weight_bytes() as f64 / self.effective_bw();
         self.finish(compute.max(memory))
     }
@@ -142,7 +125,7 @@ impl PerfModel {
             return SimDuration::ZERO;
         }
         let compute = self.model.flops_per_token() * batch_size as f64
-            / self.effective_flops(self.tuning.decode_flops_eff);
+            / self.effective_flops(DECODE_FLOPS_EFF);
         let bytes =
             self.model.weight_bytes() as f64 + (kv_tokens * self.model.kv_bytes_per_token()) as f64;
         let memory = bytes / self.effective_bw();
@@ -156,7 +139,7 @@ impl PerfModel {
             return self.decode_step(batch_size, kv_tokens);
         }
         let compute = self.model.flops_per_token() * (chunk_tokens + batch_size) as f64
-            / self.effective_flops(self.tuning.prefill_flops_eff);
+            / self.effective_flops(PREFILL_FLOPS_EFF);
         let bytes =
             self.model.weight_bytes() as f64 + (kv_tokens * self.model.kv_bytes_per_token()) as f64;
         let memory = bytes / self.effective_bw();
@@ -171,7 +154,7 @@ impl PerfModel {
     }
 
     fn finish(&self, seconds: f64) -> SimDuration {
-        SimDuration::from_secs_f64(seconds) + self.tuning.step_overhead
+        SimDuration::from_secs_f64(seconds) + STEP_OVERHEAD
     }
 }
 
@@ -180,12 +163,7 @@ mod tests {
     use super::*;
 
     fn a100_7b() -> PerfModel {
-        PerfModel::new(
-            ModelSpec::llama2_7b(),
-            GpuSpec::a100_80g(),
-            1,
-            PerfTuning::default(),
-        )
+        PerfModel::new(ModelSpec::llama2_7b(), GpuSpec::a100_80g(), 1, 1.0)
     }
 
     #[test]
@@ -201,13 +179,8 @@ mod tests {
     #[test]
     fn capacity_scales_with_tensor_parallel() {
         let m70 = |tp| {
-            PerfModel::new(
-                ModelSpec::llama2_70b(),
-                GpuSpec::a100_80g(),
-                tp,
-                PerfTuning::default(),
-            )
-            .kv_capacity_tokens()
+            PerfModel::new(ModelSpec::llama2_70b(), GpuSpec::a100_80g(), tp, 1.0)
+                .kv_capacity_tokens()
         };
         // 70B does not even fit on one A100-80G.
         assert_eq!(m70(1), 0);
@@ -242,27 +215,10 @@ mod tests {
     #[test]
     fn kernel_speedup_accelerates_everything() {
         let base = a100_7b();
-        let fast = PerfModel::new(
-            ModelSpec::llama2_7b(),
-            GpuSpec::a100_80g(),
-            1,
-            PerfTuning {
-                kernel_speedup: 2.0,
-                step_overhead: SimDuration::ZERO,
-                ..PerfTuning::default()
-            },
-        );
-        let slow_base = PerfModel::new(
-            ModelSpec::llama2_7b(),
-            GpuSpec::a100_80g(),
-            1,
-            PerfTuning {
-                step_overhead: SimDuration::ZERO,
-                ..PerfTuning::default()
-            },
-        );
-        assert!(fast.decode_step(8, 50_000) < slow_base.decode_step(8, 50_000));
-        let _ = base;
+        let fast = PerfModel::new(ModelSpec::llama2_7b(), GpuSpec::a100_80g(), 1, 2.0);
+        assert!(fast.prefill_step(2048) < base.prefill_step(2048));
+        assert!(fast.decode_step(8, 50_000) < base.decode_step(8, 50_000));
+        assert!(fast.mixed_step(512, 8, 50_000) < base.mixed_step(512, 8, 50_000));
     }
 
     #[test]
@@ -284,29 +240,14 @@ mod tests {
 
     #[test]
     fn tp_reduces_step_time() {
-        let one = PerfModel::new(
-            ModelSpec::llama2_70b(),
-            GpuSpec::a100_80g(),
-            4,
-            PerfTuning::default(),
-        );
-        let two = PerfModel::new(
-            ModelSpec::llama2_70b(),
-            GpuSpec::a100_80g(),
-            8,
-            PerfTuning::default(),
-        );
+        let one = PerfModel::new(ModelSpec::llama2_70b(), GpuSpec::a100_80g(), 4, 1.0);
+        let two = PerfModel::new(ModelSpec::llama2_70b(), GpuSpec::a100_80g(), 8, 1.0);
         assert!(two.decode_step(16, 100_000) < one.decode_step(16, 100_000));
     }
 
     #[test]
     #[should_panic(expected = "at least 1")]
     fn zero_tp_panics() {
-        let _ = PerfModel::new(
-            ModelSpec::llama2_7b(),
-            GpuSpec::a100_80g(),
-            0,
-            PerfTuning::default(),
-        );
+        let _ = PerfModel::new(ModelSpec::llama2_7b(), GpuSpec::a100_80g(), 0, 1.0);
     }
 }

@@ -23,8 +23,8 @@ pub enum Workload {
     Timed(Vec<RequestSpec>, Vec<SimTime>),
     /// Closed-loop clients: `n_clients` requests in flight at all times
     /// until the workload drains (the paper's goodput setting: Figures 7
-    /// and 9). A client submits its next request the think time after its
-    /// last one finishes or times out.
+    /// and 9). A client submits its next request the instant its last one
+    /// finishes or times out.
     ClosedLoop(Vec<RequestSpec>, ClosedLoopClients),
 }
 

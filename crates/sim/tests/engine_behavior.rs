@@ -828,6 +828,50 @@ fn closed_loop_clients_survive_timeouts() {
     }
 }
 
+/// A closed-loop client submits its next request the instant its last
+/// one ends: with one client, every request arrives exactly at its
+/// predecessor's last token, on a single engine and across a fleet.
+#[test]
+fn closed_loop_client_resubmits_at_the_last_token() {
+    use pf_metrics::SimTime;
+    use pf_sim::cluster::{ClusterSimulation, RouterPolicy};
+    use pf_sim::{RequestOutcome, Workload};
+
+    fn assert_back_to_back(mut outcomes: Vec<RequestOutcome>, n: usize) {
+        assert_eq!(outcomes.len(), n);
+        outcomes.sort_by_key(|o| o.id);
+        assert_eq!(outcomes[0].timing.arrival(), SimTime::ZERO);
+        for pair in outcomes.windows(2) {
+            assert_eq!(
+                pair[1].timing.arrival(),
+                pair[0].timing.last_token_at(),
+                "request {} arrives when request {} ends",
+                pair[1].id,
+                pair[0].id
+            );
+        }
+    }
+
+    let n = 24;
+    let requests = datasets::sharegpt(n, 5);
+    let config = small_config(SchedulerConfig::past_future(), 20_000);
+    let one_client = || ClosedLoopClients::new(1);
+    let single = Simulation::closed_loop(config.clone(), requests.clone(), one_client())
+        .run()
+        .unwrap();
+    assert_back_to_back(single.outcomes, n);
+
+    let fleet = ClusterSimulation::new(config, 2, RouterPolicy::RoundRobin)
+        .run_workload(Workload::ClosedLoop(requests, one_client()), None)
+        .unwrap();
+    assert!(
+        fleet.instances.iter().all(|m| m.report.completed > 0),
+        "both members serve the client"
+    );
+    let outcomes = fleet.instances.into_iter().flat_map(|m| m.report.outcomes);
+    assert_back_to_back(outcomes.collect(), n);
+}
+
 /// Static batching is an engine tick rule, so every colocated topology
 /// serves it: a one-member cluster and an elastic fleet pinned at one
 /// replica run the single engine's padded batches, step for step.

@@ -15,23 +15,19 @@ use pf_metrics::{SimDuration, SimTime};
 ///
 /// This is a plain description consumed by the simulation driver in
 /// `pf-sim`: `n_clients` requests are in flight at any time (until the
-/// workload is exhausted), and a client waits `think_time` between receiving
-/// the last token of one request and submitting the next.
+/// workload is exhausted), and a client submits its next request the
+/// instant it receives the last token of the previous one (zero think
+/// time, the paper's setting).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClosedLoopClients {
     /// Number of concurrent clients.
     pub n_clients: usize,
-    /// Pause between a client's consecutive requests.
-    pub think_time: SimDuration,
 }
 
 impl ClosedLoopClients {
-    /// `n` clients with zero think time (the paper's setting).
+    /// `n` clients.
     pub fn new(n_clients: usize) -> Self {
-        ClosedLoopClients {
-            n_clients,
-            think_time: SimDuration::ZERO,
-        }
+        ClosedLoopClients { n_clients }
     }
 }
 
@@ -232,7 +228,6 @@ mod tests {
     fn closed_loop_builder() {
         let c = ClosedLoopClients::new(40);
         assert_eq!(c.n_clients, 40);
-        assert_eq!(c.think_time, SimDuration::ZERO);
     }
 
     #[test]

@@ -139,50 +139,26 @@ pub fn prefill_heavy(n: usize, seed: u64) -> Vec<RequestSpec> {
     )
 }
 
-/// Parameters of the [`mixed_deadline`] builder.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MixedDeadlineSpec {
-    /// Fraction of requests that are tight-deadline interactive chat
-    /// (the remainder is lax batch summarization).
-    pub tight_frac: f64,
-    /// Deadline attached to the chat class (time to first token before
-    /// the client gives up).
-    pub tight_deadline: pf_metrics::SimDuration,
-    /// Deadline attached to the batch class.
-    pub lax_deadline: pf_metrics::SimDuration,
-    /// Chat prompt lengths.
-    pub chat_input: LengthSampler,
-    /// Chat answer lengths.
-    pub chat_output: LengthSampler,
-    /// Chat generation cap.
-    pub chat_cap: u32,
-    /// Summarization prompt lengths (long documents).
-    pub batch_input: LengthSampler,
-    /// Summarization answer lengths (terse summaries).
-    pub batch_output: LengthSampler,
-    /// Summarization generation cap.
-    pub batch_cap: u32,
-}
-
-impl Default for MixedDeadlineSpec {
-    /// 60% interactive chat under a 5-second first-token deadline, 40%
-    /// document summarization under a lax 60-second one — the mix where
-    /// FIFO admission lets one long document blow a handful of chat
-    /// deadlines.
-    fn default() -> Self {
-        MixedDeadlineSpec {
-            tight_frac: 0.6,
-            tight_deadline: pf_metrics::SimDuration::from_secs(5),
-            lax_deadline: pf_metrics::SimDuration::from_secs(60),
-            chat_input: LengthSampler::uniform(64, 256),
-            chat_output: LengthSampler::uniform(64, 256),
-            chat_cap: 512,
-            batch_input: LengthSampler::uniform(1024, 3072),
-            batch_output: LengthSampler::uniform(16, 96),
-            batch_cap: 128,
-        }
-    }
-}
+/// Fraction of [`mixed_deadline`] requests that are tight-deadline
+/// interactive chat (the remainder is lax batch summarization).
+const TIGHT_FRAC: f64 = 0.6;
+/// Deadline of the chat class (time to first token before the client
+/// gives up).
+const TIGHT_DEADLINE: pf_metrics::SimDuration = pf_metrics::SimDuration::from_secs(5);
+/// Deadline of the batch class.
+const LAX_DEADLINE: pf_metrics::SimDuration = pf_metrics::SimDuration::from_secs(60);
+/// Chat prompt lengths.
+const CHAT_INPUT: LengthSampler = LengthSampler::UniformRange { lo: 64, hi: 256 };
+/// Chat answer lengths.
+const CHAT_OUTPUT: LengthSampler = LengthSampler::UniformRange { lo: 64, hi: 256 };
+/// Chat generation cap.
+const CHAT_CAP: u32 = 512;
+/// Summarization prompt lengths (long documents).
+const BATCH_INPUT: LengthSampler = LengthSampler::UniformRange { lo: 1024, hi: 3072 };
+/// Summarization answer lengths (terse summaries).
+const BATCH_OUTPUT: LengthSampler = LengthSampler::UniformRange { lo: 16, hi: 96 };
+/// Summarization generation cap.
+const BATCH_CAP: u32 = 128;
 
 /// Mixed-deadline traffic: tight-deadline interactive chat interleaved
 /// with lax batch summarization, every request carrying an explicit
@@ -191,48 +167,30 @@ impl Default for MixedDeadlineSpec {
 /// chat request with 50 ms of slack waits behind a 3k-token document with
 /// a minute to spare, and both classes miss.
 ///
-/// The class of each request is an independent Bernoulli draw
-/// ([`MixedDeadlineSpec::tight_frac`]), so the two streams interleave the
+/// 60% of the requests are interactive chat (U\[64, 256\] both ways,
+/// capped at 512) under a 5-second first-token deadline, 40% document
+/// summarization (U\[1024, 3072\] in, U\[16, 96\] out, capped at 128)
+/// under a lax 60-second one — the mix where FIFO admission lets one long
+/// document blow a handful of chat deadlines. The class of each request
+/// is an independent Bernoulli draw, so the two streams interleave the
 /// way a shared front end sees them. Ids are dense in emission order.
 ///
 /// [`QueueOrder::LeastSlackFirst`]: https://docs.rs/pf-sim
 pub fn mixed_deadline(n: usize, seed: u64) -> Vec<RequestSpec> {
-    mixed_deadline_with(n, seed, &MixedDeadlineSpec::default())
-}
-
-/// [`mixed_deadline`] with explicit parameters.
-///
-/// # Panics
-///
-/// Panics if `tight_frac` is outside `[0, 1]` or either deadline is zero.
-fn mixed_deadline_with(n: usize, seed: u64, spec: &MixedDeadlineSpec) -> Vec<RequestSpec> {
-    assert!(
-        (0.0..=1.0).contains(&spec.tight_frac),
-        "tight fraction {} outside [0, 1]",
-        spec.tight_frac
-    );
     let base = derive_seed(seed, 111);
     let mut class_rng = seeded(derive_seed(base, 0));
     let mut in_rng = seeded(derive_seed(base, 1));
     let mut out_rng = seeded(derive_seed(base, 2));
     (0..n)
         .map(|i| {
-            if class_rng.gen_bool(spec.tight_frac) {
-                let input = spec.chat_input.sample(&mut in_rng);
-                let output = spec
-                    .chat_output
-                    .sample(&mut out_rng)
-                    .clamp(1, spec.chat_cap);
-                RequestSpec::new(i as u64, input, output, spec.chat_cap)
-                    .with_deadline(spec.tight_deadline)
+            if class_rng.gen_bool(TIGHT_FRAC) {
+                let input = CHAT_INPUT.sample(&mut in_rng);
+                let output = CHAT_OUTPUT.sample(&mut out_rng).clamp(1, CHAT_CAP);
+                RequestSpec::new(i as u64, input, output, CHAT_CAP).with_deadline(TIGHT_DEADLINE)
             } else {
-                let input = spec.batch_input.sample(&mut in_rng);
-                let output = spec
-                    .batch_output
-                    .sample(&mut out_rng)
-                    .clamp(1, spec.batch_cap);
-                RequestSpec::new(i as u64, input, output, spec.batch_cap)
-                    .with_deadline(spec.lax_deadline)
+                let input = BATCH_INPUT.sample(&mut in_rng);
+                let output = BATCH_OUTPUT.sample(&mut out_rng).clamp(1, BATCH_CAP);
+                RequestSpec::new(i as u64, input, output, BATCH_CAP).with_deadline(LAX_DEADLINE)
             }
         })
         .collect()
@@ -291,20 +249,7 @@ impl Default for MultiTurnSpec {
 /// across [`MultiTurnSpec::concurrent_sessions`] slots, mimicking a front
 /// end multiplexing many concurrent users.
 pub fn multi_turn_chat(n: usize, seed: u64) -> Vec<RequestSpec> {
-    multi_turn_chat_with(n, seed, &MultiTurnSpec::default())
-}
-
-/// [`multi_turn_chat`] with explicit parameters.
-fn multi_turn_chat_with(n: usize, seed: u64, spec: &MultiTurnSpec) -> Vec<RequestSpec> {
-    assert!(
-        spec.concurrent_sessions > 0,
-        "need at least one concurrent session"
-    );
-    assert!(
-        (0.0..1.0).contains(&spec.continue_prob),
-        "continue probability {} outside [0, 1)",
-        spec.continue_prob
-    );
+    let spec = MultiTurnSpec::default();
     let base = derive_seed(seed, 109);
     let mut user_rng = seeded(derive_seed(base, 0));
     let mut out_rng = seeded(derive_seed(base, 1));
@@ -386,6 +331,47 @@ pub fn multi_turn_chat_timed(
     think_floor_secs: f64,
     think_mean_secs: f64,
 ) -> (Vec<RequestSpec>, Vec<pf_metrics::SimTime>) {
+    timed_sessions(
+        n,
+        derive_seed(seed, 110),
+        spec,
+        None,
+        sessions_per_sec,
+        think_floor_secs,
+        think_mean_secs,
+    )
+}
+
+/// One generated turn of a timed chat session, before its id.
+struct Turn {
+    at_us: u64,
+    session: u64,
+    turn: u32,
+    input_len: u32,
+    output_len: u32,
+    /// The conversation so far (the session prefix).
+    prefix_len: u32,
+    /// The session's tenant (0 without tenants).
+    tenant: u64,
+}
+
+/// The session generator behind [`multi_turn_chat_timed`] and
+/// [`shared_sysprompt_chat_timed`]: Poisson session starts, geometric
+/// turns separated by think gaps, then the turns interleaved by arrival
+/// and cut to `n`. With `tenants = Some((count, system_prompt_len))`,
+/// every session draws a tenant, opens with that tenant's system prompt
+/// in place of `chat.system_prompt_len`, and declares it on every turn.
+///
+/// Draws from sub-streams 0–4 of `base`, and 5 for the tenants.
+fn timed_sessions(
+    n: usize,
+    base: u64,
+    chat: &MultiTurnSpec,
+    tenants: Option<(usize, u32)>,
+    sessions_per_sec: f64,
+    think_floor_secs: f64,
+    think_mean_secs: f64,
+) -> (Vec<RequestSpec>, Vec<pf_metrics::SimTime>) {
     assert!(
         sessions_per_sec.is_finite() && sessions_per_sec > 0.0,
         "invalid session rate {sessions_per_sec}"
@@ -395,49 +381,53 @@ pub fn multi_turn_chat_timed(
         "negative think time"
     );
     assert!(
-        (0.0..1.0).contains(&spec.continue_prob),
+        (0.0..1.0).contains(&chat.continue_prob),
         "continue probability {} outside [0, 1)",
-        spec.continue_prob
+        chat.continue_prob
     );
-    let base = derive_seed(seed, 110);
     let mut start_rng = seeded(derive_seed(base, 0));
     let mut user_rng = seeded(derive_seed(base, 1));
     let mut out_rng = seeded(derive_seed(base, 2));
     let mut cont_rng = seeded(derive_seed(base, 3));
     let mut think_rng = seeded(derive_seed(base, 4));
-    // (arrival_us, session, turn, spec-without-id)
-    let mut turns: Vec<(u64, u64, u32, u32, u32, u32)> = Vec::with_capacity(2 * n);
+    let mut tenant_draw = tenants.map(|(count, _)| (seeded(derive_seed(base, 5)), count as u64));
+    let system_prompt_len = tenants.map_or(chat.system_prompt_len, |(_, len)| len);
+    let mut turns: Vec<Turn> = Vec::with_capacity(2 * n);
     let mut session_start = 0.0f64;
     let mut session = 0u64;
     while turns.len() < n {
         let u: f64 = start_rng.gen();
         session_start += -(1.0 - u).ln() / sessions_per_sec;
+        let tenant = tenant_draw
+            .as_mut()
+            .map_or(0, |(rng, count)| rng.gen_range(0..*count));
         let mut at = session_start;
         let mut conversation = 0u32;
         let mut turn = 0u32;
         loop {
             let fresh = if conversation == 0 {
-                spec.system_prompt_len + spec.user_turn.sample(&mut user_rng)
+                system_prompt_len + chat.user_turn.sample(&mut user_rng)
             } else {
-                spec.user_turn.sample(&mut user_rng)
+                chat.user_turn.sample(&mut user_rng)
             };
             let input_len = conversation + fresh;
-            let output_len = spec
+            let output_len = chat
                 .assistant_turn
                 .sample(&mut out_rng)
-                .clamp(1, spec.max_new_tokens);
-            turns.push((
-                (at * 1e6) as u64,
+                .clamp(1, chat.max_new_tokens);
+            turns.push(Turn {
+                at_us: (at * 1e6) as u64,
                 session,
                 turn,
                 input_len,
                 output_len,
-                conversation,
-            ));
+                prefix_len: conversation,
+                tenant,
+            });
             conversation = input_len + output_len;
-            let continues = cont_rng.gen_bool(spec.continue_prob)
-                && conversation + spec.user_turn.max_len() + spec.max_new_tokens
-                    <= spec.max_context;
+            let continues = cont_rng.gen_bool(chat.continue_prob)
+                && conversation + chat.user_turn.max_len() + chat.max_new_tokens
+                    <= chat.max_context;
             if !continues {
                 break;
             }
@@ -449,17 +439,18 @@ pub fn multi_turn_chat_timed(
     }
     // Interleave sessions by arrival; truncating to n may cut a session's
     // tail, which is fine (the user left).
-    turns.sort_unstable_by_key(|&(at, session, turn, ..)| (at, session, turn));
+    turns.sort_unstable_by_key(|t| (t.at_us, t.session, t.turn));
     turns.truncate(n);
     let mut requests = Vec::with_capacity(n);
     let mut arrivals = Vec::with_capacity(n);
-    for (i, (at_us, session, _, input_len, output_len, prefix_len)) in turns.into_iter().enumerate()
-    {
-        requests.push(
-            RequestSpec::new(i as u64, input_len, output_len, spec.max_new_tokens)
-                .with_prefix(session, prefix_len),
-        );
-        arrivals.push(pf_metrics::SimTime::from_micros(at_us));
+    for (i, t) in turns.into_iter().enumerate() {
+        let request = RequestSpec::new(i as u64, t.input_len, t.output_len, chat.max_new_tokens)
+            .with_prefix(t.session, t.prefix_len);
+        requests.push(match tenants {
+            Some(_) => request.with_system_prompt(t.tenant, system_prompt_len),
+            None => request,
+        });
+        arrivals.push(pf_metrics::SimTime::from_micros(t.at_us));
     }
     (requests, arrivals)
 }
@@ -525,86 +516,15 @@ pub fn shared_sysprompt_chat_timed(
     think_mean_secs: f64,
 ) -> (Vec<RequestSpec>, Vec<pf_metrics::SimTime>) {
     assert!(spec.tenants > 0, "need at least one tenant");
-    assert!(
-        sessions_per_sec.is_finite() && sessions_per_sec > 0.0,
-        "invalid session rate {sessions_per_sec}"
-    );
-    assert!(
-        think_floor_secs >= 0.0 && think_mean_secs >= 0.0,
-        "negative think time"
-    );
-    let chat = &spec.chat;
-    assert!(
-        (0.0..1.0).contains(&chat.continue_prob),
-        "continue probability {} outside [0, 1)",
-        chat.continue_prob
-    );
-    let base = derive_seed(seed, 113);
-    let mut start_rng = seeded(derive_seed(base, 0));
-    let mut user_rng = seeded(derive_seed(base, 1));
-    let mut out_rng = seeded(derive_seed(base, 2));
-    let mut cont_rng = seeded(derive_seed(base, 3));
-    let mut think_rng = seeded(derive_seed(base, 4));
-    let mut tenant_rng = seeded(derive_seed(base, 5));
-    // (arrival_us, session, turn, input_len, output_len, prefix_len, tenant)
-    let mut turns: Vec<(u64, u64, u32, u32, u32, u32, u64)> = Vec::with_capacity(2 * n);
-    let mut session_start = 0.0f64;
-    let mut session = 0u64;
-    while turns.len() < n {
-        let u: f64 = start_rng.gen();
-        session_start += -(1.0 - u).ln() / sessions_per_sec;
-        let tenant = tenant_rng.gen_range(0..spec.tenants as u64);
-        let mut at = session_start;
-        let mut conversation = 0u32;
-        let mut turn = 0u32;
-        loop {
-            let fresh = if conversation == 0 {
-                spec.system_prompt_len + chat.user_turn.sample(&mut user_rng)
-            } else {
-                chat.user_turn.sample(&mut user_rng)
-            };
-            let input_len = conversation + fresh;
-            let output_len = chat
-                .assistant_turn
-                .sample(&mut out_rng)
-                .clamp(1, chat.max_new_tokens);
-            turns.push((
-                (at * 1e6) as u64,
-                session,
-                turn,
-                input_len,
-                output_len,
-                conversation,
-                tenant,
-            ));
-            conversation = input_len + output_len;
-            let continues = cont_rng.gen_bool(chat.continue_prob)
-                && conversation + chat.user_turn.max_len() + chat.max_new_tokens
-                    <= chat.max_context;
-            if !continues {
-                break;
-            }
-            let u: f64 = think_rng.gen();
-            at += think_floor_secs - (1.0 - u).ln() * think_mean_secs;
-            turn += 1;
-        }
-        session += 1;
-    }
-    turns.sort_unstable_by_key(|&(at, session, turn, ..)| (at, session, turn));
-    turns.truncate(n);
-    let mut requests = Vec::with_capacity(n);
-    let mut arrivals = Vec::with_capacity(n);
-    for (i, (at_us, session, _, input_len, output_len, prefix_len, tenant)) in
-        turns.into_iter().enumerate()
-    {
-        requests.push(
-            RequestSpec::new(i as u64, input_len, output_len, chat.max_new_tokens)
-                .with_prefix(session, prefix_len)
-                .with_system_prompt(tenant, spec.system_prompt_len),
-        );
-        arrivals.push(pf_metrics::SimTime::from_micros(at_us));
-    }
-    (requests, arrivals)
+    timed_sessions(
+        n,
+        derive_seed(seed, 113),
+        &spec.chat,
+        Some((spec.tenants, spec.system_prompt_len)),
+        sessions_per_sec,
+        think_floor_secs,
+        think_mean_secs,
+    )
 }
 
 /// TextVQA-like multimodal workload for Qwen-VL-Chat (256 vision tokens per
@@ -784,16 +704,15 @@ mod tests {
 
     #[test]
     fn mixed_deadline_interleaves_two_deadline_classes() {
-        let spec = MixedDeadlineSpec::default();
         let reqs = mixed_deadline(400, 5);
         assert_eq!(reqs.len(), 400);
         let tight: Vec<&RequestSpec> = reqs
             .iter()
-            .filter(|r| r.deadline == Some(spec.tight_deadline))
+            .filter(|r| r.deadline == Some(TIGHT_DEADLINE))
             .collect();
         let lax: Vec<&RequestSpec> = reqs
             .iter()
-            .filter(|r| r.deadline == Some(spec.lax_deadline))
+            .filter(|r| r.deadline == Some(LAX_DEADLINE))
             .collect();
         assert_eq!(tight.len() + lax.len(), 400, "every request has a class");
         // Bernoulli(0.6) over 400 draws stays comfortably inside [0.4, 0.8].
@@ -801,7 +720,7 @@ mod tests {
         assert!((0.4..=0.8).contains(&frac), "tight fraction {frac}");
         // Chat is short both ways; summarization is prompt-dominated.
         assert!(tight.iter().all(|r| (64..=256).contains(&r.input_len)));
-        assert!(tight.iter().all(|r| r.max_new_tokens == spec.chat_cap));
+        assert!(tight.iter().all(|r| r.max_new_tokens == CHAT_CAP));
         assert!(lax.iter().all(|r| (1024..=3072).contains(&r.input_len)));
         assert!(lax.iter().all(|r| (16..=96).contains(&r.true_output_len)));
         // Dense ids in emission order; deterministic.
@@ -810,16 +729,6 @@ mod tests {
         }
         assert_eq!(mixed_deadline(400, 5), reqs);
         assert_ne!(mixed_deadline(400, 6), reqs);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside [0, 1]")]
-    fn mixed_deadline_rejects_bad_fraction() {
-        let spec = MixedDeadlineSpec {
-            tight_frac: 1.5,
-            ..MixedDeadlineSpec::default()
-        };
-        let _ = mixed_deadline_with(10, 1, &spec);
     }
 
     #[test]

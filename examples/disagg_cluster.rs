@@ -7,10 +7,10 @@
 //! ```
 
 use pastfuture::autoscale::{AutoscaleConfig, PredictorKind};
+use pastfuture::obs::Pool;
 use pastfuture::prelude::*;
 use pastfuture::sim::disagg::{DisaggConfig, ElasticDisaggCluster, KvTransferSpec};
 use pastfuture::workload::{datasets, rng::seeded, PoissonArrivals};
-use pf_obs::Pool;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Summarization-style traffic: 1-3k-token prompts, terse answers.

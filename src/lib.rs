@@ -18,6 +18,8 @@
 //!   arrival processes (Poisson, diurnal, bursty);
 //! * [`kvcache`] — KV-cache memory managers;
 //! * [`metrics`] — SLA/goodput accounting and similarity metrics;
+//! * [`obs`] — request-lifecycle tracing: the [`obs::TraceSink`] every
+//!   `run_traced` takes, recording sinks, phase spans and Chrome traces;
 //! * [`frameworks`] — serving-framework presets used as baselines.
 //!
 //! # Quickstart
@@ -34,12 +36,35 @@
 //! let report = Simulation::offline(config, requests).run().unwrap();
 //! assert!(report.goodput.total_requests > 0);
 //! ```
+//!
+//! # Tracing a run
+//!
+//! ```
+//! use pastfuture::obs::{RecordingSink, TraceEvent};
+//! use pastfuture::prelude::*;
+//!
+//! let config = SimConfig::builder(ModelSpec::llama2_7b(), GpuSpec::a100_80g())
+//!     .seed(3)
+//!     .build();
+//! let requests = datasets::sharegpt(16, 3);
+//! let mut sink = RecordingSink::new();
+//! let report = Simulation::offline(config, requests).run_traced(Some(&mut sink))?;
+//! let finished = sink
+//!     .events
+//!     .iter()
+//!     .filter(|ev| matches!(ev, TraceEvent::Finished { .. }))
+//!     .count();
+//! assert_eq!(report.completed, 16);
+//! assert_eq!(finished, 16, "one Finished event per request");
+//! # Ok::<(), pastfuture::sim::SimError>(())
+//! ```
 
 pub use pf_autoscale as autoscale;
 pub use pf_core as core;
 pub use pf_frameworks as frameworks;
 pub use pf_kvcache as kvcache;
 pub use pf_metrics as metrics;
+pub use pf_obs as obs;
 pub use pf_sim as sim;
 pub use pf_workload as workload;
 

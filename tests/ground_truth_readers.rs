@@ -52,12 +52,12 @@ const ALLOWED: &[(&str, usize, &str)] = &[
     (
         "crates/core/src/scheduler.rs",
         2,
-        "leak: every scheduler's views carry the oracle field (item 10)",
+        "leak: every scheduler's views carry the oracle field (item 6)",
     ),
     (
         "crates/sim/src/engine.rs",
         6,
-        "leak: the engine fills the scheduler views' oracle field (item 10), \
+        "leak: the engine fills the scheduler views' oracle field (item 6), \
          through which the disagg decode pool admits",
     ),
     (
@@ -74,7 +74,7 @@ const ALLOWED: &[(&str, usize, &str)] = &[
     (
         "crates/sim/src/engine.rs",
         1,
-        "leak: upfront validation on the true total length (item 4), \
+        "leak: upfront validation on the true total length (item 6), \
          the disagg pools' too",
     ),
 ];
