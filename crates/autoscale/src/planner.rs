@@ -81,27 +81,14 @@ impl<M: StepLatency> AutoscalePlanner<M> {
         }
     }
 
-    /// Declares a heterogeneous fleet: `scales[i]` is the `perf_scale` of
-    /// the GPU a fleet of `i + 1` replicas would run in its `(i+1)`-th
-    /// position (relative step-latency speed; 1.0 = the base model). The
-    /// planner sizes candidate fleets of `n` replicas against the mean
-    /// scale of the first `n` entries — exact for homogeneous fleets.
-    /// Because drains and re-spawns change which GPUs a given size maps
-    /// to, clusters refresh this each round via
-    /// [`AutoscalePlanner::update_slot_perf_scales`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scales` has fewer entries than `max_replicas` or any
-    /// entry is not finite and positive.
-    pub fn with_slot_perf_scales(mut self, scales: Vec<f64>) -> Self {
-        self.update_slot_perf_scales(scales);
-        self
-    }
-
-    /// Replaces the per-slot perf scales in place. Heterogeneous clusters
-    /// call this before every planning round with the fleet each candidate
-    /// size would *actually* run (`pf-sim`'s
+    /// Sets a heterogeneous fleet's per-slot perf scales: `scales[i]` is
+    /// the `perf_scale` of the GPU a fleet of `i + 1` replicas would run
+    /// in its `(i+1)`-th position (relative step-latency speed; 1.0 = the
+    /// base model). The planner sizes candidate fleets of `n` replicas
+    /// against the mean scale of the first `n` entries — exact for
+    /// homogeneous fleets. Heterogeneous clusters call this before every
+    /// planning round with the fleet each candidate size would *actually*
+    /// run (`pf-sim`'s
     /// `fleet::candidate_perf_scales`): scale-downs drain the costliest
     /// members first, so after any shrink the surviving fleet can differ
     /// from the declared provisioning order.
@@ -398,7 +385,7 @@ mod tests {
                 .initial_lengths(100.0, 300.0);
             let mut p = AutoscalePlanner::new(config, sla(), ToyModel, PoolRole::Colocated);
             if let Some(scales) = scales {
-                p = p.with_slot_perf_scales(scales);
+                p.update_slot_perf_scales(scales);
             }
             feed_interval(&mut p, 10, 8);
             p.plan(SimTime::from_secs(10), 1, 0).decision.target_or(1)
@@ -421,8 +408,8 @@ mod tests {
     #[should_panic(expected = "one perf scale per provisioning slot")]
     fn too_few_slot_scales_panics() {
         let config = AutoscaleConfig::bounded(1, 4);
-        let _ = AutoscalePlanner::new(config, sla(), ToyModel, PoolRole::Colocated)
-            .with_slot_perf_scales(vec![1.0]);
+        AutoscalePlanner::new(config, sla(), ToyModel, PoolRole::Colocated)
+            .update_slot_perf_scales(vec![1.0]);
     }
 
     #[test]

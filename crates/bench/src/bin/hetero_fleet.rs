@@ -93,11 +93,11 @@ fn repurpose_scenario(repurpose: bool, n_prefill: usize, n_decode: usize) -> Sce
     // Prefill instances drain in well under an interval (no long decodes),
     // so the prefill pool sheds surplus with minimal patience — the decode
     // pool keeps the default hysteresis.
-    let topology = Topology::ElasticDisagg {
+    let topology = Topology::Disagg {
         config,
-        prefill: pool(4, 1),
-        decode: pool(4, 3),
-        initial: (2, 1),
+        prefill: 2,
+        decode: 1,
+        autoscale: Some((pool(4, 1), pool(4, 3))),
     };
     let name = if repurpose {
         "repurpose-on"

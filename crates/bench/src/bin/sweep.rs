@@ -74,7 +74,9 @@ fn metrics(topology: &Topology, run: &Run) -> Vec<(String, f64)> {
                 makespan,
             ]
         }
-        Topology::Disagg { .. } => vec![
+        Topology::Disagg {
+            autoscale: None, ..
+        } => vec![
             ("goodput_tok_per_s", h.goodput_tok_per_s),
             ("sla_attainment", h.sla_attainment),
             ("ttft_attainment", h.ttft_attainment),
@@ -88,8 +90,8 @@ fn metrics(topology: &Topology, run: &Run) -> Vec<(String, f64)> {
             ("peak_replicas", report.peak_replicas() as f64),
             makespan,
         ],
-        Topology::Cluster { .. } | Topology::ElasticDisagg { .. } => {
-            unreachable!("the bank holds no fixed cluster and no elastic split")
+        Topology::Cluster { .. } | Topology::Disagg { .. } => {
+            unreachable!("the bank holds no fixed cluster and no autoscaled split")
         }
     };
     metrics

@@ -2,7 +2,7 @@
 //! as plain Rust values.
 //!
 //! A [`Scenario`] names a [`Topology`] (one engine, a fixed cluster, an
-//! elastic fleet, or fixed or elastic disaggregated pools) with its
+//! elastic fleet, or fixed or autoscaled disaggregated pools) with its
 //! configs, a [`Workload`] builder and a seed. Every topology serves every
 //! workload (offline, timed or closed-loop clients). [`Scenario::run`]
 //! builds the workload from the seed, runs the topology and returns the
@@ -46,10 +46,7 @@ use pf_kvcache::PrefixCacheStats;
 use pf_metrics::{GoodputReport, SimDuration, SimTime, StepSeries, Summary, ViolationCounts};
 use pf_obs::TraceSink;
 use pf_sim::cluster::{ClusterSimulation, RouterPolicy};
-use pf_sim::disagg::{
-    DisaggCluster, DisaggConfig, ElasticDisaggCluster, KvTransferSpec, RepurposeEvent,
-    TransferStats,
-};
+use pf_sim::disagg::{DisaggCluster, DisaggConfig, KvTransferSpec, RepurposeEvent, TransferStats};
 use pf_sim::elastic::ElasticCluster;
 use pf_sim::fleet::ScalingEvent;
 use pf_sim::{
@@ -113,26 +110,17 @@ pub enum Topology {
         /// GPU type per provisioning slot (empty = reference type).
         fleet: Vec<GpuType>,
     },
-    /// Fixed prefill and decode pools ([`DisaggCluster`]).
+    /// Prefill and decode pools ([`DisaggCluster`]), fixed or
+    /// independently autoscaled.
     Disagg {
         /// Pool configs.
         config: DisaggConfig,
-        /// Prefill instances.
+        /// Prefill instances (live at t = 0 when autoscaled).
         prefill: usize,
-        /// Decode instances.
+        /// Decode instances (live at t = 0 when autoscaled).
         decode: usize,
-    },
-    /// Independently autoscaled prefill and decode pools
-    /// ([`ElasticDisaggCluster`]).
-    ElasticDisagg {
-        /// Pool configs.
-        config: DisaggConfig,
-        /// Prefill-pool planner.
-        prefill: AutoscaleConfig,
-        /// Decode-pool planner.
-        decode: AutoscaleConfig,
-        /// Prefill and decode replicas live at t = 0.
-        initial: (usize, usize),
+        /// Prefill- and decode-pool planners ([`DisaggCluster::autoscale`]).
+        autoscale: Option<(AutoscaleConfig, AutoscaleConfig)>,
     },
 }
 
@@ -167,6 +155,7 @@ impl Topology {
             config,
             prefill,
             decode,
+            autoscale: None,
         }
     }
 }
@@ -255,14 +244,14 @@ impl Scenario {
                 config,
                 prefill,
                 decode,
-            } => DisaggCluster::new(config, prefill, decode).run_workload(workload, sink),
-            Topology::ElasticDisagg {
-                config,
-                prefill,
-                decode,
-                initial: (p, d),
-            } => ElasticDisaggCluster::new(config, prefill, decode, p, d)
-                .run_workload(workload, sink),
+                autoscale,
+            } => {
+                let mut cluster = DisaggCluster::new(config, prefill, decode);
+                if let Some((prefill, decode)) = autoscale {
+                    cluster = cluster.autoscale(prefill, decode);
+                }
+                cluster.run_workload(workload, sink)
+            }
         }
         .unwrap_or_else(|e| panic!("{}: {e}", self.name));
         Run {
@@ -864,7 +853,7 @@ pub fn goldens() -> Vec<Scenario> {
     out.push(Scenario::new(
         "disagg-elastic-repurpose",
         81,
-        Topology::ElasticDisagg {
+        Topology::Disagg {
             config: DisaggConfig::new(
                 base(81)
                     .capacity_override(9_000)
@@ -878,9 +867,9 @@ pub fn goldens() -> Vec<Scenario> {
                 vec![GpuType::big(), GpuType::small()],
                 vec![GpuType::small(), GpuType::big()],
             ),
-            prefill: pool(6),
-            decode: pool(4),
-            initial: (2, 1),
+            prefill: 2,
+            decode: 1,
+            autoscale: Some((pool(6), pool(4))),
         },
         three_phase_day,
     ));

@@ -120,11 +120,11 @@ fn disagg(
         let topology = Topology::disagg(DisaggConfig::new(config.clone()), p, d);
         (format!("disagg-{p}p{d}d"), topology)
     });
-    let elastic = Topology::ElasticDisagg {
+    let elastic = Topology::Disagg {
         config: DisaggConfig::new(config.clone()),
-        prefill: pool(pmax),
-        decode: pool(dmax),
-        initial: (p0, d0),
+        prefill: p0,
+        decode: d0,
+        autoscale: Some((pool(pmax), pool(dmax))),
     };
     let elastic = (format!("disagg-elastic-{pmax}p{dmax}d"), elastic);
     std::iter::once(coloc)

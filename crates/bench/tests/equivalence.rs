@@ -217,11 +217,14 @@ fn pinned_elastic_disagg_pools_equal_fixed_pools() {
             let pinned = Scenario::new(
                 format!("{name}-elastic-disagg"),
                 seed,
-                Topology::ElasticDisagg {
+                Topology::Disagg {
                     config,
-                    prefill: AutoscaleConfig::bounded(2, 2),
-                    decode: AutoscaleConfig::bounded(2, 2),
-                    initial: (2, 2),
+                    prefill: 2,
+                    decode: 2,
+                    autoscale: Some((
+                        AutoscaleConfig::bounded(2, 2),
+                        AutoscaleConfig::bounded(2, 2),
+                    )),
                 },
                 workload,
             );

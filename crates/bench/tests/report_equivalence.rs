@@ -111,7 +111,7 @@ fn variants_run(topology: &Topology, report: &FleetReport) -> Vec<&'static str> 
             router: policy,
             ..
         } => engine(base).into_iter().chain([router(*policy)]).collect(),
-        Topology::Disagg { config, .. } | Topology::ElasticDisagg { config, .. } => disagg(config),
+        Topology::Disagg { config, .. } => disagg(config),
     };
     run.extend(report.repurposes.iter().map(|event| match event.direction {
         RepurposeDirection::PrefillToDecode => "RepurposeDirection::PrefillToDecode",

@@ -15,9 +15,9 @@
 //! engine's one admission path with [`SchedulerConfig::Oracle`]: the
 //! paper's future-required-memory estimate (Eq. 2–4) on true output
 //! lengths, so the decode batch packs densely yet never evicts. The pools
-//! scale (and in the elastic variant autoscale) independently, each
-//! against the SLA term its stage controls: prefill against TTFT, decode
-//! against TPOT.
+//! are sized (and, when autoscaled, planned) independently, each against
+//! the SLA term its stage controls: prefill against TTFT, decode against
+//! TPOT.
 //!
 //! Under [`QueueOrder::LeastSlackFirst`] each prefill instance serves the
 //! queued prompt with the least remaining slack next (aging cap intact),
@@ -74,11 +74,12 @@
 //! prefill pool admits new prompts sooner, and the first decode step
 //! starts earlier (an MTPOT term). `docs/disagg.md` covers the model and its tuning knobs.
 //!
-//! # Elastic variant and cross-pool repurposing
+//! # Autoscaled pools and cross-pool repurposing
 //!
-//! [`ElasticDisaggCluster`] runs each pool as a [`crate::fleet`] pool with
-//! its own [`AutoscaleConfig`] planner (role [`PoolRole::Prefill`] /
-//! [`PoolRole::Decode`]), both planned through the kernel's one planning
+//! [`DisaggCluster::autoscale`] gives each pool its own
+//! [`AutoscaleConfig`] planner (role [`PoolRole::Prefill`] /
+//! [`PoolRole::Decode`]), starting from the sizes given to
+//! [`DisaggCluster::new`], both planned through the kernel's one planning
 //! round: scale-ups provision instances that serve only after a warm-up
 //! delay, scale-downs cancel warming instances first and then drain live
 //! ones (they finish their work, transfer everything out and stop costing
@@ -105,9 +106,9 @@
 //! against the mean scale of the slots they would occupy, and reports
 //! price every instance at its `cost_weight`.
 //!
-//! Both topologies run on the crate's one fleet driver, the event heap
-//! behind the colocated fleets too: a disaggregated run is a colocated
-//! one plus the decode pool and the link. The run is fully
+//! Fixed and autoscaled pools run on the crate's one fleet driver, the
+//! event heap behind the colocated fleets too: a disaggregated run is a
+//! colocated one plus the decode pool and the link. The run is fully
 //! deterministic: the heap orders arrivals, step completions, transfers
 //! and planning rounds, with a fixed rank and a monotone sequence number
 //! breaking timestamp ties, and a run ends at its last served work. This
@@ -149,7 +150,7 @@ use crate::cluster::RouterPolicy;
 use crate::config::{BatchingMode, PrefillMode, QueueOrder, SimConfig};
 use crate::driver::{replicas, Run, Split};
 use crate::error::SimError;
-use crate::fleet::{self, GpuType, Pool, PoolPlanner};
+use crate::fleet::{self, GpuType, Pool};
 use crate::report::FleetReport;
 use crate::simulation::Workload;
 
@@ -364,52 +365,22 @@ impl DisaggConfig {
             ..self.base.clone()
         }
     }
-
-    /// Runs both pools from `initial` `(prefill, decode)` members, each
-    /// autoscaled by `planners` when given, on the shared fleet driver
-    /// (the caller has run [`DisaggConfig::check`]).
-    fn run(
-        self,
-        initial: (usize, usize),
-        planners: Option<(PoolPlanner, PoolPlanner)>,
-        workload: Workload,
-        sink: Option<&mut dyn TraceSink>,
-    ) -> Result<FleetReport, SimError> {
-        let (prefill_planner, decode_planner) = planners.unzip();
-        let prefill_base = self.prefill_base();
-        let initial = [
-            replicas(&prefill_base, &self.prefill_slots, initial.0),
-            replicas(&self.decode_base(), &self.decode_slots, initial.1),
-        ];
-        let split = Split::new(&self);
-        let pools = [
-            Pool::new(pf_obs::Pool::Prefill, self.prefill_slots, prefill_planner),
-            Pool::new(pf_obs::Pool::Decode, self.decode_slots, decode_planner),
-        ];
-        Run::start(
-            pools,
-            prefill_base,
-            initial,
-            self.router,
-            Some(split),
-            workload,
-            sink,
-        )?
-        .drive()
-    }
 }
 
-/// A disaggregated cluster with *fixed* pool sizes.
+/// A disaggregated cluster: fixed pool sizes, or pools independently
+/// autoscaled from their initial sizes ([`DisaggCluster::autoscale`]).
 #[derive(Debug)]
 pub struct DisaggCluster {
     config: DisaggConfig,
     prefill_instances: usize,
     decode_instances: usize,
+    autoscale: Option<(AutoscaleConfig, AutoscaleConfig)>,
 }
 
 impl DisaggCluster {
     /// Creates a cluster with `prefill_instances` + `decode_instances`
-    /// fixed replicas.
+    /// replicas: the pool sizes, or the initial ones under
+    /// [`DisaggCluster::autoscale`].
     ///
     /// # Panics
     ///
@@ -421,7 +392,18 @@ impl DisaggCluster {
             config,
             prefill_instances,
             decode_instances,
+            autoscale: None,
         }
+    }
+
+    /// Autoscales each pool with its own planner — the prefill pool
+    /// against TTFT, the decode pool against TPOT (see the module docs).
+    /// Both planners share one adjustment interval, and each pool's
+    /// initial size lies within its planner's `[min, max]` bounds; a run
+    /// checks both ([`SimError::InvalidAutoscale`]).
+    pub fn autoscale(mut self, prefill: AutoscaleConfig, decode: AutoscaleConfig) -> Self {
+        self.autoscale = Some((prefill, decode));
+        self
     }
 
     /// Runs the cluster against a timed arrival stream.
@@ -435,8 +417,10 @@ impl DisaggCluster {
     /// batch budget is zero or the base batches statically
     /// ([`SimError::InvalidEngine`]), a GPU type or
     /// a link holds a value that is not finite and positive
-    /// ([`SimError::InvalidHardware`]), or the router policy cannot run on
-    /// the pools ([`SimError::InvalidRouterPolicy`]).
+    /// ([`SimError::InvalidHardware`]), an autoscaled pool's planner
+    /// cannot run from its initial size ([`SimError::InvalidAutoscale`]),
+    /// or the router policy cannot run on the pools
+    /// ([`SimError::InvalidRouterPolicy`]).
     pub fn run(
         self,
         requests: Vec<RequestSpec>,
@@ -460,8 +444,10 @@ impl DisaggCluster {
         self.run_workload(Workload::Timed(requests, arrival_times), sink)
     }
 
-    /// Runs the cluster against `workload`, with an optional [`TraceSink`]
-    /// receiving every lifecycle event, the KV-transfer handoffs included.
+    /// Runs the cluster against `workload` on the shared fleet driver,
+    /// with an optional [`TraceSink`] receiving every lifecycle event, the
+    /// KV-transfer handoffs, per-pool scaling and cross-pool repurposing
+    /// included.
     ///
     /// # Errors
     ///
@@ -471,123 +457,40 @@ impl DisaggCluster {
         workload: Workload,
         sink: Option<&mut dyn TraceSink>,
     ) -> Result<FleetReport, SimError> {
-        self.config.check()?;
+        let config = self.config;
+        config.check()?;
         let initial = (self.prefill_instances, self.decode_instances);
-        self.config.run(initial, None, workload, sink)
-    }
-}
-
-/// A disaggregated cluster whose pools are independently autoscaled — the
-/// prefill pool against TTFT, the decode pool against TPOT (see module
-/// docs).
-#[derive(Debug)]
-pub struct ElasticDisaggCluster {
-    config: DisaggConfig,
-    prefill_autoscale: AutoscaleConfig,
-    decode_autoscale: AutoscaleConfig,
-    initial_prefill: usize,
-    initial_decode: usize,
-}
-
-impl ElasticDisaggCluster {
-    /// Creates an elastic disaggregated cluster.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either initial count is zero or outside its pool's
-    /// `[min, max]` bounds, or if the two pools disagree on the adjustment
-    /// interval (planning rounds drive both pools on one cadence).
-    pub fn new(
-        config: DisaggConfig,
-        prefill_autoscale: AutoscaleConfig,
-        decode_autoscale: AutoscaleConfig,
-        initial_prefill: usize,
-        initial_decode: usize,
-    ) -> Self {
-        assert_eq!(
-            prefill_autoscale.interval, decode_autoscale.interval,
-            "pools must share one adjustment interval"
-        );
-        for (label, autoscale, initial) in [
-            ("prefill", &prefill_autoscale, initial_prefill),
-            ("decode", &decode_autoscale, initial_decode),
-        ] {
-            assert!(initial > 0, "{label} pool needs an instance");
-            assert!(
-                (autoscale.policy.min_replicas..=autoscale.policy.max_replicas).contains(&initial),
-                "initial {label} replicas {} outside policy bounds [{}, {}]",
-                initial,
-                autoscale.policy.min_replicas,
-                autoscale.policy.max_replicas
-            );
-        }
-        ElasticDisaggCluster {
-            config,
-            prefill_autoscale,
-            decode_autoscale,
-            initial_prefill,
-            initial_decode,
-        }
-    }
-
-    /// Runs the elastic cluster against a timed arrival stream.
-    ///
-    /// # Errors
-    ///
-    /// As [`DisaggCluster::run`].
-    pub fn run(
-        self,
-        requests: Vec<RequestSpec>,
-        arrival_times: Vec<SimTime>,
-    ) -> Result<FleetReport, SimError> {
-        self.run_traced(requests, arrival_times, None)
-    }
-
-    /// [`ElasticDisaggCluster::run`] with an optional [`TraceSink`] (see
-    /// [`ElasticDisaggCluster::run_workload`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`DisaggCluster::run`].
-    pub fn run_traced(
-        self,
-        requests: Vec<RequestSpec>,
-        arrival_times: Vec<SimTime>,
-        sink: Option<&mut dyn TraceSink>,
-    ) -> Result<FleetReport, SimError> {
-        self.run_workload(Workload::Timed(requests, arrival_times), sink)
-    }
-
-    /// Runs the elastic cluster against `workload`, with an optional
-    /// [`TraceSink`] receiving every lifecycle event, per-pool scaling and
-    /// cross-pool repurposing included.
-    ///
-    /// # Errors
-    ///
-    /// As [`DisaggCluster::run`].
-    pub fn run_workload(
-        self,
-        workload: Workload,
-        sink: Option<&mut dyn TraceSink>,
-    ) -> Result<FleetReport, SimError> {
-        self.config.check()?;
-        let base = &self.config.base;
-        let planners = (
-            fleet::pool_planner(
-                self.prefill_autoscale,
-                base,
-                PoolRole::Prefill,
-                &self.config.prefill_slots,
-            ),
-            fleet::pool_planner(
-                self.decode_autoscale,
-                base,
-                PoolRole::Decode,
-                &self.config.decode_slots,
-            ),
-        );
-        let initial = (self.initial_prefill, self.initial_decode);
-        self.config.run(initial, Some(planners), workload, sink)
+        let planner = |autoscale, role| Some(fleet::pool_planner(autoscale, &config.base, role));
+        let (prefill_planner, decode_planner) = match self.autoscale {
+            Some((prefill, decode)) => {
+                fleet::check_autoscale(&[(&prefill, initial.0), (&decode, initial.1)])?;
+                (
+                    planner(prefill, PoolRole::Prefill),
+                    planner(decode, PoolRole::Decode),
+                )
+            }
+            None => (None, None),
+        };
+        let prefill_base = config.prefill_base();
+        let initial = [
+            replicas(&prefill_base, &config.prefill_slots, initial.0),
+            replicas(&config.decode_base(), &config.decode_slots, initial.1),
+        ];
+        let split = Split::new(&config);
+        let pools = [
+            Pool::new(pf_obs::Pool::Prefill, config.prefill_slots, prefill_planner),
+            Pool::new(pf_obs::Pool::Decode, config.decode_slots, decode_planner),
+        ];
+        Run::start(
+            pools,
+            prefill_base,
+            initial,
+            config.router,
+            Some(split),
+            workload,
+            sink,
+        )?
+        .drive()
     }
 }
 

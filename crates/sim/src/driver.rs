@@ -2,9 +2,8 @@
 //! one event heap.
 //!
 //! [`crate::Simulation`], [`crate::cluster::ClusterSimulation`],
-//! [`crate::elastic::ElasticCluster`], [`crate::disagg::DisaggCluster`]
-//! and [`crate::disagg::ElasticDisaggCluster`] each start a `Run` and
-//! drive it. A colocated fleet is a run with one pool: it takes the
+//! [`crate::elastic::ElasticCluster`] and [`crate::disagg::DisaggCluster`]
+//! (fixed or autoscaled) each start a `Run` and drive it. A colocated fleet is a run with one pool: it takes the
 //! arrivals, and its members never hand a request out; a single engine is
 //! such a pool of one member with no planner. A disaggregated run adds
 //! the decode pool and the KV-transfer link: its first pool is then the

@@ -104,22 +104,9 @@ pub struct ElasticCluster {
 
 impl ElasticCluster {
     /// Creates an elastic cluster starting with `initial_replicas` live
-    /// copies of `base`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial_replicas` is zero or outside the autoscale
-    /// policy's `[min, max]` bounds.
+    /// copies of `base`, which must lie within the autoscale policy's
+    /// `[min, max]` bounds (a run checks it: [`SimError::InvalidAutoscale`]).
     pub fn new(base: SimConfig, autoscale: AutoscaleConfig, initial_replicas: usize) -> Self {
-        assert!(initial_replicas > 0, "cluster needs at least one instance");
-        assert!(
-            (autoscale.policy.min_replicas..=autoscale.policy.max_replicas)
-                .contains(&initial_replicas),
-            "initial_replicas {} outside policy bounds [{}, {}]",
-            initial_replicas,
-            autoscale.policy.min_replicas,
-            autoscale.policy.max_replicas
-        );
         ElasticCluster {
             base,
             autoscale,
@@ -159,7 +146,8 @@ impl ElasticCluster {
     /// instance, an instance stalls, a scheduler, prefix-cache, engine or
     /// GPU-type parameter is out of range ([`SimError::InvalidScheduler`],
     /// [`SimError::InvalidPrefixCache`], [`SimError::InvalidEngine`],
-    /// [`SimError::InvalidHardware`]),
+    /// [`SimError::InvalidHardware`]), the planner cannot run from the
+    /// initial size ([`SimError::InvalidAutoscale`]),
     /// or the router policy cannot run on the fleet
     /// ([`SimError::InvalidRouterPolicy`]).
     pub fn run(
@@ -198,8 +186,8 @@ impl ElasticCluster {
         sink: Option<&mut dyn TraceSink>,
     ) -> Result<FleetReport, SimError> {
         fleet::check_gpus(&self.slots)?;
-        let planner =
-            fleet::pool_planner(self.autoscale, &self.base, PoolRole::Colocated, &self.slots);
+        fleet::check_autoscale(&[(&self.autoscale, self.initial_replicas)])?;
+        let planner = fleet::pool_planner(self.autoscale, &self.base, PoolRole::Colocated);
         let initial = replicas(&self.base, &self.slots, self.initial_replicas);
         let pools = [
             Pool::new(pf_obs::Pool::Colocated, self.slots, Some(planner)),

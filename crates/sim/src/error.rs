@@ -87,6 +87,16 @@ pub enum SimError {
         /// Name of the offending parameter.
         parameter: &'static str,
     },
+    /// An autoscaled pool's planner cannot run as configured: an
+    /// adjustment `interval` of zero or one that differs between the two
+    /// pools of a disaggregated fleet, a `min_replicas` of 0 or above
+    /// `max_replicas`, or an initial pool size (`initial_replicas`)
+    /// outside `[min_replicas, max_replicas]`. The config's fields are
+    /// public, so a struct literal can skip its builders' asserts.
+    InvalidAutoscale {
+        /// Name of the offending parameter.
+        parameter: &'static str,
+    },
     /// The workload cannot be replayed as given: arrival times that do
     /// not pair one-to-one with the requests or are not sorted, or a
     /// request id reserved by the simulator (`u64::MAX`, the prefix
@@ -136,6 +146,9 @@ impl fmt::Display for SimError {
             }
             SimError::InvalidEngine { parameter } => {
                 write!(f, "engine parameter `{parameter}` is out of range")
+            }
+            SimError::InvalidAutoscale { parameter } => {
+                write!(f, "autoscale parameter `{parameter}` is out of range")
             }
             SimError::InvalidWorkload { reason } => write!(f, "invalid workload: {reason}"),
         }
@@ -199,6 +212,11 @@ mod tests {
         }
         .to_string()
         .contains("engine parameter `chunk_tokens` is out of range"));
+        assert!(SimError::InvalidAutoscale {
+            parameter: "interval"
+        }
+        .to_string()
+        .contains("autoscale parameter `interval` is out of range"));
         assert!(SimError::InvalidWorkload {
             reason: "arrival times must be sorted"
         }

@@ -2,12 +2,12 @@
 //! shrink pass, one cost ledger and one routing surface for every
 //! multi-instance deployment in this crate.
 //!
-//! [`crate::elastic::ElasticCluster`], [`crate::disagg::DisaggCluster`]
-//! and [`crate::disagg::ElasticDisaggCluster`] all manage pools of serving
-//! instances that are provisioned, warmed up, drained and released over a
-//! run. This module is the single definition of that machinery; the
-//! crate's one fleet driver (crate-internal `driver::Run`) runs every
-//! topology's pools on it.
+//! [`crate::elastic::ElasticCluster`] and [`crate::disagg::DisaggCluster`]
+//! (fixed or autoscaled) manage pools of serving instances that are
+//! provisioned, warmed up, drained and released over a run. This module
+//! is the single definition of that machinery; the crate's one fleet
+//! driver (crate-internal `driver::Run`) runs every topology's pools on
+//! it.
 //!
 //! # Pools and the planning round
 //!
@@ -55,7 +55,7 @@
 //! Every member carries a [`GpuType`]: a name, a `cost_weight` (its price
 //! relative to the fleet's reference accelerator) and a `perf_scale` (its
 //! step-latency speed relative to the reference; 2.0 = twice as fast).
-//! The cost ledger ([`MemberCore::cost_weighted_secs`]) charges
+//! The cost ledger ([`crate::MemberReport::cost_weighted_secs`]) charges
 //! provisioned wall-clock seconds multiplied by `cost_weight` — the
 //! objective heterogeneous planners minimize — and the shrink pass
 //! releases the *costliest* members first, so a mixed fleet sheds its
@@ -198,6 +198,33 @@ pub(crate) fn check_gpus<'a>(slots: impl IntoIterator<Item = &'a GpuType>) -> Re
     slots.into_iter().try_for_each(|gpu| {
         check_positive("perf_scale", gpu.perf_scale)?;
         check_positive("cost_weight", gpu.cost_weight)
+    })
+}
+
+/// Checks each autoscaled pool of a run, with its initial size, before
+/// any planner is built: a zero `interval` divides by zero in the
+/// planner, a `min_replicas` of 0 or above `max_replicas` panics in its
+/// policy, the initial size must lie within `[min_replicas,
+/// max_replicas]`, and the pools of one run plan on one cadence, so they
+/// share one `interval`. Every planned fleet runs this one check.
+///
+/// # Errors
+///
+/// [`SimError::InvalidAutoscale`] naming the offending parameter.
+pub(crate) fn check_autoscale(pools: &[(&AutoscaleConfig, usize)]) -> Result<(), SimError> {
+    let interval = pools.first().map(|(config, _)| config.interval);
+    pools.iter().try_for_each(|&(config, initial)| {
+        let (min, max) = (config.policy.min_replicas, config.policy.max_replicas);
+        let parameter = if config.interval.is_zero() || Some(config.interval) != interval {
+            "interval"
+        } else if min == 0 || min > max {
+            "min_replicas"
+        } else if !(min..=max).contains(&initial) {
+            "initial_replicas"
+        } else {
+            return Ok(());
+        };
+        Err(SimError::InvalidAutoscale { parameter })
     })
 }
 
@@ -371,19 +398,6 @@ impl MemberCore {
     pub fn stop(&mut self, at: SimTime) {
         self.state = MemberState::Stopped;
         self.stopped_at = Some(at);
-    }
-
-    /// Provisioned wall-clock seconds, using `end` for members still up.
-    pub fn active_secs(&self, end: SimTime) -> f64 {
-        self.stopped_at
-            .unwrap_or(end)
-            .saturating_since(self.spawned_at)
-            .as_secs_f64()
-    }
-
-    /// Provisioned seconds weighted by the member's GPU cost.
-    pub fn cost_weighted_secs(&self, end: SimTime) -> f64 {
-        self.active_secs(end) * self.gpu.cost_weight
     }
 }
 
@@ -615,26 +629,19 @@ impl StepLatency for ReplicaModel {
 /// The autoscaling planner of one pool.
 pub(crate) type PoolPlanner = AutoscalePlanner<ReplicaModel>;
 
-/// Builds the planner of a pool of `base` replicas in `role`, sizing
-/// candidate fleets against the declared GPU `slots` (empty = the
-/// homogeneous reference fleet).
+/// Builds the planner of a pool of `base` replicas in `role` (the caller
+/// has run [`check_autoscale`]). A heterogeneous pool sets its candidate
+/// slot scales before every plan (`Pool::plan_round`).
 pub(crate) fn pool_planner(
     autoscale: AutoscaleConfig,
     base: &SimConfig,
     role: PoolRole,
-    slots: &[GpuType],
 ) -> PoolPlanner {
     let model = ReplicaModel {
         perf: base.perf_model(),
         capacity_tokens: base.capacity_tokens(),
     };
-    let max = autoscale.policy.max_replicas;
-    let planner = AutoscalePlanner::new(autoscale, base.sla, model, role);
-    if slots.is_empty() {
-        planner
-    } else {
-        planner.with_slot_perf_scales((0..max).map(|k| slot_gpu(slots, k).perf_scale).collect())
-    }
+    AutoscalePlanner::new(autoscale, base.sla, model, role)
 }
 
 /// The member change a planning round asks its caller to make.
@@ -1231,17 +1238,6 @@ mod tests {
         let drained = shrink_pool(&mut pool, 0, SimTime::ZERO);
         assert_eq!(drained.len(), 1);
         assert_eq!(pool.iter().filter(|m| m.core.is_live()).count(), 1);
-    }
-
-    #[test]
-    fn ledger_weights_by_cost() {
-        let mut a = live(0, GpuType::big());
-        let mut b = live(0, GpuType::new("half", 0.5, 0.5));
-        a.core.stop(SimTime::from_secs(10));
-        b.core.stop(SimTime::from_secs(10));
-        let end = SimTime::from_secs(99);
-        let total = a.core.cost_weighted_secs(end) + b.core.cost_weighted_secs(end);
-        assert!((total - 15.0).abs() < 1e-9);
     }
 
     #[test]

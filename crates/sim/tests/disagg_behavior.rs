@@ -6,11 +6,11 @@ use pf_autoscale::{AutoscaleConfig, PolicyConfig, PredictorKind};
 use pf_metrics::{SimDuration, SimTime, SlaSpec};
 use pf_obs::Pool;
 use pf_obs::{RecordingSink, TraceEvent};
-use pf_sim::disagg::{
-    DisaggCluster, DisaggConfig, ElasticDisaggCluster, KvTransferSpec, RepurposeDirection,
-};
+use pf_sim::disagg::{DisaggCluster, DisaggConfig, KvTransferSpec, RepurposeDirection};
 use pf_sim::fleet::ScalingEvent;
-use pf_sim::{FleetReport, GpuSpec, GpuType, MemberReport, ModelSpec, QueueOrder, SimConfig};
+use pf_sim::{
+    FleetReport, GpuSpec, GpuType, MemberReport, ModelSpec, QueueOrder, SimConfig, SimError,
+};
 use pf_workload::{datasets, rng::seeded, LengthSampler, RateProfile, RequestSpec};
 
 /// The scaling decisions of `pool`.
@@ -200,15 +200,10 @@ fn transfer_latency_shows_up_between_first_and_second_token() {
 }
 
 fn elastic_run(requests: Vec<RequestSpec>, arrivals: Vec<SimTime>) -> FleetReport {
-    ElasticDisaggCluster::new(
-        DisaggConfig::new(base_config(12_000)),
-        autoscale(1, 4),
-        autoscale(1, 4),
-        1,
-        1,
-    )
-    .run(requests, arrivals)
-    .expect("elastic disagg run")
+    DisaggCluster::new(DisaggConfig::new(base_config(12_000)), 1, 1)
+        .autoscale(autoscale(1, 4), autoscale(1, 4))
+        .run(requests, arrivals)
+        .expect("elastic disagg run")
 }
 
 #[test]
@@ -330,16 +325,72 @@ fn gpu_seconds_stay_below_peak_static_cost() {
     );
 }
 
+/// The error an autoscaled run of `initial` pools under the two planners
+/// returns before its first event.
+fn rejected(
+    initial: (usize, usize),
+    prefill: AutoscaleConfig,
+    decode: AutoscaleConfig,
+) -> SimError {
+    let mut sink = RecordingSink::new();
+    let error = DisaggCluster::new(DisaggConfig::new(base_config(12_000)), initial.0, initial.1)
+        .autoscale(prefill, decode)
+        .run_traced(
+            prefill_heavy_requests(8, 1),
+            steady_arrivals(8, 100),
+            Some(&mut sink),
+        )
+        .expect_err("an invalid planner runs");
+    assert!(sink.events.is_empty(), "rejected before the first event");
+    error
+}
+
+/// A pool's initial size must lie within its planner's bounds, and the
+/// bounds must be ordered and positive, which `PolicyConfig` field
+/// literals can skip.
 #[test]
-#[should_panic(expected = "outside policy bounds")]
-fn initial_replicas_outside_bounds_panics() {
-    let _ = ElasticDisaggCluster::new(
-        DisaggConfig::new(base_config(12_000)),
-        autoscale(1, 4),
-        autoscale(1, 4),
-        6,
-        1,
+fn initial_replicas_outside_bounds_is_rejected() {
+    let invalid = |parameter| SimError::InvalidAutoscale { parameter };
+    let bounds = |min_replicas, max_replicas| AutoscaleConfig {
+        policy: PolicyConfig {
+            min_replicas,
+            max_replicas,
+            ..autoscale(1, 4).policy
+        },
+        ..autoscale(1, 4)
+    };
+    let valid = autoscale(1, 4);
+    assert_eq!(rejected((6, 1), valid, valid), invalid("initial_replicas"));
+    assert_eq!(
+        rejected((1, 2), valid, autoscale(3, 4)),
+        invalid("initial_replicas")
     );
+    assert_eq!(
+        rejected((1, 1), valid, bounds(0, 4)),
+        invalid("min_replicas")
+    );
+    assert_eq!(
+        rejected((3, 1), bounds(3, 2), valid),
+        invalid("min_replicas")
+    );
+}
+
+/// A zero adjustment interval divided by zero in the planner, and the two
+/// pools plan on one cadence: both are typed errors.
+#[test]
+fn zero_autoscale_interval_is_rejected() {
+    let invalid = SimError::InvalidAutoscale {
+        parameter: "interval",
+    };
+    let every = |interval| AutoscaleConfig {
+        interval,
+        ..autoscale(1, 4)
+    };
+    let zero = every(SimDuration::ZERO);
+    assert_eq!(rejected((1, 1), zero, zero), invalid);
+    assert_eq!(rejected((1, 1), autoscale(1, 4), zero), invalid);
+    let other = every(SimDuration::from_secs(5));
+    assert_eq!(rejected((1, 1), autoscale(1, 4), other), invalid);
 }
 
 /// Prefill-heavy bursts with a minority of very long prompts: the regime
@@ -707,7 +758,8 @@ fn reverse_repurposing_rebalances_a_diurnal_day() {
             .policy(policy)
     };
     let config = DisaggConfig::new(base_config(9_000)).repurpose(SimDuration::from_secs(2));
-    let report = ElasticDisaggCluster::new(config, pool(6, 3), pool(4, 1), 1, 2)
+    let report = DisaggCluster::new(config, 1, 2)
+        .autoscale(pool(6, 3), pool(4, 1))
         .run(requests, arrivals)
         .expect("diurnal run");
     assert_eq!(report.unserved, 0);
@@ -747,7 +799,8 @@ fn max_sim_time_stops_both_disagg_topologies() {
         let (requests, arrivals) = (prefill_heavy_requests(n, 3), steady_arrivals(n, 100));
         let config = DisaggConfig::new(config);
         if elastic {
-            ElasticDisaggCluster::new(config, autoscale(1, 4), autoscale(1, 4), 1, 1)
+            DisaggCluster::new(config, 1, 1)
+                .autoscale(autoscale(1, 4), autoscale(1, 4))
                 .run(requests, arrivals)
         } else {
             DisaggCluster::new(config, 2, 2).run(requests, arrivals)

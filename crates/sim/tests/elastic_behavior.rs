@@ -3,12 +3,15 @@
 //! plus request conservation at the horizon for it and for the fixed
 //! cluster that runs on the same core.
 
-use pf_autoscale::{AutoscaleConfig, PredictorKind};
+use pf_autoscale::{AutoscaleConfig, PolicyConfig, PredictorKind};
 use pf_core::SchedulerConfig;
 use pf_metrics::{SimDuration, SimTime};
+use pf_obs::RecordingSink;
 use pf_sim::cluster::{ClusterSimulation, RouterPolicy};
 use pf_sim::elastic::ElasticCluster;
-use pf_sim::{FleetReport, GpuSpec, ModelSpec, QueueOrder, SimConfig, SimReport, Workload};
+use pf_sim::{
+    FleetReport, GpuSpec, ModelSpec, QueueOrder, SimConfig, SimError, SimReport, Workload,
+};
 use pf_workload::{datasets, rng::seeded, ClosedLoopClients, PoissonArrivals, RateProfile};
 
 fn base_config(capacity: u64) -> SimConfig {
@@ -227,10 +230,55 @@ fn unsorted_arrivals_are_an_invalid_workload() {
     );
 }
 
+/// The error an elastic run from `initial` replicas under `autoscale`
+/// returns before its first event.
+fn rejected(autoscale: AutoscaleConfig, initial: usize) -> SimError {
+    let mut sink = RecordingSink::new();
+    let error = ElasticCluster::new(base_config(6_000), autoscale, initial)
+        .run_traced(
+            datasets::short_chat(8, 1),
+            vec![SimTime::ZERO; 8],
+            Some(&mut sink),
+        )
+        .expect_err("an invalid planner runs");
+    assert!(sink.events.is_empty(), "rejected before the first event");
+    error
+}
+
+/// The initial size must lie within the planner's bounds, and the bounds
+/// must be ordered and positive, which `PolicyConfig` field literals can
+/// skip.
 #[test]
-#[should_panic(expected = "outside policy bounds")]
-fn initial_replicas_outside_bounds_panics() {
-    let _ = ElasticCluster::new(base_config(6_000), autoscale(1, 4), 6);
+fn initial_replicas_outside_bounds_is_rejected() {
+    let invalid = |parameter| SimError::InvalidAutoscale { parameter };
+    let bounds = |min_replicas, max_replicas| AutoscaleConfig {
+        policy: PolicyConfig {
+            min_replicas,
+            max_replicas,
+            ..autoscale(1, 4).policy
+        },
+        ..autoscale(1, 4)
+    };
+    assert_eq!(rejected(autoscale(1, 4), 6), invalid("initial_replicas"));
+    assert_eq!(rejected(autoscale(2, 4), 1), invalid("initial_replicas"));
+    assert_eq!(rejected(autoscale(1, 4), 0), invalid("initial_replicas"));
+    assert_eq!(rejected(bounds(0, 4), 1), invalid("min_replicas"));
+    assert_eq!(rejected(bounds(3, 2), 2), invalid("min_replicas"));
+}
+
+/// A zero adjustment interval divided by zero in the planner.
+#[test]
+fn zero_autoscale_interval_is_rejected() {
+    let zero = AutoscaleConfig {
+        interval: SimDuration::ZERO,
+        ..autoscale(1, 4)
+    };
+    assert_eq!(
+        rejected(zero, 1),
+        SimError::InvalidAutoscale {
+            parameter: "interval"
+        }
+    );
 }
 
 #[test]

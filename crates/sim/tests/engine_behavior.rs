@@ -1042,7 +1042,7 @@ fn out_of_range_hardware_is_rejected_before_the_first_event() {
     use pf_autoscale::AutoscaleConfig;
     use pf_metrics::SimTime;
     use pf_obs::RecordingSink;
-    use pf_sim::disagg::{DisaggCluster, DisaggConfig, ElasticDisaggCluster, KvTransferSpec};
+    use pf_sim::disagg::{DisaggCluster, DisaggConfig, KvTransferSpec};
     use pf_sim::elastic::ElasticCluster;
     use pf_sim::GpuType;
 
@@ -1094,7 +1094,8 @@ fn out_of_range_hardware_is_rejected_before_the_first_event() {
         assert_eq!(fixed.unwrap_err(), expected, "disagg {case}");
         assert!(sink.events.is_empty(), "rejected before the first event");
         let mut sink = RecordingSink::new();
-        let elastic = ElasticDisaggCluster::new(disagg(), autoscale(), autoscale(), 1, 1)
+        let elastic = DisaggCluster::new(disagg(), 1, 1)
+            .autoscale(autoscale(), autoscale())
             .run_traced(requests.clone(), arrivals.clone(), Some(&mut sink));
         assert_eq!(elastic.unwrap_err(), expected, "elastic disagg {case}");
         assert!(sink.events.is_empty(), "rejected before the first event");

@@ -7,7 +7,7 @@ use pf_autoscale::{AutoscaleConfig, PolicyConfig, PredictorKind};
 use pf_core::SchedulerConfig;
 use pf_metrics::{SimDuration, SimTime};
 use pf_obs::Pool;
-use pf_sim::disagg::{DisaggConfig, ElasticDisaggCluster, RepurposeDirection};
+use pf_sim::disagg::{DisaggCluster, DisaggConfig, RepurposeDirection};
 use pf_sim::fleet::{
     pool_counts, provisioned_count, shrink_pool, FleetMember, GpuType, MemberCore, MemberState,
 };
@@ -223,7 +223,8 @@ fn repurposing_run(seed: u64) -> FleetReport {
         .seed(seed)
         .build();
     let config = DisaggConfig::new(base).repurpose(SimDuration::from_secs(2));
-    ElasticDisaggCluster::new(config, pool(4, 1), pool(4, 3), 2, 1)
+    DisaggCluster::new(config, 2, 1)
+        .autoscale(pool(4, 1), pool(4, 3))
         .run(requests, arrivals)
         .expect("repurposing run")
 }

@@ -9,7 +9,7 @@
 use pastfuture::autoscale::{AutoscaleConfig, PredictorKind};
 use pastfuture::obs::Pool;
 use pastfuture::prelude::*;
-use pastfuture::sim::disagg::{DisaggConfig, ElasticDisaggCluster, KvTransferSpec};
+use pastfuture::sim::disagg::{DisaggCluster, DisaggConfig, KvTransferSpec};
 use pastfuture::workload::{datasets, rng::seeded, PoissonArrivals};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -33,8 +33,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let requests = datasets::prefill_heavy(n, 1);
     let arrivals = PoissonArrivals::new(10.0).assign(&mut seeded(2), n);
 
-    let report =
-        ElasticDisaggCluster::new(config, pool(3), pool(3), 1, 1).run(requests, arrivals)?;
+    let report = DisaggCluster::new(config, 1, 1)
+        .autoscale(pool(3), pool(3))
+        .run(requests, arrivals)?;
     let headline = report.headline();
 
     println!(

@@ -18,7 +18,7 @@
 use pf_autoscale::{AutoscaleConfig, PolicyConfig, PredictorKind};
 use pf_core::SchedulerConfig;
 use pf_metrics::{SimDuration, SimTime};
-use pf_sim::disagg::{DisaggConfig, ElasticDisaggCluster};
+use pf_sim::disagg::{DisaggCluster, DisaggConfig};
 use pf_sim::elastic::ElasticCluster;
 use pf_sim::{GpuSpec, GpuType, ModelSpec, SimConfig};
 use pf_workload::{datasets, rng::seeded, LengthSampler, RateProfile};
@@ -100,7 +100,8 @@ fn main() {
     let mut disagg_base = base;
     disagg_base.capacity_override = Some(9_000);
     let config = DisaggConfig::new(disagg_base).repurpose(SimDuration::from_secs(2));
-    let report = ElasticDisaggCluster::new(config, pool(4, 1), pool(4, 3), 2, 1)
+    let report = DisaggCluster::new(config, 2, 1)
+        .autoscale(pool(4, 1), pool(4, 3))
         .run(shift, times)
         .expect("repurposing run");
     let headline = report.headline();
