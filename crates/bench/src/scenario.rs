@@ -233,13 +233,10 @@ impl Scenario {
                 initial,
                 router,
                 fleet,
-            } => {
-                let mut cluster = ElasticCluster::new(base, autoscale, initial).router(router);
-                if !fleet.is_empty() {
-                    cluster = cluster.fleet(fleet);
-                }
-                cluster.run_workload(workload, sink)
-            }
+            } => ElasticCluster::new(base, autoscale, initial)
+                .router(router)
+                .fleet(fleet)
+                .run_workload(workload, sink),
             Topology::Disagg {
                 config,
                 prefill,
@@ -691,8 +688,8 @@ pub fn goldens() -> Vec<Scenario> {
         Topology::Single(
             base(21)
                 .capacity_override(6_000)
-                .prefill(PrefillMode::Chunked { chunk_tokens: 512 })
-                .eviction(EvictionMode::Swap { pcie_gbps: 32.0 })
+                .prefill(PrefillMode::Chunked)
+                .eviction(EvictionMode::Swap)
                 .prefix_cache(0.2)
                 .build(),
         ),
@@ -924,12 +921,7 @@ pub fn goldens() -> Vec<Scenario> {
     // under the HF-original preset's static batches.
     for (name, seed, batching, rate) in [
         ("coloc-contiguous", 92u64, BatchingMode::Continuous, 3.0),
-        (
-            "coloc-contiguous-static",
-            93,
-            BatchingMode::Static { max_batch: 16 },
-            0.5,
-        ),
+        ("coloc-contiguous-static", 93, BatchingMode::Static, 0.5),
     ] {
         out.push(Scenario::new(
             name,

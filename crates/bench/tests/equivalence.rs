@@ -77,7 +77,7 @@ fn inputs(
 ) -> [(&'static str, SimConfig, WorkloadFn); 4] {
     let requests = move |seed| workload(seed).requests().to_vec();
     let statically_batched = SimConfig {
-        batching: BatchingMode::Static { max_batch: 16 },
+        batching: BatchingMode::Static,
         ..config.clone()
     };
     [

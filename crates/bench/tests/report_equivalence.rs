@@ -79,15 +79,15 @@ fn variants_run(topology: &Topology, report: &FleetReport) -> Vec<&'static str> 
             },
             match config.batching {
                 BatchingMode::Continuous => "BatchingMode::Continuous",
-                BatchingMode::Static { .. } => "BatchingMode::Static",
+                BatchingMode::Static => "BatchingMode::Static",
             },
             match config.eviction {
                 EvictionMode::Recompute => "EvictionMode::Recompute",
-                EvictionMode::Swap { .. } => "EvictionMode::Swap",
+                EvictionMode::Swap => "EvictionMode::Swap",
             },
             match config.prefill {
                 PrefillMode::WholePrompt => "PrefillMode::WholePrompt",
-                PrefillMode::Chunked { .. } => "PrefillMode::Chunked",
+                PrefillMode::Chunked => "PrefillMode::Chunked",
             },
         ]
     };

@@ -125,7 +125,7 @@ impl Framework {
                 scheduler: SchedulerConfig::conservative(),
                 kv_layout: KvLayout::TokenPool,
                 batching: BatchingMode::Continuous,
-                prefill: PrefillMode::Chunked { chunk_tokens: 512 },
+                prefill: PrefillMode::Chunked,
                 kernel_speedup: 1.0,
             },
             Framework::TensorRtLlm => FrameworkPreset {
@@ -140,7 +140,7 @@ impl Framework {
                 name: "Original (HF)",
                 scheduler: SchedulerConfig::conservative(),
                 kv_layout: KvLayout::Contiguous,
-                batching: BatchingMode::Static { max_batch: 16 },
+                batching: BatchingMode::Static,
                 prefill: PrefillMode::WholePrompt,
                 kernel_speedup: 0.9,
             },

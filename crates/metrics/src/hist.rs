@@ -89,8 +89,7 @@ impl Default for Binning {
 ///
 /// let h = LengthHistogram::from_lengths(Binning::Linear { width: 10 }, [5, 7, 25]);
 /// assert_eq!(h.total(), 3);
-/// assert_eq!(h.count_in_bin(0), 2); // lengths 5 and 7
-/// assert_eq!(h.count_in_bin(2), 1); // length 25
+/// assert_eq!(h.counts(), &[2, 0, 1]); // lengths 5 and 7, then 25
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct LengthHistogram {
@@ -136,11 +135,6 @@ impl LengthHistogram {
     /// Total number of recorded observations.
     pub fn total(&self) -> u64 {
         self.total
-    }
-
-    /// Raw count in bin `bin` (0 for bins beyond the allocated range).
-    pub fn count_in_bin(&self, bin: usize) -> u64 {
-        self.counts.get(bin).copied().unwrap_or(0)
     }
 
     /// Raw counts as a slice.
@@ -245,7 +239,7 @@ mod tests {
     fn empty_probabilities() {
         let h = LengthHistogram::new(Binning::Log2);
         assert!(h.probabilities().is_empty());
-        assert_eq!(h.count_in_bin(42), 0);
+        assert!(h.counts().is_empty());
     }
 
     #[test]
@@ -255,9 +249,7 @@ mod tests {
         let mut m = a.clone();
         m.merge(&b);
         assert_eq!(m.total(), 5);
-        assert_eq!(m.count_in_bin(0), 3);
-        assert_eq!(m.count_in_bin(2), 1);
-        assert_eq!(m.count_in_bin(3), 1);
+        assert_eq!(m.counts(), &[3, 0, 1, 1]);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! averages over *time*, not over samples: a long decode step at 95%
 //! utilization must weigh more than a short one at 50%. [`StepSeries`]
 //! records `(time, value)` observations where each value holds until the
-//! next observation, and computes duration-weighted statistics.
+//! next observation.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// A piecewise-constant time series: each recorded value holds from its
 /// timestamp until the next record.
@@ -46,46 +46,6 @@ impl StepSeries {
     /// The raw `(time, value)` points.
     pub fn points(&self) -> &[(SimTime, f64)] {
         &self.points
-    }
-
-    /// Duration-weighted mean over `[start, end)`.
-    ///
-    /// Points outside the range are clipped; the value in force at `start`
-    /// is the last point at or before `start`. Returns `None` when the range
-    /// is empty or no value is in force anywhere within it.
-    pub fn time_weighted_mean(&self, start: SimTime, end: SimTime) -> Option<f64> {
-        if end <= start || self.points.is_empty() {
-            return None;
-        }
-        let mut weighted = 0.0;
-        let mut total = SimDuration::ZERO;
-        // Index of first point strictly after `start`.
-        let first_after = self.points.partition_point(|&(t, _)| t <= start);
-        // Value in force at `start`, if any.
-        let mut current: Option<f64> = first_after.checked_sub(1).map(|i| self.points[i].1);
-        let mut cursor = start;
-        for &(t, v) in &self.points[first_after..] {
-            if t >= end {
-                break;
-            }
-            if let Some(cv) = current {
-                let span = t - cursor;
-                weighted += cv * span.as_secs_f64();
-                total += span;
-            }
-            current = Some(v);
-            cursor = t;
-        }
-        if let Some(cv) = current {
-            let span = end - cursor;
-            weighted += cv * span.as_secs_f64();
-            total += span;
-        }
-        if total.is_zero() {
-            None
-        } else {
-            Some(weighted / total.as_secs_f64())
-        }
     }
 
     /// Maximum recorded value.
@@ -173,52 +133,12 @@ mod tests {
     }
 
     #[test]
-    fn weighted_mean_basic() {
-        let mut s = StepSeries::new();
-        s.record(t(0), 1.0); // holds [0, 10)
-        s.record(t(10), 3.0); // holds [10, 20)
-        let m = s.time_weighted_mean(t(0), t(20)).unwrap();
-        assert!((m - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weighted_mean_unequal_spans() {
-        let mut s = StepSeries::new();
-        s.record(t(0), 0.0); // [0, 30): 0
-        s.record(t(30), 1.0); // [30, 40): 1
-        let m = s.time_weighted_mean(t(0), t(40)).unwrap();
-        assert!((m - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weighted_mean_clips_range() {
-        let mut s = StepSeries::new();
-        s.record(t(0), 10.0);
-        s.record(t(10), 20.0);
-        // Only look at [5, 15): 5s of 10.0 and 5s of 20.0.
-        let m = s.time_weighted_mean(t(5), t(15)).unwrap();
-        assert!((m - 15.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_before_first_point_is_none() {
-        let mut s = StepSeries::new();
-        s.record(t(10), 5.0);
-        assert_eq!(s.time_weighted_mean(t(0), t(10)), None);
-        // Range covering the point works.
-        assert_eq!(s.time_weighted_mean(t(10), t(20)), Some(5.0));
-    }
-
-    #[test]
-    fn overall_mean_and_max() {
+    fn max_value_is_the_largest_point() {
         let mut s = StepSeries::new();
         s.record(t(0), 1.0);
         s.record(t(1), 5.0);
         s.record(t(3), 2.0);
         assert_eq!(s.max_value(), Some(5.0));
-        // [0,1): 1.0; [1,3): 5.0; the final value never accrues time.
-        let m = s.time_weighted_mean(t(0), t(3)).unwrap();
-        assert!((m - (1.0 + 5.0 * 2.0) / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -256,27 +176,5 @@ mod tests {
         assert_eq!(d[0].1, 0.0);
         let full = s.downsample(1000);
         assert_eq!(full.len(), 100);
-    }
-
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #[test]
-            fn mean_within_value_bounds(
-                values in proptest::collection::vec(0.0f64..100.0, 2..50),
-            ) {
-                let mut s = StepSeries::new();
-                for (i, &v) in values.iter().enumerate() {
-                    s.record(SimTime::from_secs(i as u64), v);
-                }
-                let end = SimTime::from_secs(values.len() as u64 - 1);
-                let m = s.time_weighted_mean(SimTime::ZERO, end).unwrap();
-                let min = values.iter().cloned().fold(f64::INFINITY, f64::min);
-                let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                prop_assert!(m >= min - 1e-9 && m <= max + 1e-9);
-            }
-        }
     }
 }

@@ -77,11 +77,6 @@ impl WindowedLengths {
         self.histograms.len()
     }
 
-    /// Histogram of window `i`.
-    pub fn histogram(&self, i: usize) -> &LengthHistogram {
-        &self.histograms[i]
-    }
-
     /// Pairwise cosine similarity of all window histograms.
     pub fn similarity_matrix(&self) -> SimilarityMatrix {
         let probs: Vec<Vec<f64>> = self.histograms.iter().map(|h| h.probabilities()).collect();
@@ -184,7 +179,6 @@ mod tests {
         let w = WindowedLengths::partition(&lengths, 10, Binning::Log2);
         assert_eq!(w.n_windows(), 2);
         assert_eq!(w.window_size(), 10);
-        assert_eq!(w.histogram(0).total(), 10);
     }
 
     #[test]

@@ -242,35 +242,20 @@ pub struct GoodputReport {
 }
 
 impl GoodputReport {
-    /// Computes goodput over finished requests.
+    /// Computes goodput over finished requests plus `timed_out` requests
+    /// that were cancelled past their deadline.
     ///
-    /// Each element of `requests` pairs the request's timing with its output
-    /// token count. `duration` is the measurement interval (zero duration
-    /// yields zero rates). Equivalent to
-    /// [`GoodputReport::compute_with_timeouts`] with zero timed-out
-    /// requests — use that variant when the run cancelled requests past
-    /// their deadline, so they count as SLA misses instead of vanishing
-    /// from the denominators.
-    pub fn compute(
-        sla: &SlaSpec,
-        requests: &[(RequestTiming, u64)],
-        duration: SimDuration,
-    ) -> GoodputReport {
-        GoodputReport::compute_with_timeouts(sla, requests.iter().copied(), duration, 0)
-    }
-
-    /// [`GoodputReport::compute`] plus `timed_out` requests that were
-    /// cancelled past their deadline (while waiting for a first token,
-    /// or preempted mid-stream and never readmitted). They contribute no
-    /// counted tokens and no timing samples, but they enter
+    /// Each element of `requests` pairs a finished request's timing with
+    /// its output token count. `duration` is the measurement interval
+    /// (zero duration yields zero rates). Cancelled requests — waiting for
+    /// a first token, or preempted mid-stream and never readmitted —
+    /// contribute no counted tokens and no timing samples, but they enter
     /// `total_requests`, `violations.timed_out`, and therefore the
     /// [`GoodputReport::satisfied_fraction`] and
     /// [`GoodputReport::ttft_attainment`] denominators as misses.
     ///
     /// The TTFT/MTPOT percentile summaries still describe *completed*
-    /// requests only (a cancelled request has no latency to summarize), so
-    /// [`GoodputReport::is_p99_compliant`] additionally requires that no
-    /// request timed out.
+    /// requests only (a cancelled request has no latency to summarize).
     ///
     /// `requests` is streamed, not collected: a fleet passes its members'
     /// outcomes without copying them into one buffer.
@@ -355,22 +340,6 @@ impl GoodputReport {
         }
         self.ttft_ok_count() as f64 / self.total_requests as f64
     }
-
-    /// System-level P99 compliance, the paper's Figure 9 framing
-    /// ("P99 TTFT 10s, P99 MTPOT 1.5s"): true when the 99th percentiles of
-    /// TTFT and MTPOT both stay within the SLA. Under this reading a
-    /// compliant system's *entire* throughput counts as goodput; a
-    /// non-compliant one scores zero. The percentiles summarize completed
-    /// requests, so any timed-out (cancelled) request disqualifies the
-    /// system outright — cancelling stragglers must not launder the tail.
-    pub fn is_p99_compliant(&self, sla: &SlaSpec) -> bool {
-        if self.total_requests == 0 {
-            return true;
-        }
-        self.violations.timed_out == 0
-            && self.ttft_secs.p99 <= sla.max_ttft.as_secs_f64()
-            && self.mtpot_secs.p99 <= sla.max_mtpot.as_secs_f64()
-    }
 }
 
 /// Tokens per second over `duration` (zero over an empty interval).
@@ -389,6 +358,15 @@ mod tests {
 
     fn secs(s: f64) -> SimTime {
         SimTime::from_secs_f64(s)
+    }
+
+    /// Goodput over finished requests, none timed out.
+    fn compute(
+        sla: &SlaSpec,
+        requests: &[(RequestTiming, u64)],
+        duration: SimDuration,
+    ) -> GoodputReport {
+        GoodputReport::compute_with_timeouts(sla, requests.iter().copied(), duration, 0)
     }
 
     #[test]
@@ -461,8 +439,7 @@ mod tests {
         ok.record_token(secs(0.6));
         let mut bad = RequestTiming::new(SimTime::ZERO);
         bad.record_token(secs(20.0));
-        let report =
-            GoodputReport::compute(&sla, &[(ok, 100), (bad, 300)], SimDuration::from_secs(10));
+        let report = compute(&sla, &[(ok, 100), (bad, 300)], SimDuration::from_secs(10));
         assert_eq!(report.total_requests, 2);
         assert_eq!(report.satisfied_requests, 1);
         assert_eq!(report.total_output_tokens, 400);
@@ -488,14 +465,14 @@ mod tests {
         let mut ok = RequestTiming::new(SimTime::ZERO);
         ok.record_token(secs(0.5));
         ok.record_token(secs(0.6));
-        let report = GoodputReport::compute(
+        let report = compute(
             &sla,
             &[(stalled, 10), (late, 10), (ok, 10)],
             SimDuration::from_secs(10),
         );
         assert_eq!(report.satisfied_requests, 1);
         assert!((report.ttft_attainment() - 2.0 / 3.0).abs() < 1e-12);
-        let empty = GoodputReport::compute(&sla, &[], SimDuration::ZERO);
+        let empty = compute(&sla, &[], SimDuration::ZERO);
         assert_eq!(empty.ttft_attainment(), 1.0);
     }
 
@@ -506,7 +483,7 @@ mod tests {
         ok.record_token(secs(0.5));
         ok.record_token(secs(0.6));
         let completed = [(ok, 100)];
-        let without = GoodputReport::compute(&sla, &completed, SimDuration::from_secs(10));
+        let without = compute(&sla, &completed, SimDuration::from_secs(10));
         let with = GoodputReport::compute_with_timeouts(
             &sla,
             completed.iter().copied(),
@@ -524,66 +501,13 @@ mod tests {
         // Throughput counts tokens actually produced; timeouts add none.
         assert_eq!(with.total_output_tokens, 100);
         assert_eq!(with.goodput_tok_per_s, without.goodput_tok_per_s);
-        // A run with cancellations can never be P99-compliant.
-        assert!(without.is_p99_compliant(&sla));
-        assert!(!with.is_p99_compliant(&sla));
     }
 
     #[test]
     fn goodput_zero_duration() {
-        let report = GoodputReport::compute(&SlaSpec::chat_7b(), &[], SimDuration::ZERO);
+        let report = compute(&SlaSpec::chat_7b(), &[], SimDuration::ZERO);
         assert_eq!(report.goodput_tok_per_s, 0.0);
         assert_eq!(report.satisfied_fraction(), 1.0);
-    }
-
-    #[test]
-    fn p99_compliance_all_or_nothing() {
-        let sla = SlaSpec::chat_7b();
-        // 100 fast requests: compliant.
-        let fast: Vec<(RequestTiming, u64)> = (0..100)
-            .map(|_| {
-                let mut t = RequestTiming::new(SimTime::ZERO);
-                t.record_token(secs(0.2));
-                t.record_token(secs(0.3));
-                (t, 10)
-            })
-            .collect();
-        let report = GoodputReport::compute(&sla, &fast, SimDuration::from_secs(10));
-        assert!(report.is_p99_compliant(&sla));
-        // Two slow requests out of 100 push the P99 over the limit.
-        let mut mixed = fast;
-        for _ in 0..2 {
-            let mut t = RequestTiming::new(SimTime::ZERO);
-            t.record_token(secs(30.0));
-            mixed.push((t, 10));
-        }
-        let report = GoodputReport::compute(&sla, &mixed, SimDuration::from_secs(10));
-        assert!(!report.is_p99_compliant(&sla));
-        // One in ~100 stays under the P99 bar.
-        let report_one = GoodputReport::compute(
-            &sla,
-            &{
-                let mut v: Vec<(RequestTiming, u64)> = (0..198)
-                    .map(|_| {
-                        let mut t = RequestTiming::new(SimTime::ZERO);
-                        t.record_token(secs(0.2));
-                        (t, 10)
-                    })
-                    .collect();
-                let mut t = RequestTiming::new(SimTime::ZERO);
-                t.record_token(secs(30.0));
-                v.push((t, 10));
-                v
-            },
-            SimDuration::from_secs(10),
-        );
-        assert!(report_one.is_p99_compliant(&sla));
-    }
-
-    #[test]
-    fn empty_report_is_compliant() {
-        let report = GoodputReport::compute(&SlaSpec::chat_7b(), &[], SimDuration::ZERO);
-        assert!(report.is_p99_compliant(&SlaSpec::chat_7b()));
     }
 
     mod props {
@@ -604,7 +528,7 @@ mod tests {
                         (t, n)
                     })
                     .collect();
-                let r = GoodputReport::compute(&sla, &requests, SimDuration::from_secs(60));
+                let r = compute(&sla, &requests, SimDuration::from_secs(60));
                 prop_assert!(r.goodput_tok_per_s <= r.throughput_tok_per_s + 1e-9);
                 prop_assert!(r.satisfied_requests <= r.total_requests);
             }

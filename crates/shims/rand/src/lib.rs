@@ -13,7 +13,7 @@
 //!   half-open float ranges), `gen_bool`, `fill` (unused helpers omitted);
 //! * [`SeedableRng`] — `seed_from_u64`, `from_seed`;
 //! * [`rngs::StdRng`];
-//! * [`seq::SliceRandom::shuffle`] and [`seq::index::sample`].
+//! * [`seq::SliceRandom::shuffle`].
 
 #![warn(missing_docs)]
 
@@ -298,46 +298,11 @@ pub mod seq {
             }
         }
     }
-
-    /// Index sampling (the `rand::seq::index` subset).
-    pub mod index {
-        use super::super::{Rng, RngCore};
-
-        /// A set of sampled indices.
-        #[derive(Debug, Clone)]
-        pub struct IndexVec(Vec<usize>);
-
-        impl IndexVec {
-            /// Consumes the set into a plain vector.
-            pub fn into_vec(self) -> Vec<usize> {
-                self.0
-            }
-        }
-
-        /// Samples `amount` distinct indices from `0..length` (partial
-        /// Fisher–Yates; order is the selection order).
-        ///
-        /// # Panics
-        ///
-        /// Panics if `amount > length`.
-        pub fn sample<R: RngCore + ?Sized>(rng: &mut R, length: usize, amount: usize) -> IndexVec {
-            assert!(amount <= length, "cannot sample {amount} from {length}");
-            let mut pool: Vec<usize> = (0..length).collect();
-            let mut out = Vec::with_capacity(amount);
-            for i in 0..amount {
-                let j = rng.gen_range(i..pool.len());
-                pool.swap(i, j);
-                out.push(pool[i]);
-            }
-            IndexVec(out)
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::rngs::StdRng;
-    use super::seq::index;
     use super::seq::SliceRandom;
     use super::{Rng, SeedableRng};
 
@@ -391,17 +356,5 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
         assert_ne!(v, sorted, "astronomically unlikely identity shuffle");
-    }
-
-    #[test]
-    fn index_sample_distinct() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let picked = index::sample(&mut rng, 50, 10).into_vec();
-        assert_eq!(picked.len(), 10);
-        let mut dedup = picked.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), 10);
-        assert!(picked.iter().all(|&i| i < 50));
     }
 }

@@ -27,40 +27,34 @@ pub enum KvLayout {
 pub enum BatchingMode {
     /// Continuous batching (iteration-level scheduling).
     Continuous,
-    /// Static batching: form a batch, pad, run it to full completion
-    /// (pre-ORCA systems; the "original implementation" multimodal
-    /// baselines in Table 2).
-    Static {
-        /// Maximum requests per static batch.
-        max_batch: usize,
-    },
+    /// Static batching: form a batch of at most [`STATIC_MAX_BATCH`]
+    /// requests, pad, run it to full completion (pre-ORCA systems; the
+    /// "original implementation" multimodal baselines in Table 2).
+    Static,
 }
 
+/// Requests per [`BatchingMode::Static`] batch (the HF preset's 16).
+pub const STATIC_MAX_BATCH: usize = 16;
+
 /// What happens to a request evicted under memory pressure.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvictionMode {
     /// Recompute preemption (vLLM/LightLLM default): the victim's KV cache
     /// is dropped; on readmission the prompt plus generated tokens are
     /// re-prefilled.
     Recompute,
-    /// Swap preemption: the victim's KV cache is copied to host memory over
-    /// PCIe and copied back on resume — no recompute, but the transfers
-    /// stall the engine in both directions. (The swap-in cost is modelled
-    /// in whole-prompt prefill steps; under [`PrefillMode::Chunked`] the
-    /// restore is treated as free, a small optimism acceptable because the
-    /// chunked baseline never evicts in the paper's experiments.)
-    Swap {
-        /// Effective host-device bandwidth in GB/s (PCIe 4.0 x16 ≈ 25).
-        pcie_gbps: f64,
-    },
+    /// Swap preemption: the victim's KV cache is copied to host memory
+    /// over a [`SWAP_LINK_GBPS`] link and copied back on resume — no
+    /// recompute, but the transfers stall the engine in both directions.
+    /// (The swap-in cost is modelled in whole-prompt prefill steps; under
+    /// [`PrefillMode::Chunked`] the restore is treated as free, a small
+    /// optimism acceptable because the chunked baseline never evicts in
+    /// the paper's experiments.)
+    Swap,
 }
 
-impl EvictionMode {
-    /// Swap preemption over PCIe 4.0 x16 (≈25 GB/s effective).
-    pub const fn swap_pcie4() -> Self {
-        EvictionMode::Swap { pcie_gbps: 25.0 }
-    }
-}
+/// Effective host-device bandwidth of [`EvictionMode::Swap`] in GB/s.
+pub const SWAP_LINK_GBPS: f64 = 32.0;
 
 /// Prompt-processing discipline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,12 +62,15 @@ pub enum PrefillMode {
     /// Admitted prompts are processed in one dedicated prefill step
     /// (LightLLM / vLLM default; decode pauses during prefill).
     WholePrompt,
-    /// Chunked prefill fused with decode steps (DeepSpeed-MII "splitfuse").
-    Chunked {
-        /// Prompt tokens processed per step.
-        chunk_tokens: u64,
-    },
+    /// Chunked prefill fused with decode steps (DeepSpeed-MII
+    /// "splitfuse"): each step processes up to [`PREFILL_CHUNK_TOKENS`]
+    /// prompt tokens.
+    Chunked,
 }
+
+/// Prompt tokens a [`PrefillMode::Chunked`] step processes (the
+/// DeepSpeed-MII preset's 512).
+pub const PREFILL_CHUNK_TOKENS: u64 = 512;
 
 /// The default least-slack-first aging cap: [`QueueOrder::least_slack`]
 /// uses it, and the disagg link weighs streams by it under any other

@@ -6,10 +6,11 @@
 //! decode batch's KV residency starves prompt admission (TTFT). This module
 //! splits them. Every instance of both pools is the colocated engine
 //! behind [`crate::Simulation`], in its pool's role. **Prefill instances**
-//! serve a queue of prompts in batched whole-prompt passes, in the base
-//! config's [`QueueOrder`] (arrival order, least slack first or shortest
-//! prompt first, each with its aging cap), emit each request's *first*
-//! token and hand the request over to the link. **Decode instances** are
+//! serve a queue of prompts in batched whole-prompt passes of at most
+//! [`PREFILL_PASS_TOKENS`] computed tokens, in the base config's
+//! [`QueueOrder`] (arrival order, least slack first or shortest prompt
+//! first, each with its aging cap), emit each request's *first* token
+//! and hand the request over to the link. **Decode instances** are
 //! fed the requests whose KV cache has been handed over. Each runs
 //! continuous-batching token generation and admits handoffs through the
 //! engine's one admission path with [`SchedulerConfig::Oracle`]: the
@@ -210,9 +211,16 @@ impl KvTransferSpec {
     }
 }
 
+/// *Computed* prompt tokens batched into one prefill pass at most
+/// (prefix-cache hits shrink a prompt's computed tokens, letting more
+/// prompts share a pass at the same per-pass cost). A prompt longer than
+/// this is [`SimError::RequestTooLarge`].
+pub const PREFILL_PASS_TOKENS: u64 = 8_192;
+
 /// Configuration of a disaggregated deployment: one replica type (model,
 /// GPU, capacity, SLA — all from the embedded [`SimConfig`]) split into
-/// two pools joined by a [`KvTransferSpec`] link.
+/// two pools joined by a [`KvTransferSpec`] link. Each prefill pass
+/// batches at most [`PREFILL_PASS_TOKENS`] computed prompt tokens.
 #[derive(Debug, Clone)]
 pub struct DisaggConfig {
     /// Replica description every engine of both pools is provisioned
@@ -236,10 +244,6 @@ pub struct DisaggConfig {
     pub base: SimConfig,
     /// The prefill→decode KV-transfer link.
     pub transfer: KvTransferSpec,
-    /// *Computed* prompt tokens batched into one prefill pass at most
-    /// (prefix-cache hits shrink a prompt's computed tokens, letting more
-    /// prompts share a pass at the same per-pass cost).
-    pub max_prefill_batch_tokens: u64,
     /// Front-end routing policy over the prefill pool.
     /// [`RouterPolicy::PrefixAffinity`] steers requests to the prefill
     /// instance holding the longest prefix of their prompt, and
@@ -262,13 +266,11 @@ pub struct DisaggConfig {
 }
 
 impl DisaggConfig {
-    /// Wraps a replica configuration with NVLink transfer defaults and an
-    /// 8k-token prefill batch budget.
+    /// Wraps a replica configuration with NVLink transfer defaults.
     pub fn new(base: SimConfig) -> Self {
         DisaggConfig {
             base,
             transfer: KvTransferSpec::nvlink(),
-            max_prefill_batch_tokens: 8_192,
             router: RouterPolicy::LeastEstimatedLoad,
             repurpose: None,
             prefill_slots: Vec::new(),
@@ -279,17 +281,6 @@ impl DisaggConfig {
     /// Sets the KV-transfer link.
     pub fn transfer(mut self, transfer: KvTransferSpec) -> Self {
         self.transfer = transfer;
-        self
-    }
-
-    /// Sets the prefill batch budget in prompt tokens.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tokens` is zero.
-    pub fn prefill_batch_tokens(mut self, tokens: u64) -> Self {
-        assert!(tokens > 0, "prefill batch budget must be positive");
-        self.max_prefill_batch_tokens = tokens;
         self
     }
 
@@ -324,15 +315,12 @@ impl DisaggConfig {
         fleet::check_positive("link_gbps", self.transfer.link_gbps)?;
         fleet::check_prefix_cache(self.base.prefix_cache)?;
         fleet::check_engine(&self.base)?;
-        // The builder rejects a zero budget; a field literal can skip it.
-        let parameter = if self.max_prefill_batch_tokens == 0 {
-            "max_prefill_batch_tokens"
-        } else if let BatchingMode::Static { .. } = self.base.batching {
-            "batching"
-        } else {
-            return Ok(());
-        };
-        Err(SimError::InvalidEngine { parameter })
+        if matches!(self.base.batching, BatchingMode::Static) {
+            return Err(SimError::InvalidEngine {
+                parameter: "batching",
+            });
+        }
+        Ok(())
     }
 
     /// The config every prefill engine is provisioned from: the base

@@ -199,14 +199,11 @@ struct StreamSlot {
 }
 
 /// What a disaggregated run adds to a colocated one: the decode pool's
-/// config, the prefill role's pass budget, the KV-transfer link and its
-/// streams, the handoff routing and cross-pool repurposing.
+/// config, the KV-transfer link and its streams, the handoff routing and
+/// cross-pool repurposing.
 pub(crate) struct Split {
     /// The config every decode engine is provisioned from.
     decode_base: SimConfig,
-    /// Computed prompt tokens one prefill pass batches at most: the
-    /// prefill engines' role parameter.
-    pass_tokens: u64,
     transfer: KvTransferSpec,
     kv_bytes_per_token: u64,
     default_deadline: Option<SimDuration>,
@@ -243,7 +240,6 @@ impl Split {
         };
         Split {
             decode_base: config.decode_base(),
-            pass_tokens: config.max_prefill_batch_tokens,
             transfer: config.transfer,
             kv_bytes_per_token: base.model.kv_bytes_per_token(),
             default_deadline: base.request_deadline,
@@ -452,8 +448,8 @@ impl<'s> Run<'s> {
         self.next_instance += 1;
         engine.advance_to(now);
         if kind == PoolKind::Front {
-            if let Some(split) = &self.split {
-                engine.prefill_only(split.pass_tokens);
+            if self.split.is_some() {
+                engine.prefill_only();
             }
             if self.route.kv_routing {
                 engine.enable_kv_event_log();

@@ -124,15 +124,11 @@ impl ElasticCluster {
     }
 
     /// Declares a heterogeneous fleet: provisioning slot `k` runs on
-    /// `slots[k]` (slots past the end repeat the last entry). The default
-    /// is a homogeneous fleet of [`GpuType::reference`] instances, which
-    /// reproduces the single-type behavior bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slots` is empty.
+    /// `slots[k]` (slots past the end repeat the last entry). An empty
+    /// list, the default, is a homogeneous fleet of
+    /// [`GpuType::reference`] instances, which reproduces the single-type
+    /// behavior bit for bit.
     pub fn fleet(mut self, slots: Vec<GpuType>) -> Self {
-        assert!(!slots.is_empty(), "a fleet needs at least one GPU type");
         self.slots = slots;
         self
     }

@@ -58,15 +58,16 @@
 //!
 //! Both disaggregated pools run this engine too. A prefill instance is an
 //! engine in the prefill role ([`Engine::prefill_only`]). Each tick runs at
-//! most one whole-prompt pass, of at most its budget of *computed* tokens
-//! (prefix-cache hits are not computed), and admits a prompt only while
-//! the KV its requests hold plus the prompt and its first token fit the
-//! pool: cached prefixes yield to prompts. When the pass ends, a request
-//! that needs more tokens is handed out ([`Engine::drain_handoffs`]): it
-//! leaves the batch and its prompt enters the prefix store, but its KV
-//! stays held until the driver releases it ([`Engine::release`]) as its
-//! transfer lands, so a slow link backpressures admission. A request
-//! whose output is one token finishes at the pass like any other.
+//! most one whole-prompt pass, of at most [`PREFILL_PASS_TOKENS`]
+//! *computed* tokens (prefix-cache hits are not computed), and admits a
+//! prompt only while the KV its requests hold plus the prompt and its
+//! first token fit the pool: cached prefixes yield to prompts. When the
+//! pass ends, a request that needs more tokens is handed out
+//! ([`Engine::drain_handoffs`]): it leaves the batch and its prompt enters
+//! the prefix store, but its KV stays held until the driver releases it
+//! ([`Engine::release`]) as its transfer lands, so a slow link
+//! backpressures admission. A request whose output is one token finishes
+//! at the pass like any other.
 //!
 //! On the decode side, a handoff ([`Engine::hand_off`]) is a request
 //! whose prompt was prefilled, and whose first token was emitted, on a
@@ -87,7 +88,11 @@ use pf_obs::{GaugeKind, TraceEvent, TraceSink};
 use pf_workload::RequestSpec;
 
 use crate::cluster::RouterPolicy;
-use crate::config::{BatchingMode, EvictionMode, PrefillMode, QueueOrder, SimConfig};
+use crate::config::{
+    BatchingMode, EvictionMode, PrefillMode, QueueOrder, SimConfig, PREFILL_CHUNK_TOKENS,
+    STATIC_MAX_BATCH,
+};
+use crate::disagg::PREFILL_PASS_TOKENS;
 use crate::error::SimError;
 use crate::fleet;
 use crate::perf::PerfModel;
@@ -127,11 +132,10 @@ enum Role {
     /// Whole requests (a colocated instance), or handoffs to decode (a
     /// disaggregated decode instance).
     Serve,
-    /// Prompts only: a disaggregated prefill instance (see "Handoffs").
-    Prefill {
-        /// Computed prompt tokens one pass may batch.
-        max_pass_tokens: u64,
-    },
+    /// Prompts only: a disaggregated prefill instance whose passes batch
+    /// at most [`PREFILL_PASS_TOKENS`] computed prompt tokens (see
+    /// "Handoffs").
+    Prefill,
 }
 
 /// A request a prefill-role engine handed out at the end of its pass: its
@@ -391,8 +395,8 @@ impl Engine {
     }
 
     fn tick_inner(&mut self, sink: &mut Option<&mut dyn TraceSink>) -> Result<Tick, SimError> {
-        if let BatchingMode::Static { max_batch } = self.config.batching {
-            return Ok(self.static_tick(max_batch, sink));
+        if matches!(self.config.batching, BatchingMode::Static) {
+            return Ok(self.static_tick(sink));
         }
         self.take_inbox(sink);
         if self.try_admission(sink) {
@@ -496,10 +500,9 @@ impl Engine {
         });
     }
 
-    /// Makes this a disaggregated prefill instance whose passes batch at
-    /// most `max_pass_tokens` computed prompt tokens (see "Handoffs").
-    pub(crate) fn prefill_only(&mut self, max_pass_tokens: u64) {
-        self.role = Role::Prefill { max_pass_tokens };
+    /// Makes this a disaggregated prefill instance (see "Handoffs").
+    pub(crate) fn prefill_only(&mut self) {
+        self.role = Role::Prefill;
     }
 
     /// Moves out the requests the last pass handed out (prefill role).
@@ -605,7 +608,7 @@ impl Engine {
     /// applies), the overlap policies adding the slack pressure in tokens
     /// of capacity.
     pub(crate) fn route_load(&self, policy: RouterPolicy, perf_scale: f64) -> f64 {
-        if let Role::Prefill { .. } = self.role {
+        if self.role == Role::Prefill {
             let mut load = self.resident_load() as f64;
             if matches!(
                 policy,
@@ -637,15 +640,13 @@ impl Engine {
     /// also rejects a prompt larger than its pass budget
     /// ([`SimError::RequestTooLarge`] with the budget as the capacity).
     pub(crate) fn validate_spec(&self, spec: &RequestSpec) -> Result<(), SimError> {
-        if let Role::Prefill { max_pass_tokens } = self.role {
-            // A prompt is prefilled in one pass.
-            if u64::from(spec.input_len) > max_pass_tokens {
-                return Err(SimError::RequestTooLarge {
-                    id: spec.id.raw(),
-                    needed: u64::from(spec.input_len),
-                    capacity: max_pass_tokens,
-                });
-            }
+        // A prompt is prefilled in one pass.
+        if self.role == Role::Prefill && u64::from(spec.input_len) > PREFILL_PASS_TOKENS {
+            return Err(SimError::RequestTooLarge {
+                id: spec.id.raw(),
+                needed: u64::from(spec.input_len),
+                capacity: PREFILL_PASS_TOKENS,
+            });
         }
         if self.prefix.is_some() && spec.id.raw() == PREFIX_SENTINEL {
             return Err(SimError::InvalidWorkload {
@@ -653,7 +654,7 @@ impl Engine {
             });
         }
         let contiguous = matches!(self.config.kv_layout, crate::config::KvLayout::Contiguous);
-        let static_mode = matches!(self.config.batching, BatchingMode::Static { .. });
+        let static_mode = matches!(self.config.batching, BatchingMode::Static);
         let needed = if contiguous || static_mode {
             u64::from(spec.input_len) + u64::from(spec.max_new_tokens)
         } else {
@@ -877,7 +878,7 @@ impl Engine {
             capacity_tokens: self.capacity,
             used_tokens: match self.role {
                 Role::Serve => self.kv.used_tokens(),
-                Role::Prefill { .. } => self.held_tokens(),
+                Role::Prefill => self.held_tokens(),
             },
         }
     }
@@ -957,10 +958,7 @@ impl Engine {
             self.specs.len(),
             self.queue.len() + self.running.len() + self.inbox.len()
         );
-        let pass_budget = match self.role {
-            Role::Serve => None,
-            Role::Prefill { max_pass_tokens } => Some(max_pass_tokens),
-        };
+        let prefill_role = self.role == Role::Prefill;
         // Computed tokens of the prefill-role pass so far.
         let mut pass_tokens = 0u64;
         let mut pass_full = false;
@@ -1009,7 +1007,7 @@ impl Engine {
                 // resolves as requests finish; draining the cache for it
                 // would forfeit hits for no admission gain. A prefill
                 // instance's view leaves the cache out already.)
-                let cache_blocks = pass_budget.is_none() && self.running.is_empty();
+                let cache_blocks = !prefill_role && self.running.is_empty();
                 if cache_blocks && self.reclaim_prefix_tokens(1) {
                     continue;
                 }
@@ -1023,7 +1021,7 @@ impl Engine {
                 let needed = u64::from(spec.input_len) + u64::from(pending.generated) + 1;
                 let reserve_total = u64::from(spec.input_len) + u64::from(spec.max_new_tokens);
                 let req = spec.id.raw();
-                if let Some(budget) = pass_budget {
+                if prefill_role {
                     // The prompt must fit beside the held KV; cached
                     // prefixes are reclaimed below only once it does. The
                     // budget bounds computed tokens, decided on a
@@ -1038,7 +1036,7 @@ impl Engine {
                     let probe = u64::from(spec.input_len).saturating_sub(cached).max(1);
                     let started = passes_total + passes_now > 0;
                     if self.held_tokens() + needed > self.capacity
-                        || (started && pass_tokens + probe > budget)
+                        || (started && pass_tokens + probe > PREFILL_PASS_TOKENS)
                     {
                         pass_full = true;
                         break;
@@ -1080,7 +1078,7 @@ impl Engine {
                     prefill_remaining: match (self.config.prefill, pending.restore) {
                         // Even a full-prefix hit computes at least the last
                         // prompt position.
-                        (PrefillMode::Chunked { .. }, Restore::Recompute) => {
+                        (PrefillMode::Chunked, Restore::Recompute) => {
                             prefill_tokens.saturating_sub(cached).max(1)
                         }
                         // A swap-in or a handoff restores the KV wholesale;
@@ -1099,14 +1097,14 @@ impl Engine {
             // state the schedulers' future-memory entries model). A
             // prefill instance runs its one pass after the last round.
             let whole = matches!(self.config.prefill, PrefillMode::WholePrompt);
-            if passes_now > 0 && whole && pass_budget.is_none() {
+            if passes_now > 0 && whole && !prefill_role {
                 self.prefill_step(admitted_now, sink);
             }
             if pass_full || admitted_now < plan || plan < window {
                 break;
             }
         }
-        if passes_total > 0 && pass_budget.is_some() {
+        if passes_total > 0 && prefill_role {
             self.prefill_step(passes_total, sink);
         }
         passes_total > 0
@@ -1135,8 +1133,8 @@ impl Engine {
             }
         }
         let mut duration = self.perf.prefill_step(prompt_tokens);
-        if let EvictionMode::Swap { pcie_gbps } = self.config.eviction {
-            duration += self.perf.swap_transfer(swapped_tokens, pcie_gbps);
+        if matches!(self.config.eviction, EvictionMode::Swap) {
+            duration += self.perf.swap_transfer(swapped_tokens);
         }
         self.now += duration;
         self.prefill_steps += 1;
@@ -1174,11 +1172,8 @@ impl Engine {
     fn step(&mut self, sink: &mut Option<&mut dyn TraceSink>) -> Result<(), SimError> {
         // Chunked prefill progress for this step.
         let mut chunk_tokens = 0u64;
-        if let PrefillMode::Chunked {
-            chunk_tokens: budget,
-        } = self.config.prefill
-        {
-            let mut left = budget;
+        if matches!(self.config.prefill, PrefillMode::Chunked) {
+            let mut left = PREFILL_CHUNK_TOKENS;
             for live in &mut self.running {
                 if left == 0 {
                     break;
@@ -1328,9 +1323,9 @@ impl Engine {
         self.evictions += 1;
         let restore = match self.config.eviction {
             EvictionMode::Recompute => Restore::Recompute,
-            EvictionMode::Swap { pcie_gbps } => {
+            EvictionMode::Swap => {
                 // The swap-out transfer stalls the engine before the step.
-                self.now += self.perf.swap_transfer(held, pcie_gbps);
+                self.now += self.perf.swap_transfer(held);
                 Restore::SwapIn
             }
         };
@@ -1534,13 +1529,13 @@ impl Engine {
     /// step. The step that finishes the last sequence ends the batch
     /// (early finishers idle inside it: padding waste). `Blocked` only if
     /// the front request cannot fit alone, which validation rules out.
-    fn static_tick(&mut self, max_batch: usize, sink: &mut Option<&mut dyn TraceSink>) -> Tick {
+    fn static_tick(&mut self, sink: &mut Option<&mut dyn TraceSink>) -> Tick {
         let instance = self.instance;
         let prefill = self.running.is_empty();
         if prefill {
             self.take_inbox(sink);
             self.padding = Padding::default();
-            while self.running.len() < max_batch {
+            while self.running.len() < STATIC_MAX_BATCH {
                 let Some(front) = self.queue.front() else {
                     break;
                 };
@@ -1959,27 +1954,22 @@ mod tests {
     /// cross-check, so this is the check that runs there.
     #[test]
     fn cached_true_peak_matches_a_fresh_evaluation_after_every_tick() {
+        // Prompts up to 1,920 tokens, so a chunked prefill spans steps.
         let requests: Vec<RequestSpec> = (0..48u32)
             .map(|id| {
-                let output = 4 + (id * 37) % 90;
-                RequestSpec::new(u64::from(id), 60 + (id * 53) % 300, output, 128)
+                let output = 20 + (id * 37) % 480;
+                RequestSpec::new(u64::from(id), 320 + (id * 53) % 1_600, output, 640)
             })
             .collect();
-        let prefills = [
-            PrefillMode::WholePrompt,
-            PrefillMode::Chunked { chunk_tokens: 96 },
-        ];
-        let evictions = [
-            EvictionMode::Recompute,
-            EvictionMode::Swap { pcie_gbps: 25.0 },
-        ];
+        let prefills = [PrefillMode::WholePrompt, PrefillMode::Chunked];
+        let evictions = [EvictionMode::Recompute, EvictionMode::Swap];
         for prefill in prefills {
             for eviction in evictions {
                 let config = SimConfig::builder(ModelSpec::llama2_7b(), GpuSpec::a100_80g())
                     .scheduler(SchedulerConfig::aggressive(0.99))
                     .prefill(prefill)
                     .eviction(eviction)
-                    .capacity_override(2_400)
+                    .capacity_override(12_800)
                     .record_series(false)
                     .seed(3)
                     .build();
@@ -1987,7 +1977,7 @@ mod tests {
                 for &spec in &requests {
                     engine.inject(SimTime::ZERO, spec);
                 }
-                let (mut ticks, mut hits) = (0u32, 0u32);
+                let (mut ticks, mut hits, mut split) = (0u32, 0u32, false);
                 loop {
                     match engine.tick_traced(&mut None).expect("tick") {
                         Tick::Worked => {}
@@ -1996,6 +1986,13 @@ mod tests {
                     }
                     ticks += 1;
                     hits += u32::from(engine.true_peak.get().is_some());
+                    // A prefill cut short by the chunk spans several steps.
+                    split |= engine.running.iter().any(|l| {
+                        let prompt =
+                            u64::from(engine.specs[l.spec].input_len) + u64::from(l.generated);
+                        let computed = prompt.saturating_sub(l.cached_prefix).max(1);
+                        (1..computed).contains(&l.prefill_remaining)
+                    });
                     let batch: Vec<BatchEntry> = engine
                         .running
                         .iter()
@@ -2017,6 +2014,11 @@ mod tests {
                 let label = format!("{prefill:?} {eviction:?}");
                 assert_eq!(engine.outcomes.len(), requests.len(), "{label}");
                 assert!(engine.evictions > 0, "{label}: no preemption exercised");
+                assert_eq!(
+                    split,
+                    prefill == PrefillMode::Chunked,
+                    "{label}: a prefill spans steps exactly when chunked"
+                );
                 assert!(
                     hits > ticks / 4,
                     "{label}: cache served {hits} of {ticks} ticks"

@@ -70,19 +70,18 @@ pub enum SimError {
         parameter: &'static str,
     },
     /// A GPU type or a link holds a value its constructor rejects: a
-    /// `perf_scale` or `cost_weight` of a fleet slot, the KV link's
-    /// `link_gbps` or the swap link's `pcie_gbps`, that is not finite and
-    /// positive. Their fields are public, so a struct literal can skip
-    /// `GpuType::new`'s and `KvTransferSpec::new`'s asserts.
+    /// `perf_scale` or `cost_weight` of a fleet slot, or the KV link's
+    /// `link_gbps`, that is not finite and positive. Their fields are
+    /// public, so a struct literal can skip `GpuType::new`'s and
+    /// `KvTransferSpec::new`'s asserts.
     InvalidHardware {
         /// Name of the offending parameter.
         parameter: &'static str,
     },
-    /// An engine config holds a size its engine cannot run: a static
-    /// `max_batch`, a paged `block_size` or a chunked `chunk_tokens` of 0,
-    /// or static batching (`batching`) in a disaggregated pool, whose
-    /// stages batch continuously. The enum fields are public, so a
-    /// variant literal skips every builder.
+    /// An engine config holds a setting its engine cannot run: a paged
+    /// `block_size` of 0, or static batching (`batching`) in a
+    /// disaggregated pool, whose stages batch continuously. The layout's
+    /// field is public, so a variant literal skips every builder.
     InvalidEngine {
         /// Name of the offending parameter.
         parameter: &'static str,
@@ -208,10 +207,10 @@ mod tests {
         .to_string()
         .contains("prefix-cache parameter `block_tokens` is out of range"));
         assert!(SimError::InvalidEngine {
-            parameter: "chunk_tokens"
+            parameter: "block_size"
         }
         .to_string()
-        .contains("engine parameter `chunk_tokens` is out of range"));
+        .contains("engine parameter `block_size` is out of range"));
         assert!(SimError::InvalidAutoscale {
             parameter: "interval"
         }

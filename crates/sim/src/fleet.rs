@@ -99,9 +99,7 @@ use pf_obs::{TraceEvent, TraceSink};
 use pf_workload::RequestSpec;
 
 use crate::cluster::RouterPolicy;
-use crate::config::{
-    BatchingMode, EvictionMode, KvLayout, PrefillMode, PrefixCacheConfig, SimConfig,
-};
+use crate::config::{KvLayout, PrefixCacheConfig, SimConfig};
 use crate::error::SimError;
 use crate::perf::PerfModel;
 
@@ -160,29 +158,19 @@ pub(crate) fn check_prefix_cache(config: Option<PrefixCacheConfig>) -> Result<()
     Err(SimError::InvalidPrefixCache { parameter })
 }
 
-/// Checks an engine config's sizes and swap link before an engine is
-/// built from it: a static `max_batch` or a paged `block_size` of 0
-/// panics, a `chunk_tokens` of 0 never finishes a prefill, and a swap
-/// `pcie_gbps` that is not finite and positive panics at the first
-/// swap-out.
+/// Checks an engine config's KV layout before an engine is built from
+/// it: a paged `block_size` of 0 panics.
 ///
 /// # Errors
 ///
-/// [`SimError::InvalidEngine`] naming the zero size, or
-/// [`SimError::InvalidHardware`] for `pcie_gbps`.
+/// [`SimError::InvalidEngine`] naming `block_size`.
 pub(crate) fn check_engine(config: &SimConfig) -> Result<(), SimError> {
-    let parameter = if config.batching == (BatchingMode::Static { max_batch: 0 }) {
-        "max_batch"
-    } else if config.kv_layout == (KvLayout::Paged { block_size: 0 }) {
-        "block_size"
-    } else if config.prefill == (PrefillMode::Chunked { chunk_tokens: 0 }) {
-        "chunk_tokens"
-    } else if let EvictionMode::Swap { pcie_gbps } = config.eviction {
-        return check_positive("pcie_gbps", pcie_gbps);
-    } else {
-        return Ok(());
-    };
-    Err(SimError::InvalidEngine { parameter })
+    if config.kv_layout == (KvLayout::Paged { block_size: 0 }) {
+        return Err(SimError::InvalidEngine {
+            parameter: "block_size",
+        });
+    }
+    Ok(())
 }
 
 /// Checks the GPU types of a fleet's slots before any planner or member is

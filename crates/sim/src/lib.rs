@@ -62,7 +62,7 @@ mod slab;
 
 pub use config::{
     BatchingMode, EvictionMode, KvLayout, PrefillMode, PrefixCacheConfig, QueueOrder, SimConfig,
-    SimConfigBuilder,
+    SimConfigBuilder, PREFILL_CHUNK_TOKENS, STATIC_MAX_BATCH, SWAP_LINK_GBPS,
 };
 pub use error::SimError;
 pub use fleet::{GpuType, RouterConfig};

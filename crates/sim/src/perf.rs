@@ -19,6 +19,7 @@
 
 use pf_metrics::SimDuration;
 
+use crate::config::SWAP_LINK_GBPS;
 use crate::hardware::GpuSpec;
 use crate::model::ModelSpec;
 
@@ -146,11 +147,11 @@ impl PerfModel {
         self.finish(compute.max(memory))
     }
 
-    /// Host-device transfer time for swapping `tokens` KV entries over a
-    /// `pcie_gbps` link (one direction).
-    pub fn swap_transfer(&self, tokens: u64, pcie_gbps: f64) -> SimDuration {
+    /// Host-device transfer time for swapping `tokens` KV entries over the
+    /// [`SWAP_LINK_GBPS`] link (one direction).
+    pub fn swap_transfer(&self, tokens: u64) -> SimDuration {
         let bytes = (tokens * self.model.kv_bytes_per_token()) as f64;
-        SimDuration::from_secs_f64(bytes / (pcie_gbps * 1e9))
+        SimDuration::from_secs_f64(bytes / (SWAP_LINK_GBPS * 1e9))
     }
 
     fn finish(&self, seconds: f64) -> SimDuration {

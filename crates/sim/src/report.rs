@@ -345,10 +345,11 @@ mod tests {
         timing.record_token(SimTime::from_secs(1));
         SimReport {
             scheduler_name: "test".into(),
-            goodput: GoodputReport::compute(
+            goodput: GoodputReport::compute_with_timeouts(
                 &SlaSpec::chat_7b(),
-                &[(timing, 10)],
+                [(timing, 10)],
                 SimDuration::from_secs(10),
+                0,
             ),
             decode_steps: 100,
             prefill_steps: 10,

@@ -395,18 +395,18 @@ fn zero_autoscale_interval_is_rejected() {
 
 /// Prefill-heavy bursts with a minority of very long prompts: the regime
 /// where queue order decides the TTFT tail — during a burst, dozens of
-/// short summaries pile up behind one 3k-token prompt at the head of a
+/// short summaries pile up behind one 5k-token prompt at the head of a
 /// FIFO queue.
 fn bursty_mixed_prompts(n: usize, seed: u64) -> (Vec<RequestSpec>, Vec<SimTime>) {
     let input = LengthSampler::mixture(vec![
-        (0.90, LengthSampler::uniform(64, 256)),
-        (0.10, LengthSampler::uniform(2048, 3072)),
+        (0.90, LengthSampler::uniform(128, 512)),
+        (0.10, LengthSampler::uniform(4096, 6144)),
     ]);
     let output = LengthSampler::uniform(8, 32);
     let requests = datasets::from_samplers(n, seed, &input, &output, 64);
     let arrivals = RateProfile::bursty(
-        3.0,
-        22.0,
+        1.5,
+        11.0,
         SimDuration::from_secs(25),
         SimDuration::from_secs(60),
     )
@@ -422,9 +422,9 @@ fn sjf_prefill_order_cuts_the_ttft_tail_without_starving_long_prompts() {
     let run = |order: QueueOrder| {
         let base = SimConfig {
             queue_order: order,
-            ..base_config(12_000)
+            ..base_config(24_000)
         };
-        DisaggCluster::new(DisaggConfig::new(base).prefill_batch_tokens(4_096), 1, 1)
+        DisaggCluster::new(DisaggConfig::new(base), 1, 1)
             .run(requests.clone(), arrivals.clone())
             .expect("disagg run")
     };

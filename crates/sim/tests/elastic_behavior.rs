@@ -291,14 +291,18 @@ fn declaring_the_reference_fleet_changes_nothing() {
     let implicit = ElasticCluster::new(base_config(6_000), autoscale(1, 4), 1)
         .run(requests.clone(), arrivals.clone())
         .expect("implicit run");
-    let explicit = ElasticCluster::new(base_config(6_000), autoscale(1, 4), 1)
-        .fleet(vec![GpuType::reference(); 4])
-        .run(requests, arrivals)
-        .expect("explicit run");
-    // The homogeneous reference fleet is the identity, bit for bit.
-    assert_eq!(implicit.makespan, explicit.makespan);
-    assert_eq!(implicit.events, explicit.events);
-    assert_eq!(implicit.gpu_seconds(), explicit.gpu_seconds());
+    // The homogeneous reference fleet is the identity, bit for bit, and
+    // so is the empty list.
+    for slots in [vec![GpuType::reference(); 4], Vec::new()] {
+        let label = format!("{} slots", slots.len());
+        let explicit = ElasticCluster::new(base_config(6_000), autoscale(1, 4), 1)
+            .fleet(slots)
+            .run(requests.clone(), arrivals.clone())
+            .expect("explicit run");
+        assert_eq!(implicit.makespan, explicit.makespan, "{label}");
+        assert_eq!(implicit.events, explicit.events, "{label}");
+        assert_eq!(implicit.gpu_seconds(), explicit.gpu_seconds(), "{label}");
+    }
     assert_eq!(
         implicit.gpu_seconds(),
         implicit.headline().cost_weighted_gpu_seconds,

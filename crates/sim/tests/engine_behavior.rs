@@ -307,22 +307,66 @@ fn contiguous_layout_behaves_like_reservation() {
     assert_eq!(report.evictions, 0);
 }
 
+/// Whether some prompt's prefill spanned several steps: a decode step
+/// on its instance ended after its `PrefillStart` and before its
+/// `PrefillEnd`.
+fn some_prefill_spans_steps(events: &[pf_obs::TraceEvent]) -> bool {
+    use pf_obs::TraceEvent;
+    let mut starts = std::collections::BTreeMap::new();
+    let mut decode_ends = Vec::new();
+    events.iter().any(|&event| match event {
+        TraceEvent::PrefillStart {
+            at,
+            instance,
+            request,
+        } => {
+            starts.insert((instance, request), at);
+            false
+        }
+        TraceEvent::DecodeStep { at, instance, .. } => {
+            decode_ends.push((instance, at));
+            false
+        }
+        TraceEvent::PrefillEnd {
+            at,
+            instance,
+            request,
+            ..
+        } => starts.get(&(instance, request)).is_some_and(|&start| {
+            decode_ends
+                .iter()
+                .any(|&(i, end)| i == instance && start < end && end < at)
+        }),
+        _ => false,
+    })
+}
+
 #[test]
 fn chunked_prefill_completes() {
-    let mut config = small_config(SchedulerConfig::conservative_overcommit(1.2), 3_000);
-    config.prefill = PrefillMode::Chunked { chunk_tokens: 64 };
-    let report = Simulation::offline(config, decode_heavy(24, 11))
-        .run()
+    use pf_obs::RecordingSink;
+    let mut config = small_config(SchedulerConfig::conservative_overcommit(1.2), 24_000);
+    config.prefill = PrefillMode::Chunked;
+    // Prompts longer than one chunk, so each prefill takes several steps.
+    let input = pf_workload::LengthSampler::uniform(520, 1_100);
+    let output = pf_workload::LengthSampler::uniform(64, 256);
+    let requests = datasets::from_samplers(24, 11, &input, &output, 512);
+    let mut sink = RecordingSink::new();
+    let report = Simulation::offline(config, requests)
+        .run_traced(Some(&mut sink))
         .unwrap();
     assert_eq!(report.completed, 24);
     assert!(report.goodput.throughput_tok_per_s > 0.0);
+    assert!(
+        some_prefill_spans_steps(&sink.events),
+        "no prefill was split across steps"
+    );
 }
 
 #[test]
 fn static_batching_is_slower_than_continuous() {
-    let requests = decode_heavy(32, 12);
+    let requests = decode_heavy(64, 12);
     let mut static_config = small_config(SchedulerConfig::conservative(), 20_000);
-    static_config.batching = BatchingMode::Static { max_batch: 8 };
+    static_config.batching = BatchingMode::Static;
     let static_report = Simulation::offline(static_config, requests.clone())
         .run()
         .unwrap();
@@ -332,7 +376,7 @@ fn static_batching_is_slower_than_continuous() {
     )
     .run()
     .unwrap();
-    assert_eq!(static_report.completed, 32);
+    assert_eq!(static_report.completed, 64);
     assert!(
         continuous.throughput() > static_report.throughput(),
         "continuous {:.1} tok/s must beat static {:.1} tok/s",
@@ -415,7 +459,7 @@ fn swap_preemption_completes_and_is_cheaper_than_recompute_for_long_victims() {
         Simulation::offline(config, requests.clone()).run().unwrap()
     };
     let recompute = run(EvictionMode::Recompute);
-    let swap = run(EvictionMode::swap_pcie4());
+    let swap = run(EvictionMode::Swap);
     assert_eq!(recompute.completed, 48);
     assert_eq!(swap.completed, 48);
     assert!(recompute.evictions > 0, "scenario must actually evict");
@@ -438,7 +482,7 @@ fn swap_mode_with_zero_evictions_matches_recompute() {
         Simulation::offline(config, requests.clone()).run().unwrap()
     };
     let recompute = run(EvictionMode::Recompute);
-    let swap = run(EvictionMode::swap_pcie4());
+    let swap = run(EvictionMode::Swap);
     assert_eq!(recompute.evictions, 0);
     assert_eq!(swap.evictions, 0);
     assert_eq!(recompute.makespan, swap.makespan);
@@ -886,7 +930,7 @@ fn static_batching_runs_the_same_batches_on_every_colocated_topology() {
     let requests = datasets::sharegpt(120, 1);
     let arrivals = PoissonArrivals::new(0.5).assign(&mut seeded(1), requests.len());
     let config = SimConfig {
-        batching: BatchingMode::Static { max_batch: 16 },
+        batching: BatchingMode::Static,
         ..small_config(SchedulerConfig::past_future(), 20_000)
     };
     let config = SimConfig { seed: 1, ..config };
@@ -1102,101 +1146,59 @@ fn out_of_range_hardware_is_rejected_before_the_first_event() {
     }
 }
 
-/// Engine sizes of zero and a swap link that is not finite and positive
-/// panicked (`max_batch`, `block_size`, `pcie_gbps`) or never finished a
-/// prefill (`chunk_tokens`); every entry point now returns a typed error
-/// before the first event. A disaggregated deployment also rejects static
-/// batching, since its pools batch continuously.
+/// A paged `block_size` of zero panicked; every entry point now returns a
+/// typed error before the first event. A disaggregated deployment also
+/// rejects static batching, since its pools batch continuously.
 #[test]
 fn invalid_engine_configs_are_rejected_before_the_first_event() {
     use pf_metrics::SimTime;
     use pf_obs::RecordingSink;
     use pf_sim::cluster::{ClusterSimulation, RouterPolicy};
     use pf_sim::disagg::{DisaggCluster, DisaggConfig};
-    use pf_sim::EvictionMode;
 
     let requests = datasets::sharegpt(40, 1);
     let arrivals = vec![SimTime::ZERO; requests.len()];
-    let invalid_engine = |parameter| SimError::InvalidEngine { parameter };
     let base = || SimConfig {
         max_sim_time: Some(SimDuration::from_secs(600)),
         ..small_config(SchedulerConfig::past_future(), 40_000)
     };
-    let mut cases = vec![
-        (
-            SimConfig {
-                batching: BatchingMode::Static { max_batch: 0 },
-                ..base()
-            },
-            invalid_engine("max_batch"),
-        ),
-        (
-            SimConfig {
-                kv_layout: KvLayout::Paged { block_size: 0 },
-                ..base()
-            },
-            invalid_engine("block_size"),
-        ),
-        (
-            SimConfig {
-                prefill: PrefillMode::Chunked { chunk_tokens: 0 },
-                ..base()
-            },
-            invalid_engine("chunk_tokens"),
-        ),
-    ];
-    for pcie_gbps in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-        let config = SimConfig {
-            eviction: EvictionMode::Swap { pcie_gbps },
-            ..base()
-        };
-        let expected = SimError::InvalidHardware {
-            parameter: "pcie_gbps",
-        };
-        cases.push((config, expected));
-    }
-    for (config, expected) in cases {
-        let case = format!("{expected:?}: {:?}", config.eviction);
-        let mut sink = RecordingSink::new();
-        let single =
-            Simulation::offline(config.clone(), requests.clone()).run_traced(Some(&mut sink));
-        assert_eq!(single.unwrap_err(), expected, "single {case}");
-        assert!(sink.events.is_empty(), "rejected before the first event");
-        let mut sink = RecordingSink::new();
-        let cluster = ClusterSimulation::new(config.clone(), 2, RouterPolicy::RoundRobin)
-            .run_traced(requests.clone(), arrivals.clone(), Some(&mut sink));
-        assert_eq!(cluster.unwrap_err(), expected, "cluster {case}");
-        assert!(sink.events.is_empty(), "rejected before the first event");
-        let mut sink = RecordingSink::new();
-        let disagg = DisaggCluster::new(DisaggConfig::new(config), 1, 1).run_traced(
-            requests.clone(),
-            arrivals.clone(),
-            Some(&mut sink),
-        );
-        assert_eq!(disagg.unwrap_err(), expected, "disagg {case}");
-        assert!(sink.events.is_empty(), "rejected before the first event");
-    }
-    // A public-field literal skips the builder's check on the budget.
-    let zero_budget = DisaggConfig {
-        max_prefill_batch_tokens: 0,
-        ..DisaggConfig::new(base())
+    let config = SimConfig {
+        kv_layout: KvLayout::Paged { block_size: 0 },
+        ..base()
+    };
+    let expected = SimError::InvalidEngine {
+        parameter: "block_size",
     };
     let mut sink = RecordingSink::new();
-    let disagg = DisaggCluster::new(zero_budget, 1, 1).run_traced(
+    let single = Simulation::offline(config.clone(), requests.clone()).run_traced(Some(&mut sink));
+    assert_eq!(single.unwrap_err(), expected, "single");
+    assert!(sink.events.is_empty(), "rejected before the first event");
+    let mut sink = RecordingSink::new();
+    let cluster = ClusterSimulation::new(config.clone(), 2, RouterPolicy::RoundRobin).run_traced(
         requests.clone(),
         arrivals.clone(),
         Some(&mut sink),
     );
-    assert_eq!(
-        disagg.unwrap_err(),
-        invalid_engine("max_prefill_batch_tokens")
+    assert_eq!(cluster.unwrap_err(), expected, "cluster");
+    assert!(sink.events.is_empty(), "rejected before the first event");
+    let mut sink = RecordingSink::new();
+    let disagg = DisaggCluster::new(DisaggConfig::new(config), 1, 1).run_traced(
+        requests.clone(),
+        arrivals.clone(),
+        Some(&mut sink),
     );
+    assert_eq!(disagg.unwrap_err(), expected, "disagg");
     assert!(sink.events.is_empty(), "rejected before the first event");
     let statically_batched = SimConfig {
-        batching: BatchingMode::Static { max_batch: 8 },
+        batching: BatchingMode::Static,
         ..base()
     };
     let disagg =
         DisaggCluster::new(DisaggConfig::new(statically_batched), 1, 1).run(requests, arrivals);
-    assert_eq!(disagg.unwrap_err(), invalid_engine("batching"));
+    assert_eq!(
+        disagg.unwrap_err(),
+        SimError::InvalidEngine {
+            parameter: "batching"
+        }
+    );
 }

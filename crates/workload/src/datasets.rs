@@ -583,29 +583,6 @@ pub fn mixed_phase(n_per_phase: usize, seed: u64) -> Vec<RequestSpec> {
     out
 }
 
-/// Draws a random subset used for quick smoke runs (keeps order, thins
-/// uniformly).
-pub fn thin<R: Rng + ?Sized>(
-    requests: &[RequestSpec],
-    keep: usize,
-    rng: &mut R,
-) -> Vec<RequestSpec> {
-    if keep >= requests.len() {
-        return requests.to_vec();
-    }
-    let mut picked: Vec<usize> = rand::seq::index::sample(rng, requests.len(), keep).into_vec();
-    picked.sort_unstable();
-    picked
-        .into_iter()
-        .enumerate()
-        .map(|(new_id, idx)| {
-            let mut r = requests[idx];
-            r.id = (new_id as u64).into();
-            r
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -885,18 +862,5 @@ mod tests {
     fn builders_are_deterministic() {
         assert_eq!(distribution_1(50, 9), distribution_1(50, 9));
         assert_ne!(distribution_1(50, 9), distribution_1(50, 10));
-    }
-
-    #[test]
-    fn thin_preserves_order_and_reids() {
-        let reqs = distribution_1(100, 1);
-        let mut rng = crate::rng::seeded(1);
-        let thinned = thin(&reqs, 10, &mut rng);
-        assert_eq!(thinned.len(), 10);
-        for (i, r) in thinned.iter().enumerate() {
-            assert_eq!(r.id.raw(), i as u64);
-        }
-        let full = thin(&reqs, 200, &mut rng);
-        assert_eq!(full.len(), 100);
     }
 }

@@ -1,8 +1,8 @@
 //! Token-length distributions.
 //!
-//! `rand_distr` is intentionally not a dependency; the log-normal and
-//! exponential samplers below are implemented from first principles
-//! (Box–Muller transform, inverse-CDF) and property-tested.
+//! `rand_distr` is intentionally not a dependency; the log-normal sampler
+//! below is implemented from first principles (Box–Muller transform) and
+//! property-tested.
 
 use rand::Rng;
 
@@ -32,19 +32,8 @@ pub enum LengthSampler {
         /// Upper clamp (inclusive).
         max: u32,
     },
-    /// Exponential with the given mean, clamped to `[min, max]`.
-    Exponential {
-        /// Mean of the (unclamped) exponential.
-        mean: f64,
-        /// Lower clamp (inclusive).
-        min: u32,
-        /// Upper clamp (inclusive).
-        max: u32,
-    },
     /// Weighted mixture of samplers. Weights need not sum to 1.
     Mixture(Vec<(f64, LengthSampler)>),
-    /// Uniform draw from an explicit sample set.
-    Empirical(Vec<u32>),
 }
 
 impl LengthSampler {
@@ -80,17 +69,6 @@ impl LengthSampler {
         LengthSampler::log_normal(median.ln(), sigma, min, max)
     }
 
-    /// Exponential with the given mean, clamped to `[min, max]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean <= 0` or `min > max`.
-    pub fn exponential(mean: f64, min: u32, max: u32) -> Self {
-        assert!(mean > 0.0, "non-positive mean");
-        assert!(min <= max, "exponential clamp inverted: [{min}, {max}]");
-        LengthSampler::Exponential { mean, min, max }
-    }
-
     /// Mixture of `(weight, sampler)` components.
     ///
     /// # Panics
@@ -107,16 +85,6 @@ impl LengthSampler {
         LengthSampler::Mixture(components)
     }
 
-    /// Empirical distribution over observed lengths.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples` is empty.
-    pub fn empirical(samples: Vec<u32>) -> Self {
-        assert!(!samples.is_empty(), "empty empirical sample set");
-        LengthSampler::Empirical(samples)
-    }
-
     /// Draws one length.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
         match self {
@@ -130,12 +98,6 @@ impl LengthSampler {
             } => {
                 let z = standard_normal(rng);
                 let v = (mu + sigma * z).exp();
-                clamp_round(v, *min, *max)
-            }
-            LengthSampler::Exponential { mean, min, max } => {
-                // Inverse CDF; 1-u avoids ln(0).
-                let u: f64 = rng.gen();
-                let v = -mean * (1.0 - u).ln();
                 clamp_round(v, *min, *max)
             }
             LengthSampler::Mixture(components) => {
@@ -154,7 +116,6 @@ impl LengthSampler {
                     .1
                     .sample(rng)
             }
-            LengthSampler::Empirical(samples) => samples[rng.gen_range(0..samples.len())],
         }
     }
 
@@ -163,14 +124,13 @@ impl LengthSampler {
         match self {
             LengthSampler::Fixed(v) => *v,
             LengthSampler::UniformRange { hi, .. } => *hi,
-            LengthSampler::LogNormal { max, .. } | LengthSampler::Exponential { max, .. } => *max,
+            LengthSampler::LogNormal { max, .. } => *max,
             LengthSampler::Mixture(components) => components
                 .iter()
                 .filter(|(w, _)| *w > 0.0)
                 .map(|(_, s)| s.max_len())
                 .max()
                 .unwrap_or(0),
-            LengthSampler::Empirical(samples) => samples.iter().copied().max().unwrap_or(0),
         }
     }
 }
@@ -213,14 +173,13 @@ mod tests {
         match sampler {
             LengthSampler::Fixed(v) => *v,
             LengthSampler::UniformRange { lo, .. } => *lo,
-            LengthSampler::LogNormal { min, .. } | LengthSampler::Exponential { min, .. } => *min,
+            LengthSampler::LogNormal { min, .. } => *min,
             LengthSampler::Mixture(components) => components
                 .iter()
                 .filter(|(w, _)| *w > 0.0)
                 .map(|(_, s)| min_len(s))
                 .min()
                 .unwrap_or(0),
-            LengthSampler::Empirical(samples) => samples.iter().copied().min().unwrap_or(0),
         }
     }
 
@@ -268,15 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_mean() {
-        let mut rng = seeded(4);
-        let s = LengthSampler::exponential(200.0, 0, 1_000_000);
-        let samples = sample_n(&s, &mut rng, 50_000);
-        let mean = samples.iter().map(|&v| v as f64).sum::<f64>() / samples.len() as f64;
-        assert!((mean - 200.0).abs() < 10.0, "mean {mean}");
-    }
-
-    #[test]
     fn mixture_respects_weights() {
         let mut rng = seeded(5);
         let m = LengthSampler::mixture(vec![
@@ -298,16 +248,6 @@ mod tests {
         assert_eq!(m.max_len(), 5);
         let mut rng = seeded(6);
         assert_eq!(m.sample(&mut rng), 5);
-    }
-
-    #[test]
-    fn empirical_resamples_observed() {
-        let mut rng = seeded(7);
-        let e = LengthSampler::empirical(vec![2, 4, 8]);
-        for _ in 0..100 {
-            assert!([2, 4, 8].contains(&e.sample(&mut rng)));
-        }
-        assert_eq!(e.max_len(), 8);
     }
 
     #[test]
@@ -349,9 +289,6 @@ mod tests {
                 (1u32..5_000, 0u32..5_000).prop_map(|(lo, d)| LengthSampler::uniform(lo, lo + d)),
                 (0.0f64..10.0, 0.0f64..2.0, 1u32..100, 0u32..10_000)
                     .prop_map(|(mu, s, min, d)| LengthSampler::log_normal(mu, s, min, min + d)),
-                (1.0f64..5_000.0, 0u32..100, 1u32..10_000)
-                    .prop_map(|(mean, min, d)| LengthSampler::exponential(mean, min, min + d)),
-                proptest::collection::vec(1u32..10_000, 1..20).prop_map(LengthSampler::empirical),
             ]
         }
 
