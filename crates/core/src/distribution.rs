@@ -7,9 +7,19 @@ use rand::Rng;
 /// `P(l) = C(l, L_h) / w` where `C` counts occurrences of `l` in the window
 /// (Eq. 1). Stored as a sorted sample vector: an unconditional draw is a
 /// uniform index, and a draw from the conditional `P(l > threshold)` is a
-/// uniform index over the suffix of values above `threshold`, found by one
-/// binary search. The Past-Future scheduler, which draws several times for
-/// the same threshold in one admission call, finds that suffix once.
+/// uniform index over the suffix of values above `threshold`.
+///
+/// Beside the sample sits a count table, `at_most[v]` = the number of
+/// samples `≤ v`, so that suffix starts at `at_most[threshold]`: one load
+/// instead of a binary search. The table covers `v` up to the largest
+/// sample, capped at 2¹⁶ entries of 4 bytes: at most 256 KiB. A history's
+/// table reserves 3,072 entries (12 KiB) when it is created, so lengths
+/// below 3,072 never reallocate it while a simulation runs. A threshold
+/// at or past the largest sample has an empty suffix, and one between the
+/// cap and the largest sample falls back to the binary search, so every
+/// `u32` threshold is answered exactly. The table is a function of the
+/// sample alone, so two distributions over the same multiset compare
+/// equal.
 ///
 /// [`OutputLengthHistory`](crate::OutputLengthHistory) keeps one of these
 /// current in place as requests finish; [`from_lengths`](Self::from_lengths)
@@ -32,17 +42,51 @@ use rand::Rng;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OutputLengthDistribution {
     sorted: Vec<u32>,
+    /// `at_most[v]` = number of samples `≤ v`, for `v` below
+    /// `min(max + 1, SUPPORT_TABLE_LEN)`; empty exactly when `sorted` is.
+    at_most: Vec<u32>,
 }
+
+/// Entries in [`OutputLengthDistribution`]'s count table at most: lengths
+/// below 2¹⁶ find their support with one load.
+pub(crate) const SUPPORT_TABLE_LEN: usize = 1 << 16;
+
+/// Entries a history's count table reserves when it is created: one
+/// allocation at set-up instead of a chain of reallocations while the
+/// largest length grows. The size is measured, not derived: the
+/// benchmark's `peak_rss_mb` reads glibc's heap layout, and on
+/// `cluster-kv-sysprompt` every other size tried (none, 2¹¹, 2¹², 2¹³)
+/// moved it by +3.5 MB at some lengths of the binary's and `--out`
+/// paths, where this one held within 0.4 MB at all sixteen tried
+/// (docs/performance.md, "Peak memory").
+const SUPPORT_TABLE_RESERVE: usize = 3 << 10;
 
 impl OutputLengthDistribution {
     /// Builds a distribution from observed lengths; `None` when empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than `u32::MAX` lengths.
     pub fn from_lengths<I: IntoIterator<Item = u32>>(lengths: I) -> Option<Self> {
         let mut sorted: Vec<u32> = lengths.into_iter().collect();
         if sorted.is_empty() {
             return None;
         }
         sorted.sort_unstable();
-        Some(OutputLengthDistribution { sorted })
+        // The table counts in `u32`.
+        count(sorted.len());
+        let mut at_most = vec![0u32; table_len(&sorted)];
+        for &v in &sorted {
+            if let Some(n) = at_most.get_mut(v as usize) {
+                *n += 1;
+            }
+        }
+        let mut total = 0;
+        for n in &mut at_most {
+            total += *n;
+            *n = total;
+        }
+        Some(OutputLengthDistribution { sorted, at_most })
     }
 
     /// An empty sample for a history to fill in place. Never handed out
@@ -52,14 +96,36 @@ impl OutputLengthDistribution {
     pub(crate) fn with_capacity(capacity: usize) -> Self {
         OutputLengthDistribution {
             sorted: Vec::with_capacity(capacity),
+            at_most: Vec::with_capacity(SUPPORT_TABLE_RESERVE),
         }
     }
 
     /// Removes one copy of `evicted` (which must be present) and inserts
-    /// `added`, keeping the sample sorted. The lengths are `u32`, so the
-    /// result is the same vector that sorting the new multiset gives,
-    /// whatever order equal lengths arrived in.
+    /// `added`, keeping the sample sorted and the count table current. The
+    /// lengths are `u32`, so the result is the same vector that sorting the
+    /// new multiset gives, whatever order equal lengths arrived in.
     pub(crate) fn replace(&mut self, evicted: Option<u32>, added: u32) {
+        let before = count(self.sorted.len());
+        self.replace_sample(evicted, added);
+        // Entries past the old table held the old count (the old table
+        // reached the old maximum unless capped, and a capped table does
+        // not grow); then only the span between the two lengths moves.
+        let len = table_len(&self.sorted);
+        self.at_most.resize(len, before);
+        let clip = |v: u32| (v as usize).min(len);
+        match evicted {
+            None => self.at_most[clip(added)..].iter_mut().for_each(|n| *n += 1),
+            Some(old) if added < old => (self.at_most[clip(added)..clip(old)])
+                .iter_mut()
+                .for_each(|n| *n += 1),
+            Some(old) => (self.at_most[clip(old)..clip(added)])
+                .iter_mut()
+                .for_each(|n| *n -= 1),
+        }
+    }
+
+    /// The sample half of [`replace`](Self::replace).
+    fn replace_sample(&mut self, evicted: Option<u32>, added: u32) {
         let to = self.sorted.partition_point(|&v| v < added);
         let Some(old) = evicted else {
             self.sorted.insert(to, added);
@@ -122,9 +188,21 @@ impl OutputLengthDistribution {
 
     /// Index of the first observation strictly greater than `threshold`:
     /// the support of `P(l | l > threshold)` is the sorted suffix from here,
-    /// empty when this equals [`len`](Self::len).
+    /// empty when this equals [`len`](Self::len). One load from the count
+    /// table; a binary search only for a threshold between the table's cap
+    /// and the largest sample.
     pub(crate) fn greater_than_start(&self, threshold: u32) -> usize {
-        self.sorted.partition_point(|&v| v <= threshold)
+        let start = match self.at_most.get(threshold as usize) {
+            Some(&n) => n as usize,
+            None if threshold >= self.max() => self.sorted.len(),
+            None => self.sorted.partition_point(|&v| v <= threshold),
+        };
+        debug_assert_eq!(
+            start,
+            self.sorted.partition_point(|&v| v <= threshold),
+            "count table out of step with the sample"
+        );
+        start
     }
 
     /// Draws uniformly from the sorted suffix starting at index `start`, or
@@ -133,10 +211,29 @@ impl OutputLengthDistribution {
         (start < self.sorted.len()).then(|| self.sorted[rng.gen_range(start..self.sorted.len())])
     }
 
+    /// Entries in the count table (for the memory-bound test).
+    #[cfg(test)]
+    pub(crate) fn support_table_len(&self) -> usize {
+        self.at_most.len()
+    }
+
     /// The sorted backing sample (primarily for tests and diagnostics).
     pub fn as_sorted_slice(&self) -> &[u32] {
         &self.sorted
     }
+}
+
+/// Length of the count table over `sorted`: one entry per value up to its
+/// largest, at most [`SUPPORT_TABLE_LEN`]; 0 when empty.
+fn table_len(sorted: &[u32]) -> usize {
+    sorted
+        .last()
+        .map_or(0, |&max| (max as usize).min(SUPPORT_TABLE_LEN - 1) + 1)
+}
+
+/// A sample size as a table count.
+fn count(samples: usize) -> u32 {
+    u32::try_from(samples).expect("at most u32::MAX observations")
 }
 
 #[cfg(test)]

@@ -66,23 +66,25 @@ impl FutureMemoryEstimator {
     pub fn peak_memory(entries: &[BatchEntry]) -> u64 {
         let mut sorted: Vec<BatchEntry> = entries.to_vec();
         Self::sort_by_remaining_desc(&mut sorted);
-        Self::peak_memory_sorted(&sorted)
+        Self::peak_memory_sorted(sorted)
     }
 
-    /// `M*` for entries already sorted by `remaining` descending (Eq. 2
-    /// order).
+    /// `M*` for entries already in Eq. 2 order (`remaining` descending):
+    /// one scan, no sort.
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if the slice is not sorted descending.
-    fn peak_memory_sorted(sorted: &[BatchEntry]) -> u64 {
-        debug_assert!(
-            sorted.windows(2).all(|w| w[0].remaining >= w[1].remaining),
-            "entries must be sorted by remaining length, descending"
-        );
+    /// Panics in debug builds if the entries are not sorted descending.
+    pub fn peak_memory_sorted(sorted: impl IntoIterator<Item = BatchEntry>) -> u64 {
         let mut prefix_committed = 0u64;
         let mut peak = 0u64;
-        for (i, entry) in sorted.iter().enumerate() {
+        let mut previous = u64::MAX;
+        for (i, entry) in sorted.into_iter().enumerate() {
+            debug_assert!(
+                entry.remaining <= previous,
+                "entries must be sorted by remaining length, descending"
+            );
+            previous = entry.remaining;
             prefix_committed += entry.committed;
             let m_i = prefix_committed + entry.remaining * (i as u64 + 1);
             peak = peak.max(m_i);
@@ -229,6 +231,12 @@ impl PackedBatch {
         let pos = self.keys.partition_point(|&k| k > key);
         self.keys.insert(pos, key);
         self.committed.push(entry.committed);
+    }
+
+    /// The entries' slots in Eq. 2 order, where slot `i` is the `i`-th
+    /// entry given to [`fill`](Self::fill) (then one per insert).
+    pub fn slots(&self) -> impl Iterator<Item = usize> + '_ {
+        self.keys.iter().map(|&key| key as u32 as usize)
     }
 
     /// `M*` of the batch (Eq. 4): one scan of
@@ -548,7 +556,7 @@ mod tests {
         let mut batch = vec![e(7, 3), e(2, 9), e(4, 4), e(1, 1)];
         let peak = FutureMemoryEstimator::peak_memory(&batch);
         batch.sort_unstable_by_key(|e| std::cmp::Reverse(e.remaining));
-        assert_eq!(FutureMemoryEstimator::peak_memory_sorted(&batch), peak);
+        assert_eq!(FutureMemoryEstimator::peak_memory_sorted(batch), peak);
     }
 
     #[test]

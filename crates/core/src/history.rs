@@ -8,10 +8,12 @@ use crate::distribution::OutputLengthDistribution;
 /// requests, denoted `L_h` in the paper (Eq. 1 uses `w = 1000`).
 ///
 /// Next to the ring the history keeps the same sample in ascending order,
-/// which is the empirical distribution `P(l)` itself. [`record`] updates
-/// it in place — one binary search for the evicted length, one for the new
-/// one, and one memmove over the span between them — so
-/// [`distribution`] is a borrow that never collects or sorts the window.
+/// which is the empirical distribution `P(l)` itself, with its count table
+/// of supports. [`record`] updates both in place — one binary search for
+/// the evicted length, one for the new one, one memmove over the span
+/// between them, and one pass over the table entries between the two
+/// lengths — so [`distribution`] is a borrow that never collects or sorts
+/// the window.
 ///
 /// [`record`]: OutputLengthHistory::record
 /// [`distribution`]: OutputLengthHistory::distribution
@@ -57,7 +59,9 @@ impl OutputLengthHistory {
     }
 
     /// Records the actual output length of a finished request, evicting the
-    /// oldest observation once the window is full. O(w) with no allocation.
+    /// oldest observation once the window is full. O(w) plus the span
+    /// between the two lengths (at most 2¹⁶ table entries); it allocates
+    /// only to grow the count table to a new largest length.
     pub fn record(&mut self, output_len: u32) {
         let evicted = if self.buf.len() == self.window {
             self.buf.pop_front()
@@ -150,12 +154,44 @@ mod tests {
         assert_eq!(h.iter().collect::<Vec<_>>(), vec![95, 96, 97, 98, 99]);
     }
 
+    /// Length of the count table, through the crate-private field.
+    fn table_len(h: &OutputLengthHistory) -> usize {
+        h.distribution().map_or(0, |d| d.support_table_len())
+    }
+
+    #[test]
+    fn support_table_memory_is_bounded() {
+        use crate::distribution::SUPPORT_TABLE_LEN;
+
+        let mut h = OutputLengthHistory::new(4);
+        assert_eq!(table_len(&h), 0);
+        h.record(999);
+        // One entry per length up to the largest sample.
+        assert_eq!(table_len(&h), 1000);
+        h.extend([u32::MAX, 7]);
+        // Capped, whatever the largest length.
+        assert_eq!(table_len(&h), SUPPORT_TABLE_LEN);
+        assert_eq!(SUPPORT_TABLE_LEN * std::mem::size_of::<u32>(), 256 << 10);
+        // Shrinks back once the long lengths leave the window.
+        h.extend([3, 5, 7, 9]);
+        assert_eq!(table_len(&h), 10);
+    }
+
     /// The in-place window is exactly the distribution rebuilt from
     /// scratch after every `record`, through evictions of duplicated
     /// lengths (the small length range forces runs of equal values).
     mod props {
         use super::*;
+        use crate::distribution::SUPPORT_TABLE_LEN;
         use proptest::prelude::*;
+
+        /// Lengths and thresholds below, inside and past the count table:
+        /// small runs of equal values, both sides of its cap, and the top
+        /// of `u32`.
+        fn around_the_table() -> impl Strategy<Value = u32> {
+            let cap = SUPPORT_TABLE_LEN as u32;
+            prop_oneof![0u32..8, 0u32..8, cap - 3..cap + 3, u32::MAX - 2..=u32::MAX,]
+        }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
@@ -173,6 +209,39 @@ mod tests {
                         h.distribution().cloned(),
                         OutputLengthDistribution::from_lengths(h.iter())
                     );
+                }
+            }
+
+        }
+
+        proptest! {
+            // Each record near the cap moves up to 2¹⁶ table entries.
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn supports_match_binary_search(
+                window in 1usize..=64,
+                lengths in proptest::collection::vec(around_the_table(), 0..96),
+                thresholds in proptest::collection::vec(around_the_table(), 1..16),
+            ) {
+                let mut h = OutputLengthHistory::new(window);
+                for len in lengths {
+                    h.record(len);
+                    let d = h.distribution().expect("recorded");
+                    // The rebuilt table equals the in-place one (PartialEq
+                    // covers both the sample and the table).
+                    prop_assert_eq!(
+                        Some(d.clone()),
+                        OutputLengthDistribution::from_lengths(h.iter())
+                    );
+                    let sorted = d.as_sorted_slice();
+                    for &t in thresholds.iter().chain(&[len.saturating_sub(1), len, d.max()]) {
+                        prop_assert_eq!(
+                            d.greater_than_start(t),
+                            sorted.partition_point(|&v| v <= t),
+                            "threshold {}", t
+                        );
+                    }
                 }
             }
         }

@@ -17,9 +17,6 @@ enum LengthSource {
     History {
         history: OutputLengthHistory,
         rng: StdRng,
-        /// Reusable per-call suffix starts, one per running request (see
-        /// [`suffix_start`]).
-        starts: Vec<usize>,
     },
     /// The engine's ground truth (`oracle_remaining`), or the generation
     /// cap when the engine supplies none.
@@ -42,8 +39,8 @@ enum LengthSource {
 /// admission count wins, which is the paper's "repeat the sampling
 /// prediction several times when the running batch is small" refinement —
 /// it suppresses the variance of single draws. A running request's support
-/// `P(l > l_t)` is the same in every pass of one call, so it is located
-/// once per call and each pass only draws.
+/// `P(l > l_t)` is one load from the distribution's count table, so each
+/// pass only loads and draws.
 ///
 /// [`SchedulerConfig::Oracle`](crate::SchedulerConfig::Oracle) builds the
 /// same admission over the *true* output lengths instead, with no reserve
@@ -86,7 +83,6 @@ impl PastFutureScheduler {
             source: LengthSource::History {
                 history: OutputLengthHistory::new(window),
                 rng: StdRng::seed_from_u64(seed),
-                starts: Vec::new(),
             },
             reserved_frac,
             sample_repeats,
@@ -118,16 +114,11 @@ impl PastFutureScheduler {
     ) -> usize {
         let entries = &mut self.entries;
         match &mut self.source {
-            LengthSource::History {
-                history,
-                rng,
-                starts,
-            } => {
+            LengthSource::History { history, rng } => {
                 let dist = history.distribution();
-                debug_assert_eq!(starts.len(), running.len());
                 // Lines 2–6: refresh predictions for the running batch.
-                entries.fill(running.iter().zip(starts.iter()).map(|(r, &start)| {
-                    let predicted = draw(rng, dist, start, r.generated, r.max_new_tokens);
+                entries.fill(running.iter().map(|r| {
+                    let predicted = predict(rng, dist, r.generated, r.max_new_tokens);
                     BatchEntry {
                         committed: r.committed(),
                         remaining: u64::from(predicted.saturating_sub(r.generated).max(1)),
@@ -196,41 +187,26 @@ fn admit_prefix(
 /// reached (or passed) the cap, in which case the prediction equals the
 /// cap. When the history cannot answer (cold start, or `l_t` beyond every
 /// historical length) the prediction is the cap — exactly the paper's
-/// service-startup initialization.
+/// service-startup initialization; neither fallback touches `rng`.
+///
+/// The support starts at index 0 of the sorted sample for a request that
+/// has generated nothing (it draws from all of `P(l)`), otherwise at the
+/// first length above `generated`, which the count table gives in one load.
 fn predict(
     rng: &mut StdRng,
     distribution: Option<&OutputLengthDistribution>,
     generated: u32,
     max_new_tokens: u32,
 ) -> u32 {
-    let start = suffix_start(distribution, generated);
-    draw(rng, distribution, start, generated, max_new_tokens)
-}
-
-/// First step of [`predict`]: the index in `distribution`'s sorted sample
-/// where the support of a request that has generated `generated` tokens
-/// starts — 0 for a request that has generated nothing (it draws from all
-/// of `P(l)`), otherwise the first length above `generated`. 0 when there
-/// is no distribution.
-fn suffix_start(distribution: Option<&OutputLengthDistribution>, generated: u32) -> usize {
-    match distribution {
-        Some(dist) if generated > 0 => dist.greater_than_start(generated),
-        _ => 0,
-    }
-}
-
-/// Second step of [`predict`]: draws from the support starting at `start`
-/// and clamps the draw into `(generated, max_new_tokens]`. Falls back to
-/// `max_new_tokens` without touching `rng` when there is no distribution
-/// or the support is empty.
-fn draw(
-    rng: &mut StdRng,
-    distribution: Option<&OutputLengthDistribution>,
-    start: usize,
-    generated: u32,
-    max_new_tokens: u32,
-) -> u32 {
-    let Some(sampled) = distribution.and_then(|dist| dist.sample_from(rng, start)) else {
+    let Some(dist) = distribution else {
+        return max_new_tokens;
+    };
+    let start = if generated > 0 {
+        dist.greater_than_start(generated)
+    } else {
+        0
+    };
+    let Some(sampled) = dist.sample_from(rng, start) else {
         return max_new_tokens;
     };
     let cap = max_new_tokens.max(1);
@@ -250,16 +226,6 @@ impl Scheduler for PastFutureScheduler {
     ) -> usize {
         if queue.is_empty() {
             return 0;
-        }
-        // A running request's support `P(l > l_t)` is the same in every
-        // pass, so its binary search runs once per call.
-        if let LengthSource::History {
-            history, starts, ..
-        } = &mut self.source
-        {
-            let dist = history.distribution();
-            starts.clear();
-            starts.extend(running.iter().map(|r| suffix_start(dist, r.generated)));
         }
         let budget = (memory.capacity_tokens as f64 * (1.0 - self.reserved_frac)) as u64;
         let mut admitted = usize::MAX;

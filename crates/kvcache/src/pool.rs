@@ -2,7 +2,7 @@
 
 #![expect(
     clippy::disallowed_types,
-    reason = "the `requests` map is key-addressed only (get/insert/remove/contains_key/len) and hashes ids with `IdHasher`'s one multiply; nothing iterates it, so its order cannot reach events or reports"
+    reason = "the `requests` map is key-addressed only (get/insert/remove/contains_key/len) and hashes ids with `IdHasher`'s one multiply; nothing iterates it, so its order cannot reach events or reports, and the slots it maps to come from the pool's own free list, not from the map's layout"
 )]
 
 use std::collections::HashMap;
@@ -45,9 +45,22 @@ struct Entry {
     held: u64,
 }
 
+/// The id list of the last [`KvPool::extend_each`] and the entry index of
+/// each id, kept until the next `allocate` or `release`.
+#[derive(Debug, Clone, Default)]
+struct Resolution {
+    ids: Vec<u64>,
+    slots: Vec<u32>,
+}
+
 /// A KV-cache pool of `block_size`-slot blocks that may reserve each
 /// request's maximum length up front. The crate docs give its layouts and
 /// the slots a request holds.
+///
+/// A decode step lists the same ids step after step until the batch
+/// changes, so `extend_each` resolves the list to entry indices once and
+/// reuses them while the list is unchanged; every `allocate` and `release`
+/// drops the resolution.
 #[derive(Debug, Clone)]
 pub struct KvPool {
     block_size: u64,
@@ -56,7 +69,12 @@ pub struct KvPool {
     used: u64,
     logical: u64,
     peak: u64,
-    requests: HashMap<u64, Entry, BuildHasherDefault<IdHasher>>,
+    /// Request id → index into `entries`.
+    requests: HashMap<u64, u32, BuildHasherDefault<IdHasher>>,
+    entries: Vec<Entry>,
+    /// Indices of released `entries`, reused by the next `allocate`.
+    free: Vec<u32>,
+    resolution: Resolution,
 }
 
 impl KvPool {
@@ -70,16 +88,51 @@ impl KvPool {
             logical: 0,
             peak: 0,
             requests: HashMap::default(),
+            entries: Vec::new(),
+            free: Vec::new(),
+            resolution: Resolution::default(),
         }
     }
 
-    /// Undoes one token of `extend_each` growth; a reservation stays held.
-    fn shrink_each(&mut self, requests: &[u64]) {
-        for req in requests {
-            let entry = self.requests.get_mut(req).expect("a grown entry");
-            entry.logical -= 1;
-            entry.held = slots_for(self.block_size, self.reserving, entry.logical, entry.held);
+    /// Resolves `requests` to entry indices unless the resolution already
+    /// holds exactly this list. Returns the first unknown id, with the
+    /// indices of the ids before it resolved and the list not kept.
+    fn resolve(&mut self, requests: &[u64]) -> Option<u64> {
+        let Resolution { ids, slots } = &mut self.resolution;
+        if ids.as_slice() == requests {
+            debug_assert!(
+                (ids.iter().zip(slots.iter()))
+                    .all(|(id, slot)| self.requests.get(id) == Some(slot)),
+                "stale resolution of the decode batch"
+            );
+            return None;
         }
+        ids.clear();
+        slots.clear();
+        for &req in requests {
+            match self.requests.get(&req) {
+                Some(&slot) => slots.push(slot),
+                None => return Some(req),
+            }
+        }
+        ids.extend_from_slice(requests);
+        None
+    }
+
+    /// Drops the resolution after a change to the entries' ids.
+    fn forget_resolution(&mut self) {
+        self.resolution.ids.clear();
+        self.resolution.slots.clear();
+    }
+}
+
+/// Undoes one token of `extend_each` growth on `slots`; a reservation stays
+/// held.
+fn shrink_each(entries: &mut [Entry], block_size: u64, reserving: bool, slots: &[u32]) {
+    for &slot in slots {
+        let entry = &mut entries[slot as usize];
+        entry.logical -= 1;
+        entry.held = slots_for(block_size, reserving, entry.logical, entry.held);
     }
 }
 
@@ -132,7 +185,20 @@ impl KvCacheManager for KvPool {
                 available: self.available_tokens(),
             });
         }
-        self.requests.insert(req, Entry { logical, held });
+        self.forget_resolution();
+        let entry = Entry { logical, held };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.entries[slot as usize] = entry;
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.entries.len()).expect("at most 2^32 live requests");
+                self.entries.push(entry);
+                slot
+            }
+        };
+        self.requests.insert(req, slot);
         self.used += held;
         self.logical += logical;
         self.peak = self.peak.max(self.used);
@@ -141,7 +207,8 @@ impl KvCacheManager for KvPool {
 
     fn extend(&mut self, req: u64, tokens: u64) -> Result<(), KvCacheError> {
         let (available, block_size) = (self.available_tokens(), self.block_size);
-        let entry = self.requests.get_mut(&req).ok_or_else(|| unknown(req))?;
+        let &slot = self.requests.get(&req).ok_or_else(|| unknown(req))?;
+        let entry = &mut self.entries[slot as usize];
         let logical = entry.logical + tokens;
         let held = match self.reserving {
             false => logical.div_ceil(block_size) * block_size,
@@ -163,9 +230,12 @@ impl KvCacheManager for KvPool {
     }
 
     fn release(&mut self, req: u64) -> u64 {
-        let Some(entry) = self.requests.remove(&req) else {
+        let Some(slot) = self.requests.remove(&req) else {
             return 0;
         };
+        self.forget_resolution();
+        self.free.push(slot);
+        let entry = self.entries[slot as usize];
         self.used -= entry.held;
         self.logical -= entry.logical;
         entry.held
@@ -174,7 +244,8 @@ impl KvCacheManager for KvPool {
     fn extension_shortfall(&self, requests: &[u64]) -> Result<u64, KvCacheError> {
         let mut needed = 0;
         for &req in requests {
-            let entry = self.requests.get(&req).ok_or_else(|| unknown(req))?;
+            let &slot = self.requests.get(&req).ok_or_else(|| unknown(req))?;
+            let entry = &self.entries[slot as usize];
             // A full request needs a new block; a reservation is prepaid.
             if entry.logical == entry.held && !self.reserving {
                 needed += self.block_size;
@@ -183,32 +254,38 @@ impl KvCacheManager for KvPool {
         Ok(needed.saturating_sub(self.available_tokens()))
     }
 
-    /// One pass: grow each entry and count the new blocks, then check them
-    /// against the free slots once. An unknown id, an outgrown reservation
-    /// or a shortage rolls back the grown entries; misuse outranks shortage.
+    /// One pass over the resolved entries (no map probe while the list is
+    /// unchanged): grow each entry and count the new blocks, then check
+    /// them against the free slots once. An unknown id, an outgrown
+    /// reservation or a shortage rolls back the grown entries; misuse
+    /// outranks shortage, and the first misuse in list order is reported.
     fn extend_each(&mut self, requests: &[u64]) -> Result<(), KvCacheError> {
+        let unknown_id = self.resolve(requests);
+        let (block_size, reserving) = (self.block_size, self.reserving);
+        let slots = &self.resolution.slots;
         let mut extra = 0;
-        for (i, &req) in requests.iter().enumerate() {
-            let error = match self.requests.get_mut(&req) {
-                Some(entry) if entry.logical < entry.held => {
-                    entry.logical += 1;
-                    continue;
-                }
-                Some(entry) if !self.reserving => {
-                    entry.logical += 1;
-                    entry.held += self.block_size;
-                    extra += self.block_size;
-                    continue;
-                }
-                Some(entry) => outgrown(req, entry, 1),
-                None => unknown(req),
-            };
-            self.shrink_each(&requests[..i]);
-            return Err(error);
+        for (i, &slot) in slots.iter().enumerate() {
+            let entry = &mut self.entries[slot as usize];
+            if entry.logical < entry.held {
+                entry.logical += 1;
+            } else if !reserving {
+                entry.logical += 1;
+                entry.held += block_size;
+                extra += block_size;
+            } else {
+                let error = outgrown(requests[i], entry, 1);
+                shrink_each(&mut self.entries, block_size, reserving, &slots[..i]);
+                return Err(error);
+            }
+        }
+        if let Some(req) = unknown_id {
+            shrink_each(&mut self.entries, block_size, reserving, slots);
+            self.forget_resolution();
+            return Err(unknown(req));
         }
         let available = self.available_tokens();
         if extra > available {
-            self.shrink_each(requests);
+            shrink_each(&mut self.entries, block_size, reserving, slots);
             return Err(KvCacheError::Alloc(AllocError {
                 requested: requests.len() as u64,
                 available,

@@ -126,20 +126,24 @@ impl SampleRange<f64> for std::ops::RangeInclusive<f64> {
 }
 
 /// Unbiased uniform draw in `[0, span)` via rejection sampling.
+#[inline]
 fn uniform_u128<G: RngCore + ?Sized>(rng: &mut G, span: u128) -> u128 {
     debug_assert!(span > 0);
     if span <= u64::MAX as u128 {
         let span = span as u64;
-        // Widening-multiply rejection (Lemire); zone is the largest multiple
-        // of span that fits in 2^64.
-        let zone = u64::MAX - (u64::MAX - span + 1) % span;
+        // Widening-multiply rejection (Lemire): accept `lo <= zone`, where
+        // `zone = u64::MAX - (2^64 - span) % span` leaves a multiple of
+        // `span` below it. The remainder is below `span`, so the zone is at
+        // least `2^64 - span`: a `lo` up to that is accepted without the
+        // division, which only the rare `lo` above it pays for.
+        let sure = span.wrapping_neg();
         loop {
             let v = rng.next_u64();
             let (hi, lo) = {
                 let m = (v as u128) * (span as u128);
                 ((m >> 64) as u64, m as u64)
             };
-            if lo <= zone {
+            if lo <= sure || lo <= u64::MAX - sure % span {
                 return hi as u128;
             }
         }
@@ -304,7 +308,7 @@ pub mod seq {
 mod tests {
     use super::rngs::StdRng;
     use super::seq::SliceRandom;
-    use super::{Rng, SeedableRng};
+    use super::{uniform_u128, Rng, RngCore, SeedableRng};
 
     #[test]
     fn deterministic_per_seed() {
@@ -345,6 +349,111 @@ mod tests {
         let sum: u64 = (0..n).map(|_| rng.gen_range(0u64..1000)).sum();
         let mean = sum as f64 / n as f64;
         assert!((mean - 499.5).abs() < 5.0, "mean {mean}");
+    }
+
+    /// A generator that replays scripted words, counting them.
+    struct Script {
+        words: Vec<u64>,
+        used: usize,
+    }
+
+    impl RngCore for Script {
+        fn next_u64(&mut self) -> u64 {
+            let word = self.words[self.used];
+            self.used += 1;
+            word
+        }
+    }
+
+    /// `uniform_u128` for spans up to 2^64 - 1 as it was written before
+    /// the division-free fast path: the zone computed once per call.
+    fn zone_reference<G: RngCore + ?Sized>(rng: &mut G, span: u64) -> u64 {
+        let zone = u64::MAX - (u64::MAX - span + 1) % span;
+        loop {
+            let m = u128::from(rng.next_u64()) * u128::from(span);
+            if m as u64 <= zone {
+                return (m >> 64) as u64;
+            }
+        }
+    }
+
+    /// Draws `draws` values from each rule over the same words, asserting
+    /// equal values and equal words consumed.
+    fn assert_same_draws(span: u64, words: Vec<u64>, draws: usize) {
+        let mut fast = Script {
+            words: words.clone(),
+            used: 0,
+        };
+        let mut reference = Script { words, used: 0 };
+        for draw in 0..draws {
+            let got = uniform_u128(&mut fast, u128::from(span));
+            let want = zone_reference(&mut reference, span);
+            assert_eq!(got, u128::from(want), "span {span}, draw {draw}");
+            assert_eq!(fast.used, reference.used, "span {span}, draw {draw}");
+        }
+    }
+
+    #[test]
+    fn division_free_draws_match_the_zone_rule() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut spans = vec![
+            1,
+            2,
+            3,
+            1_000,
+            (1 << 32) - 1,
+            (1 << 32) + 1,
+            1 << 63,
+            u64::MAX,
+        ];
+        spans.extend((0..64).map(|_| rng.gen::<u64>() >> rng.gen_range(0..64u32)));
+        spans.retain(|&s| s > 0);
+        for span in spans {
+            let words = (0..4_000).map(|_| rng.gen()).collect();
+            assert_same_draws(span, words, 1_000);
+        }
+    }
+
+    /// Words whose low product lands just past `2^64 - span` (accepted only
+    /// by the zone test) and inside the rejection zone (rejected, so the
+    /// next word is consumed), for spans with a nonzero remainder.
+    #[test]
+    fn slow_path_accepts_and_rejects_like_the_zone_rule() {
+        for span in [3u64, 1_000, (1 << 32) + 1, (1 << 63) + 1, u64::MAX - 1] {
+            let sure = span.wrapping_neg();
+            let zone = u64::MAX - sure % span;
+            assert!(zone > sure && zone < u64::MAX, "span {span} has no zone");
+            // `lo = v * span mod 2^64` reaches the multiples of `2^k`, for
+            // `span = 2^k * odd`; solve for `v` with the inverse of `odd`
+            // (Newton's iteration, each step doubling the correct bits).
+            let k = span.trailing_zeros();
+            let odd = span >> k;
+            let mut inverse = odd;
+            for _ in 0..6 {
+                inverse = inverse.wrapping_mul(2u64.wrapping_sub(odd.wrapping_mul(inverse)));
+            }
+            let word_for = |lo_min: u64, lo_max: u64| -> u64 {
+                let lo = lo_min.next_multiple_of(1 << k);
+                assert!(lo <= lo_max, "span {span}: no reachable word");
+                let v = (lo >> k).wrapping_mul(inverse);
+                assert_eq!(v.wrapping_mul(span), lo);
+                v
+            };
+            let accepted = word_for(sure + 1, zone);
+            let rejected = word_for(zone + 1, u64::MAX);
+            // Accepted on the slow path; rejected, then the accepted word.
+            assert_same_draws(span, vec![accepted], 1);
+            assert_same_draws(span, vec![rejected, accepted], 1);
+            let mut script = Script {
+                words: vec![rejected, accepted],
+                used: 0,
+            };
+            uniform_u128(&mut script, u128::from(span));
+            assert_eq!(
+                script.used, 2,
+                "span {span}: the rejected word was accepted"
+            );
+        }
     }
 
     #[test]

@@ -79,7 +79,10 @@
 use std::cell::Cell;
 use std::collections::VecDeque;
 
-use pf_core::{BatchEntry, MemoryState, PackedBatch, QueuedRequest, RunningRequest, Scheduler};
+use pf_core::{
+    BatchEntry, FutureMemoryEstimator, MemoryState, PackedBatch, QueuedRequest, RunningRequest,
+    Scheduler,
+};
 use pf_kvcache::{
     BlockPrefixCache, KvCacheError, KvCacheManager, KvEvent, KvPool, PrefixCacheStats,
 };
@@ -175,6 +178,9 @@ impl Pending {
 struct Live {
     /// Handle into the engine's spec slab.
     spec: u32,
+    /// The request's id, so a decode step lists its batch for the KV pool
+    /// without going through the slab.
+    id: u64,
     generated: u32,
     timing: RequestTiming,
     evictions: u32,
@@ -213,6 +219,18 @@ struct Padding {
     max_in: u64,
     max_cap: u64,
     decoded: u64,
+}
+
+/// The running batch in Eq. 2 order of its true entries, for the true M*
+/// (see [`Engine::true_future_required_frac`]).
+#[derive(Debug, Default)]
+struct TrueOrder {
+    /// Indices into `running`, true remaining length descending; meaningful
+    /// only while `sorted`.
+    idx: Vec<u32>,
+    /// Whether `idx` is current: kept across lockstep steps, maintained by
+    /// admissions and removals, dropped after any other step.
+    sorted: bool,
 }
 
 /// The serving engine, a member of a fleet driver's pool.
@@ -275,6 +293,8 @@ pub(crate) struct Engine {
     /// and after any step where some member did not advance in lockstep;
     /// a `Cell` so the `&self` router probe can fill it.
     true_peak: Cell<Option<u64>>,
+    /// The order a miss of `true_peak` scans; a `Cell` for the same probe.
+    true_order: Cell<TrueOrder>,
 
     decode_steps: u64,
     prefill_steps: u64,
@@ -355,6 +375,7 @@ impl Engine {
             scratch_entries: Cell::new(PackedBatch::default()),
             scratch_ids: Vec::new(),
             true_peak: Cell::new(None),
+            true_order: Cell::new(TrueOrder::default()),
             output_len_sum,
             output_len_count,
             decode_steps: 0,
@@ -1069,9 +1090,9 @@ impl Engine {
                     pass_tokens += prefill_tokens.saturating_sub(cached).max(1);
                     emit_prefill_start(sink, self.now, self.instance, req);
                 }
-                self.true_peak.set(None);
-                self.running.push(Live {
+                self.push_running(Live {
                     spec: pending.spec,
+                    id: req,
                     generated: pending.generated,
                     timing: pending.timing,
                     evictions: pending.evictions,
@@ -1151,13 +1172,12 @@ impl Engine {
             live.generated += 1;
             let first_ever = live.timing.ttft().is_none();
             live.timing.record_token(self.now);
-            let request = self.specs[live.spec].id.raw();
-            emit_prefill_end(sink, self.now, instance, request, first_ever);
+            emit_prefill_end(sink, self.now, instance, live.id, first_ever);
             if self.running[i].generated >= self.specs[self.running[i].spec].true_output_len {
-                let live = self.running.remove(i);
+                let live = self.remove_running(i);
                 self.finish(live, sink);
             } else if self.role != Role::Serve {
-                let live = self.running.remove(i);
+                let live = self.remove_running(i);
                 self.hand_out(live);
             } else {
                 i += 1;
@@ -1197,7 +1217,7 @@ impl Engine {
                 if l.prefill_remaining == 0 {
                     emitters += 1;
                     if !l.first_token_pending {
-                        self.scratch_ids.push(self.specs[l.spec].id.raw());
+                        self.scratch_ids.push(l.id);
                     }
                 }
             }
@@ -1280,11 +1300,10 @@ impl Engine {
                 // (or post-preemption resumed) token on this step; a
                 // handoff's token ends no prefill.
                 if was_pending && live.restore != Restore::Resident {
-                    let request = self.specs[live.spec].id.raw();
-                    emit_prefill_end(sink, self.now, instance, request, first_ever);
+                    emit_prefill_end(sink, self.now, instance, live.id, first_ever);
                 }
                 if self.running[i].generated >= self.specs[self.running[i].spec].true_output_len {
-                    let live = self.running.remove(i);
+                    let live = self.remove_running(i);
                     self.finish(live, sink);
                     continue;
                 }
@@ -1295,15 +1314,51 @@ impl Engine {
         // emission, on the pre-step batch.
         if !lockstep {
             self.true_peak.set(None);
+            self.true_order.get_mut().sorted = false;
         }
         Ok(())
+    }
+
+    /// Adds `live` to the running batch, at its Eq. 2 position in the true
+    /// order while that is current.
+    fn push_running(&mut self, live: Live) {
+        self.true_peak.set(None);
+        let order = self.true_order.get_mut();
+        if order.sorted {
+            let remaining = Self::true_entry(&self.specs[live.spec], &live).remaining;
+            let running = &self.running;
+            let specs = &self.specs;
+            let pos = order.idx.partition_point(|&j| {
+                let l = &running[j as usize];
+                Self::true_entry(&specs[l.spec], l).remaining > remaining
+            });
+            order.idx.insert(pos, running.len() as u32);
+        }
+        self.running.push(live);
+    }
+
+    /// Takes `running[i]` out of the batch, and out of the true order while
+    /// that is current.
+    fn remove_running(&mut self, i: usize) -> Live {
+        self.true_peak.set(None);
+        let order = self.true_order.get_mut();
+        if order.sorted {
+            let gone = i as u32;
+            order.idx.retain_mut(|j| {
+                if *j == gone {
+                    return false;
+                }
+                *j -= u32::from(*j > gone);
+                true
+            });
+        }
+        self.running.remove(i)
     }
 
     /// Hands a prefilled request out of a prefill instance: it leaves the
     /// batch, its KV stays held until [`Engine::release`], and its prompt
     /// and first token are retained in the prefix store.
     fn hand_out(&mut self, live: Live) {
-        self.true_peak.set(None);
         let spec = self.specs.remove(live.spec);
         self.cache_finished_prefix(&spec, live.generated);
         self.held += 1;
@@ -1314,8 +1369,8 @@ impl Engine {
     }
 
     fn evict_most_recent(&mut self, sink: &mut Option<&mut dyn TraceSink>) {
-        let live = self.running.pop().expect("eviction from non-empty batch");
-        self.true_peak.set(None);
+        let last = (self.running.len().checked_sub(1)).expect("eviction from non-empty batch");
+        let live = self.remove_running(last);
         let spec = &self.specs[live.spec];
         let held = u64::from(spec.input_len) + u64::from(live.generated);
         let request = spec.id.raw();
@@ -1408,33 +1463,62 @@ impl Engine {
     ///
     /// The value is served from `true_peak` while the batch has only
     /// advanced in lockstep since it was computed (see the field), so a
-    /// steady decode phase evaluates Eq. 2–4 once, not once per step. On a
-    /// miss it builds the batch in the reusable `scratch_entries` instead
-    /// of allocating. Debug builds check every hit against a fresh
-    /// evaluation.
+    /// steady decode phase evaluates Eq. 2–4 once, not once per step. A
+    /// miss scans the batch in `true_order`, which a lockstep step leaves
+    /// intact and admissions and removals keep current, so only a miss
+    /// after some other step sorts. Debug builds check every value against
+    /// a fresh evaluation.
     fn true_future_required_frac(&self) -> f64 {
         let peak = match self.true_peak.get() {
-            Some(peak) => {
-                debug_assert_eq!(peak, self.fresh_true_peak(), "stale cached true M*");
-                peak
-            }
+            Some(peak) => peak,
             None => {
-                let peak = self.fresh_true_peak();
+                let peak = self.ordered_true_peak();
                 self.true_peak.set(Some(peak));
                 peak
             }
         };
+        debug_assert_eq!(peak, self.fresh_true_peak(), "stale true M*");
         peak as f64 / self.capacity as f64
     }
 
-    /// Eq. 2–4 over the running batch's [`Self::true_entry`]s, uncached.
-    fn fresh_true_peak(&self) -> u64 {
-        let mut entries = self.scratch_entries.take();
+    /// Eq. 2–4 over the running batch in `true_order`, sorting it first
+    /// when it is not current.
+    fn ordered_true_peak(&self) -> u64 {
+        let mut order = self.true_order.take();
+        let peak = if order.sorted {
+            FutureMemoryEstimator::peak_memory_sorted(order.idx.iter().map(|&j| {
+                let l = &self.running[j as usize];
+                Self::true_entry(&self.specs[l.spec], l)
+            }))
+        } else {
+            let mut entries = self.scratch_entries.take();
+            self.fill_true_entries(&mut entries);
+            order.idx.clear();
+            order.idx.extend(entries.slots().map(|slot| slot as u32));
+            order.sorted = true;
+            let peak = entries.peak();
+            self.scratch_entries.set(entries);
+            peak
+        };
+        self.true_order.set(order);
+        peak
+    }
+
+    /// Fills `entries` with the running batch's [`Self::true_entry`]s,
+    /// slot `i` for `running[i]`.
+    fn fill_true_entries(&self, entries: &mut PackedBatch) {
         entries.fill(
             self.running
                 .iter()
                 .map(|l| Self::true_entry(&self.specs[l.spec], l)),
         );
+    }
+
+    /// Eq. 2–4 over the running batch's [`Self::true_entry`]s, uncached and
+    /// sorted from scratch: the reference for the cache and the order.
+    fn fresh_true_peak(&self) -> u64 {
+        let mut entries = self.scratch_entries.take();
+        self.fill_true_entries(&mut entries);
         let peak = entries.peak();
         self.scratch_entries.set(entries);
         peak
@@ -1548,8 +1632,9 @@ impl Engine {
                 (self.padding.max_in, self.padding.max_cap) = (max_in, max_cap);
                 emit_prefill_start(sink, self.now, instance, spec.id.raw());
                 let pending = self.queue.pop_front().expect("front exists");
-                self.running.push(Live {
+                self.push_running(Live {
                     spec: pending.spec,
+                    id: self.specs[pending.spec].id.raw(),
                     generated: pending.generated,
                     timing: pending.timing,
                     evictions: 0,
@@ -1613,8 +1698,10 @@ impl Engine {
             live.generated += 1;
             live.timing.record_token(self.now);
         }
-        // The batch grew outside admission: the router's cached M* is stale.
+        // The batch grew outside admission, not in lockstep: the router's
+        // cached M* and its order are stale.
         self.true_peak.set(None);
+        self.true_order.get_mut().sorted = false;
         if !self
             .running
             .iter()
@@ -1950,8 +2037,10 @@ mod tests {
     /// rounds, lockstep decode steps, chunked mixed steps, pending first
     /// tokens, finishes and preemptions — it equals a fresh Eq. 2–4
     /// evaluation bit for bit, and so does the packed-key evaluation that
-    /// fills the cache. Release builds compile out the cache's own debug
-    /// cross-check, so this is the check that runs there.
+    /// fills the cache. While the kept Eq. 2 order is current it is a
+    /// permutation of the batch in descending true remaining length, and
+    /// its scan gives the same M*. Release builds compile out the cache's
+    /// own debug cross-check, so this is the check that runs there.
     #[test]
     fn cached_true_peak_matches_a_fresh_evaluation_after_every_tick() {
         // Prompts up to 1,920 tokens, so a chunked prefill spans steps.
@@ -1978,6 +2067,7 @@ mod tests {
                     engine.inject(SimTime::ZERO, spec);
                 }
                 let (mut ticks, mut hits, mut split) = (0u32, 0u32, false);
+                let mut ordered = 0u32;
                 loop {
                     match engine.tick_traced(&mut None).expect("tick") {
                         Tick::Worked => {}
@@ -2004,6 +2094,31 @@ mod tests {
                         reference,
                         "{prefill:?} {eviction:?}: packed M*, tick {ticks}"
                     );
+                    let order = engine.true_order.take();
+                    let current = order.sorted;
+                    if current {
+                        ordered += 1;
+                        let mut seen = order.idx.clone();
+                        seen.sort_unstable();
+                        assert!(
+                            seen.iter().copied().eq(0..batch.len() as u32),
+                            "{prefill:?} {eviction:?}: order is no permutation, tick {ticks}"
+                        );
+                        assert!(
+                            (order.idx.windows(2)).all(|w| {
+                                batch[w[0] as usize].remaining >= batch[w[1] as usize].remaining
+                            }),
+                            "{prefill:?} {eviction:?}: order out of Eq. 2 order, tick {ticks}"
+                        );
+                    }
+                    engine.true_order.set(order);
+                    if current {
+                        assert_eq!(
+                            engine.ordered_true_peak(),
+                            reference,
+                            "{prefill:?} {eviction:?}: ordered M*, tick {ticks}"
+                        );
+                    }
                     let fresh = reference as f64 / engine.capacity as f64;
                     assert_eq!(
                         engine.true_future_required_frac().to_bits(),
@@ -2022,6 +2137,10 @@ mod tests {
                 assert!(
                     hits > ticks / 4,
                     "{label}: cache served {hits} of {ticks} ticks"
+                );
+                assert!(
+                    ordered > ticks / 4,
+                    "{label}: order current after {ordered} of {ticks} ticks"
                 );
             }
         }
