@@ -184,6 +184,14 @@ impl FutureMemoryEstimator {
 /// callers, which derive it from `u32` lengths; a larger one panics rather
 /// than pack into the slot bits.
 ///
+/// The batch sorts only when asked for its order or its `M*`. Admission
+/// asks only whether `M*` exceeds a budget, and [`exceeds`](Self::exceeds)
+/// answers that from Σ committed and the smallest and largest remaining
+/// length, or from one bucket pass over the keys, none of which depends
+/// on the order; it sorts only when they cannot decide. Once sorted, the
+/// batch stays in Eq. 2 order: [`insert`](Self::insert) places each new
+/// key by binary search.
+///
 /// [`FutureMemoryEstimator::peak_memory`] is the reference it must match.
 ///
 /// # Example
@@ -199,53 +207,235 @@ impl FutureMemoryEstimator {
 /// let mut batch = PackedBatch::default();
 /// batch.fill(running);
 /// batch.insert(candidate);
+/// assert!(batch.exceeds(18));
+/// assert!(!batch.exceeds(19));
 /// let reference = [running[0], running[1], candidate];
 /// assert_eq!(batch.peak(), 19);
 /// assert_eq!(batch.peak(), FutureMemoryEstimator::peak_memory(&reference));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PackedBatch {
-    /// `(remaining << 32) | slot` per entry, descending.
+    /// `(remaining << 32) | slot` per entry: descending once the batch is
+    /// sorted, in arrival order before.
     keys: Vec<u64>,
     /// Committed tokens, indexed by slot.
     committed: Vec<u64>,
+    /// The smallest remaining length while the batch is unsorted; above
+    /// `max_remaining` once it is sorted, when no bound needs it. Marking
+    /// the order in these two words keeps the batch at 56 bytes, a size at
+    /// which the benchmark's peak memory holds (see docs/performance.md,
+    /// "Admission decided by bounds").
+    min_remaining: u32,
+    /// The largest remaining length while the batch is unsorted.
+    max_remaining: u32,
+    /// How many answers of `exceeds` took each route, in `Route::ALL`
+    /// order.
+    #[cfg(test)]
+    routes: [u32; Route::ALL.len()],
+}
+
+/// Equal-width buckets of the remaining range in step d of
+/// [`PackedBatch::exceeds`].
+const BUCKETS: usize = 32;
+
+/// How [`PackedBatch::exceeds`] reached its answer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Route {
+    /// a: `M_n`, the last Eq. 3 term, exceeds the budget.
+    LastTerm,
+    /// b: `Σc + n·r_max`, a bound on every term, fits the budget.
+    Ceiling,
+    /// c: a scan of the batch, already in Eq. 2 order.
+    Scan,
+    /// d: the bucket pass found a term over the budget.
+    BucketTerm,
+    /// d: the bucket pass bounded every term within the budget.
+    BucketCeiling,
+    /// e: nothing else decided, so the batch was sorted, then scanned.
+    Sort,
+}
+
+#[cfg(test)]
+impl Route {
+    pub(crate) const ALL: [Route; 6] = [
+        Route::LastTerm,
+        Route::Ceiling,
+        Route::Scan,
+        Route::BucketTerm,
+        Route::BucketCeiling,
+        Route::Sort,
+    ];
 }
 
 impl PackedBatch {
-    /// Replaces the batch with `entries` in Eq. 2 order, reusing the
-    /// allocations.
+    /// Replaces the batch with `entries`, reusing the allocations. Slot `i`
+    /// is the `i`-th entry; nothing is sorted yet.
     pub fn fill(&mut self, entries: impl IntoIterator<Item = BatchEntry>) {
         self.keys.clear();
         self.committed.clear();
+        (self.min_remaining, self.max_remaining) = (0, 0);
         for entry in entries {
-            self.keys.push(self.key(entry));
-            self.committed.push(entry.committed);
+            self.insert(entry);
         }
-        self.keys.sort_unstable_by(|a, b| b.cmp(a));
     }
 
-    /// Inserts `entry` at its Eq. 2 position: a binary search and one
-    /// shift of the keys, no sort.
+    /// Adds `entry` in the next slot. Once the batch is sorted it goes to
+    /// its Eq. 2 position (a binary search and one shift of the keys, no
+    /// sort); before, it is appended.
     pub fn insert(&mut self, entry: BatchEntry) {
         let key = self.key(entry);
-        let pos = self.keys.partition_point(|&k| k > key);
-        self.keys.insert(pos, key);
+        let remaining = (key >> 32) as u32;
+        if self.is_sorted() {
+            let pos = self.keys.partition_point(|&k| k > key);
+            self.keys.insert(pos, key);
+        } else {
+            if self.keys.is_empty() {
+                (self.min_remaining, self.max_remaining) = (remaining, remaining);
+            } else {
+                self.min_remaining = self.min_remaining.min(remaining);
+                self.max_remaining = self.max_remaining.max(remaining);
+            }
+            self.keys.push(key);
+        }
         self.committed.push(entry.committed);
     }
 
     /// The entries' slots in Eq. 2 order, where slot `i` is the `i`-th
-    /// entry given to [`fill`](Self::fill) (then one per insert).
-    pub fn slots(&self) -> impl Iterator<Item = usize> + '_ {
+    /// entry given to [`fill`](Self::fill) (then one per insert). Sorts the
+    /// batch if it is not sorted yet.
+    pub fn slots(&mut self) -> impl Iterator<Item = usize> + '_ {
+        self.sort();
         self.keys.iter().map(|&key| key as u32 as usize)
     }
 
     /// `M*` of the batch (Eq. 4): one scan of
-    /// `M_i = Σ_{k≤i} committed_k + remaining_i · (i+1)`. Zero when empty.
-    pub fn peak(&self) -> u64 {
+    /// `M_i = Σ_{k≤i} committed_k + remaining_i · (i+1)`, after sorting the
+    /// batch if it is not sorted yet. Zero when empty.
+    pub fn peak(&mut self) -> u64 {
+        self.sort();
+        Self::scan(&self.keys, &self.committed)
+    }
+
+    /// Whether `M*` of the batch exceeds `budget`: exactly
+    /// `self.peak() > budget`, mostly without sorting. A sorted batch is
+    /// scanned (**c**). An unsorted one sums its committed tokens (`Σc`,
+    /// one pass over a contiguous vector) and, with its `n` entries and the
+    /// smallest and largest remaining lengths `r_min` and `r_max` that it
+    /// keeps as they arrive, tries in order:
+    ///
+    /// - **a.** `M_n = Σc + n·r_min`, the last term, is at most `M*`: above
+    ///   the budget, the answer is yes;
+    /// - **b.** `Σc + n·r_max` bounds every term: within the budget, the
+    ///   answer is no;
+    /// - **d.** one pass over 32 equal-width buckets of `[r_min, r_max]`.
+    ///   Walking them from the top with running count `K` and running
+    ///   Σ committed `C`, a bucket's last entry sits at position `K` with
+    ///   the bucket's smallest remaining length, so `C + r_min·K` is an
+    ///   exact term, and `C + r_max·K` bounds every term inside the bucket;
+    /// - **e.** if no exact term is over the budget and some bucket's bound
+    ///   is, the batch is sorted and scanned, and later inserts keep it
+    ///   sorted.
+    ///
+    /// Debug builds check every answer against a fresh sort and scan.
+    pub fn exceeds(&mut self, budget: u64) -> bool {
+        let (answer, route) = self.decide(budget);
+        #[cfg(test)]
+        {
+            self.routes[route as usize] += 1;
+        }
+        if cfg!(debug_assertions) {
+            let mut keys = self.keys.clone();
+            keys.sort_unstable_by(|a, b| b.cmp(a));
+            assert_eq!(
+                answer,
+                Self::scan(&keys, &self.committed) > budget,
+                "{route:?} answered wrongly at budget {budget}"
+            );
+        }
+        answer
+    }
+
+    /// How many answers of [`exceeds`](Self::exceeds) took `route`.
+    #[cfg(test)]
+    pub(crate) fn took(&self, route: Route) -> u32 {
+        self.routes[route as usize]
+    }
+
+    /// [`exceeds`](Self::exceeds)'s answer and the step that gave it.
+    fn decide(&mut self, budget: u64) -> (bool, Route) {
+        if self.is_sorted() {
+            return (
+                Self::scan(&self.keys, &self.committed) > budget,
+                Route::Scan,
+            );
+        }
+        let n = self.keys.len() as u64;
+        let committed: u64 = self.committed.iter().sum();
+        let (low, high) = (u64::from(self.min_remaining), u64::from(self.max_remaining));
+        if committed + n * low > budget {
+            return (true, Route::LastTerm);
+        }
+        if committed.saturating_add(n.saturating_mul(high)) <= budget {
+            return (false, Route::Ceiling);
+        }
+        match self.bucket_pass(budget, low, high) {
+            Some(true) => (true, Route::BucketTerm),
+            Some(false) => (false, Route::BucketCeiling),
+            None => (self.peak() > budget, Route::Sort),
+        }
+    }
+
+    /// Step d of [`exceeds`](Self::exceeds) over remaining lengths in
+    /// `low..=high`: `Some(answer)` when the buckets decide, `None` when
+    /// they cannot. Only reached with `low < high`, since steps a and b
+    /// coincide when all remaining lengths are equal.
+    fn bucket_pass(&self, budget: u64, low: u64, high: u64) -> Option<bool> {
+        let width = high - low + 1;
+        let mut count = [0u64; BUCKETS];
+        let mut committed = [0u64; BUCKETS];
+        let mut min_r = [u64::MAX; BUCKETS];
+        let mut max_r = [0u64; BUCKETS];
+        for &key in &self.keys {
+            let remaining = key >> 32;
+            // At most (2³² − 1)·32 before the division, and below BUCKETS
+            // after it.
+            let b = ((remaining - low) * BUCKETS as u64 / width) as usize;
+            count[b] += 1;
+            committed[b] += self.committed[key as u32 as usize];
+            min_r[b] = min_r[b].min(remaining);
+            max_r[b] = max_r[b].max(remaining);
+        }
+        let (mut k, mut c, mut ceiling) = (0u64, 0u64, 0u64);
+        for b in (0..BUCKETS).rev().filter(|&b| count[b] > 0) {
+            k += count[b];
+            c += committed[b];
+            if c + min_r[b] * k > budget {
+                return Some(true);
+            }
+            ceiling = ceiling.max(c.saturating_add(max_r[b].saturating_mul(k)));
+        }
+        (ceiling <= budget).then_some(false)
+    }
+
+    /// Whether `keys` is in Eq. 2 order.
+    fn is_sorted(&self) -> bool {
+        self.min_remaining > self.max_remaining
+    }
+
+    /// Puts the keys in Eq. 2 order, unless they already are.
+    fn sort(&mut self) {
+        if !self.is_sorted() {
+            self.keys.sort_unstable_by(|a, b| b.cmp(a));
+            (self.min_remaining, self.max_remaining) = (1, 0);
+        }
+    }
+
+    /// `M*` over `keys` in Eq. 2 order.
+    fn scan(keys: &[u64], committed: &[u64]) -> u64 {
         let mut prefix_committed = 0u64;
         let mut peak = 0u64;
-        for (i, &key) in self.keys.iter().enumerate() {
-            prefix_committed += self.committed[key as u32 as usize];
+        for (i, &key) in keys.iter().enumerate() {
+            prefix_committed += committed[key as u32 as usize];
             peak = peak.max(prefix_committed + (key >> 32) * (i as u64 + 1));
         }
         peak
@@ -675,6 +865,45 @@ mod tests {
         assert_eq!(index.peak_with(e(2, 1), 0), 11);
     }
 
+    /// A batch filled with `entries`, in arrival order.
+    fn packed(entries: &[BatchEntry]) -> PackedBatch {
+        let mut batch = PackedBatch::default();
+        batch.fill(entries.iter().copied());
+        batch
+    }
+
+    #[test]
+    fn exceeds_takes_every_route() {
+        // (5,2), (5,4): M_1 = 9, M_2 = 14; Σc + n·r_max = 18.
+        let two = [e(5, 2), e(5, 4)];
+        assert_eq!(packed(&two).decide(13), (true, Route::LastTerm));
+        assert_eq!(packed(&two).decide(18), (false, Route::Ceiling));
+        assert_eq!(packed(&two).decide(15), (false, Route::BucketCeiling));
+        let mut sorted = packed(&two);
+        assert_eq!(sorted.peak(), 14);
+        assert_eq!(sorted.decide(15), (false, Route::Scan));
+        assert_eq!(sorted.decide(13), (true, Route::Scan));
+        // (10,100), (10,1): M_1 = 110 peaks before M_2 = 22, in the top
+        // bucket.
+        let early = [e(10, 1), e(10, 100)];
+        assert_eq!(packed(&early).decide(50), (true, Route::BucketTerm));
+        // (0,320), (1000,10), (0,0): M_1 = 320, M_2 = 1,020, M_3 = 1,000.
+        // 10 and 0 share the bottom bucket, whose exact term is 1,000 and
+        // whose bound is 1,030: between the two only the sort decides.
+        let straddle = [e(1000, 10), e(0, 320), e(0, 0)];
+        for (budget, answer) in [(1010, true), (1025, false)] {
+            let mut batch = packed(&straddle);
+            assert_eq!(batch.decide(budget), (answer, Route::Sort));
+            assert!(batch.is_sorted());
+            // Later probes scan the kept order; an insert keeps it.
+            assert_eq!(batch.decide(budget), (answer, Route::Scan));
+            batch.insert(e(0, 5));
+            assert_eq!(batch.slots().collect::<Vec<_>>(), [1, 0, 3, 2]);
+        }
+        // The empty batch fits any budget.
+        assert_eq!(PackedBatch::default().decide(0), (false, Route::Ceiling));
+    }
+
     #[test]
     #[should_panic(expected = "fits in 32 bits")]
     fn packed_batch_rejects_remaining_past_32_bits() {
@@ -700,15 +929,16 @@ mod tests {
         /// counts that stay small or exceed 2³² (where a `(remaining,
         /// committed)` packing would overflow).
         fn packed_entries_strategy() -> impl Strategy<Value = Vec<BatchEntry>> {
+            proptest::collection::vec(packed_entry(), 0..48)
+        }
+
+        fn packed_entry() -> impl Strategy<Value = BatchEntry> {
             let committed = prop_oneof![0u64..10_000, (1u64 << 32)..(1u64 << 40)];
             let remaining = prop_oneof![Just(0u64), 0u64..4, 0u64..=u64::from(u32::MAX)];
-            proptest::collection::vec(
-                (committed, remaining).prop_map(|(committed, remaining)| BatchEntry {
-                    committed,
-                    remaining,
-                }),
-                0..48,
-            )
+            (committed, remaining).prop_map(|(committed, remaining)| BatchEntry {
+                committed,
+                remaining,
+            })
         }
 
         proptest! {
@@ -886,10 +1116,64 @@ mod tests {
                     batch.insert(entry);
                     all.push(entry);
                     resorted.fill(all.iter().copied());
+                    resorted.sort();
                     prop_assert_eq!(&batch.keys, &resorted.keys);
                     prop_assert_eq!(&batch.committed, &resorted.committed);
                     prop_assert_eq!(batch.peak(), FutureMemoryEstimator::peak_memory(&all));
                 }
+            }
+
+            /// Every answer of `exceeds`, through random fills, inserts and
+            /// probes, equals `peak_memory(..) > budget` at budgets of
+            /// peak − 1, peak and peak + 1: on the empty batch, single
+            /// entries, all-equal (`pin == 0`) and zero remaining lengths,
+            /// and remaining lengths up to `u32::MAX`. Whenever the batch
+            /// has turned sorted, `slots()` is an Eq. 2 order of the live
+            /// entries.
+            #[test]
+            fn exceeds_matches_peak_memory(
+                ops in proptest::collection::vec((0u8..8, packed_entry(), 0u64..3), 0..64),
+                pin in 0u8..4,
+                pinned in 0u64..=u64::from(u32::MAX),
+            ) {
+                let mut batch = PackedBatch::default();
+                let mut live: Vec<BatchEntry> = Vec::new();
+                for (op, mut entry, offset) in ops {
+                    if pin == 0 {
+                        entry.remaining = pinned;
+                    }
+                    match op {
+                        // Refill with half the live batch plus `entry`.
+                        0 => {
+                            live.truncate(live.len() / 2);
+                            live.push(entry);
+                            batch.fill(live.iter().copied());
+                        }
+                        1 => {
+                            live.clear();
+                            batch.fill([]);
+                        }
+                        2 | 3 => {
+                            live.push(entry);
+                            batch.insert(entry);
+                        }
+                        _ => {
+                            let peak = FutureMemoryEstimator::peak_memory(&live);
+                            let budget = (peak + offset).saturating_sub(1);
+                            prop_assert_eq!(batch.exceeds(budget), peak > budget);
+                        }
+                    }
+                    if batch.is_sorted() {
+                        let order: Vec<usize> = batch.slots().collect();
+                        let mut seen = order.clone();
+                        seen.sort_unstable();
+                        prop_assert!(seen.iter().copied().eq(0..live.len()));
+                        prop_assert!(order
+                            .windows(2)
+                            .all(|w| live[w[0]].remaining >= live[w[1]].remaining));
+                    }
+                }
+                prop_assert_eq!(batch.peak(), FutureMemoryEstimator::peak_memory(&live));
             }
 
             /// M* exactly simulates the step-by-step token growth: replaying

@@ -53,9 +53,11 @@ pub struct PastFutureScheduler {
     reserved_frac: f64,
     sample_repeats: usize,
     name: String,
-    /// Reusable admission batch of packed Eq. 2 keys: each pass sorts the
-    /// running batch once, and each candidate probe is a binary insertion
-    /// plus one linear scan.
+    /// Reusable admission batch of packed Eq. 2 keys. Each pass refills it
+    /// with freshly drawn running entries, unsorted; a candidate probe
+    /// asks only whether `M*` exceeds the budget, which order-free bounds
+    /// mostly answer, and the batch sorts at most once per pass, when
+    /// they cannot.
     entries: PackedBatch,
 }
 
@@ -147,15 +149,16 @@ impl PastFutureScheduler {
 }
 
 /// Lines 7–16 of Algorithm 1: admits queue candidates into the running
-/// batch in `entries` (already in Eq. 2 order) while `M*` fits `budget`,
-/// stopping at the first that does not. `predicted_total` gives a
-/// candidate's total output length and is called lazily, up to and
-/// including the first rejection. Candidates are modelled at their
-/// post-prefill state (the prefill emits their first token while the rest
-/// of the batch is paused). The batch stays in Eq. 2 order across
-/// insertions, so each probe is O(log n) placement + O(n) scan; `M*` is
-/// permutation-invariant, so the result is identical to re-sorting from
-/// scratch.
+/// batch in `entries` while `M*` fits `budget`, stopping at the first that
+/// does not. `predicted_total` gives a candidate's total output length and
+/// is called lazily, up to and including the first rejection. Candidates
+/// are modelled at their post-prefill state (the prefill emits their first
+/// token while the rest of the batch is paused). Each probe is
+/// [`PackedBatch::exceeds`]: a sum over the committed tokens when an
+/// order-free bound decides, one more O(n) bucket pass when the buckets
+/// do, and otherwise a sort the first time and an O(log n) insertion plus
+/// an O(n) scan after it. Each answer equals `peak() > budget`, so the
+/// result is identical to re-sorting from scratch.
 fn admit_prefix(
     entries: &mut PackedBatch,
     queue: &[QueuedRequest],
@@ -169,7 +172,7 @@ fn admit_prefix(
             committed,
             remaining,
         });
-        if entries.peak() > budget {
+        if entries.exceeds(budget) {
             break;
         }
         admitted += 1;
@@ -248,7 +251,7 @@ impl Scheduler for PastFutureScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimator::FutureMemoryEstimator;
+    use crate::estimator::{FutureMemoryEstimator, Route};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -517,9 +520,21 @@ mod tests {
         }
     }
 
+    /// Asserts that a drive's admission probes, counted per
+    /// [`Route`] in `Route::ALL` order, took every route of
+    /// [`PackedBatch::exceeds`]: the order-free bounds, the bucket pass,
+    /// the sort fallback and the scan of a kept order. So the reference
+    /// checks each of them, not only one.
+    fn assert_every_route(tally: [u32; Route::ALL.len()]) {
+        for (count, route) in tally.into_iter().zip(Route::ALL) {
+            assert!(count > 0, "no probe took {route:?}");
+        }
+    }
+
     #[test]
     fn matches_rebuild_per_call_reference() {
         let mut admissions = 0;
+        let mut tally = [0; Route::ALL.len()];
         for seed in 0..48u64 {
             let mut g = StdRng::seed_from_u64(1000 + seed);
             let window = g.gen_range(1..=48usize);
@@ -559,8 +574,12 @@ mod tests {
                 assert_eq!(got, want, "seed {seed}, call {call}");
                 admissions += got;
             }
+            for (count, route) in tally.iter_mut().zip(Route::ALL) {
+                *count += s.entries.took(route);
+            }
         }
         assert!(admissions > 0, "the drive never admitted anything");
+        assert_every_route(tally);
     }
 
     fn oracle_queued(id: u64, input: u32, true_out: u32) -> QueuedRequest {
@@ -740,6 +759,7 @@ mod tests {
             admissions > 0 && rejections > 0,
             "the drive never hit both sides"
         );
+        assert_every_route(Route::ALL.map(|route| s.entries.took(route)));
     }
 
     #[test]
