@@ -272,9 +272,10 @@ enum Ev {
     /// Member `i` of the pool ticks: its pass or step ended, or an
     /// arrival woke it.
     Done(PoolKind, usize),
-    /// The shared link reaches its next projected completion (dropped
-    /// unprocessed when `generation` is stale — a stream joined or
-    /// drained since, rescheduling the wake).
+    /// The shared link reaches its completion floor, or, re-armed in the
+    /// same heap place (its `seq` kept), its projected completion.
+    /// Dropped unprocessed when `generation` is stale — a stream joined
+    /// or drained since, rescheduling the wake.
     LinkWake { generation: u64 },
     /// A KV transfer stream fully lands (its last chunk plus the
     /// per-stream overhead).
@@ -423,6 +424,12 @@ impl<'s> Run<'s> {
     fn schedule(&mut self, at: SimTime, ev: Ev) {
         let seq = self.seq;
         self.seq += 1;
+        self.push(at, seq, ev);
+    }
+
+    /// Pushes `ev` at `at` under `seq`: a fresh one from
+    /// [`Run::schedule`], or a popped wake's own when it re-arms.
+    fn push(&mut self, at: SimTime, seq: u64, ev: Ev) {
         self.heap.push(Reverse(Scheduled {
             at_us: at.as_micros(),
             rank: ev.rank(),
@@ -523,11 +530,12 @@ impl<'s> Run<'s> {
             if rank == ARRIVAL_RANK {
                 self.route_next();
             } else {
-                match self.heap.pop().expect("peeked").0.ev {
+                let Scheduled { seq, ev, .. } = self.heap.pop().expect("peeked").0;
+                match ev {
                     Ev::Ready(kind, i) => self.on_ready(now, kind, i),
                     Ev::Plan => self.on_plan(now),
                     Ev::Done(kind, i) => self.on_done(now, kind, i)?,
-                    Ev::LinkWake { generation } => self.on_link_wake(now, generation),
+                    Ev::LinkWake { generation } => self.on_link_wake(now, generation, seq),
                     Ev::StreamDone { id } => self.on_stream_done(now, id)?,
                 }
             }
@@ -857,13 +865,13 @@ impl<'s> Run<'s> {
         self.emit_link_utilization(now);
     }
 
-    /// Schedules a wake at the link's next projected completion, tagged
-    /// with the current generation; a join in the meantime bumps the
-    /// generation, so the stale wake is dropped unprocessed and a fresh
-    /// projection replaces it.
+    /// Schedules a wake at the link's completion floor, tagged with the
+    /// current generation, without walking the fluid; a join in the
+    /// meantime bumps the generation, so the stale wake is dropped
+    /// unprocessed (and unwalked) and a fresh floor replaces it.
     fn schedule_link_wake(&mut self, now: SimTime) {
-        let link = &mut self.split.as_mut().expect("a split run").link;
-        let Some(at_us) = link.next_event_us() else {
+        let link = &self.split.as_ref().expect("a split run").link;
+        let Some(at_us) = link.drain_floor_us() else {
             return;
         };
         let generation = link.generation();
@@ -873,10 +881,27 @@ impl<'s> Run<'s> {
         );
     }
 
-    fn on_link_wake(&mut self, now: SimTime, generation: u64) {
+    /// A current wake projects the link's next completion. Before it, the
+    /// wake re-arms there under its popped `seq`: since the floor is at
+    /// most the completion, the entry keeps the heap place a wake
+    /// scheduled at the completion would have had. At it, the link
+    /// advances and its completions are scheduled.
+    fn on_link_wake(&mut self, now: SimTime, generation: u64, seq: u64) {
         let split = self.split.as_mut().expect("a split run");
         if generation != split.link.generation() {
             return; // Superseded by a join since this wake was scheduled.
+        }
+        if let Some(done_us) = split
+            .link
+            .next_event_us()
+            .filter(|&at| at > now.as_micros())
+        {
+            self.push(
+                SimTime::from_micros(done_us),
+                seq,
+                Ev::LinkWake { generation },
+            );
+            return;
         }
         let mut completions = std::mem::take(&mut split.done_buf);
         completions.clear();

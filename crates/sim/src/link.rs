@@ -29,7 +29,7 @@
 //!
 //! # Walking the fluid once
 //!
-//! Two things keep a walk cheap without moving any result bit:
+//! Three things keep a walk cheap without moving any result bit:
 //!
 //! - **Cached eligibility.** Each open stream keeps a small record whose
 //!   `limit` (bytes eligible) and `boundary` (when that next changes) are
@@ -48,6 +48,13 @@
 //!   repeated projection on unchanged state returns the kept result.
 //!   Debug builds re-walk every reuse from scratch and assert that it
 //!   matches.
+//! - **A floor that walks nothing.** No stream drains before its last
+//!   chunk is eligible, so [`LinkScheduler::drain_floor_us`] bounds the
+//!   next completion from the production ends alone. The disagg driver
+//!   wakes at that floor and projects only then: a join before it bumps
+//!   the generation and drops the wake unwalked, where a projection at
+//!   every join would be thrown away. Debug builds assert the floor
+//!   against every walk.
 
 /// One stream's shape: how many bytes, over which production window, in
 /// how many chunks, at what fair-share weight.
@@ -152,10 +159,28 @@ impl Open {
             // count chunks via the equivalent integer test
             // span·ℓ ≤ floor(t−start)·L. `floor(t) < end` keeps k below L.
             let elapsed = (t as u64).saturating_sub(start);
-            let k = elapsed * l / span;
+            let k = mul_div(elapsed, l, span, false);
             let limit = (self.bytes * k as f64 / l as f64).min(self.bytes);
-            (limit, (start + (span * (k + 1)).div_ceil(l)) as f64)
+            (limit, (start + mul_div(span, k + 1, l, true)) as f64)
         };
+    }
+
+    /// A lower bound on the µs (the ceiled fluid instant) this stream can
+    /// drain at, given the ceiled cursor: that cursor once a limit before
+    /// production ends can already reach the drain slack (a zero-span
+    /// stream, or a chunk below `EPS_BYTES`), else the production end.
+    /// The largest limit before the end is the one `refresh` computes for
+    /// `k = L − 1`, as rounding is monotone. The end is also taken as the
+    /// `f64` that `refresh` compares against, which rounds past 2⁵³ µs.
+    fn drain_floor_us(&self, cursor_us: u64) -> u64 {
+        let l = f64::from(self.spec.chunks);
+        let end = self.spec.produce_end_us;
+        if end == self.spec.produce_start_us || self.bytes * (l - 1.0) / l >= self.bytes - EPS_BYTES
+        {
+            cursor_us
+        } else {
+            end.min((end as f64) as u64)
+        }
     }
 
     /// Has eligible bytes not yet delivered.
@@ -178,6 +203,18 @@ impl Open {
             landings.push(at.ceil() as u64);
             c += 1;
         }
+    }
+}
+
+/// `a·b/d`, rounded up when `ceil`, in `u64` unless the product
+/// overflows it, then exactly in `u128` (the quotient fits `u64` at every
+/// call site).
+fn mul_div(a: u64, b: u64, d: u64, ceil: bool) -> u64 {
+    match (a.checked_mul(b), ceil) {
+        (Some(p), false) => p / d,
+        (Some(p), true) => p.div_ceil(d),
+        (None, false) => (u128::from(a) * u128::from(b) / u128::from(d)) as u64,
+        (None, true) => (u128::from(a) * u128::from(b)).div_ceil(u128::from(d)) as u64,
     }
 }
 
@@ -413,7 +450,25 @@ impl LinkScheduler {
         projection.walk(self);
         projection.key = key;
         self.projection = projection;
+        debug_assert!(
+            self.projection.done_us >= self.drain_floor_us(),
+            "the drain floor passed the projected completion"
+        );
         self.projection.done_us
+    }
+
+    /// A lower bound on [`LinkScheduler::next_event_us`] that walks no
+    /// step, or `None` when idle: no stream drains before its last chunk
+    /// is eligible at its production end, unless its chunks are too small
+    /// to tell (then the cursor bounds it).
+    pub fn drain_floor_us(&self) -> Option<u64> {
+        let cursor_us = self.cursor.ceil() as u64;
+        let floor = self
+            .open
+            .iter()
+            .map(|o| o.drain_floor_us(cursor_us))
+            .min()?;
+        Some(floor + self.overhead_us)
     }
 
     /// Bytes delivered so far on stream `id`.

@@ -164,6 +164,56 @@ fn production_throttled_stream_finishes_with_the_pass() {
     }
 }
 
+/// A long production window in many chunks: joined at its middle,
+/// `elapsed·L` and `span·(k + 1)` overflow `u64`, and the eligible bytes
+/// and the next boundary must still be the exact ones.
+#[test]
+fn eligibility_stays_exact_where_chunk_products_overflow_u64() {
+    let (span, chunks) = (4_000_000_000_000_000u64, 10_000u32);
+    // One chunk is 25 kB, 1 µs of wire time at 25 GB/s: every delivery
+    // below is exact.
+    let bytes = 25_000 * u64::from(chunks);
+    let join = span / 2;
+    let l = u128::from(chunks);
+    assert!(join.checked_mul(u64::from(chunks)).is_none());
+    let k = (u128::from(join) * l / u128::from(span)) as u64;
+    let eligible = |k: u64| bytes as f64 * k as f64 / f64::from(chunks);
+    let next = (u128::from(span) * u128::from(k + 1)).div_ceil(l) as u64;
+
+    let mut link = LinkScheduler::new(25.0, 0);
+    let id = link.start_stream(join, spec(bytes, 0, span, chunks, 1.0));
+    let mut done = Vec::new();
+    link.advance(join + 10_000, &mut done);
+    assert_eq!(link.delivered_bytes(id), eligible(k));
+    link.advance(next - 1, &mut done);
+    assert_eq!(link.delivered_bytes(id), eligible(k));
+    link.advance(next + 10, &mut done);
+    assert_eq!(link.delivered_bytes(id), eligible(k + 1));
+    // The last chunk is eligible at the end and lands 1 µs later.
+    assert_eq!(link.drain_floor_us(), Some(span));
+    assert_eq!(link.next_event_us(), Some(span + 1));
+    assert!(done.is_empty());
+}
+
+/// A chunk below the drain slack lets a stream count as drained before
+/// its production ends, so its completion floor falls back to the cursor
+/// instead of the production end.
+#[test]
+fn drain_floor_stays_below_a_sub_slack_chunk_stream_drain() {
+    let (end, overhead_us) = (4_000_000, 200);
+    let mut link = LinkScheduler::new(25.0, overhead_us);
+    // Joined 2 µs before the end, its eligible share is already within
+    // 1e-6 of its single byte.
+    link.start_stream(end - 2, spec(1, 0, end, u32::MAX, 1.0));
+    let floor = link.drain_floor_us().expect("a stream is open");
+    let done = link.next_event_us().expect("a stream is open");
+    assert!(
+        done < end + overhead_us,
+        "drains before production ends: {done}"
+    );
+    assert!(floor <= done, "floor {floor} past the completion {done}");
+}
+
 /// The fluid walk written the direct way: every step re-derives each open
 /// stream's chunk eligibility, and every projection walks afresh from the
 /// live state. [`LinkScheduler`] caches both, and the lockstep property
@@ -486,16 +536,23 @@ fn lockstep_spec(at: u64, (bytes, y, chunks, weight): (u64, u64, u32, f64)) -> S
     spec(bytes, start, span, chunks, weight)
 }
 
-/// Asserts that the scheduler and the reference agree bit for bit. The
-/// projection is compared on a clone, so the check leaves the
-/// scheduler's kept projection as the operations left it.
+/// Asserts that the scheduler and the reference agree bit for bit, and
+/// that the drain floor exists exactly when a projection does and never
+/// passes it. The projection is compared on a clone, so the check leaves
+/// the scheduler's kept projection as the operations left it.
 fn assert_lockstep(
     link: &LinkScheduler,
     reference: &reference::Link,
     opened: usize,
     record: bool,
 ) -> Result<(), TestCaseError> {
-    prop_assert_eq!(link.clone().next_event_us(), reference.next_event_us());
+    let projected = link.clone().next_event_us();
+    prop_assert_eq!(projected, reference.next_event_us());
+    let floor = link.drain_floor_us();
+    prop_assert_eq!(floor.is_some(), projected.is_some());
+    if let (Some(floor), Some(projected)) = (floor, projected) {
+        prop_assert!(floor <= projected, "floor {} past {}", floor, projected);
+    }
     for id in 0..opened {
         prop_assert_eq!(
             link.delivered_bytes(id).to_bits(),
